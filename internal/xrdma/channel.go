@@ -87,10 +87,7 @@ type Channel struct {
 
 	recvBufs map[uint64]Buffer // recv WR id → buffer (per-channel mode)
 
-	lastComm     sim.Time
 	lastProgress sim.Time
-	kaProbeAt    sim.Time
-	kaProbing    bool
 
 	recvSinceAck int
 	lastAckVal   uint64
@@ -104,32 +101,21 @@ type Channel struct {
 	closed bool
 	broken bool
 
-	// Hot-upgrade plane (negotiate.go): the header version this channel
-	// settled on (0 = legacy, treated as hdrVersion) and the AND of both
-	// sides' capability bitmaps (0 = legacy, treated as baselineCaps).
-	// Optional wire extensions are gated on peerCaps per-channel, so a
-	// v2 context emits v1 frames to v1 peers. (Packed into the padding
-	// behind the bools above: the flyweight descriptor budget —
-	// BenchmarkIdleChannelFootprint — is one malloc size class tight.)
-	negVer   uint8
-	peerCaps uint32
-
 	onMessage func(*Msg)
 	onClose   func(error)
 
 	mock    *mockState
 	mockQPN uint32
 
-	// Health state machine (chaos hardening).
-	health      HealthState
-	degradedAt  sim.Time
-	peerQPN     uint32 // peer's latest QPN — refreshed on every adoption
-	peerQPN0    uint32 // peer's QPN at establishment — immutable channel identity
-	recEpoch    uint64 // invalidates stale recovery dials
-	recAttempts int
-	qpns        []uint32 // every local QPN this channel has owned (recoverIdx keys)
-	resumeOnRx  bool     // passive side: hold replay until the peer's QP is live
-	onHealth    func(HealthState)
+	// lk is the QP holder and failure domain this channel rides (link.go):
+	// its own for an exclusive channel, the shared QP's when muxed, nil for
+	// an unattached descriptor. qp mirrors lk.qp as of the last adoption.
+	// health is this rider's view of the link state; resumeOnRx holds the
+	// passive side's replay until the peer's replacement QP is live.
+	lk         *link
+	health     HealthState
+	resumeOnRx bool
+	onHealth   func(HealthState)
 
 	// sent keeps windowed messages by sequence until acked, so a
 	// recovery or fallback cutover can replay the unacked tail
@@ -138,10 +124,9 @@ type Channel struct {
 	sent  map[uint64]*pendingSend
 	pulls map[uint64]bool
 
-	// Gray-failure plane (pathdoctor.go): the per-path scorer, the
+	// Gray-failure plane (pathdoctor.go): the verdict observer, the
 	// request-retry token bucket and the receiver-side idempotency cache
 	// that makes retried requests exactly-once at the application.
-	doctor        pathDoctor
 	onPathVerdict func(PathVerdict)
 	retryTokens   float64
 	respCache     map[uint64]*respEntry
@@ -311,38 +296,33 @@ func (c *Context) OnChannel(fn func(*Channel)) { c.onChannel = fn }
 // very first message.
 func (c *Context) Listen(port int) error {
 	if err := c.cm.Listen(port, func(req *verbs.ConnReq) {
-		switch hello, verdict := parseMuxHello(req.PrivateData); verdict {
-		case muxHelloYes:
-			// A mux-plane dial (shared-QP establishment or reattach), not a
-			// per-channel connection.
-			c.acceptMux(req, hello, port)
-			return
-		case muxHelloBadVer:
-			// A mux hello from a release whose hello format we don't speak:
-			// count and reject loudly instead of the old silent drop, which
-			// left the dialer waiting out its CM timeout with no clue.
-			c.noteVerMismatch(req.From, 0, hello.minVer, hello.maxVer)
+		h, verdict := c.readHello(req.From, req.PrivateData)
+		switch {
+		case verdict == helloUnknown:
 			req.Reject(errVersion.Error())
+			return
+		case verdict == helloNone || h.purpose == helloOpen:
+			// A per-channel connection (no hello = a legacy v1 dialer).
+		case h.purpose == helloMuxSlot:
+			c.acceptMux(req, h, port)
+			return
+		case h.purpose == helloMuxReattach:
+			c.acceptReplacement(req, h)
+			return
+		default:
+			req.Reject("hello purpose not served on this port")
 			return
 		}
 		if c.drain != DrainServing {
 			c.refuseDraining(req)
 			return
 		}
-		offer, present := parseChanHello(req.PrivateData)
-		ver, caps, ok := c.settle(offer, present)
+		ver, caps, ok := c.settle(req, h)
 		if !ok {
-			c.noteVerMismatch(req.From, 0, offer.minVer, offer.maxVer)
-			req.Reject(errVersion.Error())
 			return
 		}
-		if present {
-			// The REP carries the settled verdict back to the dialer. Legacy
-			// dialers sent no hello and get the byte-identical legacy REP.
-			req.ReplyData = encodeChanHello(chanHello{minVer: ver, maxVer: ver, caps: caps})
-		}
 		c.allocRecvBufs(func(bufs []Buffer) {
-			c.withQP(func(qp *rnic.QP) {
+			c.withQP(c.QPs.Get(), c.qpDepth(), func(qp *rnic.QP) {
 				req.Accept(qp, func(conn *verbs.Conn, err error) {
 					if err != nil {
 						c.QPs.Put(qp)
@@ -350,7 +330,7 @@ func (c *Context) Listen(port int) error {
 						return
 					}
 					ch := c.newChannel(conn, bufs)
-					ch.setNegotiated(ver, caps)
+					ch.lk.ver, ch.lk.caps = ver, caps
 					if c.onChannel != nil {
 						c.onChannel(ch)
 					}
@@ -417,91 +397,65 @@ func (c *Context) Connect(node fabric.NodeID, port int, done func(*Channel, erro
 		ch.requestAttach()
 		return
 	}
-	var srq *rnic.SRQ
-	if c.cfg.UseSRQ {
-		c.ensureSRQ()
-		srq = c.srq
-	}
-	hello := c.chanHelloData()
+	pd := c.dialHello(hello{purpose: helloOpen})
 	c.allocRecvBufs(func(bufs []Buffer) {
-		if qp := c.QPs.Get(); qp != nil {
-			c.cm.Connect(node, port, hello, qp, c.qpDepth(), nil, nil, nil, func(conn *verbs.Conn, err error) {
-				if err != nil {
-					c.QPs.Put(qp)
-					c.freeBufs(bufs)
-					done(nil, mapDialErr(err))
-					return
-				}
-				ch := c.newChannel(conn, bufs)
-				ch.adoptPeerData(conn.PeerData)
-				done(ch, nil)
-			})
-			return
-		}
-		c.cm.Connect(node, port, hello, nil, c.qpDepth(), c.sendCQ, c.recvCQ, srq, func(conn *verbs.Conn, err error) {
+		qp := c.QPs.Get()
+		c.cm.Connect(node, port, pd, qp, c.qpDepth(), c.sendCQ, c.recvCQ, c.sharedRQ(), func(conn *verbs.Conn, err error) {
 			if err != nil {
+				c.QPs.Put(qp)
 				c.freeBufs(bufs)
 				done(nil, mapDialErr(err))
 				return
 			}
 			ch := c.newChannel(conn, bufs)
-			ch.adoptPeerData(conn.PeerData)
+			ch.lk.adoptVerdict(conn.PeerData)
 			done(ch, nil)
 		})
 	})
 }
 
-// withQP obtains a QP from the cache or creates one asynchronously.
-func (c *Context) withQP(fn func(*rnic.QP)) {
-	if qp := c.QPs.Get(); qp != nil {
+// withQP hands fn the recycled QP when there is one, or creates one
+// asynchronously through the slow hardware path.
+func (c *Context) withQP(qp *rnic.QP, depth int, fn func(*rnic.QP)) {
+	if qp != nil {
 		fn(qp)
 		return
 	}
-	var srq *rnic.SRQ
-	if c.cfg.UseSRQ {
-		c.ensureSRQ()
-		srq = c.srq
+	c.vctx.NIC.CreateQP(depth, depth, c.sendCQ, c.recvCQ, c.sharedRQ(), fn)
+}
+
+// sharedRQ is the receive queue a created QP attaches to: the context's SRQ
+// (first fill performed) when configured, nil for per-channel receive pools.
+func (c *Context) sharedRQ() *rnic.SRQ {
+	if !c.cfg.UseSRQ {
+		return nil
 	}
-	c.vctx.NIC.CreateQP(c.qpDepth(), c.qpDepth(), c.sendCQ, c.recvCQ, srq, fn)
+	c.ensureSRQ()
+	return c.srq
 }
 
 func (c *Context) qpDepth() int {
 	return 2*c.cfg.WindowDepth + c.cfg.CtrlReserve + c.cfg.MaxOutstandingWRs + 8
 }
 
+// newChannel wraps a freshly established exclusive QP. The flyweight
+// layout allocates the per-channel maps (pending, recvBufs, sent, pulls,
+// pings) on first use only, so an idle channel carries none of them.
 func (c *Context) newChannel(conn *verbs.Conn, bufs []Buffer) *Channel {
+	now := c.eng.Now()
 	ch := &Channel{
 		ctx:          c,
-		qp:           conn.QP,
 		Peer:         conn.Remote,
 		tx:           newTxWindow(c.cfg.WindowDepth),
-		peerQPN:      conn.QP.RemoteQPN,
-		peerQPN0:     conn.QP.RemoteQPN,
-		lastComm:     c.eng.Now(),
-		lastProgress: c.eng.Now(),
-		OpenedAt:     c.eng.Now(),
+		rx:           newRxWindow(c.cfg.WindowDepth),
+		lastProgress: now,
+		OpenedAt:     now,
 		retryTokens:  retryBudgetCap,
 	}
-	ch.rx = newRxWindow(c.cfg.WindowDepth)
-	c.channels[ch.qp.QPN] = ch
-	c.indexChannel(ch, ch.qp.QPN)
+	ch.lk = c.newLink(ch, linkReady)
+	ch.lk.setQP(conn.QP)
 	c.Stats.ChannelsOpened++
-	// Post the pre-allocated standing receive pool — the buffers whose
-	// footprint the §III Issue-1 formula describes. The flyweight layout
-	// allocates the per-channel maps (pending, recvBufs, sent, pulls,
-	// pings) on first use only, so an idle channel carries none of them.
-	if len(bufs) > 0 {
-		ch.recvBufs = make(map[uint64]Buffer, len(bufs))
-	}
-	for _, buf := range bufs {
-		id := c.nextWRID()
-		ch.recvBufs[id] = buf
-		if err := ch.qp.PostRecv(rnic.RecvWR{ID: id, Addr: buf.Addr, Len: buf.Len}); err != nil {
-			delete(ch.recvBufs, id)
-			c.Mem.Free(buf)
-		}
-	}
-	ch.registerGauges()
+	ch.install(bufs)
 	return ch
 }
 
@@ -656,41 +610,12 @@ func (ch *Channel) Close() {
 	ch.teardown(nil)
 }
 
+// fail reports a broken transport. The link is the failure domain: it
+// degrades (or falls back, or dies) once for every channel riding it.
 func (ch *Channel) fail(err error) {
-	if ch.closed {
-		return
+	if !ch.closed && ch.lk != nil {
+		ch.lk.fail(err)
 	}
-	if ch.mx != nil {
-		// Muxed channels share their QP's fate: the shared QP is the
-		// failure domain, and its recovery resumes every attached channel
-		// exactly once (mux.go).
-		ch.mx.fail(err)
-		return
-	}
-	if ch.mock != nil {
-		// Already degraded to TCP; stale RDMA completions are expected
-		// while the broken QP flushes.
-		return
-	}
-	if ch.health != HealthHealthy {
-		// Already degraded; the recovery machinery owns the channel and
-		// further flushed completions carry no new information.
-		return
-	}
-	if ch.ctx.recoverPort > 0 {
-		// Health state machine: hold traffic and try to re-establish
-		// RDMA before giving up on it.
-		ch.enterDegraded(err)
-		return
-	}
-	if ch.ctx.cfg.MockEnabled && ch.ctx.tcp != nil {
-		// §VI-C: switch to TCP instead of dying.
-		ch.switchToMock(err)
-		return
-	}
-	ch.ctx.Stats.ChannelsBroken++
-	ch.ctx.logf("channel qpn=%d peer=%d broken: %v", ch.qp.QPN, ch.Peer, err)
-	ch.teardown(err)
 }
 
 func (ch *Channel) teardown(err error) {
@@ -716,16 +641,9 @@ func (ch *Channel) teardown(err error) {
 			ch.attach = attachLazy
 			c.attachRelease()
 		}
-	} else if ch.qp != nil {
-		delete(c.channels, ch.qp.QPN)
 	} else {
-		// Rehydrated channel that never re-adopted a QP: it sits in the
-		// channel table under its pre-restart QPNs (drain.go).
-		for _, q := range ch.qpns {
-			if c.channels[q] == ch {
-				delete(c.channels, q)
-			}
-		}
+		ch.leaveTable()
+		ch.lk.close() // strands any in-flight replacement dial
 	}
 	for i, w := range c.mockWaiters {
 		if w == ch {
@@ -779,12 +697,6 @@ func (ch *Channel) teardown(err error) {
 		ch.tx.rewind()
 	}
 	ch.tenantRewind()
-	for _, q := range ch.qpns {
-		if c.recoverIdx[q] == ch {
-			delete(c.recoverIdx, q)
-		}
-	}
-	ch.recEpoch++ // strand any in-flight recovery dial
 	// Receive buffers back to the cache, and the flyweight maps back to
 	// nil — a closed channel costs only its struct.
 	for id, buf := range ch.recvBufs {
@@ -808,6 +720,21 @@ func (ch *Channel) teardown(err error) {
 	if ch.onClose != nil {
 		ch.onClose(err)
 	}
+}
+
+// leaveTable removes an exclusive channel from the context's QPN table and
+// reports the key it sat under: its link's QPN, or — rehydrated and never
+// re-adopted (drain.go) — the last QPN it owned before the restart. A
+// mocked channel already left; its recycled QPN may name a sibling by now.
+func (ch *Channel) leaveTable() uint32 {
+	q := ch.QPN()
+	if ns := ch.lk.qpns; ch.qp == nil && len(ns) > 0 {
+		q = ns[len(ns)-1]
+	}
+	if ch.ctx.channels[q] == ch {
+		delete(ch.ctx.channels, q)
+	}
+	return q
 }
 
 // Closed reports whether the channel is down.
@@ -870,67 +797,6 @@ func (ch *Channel) setHealth(h HealthState) {
 	if ch.onHealth != nil {
 		ch.onHealth(h)
 	}
-}
-
-// --- keepalive (§V-A) --------------------------------------------------------
-
-func (ch *Channel) keepaliveCheck(now sim.Time) {
-	if ch.closed || ch.mock != nil || ch.health != HealthHealthy || ch.resumeOnRx {
-		return
-	}
-	if ch.mx != nil {
-		// Shared-QP channels are probed once per QP (mux.keepalive), not
-		// once per channel — the probe load is O(QPs).
-		return
-	}
-	cfg := &ch.ctx.cfg
-	if ch.kaProbing {
-		// The probe is a reliable RC write: its failure (retry
-		// exhaustion) arrives through the completion below, so the
-		// wall-clock backstop must sit above the RC retry horizon —
-		// declaring death while the NIC is still legitimately
-		// retransmitting would turn every loss burst into a false
-		// positive.
-		nicCfg := &ch.ctx.vctx.NIC.Cfg
-		deadline := sim.Duration(nicCfg.RetryLimit+2) * nicCfg.RetransTimeout
-		if cfg.KeepaliveTimeout > deadline {
-			deadline = cfg.KeepaliveTimeout
-		}
-		if now.Sub(ch.kaProbeAt) > deadline {
-			ch.ctx.Stats.KeepaliveFails++
-			ch.ctx.tel.Flight.Trip(now, telemetry.CatKeepaliveFail, int32(ch.ctx.Node()), ch.qp.QPN)
-			ch.ctx.tel.Trace.Instant("keepalive.fail", ch.ctx.track, now, int64(ch.Peer))
-			ch.ctx.logf("keepalive: peer %d unreachable, reclaiming channel qpn=%d", ch.Peer, ch.qp.QPN)
-			ch.fail(ErrPeerDead)
-		}
-		return
-	}
-	if now.Sub(ch.lastComm) < cfg.KeepaliveInterval {
-		return
-	}
-	// Probe: zero-byte RDMA write — acked by the peer RNIC without
-	// waking its application or touching RDMA-enabled memory.
-	ch.kaProbing = true
-	ch.kaProbeAt = now
-	ch.ctx.Stats.KeepaliveProbes++
-	ch.ctx.tel.Flight.Record(now, telemetry.CatKeepaliveProbe, int32(ch.ctx.Node()), ch.qp.QPN, int64(ch.Peer), 0)
-	ch.ctx.tel.Trace.Instant("keepalive.probe", ch.ctx.track, now, int64(ch.Peer))
-	wr := &rnic.SendWR{Op: rnic.OpWrite, Len: 0}
-	ch.ctx.flow.postDirect(ch.qp, wr, func(cqe rnic.CQE) {
-		if ch.closed {
-			return
-		}
-		ch.kaProbing = false
-		if cqe.Status != rnic.StatusOK {
-			ch.ctx.Stats.KeepaliveFails++
-			now := ch.ctx.eng.Now()
-			ch.ctx.tel.Flight.Trip(now, telemetry.CatKeepaliveFail, int32(ch.ctx.Node()), ch.qp.QPN)
-			ch.ctx.tel.Trace.Instant("keepalive.fail", ch.ctx.track, now, int64(ch.Peer))
-			ch.fail(ErrPeerDead)
-			return
-		}
-		ch.lastComm = ch.ctx.eng.Now()
-	})
 }
 
 // --- deadlock breaker (§V-B) --------------------------------------------------

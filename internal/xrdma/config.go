@@ -91,10 +91,6 @@ type Config struct {
 	// the RDMAvisor-style fix for §III Issue 1: per-connection state stops
 	// scaling with connection count.
 	QPsPerPeer int
-	// MuxQPDepth is the send-queue capacity of a shared (muxed) QP. It
-	// must cover the sum of the attached channels' windows; the queue is
-	// lazily grown storage, so a generous cap costs nothing up front.
-	MuxQPDepth int
 	// AttachAdmission caps concurrent lazy-channel attach handshakes per
 	// context (0 = unlimited): a connection storm at process start is
 	// serialized into a deterministic FIFO instead of thundering onto the
@@ -115,8 +111,6 @@ type Config struct {
 	// TraceCost is the extra per-message cost in req-rsp mode (§VII-A
 	// measures ≈200 ns, a 2–4% ping-pong latency increase).
 	TraceCost sim.Duration
-	// TraceRingCap overrides the tracer record ring capacity (0 = 4096).
-	TraceRingCap int
 	// RequestTimeout fails pending requests that got no response (0 =
 	// never). Checked by a coarse per-context timer.
 	RequestTimeout sim.Duration
@@ -179,12 +173,6 @@ type Config struct {
 	// queued, idle regions evicted); dropping below low water clears it.
 	MemHighWater float64
 	MemLowWater  float64
-	// TenantSQBurst bounds the DRR scheduler's outstanding data WRs per
-	// shared QP: below the burst the SQ posts directly, above it frames
-	// queue per-tenant and drain in weighted deficit-round-robin order.
-	TenantSQBurst int
-	// TenantQuantum is the DRR quantum in bytes per unit of tenant weight.
-	TenantQuantum int
 	// TenantShedCooldown is how long a tenant sheds new attaches after a
 	// budget breach; each further breach extends the episode.
 	TenantShedCooldown sim.Duration
@@ -200,10 +188,6 @@ type Config struct {
 	// negotiation failure (never a corruption-shaped error).
 	ProtoVerMin int
 	ProtoVerMax int
-	// ProtoCaps is the capability bitmap offered in the hello (0 =
-	// baselineCaps: blame ext + tenant ext + one-sided verbs). A channel
-	// only exercises a capability both sides advertise.
-	ProtoCaps uint32
 	// DrainDeadline bounds Context.Drain's quiesce phase: in-flight
 	// requests get this long to complete before the remaining tail is
 	// frozen into the handoff blob for post-restart replay (0 = 50ms).
@@ -260,7 +244,6 @@ func DefaultConfig() Config {
 		UseSRQ:             false,
 		SRQSize:            4096,
 		QPsPerPeer:         0,
-		MuxQPDepth:         4096,
 		AttachAdmission:    0,
 		ChannelGaugeLimit:  0,
 		PollInterval:       1 * sim.Microsecond,
@@ -286,8 +269,6 @@ func DefaultConfig() Config {
 
 		MemHighWater:       0.85,
 		MemLowWater:        0.70,
-		TenantSQBurst:      4,
-		TenantQuantum:      4096,
 		TenantShedCooldown: 5 * sim.Millisecond,
 	}
 }
@@ -440,7 +421,6 @@ var offlineFlagNames = map[string]struct{}{
 	"use_srq":                 {},
 	"srq_size":                {},
 	"qps_per_peer":            {},
-	"mux_qp_depth":            {},
 	"attach_admission":        {},
 	"channel_gauge_limit":     {},
 	"small_msg_size":          {},
@@ -459,16 +439,12 @@ var offlineFlagNames = map[string]struct{}{
 	"recover_backoff_ms":      {},
 	"recover_dial_timeout_ms": {},
 	"failback_interval_ms":    {},
-	"trace_ring_cap":          {},
 	"tenants":                 {},
 	"mem_pool_bytes":          {},
 	"mem_highwater":           {},
 	"mem_lowwater":            {},
-	"tenant_sq_burst":         {},
-	"tenant_quantum":          {},
 	"tenant_shed_cooldown_ms": {},
 	"proto_ver_min":           {},
 	"proto_ver_max":           {},
-	"proto_caps":              {},
 	"drain_deadline_ms":       {},
 }

@@ -2,7 +2,7 @@ package xrdma
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"xrdma/internal/fabric"
 	"xrdma/internal/rnic"
@@ -72,29 +72,32 @@ type Context struct {
 	mockWaiters []*Channel
 	mockParked  []*parkedMock
 
-	// Recovery (health state machine). recoverPort > 0 enables RDMA
-	// re-establishment for degraded channels; recoverIdx maps every
-	// local QPN a channel has ever owned to the channel, because a
-	// dialing peer names the last QPN it saw — possibly several
-	// adoptions (or a fallback) ago.
+	// Link plane (link.go). links holds every live link — exclusive and
+	// shared — in creation order: the deterministic scan list the
+	// per-transport timers and the NIC-restart fan-out walk (the maps are
+	// not). The periodic scans walk it by index, because a visit may close
+	// links and shift the list left; a link that slides into a visited slot
+	// waits for the next tick, the same in every run. One-shot fan-outs
+	// that must reach every link walk a snapshot. linkIdx maps every local
+	// QPN a live link has ever owned to the link, because a redialing peer
+	// names the last QPN it saw — possibly several adoptions (or a
+	// fallback) ago. recoverPort > 0 enables RDMA re-establishment for
+	// exclusive links.
 	recoverPort int
-	recoverIdx  map[uint32]*Channel
+	links       []*link
+	linkIdx     map[uint32]*link
 
 	// QP multiplexing (mux.go, Config.QPsPerPeer > 0). chanByCID holds
 	// every mux-plane channel (lazy descriptors included) by its
-	// context-unique cid; muxByQPN demultiplexes receive completions;
-	// muxRecoverIdx is the reattach rendezvous (every QPN a shared QP has
-	// ever owned); muxQPs is the creation-order scan list — deterministic
-	// where the maps are not. attachQ/attachActive implement the
-	// admission cap on concurrent lazy attaches.
-	mux           map[fabric.NodeID]*peerMux
-	muxByQPN      map[uint32]*muxQP
-	muxRecoverIdx map[uint32]*muxQP
-	chanByCID     map[uint32]*Channel
-	muxQPs        []*muxQP
-	cidSeq        uint32
-	attachQ       []*Channel
-	attachActive  int
+	// context-unique cid; muxByQPN demultiplexes receive completions.
+	// attachQ/attachActive implement the admission cap on concurrent lazy
+	// attaches.
+	mux          map[fabric.NodeID]*peerMux
+	muxByQPN     map[uint32]*muxQP
+	chanByCID    map[uint32]*Channel
+	cidSeq       uint32
+	attachQ      []*Channel
+	attachActive int
 
 	// Tenancy plane (Config.Tenants): the tenant table in id order, the
 	// name index, the global memory-pressure gate (MemPoolBytes
@@ -211,7 +214,7 @@ func NewContext(o Options) *Context {
 		tcp:         o.TCP,
 		mockPort:    o.MockPort,
 		recoverPort: o.RecoverPort,
-		recoverIdx:  make(map[uint32]*Channel),
+		linkIdx:     make(map[uint32]*link),
 		clockSkew:   o.ClockSkew,
 		toff:        make(map[fabric.NodeID]sim.Duration),
 		eventFD:     int(o.Host.ID)*16 + 3,
@@ -237,7 +240,6 @@ func NewContext(o Options) *Context {
 		c.cfg.UseSRQ = true
 		c.mux = make(map[fabric.NodeID]*peerMux)
 		c.muxByQPN = make(map[uint32]*muxQP)
-		c.muxRecoverIdx = make(map[uint32]*muxQP)
 		c.chanByCID = make(map[uint32]*Channel)
 	}
 	if c.cfg.UseSRQ {
@@ -257,7 +259,13 @@ func NewContext(o Options) *Context {
 		c.listenMock()
 	}
 	if c.recoverPort > 0 {
-		c.listenRecover()
+		c.cm.Listen(c.recoverPort, func(req *verbs.ConnReq) {
+			if h, v := c.readHello(req.From, req.PrivateData); v == helloOK && h.purpose == helloRecover {
+				c.acceptReplacement(req, h)
+			} else {
+				req.Reject("bad recovery hello")
+			}
+		})
 	}
 	c.startPolling()
 	c.startTimers()
@@ -300,7 +308,7 @@ func (c *Context) registerGauges() {
 		{"rehydrated", func() int64 { return s.Rehydrated }},
 		{"drain_state", func() int64 { return int64(c.drain) }},
 		{"channels", func() int64 { return int64(len(c.channels) + len(c.chanByCID)) }},
-		{"mux_qps", func() int64 { return int64(len(c.muxQPs)) }},
+		{"mux_qps", func() int64 { return int64(len(c.muxByQPN)) }},
 		{"agg_channels", func() int64 { return int64(c.aggChannels) }},
 		{"mem_occupied", func() int64 { return c.Mem.OccupiedBytes() }},
 		{"mem_inuse", func() int64 { return c.Mem.InUseBytes }},
@@ -330,18 +338,6 @@ func (c *Context) Config() Config { return c.cfg }
 // NumChannels reports live channels — exclusive-QP channels plus every
 // mux-plane channel (attached or still a lazy descriptor).
 func (c *Context) NumChannels() int { return len(c.channels) + len(c.chanByCID) }
-
-// Channels returns a snapshot of live channels (XR-Stat).
-func (c *Context) Channels() []*Channel {
-	out := make([]*Channel, 0, len(c.channels)+len(c.chanByCID))
-	for _, ch := range c.channels {
-		out = append(out, ch)
-	}
-	for _, ch := range c.chanByCID {
-		out = append(out, ch)
-	}
-	return out
-}
 
 // LocalClock is the node's wall clock including configured skew.
 func (c *Context) LocalClock() sim.Time { return c.eng.Now().Add(c.clockSkew) }
@@ -562,7 +558,13 @@ func (c *Context) armKeepaliveScan() {
 		if !c.started {
 			return
 		}
-		c.keepaliveScan()
+		// Probe once per QP, not once per channel: liveness is a property of
+		// the transport underneath.
+		if now := c.eng.Now(); c.cfg.KeepaliveInterval > 0 {
+			for i := 0; i < len(c.links); i++ {
+				c.links[i].keepalive(now)
+			}
+		}
 		c.armKeepaliveScan()
 	})
 }
@@ -572,11 +574,8 @@ func (c *Context) armDeadlockScan() {
 		if !c.started {
 			return
 		}
-		for _, ch := range c.channels {
-			ch.deadlockCheck()
-		}
-		for _, mx := range c.muxQPs {
-			for _, ch := range mx.channels() {
+		for i := 0; i < len(c.links); i++ {
+			for _, ch := range c.links[i].own.riders() {
 				ch.deadlockCheck()
 			}
 		}
@@ -608,63 +607,31 @@ func (c *Context) timeoutScan() {
 		return
 	}
 	deadline := c.eng.Now().Add(-c.cfg.RequestTimeout)
-	for _, ch := range c.sortedChannels() {
+	for _, ch := range c.Channels() {
 		ch.expireRequests(deadline)
 	}
 }
 
-// sortedChannels snapshots the channel set in ascending QPN order. Every
-// housekeeping scan that makes order-dependent decisions (retry-token
-// spending, RNG draws, backoff scheduling) must walk channels through
-// this, never the map — map iteration order is randomized and would leak
+// Channels snapshots the live channels — exclusive ones in ascending QPN
+// order, then mux-plane ones (lazy descriptors included) in ascending cid
+// order. Every per-channel walk that makes order-dependent decisions
+// (retry-token spending, close order, what XR-Stat prints) goes through
+// this, never the maps — map iteration order is randomized and would leak
 // into the deterministic digests.
-func (c *Context) sortedChannels() []*Channel {
-	if len(c.channels) == 0 && len(c.chanByCID) == 0 {
-		return nil
-	}
-	qpns := make([]int, 0, len(c.channels))
-	for q := range c.channels {
-		qpns = append(qpns, int(q))
-	}
-	sort.Ints(qpns)
-	chs := make([]*Channel, 0, len(qpns)+len(c.chanByCID))
-	for _, q := range qpns {
-		if ch := c.channels[uint32(q)]; ch != nil {
-			chs = append(chs, ch)
-		}
-	}
-	// Mux-plane channels follow in ascending-cid order: cids are handed out
-	// monotonically, so each shared QP's creation-order cid slice is already
-	// sorted and the concatenation across QPs only needs one pass.
-	if len(c.chanByCID) > 0 {
-		cids := make([]int, 0, len(c.chanByCID))
-		for id := range c.chanByCID {
-			cids = append(cids, int(id))
-		}
-		sort.Ints(cids)
-		for _, id := range cids {
-			if ch := c.chanByCID[uint32(id)]; ch != nil {
-				chs = append(chs, ch)
-			}
-		}
-	}
-	return chs
+func (c *Context) Channels() []*Channel {
+	return sortedByKey(c.chanByCID, sortedByKey(c.channels, nil))
 }
 
-func (c *Context) keepaliveScan() {
-	if c.cfg.KeepaliveInterval <= 0 {
-		return
+func sortedByKey(m map[uint32]*Channel, out []*Channel) []*Channel {
+	keys := make([]uint32, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	now := c.eng.Now()
-	for _, ch := range c.channels {
-		ch.keepaliveCheck(now)
+	slices.Sort(keys)
+	for _, k := range keys {
+		out = append(out, m[k])
 	}
-	// Shared QPs probe once per QP, not once per channel: liveness is a
-	// property of the transport underneath, and O(QPs) probes is the point
-	// of multiplexing.
-	for _, mx := range c.muxQPs {
-		mx.keepalive(now)
-	}
+	return out
 }
 
 // Close tears down the context: all channels close, timers stop.
@@ -678,13 +645,13 @@ func (c *Context) Close() {
 // OnNICRestart rebuilds memory-dependent state after the local NIC came
 // back from a crash with its registered memory gone (a machine reboot in
 // the chaos scenarios): the memory cache drops its dead regions and every
-// channel is failed so the health machinery re-establishes it on fresh
-// QPs and MRs. SRQ mode is not rebuilt — the chaos drills run per-channel
-// receive queues.
+// link is failed, in creation order, so the health machinery re-establishes
+// it on fresh QPs and MRs. SRQ mode is not rebuilt — the chaos drills run
+// per-channel receive queues.
 func (c *Context) OnNICRestart() {
 	c.Mem.Reset()
-	for _, ch := range c.Channels() {
-		ch.fail(ErrNICRestart)
+	for _, l := range append([]*link(nil), c.links...) {
+		l.fail(ErrNICRestart)
 	}
 }
 

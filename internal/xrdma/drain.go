@@ -163,7 +163,7 @@ func (c *Context) drainScan() {
 	}
 	now := c.eng.Now()
 	all := true
-	for _, ch := range c.sortedChannels() {
+	for _, ch := range c.Channels() {
 		if !ch.drainQuiesced() {
 			all = false
 			break
@@ -186,7 +186,7 @@ func (c *Context) drainScan() {
 		// (the peer's window dedups any that already landed), so the
 		// operations themselves are not lost, only these callers' waits.
 		forced := 0
-		for _, ch := range c.sortedChannels() {
+		for _, ch := range c.Channels() {
 			forced += ch.failWaiters(ErrDraining)
 		}
 		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), 0, int64(forced), drainEvForced)
@@ -295,17 +295,17 @@ type handoffMsg struct {
 // instead.
 func (c *Context) encodeHandoff() []byte {
 	var recs []handoffChan
-	for _, ch := range c.sortedChannels() {
-		if ch.cid != 0 || ch.closed || ch.mock != nil || len(ch.qpns) == 0 {
+	for _, ch := range c.Channels() {
+		if ch.cid != 0 || ch.closed || ch.mock != nil || len(ch.lk.qpns) == 0 {
 			continue
 		}
 		r := handoffChan{
 			peer:     ch.Peer,
-			qpns:     ch.qpns,
-			peerQPN:  ch.peerQPN,
-			peerQPN0: ch.peerQPN0,
-			negVer:   ch.negVer,
-			caps:     ch.peerCaps,
+			qpns:     ch.lk.qpns,
+			peerQPN:  ch.lk.peerQPN,
+			peerQPN0: ch.lk.peerQPN0,
+			negVer:   ch.lk.ver,
+			caps:     ch.lk.caps,
 			txFloor:  ch.tx.acked,
 			rxFloor:  ch.rx.rta,
 		}
@@ -529,32 +529,25 @@ func (c *Context) Shutdown() {
 	if c.tcp != nil && c.mockPort > 0 {
 		c.tcp.Unlisten(c.mockPort)
 	}
-	for _, ch := range c.sortedChannels() {
+	for _, ch := range c.Channels() {
 		if ch.closed {
 			continue
 		}
 		ch.closed = true
-		ch.recEpoch++ // strand in-flight recovery dials
 		ch.unregisterGauges()
 		c.eng.Cancel(ch.ackEv)
-		if ch.mock != nil {
-			ch.closeMock()
-		} else if ch.cid == 0 && ch.qp != nil {
-			c.vctx.NIC.DestroyQP(ch.qp)
-		}
+		ch.closeMock()
 	}
 	c.channels = make(map[uint32]*Channel)
 	if c.chanByCID != nil {
 		c.chanByCID = make(map[uint32]*Channel)
 	}
-	c.recoverIdx = make(map[uint32]*Channel)
-	for _, mx := range c.muxQPs {
-		if !mx.dead {
-			mx.dead = true
-			if mx.qp != nil {
-				c.vctx.NIC.DestroyQP(mx.qp)
-			}
+	for _, l := range append([]*link(nil), c.links...) {
+		// A link on the Mock fallback already surrendered its QP.
+		if l.qp != nil && l.state != linkFallback {
+			c.vctx.NIC.DestroyQP(l.qp)
 		}
+		l.close() // strands in-flight replacement dials
 	}
 	for id := range c.srqBufs {
 		delete(c.srqBufs, id)
@@ -568,9 +561,9 @@ func (c *Context) Shutdown() {
 
 // Rehydrate restores channels from a handoff blob on a freshly started
 // context (typically at a bumped protocol version). Each channel comes
-// back Degraded with its window floors, replay tail, tenant binding and
-// negotiation verdict intact — the recovery plane re-establishes the
-// transport (lower node id dials; the higher side waits, bounded), and the
+// back on a Degraded link with its window floors, replay tail, tenant
+// binding and negotiation verdict intact — the link machine re-establishes
+// the transport (lower node id dials; the higher side waits, bounded), and the
 // replay dedups against the peer's window exactly like a transient-fault
 // recovery. The serialized negotiation verdict is kept as-is: a restarted
 // v2 node keeps speaking v1 on channels negotiated with v1 peers.
@@ -594,17 +587,14 @@ func (c *Context) Rehydrate(blob []byte) error {
 		ch := &Channel{
 			ctx:          c,
 			Peer:         r.peer,
-			peerQPN:      r.peerQPN,
-			peerQPN0:     r.peerQPN0,
 			health:       HealthDegraded,
-			degradedAt:   now,
-			lastComm:     now,
 			lastProgress: now,
 			OpenedAt:     now,
 			retryTokens:  retryBudgetCap,
-			negVer:       r.negVer,
-			peerCaps:     r.caps,
 		}
+		l := c.newLink(ch, linkDegraded)
+		l.peerQPN, l.peerQPN0, l.ver, l.caps, l.degradedAt = r.peerQPN, r.peerQPN0, r.negVer, r.caps, now
+		ch.lk = l
 		ch.tx = newTxWindow(c.cfg.WindowDepth)
 		ch.tx.seq, ch.tx.acked = r.txFloor, r.txFloor
 		ch.rx = newRxWindow(c.cfg.WindowDepth)
@@ -629,8 +619,9 @@ func (c *Context) Rehydrate(blob []byte) error {
 		// the table under the newest one — QPNs are NIC-monotonic, so a
 		// fresh QP can never collide with it, and adopt() clears the
 		// placeholder when the replacement transport lands.
+		l.qpns = r.qpns
 		for _, q := range r.qpns {
-			c.indexChannel(ch, q)
+			c.linkIdx[q] = l
 		}
 		c.channels[r.qpns[len(r.qpns)-1]] = ch
 		c.Stats.Rehydrated++
@@ -641,17 +632,7 @@ func (c *Context) Rehydrate(blob []byte) error {
 		if c.onChannel != nil {
 			c.onChannel(ch)
 		}
-		if c.Node() < ch.Peer {
-			ch.scheduleRecoverDial(errRestartHandoff)
-		} else {
-			epoch := ch.recEpoch
-			c.eng.AfterBg(c.recoverGrace(), func() {
-				if ch.closed || ch.recEpoch != epoch || ch.mock != nil || ch.health == HealthHealthy {
-					return
-				}
-				ch.proceedToFallback(errRestartHandoff)
-			})
-		}
+		l.reestablish(errRestartHandoff)
 	}
 	return nil
 }

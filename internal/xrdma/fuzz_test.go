@@ -84,7 +84,7 @@ func FuzzDecodeHdr(f *testing.F) {
 	vzero := mk(wireHdr{Kind: kindReq})
 	vzero[2] = 0
 	f.Add(vzero)
-	f.Add(append(encodeChanHello(chanHello{minVer: 1, maxVer: 2, caps: baselineCaps | capDrainHint}), make([]byte, hdrSize)...))
+	f.Add(append(hello{purpose: helloOpen, neg: true, offer: offer{minVer: 1, maxVer: 2, caps: baselineCaps | capDrainHint}}.encode(), make([]byte, hdrSize)...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, n, err := decodeHdr(b)
@@ -130,40 +130,65 @@ func FuzzDecodeHdr(f *testing.F) {
 	})
 }
 
-// FuzzParseChanHello hardens the negotiation-hello parser: CM private
-// data is peer-controlled bytes, and a hostile hello must either parse
-// into a well-formed offer or be treated as a legacy (no-hello) peer —
-// never crash, never half-parse.
-func FuzzParseChanHello(f *testing.F) {
-	f.Add(encodeChanHello(chanHello{minVer: 1, maxVer: 1, caps: baselineCaps}))
-	f.Add(encodeChanHello(chanHello{minVer: 1, maxVer: 2, caps: baselineCaps | capDrainHint}))
-	f.Add(encodeChanHello(chanHello{minVer: 2, maxVer: 2, caps: 0}))
-	f.Add(encodeChanHello(chanHello{minVer: 255, maxVer: 0, caps: ^uint32(0)}))
+// FuzzParseHello hardens the one establishment-hello parser: CM private
+// data and the first frame of a mock conn are peer-controlled bytes, and a
+// hostile hello must parse into a well-formed one, be classed a legacy
+// (no-hello) peer, or get the loud unknown verdict — never crash, never
+// over-read, never half-parse.
+func FuzzParseHello(f *testing.F) {
+	v2 := offer{minVer: 1, maxVer: 2, caps: baselineCaps | capDrainHint}
+	for _, h := range []hello{
+		{purpose: helloOpen},
+		{purpose: helloMuxSlot, slot: 1},
+		{purpose: helloMuxReattach, target: 9, target0: 3, dialer0: 4},
+		{purpose: helloRecover, target: 9, target0: 3, dialer0: 4},
+		{purpose: helloMock, target: 0xdead},
+	} {
+		f.Add(h.encode())
+		h.neg, h.offer = true, v2
+		f.Add(h.encode())
+		f.Add(h.encode()[:len(h.encode())-2]) // truncated negotiation block
+		f.Add(append(h.encode(), 0xAA, 0xBB)) // trailing garbage
+	}
+	f.Add(hello{purpose: helloOpen, neg: true, offer: offer{minVer: 255, maxVer: 0, caps: ^uint32(0)}}.encode())
+	future := hello{purpose: helloMuxSlot, slot: 2}.encode()
+	future[2] = helloFmt + 1
+	f.Add(future)
+	unknown := hello{purpose: helloOpen}.encode()
+	unknown[3] = 0x7f
+	f.Add(unknown)
 	f.Add([]byte{})
-	f.Add([]byte{0x56, 0x58})                  // magic alone, truncated
-	f.Add(bytes.Repeat([]byte{0xff}, 16))      // flag soup, wrong magic
-	f.Add(append(encodeChanHello(chanHello{minVer: 1, maxVer: 2, caps: 7}), 0xAA, 0xBB)) // trailing garbage
+	f.Add([]byte{0x58, 0x4c})             // magic alone, truncated
+	f.Add(bytes.Repeat([]byte{0xff}, 16)) // flag soup, wrong magic
 
+	c := newWorld(f, 1, nil).ctxs[0]
 	f.Fuzz(func(t *testing.T, b []byte) {
-		h, ok := parseChanHello(b)
-		if !ok {
+		before := c.Stats.VerMismatches
+		h, v := c.readHello(0, b)
+		if loud := c.Stats.VerMismatches - before; (v == helloUnknown) != (loud == 1) {
+			t.Fatalf("verdict %d counted %d mismatches: unknown must be loud, and only unknown", v, loud)
+		}
+		if v != helloOK {
 			return
 		}
-		// A parsed hello round-trips bit-for-bit over its fixed prefix.
-		out := encodeChanHello(h)
-		if !bytes.Equal(out, b[:chanHelloSize]) {
-			t.Fatalf("hello diverges after round-trip:\n in=%x\nout=%x", b[:chanHelloSize], out)
+		// A parsed hello round-trips bit-for-bit over the prefix it consumed.
+		if out := h.encode(); !bytes.HasPrefix(b, out) {
+			t.Fatalf("hello diverges after round-trip:\n in=%x\nout=%x", b, out)
 		}
-		// And negotiating any parsed offer against any local range must
-		// never panic, regardless of how inverted the peer's range is.
-		for _, local := range []chanHello{
+		if !h.neg {
+			return
+		}
+		// Negotiating any parsed offer against any local range must never
+		// panic, however inverted the peer's range, and must settle inside
+		// both ranges with no capability the local side never offered.
+		for _, local := range []offer{
 			{minVer: 1, maxVer: 1, caps: baselineCaps},
-			{minVer: 1, maxVer: 2, caps: baselineCaps | capDrainHint},
+			v2,
 			{minVer: 2, maxVer: 2, caps: 0},
 		} {
-			ver, caps, ok := negotiate(local, h)
-			if ok && (ver < local.minVer || ver > local.maxVer) {
-				t.Fatalf("negotiate settled on %d outside local [%d, %d]", ver, local.minVer, local.maxVer)
+			ver, caps, ok := negotiate(local, h.offer)
+			if ok && (ver < local.minVer || ver > local.maxVer || ver < h.minVer || ver > h.maxVer) {
+				t.Fatalf("negotiate settled on %d outside [%d,%d] ∩ [%d,%d]", ver, local.minVer, local.maxVer, h.minVer, h.maxVer)
 			}
 			if ok && caps&^local.caps != 0 {
 				t.Fatalf("negotiate granted caps %#x the local side never offered", caps)
@@ -211,8 +236,8 @@ func FuzzDecodeHandoff(f *testing.F) {
 	good := append(base(1), rec...)
 	f.Add(good)
 	f.Add(base(0))
-	f.Add(good[:len(good)-5])            // truncated mid-window
-	f.Add(base(1 << 20))                 // channel-count bomb
+	f.Add(good[:len(good)-5]) // truncated mid-window
+	f.Add(base(1 << 20))      // channel-count bomb
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	fut := base(0)

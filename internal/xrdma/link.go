@@ -1,0 +1,534 @@
+package xrdma
+
+import (
+	"errors"
+	"fmt"
+
+	"xrdma/internal/fabric"
+	"xrdma/internal/rnic"
+	"xrdma/internal/sim"
+	"xrdma/internal/telemetry"
+	"xrdma/internal/verbs"
+)
+
+// link is the QP holder and failure domain under one or more channels:
+// keepalive (§V-A), the path doctor, health recovery and the Mock fallback
+// (§VI-C) are properties of the QP, not of what rides it, so they live
+// here once. An exclusive channel owns a link with one rider; a shared
+// (mux) QP is a link with N riders. When the transport breaks the link
+// degrades, every established rider is held, and — with a recovery port —
+// the dialing side re-establishes with exponential backoff plus jitter
+// under a bounded budget while the other side waits out a grace. The
+// replacement is adopted on both sides and every rider replays its unacked
+// window tail; the seq-ack window of Algorithm 1 dedups the overlap, so
+// the cutover is exactly-once per rider in both directions.
+//
+//	dialing ──► ready ──fail──► degraded ◄──dial failed── recovering
+//	              ▲                │ └──────backoff──────────▲
+//	              └─────adopt──────┤ (either side)
+//	                               └─budget/grace spent─► owner.exhausted
+//	                                    (exclusive: fallback or dead; shared: dead)
+//	fallback ──failback probe adopted──► ready
+type linkState uint8
+
+const (
+	linkDialing    linkState = iota // first establishment in flight (shared QPs dial before riders attach)
+	linkReady                       // riders run on qp
+	linkDegraded                    // transport lost; riders held, replacement awaited
+	linkRecovering                  // a replacement dial is in flight
+	linkFallback                    // exclusive only: the rider runs on the TCP Mock transport
+	linkDead
+)
+
+// linkOwner is everything that legitimately differs between an exclusive
+// channel and a shared QP; the health machine itself never asks which one
+// it is serving.
+type linkOwner interface {
+	// riders snapshots the channels on the link in attach order; the walk
+	// may detach or close them.
+	riders() []*Channel
+	// acquire gathers what a replacement transport is built from: a
+	// recycled QP (nil = create one) and the standing receive pool to post
+	// on it (nil = the SRQ serves).
+	acquire(fn func(qp *rnic.QP, bufs []Buffer))
+	// release returns transport material that will not be adopted.
+	release(qp *rnic.QP, bufs []Buffer)
+	// parked runs as the link degrades, while the broken QP is still
+	// installed and before the riders are held.
+	parked()
+	// retire unhooks the outgoing transport — the broken QP or the Mock
+	// fallback — from the context ahead of an adoption.
+	retire(initiator bool)
+	// install routes the link QP's completions to the owner and posts the
+	// receive pool.
+	install(bufs []Buffer)
+	// exhausted means no replacement is coming: the link never came up, has
+	// no recovery port, or spent its retry budget (dialer) or grace (waiter).
+	exhausted(cause error)
+}
+
+type link struct {
+	c    *Context
+	own  linkOwner
+	solo [1]*Channel // an exclusive owner's riders(), without a slice per scan
+	peer fabric.NodeID
+
+	// Fixed at construction from what the owner is.
+	port        int          // where a replacement is dialed and accepted (<= 0: no re-establishment)
+	dialer      bool         // this side redials: the lower node id (exclusive) or the initiator (shared)
+	redial      helloPurpose // helloRecover or helloMuxReattach
+	depth       int          // queue depth of a created replacement QP
+	dialTimeout sim.Duration // abandons one dial that got no REP/REJ
+
+	qp       *rnic.QP
+	peerQPN  uint32   // peer's latest QPN — what a redial names
+	peerQPN0 uint32   // peer's QPN at establishment — with qpns[0], the immutable identity
+	qpns     []uint32 // every local QPN this link has owned (linkIdx keys)
+
+	state      linkState
+	epoch      uint64 // invalidates stale dials and timers
+	attempts   int
+	degradedAt sim.Time
+
+	lastComm  sim.Time
+	kaProbeAt sim.Time
+	kaProbing bool
+
+	// The header version and capability set every rider inherits (0/0 =
+	// legacy v1 + baselineCaps): the hello runs once per transport.
+	ver  uint8
+	caps uint32
+
+	// One path, one scorer: a shared QP's counters aggregate every rider's
+	// symptoms, and the flow-label cure must run once per QP.
+	doctor pathDoctor
+}
+
+// setQP makes qp the link's transport and indexes it for the recovery
+// rendezvous: a dialing peer names the last QPN it saw, possibly several
+// adoptions (or a fallback) ago.
+func (l *link) setQP(qp *rnic.QP) {
+	l.qp, l.peerQPN = qp, qp.RemoteQPN
+	if len(l.qpns) == 0 {
+		l.peerQPN0 = qp.RemoteQPN
+	}
+	if l.port > 0 {
+		l.c.linkIdx[qp.QPN] = l
+		l.qpns = append(l.qpns, qp.QPN)
+	}
+}
+
+// close is terminal: in-flight dials and timers are stranded and the link
+// leaves the rendezvous index and the scan list.
+func (l *link) close() {
+	c := l.c
+	l.state = linkDead
+	l.epoch++
+	for _, q := range l.qpns {
+		if c.linkIdx[q] == l {
+			delete(c.linkIdx, q)
+		}
+	}
+	for i, m := range c.links {
+		if m == l {
+			c.links = append(c.links[:i], c.links[i+1:]...)
+			break
+		}
+	}
+}
+
+// current reports whether a send completion belongs to the link's present
+// QP. A QP surrendered at adoption flushes its in-flight WRs afterwards;
+// those completions are stale news and must not fail the fresh transport.
+func (l *link) current(cqe rnic.CQE) bool {
+	return l.state != linkDead && l.qp != nil && cqe.QPN == l.qp.QPN
+}
+
+// is reports whether this link IS the one a dialing peer means: the
+// establishment-time QPN pair matches in both directions.
+func (l *link) is(from fabric.NodeID, h hello) bool {
+	return l.peer == from && l.redial == h.purpose && len(l.qpns) > 0 &&
+		l.qpns[0] == h.target0 && l.peerQPN0 == h.dialer0
+}
+
+// established lists the riders with a live send path — the ones to hold on
+// failure and replay on adoption. A rider still waiting for its
+// CHAN_ACCEPT has nothing in flight; the owner re-opens it on install.
+func (l *link) established() []*Channel {
+	rs := l.own.riders()
+	n := 0
+	for _, ch := range rs {
+		if ch.attach == attachDone {
+			rs[n] = ch
+			n++
+		}
+	}
+	return rs[:n]
+}
+
+func (l *link) setHealth(h HealthState) {
+	for _, ch := range l.established() {
+		ch.setHealth(h)
+	}
+}
+
+// sendCtrl emits a link-level control frame directly on the QP.
+func (l *link) sendCtrl(h *wireHdr) {
+	if l.state != linkReady {
+		return
+	}
+	buf := make([]byte, h.wireBytes())
+	h.encode(buf)
+	wr := &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}
+	l.c.flow.postDirect(l.qp, wr, func(cqe rnic.CQE) {
+		if cqe.Status != rnic.StatusOK && l.current(cqe) {
+			l.fail(fmt.Errorf("xrdma: link ctrl send failed: %v", cqe.Status))
+		}
+	})
+	l.lastComm = l.c.eng.Now()
+}
+
+// --- keepalive (§V-A) ---------------------------------------------------------
+
+// keepalive probes the QP with a zero-byte RDMA write — acked by the peer
+// RNIC without waking its application or touching RDMA-enabled memory. One
+// probe covers every rider, so the probe load is O(QPs), not O(channels).
+func (l *link) keepalive(now sim.Time) {
+	if l.state != linkReady {
+		return
+	}
+	c := l.c
+	if l.kaProbing {
+		// The probe is a reliable RC write: its failure (retry exhaustion)
+		// arrives through the completion below, so the wall-clock backstop
+		// must sit above the RC retry horizon — declaring death while the
+		// NIC is still legitimately retransmitting would turn every loss
+		// burst into a false positive.
+		nicCfg := &c.vctx.NIC.Cfg
+		deadline := sim.Duration(nicCfg.RetryLimit+2) * nicCfg.RetransTimeout
+		if c.cfg.KeepaliveTimeout > deadline {
+			deadline = c.cfg.KeepaliveTimeout
+		}
+		if now.Sub(l.kaProbeAt) > deadline {
+			l.keepaliveDead(now)
+		}
+		return
+	}
+	if now.Sub(l.lastComm) < c.cfg.KeepaliveInterval {
+		return
+	}
+	l.kaProbing = true
+	l.kaProbeAt = now
+	c.Stats.KeepaliveProbes++
+	c.tel.Flight.Record(now, telemetry.CatKeepaliveProbe, int32(c.Node()), l.qp.QPN, int64(l.peer), 0)
+	c.tel.Trace.Instant("keepalive.probe", c.track, now, int64(l.peer))
+	c.flow.postDirect(l.qp, &rnic.SendWR{Op: rnic.OpWrite, Len: 0}, func(cqe rnic.CQE) {
+		if !l.current(cqe) {
+			return
+		}
+		l.kaProbing = false
+		if cqe.Status != rnic.StatusOK {
+			l.keepaliveDead(c.eng.Now())
+			return
+		}
+		l.lastComm = c.eng.Now()
+	})
+}
+
+func (l *link) keepaliveDead(now sim.Time) {
+	c := l.c
+	c.Stats.KeepaliveFails++
+	c.tel.Flight.Trip(now, telemetry.CatKeepaliveFail, int32(c.Node()), l.qp.QPN)
+	c.tel.Trace.Instant("keepalive.fail", c.track, now, int64(l.peer))
+	c.logf("keepalive: peer %d unreachable, failing qpn=%d", l.peer, l.qp.QPN)
+	l.fail(ErrPeerDead)
+}
+
+// --- path doctor --------------------------------------------------------------
+
+// pathScan runs one gray-failure scoring pass over the QP's counters. At
+// most one flow-label rotation per scan covers every rider; escalation
+// hands the link to the recovery machine below.
+func (l *link) pathScan(now sim.Time) {
+	if l.qp == nil {
+		return
+	}
+	c, d := l.c, &l.doctor
+	retx := l.qp.Counters.Retransmits
+	rnr := l.qp.Counters.RNRNakRecv
+	corrupt := l.qp.Counters.CorruptDrops
+	if l.state != linkReady || !d.inited {
+		// Not the doctor's jurisdiction (or its first look at this QP):
+		// keep the watermarks fresh so recovery traffic isn't blamed.
+		d.resync(retx, rnr, corrupt)
+		return
+	}
+	if d.scoreScan(retx, rnr, corrupt) {
+		v := d.verdict
+		c.tel.Flight.Record(now, telemetry.CatPathVerdict, int32(c.Node()), l.qp.QPN, int64(v), int64(d.score*100))
+		c.tel.Trace.Instant("path.verdict", c.track, now, int64(v))
+		d.log = append(d.log, fmt.Sprintf("t=%v node=%d path=%v score=%d", now, c.Node(), v, int64(d.score*100)))
+		for _, ch := range l.own.riders() {
+			if ch.onPathVerdict != nil {
+				ch.onPathVerdict(v)
+			}
+		}
+	}
+	switch d.verdict {
+	case PathClean:
+		d.sickScans = 0
+		if d.rotations > 0 {
+			d.cleanScans++
+			if d.cleanScans >= pdCleanScansToForgive {
+				d.rotations = 0
+				d.cleanScans = 0
+			}
+		}
+	case PathSuspect:
+		d.cleanScans = 0
+	case PathSick:
+		d.cleanScans = 0
+		d.maybeHint(c, now, l.established())
+		d.rotateOrEscalate(c, l.qp.QPN, now, l.fail)
+	}
+}
+
+// --- degrade → redial → adopt -------------------------------------------------
+
+// recoverGrace bounds how long the waiting side stays degraded: the full
+// dial budget worth of timeouts and backoffs on top of the mock grace, so
+// both sides converge on the same outcome.
+func (c *Context) recoverGrace() sim.Duration {
+	return c.mockGrace() +
+		sim.Duration(c.cfg.RecoverRetries)*(c.cfg.RecoverDialTimeout+c.cfg.RecoverBackoffMax)
+}
+
+// recoverBackoff is the delay before dial attempt n (0-based):
+// exponential, capped, with ±25% jitter to decorrelate fleet-wide retry
+// storms after a shared fault (a downed switch degrades many links at
+// once).
+func (c *Context) recoverBackoff(attempt int) sim.Duration {
+	cfg := &c.cfg
+	d := cfg.RecoverBackoff << uint(attempt)
+	if d <= 0 || d > cfg.RecoverBackoffMax {
+		d = cfg.RecoverBackoffMax
+	}
+	if d <= 0 {
+		d = sim.Millisecond
+	}
+	return d - d/4 + sim.Duration(c.rng.Float64()*float64(d)/2)
+}
+
+// fail reports that the link's transport broke (flushed QP, keepalive
+// death, NIC restart, doctor escalation). The broken QP stays installed —
+// its QPN is the link's identity until a replacement is adopted.
+func (l *link) fail(cause error) {
+	c := l.c
+	switch {
+	case l.state == linkDialing, l.state == linkReady && l.port <= 0:
+		l.own.exhausted(cause)
+		return
+	case l.state != linkReady:
+		// Already degraded, on the fallback, or dead: the machinery below
+		// owns the link and further flushed completions carry no news.
+		return
+	}
+	now := c.eng.Now()
+	l.own.parked()
+	l.state, l.degradedAt, l.attempts, l.kaProbing = linkDegraded, now, 0, false
+	l.epoch++
+	c.Stats.Degraded++
+	c.tel.Flight.Trip(now, telemetry.CatChannelDegraded, int32(c.Node()), l.qp.QPN)
+	c.tel.Trace.Instant("link.degraded", c.track, now, int64(l.peer))
+	c.logf("link qpn=%d peer=%d degraded: %v", l.qp.QPN, l.peer, cause)
+	for _, ch := range l.established() {
+		ch.park()
+	}
+	l.reestablish(cause)
+}
+
+// reestablish starts a degraded link toward a replacement transport: the
+// dialer redials, the other side waits for it, bounded.
+func (l *link) reestablish(cause error) {
+	if l.dialer {
+		l.scheduleDial(cause)
+		return
+	}
+	epoch := l.epoch
+	l.c.eng.AfterBg(l.c.recoverGrace(), func() {
+		if l.epoch == epoch {
+			l.own.exhausted(cause)
+		}
+	})
+}
+
+func (l *link) scheduleDial(cause error) {
+	c := l.c
+	if l.attempts >= c.cfg.RecoverRetries {
+		l.own.exhausted(cause)
+		return
+	}
+	epoch := l.epoch
+	c.eng.AfterBg(c.recoverBackoff(l.attempts), func() {
+		if l.epoch == epoch {
+			l.tryDial(cause)
+		}
+	})
+}
+
+func (l *link) tryDial(cause error) {
+	c := l.c
+	l.attempts++
+	if !c.vctx.NIC.Alive() {
+		// The local machine itself is down; a restart revives the NIC, so
+		// keep re-arming within the budget.
+		l.scheduleDial(cause)
+		return
+	}
+	l.state = linkRecovering
+	l.setHealth(HealthRecovering)
+	l.dialOnce(func() {
+		l.state = linkDegraded
+		l.setHealth(HealthDegraded)
+		l.scheduleDial(cause)
+	})
+}
+
+// dialOnce dials the peer's replacement listener and adopts the resulting
+// connection. The CM has no cancellation, so the attempt owns an epoch and
+// a settled flag: the dial timeout claims the attempt first on a dead
+// peer, and a late completion quietly returns whatever it acquired. onFail
+// runs at most once, and only while the attempt still owns the link.
+func (l *link) dialOnce(onFail func()) {
+	c := l.c
+	c.Stats.RecoverAttempts++
+	l.epoch++
+	epoch := l.epoch
+	l.own.acquire(func(qp *rnic.QP, bufs []Buffer) {
+		settled := false
+		giveUp := func(qp *rnic.QP, bufs []Buffer) {
+			l.own.release(qp, bufs)
+			if l.epoch == epoch {
+				onFail()
+			}
+		}
+		if l.epoch != epoch {
+			giveUp(qp, bufs)
+			return
+		}
+		c.eng.AfterBg(l.dialTimeout, func() {
+			if !settled {
+				settled = true
+				giveUp(nil, bufs) // the QP stays with the CM until it answers
+			}
+		})
+		pd := hello{purpose: l.redial, target: l.peerQPN, target0: l.peerQPN0, dialer0: l.qpns[0]}.encode()
+		c.cm.Connect(l.peer, l.port, pd, qp, l.depth, c.sendCQ, c.recvCQ, c.sharedRQ(), func(conn *verbs.Conn, err error) {
+			late := settled
+			settled = true
+			if err == nil {
+				qp = conn.QP
+			}
+			switch {
+			case late:
+				l.own.release(qp, nil)
+			case err != nil || l.epoch != epoch:
+				giveUp(qp, bufs)
+			default:
+				l.adopt(conn, bufs, true)
+			}
+		})
+	})
+}
+
+// acceptReplacement is the passive half: a redial for a degraded (or
+// fallen-back) link, matched by the identity its hello names.
+func (c *Context) acceptReplacement(req *verbs.ConnReq, h hello) {
+	l := c.linkIdx[h.target]
+	if l == nil || !l.is(req.From, h) {
+		// The indexed QPN was recycled to a sibling (or the entry is plain
+		// stale); fall back to the identity scan so a dial never
+		// cross-adopts another link's protocol state.
+		l = nil
+		for _, cand := range c.links {
+			if cand.is(req.From, h) {
+				l = cand
+				break
+			}
+		}
+	}
+	if l == nil {
+		req.Reject("no such link")
+		return
+	}
+	if l.state == linkReady {
+		// The dialer noticed a fault this side hasn't seen yet (failure
+		// detection is not synchronized); degrade first so adoption runs
+		// from a consistent state.
+		l.fail(errors.New("peer-initiated recovery"))
+	}
+	l.own.acquire(func(qp *rnic.QP, bufs []Buffer) {
+		if l.state == linkDead {
+			l.own.release(qp, bufs)
+			req.Reject("link closed")
+			return
+		}
+		c.withQP(qp, l.depth, func(qp *rnic.QP) {
+			req.Accept(qp, func(conn *verbs.Conn, err error) {
+				if err != nil || l.state == linkDead {
+					l.own.release(qp, bufs)
+					return
+				}
+				l.adopt(conn, bufs, false)
+			})
+		})
+	})
+}
+
+// adopt installs a freshly established replacement: the broken QP (or the
+// Mock transport) is surrendered and every established rider requeues its
+// unacked tail for replay. The dialer's riders pump immediately behind a
+// NOP beacon; the passive side's hold their replay until the beacon (or
+// any RDMA traffic) proves the dialer's QP reached RTS, because sends
+// posted earlier would race the dialer's RTR transition.
+func (l *link) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
+	c := l.c
+	now := c.eng.Now()
+	failback := l.state == linkFallback
+	outage := now.Sub(l.degradedAt)
+	l.own.retire(initiator)
+	l.setQP(conn.QP)
+	l.state = linkReady
+	l.epoch++
+	l.attempts = 0
+	l.kaProbing = false
+	l.lastComm = now
+	// The adopted QP starts with zero counters and a full rotation budget;
+	// the doctor must not blame it for the old path's symptoms.
+	l.doctor.resetEpisode()
+	l.own.install(bufs)
+	c.Stats.Recoveries++
+	if failback {
+		c.Stats.Failbacks++
+		c.tel.Flight.Record(now, telemetry.CatFailback, int32(c.Node()), l.qp.QPN, int64(l.peer), 0)
+		c.tel.Trace.Instant("link.failback", c.track, now, int64(l.peer))
+	} else {
+		c.recHist.Observe(int64(outage))
+		c.tel.Trace.Complete("link.outage", c.track, l.degradedAt, outage, int64(l.peer))
+	}
+	c.tel.Flight.Record(now, telemetry.CatChannelRecovered, int32(c.Node()), l.qp.QPN, int64(l.peer), int64(outage))
+	c.logf("link peer=%d recovered on qpn=%d after %v (failback=%v initiator=%v)", l.peer, l.qp.QPN, outage, failback, initiator)
+	for _, ch := range l.established() {
+		ch.qp = l.qp
+		ch.requeueUnacked()
+		ch.nopInFlight, ch.stallFlag = false, false
+		ch.lastProgress = now
+		ch.pulls = nil // lazily re-created on the next rendezvous announce
+		ch.resumeOnRx = !initiator
+		ch.setHealth(HealthHealthy)
+		if initiator {
+			ch.sendCtrl(kindNop) // beacon: our QP is RTS
+			ch.pump()
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package xrdma
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"xrdma/internal/fabric"
@@ -28,22 +27,6 @@ type mockState struct {
 	waiting bool
 }
 
-const mockHelloMagic = 0x584D // "XM"
-
-func mockHello(targetQPN uint32) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint16(b, mockHelloMagic)
-	binary.LittleEndian.PutUint32(b[2:], targetQPN)
-	return b
-}
-
-func parseMockHello(b []byte) (uint32, bool) {
-	if len(b) < 8 || binary.LittleEndian.Uint16(b) != mockHelloMagic {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint32(b[2:]), true
-}
-
 // listenMock accepts fallback connections for broken channels. A hello
 // can arrive before this side has noticed its own RDMA failure (the two
 // keepalive clocks are independent), so unmatched connections are parked
@@ -51,15 +34,15 @@ func parseMockHello(b []byte) (uint32, bool) {
 func (c *Context) listenMock() {
 	c.tcp.Listen(c.mockPort, func(conn *tcpnet.Conn) {
 		conn.OnMessage = func(m tcpnet.Message) {
-			qpn, ok := parseMockHello(m.Data)
-			if !ok {
-				// A hello this build doesn't recognize — most likely a
-				// foreign-release peer. Counted and flight-logged (the old
-				// silent close left the dialer retrying blind).
-				c.noteVerMismatch(conn.Remote, 0, 0, 0)
+			h, v := c.readHello(conn.Remote, m.Data)
+			if v != helloOK || h.purpose != helloMock {
+				// Not a fallback rendezvous this build recognizes — most
+				// likely a foreign-release peer (already counted when the
+				// hello was ours but unreadable).
 				conn.Close()
 				return
 			}
+			qpn := h.target
 			// Find the waiting channel that owned this QPN.
 			for _, ch := range c.mockWaiters {
 				if ch.mockQPN == qpn {
@@ -71,8 +54,8 @@ func (c *Context) listenMock() {
 			// degraded (failure detection is not synchronized): adopt the
 			// switch. The recovery index resolves QPNs from adoptions ago.
 			ch := c.channels[qpn]
-			if ch == nil {
-				ch = c.recoverIdx[qpn]
+			if l := c.linkIdx[qpn]; ch == nil && l != nil {
+				ch, _ = l.own.(*Channel)
 			}
 			if ch != nil && !ch.closed && c.cfg.MockEnabled {
 				if ch.mock != nil {
@@ -167,21 +150,21 @@ func (ch *Channel) enterMockMode(cause error) {
 	c := ch.ctx
 	c.Stats.MockSwitches++
 	now := c.eng.Now()
-	c.tel.Flight.Trip(now, telemetry.CatMockSwitch, int32(c.Node()), ch.qp.QPN)
+	c.tel.Flight.Trip(now, telemetry.CatMockSwitch, int32(c.Node()), ch.QPN())
 	c.tel.Trace.Instant("mock.switch", c.track, now, int64(ch.Peer))
-	c.logf("channel qpn=%d peer=%d switching to TCP mock (%v)", ch.qp.QPN, ch.Peer, cause)
+	c.logf("channel qpn=%d peer=%d switching to TCP mock (%v)", ch.QPN(), ch.Peer, cause)
 
 	ch.mock = &mockState{}
-	ch.mockQPN = ch.qp.QPN
 	ch.setHealth(HealthFallback)
-	ch.recEpoch++ // strand any in-flight recovery dial
+	ch.lk.state = linkFallback
+	ch.lk.epoch++ // strand any in-flight replacement dial
 	ch.resumeOnRx = false
 
 	// Staged rendezvous payloads are RDMA-only; the mock transport sends
 	// every message inline from ps.data, so release them — both the
 	// unsent queue and the transmitted-but-unacked tail a cutover will
 	// replay.
-	for _, ps := range ch.sendQ {
+	unstage := func(ps *pendingSend) {
 		if ps.staged.Valid() {
 			c.Mem.Free(ps.staged)
 			ps.staged = Buffer{}
@@ -189,29 +172,20 @@ func (ch *Channel) enterMockMode(cause error) {
 		ps.ready = false
 		ps.staging = false
 	}
+	for _, ps := range ch.sendQ {
+		unstage(ps)
+	}
 	for _, ps := range ch.sent {
-		if ps.staged.Valid() {
-			c.Mem.Free(ps.staged)
-			ps.staged = Buffer{}
-		}
-		ps.ready = false
-		ps.staging = false
+		unstage(ps)
 	}
 
 	// Release RDMA resources: the QP recycles through the cache, the
 	// receive buffers return to the memory cache. The XR-Stat row goes
-	// with them — the recycled QPN may soon host a new channel.
+	// with them — the recycled QPN may soon host a new channel. The peer
+	// names this channel by the QPN it leaves the table under.
 	ch.unregisterGauges()
-	delete(c.channels, ch.qp.QPN)
-	for id, buf := range ch.recvBufs {
-		delete(ch.recvBufs, id)
-		c.Mem.Free(buf)
-	}
-	c.eng.Cancel(ch.ackEv)
-	ch.ackEv = sim.Event{}
-	ch.kaProbing = false
-	ch.nopInFlight = false
-	ch.stallFlag = false
+	ch.mockQPN = ch.leaveTable()
+	ch.quiesce()
 	c.QPs.Put(ch.qp)
 }
 
@@ -269,7 +243,7 @@ func (ch *Channel) mockDial(cause error, attempt int) {
 			return
 		}
 		if err == nil {
-			conn.Send(mockHello(ch.peerQPN), 0, nil)
+			conn.Send(hello{purpose: helloMock, target: ch.lk.peerQPN}.encode(), 0, nil)
 			ch.attachMock(conn)
 			return
 		}
@@ -357,7 +331,6 @@ func (ch *Channel) mockInbound(m tcpnet.Message) {
 	if err != nil {
 		return
 	}
-	ch.lastComm = ch.ctx.eng.Now()
 	var pay []byte
 	if size := int(h.Size); size > 0 && m.Data != nil && len(m.Data) >= hdrLen+size {
 		pay = m.Data[hdrLen : hdrLen+size]

@@ -1,13 +1,11 @@
 package xrdma
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"xrdma/internal/fabric"
 	"xrdma/internal/rnic"
-	"xrdma/internal/sim"
 	"xrdma/internal/telemetry"
 	"xrdma/internal/verbs"
 )
@@ -43,15 +41,6 @@ const (
 	attachPending              // CHAN_OPEN in flight (or mux QP still dialing)
 )
 
-type muxQPState uint8
-
-const (
-	muxDialing muxQPState = iota
-	muxReady
-	muxDegraded
-	muxRecovering
-)
-
 // peerMux is the per-peer QP pool: at most Config.QPsPerPeer shared QPs,
 // filled on demand and then assigned round-robin.
 type peerMux struct {
@@ -61,130 +50,45 @@ type peerMux struct {
 	next  int
 }
 
-// muxQP is one shared QP and the channels multiplexed onto it.
+// muxQP is one shared QP — a link (link.go) — and the channels multiplexed
+// onto it. The link is the unit of fate: muxed channels have no per-channel
+// Mock fallback, so an exhausted link takes every rider down with it.
 type muxQP struct {
-	c         *Context
-	pm        *peerMux // nil on the passive (accepting) side
-	slot      int
-	initiator bool
-	peer      fabric.NodeID
-	port      int // establishment port — also the reattach rendezvous
-	qp        *rnic.QP
-	state     muxQPState
-	dead      bool
+	link
+	pm *peerMux // nil on the passive (accepting) side
 
 	chans    map[uint32]*Channel // local cid → attached channel
 	peerCIDs map[uint32]uint32   // peer cid → local cid (CHAN_OPEN dedup)
 	cids     []uint32            // attach order == ascending cid (deterministic walks)
 
-	epoch    uint64 // invalidates stale dials/timers
-	attempts int
-	qpns     []uint32 // every local QPN this mux QP has owned
-
-	lastComm  sim.Time
-	kaProbing bool
-	kaProbeAt sim.Time
-
-	// Hot-upgrade plane: the version and capability set every channel on
-	// this shared QP inherits (0/0 = legacy v1 + baselineCaps).
-	negVer   uint8
-	peerCaps uint32
-
-	// The shared-QP path doctor: counters on a shared QP aggregate every
-	// channel's symptoms, so scoring (and the flow-label rotation cure)
-	// must run once per QP — per-channel doctors would each see the full
-	// delta and rotate the label K times per sick scan.
-	doctor pathDoctor
-
 	// Weighted DRR at the shared SQ; nil unless the context is tenanted.
 	sched *sqSched
 }
 
-// --- mux hello (CM private data) --------------------------------------------
+// muxQPDepth is a shared QP's send-queue capacity: it must cover the sum
+// of the attached channels' windows (queue storage grows lazily, so the
+// generous cap is free until used).
+const muxQPDepth = 4096
 
-const (
-	muxHelloMagic = 0x5158 // "XQ" — mux QP establishment
-	// Mux hello format versions: 1 is the legacy 12-byte layout, 2 appends
-	// the 6-byte negotiation block ([minVer,maxVer] + capability bitmap).
-	muxHelloFmt    = 1
-	muxHelloFmtMax = 2
-)
-
-func encodeMuxHello(slot int, reattach bool, targetQPN uint32) []byte {
-	b := make([]byte, 12)
-	binary.LittleEndian.PutUint16(b, muxHelloMagic)
-	b[2] = muxHelloFmt
-	if reattach {
-		b[3] = 1
+// newMuxQP builds a shared QP in the dialing state. The establishment port
+// is also the reattach rendezvous, and only the initiator has a dial route
+// to it. Unlike exclusive QPs, which redial with recycled QPs from the QP
+// cache, shared QPs are SRQ-bound and cannot be cached — both sides pay
+// the full QP create+modify hardware-command cost inside the dial window,
+// so the configured timeout alone would expire right as the accept lands.
+func (c *Context) newMuxQP(pm *peerMux, peer fabric.NodeID, port int) *muxQP {
+	mx := &muxQP{pm: pm, chans: make(map[uint32]*Channel), peerCIDs: make(map[uint32]uint32)}
+	mx.link = link{
+		c: c, own: mx, peer: peer, state: linkDialing,
+		port: port, dialer: pm != nil, redial: helloMuxReattach, depth: muxQPDepth,
+		dialTimeout: c.cfg.RecoverDialTimeout + 2*rnic.QPCreateCost + 8*rnic.QPModifyCost,
 	}
-	binary.LittleEndian.PutUint16(b[4:], uint16(slot))
-	binary.LittleEndian.PutUint32(b[6:], targetQPN)
-	return b
-}
-
-// muxHelloBytes is the dial-time hello: the legacy 12-byte format on the
-// v1 plane (byte-identical to the pre-negotiation build), or the format-2
-// layout carrying this context's version range and capability bitmap.
-func (c *Context) muxHelloBytes(slot int, reattach bool, targetQPN uint32) []byte {
-	if !c.helloEnabled() {
-		return encodeMuxHello(slot, reattach, targetQPN)
+	if len(c.cfg.Tenants) > 0 {
+		// Zero-tenant configs keep the direct post path bit-for-bit.
+		mx.sched = newSQSched(c)
 	}
-	b := make([]byte, 18)
-	copy(b, encodeMuxHello(slot, reattach, targetQPN))
-	b[2] = muxHelloFmtMax
-	h := c.localHello()
-	b[12] = h.minVer
-	b[13] = h.maxVer
-	binary.LittleEndian.PutUint32(b[14:], h.caps)
-	return b
-}
-
-type muxHello struct {
-	slot     int
-	reattach bool
-	target   uint32
-
-	// Negotiation block (format 2 only). neg distinguishes "legacy hello,
-	// assume v1 + baselineCaps" from an explicit offer.
-	neg            bool
-	minVer, maxVer uint8
-	caps           uint32
-}
-
-// muxHelloVerdict classifies CM private data for the Listen dispatcher.
-type muxHelloVerdict uint8
-
-const (
-	muxHelloNo     muxHelloVerdict = iota // not a mux hello (try chanHello / legacy)
-	muxHelloYes                           // well-formed mux hello
-	muxHelloBadVer                        // mux hello in a format this build does not speak
-)
-
-func parseMuxHello(b []byte) (muxHello, muxHelloVerdict) {
-	if len(b) < 12 || binary.LittleEndian.Uint16(b) != muxHelloMagic {
-		return muxHello{}, muxHelloNo
-	}
-	if b[2] < muxHelloFmt || b[2] > muxHelloFmtMax {
-		// A future hello format: loudly classified (counted + rejected by
-		// the caller) instead of the old silent drop that left the dialer
-		// waiting out its CM timeout.
-		return muxHello{minVer: b[2], maxVer: b[2]}, muxHelloBadVer
-	}
-	h := muxHello{
-		slot:     int(binary.LittleEndian.Uint16(b[4:])),
-		reattach: b[3] == 1,
-		target:   binary.LittleEndian.Uint32(b[6:]),
-	}
-	if b[2] >= 2 {
-		if len(b) < 18 {
-			return muxHello{minVer: b[2], maxVer: b[2]}, muxHelloBadVer
-		}
-		h.neg = true
-		h.minVer = b[12]
-		h.maxVer = b[13]
-		h.caps = binary.LittleEndian.Uint32(b[14:])
-	}
-	return h, muxHelloYes
+	c.links = append(c.links, &mx.link)
+	return mx
 }
 
 // --- context surface ---------------------------------------------------------
@@ -192,25 +96,6 @@ func parseMuxHello(b []byte) (muxHello, muxHelloVerdict) {
 func (c *Context) muxEnabled() bool { return c.cfg.QPsPerPeer > 0 }
 
 func (c *Context) nextCID() uint32 { c.cidSeq++; return c.cidSeq }
-
-// muxDepth is the shared QP's send-queue capacity: it must cover the sum
-// of the attached channels' windows (queue storage grows lazily, so the
-// generous cap is free until used).
-func (c *Context) muxDepth() int {
-	if d := c.cfg.MuxQPDepth; d > 0 {
-		return d
-	}
-	return 4096
-}
-
-// muxDialTimeout budgets a mux redial. Unlike per-channel recovery,
-// which dials with recycled QPs from the QP cache, shared QPs are
-// SRQ-bound and cannot be cached — both sides pay the full QP
-// create+modify hardware-command cost inside the dial window, so the
-// configured timeout alone would expire right as the accept lands.
-func (c *Context) muxDialTimeout() sim.Duration {
-	return c.cfg.RecoverDialTimeout + 2*rnic.QPCreateCost + 8*rnic.QPModifyCost
-}
 
 // ChannelTo returns a lazy channel descriptor to (node, port): a few
 // hundred bytes of state and no QP, window or buffer until the first send
@@ -223,7 +108,7 @@ func (c *Context) ChannelTo(node fabric.NodeID, port int, opts ...ChannelOpt) (*
 	now := c.eng.Now()
 	ch := &Channel{
 		ctx: c, Peer: node, cid: c.nextCID(), muxPort: port,
-		attach: attachLazy, lastComm: now, lastProgress: now, OpenedAt: now,
+		attach: attachLazy, lastProgress: now, OpenedAt: now,
 		retryTokens: retryBudgetCap,
 	}
 	for _, opt := range opts {
@@ -275,7 +160,7 @@ func (ch *Channel) startAttach() {
 	ch.attach = attachPending
 	c.attachActive++
 	mx := c.muxFor(ch.Peer, ch.muxPort)
-	ch.mx = mx
+	ch.mx, ch.lk = mx, &mx.link
 	mx.enroll(ch)
 }
 
@@ -325,9 +210,6 @@ func (ch *Channel) finishAttach(err error) {
 	ch.tx = newTxWindow(c.cfg.WindowDepth)
 	ch.rx = newRxWindow(c.cfg.WindowDepth)
 	ch.qp = ch.mx.qp
-	// Channels inherit the shared QP's negotiated version and caps: the
-	// hello ran once per transport, not once per flyweight channel.
-	ch.setNegotiated(ch.mx.negVer, ch.mx.peerCaps)
 	c.Stats.ChannelsOpened++
 	ch.registerGauges()
 	if held {
@@ -348,36 +230,26 @@ func (c *Context) muxFor(peer fabric.NodeID, port int) *muxQP {
 		c.mux[peer] = pm
 	}
 	if len(pm.slots) < c.cfg.QPsPerPeer {
-		mx := c.newMuxQP(pm, len(pm.slots))
+		mx := c.dialMuxQP(pm, len(pm.slots))
 		pm.slots = append(pm.slots, mx)
 		return mx
 	}
 	i := pm.next % len(pm.slots)
 	pm.next++
-	mx := pm.slots[i]
-	if mx.dead {
-		mx = c.newMuxQP(pm, i)
-		pm.slots[i] = mx
+	if pm.slots[i].state == linkDead {
+		pm.slots[i] = c.dialMuxQP(pm, i)
 	}
-	return mx
+	return pm.slots[i]
 }
 
-func (c *Context) newMuxQP(pm *peerMux, slot int) *muxQP {
-	mx := &muxQP{
-		c: c, pm: pm, slot: slot, initiator: true, peer: pm.peer, port: pm.port,
-		state:    muxDialing,
-		chans:    make(map[uint32]*Channel),
-		peerCIDs: make(map[uint32]uint32),
-	}
-	mx.initSched()
-	c.muxQPs = append(c.muxQPs, mx)
+func (c *Context) dialMuxQP(pm *peerMux, slot int) *muxQP {
+	mx := c.newMuxQP(pm, pm.peer, pm.port)
 	epoch := mx.epoch
-	hello := c.muxHelloBytes(slot, false, 0)
-	c.ensureSRQ()
-	c.cm.Connect(pm.peer, pm.port, hello, nil, c.muxDepth(), c.sendCQ, c.recvCQ, c.srq, func(conn *verbs.Conn, err error) {
-		if mx.epoch != epoch || mx.dead {
+	pd := c.dialHello(hello{purpose: helloMuxSlot, slot: uint16(slot)})
+	c.cm.Connect(pm.peer, pm.port, pd, nil, muxQPDepth, c.sendCQ, c.recvCQ, c.sharedRQ(), func(conn *verbs.Conn, err error) {
+		if mx.epoch != epoch {
 			if err == nil {
-				c.vctx.NIC.DestroyQP(conn.QP)
+				mx.release(conn.QP, nil)
 			}
 			return
 		}
@@ -385,35 +257,19 @@ func (c *Context) newMuxQP(pm *peerMux, slot int) *muxQP {
 			mx.teardownAll(fmt.Errorf("xrdma: mux dial to %d:%d: %w", pm.peer, pm.port, err))
 			return
 		}
-		mx.established(conn)
+		// The acceptor's REP carries the settled negotiation verdict.
+		mx.adoptVerdict(conn.PeerData)
+		mx.established(conn.QP)
 	})
 	return mx
 }
 
-// established installs the freshly dialed QP and opens every waiting
-// channel. The acceptor's REP carries the settled negotiation verdict
-// (absent from legacy acceptors → v1 + baselineCaps).
-func (mx *muxQP) established(conn *verbs.Conn) {
-	if verdict, ok := parseChanHello(conn.PeerData); ok {
-		mx.negVer = verdict.maxVer
-		mx.peerCaps = verdict.caps
-	}
-	mx.installQP(conn.QP)
-	mx.state = muxReady
+// established installs the first QP of a shared link.
+func (mx *muxQP) established(qp *rnic.QP) {
+	mx.setQP(qp)
+	mx.state = linkReady
 	mx.lastComm = mx.c.eng.Now()
-	for _, ch := range mx.channels() {
-		if ch.attach == attachPending {
-			mx.sendChanOpen(ch)
-		}
-	}
-}
-
-func (mx *muxQP) installQP(qp *rnic.QP) {
-	c := mx.c
-	mx.qp = qp
-	c.muxByQPN[qp.QPN] = mx
-	c.muxRecoverIdx[qp.QPN] = mx
-	mx.qpns = append(mx.qpns, qp.QPN)
+	mx.install(nil)
 }
 
 // enroll attaches a channel to this mux QP; the CHAN_OPEN goes out as
@@ -421,7 +277,7 @@ func (mx *muxQP) installQP(qp *rnic.QP) {
 func (mx *muxQP) enroll(ch *Channel) {
 	mx.chans[ch.cid] = ch
 	mx.cids = append(mx.cids, ch.cid)
-	if mx.state == muxReady {
+	if mx.state == linkReady {
 		mx.sendChanOpen(ch)
 	}
 }
@@ -440,9 +296,9 @@ func (mx *muxQP) detach(ch *Channel) {
 	}
 }
 
-// channels snapshots attached channels in ascending cid order (cids are
+// riders snapshots attached channels in ascending cid order (cids are
 // assigned monotonically, so attach order is already sorted).
-func (mx *muxQP) channels() []*Channel {
+func (mx *muxQP) riders() []*Channel {
 	out := make([]*Channel, 0, len(mx.cids))
 	for _, cid := range mx.cids {
 		if ch := mx.chans[cid]; ch != nil && !ch.closed {
@@ -450,20 +306,6 @@ func (mx *muxQP) channels() []*Channel {
 		}
 	}
 	return out
-}
-
-// initSched attaches the weighted DRR scheduler when the context is
-// tenanted; zero-tenant configs keep the direct post path bit-for-bit.
-func (mx *muxQP) initSched() {
-	if len(mx.c.cfg.Tenants) == 0 {
-		return
-	}
-	mx.sched = newSQSched(mx.c, func() uint32 {
-		if mx.qp != nil {
-			return mx.qp.QPN
-		}
-		return 0
-	})
 }
 
 func (mx *muxQP) sendChanOpen(ch *Channel) {
@@ -478,90 +320,35 @@ func (mx *muxQP) sendChanOpen(ch *Channel) {
 	mx.sendCtrl(h)
 }
 
-// sendCtrl emits a mux-plane control frame directly on the shared QP.
-func (mx *muxQP) sendCtrl(h *wireHdr) {
-	if mx.dead || mx.state != muxReady {
-		return
-	}
-	buf := make([]byte, h.wireBytes())
-	h.encode(buf)
-	wr := &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}
-	mx.c.flow.postDirect(mx.qp, wr, func(cqe rnic.CQE) {
-		if cqe.Status != rnic.StatusOK && !mx.dead && cqe.QPN == mx.qp.QPN {
-			// Stale-flush guard: completions from an already-replaced QP
-			// must not re-fail the adopted one.
-			mx.fail(fmt.Errorf("xrdma: mux ctrl send failed: %v", cqe.Status))
-		}
-	})
-	mx.lastComm = mx.c.eng.Now()
-}
-
 // --- passive side ------------------------------------------------------------
 
-// acceptMux handles a mux hello on an application Listen port: a fresh
-// shared QP (attach) or the re-establishment of a broken one (reattach).
-func (c *Context) acceptMux(req *verbs.ConnReq, hello muxHello, port int) {
+// acceptMux handles a mux-slot hello on an application Listen port: the
+// passive half of a fresh shared QP.
+func (c *Context) acceptMux(req *verbs.ConnReq, h hello, port int) {
 	if c.srq == nil {
 		req.Reject("mux requires SRQ mode")
 		return
 	}
-	c.ensureSRQ()
-	if hello.reattach {
-		mx := c.muxRecoverIdx[hello.target]
-		if mx == nil || mx.dead || mx.peer != req.From {
-			req.Reject("no such mux QP")
-			return
-		}
-		if mx.state == muxReady {
-			// The dialer noticed the fault first; park our side so the
-			// adoption runs from a consistent state.
-			mx.fail(fmt.Errorf("peer-initiated mux recovery"))
-		}
-		c.vctx.NIC.CreateQP(c.muxDepth(), c.muxDepth(), c.sendCQ, c.recvCQ, c.srq, func(qp *rnic.QP) {
-			req.Accept(qp, func(conn *verbs.Conn, err error) {
-				if err != nil || mx.dead {
-					c.vctx.NIC.DestroyQP(qp)
-					return
-				}
-				mx.adopt(conn, false)
-			})
-		})
-		return
-	}
 	if c.drain != DrainServing {
 		// Fresh shared-QP establishment is new work; a draining node
-		// refuses it (reattach above still serves in-flight channels).
+		// refuses it (reattach still serves in-flight channels).
 		c.refuseDraining(req)
 		return
 	}
-	ver, caps, ok := c.settle(chanHello{minVer: hello.minVer, maxVer: hello.maxVer, caps: hello.caps}, hello.neg)
+	ver, caps, ok := c.settle(req, h)
 	if !ok {
-		c.noteVerMismatch(req.From, 0, hello.minVer, hello.maxVer)
-		req.Reject(errVersion.Error())
 		return
 	}
-	mx := &muxQP{
-		c: c, slot: hello.slot, initiator: false, peer: req.From, port: port,
-		state:    muxDialing,
-		chans:    make(map[uint32]*Channel),
-		peerCIDs: make(map[uint32]uint32),
-		negVer:   ver, peerCaps: caps,
-	}
-	if hello.neg {
-		req.ReplyData = encodeChanHello(chanHello{minVer: ver, maxVer: ver, caps: caps})
-	}
-	mx.initSched()
-	c.muxQPs = append(c.muxQPs, mx)
-	c.vctx.NIC.CreateQP(c.muxDepth(), c.muxDepth(), c.sendCQ, c.recvCQ, c.srq, func(qp *rnic.QP) {
+	mx := c.newMuxQP(nil, req.From, port)
+	mx.ver, mx.caps = ver, caps
+	c.withQP(nil, muxQPDepth, func(qp *rnic.QP) {
 		req.Accept(qp, func(conn *verbs.Conn, err error) {
 			if err != nil {
-				c.vctx.NIC.DestroyQP(qp)
-				mx.dead = true
+				mx.release(qp, nil)
+				mx.close()
 				return
 			}
-			mx.installQP(conn.QP)
-			mx.state = muxReady
-			mx.lastComm = c.eng.Now()
+			mx.established(conn.QP)
 		})
 	})
 }
@@ -614,12 +401,9 @@ func (mx *muxQP) handleRecv(cqe rnic.CQE) {
 		// The responder's doctor gave up on the shared QP (e.g. inbound
 		// corruption its own flow-label rotation cannot cure). Recovery is
 		// initiator-owned: treat the report as our own escalation.
-		if mx.initiator {
+		if mx.dialer {
 			mx.fail(fmt.Errorf("xrdma: peer reported shared QP sick"))
 		}
-	case kindPathHint:
-		// The peer's doctor blames the path this QP's flow label picks.
-		mx.doctor.noteHint(c, c.eng.Now())
 	default:
 		ch := mx.chans[h.Chan]
 		if ch == nil || ch.closed {
@@ -629,7 +413,6 @@ func (mx *muxQP) handleRecv(cqe rnic.CQE) {
 		if size := int(h.Size); size > 0 && len(cqe.Data) >= hdrLen+size {
 			pay = cqe.Data[hdrLen : hdrLen+size]
 		}
-		ch.lastComm = mx.lastComm
 		ch.handleWire(&h, pay, false, cqe.Blame)
 	}
 }
@@ -654,12 +437,11 @@ func (mx *muxQP) handleChanOpen(h *wireHdr) {
 	}
 	now := c.eng.Now()
 	ch := &Channel{
-		ctx: c, Peer: mx.peer, cid: c.nextCID(), peerCID: h.Chan, mx: mx, qp: mx.qp,
+		ctx: c, Peer: mx.peer, cid: c.nextCID(), peerCID: h.Chan, mx: mx, lk: &mx.link, qp: mx.qp,
 		muxPort: int(h.MsgID),
 		tx:      newTxWindow(c.cfg.WindowDepth), rx: newRxWindow(c.cfg.WindowDepth),
-		lastComm: now, lastProgress: now, OpenedAt: now, retryTokens: retryBudgetCap,
+		lastProgress: now, OpenedAt: now, retryTokens: retryBudgetCap,
 	}
-	ch.setNegotiated(mx.negVer, mx.peerCaps)
 	if h.Flags&flagTenant != 0 && len(c.tenants) > 0 {
 		ch.tenant = c.resolveTenant(h)
 	}
@@ -685,244 +467,78 @@ func (mx *muxQP) handleChanAccept(h *wireHdr) {
 	ch.finishAttach(nil)
 }
 
-// --- shared-QP keepalive (§V-A at mux granularity) ---------------------------
+// --- link owner hooks -------------------------------------------------------
 
-// keepalive probes one shared QP: one zero-byte write covers every
-// attached channel, so the probe load is O(QPs), not O(channels).
-func (mx *muxQP) keepalive(now sim.Time) {
-	if mx.dead || mx.state != muxReady {
-		return
+func (mx *muxQP) acquire(fn func(*rnic.QP, []Buffer)) { fn(nil, nil) }
+
+// release destroys an unused QP: shared QPs are SRQ-bound and never enter
+// the (per-channel) QP cache — a recycled SRQ QP handed to an exclusive
+// channel could not post per-channel receives.
+func (mx *muxQP) release(qp *rnic.QP, _ []Buffer) {
+	if qp != nil {
+		mx.c.vctx.NIC.DestroyQP(qp)
 	}
-	c := mx.c
-	cfg := &c.cfg
-	if mx.kaProbing {
-		nicCfg := &c.vctx.NIC.Cfg
-		deadline := sim.Duration(nicCfg.RetryLimit+2) * nicCfg.RetransTimeout
-		if cfg.KeepaliveTimeout > deadline {
-			deadline = cfg.KeepaliveTimeout
-		}
-		if now.Sub(mx.kaProbeAt) > deadline {
-			c.Stats.KeepaliveFails++
-			c.tel.Flight.Trip(now, telemetry.CatKeepaliveFail, int32(c.Node()), mx.qp.QPN)
-			c.logf("keepalive: peer %d unreachable, failing mux qpn=%d (%d channels)", mx.peer, mx.qp.QPN, len(mx.chans))
-			mx.fail(ErrPeerDead)
-		}
-		return
-	}
-	if now.Sub(mx.lastComm) < cfg.KeepaliveInterval {
-		return
-	}
-	mx.kaProbing = true
-	mx.kaProbeAt = now
-	c.Stats.KeepaliveProbes++
-	c.tel.Flight.Record(now, telemetry.CatKeepaliveProbe, int32(c.Node()), mx.qp.QPN, int64(mx.peer), 0)
-	wr := &rnic.SendWR{Op: rnic.OpWrite, Len: 0}
-	c.flow.postDirect(mx.qp, wr, func(cqe rnic.CQE) {
-		if mx.dead || cqe.QPN != mx.qp.QPN {
-			return // stale completion from a replaced QP
-		}
-		mx.kaProbing = false
-		if cqe.Status != rnic.StatusOK {
-			c.Stats.KeepaliveFails++
-			c.tel.Flight.Trip(c.eng.Now(), telemetry.CatKeepaliveFail, int32(c.Node()), mx.qp.QPN)
-			mx.fail(ErrPeerDead)
-			return
-		}
-		mx.lastComm = c.eng.Now()
-	})
 }
 
-// --- shared-QP recovery ------------------------------------------------------
-
-// fail parks every attached channel and starts re-establishing the
-// shared QP. The QP is the failure domain: channels recover together,
-// each replaying its own unacked tail exactly once.
-func (mx *muxQP) fail(cause error) {
-	c := mx.c
-	if mx.dead || mx.state == muxDegraded || mx.state == muxRecovering {
-		return
-	}
-	if mx.state == muxDialing {
-		mx.teardownAll(cause)
-		return
-	}
-	if !mx.initiator {
+func (mx *muxQP) parked() {
+	if !mx.dialer {
 		// Only the initiator can redial a shared QP — the passive side has
 		// no dial route. Ask it to. When sickness was declared by the path
 		// doctor (not a hard verbs error) the QP is still in RTS, so this
-		// ctrl frame rides the reliable wire. Fire-and-forget (nil cb): if
-		// the QP really is broken the post just flushes and the initiator's
+		// ctrl frame rides the reliable wire. Fire-and-forget (nil cb, not
+		// sendCtrl, whose failure path would re-enter fail): if the QP
+		// really is broken the post just flushes and the initiator's
 		// keepalive finds out on its own.
 		h := &wireHdr{Kind: kindMuxSick}
 		buf := make([]byte, h.wireBytes())
 		h.encode(buf)
-		c.flow.postDirect(mx.qp, &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}, nil)
+		mx.c.flow.postDirect(mx.qp, &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}, nil)
 	}
-	now := c.eng.Now()
-	mx.state = muxDegraded
-	mx.epoch++
-	mx.attempts = 0
-	mx.kaProbing = false
 	if mx.sched != nil {
 		// Queued unposted frames drop here; requeueUnacked replays them
 		// through the scheduler after adoption.
 		mx.sched.reset()
 	}
-	c.Stats.Degraded++
-	c.tel.Flight.Trip(now, telemetry.CatChannelDegraded, int32(c.Node()), mx.qp.QPN)
-	c.tel.Trace.Instant("mux.degraded", c.track, now, int64(mx.peer))
-	c.logf("mux qpn=%d peer=%d degraded (%d channels): %v", mx.qp.QPN, mx.peer, len(mx.chans), cause)
-	for _, ch := range mx.channels() {
-		if ch.attach != attachDone {
-			continue // still waiting for accept; re-opened after recovery
-		}
-		ch.setHealth(HealthDegraded)
-		ch.degradedAt = now
-		c.eng.Cancel(ch.ackEv)
-		ch.ackEv = sim.Event{}
-		ch.kaProbing = false
-		ch.nopInFlight = false
-		ch.stallFlag = false
-	}
-	if mx.initiator {
-		mx.scheduleRedial(cause)
-		return
-	}
-	epoch := mx.epoch
-	c.eng.AfterBg(c.recoverGrace(), func() {
-		if mx.dead || mx.epoch != epoch || mx.state == muxReady {
-			return
-		}
-		mx.teardownAll(cause)
-	})
 }
 
-func (mx *muxQP) scheduleRedial(cause error) {
-	c := mx.c
-	if mx.attempts >= c.cfg.RecoverRetries {
-		mx.teardownAll(cause)
-		return
-	}
-	epoch := mx.epoch
-	c.eng.AfterBg(recoverBackoffDur(c, mx.attempts), func() {
-		if mx.dead || mx.epoch != epoch || mx.state != muxDegraded {
-			return
-		}
-		mx.tryRedial(cause)
-	})
+func (mx *muxQP) retire(bool) {
+	delete(mx.c.muxByQPN, mx.qp.QPN)
+	mx.release(mx.qp, nil)
 }
 
-func (mx *muxQP) tryRedial(cause error) {
-	c := mx.c
-	if !c.vctx.NIC.Alive() {
-		mx.attempts++
-		mx.scheduleRedial(cause)
-		return
-	}
-	mx.state = muxRecovering
-	mx.attempts++
-	c.Stats.RecoverAttempts++
-	mx.epoch++
-	epoch := mx.epoch
-	settled := false
-	c.eng.AfterBg(c.muxDialTimeout(), func() {
-		if settled || mx.dead || mx.epoch != epoch {
-			return
-		}
-		settled = true
-		mx.state = muxDegraded
-		mx.scheduleRedial(cause)
-	})
-	hello := c.muxHelloBytes(mx.slot, true, mx.qp.RemoteQPN)
-	c.ensureSRQ()
-	c.cm.Connect(mx.peer, mx.port, hello, nil, c.muxDepth(), c.sendCQ, c.recvCQ, c.srq, func(conn *verbs.Conn, err error) {
-		if settled || mx.dead || mx.epoch != epoch {
-			if err == nil {
-				c.vctx.NIC.DestroyQP(conn.QP)
-			}
-			return
-		}
-		settled = true
-		if err != nil {
-			mx.state = muxDegraded
-			mx.scheduleRedial(cause)
-			return
-		}
-		mx.adopt(conn, true)
-	})
-}
-
-// adopt swaps in the replacement shared QP and resumes every attached
-// channel: each replays its unacked tail through the normal pump (the
-// receiver's window dedups survivors), pending attaches re-send their
-// CHAN_OPEN, and the passive side holds each channel's replay until the
-// dialer's per-channel NOP beacon proves the new QP is in RTS.
-func (mx *muxQP) adopt(conn *verbs.Conn, initiator bool) {
-	c := mx.c
-	now := c.eng.Now()
-	if mx.qp != nil {
-		delete(c.muxByQPN, mx.qp.QPN)
-		// Shared QPs are SRQ-bound and never enter the (per-channel) QP
-		// cache: a recycled SRQ QP handed to an exclusive channel could
-		// not post per-channel receives.
-		c.vctx.NIC.DestroyQP(mx.qp)
-	}
-	mx.installQP(conn.QP)
-	mx.state = muxReady
-	mx.epoch++
-	mx.attempts = 0
-	mx.kaProbing = false
-	mx.lastComm = now
-	mx.doctor.resetEpisode()
+// install routes the link QP's receives here and (re)opens every channel
+// still waiting for its accept — at establishment, and again after a
+// recovery that swallowed the CHAN_OPEN.
+func (mx *muxQP) install([]Buffer) {
+	mx.c.muxByQPN[mx.qp.QPN] = mx
 	if mx.sched != nil {
 		mx.sched.reset()
 	}
-	c.Stats.Recoveries++
-	c.tel.Flight.Record(now, telemetry.CatChannelRecovered, int32(c.Node()), mx.qp.QPN, int64(mx.peer), int64(len(mx.chans)))
-	c.tel.Trace.Instant("mux.recovered", c.track, now, int64(mx.peer))
-	c.logf("mux peer=%d recovered on qpn=%d (%d channels, initiator=%v)", mx.peer, mx.qp.QPN, len(mx.chans), initiator)
-	for _, ch := range mx.channels() {
-		if ch.attach != attachDone {
-			if initiator && ch.attach == attachPending {
-				mx.sendChanOpen(ch)
-			}
-			continue
-		}
-		ch.qp = mx.qp
-		ch.requeueUnacked()
-		ch.kaProbing = false
-		ch.nopInFlight = false
-		ch.stallFlag = false
-		ch.lastComm = now
-		ch.lastProgress = now
-		ch.pulls = nil
-		ch.setHealth(HealthHealthy)
-		if initiator {
-			ch.resumeOnRx = false
-			ch.sendCtrl(kindNop) // per-channel beacon: our QP is RTS
-			ch.pump()
-		} else {
-			ch.resumeOnRx = true
+	if !mx.dialer {
+		return
+	}
+	for _, ch := range mx.riders() {
+		if ch.attach == attachPending {
+			mx.sendChanOpen(ch)
 		}
 	}
 }
 
+func (mx *muxQP) exhausted(cause error) { mx.teardownAll(cause) }
+
 // teardownAll is the terminal path: the redial budget ran out (or the
-// initial dial failed), so every channel on this QP dies. Muxed channels
-// have no per-channel Mock fallback — the shared QP is the unit of
-// fate (DESIGN §12).
+// initial dial failed), so every channel on this QP dies.
 func (mx *muxQP) teardownAll(cause error) {
-	if mx.dead {
+	if mx.state == linkDead {
 		return
 	}
-	mx.dead = true
-	mx.epoch++
 	c := mx.c
+	mx.close()
 	if mx.sched != nil {
 		mx.sched.reset()
 	}
 	c.logf("mux peer=%d beyond recovery (%d channels): %v", mx.peer, len(mx.chans), cause)
-	for _, ch := range mx.channels() {
+	for _, ch := range mx.riders() {
 		if ch.attach == attachPending || ch.attach == attachQueued {
 			ch.finishAttach(cause)
 			continue
@@ -931,63 +547,7 @@ func (mx *muxQP) teardownAll(cause error) {
 		ch.teardown(cause)
 	}
 	if mx.qp != nil {
-		delete(c.muxByQPN, mx.qp.QPN)
-		c.vctx.NIC.DestroyQP(mx.qp)
+		mx.retire(false)
 		mx.qp = nil
-	}
-	for _, q := range mx.qpns {
-		if c.muxRecoverIdx[q] == mx {
-			delete(c.muxRecoverIdx, q)
-		}
-	}
-}
-
-// --- shared-QP path doctor ---------------------------------------------------
-
-// pathScan runs the gray-failure scorer once per shared QP. The shared
-// QP's counters aggregate every attached channel's symptoms, so one scan
-// (and at most one flow-label rotation) covers them all — per-channel
-// doctors would each see the full counter delta and rotate K times per
-// sick tick. Escalation hands the whole QP to the mux recovery machine.
-func (mx *muxQP) pathScan(now sim.Time) {
-	c := mx.c
-	d := &mx.doctor
-	if mx.dead || mx.qp == nil {
-		return
-	}
-	retx := mx.qp.Counters.Retransmits
-	rnr := mx.qp.Counters.RNRNakRecv
-	corrupt := mx.qp.Counters.CorruptDrops
-	if mx.state != muxReady || !d.inited {
-		d.resync(retx, rnr, corrupt)
-		return
-	}
-	if d.scoreScan(retx, rnr, corrupt) {
-		v := d.verdict
-		c.tel.Flight.Record(now, telemetry.CatPathVerdict, int32(c.Node()), mx.qp.QPN, int64(v), int64(d.score*100))
-		c.tel.Trace.Instant("path.verdict", c.track, now, int64(v))
-		d.log = append(d.log, fmt.Sprintf("t=%v node=%d path=%v score=%d", now, c.Node(), v, int64(d.score*100)))
-		for _, ch := range mx.channels() {
-			if ch.onPathVerdict != nil {
-				ch.onPathVerdict(v)
-			}
-		}
-	}
-	switch d.verdict {
-	case PathClean:
-		d.sickScans = 0
-		if d.rotations > 0 {
-			d.cleanScans++
-			if d.cleanScans >= pdCleanScansToForgive {
-				d.rotations = 0
-				d.cleanScans = 0
-			}
-		}
-	case PathSuspect:
-		d.cleanScans = 0
-	case PathSick:
-		d.cleanScans = 0
-		d.maybeHint(c, now, func() { mx.sendCtrl(&wireHdr{Kind: kindPathHint}) })
-		d.rotateOrEscalate(c, mx.qp.QPN, now, func(err error) { mx.fail(err) })
 	}
 }

@@ -339,7 +339,7 @@ func (ch *Channel) WriteRemote(win RemoteWindow, off uint64, data []byte, imm ui
 		ch.noteOneSided(telemetry.StageWriteFlush, id, start)
 		cb(nil)
 	})
-	ch.lastComm = c.eng.Now()
+	ch.lk.lastComm = c.eng.Now()
 }
 
 // noteOneSided attributes one completed one-sided op to its blame stage:
@@ -452,7 +452,7 @@ func (ch *Channel) applyMockWrite(h *wireHdr, pay []byte) {
 // header decoding in dispatchRecv — a WRITE+imm carries no wire header in
 // the receive buffer.
 func (ch *Channel) handleWriteImmCQE(cqe rnic.CQE) {
-	ch.lastComm = ch.ctx.eng.Now()
+	ch.lk.lastComm = ch.ctx.eng.Now()
 	ch.repostRecv(cqe.WRID)
 	if ch.onWriteImm != nil {
 		ch.onWriteImm(cqe.Imm, cqe.Addr, cqe.Len)
@@ -486,7 +486,6 @@ func (ch *Channel) sendCtrlPayload(h *wireHdr, data []byte, cb func(error)) {
 		}
 		ch.mock.conn.Send(buf, len(buf), cb)
 		ch.noteAckCarried()
-		ch.lastComm = ch.ctx.eng.Now()
 		return
 	}
 	if ch.health != HealthHealthy || ch.resumeOnRx {
@@ -511,5 +510,5 @@ func (ch *Channel) sendCtrlPayload(h *wireHdr, data []byte, cb func(error)) {
 		}
 	})
 	ch.noteAckCarried()
-	ch.lastComm = ch.ctx.eng.Now()
+	ch.lk.lastComm = ch.ctx.eng.Now()
 }

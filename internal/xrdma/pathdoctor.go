@@ -13,7 +13,7 @@ import (
 // heavyweight (QP re-establishment, TCP fallback). Production postmortems
 // are dominated by the other failure shape: a browned-out optic on one
 // spine path that RC go-back-N silently absorbs at a permanent latency
-// and goodput cost. The doctor closes that gap with a per-channel EWMA
+// and goodput cost. The doctor closes that gap with a per-link EWMA
 // score fed by deltas of counters the stack already keeps (QP
 // retransmits, RNR NAKs, per-QP corrupt drops, RTT inflation against a
 // learned baseline). The verdict — Clean / Suspect / Sick — is about the
@@ -23,7 +23,7 @@ import (
 // deterministic per-flow hash steers the connection onto a different
 // equal-cost path, with seeded label choice, bounded rotations and a
 // cooldown. Only when every tried path stays sick does the doctor
-// escalate to the PR 3 recovery machine via ch.fail.
+// escalate to the link's recovery machine (link.fail).
 
 // PathVerdict classifies a channel's network path.
 type PathVerdict uint8
@@ -101,8 +101,8 @@ const (
 	pdHintStreakWindowMul = 8 // × PathRehashCooldown
 )
 
-// pathDoctor is the per-channel scorer state. It lives inside Channel
-// and is driven synchronously from the context housekeeping tick — no
+// pathDoctor is the per-QP scorer state. It lives inside the link
+// (link.pathScan is the driver) and runs synchronously from the context housekeeping tick — no
 // events of its own, so a zero-fault run's event sequence is untouched.
 type pathDoctor struct {
 	score   float64
@@ -179,29 +179,22 @@ func (d *pathDoctor) resetEpisode() {
 	d.inited = false
 }
 
-// pathScan drives every channel's doctor once per housekeeping tick, in
-// QPN order so any seeded label draws consume the RNG deterministically
-// regardless of map iteration order. Shared (mux) QPs are scanned after
-// the exclusive channels, one doctor per QP, in creation order.
+// pathScan drives every link's doctor once per housekeeping tick, in
+// creation order so any seeded label draws consume the RNG
+// deterministically.
 func (c *Context) pathScan() {
-	if !c.cfg.PathDoctor || (len(c.channels) == 0 && len(c.muxQPs) == 0) {
+	if !c.cfg.PathDoctor {
 		return
 	}
 	now := c.eng.Now()
-	for _, ch := range c.sortedChannels() {
-		if ch.mx != nil {
-			continue // scanned through the shared QP below
-		}
-		ch.pathScan(now)
-	}
-	for _, mx := range c.muxQPs {
-		mx.pathScan(now)
+	for i := 0; i < len(c.links); i++ {
+		c.links[i].pathScan(now)
 	}
 }
 
 // scoreScan folds one tick's counter deltas and RTT samples into the
 // EWMA score and re-derives the verdict; reports whether the verdict
-// changed. Shared by the per-channel and per-shared-QP scans.
+// changed.
 func (d *pathDoctor) scoreScan(retx, rnr, corrupt int64) bool {
 	dRetx := retx - d.lastRetx
 	dRNR := rnr - d.lastRNR
@@ -270,63 +263,13 @@ func (d *pathDoctor) scoreScan(retx, rnr, corrupt int64) bool {
 	return true
 }
 
-// pathScan runs one scoring pass over this channel.
-func (ch *Channel) pathScan(now sim.Time) {
-	if ch.qp == nil {
-		return // lazy descriptor (or mocked from birth): no path to judge
-	}
-	c := ch.ctx
-	d := &ch.doctor
-	retx := ch.qp.Counters.Retransmits
-	rnr := ch.qp.Counters.RNRNakRecv
-	corrupt := ch.qp.Counters.CorruptDrops
-	if ch.closed || ch.mock != nil || ch.health != HealthHealthy {
-		// Not our jurisdiction: the health machine owns the channel.
-		// Keep the watermarks fresh so recovery traffic isn't blamed.
-		d.resync(retx, rnr, corrupt)
-		return
-	}
-	if !d.inited {
-		d.resync(retx, rnr, corrupt)
-		return
-	}
-
-	if d.scoreScan(retx, rnr, corrupt) {
-		v := d.verdict
-		c.tel.Flight.Record(now, telemetry.CatPathVerdict, int32(c.Node()), ch.qp.QPN, int64(v), int64(d.score*100))
-		c.tel.Trace.Instant("path.verdict", c.track, now, int64(v))
-		d.log = append(d.log, fmt.Sprintf("t=%v node=%d path=%v score=%d", now, c.Node(), v, int64(d.score*100)))
-		if ch.onPathVerdict != nil {
-			ch.onPathVerdict(v)
-		}
-	}
-
-	switch d.verdict {
-	case PathClean:
-		d.sickScans = 0
-		if d.rotations > 0 {
-			d.cleanScans++
-			if d.cleanScans >= pdCleanScansToForgive {
-				d.rotations = 0
-				d.cleanScans = 0
-			}
-		}
-	case PathSuspect:
-		d.cleanScans = 0
-	case PathSick:
-		d.cleanScans = 0
-		d.maybeHint(c, now, func() { ch.sendCtrl(kindPathHint) })
-		d.rotateOrEscalate(c, ch.qp.QPN, now, func(err error) { ch.fail(err) })
-	}
-}
-
 // maybeHint sends the peer a PATH_HINT when this sick episode's evidence
 // is dominated by symptoms only the peer's flow-label rotation can cure
 // (RX corrupt drops, round-trip inflation). Rate-limited by the rehash
 // cooldown so a long-sick episode nudges the peer once per settle
 // window, not once per scan.
-func (d *pathDoctor) maybeHint(c *Context, now sim.Time, send func()) {
-	if send == nil || now < d.hintMuteUntil {
+func (d *pathDoctor) maybeHint(c *Context, now sim.Time, riders []*Channel) {
+	if len(riders) == 0 || now < d.hintMuteUntil {
 		return
 	}
 	if d.rxEvid == 0 || d.rxEvid < d.txEvid {
@@ -337,7 +280,7 @@ func (d *pathDoctor) maybeHint(c *Context, now sim.Time, send func()) {
 	c.Stats.PathHints++
 	c.tel.Trace.Instant("path.hint", c.track, now, 0)
 	d.log = append(d.log, fmt.Sprintf("t=%v node=%d hint-sent", now, c.Node()))
-	send()
+	riders[0].sendCtrl(kindPathHint) // any rider's ctrl frame reaches the peer's doctor for this QP
 }
 
 // noteHint folds a received PATH_HINT into the next scan: the peer's
@@ -365,8 +308,7 @@ func (d *pathDoctor) noteHint(c *Context, now sim.Time) {
 
 // rotateOrEscalate is the Sick-verdict remedy: rotate the flow label
 // while the episode budget lasts, otherwise count the path as terminally
-// sick and hand the QP's owner to the health machine through escalate
-// (ch.fail for exclusive channels, mx.fail for shared QPs).
+// sick and hand the link to the health machine through escalate.
 func (d *pathDoctor) rotateOrEscalate(c *Context, qpn uint32, now sim.Time, escalate func(error)) {
 	if now < d.cooldownUntil {
 		// Give the freshly rotated path its settle time before judging
@@ -416,14 +358,14 @@ func (d *pathDoctor) rotateOrEscalate(c *Context, qpn uint32, now sim.Time, esca
 
 // --- channel surface ---------------------------------------------------------
 
-// doctorRef resolves the doctor that owns this channel's path: the
-// shared QP's doctor when muxed (one path, one scorer, shared by every
-// channel on the QP), the channel's own otherwise.
+// doctorRef resolves the doctor that owns this channel's path: its link's
+// (one path, one scorer, shared by every rider). An unattached descriptor
+// has no path yet and reads as a pristine one.
 func (ch *Channel) doctorRef() *pathDoctor {
-	if ch.mx != nil {
-		return &ch.mx.doctor
+	if ch.lk == nil {
+		return &pathDoctor{}
 	}
-	return &ch.doctor
+	return &ch.lk.doctor
 }
 
 // PathVerdict reports the doctor's current classification of this

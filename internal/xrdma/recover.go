@@ -1,343 +1,70 @@
 package xrdma
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"xrdma/internal/fabric"
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
-	"xrdma/internal/telemetry"
-	"xrdma/internal/verbs"
 )
 
-// Channel recovery: the health state machine's transient-fault path.
-// When a channel's RDMA plane breaks (flushed QP, keepalive death, NIC
-// restart) and the context was built with Options.RecoverPort, the
-// channel enters Degraded instead of switching straight to Mock: traffic
-// is held, and the lower node ID re-dials the peer's recovery listener
-// through the QP cache with exponential backoff plus jitter and a
-// bounded retry budget. The replacement connection is adopted on both
-// sides and the unacked window tail replays — the seq-ack window of
-// Algorithm 1 dedups the overlap, so the cutover is exactly-once in both
-// directions. When the budget runs out the channel proceeds to the Mock
-// fallback (or tears down), from which periodic failback probes try to
-// return to RDMA.
+// The exclusive-QP owner of a link (link.go): one channel, one rider. What
+// is particular to it is where replacement QPs come from (the QP cache,
+// with a fresh per-channel receive pool), who redials (the lower node id,
+// through Options.RecoverPort), and what happens when re-establishment is
+// exhausted — the Mock fallback (§VI-C) when configured, from which
+// periodic failback probes try to return to RDMA, terminal teardown
+// otherwise.
 
-const recoverHelloMagic = 0x5243 // "CR" — channel recovery
-
-// recoverHello names the broken channel three ways: the peer-side QPN the
-// dialer last saw (the fast recovery-index key), plus the immutable
-// establishment-time QPN pair — the listener's first QPN and the dialer's
-// first QPN. The latter two are the channel's identity: local QPNs are
-// recycled through the QP cache, so with several channels to one peer the
-// index entry for a recycled QPN can come to name a sibling channel, and
-// only the establishment pair (which no adoption ever rewrites) tells the
-// listener which protocol state this dial actually belongs to.
-func recoverHello(targetQPN, targetQPN0, dialerQPN0 uint32) []byte {
-	b := make([]byte, 16)
-	binary.LittleEndian.PutUint16(b, recoverHelloMagic)
-	binary.LittleEndian.PutUint32(b[2:], targetQPN)
-	binary.LittleEndian.PutUint32(b[6:], targetQPN0)
-	binary.LittleEndian.PutUint32(b[10:], dialerQPN0)
-	return b
-}
-
-func parseRecoverHello(b []byte) (target, target0, dialer0 uint32, ok bool) {
-	if len(b) < 16 || binary.LittleEndian.Uint16(b) != recoverHelloMagic {
-		return 0, 0, 0, false
+// newLink builds the link under a freshly established (or rehydrated)
+// exclusive channel.
+func (c *Context) newLink(ch *Channel, state linkState) *link {
+	l := &link{
+		c: c, own: ch, solo: [1]*Channel{ch}, peer: ch.Peer, state: state,
+		port: c.recoverPort, dialer: c.Node() < ch.Peer, redial: helloRecover,
+		depth: c.qpDepth(), dialTimeout: c.cfg.RecoverDialTimeout,
+		lastComm: c.eng.Now(),
 	}
-	return binary.LittleEndian.Uint32(b[2:]),
-		binary.LittleEndian.Uint32(b[6:]),
-		binary.LittleEndian.Uint32(b[10:]), true
+	c.links = append(c.links, l)
+	return l
 }
 
-// isChannelIdentity reports whether this channel IS the one the dialing
-// peer means: the establishment-time QPN pair matches in both directions.
-func (ch *Channel) isChannelIdentity(from fabric.NodeID, target0, dialer0 uint32) bool {
-	return ch.Peer == from && len(ch.qpns) > 0 && ch.qpns[0] == target0 && ch.peerQPN0 == dialer0
+func (ch *Channel) riders() []*Channel { return ch.lk.solo[:] }
+
+func (ch *Channel) acquire(fn func(*rnic.QP, []Buffer)) {
+	ch.ctx.allocRecvBufs(func(bufs []Buffer) { fn(ch.ctx.QPs.Get(), bufs) })
 }
 
-// indexChannel records a channel's ownership of a local QPN for the
-// recovery rendezvous.
-func (c *Context) indexChannel(ch *Channel, qpn uint32) {
-	if c.recoverPort <= 0 {
-		return
-	}
-	c.recoverIdx[qpn] = ch
-	ch.qpns = append(ch.qpns, qpn)
+func (ch *Channel) release(qp *rnic.QP, bufs []Buffer) {
+	ch.ctx.QPs.Put(qp)
+	ch.ctx.freeBufs(bufs)
 }
 
-// recoverGrace bounds how long the passive side stays Degraded waiting
-// for the dialer: the full dial budget worth of timeouts and backoffs on
-// top of the mock grace, so both sides converge on the same outcome.
-func (c *Context) recoverGrace() sim.Duration {
-	return c.mockGrace() +
-		sim.Duration(c.cfg.RecoverRetries)*(c.cfg.RecoverDialTimeout+c.cfg.RecoverBackoffMax)
-}
+func (ch *Channel) parked() {}
 
-// recoverBackoff is the delay before dial attempt n (0-based):
-// exponential, capped, with ±25% jitter to decorrelate fleet-wide retry
-// storms after a shared fault (a downed switch degrades many channels at
-// once).
-func (ch *Channel) recoverBackoff(attempt int) sim.Duration {
-	return recoverBackoffDur(ch.ctx, attempt)
-}
-
-// recoverBackoffDur is the shared dial-backoff schedule — per-channel
-// recovery and shared-QP (mux) redials draw from the same context RNG.
-func recoverBackoffDur(c *Context, attempt int) sim.Duration {
-	cfg := &c.cfg
-	d := cfg.RecoverBackoff << uint(attempt)
-	if d <= 0 || d > cfg.RecoverBackoffMax {
-		d = cfg.RecoverBackoffMax
-	}
-	if d <= 0 {
-		d = sim.Millisecond
-	}
-	return d - d/4 + sim.Duration(c.rng.Float64()*float64(d)/2)
-}
-
-// enterDegraded parks a channel whose RDMA path failed: traffic is held
-// in the send queue, the broken QP is kept (its QPN stays the channel's
-// identity until a replacement is adopted), and re-establishment begins.
-func (ch *Channel) enterDegraded(cause error) {
-	c := ch.ctx
-	now := c.eng.Now()
-	ch.setHealth(HealthDegraded)
-	ch.degradedAt = now
-	ch.recAttempts = 0
-	ch.recEpoch++
-	c.Stats.Degraded++
-	c.tel.Flight.Trip(now, telemetry.CatChannelDegraded, int32(c.Node()), ch.qp.QPN)
-	c.tel.Trace.Instant("ch.degraded", c.track, now, int64(ch.Peer))
-	c.logf("channel qpn=%d peer=%d degraded: %v", ch.qp.QPN, ch.Peer, cause)
-
-	// The receive pool is useless while the QP is broken (and may be
-	// gone entirely after a NIC restart); fresh buffers arrive with the
-	// replacement connection.
-	for id, buf := range ch.recvBufs {
-		delete(ch.recvBufs, id)
-		c.Mem.Free(buf)
-	}
-	c.eng.Cancel(ch.ackEv)
-	ch.ackEv = sim.Event{}
-	ch.kaProbing = false
-	ch.nopInFlight = false
-	ch.stallFlag = false
-
-	if c.Node() < ch.Peer {
-		ch.scheduleRecoverDial(cause)
-		return
-	}
-	// Passive side: wait for the dialer, bounded.
-	epoch := ch.recEpoch
-	c.eng.AfterBg(c.recoverGrace(), func() {
-		if ch.closed || ch.recEpoch != epoch || ch.mock != nil || ch.health == HealthHealthy {
-			return
-		}
-		ch.proceedToFallback(cause)
-	})
-}
-
-func (ch *Channel) scheduleRecoverDial(cause error) {
-	c := ch.ctx
-	if ch.recAttempts >= c.cfg.RecoverRetries {
-		ch.proceedToFallback(cause)
-		return
-	}
-	epoch := ch.recEpoch
-	c.eng.AfterBg(ch.recoverBackoff(ch.recAttempts), func() {
-		if ch.closed || ch.recEpoch != epoch || ch.mock != nil || ch.health == HealthHealthy {
-			return
-		}
-		ch.tryRecover(cause)
-	})
-}
-
-// tryRecover runs one re-establishment dial through the QP cache.
-func (ch *Channel) tryRecover(cause error) {
-	c := ch.ctx
-	if !c.vctx.NIC.Alive() {
-		// The local machine itself is down; a restart revives the NIC,
-		// so keep re-arming within the budget.
-		ch.recAttempts++
-		ch.scheduleRecoverDial(cause)
-		return
-	}
-	ch.setHealth(HealthRecovering)
-	ch.recAttempts++
-	c.Stats.RecoverAttempts++
-	ch.recEpoch++
-	epoch := ch.recEpoch
-	ch.dialReplacement(epoch, func() {
-		if ch.closed || ch.recEpoch != epoch || ch.mock != nil || ch.health == HealthHealthy {
-			return
-		}
-		ch.setHealth(HealthDegraded)
-		ch.scheduleRecoverDial(cause)
-	})
-}
-
-// dialReplacement dials the peer's recovery listener and adopts the
-// resulting connection. The CM has no cancellation, so the attempt owns
-// an epoch and a settled flag: the dial timeout claims the attempt
-// first on a dead peer, and a late completion quietly returns whatever
-// resources it acquired.
-func (ch *Channel) dialReplacement(epoch uint64, onFail func()) {
-	c := ch.ctx
-	stale := func() bool { return ch.closed || ch.recEpoch != epoch }
-	c.allocRecvBufs(func(bufs []Buffer) {
-		if stale() {
-			c.freeBufs(bufs)
-			onFail()
-			return
-		}
-		settled := false
-		c.eng.AfterBg(c.cfg.RecoverDialTimeout, func() {
-			if settled || stale() {
-				return
-			}
-			settled = true
-			c.freeBufs(bufs)
-			onFail()
-		})
-		qp := c.QPs.Get()
-		done := func(conn *verbs.Conn, err error) {
-			if settled || stale() {
-				// Late completion after timeout/adoption/teardown.
-				if err == nil {
-					c.QPs.Put(conn.QP)
-				} else if qp != nil {
-					c.QPs.Put(qp)
-				}
-				return
-			}
-			settled = true
-			if err != nil {
-				if qp != nil {
-					c.QPs.Put(qp)
-				}
-				c.freeBufs(bufs)
-				onFail()
-				return
-			}
-			ch.adopt(conn, bufs, true)
-		}
-		var own0 uint32
-		if len(ch.qpns) > 0 {
-			own0 = ch.qpns[0]
-		}
-		hello := recoverHello(ch.peerQPN, ch.peerQPN0, own0)
-		if qp != nil {
-			c.cm.Connect(ch.Peer, c.recoverPort, hello, qp, c.qpDepth(), nil, nil, nil, done)
-			return
-		}
-		var srq *rnic.SRQ
-		if c.cfg.UseSRQ {
-			c.ensureSRQ()
-			srq = c.srq
-		}
-		c.cm.Connect(ch.Peer, c.recoverPort, hello, nil, c.qpDepth(), c.sendCQ, c.recvCQ, srq, done)
-	})
-}
-
-// listenRecover accepts re-establishment dials for degraded (or
-// fallen-back) channels, matched by the QPN named in the hello.
-func (c *Context) listenRecover() {
-	c.cm.Listen(c.recoverPort, func(req *verbs.ConnReq) {
-		target, target0, dialer0, ok := parseRecoverHello(req.PrivateData)
-		if !ok {
-			req.Reject("bad recovery hello")
-			return
-		}
-		ch := c.recoverIdx[target]
-		if ch != nil && (ch.closed || !ch.isChannelIdentity(req.From, target0, dialer0)) {
-			// The indexed QPN was recycled to a sibling channel (or the
-			// entry is plain stale); fall back to the identity scan so a
-			// dial never cross-adopts another channel's protocol state.
-			ch = nil
-		}
-		if ch == nil {
-			for _, cand := range c.sortedChannels() {
-				if !cand.closed && cand.isChannelIdentity(req.From, target0, dialer0) {
-					ch = cand
-					break
-				}
-			}
-		}
-		if ch == nil {
-			req.Reject("no such channel")
-			return
-		}
-		if ch.mock == nil && ch.health == HealthHealthy {
-			// The dialer noticed a fault this side hasn't seen yet
-			// (failure detection is not synchronized); degrade first so
-			// adoption runs from a consistent state.
-			ch.enterDegraded(fmt.Errorf("peer-initiated recovery"))
-		}
-		c.allocRecvBufs(func(bufs []Buffer) {
-			if ch.closed {
-				c.freeBufs(bufs)
-				req.Reject("channel closed")
-				return
-			}
-			c.withQP(func(qp *rnic.QP) {
-				req.Accept(qp, func(conn *verbs.Conn, err error) {
-					if err != nil || ch.closed {
-						c.QPs.Put(qp)
-						c.freeBufs(bufs)
-						return
-					}
-					ch.adopt(conn, bufs, false)
-				})
-			})
-		})
-	})
-}
-
-// adopt installs a freshly established replacement connection: the
-// broken QP (or the mock transport) is surrendered, the replacement
-// posts a fresh receive pool, and the unacked windowed tail requeues for
-// replay. The dialer pumps immediately and sends a NOP beacon; the
-// passive side holds its replay until the beacon (or any RDMA traffic)
-// proves the dialer's QP reached RTS, because sends posted earlier would
-// race the dialer's RTR transition.
-func (ch *Channel) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
-	c := ch.ctx
-	now := c.eng.Now()
-	failback := ch.mock != nil
-	if failback {
+func (ch *Channel) retire(initiator bool) {
+	if ch.mock != nil {
 		if initiator {
 			ch.closeMock()
 		} else if ch.mock.conn != nil {
-			// Keep draining the mock conn until the dialer closes it —
-			// the windowed dedup makes the overlap harmless.
+			// Keep draining the mock conn until the dialer closes it — the
+			// windowed dedup makes the overlap harmless.
 			ch.mock.conn.OnClose = nil
 		}
 		ch.mock = nil
-		c.Stats.Failbacks++
-		c.tel.Flight.Record(now, telemetry.CatFailback, int32(c.Node()), conn.QP.QPN, int64(ch.Peer), 0)
-		c.tel.Trace.Instant("ch.failback", c.track, now, int64(ch.Peer))
 	} else {
-		if ch.qp != nil {
-			delete(c.channels, ch.qp.QPN)
-			c.QPs.Put(ch.qp)
-		} else if n := len(ch.qpns); n > 0 && c.channels[ch.qpns[n-1]] == ch {
-			// Rehydrated channel (drain.go) adopting its first post-restart
-			// transport: it was parked in the table under the last QPN it
-			// owned before the restart.
-			delete(c.channels, ch.qpns[n-1])
-		}
-		outage := now.Sub(ch.degradedAt)
-		c.recHist.Observe(int64(outage))
-		c.tel.Trace.Complete("ch.outage", c.track, ch.degradedAt, outage, int64(ch.Peer))
+		ch.leaveTable()
+		ch.ctx.QPs.Put(ch.lk.qp)
 	}
 	ch.unregisterGauges()
-	ch.qp = conn.QP
-	ch.peerQPN = conn.QP.RemoteQPN
+}
+
+// install posts the pre-allocated standing receive pool — the buffers whose
+// footprint the §III Issue-1 formula describes — and publishes the channel
+// under its link's QPN.
+func (ch *Channel) install(bufs []Buffer) {
+	c := ch.ctx
+	ch.qp = ch.lk.qp
 	c.channels[ch.qp.QPN] = ch
-	c.indexChannel(ch, ch.qp.QPN)
 	if ch.recvBufs == nil && len(bufs) > 0 {
 		ch.recvBufs = make(map[uint64]Buffer, len(bufs))
 	}
@@ -350,29 +77,44 @@ func (ch *Channel) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
 		}
 	}
 	ch.registerGauges()
-	ch.recEpoch++
-	ch.recAttempts = 0
-	ch.kaProbing = false
+}
+
+// exhausted gives up on RDMA re-establishment: Mock when configured,
+// terminal teardown otherwise.
+func (ch *Channel) exhausted(cause error) {
+	c := ch.ctx
+	if ch.closed || ch.mock != nil {
+		return
+	}
+	if c.cfg.MockEnabled && c.tcp != nil && c.mockPort > 0 {
+		ch.switchToMock(cause)
+		return
+	}
+	c.Stats.ChannelsBroken++
+	c.logf("channel qpn=%d peer=%d beyond recovery: %v", ch.QPN(), ch.Peer, cause)
+	ch.teardown(cause)
+}
+
+// park holds a rider whose link lost its transport: traffic stays in the
+// send queue until a replacement is adopted.
+func (ch *Channel) park() {
+	ch.setHealth(HealthDegraded)
+	ch.quiesce()
+}
+
+// quiesce drops what only a live QP could use. The receive pool is useless
+// while the QP is broken (and may be gone entirely after a NIC restart);
+// fresh buffers arrive with the replacement connection.
+func (ch *Channel) quiesce() {
+	c := ch.ctx
+	for id, buf := range ch.recvBufs {
+		delete(ch.recvBufs, id)
+		c.Mem.Free(buf)
+	}
+	c.eng.Cancel(ch.ackEv)
+	ch.ackEv = sim.Event{}
 	ch.nopInFlight = false
 	ch.stallFlag = false
-	ch.lastComm = now
-	ch.lastProgress = now
-	ch.pulls = nil // lazily re-created on the next rendezvous announce
-	c.Stats.Recoveries++
-	c.tel.Flight.Record(now, telemetry.CatChannelRecovered, int32(c.Node()), ch.qp.QPN, int64(ch.Peer), int64(now.Sub(ch.degradedAt)))
-	c.logf("channel peer=%d recovered on qpn=%d after %v (failback=%v)", ch.Peer, ch.qp.QPN, now.Sub(ch.degradedAt), failback)
-	ch.requeueUnacked()
-	// The adopted QP starts with zero counters and a full rotation
-	// budget; the doctor must not blame it for the old path's symptoms.
-	ch.doctor.resetEpisode()
-	ch.setHealth(HealthHealthy)
-	if initiator {
-		ch.resumeOnRx = false
-		ch.sendCtrl(kindNop) // beacon: our QP is RTS
-		ch.pump()
-	} else {
-		ch.resumeOnRx = true
-	}
 }
 
 // requeueUnacked rewinds the send window to the ack edge and moves the
@@ -404,57 +146,33 @@ func (ch *Channel) requeueUnacked() {
 	ch.sendQ = append(replay, ch.sendQ...)
 }
 
-// proceedToFallback gives up on RDMA re-establishment: Mock when
-// configured, terminal teardown otherwise.
-func (ch *Channel) proceedToFallback(cause error) {
-	c := ch.ctx
-	if ch.closed || ch.mock != nil {
-		return
-	}
-	if c.cfg.MockEnabled && c.tcp != nil && c.mockPort > 0 {
-		ch.switchToMock(cause)
-		return
-	}
-	c.Stats.ChannelsBroken++
-	c.logf("channel qpn=%d peer=%d beyond recovery: %v", ch.QPN(), ch.Peer, cause)
-	ch.teardown(cause)
-}
-
 // armFailback schedules the next RDMA probe for a channel running on the
 // Mock fallback (§VI-C: the fallback is meant to be temporary).
 func (ch *Channel) armFailback() {
-	c := ch.ctx
-	if c.recoverPort <= 0 || c.cfg.FailbackInterval <= 0 || c.Node() >= ch.Peer {
+	c, l := ch.ctx, ch.lk
+	if l.port <= 0 || c.cfg.FailbackInterval <= 0 || !l.dialer {
 		return
 	}
 	d := c.cfg.FailbackInterval
 	d += sim.Duration(c.rng.Float64() * float64(d) / 4)
-	epoch := ch.recEpoch
+	epoch := l.epoch
 	c.eng.AfterBg(d, func() {
-		if ch.closed || ch.mock == nil || !ch.mock.ready || ch.recEpoch != epoch {
-			return
+		if l.epoch == epoch && ch.mock.ready {
+			ch.tryFailback()
 		}
-		ch.tryFailback()
 	})
 }
 
-// tryFailback probes the RDMA path with a single recovery dial; messages
-// keep flowing over TCP during the probe and the window dedups the
-// cutover if it succeeds.
+// tryFailback probes the RDMA path with a single replacement dial; messages
+// keep flowing over TCP during the probe and the window dedups the cutover
+// if it succeeds.
 func (ch *Channel) tryFailback() {
-	c := ch.ctx
-	if !c.vctx.NIC.Alive() {
+	if !ch.ctx.vctx.NIC.Alive() {
 		ch.armFailback()
 		return
 	}
 	ch.setHealth(HealthRecovering)
-	c.Stats.RecoverAttempts++
-	ch.recEpoch++
-	epoch := ch.recEpoch
-	ch.dialReplacement(epoch, func() {
-		if ch.closed || ch.mock == nil {
-			return
-		}
+	ch.lk.dialOnce(func() {
 		ch.setHealth(HealthFallback)
 		if ch.mock.conn == nil || !ch.mock.ready {
 			// The fallback died while we probed; re-run its rendezvous.

@@ -2,6 +2,8 @@ package xrdma
 
 import (
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"xrdma/internal/fabric"
@@ -65,6 +67,8 @@ func newRecoverWorld(t testing.TB, n int, mutate func(i int, cfg *Config)) *test
 type idStream struct {
 	sent     uint64
 	sendErrs int
+	failed   int    // requests whose callback reported an error
+	bigEvery uint64 // every Nth request is a 64 KiB rendezvous (0 = never)
 	resps    map[uint64]int
 	recvd    map[uint64]int
 }
@@ -90,10 +94,15 @@ func (s *idStream) run(eng *sim.Engine, cli *Channel, interval, stop sim.Duratio
 		id := s.sent
 		s.sent++
 		buf := make([]byte, 16)
+		if s.bigEvery > 0 && id%s.bigEvery == 0 {
+			buf = make([]byte, 64<<10)
+		}
 		binary.LittleEndian.PutUint64(buf, id)
 		if err := cli.SendMsg(buf, 0, func(m *Msg, err error) {
 			if err == nil {
 				s.resps[binary.LittleEndian.Uint64(m.Data)]++
+			} else {
+				s.failed++
 			}
 		}); err != nil {
 			s.sendErrs++
@@ -103,10 +112,8 @@ func (s *idStream) run(eng *sim.Engine, cli *Channel, interval, stop sim.Duratio
 	eng.AfterBg(interval, tick)
 }
 
-// check asserts exactly-once delivery and full response coverage.
-func (s *idStream) check(t *testing.T) {
-	t.Helper()
-	dups, lost := 0, 0
+// tally counts deliveries that happened more than once and not at all.
+func (s *idStream) tally() (dups, lost int) {
 	for id := uint64(0); id < s.sent; id++ {
 		switch n := s.recvd[id]; {
 		case n == 0:
@@ -115,7 +122,13 @@ func (s *idStream) check(t *testing.T) {
 			dups++
 		}
 	}
-	if dups != 0 || lost != 0 {
+	return dups, lost
+}
+
+// check asserts exactly-once delivery and full response coverage.
+func (s *idStream) check(t *testing.T) {
+	t.Helper()
+	if dups, lost := s.tally(); dups != 0 || lost != 0 {
 		t.Errorf("of %d sent: %d duplicated, %d lost", s.sent, dups, lost)
 	}
 	if len(s.resps) != int(s.sent) {
@@ -126,32 +139,205 @@ func (s *idStream) check(t *testing.T) {
 	}
 }
 
-// TestTransientFaultRecoversOverRDMA: a pulled-and-replugged server cable
-// must end with both ends Healthy on a fresh QP, with zero message loss
-// or duplication across the outage.
-func TestTransientFaultRecoversOverRDMA(t *testing.T) {
-	w := newRecoverWorld(t, 2, nil)
-	cli, srv := w.connect(t, 0, 1, 5000)
-	s := newIDStream(srv)
-	s.run(w.eng, cli, 500*sim.Microsecond, 150*sim.Millisecond)
+// liveQPs counts a NIC's connected (or broken-but-held) QPs: everything
+// that is neither reset into the QP cache nor a dial the CM never answered.
+func liveQPs(nic *rnic.NIC) (n int) {
+	for q := uint32(0); q < 1<<12; q++ {
+		if qp := nic.QP(q); qp != nil && qp.State != rnic.QPReset && qp.State != rnic.QPInit {
+			n++
+		}
+	}
+	return n
+}
 
-	w.eng.AfterBg(20*sim.Millisecond, func() { w.fab.SetHostLink(1, false) })
-	w.eng.AfterBg(60*sim.Millisecond, func() { w.fab.SetHostLink(1, true) })
-	w.eng.RunFor(400 * sim.Millisecond)
+// heldBySRQ is the memory a context legitimately keeps after every channel
+// closed: its shared receive queue's standing buffers.
+func heldBySRQ(c *Context) (n int64) {
+	for _, b := range c.srqBufs {
+		if b.region != nil && !b.region.dead {
+			n += int64(b.Len)
+		}
+	}
+	return n
+}
 
-	if cli.Health() != HealthHealthy || cli.Mocked() {
-		t.Fatalf("client ended health=%v mocked=%v, want healthy over RDMA", cli.Health(), cli.Mocked())
+// TestRecoveryConformance drives one fault schedule per row through both
+// kinds of link — an exclusive QP with its one channel and a shared QP
+// with four riders — and holds each to the same contract: every rider's
+// ledger exactly-once, recoveries counted per link (never amplified per
+// rider), and no memory or QP left behind once the channels close. Node 0
+// is the redialing side in both kinds (lower id / mux initiator).
+func TestRecoveryConformance(t *testing.T) {
+	const riders = 4
+	type world struct {
+		*testWorld
+		shared   bool
+		cli, srv []*Channel
 	}
-	if srv.Health() != HealthHealthy || srv.Mocked() {
-		t.Fatalf("server ended health=%v mocked=%v", srv.Health(), srv.Mocked())
+	rows := []struct {
+		name      string
+		fault     func(w *world)
+		big       bool // every 16th request is a rendezvous
+		exhausted bool // the fault outlives the retry budget
+		check     func(t *testing.T, w *world)
+	}{
+		{name: "qp-error-mid-stream", fault: func(w *world) {
+			// A hardware QP error on the side that cannot redial: a READ
+			// under a bogus rkey is NAKed and breaks node 1's QP with the
+			// wire intact. Node 0 has to find out on its own (exclusive) or
+			// be told (shared) and re-establish.
+			w.eng.AfterBg(20*sim.Millisecond, func() {
+				w.srv[0].ReadRemote(RemoteWindow{ID: 1, Addr: 0xdead0000, RKey: 0xbad, Len: 64}, 0, 64, func([]byte, error) {})
+			})
+		}},
+		{name: "dial-timeout-then-success", fault: func(w *world) {
+			// A pulled-and-replugged server cable: redials time out while
+			// it is down and the first one after it returns is adopted.
+			w.eng.AfterBg(20*sim.Millisecond, func() { w.fab.SetHostLink(1, false) })
+			w.eng.AfterBg(60*sim.Millisecond, func() { w.fab.SetHostLink(1, true) })
+		}, check: func(t *testing.T, w *world) {
+			if s := w.ctxs[0].Stats; s.RecoverAttempts <= s.Recoveries {
+				t.Errorf("RecoverAttempts=%d Recoveries=%d: no dial ever timed out", s.RecoverAttempts, s.Recoveries)
+			}
+		}},
+		{name: "peer-initiated", fault: func(w *world) {
+			// Only the dialer sees a fault; its redial lands on a side that
+			// still believes the link healthy and must degrade first.
+			w.eng.AfterBg(20*sim.Millisecond, func() { w.cli[0].fail(ErrPeerDead) })
+		}, check: func(t *testing.T, w *world) {
+			for i, c := range w.ctxs {
+				if s := c.Stats; s.Degraded != 1 || s.Recoveries != 1 {
+					t.Errorf("node %d: Degraded=%d Recoveries=%d, want 1/1", i, s.Degraded, s.Recoveries)
+				}
+			}
+			if got := w.ctxs[0].Stats.RecoverAttempts; got != 1 {
+				t.Errorf("RecoverAttempts=%d on an intact wire, want 1", got)
+			}
+		}},
+		{name: "nic-restart-dead-staging", big: true, fault: func(w *world) {
+			// The dialer reboots with rendezvous payloads staged and
+			// unacked: their registered memory dies with the NIC and the
+			// replay must restage them from the retained data.
+			w.eng.AfterBg(20*sim.Millisecond, func() { w.nics[0].Crash() })
+			w.eng.AfterBg(30*sim.Millisecond, func() {
+				w.nics[0].Restart()
+				w.ctxs[0].OnNICRestart()
+			})
+		}},
+		{name: "retry-budget-exhausted", exhausted: true, fault: func(w *world) {
+			w.eng.AfterBg(20*sim.Millisecond, func() { w.nics[1].Crash() })
+		}, check: func(t *testing.T, w *world) {
+			// The whole budget is spent, and nothing more — except on the
+			// exclusive link, whose Mock fallback keeps probing for failback.
+			s, want := w.ctxs[0].Stats, int64(w.ctxs[0].cfg.RecoverRetries)
+			if s.Recoveries != 0 || s.RecoverAttempts < want || (w.shared && s.RecoverAttempts != want) {
+				t.Errorf("Recoveries=%d RecoverAttempts=%d, want 0/%d", s.Recoveries, s.RecoverAttempts, want)
+			}
+		}},
 	}
-	if w.ctxs[0].Stats.Degraded == 0 {
-		t.Fatal("fault never detected — test is vacuous")
+	for _, shared := range []bool{false, true} {
+		for _, row := range rows {
+			kind := "exclusive"
+			if shared {
+				kind = "shared"
+			}
+			row := row
+			t.Run(kind+"/"+row.name, func(t *testing.T) {
+				w := &world{shared: shared, testWorld: newRecoverWorld(t, 2, func(_ int, cfg *Config) {
+					// Room for both sides to create a QP inside one dial: with
+					// cold QP caches the world's 5 ms expires as the REP lands.
+					cfg.RecoverDialTimeout = 10 * sim.Millisecond
+					if shared {
+						cfg.MockEnabled = false // muxed channels have no per-channel mock
+						cfg.QPsPerPeer = 1
+					}
+				})}
+				if shared {
+					w.cli, w.srv = openMuxed(t, w.testWorld, 0, 1, 6002, riders)
+				} else {
+					cli, srv := w.connect(t, 0, 1, 5000)
+					w.cli, w.srv = []*Channel{cli}, []*Channel{srv}
+				}
+				streams := make([]*idStream, len(w.cli))
+				for k := range w.cli {
+					streams[k] = newIDStream(w.srv[k])
+					if row.big {
+						streams[k].bigEvery = 16
+					}
+					streams[k].run(w.eng, w.cli[k], 500*sim.Microsecond, 150*sim.Millisecond)
+				}
+				row.fault(w)
+				w.eng.RunFor(600 * sim.Millisecond)
+
+				s0 := w.ctxs[0].Stats
+				if s0.Degraded == 0 {
+					t.Fatal("fault never detected — row is vacuous")
+				}
+				// The QP is the failure domain: degradations and recoveries are
+				// counted per link, never amplified per rider.
+				if shared && (s0.Degraded >= riders || s0.Recoveries >= riders) {
+					t.Errorf("Degraded=%d Recoveries=%d for %d riders on 1 QP — per-rider amplification", s0.Degraded, s0.Recoveries, riders)
+				}
+				for k, st := range streams {
+					if st.sent == 0 {
+						t.Fatalf("stream %d sent nothing", k)
+					}
+					switch {
+					case !row.exhausted:
+						for _, ch := range []*Channel{w.cli[k], w.srv[k]} {
+							if ch.Health() != HealthHealthy || ch.Mocked() {
+								t.Fatalf("rider %d ended health=%v mocked=%v, want healthy over RDMA", k, ch.Health(), ch.Mocked())
+							}
+						}
+						st.check(t)
+					case shared:
+						// A shared link beyond recovery takes its riders down:
+						// nothing twice, and every request answered or failed.
+						if !w.cli[k].Closed() || !w.srv[k].Closed() {
+							t.Fatalf("rider %d survived an exhausted shared link", k)
+						}
+						if dups, _ := st.tally(); dups != 0 || len(st.resps)+st.failed != int(st.sent) {
+							t.Errorf("rider %d: %d dups, %d answered + %d failed of %d sent", k, dups, len(st.resps), st.failed, st.sent)
+						}
+					default:
+						if !w.cli[k].Mocked() || !w.srv[k].Mocked() {
+							t.Fatalf("mocked: cli=%v srv=%v, want both on fallback", w.cli[k].Mocked(), w.srv[k].Mocked())
+						}
+						st.check(t)
+					}
+				}
+				if !row.exhausted && s0.Recoveries == 0 {
+					t.Fatal("link never re-established RDMA")
+				}
+				if row.check != nil {
+					row.check(t, w)
+				}
+
+				for k := range w.cli {
+					w.cli[k].Close()
+					w.srv[k].Close()
+				}
+				w.eng.RunFor(50 * sim.Millisecond)
+				// Baseline: nothing, except that a shared QP outlives its last
+				// rider (the pool keeps it for the next attach).
+				pool := 0
+				if shared && !row.exhausted {
+					pool = 1
+				}
+				for i, c := range w.ctxs {
+					if got, want := c.Mem.InUseBytes, heldBySRQ(c); got != want {
+						t.Errorf("node %d: Mem.InUseBytes=%d after close, want %d", i, got, want)
+					}
+					if n := liveQPs(w.nics[i]); n != pool {
+						t.Errorf("node %d: %d QPs live after close, want %d", i, n, pool)
+					}
+					if len(c.links) != pool || (pool == 0 && len(c.linkIdx) != 0) {
+						t.Errorf("node %d: %d links / %d index entries left, want %d links", i, len(c.links), len(c.linkIdx), pool)
+					}
+				}
+			})
+		}
 	}
-	if w.ctxs[0].Stats.Recoveries == 0 && w.ctxs[0].Stats.Failbacks == 0 {
-		t.Fatal("channel never re-established RDMA")
-	}
-	s.check(t)
 }
 
 // TestPermanentNicLossFallsBackToMock: a dead HCA with a living TCP stack
@@ -237,7 +423,7 @@ func TestParkedMockConnExpiryRaceOrders(t *testing.T) {
 			t.Fatalf("dial: %v", err)
 		}
 		dialed = conn
-		conn.Send(mockHello(0xdead), 0, nil) // QPN no channel owns → parked
+		conn.Send(hello{purpose: helloMock, target: 0xdead}.encode(), 0, nil) // QPN no channel owns → parked
 	})
 	w.eng.RunFor(2 * sim.Millisecond)
 	if len(srvCtx.mockParked) != 1 {
@@ -261,7 +447,7 @@ func TestParkedMockConnExpiryRaceOrders(t *testing.T) {
 			t.Fatalf("dial: %v", err)
 		}
 		dialed2 = conn
-		conn.Send(mockHello(0xbeef), 0, nil)
+		conn.Send(hello{purpose: helloMock, target: 0xbeef}.encode(), 0, nil)
 	})
 	w2.eng.RunFor(2 * sim.Millisecond)
 	if len(srvCtx2.mockParked) != 1 {
@@ -347,5 +533,88 @@ func TestKeepaliveDeathMidRendezvousNoLeak(t *testing.T) {
 	}
 	if w.ctxs[0].Stats.ChannelsBroken == 0 {
 		t.Error("broken-channel counter never moved")
+	}
+}
+
+// TestNICRestartFanoutDeterministic: a NIC restart fails every link of the
+// context, and each one draws its redial jitter from the context RNG — so
+// the fan-out order decides every channel's recovery timeline. It must be
+// the links' creation order, not a map walk: the same seed run repeatedly
+// in one process yields identical per-channel degraded→recovered
+// timestamps and an identical event count.
+func TestNICRestartFanoutDeterministic(t *testing.T) {
+	const chans = 8
+	run := func() (timeline string, fired uint64) {
+		// Eight simultaneous redials queue behind one another in the NIC's
+		// command pipeline; give each dial room for the whole convoy.
+		w := newRecoverWorld(t, 2, func(_ int, cfg *Config) { cfg.RecoverDialTimeout = 40 * sim.Millisecond })
+		for k := 0; k < chans; k++ {
+			k := k
+			cli, srv := w.connect(t, 0, 1, 5000+k)
+			echoServer(srv)
+			cli.OnHealthChange(func(h HealthState) {
+				timeline += fmt.Sprintf("ch%d %v@%v\n", k, h, w.eng.Now())
+			})
+		}
+		w.eng.AfterBg(10*sim.Millisecond, func() { w.nics[0].Crash() })
+		w.eng.AfterBg(20*sim.Millisecond, func() {
+			w.nics[0].Restart()
+			w.ctxs[0].OnNICRestart()
+		})
+		w.eng.RunFor(300 * sim.Millisecond)
+		if got := w.ctxs[0].Stats.Recoveries; got != chans {
+			t.Fatalf("%d of %d channels recovered — nothing to compare", got, chans)
+		}
+		return timeline, w.eng.Fired()
+	}
+	wantTL, wantFired := run()
+	for i := 0; i < 3; i++ {
+		if tl, fired := run(); tl != wantTL || fired != wantFired {
+			t.Fatalf("run %d diverged: Fired=%d vs %d\n--- first\n%s--- this\n%s", i+2, fired, wantFired, wantTL, tl)
+		}
+	}
+}
+
+// TestKeepaliveStaleCompletionIgnored: a keepalive probe can still be in
+// flight on the waiting side when the dialer's replacement lands. Adoption
+// surrenders the old QP, whose flush completes the probe with an error —
+// stale news that must not re-fail the freshly adopted transport.
+func TestKeepaliveStaleCompletionIgnored(t *testing.T) {
+	w := newRecoverWorld(t, 2, func(i int, cfg *Config) {
+		if i == 1 {
+			// The waiter probes late, so its probe is mid-retry when the
+			// dialer — who noticed the outage first — comes back.
+			cfg.KeepaliveInterval = 6 * sim.Millisecond
+		}
+	})
+	// Warm both QP caches so the replacement dial skips QP creation.
+	warm, warmSrv := w.connect(t, 0, 1, 5001)
+	cli, srv := w.connect(t, 0, 1, 5000)
+	warm.Close()
+	warmSrv.Close()
+	echoServer(srv)
+	w.eng.RunFor(sim.Millisecond)
+
+	t0 := w.eng.Now()
+	w.fab.SetHostLink(1, false)
+	cli.SendMsg([]byte("lost"), 0, func(*Msg, error) {})
+	w.eng.AfterBg(8500*sim.Microsecond, func() { w.fab.SetHostLink(1, true) })
+	w.eng.RunFor(100 * sim.Millisecond)
+
+	s1 := w.ctxs[1].Stats
+	peerInitiated := false
+	for _, e := range w.ctxs[1].Log() {
+		if e.At > t0 && strings.Contains(e.Text, "peer-initiated recovery") {
+			peerInitiated = true
+		}
+	}
+	if !peerInitiated || s1.KeepaliveProbes == 0 {
+		t.Fatalf("scenario missed: peer-initiated=%v probes=%d — the waiter must be probing when the redial lands", peerInitiated, s1.KeepaliveProbes)
+	}
+	if s1.Degraded != 1 || s1.KeepaliveFails != 0 {
+		t.Fatalf("waiter Degraded=%d KeepaliveFails=%d, want 1/0: a flushed probe from the surrendered QP re-failed the adopted one", s1.Degraded, s1.KeepaliveFails)
+	}
+	if cli.Health() != HealthHealthy || srv.Health() != HealthHealthy {
+		t.Fatalf("ended cli=%v srv=%v, want healthy", cli.Health(), srv.Health())
 	}
 }

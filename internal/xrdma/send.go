@@ -231,7 +231,7 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 	}
 	ch.sent[seq] = ps
 	h := wireHdr{
-		Kind: kind, Ver: ch.negVer, Seq: seq, Ack: ch.rx.ackValue(),
+		Kind: kind, Ver: ch.lk.ver, Seq: seq, Ack: ch.rx.ackValue(),
 		MsgID: ps.msgID, Size: uint32(ps.size),
 	}
 	if ch.mx != nil {
@@ -303,8 +303,7 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 		ch.mock.conn.Send(buf, wireLen, nil)
 		ch.Counters.MsgsSent++
 		ch.Counters.BytesSent += int64(ps.size)
-		ch.lastComm = c.eng.Now()
-		c.tel.Trace.Instant("msg.send", c.track, ch.lastComm, int64(ps.size))
+		c.tel.Trace.Instant("msg.send", c.track, c.eng.Now(), int64(ps.size))
 		if h.Flags&flagTraced != 0 {
 			c.trace.onSend(ch, &h)
 		}
@@ -336,8 +335,8 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 	}
 	ch.Counters.MsgsSent++
 	ch.Counters.BytesSent += int64(ps.size)
-	ch.lastComm = c.eng.Now()
-	c.tel.Trace.Instant("msg.send", c.track, ch.lastComm, int64(ps.size))
+	ch.lk.lastComm = c.eng.Now()
+	c.tel.Trace.Instant("msg.send", c.track, ch.lk.lastComm, int64(ps.size))
 	if h.Flags&flagTraced != 0 {
 		c.trace.onSend(ch, &h)
 	}
@@ -391,47 +390,31 @@ func (ch *Channel) sendCtrlHdr(h *wireHdr) {
 		// yet to put a control frame on.
 		return
 	}
-	h.Ver = ch.negVer
+	h.Ver = ch.lk.ver
 	h.Ack = ch.rx.ackValue()
 	if ch.mx != nil {
 		h.Chan = ch.peerCID
 	}
-	if ch.mock != nil {
+	switch {
+	case ch.mock != nil:
 		if !ch.mock.ready {
 			return
 		}
 		buf := make([]byte, h.wireBytes())
 		h.encode(buf)
 		ch.mock.conn.Send(buf, len(buf), nil)
-		if h.Kind == kindAck {
-			ch.Counters.AcksSent++
-			ch.ctx.Stats.AcksSent++
-		}
-		ch.noteAckCarried()
-		ch.lastComm = ch.ctx.eng.Now()
-		return
-	}
-	if ch.health != HealthHealthy || ch.resumeOnRx {
+	case ch.health != HealthHealthy || ch.resumeOnRx:
 		// No live RDMA path to put this on; control traffic is advisory
 		// (cumulative acks re-ride the next message).
 		return
+	default:
+		ch.lk.sendCtrl(h)
 	}
-	buf := make([]byte, h.wireBytes())
-	h.encode(buf)
-	wr := &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}
-	ch.ctx.flow.postDirect(ch.qp, wr, func(cqe rnic.CQE) {
-		if cqe.Status != rnic.StatusOK && !ch.closed && cqe.QPN == ch.qp.QPN {
-			// Same stale-flush guard as the data path: only the current
-			// QP's completions may fail the channel.
-			ch.fail(fmt.Errorf("xrdma: ctrl send failed: %v", cqe.Status))
-		}
-	})
 	if h.Kind == kindAck {
 		ch.Counters.AcksSent++
 		ch.ctx.Stats.AcksSent++
 	}
 	ch.noteAckCarried()
-	ch.lastComm = ch.ctx.eng.Now()
 }
 
 // noteAckCarried records that the current RTA went out with some message.
@@ -466,7 +449,7 @@ func (ch *Channel) maybeAck() {
 
 func (ch *Channel) handleInbound(cqe rnic.CQE) {
 	c := ch.ctx
-	ch.lastComm = c.eng.Now()
+	ch.lk.lastComm = c.eng.Now()
 	h, hdrLen, err := decodeHdr(cqe.Data)
 	ch.repostRecv(cqe.WRID)
 	if err != nil {

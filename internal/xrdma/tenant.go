@@ -331,9 +331,6 @@ type tenantSQ struct {
 
 type sqSched struct {
 	c       *Context
-	qpn     func() uint32 // current QPN for telemetry (tracks adoption)
-	burst   int
-	quantum int64
 	gen     uint64 // bumped on reset so stale completions don't drain
 	pending int    // WRs posted and not yet completed
 	backlog int    // frames waiting in tenant queues
@@ -342,16 +339,16 @@ type sqSched struct {
 	cur     int
 }
 
-func newSQSched(c *Context, qpn func() uint32) *sqSched {
-	burst := c.cfg.TenantSQBurst
-	if burst <= 0 {
-		burst = 4
-	}
-	q := int64(c.cfg.TenantQuantum)
-	if q <= 0 {
-		q = 4096
-	}
-	return &sqSched{c: c, qpn: qpn, burst: burst, quantum: q, queues: make(map[uint16]*tenantSQ)}
+// The DRR scheduler's two constants: sqBurst bounds outstanding data WRs
+// per shared QP (below it the SQ posts directly, above it frames queue per
+// tenant), sqQuantum is the deficit credit in bytes per unit of weight.
+const (
+	sqBurst   = 4
+	sqQuantum = 4096
+)
+
+func newSQSched(c *Context) *sqSched {
+	return &sqSched{c: c, queues: make(map[uint16]*tenantSQ)}
 }
 
 func (s *sqSched) weight(id uint16) int64 {
@@ -365,7 +362,7 @@ func (s *sqSched) weight(id uint16) int64 {
 // enqueues it on its tenant's queue for DRR drain.
 func (s *sqSched) submit(ch *Channel, qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
 	item := sqItem{ch: ch, qp: qp, wr: wr, cb: cb}
-	if s.pending < s.burst && s.backlog == 0 {
+	if s.pending < sqBurst && s.backlog == 0 {
 		s.post(item)
 		return
 	}
@@ -408,7 +405,7 @@ func (s *sqSched) post(item sqItem) {
 // deficit covers them; an emptied queue leaves the ring with its deficit
 // forfeited (classic DRR, so an idle tenant accrues nothing).
 func (s *sqSched) drain() {
-	for s.pending < s.burst && s.backlog > 0 {
+	for s.pending < sqBurst && s.backlog > 0 {
 		if s.cur >= len(s.ring) {
 			s.cur = 0
 		}
@@ -419,8 +416,8 @@ func (s *sqSched) drain() {
 			s.ring = append(s.ring[:s.cur], s.ring[s.cur+1:]...)
 			continue
 		}
-		q.deficit += s.quantum * s.weight(id)
-		for len(q.items) > 0 && s.pending < s.burst {
+		q.deficit += sqQuantum * s.weight(id)
+		for len(q.items) > 0 && s.pending < sqBurst {
 			item := q.items[0]
 			if item.ch.closed {
 				q.items = q.items[1:]

@@ -33,16 +33,12 @@ type TraceRecord struct {
 	At  sim.Time
 }
 
-// tracerRingCap is the default record ring capacity; Config.TraceRingCap
-// overrides it per context (XR-Stat reports how much the ring truncated).
+// tracerRingCap is the record ring capacity (XR-Stat reports how much the
+// ring truncated).
 const tracerRingCap = 4096
 
 func newTracer(ctx *Context) *Tracer {
-	cap := ctx.cfg.TraceRingCap
-	if cap <= 0 {
-		cap = tracerRingCap
-	}
-	return &Tracer{ctx: ctx, ring: telemetry.NewRing[TraceRecord](cap)}
+	return &Tracer{ctx: ctx, ring: telemetry.NewRing[TraceRecord](tracerRingCap)}
 }
 
 // push appends one record, overwriting the oldest when full. O(1): the

@@ -18,16 +18,16 @@ func TestNegotiateMatrix(t *testing.T) {
 	v2caps := baselineCaps | capDrainHint
 	cases := []struct {
 		name string
-		a, b chanHello
+		a, b offer
 		ver  uint8
 		caps uint32
 		ok   bool
 	}{
-		{"v1-v1", chanHello{1, 1, baselineCaps}, chanHello{1, 1, baselineCaps}, 1, baselineCaps, true},
-		{"v2-v1", chanHello{1, 2, v2caps}, chanHello{1, 1, baselineCaps}, 1, baselineCaps, true},
-		{"v2-v2", chanHello{1, 2, v2caps}, chanHello{1, 2, v2caps}, 2, v2caps, true},
-		{"disjoint", chanHello{2, 2, v2caps}, chanHello{1, 1, baselineCaps}, 0, 0, false},
-		{"overlap-edge", chanHello{1, 2, capBlame}, chanHello{2, 3, baselineCaps}, 2, capBlame, true},
+		{"v1-v1", offer{1, 1, baselineCaps}, offer{1, 1, baselineCaps}, 1, baselineCaps, true},
+		{"v2-v1", offer{1, 2, v2caps}, offer{1, 1, baselineCaps}, 1, baselineCaps, true},
+		{"v2-v2", offer{1, 2, v2caps}, offer{1, 2, v2caps}, 2, v2caps, true},
+		{"disjoint", offer{2, 2, v2caps}, offer{1, 1, baselineCaps}, 0, 0, false},
+		{"overlap-edge", offer{1, 2, capBlame}, offer{2, 3, baselineCaps}, 2, capBlame, true},
 	}
 	for _, tc := range cases {
 		ver, caps, ok := negotiate(tc.a, tc.b)
@@ -43,22 +43,41 @@ func TestNegotiateMatrix(t *testing.T) {
 	}
 }
 
-func TestChanHelloCodec(t *testing.T) {
-	h := chanHello{minVer: 1, maxVer: 2, caps: baselineCaps | capDrainHint}
-	got, ok := parseChanHello(encodeChanHello(h))
-	if !ok || got != h {
-		t.Fatalf("roundtrip: got %+v ok=%v, want %+v", got, ok, h)
+// TestHelloCodec: every purpose round-trips with and without the
+// negotiation block; foreign bytes are a legacy peer, our magic with an
+// unknown fmt or purpose is the loud verdict.
+func TestHelloCodec(t *testing.T) {
+	o := offer{minVer: 1, maxVer: 2, caps: baselineCaps | capDrainHint}
+	for _, h := range []hello{
+		{purpose: helloOpen},
+		{purpose: helloMuxSlot, slot: 3},
+		{purpose: helloMuxReattach, target: 7, target0: 5, dialer0: 6},
+		{purpose: helloRecover, target: 17, target0: 15, dialer0: 16},
+		{purpose: helloMock, target: 42},
+	} {
+		for _, neg := range []bool{false, true} {
+			if h.neg = neg; neg {
+				h.offer = o
+			}
+			got, v := parseHello(h.encode())
+			if v != helloOK || got != h {
+				t.Fatalf("roundtrip %+v: got %+v verdict=%d", h, got, v)
+			}
+		}
 	}
-	if _, ok := parseChanHello(nil); ok {
-		t.Fatal("nil private data parsed as a hello")
+	for name, b := range map[string][]byte{"nil": nil, "short": {1, 2, 3}, "foreign": {0xff, 0xff, helloFmt, byte(helloOpen)}} {
+		if _, v := parseHello(b); v != helloNone {
+			t.Fatalf("%s private data: verdict %d, want not-a-hello", name, v)
+		}
 	}
-	if _, ok := parseChanHello([]byte{1, 2, 3}); ok {
-		t.Fatal("short blob parsed as a hello")
-	}
-	foreign := encodeChanHello(h)
-	foreign[0] ^= 0xff // break the magic
-	if _, ok := parseChanHello(foreign); ok {
-		t.Fatal("foreign magic parsed as a hello")
+	future := hello{purpose: helloOpen}.encode()
+	future[2] = helloFmt + 1
+	unknown := hello{purpose: helloOpen}.encode()
+	unknown[3] = byte(helloMock) + 1
+	for name, b := range map[string][]byte{"future-fmt": future, "unknown-purpose": unknown, "short-body": hello{purpose: helloRecover}.encode()[:9]} {
+		if _, v := parseHello(b); v != helloUnknown {
+			t.Fatalf("%s: verdict %d, want the loud one", name, v)
+		}
 	}
 }
 
@@ -81,14 +100,14 @@ func TestHandoffDecodeHostile(t *testing.T) {
 		for i := uint8(0); i < nq; i++ {
 			b = le.AppendUint32(b, uint32(100+i))
 		}
-		b = le.AppendUint32(b, 55)         // peerQPN
-		b = le.AppendUint32(b, 55)         // peerQPN0
-		b = append(b, 1)                   // negVer
+		b = le.AppendUint32(b, 55) // peerQPN
+		b = le.AppendUint32(b, 55) // peerQPN0
+		b = append(b, 1)           // negVer
 		b = le.AppendUint32(b, baselineCaps)
-		b = append(b, make([]byte, 8)...)  // label
-		b = le.AppendUint64(b, 10)         // txFloor
-		b = le.AppendUint64(b, 12)         // rxFloor
-		b = le.AppendUint32(b, nt)         // tail count
+		b = append(b, make([]byte, 8)...) // label
+		b = le.AppendUint64(b, 10)        // txFloor
+		b = le.AppendUint64(b, 12)        // rxFloor
+		b = le.AppendUint32(b, nt)        // tail count
 		return b
 	}
 
@@ -110,10 +129,10 @@ func TestHandoffDecodeHostile(t *testing.T) {
 		{"tail-count-bomb", append(base(1), recPrefix(1, handoffMaxTail+1)...)},
 		{"tail-payload-overrun", func() []byte {
 			b := append(base(1), recPrefix(0, 1)...)
-			b = append(b, 1, 0)            // kind, oneWay
-			b = le.AppendUint64(b, 3)      // msgID
-			b = le.AppendUint32(b, 64)     // size
-			b = le.AppendUint32(b, 1<<30)  // dataLen far beyond the buffer
+			b = append(b, 1, 0)           // kind, oneWay
+			b = le.AppendUint64(b, 3)     // msgID
+			b = le.AppendUint32(b, 64)    // size
+			b = le.AppendUint32(b, 1<<30) // dataLen far beyond the buffer
 			return b
 		}()},
 	}
