@@ -304,13 +304,8 @@ func main() {
 		fmt.Print(xrdma.XRStat(nd.Ctx))
 		fmt.Println()
 	}
-	fmt.Println("monitor samples for node 0 (QPs, mem, msgs):")
-	samples := c.Mon.History(0)
-	if len(samples) > 20 {
-		fmt.Printf("  (%d earlier samples elided)\n", len(samples)-20)
-		samples = samples[len(samples)-20:]
-	}
-	for _, s := range samples {
+	fmt.Println("monitor samples for node 0, the agent's window (QPs, mem, msgs):")
+	for _, s := range c.Mon.History(0) {
 		fmt.Printf("  t=%-14v qps=%-3d occupy=%-9d in-use=%-9d sent=%-6d recv=%-6d slowpolls=%d\n",
 			s.At, s.QPs, s.MemOccupied, s.MemInUse, s.MsgsSent, s.MsgsRecv, s.SlowPolls)
 	}

@@ -150,6 +150,10 @@ type Conn struct {
 	recvSeq   uint64
 	partial   []byte
 	partialAt int
+	// The kernel-path cost grows with message size, so a small message
+	// would finish its copy before a large one queued ahead of it: each
+	// direction runs no earlier than its predecessor on this conn.
+	sendAt, deliverAt sim.Time
 
 	OnMessage func(Message)
 	OnClose   func(error)
@@ -217,7 +221,8 @@ func (c *Conn) Send(data []byte, length int, cb func(error)) {
 		length = len(data)
 	}
 	cost := s.cfg.SendSyscall + sim.Duration(int64(length)/1024)*s.cfg.CopyPerKB
-	s.eng.After(cost, func() {
+	c.sendAt = max(c.sendAt, s.eng.Now().Add(cost))
+	s.eng.At(c.sendAt, func() {
 		if !c.open {
 			if cb != nil {
 				cb(ErrClosed)
@@ -429,7 +434,8 @@ func (s *Stack) HandlePacket(p *fabric.Packet) {
 		c.partial = nil
 		msgLen := seg.msgLen
 		cost := s.cfg.RecvPath + sim.Duration(int64(msgLen)/1024)*s.cfg.CopyPerKB
-		s.eng.After(cost, func() {
+		c.deliverAt = max(c.deliverAt, s.eng.Now().Add(cost))
+		s.eng.At(c.deliverAt, func() {
 			if c.open && c.OnMessage != nil {
 				c.OnMessage(Message{Data: data, Len: msgLen})
 			}

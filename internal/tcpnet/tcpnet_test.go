@@ -198,3 +198,37 @@ func TestManyMessagesOrdered(t *testing.T) {
 		t.Fatalf("counters %d/%d", a.MsgsSent, b.MsgsRecv)
 	}
 }
+
+// A Conn is a byte stream underneath: a small message sent behind a large
+// one must arrive behind it, even though both the send-side copy and the
+// receive path charge the large one more. The sends are spaced so that the
+// first pair races in the sender's kernel path and the second pair — the
+// small message leaves as the large one's last segment lands — races in the
+// receiver's.
+func TestConnPreservesMessageOrder(t *testing.T) {
+	eng, a, b := newPair(t, DefaultConfig())
+	var got []int
+	b.Listen(80, func(c *Conn) {
+		c.OnMessage = func(m Message) { got = append(got, m.Len) }
+	})
+	var cli *Conn
+	a.Dial(b.Node, 80, func(c *Conn, err error) { cli = c })
+	eng.Run()
+
+	want := []int{64 << 10, 16, 64 << 10, 16}
+	cli.Send(nil, 64<<10, nil)
+	cli.Send(nil, 16, nil)
+	eng.Run()
+	cli.Send(nil, 64<<10, nil)
+	eng.RunFor(11 * sim.Microsecond) // the large copy is done, its segments are in flight
+	cli.Send(nil, 16, nil)
+	eng.Run()
+	if len(got) != len(want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delivered %v, want %v: a message overtook its predecessor", got, want)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package xrdma
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"xrdma/internal/fabric"
 	"xrdma/internal/rnic"
@@ -76,7 +75,6 @@ type ChannelStats struct {
 // application-layer protocol state).
 type Channel struct {
 	ctx  *Context
-	qp   *rnic.QP
 	Peer fabric.NodeID
 
 	tx *txWindow
@@ -84,8 +82,6 @@ type Channel struct {
 
 	sendQ   []*pendingSend
 	pending map[uint64]*reqState // msgID → response waiter
-
-	recvBufs map[uint64]Buffer // recv WR id → buffer (per-channel mode)
 
 	lastProgress sim.Time
 
@@ -99,19 +95,16 @@ type Channel struct {
 	pings map[uint64]*pingState
 
 	closed bool
-	broken bool
 
 	onMessage func(*Msg)
 	onClose   func(error)
 
-	mock    *mockState
-	mockQPN uint32
-
 	// lk is the QP holder and failure domain this channel rides (link.go):
 	// its own for an exclusive channel, the shared QP's when muxed, nil for
-	// an unattached descriptor. qp mirrors lk.qp as of the last adoption.
-	// health is this rider's view of the link state; resumeOnRx holds the
-	// passive side's replay until the peer's replacement QP is live.
+	// an unattached descriptor. Everything about the transport — the QP,
+	// the receive pool, the Mock conn — is the link's. health is this
+	// rider's view of the link state; resumeOnRx holds the passive side's
+	// replay until the peer's replacement QP is live.
 	lk         *link
 	health     HealthState
 	resumeOnRx bool
@@ -146,13 +139,12 @@ type Channel struct {
 
 	// QP multiplexing (mux.go): cid is the context-unique channel id
 	// (0 = exclusive legacy channel) and peerCID the peer's id for this
-	// channel — what outbound headers carry in Chan. mx is the shared QP
-	// this channel rides; attach tracks the lazy-establishment state and
-	// attachCBs fire when it settles. peerClosed suppresses the CHAN_CLOSE
-	// echo when the peer tore down first.
+	// channel — what outbound headers carry in Chan (0 on an exclusive QP).
+	// attach tracks the lazy-establishment state and attachCBs fire when it
+	// settles. peerClosed suppresses the CHAN_CLOSE echo when the peer tore
+	// down first.
 	cid        uint32
 	peerCID    uint32
-	mx         *muxQP
 	muxPort    int
 	attach     uint8
 	attachCBs  []func(error)
@@ -191,6 +183,25 @@ type pendingSend struct {
 	// response to a blame-sampled request (the remote stage mirror).
 	enqAt sim.Time
 	echo  *respEcho
+}
+
+// unstage returns every staged rendezvous payload — of the unsent queue and
+// of the transmitted-but-unacked tail a cutover would replay — to the cache.
+func (ch *Channel) unstage() {
+	for _, ps := range ch.sendQ {
+		ps.unstage(ch.ctx)
+	}
+	for _, ps := range ch.sent {
+		ps.unstage(ch.ctx)
+	}
+}
+
+func (ps *pendingSend) unstage(c *Context) {
+	if ps.staged.Valid() {
+		c.Mem.Free(ps.staged)
+		ps.staged = Buffer{}
+	}
+	ps.ready, ps.staging = false, false
 }
 
 type reqState struct {
@@ -351,7 +362,7 @@ func (c *Context) allocRecvBufs(cb func([]Buffer)) {
 		cb(nil)
 		return
 	}
-	n := c.cfg.WindowDepth + c.cfg.CtrlReserve
+	n := c.cfg.WindowDepth + ctrlReserve
 	bufs := make([]Buffer, 0, n)
 	remaining := n
 	for i := 0; i < n; i++ {
@@ -435,12 +446,12 @@ func (c *Context) sharedRQ() *rnic.SRQ {
 }
 
 func (c *Context) qpDepth() int {
-	return 2*c.cfg.WindowDepth + c.cfg.CtrlReserve + c.cfg.MaxOutstandingWRs + 8
+	return 2*c.cfg.WindowDepth + ctrlReserve + c.cfg.MaxOutstandingWRs + 8
 }
 
 // newChannel wraps a freshly established exclusive QP. The flyweight
-// layout allocates the per-channel maps (pending, recvBufs, sent, pulls,
-// pings) on first use only, so an idle channel carries none of them.
+// layout allocates the per-channel maps (pending, sent, pulls, pings) on
+// first use only, so an idle channel carries none of them.
 func (c *Context) newChannel(conn *verbs.Conn, bufs []Buffer) *Channel {
 	now := c.eng.Now()
 	ch := &Channel{
@@ -452,10 +463,9 @@ func (c *Context) newChannel(conn *verbs.Conn, bufs []Buffer) *Channel {
 		OpenedAt:     now,
 		retryTokens:  retryBudgetCap,
 	}
-	ch.lk = c.newLink(ch, linkReady)
-	ch.lk.setQP(conn.QP)
+	ch.lk = c.newLink(ch, linkDialing)
+	ch.lk.setQP(conn.QP, bufs)
 	c.Stats.ChannelsOpened++
-	ch.install(bufs)
 	return ch
 }
 
@@ -473,10 +483,10 @@ func (ch *Channel) registerGauges() {
 	}
 	c.gaugedChannels++
 	var prefix string
-	if ch.mx != nil {
+	if ch.cid != 0 {
 		prefix = fmt.Sprintf("%s.mch.%d.", c.track, ch.cid)
 	} else {
-		prefix = fmt.Sprintf("%s.ch.%d.", c.track, ch.qp.QPN)
+		prefix = fmt.Sprintf("%s.ch.%d.", c.track, ch.lk.qp.QPN)
 	}
 	gauges := []struct {
 		name string
@@ -488,8 +498,8 @@ func (ch *Channel) registerGauges() {
 		{"txbytes", func() int64 { return ch.Counters.BytesSent }},
 		{"rxbytes", func() int64 { return ch.Counters.BytesRecv }},
 		{"stalls", func() int64 { return ch.Counters.WindowStalls }},
-		{"rnr", func() int64 { return ch.qp.Counters.RNRNakRecv }},
-		{"retx", func() int64 { return ch.qp.Counters.Retransmits }},
+		{"rnr", func() int64 { return ch.lk.qp.Counters.RNRNakRecv }},
+		{"retx", func() int64 { return ch.lk.qp.Counters.Retransmits }},
 		{"inflight", func() int64 { return int64(ch.tx.inflight()) }},
 		{"state", func() int64 { return int64(ch.health) }},
 		{"path_score", func() int64 { return ch.PathScore() }},
@@ -505,13 +515,13 @@ func (ch *Channel) registerGauges() {
 		{"caps", func() int64 { return int64(ch.PeerCaps()) }},
 		{"drain", func() int64 { return int64(c.drain) }},
 	}
-	if ch.mx != nil {
+	if ch.cid != 0 {
 		// The shared QP a muxed channel currently rides (rnr/retx above are
 		// that QP's counters, shared with its sibling channels).
 		gauges = append(gauges, struct {
 			name string
 			fn   func() int64
-		}{"qpn", func() int64 { return int64(ch.qp.QPN) }})
+		}{"qpn", func() int64 { return int64(ch.lk.qp.QPN) }})
 	}
 	for _, g := range gauges {
 		n := prefix + g.name
@@ -582,26 +592,6 @@ func (c *Context) aggregateChannel(ch *Channel) {
 	c.aggChannels++
 }
 
-// repostRecv returns one consumed receive buffer to the RQ.
-func (ch *Channel) repostRecv(wrID uint64) {
-	c := ch.ctx
-	if c.cfg.UseSRQ {
-		c.recycleSRQ(wrID)
-		return
-	}
-	buf, ok := ch.recvBufs[wrID]
-	if !ok || ch.closed || ch.qp.State == rnic.QPError {
-		return
-	}
-	delete(ch.recvBufs, wrID)
-	id := ch.ctx.nextWRID()
-	ch.recvBufs[id] = buf
-	if err := ch.qp.PostRecv(rnic.RecvWR{ID: id, Addr: buf.Addr, Len: buf.Len}); err != nil {
-		delete(ch.recvBufs, id)
-		ch.ctx.Mem.Free(buf)
-	}
-}
-
 // --- teardown ----------------------------------------------------------------
 
 // Close releases the channel gracefully: the QP is reset into the QP
@@ -623,72 +613,48 @@ func (ch *Channel) teardown(err error) {
 		return
 	}
 	ch.closed = true
-	ch.broken = err != nil
 	c := ch.ctx
 	ch.unregisterGauges()
+	var qp *rnic.QP
 	if ch.cid != 0 {
 		// Mux plane: descriptors and muxed channels live in chanByCID, and
 		// an attached channel tells its peer (unless the peer closed first
 		// — then the CHAN_CLOSE would just echo forever).
 		delete(c.chanByCID, ch.cid)
-		if ch.mx != nil {
+		if ch.lk != nil {
+			mx := ch.lk.own.(*muxQP)
 			if ch.attach == attachDone && !ch.peerClosed {
-				ch.mx.sendCtrl(&wireHdr{Kind: kindChanClose, Chan: ch.peerCID})
+				mx.sendCtrl(&wireHdr{Kind: kindChanClose, Chan: ch.peerCID})
 			}
-			ch.mx.detach(ch)
+			mx.detach(ch)
 		}
 		if ch.attach == attachPending {
 			ch.attach = attachLazy
 			c.attachRelease()
 		}
 	} else {
-		ch.leaveTable()
-		ch.lk.close() // strands any in-flight replacement dial
-	}
-	for i, w := range c.mockWaiters {
-		if w == ch {
-			c.mockWaiters = append(c.mockWaiters[:i], c.mockWaiters[i+1:]...)
-			break
+		// An exclusive channel takes its link along: closed now (stranding
+		// any in-flight replacement dial), its transport material returned
+		// at the end. On the Mock fallback the QP is already surrendered.
+		if ch.lk.state != linkFallback {
+			qp = ch.lk.qp
 		}
+		ch.lk.close()
 	}
 	c.Stats.ChannelsClosed++
-	// Fail outstanding requests.
+	// Fail outstanding requests, and the emulated one-sided reads that can
+	// never complete on a dead channel either.
 	failErr := err
 	if failErr == nil {
 		failErr = ErrChannelClosed
 	}
-	for id, rs := range ch.pending {
-		delete(ch.pending, id)
-		if rs.cb != nil {
-			rs.cb(nil, failErr)
-		}
-	}
-	ch.pending = nil
-	// In-flight emulated one-sided reads can never complete on a dead
-	// channel; fail them like pending requests.
-	for id, rs := range ch.osReads {
-		delete(ch.osReads, id)
-		if rs.cb != nil {
-			rs.cb(nil, failErr)
-		}
-	}
-	ch.osReads = nil
-	ch.remoteWins = nil
-	for _, ps := range ch.sendQ {
-		if ps.staged.Valid() {
-			c.Mem.Free(ps.staged)
-		}
-	}
-	ch.sendQ = nil
-	// Transmitted-but-unacked rendezvous payloads are still staged; a
-	// dead channel can never get their acks, so reclaim them here (the
-	// §V-A keepalive reclamation must leave no memory behind).
-	for _, ps := range ch.sent {
-		if ps.staged.Valid() {
-			c.Mem.Free(ps.staged)
-		}
-	}
-	ch.sent = nil
+	ch.failWaiters(failErr)
+	ch.pending, ch.osReads, ch.remoteWins = nil, nil, nil
+	// Staged rendezvous payloads — queued, or transmitted and unacked — can
+	// never get their acks on a dead channel, so reclaim them here (the §V-A
+	// keepalive reclamation must leave no memory behind).
+	ch.unstage()
+	ch.sendQ, ch.sent = nil, nil
 	// Return window credits held by the unacked tail and drop their
 	// on-ack closures — the channel is dead, nothing will ack, and the
 	// keepalive reclamation contract is "no resource left behind". The
@@ -697,44 +663,20 @@ func (ch *Channel) teardown(err error) {
 		ch.tx.rewind()
 	}
 	ch.tenantRewind()
-	// Receive buffers back to the cache, and the flyweight maps back to
-	// nil — a closed channel costs only its struct.
-	for id, buf := range ch.recvBufs {
-		delete(ch.recvBufs, id)
-		c.Mem.Free(buf)
-	}
-	ch.recvBufs = nil
-	ch.pulls = nil
-	ch.pings = nil
-	ch.respCache = nil
-	ch.respOrder = nil
+	// The flyweight maps go back to nil — a closed channel costs only its
+	// struct.
+	ch.pulls, ch.pings, ch.respCache, ch.respOrder = nil, nil, nil, nil
 	c.eng.Cancel(ch.ackEv)
-	// The QP (reset) goes to the cache for fast re-establishment. A
-	// mocked channel already surrendered its QP when it switched; a muxed
-	// channel never owned the shared QP; a lazy descriptor has none.
-	if ch.mock != nil {
-		ch.closeMock()
-	} else if ch.cid == 0 && ch.qp != nil {
-		c.QPs.Put(ch.qp)
+	if ch.cid == 0 {
+		// Receive buffers back to the memory cache, the QP (reset) to the QP
+		// cache for fast re-establishment.
+		ch.lk.dropPool()
+		ch.lk.closeFallback()
+		c.QPs.Put(qp)
 	}
 	if ch.onClose != nil {
 		ch.onClose(err)
 	}
-}
-
-// leaveTable removes an exclusive channel from the context's QPN table and
-// reports the key it sat under: its link's QPN, or — rehydrated and never
-// re-adopted (drain.go) — the last QPN it owned before the restart. A
-// mocked channel already left; its recycled QPN may name a sibling by now.
-func (ch *Channel) leaveTable() uint32 {
-	q := ch.QPN()
-	if ns := ch.lk.qpns; ch.qp == nil && len(ns) > 0 {
-		q = ns[len(ns)-1]
-	}
-	if ch.ctx.channels[q] == ch {
-		delete(ch.ctx.channels, q)
-	}
-	return q
 }
 
 // Closed reports whether the channel is down.
@@ -752,19 +694,19 @@ func (ch *Channel) Context() *Context { return ch.ctx }
 // QPN exposes the local queue pair number (diagnostics). Muxed channels
 // report the shared QP; unattached descriptors report 0.
 func (ch *Channel) QPN() uint32 {
-	if ch.qp == nil {
+	if ch.lk == nil || ch.lk.qp == nil {
 		return 0
 	}
-	return ch.qp.QPN
+	return ch.lk.qp.QPN
 }
 
 // QPCounters exposes the hardware-level counters (XR-Stat). For muxed
 // channels these are the shared QP's counters.
 func (ch *Channel) QPCounters() rnic.QPCounters {
-	if ch.qp == nil {
+	if ch.lk == nil || ch.lk.qp == nil {
 		return rnic.QPCounters{}
 	}
-	return ch.qp.Counters
+	return ch.lk.qp.Counters
 }
 
 // CID exposes the mux-plane channel id (0 = exclusive legacy channel).
@@ -802,7 +744,7 @@ func (ch *Channel) setHealth(h HealthState) {
 // --- deadlock breaker (§V-B) --------------------------------------------------
 
 func (ch *Channel) deadlockCheck() {
-	if ch.closed || ch.resumeOnRx || ch.attach != attachDone {
+	if ch.closed || ch.attach != attachDone {
 		return
 	}
 	if ch.nopInFlight {
@@ -815,11 +757,7 @@ func (ch *Channel) deadlockCheck() {
 		}
 		ch.nopInFlight = false
 	}
-	if ch.mock != nil {
-		if !ch.mock.ready {
-			return
-		}
-	} else if ch.health != HealthHealthy {
+	if !ch.pathUp() {
 		return
 	}
 	if len(ch.sendQ) == 0 || ch.tx.canSend() {
@@ -835,7 +773,7 @@ func (ch *Channel) deadlockCheck() {
 	ch.Counters.NopsSent++
 	ch.ctx.Stats.NopsSent++
 	now := ch.ctx.eng.Now()
-	ch.ctx.tel.Flight.Trip(now, telemetry.CatWindowStall, int32(ch.ctx.Node()), ch.qp.QPN)
+	ch.ctx.tel.Flight.Trip(now, telemetry.CatWindowStall, int32(ch.ctx.Node()), ch.QPN())
 	ch.ctx.tel.Trace.Instant("window.stall", ch.ctx.track, now, int64(len(ch.sendQ)))
 	ch.sendCtrl(kindNop)
 }
@@ -860,24 +798,17 @@ const respCacheCap = 512
 func (ch *Channel) expireRequests(deadline sim.Time) {
 	c := ch.ctx
 	now := c.eng.Now()
-	// Snapshot the expired MsgIDs and process them in ascending (= issue)
-	// order: map iteration order is randomized, and both which requests
-	// win the finite retry tokens and the wire order of re-issues must be
-	// identical run to run for the grayhaul digest to hold.
-	var expired []uint64
-	for id, rs := range ch.pending {
-		if rs.sentAt < deadline {
-			expired = append(expired, id)
-		}
-	}
-	if len(expired) == 0 {
+	if len(ch.pending) == 0 {
 		return
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-	for _, id := range expired {
+	// Process the expired MsgIDs in ascending (= issue) order: map iteration
+	// order is randomized, and both which requests win the finite retry
+	// tokens and the wire order of re-issues must be identical run to run
+	// for the grayhaul digest to hold.
+	for _, id := range sortedIDs(ch.pending) {
 		rs := ch.pending[id]
-		if rs == nil {
-			continue // removed by an earlier expiry's callback
+		if rs == nil || rs.sentAt >= deadline {
+			continue // not expired, or removed by an earlier expiry's callback
 		}
 		if c.cfg.RequestRetries > 0 && rs.retries < c.cfg.RequestRetries &&
 			ch.retryTokens >= 1 && !ch.closed {
@@ -886,7 +817,7 @@ func (ch *Channel) expireRequests(deadline sim.Time) {
 			rs.sentAt = now
 			ch.Counters.ReqRetries++
 			c.Stats.ReqRetries++
-			c.tel.Flight.Record(now, telemetry.CatReqRetry, int32(c.Node()), ch.qp.QPN, int64(id), int64(rs.retries))
+			c.tel.Flight.Record(now, telemetry.CatReqRetry, int32(c.Node()), ch.QPN(), int64(id), int64(rs.retries))
 			c.tel.Trace.Instant("req.retry", c.track, now, int64(rs.retries))
 			ps := &pendingSend{kind: kindReq, data: rs.data, size: rs.size, msgID: id}
 			backoff := c.cfg.RetryBackoff << uint(rs.retries-1)
@@ -907,7 +838,7 @@ func (ch *Channel) expireRequests(deadline sim.Time) {
 		}
 		delete(ch.pending, id)
 		c.Stats.ReqTimeouts++
-		c.tel.Flight.Record(now, telemetry.CatReqTimeout, int32(c.Node()), ch.qp.QPN, int64(id), int64(rs.retries))
+		c.tel.Flight.Record(now, telemetry.CatReqTimeout, int32(c.Node()), ch.QPN(), int64(id), int64(rs.retries))
 		if rs.cb != nil {
 			rs.cb(nil, ErrTimeout)
 		}

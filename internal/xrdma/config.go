@@ -8,6 +8,15 @@ import (
 	"xrdma/internal/sim"
 )
 
+// The data path's fixed costs and reserves: measured properties of the
+// middleware, not deployment choices, so constants rather than Config fields.
+const (
+	ctrlReserve = 16                   // extra receive buffers and SQ slots for window-exempt control messages (acks, NOPs)
+	pollCost    = 60 * sim.Nanosecond  // CPU cost charged per poll iteration
+	perMsgCost  = 100 * sim.Nanosecond // software overhead per dispatched message (X-RDMA's thin data path)
+	traceCost   = 50 * sim.Nanosecond  // extra per message in req-rsp mode (§VII-A: ≈200 ns, 2–4% of a ping-pong)
+)
+
 // Config mirrors Table III: "online" parameters may be changed on a
 // running context through SetFlag (the XR-Adm path); "offline" parameters
 // are fixed at context creation.
@@ -54,9 +63,6 @@ type Config struct {
 	SmallMsgSize int
 	// WindowDepth is the seq-ack in-flight message window per channel.
 	WindowDepth int
-	// CtrlReserve is the number of extra receive buffers kept for
-	// window-exempt control messages (acks, NOPs).
-	CtrlReserve int
 	// AckEvery: a standalone ack is emitted after this many received
 	// messages without reverse traffic.
 	AckEvery int
@@ -103,14 +109,6 @@ type Config struct {
 	ChannelGaugeLimit int
 	// PollInterval is the busy-polling period of the hybrid poller.
 	PollInterval sim.Duration
-	// PollCost is the CPU cost charged per poll iteration.
-	PollCost sim.Duration
-	// PerMsgCost is the middleware software overhead per dispatched
-	// message (X-RDMA's thin data path).
-	PerMsgCost sim.Duration
-	// TraceCost is the extra per-message cost in req-rsp mode (§VII-A
-	// measures ≈200 ns, a 2–4% ping-pong latency increase).
-	TraceCost sim.Duration
 	// RequestTimeout fails pending requests that got no response (0 =
 	// never). Checked by a coarse per-context timer.
 	RequestTimeout sim.Duration
@@ -231,7 +229,6 @@ func DefaultConfig() Config {
 
 		SmallMsgSize:       4096,
 		WindowDepth:        32,
-		CtrlReserve:        16,
 		AckEvery:           8,
 		AckDelay:           50 * sim.Microsecond,
 		DeadlockScan:       500 * sim.Microsecond,
@@ -247,9 +244,6 @@ func DefaultConfig() Config {
 		AttachAdmission:    0,
 		ChannelGaugeLimit:  0,
 		PollInterval:       1 * sim.Microsecond,
-		PollCost:           60 * sim.Nanosecond,
-		PerMsgCost:         100 * sim.Nanosecond,
-		TraceCost:          50 * sim.Nanosecond,
 		RequestTimeout:     0,
 		RequestRetries:     0,
 		RetryBackoff:       0,

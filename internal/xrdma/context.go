@@ -1,6 +1,7 @@
 package xrdma
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -34,10 +35,9 @@ type Context struct {
 	srqPrimed      bool              // first fill done (deferred: see ensureSRQ)
 	srqBufs        map[uint64]Buffer // recv WR id → buffer (SRQ mode)
 
-	channels map[uint32]*Channel // by local QPN
-	wrCBs    map[uint64]func(rnic.CQE)
-	wrSeq    uint64
-	msgSeq   uint64
+	wrCBs  map[uint64]func(rnic.CQE)
+	wrSeq  uint64
+	msgSeq uint64
 
 	// One-sided plane (onesided.go): exposed MR windows by window id.
 	windows map[uint64]*Window
@@ -67,10 +67,9 @@ type Context struct {
 	monitor *Monitor
 
 	// Mock (TCP fallback).
-	tcp         *tcpnet.Stack
-	mockPort    int
-	mockWaiters []*Channel
-	mockParked  []*parkedMock
+	tcp        *tcpnet.Stack
+	mockPort   int
+	mockParked []*parkedMock
 
 	// Link plane (link.go). links holds every live link — exclusive and
 	// shared — in creation order: the deterministic scan list the
@@ -78,22 +77,20 @@ type Context struct {
 	// not). The periodic scans walk it by index, because a visit may close
 	// links and shift the list left; a link that slides into a visited slot
 	// waits for the next tick, the same in every run. One-shot fan-outs
-	// that must reach every link walk a snapshot. linkIdx maps every local
-	// QPN a live link has ever owned to the link, because a redialing peer
-	// names the last QPN it saw — possibly several adoptions (or a
-	// fallback) ago. recoverPort > 0 enables RDMA re-establishment for
-	// exclusive links.
+	// that must reach every link walk a snapshot. qpnTab is the one map
+	// keyed by local QPN: each link's current QPN → the link, written by
+	// link.setQP and cleared by link.close. It routes receive completions
+	// and is the fast path of the recovery rendezvous. recoverPort > 0
+	// enables RDMA re-establishment for exclusive links.
 	recoverPort int
 	links       []*link
-	linkIdx     map[uint32]*link
+	qpnTab      map[uint32]*link
 
 	// QP multiplexing (mux.go, Config.QPsPerPeer > 0). chanByCID holds
 	// every mux-plane channel (lazy descriptors included) by its
-	// context-unique cid; muxByQPN demultiplexes receive completions.
-	// attachQ/attachActive implement the admission cap on concurrent lazy
-	// attaches.
+	// context-unique cid. attachQ/attachActive implement the admission cap
+	// on concurrent lazy attaches.
 	mux          map[fabric.NodeID]*peerMux
-	muxByQPN     map[uint32]*muxQP
 	chanByCID    map[uint32]*Channel
 	cidSeq       uint32
 	attachQ      []*Channel
@@ -207,14 +204,13 @@ func NewContext(o Options) *Context {
 		cm:          o.CM,
 		host:        o.Host,
 		cfg:         o.Config,
-		channels:    make(map[uint32]*Channel),
 		wrCBs:       make(map[uint64]func(rnic.CQE)),
 		rng:         sim.NewRNG(o.Seed ^ 0x9e37),
 		monitor:     o.Monitor,
 		tcp:         o.TCP,
 		mockPort:    o.MockPort,
 		recoverPort: o.RecoverPort,
-		linkIdx:     make(map[uint32]*link),
+		qpnTab:      make(map[uint32]*link),
 		clockSkew:   o.ClockSkew,
 		toff:        make(map[fabric.NodeID]sim.Duration),
 		eventFD:     int(o.Host.ID)*16 + 3,
@@ -239,7 +235,6 @@ func NewContext(o Options) *Context {
 		// per-channel receive pools.
 		c.cfg.UseSRQ = true
 		c.mux = make(map[fabric.NodeID]*peerMux)
-		c.muxByQPN = make(map[uint32]*muxQP)
 		c.chanByCID = make(map[uint32]*Channel)
 	}
 	if c.cfg.UseSRQ {
@@ -307,8 +302,8 @@ func (c *Context) registerGauges() {
 		{"drain_refusals", func() int64 { return s.DrainRefusals }},
 		{"rehydrated", func() int64 { return s.Rehydrated }},
 		{"drain_state", func() int64 { return int64(c.drain) }},
-		{"channels", func() int64 { return int64(len(c.channels) + len(c.chanByCID)) }},
-		{"mux_qps", func() int64 { return int64(len(c.muxByQPN)) }},
+		{"channels", func() int64 { return int64(c.NumChannels()) }},
+		{"mux_qps", func() int64 { _, n := c.linkCensus(); return int64(n) }},
 		{"agg_channels", func() int64 { return int64(c.aggChannels) }},
 		{"mem_occupied", func() int64 { return c.Mem.OccupiedBytes() }},
 		{"mem_inuse", func() int64 { return c.Mem.InUseBytes }},
@@ -337,7 +332,24 @@ func (c *Context) Config() Config { return c.cfg }
 
 // NumChannels reports live channels — exclusive-QP channels plus every
 // mux-plane channel (attached or still a lazy descriptor).
-func (c *Context) NumChannels() int { return len(c.channels) + len(c.chanByCID) }
+func (c *Context) NumChannels() int {
+	exclusive, _ := c.linkCensus()
+	return exclusive + len(c.chanByCID)
+}
+
+// linkCensus counts the exclusive links (one channel each) and the shared
+// links that have a QP installed.
+func (c *Context) linkCensus() (exclusive, sharedQPs int) {
+	for _, l := range c.links {
+		switch {
+		case l.solo[0] != nil:
+			exclusive++
+		case l.qp != nil:
+			sharedQPs++
+		}
+	}
+	return exclusive, sharedQPs
+}
 
 // LocalClock is the node's wall clock including configured skew.
 func (c *Context) LocalClock() sim.Time { return c.eng.Now().Add(c.clockSkew) }
@@ -472,17 +484,17 @@ func (c *Context) pollOnce() int {
 		return 0
 	}
 	c.Stats.Dispatched += int64(n)
-	t := now.Add(c.cfg.PollCost)
+	t := now.Add(pollCost)
 	for _, cqe := range scqes {
 		cqe := cqe
-		t = t.Add(c.cfg.PerMsgCost)
+		t = t.Add(perMsgCost)
 		c.eng.At(t, func() { c.dispatchSend(cqe) })
 	}
 	for _, cqe := range rcqes {
 		cqe := cqe
-		cost := c.cfg.PerMsgCost
+		cost := perMsgCost
 		if c.cfg.ReqRspMode {
-			cost += c.cfg.TraceCost
+			cost += traceCost
 		}
 		t = t.Add(cost)
 		c.eng.At(t, func() { c.dispatchRecv(cqe) })
@@ -502,33 +514,13 @@ func (c *Context) dispatchSend(cqe rnic.CQE) {
 }
 
 func (c *Context) dispatchRecv(cqe rnic.CQE) {
-	ch, ok := c.channels[cqe.QPN]
-	if !ok {
-		if mx, mok := c.muxByQPN[cqe.QPN]; mok {
-			mx.handleRecv(cqe)
-			return
-		}
-		// Channel already torn down; recycle the SRQ buffer if any.
-		if c.srq != nil {
-			if buf, ok := c.srqBufs[cqe.WRID]; ok {
-				delete(c.srqBufs, cqe.WRID)
-				c.Mem.Free(buf)
-				c.fillSRQ()
-			}
-		}
+	if l := c.qpnTab[cqe.QPN]; l != nil {
+		l.recv(cqe)
 		return
 	}
-	if cqe.Status != rnic.StatusOK {
-		ch.fail(fmt.Errorf("xrdma: recv completion error: %v", cqe.Status))
-		return
-	}
-	if cqe.Op == rnic.OpWriteImm {
-		// One-sided WRITE+imm: the payload was DMA'd straight into the
-		// target window, so the receive buffer holds no wire header.
-		ch.handleWriteImmCQE(cqe)
-		return
-	}
-	ch.handleInbound(cqe)
+	// No live link owns the QPN (its channel was torn down): the SRQ
+	// buffer, if the completion consumed one, goes back.
+	c.recycleSRQ(cqe.WRID)
 }
 
 // InjectWork simulates the application occupying the thread for d —
@@ -613,25 +605,34 @@ func (c *Context) timeoutScan() {
 }
 
 // Channels snapshots the live channels — exclusive ones in ascending QPN
-// order, then mux-plane ones (lazy descriptors included) in ascending cid
-// order. Every per-channel walk that makes order-dependent decisions
-// (retry-token spending, close order, what XR-Stat prints) goes through
-// this, never the maps — map iteration order is randomized and would leak
-// into the deterministic digests.
+// order (on the Mock fallback or awaiting re-establishment after a restart:
+// the last QPN they owned), then mux-plane ones (lazy descriptors included)
+// in ascending cid order. Every per-channel walk that makes order-dependent
+// decisions (retry-token spending, close order, what XR-Stat prints) goes
+// through this, never a map — map iteration order is randomized and would
+// leak into the deterministic digests.
 func (c *Context) Channels() []*Channel {
-	return sortedByKey(c.chanByCID, sortedByKey(c.channels, nil))
-}
-
-func sortedByKey(m map[uint32]*Channel, out []*Channel) []*Channel {
-	keys := make([]uint32, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	var out []*Channel
+	for _, l := range c.links {
+		if ch := l.solo[0]; ch != nil {
+			out = append(out, ch)
+		}
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		out = append(out, m[k])
+	slices.SortStableFunc(out, func(a, b *Channel) int { return cmp.Compare(a.lk.lastQPN(), b.lk.lastQPN()) })
+	for _, cid := range sortedIDs(c.chanByCID) {
+		out = append(out, c.chanByCID[cid])
 	}
 	return out
+}
+
+// sortedIDs lists a map's keys in ascending order.
+func sortedIDs[K cmp.Ordered, V any](m map[K]V) []K {
+	ids := make([]K, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // Close tears down the context: all channels close, timers stop.
@@ -677,40 +678,36 @@ func (c *Context) fillSRQ() {
 		if !ok {
 			// Grow asynchronously, then continue filling.
 			c.Mem.Alloc(size, func(b Buffer, err error) {
-				if err != nil {
-					return
+				if err == nil && c.postSRQ(b) {
+					c.fillSRQ()
 				}
-				id := c.nextWRID()
-				c.srqBufs[id] = b
-				c.srq.Post(rnic.RecvWR{ID: id, Addr: b.Addr, Len: b.Len})
-				c.fillSRQ()
 			})
 			return
 		}
-		id := c.nextWRID()
-		c.srqBufs[id] = buf
-		if err := c.srq.Post(rnic.RecvWR{ID: id, Addr: buf.Addr, Len: buf.Len}); err != nil {
-			c.srqBufs[id] = Buffer{}
-			delete(c.srqBufs, id)
-			c.Mem.Free(buf)
+		if !c.postSRQ(buf) {
 			return
 		}
 	}
 }
 
-// recycleSRQ reposts one consumed SRQ buffer under a fresh WR id. Shared-QP
-// receives and per-channel SRQ reposts both land here.
-func (c *Context) recycleSRQ(wrID uint64) {
-	buf, ok := c.srqBufs[wrID]
-	if !ok {
-		return
-	}
-	delete(c.srqBufs, wrID)
+// postSRQ posts buf on the shared receive queue under a fresh WR id.
+func (c *Context) postSRQ(buf Buffer) bool {
 	id := c.nextWRID()
 	c.srqBufs[id] = buf
 	if err := c.srq.Post(rnic.RecvWR{ID: id, Addr: buf.Addr, Len: buf.Len}); err != nil {
 		delete(c.srqBufs, id)
 		c.Mem.Free(buf)
+		return false
+	}
+	return true
+}
+
+// recycleSRQ reposts one consumed SRQ buffer; a WR id that names none (a
+// per-link pool's, or no SRQ at all) is left alone.
+func (c *Context) recycleSRQ(wrID uint64) {
+	if buf, ok := c.srqBufs[wrID]; ok {
+		delete(c.srqBufs, wrID)
+		c.postSRQ(buf)
 	}
 }
 

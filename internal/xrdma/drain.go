@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"xrdma/internal/fabric"
@@ -208,17 +207,8 @@ func (c *Context) drainScan() {
 // not leak into the deterministic digests). Returns how many were failed.
 func (ch *Channel) failWaiters(err error) int {
 	n := 0
-	if len(ch.pending) > 0 {
-		ids := make([]uint64, 0, len(ch.pending))
-		for id := range ch.pending {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			rs := ch.pending[id]
-			if rs == nil {
-				continue
-			}
+	for _, id := range sortedIDs(ch.pending) {
+		if rs := ch.pending[id]; rs != nil { // not removed by an earlier callback
 			delete(ch.pending, id)
 			n++
 			if rs.cb != nil {
@@ -226,22 +216,11 @@ func (ch *Channel) failWaiters(err error) int {
 			}
 		}
 	}
-	if len(ch.osReads) > 0 {
-		ids := make([]uint64, 0, len(ch.osReads))
-		for id := range ch.osReads {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			rs := ch.osReads[id]
-			if rs == nil {
-				continue
-			}
+	for _, id := range sortedIDs(ch.osReads) {
+		if rs := ch.osReads[id]; rs != nil {
 			delete(ch.osReads, id)
 			n++
-			if rs.cb != nil {
-				rs.cb(nil, err)
-			}
+			rs.cb(nil, err)
 		}
 	}
 	return n
@@ -296,7 +275,7 @@ type handoffMsg struct {
 func (c *Context) encodeHandoff() []byte {
 	var recs []handoffChan
 	for _, ch := range c.Channels() {
-		if ch.cid != 0 || ch.closed || ch.mock != nil || len(ch.lk.qpns) == 0 {
+		if ch.cid != 0 || ch.closed || ch.Mocked() || len(ch.lk.qpns) == 0 {
 			continue
 		}
 		r := handoffChan{
@@ -322,15 +301,8 @@ func (c *Context) encodeHandoff() []byte {
 		for _, ps := range ch.sendQ {
 			r.tail = append(r.tail, handoffMsgFrom(ps))
 		}
-		if len(ch.remoteWins) > 0 {
-			ids := make([]uint64, 0, len(ch.remoteWins))
-			for id := range ch.remoteWins {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				r.wins = append(r.wins, ch.remoteWins[id])
-			}
+		for _, id := range sortedIDs(ch.remoteWins) {
+			r.wins = append(r.wins, ch.remoteWins[id])
 		}
 		recs = append(recs, r)
 	}
@@ -503,13 +475,6 @@ func (r *handoffReader) u16() uint16 { return binary.LittleEndian.Uint16(r.bytes
 func (r *handoffReader) u32() uint32 { return binary.LittleEndian.Uint32(r.bytes(4)) }
 func (r *handoffReader) u64() uint64 { return binary.LittleEndian.Uint64(r.bytes(8)) }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // --- restart -----------------------------------------------------------------
 
 // Shutdown releases everything the restarted instance will need to
@@ -536,15 +501,15 @@ func (c *Context) Shutdown() {
 		ch.closed = true
 		ch.unregisterGauges()
 		c.eng.Cancel(ch.ackEv)
-		ch.closeMock()
 	}
-	c.channels = make(map[uint32]*Channel)
 	if c.chanByCID != nil {
 		c.chanByCID = make(map[uint32]*Channel)
 	}
 	for _, l := range append([]*link(nil), c.links...) {
 		// A link on the Mock fallback already surrendered its QP.
-		if l.qp != nil && l.state != linkFallback {
+		if l.state == linkFallback {
+			l.closeFallback()
+		} else if l.qp != nil {
 			c.vctx.NIC.DestroyQP(l.qp)
 		}
 		l.close() // strands in-flight replacement dials
@@ -592,8 +557,12 @@ func (c *Context) Rehydrate(blob []byte) error {
 			OpenedAt:     now,
 			retryTokens:  retryBudgetCap,
 		}
+		// The link keeps every pre-restart QPN: the establishment pair is the
+		// identity the peer's redial is matched on, the newest is what its
+		// Mock hello names.
 		l := c.newLink(ch, linkDegraded)
 		l.peerQPN, l.peerQPN0, l.ver, l.caps, l.degradedAt = r.peerQPN, r.peerQPN0, r.negVer, r.caps, now
+		l.qpns = r.qpns
 		ch.lk = l
 		ch.tx = newTxWindow(c.cfg.WindowDepth)
 		ch.tx.seq, ch.tx.acked = r.txFloor, r.txFloor
@@ -614,16 +583,6 @@ func (c *Context) Rehydrate(blob []byte) error {
 			}
 			ch.remoteWins[w.ID] = w
 		}
-		// Index every pre-restart QPN for the recovery rendezvous (the
-		// peer dials naming the last QPN it saw), and park the channel in
-		// the table under the newest one — QPNs are NIC-monotonic, so a
-		// fresh QP can never collide with it, and adopt() clears the
-		// placeholder when the replacement transport lands.
-		l.qpns = r.qpns
-		for _, q := range r.qpns {
-			c.linkIdx[q] = l
-		}
-		c.channels[r.qpns[len(r.qpns)-1]] = ch
 		c.Stats.Rehydrated++
 		c.Stats.ChannelsOpened++
 		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), r.qpns[len(r.qpns)-1], int64(r.peer), drainEvRehydrate)

@@ -33,22 +33,25 @@ func newFlowCtl(ctx *Context, limit int) *flowCtl {
 	return &flowCtl{ctx: ctx, limit: limit}
 }
 
-// post submits a WR under the outstanding limit; cb fires on completion.
-// The limit governs the bulk one-sided data plane (the fragmented READs of
-// the rendezvous path): §V-C's congestion problem is "large size requests
-// block the RNIC". Inline SENDs are already bounded by the per-channel
-// seq-ack window, so they bypass the queue — throttling them would only
-// add latency to the traffic flow control exists to protect.
+// post submits a WR; cb fires on completion. The outstanding limit governs
+// the bulk one-sided data plane (the fragmented READs of the rendezvous
+// path): §V-C's congestion problem is "large size requests block the RNIC".
+// Everything else bypasses it: inline SENDs are already bounded by the
+// per-channel seq-ack window — throttling them would only add latency to
+// the traffic flow control exists to protect.
 func (f *flowCtl) post(qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
-	if wr.Op == rnic.OpRead && f.outstanding >= f.limit {
+	switch {
+	case wr.Op != rnic.OpRead:
+		f.postDirect(qp, wr, cb)
+	case f.outstanding >= f.limit:
 		f.Queued++
 		f.queue = append(f.queue, flowItem{qp: qp, wr: wr, cb: cb})
 		if len(f.queue) > f.PeakQueue {
 			f.PeakQueue = len(f.queue)
 		}
-		return
+	default:
+		f.postRead(qp, wr, cb)
 	}
-	f.doPost(qp, wr, cb)
 }
 
 // postDirect bypasses the limiter — keepalive probes and acks are tiny
@@ -66,18 +69,15 @@ func (f *flowCtl) postDirect(qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
 	}
 }
 
-func (f *flowCtl) doPost(qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
+// postRead issues one READ under the outstanding count; its completion
+// frees the slot for the next queued one.
+func (f *flowCtl) postRead(qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
 	wr.ID = f.ctx.nextWRID()
-	counted := wr.Op == rnic.OpRead
-	if counted {
-		f.outstanding++
-	}
+	f.outstanding++
 	f.Posted++
 	f.ctx.wrCBs[wr.ID] = func(cqe rnic.CQE) {
-		if counted {
-			f.outstanding--
-			f.pump()
-		}
+		f.outstanding--
+		f.pump()
 		if cb != nil {
 			cb(cqe)
 		}
@@ -85,9 +85,7 @@ func (f *flowCtl) doPost(qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
 	if err := qp.PostSend(wr); err != nil {
 		// QP unusable (broken mid-flight): complete as flushed.
 		delete(f.ctx.wrCBs, wr.ID)
-		if counted {
-			f.outstanding--
-		}
+		f.outstanding--
 		if cb != nil {
 			cb(rnic.CQE{WRID: wr.ID, QPN: qp.QPN, Op: wr.Op, Status: rnic.StatusFlushed})
 		}
@@ -99,7 +97,7 @@ func (f *flowCtl) pump() {
 	for f.outstanding < f.limit && len(f.queue) > 0 {
 		it := f.queue[0]
 		f.queue = f.queue[1:]
-		f.doPost(it.qp, it.wr, it.cb)
+		f.postRead(it.qp, it.wr, it.cb)
 	}
 }
 

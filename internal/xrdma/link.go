@@ -3,10 +3,12 @@ package xrdma
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"xrdma/internal/fabric"
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
+	"xrdma/internal/tcpnet"
 	"xrdma/internal/telemetry"
 	"xrdma/internal/verbs"
 )
@@ -41,8 +43,8 @@ const (
 )
 
 // linkOwner is everything that legitimately differs between an exclusive
-// channel and a shared QP; the health machine itself never asks which one
-// it is serving.
+// channel and a shared QP; the health machine and the frame path below
+// never ask which one they are serving.
 type linkOwner interface {
 	// riders snapshots the channels on the link in attach order; the walk
 	// may detach or close them.
@@ -51,17 +53,18 @@ type linkOwner interface {
 	// recycled QP (nil = create one) and the standing receive pool to post
 	// on it (nil = the SRQ serves).
 	acquire(fn func(qp *rnic.QP, bufs []Buffer))
-	// release returns transport material that will not be adopted.
+	// release returns transport material that will not be adopted, or that
+	// an adoption just replaced.
 	release(qp *rnic.QP, bufs []Buffer)
-	// parked runs as the link degrades, while the broken QP is still
-	// installed and before the riders are held.
+	// parked runs as the link degrades, after the state flipped and before
+	// the riders are held; the broken QP is still installed.
 	parked()
-	// retire unhooks the outgoing transport — the broken QP or the Mock
-	// fallback — from the context ahead of an adoption.
-	retire(initiator bool)
-	// install routes the link QP's completions to the owner and posts the
-	// receive pool.
-	install(bufs []Buffer)
+	// adopted runs once a (first or replacement) QP carries the link.
+	adopted()
+	// handleWire takes one decoded inbound frame: its header, the inline
+	// payload (nil when none is carried), whether it came over the Mock
+	// conn, and the in-band fabric accumulator of a blame-traced message.
+	handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *telemetry.PktBlame)
 	// exhausted means no replacement is coming: the link never came up, has
 	// no recovery port, or spent its retry budget (dialer) or grace (waiter).
 	exhausted(cause error)
@@ -83,7 +86,15 @@ type link struct {
 	qp       *rnic.QP
 	peerQPN  uint32   // peer's latest QPN — what a redial names
 	peerQPN0 uint32   // peer's QPN at establishment — with qpns[0], the immutable identity
-	qpns     []uint32 // every local QPN this link has owned (linkIdx keys)
+	qpns     []uint32 // every local QPN this link has owned, oldest first (port > 0 only)
+
+	// The transport material besides the QP: the standing receive pool
+	// posted on it (recv WR id → buffer; nil when the SRQ serves), the Mock
+	// conn while state is linkFallback (nil = not connected), and the DRR
+	// arbiter of a tenanted shared SQ.
+	recvBufs map[uint64]Buffer
+	fb       *tcpnet.Conn
+	sched    *sqSched
 
 	state      linkState
 	epoch      uint64 // invalidates stale dials and timers
@@ -104,42 +115,70 @@ type link struct {
 	doctor pathDoctor
 }
 
-// setQP makes qp the link's transport and indexes it for the recovery
-// rendezvous: a dialing peer names the last QPN it saw, possibly several
-// adoptions (or a fallback) ago.
-func (l *link) setQP(qp *rnic.QP) {
+// setQP makes qp the link's transport — its first, or a replacement: the
+// context's QPN table (the only map keyed by local QPN) moves the link from
+// its previous QPN to this one, the health state starts clean, the receive
+// pool is posted and the owner told.
+func (l *link) setQP(qp *rnic.QP, bufs []Buffer) {
+	l.untable()
 	l.qp, l.peerQPN = qp, qp.RemoteQPN
+	l.c.qpnTab[qp.QPN] = l
 	if len(l.qpns) == 0 {
 		l.peerQPN0 = qp.RemoteQPN
 	}
 	if l.port > 0 {
-		l.c.linkIdx[qp.QPN] = l
 		l.qpns = append(l.qpns, qp.QPN)
+	}
+	l.state = linkReady
+	l.epoch++
+	l.attempts = 0
+	l.kaProbing = false
+	l.lastComm = l.c.eng.Now()
+	// The QP starts with zero counters and a full rotation budget; the
+	// doctor must not blame it for an old path's symptoms.
+	l.doctor.resetEpisode()
+	if l.sched != nil {
+		l.sched.reset()
+	}
+	l.post(bufs)
+	l.own.adopted()
+}
+
+// untable drops the link's table entry, unless a sibling that recycled the
+// QP out of the cache owns the QPN by now.
+func (l *link) untable() {
+	if l.qp != nil && l.c.qpnTab[l.qp.QPN] == l {
+		delete(l.c.qpnTab, l.qp.QPN)
 	}
 }
 
+// lastQPN is the newest local QPN the link has owned — what a peer's Mock
+// hello names. A rehydrated link has only its pre-restart history.
+func (l *link) lastQPN() uint32 {
+	if l.qp != nil {
+		return l.qp.QPN
+	}
+	if n := len(l.qpns); n > 0 {
+		return l.qpns[n-1]
+	}
+	return 0
+}
+
 // close is terminal: in-flight dials and timers are stranded and the link
-// leaves the rendezvous index and the scan list.
+// leaves the QPN table and the scan list.
 func (l *link) close() {
 	c := l.c
 	l.state = linkDead
 	l.epoch++
-	for _, q := range l.qpns {
-		if c.linkIdx[q] == l {
-			delete(c.linkIdx, q)
-		}
-	}
-	for i, m := range c.links {
-		if m == l {
-			c.links = append(c.links[:i], c.links[i+1:]...)
-			break
-		}
+	l.untable()
+	if i := slices.Index(c.links, l); i >= 0 {
+		c.links = slices.Delete(c.links, i, i+1)
 	}
 }
 
-// current reports whether a send completion belongs to the link's present
-// QP. A QP surrendered at adoption flushes its in-flight WRs afterwards;
-// those completions are stale news and must not fail the fresh transport.
+// current reports whether a completion belongs to the link's present QP. A
+// QP surrendered at adoption flushes its in-flight WRs afterwards; those
+// completions are stale news and must not fail the fresh transport.
 func (l *link) current(cqe rnic.CQE) bool {
 	return l.state != linkDead && l.qp != nil && cqe.QPN == l.qp.QPN
 }
@@ -153,7 +192,7 @@ func (l *link) is(from fabric.NodeID, h hello) bool {
 
 // established lists the riders with a live send path — the ones to hold on
 // failure and replay on adoption. A rider still waiting for its
-// CHAN_ACCEPT has nothing in flight; the owner re-opens it on install.
+// CHAN_ACCEPT has nothing in flight; the owner re-opens it on adoption.
 func (l *link) established() []*Channel {
 	rs := l.own.riders()
 	n := 0
@@ -172,20 +211,165 @@ func (l *link) setHealth(h HealthState) {
 	}
 }
 
-// sendCtrl emits a link-level control frame directly on the QP.
-func (l *link) sendCtrl(h *wireHdr) {
-	if l.state != linkReady {
+// --- frame path ----------------------------------------------------------------
+//
+// Everything that puts a wire frame on, or takes one off, a transport is
+// below: recv/ingest hold the only decodeHdr call, emit the only encode.
+
+// recv is the one ingress for receive completions (Context.dispatchRecv is
+// a table lookup in front of it).
+func (l *link) recv(cqe rnic.CQE) {
+	c := l.c
+	if l.state == linkFallback || !l.current(cqe) {
+		// The flush of a QP this link surrendered (to the Mock fallback, or
+		// to a sibling through the QP cache).
+		c.recycleSRQ(cqe.WRID)
 		return
 	}
-	buf := make([]byte, h.wireBytes())
-	h.encode(buf)
-	wr := &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}
-	l.c.flow.postDirect(l.qp, wr, func(cqe rnic.CQE) {
-		if cqe.Status != rnic.StatusOK && l.current(cqe) {
-			l.fail(fmt.Errorf("xrdma: link ctrl send failed: %v", cqe.Status))
+	if cqe.Status != rnic.StatusOK {
+		l.repost(cqe.WRID)
+		l.fail(fmt.Errorf("xrdma: recv completion error: %v", cqe.Status))
+		return
+	}
+	l.lastComm = c.eng.Now()
+	if cqe.Op == rnic.OpWriteImm {
+		// One-sided WRITE+imm: the payload was DMA'd straight into the
+		// target window, so the receive buffer holds application bytes at
+		// best and must never reach the parser. The immediate cannot name a
+		// rider; only an exclusive QP has exactly one to wake.
+		l.repost(cqe.WRID)
+		if ch := l.solo[0]; ch == nil {
+			c.logf("WRITE+imm on shared qpn=%d from peer %d dropped: no rider to name", cqe.QPN, l.peer)
+		} else if ch.onWriteImm != nil {
+			ch.onWriteImm(cqe.Imm, cqe.Addr, cqe.Len)
 		}
-	})
+		return
+	}
+	l.ingest(cqe.Data, cqe.WRID, false, cqe.Blame)
+}
+
+// ingest decodes one inbound frame — an RDMA receive or a Mock TCP message
+// — and hands header and inline payload to the owner.
+func (l *link) ingest(data []byte, wrID uint64, overMock bool, rxBlame *telemetry.PktBlame) {
+	c := l.c
+	h, hdrLen, err := decodeHdr(data)
+	if !overMock {
+		l.repost(wrID)
+	}
+	if err != nil {
+		if errors.Is(err, errVersion) {
+			// A frame from a release outside our version range: counted as
+			// an upgrade-plane event, not lumped in with corruption.
+			c.noteVerMismatch(l.peer, l.lastQPN(), data[2], data[2])
+		}
+		c.logf("inbound decode error from peer %d: %v", l.peer, err)
+		return
+	}
+	var pay []byte
+	if size := int(h.Size); size > 0 && len(data) >= hdrLen+size {
+		pay = data[hdrLen : hdrLen+size]
+	}
+	l.own.handleWire(&h, pay, overMock, rxBlame)
+}
+
+// post puts the standing receive pool — the buffers whose footprint the
+// §III Issue-1 formula describes — on the link's QP.
+func (l *link) post(bufs []Buffer) {
+	if l.recvBufs == nil && len(bufs) > 0 {
+		l.recvBufs = make(map[uint64]Buffer, len(bufs))
+	}
+	for _, buf := range bufs {
+		l.postRecv(buf)
+	}
+}
+
+func (l *link) postRecv(buf Buffer) {
+	id := l.c.nextWRID()
+	l.recvBufs[id] = buf
+	if err := l.qp.PostRecv(rnic.RecvWR{ID: id, Addr: buf.Addr, Len: buf.Len}); err != nil {
+		delete(l.recvBufs, id)
+		l.c.Mem.Free(buf)
+	}
+}
+
+// repost returns one consumed receive buffer to the RQ it came from.
+func (l *link) repost(wrID uint64) {
+	if l.c.srq != nil {
+		l.c.recycleSRQ(wrID)
+		return
+	}
+	buf, ok := l.recvBufs[wrID]
+	if !ok || l.qp.State == rnic.QPError {
+		return
+	}
+	delete(l.recvBufs, wrID)
+	l.postRecv(buf)
+}
+
+// dropPool returns the receive pool to the memory cache: it is useless
+// while the QP is broken (and may be gone entirely after a NIC restart);
+// fresh buffers arrive with the replacement connection.
+func (l *link) dropPool() {
+	for _, buf := range l.recvBufs {
+		l.c.Mem.Free(buf)
+	}
+	l.recvBufs = nil
+}
+
+// closeFallback hangs up the Mock conn without waking its close handler.
+func (l *link) closeFallback() {
+	if conn := l.fb; conn != nil {
+		l.fb = nil
+		conn.OnClose = nil
+		conn.Close()
+	}
+}
+
+// emit is the one egress: it encodes h (plus an inline payload) once and
+// hands the frame to whatever carries the link — the Mock conn on the
+// fallback, otherwise the QP (windowed kinds behind the DRR arbiter on a
+// tenanted shared SQ). Callers gate on path state; emit does not. wireLen
+// is the frame's size on the RDMA wire (a size-only payload counts without
+// being carried). done, when non-nil, hears the outcome — handed to TCP, or
+// completed by the RNIC — and a failed completion on the current QP fails
+// the link. The returned WR (nil over Mock) is for the blame plane.
+func (l *link) emit(ch *Channel, h *wireHdr, data []byte, wireLen int, blame *telemetry.PktBlame, done func(error)) *rnic.SendWR {
+	hb := h.wireBytes()
+	buf := make([]byte, hb+len(data))
+	h.encode(buf)
+	copy(buf[hb:], data)
+	if l.state == linkFallback {
+		l.fb.Send(buf, 0, done)
+		return nil
+	}
+	wr := &rnic.SendWR{Op: rnic.OpSend, Len: wireLen, Data: buf, Blame: blame}
+	cb := func(cqe rnic.CQE) {
+		var err error
+		if cqe.Status != rnic.StatusOK {
+			err = fmt.Errorf("xrdma: send failed: %v", cqe.Status)
+		}
+		if done != nil {
+			done(err)
+		}
+		if err != nil && l.current(cqe) {
+			l.fail(err)
+		}
+	}
+	if l.sched != nil && h.Kind.windowed() {
+		l.sched.submit(ch, l.qp, wr, cb)
+	} else {
+		l.c.flow.post(l.qp, wr, cb)
+	}
 	l.lastComm = l.c.eng.Now()
+	return wr
+}
+
+// sendCtrl emits a link-level control frame (CHAN_OPEN/ACCEPT/CLOSE) if the
+// QP is up; these are advisory and re-sent by the protocol above.
+func (l *link) sendCtrl(h *wireHdr) {
+	if l.state == linkReady {
+		l.emit(nil, h, nil, h.wireBytes(), nil, nil)
+	}
 }
 
 // --- keepalive (§V-A) ---------------------------------------------------------
@@ -334,9 +518,16 @@ func (l *link) fail(cause error) {
 		return
 	}
 	now := c.eng.Now()
-	l.own.parked()
+	// The state flips first, so anything parked() posts on the broken QP
+	// cannot re-enter here when it flushes on the spot.
 	l.state, l.degradedAt, l.attempts, l.kaProbing = linkDegraded, now, 0, false
 	l.epoch++
+	l.own.parked()
+	if l.sched != nil {
+		// Queued unposted frames drop here; requeueUnacked replays them
+		// through the scheduler after adoption.
+		l.sched.reset()
+	}
 	c.Stats.Degraded++
 	c.tel.Flight.Trip(now, telemetry.CatChannelDegraded, int32(c.Node()), l.qp.QPN)
 	c.tel.Trace.Instant("link.degraded", c.track, now, int64(l.peer))
@@ -444,11 +635,11 @@ func (l *link) dialOnce(onFail func()) {
 // acceptReplacement is the passive half: a redial for a degraded (or
 // fallen-back) link, matched by the identity its hello names.
 func (c *Context) acceptReplacement(req *verbs.ConnReq, h hello) {
-	l := c.linkIdx[h.target]
+	l := c.qpnTab[h.target]
 	if l == nil || !l.is(req.From, h) {
-		// The indexed QPN was recycled to a sibling (or the entry is plain
-		// stale); fall back to the identity scan so a dial never
-		// cross-adopts another link's protocol state.
+		// The dialer names a QPN from adoptions (or a restart) ago, or one
+		// since recycled to a sibling; fall back to the identity scan so a
+		// dial never cross-adopts another link's protocol state.
 		l = nil
 		for _, cand := range c.links {
 			if cand.is(req.From, h) {
@@ -486,7 +677,7 @@ func (c *Context) acceptReplacement(req *verbs.ConnReq, h hello) {
 }
 
 // adopt installs a freshly established replacement: the broken QP (or the
-// Mock transport) is surrendered and every established rider requeues its
+// Mock conn) is surrendered and every established rider requeues its
 // unacked tail for replay. The dialer's riders pump immediately behind a
 // NOP beacon; the passive side's hold their replay until the beacon (or
 // any RDMA traffic) proves the dialer's QP reached RTS, because sends
@@ -496,17 +687,18 @@ func (l *link) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
 	now := c.eng.Now()
 	failback := l.state == linkFallback
 	outage := now.Sub(l.degradedAt)
-	l.own.retire(initiator)
-	l.setQP(conn.QP)
-	l.state = linkReady
-	l.epoch++
-	l.attempts = 0
-	l.kaProbing = false
-	l.lastComm = now
-	// The adopted QP starts with zero counters and a full rotation budget;
-	// the doctor must not blame it for the old path's symptoms.
-	l.doctor.resetEpisode()
-	l.own.install(bufs)
+	switch {
+	case !failback:
+		l.own.release(l.qp, nil)
+	case initiator:
+		l.closeFallback()
+	case l.fb != nil:
+		// Keep draining the Mock conn until the dialer closes it — the
+		// windowed dedup makes the overlap harmless.
+		l.fb.OnClose = nil
+		l.fb = nil
+	}
+	l.setQP(conn.QP, bufs)
 	c.Stats.Recoveries++
 	if failback {
 		c.Stats.Failbacks++
@@ -519,7 +711,6 @@ func (l *link) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
 	c.tel.Flight.Record(now, telemetry.CatChannelRecovered, int32(c.Node()), l.qp.QPN, int64(l.peer), int64(outage))
 	c.logf("link peer=%d recovered on qpn=%d after %v (failback=%v initiator=%v)", l.peer, l.qp.QPN, outage, failback, initiator)
 	for _, ch := range l.established() {
-		ch.qp = l.qp
 		ch.requeueUnacked()
 		ch.nopInFlight, ch.stallFlag = false, false
 		ch.lastProgress = now

@@ -2,6 +2,7 @@ package xrdma
 
 import (
 	"fmt"
+	"slices"
 
 	"xrdma/internal/fabric"
 	"xrdma/internal/sim"
@@ -14,18 +15,14 @@ import (
 // network, keeping the application's message flow alive at degraded
 // performance. The side with the lower node ID dials the peer's mock
 // port; the other side waits for the inbound connection and matches it to
-// the broken channel by QPN.
+// the broken channel by QPN. The fallback is link state (linkFallback, with
+// the conn in link.fb): frames enter and leave through the link's one frame
+// path like any other transport's.
 //
 // The mock transport carries the same wire headers (Seq/Ack included) as
 // the RDMA path, so the seq-ack window spans both transports: a cutover
 // in either direction replays the unacked tail and the receiver's window
 // dedups whatever already made it across — exactly-once, both directions.
-
-type mockState struct {
-	conn    *tcpnet.Conn
-	ready   bool
-	waiting bool
-}
 
 // listenMock accepts fallback connections for broken channels. A hello
 // can arrive before this side has noticed its own RDMA failure (the two
@@ -42,41 +39,42 @@ func (c *Context) listenMock() {
 				conn.Close()
 				return
 			}
-			qpn := h.target
-			// Find the waiting channel that owned this QPN.
-			for _, ch := range c.mockWaiters {
-				if ch.mockQPN == qpn {
-					ch.attachMock(conn)
-					return
+			switch ch := c.mockTarget(conn.Remote, h.target); {
+			case ch != nil && ch.lk.state == linkFallback:
+				// The channel waits for this conn — or already had one, which
+				// died on the peer's side first and is being redialed.
+				if ch.lk.fb != conn {
+					ch.lk.closeFallback()
 				}
-			}
-			// The peer switched but this side's channel is still live or
-			// degraded (failure detection is not synchronized): adopt the
-			// switch. The recovery index resolves QPNs from adoptions ago.
-			ch := c.channels[qpn]
-			if l := c.linkIdx[qpn]; ch == nil && l != nil {
-				ch, _ = l.own.(*Channel)
-			}
-			if ch != nil && !ch.closed && c.cfg.MockEnabled {
-				if ch.mock != nil {
-					// Redial of an already-mocked channel (the old conn
-					// died on the peer's side first).
-					if old := ch.mock.conn; old != nil && old != conn {
-						old.OnClose = nil
-						old.Close()
-						ch.mock.conn = nil
-						ch.mock.ready = false
-					}
-					ch.attachMock(conn)
-					return
-				}
+				ch.attachMock(conn)
+			case ch != nil && c.cfg.MockEnabled:
+				// The peer switched but this side's channel is still live or
+				// degraded (failure detection is not synchronized): adopt the
+				// switch.
 				ch.enterMockMode(fmt.Errorf("peer-initiated mock switch"))
 				ch.attachMock(conn)
-				return
+			default:
+				c.parkMockConn(h.target, conn)
 			}
-			c.parkMockConn(qpn, conn)
 		}
 	})
+}
+
+// mockTarget resolves the exclusive channel a peer's Mock hello names by the
+// last QPN it saw on this side. The links are scanned, not the QPN table: a
+// link on the fallback has surrendered its QP to the cache and a sibling may
+// own that QPN by now — so a channel already on (or waiting for) the
+// fallback wins over one that merely holds the number.
+func (c *Context) mockTarget(from fabric.NodeID, qpn uint32) (live *Channel) {
+	for _, l := range c.links {
+		if ch := l.solo[0]; ch != nil && l.peer == from && l.lastQPN() == qpn {
+			if l.state == linkFallback {
+				return ch
+			}
+			live = ch
+		}
+	}
+	return live
 }
 
 type parkedMock struct {
@@ -103,42 +101,35 @@ func (c *Context) parkMockConn(qpn uint32, conn *tcpnet.Conn) {
 		copy(b, m.Data)
 		p.buf = append(p.buf, b)
 	}
-	conn.OnClose = func(error) {
-		for i, q := range c.mockParked {
-			if q == p {
-				c.mockParked = append(c.mockParked[:i], c.mockParked[i+1:]...)
-				return
-			}
-		}
-	}
-	grace := c.mockGrace()
-	c.eng.AfterBg(grace, func() {
-		for i, q := range c.mockParked {
-			if q == p {
-				c.mockParked = append(c.mockParked[:i], c.mockParked[i+1:]...)
-				conn.OnClose = nil
-				conn.Close()
-				return
-			}
+	conn.OnClose = func(error) { c.unpark(p) }
+	c.eng.AfterBg(c.mockGrace(), func() {
+		if c.unpark(p) {
+			conn.OnClose = nil
+			conn.Close()
 		}
 	})
+}
+
+// unpark takes p off the parked list; false if it already left.
+func (c *Context) unpark(p *parkedMock) bool {
+	i := slices.Index(c.mockParked, p)
+	if i >= 0 {
+		c.mockParked = slices.Delete(c.mockParked, i, i+1)
+	}
+	return i >= 0
 }
 
 // claimParkedMock is called when a channel enters mock-waiting state: an
 // early-arriving peer connection may already be parked. Dead parked conns
 // (closed between the OnClose callback and now) are discarded.
 func (c *Context) claimParkedMock(qpn uint32) *parkedMock {
-	for i := 0; i < len(c.mockParked); i++ {
-		p := c.mockParked[i]
-		if p.qpn != qpn {
-			continue
+	for _, p := range slices.Clone(c.mockParked) {
+		if p.qpn == qpn && c.unpark(p) {
+			p.conn.OnClose = nil
+			if p.conn.Open() {
+				return p
+			}
 		}
-		c.mockParked = append(c.mockParked[:i], c.mockParked[i+1:]...)
-		p.conn.OnClose = nil
-		if p.conn.Open() {
-			return p
-		}
-		i--
 	}
 	return nil
 }
@@ -154,45 +145,23 @@ func (ch *Channel) enterMockMode(cause error) {
 	c.tel.Trace.Instant("mock.switch", c.track, now, int64(ch.Peer))
 	c.logf("channel qpn=%d peer=%d switching to TCP mock (%v)", ch.QPN(), ch.Peer, cause)
 
-	ch.mock = &mockState{}
 	ch.setHealth(HealthFallback)
 	ch.lk.state = linkFallback
 	ch.lk.epoch++ // strand any in-flight replacement dial
 	ch.resumeOnRx = false
 
 	// Staged rendezvous payloads are RDMA-only; the mock transport sends
-	// every message inline from ps.data, so release them — both the
-	// unsent queue and the transmitted-but-unacked tail a cutover will
-	// replay.
-	unstage := func(ps *pendingSend) {
-		if ps.staged.Valid() {
-			c.Mem.Free(ps.staged)
-			ps.staged = Buffer{}
-		}
-		ps.ready = false
-		ps.staging = false
-	}
-	for _, ps := range ch.sendQ {
-		unstage(ps)
-	}
-	for _, ps := range ch.sent {
-		unstage(ps)
-	}
+	// every message inline from ps.data, so release them.
+	ch.unstage()
 
 	// Release RDMA resources: the QP recycles through the cache, the
 	// receive buffers return to the memory cache. The XR-Stat row goes
-	// with them — the recycled QPN may soon host a new channel. The peer
-	// names this channel by the QPN it leaves the table under.
+	// with them — the recycled QPN may soon host a new channel. The link
+	// keeps pointing at the surrendered QP: its QPN is how the peer's Mock
+	// hello names this channel.
 	ch.unregisterGauges()
-	ch.mockQPN = ch.leaveTable()
 	ch.quiesce()
-	c.QPs.Put(ch.qp)
-}
-
-// switchToMock degrades a failing channel onto TCP instead of killing it.
-func (ch *Channel) switchToMock(cause error) {
-	ch.enterMockMode(cause)
-	ch.connectMock(cause)
+	c.QPs.Put(ch.lk.qp)
 }
 
 // connectMock runs the mock rendezvous for a channel already in mock
@@ -200,30 +169,27 @@ func (ch *Channel) switchToMock(cause error) {
 // early-parked conn if the dialer beat it here).
 func (ch *Channel) connectMock(cause error) {
 	c := ch.ctx
-	if c.Node() < ch.Peer {
+	if ch.lk.dialer {
 		ch.mockDial(cause, 0)
 		return
 	}
-	if p := c.claimParkedMock(ch.mockQPN); p != nil {
+	if p := c.claimParkedMock(ch.lk.lastQPN()); p != nil {
 		ch.attachMock(p.conn)
 		// Deliver frames the dialer sent while the conn sat parked, in
 		// arrival order; the window dedups anything replayed again later.
 		for _, b := range p.buf {
-			if ch.mock == nil || ch.mock.conn != p.conn {
+			if ch.lk.fb != p.conn {
 				break
 			}
-			ch.mockInbound(tcpnet.Message{Data: b, Len: len(b)})
+			ch.lk.ingest(b, 0, true, nil)
 		}
 		return
 	}
-	ch.mock.waiting = true
-	c.mockWaiters = append(c.mockWaiters, ch)
 	// Give the dialer a bounded window; a vanished peer must not leak a
-	// parked channel. Failure detection on the two sides can differ by a
+	// waiting channel. Failure detection on the two sides can differ by a
 	// full RC retry horizon, so the window must cover at least two.
-	wait := c.mockGrace()
-	c.eng.AfterBg(wait, func() {
-		if !ch.closed && ch.mock != nil && ch.mock.waiting {
+	c.eng.AfterBg(c.mockGrace(), func() {
+		if !ch.closed && ch.lk.state == linkFallback && ch.lk.fb == nil {
 			ch.teardown(fmt.Errorf("xrdma: mock fallback never connected (after %v)", cause))
 		}
 	})
@@ -235,8 +201,10 @@ func (ch *Channel) connectMock(cause error) {
 // into hard teardowns.
 func (ch *Channel) mockDial(cause error, attempt int) {
 	c := ch.ctx
-	c.tcp.Dial(ch.Peer, c.peerMockPort(ch.Peer), func(conn *tcpnet.Conn, err error) {
-		if ch.closed || ch.mock == nil || ch.mock.ready {
+	// The mock port is a fleet-wide convention (same port everywhere), which
+	// is how production config rolls out.
+	c.tcp.Dial(ch.Peer, c.mockPort, func(conn *tcpnet.Conn, err error) {
+		if ch.closed || ch.lk.state != linkFallback || ch.lk.fb != nil {
 			if err == nil {
 				conn.Close()
 			}
@@ -247,11 +215,7 @@ func (ch *Channel) mockDial(cause error, attempt int) {
 			ch.attachMock(conn)
 			return
 		}
-		retries := c.cfg.MockDialRetries
-		if retries < 1 {
-			retries = 1
-		}
-		if attempt+1 >= retries {
+		if attempt+1 >= max(c.cfg.MockDialRetries, 1) {
 			ch.teardown(fmt.Errorf("xrdma: mock dial failed after %d attempts: %v (after %v)", attempt+1, err, cause))
 			return
 		}
@@ -260,7 +224,7 @@ func (ch *Channel) mockDial(cause error, attempt int) {
 			backoff = sim.Millisecond
 		}
 		c.eng.AfterBg(backoff, func() {
-			if ch.closed || ch.mock == nil || ch.mock.ready {
+			if ch.closed || ch.lk.state != linkFallback || ch.lk.fb != nil {
 				return
 			}
 			ch.mockDial(cause, attempt+1)
@@ -272,51 +236,32 @@ func (ch *Channel) mockDial(cause error, attempt int) {
 // failure: two RC retry horizons, or the keepalive timeout if larger.
 func (c *Context) mockGrace() sim.Duration {
 	nic := &c.vctx.NIC.Cfg
-	g := 2 * sim.Duration(nic.RetryLimit+2) * nic.RetransTimeout
-	if 2*c.cfg.KeepaliveTimeout > g {
-		g = 2 * c.cfg.KeepaliveTimeout
-	}
-	return g
+	return 2 * max(sim.Duration(nic.RetryLimit+2)*nic.RetransTimeout, c.cfg.KeepaliveTimeout)
 }
 
-// peerMockPort assumes a fleet-wide mock port convention (same port
-// everywhere), which is how production config rolls out.
-func (c *Context) peerMockPort(_ fabric.NodeID) int { return c.mockPort }
-
+// attachMock makes conn the fallback link's transport.
 func (ch *Channel) attachMock(conn *tcpnet.Conn) {
-	c := ch.ctx
-	if ch.mock == nil {
-		ch.mock = &mockState{}
-	}
-	// Remove from waiters if present.
-	for i, w := range c.mockWaiters {
-		if w == ch {
-			c.mockWaiters = append(c.mockWaiters[:i], c.mockWaiters[i+1:]...)
-			break
-		}
-	}
-	ch.mock.conn = conn
-	ch.mock.ready = true
-	ch.mock.waiting = false
-	conn.OnMessage = func(m tcpnet.Message) { ch.mockInbound(m) }
+	c, l := ch.ctx, ch.lk
+	l.fb = conn
+	conn.OnMessage = func(m tcpnet.Message) { l.ingest(m.Data, 0, true, nil) }
 	conn.OnClose = func(err error) {
-		if ch.closed || ch.mock == nil || ch.mock.conn != conn {
+		if ch.closed || l.fb != conn {
 			return
 		}
-		ch.mock.conn = nil
-		ch.mock.ready = false
+		l.fb = nil
 		if ch.health == HealthRecovering {
 			// A failback probe is in flight; its completion decides
 			// whether to adopt RDMA or rebuild the mock conn.
 			return
 		}
+		cause := fmt.Errorf("xrdma: mock transport closed: %v", err)
 		if c.recoverPort > 0 {
 			// The fallback plane hiccupped but the channel can survive:
 			// re-run the mock rendezvous.
-			ch.connectMock(fmt.Errorf("xrdma: mock transport closed: %v", err))
-			return
+			ch.connectMock(cause)
+		} else {
+			ch.teardown(cause)
 		}
-		ch.teardown(fmt.Errorf("xrdma: mock transport closed: %v", err))
 	}
 	ch.setHealth(HealthFallback)
 	// Replay the unacked window tail (the receiver's window dedups), then
@@ -326,20 +271,8 @@ func (ch *Channel) attachMock(conn *tcpnet.Conn) {
 	ch.pump()
 }
 
-func (ch *Channel) mockInbound(m tcpnet.Message) {
-	h, hdrLen, err := decodeHdr(m.Data)
-	if err != nil {
-		return
-	}
-	var pay []byte
-	if size := int(h.Size); size > 0 && m.Data != nil && len(m.Data) >= hdrLen+size {
-		pay = m.Data[hdrLen : hdrLen+size]
-	}
-	ch.handleWire(&h, pay, true, nil)
-}
-
 // Mocked reports whether the channel is running over the TCP fallback.
-func (ch *Channel) Mocked() bool { return ch.mock != nil }
+func (ch *Channel) Mocked() bool { return ch.lk != nil && ch.lk.state == linkFallback }
 
 // ForceMock switches a healthy channel to TCP (the manual tuning-system
 // toggle). Requires MockEnabled and a TCP stack.
@@ -347,18 +280,11 @@ func (ch *Channel) ForceMock() error {
 	if ch.ctx.tcp == nil || ch.ctx.mockPort == 0 {
 		return fmt.Errorf("xrdma: mock plane not configured")
 	}
-	if ch.mock != nil || ch.closed {
+	if ch.Mocked() || ch.closed {
 		return nil
 	}
-	ch.switchToMock(fmt.Errorf("manual switch"))
+	cause := fmt.Errorf("manual switch")
+	ch.enterMockMode(cause)
+	ch.connectMock(cause)
 	return nil
-}
-
-func (ch *Channel) closeMock() {
-	if ch.mock != nil && ch.mock.conn != nil {
-		conn := ch.mock.conn
-		ch.mock.conn = nil
-		conn.OnClose = nil
-		conn.Close()
-	}
 }

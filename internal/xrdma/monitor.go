@@ -16,21 +16,11 @@ import (
 // the per-machine dashboards read from here. Since XR-Mon v2 the monitor
 // is a thin veneer over the per-node xrmon agents: registering a context
 // attaches an agent to the engine's fleet collector, the housekeeping
-// tick drives the agent's delta ring, and the legacy Sample history is
-// assembled from the agent's absolute watermarks into a bounded ring.
+// tick drives the agent's delta ring, and the Sample history is a view
+// over that ring — the monitor keeps no per-tick state of its own.
 type Monitor struct {
 	contexts map[fabric.NodeID]*Context
 	agents   map[fabric.NodeID]*xrmon.Agent
-
-	// Bounded per-node sample rings (see MaxSamples); read via History.
-	samples map[fabric.NodeID][]Sample
-	head    map[fabric.NodeID]int
-
-	// MaxSamples caps each node's retained samples: once a ring is
-	// full, new samples overwrite the oldest in place, so a long run's
-	// per-node memory is MaxSamples·sizeof(Sample) regardless of
-	// duration.
-	MaxSamples int
 }
 
 // Sample is one periodic observation of a node.
@@ -53,11 +43,8 @@ type Sample struct {
 // NewMonitor creates an empty monitor.
 func NewMonitor() *Monitor {
 	return &Monitor{
-		contexts:   make(map[fabric.NodeID]*Context),
-		agents:     make(map[fabric.NodeID]*xrmon.Agent),
-		samples:    make(map[fabric.NodeID][]Sample),
-		head:       make(map[fabric.NodeID]int),
-		MaxSamples: 100000,
+		contexts: make(map[fabric.NodeID]*Context),
+		agents:   make(map[fabric.NodeID]*xrmon.Agent),
 	}
 }
 
@@ -91,62 +78,59 @@ func (m *Monitor) Nodes() []fabric.NodeID {
 	return out
 }
 
-// sample drives the node's xrmon agent (which reads the registry once
-// into its delta ring) and folds the agent's absolute watermarks into
-// the legacy Sample history. Still a pure registry consumer — every
-// figure comes from a gauge the context or NIC registered — but the
-// registry is now read exactly once per tick, by the agent.
+// sample drives the node's xrmon agent, which reads the registry once
+// into its delta ring.
 func (m *Monitor) sample(c *Context) {
-	node := c.Node()
-	a := m.agents[node]
-	if a == nil {
-		return
+	if a := m.agents[c.Node()]; a != nil {
+		a.Sample(c.eng.Now())
 	}
-	a.Sample(c.eng.Now())
-	s := Sample{
-		At:          c.eng.Now(),
-		Channels:    int(a.Abs(xrmon.SlotChannels)),
-		QPs:         int(a.Abs(xrmon.SlotQPs)),
-		MemOccupied: a.Abs(xrmon.SlotMemOccupied),
-		MemInUse:    a.Abs(xrmon.SlotMemInUse),
-		MsgsSent:    a.Abs(xrmon.SlotMsgsSent),
-		MsgsRecv:    a.Abs(xrmon.SlotMsgsRecv),
-		BytesSent:   a.Abs(xrmon.SlotBytesSent),
-		BytesRecv:   a.Abs(xrmon.SlotBytesRecv),
-		RNRRecv:     a.Abs(xrmon.SlotRNRRecv),
-		Retransmits: a.Abs(xrmon.SlotRetx),
-		CNPRecv:     a.Abs(xrmon.SlotCNPRecv),
-		SlowPolls:   a.Abs(xrmon.SlotSlowPolls),
-	}
-	buf := m.samples[node]
-	if len(buf) < m.MaxSamples {
-		m.samples[node] = append(buf, s)
-		return
-	}
-	h := m.head[node]
-	buf[h] = s
-	m.head[node] = (h + 1) % m.MaxSamples
 }
 
-// History returns a node's retained samples oldest-first. The slice is
-// a copy; at most MaxSamples entries are retained per node.
+// sampleAt reconstructs the observation k housekeeping ticks ago (0 = the
+// latest) from the agent's absolute watermarks minus the deltas since. A
+// counter that reset inside the window (a NIC restart; the agent clamps
+// that delta to zero) reads as its post-reset value before the reset too.
+func sampleAt(a *xrmon.Agent, k int) Sample {
+	abs := func(slot int) int64 { return a.Abs(slot) - a.LastN(slot, k) }
+	return Sample{
+		At:          a.At(k),
+		Channels:    int(abs(xrmon.SlotChannels)),
+		QPs:         int(abs(xrmon.SlotQPs)),
+		MemOccupied: abs(xrmon.SlotMemOccupied),
+		MemInUse:    abs(xrmon.SlotMemInUse),
+		MsgsSent:    abs(xrmon.SlotMsgsSent),
+		MsgsRecv:    abs(xrmon.SlotMsgsRecv),
+		BytesSent:   abs(xrmon.SlotBytesSent),
+		BytesRecv:   abs(xrmon.SlotBytesRecv),
+		RNRRecv:     abs(xrmon.SlotRNRRecv),
+		Retransmits: abs(xrmon.SlotRetx),
+		CNPRecv:     abs(xrmon.SlotCNPRecv),
+		SlowPolls:   abs(xrmon.SlotSlowPolls),
+	}
+}
+
+// History returns a node's samples over the agent's window — the last
+// xrmon.Window housekeeping ticks at most — oldest first.
 func (m *Monitor) History(node fabric.NodeID) []Sample {
-	buf := m.samples[node]
-	out := make([]Sample, 0, len(buf))
-	h := m.head[node]
-	out = append(out, buf[h:]...)
-	out = append(out, buf[:h]...)
+	a := m.agents[node]
+	if a == nil {
+		return nil
+	}
+	out := make([]Sample, a.Len())
+	for k := range out {
+		out[len(out)-1-k] = sampleAt(a, k)
+	}
 	return out
 }
 
 // Latest returns a node's most recent sample; ok is false before the
 // first housekeeping tick.
 func (m *Monitor) Latest(node fabric.NodeID) (Sample, bool) {
-	buf := m.samples[node]
-	if len(buf) == 0 {
+	a := m.agents[node]
+	if a == nil || a.Len() == 0 {
 		return Sample{}, false
 	}
-	return buf[(m.head[node]+len(buf)-1)%len(buf)], true
+	return sampleAt(a, 0), true
 }
 
 // --- XR-Stat (§VI-B) ----------------------------------------------------------

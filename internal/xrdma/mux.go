@@ -3,6 +3,7 @@ package xrdma
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"xrdma/internal/fabric"
 	"xrdma/internal/rnic"
@@ -57,12 +58,11 @@ type muxQP struct {
 	link
 	pm *peerMux // nil on the passive (accepting) side
 
-	chans    map[uint32]*Channel // local cid → attached channel
-	peerCIDs map[uint32]uint32   // peer cid → local cid (CHAN_OPEN dedup)
-	cids     []uint32            // attach order == ascending cid (deterministic walks)
-
-	// Weighted DRR at the shared SQ; nil unless the context is tenanted.
-	sched *sqSched
+	// The channels multiplexed here, in attach order == ascending cid (the
+	// deterministic walk order). Inbound frames find theirs through the
+	// context's cid table, checked against this link.
+	chans    []*Channel
+	peerCIDs map[uint32]uint32 // peer cid → local cid (CHAN_OPEN dedup)
 }
 
 // muxQPDepth is a shared QP's send-queue capacity: it must cover the sum
@@ -77,14 +77,16 @@ const muxQPDepth = 4096
 // the full QP create+modify hardware-command cost inside the dial window,
 // so the configured timeout alone would expire right as the accept lands.
 func (c *Context) newMuxQP(pm *peerMux, peer fabric.NodeID, port int) *muxQP {
-	mx := &muxQP{pm: pm, chans: make(map[uint32]*Channel), peerCIDs: make(map[uint32]uint32)}
+	mx := &muxQP{pm: pm, peerCIDs: make(map[uint32]uint32)}
 	mx.link = link{
 		c: c, own: mx, peer: peer, state: linkDialing,
 		port: port, dialer: pm != nil, redial: helloMuxReattach, depth: muxQPDepth,
 		dialTimeout: c.cfg.RecoverDialTimeout + 2*rnic.QPCreateCost + 8*rnic.QPModifyCost,
 	}
 	if len(c.cfg.Tenants) > 0 {
-		// Zero-tenant configs keep the direct post path bit-for-bit.
+		// Weighted DRR at the shared SQ, so the pool honors tenant weights
+		// instead of FIFO head-of-line; zero-tenant configs keep the direct
+		// post path bit-for-bit.
 		mx.sched = newSQSched(c)
 	}
 	c.links = append(c.links, &mx.link)
@@ -160,7 +162,7 @@ func (ch *Channel) startAttach() {
 	ch.attach = attachPending
 	c.attachActive++
 	mx := c.muxFor(ch.Peer, ch.muxPort)
-	ch.mx, ch.lk = mx, &mx.link
+	ch.lk = &mx.link
 	mx.enroll(ch)
 }
 
@@ -209,7 +211,6 @@ func (ch *Channel) finishAttach(err error) {
 	ch.attach = attachDone
 	ch.tx = newTxWindow(c.cfg.WindowDepth)
 	ch.rx = newRxWindow(c.cfg.WindowDepth)
-	ch.qp = ch.mx.qp
 	c.Stats.ChannelsOpened++
 	ch.registerGauges()
 	if held {
@@ -259,24 +260,15 @@ func (c *Context) dialMuxQP(pm *peerMux, slot int) *muxQP {
 		}
 		// The acceptor's REP carries the settled negotiation verdict.
 		mx.adoptVerdict(conn.PeerData)
-		mx.established(conn.QP)
+		mx.setQP(conn.QP, nil)
 	})
 	return mx
-}
-
-// established installs the first QP of a shared link.
-func (mx *muxQP) established(qp *rnic.QP) {
-	mx.setQP(qp)
-	mx.state = linkReady
-	mx.lastComm = mx.c.eng.Now()
-	mx.install(nil)
 }
 
 // enroll attaches a channel to this mux QP; the CHAN_OPEN goes out as
 // soon as the QP is live.
 func (mx *muxQP) enroll(ch *Channel) {
-	mx.chans[ch.cid] = ch
-	mx.cids = append(mx.cids, ch.cid)
+	mx.chans = append(mx.chans, ch)
 	if mx.state == linkReady {
 		mx.sendChanOpen(ch)
 	}
@@ -284,12 +276,8 @@ func (mx *muxQP) enroll(ch *Channel) {
 
 // detach removes a channel (teardown).
 func (mx *muxQP) detach(ch *Channel) {
-	delete(mx.chans, ch.cid)
-	for i, cid := range mx.cids {
-		if cid == ch.cid {
-			mx.cids = append(mx.cids[:i], mx.cids[i+1:]...)
-			break
-		}
+	if i := slices.Index(mx.chans, ch); i >= 0 {
+		mx.chans = slices.Delete(mx.chans, i, i+1)
 	}
 	if ch.peerCID != 0 {
 		delete(mx.peerCIDs, ch.peerCID)
@@ -298,14 +286,15 @@ func (mx *muxQP) detach(ch *Channel) {
 
 // riders snapshots attached channels in ascending cid order (cids are
 // assigned monotonically, so attach order is already sorted).
-func (mx *muxQP) riders() []*Channel {
-	out := make([]*Channel, 0, len(mx.cids))
-	for _, cid := range mx.cids {
-		if ch := mx.chans[cid]; ch != nil && !ch.closed {
-			out = append(out, ch)
-		}
+func (mx *muxQP) riders() []*Channel { return slices.Clone(mx.chans) }
+
+// rider resolves the channel an inbound header's Chan field names; a cid
+// that rides another QP (or none) names nothing here.
+func (mx *muxQP) rider(cid uint32) *Channel {
+	if ch := mx.c.chanByCID[cid]; ch != nil && ch.lk == &mx.link {
+		return ch
 	}
-	return out
+	return nil
 }
 
 func (mx *muxQP) sendChanOpen(ch *Channel) {
@@ -348,46 +337,24 @@ func (c *Context) acceptMux(req *verbs.ConnReq, h hello, port int) {
 				mx.close()
 				return
 			}
-			mx.established(conn.QP)
+			mx.setQP(conn.QP, nil)
 		})
 	})
 }
 
 // --- inbound demux -----------------------------------------------------------
 
-// handleRecv routes one receive completion on a shared QP: mux-plane
-// control frames are handled here, everything else demultiplexes to the
-// owning channel by the header's Chan field (the receiver's cid).
-func (mx *muxQP) handleRecv(cqe rnic.CQE) {
-	c := mx.c
-	if cqe.Status != rnic.StatusOK {
-		c.recycleSRQ(cqe.WRID)
-		mx.fail(fmt.Errorf("xrdma: mux recv completion error: %v", cqe.Status))
-		return
-	}
-	mx.lastComm = c.eng.Now()
-	h, hdrLen, err := decodeHdr(cqe.Data)
-	var wireVer uint8
-	if len(cqe.Data) > 2 {
-		wireVer = cqe.Data[2]
-	}
-	c.recycleSRQ(cqe.WRID)
-	if err != nil {
-		if errors.Is(err, errVersion) {
-			// A frame from a release outside our version range: counted as
-			// an upgrade-plane event, not lumped in with corruption.
-			c.noteVerMismatch(mx.peer, cqe.QPN, wireVer, wireVer)
-		}
-		c.logf("mux inbound decode error from peer %d: %v", mx.peer, err)
-		return
-	}
+// handleWire is the shared owner's inbound hook: mux-plane control frames
+// are handled here, everything else demultiplexes to the owning channel by
+// the header's Chan field (the receiver's cid).
+func (mx *muxQP) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *telemetry.PktBlame) {
 	switch h.Kind {
 	case kindChanOpen:
-		mx.handleChanOpen(&h)
+		mx.handleChanOpen(h)
 	case kindChanAccept:
-		mx.handleChanAccept(&h)
+		mx.handleChanAccept(h)
 	case kindChanClose:
-		if ch := mx.chans[h.Chan]; ch != nil {
+		if ch := mx.rider(h.Chan); ch != nil {
 			ch.peerClosed = true
 			if ch.attach == attachPending {
 				// The peer refused our CHAN_OPEN (it is draining): resolve
@@ -405,15 +372,9 @@ func (mx *muxQP) handleRecv(cqe rnic.CQE) {
 			mx.fail(fmt.Errorf("xrdma: peer reported shared QP sick"))
 		}
 	default:
-		ch := mx.chans[h.Chan]
-		if ch == nil || ch.closed {
-			return
+		if ch := mx.rider(h.Chan); ch != nil {
+			ch.handleWire(h, pay, overMock, rxBlame)
 		}
-		var pay []byte
-		if size := int(h.Size); size > 0 && len(cqe.Data) >= hdrLen+size {
-			pay = cqe.Data[hdrLen : hdrLen+size]
-		}
-		ch.handleWire(&h, pay, false, cqe.Blame)
 	}
 }
 
@@ -437,7 +398,7 @@ func (mx *muxQP) handleChanOpen(h *wireHdr) {
 	}
 	now := c.eng.Now()
 	ch := &Channel{
-		ctx: c, Peer: mx.peer, cid: c.nextCID(), peerCID: h.Chan, mx: mx, lk: &mx.link, qp: mx.qp,
+		ctx: c, Peer: mx.peer, cid: c.nextCID(), peerCID: h.Chan, lk: &mx.link,
 		muxPort: int(h.MsgID),
 		tx:      newTxWindow(c.cfg.WindowDepth), rx: newRxWindow(c.cfg.WindowDepth),
 		lastProgress: now, OpenedAt: now, retryTokens: retryBudgetCap,
@@ -446,8 +407,7 @@ func (mx *muxQP) handleChanOpen(h *wireHdr) {
 		ch.tenant = c.resolveTenant(h)
 	}
 	c.chanByCID[ch.cid] = ch
-	mx.chans[ch.cid] = ch
-	mx.cids = append(mx.cids, ch.cid)
+	mx.chans = append(mx.chans, ch)
 	mx.peerCIDs[ch.peerCID] = ch.cid
 	c.Stats.ChannelsOpened++
 	ch.registerGauges()
@@ -485,35 +445,17 @@ func (mx *muxQP) parked() {
 		// Only the initiator can redial a shared QP — the passive side has
 		// no dial route. Ask it to. When sickness was declared by the path
 		// doctor (not a hard verbs error) the QP is still in RTS, so this
-		// ctrl frame rides the reliable wire. Fire-and-forget (nil cb, not
-		// sendCtrl, whose failure path would re-enter fail): if the QP
-		// really is broken the post just flushes and the initiator's
-		// keepalive finds out on its own.
-		h := &wireHdr{Kind: kindMuxSick}
-		buf := make([]byte, h.wireBytes())
-		h.encode(buf)
-		mx.c.flow.postDirect(mx.qp, &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}, nil)
-	}
-	if mx.sched != nil {
-		// Queued unposted frames drop here; requeueUnacked replays them
-		// through the scheduler after adoption.
-		mx.sched.reset()
+		// ctrl frame rides the reliable wire; if the QP really is broken the
+		// post just flushes and the initiator's keepalive finds out on its
+		// own.
+		h := wireHdr{Kind: kindMuxSick}
+		mx.emit(nil, &h, nil, h.wireBytes(), nil, nil)
 	}
 }
 
-func (mx *muxQP) retire(bool) {
-	delete(mx.c.muxByQPN, mx.qp.QPN)
-	mx.release(mx.qp, nil)
-}
-
-// install routes the link QP's receives here and (re)opens every channel
-// still waiting for its accept — at establishment, and again after a
-// recovery that swallowed the CHAN_OPEN.
-func (mx *muxQP) install([]Buffer) {
-	mx.c.muxByQPN[mx.qp.QPN] = mx
-	if mx.sched != nil {
-		mx.sched.reset()
-	}
+// adopted (re)opens every channel still waiting for its accept — at
+// establishment, and again after a recovery that swallowed the CHAN_OPEN.
+func (mx *muxQP) adopted() {
 	if !mx.dialer {
 		return
 	}
@@ -546,8 +488,6 @@ func (mx *muxQP) teardownAll(cause error) {
 		c.Stats.ChannelsBroken++
 		ch.teardown(cause)
 	}
-	if mx.qp != nil {
-		mx.retire(false)
-		mx.qp = nil
-	}
+	mx.release(mx.qp, nil)
+	mx.qp = nil
 }

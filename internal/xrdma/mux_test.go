@@ -130,7 +130,7 @@ func TestMuxLazyAttachAndAdmission(t *testing.T) {
 		t.Fatalf("lazy descriptors dialed %d QPs", len(sharedQPs(w.ctxs[0])))
 	}
 	for _, ch := range descs {
-		if ch.Attached() || ch.tx != nil || ch.pending != nil || ch.recvBufs != nil {
+		if ch.Attached() || ch.tx != nil || ch.pending != nil || ch.lk != nil {
 			t.Fatal("descriptor carries eager state")
 		}
 	}

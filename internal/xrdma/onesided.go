@@ -32,6 +32,10 @@ import (
 var (
 	ErrRemoteAccess = errors.New("xrdma: remote access violation")
 	ErrNoPath       = errors.New("xrdma: one-sided op needs a live transport")
+	// errWriteImmShared refuses WriteRemote on a muxed channel: the 32-bit
+	// immediate is the only thing the receiver's completion carries besides
+	// the QPN, so it cannot name which rider of a shared QP to wake.
+	errWriteImmShared = errors.New("xrdma: WRITE+imm needs an exclusive QP (a shared QP's immediate cannot name the channel)")
 )
 
 // flagRAErr marks a mock READ_RESP as a remote-access failure (the TCP
@@ -137,14 +141,14 @@ func (ch *Channel) GrantWindow(w *Window) {
 	ch.sendCtrlHdr(&wireHdr{
 		Kind: kindWinGrant, MsgID: w.ID,
 		Addr: w.mr.Base, RKey: w.mr.RKey, Size: uint32(w.Len),
-	})
+	}, nil, nil)
 }
 
 // RevokeWindow tells the peer the window is gone and enforces the
 // revocation locally (deregistering the MR). The frame is advisory; the
 // deregistration is the guarantee.
 func (ch *Channel) RevokeWindow(w *Window) {
-	ch.sendCtrlHdr(&wireHdr{Kind: kindWinRevoke, MsgID: w.ID})
+	ch.sendCtrlHdr(&wireHdr{Kind: kindWinRevoke, MsgID: w.ID}, nil, nil)
 	w.Revoke()
 }
 
@@ -193,8 +197,8 @@ func (ch *Channel) ReadRemote(win RemoteWindow, off uint64, size int, cb func([]
 	start := c.eng.Now()
 	id := c.nextMsgID()
 	ch.Counters.Reads++
-	if ch.mock != nil {
-		if !ch.mock.ready {
+	if ch.lk.state == linkFallback {
+		if ch.lk.fb == nil {
 			cb(nil, ErrNoPath)
 			return
 		}
@@ -205,7 +209,7 @@ func (ch *Channel) ReadRemote(win RemoteWindow, off uint64, size int, cb func([]
 		ch.sendCtrlHdr(&wireHdr{
 			Kind: kindReadReq, MsgID: id,
 			Addr: win.Addr + off, RKey: win.RKey, Size: uint32(size),
-		})
+		}, nil, nil)
 		return
 	}
 	if ch.health != HealthHealthy {
@@ -216,7 +220,7 @@ func (ch *Channel) ReadRemote(win RemoteWindow, off uint64, size int, cb func([]
 	}
 	if size == 0 {
 		// Zero-byte probe: no buffer, no rkey check — an RTT measurement.
-		c.flow.fetchRemote(ch.qp, win.Addr+off, win.RKey, Buffer{}, 0, func(st rnic.Status) {
+		c.flow.fetchRemote(ch.lk.qp, win.Addr+off, win.RKey, Buffer{}, 0, func(st rnic.Status) {
 			ch.readDone(id, start, 0, Buffer{}, st, cb)
 		})
 		return
@@ -226,12 +230,12 @@ func (ch *Channel) ReadRemote(win RemoteWindow, off uint64, size int, cb func([]
 			cb(nil, err)
 			return
 		}
-		if ch.closed || ch.mock != nil || ch.health != HealthHealthy {
+		if ch.closed || ch.health != HealthHealthy {
 			c.Mem.Free(buf)
 			cb(nil, ErrNoPath)
 			return
 		}
-		c.flow.fetchRemote(ch.qp, win.Addr+off, win.RKey, buf, size, func(st rnic.Status) {
+		c.flow.fetchRemote(ch.lk.qp, win.Addr+off, win.RKey, buf, size, func(st rnic.Status) {
 			ch.readDone(id, start, size, buf, st, cb)
 		})
 	})
@@ -273,37 +277,28 @@ func (ch *Channel) readDone(id uint64, start sim.Time, size int, buf Buffer, st 
 // WRITE+immediate; the peer's OnWriteImm handler fires with imm once the
 // data is placed. cb(nil) fires when the local completion (hardware ack)
 // confirms remote placement. Over the TCP mock the write travels inline
-// as a WRITE_IMM frame and cb fires on TCP delivery.
+// as a WRITE_IMM frame and cb fires on TCP delivery. WRITE+imm needs an
+// exclusive QP: on a muxed channel it fails before anything is posted
+// (ReadRemote, which wakes nobody, works on either).
 func (ch *Channel) WriteRemote(win RemoteWindow, off uint64, data []byte, imm uint32, cb func(error)) {
 	c := ch.ctx
 	if ch.closed {
 		cb(ErrChannelClosed)
 		return
 	}
-	if ch.attach != attachDone {
-		ch.attachCBs = append(ch.attachCBs, func(err error) {
-			if err != nil {
-				cb(err)
-				return
-			}
-			ch.WriteRemote(win, off, data, imm, cb)
-		})
-		ch.requestAttach()
+	if ch.cid != 0 {
+		cb(errWriteImmShared)
 		return
 	}
 	start := c.eng.Now()
 	id := c.nextMsgID()
 	ch.Counters.Writes++
-	if ch.mock != nil {
-		if !ch.mock.ready {
-			cb(ErrNoPath)
-			return
-		}
+	if ch.lk.state == linkFallback {
 		h := &wireHdr{
 			Kind: kindWriteImm, MsgID: id, Imm: imm,
 			Addr: win.Addr + off, RKey: win.RKey, Size: uint32(len(data)),
 		}
-		ch.sendCtrlPayload(h, data, func(err error) {
+		ch.sendCtrlHdr(h, data, func(err error) {
 			if err != nil {
 				cb(err)
 				return
@@ -322,7 +317,7 @@ func (ch *Channel) WriteRemote(win RemoteWindow, off uint64, data []byte, imm ui
 		Op: rnic.OpWriteImm, Len: len(data), Data: data,
 		RAddr: win.Addr + off, RKey: win.RKey, Imm: imm,
 	}
-	c.flow.post(ch.qp, wr, func(cqe rnic.CQE) {
+	c.flow.post(ch.lk.qp, wr, func(cqe rnic.CQE) {
 		if cqe.Status != rnic.StatusOK {
 			err := fmt.Errorf("xrdma: remote write failed: %v", cqe.Status)
 			if cqe.Status == rnic.StatusRemoteAccessErr {
@@ -330,8 +325,8 @@ func (ch *Channel) WriteRemote(win RemoteWindow, off uint64, data []byte, imm ui
 				err = fmt.Errorf("xrdma: remote write failed: %v: %w", cqe.Status, ErrRemoteAccess)
 			}
 			cb(err)
-			if !ch.closed && cqe.Status != rnic.StatusFlushed && cqe.QPN == ch.qp.QPN {
-				ch.fail(err)
+			if cqe.Status != rnic.StatusFlushed && ch.lk.current(cqe) {
+				ch.lk.fail(err)
 			}
 			return
 		}
@@ -350,9 +345,9 @@ func (ch *Channel) noteOneSided(stage telemetry.Stage, id uint64, start sim.Time
 	c := ch.ctx
 	d := c.eng.Now().Sub(start)
 	c.tel.Trace.Complete(stage.String(), c.track, start, d, int64(id))
-	if c.cfg.ReqRspMode && ch.mock == nil && ch.blameSampled(id) {
+	if c.cfg.ReqRspMode && ch.lk.state != linkFallback && ch.blameSampled(id) {
 		rec := telemetry.BlameRec{
-			MsgID: id, Node: int32(c.Node()), QPN: ch.qp.QPN,
+			MsgID: id, Node: int32(c.Node()), QPN: ch.QPN(),
 			At: start, RTT: d,
 		}
 		rec.Dur[stage] = d
@@ -394,7 +389,7 @@ func (ch *Channel) serveMockRead(h *wireHdr) {
 		now := c.eng.Now()
 		c.tel.Flight.Record(now, telemetry.CatRemoteAccess, int32(c.Node()), ch.QPN(), int64(ch.Peer), 3)
 		c.tel.Trace.Instant("remote.access", c.track, now, int64(h.MsgID))
-		ch.sendCtrlHdr(&wireHdr{Kind: kindReadResp, MsgID: h.MsgID, Flags: flagRAErr})
+		ch.sendCtrlHdr(&wireHdr{Kind: kindReadResp, MsgID: h.MsgID, Flags: flagRAErr}, nil, nil)
 		return
 	}
 	resp := &wireHdr{Kind: kindReadResp, MsgID: h.MsgID, Size: h.Size}
@@ -402,7 +397,7 @@ func (ch *Channel) serveMockRead(h *wireHdr) {
 	if size > 0 {
 		data = w.mr.Slice(h.Addr, size)
 	}
-	ch.sendCtrlPayload(resp, data, nil)
+	ch.sendCtrlHdr(resp, data, nil)
 }
 
 // resolveMockRead completes an emulated READ at the requester.
@@ -444,71 +439,4 @@ func (ch *Channel) applyMockWrite(h *wireHdr, pay []byte) {
 	if ch.onWriteImm != nil {
 		ch.onWriteImm(h.Imm, h.Addr, size)
 	}
-}
-
-// handleWriteImmCQE delivers an RDMA-path inbound WRITE+imm: the NIC
-// already placed the data in the window MR; the consumed receive WQE is
-// reposted and the immediate handed to the application. Runs before
-// header decoding in dispatchRecv — a WRITE+imm carries no wire header in
-// the receive buffer.
-func (ch *Channel) handleWriteImmCQE(cqe rnic.CQE) {
-	ch.lk.lastComm = ch.ctx.eng.Now()
-	ch.repostRecv(cqe.WRID)
-	if ch.onWriteImm != nil {
-		ch.onWriteImm(cqe.Imm, cqe.Addr, cqe.Len)
-	}
-}
-
-// sendCtrlPayload emits a window-exempt ctrl frame carrying a payload
-// (mock READ_RESP / WRITE_IMM emulation; RDMA ctrl frames ride SEND). cb,
-// when non-nil, fires once the frame is handed to the transport.
-func (ch *Channel) sendCtrlPayload(h *wireHdr, data []byte, cb func(error)) {
-	if ch.closed || ch.rx == nil {
-		if cb != nil {
-			cb(ErrChannelClosed)
-		}
-		return
-	}
-	h.Ack = ch.rx.ackValue()
-	if ch.mx != nil {
-		h.Chan = ch.peerCID
-	}
-	hb := h.wireBytes()
-	buf := make([]byte, hb+len(data))
-	h.encode(buf)
-	copy(buf[hb:], data)
-	if ch.mock != nil {
-		if !ch.mock.ready {
-			if cb != nil {
-				cb(ErrNoPath)
-			}
-			return
-		}
-		ch.mock.conn.Send(buf, len(buf), cb)
-		ch.noteAckCarried()
-		return
-	}
-	if ch.health != HealthHealthy || ch.resumeOnRx {
-		if cb != nil {
-			cb(ErrNoPath)
-		}
-		return
-	}
-	wr := &rnic.SendWR{Op: rnic.OpSend, Len: len(buf), Data: buf}
-	ch.ctx.flow.postDirect(ch.qp, wr, func(cqe rnic.CQE) {
-		if cqe.Status != rnic.StatusOK {
-			if cb != nil {
-				cb(fmt.Errorf("xrdma: ctrl send failed: %v", cqe.Status))
-			}
-			if !ch.closed && cqe.QPN == ch.qp.QPN {
-				ch.fail(fmt.Errorf("xrdma: ctrl send failed: %v", cqe.Status))
-			}
-			return
-		}
-		if cb != nil {
-			cb(nil)
-		}
-	})
-	ch.noteAckCarried()
-	ch.lk.lastComm = ch.ctx.eng.Now()
 }

@@ -386,10 +386,10 @@ func (ch *Channel) FirstRehashAt() sim.Time { return ch.doctorRef().firstRehashA
 // FlowHash exposes the QP's effective ECMP flow key so experiments can
 // predict (and then brown out) the exact spine path this channel rides.
 func (ch *Channel) FlowHash() uint64 {
-	if ch.qp == nil {
+	if ch.lk == nil || ch.lk.qp == nil {
 		return 0
 	}
-	return ch.qp.FlowHash()
+	return ch.lk.qp.FlowHash()
 }
 
 // PathLog returns the doctor's deterministic verdict/rehash history.

@@ -35,7 +35,7 @@ func TestFlowLabelSteersECMP(t *testing.T) {
 	// handful of draws must suffice.
 	var steered uint64
 	for label := uint64(1); label < 32; label++ {
-		if err := w.ctxs[0].vctx.ModifyFlowLabel(cli.qp.QPN, label); err != nil {
+		if err := w.ctxs[0].vctx.ModifyFlowLabel(cli.QPN(), label); err != nil {
 			t.Fatal(err)
 		}
 		if cli.FlowHash() == base {
@@ -64,7 +64,7 @@ func TestFlowLabelSteersECMP(t *testing.T) {
 	}
 
 	// Label 0 restores the canonical path.
-	if err := w.ctxs[0].vctx.ModifyFlowLabel(cli.qp.QPN, 0); err != nil {
+	if err := w.ctxs[0].vctx.ModifyFlowLabel(cli.QPN(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if cli.FlowHash() != base {

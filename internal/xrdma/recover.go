@@ -9,7 +9,7 @@ import (
 
 // The exclusive-QP owner of a link (link.go): one channel, one rider. What
 // is particular to it is where replacement QPs come from (the QP cache,
-// with a fresh per-channel receive pool), who redials (the lower node id,
+// with a fresh receive pool), who redials (the lower node id,
 // through Options.RecoverPort), and what happens when re-establishment is
 // exhausted — the Mock fallback (§VI-C) when configured, from which
 // periodic failback probes try to return to RDMA, terminal teardown
@@ -41,41 +41,10 @@ func (ch *Channel) release(qp *rnic.QP, bufs []Buffer) {
 
 func (ch *Channel) parked() {}
 
-func (ch *Channel) retire(initiator bool) {
-	if ch.mock != nil {
-		if initiator {
-			ch.closeMock()
-		} else if ch.mock.conn != nil {
-			// Keep draining the mock conn until the dialer closes it — the
-			// windowed dedup makes the overlap harmless.
-			ch.mock.conn.OnClose = nil
-		}
-		ch.mock = nil
-	} else {
-		ch.leaveTable()
-		ch.ctx.QPs.Put(ch.lk.qp)
-	}
+// adopted puts the channel's XR-Stat row, which is keyed by QPN, under the
+// link's (new) one.
+func (ch *Channel) adopted() {
 	ch.unregisterGauges()
-}
-
-// install posts the pre-allocated standing receive pool — the buffers whose
-// footprint the §III Issue-1 formula describes — and publishes the channel
-// under its link's QPN.
-func (ch *Channel) install(bufs []Buffer) {
-	c := ch.ctx
-	ch.qp = ch.lk.qp
-	c.channels[ch.qp.QPN] = ch
-	if ch.recvBufs == nil && len(bufs) > 0 {
-		ch.recvBufs = make(map[uint64]Buffer, len(bufs))
-	}
-	for _, buf := range bufs {
-		id := c.nextWRID()
-		ch.recvBufs[id] = buf
-		if err := ch.qp.PostRecv(rnic.RecvWR{ID: id, Addr: buf.Addr, Len: buf.Len}); err != nil {
-			delete(ch.recvBufs, id)
-			c.Mem.Free(buf)
-		}
-	}
 	ch.registerGauges()
 }
 
@@ -83,11 +52,13 @@ func (ch *Channel) install(bufs []Buffer) {
 // terminal teardown otherwise.
 func (ch *Channel) exhausted(cause error) {
 	c := ch.ctx
-	if ch.closed || ch.mock != nil {
+	if ch.closed || ch.lk.state == linkFallback {
 		return
 	}
 	if c.cfg.MockEnabled && c.tcp != nil && c.mockPort > 0 {
-		ch.switchToMock(cause)
+		// Degrade onto TCP instead of dying.
+		ch.enterMockMode(cause)
+		ch.connectMock(cause)
 		return
 	}
 	c.Stats.ChannelsBroken++
@@ -102,15 +73,11 @@ func (ch *Channel) park() {
 	ch.quiesce()
 }
 
-// quiesce drops what only a live QP could use. The receive pool is useless
-// while the QP is broken (and may be gone entirely after a NIC restart);
-// fresh buffers arrive with the replacement connection.
+// quiesce drops what only a live QP could use: the link's receive pool (a
+// shared QP has none) and the rider's ack timer.
 func (ch *Channel) quiesce() {
 	c := ch.ctx
-	for id, buf := range ch.recvBufs {
-		delete(ch.recvBufs, id)
-		c.Mem.Free(buf)
-	}
+	ch.lk.dropPool()
 	c.eng.Cancel(ch.ackEv)
 	ch.ackEv = sim.Event{}
 	ch.nopInFlight = false
@@ -157,7 +124,7 @@ func (ch *Channel) armFailback() {
 	d += sim.Duration(c.rng.Float64() * float64(d) / 4)
 	epoch := l.epoch
 	c.eng.AfterBg(d, func() {
-		if l.epoch == epoch && ch.mock.ready {
+		if l.epoch == epoch && l.fb != nil {
 			ch.tryFailback()
 		}
 	})
@@ -174,7 +141,7 @@ func (ch *Channel) tryFailback() {
 	ch.setHealth(HealthRecovering)
 	ch.lk.dialOnce(func() {
 		ch.setHealth(HealthFallback)
-		if ch.mock.conn == nil || !ch.mock.ready {
+		if ch.lk.fb == nil {
 			// The fallback died while we probed; re-run its rendezvous.
 			ch.connectMock(fmt.Errorf("mock lost during failback probe"))
 			return

@@ -62,8 +62,9 @@ func newRecoverWorld(t testing.TB, n int, mutate func(i int, cfg *Config)) *test
 	return w
 }
 
-// idStream drives a steady stream of 16-byte id-stamped requests over ch
-// and tallies exact delivery on the server side.
+// idStream drives a steady stream of id-stamped requests over ch — 16 bytes,
+// or with bigEvery a 64 KiB one mixed in — and tallies exact delivery on
+// the server side.
 type idStream struct {
 	sent     uint64
 	sendErrs int
@@ -177,7 +178,6 @@ func TestRecoveryConformance(t *testing.T) {
 	rows := []struct {
 		name      string
 		fault     func(w *world)
-		big       bool // every 16th request is a rendezvous
 		exhausted bool // the fault outlives the retry budget
 		check     func(t *testing.T, w *world)
 	}{
@@ -214,7 +214,7 @@ func TestRecoveryConformance(t *testing.T) {
 				t.Errorf("RecoverAttempts=%d on an intact wire, want 1", got)
 			}
 		}},
-		{name: "nic-restart-dead-staging", big: true, fault: func(w *world) {
+		{name: "nic-restart-dead-staging", fault: func(w *world) {
 			// The dialer reboots with rendezvous payloads staged and
 			// unacked: their registered memory dies with the NIC and the
 			// replay must restage them from the retained data.
@@ -261,9 +261,7 @@ func TestRecoveryConformance(t *testing.T) {
 				streams := make([]*idStream, len(w.cli))
 				for k := range w.cli {
 					streams[k] = newIDStream(w.srv[k])
-					if row.big {
-						streams[k].bigEvery = 16
-					}
+					streams[k].bigEvery = 16 // 16 B inline mixed with 64 KiB rendezvous, on every transport
 					streams[k].run(w.eng, w.cli[k], 500*sim.Microsecond, 150*sim.Millisecond)
 				}
 				row.fault(w)
@@ -331,8 +329,8 @@ func TestRecoveryConformance(t *testing.T) {
 					if n := liveQPs(w.nics[i]); n != pool {
 						t.Errorf("node %d: %d QPs live after close, want %d", i, n, pool)
 					}
-					if len(c.links) != pool || (pool == 0 && len(c.linkIdx) != 0) {
-						t.Errorf("node %d: %d links / %d index entries left, want %d links", i, len(c.links), len(c.linkIdx), pool)
+					if len(c.links) != pool || len(c.qpnTab) != pool {
+						t.Errorf("node %d: %d links / %d QPN table entries left, want %d", i, len(c.links), len(c.qpnTab), pool)
 					}
 				}
 			})

@@ -112,6 +112,16 @@ func (ch *Channel) enqueue(ps *pendingSend) {
 	ch.pump()
 }
 
+// pathUp reports whether frames can leave right now: on the Mock fallback
+// once its conn is attached, otherwise on a healthy link — and, freshly
+// recovered on the passive side, only after the peer's QP proved live.
+func (ch *Channel) pathUp() bool {
+	if ch.lk.state == linkFallback {
+		return ch.lk.fb != nil
+	}
+	return ch.health == HealthHealthy && !ch.resumeOnRx
+}
+
 // pump drains the send queue head-of-line in order: window slots gate
 // everything; rendezvous messages additionally wait for their staging
 // buffer. Strict FIFO keeps wire sequence numbers in submission order.
@@ -119,7 +129,7 @@ func (ch *Channel) enqueue(ps *pendingSend) {
 // holds traffic, a mocked channel waits for its TCP conn, and a freshly
 // recovered passive side holds until the peer's QP proves live.
 func (ch *Channel) pump() {
-	c := ch.ctx
+	c, lk := ch.ctx, ch.lk
 	if ch.attach != attachDone {
 		// Lazy mux descriptor: the first queued send is what triggers the
 		// QP-pool attach; traffic drains from finishAttach.
@@ -128,17 +138,7 @@ func (ch *Channel) pump() {
 		}
 		return
 	}
-	for len(ch.sendQ) > 0 && !ch.closed {
-		if ch.resumeOnRx {
-			return
-		}
-		if ch.mock != nil {
-			if !ch.mock.ready {
-				return
-			}
-		} else if ch.health != HealthHealthy {
-			return
-		}
+	for len(ch.sendQ) > 0 && !ch.closed && ch.pathUp() {
 		ps := ch.sendQ[0]
 		if !ch.tx.canSend() {
 			if !ch.stallFlag {
@@ -150,12 +150,12 @@ func (ch *Channel) pump() {
 		}
 		// Over the mock transport everything goes inline — TCP has no
 		// rendezvous read, and ps.data is still at hand.
-		large := ps.size > c.cfg.SmallMsgSize && ch.mock == nil
+		large := ps.size > c.cfg.SmallMsgSize && lk.state != linkFallback
 		if large && !ps.ready {
 			if !ps.staging {
 				ps.staging = true
 				c.Mem.AllocT(ch.tenant, ps.size, func(buf Buffer, err error) {
-					if ch.closed || ch.mock != nil {
+					if ch.closed || lk.state == linkFallback {
 						// The channel died or cut over to mock while the
 						// staging allocation was in flight; the message
 						// will go inline (or nowhere).
@@ -231,11 +231,8 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 	}
 	ch.sent[seq] = ps
 	h := wireHdr{
-		Kind: kind, Ver: ch.lk.ver, Seq: seq, Ack: ch.rx.ackValue(),
+		Kind: kind, Ver: ch.lk.ver, Seq: seq, Ack: ch.rx.ackValue(), Chan: ch.peerCID,
 		MsgID: ps.msgID, Size: uint32(ps.size),
-	}
-	if ch.mx != nil {
-		h.Chan = ch.peerCID
 	}
 	if t := ch.tenant; t != nil {
 		t.noteSend(ch)
@@ -263,7 +260,7 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 	// blame bit end-to-end; responses to blamed requests mirror the remote
 	// stages. Inline RDMA messages only — mock/rendezvous stay unsampled.
 	var blameAcc *telemetry.PktBlame
-	if c.cfg.ReqRspMode && ch.mock == nil {
+	if c.cfg.ReqRspMode && ch.lk.state != linkFallback {
 		switch {
 		case kind == kindReq && !ps.oneWay && ch.peerCap(capBlame) && ch.blameSampled(ps.msgID):
 			h.Flags |= flagTraced | flagBlame
@@ -280,63 +277,30 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 			blameAcc = &telemetry.PktBlame{}
 		}
 	}
-	hb := h.wireBytes()
-	wireLen := hb
+	wireLen := h.wireBytes()
+	var inline []byte
 	if !large {
 		wireLen += ps.size
+		inline = ps.data
 	}
 	if t := ch.tenant; t != nil {
 		t.Sent++
 		t.TxBytes += int64(wireLen)
 	}
-	var buf []byte
-	if !large && ps.data != nil {
-		buf = make([]byte, hb+len(ps.data))
-		h.encode(buf)
-		copy(buf[hb:], ps.data)
-	} else {
-		buf = make([]byte, hb)
-		h.encode(buf)
-	}
 	ch.noteAckCarried()
-	if ch.mock != nil {
-		ch.mock.conn.Send(buf, wireLen, nil)
-		ch.Counters.MsgsSent++
-		ch.Counters.BytesSent += int64(ps.size)
-		c.tel.Trace.Instant("msg.send", c.track, c.eng.Now(), int64(ps.size))
-		if h.Flags&flagTraced != 0 {
-			c.trace.onSend(ch, &h)
-		}
-		return
-	}
-	wr := &rnic.SendWR{Op: rnic.OpSend, Len: wireLen, Data: buf, Blame: blameAcc}
+	wr := ch.lk.emit(ch, &h, inline, wireLen, blameAcc, nil)
 	if blameAcc != nil && kind == kindReq {
 		if rs, ok := ch.pending[ps.msgID]; ok {
+			qc := &ch.lk.qp.Counters
 			rs.blame = &reqBlame{
 				enqAt: ps.enqAt, txAt: c.eng.Now(), wr: wr, acc: blameAcc,
-				rtoRef: ch.qp.Counters.RTORecoveryNs, rnrRef: ch.qp.Counters.RNRRecoveryNs,
+				rtoRef: qc.RTORecoveryNs, rnrRef: qc.RNRRecoveryNs,
 			}
 		}
 	}
-	sendCB := func(cqe rnic.CQE) {
-		if cqe.Status != rnic.StatusOK && !ch.closed && cqe.QPN == ch.qp.QPN {
-			// The QPN guard drops stale flushes: a recovery that already
-			// swapped in a replacement QP flushes the old one's WRs, and
-			// those completions must not re-fail the fresh transport.
-			ch.fail(fmt.Errorf("xrdma: send failed: %v", cqe.Status))
-		}
-	}
-	if ch.mx != nil && ch.mx.sched != nil {
-		// Tenanted shared QP: the DRR scheduler arbitrates the SQ so the
-		// mux pool honors tenant weights instead of FIFO head-of-line.
-		ch.mx.sched.submit(ch, ch.qp, wr, sendCB)
-	} else {
-		c.flow.post(ch.qp, wr, sendCB)
-	}
 	ch.Counters.MsgsSent++
 	ch.Counters.BytesSent += int64(ps.size)
-	ch.lk.lastComm = c.eng.Now()
-	c.tel.Trace.Instant("msg.send", c.track, ch.lk.lastComm, int64(ps.size))
+	c.tel.Trace.Instant("msg.send", c.track, c.eng.Now(), int64(ps.size))
 	if h.Flags&flagTraced != 0 {
 		c.trace.onSend(ch, &h)
 	}
@@ -379,37 +343,34 @@ func (ch *Channel) blameSampled(msgID uint64) bool {
 	return msgID%n == 0
 }
 
-// sendCtrl emits a window-exempt control message (ack/NOP/ping/pong).
+// sendCtrl emits a window-exempt control message (ack/NOP/path hint).
 func (ch *Channel) sendCtrl(kind msgKind) {
-	ch.sendCtrlHdr(&wireHdr{Kind: kind})
+	ch.sendCtrlHdr(&wireHdr{Kind: kind}, nil, nil)
 }
 
-func (ch *Channel) sendCtrlHdr(h *wireHdr) {
-	if ch.closed || ch.rx == nil {
+// sendCtrlHdr emits a window-exempt frame, optionally carrying a payload
+// (the Mock emulation of READ_RESP / WRITE_IMM). Control traffic is
+// advisory — cumulative acks re-ride the next message — so without a live
+// path the frame is dropped. done, when non-nil, hears that as an error, and
+// otherwise fires once the frame is handed to the transport.
+func (ch *Channel) sendCtrlHdr(h *wireHdr, data []byte, done func(error)) {
+	var err error
+	switch {
+	case ch.closed || ch.rx == nil:
 		// rx is nil only on an unattached mux descriptor — there is no wire
 		// yet to put a control frame on.
-		return
+		err = ErrChannelClosed
+	case !ch.pathUp():
+		err = ErrNoPath
 	}
-	h.Ver = ch.lk.ver
-	h.Ack = ch.rx.ackValue()
-	if ch.mx != nil {
-		h.Chan = ch.peerCID
-	}
-	switch {
-	case ch.mock != nil:
-		if !ch.mock.ready {
-			return
+	if err != nil {
+		if done != nil {
+			done(err)
 		}
-		buf := make([]byte, h.wireBytes())
-		h.encode(buf)
-		ch.mock.conn.Send(buf, len(buf), nil)
-	case ch.health != HealthHealthy || ch.resumeOnRx:
-		// No live RDMA path to put this on; control traffic is advisory
-		// (cumulative acks re-ride the next message).
 		return
-	default:
-		ch.lk.sendCtrl(h)
 	}
+	h.Ver, h.Ack, h.Chan = ch.lk.ver, ch.rx.ackValue(), ch.peerCID
+	ch.lk.emit(ch, h, data, h.wireBytes()+len(data), nil, done)
 	if h.Kind == kindAck {
 		ch.Counters.AcksSent++
 		ch.ctx.Stats.AcksSent++
@@ -447,32 +408,10 @@ func (ch *Channel) maybeAck() {
 
 // --- inbound ----------------------------------------------------------------
 
-func (ch *Channel) handleInbound(cqe rnic.CQE) {
-	c := ch.ctx
-	ch.lk.lastComm = c.eng.Now()
-	h, hdrLen, err := decodeHdr(cqe.Data)
-	ch.repostRecv(cqe.WRID)
-	if err != nil {
-		if errors.Is(err, errVersion) {
-			var wireVer uint8
-			if len(cqe.Data) > 2 {
-				wireVer = cqe.Data[2]
-			}
-			c.noteVerMismatch(ch.Peer, ch.QPN(), wireVer, wireVer)
-		}
-		c.logf("inbound decode error from peer %d: %v", ch.Peer, err)
-		return
-	}
-	var pay []byte
-	if size := int(h.Size); size > 0 && len(cqe.Data) >= hdrLen+size {
-		pay = cqe.Data[hdrLen : hdrLen+size]
-	}
-	ch.handleWire(&h, pay, false, cqe.Blame)
-}
-
-// handleWire is the transport-independent inbound path: RDMA receive
-// completions and mock TCP messages both land here with a decoded header
-// and the inline payload (if carried). rxBlame is the in-band fabric
+// handleWire is the transport-independent inbound path (an exclusive
+// link's owner hook, and where a shared QP's demux lands): RDMA receive
+// completions and mock TCP messages both arrive with a decoded header and
+// the inline payload (if carried). rxBlame is the in-band fabric
 // accumulator the message's trace bit collected (nil unless blame-traced).
 func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *telemetry.PktBlame) {
 	c := ch.ctx
@@ -523,7 +462,7 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 		// The pong carries this node's clock (trace extension) so the
 		// pinger can estimate the offset, NTP-style.
 		pong := &wireHdr{Kind: kindPong, MsgID: h.MsgID, Flags: flagTraced, T1: int64(c.LocalClock())}
-		ch.sendCtrlHdr(pong)
+		ch.sendCtrlHdr(pong, nil, nil)
 	case kindPong:
 		ch.resolvePing(h)
 	case kindWinGrant:
@@ -591,7 +530,7 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 		ch.pulls[seqNo] = true
 		raddr, rkey := h.Addr, h.RKey
 		c.Mem.Alloc(size, func(buf Buffer, err error) {
-			if ch.closed || ch.mock != nil || ch.health != HealthHealthy {
+			if ch.closed || ch.health != HealthHealthy {
 				if err == nil {
 					c.Mem.Free(buf)
 				}
@@ -604,12 +543,12 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 				return
 			}
 			pullStart := c.eng.Now()
-			pullQP := ch.qp
-			c.flow.fetchRemote(ch.qp, raddr, rkey, buf, size, func(st rnic.Status) {
+			pullQP := ch.lk.qp
+			c.flow.fetchRemote(pullQP, raddr, rkey, buf, size, func(st rnic.Status) {
 				// A completion from a pre-recovery transport is stale news:
 				// the channel already cut over, and the replayed announce
 				// owns the pull marker for this sequence now.
-				stale := ch.qp != pullQP || ch.mock != nil
+				stale := ch.lk.qp != pullQP || ch.lk.state == linkFallback
 				if !stale {
 					delete(ch.pulls, seqNo)
 				}
@@ -746,7 +685,7 @@ func (ch *Channel) Ping(cb func(rtt sim.Duration, offset sim.Duration, err error
 		ch.pings = make(map[uint64]*pingState)
 	}
 	ch.pings[id] = &pingState{sentAt: ch.ctx.eng.Now(), sentClock: ch.ctx.LocalClock(), cb: cb}
-	ch.sendCtrlHdr(&wireHdr{Kind: kindPing, MsgID: id})
+	ch.sendCtrlHdr(&wireHdr{Kind: kindPing, MsgID: id}, nil, nil)
 }
 
 func (ch *Channel) resolvePing(h *wireHdr) {

@@ -67,7 +67,7 @@ func (t *Tracer) onRecv(ch *Channel, m *Msg) {
 	if oneWay > t.ctx.cfg.SlowThreshold {
 		t.SlowOps++
 		ch.blameSuspect = blameSuspectBudget
-		t.ctx.tel.Flight.Record(now, telemetry.CatSlowOp, int32(t.ctx.Node()), ch.qp.QPN, int64(oneWay), int64(m.MsgID))
+		t.ctx.tel.Flight.Record(now, telemetry.CatSlowOp, int32(t.ctx.Node()), ch.QPN(), int64(oneWay), int64(m.MsgID))
 		t.ctx.tel.Trace.Instant("slow.op", t.ctx.track, now, int64(oneWay))
 		t.ctx.logf("slow %s msg %d from %d: one-way %v", kind, m.MsgID, ch.Peer, oneWay)
 	}
@@ -84,7 +84,7 @@ func (t *Tracer) onResponse(ch *Channel, m *Msg, sentAt sim.Time) {
 	if rtt > 2*t.ctx.cfg.SlowThreshold {
 		t.SlowOps++
 		ch.blameSuspect = blameSuspectBudget
-		t.ctx.tel.Flight.Record(now, telemetry.CatSlowOp, int32(t.ctx.Node()), ch.qp.QPN, int64(rtt), int64(m.MsgID))
+		t.ctx.tel.Flight.Record(now, telemetry.CatSlowOp, int32(t.ctx.Node()), ch.QPN(), int64(rtt), int64(m.MsgID))
 		t.ctx.tel.Trace.Instant("slow.op", t.ctx.track, now, int64(rtt))
 		t.ctx.logf("slow request %d to %d: rtt %v", m.MsgID, ch.Peer, rtt)
 	}
@@ -101,7 +101,7 @@ func (t *Tracer) onBlame(ch *Channel, m *Msg, rs *reqState) {
 	b, mb := rs.blame, m.blame
 	now := c.eng.Now()
 	rec := telemetry.BlameRec{
-		MsgID: m.MsgID, Node: int32(c.Node()), QPN: ch.qp.QPN,
+		MsgID: m.MsgID, Node: int32(c.Node()), QPN: ch.QPN(),
 		At: b.enqAt, RTT: now.Sub(b.enqAt),
 	}
 	if t := ch.tenant; t != nil {
@@ -133,10 +133,10 @@ func (t *Tracer) onBlame(ch *Channel, m *Msg, rs *reqState) {
 	// Request-direction loss recovery: this QP's cumulative recovery
 	// residency since transmit (negative deltas mean the channel moved to
 	// a fresh QP mid-flight — nothing attributable).
-	if d := ch.qp.Counters.RTORecoveryNs - b.rtoRef; d > 0 {
+	if d := ch.lk.qp.Counters.RTORecoveryNs - b.rtoRef; d > 0 {
 		rec.Dur[telemetry.StageRTORecovery] = sim.Duration(d)
 	}
-	if d := ch.qp.Counters.RNRRecoveryNs - b.rnrRef; d > 0 {
+	if d := ch.lk.qp.Counters.RNRRecoveryNs - b.rnrRef; d > 0 {
 		rec.Dur[telemetry.StageRNRRecovery] = sim.Duration(d)
 	}
 	// PFC pause is a sub-component of fabric queueing, so it is excluded

@@ -10,6 +10,7 @@ import (
 	"xrdma/internal/sim"
 	"xrdma/internal/tcpnet"
 	"xrdma/internal/verbs"
+	"xrdma/internal/xrmon"
 )
 
 // testWorld wires N nodes with contexts over a small clos fabric.
@@ -737,34 +738,41 @@ func TestMonitorSamples(t *testing.T) {
 	}
 }
 
-// MaxSamples must actually bound per-node sample memory in long runs:
-// the ring overwrites in place once full, so neither the slice length
-// nor its backing array may grow past the cap, and History returns the
-// newest MaxSamples observations oldest-first.
-func TestMonitorMaxSamplesBoundsMemory(t *testing.T) {
-	w := newWorld(t, 2, nil)
-	w.mon.MaxSamples = 64
+// The monitor retains no per-tick state of its own: its history is a view
+// over the xrmon agent's ring, so however long the run, History is the last
+// xrmon.Window ticks — each reconstructed exactly as Latest reported it when
+// it was the newest — and a tick costs the monitor no memory.
+func TestMonitorHistoryIsAgentView(t *testing.T) {
+	// The test drives the ticks itself; park the housekeeping timer's.
+	w := newWorld(t, 2, func(_ int, cfg *Config) { cfg.StatsInterval = sim.Second })
+	cli, srv := w.connect(t, 0, 1, 5021)
+	echoServer(srv)
 	c := w.ctxs[0]
-	for i := 0; i < 10000; i++ {
-		w.eng.RunFor(1 * sim.Microsecond) // advance the clock between samples
+	var seen []Sample
+	for i := 0; i < 1000; i++ {
+		cli.SendMsg(nil, 64, func(*Msg, error) {})
+		w.eng.RunFor(20 * sim.Microsecond)
 		w.mon.sample(c)
-	}
-	buf := w.mon.samples[0]
-	if len(buf) != 64 || cap(buf) > 128 {
-		t.Fatalf("ring len=%d cap=%d, want len=64 and cap bounded near MaxSamples", len(buf), cap(buf))
+		latest, ok := w.mon.Latest(0)
+		if !ok {
+			t.Fatal("no Latest after a sample")
+		}
+		seen = append(seen, latest)
 	}
 	h := w.mon.History(0)
-	if len(h) != 64 {
-		t.Fatalf("History returned %d samples, want 64", len(h))
+	if len(h) != xrmon.Window {
+		t.Fatalf("History returned %d samples, want xrmon.Window=%d", len(h), xrmon.Window)
 	}
-	for i := 1; i < len(h); i++ {
-		if h[i].At < h[i-1].At {
-			t.Fatalf("History out of order at %d: %v < %v", i, h[i].At, h[i-1].At)
+	for i, s := range h {
+		if want := seen[len(seen)-len(h)+i]; s != want {
+			t.Fatalf("History[%d] = %+v, want what Latest reported for that tick: %+v", i, s, want)
 		}
 	}
-	latest, ok := w.mon.Latest(0)
-	if !ok || latest != h[63] {
-		t.Fatalf("Latest = %+v, want newest history entry", latest)
+	if h[len(h)-1].MsgsSent <= h[0].MsgsSent {
+		t.Fatalf("window shows no traffic: %+v .. %+v", h[0], h[len(h)-1])
+	}
+	if n := testing.AllocsPerRun(100, func() { w.mon.sample(c) }); n != 0 {
+		t.Fatalf("a monitor tick allocates %v objects; it must keep nothing", n)
 	}
 }
 

@@ -288,6 +288,10 @@ func (a *Agent) Tenants() []TenantRef { return a.tenants }
 // TenantSlot maps (tenant block t, per-tenant slot s) to a ring slot.
 func (a *Agent) TenantSlot(t, s int) int { return NodeSlots + t*TenantSlots + s }
 
+// At reports when the k-th most recent tick was sampled (0 = the latest,
+// k < Len).
+func (a *Agent) At(k int) sim.Time { return a.at[(a.idx+Window-1-k)%Window] }
+
 // Abs reports the latest absolute value sampled for slot.
 func (a *Agent) Abs(slot int) int64 { return a.last[slot] }
 
