@@ -274,8 +274,10 @@ func (n *NIC) NumQPs() int { return len(n.qps) }
 
 // --- hardware command queue -------------------------------------------
 
-// submitCmd serializes a hardware command; done fires when it completes.
-func (n *NIC) submitCmd(cost sim.Duration, done func()) {
+// SubmitCmd serializes a hardware command; done fires when it completes.
+// The driver layer queues through it directly when a command must be
+// withdrawable while it waits (verbs.CM's cancellable dial).
+func (n *NIC) SubmitCmd(cost sim.Duration, done func()) {
 	n.cmdQueue = append(n.cmdQueue, hwCmd{cost: cost, fn: done})
 	n.pumpCmds()
 }
@@ -315,7 +317,7 @@ const (
 
 // CreateQP allocates a QP through the hardware command queue.
 func (n *NIC) CreateQP(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ, done func(*QP)) {
-	n.submitCmd(QPCreateCost, func() {
+	n.SubmitCmd(QPCreateCost, func() {
 		qp := n.allocQP(sqCap, rqCap, sendCQ, recvCQ, srq)
 		done(qp)
 	})
@@ -351,7 +353,7 @@ func (n *NIC) AllocQPNow(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 // ModifyQP advances the state machine through the hardware command queue.
 // Transitions must follow RESET→INIT→RTR→RTS; RTR wires the remote peer.
 func (n *NIC) ModifyQP(qp *QP, to QPState, remote fabric.NodeID, remoteQPN uint32, done func(error)) {
-	n.submitCmd(QPModifyCost, func() {
+	n.SubmitCmd(QPModifyCost, func() {
 		done(n.modifyQPNow(qp, to, remote, remoteQPN))
 	})
 }

@@ -92,7 +92,7 @@ type CM struct {
 
 	listeners map[int]func(*ConnReq)
 	nextMsgID uint64
-	pending   map[uint64]*dialState
+	pending   map[uint64]*Dial // REQ sent, REP/REJ awaited
 
 	// EstablishedConns counts successful connects+accepts (monitoring).
 	EstablishedConns int64
@@ -122,9 +122,14 @@ type Conn struct {
 	PeerData []byte
 }
 
-type dialState struct {
-	qp   *rnic.QP
-	done func(*Conn, error)
+// Dial is the handle of one Connect in flight (rdma_cm_id analogue): what
+// CM.Cancel takes to abandon it.
+type Dial struct {
+	id      uint64   // REQ message id (0 until the REQ leaves)
+	qp      *rnic.QP // nil until a CM-created QP exists
+	created bool     // the CM created qp itself (no recycled QP was passed)
+	settled bool     // done was called, or the dial was cancelled
+	done    func(*Conn, error)
 }
 
 // cmMsg is the REQ/REP/RTU control payload.
@@ -142,7 +147,7 @@ func NewCM(ctx *Context, net *CMNetwork, host *fabric.Host) *CM {
 	cm := &CM{
 		ctx: ctx, net: net, host: host,
 		listeners: make(map[int]func(*ConnReq)),
-		pending:   make(map[uint64]*dialState),
+		pending:   make(map[uint64]*Dial),
 	}
 	host.AttachProto(fabric.ProtoCM, cm)
 	net.cms[host.ID] = cm
@@ -176,29 +181,90 @@ func (cm *CM) send(to fabric.NodeID, m *cmMsg) {
 // Connect establishes an RC connection to (remote, port). If recycledQP is
 // non-nil it is reused — X-RDMA's QP cache path — skipping the expensive
 // creation command. done receives the connection after the full
-// REQ/REP/RTU rendezvous.
-func (cm *CM) Connect(remote fabric.NodeID, port int, privateData []byte, recycledQP *rnic.QP, depth int, sendCQ, recvCQ *rnic.CQ, srq *rnic.SRQ, done func(*Conn, error)) {
+// REQ/REP/RTU rendezvous. A dial that ends in a REJ or a failed transition
+// destroys the QP the CM created for it; a recycled QP stays the caller's
+// to release. The returned handle cancels the dial (Cancel).
+func (cm *CM) Connect(remote fabric.NodeID, port int, privateData []byte, recycledQP *rnic.QP, depth int, sendCQ, recvCQ *rnic.CQ, srq *rnic.SRQ, done func(*Conn, error)) *Dial {
 	nic := cm.ctx.NIC
-	proceed := func(qp *rnic.QP) {
-		nic.ModifyQP(qp, rnic.QPInit, 0, 0, func(err error) {
-			if err != nil {
-				done(nil, err)
-				return
-			}
+	d := &Dial{qp: recycledQP, created: recycledQP == nil, done: done}
+	request := func() {
+		cm.step(d, rnic.QPInit, 0, 0, func() {
 			cm.nextMsgID++
-			id := cm.nextMsgID
-			cm.pending[id] = &dialState{qp: qp, done: done}
-			cm.send(remote, &cmMsg{kind: 0, msgID: id, port: port, qpn: qp.QPN, private: privateData})
+			d.id = cm.nextMsgID
+			cm.pending[d.id] = d
+			cm.send(remote, &cmMsg{kind: 0, msgID: d.id, port: port, qpn: d.qp.QPN, private: privateData})
 		})
 	}
 	cm.ctx.Eng.After(ResolveCost, func() {
-		if recycledQP != nil {
-			proceed(recycledQP)
+		switch {
+		case d.settled:
+		case d.qp != nil:
+			request()
+		default:
+			nic.CreateQP(depth, depth, sendCQ, recvCQ, srq, func(qp *rnic.QP) {
+				if d.settled {
+					nic.DestroyQP(qp)
+					return
+				}
+				d.qp = qp
+				request()
+			})
+		}
+	})
+	return d
+}
+
+// step queues one transition of a dial's QP on the hardware command queue.
+// A dial cancelled while the command waited leaves the QP untouched — it
+// has been handed back; a failed transition ends the dial.
+func (cm *CM) step(d *Dial, to rnic.QPState, remote fabric.NodeID, remoteQPN uint32, next func()) {
+	nic := cm.ctx.NIC
+	nic.SubmitCmd(rnic.QPModifyCost, func() {
+		if d.settled {
 			return
 		}
-		nic.CreateQP(depth, depth, sendCQ, recvCQ, srq, proceed)
+		if err := nic.ModifyQPNow(d.qp, to, remote, remoteQPN); err != nil {
+			cm.fail(d, err)
+			return
+		}
+		next()
 	})
 }
+
+// settle ends a dial, one way or the other, and says whose the QP is now: one
+// the CM created itself is destroyed here, a recycled one is returned — it
+// stays the caller's to release.
+func (cm *CM) settle(d *Dial) *rnic.QP {
+	d.settled = true
+	delete(cm.pending, d.id)
+	if !d.created {
+		return d.qp
+	}
+	if d.qp != nil {
+		cm.ctx.NIC.DestroyQP(d.qp)
+	}
+	return nil
+}
+
+// fail ends a dial in a REJ or a failed transition.
+func (cm *CM) fail(d *Dial, err error) {
+	cm.settle(d)
+	d.done(nil, err)
+}
+
+// Cancel abandons a dial in flight: done is never called, and no command
+// still queued for it touches the QP. The recycled QP, if the dial was given
+// one, comes back for the caller to release. Cancelling a finished dial is a
+// no-op.
+func (cm *CM) Cancel(d *Dial) *rnic.QP {
+	if d == nil || d.settled {
+		return nil
+	}
+	return cm.settle(d)
+}
+
+// PendingDials counts dials whose REQ is out and unanswered (leak checks).
+func (cm *CM) PendingDials() int { return len(cm.pending) }
 
 // Accept completes the passive side with the given QP (create it first, or
 // pass a recycled one); the QP is driven to RTS.
@@ -254,36 +320,25 @@ func (cm *CM) HandlePacket(p *fabric.Packet) {
 		}
 		h(&ConnReq{cm: cm, From: p.Src, FromQPN: m.qpn, Port: m.port, msgID: m.msgID, PrivateData: m.private})
 	case 1: // REP
-		st, ok := cm.pending[m.msgID]
+		d, ok := cm.pending[m.msgID]
 		if !ok {
 			return
 		}
 		delete(cm.pending, m.msgID)
-		nic := cm.ctx.NIC
-		src := p.Src // p is recycled before the async transitions finish
-		pdata := m.private
-		nic.ModifyQP(st.qp, rnic.QPRTR, src, m.qpn, func(err error) {
-			if err != nil {
-				st.done(nil, err)
-				return
-			}
-			nic.ModifyQP(st.qp, rnic.QPRTS, 0, 0, func(err error) {
-				if err != nil {
-					st.done(nil, err)
-					return
-				}
-				cm.send(src, &cmMsg{kind: 2, msgID: m.msgID})
+		// p is recycled before the queued transitions run.
+		src, id, pdata := p.Src, m.msgID, m.private
+		cm.step(d, rnic.QPRTR, src, m.qpn, func() {
+			cm.step(d, rnic.QPRTS, 0, 0, func() {
+				d.settled = true
+				cm.send(src, &cmMsg{kind: 2, msgID: id})
 				cm.EstablishedConns++
-				st.done(&Conn{QP: st.qp, Remote: src, PeerData: pdata}, nil)
+				d.done(&Conn{QP: d.qp, Remote: src, PeerData: pdata}, nil)
 			})
 		})
 	case 2: // RTU — passive side already RTS in this model; nothing to do.
 	case 3: // REJ
-		st, ok := cm.pending[m.msgID]
-		if !ok {
-			return
+		if d, ok := cm.pending[m.msgID]; ok {
+			cm.fail(d, fmt.Errorf("%w: %s", ErrRejected, m.errText))
 		}
-		delete(cm.pending, m.msgID)
-		st.done(nil, fmt.Errorf("%w: %s", ErrRejected, m.errText))
 	}
 }

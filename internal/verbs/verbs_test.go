@@ -1,6 +1,7 @@
 package verbs
 
 import (
+	"errors"
 	"testing"
 
 	"xrdma/internal/fabric"
@@ -144,28 +145,102 @@ func TestRecycledQPSkipsCreation(t *testing.T) {
 	t.Logf("cold=%v warm=%v saved=%v (%.0f%%)", coldDur, warmDur, saved, 100*float64(saved)/float64(coldDur))
 }
 
-func TestConnectRefused(t *testing.T) {
-	w := newWorld(t, 2)
-	var gotErr error
-	w.cms[0].Connect(1, 9999, nil, nil, 16, rnic.NewCQ(16), rnic.NewCQ(16), nil, func(c *Conn, err error) {
-		gotErr = err
-	})
-	w.eng.Run()
-	if gotErr == nil {
-		t.Fatal("expected refusal for unused port")
+// TestFailedDialQPOwnership: a dial that ends in a REJ — nobody listening,
+// or the listener refusing — reports ErrRejected once and leaves QP ownership
+// where it started: the CM destroys a QP it created for the dial, a recycled
+// QP stays the caller's. (Before the rule, five refused dials left five QPs
+// on the NIC.)
+func TestFailedDialQPOwnership(t *testing.T) {
+	for _, listener := range []bool{false, true} {
+		w := newWorld(t, 2)
+		nic := w.ctxs[0].NIC
+		if listener {
+			w.cms[1].Listen(7300, func(req *ConnReq) { req.Reject("busy") })
+		}
+		recycled := nic.AllocQPNow(16, 16, rnic.NewCQ(16), rnic.NewCQ(16), nil)
+		calls := 0
+		for i := 0; i < 6; i++ {
+			qp := recycled
+			if i < 5 {
+				qp = nil // the CM creates one
+			}
+			w.cms[0].Connect(1, 7300, nil, qp, 16, rnic.NewCQ(16), rnic.NewCQ(16), nil, func(c *Conn, err error) {
+				calls++
+				if c != nil || !errors.Is(err, ErrRejected) {
+					t.Errorf("listener=%v: dial = (%v, %v), want ErrRejected", listener, c, err)
+				}
+			})
+		}
+		w.eng.Run()
+		if calls != 6 {
+			t.Fatalf("listener=%v: done called %d times for 6 dials", listener, calls)
+		}
+		if n := nic.NumQPs(); n != 1 || nic.QP(recycled.QPN) != recycled {
+			t.Fatalf("listener=%v: %d QPs on the dialer's NIC after 5 refused CM-created dials, want only the caller's recycled one", listener, n)
+		}
+		if n := w.cms[0].PendingDials(); n != 0 {
+			t.Fatalf("listener=%v: %d dials still pending", listener, n)
+		}
 	}
 }
 
-func TestReject(t *testing.T) {
-	w := newWorld(t, 2)
-	w.cms[1].Listen(7300, func(req *ConnReq) { req.Reject("busy") })
-	var gotErr error
-	w.cms[0].Connect(1, 7300, nil, nil, 16, rnic.NewCQ(16), rnic.NewCQ(16), nil, func(c *Conn, err error) {
-		gotErr = err
-	})
-	w.eng.Run()
-	if gotErr == nil {
-		t.Fatal("expected rejection error")
+// TestCancelDial sweeps Cancel across a dial's whole life — resolving,
+// creating the QP, each queued transition, waiting for the REP — with a
+// CM-created and with a recycled QP. After Cancel returns, done is never
+// called, nothing is pending, a CM-created QP is gone, and a recycled QP comes
+// back to the canceller with no queued command touching it afterwards: reset
+// on the spot (what the QP cache does), it must still be in RESET when the
+// engine drains.
+func TestCancelDial(t *testing.T) {
+	for _, recycle := range []bool{false, true} {
+		for at := sim.Duration(0); at < 5*sim.Millisecond; at += 50 * sim.Microsecond {
+			w := newWorld(t, 2)
+			var accepted []*Conn
+			listenEcho(t, w, 1, 7000, &accepted)
+			nic := w.ctxs[0].NIC
+			var qp *rnic.QP
+			if recycle {
+				qp = nic.AllocQPNow(64, 64, rnic.NewCQ(128), rnic.NewCQ(128), nil)
+			}
+			finished, cancelled := false, false
+			d := w.cms[0].Connect(1, 7000, nil, qp, 64, rnic.NewCQ(128), rnic.NewCQ(128), nil, func(*Conn, error) {
+				if cancelled {
+					t.Errorf("recycle=%v cancel@%v: done called after Cancel", recycle, at)
+				}
+				finished = true
+			})
+			w.eng.After(at, func() {
+				if finished {
+					return // the dial won the race; Cancel would be a no-op
+				}
+				cancelled = true
+				back := w.cms[0].Cancel(d)
+				if back != qp {
+					t.Errorf("recycle=%v cancel@%v: Cancel handed back %v, want %v", recycle, at, back, qp)
+				}
+				if back != nil {
+					if err := nic.ModifyQPNow(back, rnic.QPReset, 0, 0); err != nil {
+						t.Error(err)
+					}
+				}
+				if w.cms[0].Cancel(d) != nil {
+					t.Errorf("second Cancel handed a QP back again")
+				}
+			})
+			w.eng.Run()
+			if !cancelled {
+				continue
+			}
+			if n := w.cms[0].PendingDials(); n != 0 {
+				t.Errorf("recycle=%v cancel@%v: %d dials pending", recycle, at, n)
+			}
+			switch {
+			case !recycle && nic.NumQPs() != 0:
+				t.Errorf("cancel@%v: %d QPs left on the NIC, want the CM-created one destroyed", at, nic.NumQPs())
+			case recycle && (nic.NumQPs() != 1 || qp.State != rnic.QPReset):
+				t.Errorf("cancel@%v: recycled QP ended in %v (%d QPs), want it untouched in RESET", at, qp.State, nic.NumQPs())
+			}
+		}
 	}
 }
 

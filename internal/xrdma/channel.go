@@ -8,7 +8,6 @@ import (
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
 	"xrdma/internal/telemetry"
-	"xrdma/internal/verbs"
 )
 
 // Errors surfaced through channel callbacks.
@@ -302,171 +301,61 @@ func (m *Msg) Retain() []byte {
 func (c *Context) OnChannel(fn func(*Channel)) { c.onChannel = fn }
 
 // Listen accepts X-RDMA channels on the given CM port (xrdma_listen).
-// Receive buffers are allocated before the CM reply goes out, so the
-// dialer can never race ahead of the receive queue — RNR-free from the
-// very first message.
 func (c *Context) Listen(port int) error {
-	if err := c.cm.Listen(port, func(req *verbs.ConnReq) {
-		h, verdict := c.readHello(req.From, req.PrivateData)
-		switch {
-		case verdict == helloUnknown:
-			req.Reject(errVersion.Error())
-			return
-		case verdict == helloNone || h.purpose == helloOpen:
-			// A per-channel connection (no hello = a legacy v1 dialer).
-		case h.purpose == helloMuxSlot:
-			c.acceptMux(req, h, port)
-			return
-		case h.purpose == helloMuxReattach:
-			c.acceptReplacement(req, h)
-			return
-		default:
-			req.Reject("hello purpose not served on this port")
-			return
-		}
-		if c.drain != DrainServing {
-			c.refuseDraining(req)
-			return
-		}
-		ver, caps, ok := c.settle(req, h)
-		if !ok {
-			return
-		}
-		c.allocRecvBufs(func(bufs []Buffer) {
-			c.withQP(c.QPs.Get(), c.qpDepth(), func(qp *rnic.QP) {
-				req.Accept(qp, func(conn *verbs.Conn, err error) {
-					if err != nil {
-						c.QPs.Put(qp)
-						c.freeBufs(bufs)
-						return
-					}
-					ch := c.newChannel(conn, bufs)
-					ch.lk.ver, ch.lk.caps = ver, caps
-					if c.onChannel != nil {
-						c.onChannel(ch)
-					}
-				})
-			})
-		})
-	}); err != nil {
+	if err := c.cm.Listen(port, c.accept); err != nil {
 		return err
 	}
 	c.listenPorts = append(c.listenPorts, port)
 	return nil
 }
 
-// allocRecvBufs obtains the standing receive pool for one channel; the
-// allocation overlaps the (much slower) connection handshake.
-func (c *Context) allocRecvBufs(cb func([]Buffer)) {
-	if c.cfg.UseSRQ {
-		cb(nil)
-		return
-	}
-	n := c.cfg.WindowDepth + ctrlReserve
-	bufs := make([]Buffer, 0, n)
-	remaining := n
-	for i := 0; i < n; i++ {
-		c.Mem.Alloc(c.recvBufSize(), func(b Buffer, err error) {
-			if err == nil {
-				bufs = append(bufs, b)
-			}
-			remaining--
-			if remaining == 0 {
-				cb(bufs)
-			}
-		})
-	}
-}
-
-func (c *Context) freeBufs(bufs []Buffer) {
-	for _, b := range bufs {
-		c.Mem.Free(b)
-	}
-}
-
-// Connect establishes a channel to (node, port) (xrdma_connect). The QP
-// cache is consulted first; on a miss a QP is created through the slow
-// hardware path.
+// Connect establishes a channel to (node, port) (xrdma_connect). In mux
+// mode that is ChannelTo plus an eager attach; otherwise the channel's own
+// link is born dialing — the QP cache is consulted first, and on a miss a QP
+// is created through the slow hardware path. Either way done rides the
+// pending-attach bookkeeping.
 func (c *Context) Connect(node fabric.NodeID, port int, done func(*Channel, error)) {
+	var ch *Channel
 	if c.muxEnabled() {
-		// Mux mode: Connect is ChannelTo plus an eager attach, so callers
-		// that want an established channel still get one.
-		ch, err := c.ChannelTo(node, port)
-		if err != nil {
+		var err error
+		if ch, err = c.ChannelTo(node, port); err != nil {
 			done(nil, err)
 			return
 		}
-		if done != nil {
-			ch.attachCBs = append(ch.attachCBs, func(err error) {
-				if err != nil {
-					done(nil, err)
-					return
-				}
-				done(ch, nil)
-			})
-		}
+	} else {
+		ch = c.newChannel(node, attachPending)
+	}
+	if done != nil {
+		ch.onAttach(func() { done(ch, nil) }, func(err error) { done(nil, err) })
+	}
+	if c.muxEnabled() {
 		ch.requestAttach()
 		return
 	}
-	pd := c.dialHello(hello{purpose: helloOpen})
-	c.allocRecvBufs(func(bufs []Buffer) {
-		qp := c.QPs.Get()
-		c.cm.Connect(node, port, pd, qp, c.qpDepth(), c.sendCQ, c.recvCQ, c.sharedRQ(), func(conn *verbs.Conn, err error) {
-			if err != nil {
-				c.QPs.Put(qp)
-				c.freeBufs(bufs)
-				done(nil, mapDialErr(err))
-				return
-			}
-			ch := c.newChannel(conn, bufs)
-			ch.lk.adoptVerdict(conn.PeerData)
-			done(ch, nil)
-		})
-	})
-}
-
-// withQP hands fn the recycled QP when there is one, or creates one
-// asynchronously through the slow hardware path.
-func (c *Context) withQP(qp *rnic.QP, depth int, fn func(*rnic.QP)) {
-	if qp != nil {
-		fn(qp)
-		return
-	}
-	c.vctx.NIC.CreateQP(depth, depth, c.sendCQ, c.recvCQ, c.sharedRQ(), fn)
+	l := c.newLink(ch, linkDialing)
+	l.dial(port, c.dialHello(hello{purpose: helloOpen}), nil)
 }
 
 // sharedRQ is the receive queue a created QP attaches to: the context's SRQ
-// (first fill performed) when configured, nil for per-channel receive pools.
+// when configured, nil for per-channel receive pools. The first QP to ask
+// triggers the deferred first fill; until then the SRQ holds no buffers.
 func (c *Context) sharedRQ() *rnic.SRQ {
-	if !c.cfg.UseSRQ {
-		return nil
+	if c.srq != nil && !c.srqPrimed {
+		c.srqPrimed = true
+		c.fillSRQ()
 	}
-	c.ensureSRQ()
 	return c.srq
 }
 
-func (c *Context) qpDepth() int {
-	return 2*c.cfg.WindowDepth + ctrlReserve + c.cfg.MaxOutstandingWRs + 8
-}
-
-// newChannel wraps a freshly established exclusive QP. The flyweight
-// layout allocates the per-channel maps (pending, sent, pulls, pings) on
-// first use only, so an idle channel carries none of them.
-func (c *Context) newChannel(conn *verbs.Conn, bufs []Buffer) *Channel {
+// newChannel builds the flyweight every channel starts as: the windows
+// arrive with establishment (finishAttach) and the per-channel maps
+// (pending, sent, pulls, pings) on first use, so an idle one carries none.
+func (c *Context) newChannel(peer fabric.NodeID, attach uint8) *Channel {
 	now := c.eng.Now()
-	ch := &Channel{
-		ctx:          c,
-		Peer:         conn.Remote,
-		tx:           newTxWindow(c.cfg.WindowDepth),
-		rx:           newRxWindow(c.cfg.WindowDepth),
-		lastProgress: now,
-		OpenedAt:     now,
-		retryTokens:  retryBudgetCap,
+	return &Channel{
+		ctx: c, Peer: peer, attach: attach,
+		lastProgress: now, OpenedAt: now, retryTokens: retryBudgetCap,
 	}
-	ch.lk = c.newLink(ch, linkDialing)
-	ch.lk.setQP(conn.QP, bufs)
-	c.Stats.ChannelsOpened++
-	return ch
 }
 
 // registerGauges publishes the XR-Stat row for this channel under
@@ -650,6 +539,7 @@ func (ch *Channel) teardown(err error) {
 	}
 	ch.failWaiters(failErr)
 	ch.pending, ch.osReads, ch.remoteWins = nil, nil, nil
+	ch.attachSettled(failErr) // an attach that will not happen now
 	// Staged rendezvous payloads — queued, or transmitted and unacked — can
 	// never get their acks on a dead channel, so reclaim them here (the §V-A
 	// keepalive reclamation must leave no memory behind).

@@ -32,7 +32,7 @@ type Context struct {
 
 	sendCQ, recvCQ *rnic.CQ
 	srq            *rnic.SRQ
-	srqPrimed      bool              // first fill done (deferred: see ensureSRQ)
+	srqPrimed      bool              // first fill done (deferred: see sharedRQ)
 	srqBufs        map[uint64]Buffer // recv WR id → buffer (SRQ mode)
 
 	wrCBs  map[uint64]func(rnic.CQE)
@@ -80,10 +80,12 @@ type Context struct {
 	// that must reach every link walk a snapshot. qpnTab is the one map
 	// keyed by local QPN: each link's current QPN → the link, written by
 	// link.setQP and cleared by link.close. It routes receive completions
-	// and is the fast path of the recovery rendezvous. recoverPort > 0
-	// enables RDMA re-establishment for exclusive links.
+	// and is the fast path of the recovery rendezvous. dialing holds exclusive
+	// links until their first QP: off the scan list, but reached by allLinks.
+	// recoverPort > 0 enables RDMA re-establishment for exclusive links.
 	recoverPort int
 	links       []*link
+	dialing     []*link
 	qpnTab      map[uint32]*link
 
 	// QP multiplexing (mux.go, Config.QPsPerPeer > 0). chanByCID holds
@@ -239,7 +241,7 @@ func NewContext(o Options) *Context {
 	}
 	if c.cfg.UseSRQ {
 		// The queue object is a few words; the buffer fill (SRQSize
-		// receive buffers out of the memory cache) waits for ensureSRQ
+		// receive buffers out of the memory cache) waits for sharedRQ
 		// at the first QP that references the queue, so an idle context
 		// in a large world costs none of it.
 		c.srq = rnic.NewSRQ(c.cfg.SRQSize)
@@ -254,13 +256,7 @@ func NewContext(o Options) *Context {
 		c.listenMock()
 	}
 	if c.recoverPort > 0 {
-		c.cm.Listen(c.recoverPort, func(req *verbs.ConnReq) {
-			if h, v := c.readHello(req.From, req.PrivateData); v == helloOK && h.purpose == helloRecover {
-				c.acceptReplacement(req, h)
-			} else {
-				req.Reject("bad recovery hello")
-			}
-		})
+		c.Listen(c.recoverPort)
 	}
 	c.startPolling()
 	c.startTimers()
@@ -635,12 +631,24 @@ func sortedIDs[K cmp.Ordered, V any](m map[K]V) []K {
 	return ids
 }
 
-// Close tears down the context: all channels close, timers stop.
+// Close tears down the context: all channels close, establishments still in
+// flight are abandoned (Connect hears ErrChannelClosed), timers stop.
 func (c *Context) Close() {
 	for _, ch := range c.Channels() {
 		ch.Close()
 	}
+	for _, l := range c.allLinks() {
+		if l.state == linkDialing {
+			l.fail(ErrChannelClosed)
+		}
+	}
 	c.started = false
+}
+
+// allLinks snapshots every link, establishing ones included, for the
+// one-shot fan-outs: a visit may close links and edit both lists.
+func (c *Context) allLinks() []*link {
+	return append(slices.Clone(c.links), c.dialing...)
 }
 
 // OnNICRestart rebuilds memory-dependent state after the local NIC came
@@ -651,23 +659,12 @@ func (c *Context) Close() {
 // per-channel receive queues.
 func (c *Context) OnNICRestart() {
 	c.Mem.Reset()
-	for _, l := range append([]*link(nil), c.links...) {
+	for _, l := range c.allLinks() {
 		l.fail(ErrNICRestart)
 	}
 }
 
 // --- SRQ support -------------------------------------------------------------
-
-// ensureSRQ performs the deferred first fill. Called wherever a QP is
-// created with the shared queue attached; until then the context holds an
-// empty SRQ and no receive buffers.
-func (c *Context) ensureSRQ() {
-	if c.srq == nil || c.srqPrimed {
-		return
-	}
-	c.srqPrimed = true
-	c.fillSRQ()
-}
 
 // fillSRQ keeps the shared receive queue topped up (§VII-F). Buffers come
 // from the memory cache like per-channel receives.

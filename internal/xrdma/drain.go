@@ -61,9 +61,9 @@ const (
 	drainEvRehydrate        // one channel restored from a handoff blob
 )
 
-// drainRejectReason is the CM reject text a draining listener sends; the
-// dialer's mapDialErr recognizes it and surfaces ErrDraining instead of a
-// generic rejection.
+// drainRejectReason is the CM reject text a draining listener (Context.accept)
+// sends; the dialer's mapDialErr recognizes it and surfaces ErrDraining
+// instead of a generic rejection.
 const drainRejectReason = "draining"
 
 // drainDeadlineDefault bounds the quiesce phase when the config is silent.
@@ -75,23 +75,9 @@ var errRestartHandoff = errors.New("xrdma: restart handoff")
 // DrainPhase reports where the context is in the drain lifecycle.
 func (c *Context) DrainPhase() DrainState { return c.drain }
 
-// refuseDraining rejects one inbound CM establishment on a draining node:
-// counted, flight-logged, and named — the dialer sees ErrDraining, not a
-// corruption-shaped failure.
-func (c *Context) refuseDraining(req *verbs.ConnReq) {
-	c.Stats.DrainRefusals++
-	now := c.eng.Now()
-	c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), 0, int64(req.From), drainEvRefusal)
-	c.tel.Trace.Instant("drain.refuse", c.track, now, int64(req.From))
-	req.Reject(drainRejectReason)
-}
-
 // mapDialErr translates a peer's drain refusal into ErrDraining on the
 // dialing side; every other dial error passes through untouched.
 func mapDialErr(err error) error {
-	if err == nil {
-		return nil
-	}
 	if errors.Is(err, verbs.ErrRejected) && strings.Contains(err.Error(), drainRejectReason) {
 		return fmt.Errorf("%w: %v", ErrDraining, err)
 	}
@@ -488,9 +474,6 @@ func (c *Context) Shutdown() {
 		c.cm.Unlisten(p)
 	}
 	c.listenPorts = nil
-	if c.recoverPort > 0 {
-		c.cm.Unlisten(c.recoverPort)
-	}
 	if c.tcp != nil && c.mockPort > 0 {
 		c.tcp.Unlisten(c.mockPort)
 	}
@@ -505,14 +488,14 @@ func (c *Context) Shutdown() {
 	if c.chanByCID != nil {
 		c.chanByCID = make(map[uint32]*Channel)
 	}
-	for _, l := range append([]*link(nil), c.links...) {
+	for _, l := range c.allLinks() {
 		// A link on the Mock fallback already surrendered its QP.
 		if l.state == linkFallback {
 			l.closeFallback()
 		} else if l.qp != nil {
 			c.vctx.NIC.DestroyQP(l.qp)
 		}
-		l.close() // strands in-flight replacement dials
+		l.close() // cancels a dial in flight
 	}
 	for id := range c.srqBufs {
 		delete(c.srqBufs, id)
@@ -549,21 +532,14 @@ func (c *Context) Rehydrate(blob []byte) error {
 		if len(r.qpns) == 0 {
 			continue
 		}
-		ch := &Channel{
-			ctx:          c,
-			Peer:         r.peer,
-			health:       HealthDegraded,
-			lastProgress: now,
-			OpenedAt:     now,
-			retryTokens:  retryBudgetCap,
-		}
+		ch := c.newChannel(r.peer, attachDone)
+		ch.health = HealthDegraded
 		// The link keeps every pre-restart QPN: the establishment pair is the
 		// identity the peer's redial is matched on, the newest is what its
 		// Mock hello names.
 		l := c.newLink(ch, linkDegraded)
 		l.peerQPN, l.peerQPN0, l.ver, l.caps, l.degradedAt = r.peerQPN, r.peerQPN0, r.negVer, r.caps, now
 		l.qpns = r.qpns
-		ch.lk = l
 		ch.tx = newTxWindow(c.cfg.WindowDepth)
 		ch.tx.seq, ch.tx.acked = r.txFloor, r.txFloor
 		ch.rx = newRxWindow(c.cfg.WindowDepth)

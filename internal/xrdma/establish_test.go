@@ -1,0 +1,214 @@
+package xrdma
+
+import (
+	"encoding/binary"
+	"errors"
+	"strings"
+	"testing"
+
+	"xrdma/internal/fabric"
+	"xrdma/internal/sim"
+	"xrdma/internal/verbs"
+)
+
+// TestEstablishmentConformance drives one first-establishment outcome per
+// row through both planes — an exclusive QP and a shared one (QPsPerPeer=1)
+// — and holds each cell to the same contract: Connect's callback fires
+// exactly once with the same error identity on either plane, the listener
+// counts its refusal once, and nothing is left behind on either node (QPs,
+// cached or live, receive pools, links, QPN-table entries, CM dials).
+//
+// Before link.dial / Context.accept (three dialers, three acceptors) every
+// row but "ok" failed on both planes: no-listener, draining, both
+// disjoint-version rows and wrong-port left the QP the CM had created on the
+// dialer's NIC (5 refused dials: NumQPs 0 → 5); draining/shared returned a
+// bare "mux dial … rejected: draining" that errors.Is(ErrDraining) did not
+// match; close-mid-dial never called back on the shared plane and handed a
+// live channel on a closed context to the exclusive caller; nic-restart-mid-
+// dial went on to establish on the exclusive plane as if nothing had happened
+// and, on the shared one, reported ErrNICRestart but let the abandoned dial
+// reach the listener, which kept a half-open shared QP.
+func TestEstablishmentConformance(t *testing.T) {
+	const appPort, midDial = 5000, sim.Millisecond // midDial: resolved, the dialer's QP creation still queued
+	rows := []struct {
+		name    string
+		port    int
+		mutate  func(i int, cfg *Config)
+		prepare func(t *testing.T, w *testWorld)
+		want    error  // nil = established
+		text    string // the REJ reason, where identity alone is ErrRejected
+		counted func(s ContextStats) int64
+	}{
+		{name: "ok", port: appPort},
+		{name: "no-listener", port: 5999, want: verbs.ErrRejected, text: "refused"},
+		{name: "draining-listener", port: appPort, want: ErrDraining,
+			prepare: func(t *testing.T, w *testWorld) {
+				if err := w.ctxs[1].Drain(nil); err != nil {
+					t.Fatal(err)
+				}
+				w.eng.Run()
+			},
+			counted: func(s ContextStats) int64 { return s.DrainRefusals }},
+		{name: "disjoint-version", port: appPort, want: verbs.ErrRejected, text: "unsupported header version",
+			mutate: func(i int, cfg *Config) {
+				if i == 0 {
+					cfg.ProtoVerMin, cfg.ProtoVerMax = 2, 2 // a v2-only build dials a v1 listener
+				}
+			},
+			counted: func(s ContextStats) int64 { return s.VerMismatches }},
+		{name: "disjoint-version-v2-only-listener", port: appPort, want: verbs.ErrRejected, text: "unsupported header version",
+			mutate: func(i int, cfg *Config) {
+				if i == 1 {
+					cfg.ProtoVerMin, cfg.ProtoVerMax = 2, 2 // a legacy build dials a v2-only listener
+				}
+			},
+			counted: func(s ContextStats) int64 { return s.VerMismatches }},
+		{name: "purpose-not-served-on-port", port: 9100, want: verbs.ErrRejected, text: "not served on this port"},
+		{name: "close-mid-dial", port: appPort, want: ErrChannelClosed,
+			prepare: func(t *testing.T, w *testWorld) { w.eng.AfterBg(midDial, w.ctxs[0].Close) }},
+		{name: "nic-restart-mid-dial", port: appPort, want: ErrNICRestart,
+			prepare: func(t *testing.T, w *testWorld) {
+				w.eng.AfterBg(midDial, func() {
+					w.nics[0].Crash()
+					w.nics[0].Restart()
+					w.ctxs[0].OnNICRestart()
+				})
+			}},
+	}
+	for _, shared := range []bool{false, true} {
+		for _, row := range rows {
+			plane := "exclusive"
+			if shared {
+				plane = "shared"
+			}
+			row := row
+			t.Run(plane+"/"+row.name, func(t *testing.T) {
+				w := newRecoverWorld(t, 2, func(i int, cfg *Config) {
+					if shared {
+						cfg.MockEnabled = false
+						cfg.QPsPerPeer = 1
+					}
+					if row.mutate != nil {
+						row.mutate(i, cfg)
+					}
+				})
+				var srv *Channel
+				w.ctxs[1].OnChannel(func(ch *Channel) { srv = ch })
+				if err := w.ctxs[1].Listen(appPort); err != nil {
+					t.Fatal(err)
+				}
+				if row.prepare != nil {
+					row.prepare(t, w)
+				}
+				calls := 0
+				var cli *Channel
+				var got error
+				w.ctxs[0].Connect(fabric.NodeID(1), row.port, func(ch *Channel, err error) {
+					calls++
+					cli, got = ch, err
+				})
+				w.eng.RunFor(100 * sim.Millisecond)
+
+				if calls != 1 {
+					t.Fatalf("Connect called back %d times, want exactly once", calls)
+				}
+				switch {
+				case row.want == nil && (got != nil || cli == nil || srv == nil):
+					t.Fatalf("establishment failed: err=%v cli=%v srv=%v", got, cli, srv)
+				case row.want != nil && (cli != nil || !errors.Is(got, row.want) || !strings.Contains(got.Error(), row.text)):
+					t.Fatalf("Connect = (%v, %v), want an error that is %v mentioning %q", cli, got, row.want, row.text)
+				}
+				if row.counted != nil {
+					if n := row.counted(w.ctxs[1].Stats); n != 1 {
+						t.Errorf("listener counted the refusal %d times, want once", n)
+					}
+				}
+				if s := w.ctxs[0].Stats; s.ChannelsBroken != 0 && !shared {
+					t.Errorf("exclusive dialer counts %d channels broken for a channel nobody saw", s.ChannelsBroken)
+				}
+
+				pool := 0
+				if row.want == nil {
+					cli.Close()
+					srv.Close()
+					w.eng.RunFor(10 * sim.Millisecond)
+					if shared {
+						pool = 1 // a shared QP outlives its last rider
+					}
+				}
+				for i, c := range w.ctxs {
+					// A closed exclusive channel parks its QP in the cache; nothing
+					// else may be left on the NIC.
+					if n := w.nics[i].NumQPs() - c.QPs.Len(); n != pool {
+						t.Errorf("node %d: %d QPs on the NIC beyond the cache's %d, want %d", i, n, c.QPs.Len(), pool)
+					}
+					if row.want != nil && c.QPs.Len() != 0 {
+						t.Errorf("node %d: %d QPs cached after a dial that never established", i, c.QPs.Len())
+					}
+					if got, want := c.Mem.InUseBytes, heldBySRQ(c); got != want {
+						t.Errorf("node %d: Mem.InUseBytes=%d, want %d", i, got, want)
+					}
+					if len(c.links) != pool || len(c.dialing) != 0 || len(c.qpnTab) != pool {
+						t.Errorf("node %d: %d links / %d establishing / %d QPN table entries, want %d/0/%d",
+							i, len(c.links), len(c.dialing), len(c.qpnTab), pool, pool)
+					}
+					if n := c.cm.PendingDials(); n != 0 {
+						t.Errorf("node %d: %d dials pending in the CM", i, n)
+					}
+					if n := c.NumChannels(); n != 0 {
+						t.Errorf("node %d: NumChannels=%d after everything closed", i, n)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDeadLinkDropsLateMockFrame: after a failback the passive side keeps
+// draining its Mock conn until the dialer hangs up, so a frame can still be
+// in the TCP pipe when the channel closes. The dead link must drop it —
+// before the ingest guard it was decoded and delivered to the closed
+// channel's handler.
+func TestDeadLinkDropsLateMockFrame(t *testing.T) {
+	w := newRecoverWorld(t, 2, nil)
+	cli, srv := w.connect(t, 0, 1, 5000)
+	delivered, afterClose := 0, 0
+	srv.OnMessage(func(m *Msg) {
+		delivered++
+		if srv.Closed() {
+			afterClose++
+		}
+	})
+	if err := cli.ForceMock(); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.RunFor(5 * sim.Millisecond)
+	if !cli.Mocked() || !srv.Mocked() {
+		t.Fatalf("mocked: cli=%v srv=%v, want both on the fallback", cli.Mocked(), srv.Mocked())
+	}
+	late := false
+	srv.OnHealthChange(func(h HealthState) {
+		if h != HealthHealthy || late {
+			return
+		}
+		// The passive side has adopted the failback QP; the dialer has not
+		// seen the REP yet and still sends over TCP.
+		late = true
+		if !cli.Mocked() {
+			t.Fatal("dialer left the fallback before the passive side adopted")
+		}
+		buf := make([]byte, 16)
+		binary.LittleEndian.PutUint64(buf, 7)
+		if err := cli.SendMsg(buf, 0, nil); err != nil { // one-way
+			t.Fatal(err)
+		}
+		w.eng.After(sim.Microsecond, srv.Close)
+	})
+	w.eng.RunFor(100 * sim.Millisecond)
+	if !late || !srv.Closed() {
+		t.Fatalf("scenario never ran: failback adopted=%v srv closed=%v", late, srv.Closed())
+	}
+	if afterClose != 0 {
+		t.Fatalf("%d of %d messages delivered to the handler after Close", afterClose, delivered)
+	}
+}

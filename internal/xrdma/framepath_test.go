@@ -322,7 +322,7 @@ func TestFramePathConformance(t *testing.T) {
 			// under the last step.
 			cutAt, cutover := 0, func() { cli[0].lk.fail(ErrPeerDead) }
 			if kind == "mock" {
-				cutAt, cutover = len(frameSteps)-1, cli[0].tryFailback
+				cutAt, cutover = len(frameSteps)-1, func() { cli[0].lk.dialReplacement(func(error) {}) } // a failback probe, now
 			}
 			runFrameSteps(t, w.eng, scripts, win, cutAt, cutover)
 

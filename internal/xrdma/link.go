@@ -25,7 +25,7 @@ import (
 // window tail; the seq-ack window of Algorithm 1 dedups the overlap, so
 // the cutover is exactly-once per rider in both directions.
 //
-//	dialing ──► ready ──fail──► degraded ◄──dial failed── recovering
+//	dialing ──► ready ──fail──► degraded ◄──dial failed── recovering     (dialing ──refused──► owner.exhausted)
 //	              ▲                │ └──────backoff──────────▲
 //	              └─────adopt──────┤ (either side)
 //	                               └─budget/grace spent─► owner.exhausted
@@ -34,7 +34,7 @@ import (
 type linkState uint8
 
 const (
-	linkDialing    linkState = iota // first establishment in flight (shared QPs dial before riders attach)
+	linkDialing    linkState = iota // first establishment in flight: no QP yet, riders wait
 	linkReady                       // riders run on qp
 	linkDegraded                    // transport lost; riders held, replacement awaited
 	linkRecovering                  // a replacement dial is in flight
@@ -97,9 +97,13 @@ type link struct {
 	sched    *sqSched
 
 	state      linkState
-	epoch      uint64 // invalidates stale dials and timers
+	epoch      uint64 // invalidates stale timers; turn() cancels the dial with it
 	attempts   int
 	degradedAt sim.Time
+
+	// The CM dial in flight (nil = none) and the receive pool acquired for it.
+	dialing  *verbs.Dial
+	dialBufs []Buffer
 
 	lastComm  sim.Time
 	kaProbeAt sim.Time
@@ -120,9 +124,15 @@ type link struct {
 // its previous QPN to this one, the health state starts clean, the receive
 // pool is posted and the owner told.
 func (l *link) setQP(qp *rnic.QP, bufs []Buffer) {
+	c := l.c
 	l.untable()
 	l.qp, l.peerQPN = qp, qp.RemoteQPN
-	l.c.qpnTab[qp.QPN] = l
+	c.qpnTab[qp.QPN] = l
+	if i := slices.Index(c.dialing, l); i >= 0 {
+		// An exclusive link takes its place in the scan list with its first QP.
+		c.dialing = slices.Delete(c.dialing, i, i+1)
+		c.links = append(c.links, l)
+	}
 	if len(l.qpns) == 0 {
 		l.peerQPN0 = qp.RemoteQPN
 	}
@@ -130,10 +140,10 @@ func (l *link) setQP(qp *rnic.QP, bufs []Buffer) {
 		l.qpns = append(l.qpns, qp.QPN)
 	}
 	l.state = linkReady
-	l.epoch++
+	l.turn()
 	l.attempts = 0
 	l.kaProbing = false
-	l.lastComm = l.c.eng.Now()
+	l.lastComm = c.eng.Now()
 	// The QP starts with zero counters and a full rotation budget; the
 	// doctor must not blame it for an old path's symptoms.
 	l.doctor.resetEpisode()
@@ -164,15 +174,28 @@ func (l *link) lastQPN() uint32 {
 	return 0
 }
 
-// close is terminal: in-flight dials and timers are stranded and the link
-// leaves the QPN table and the scan list.
+// close is terminal: timers are stranded, a dial in flight is cancelled, and
+// the link leaves the QPN table and whichever list holds it.
 func (l *link) close() {
 	c := l.c
 	l.state = linkDead
-	l.epoch++
+	l.turn()
 	l.untable()
-	if i := slices.Index(c.links, l); i >= 0 {
-		c.links = slices.Delete(c.links, i, i+1)
+	for _, list := range []*[]*link{&c.links, &c.dialing} {
+		if i := slices.Index(*list, l); i >= 0 {
+			*list = slices.Delete(*list, i, i+1)
+		}
+	}
+}
+
+// turn opens a new epoch: timers armed under the old one go stale, and a
+// dial still in flight is cancelled — the CM hands back a recycled QP
+// (destroying one it created) and the owner takes the material back.
+func (l *link) turn() {
+	l.epoch++
+	if d, bufs := l.dialing, l.dialBufs; d != nil {
+		l.dialing, l.dialBufs = nil, nil
+		l.own.release(l.c.cm.Cancel(d), bufs)
 	}
 }
 
@@ -252,6 +275,11 @@ func (l *link) recv(cqe rnic.CQE) {
 // — and hands header and inline payload to the owner.
 func (l *link) ingest(data []byte, wrID uint64, overMock bool, rxBlame *telemetry.PktBlame) {
 	c := l.c
+	if l.state == linkDead {
+		// A Mock conn the passive arm of adopt left draining can outlive the
+		// channel; RDMA completions of a dead link never get here.
+		return
+	}
 	h, hdrLen, err := decodeHdr(data)
 	if !overMock {
 		l.repost(wrID)
@@ -521,7 +549,7 @@ func (l *link) fail(cause error) {
 	// The state flips first, so anything parked() posts on the broken QP
 	// cannot re-enter here when it flushes on the spot.
 	l.state, l.degradedAt, l.attempts, l.kaProbing = linkDegraded, now, 0, false
-	l.epoch++
+	l.turn()
 	l.own.parked()
 	if l.sched != nil {
 		// Queued unposted frames drop here; requeueUnacked replays them
@@ -553,6 +581,8 @@ func (l *link) reestablish(cause error) {
 	})
 }
 
+// scheduleDial arms the next replacement dial after its backoff; a dial
+// that fails comes back here until the budget is spent.
 func (l *link) scheduleDial(cause error) {
 	c := l.c
 	if l.attempts >= c.cfg.RecoverRetries {
@@ -561,70 +591,69 @@ func (l *link) scheduleDial(cause error) {
 	}
 	epoch := l.epoch
 	c.eng.AfterBg(c.recoverBackoff(l.attempts), func() {
-		if l.epoch == epoch {
-			l.tryDial(cause)
-		}
-	})
-}
-
-func (l *link) tryDial(cause error) {
-	c := l.c
-	l.attempts++
-	if !c.vctx.NIC.Alive() {
-		// The local machine itself is down; a restart revives the NIC, so
-		// keep re-arming within the budget.
-		l.scheduleDial(cause)
-		return
-	}
-	l.state = linkRecovering
-	l.setHealth(HealthRecovering)
-	l.dialOnce(func() {
-		l.state = linkDegraded
-		l.setHealth(HealthDegraded)
-		l.scheduleDial(cause)
-	})
-}
-
-// dialOnce dials the peer's replacement listener and adopts the resulting
-// connection. The CM has no cancellation, so the attempt owns an epoch and
-// a settled flag: the dial timeout claims the attempt first on a dead
-// peer, and a late completion quietly returns whatever it acquired. onFail
-// runs at most once, and only while the attempt still owns the link.
-func (l *link) dialOnce(onFail func()) {
-	c := l.c
-	c.Stats.RecoverAttempts++
-	l.epoch++
-	epoch := l.epoch
-	l.own.acquire(func(qp *rnic.QP, bufs []Buffer) {
-		settled := false
-		giveUp := func(qp *rnic.QP, bufs []Buffer) {
-			l.own.release(qp, bufs)
-			if l.epoch == epoch {
-				onFail()
-			}
-		}
 		if l.epoch != epoch {
-			giveUp(qp, bufs)
 			return
 		}
-		c.eng.AfterBg(l.dialTimeout, func() {
-			if !settled {
-				settled = true
-				giveUp(nil, bufs) // the QP stays with the CM until it answers
-			}
+		l.attempts++
+		if !c.vctx.NIC.Alive() {
+			// The local machine itself is down; a restart revives the NIC, so
+			// keep re-arming within the budget.
+			l.scheduleDial(cause)
+			return
+		}
+		l.state = linkRecovering
+		l.setHealth(HealthRecovering)
+		l.dialReplacement(func(error) {
+			l.state = linkDegraded
+			l.setHealth(HealthDegraded)
+			l.scheduleDial(cause)
 		})
-		pd := hello{purpose: l.redial, target: l.peerQPN, target0: l.peerQPN0, dialer0: l.qpns[0]}.encode()
-		c.cm.Connect(l.peer, l.port, pd, qp, l.depth, c.sendCQ, c.recvCQ, c.sharedRQ(), func(conn *verbs.Conn, err error) {
-			late := settled
-			settled = true
-			if err == nil {
-				qp = conn.QP
-			}
+	})
+}
+
+// --- establishment --------------------------------------------------------------
+//
+// Every transport a link carries arrives through dial (active) or accept
+// (passive) — the only cm.Connect and the only req.Accept. Both take the
+// owner's material, establish, and install: setQP for the first transport,
+// adopt for a replacement. Material not installed goes back through release.
+
+// dial establishes toward (l.peer, port) with pd as the CM private data. A
+// refusal (a drain REJ as ErrDraining) fails a first dial's link and goes to
+// retry for a replacement, as does its timeout. First dials have no deadline:
+// a connection storm (Fig. 8) legitimately queues in the NIC command queues
+// for longer than RecoverDialTimeout.
+func (l *link) dial(port int, pd []byte, retry func(error)) {
+	c := l.c
+	l.turn()
+	epoch := l.epoch
+	l.own.acquire(func(qp *rnic.QP, bufs []Buffer) {
+		if l.epoch != epoch {
+			l.own.release(qp, bufs)
+			return
+		}
+		if l.state != linkDialing {
+			c.eng.AfterBg(l.dialTimeout, func() {
+				if l.epoch == epoch && l.dialing != nil {
+					l.turn()
+					retry(errors.New("xrdma: dial timed out"))
+				}
+			})
+		}
+		l.dialBufs = bufs
+		l.dialing = c.cm.Connect(l.peer, port, pd, qp, l.depth, c.sendCQ, c.recvCQ, c.sharedRQ(), func(conn *verbs.Conn, err error) {
+			l.dialing, l.dialBufs = nil, nil
 			switch {
-			case late:
-				l.own.release(qp, nil)
-			case err != nil || l.epoch != epoch:
-				giveUp(qp, bufs)
+			case err != nil:
+				l.own.release(qp, bufs)
+				if l.state == linkDialing {
+					retry = l.fail // nothing to retry: the owner's exhausted hears why
+				}
+				retry(mapDialErr(err))
+			case l.state == linkDialing:
+				// The acceptor's REP carries the settled negotiation verdict.
+				l.adoptVerdict(conn.PeerData)
+				l.setQP(conn.QP, bufs)
 			default:
 				l.adopt(conn, bufs, true)
 			}
@@ -632,47 +661,102 @@ func (l *link) dialOnce(onFail func()) {
 	})
 }
 
-// acceptReplacement is the passive half: a redial for a degraded (or
-// fallen-back) link, matched by the identity its hello names.
-func (c *Context) acceptReplacement(req *verbs.ConnReq, h hello) {
-	l := c.qpnTab[h.target]
-	if l == nil || !l.is(req.From, h) {
-		// The dialer names a QPN from adoptions (or a restart) ago, or one
-		// since recycled to a sibling; fall back to the identity scan so a
-		// dial never cross-adopts another link's protocol state.
-		l = nil
-		for _, cand := range c.links {
-			if cand.is(req.From, h) {
-				l = cand
-				break
+// dialReplacement redials the peer's listener for a degraded (or
+// fallen-back) link, which the hello names by identity.
+func (l *link) dialReplacement(retry func(error)) {
+	l.c.Stats.RecoverAttempts++
+	l.dial(l.port, hello{purpose: l.redial, target: l.peerQPN, target0: l.peerQPN0, dialer0: l.qpns[0]}.encode(), retry)
+}
+
+// accept is the one CM listener, on application ports and RecoverPort alike:
+// the hello's purpose finds or creates the link the dialer means.
+func (c *Context) accept(req *verbs.ConnReq) {
+	h, verdict := c.readHello(req.From, req.PrivateData)
+	// No hello at all is a legacy v1 dialer opening a per-channel connection.
+	fresh := verdict == helloNone || h.purpose == helloOpen || h.purpose == helloMuxSlot
+	var l *link
+	switch {
+	case verdict == helloUnknown:
+		req.Reject(errVersion.Error())
+	case h.purpose == helloMock, (h.purpose == helloRecover) != (req.Port == c.recoverPort):
+		req.Reject("hello purpose not served on this port")
+	case h.purpose == helloMuxSlot && c.srq == nil:
+		req.Reject("mux requires SRQ mode")
+	case fresh && c.drain != DrainServing:
+		// New work on a draining node (redials still serve in-flight
+		// channels): counted, flight-logged, and named — the dialer's
+		// mapDialErr turns this reason into ErrDraining.
+		c.Stats.DrainRefusals++
+		now := c.eng.Now()
+		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), 0, int64(req.From), drainEvRefusal)
+		c.tel.Trace.Instant("drain.refuse", c.track, now, int64(req.From))
+		req.Reject(drainRejectReason)
+	case fresh:
+		if ver, caps, ok := c.settle(req, h); ok {
+			if h.purpose == helloMuxSlot {
+				l = &c.newMuxQP(nil, req.From, req.Port).link
+			} else {
+				l = c.newLink(c.newChannel(req.From, attachPending), linkDialing)
+			}
+			l.ver, l.caps = ver, caps
+		}
+	default:
+		// A redial for a degraded (or fallen-back) link. It may name a QPN from
+		// adoptions (or a restart) ago, or one since recycled to a sibling; the
+		// identity scan keeps it from cross-adopting another link's state.
+		if l = c.qpnTab[h.target]; l == nil || !l.is(req.From, h) {
+			l = nil
+			if i := slices.IndexFunc(c.links, func(x *link) bool { return x.is(req.From, h) }); i >= 0 {
+				l = c.links[i]
 			}
 		}
+		if l == nil {
+			req.Reject("no such link")
+		} else if l.state == linkReady {
+			// The dialer noticed a fault this side hasn't seen yet (failure
+			// detection is not synchronized); degrade first so adoption runs
+			// from a consistent state.
+			l.fail(errors.New("peer-initiated recovery"))
+		}
 	}
-	if l == nil {
-		req.Reject("no such link")
-		return
+	if l != nil {
+		l.accept(req)
 	}
-	if l.state == linkReady {
-		// The dialer noticed a fault this side hasn't seen yet (failure
-		// detection is not synchronized); degrade first so adoption runs
-		// from a consistent state.
-		l.fail(errors.New("peer-initiated recovery"))
-	}
+}
+
+// accept is the passive half of dial. Receive buffers are allocated before
+// the CM reply goes out, so the dialer can never race ahead of the receive
+// queue — RNR-free from the very first message.
+func (l *link) accept(req *verbs.ConnReq) {
+	c := l.c
 	l.own.acquire(func(qp *rnic.QP, bufs []Buffer) {
-		if l.state == linkDead {
+		reply := func(qp *rnic.QP) {
+			req.Accept(qp, func(conn *verbs.Conn, err error) {
+				switch {
+				case err != nil:
+					l.own.release(qp, bufs)
+					l.fail(err)
+				case l.state == linkDead:
+					l.own.release(qp, bufs)
+				case l.state != linkDialing:
+					l.adopt(conn, bufs, false)
+				default:
+					l.setQP(conn.QP, bufs)
+					if ch := l.solo[0]; ch != nil && c.onChannel != nil {
+						c.onChannel(ch) // the application meets an accepted exclusive channel
+					}
+				}
+			})
+		}
+		switch {
+		case l.state == linkDead:
 			l.own.release(qp, bufs)
 			req.Reject("link closed")
-			return
+		case qp != nil:
+			reply(qp)
+		default: // nothing recycled: create one through the slow hardware path
+			c.vctx.NIC.CreateQP(l.depth, l.depth, c.sendCQ, c.recvCQ, c.sharedRQ(), reply)
 		}
-		c.withQP(qp, l.depth, func(qp *rnic.QP) {
-			req.Accept(qp, func(conn *verbs.Conn, err error) {
-				if err != nil || l.state == linkDead {
-					l.own.release(qp, bufs)
-					return
-				}
-				l.adopt(conn, bufs, false)
-			})
-		})
 	})
 }
 

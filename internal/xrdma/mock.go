@@ -147,7 +147,7 @@ func (ch *Channel) enterMockMode(cause error) {
 
 	ch.setHealth(HealthFallback)
 	ch.lk.state = linkFallback
-	ch.lk.epoch++ // strand any in-flight replacement dial
+	ch.lk.turn() // cancels a replacement dial in flight
 	ch.resumeOnRx = false
 
 	// Staged rendezvous payloads are RDMA-only; the mock transport sends

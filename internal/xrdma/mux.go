@@ -8,7 +8,6 @@ import (
 	"xrdma/internal/fabric"
 	"xrdma/internal/rnic"
 	"xrdma/internal/telemetry"
-	"xrdma/internal/verbs"
 )
 
 // QP multiplexing (Config.QPsPerPeer > 0): the connection-scaling layer.
@@ -39,7 +38,7 @@ const (
 	attachDone    uint8 = iota // established; send path live
 	attachLazy                 // descriptor only; first send triggers attach
 	attachQueued               // waiting for an admission slot
-	attachPending              // CHAN_OPEN in flight (or mux QP still dialing)
+	attachPending              // CHAN_OPEN in flight, or the link still establishing
 )
 
 // peerMux is the per-peer QP pool: at most Config.QPsPerPeer shared QPs,
@@ -107,12 +106,8 @@ func (c *Context) ChannelTo(node fabric.NodeID, port int, opts ...ChannelOpt) (*
 	if !c.muxEnabled() {
 		return nil, ErrMuxDisabled
 	}
-	now := c.eng.Now()
-	ch := &Channel{
-		ctx: c, Peer: node, cid: c.nextCID(), muxPort: port,
-		attach: attachLazy, lastProgress: now, OpenedAt: now,
-		retryTokens: retryBudgetCap,
-	}
+	ch := c.newChannel(node, attachLazy)
+	ch.cid, ch.muxPort = c.nextCID(), port
 	for _, opt := range opts {
 		if err := opt(ch); err != nil {
 			return nil, err
@@ -163,7 +158,10 @@ func (ch *Channel) startAttach() {
 	c.attachActive++
 	mx := c.muxFor(ch.Peer, ch.muxPort)
 	ch.lk = &mx.link
-	mx.enroll(ch)
+	mx.chans = append(mx.chans, ch)
+	if mx.state == linkReady {
+		mx.sendChanOpen(ch) // otherwise adopted() opens it once the QP is live
+	}
 }
 
 // attachRelease frees one admission slot and starts the first FIFO head
@@ -188,26 +186,18 @@ func (c *Context) attachRelease() {
 	}
 }
 
-// finishAttach completes (or fails) a lazy channel's establishment.
+// finishAttach completes a pending establishment — or fails it: teardown
+// frees the admission slot and tells whoever waited.
 func (ch *Channel) finishAttach(err error) {
 	c := ch.ctx
-	held := ch.attach == attachPending
-	cbs := ch.attachCBs
-	ch.attachCBs = nil
 	if err != nil {
-		ch.attach = attachLazy // teardown below must not re-release
-		if held {
-			c.attachRelease()
-		}
-		for _, cb := range cbs {
-			cb(err)
-		}
 		if !ch.closed {
 			c.Stats.ChannelsBroken++
 			ch.teardown(err)
 		}
 		return
 	}
+	held := ch.attach == attachPending && ch.cid != 0 // only muxed attaches pass admission
 	ch.attach = attachDone
 	ch.tx = newTxWindow(c.cfg.WindowDepth)
 	ch.rx = newRxWindow(c.cfg.WindowDepth)
@@ -216,10 +206,28 @@ func (ch *Channel) finishAttach(err error) {
 	if held {
 		c.attachRelease()
 	}
-	for _, cb := range cbs {
-		cb(nil)
-	}
+	ch.attachSettled(nil)
 	ch.pump()
+}
+
+// onAttach queues what to do once the channel's establishment settles:
+// Connect's callback, or a Ping or one-sided verb issued on a descriptor.
+func (ch *Channel) onAttach(ok func(), failed func(error)) {
+	ch.attachCBs = append(ch.attachCBs, func(err error) {
+		if err != nil {
+			failed(err)
+			return
+		}
+		ok()
+	})
+}
+
+func (ch *Channel) attachSettled(err error) {
+	cbs := ch.attachCBs
+	ch.attachCBs = nil
+	for _, cb := range cbs {
+		cb(err)
+	}
 }
 
 // muxFor picks (creating on demand) the shared QP a new channel attaches
@@ -230,48 +238,19 @@ func (c *Context) muxFor(peer fabric.NodeID, port int) *muxQP {
 		pm = &peerMux{peer: peer, port: port}
 		c.mux[peer] = pm
 	}
-	if len(pm.slots) < c.cfg.QPsPerPeer {
-		mx := c.dialMuxQP(pm, len(pm.slots))
-		pm.slots = append(pm.slots, mx)
-		return mx
+	i := len(pm.slots)
+	if i < c.cfg.QPsPerPeer {
+		pm.slots = append(pm.slots, nil)
+	} else {
+		i = pm.next % len(pm.slots)
+		pm.next++
 	}
-	i := pm.next % len(pm.slots)
-	pm.next++
-	if pm.slots[i].state == linkDead {
-		pm.slots[i] = c.dialMuxQP(pm, i)
+	if mx := pm.slots[i]; mx == nil || mx.state == linkDead {
+		mx = c.newMuxQP(pm, pm.peer, pm.port)
+		pm.slots[i] = mx
+		mx.dial(pm.port, c.dialHello(hello{purpose: helloMuxSlot, slot: uint16(i)}), nil)
 	}
 	return pm.slots[i]
-}
-
-func (c *Context) dialMuxQP(pm *peerMux, slot int) *muxQP {
-	mx := c.newMuxQP(pm, pm.peer, pm.port)
-	epoch := mx.epoch
-	pd := c.dialHello(hello{purpose: helloMuxSlot, slot: uint16(slot)})
-	c.cm.Connect(pm.peer, pm.port, pd, nil, muxQPDepth, c.sendCQ, c.recvCQ, c.sharedRQ(), func(conn *verbs.Conn, err error) {
-		if mx.epoch != epoch {
-			if err == nil {
-				mx.release(conn.QP, nil)
-			}
-			return
-		}
-		if err != nil {
-			mx.teardownAll(fmt.Errorf("xrdma: mux dial to %d:%d: %w", pm.peer, pm.port, err))
-			return
-		}
-		// The acceptor's REP carries the settled negotiation verdict.
-		mx.adoptVerdict(conn.PeerData)
-		mx.setQP(conn.QP, nil)
-	})
-	return mx
-}
-
-// enroll attaches a channel to this mux QP; the CHAN_OPEN goes out as
-// soon as the QP is live.
-func (mx *muxQP) enroll(ch *Channel) {
-	mx.chans = append(mx.chans, ch)
-	if mx.state == linkReady {
-		mx.sendChanOpen(ch)
-	}
 }
 
 // detach removes a channel (teardown).
@@ -307,39 +286,6 @@ func (mx *muxQP) sendChanOpen(ch *Channel) {
 		h.TLabel = t.label
 	}
 	mx.sendCtrl(h)
-}
-
-// --- passive side ------------------------------------------------------------
-
-// acceptMux handles a mux-slot hello on an application Listen port: the
-// passive half of a fresh shared QP.
-func (c *Context) acceptMux(req *verbs.ConnReq, h hello, port int) {
-	if c.srq == nil {
-		req.Reject("mux requires SRQ mode")
-		return
-	}
-	if c.drain != DrainServing {
-		// Fresh shared-QP establishment is new work; a draining node
-		// refuses it (reattach still serves in-flight channels).
-		c.refuseDraining(req)
-		return
-	}
-	ver, caps, ok := c.settle(req, h)
-	if !ok {
-		return
-	}
-	mx := c.newMuxQP(nil, req.From, port)
-	mx.ver, mx.caps = ver, caps
-	c.withQP(nil, muxQPDepth, func(qp *rnic.QP) {
-		req.Accept(qp, func(conn *verbs.Conn, err error) {
-			if err != nil {
-				mx.release(qp, nil)
-				mx.close()
-				return
-			}
-			mx.setQP(conn.QP, nil)
-		})
-	})
 }
 
 // --- inbound demux -----------------------------------------------------------
@@ -396,13 +342,9 @@ func (mx *muxQP) handleChanOpen(h *wireHdr) {
 		mx.sendCtrl(&wireHdr{Kind: kindChanClose, Chan: h.Chan})
 		return
 	}
-	now := c.eng.Now()
-	ch := &Channel{
-		ctx: c, Peer: mx.peer, cid: c.nextCID(), peerCID: h.Chan, lk: &mx.link,
-		muxPort: int(h.MsgID),
-		tx:      newTxWindow(c.cfg.WindowDepth), rx: newRxWindow(c.cfg.WindowDepth),
-		lastProgress: now, OpenedAt: now, retryTokens: retryBudgetCap,
-	}
+	ch := c.newChannel(mx.peer, attachDone)
+	ch.cid, ch.peerCID, ch.lk, ch.muxPort = c.nextCID(), h.Chan, &mx.link, int(h.MsgID)
+	ch.tx, ch.rx = newTxWindow(c.cfg.WindowDepth), newRxWindow(c.cfg.WindowDepth)
 	if h.Flags&flagTenant != 0 && len(c.tenants) > 0 {
 		ch.tenant = c.resolveTenant(h)
 	}
@@ -466,27 +408,21 @@ func (mx *muxQP) adopted() {
 	}
 }
 
-func (mx *muxQP) exhausted(cause error) { mx.teardownAll(cause) }
-
-// teardownAll is the terminal path: the redial budget ran out (or the
-// initial dial failed), so every channel on this QP dies.
-func (mx *muxQP) teardownAll(cause error) {
+// exhausted is the terminal path: the redial budget ran out (or the first
+// dial failed), so every channel on this QP dies.
+func (mx *muxQP) exhausted(cause error) {
 	if mx.state == linkDead {
 		return
+	} else if mx.state == linkDialing {
+		cause = fmt.Errorf("xrdma: mux dial to %d:%d: %w", mx.peer, mx.port, cause)
 	}
-	c := mx.c
 	mx.close()
 	if mx.sched != nil {
 		mx.sched.reset()
 	}
-	c.logf("mux peer=%d beyond recovery (%d channels): %v", mx.peer, len(mx.chans), cause)
+	mx.c.logf("mux peer=%d beyond recovery (%d channels): %v", mx.peer, len(mx.chans), cause)
 	for _, ch := range mx.riders() {
-		if ch.attach == attachPending || ch.attach == attachQueued {
-			ch.finishAttach(cause)
-			continue
-		}
-		c.Stats.ChannelsBroken++
-		ch.teardown(cause)
+		ch.finishAttach(cause)
 	}
 	mx.release(mx.qp, nil)
 	mx.qp = nil

@@ -184,13 +184,7 @@ func (ch *Channel) ReadRemote(win RemoteWindow, off uint64, size int, cb func([]
 		return
 	}
 	if ch.attach != attachDone {
-		ch.attachCBs = append(ch.attachCBs, func(err error) {
-			if err != nil {
-				cb(nil, err)
-				return
-			}
-			ch.ReadRemote(win, off, size, cb)
-		})
+		ch.onAttach(func() { ch.ReadRemote(win, off, size, cb) }, func(err error) { cb(nil, err) })
 		ch.requestAttach()
 		return
 	}

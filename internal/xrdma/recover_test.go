@@ -140,11 +140,11 @@ func (s *idStream) check(t *testing.T) {
 	}
 }
 
-// liveQPs counts a NIC's connected (or broken-but-held) QPs: everything
-// that is neither reset into the QP cache nor a dial the CM never answered.
+// liveQPs counts a NIC's QPs that are not reset into the QP cache: connected,
+// broken but held, or — INIT — stranded by a dial nobody answered.
 func liveQPs(nic *rnic.NIC) (n int) {
 	for q := uint32(0); q < 1<<12; q++ {
-		if qp := nic.QP(q); qp != nil && qp.State != rnic.QPReset && qp.State != rnic.QPInit {
+		if qp := nic.QP(q); qp != nil && qp.State != rnic.QPReset {
 			n++
 		}
 	}
@@ -166,8 +166,9 @@ func heldBySRQ(c *Context) (n int64) {
 // kinds of link — an exclusive QP with its one channel and a shared QP
 // with four riders — and holds each to the same contract: every rider's
 // ledger exactly-once, recoveries counted per link (never amplified per
-// rider), and no memory or QP left behind once the channels close. Node 0
-// is the redialing side in both kinds (lower id / mux initiator).
+// rider), and no memory, QP (an INIT one included) or CM dial left behind
+// once the channels close. Node 0 is the redialing side in both kinds (lower
+// id / mux initiator).
 func TestRecoveryConformance(t *testing.T) {
 	const riders = 4
 	type world struct {
@@ -331,6 +332,12 @@ func TestRecoveryConformance(t *testing.T) {
 					}
 					if len(c.links) != pool || len(c.qpnTab) != pool {
 						t.Errorf("node %d: %d links / %d QPN table entries left, want %d", i, len(c.links), len(c.qpnTab), pool)
+					}
+					// A redial that timed out is cancelled, not abandoned to the CM
+					// (dial-timeout-then-success and retry-budget-exhausted used to
+					// strand one INIT QP and one pending entry per timeout).
+					if n := c.cm.PendingDials(); n != 0 {
+						t.Errorf("node %d: %d dials still pending in the CM", i, n)
 					}
 				}
 			})

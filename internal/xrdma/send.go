@@ -670,13 +670,7 @@ func (ch *Channel) Ping(cb func(rtt sim.Duration, offset sim.Duration, err error
 	if ch.attach != attachDone {
 		// Unattached mux descriptor: a ping is traffic like any other, so it
 		// triggers the lazy attach and re-issues itself once the wire is up.
-		ch.attachCBs = append(ch.attachCBs, func(err error) {
-			if err != nil {
-				cb(0, 0, err)
-				return
-			}
-			ch.Ping(cb)
-		})
+		ch.onAttach(func() { ch.Ping(cb) }, func(err error) { cb(0, 0, err) })
 		ch.requestAttach()
 		return
 	}
