@@ -36,6 +36,36 @@ func BenchmarkUntracedSendPath(b *testing.B) {
 	}
 }
 
+// BenchmarkPostedRecvPath is the two-sided counterpart: a size-only 64 B
+// SEND into a posted receive, so the responder's WQE claim, assembly and
+// receive CQE run as well. Gated in CI at exactly 0 allocs/op — the
+// receive completion rides the per-QP recvDone FIFO, not a closure.
+func BenchmarkPostedRecvPath(b *testing.B) {
+	r := newRig(b, DefaultConfig())
+	var wr SendWR
+	var cqes []CQE
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.qb.PostRecv(RecvWR{ID: uint64(i), Len: 4096}); err != nil {
+			b.Fatal(err)
+		}
+		wr = SendWR{ID: uint64(i), Op: OpSend, Len: 64}
+		if err := r.qa.PostSend(&wr); err != nil {
+			b.Fatal(err)
+		}
+		r.eng.Run()
+		cqes = r.qb.RecvCQ.PollAppend(cqes[:0], 4)
+		if len(cqes) != 1 || cqes[0].Status != StatusOK || cqes[0].WRID != uint64(i) {
+			b.Fatalf("iteration %d: recv CQEs %+v", i, cqes)
+		}
+		cqes = r.qa.SendCQ.PollAppend(cqes[:0], 4)
+		if len(cqes) != 1 || cqes[0].Status != StatusOK {
+			b.Fatalf("iteration %d: send CQEs %+v", i, cqes)
+		}
+	}
+}
+
 // BenchmarkTracedSendPath is the same pipeline with the trace bit armed:
 // the WR carries a PktBlame accumulator that every hop stamps. The delta
 // against BenchmarkUntracedSendPath is the whole per-message cost of

@@ -449,6 +449,7 @@ func (qp *QP) retransmitUnacked() {
 		// idempotently (statelessly, from the PSN and length it carries).
 		j := n.pool.job()
 		j.qp, j.wr = qp, wr
+		wr.jobs++
 		n.enqueueJob(j)
 	}
 }

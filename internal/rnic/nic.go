@@ -340,6 +340,7 @@ func (n *NIC) allocQP(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 	qp.rtoFn = qp.onRTO
 	qp.ackFn = qp.sendAckNow
 	qp.cqeDoneFn = qp.drainSendOK
+	qp.recvDoneFn = qp.drainRecv
 	n.nextQPN++
 	n.qps[qp.QPN] = qp
 	return qp
@@ -375,15 +376,14 @@ func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN ui
 		if qp.assemble != nil {
 			n.pool.putAsm(qp.assemble)
 		}
-		rtoFn, ackFn, drainFn := qp.rtoFn, qp.ackFn, qp.cqeDoneFn
-		cqeDone, cqeHead := qp.cqeDone, qp.cqeHead
+		keep := *qp
 		*qp = QP{QPN: qp.QPN, nic: n, State: QPReset, SQCap: qp.SQCap, RQCap: qp.RQCap,
 			SendCQ: qp.SendCQ, RecvCQ: qp.RecvCQ, srq: qp.srq, CreatedAt: qp.CreatedAt}
-		// The cached closures survive recycling; the CQE FIFO must too,
-		// because drains already scheduled still index into it (exactly
+		// The cached closures survive recycling; the CQE FIFOs must too,
+		// because drains already scheduled still index into them (exactly
 		// the lifetime per-WR closures used to have).
-		qp.rtoFn, qp.ackFn, qp.cqeDoneFn = rtoFn, ackFn, drainFn
-		qp.cqeDone, qp.cqeHead = cqeDone, cqeHead
+		qp.rtoFn, qp.ackFn, qp.cqeDoneFn, qp.recvDoneFn = keep.rtoFn, keep.ackFn, keep.cqeDoneFn, keep.recvDoneFn
+		qp.cqeDone, qp.recvDone = keep.cqeDone, keep.recvDone
 	case QPInit:
 		if qp.State != QPReset {
 			return fmt.Errorf("%w: %v → INIT", ErrQPState, qp.State)

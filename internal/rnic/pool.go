@@ -64,6 +64,9 @@ func (pl *pools) putJob(j *txJob) {
 	if j.pooled {
 		return
 	}
+	if j.wr != nil {
+		j.wr.jobs--
+	}
 	*j = txJob{pooled: true}
 	pl.jobs = append(pl.jobs, j)
 }

@@ -162,6 +162,7 @@ type SendWR struct {
 	// internal
 	firstPSN, lastPSN uint32
 	packets           int
+	jobs              int // transmit jobs referencing the WR (see Queued)
 	postedAt          sim.Time
 	startedAt         sim.Time
 	finishedAt        sim.Time
@@ -175,6 +176,14 @@ func (wr *SendWR) TxTimes() (posted, started, finished sim.Time) {
 	return wr.postedAt, wr.startedAt, wr.finishedAt
 }
 
+// Queued reports whether a transmit job still references the WR. That can
+// outlast the WR's completion: an ack that overtakes a go-back-N
+// retransmission already scheduled retires the WR while the (now spurious)
+// retransmit job still waits for the pipeline and will read the WR's
+// length, PSNs and payload when its turn comes. A poster that recycles WRs
+// must leave one alone until this reports false.
+func (wr *SendWR) Queued() bool { return wr.jobs > 0 }
+
 // RecvWR is a receive-queue work request: a buffer for one incoming
 // message.
 type RecvWR struct {
@@ -186,7 +195,7 @@ type RecvWR struct {
 // SRQ is a shared receive queue (§VII-F "Pay attention to SRQ").
 type SRQ struct {
 	Depth int
-	queue []RecvWR
+	queue sim.Queue[RecvWR] // posted WQEs; storage reused across post/consume cycles
 	// Posted counts total WQEs ever posted (monitoring).
 	Posted int64
 }
@@ -196,25 +205,16 @@ func NewSRQ(depth int) *SRQ { return &SRQ{Depth: depth} }
 
 // Post adds a receive buffer; errors when full.
 func (s *SRQ) Post(wr RecvWR) error {
-	if len(s.queue) >= s.Depth {
+	if s.queue.Len() >= s.Depth {
 		return errors.New("rnic: SRQ full")
 	}
-	s.queue = append(s.queue, wr)
+	s.queue.Push(wr)
 	s.Posted++
 	return nil
 }
 
 // Len reports available receive WQEs.
-func (s *SRQ) Len() int { return len(s.queue) }
-
-func (s *SRQ) take() (RecvWR, bool) {
-	if len(s.queue) == 0 {
-		return RecvWR{}, false
-	}
-	wr := s.queue[0]
-	s.queue = s.queue[1:]
-	return wr, true
-}
+func (s *SRQ) Len() int { return s.queue.Len() }
 
 // QPCounters are per-QP statistics exposed to XR-Stat.
 type QPCounters struct {
@@ -278,7 +278,7 @@ type QP struct {
 	recvCQAt sim.Time
 
 	// Receive side.
-	rq           []RecvWR
+	rq           sim.Queue[RecvWR]
 	expected     uint32 // next expected PSN
 	assemble     *assembly
 	pktsSinceAck int
@@ -292,12 +292,15 @@ type QP struct {
 	// same lifetime the old per-WR closures had); handleAck appends a WR
 	// and schedules exactly one drain per entry, and pushSendCQE's
 	// monotonic per-QP timestamps keep the drains in FIFO order, so the
-	// index — not a fresh closure — carries the per-WR context.
-	rtoFn     func()
-	ackFn     func()
-	cqeDoneFn func()
-	cqeDone   []*SendWR
-	cqeHead   int
+	// index — not a fresh closure — carries the per-WR context. Delivered
+	// messages await their receive CQE in recvDone under the same rules
+	// (deliver appends, pushRecvCQE orders).
+	rtoFn      func()
+	ackFn      func()
+	cqeDoneFn  func()
+	cqeDone    sim.Queue[*SendWR]
+	recvDoneFn func()
+	recvDone   sim.Queue[CQE]
 
 	// DCQCN rate state.
 	rate *dcqcnState
@@ -357,10 +360,10 @@ func (qp *QP) PostRecv(wr RecvWR) error {
 	if qp.State == QPReset || qp.State == QPError {
 		return fmt.Errorf("%w: %v", ErrQPState, qp.State)
 	}
-	if len(qp.rq) >= qp.RQCap {
+	if qp.rq.Len() >= qp.RQCap {
 		return ErrRQFull
 	}
-	qp.rq = append(qp.rq, wr)
+	qp.rq.Push(wr)
 	return nil
 }
 
@@ -369,7 +372,7 @@ func (qp *QP) RecvQueueLen() int {
 	if qp.srq != nil {
 		return qp.srq.Len()
 	}
-	return len(qp.rq)
+	return qp.rq.Len()
 }
 
 // SendQueueLen reports WRs posted but not yet completed.
@@ -391,20 +394,20 @@ func (qp *QP) PostSend(wr *SendWR) error {
 	qp.sq = append(qp.sq, wr)
 	j := qp.nic.pool.job()
 	j.qp, j.wr = qp, wr
+	wr.jobs++
 	qp.nic.enqueueJob(j)
 	return nil
 }
 
 func (qp *QP) takeRecv() (RecvWR, bool) {
+	q := &qp.rq
 	if qp.srq != nil {
-		return qp.srq.take()
+		q = &qp.srq.queue
 	}
-	if len(qp.rq) == 0 {
+	if q.Len() == 0 {
 		return RecvWR{}, false
 	}
-	wr := qp.rq[0]
-	qp.rq = qp.rq[1:]
-	return wr, true
+	return q.Pop(), true
 }
 
 // enterError flushes all outstanding work with the given status and marks
@@ -453,16 +456,10 @@ func (qp *QP) enterError(st Status) {
 // handleAck appends one WR and schedules one drain per entry, and
 // pushSendCQE's monotonic per-QP timestamps preserve FIFO order, so head
 // position alone identifies the WR each drain belongs to.
-func (qp *QP) drainSendOK() {
-	wr := qp.cqeDone[qp.cqeHead]
-	qp.cqeDone[qp.cqeHead] = nil
-	qp.cqeHead++
-	if qp.cqeHead == len(qp.cqeDone) {
-		qp.cqeDone = qp.cqeDone[:0]
-		qp.cqeHead = 0
-	}
-	qp.completeSend(wr, StatusOK)
-}
+func (qp *QP) drainSendOK() { qp.completeSend(qp.cqeDone.Pop(), StatusOK) }
+
+// drainRecv raises the oldest delivered message's receive completion.
+func (qp *QP) drainRecv() { qp.RecvCQ.push(qp.recvDone.Pop()) }
 
 func (qp *QP) completeSend(wr *SendWR, st Status) {
 	if wr.Unsignaled && st == StatusOK {

@@ -219,7 +219,7 @@ func (qp *QP) handleReadResp(h *hdr) {
 	// FIFO — the same closure-free completion path acked sends use.
 	wr.Data = st.data
 	n.pool.putReadState(st)
-	qp.cqeDone = append(qp.cqeDone, wr)
+	qp.cqeDone.Push(wr)
 	qp.pushSendCQE(n.Cfg.CompletionCost, qp.cqeDoneFn)
 }
 
@@ -381,7 +381,8 @@ func (n *NIC) deliver(qp *QP, a *assembly, h *hdr) {
 		cqe.Addr = a.raddr
 	}
 	cost := n.Cfg.CompletionCost + n.touchQP(qp.QPN)
-	qp.pushRecvCQE(cost, func() { qp.RecvCQ.push(cqe) })
+	qp.recvDone.Push(cqe)
+	qp.pushRecvCQE(cost, qp.recvDoneFn)
 }
 
 // --- ack generation -------------------------------------------------------
@@ -439,7 +440,7 @@ func (qp *QP) handleAck(ackPSN uint32) {
 		// backing array forward and force the next append to grow it.
 		copy(qp.unacked[i:], qp.unacked[i+1:])
 		qp.unacked = qp.unacked[:len(qp.unacked)-1]
-		qp.cqeDone = append(qp.cqeDone, wr)
+		qp.cqeDone.Push(wr)
 		qp.pushSendCQE(n.Cfg.CompletionCost, qp.cqeDoneFn)
 	}
 	if progressed {

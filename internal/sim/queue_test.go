@@ -1,0 +1,57 @@
+package sim
+
+import (
+	"slices"
+	"testing"
+)
+
+// A queue driven against a plain slice model: same contents after any mix of
+// pushes, pops and deletes, vacated slots zeroed, and storage that stops
+// growing once it covers the peak backlog.
+func TestQueueMatchesModel(t *testing.T) {
+	var q Queue[*int]
+	var model []*int
+	rng := NewRNG(7)
+	next := 0
+	for step := 0; step < 20000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 5 && len(model) < 40:
+			v := new(int)
+			*v = next
+			next++
+			q.Push(v)
+			model = append(model, v)
+		case r < 9 && len(model) > 0:
+			if got := q.Pop(); got != model[0] {
+				t.Fatalf("step %d: Pop = %d, want %d", step, *got, *model[0])
+			}
+			model = model[1:]
+		case len(model) > 0:
+			i := rng.Intn(len(model))
+			q.Delete(i)
+			model = slices.Delete(slices.Clone(model), i, i+1)
+		}
+		if q.Len() != len(model) || !slices.Equal(q.Items(), model) {
+			t.Fatalf("step %d: queue diverged from the model (%d vs %d queued)", step, q.Len(), len(model))
+		}
+		for i, p := range q.buf[:q.head] {
+			if p != nil {
+				t.Fatalf("step %d: popped slot %d still holds its element", step, i)
+			}
+		}
+	}
+	if cap(q.buf) > 160 {
+		t.Fatalf("storage grew to %d slots for a backlog that never passed 40", cap(q.buf))
+	}
+}
+
+// The steady post-one/consume-one cycle never allocates.
+func TestQueueSteadyStateAllocs(t *testing.T) {
+	var q Queue[int]
+	for i := 0; i < 8; i++ {
+		q.Push(i)
+	}
+	if got := testing.AllocsPerRun(1000, func() { q.Push(q.Pop()) }); got != 0 {
+		t.Fatalf("push/pop cycle allocates %.1f per op", got)
+	}
+}

@@ -1,0 +1,103 @@
+package xrdma
+
+import (
+	"testing"
+)
+
+// TestSteadyStateAllocs pins the allocation cost of the warmed message path.
+// What is left per 64 B round trip is the two delivered *Msg (the application
+// may keep one past its handler, so it is not pooled) and the RNIC's two
+// reassembly buffers (ROADMAP 1d); a 64 B READ pays only the RNIC's two
+// payload buffers. The poll loop, the window, the frame, the work request and
+// every completion are allocation-free, idle polls and the event-mode wake
+// included: running each round trip to quiescence adds only the reassembly
+// buffer of the standalone ack the idle client then sends. The ceilings are
+// what the code reaches: raising one is a regression to explain.
+func TestSteadyStateAllocs(t *testing.T) {
+	const size = 64
+	rtt := func(w *testWorld, cli *Channel, drain bool) func() {
+		var done bool
+		onResp := func(_ *Msg, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		}
+		return func() {
+			done = false
+			if err := cli.SendMsg(nil, size, onResp); err != nil {
+				t.Fatal(err)
+			}
+			for !done && w.eng.Step() {
+			}
+			if drain {
+				w.eng.Run() // the 64 idle polls, then event mode
+			}
+		}
+	}
+	sizeEcho := func(ch *Channel) { ch.OnMessage(func(m *Msg) { m.Reply(nil, m.Len) }) }
+
+	cases := []struct {
+		name    string
+		ceiling float64
+		build   func() func()
+	}{
+		{"classic_rtt", 4, func() func() {
+			w := newWorld(t, 2, nil)
+			cli, srv := w.connect(t, 0, 1, 5000)
+			sizeEcho(srv)
+			return rtt(w, cli, false)
+		}},
+		{"classic_rtt_drain", 5, func() func() {
+			w := newWorld(t, 2, nil)
+			cli, srv := w.connect(t, 0, 1, 5000)
+			sizeEcho(srv)
+			return rtt(w, cli, true)
+		}},
+		{"mux_rtt", 4, func() func() {
+			w := newWorld(t, 2, muxKnobs(2))
+			clis, srvs := openMuxed(t, w, 0, 1, 5000, 1)
+			sizeEcho(srvs[0])
+			return rtt(w, clis[0], false)
+		}},
+		{"onesided_read", 2, func() func() {
+			w := newWorld(t, 2, nil)
+			cli, srv := w.connect(t, 0, 1, 5000)
+			var rw RemoteWindow
+			cli.OnWindow(func(g RemoteWindow) { rw = g })
+			w.ctxs[1].ExposeWindow(4096, func(win *Window, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv.GrantWindow(win)
+			})
+			w.eng.Run()
+			var done bool
+			onRead := func(_ []byte, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				done = true
+			}
+			return func() {
+				done = false
+				cli.ReadRemote(rw, 0, size, onRead)
+				for !done && w.eng.Step() {
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			op := tc.build()
+			for i := 0; i < 64; i++ {
+				op() // warm: free lists, rings and maps reach their working size
+			}
+			if got := testing.AllocsPerRun(200, op); got > tc.ceiling {
+				t.Errorf("%s: %.2f allocs per op, ceiling %.0f", tc.name, got, tc.ceiling)
+			} else {
+				t.Logf("%s: %.2f allocs per op", tc.name, got)
+			}
+		})
+	}
+}

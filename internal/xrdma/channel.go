@@ -3,6 +3,8 @@ package xrdma
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"xrdma/internal/fabric"
 	"xrdma/internal/rnic"
@@ -39,16 +41,7 @@ const (
 )
 
 func (h HealthState) String() string {
-	switch h {
-	case HealthDegraded:
-		return "degraded"
-	case HealthFallback:
-		return "fallback"
-	case HealthRecovering:
-		return "recovering"
-	default:
-		return "healthy"
-	}
+	return [...]string{"healthy", "degraded", "fallback", "recovering"}[h]
 }
 
 // ChannelStats are per-channel counters (the netstat-like rows of
@@ -79,8 +72,8 @@ type Channel struct {
 	tx *txWindow
 	rx *rxWindow
 
-	sendQ   []*pendingSend
-	pending map[uint64]*reqState // msgID → response waiter
+	sendQ   sim.Queue[*msgRec] // unsent messages, in submission order
+	pending map[uint64]*msgRec // msgID → the request's record, awaiting the response
 
 	lastProgress sim.Time
 
@@ -109,11 +102,8 @@ type Channel struct {
 	resumeOnRx bool
 	onHealth   func(HealthState)
 
-	// sent keeps windowed messages by sequence until acked, so a
-	// recovery or fallback cutover can replay the unacked tail
-	// exactly-once. pulls guards against double rendezvous reads when an
-	// announce is replayed.
-	sent  map[uint64]*pendingSend
+	// pulls guards against double rendezvous reads when an announce is
+	// replayed (the replay tail itself is tx.sent).
 	pulls map[uint64]bool
 
 	// Gray-failure plane (pathdoctor.go): the verdict observer, the
@@ -168,55 +158,25 @@ type Channel struct {
 	OpenedAt sim.Time
 }
 
-type pendingSend struct {
-	kind    msgKind
-	data    []byte
-	size    int
-	msgID   uint64
-	staged  Buffer
-	staging bool
-	ready   bool // small, or staged
-	oneWay  bool
-
-	// Blame plane: enqAt feeds the tx-window-stall stage; echo rides a
-	// response to a blame-sampled request (the remote stage mirror).
-	enqAt sim.Time
-	echo  *respEcho
-}
-
 // unstage returns every staged rendezvous payload — of the unsent queue and
 // of the transmitted-but-unacked tail a cutover would replay — to the cache.
 func (ch *Channel) unstage() {
-	for _, ps := range ch.sendQ {
-		ps.unstage(ch.ctx)
+	for _, rec := range ch.sendQ.Items() {
+		rec.unstage(ch.ctx)
 	}
-	for _, ps := range ch.sent {
-		ps.unstage(ch.ctx)
+	for _, rec := range ch.tx.sent {
+		if rec != nil {
+			rec.unstage(ch.ctx)
+		}
 	}
 }
 
-func (ps *pendingSend) unstage(c *Context) {
-	if ps.staged.Valid() {
-		c.Mem.Free(ps.staged)
-		ps.staged = Buffer{}
+func (rec *msgRec) unstage(c *Context) {
+	if rec.staged.Valid() {
+		c.Mem.Free(rec.staged)
+		rec.staged = Buffer{}
 	}
-	ps.ready, ps.staging = false, false
-}
-
-type reqState struct {
-	cb     func(*Msg, error)
-	sentAt sim.Time
-	traced bool
-
-	// Retry state (RequestRetries > 0 only): the payload is retained so
-	// timeoutScan can re-issue the request under the same MsgID.
-	retries int
-	data    []byte
-	size    int
-
-	// Blame plane: requester-side raw material for the stage breakdown,
-	// stamped at transmit (nil unless the request was blame-sampled).
-	blame *reqBlame
+	rec.ready, rec.staging = false, false
 }
 
 // reqBlame is the requester half of a blame trace: local timestamps, the
@@ -279,11 +239,8 @@ type Msg struct {
 	blame *msgBlame
 
 	replied bool
-	release func() // frees a rendezvous buffer after the handler
+	buf     Buffer // a rendezvous payload's buffer, freed after the handler
 }
-
-// Blamed reports whether this message rode the causal blame trace plane.
-func (m *Msg) Blamed() bool { return m.blame != nil }
 
 // Retain copies the payload so it survives the handler.
 func (m *Msg) Retain() []byte {
@@ -377,10 +334,7 @@ func (ch *Channel) registerGauges() {
 	} else {
 		prefix = fmt.Sprintf("%s.ch.%d.", c.track, ch.lk.qp.QPN)
 	}
-	gauges := []struct {
-		name string
-		fn   func() int64
-	}{
+	gauges := []gauge{
 		{"peer", func() int64 { return int64(ch.Peer) }},
 		{"sent", func() int64 { return ch.Counters.MsgsSent }},
 		{"recv", func() int64 { return ch.Counters.MsgsRecv }},
@@ -407,10 +361,7 @@ func (ch *Channel) registerGauges() {
 	if ch.cid != 0 {
 		// The shared QP a muxed channel currently rides (rnr/retx above are
 		// that QP's counters, shared with its sibling channels).
-		gauges = append(gauges, struct {
-			name string
-			fn   func() int64
-		}{"qpn", func() int64 { return int64(ch.lk.qp.QPN) }})
+		gauges = append(gauges, gauge{"qpn", func() int64 { return int64(ch.lk.qp.QPN) }})
 	}
 	for _, g := range gauges {
 		n := prefix + g.name
@@ -540,16 +491,23 @@ func (ch *Channel) teardown(err error) {
 	ch.failWaiters(failErr)
 	ch.pending, ch.osReads, ch.remoteWins = nil, nil, nil
 	ch.attachSettled(failErr) // an attach that will not happen now
-	// Staged rendezvous payloads — queued, or transmitted and unacked — can
-	// never get their acks on a dead channel, so reclaim them here (the §V-A
-	// keepalive reclamation must leave no memory behind).
-	ch.unstage()
-	ch.sendQ, ch.sent = nil, nil
-	// Return window credits held by the unacked tail and drop their
-	// on-ack closures — the channel is dead, nothing will ack, and the
-	// keepalive reclamation contract is "no resource left behind". The
-	// tenant's window partition gets its slots back the same way.
+	// Nothing will ack on a dead channel: the queued messages and the unacked
+	// tail give back their staged payloads, records and window credits (the
+	// §V-A keepalive reclamation contract is "no resource left behind"), and
+	// the tenant's window partition its slots.
+	for ch.sendQ.Len() > 0 {
+		rec := ch.sendQ.Pop()
+		rec.unstage(c)
+		c.drop(rec, holdSendQ)
+	}
+	ch.sendQ = sim.Queue[*msgRec]{}
 	if ch.tx != nil {
+		for _, rec := range ch.tx.sent {
+			if rec != nil {
+				rec.unstage(c)
+				c.drop(rec, holdWindow)
+			}
+		}
 		ch.tx.rewind()
 	}
 	ch.tenantRewind()
@@ -599,9 +557,6 @@ func (ch *Channel) QPCounters() rnic.QPCounters {
 	return ch.lk.qp.Counters
 }
 
-// CID exposes the mux-plane channel id (0 = exclusive legacy channel).
-func (ch *Channel) CID() uint32 { return ch.cid }
-
 // Attached reports whether the channel has live transport state (always
 // true for legacy channels; false for lazy mux descriptors).
 func (ch *Channel) Attached() bool { return ch.attach == attachDone }
@@ -650,7 +605,7 @@ func (ch *Channel) deadlockCheck() {
 	if !ch.pathUp() {
 		return
 	}
-	if len(ch.sendQ) == 0 || ch.tx.canSend() {
+	if ch.sendQ.Len() == 0 || ch.tx.canSend() {
 		return
 	}
 	if ch.ctx.eng.Now().Sub(ch.lastProgress) < ch.ctx.cfg.DeadlockScan {
@@ -664,7 +619,7 @@ func (ch *Channel) deadlockCheck() {
 	ch.ctx.Stats.NopsSent++
 	now := ch.ctx.eng.Now()
 	ch.ctx.tel.Flight.Trip(now, telemetry.CatWindowStall, int32(ch.ctx.Node()), ch.QPN())
-	ch.ctx.tel.Trace.Instant("window.stall", ch.ctx.track, now, int64(len(ch.sendQ)))
+	ch.ctx.tel.Trace.Instant("window.stall", ch.ctx.track, now, int64(ch.sendQ.Len()))
 	ch.sendCtrl(kindNop)
 }
 
@@ -695,7 +650,7 @@ func (ch *Channel) expireRequests(deadline sim.Time) {
 	// order is randomized, and both which requests win the finite retry
 	// tokens and the wire order of re-issues must be identical run to run
 	// for the grayhaul digest to hold.
-	for _, id := range sortedIDs(ch.pending) {
+	for _, id := range slices.Sorted(maps.Keys(ch.pending)) {
 		rs := ch.pending[id]
 		if rs == nil || rs.sentAt >= deadline {
 			continue // not expired, or removed by an earlier expiry's callback
@@ -709,29 +664,25 @@ func (ch *Channel) expireRequests(deadline sim.Time) {
 			c.Stats.ReqRetries++
 			c.tel.Flight.Record(now, telemetry.CatReqRetry, int32(c.Node()), ch.QPN(), int64(id), int64(rs.retries))
 			c.tel.Trace.Instant("req.retry", c.track, now, int64(rs.retries))
-			ps := &pendingSend{kind: kindReq, data: rs.data, size: rs.size, msgID: id}
-			backoff := c.cfg.RetryBackoff << uint(rs.retries-1)
-			if backoff > 0 {
-				c.eng.AfterBg(backoff, func() {
-					if ch.closed {
-						return
-					}
-					if _, still := ch.pending[id]; !still {
-						return // the original response arrived after all
-					}
-					ch.enqueue(ps)
-				})
+			if backoff := c.cfg.RetryBackoff << uint(rs.retries-1); backoff > 0 {
+				c.eng.AfterBg(backoff, func() { ch.reissue(id) })
 			} else {
-				ch.enqueue(ps)
+				ch.reissue(id)
 			}
 			continue
 		}
-		delete(ch.pending, id)
 		c.Stats.ReqTimeouts++
 		c.tel.Flight.Record(now, telemetry.CatReqTimeout, int32(c.Node()), ch.QPN(), int64(id), int64(rs.retries))
-		if rs.cb != nil {
-			rs.cb(nil, ErrTimeout)
-		}
+		ch.settle(rs)(nil, ErrTimeout)
+	}
+}
+
+// reissue re-sends a timed-out request under its MsgID — unless the channel
+// closed, or the response arrived after all, during the backoff — as a message
+// of its own: the first transmission may still be with the window or the RNIC.
+func (ch *Channel) reissue(id uint64) {
+	if rs := ch.pending[id]; rs != nil && !ch.closed {
+		ch.enqueue(ch.newMsg(kindReq, id, rs.payload(), rs.size))
 	}
 }
 

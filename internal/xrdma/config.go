@@ -2,7 +2,9 @@ package xrdma
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
@@ -273,7 +275,7 @@ func DefaultConfig() Config {
 func (c *Context) SetFlag(name, value string) error {
 	set, ok := onlineFlags[name]
 	if !ok {
-		if _, offline := offlineFlagNames[name]; offline {
+		if slices.Contains(offlineFlagNames, name) {
 			return fmt.Errorf("xrdma: %q is an offline parameter (fixed at context creation)", name)
 		}
 		return fmt.Errorf("xrdma: unknown flag %q", name)
@@ -301,93 +303,48 @@ type flagChange struct {
 	Value string
 }
 
-func parseDurMS(v string) (sim.Duration, error) {
-	var ms float64
-	if _, err := fmt.Sscanf(v, "%g", &ms); err != nil {
-		return 0, err
+// Setters of the online flags, by value type. A duration flag names its unit.
+func durFlag(unit sim.Duration, field func(*Config) *sim.Duration) func(*Context, string) error {
+	return func(c *Context, v string) error {
+		var x float64
+		_, err := fmt.Sscanf(v, "%g", &x)
+		if err == nil {
+			*field(&c.cfg) = sim.Duration(x * float64(unit))
+		}
+		return err
 	}
-	return sim.Duration(ms * float64(sim.Millisecond)), nil
 }
 
-func parseDurUS(v string) (sim.Duration, error) {
-	var us float64
-	if _, err := fmt.Sscanf(v, "%g", &us); err != nil {
-		return 0, err
+func uintFlag(field func(*Config) *uint64) func(*Context, string) error {
+	return func(c *Context, v string) error {
+		_, err := fmt.Sscanf(v, "%d", field(&c.cfg))
+		return err
 	}
-	return sim.Duration(us * float64(sim.Microsecond)), nil
+}
+
+func boolFlag(field func(*Config) *bool) func(*Context, string) error {
+	return func(c *Context, v string) error {
+		switch v {
+		case "on", "true", "1":
+			*field(&c.cfg) = true
+		case "off", "false", "0":
+			*field(&c.cfg) = false
+		default:
+			return fmt.Errorf("want on/off")
+		}
+		return nil
+	}
 }
 
 var onlineFlags = map[string]func(*Context, string) error{
-	"keepalive_intv_ms": func(c *Context, v string) error {
-		d, err := parseDurMS(v)
-		if err != nil {
-			return err
-		}
-		c.cfg.KeepaliveInterval = d
-		return nil
-	},
-	"keepalive_timeout_ms": func(c *Context, v string) error {
-		d, err := parseDurMS(v)
-		if err != nil {
-			return err
-		}
-		c.cfg.KeepaliveTimeout = d
-		return nil
-	},
-	"slow_threshold_us": func(c *Context, v string) error {
-		d, err := parseDurUS(v)
-		if err != nil {
-			return err
-		}
-		c.cfg.SlowThreshold = d
-		return nil
-	},
-	"polling_warn_cycle_us": func(c *Context, v string) error {
-		d, err := parseDurUS(v)
-		if err != nil {
-			return err
-		}
-		c.cfg.PollingWarnCycle = d
-		return nil
-	},
-	"trace_sample_mask": func(c *Context, v string) error {
-		var m uint64
-		if _, err := fmt.Sscanf(v, "%d", &m); err != nil {
-			return err
-		}
-		c.cfg.TraceSampleMask = m
-		return nil
-	},
-	"trace_sample_n": func(c *Context, v string) error {
-		var n uint64
-		if _, err := fmt.Sscanf(v, "%d", &n); err != nil {
-			return err
-		}
-		c.cfg.TraceSampleN = n
-		return nil
-	},
-	"reqrsp_mode": func(c *Context, v string) error {
-		switch v {
-		case "on", "true", "1":
-			c.cfg.ReqRspMode = true
-		case "off", "false", "0":
-			c.cfg.ReqRspMode = false
-		default:
-			return fmt.Errorf("want on/off")
-		}
-		return nil
-	},
-	"path_doctor": func(c *Context, v string) error {
-		switch v {
-		case "on", "true", "1":
-			c.cfg.PathDoctor = true
-		case "off", "false", "0":
-			c.cfg.PathDoctor = false
-		default:
-			return fmt.Errorf("want on/off")
-		}
-		return nil
-	},
+	"keepalive_intv_ms":     durFlag(sim.Millisecond, func(c *Config) *sim.Duration { return &c.KeepaliveInterval }),
+	"keepalive_timeout_ms":  durFlag(sim.Millisecond, func(c *Config) *sim.Duration { return &c.KeepaliveTimeout }),
+	"slow_threshold_us":     durFlag(sim.Microsecond, func(c *Config) *sim.Duration { return &c.SlowThreshold }),
+	"polling_warn_cycle_us": durFlag(sim.Microsecond, func(c *Config) *sim.Duration { return &c.PollingWarnCycle }),
+	"trace_sample_mask":     uintFlag(func(c *Config) *uint64 { return &c.TraceSampleMask }),
+	"trace_sample_n":        uintFlag(func(c *Config) *uint64 { return &c.TraceSampleN }),
+	"reqrsp_mode":           boolFlag(func(c *Config) *bool { return &c.ReqRspMode }),
+	"path_doctor":           boolFlag(func(c *Config) *bool { return &c.PathDoctor }),
 	"filter_drop_rate": func(c *Context, v string) error {
 		var r float64
 		if _, err := fmt.Sscanf(v, "%g", &r); err != nil {
@@ -401,44 +358,18 @@ var onlineFlags = map[string]func(*Context, string) error{
 		return nil
 	},
 	"filter_delay_us": func(c *Context, v string) error {
-		d, err := parseDurUS(v)
-		if err != nil {
-			return err
+		err := durFlag(sim.Microsecond, func(c *Config) *sim.Duration { return &c.FilterDelay })(c, v)
+		if err == nil {
+			c.syncFilter()
 		}
-		c.cfg.FilterDelay = d
-		c.syncFilter()
-		return nil
+		return err
 	},
 }
 
-var offlineFlagNames = map[string]struct{}{
-	"use_srq":                 {},
-	"srq_size":                {},
-	"qps_per_peer":            {},
-	"attach_admission":        {},
-	"channel_gauge_limit":     {},
-	"small_msg_size":          {},
-	"window_depth":            {},
-	"fragment_size":           {},
-	"max_outstanding":         {},
-	"mr_size":                 {},
-	"mem_mode":                {},
-	"poll_interval":           {},
-	"mock_dial_retries":       {},
-	"request_retries":         {},
-	"retry_backoff_ms":        {},
-	"path_rehash_limit":       {},
-	"path_rehash_cooldown_ms": {},
-	"recover_retries":         {},
-	"recover_backoff_ms":      {},
-	"recover_dial_timeout_ms": {},
-	"failback_interval_ms":    {},
-	"tenants":                 {},
-	"mem_pool_bytes":          {},
-	"mem_highwater":           {},
-	"mem_lowwater":            {},
-	"tenant_shed_cooldown_ms": {},
-	"proto_ver_min":           {},
-	"proto_ver_max":           {},
-	"drain_deadline_ms":       {},
-}
+// offlineFlagNames are the parameters SetFlag refuses by name, not as unknown.
+var offlineFlagNames = strings.Fields(`use_srq srq_size qps_per_peer attach_admission channel_gauge_limit
+	small_msg_size window_depth fragment_size max_outstanding mr_size mem_mode poll_interval
+	mock_dial_retries request_retries retry_backoff_ms path_rehash_limit path_rehash_cooldown_ms
+	recover_retries recover_backoff_ms recover_dial_timeout_ms failback_interval_ms tenants
+	mem_pool_bytes mem_highwater mem_lowwater tenant_shed_cooldown_ms proto_ver_min proto_ver_max
+	drain_deadline_ms`)

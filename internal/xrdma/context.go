@@ -3,6 +3,8 @@ package xrdma
 import (
 	"cmp"
 	"fmt"
+	"maps"
+	"reflect"
 	"slices"
 
 	"xrdma/internal/fabric"
@@ -35,9 +37,15 @@ type Context struct {
 	srqPrimed      bool              // first fill done (deferred: see sharedRQ)
 	srqBufs        map[uint64]Buffer // recv WR id → buffer (SRQ mode)
 
-	wrCBs  map[uint64]func(rnic.CQE)
-	wrSeq  uint64
-	msgSeq uint64
+	// The message records (msgrec.go): posted routes a send completion to the
+	// record that posted the WR; recFree is the free list (grown on demand,
+	// trimmed when idle); at quiescence it holds all recLive records.
+	posted  map[uint64]*msgRec
+	recFree []*msgRec
+	recLive int
+	recIdle int // low-water mark of len(recFree) this housekeeping tick
+	wrSeq   uint64
+	msgSeq  uint64
 
 	// One-sided plane (onesided.go): exposed MR windows by window id.
 	windows map[uint64]*Window
@@ -45,9 +53,11 @@ type Context struct {
 
 	onChannel func(*Channel)
 
-	// Reused CQE buffers: pollOnce drains into these so the poll loop is
-	// allocation-free (dispatch closures copy the CQE values they need).
-	scqeBuf, rcqeBuf []rnic.CQE
+	// pollOnce drains the CQs into the reused buffers and queues each
+	// completion on cqeQ for dispatchFn; the callbacks are bound once.
+	scqeBuf, rcqeBuf           []rnic.CQE
+	cqeQ                       sim.Queue[pendingCQE]
+	pollFn, wakeFn, dispatchFn func()
 
 	// Hybrid polling state (§IV-B).
 	pollEv      sim.Event
@@ -206,7 +216,7 @@ func NewContext(o Options) *Context {
 		cm:          o.CM,
 		host:        o.Host,
 		cfg:         o.Config,
-		wrCBs:       make(map[uint64]func(rnic.CQE)),
+		posted:      make(map[uint64]*msgRec),
 		rng:         sim.NewRNG(o.Seed ^ 0x9e37),
 		monitor:     o.Monitor,
 		tcp:         o.TCP,
@@ -217,6 +227,7 @@ func NewContext(o Options) *Context {
 		toff:        make(map[fabric.NodeID]sim.Duration),
 		eventFD:     int(o.Host.ID)*16 + 3,
 	}
+	c.pollFn, c.wakeFn, c.dispatchFn = c.pollTick, c.woke, c.dispatchNext
 	c.tel = telemetry.For(c.eng)
 	c.track = fmt.Sprintf("xrdma.%d", c.host.ID)
 	c.rttHist = c.tel.Reg.Histogram(c.track + ".rtt_ns")
@@ -224,7 +235,7 @@ func NewContext(o Options) *Context {
 	c.pd = c.vctx.AllocPD()
 	c.Mem = newMemCache(c, c.cfg.MRSize, c.cfg.MemMode)
 	c.QPs = newQPCache(c, 4096)
-	c.flow = newFlowCtl(c, c.cfg.MaxOutstandingWRs)
+	c.flow = &flowCtl{ctx: c, limit: c.cfg.MaxOutstandingWRs}
 	c.sendCQ = rnic.NewCQ(8192)
 	c.recvCQ = rnic.NewCQ(8192)
 	c.trace = newTracer(c)
@@ -263,40 +274,30 @@ func NewContext(o Options) *Context {
 	return c
 }
 
-// registerGauges publishes every ContextStats field plus the live
-// resource levels into the engine's metric registry. GaugeFuncs are
-// evaluated only at snapshot time, so the hot path pays nothing.
+// gauge is one row of a registerGauges table.
+type gauge struct {
+	name string
+	fn   func() int64
+}
+
+// registerGauges publishes every ContextStats field (KeepaliveProbes as
+// "keepalive_probes") plus the live resource levels into the engine's metric
+// registry. GaugeFuncs are evaluated only at snapshot time, so the hot path
+// pays nothing.
 func (c *Context) registerGauges() {
-	reg, s := c.tel.Reg, &c.Stats
-	for _, g := range []struct {
-		name string
-		fn   func() int64
-	}{
-		{"polls", func() int64 { return s.Polls }},
-		{"slow_polls", func() int64 { return s.SlowPolls }},
-		{"event_wakes", func() int64 { return s.EventWakes }},
-		{"dispatched", func() int64 { return s.Dispatched }},
-		{"channels_opened", func() int64 { return s.ChannelsOpened }},
-		{"channels_closed", func() int64 { return s.ChannelsClosed }},
-		{"channels_broken", func() int64 { return s.ChannelsBroken }},
-		{"keepalive_probes", func() int64 { return s.KeepaliveProbes }},
-		{"keepalive_fails", func() int64 { return s.KeepaliveFails }},
-		{"nops_sent", func() int64 { return s.NopsSent }},
-		{"acks_sent", func() int64 { return s.AcksSent }},
-		{"req_timeouts", func() int64 { return s.ReqTimeouts }},
-		{"req_retries", func() int64 { return s.ReqRetries }},
-		{"mock_switches", func() int64 { return s.MockSwitches }},
-		{"degraded", func() int64 { return s.Degraded }},
-		{"recover_attempts", func() int64 { return s.RecoverAttempts }},
-		{"recoveries", func() int64 { return s.Recoveries }},
-		{"failbacks", func() int64 { return s.Failbacks }},
-		{"path_rehashes", func() int64 { return s.PathRehashes }},
-		{"path_escalations", func() int64 { return s.PathEscalations }},
-		{"path_hints", func() int64 { return s.PathHints }},
-		{"path_hints_recv", func() int64 { return s.PathHintsRecv }},
-		{"ver_mismatches", func() int64 { return s.VerMismatches }},
-		{"drain_refusals", func() int64 { return s.DrainRefusals }},
-		{"rehydrated", func() int64 { return s.Rehydrated }},
+	reg, stats := c.tel.Reg, reflect.ValueOf(&c.Stats).Elem()
+	for i := 0; i < stats.NumField(); i++ {
+		var name []byte
+		for j, r := range stats.Type().Field(i).Name {
+			if r < 'a' && j > 0 {
+				name = append(name, '_')
+			}
+			name = append(name, byte(r|0x20))
+		}
+		v := stats.Field(i).Addr().Interface().(*int64)
+		reg.GaugeFunc(c.track+"."+string(name), func() int64 { return *v })
+	}
+	for _, g := range []gauge{
 		{"drain_state", func() int64 { return int64(c.drain) }},
 		{"channels", func() int64 { return int64(c.NumChannels()) }},
 		{"mux_qps", func() int64 { _, n := c.linkCensus(); return int64(n) }},
@@ -398,7 +399,7 @@ func (c *Context) schedulePoll(d sim.Duration) {
 	if c.pollEv.Pending() {
 		return
 	}
-	c.pollEv = c.eng.After(d, c.pollTick)
+	c.pollEv = c.eng.After(d, c.pollFn)
 }
 
 // spinDetect is how quickly a busy-polling thread notices a fresh CQE.
@@ -415,12 +416,7 @@ func (c *Context) wake() {
 		}
 		c.wakePending = true
 		c.Stats.EventWakes++
-		c.eng.After(2*sim.Microsecond, func() {
-			c.wakePending = false
-			c.eventMode = false
-			c.idlePolls = 0
-			c.schedulePoll(0)
-		})
+		c.eng.After(2*sim.Microsecond, c.wakeFn)
 		return
 	}
 	soon := c.eng.Now().Add(spinDetect)
@@ -430,7 +426,15 @@ func (c *Context) wake() {
 		}
 		c.eng.Cancel(c.pollEv)
 	}
-	c.pollEv = c.eng.After(spinDetect, c.pollTick)
+	c.pollEv = c.eng.After(spinDetect, c.pollFn)
+}
+
+// woke ends event mode once the epoll wake latency has passed.
+func (c *Context) woke() {
+	c.wakePending = false
+	c.eventMode = false
+	c.idlePolls = 0
+	c.schedulePoll(0)
 }
 
 func (c *Context) pollTick() {
@@ -441,7 +445,7 @@ func (c *Context) pollTick() {
 	// cannot run before it finishes (this is how slow-poll incidents
 	// happen, §VI-A method II).
 	if c.busyUntil > c.eng.Now() {
-		c.eng.At(c.busyUntil, c.pollTick)
+		c.eng.At(c.busyUntil, c.pollFn)
 		return
 	}
 	n := c.pollOnce()
@@ -482,41 +486,47 @@ func (c *Context) pollOnce() int {
 	c.Stats.Dispatched += int64(n)
 	t := now.Add(pollCost)
 	for _, cqe := range scqes {
-		cqe := cqe
 		t = t.Add(perMsgCost)
-		c.eng.At(t, func() { c.dispatchSend(cqe) })
+		c.cqeQ.Push(pendingCQE{cqe: cqe})
+		c.eng.At(t, c.dispatchFn)
 	}
 	for _, cqe := range rcqes {
-		cqe := cqe
 		cost := perMsgCost
 		if c.cfg.ReqRspMode {
 			cost += traceCost
 		}
 		t = t.Add(cost)
-		c.eng.At(t, func() { c.dispatchRecv(cqe) })
+		c.cqeQ.Push(pendingCQE{recv: true, cqe: cqe})
+		c.eng.At(t, c.dispatchFn)
 	}
 	c.busyUntil = t
 	return n
 }
 
-func (c *Context) dispatchSend(cqe rnic.CQE) {
-	if cb, ok := c.wrCBs[cqe.WRID]; ok {
-		delete(c.wrCBs, cqe.WRID)
-		cb(cqe)
-		return
-	}
-	// Completion for an unknown WR: a flushed duplicate after error
-	// handling already ran. Ignore.
+// pendingCQE is a polled completion waiting out its software cost.
+type pendingCQE struct {
+	recv bool
+	cqe  rnic.CQE
 }
 
-func (c *Context) dispatchRecv(cqe rnic.CQE) {
-	if l := c.qpnTab[cqe.QPN]; l != nil {
-		l.recv(cqe)
-		return
+// dispatchNext runs the oldest polled completion: a poll schedules one
+// dispatch per completion at ascending instants, and the loop does not poll
+// again before the last of them, so events and queue stay in step.
+func (c *Context) dispatchNext() {
+	p := c.cqeQ.Pop()
+	if !p.recv {
+		// An unknown WR is a flushed duplicate after error handling already ran.
+		if rec := c.posted[p.cqe.WRID]; rec != nil {
+			delete(c.posted, p.cqe.WRID)
+			c.complete(rec, p.cqe, false)
+		}
+	} else if l := c.qpnTab[p.cqe.QPN]; l != nil {
+		l.recv(p.cqe)
+	} else {
+		// No live link owns the QPN (its channel was torn down): the SRQ
+		// buffer, if the completion consumed one, goes back.
+		c.recycleSRQ(p.cqe.WRID)
 	}
-	// No live link owns the QPN (its channel was torn down): the SRQ
-	// buffer, if the completion consumed one, goes back.
-	c.recycleSRQ(cqe.WRID)
 }
 
 // InjectWork simulates the application occupying the thread for d —
@@ -531,63 +541,55 @@ func (c *Context) InjectWork(d sim.Duration) {
 
 // --- timers -----------------------------------------------------------------
 
+// every runs scan once per period — re-read each tick: the intervals are
+// online flags — for as long as the context is started. The timer callback is
+// built once, not per tick.
+func (c *Context) every(period func() sim.Duration, scan func()) {
+	var tick func()
+	tick = func() {
+		if c.started {
+			scan()
+			c.eng.AfterBg(period(), tick)
+		}
+	}
+	c.eng.AfterBg(period(), tick)
+}
+
 func (c *Context) startTimers() {
-	c.armKeepaliveScan()
-	c.armDeadlockScan()
-	c.armHousekeeping()
+	c.every(func() sim.Duration { return cmp.Or(max(c.cfg.KeepaliveInterval/2, 0), 5*sim.Millisecond) }, c.keepaliveScan)
+	c.every(func() sim.Duration { return c.cfg.DeadlockScan }, c.deadlockScan)
+	c.every(func() sim.Duration { return cmp.Or(max(c.cfg.StatsInterval, 0), 10*sim.Millisecond) }, c.housekeeping)
 }
 
-func (c *Context) armKeepaliveScan() {
-	period := c.cfg.KeepaliveInterval / 2
-	if period <= 0 {
-		period = 5 * sim.Millisecond
-	}
-	c.eng.AfterBg(period, func() {
-		if !c.started {
-			return
-		}
-		// Probe once per QP, not once per channel: liveness is a property of
-		// the transport underneath.
-		if now := c.eng.Now(); c.cfg.KeepaliveInterval > 0 {
-			for i := 0; i < len(c.links); i++ {
-				c.links[i].keepalive(now)
-			}
-		}
-		c.armKeepaliveScan()
-	})
-}
-
-func (c *Context) armDeadlockScan() {
-	c.eng.AfterBg(c.cfg.DeadlockScan, func() {
-		if !c.started {
-			return
-		}
+// keepaliveScan probes once per QP, not once per channel: liveness is a
+// property of the transport underneath.
+func (c *Context) keepaliveScan() {
+	if now := c.eng.Now(); c.cfg.KeepaliveInterval > 0 {
 		for i := 0; i < len(c.links); i++ {
-			for _, ch := range c.links[i].own.riders() {
-				ch.deadlockCheck()
-			}
+			c.links[i].keepalive(now)
 		}
-		c.armDeadlockScan()
-	})
+	}
 }
 
-func (c *Context) armHousekeeping() {
-	period := c.cfg.StatsInterval
-	if period <= 0 {
-		period = 10 * sim.Millisecond
+// deadlockScan walks the riders in place, by index like the links: a check
+// only ever sends a NOP, and if that breaks the link the riders are parked,
+// not detached.
+func (c *Context) deadlockScan() {
+	for i := 0; i < len(c.links); i++ {
+		for j, own := 0, c.links[i].own; j < len(own.riders()); j++ {
+			own.riders()[j].deadlockCheck()
+		}
 	}
-	c.eng.AfterBg(period, func() {
-		if !c.started {
-			return
-		}
-		c.Mem.shrink()
-		c.timeoutScan()
-		c.pathScan()
-		if c.monitor != nil {
-			c.monitor.sample(c)
-		}
-		c.armHousekeeping()
-	})
+}
+
+func (c *Context) housekeeping() {
+	c.Mem.shrink()
+	c.trimRecs()
+	c.timeoutScan()
+	c.pathScan()
+	if c.monitor != nil {
+		c.monitor.sample(c)
+	}
 }
 
 func (c *Context) timeoutScan() {
@@ -615,20 +617,10 @@ func (c *Context) Channels() []*Channel {
 		}
 	}
 	slices.SortStableFunc(out, func(a, b *Channel) int { return cmp.Compare(a.lk.lastQPN(), b.lk.lastQPN()) })
-	for _, cid := range sortedIDs(c.chanByCID) {
+	for _, cid := range slices.Sorted(maps.Keys(c.chanByCID)) {
 		out = append(out, c.chanByCID[cid])
 	}
 	return out
-}
-
-// sortedIDs lists a map's keys in ascending order.
-func sortedIDs[K cmp.Ordered, V any](m map[K]V) []K {
-	ids := make([]K, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // Close tears down the context: all channels close, establishments still in

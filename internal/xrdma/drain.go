@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"xrdma/internal/fabric"
@@ -40,16 +42,7 @@ const (
 	DrainDrained
 )
 
-func (d DrainState) String() string {
-	switch d {
-	case DrainDraining:
-		return "draining"
-	case DrainDrained:
-		return "drained"
-	default:
-		return "serving"
-	}
-}
+func (d DrainState) String() string { return [...]string{"serving", "draining", "drained"}[d] }
 
 // Drain flight-event codes (the B value of CatDrain records).
 const (
@@ -136,7 +129,7 @@ func (ch *Channel) drainQuiesced() bool {
 	if ch.tx != nil && ch.tx.inflight() > 0 {
 		return false
 	}
-	return len(ch.sendQ) == 0 && len(ch.pending) == 0 &&
+	return ch.sendQ.Len() == 0 && len(ch.pending) == 0 &&
 		len(ch.pulls) == 0 && len(ch.osReads) == 0
 }
 
@@ -193,16 +186,13 @@ func (c *Context) drainScan() {
 // not leak into the deterministic digests). Returns how many were failed.
 func (ch *Channel) failWaiters(err error) int {
 	n := 0
-	for _, id := range sortedIDs(ch.pending) {
+	for _, id := range slices.Sorted(maps.Keys(ch.pending)) {
 		if rs := ch.pending[id]; rs != nil { // not removed by an earlier callback
-			delete(ch.pending, id)
 			n++
-			if rs.cb != nil {
-				rs.cb(nil, err)
-			}
+			ch.settle(rs)(nil, err)
 		}
 	}
-	for _, id := range sortedIDs(ch.osReads) {
+	for _, id := range slices.Sorted(maps.Keys(ch.osReads)) {
 		if rs := ch.osReads[id]; rs != nil {
 			delete(ch.osReads, id)
 			n++
@@ -259,40 +249,12 @@ type handoffMsg struct {
 // requeueUnacked would replay after a recovery, frozen across the restart
 // instead.
 func (c *Context) encodeHandoff() []byte {
-	var recs []handoffChan
+	var chans []*Channel
 	for _, ch := range c.Channels() {
-		if ch.cid != 0 || ch.closed || ch.Mocked() || len(ch.lk.qpns) == 0 {
-			continue
+		if ch.cid == 0 && !ch.closed && !ch.Mocked() && len(ch.lk.qpns) > 0 {
+			chans = append(chans, ch)
 		}
-		r := handoffChan{
-			peer:     ch.Peer,
-			qpns:     ch.lk.qpns,
-			peerQPN:  ch.lk.peerQPN,
-			peerQPN0: ch.lk.peerQPN0,
-			negVer:   ch.lk.ver,
-			caps:     ch.lk.caps,
-			txFloor:  ch.tx.acked,
-			rxFloor:  ch.rx.rta,
-		}
-		if t := ch.tenant; t != nil {
-			r.label = t.label
-		}
-		for s := ch.tx.acked + 1; s <= ch.tx.seq; s++ {
-			ps := ch.sent[s]
-			if ps == nil {
-				continue
-			}
-			r.tail = append(r.tail, handoffMsgFrom(ps))
-		}
-		for _, ps := range ch.sendQ {
-			r.tail = append(r.tail, handoffMsgFrom(ps))
-		}
-		for _, id := range sortedIDs(ch.remoteWins) {
-			r.wins = append(r.wins, ch.remoteWins[id])
-		}
-		recs = append(recs, r)
 	}
-
 	var b []byte
 	u16 := func(v uint16) { b = binary.LittleEndian.AppendUint16(b, v) }
 	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
@@ -303,30 +265,53 @@ func (c *Context) encodeHandoff() []byte {
 	// MsgID the old one issued, or the peer's idempotency cache would
 	// swallow fresh requests as duplicates.
 	u64(c.msgSeq)
-	u32(uint32(len(recs)))
-	for _, r := range recs {
-		u32(uint32(r.peer))
-		b = append(b, uint8(len(r.qpns)))
-		for _, q := range r.qpns {
+	u32(uint32(len(chans)))
+	for _, ch := range chans {
+		l := ch.lk
+		u32(uint32(ch.Peer))
+		b = append(b, uint8(len(l.qpns)))
+		for _, q := range l.qpns {
 			u32(q)
 		}
-		u32(r.peerQPN)
-		u32(r.peerQPN0)
-		b = append(b, r.negVer)
-		u32(r.caps)
-		b = append(b, r.label[:]...)
-		u64(r.txFloor)
-		u64(r.rxFloor)
-		u32(uint32(len(r.tail)))
-		for _, m := range r.tail {
-			b = append(b, m.kind, boolByte(m.oneWay))
-			u64(m.msgID)
-			u32(m.size)
-			u32(uint32(len(m.data)))
-			b = append(b, m.data...)
+		u32(l.peerQPN)
+		u32(l.peerQPN0)
+		b = append(b, l.ver)
+		u32(l.caps)
+		var label [8]byte
+		if t := ch.tenant; t != nil {
+			label = t.label
 		}
-		u32(uint32(len(r.wins)))
-		for _, w := range r.wins {
+		b = append(b, label[:]...)
+		u64(ch.tx.acked)
+		u64(ch.rx.rta)
+		var tail []*msgRec
+		for s := ch.tx.acked + 1; s <= ch.tx.seq; s++ {
+			if ps := ch.tx.at(s); ps != nil {
+				tail = append(tail, ps)
+			}
+		}
+		tail = append(tail, ch.sendQ.Items()...)
+		u32(uint32(len(tail)))
+		for _, ps := range tail {
+			data := ps.payload()
+			if !ps.hasData && ps.staged.Valid() {
+				// The payload only lives in the staging buffer (size-only
+				// callers aside): the replay restages it after the restart.
+				data = ps.staged.Bytes()[:ps.size]
+			}
+			oneWay := byte(0)
+			if ps.oneWay {
+				oneWay = 1
+			}
+			b = append(b, uint8(ps.mkind), oneWay)
+			u64(ps.msgID)
+			u32(uint32(ps.size))
+			u32(uint32(len(data)))
+			b = append(b, data...)
+		}
+		u32(uint32(len(ch.remoteWins)))
+		for _, id := range slices.Sorted(maps.Keys(ch.remoteWins)) {
+			w := ch.remoteWins[id]
 			u64(w.ID)
 			u64(w.Addr)
 			u32(w.RKey)
@@ -334,25 +319,6 @@ func (c *Context) encodeHandoff() []byte {
 		}
 	}
 	return b
-}
-
-func handoffMsgFrom(ps *pendingSend) handoffMsg {
-	m := handoffMsg{kind: uint8(ps.kind), oneWay: ps.oneWay, msgID: ps.msgID, size: uint32(ps.size)}
-	if ps.data != nil {
-		m.data = append([]byte(nil), ps.data...)
-	} else if ps.staged.Valid() {
-		// The payload only lives in the staging buffer (size-only callers
-		// aside); copy it out so the replay can restage it after restart.
-		m.data = append([]byte(nil), ps.staged.Bytes()[:ps.size]...)
-	}
-	return m
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // handoff is a decoded blob: the MsgID allocator floor plus every
@@ -548,10 +514,9 @@ func (c *Context) Rehydrate(blob []byte) error {
 			ch.tenant = c.tenantByLabel(r.label)
 		}
 		for _, m := range r.tail {
-			ch.sendQ = append(ch.sendQ, &pendingSend{
-				kind: msgKind(m.kind), data: m.data, size: int(m.size),
-				msgID: m.msgID, oneWay: m.oneWay, enqAt: now,
-			})
+			rec := ch.newMsg(msgKind(m.kind), m.msgID, m.data, int(m.size))
+			rec.oneWay, rec.enqAt, rec.holds = m.oneWay, now, holdSendQ
+			ch.sendQ.Push(rec)
 		}
 		for _, w := range r.wins {
 			if ch.remoteWins == nil {

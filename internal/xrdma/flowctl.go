@@ -1,6 +1,8 @@
 package xrdma
 
 import (
+	"fmt"
+
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
 )
@@ -14,7 +16,7 @@ type flowCtl struct {
 	ctx         *Context
 	limit       int
 	outstanding int
-	queue       []flowItem
+	queue       sim.Queue[*msgRec]
 
 	// Counters.
 	Queued    int64 // WRs that had to wait for a slot
@@ -23,81 +25,106 @@ type flowCtl struct {
 	PeakQueue int
 }
 
-type flowItem struct {
-	qp *rnic.QP
-	wr *rnic.SendWR
-	cb func(rnic.CQE)
+// post hands rec.wr to rec.qp, past the limiter: inline SENDs are already
+// bounded by the per-channel seq-ack window, and probes and acks must not sit
+// behind queued bulk data. From here to the CQE the RNIC owns the WR and the
+// frame it points at (holdNIC); a QP that will not take the WR (broken
+// mid-flight) completes it as flushed on the spot. Either way Context.complete
+// hears, and rec may be gone when post returns.
+func (f *flowCtl) post(rec *msgRec) {
+	c := f.ctx
+	rec.wr.ID = c.nextWRID()
+	rec.holds |= holdNIC
+	c.posted[rec.wr.ID] = rec
+	if err := rec.qp.PostSend(&rec.wr); err != nil {
+		delete(c.posted, rec.wr.ID)
+		c.complete(rec, rnic.CQE{WRID: rec.wr.ID, QPN: rec.qp.QPN, Op: rec.wr.Op, Status: rnic.StatusFlushed}, true)
+	}
 }
 
-func newFlowCtl(ctx *Context, limit int) *flowCtl {
-	return &flowCtl{ctx: ctx, limit: limit}
-}
-
-// post submits a WR; cb fires on completion. The outstanding limit governs
-// the bulk one-sided data plane (the fragmented READs of the rendezvous
-// path): §V-C's congestion problem is "large size requests block the RNIC".
-// Everything else bypasses it: inline SENDs are already bounded by the
-// per-channel seq-ack window — throttling them would only add latency to
-// the traffic flow control exists to protect.
-func (f *flowCtl) post(qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
-	switch {
-	case wr.Op != rnic.OpRead:
-		f.postDirect(qp, wr, cb)
-	case f.outstanding >= f.limit:
+// read posts one READ fragment under the outstanding limit, which governs
+// the bulk one-sided data plane: §V-C's congestion problem is "large size
+// requests block the RNIC". A completion frees the slot for the next queued one.
+func (f *flowCtl) read(rec *msgRec) {
+	if f.outstanding >= f.limit {
 		f.Queued++
-		f.queue = append(f.queue, flowItem{qp: qp, wr: wr, cb: cb})
-		if len(f.queue) > f.PeakQueue {
-			f.PeakQueue = len(f.queue)
-		}
-	default:
-		f.postRead(qp, wr, cb)
+		rec.holds |= holdPostQ
+		f.queue.Push(rec)
+		f.PeakQueue = max(f.PeakQueue, f.queue.Len())
+		return
 	}
-}
-
-// postDirect bypasses the limiter — keepalive probes and acks are tiny
-// and must not sit behind queued bulk data.
-func (f *flowCtl) postDirect(qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
-	wr.ID = f.ctx.nextWRID()
-	if cb != nil {
-		f.ctx.wrCBs[wr.ID] = cb
-	}
-	if err := qp.PostSend(wr); err != nil {
-		delete(f.ctx.wrCBs, wr.ID)
-		if cb != nil {
-			cb(rnic.CQE{WRID: wr.ID, QPN: qp.QPN, Op: wr.Op, Status: rnic.StatusFlushed})
-		}
-	}
-}
-
-// postRead issues one READ under the outstanding count; its completion
-// frees the slot for the next queued one.
-func (f *flowCtl) postRead(qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
-	wr.ID = f.ctx.nextWRID()
 	f.outstanding++
 	f.Posted++
-	f.ctx.wrCBs[wr.ID] = func(cqe rnic.CQE) {
-		f.outstanding--
-		f.pump()
-		if cb != nil {
-			cb(cqe)
-		}
-	}
-	if err := qp.PostSend(wr); err != nil {
-		// QP unusable (broken mid-flight): complete as flushed.
-		delete(f.ctx.wrCBs, wr.ID)
-		f.outstanding--
-		if cb != nil {
-			cb(rnic.CQE{WRID: wr.ID, QPN: qp.QPN, Op: wr.Op, Status: rnic.StatusFlushed})
-		}
-		f.pump()
-	}
+	f.post(rec)
 }
 
 func (f *flowCtl) pump() {
-	for f.outstanding < f.limit && len(f.queue) > 0 {
-		it := f.queue[0]
-		f.queue = f.queue[1:]
-		f.postRead(it.qp, it.wr, it.cb)
+	for f.outstanding < f.limit && f.queue.Len() > 0 {
+		rec := f.queue.Pop()
+		rec.holds &^= holdPostQ
+		f.read(rec)
+	}
+}
+
+// complete is the one send-completion handler: it settles the limiter and
+// arbiter accounting of the post, lets go of the RNIC's hold, then does what
+// the record's kind does with a completion. unposted: the QP refused the post.
+func (c *Context) complete(rec *msgRec, cqe rnic.CQE, unposted bool) {
+	f, s, gen := c.flow, rec.sched, rec.schedGen
+	limited := rec.kind == recFrag // the one kind that goes through read
+	if limited {
+		f.outstanding--
+		if !unposted {
+			f.pump()
+		}
+	}
+	if s != nil && s.gen == gen {
+		s.pending--
+	}
+	ch, l := rec.ch, rec.lk
+	ok := cqe.Status == rnic.StatusOK
+	switch rec.kind {
+	case recFrame:
+		done := rec.done
+		c.drop(rec, holdNIC)
+		var err error
+		if !ok {
+			err = fmt.Errorf("xrdma: send failed: %v", cqe.Status)
+		}
+		if done != nil {
+			done(err)
+		}
+		if err != nil && l.current(cqe) {
+			l.fail(err)
+		}
+	case recProbe: // the keepalive's verdict, unless the link moved on
+		c.drop(rec, holdNIC)
+		if l.current(cqe) {
+			if l.kaProbing = false; !ok {
+				l.keepaliveDead(c.eng.Now())
+			} else {
+				l.lastComm = c.eng.Now()
+			}
+		}
+	case recWrite:
+		cb, id, start, n := rec.done, rec.msgID, rec.enqAt, rec.size
+		c.drop(rec, holdNIC)
+		ch.wrote(cqe, id, start, n, cb)
+	case recFrag:
+		p := rec.parent
+		c.drop(rec, holdNIC)
+		if !ok && p.failed == rnic.StatusOK {
+			p.failed = cqe.Status
+		}
+		if p.remaining--; p.remaining == 0 {
+			c.fetched(p)
+		}
+	}
+	if s != nil && s.gen == gen {
+		s.drain()
+	}
+	if limited && unposted {
+		f.pump()
 	}
 }
 
@@ -212,11 +239,12 @@ func (ch *Channel) tenantRewind() {
 	t.wakeWaiters()
 }
 
-// fetchRemote pulls size bytes from a peer's staged buffer into local
-// registered memory using fragmented RDMA READs — the "read replace
-// write" data path (§IV-C) with §V-C fragmentation. done fires once every
-// fragment has landed; a failed fragment reports its status.
-func (f *flowCtl) fetchRemote(qp *rnic.QP, raddr uint64, rkey uint32, local Buffer, size int, done func(rnic.Status)) {
+// fetchRemote pulls op.size bytes from the peer buffer op names into op.staged
+// using fragmented RDMA READs on qp — "read replace write" (§IV-C) with §V-C
+// fragmentation. fetched runs once every fragment has landed, the first
+// failure, if any, in op.failed.
+func (f *flowCtl) fetchRemote(op *msgRec, qp *rnic.QP) {
+	size, raddr, rkey := op.size, op.wr.RAddr, op.wr.RKey
 	frag := f.ctx.cfg.FragmentSize
 	if frag <= 0 || frag > size {
 		frag = size
@@ -228,31 +256,36 @@ func (f *flowCtl) fetchRemote(qp *rnic.QP, raddr uint64, rkey uint32, local Buff
 	if n > 1 {
 		f.Fragments += int64(n)
 	}
-	remaining := n
-	failed := rnic.StatusOK
+	op.qp, op.remaining = qp, n
 	for off := 0; off < size || (size == 0 && off == 0); off += frag {
 		seg := size - off
 		if seg > frag {
 			seg = frag
 		}
-		wr := &rnic.SendWR{
+		rec := f.ctx.newRec(recFrag, op.ch)
+		rec.parent, rec.qp = op, qp
+		rec.wr = rnic.SendWR{
 			Op:    rnic.OpRead,
 			Len:   seg,
-			Local: local.Addr + uint64(off),
+			Local: op.staged.Addr + uint64(off),
 			RAddr: raddr + uint64(off),
 			RKey:  rkey,
 		}
-		f.post(qp, wr, func(cqe rnic.CQE) {
-			if cqe.Status != rnic.StatusOK && failed == rnic.StatusOK {
-				failed = cqe.Status
-			}
-			remaining--
-			if remaining == 0 {
-				done(failed)
-			}
-		})
+		f.read(rec)
 		if size == 0 {
 			break
 		}
+	}
+}
+
+// fetched hands a finished fetch to its consumer and retires the op.
+func (c *Context) fetched(op *msgRec) {
+	ch, msg, buf, qp, st, err := op.ch, op.msg, op.staged, op.qp, op.failed, op.err
+	id, start, size, readCB := op.msgID, op.enqAt, op.size, op.readCB
+	c.drop(op, holdOp)
+	if msg != nil {
+		ch.pulled(msg, buf, qp, start, st, err)
+	} else {
+		ch.readDone(id, start, size, buf, st, err, readCB)
 	}
 }

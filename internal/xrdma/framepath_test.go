@@ -72,9 +72,12 @@ func TestOneSidedWriteImmSharedQP(t *testing.T) {
 	// recycles the SRQ buffer and wakes nobody — no decode, no lost buffer.
 	mx := sharedQPs(w.ctxs[0])[0]
 	srqBefore := len(w.ctxs[1].srqBufs)
-	w.ctxs[0].flow.post(mx.qp, &rnic.SendWR{
+	foreign := w.ctxs[0].newRec(recWrite, cli)
+	foreign.qp, foreign.done = mx.qp, func(error) {}
+	foreign.wr = rnic.SendWR{
 		Op: rnic.OpWriteImm, Len: 512, Data: make([]byte, 512), RAddr: rw.Addr, RKey: rw.RKey, Imm: 9,
-	}, func(rnic.CQE) {})
+	}
+	w.ctxs[0].flow.post(foreign)
 	w.eng.Run()
 	for _, e := range w.ctxs[1].Log() {
 		if strings.Contains(e.Text, "decode error") {

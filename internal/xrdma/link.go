@@ -46,8 +46,8 @@ const (
 // channel and a shared QP; the health machine and the frame path below
 // never ask which one they are serving.
 type linkOwner interface {
-	// riders snapshots the channels on the link in attach order; the walk
-	// may detach or close them.
+	// riders is the live list of channels on the link in attach order: walk
+	// it by index, or snapshot it before a walk that detaches or closes them.
 	riders() []*Channel
 	// acquire gathers what a replacement transport is built from: a
 	// recycled QP (nil = create one) and the standing receive pool to post
@@ -61,10 +61,6 @@ type linkOwner interface {
 	parked()
 	// adopted runs once a (first or replacement) QP carries the link.
 	adopted()
-	// handleWire takes one decoded inbound frame: its header, the inline
-	// payload (nil when none is carried), whether it came over the Mock
-	// conn, and the in-band fabric accumulator of a blame-traced message.
-	handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *telemetry.PktBlame)
 	// exhausted means no replacement is coming: the link never came up, has
 	// no recovery port, or spent its retry budget (dialer) or grace (waiter).
 	exhausted(cause error)
@@ -216,16 +212,13 @@ func (l *link) is(from fabric.NodeID, h hello) bool {
 // established lists the riders with a live send path — the ones to hold on
 // failure and replay on adoption. A rider still waiting for its
 // CHAN_ACCEPT has nothing in flight; the owner re-opens it on adoption.
-func (l *link) established() []*Channel {
-	rs := l.own.riders()
-	n := 0
-	for _, ch := range rs {
+func (l *link) established() (rs []*Channel) {
+	for _, ch := range l.own.riders() {
 		if ch.attach == attachDone {
-			rs[n] = ch
-			n++
+			rs = append(rs, ch)
 		}
 	}
-	return rs[:n]
+	return rs
 }
 
 func (l *link) setHealth(h HealthState) {
@@ -239,7 +232,7 @@ func (l *link) setHealth(h HealthState) {
 // Everything that puts a wire frame on, or takes one off, a transport is
 // below: recv/ingest hold the only decodeHdr call, emit the only encode.
 
-// recv is the one ingress for receive completions (Context.dispatchRecv is
+// recv is the one ingress for receive completions (Context.dispatchNext is
 // a table lookup in front of it).
 func (l *link) recv(cqe rnic.CQE) {
 	c := l.c
@@ -272,7 +265,9 @@ func (l *link) recv(cqe rnic.CQE) {
 }
 
 // ingest decodes one inbound frame — an RDMA receive or a Mock TCP message
-// — and hands header and inline payload to the owner.
+// — and hands header, inline payload (nil when none is carried), transport
+// and the in-band fabric accumulator of a blame-traced message to the rider or
+// the shared QP's demux: two static calls, so the header stays on this stack.
 func (l *link) ingest(data []byte, wrID uint64, overMock bool, rxBlame *telemetry.PktBlame) {
 	c := l.c
 	if l.state == linkDead {
@@ -297,7 +292,11 @@ func (l *link) ingest(data []byte, wrID uint64, overMock bool, rxBlame *telemetr
 	if size := int(h.Size); size > 0 && len(data) >= hdrLen+size {
 		pay = data[hdrLen : hdrLen+size]
 	}
-	l.own.handleWire(&h, pay, overMock, rxBlame)
+	if ch := l.solo[0]; ch != nil {
+		ch.handleWire(&h, pay, overMock, rxBlame)
+	} else {
+		l.own.(*muxQP).handleWire(&h, pay, overMock, rxBlame)
+	}
 }
 
 // post puts the standing receive pool — the buffers whose footprint the
@@ -353,50 +352,52 @@ func (l *link) closeFallback() {
 	}
 }
 
-// emit is the one egress: it encodes h (plus an inline payload) once and
-// hands the frame to whatever carries the link — the Mock conn on the
-// fallback, otherwise the QP (windowed kinds behind the DRR arbiter on a
-// tenanted shared SQ). Callers gate on path state; emit does not. wireLen
-// is the frame's size on the RDMA wire (a size-only payload counts without
-// being carried). done, when non-nil, hears the outcome — handed to TCP, or
-// completed by the RNIC — and a failed completion on the current QP fails
-// the link. The returned WR (nil over Mock) is for the blame plane.
-func (l *link) emit(ch *Channel, h *wireHdr, data []byte, wireLen int, blame *telemetry.PktBlame, done func(error)) *rnic.SendWR {
-	hb := h.wireBytes()
-	buf := make([]byte, hb+len(data))
-	h.encode(buf)
-	copy(buf[hb:], data)
+// emit is the one egress: it encodes h in front of rec's payload (inline
+// unless the message goes by rendezvous) and hands the frame to whatever
+// carries the link — the Mock conn on the fallback, otherwise the QP (windowed
+// kinds behind the DRR arbiter on a tenanted shared SQ). Callers gate on path
+// state; emit does not. wireLen is the frame's size on the RDMA wire (a
+// size-only payload counts uncarried). Context.complete hears the RNIC's
+// verdict: a failed completion on the current QP fails the link.
+func (l *link) emit(rec *msgRec, h *wireHdr, wireLen int, blame *telemetry.PktBlame) {
+	hb, end := h.wireBytes(), frameHeadroom
+	if !rec.large {
+		end = len(rec.buf)
+	}
+	frame := rec.buf[frameHeadroom-hb : end]
+	clear(frame[:hb]) // the pad bytes encode skips held another life's header
+	h.encode(frame)
 	if l.state == linkFallback {
-		l.fb.Send(buf, 0, done)
-		return nil
+		// tcpnet's segments alias what they are given until they land: it gets
+		// a copy to keep, and a control frame's record is done.
+		l.fb.Send(slices.Clone(frame), 0, rec.done)
+		l.c.drop(rec, 0)
+		return
 	}
-	wr := &rnic.SendWR{Op: rnic.OpSend, Len: wireLen, Data: buf, Blame: blame}
-	cb := func(cqe rnic.CQE) {
-		var err error
-		if cqe.Status != rnic.StatusOK {
-			err = fmt.Errorf("xrdma: send failed: %v", cqe.Status)
-		}
-		if done != nil {
-			done(err)
-		}
-		if err != nil && l.current(cqe) {
-			l.fail(err)
-		}
-	}
-	if l.sched != nil && h.Kind.windowed() {
-		l.sched.submit(ch, l.qp, wr, cb)
-	} else {
-		l.c.flow.post(l.qp, wr, cb)
-	}
+	rec.wr = rnic.SendWR{Op: rnic.OpSend, Len: wireLen, Data: frame, Blame: blame}
+	rec.lk, rec.qp = l, l.qp
 	l.lastComm = l.c.eng.Now()
-	return wr
+	if l.sched != nil && h.Kind.windowed() {
+		l.sched.submit(rec)
+	} else {
+		l.c.flow.post(rec)
+	}
+}
+
+// emitCtrl emits a window-exempt frame, optionally with a payload (the Mock
+// emulation of READ_RESP / WRITE_IMM); done, when non-nil, hears the outcome.
+func (l *link) emitCtrl(ch *Channel, h *wireHdr, data []byte, done func(error)) {
+	rec := l.c.newRec(recFrame, ch)
+	rec.done = done
+	rec.setPayload(data, 0)
+	l.emit(rec, h, h.wireBytes()+len(data), nil)
 }
 
 // sendCtrl emits a link-level control frame (CHAN_OPEN/ACCEPT/CLOSE) if the
 // QP is up; these are advisory and re-sent by the protocol above.
 func (l *link) sendCtrl(h *wireHdr) {
 	if l.state == linkReady {
-		l.emit(nil, h, nil, h.wireBytes(), nil, nil)
+		l.emitCtrl(nil, h, nil, nil)
 	}
 }
 
@@ -434,17 +435,10 @@ func (l *link) keepalive(now sim.Time) {
 	c.Stats.KeepaliveProbes++
 	c.tel.Flight.Record(now, telemetry.CatKeepaliveProbe, int32(c.Node()), l.qp.QPN, int64(l.peer), 0)
 	c.tel.Trace.Instant("keepalive.probe", c.track, now, int64(l.peer))
-	c.flow.postDirect(l.qp, &rnic.SendWR{Op: rnic.OpWrite, Len: 0}, func(cqe rnic.CQE) {
-		if !l.current(cqe) {
-			return
-		}
-		l.kaProbing = false
-		if cqe.Status != rnic.StatusOK {
-			l.keepaliveDead(c.eng.Now())
-			return
-		}
-		l.lastComm = c.eng.Now()
-	})
+	rec := c.newRec(recProbe, nil)
+	rec.lk, rec.qp = l, l.qp
+	rec.wr = rnic.SendWR{Op: rnic.OpWrite}
+	c.flow.post(rec)
 }
 
 func (l *link) keepaliveDead(now sim.Time) {
@@ -480,8 +474,8 @@ func (l *link) pathScan(now sim.Time) {
 		c.tel.Flight.Record(now, telemetry.CatPathVerdict, int32(c.Node()), l.qp.QPN, int64(v), int64(d.score*100))
 		c.tel.Trace.Instant("path.verdict", c.track, now, int64(v))
 		d.log = append(d.log, fmt.Sprintf("t=%v node=%d path=%v score=%d", now, c.Node(), v, int64(d.score*100)))
-		for _, ch := range l.own.riders() {
-			if ch.onPathVerdict != nil {
+		for i := 0; i < len(l.own.riders()); i++ { // in place: an observer may close its channel
+			if ch := l.own.riders()[i]; ch.onPathVerdict != nil {
 				ch.onPathVerdict(v)
 			}
 		}

@@ -164,14 +164,24 @@ func (ch *Channel) startAttach() {
 	}
 }
 
-// attachRelease frees one admission slot and starts the first FIFO head
-// whose shed gate (if any) has lifted; still-gated heads rotate to the
-// tail and wait for the attachKick when their episode ends.
+// attachRelease frees one admission slot and hands it to the FIFO.
 func (c *Context) attachRelease() {
 	if c.attachActive > 0 {
 		c.attachActive--
 	}
-	for scan := len(c.attachQ); scan > 0 && len(c.attachQ) > 0; scan-- {
+	c.attachAdmit(1)
+}
+
+// attachAdmit makes one bounded pass over the admission FIFO and starts up
+// to max queued attaches while AttachAdmission has room: all of them after a
+// shed episode or the global memory pressure clears, one for a freed slot.
+// Heads whose shed gate has not lifted rotate to the tail and wait for the
+// pass their episode's end triggers.
+func (c *Context) attachAdmit(max int) {
+	for scan := len(c.attachQ); scan > 0 && max > 0 && len(c.attachQ) > 0; scan-- {
+		if lim := c.cfg.AttachAdmission; lim > 0 && c.attachActive >= lim {
+			return
+		}
 		next := c.attachQ[0]
 		c.attachQ = c.attachQ[1:]
 		if next.closed || next.attach != attachQueued {
@@ -182,7 +192,7 @@ func (c *Context) attachRelease() {
 			continue
 		}
 		next.startAttach()
-		return
+		max--
 	}
 }
 
@@ -263,9 +273,9 @@ func (mx *muxQP) detach(ch *Channel) {
 	}
 }
 
-// riders snapshots attached channels in ascending cid order (cids are
-// assigned monotonically, so attach order is already sorted).
-func (mx *muxQP) riders() []*Channel { return slices.Clone(mx.chans) }
+// riders lists attached channels in ascending cid order (cids are assigned
+// monotonically, so attach order is already sorted).
+func (mx *muxQP) riders() []*Channel { return mx.chans }
 
 // rider resolves the channel an inbound header's Chan field names; a cid
 // that rides another QP (or none) names nothing here.
@@ -390,8 +400,7 @@ func (mx *muxQP) parked() {
 		// ctrl frame rides the reliable wire; if the QP really is broken the
 		// post just flushes and the initiator's keepalive finds out on its
 		// own.
-		h := wireHdr{Kind: kindMuxSick}
-		mx.emit(nil, &h, nil, h.wireBytes(), nil, nil)
+		mx.emitCtrl(nil, &wireHdr{Kind: kindMuxSick}, nil, nil)
 	}
 }
 
@@ -401,7 +410,7 @@ func (mx *muxQP) adopted() {
 	if !mx.dialer {
 		return
 	}
-	for _, ch := range mx.riders() {
+	for _, ch := range slices.Clone(mx.chans) {
 		if ch.attach == attachPending {
 			mx.sendChanOpen(ch)
 		}
@@ -421,7 +430,7 @@ func (mx *muxQP) exhausted(cause error) {
 		mx.sched.reset()
 	}
 	mx.c.logf("mux peer=%d beyond recovery (%d channels): %v", mx.peer, len(mx.chans), cause)
-	for _, ch := range mx.riders() {
+	for _, ch := range slices.Clone(mx.chans) { // a snapshot: each rider detaches as it dies
 		ch.finishAttach(cause)
 	}
 	mx.release(mx.qp, nil)

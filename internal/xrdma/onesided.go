@@ -212,33 +212,54 @@ func (ch *Channel) ReadRemote(win RemoteWindow, off uint64, size int, cb func([]
 		cb(nil, ErrNoPath)
 		return
 	}
-	if size == 0 {
-		// Zero-byte probe: no buffer, no rkey check — an RTT measurement.
-		c.flow.fetchRemote(ch.lk.qp, win.Addr+off, win.RKey, Buffer{}, 0, func(st rnic.Status) {
-			ch.readDone(id, start, 0, Buffer{}, st, cb)
-		})
+	op := c.newRec(recFetch, ch)
+	op.readCB, op.msgID, op.enqAt, op.size = cb, id, start, size
+	op.wr.RAddr, op.wr.RKey = win.Addr+off, win.RKey
+	ch.fetch(op)
+}
+
+// fetch lands op's bytes in a local buffer (a zero-byte probe, an RTT
+// measurement, needs none and no rkey check) with fragmented READs. op names
+// the target (wr.RAddr/RKey: a fetch posts only its fragments) and the
+// consumer (readCB or msg), whom Context.fetched tells the outcome, whatever.
+func (ch *Channel) fetch(op *msgRec) {
+	c := ch.ctx
+	op.holds |= holdOp
+	if op.size == 0 {
+		c.flow.fetchRemote(op, ch.lk.qp)
+	} else if buf, ok := c.Mem.AllocNow(op.size); ok {
+		ch.fetchInto(op, buf, nil)
+	} else { // the cache must grow first
+		c.Mem.Alloc(op.size, func(buf Buffer, err error) { ch.fetchInto(op, buf, err) })
+	}
+}
+
+func (ch *Channel) fetchInto(op *msgRec, buf Buffer, err error) {
+	c := ch.ctx
+	switch {
+	case err != nil:
+		op.err = err
+	case ch.closed || ch.health != HealthHealthy:
+		c.Mem.Free(buf)
+		op.err = ErrNoPath
+	default:
+		if op.staged = buf; op.msg != nil {
+			op.enqAt = c.eng.Now() // a pull's read.fetch span starts with its buffer
+		}
+		c.flow.fetchRemote(op, ch.lk.qp)
 		return
 	}
-	c.Mem.Alloc(size, func(buf Buffer, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		if ch.closed || ch.health != HealthHealthy {
-			c.Mem.Free(buf)
-			cb(nil, ErrNoPath)
-			return
-		}
-		c.flow.fetchRemote(ch.lk.qp, win.Addr+off, win.RKey, buf, size, func(st rnic.Status) {
-			ch.readDone(id, start, size, buf, st, cb)
-		})
-	})
+	c.fetched(op)
 }
 
 // readDone completes one RDMA-path ReadRemote: stats, blame, callback,
 // buffer reclamation, and channel failure on a broken QP.
-func (ch *Channel) readDone(id uint64, start sim.Time, size int, buf Buffer, st rnic.Status, cb func([]byte, error)) {
+func (ch *Channel) readDone(id uint64, start sim.Time, size int, buf Buffer, st rnic.Status, err error, cb func([]byte, error)) {
 	c := ch.ctx
+	if err != nil {
+		cb(nil, err)
+		return
+	}
 	if st != rnic.StatusOK {
 		if buf.Valid() {
 			c.Mem.Free(buf)
@@ -307,28 +328,34 @@ func (ch *Channel) WriteRemote(win RemoteWindow, off uint64, data []byte, imm ui
 		cb(ErrNoPath)
 		return
 	}
-	wr := &rnic.SendWR{
+	rec := c.newRec(recWrite, ch)
+	rec.done, rec.msgID, rec.enqAt, rec.size = cb, id, start, len(data)
+	rec.qp = ch.lk.qp
+	rec.wr = rnic.SendWR{
 		Op: rnic.OpWriteImm, Len: len(data), Data: data,
 		RAddr: win.Addr + off, RKey: win.RKey, Imm: imm,
 	}
-	c.flow.post(ch.lk.qp, wr, func(cqe rnic.CQE) {
-		if cqe.Status != rnic.StatusOK {
-			err := fmt.Errorf("xrdma: remote write failed: %v", cqe.Status)
-			if cqe.Status == rnic.StatusRemoteAccessErr {
-				ch.Counters.RemoteAccessErrs++
-				err = fmt.Errorf("xrdma: remote write failed: %v: %w", cqe.Status, ErrRemoteAccess)
-			}
-			cb(err)
-			if cqe.Status != rnic.StatusFlushed && ch.lk.current(cqe) {
-				ch.lk.fail(err)
-			}
-			return
-		}
-		ch.Counters.WriteBytes += int64(len(data))
-		ch.noteOneSided(telemetry.StageWriteFlush, id, start)
-		cb(nil)
-	})
+	c.flow.post(rec)
 	ch.lk.lastComm = c.eng.Now()
+}
+
+// wrote hears a WriteRemote's completion.
+func (ch *Channel) wrote(cqe rnic.CQE, id uint64, start sim.Time, n int, cb func(error)) {
+	if cqe.Status != rnic.StatusOK {
+		err := fmt.Errorf("xrdma: remote write failed: %v", cqe.Status)
+		if cqe.Status == rnic.StatusRemoteAccessErr {
+			ch.Counters.RemoteAccessErrs++
+			err = fmt.Errorf("xrdma: remote write failed: %v: %w", cqe.Status, ErrRemoteAccess)
+		}
+		cb(err)
+		if cqe.Status != rnic.StatusFlushed && ch.lk.current(cqe) {
+			ch.lk.fail(err)
+		}
+		return
+	}
+	ch.Counters.WriteBytes += int64(n)
+	ch.noteOneSided(telemetry.StageWriteFlush, id, start)
+	cb(nil)
 }
 
 // noteOneSided attributes one completed one-sided op to its blame stage:

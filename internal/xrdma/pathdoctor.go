@@ -37,16 +37,7 @@ const (
 	PathSick
 )
 
-func (v PathVerdict) String() string {
-	switch v {
-	case PathSuspect:
-		return "suspect"
-	case PathSick:
-		return "sick"
-	default:
-		return "clean"
-	}
-}
+func (v PathVerdict) String() string { return [...]string{"clean", "suspect", "sick"}[v] }
 
 // ErrPathSick is the escalation cause handed to the health machine when
 // every rotation budgeted for the sick episode failed to find a clean

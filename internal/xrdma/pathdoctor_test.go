@@ -268,12 +268,12 @@ func TestRetryPayloadOwned(t *testing.T) {
 		t.Fatalf("pending=%d, want 1", len(cli.pending))
 	}
 	for _, rs := range cli.pending {
-		if len(rs.data) == 0 || &rs.data[0] == &buf[0] {
+		if len(rs.payload()) == 0 || &rs.payload()[0] == &buf[0] {
 			t.Fatal("retry state aliases the caller's buffer")
 		}
 		copy(buf, "clobbered!!!!!")
-		if string(rs.data) != "original-bytes" {
-			t.Fatalf("retained payload mutated with the caller's buffer: %q", rs.data)
+		if string(rs.payload()) != "original-bytes" {
+			t.Fatalf("retained payload mutated with the caller's buffer: %q", rs.payload())
 		}
 	}
 	w.eng.Run()

@@ -129,17 +129,20 @@ func (ch *Channel) requeueUnacked() {
 	if ch.tx.seq == ch.tx.acked {
 		return
 	}
-	var replay []*pendingSend
+	var replay []*msgRec
 	for s := ch.tx.acked + 1; s <= ch.tx.seq; s++ {
-		ps := ch.sent[s]
+		ps := ch.tx.at(s)
 		if ps == nil {
 			continue
 		}
-		delete(ch.sent, s)
+		ps.holds ^= holdWindow | holdSendQ
+		if ps.holds&holdNIC != 0 {
+			ps = ch.rehome(ps)
+		}
 		ps.staging = false
 		if ps.staged.Valid() && ps.staged.region != nil && ps.staged.region.dead {
 			// The staging buffer died with the NIC's registered memory;
-			// restage from ps.data on the way out.
+			// restage from the record's payload on the way out.
 			ps.staged = Buffer{}
 		}
 		ps.ready = ps.staged.Valid()
@@ -147,7 +150,27 @@ func (ch *Channel) requeueUnacked() {
 	}
 	ch.tx.rewind()
 	ch.tenantRewind()
-	ch.sendQ = append(replay, ch.sendQ...)
+	replay = append(replay, ch.sendQ.Items()...)
+	ch.sendQ = sim.Queue[*msgRec]{}
+	for _, rec := range replay {
+		ch.sendQ.Push(rec)
+	}
+}
+
+// rehome moves a message, response waiter and all, to a fresh record when the
+// RNIC still owns the old one — the broken QP's flush is not polled yet (a
+// peer-initiated recovery or Mock switch adopts that fast) — so the replay
+// re-encodes no frame the hardware may yet read. The old one retires on its CQE.
+func (ch *Channel) rehome(old *msgRec) *msgRec {
+	rec := ch.newMsg(old.mkind, old.msgID, old.payload(), old.size)
+	rec.oneWay, rec.enqAt, rec.echo = old.oneWay, old.enqAt, old.echo
+	rec.staged, old.staged = old.staged, Buffer{}
+	if rec.holds = old.holds &^ holdNIC; rec.holds&holdWaiter != 0 {
+		rec.cb, rec.sentAt, rec.retries, rec.blame = old.cb, old.sentAt, old.retries, old.blame
+		ch.pending[rec.msgID] = rec
+	}
+	ch.ctx.drop(old, rec.holds)
+	return rec
 }
 
 // armFailback schedules the next RDMA probe for a channel running on the

@@ -339,6 +339,11 @@ func TestRecoveryConformance(t *testing.T) {
 					if n := c.cm.PendingDials(); n != 0 {
 						t.Errorf("node %d: %d dials still pending in the CM", i, n)
 					}
+					// Every message record is back on the free list, or posted
+					// (the pooled shared QP's keepalive probe, if one is out).
+					if len(c.recFree)+len(c.posted) != c.recLive || len(c.posted) > pool {
+						t.Errorf("node %d: %d records free and %d posted of %d live", i, len(c.recFree), len(c.posted), c.recLive)
+					}
 				}
 			})
 		}
@@ -533,8 +538,11 @@ func TestKeepaliveDeathMidRendezvousNoLeak(t *testing.T) {
 	if got := cli.tx.inflight(); got != 0 {
 		t.Errorf("client window still holds %d credits", got)
 	}
-	if len(cli.sent) != 0 || len(cli.sendQ) != 0 {
-		t.Errorf("replay state leaks: %d sent records, %d queued", len(cli.sent), len(cli.sendQ))
+	if n := cli.sendQ.Len(); n != 0 {
+		t.Errorf("replay state leaks: %d queued", n)
+	}
+	if c := w.ctxs[0]; len(c.recFree) != c.recLive || len(c.posted) != 0 {
+		t.Errorf("message records leak: %d free of %d live, %d posted", len(c.recFree), c.recLive, len(c.posted))
 	}
 	if w.ctxs[0].Stats.ChannelsBroken == 0 {
 		t.Error("broken-channel counter never moved")

@@ -47,38 +47,3 @@ func BenchmarkIdleChannelFootprint(b *testing.B) {
 	}
 	runtime.KeepAlive(chans)
 }
-
-// BenchmarkMuxSharedQPSend times one request/response round trip on a
-// channel multiplexed over a shared QP pool — the per-message cost of the
-// demux plane (wire-header channel routing, SRQ recycling, window
-// accounting) on top of the raw rnic send path. Informational: the
-// allocs/op here include the Msg plumbing; the 0-alloc gate lives on
-// rnic's BenchmarkUntracedSendPath.
-func BenchmarkMuxSharedQPSend(b *testing.B) {
-	w := newWorld(b, 2, muxKnobs(2))
-	clients, servers := openMuxed(b, w, 0, 1, 6000, 4)
-	for _, srv := range servers {
-		echoServer(srv)
-	}
-	payload := make([]byte, 64)
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch := clients[i%len(clients)]
-		var got bool
-		err := ch.SendMsg(payload, 0, func(m *Msg, err error) {
-			if err != nil {
-				b.Fatalf("response err: %v", err)
-			}
-			got = true
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		w.eng.Run()
-		if !got {
-			b.Fatal("no response")
-		}
-	}
-}

@@ -3,6 +3,7 @@ package xrdma
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
@@ -27,34 +28,21 @@ func (ch *Channel) SendMsg(data []byte, size int, cb func(*Msg, error)) error {
 	if ch.closed {
 		return ErrChannelClosed
 	}
-	if data != nil {
-		size = len(data)
-	}
-	msgID := ch.ctx.nextMsgID()
-	if cb != nil {
-		rs := &reqState{cb: cb, sentAt: ch.ctx.eng.Now()}
-		if ch.ctx.cfg.RequestRetries > 0 {
-			// Retain an owned copy of the payload so a timeout can
-			// re-issue the request under the same MsgID (budgeted retries,
-			// pathdoctor.go) — the caller is free to reuse its buffer the
-			// moment SendMsg returns, and a retry must transmit the
-			// original bytes.
-			if data != nil {
-				rs.data = append([]byte(nil), data...)
-			}
-			rs.size = size
-		}
+	// The record owns a copy of the payload: the caller is free to reuse its
+	// buffer the moment SendMsg returns, whether the message leaves now, waits
+	// for a window slot or a recovery, or is re-issued under the same MsgID
+	// by a timeout (budgeted retries, pathdoctor.go).
+	rec := ch.newMsg(kindReq, ch.ctx.nextMsgID(), data, size)
+	if rec.oneWay = cb == nil; !rec.oneWay {
+		rec.cb, rec.sentAt = cb, ch.ctx.eng.Now()
 		if ch.pending == nil {
-			ch.pending = make(map[uint64]*reqState)
+			ch.pending = make(map[uint64]*msgRec)
 		}
-		ch.pending[msgID] = rs
+		ch.pending[rec.msgID] = rec
+		rec.holds |= holdWaiter
 		ch.Counters.ReqsSent++
 	}
-	ps := &pendingSend{kind: kindReq, data: data, size: size, msgID: msgID}
-	if cb == nil {
-		ps.oneWay = true
-	}
-	ch.enqueue(ps)
+	ch.enqueue(rec)
 	return nil
 }
 
@@ -80,14 +68,9 @@ func (m *Msg) Reply(data []byte, size int) error {
 		// Retain the response so a duplicate of this request (a client
 		// retry whose original response was lost) can be answered from
 		// cache without re-invoking the handler.
-		ent.replied = true
-		ent.size = size
-		if data != nil {
-			ent.data = make([]byte, len(data))
-			copy(ent.data, data)
-		}
+		ent.replied, ent.size, ent.data = true, size, slices.Clone(data)
 	}
-	ps := &pendingSend{kind: kindResp, data: data, size: size, msgID: m.MsgID}
+	rec := ch.newMsg(kindResp, m.MsgID, data, size)
 	if mb := m.blame; mb != nil && mb.rx != nil {
 		// The request rode the blame plane: mirror what this side knows —
 		// request-direction fabric residency (the in-band accumulator) and
@@ -97,17 +80,26 @@ func (m *Msg) Reply(data []byte, size int) error {
 		if mb.rx.FirstAt > 0 && m.RecvAt > mb.rx.FirstAt {
 			e.reasm = m.RecvAt.Sub(mb.rx.FirstAt)
 		}
-		ps.echo = e
+		rec.echo = e
 	}
-	ch.enqueue(ps)
+	ch.enqueue(rec)
 	return nil
 }
 
-func (ch *Channel) enqueue(ps *pendingSend) {
-	ps.enqAt = ch.ctx.eng.Now()
-	ch.sendQ = append(ch.sendQ, ps)
-	if len(ch.sendQ) > ch.Counters.SendQueuePeak {
-		ch.Counters.SendQueuePeak = len(ch.sendQ)
+// newMsg builds the record of a windowed message around a copy of its payload.
+func (ch *Channel) newMsg(kind msgKind, msgID uint64, data []byte, size int) *msgRec {
+	rec := ch.ctx.newRec(recFrame, ch)
+	rec.mkind, rec.msgID = kind, msgID
+	rec.setPayload(data, size)
+	return rec
+}
+
+func (ch *Channel) enqueue(rec *msgRec) {
+	rec.enqAt = ch.ctx.eng.Now()
+	rec.holds |= holdSendQ
+	ch.sendQ.Push(rec)
+	if n := ch.sendQ.Len(); n > ch.Counters.SendQueuePeak {
+		ch.Counters.SendQueuePeak = n
 	}
 	ch.pump()
 }
@@ -133,13 +125,13 @@ func (ch *Channel) pump() {
 	if ch.attach != attachDone {
 		// Lazy mux descriptor: the first queued send is what triggers the
 		// QP-pool attach; traffic drains from finishAttach.
-		if len(ch.sendQ) > 0 && !ch.closed {
+		if ch.sendQ.Len() > 0 && !ch.closed {
 			ch.requestAttach()
 		}
 		return
 	}
-	for len(ch.sendQ) > 0 && !ch.closed && ch.pathUp() {
-		ps := ch.sendQ[0]
+	for ch.sendQ.Len() > 0 && !ch.closed && ch.pathUp() {
+		ps := ch.sendQ.Items()[0]
 		if !ch.tx.canSend() {
 			if !ch.stallFlag {
 				ch.stallFlag = true
@@ -149,39 +141,42 @@ func (ch *Channel) pump() {
 			return
 		}
 		// Over the mock transport everything goes inline — TCP has no
-		// rendezvous read, and ps.data is still at hand.
+		// rendezvous read, and the record owns the payload.
 		large := ps.size > c.cfg.SmallMsgSize && lk.state != linkFallback
 		if large && !ps.ready {
 			if !ps.staging {
 				ps.staging = true
+				gen := ps.gen
 				c.Mem.AllocT(ch.tenant, ps.size, func(buf Buffer, err error) {
-					if ch.closed || lk.state == linkFallback {
-						// The channel died or cut over to mock while the
+					if stale := ps.gen != gen; stale || ch.closed || lk.state == linkFallback {
+						// The channel died (the record may serve another
+						// message by now) or cut over to mock while the
 						// staging allocation was in flight; the message
 						// will go inline (or nowhere).
 						if err == nil {
 							c.Mem.Free(buf)
 						}
-						ps.staging = false
+						if !stale {
+							ps.staging = false
+						}
 						if !ch.closed {
 							ch.pump()
 						}
 						return
 					}
 					if err != nil {
-						ch.ctx.logf("stage alloc failed: %v", err)
-						ch.sendQ = ch.sendQ[1:]
-						// Budget/pool exhaustion is an admission verdict,
-						// not a stall: the caller's completion fails now
-						// instead of timing out with the message silently
-						// dropped.
-						ch.failSend(ps, err)
+						// Budget/pool exhaustion is an admission verdict, not a
+						// stall: the caller's completion fails now instead of
+						// timing out with the message silently dropped.
+						c.logf("stage alloc failed: %v", err)
+						if i := slices.Index(ch.sendQ.Items(), ps); i >= 0 {
+							ch.sendQ.Delete(i)
+							ch.failSend(ps, err)
+						}
 						ch.pump()
 						return
 					}
-					if ps.data != nil {
-						copy(buf.Bytes(), ps.data)
-					}
+					copy(buf.Bytes(), ps.payload())
 					ps.staged = buf
 					ps.ready = true
 					ps.staging = false
@@ -196,14 +191,14 @@ func (ch *Channel) pump() {
 			return
 		}
 		ch.stallFlag = false
-		ch.sendQ = ch.sendQ[1:]
-		ch.transmit(ps, large)
+		ch.transmit(ch.sendQ.Pop(), large)
 	}
 }
 
-func (ch *Channel) transmit(ps *pendingSend, large bool) {
+func (ch *Channel) transmit(ps *msgRec, large bool) {
 	c := ch.ctx
-	kind := ps.kind
+	kind := ps.mkind
+	ps.large = large
 	if large {
 		if kind == kindReq {
 			kind = kindLargeReq
@@ -212,24 +207,9 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 		}
 		ch.Counters.LargeSent++
 	}
-	// The record in ch.sent keeps the message replayable until the peer
-	// acks it; the on-acked callback retires it and frees any staged
-	// rendezvous payload.
-	var seq uint64
-	seq = ch.tx.next(func() {
-		delete(ch.sent, seq)
-		if ps.staged.Valid() {
-			c.Mem.Free(ps.staged)
-			ps.staged = Buffer{}
-		}
-		if t := ch.tenant; t != nil {
-			t.noteAcked(ch)
-		}
-	})
-	if ch.sent == nil {
-		ch.sent = make(map[uint64]*pendingSend)
-	}
-	ch.sent[seq] = ps
+	// The window keeps the record, and the message replayable, until acked.
+	ps.holds = ps.holds&^holdSendQ | holdWindow
+	seq := ch.tx.next(ps)
 	h := wireHdr{
 		Kind: kind, Ver: ch.lk.ver, Seq: seq, Ack: ch.rx.ackValue(), Chan: ch.peerCID,
 		MsgID: ps.msgID, Size: uint32(ps.size),
@@ -278,49 +258,62 @@ func (ch *Channel) transmit(ps *pendingSend, large bool) {
 		}
 	}
 	wireLen := h.wireBytes()
-	var inline []byte
 	if !large {
 		wireLen += ps.size
-		inline = ps.data
 	}
 	if t := ch.tenant; t != nil {
 		t.Sent++
 		t.TxBytes += int64(wireLen)
 	}
 	ch.noteAckCarried()
-	wr := ch.lk.emit(ch, &h, inline, wireLen, blameAcc, nil)
+	size, enqAt := ps.size, ps.enqAt
+	ch.lk.emit(ps, &h, wireLen, blameAcc) // ps is the window's from here: a refused post may even have torn it down
 	if blameAcc != nil && kind == kindReq {
-		if rs, ok := ch.pending[ps.msgID]; ok {
+		if rs, ok := ch.pending[h.MsgID]; ok {
 			qc := &ch.lk.qp.Counters
 			rs.blame = &reqBlame{
-				enqAt: ps.enqAt, txAt: c.eng.Now(), wr: wr, acc: blameAcc,
+				enqAt: enqAt, txAt: c.eng.Now(), wr: &ps.wr, acc: blameAcc,
 				rtoRef: qc.RTORecoveryNs, rnrRef: qc.RNRRecoveryNs,
 			}
 		}
 	}
 	ch.Counters.MsgsSent++
-	ch.Counters.BytesSent += int64(ps.size)
-	c.tel.Trace.Instant("msg.send", c.track, c.eng.Now(), int64(ps.size))
-	if h.Flags&flagTraced != 0 {
-		c.trace.onSend(ch, &h)
-	}
+	ch.Counters.BytesSent += int64(size)
+	c.tel.Trace.Instant("msg.send", c.track, c.eng.Now(), int64(size))
 }
 
 // failSend surfaces a send that could not be staged (tenant budget, pool
 // exhaustion): the pending response waiter fails now instead of timing
 // out with the message silently dropped. One-way sends and responses have
-// no waiter; their drop is the backpressure.
-func (ch *Channel) failSend(ps *pendingSend, err error) {
-	if ps.kind != kindReq {
-		return
+// no waiter; their drop is the backpressure. ps has left the send queue.
+func (ch *Channel) failSend(ps *msgRec, err error) {
+	c := ch.ctx
+	rs := ch.pending[ps.msgID] // ps itself, or the original a retry re-sends
+	isReq := ps.mkind == kindReq
+	c.drop(ps, holdSendQ)
+	if rs != nil && isReq {
+		ch.settle(rs)(nil, err)
 	}
-	rs, ok := ch.pending[ps.msgID]
-	if !ok {
-		return
+}
+
+// settle takes a response waiter off the books and returns its callback,
+// which may well recycle the record itself.
+func (ch *Channel) settle(rs *msgRec) func(*Msg, error) {
+	cb := rs.cb
+	delete(ch.pending, rs.msgID)
+	ch.ctx.drop(rs, holdWaiter)
+	return cb
+}
+
+// acked retires a windowed message the peer acknowledged.
+func (ch *Channel) acked(rec *msgRec) {
+	if rec.staged.Valid() {
+		ch.ctx.Mem.Free(rec.staged)
+		rec.staged = Buffer{}
 	}
-	delete(ch.pending, ps.msgID)
-	if rs.cb != nil {
-		rs.cb(nil, err)
+	ch.ctx.drop(rec, holdWindow)
+	if t := ch.tenant; t != nil {
+		t.noteAcked(ch)
 	}
 }
 
@@ -370,7 +363,7 @@ func (ch *Channel) sendCtrlHdr(h *wireHdr, data []byte, done func(error)) {
 		return
 	}
 	h.Ver, h.Ack, h.Chan = ch.lk.ver, ch.rx.ackValue(), ch.peerCID
-	ch.lk.emit(ch, h, data, h.wireBytes()+len(data), nil, done)
+	ch.lk.emitCtrl(ch, h, data, done)
 	if h.Kind == kindAck {
 		ch.Counters.AcksSent++
 		ch.ctx.Stats.AcksSent++
@@ -398,11 +391,14 @@ func (ch *Channel) maybeAck() {
 		return
 	}
 	if !ch.ackEv.Pending() {
-		ch.ackEv = ch.ctx.eng.After(ch.ctx.cfg.AckDelay, func() {
-			if !ch.closed && ch.rx.ackValue() > ch.lastAckVal {
-				ch.sendCtrl(kindAck)
+		if ch.rx.ackFn == nil {
+			ch.rx.ackFn = func() {
+				if !ch.closed && ch.rx.ackValue() > ch.lastAckVal {
+					ch.sendCtrl(kindAck)
+				}
 			}
-		})
+		}
+		ch.ackEv = ch.ctx.eng.After(ch.ctx.cfg.AckDelay, ch.rx.ackFn)
 	}
 }
 
@@ -431,7 +427,11 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 		if ack > ch.tx.seq {
 			ack = ch.tx.seq
 		}
-		ch.tx.ack(ack)
+		for ch.tx.acked < ack {
+			if rec := ch.tx.retire(); rec != nil {
+				ch.acked(rec)
+			}
+		}
 		ch.lastProgress = c.eng.Now()
 		ch.nopInFlight = false
 		ch.pump()
@@ -523,67 +523,58 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 				return
 			}
 		}
-		seqNo := h.Seq
 		if ch.pulls == nil {
 			ch.pulls = make(map[uint64]bool)
 		}
-		ch.pulls[seqNo] = true
-		raddr, rkey := h.Addr, h.RKey
-		c.Mem.Alloc(size, func(buf Buffer, err error) {
-			if ch.closed || ch.health != HealthHealthy {
-				if err == nil {
-					c.Mem.Free(buf)
-				}
-				delete(ch.pulls, seqNo)
-				return
-			}
-			if err != nil {
-				delete(ch.pulls, seqNo)
-				ch.fail(fmt.Errorf("xrdma: rendezvous alloc: %w", err))
-				return
-			}
-			pullStart := c.eng.Now()
-			pullQP := ch.lk.qp
-			c.flow.fetchRemote(pullQP, raddr, rkey, buf, size, func(st rnic.Status) {
-				// A completion from a pre-recovery transport is stale news:
-				// the channel already cut over, and the replayed announce
-				// owns the pull marker for this sequence now.
-				stale := ch.lk.qp != pullQP || ch.lk.state == linkFallback
-				if !stale {
-					delete(ch.pulls, seqNo)
-				}
-				if ch.closed {
-					c.Mem.Free(buf)
-					return
-				}
-				if st != rnic.StatusOK {
-					c.Mem.Free(buf)
-					if !stale {
-						ch.fail(fmt.Errorf("xrdma: rendezvous read failed: %v", st))
-					}
-					return
-				}
-				// The pull is one-sided READ residency: attribute it to the
-				// read.fetch stage on the timeline.
-				c.tel.Trace.Complete(telemetry.StageReadFetch.String(), c.track,
-					pullStart, c.eng.Now().Sub(pullStart), int64(h.MsgID))
-				if ch.rx.isRecved(seqNo) {
-					// A replayed announce re-pulled this message and won
-					// the race; drop the duplicate payload.
-					c.Mem.Free(buf)
-					return
-				}
-				msg.Data = buf.Bytes()
-				msg.RecvAt = c.eng.Now()
-				msg.release = func() { c.Mem.Free(buf) }
-				ch.Counters.LargeRecv++
-				ch.rx.markRecved(seqNo)
-				ch.deliver(msg)
-			})
-		})
+		ch.pulls[h.Seq] = true
+		op := c.newRec(recFetch, ch)
+		op.msg, op.size = msg, size
+		op.wr.RAddr, op.wr.RKey = h.Addr, h.RKey
+		ch.fetch(op)
 	default:
 		c.logf("unknown message kind %d from peer %d", h.Kind, ch.Peer)
 	}
+}
+
+// pulled completes a rendezvous pull: msg's payload is in buf, fetched over
+// pullQP since pullStart — or st/err say why not.
+func (ch *Channel) pulled(msg *Msg, buf Buffer, pullQP *rnic.QP, pullStart sim.Time, st rnic.Status, err error) {
+	c, seqNo := ch.ctx, msg.Seq
+	if err != nil {
+		delete(ch.pulls, seqNo)
+		if err != ErrNoPath {
+			ch.fail(fmt.Errorf("xrdma: rendezvous alloc: %w", err))
+		}
+		return
+	}
+	// A completion from a pre-recovery transport is stale news: the channel
+	// already cut over, and the replayed announce owns the pull marker for
+	// this sequence now.
+	stale := ch.lk.qp != pullQP || ch.lk.state == linkFallback
+	if !stale {
+		delete(ch.pulls, seqNo)
+	}
+	if ch.closed || st != rnic.StatusOK {
+		c.Mem.Free(buf)
+		if !ch.closed && !stale {
+			ch.fail(fmt.Errorf("xrdma: rendezvous read failed: %v", st))
+		}
+		return
+	}
+	// The pull is one-sided READ residency: attribute it to the read.fetch
+	// stage on the timeline.
+	c.tel.Trace.Complete(telemetry.StageReadFetch.String(), c.track,
+		pullStart, c.eng.Now().Sub(pullStart), int64(msg.MsgID))
+	if ch.rx.isRecved(seqNo) {
+		// A replayed announce re-pulled this message and won the race; drop
+		// the duplicate payload.
+		c.Mem.Free(buf)
+		return
+	}
+	msg.Data, msg.buf, msg.RecvAt = buf.Bytes(), buf, c.eng.Now()
+	ch.Counters.LargeRecv++
+	ch.rx.markRecved(seqNo)
+	ch.deliver(msg)
 }
 
 // deliver hands a completed inbound message to the application (inline
@@ -605,7 +596,7 @@ func (ch *Channel) deliver(msg *Msg) {
 				if ent.replied {
 					// The original response is evidently lost; re-send it
 					// from cache without waking the application again.
-					ch.enqueue(&pendingSend{kind: kindResp, data: ent.data, size: ent.size, msgID: msg.MsgID})
+					ch.enqueue(ch.newMsg(kindResp, msg.MsgID, ent.data, ent.size))
 				}
 			} else {
 				ch.rememberReq(msg.MsgID)
@@ -616,37 +607,25 @@ func (ch *Channel) deliver(msg *Msg) {
 		} else if ch.onMessage != nil {
 			ch.onMessage(msg)
 		}
-	} else {
-		rs, ok := ch.pending[msg.MsgID]
-		if ok {
-			delete(ch.pending, msg.MsgID)
-			ch.Counters.RespsRecv++
-			if ch.retryTokens < retryBudgetCap {
-				ch.retryTokens += retryCreditPerSuccess
-				if ch.retryTokens > retryBudgetCap {
-					ch.retryTokens = retryBudgetCap
-				}
-			}
-			ch.doctorRef().observeRTT(c.eng.Now().Sub(rs.sentAt))
-			if t := ch.tenant; t != nil {
-				t.RTTCount++
-				t.RTTSumNs += int64(c.eng.Now().Sub(rs.sentAt))
-			}
-			if rs.traced || msg.Traced {
-				c.trace.onResponse(ch, msg, rs.sentAt)
-			}
-			if rs.blame != nil && msg.blame != nil {
-				c.trace.onBlame(ch, msg, rs)
-			}
-			if rs.cb != nil {
-				rs.cb(msg, nil)
-			}
+	} else if rs, ok := ch.pending[msg.MsgID]; ok {
+		ch.Counters.RespsRecv++
+		ch.retryTokens = min(ch.retryTokens+retryCreditPerSuccess, retryBudgetCap)
+		ch.doctorRef().observeRTT(c.eng.Now().Sub(rs.sentAt))
+		if t := ch.tenant; t != nil {
+			t.RTTCount++
+			t.RTTSumNs += int64(c.eng.Now().Sub(rs.sentAt))
 		}
+		if msg.Traced {
+			c.trace.onResponse(ch, msg, rs.sentAt)
+		}
+		if rs.blame != nil && msg.blame != nil {
+			c.trace.onBlame(ch, msg, rs.blame)
+		}
+		ch.settle(rs)(msg, nil)
 	}
-	if msg.release != nil {
-		msg.release()
-		msg.release = nil
-		msg.Data = nil
+	if msg.buf.Valid() { // a rendezvous buffer goes back once the handler returns
+		c.Mem.Free(msg.buf)
+		msg.buf, msg.Data = Buffer{}, nil
 	}
 	ch.recvSinceAck++
 	ch.maybeAck()

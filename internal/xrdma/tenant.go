@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
 	"xrdma/internal/telemetry"
 )
@@ -110,10 +109,7 @@ func (c *Context) initTenants() {
 func (c *Context) registerTenantGauges(t *Tenant) {
 	reg := c.tel.Reg
 	prefix := fmt.Sprintf("%s.tenant.%d.", c.track, t.id)
-	for _, g := range []struct {
-		name string
-		fn   func() int64
-	}{
+	for _, g := range []gauge{
 		{"weight", func() int64 { return int64(t.cfg.Weight) }},
 		{"sent", func() int64 { return t.Sent }},
 		{"recv", func() int64 { return t.Recvd }},
@@ -248,7 +244,7 @@ func (t *Tenant) armShedExpiry() {
 			return
 		}
 		c.logf("tenant %q shed episode over", t.cfg.Name)
-		c.attachKick()
+		c.attachAdmit(len(c.attachQ))
 	})
 }
 
@@ -259,29 +255,6 @@ func (ch *Channel) shedGated() bool {
 		return true
 	}
 	return ch.tenant != nil && ch.tenant.Shedding()
-}
-
-// attachKick re-examines the admission FIFO after a shed episode or the
-// global memory pressure clears: queued heads whose gate lifted start
-// their attach, bounded by AttachAdmission as usual. One bounded pass —
-// still-gated channels rotate to the tail and wait for the next kick.
-func (c *Context) attachKick() {
-	n := len(c.attachQ)
-	for i := 0; i < n && len(c.attachQ) > 0; i++ {
-		if lim := c.cfg.AttachAdmission; lim > 0 && c.attachActive >= lim {
-			return
-		}
-		next := c.attachQ[0]
-		c.attachQ = c.attachQ[1:]
-		if next.closed || next.attach != attachQueued {
-			continue
-		}
-		if next.shedGated() {
-			c.attachQ = append(c.attachQ, next)
-			continue
-		}
-		next.startAttach()
-	}
 }
 
 // setMemPressure flips the context's global memory-pressure gate
@@ -306,7 +279,7 @@ func (c *Context) setMemPressure(on bool) {
 	} else {
 		c.tel.Flight.Record(now, telemetry.CatMemPressure, int32(c.Node()), 0, 0, 0)
 		c.logf("memory pressure cleared")
-		c.attachKick()
+		c.attachAdmit(len(c.attachQ))
 	}
 }
 
@@ -317,15 +290,8 @@ func (c *Context) setMemPressure(on bool) {
 // drain on send completions, quantum × weight per round. Per-channel
 // FIFO is preserved — a channel's frames all sit in one tenant queue.
 
-type sqItem struct {
-	ch *Channel
-	qp *rnic.QP
-	wr *rnic.SendWR
-	cb func(rnic.CQE)
-}
-
 type tenantSQ struct {
-	items   []sqItem
+	items   sim.Queue[*msgRec] // frames waiting here hold their record (holdPostQ)
 	deficit int64
 }
 
@@ -360,44 +326,37 @@ func (s *sqSched) weight(id uint16) int64 {
 
 // submit either posts the frame directly (idle SQ under the burst) or
 // enqueues it on its tenant's queue for DRR drain.
-func (s *sqSched) submit(ch *Channel, qp *rnic.QP, wr *rnic.SendWR, cb func(rnic.CQE)) {
-	item := sqItem{ch: ch, qp: qp, wr: wr, cb: cb}
+func (s *sqSched) submit(rec *msgRec) {
 	if s.pending < sqBurst && s.backlog == 0 {
-		s.post(item)
+		s.post(rec)
 		return
 	}
 	id := uint16(0)
-	if ch.tenant != nil {
-		id = ch.tenant.id
-		ch.tenant.DRRQueued++
+	if t := rec.ch.tenant; t != nil {
+		id = t.id
+		t.DRRQueued++
 	}
 	q := s.queues[id]
 	if q == nil {
 		q = &tenantSQ{}
 		s.queues[id] = q
 	}
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
 		s.ring = append(s.ring, id)
 	}
-	q.items = append(q.items, item)
+	rec.holds |= holdPostQ
+	q.items.Push(rec)
 	s.backlog++
 	s.drain()
 }
 
-func (s *sqSched) post(item sqItem) {
+// post stamps the record with the arbiter and its generation, so that
+// Context.complete returns the burst slot and drains — unless a reset came
+// in between.
+func (s *sqSched) post(rec *msgRec) {
 	s.pending++
-	gen := s.gen
-	s.c.flow.post(item.qp, item.wr, func(cqe rnic.CQE) {
-		if s.gen == gen {
-			s.pending--
-		}
-		if item.cb != nil {
-			item.cb(cqe)
-		}
-		if s.gen == gen {
-			s.drain()
-		}
-	})
+	rec.sched, rec.schedGen = s, s.gen
+	s.c.flow.post(rec)
 }
 
 // drain serves tenant queues deficit-round-robin while the SQ has burst
@@ -411,29 +370,29 @@ func (s *sqSched) drain() {
 		}
 		id := s.ring[s.cur]
 		q := s.queues[id]
-		if len(q.items) == 0 {
+		if q.items.Len() == 0 {
 			q.deficit = 0
 			s.ring = append(s.ring[:s.cur], s.ring[s.cur+1:]...)
 			continue
 		}
 		q.deficit += sqQuantum * s.weight(id)
-		for len(q.items) > 0 && s.pending < sqBurst {
-			item := q.items[0]
-			if item.ch.closed {
-				q.items = q.items[1:]
-				s.backlog--
-				continue
-			}
-			cost := int64(item.wr.Len)
-			if q.deficit < cost {
+		for q.items.Len() > 0 && s.pending < sqBurst {
+			rec := q.items.Items()[0]
+			cost := int64(rec.wr.Len)
+			if !rec.ch.closed && q.deficit < cost {
 				break
 			}
-			q.deficit -= cost
-			q.items = q.items[1:]
+			q.items.Pop()
 			s.backlog--
-			s.post(item)
+			rec.holds &^= holdPostQ
+			if rec.ch.closed {
+				s.c.drop(rec, 0) // its window let go at teardown
+				continue
+			}
+			q.deficit -= cost
+			s.post(rec)
 		}
-		if len(q.items) == 0 {
+		if q.items.Len() == 0 {
 			q.deficit = 0
 			s.ring = append(s.ring[:s.cur], s.ring[s.cur+1:]...)
 		} else {
@@ -449,6 +408,11 @@ func (s *sqSched) reset() {
 	s.gen++
 	s.pending = 0
 	s.backlog = 0
+	for _, id := range s.ring { // every backlogged queue, in ring order
+		for q := &s.queues[id].items; q.Len() > 0; {
+			s.c.drop(q.Pop(), holdPostQ)
+		}
+	}
 	s.queues = make(map[uint16]*tenantSQ)
 	s.ring = s.ring[:0]
 	s.cur = 0

@@ -2,6 +2,7 @@ package xrdma
 
 import (
 	"fmt"
+	"slices"
 
 	"xrdma/internal/fabric"
 	"xrdma/internal/sim"
@@ -51,9 +52,6 @@ func (t *Tracer) Records() []TraceRecord { return t.ring.Snapshot() }
 // Dropped reports how many records were overwritten since creation.
 func (t *Tracer) Dropped() uint64 { return t.ring.Dropped() }
 
-// onSend currently only counts; send-side state rides in the header.
-func (t *Tracer) onSend(ch *Channel, h *wireHdr) {}
-
 // onRecv computes the one-way latency of a traced inbound message.
 func (t *Tracer) onRecv(ch *Channel, m *Msg) {
 	off := t.ctx.toff[ch.Peer]
@@ -96,9 +94,9 @@ func (t *Tracer) onResponse(ch *Channel, m *Msg, sentAt sim.Time) {
 // remote stages arrive mirrored in the response's blame extension; the
 // response direction rides its own in-band accumulator. Whatever the
 // stamps don't cover is the residual (base propagation + software costs).
-func (t *Tracer) onBlame(ch *Channel, m *Msg, rs *reqState) {
+func (t *Tracer) onBlame(ch *Channel, m *Msg, b *reqBlame) {
 	c := t.ctx
-	b, mb := rs.blame, m.blame
+	mb := m.blame
 	now := c.eng.Now()
 	rec := telemetry.BlameRec{
 		MsgID: m.MsgID, Node: int32(c.Node()), QPN: ch.QPN(),
@@ -177,24 +175,13 @@ func (ch *Channel) SyncClock(rounds int, done func(offset sim.Duration, err erro
 				step()
 				return
 			}
-			// median
-			for i := 1; i < len(offsets); i++ {
-				for j := i; j > 0 && offsets[j] < offsets[j-1]; j-- {
-					offsets[j], offsets[j-1] = offsets[j-1], offsets[j]
-				}
-			}
+			slices.Sort(offsets)
 			med := offsets[len(offsets)/2]
 			ch.ctx.toff[ch.Peer] = med
 			done(med, nil)
 		})
 	}
 	step()
-}
-
-// ClockOffset returns the current offset estimate for a peer.
-func (c *Context) ClockOffset(peer fabric.NodeID) (sim.Duration, bool) {
-	off, ok := c.toff[peer]
-	return off, ok
 }
 
 func (r TraceRecord) String() string {

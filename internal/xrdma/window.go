@@ -16,59 +16,58 @@ type txWindow struct {
 	seq   uint64 // last assigned sequence (paper: SEQ)
 	acked uint64 // highest cumulatively acked (paper: ACKED)
 
-	// onAcked callbacks by seq, fired as the ack edge advances
-	// (Algorithm 1's call on_acked(messages[i])).
-	pending map[uint64]func()
+	// sent keeps the record of every unacked message at seq % depth: the
+	// replay tail of a cutover, retired as the ack edge advances
+	// (Algorithm 1's on_acked(messages[i])).
+	sent []*msgRec
 
 	// Stalls counts times the window was full at send (queueing events).
 	Stalls int64
 }
 
 func newTxWindow(depth int) *txWindow {
-	return &txWindow{depth: uint64(depth), pending: make(map[uint64]func())}
+	return &txWindow{depth: uint64(depth), sent: make([]*msgRec, depth)}
 }
 
 // canSend reports whether a window slot is free.
 func (w *txWindow) canSend() bool { return w.seq-w.acked < w.depth }
 
-// next assigns the next sequence number; onAcked (optional) fires when
+// next assigns the next sequence number to rec, which at(seq) returns until
 // the peer acknowledges it.
-func (w *txWindow) next(onAcked func()) uint64 {
+func (w *txWindow) next(rec *msgRec) uint64 {
 	if !w.canSend() {
 		panic("xrdma: txWindow overflow — caller must check canSend")
 	}
 	w.seq++
-	if onAcked != nil {
-		w.pending[w.seq] = onAcked
-	}
+	w.sent[w.seq%w.depth] = rec
 	return w.seq
 }
+
+// at returns the unacked record holding seq.
+func (w *txWindow) at(seq uint64) *msgRec { return w.sent[seq%w.depth] }
 
 // inflight reports unacknowledged windowed messages.
 func (w *txWindow) inflight() uint64 { return w.seq - w.acked }
 
-// ack advances the cumulative ack edge, firing on_acked callbacks in
-// order. Acks never regress; a stale ack is ignored.
-func (w *txWindow) ack(ack uint64) {
-	if ack > w.seq {
-		panic(fmt.Sprintf("xrdma: ack %d beyond seq %d", ack, w.seq))
+// retire advances the cumulative ack edge by one message and returns its
+// record. The caller loops up to the peer's ack (acks never regress; a stale
+// one retires nothing).
+func (w *txWindow) retire() *msgRec {
+	if w.acked == w.seq {
+		panic(fmt.Sprintf("xrdma: ack beyond seq %d", w.seq))
 	}
-	for w.acked < ack {
-		w.acked++
-		if fn, ok := w.pending[w.acked]; ok {
-			delete(w.pending, w.acked)
-			fn()
-		}
-	}
+	w.acked++
+	rec := w.sent[w.acked%w.depth]
+	w.sent[w.acked%w.depth] = nil
+	return rec
 }
 
 // rewind drops the unacked tail, moving the send edge back to the ack
 // edge. A recovering channel re-queues everything unacked through the
-// normal send path, which re-assigns the same sequence numbers, so the
-// per-seq callbacks registered for the old transmissions are discarded.
+// normal send path, which re-assigns the same sequence numbers.
 func (w *txWindow) rewind() {
 	w.seq = w.acked
-	w.pending = make(map[uint64]func())
+	clear(w.sent)
 }
 
 // rxWindow is the receiver half. It tracks which in-window sequences are
@@ -83,6 +82,10 @@ type rxWindow struct {
 	wta    uint64 // highest sequence received (paper: WTA)
 	rta    uint64 // highest ready-to-ack, contiguous (paper: RTA)
 	recved []bool
+
+	// ackFn is the channel's delayed-ack timer callback, bound on the first
+	// delayed ack and kept here, off the flyweight Channel.
+	ackFn func()
 }
 
 func newRxWindow(depth int) *rxWindow {

@@ -21,32 +21,49 @@ func TestTxWindowBasics(t *testing.T) {
 	if w.canSend() {
 		t.Fatal("full window should refuse")
 	}
-	w.ack(2)
+	ackTo(w, 2)
 	if w.inflight() != 2 || !w.canSend() {
 		t.Fatalf("after ack(2): inflight=%d", w.inflight())
 	}
 	// Stale ack ignored.
-	w.ack(1)
+	ackTo(w, 1)
 	if w.acked != 2 {
 		t.Fatal("ack regressed")
 	}
 	_ = acked
 }
 
-func TestTxWindowOnAckedCallbacks(t *testing.T) {
-	w := newTxWindow(8)
-	var fired []uint64
-	for i := 1; i <= 5; i++ {
-		seq := uint64(i)
-		w.next(func() { fired = append(fired, seq) })
+// ackTo advances the ack edge the way Channel.handleWire does, returning the
+// MsgIDs of the records retired on the way.
+func ackTo(w *txWindow, ack uint64) (retired []uint64) {
+	for w.acked < ack {
+		if rec := w.retire(); rec != nil {
+			retired = append(retired, rec.msgID)
+		}
 	}
-	w.ack(3)
-	if len(fired) != 3 || fired[0] != 1 || fired[2] != 3 {
-		t.Fatalf("on_acked order: %v", fired)
+	return retired
+}
+
+func TestTxWindowRetiresInOrder(t *testing.T) {
+	w := newTxWindow(4)
+	for i := 1; i <= 4; i++ {
+		w.next(&msgRec{msgID: uint64(100 + i)})
 	}
-	w.ack(5)
-	if len(fired) != 5 || fired[4] != 5 {
-		t.Fatalf("on_acked completion: %v", fired)
+	if w.at(3).msgID != 103 {
+		t.Fatalf("at(3) = %d", w.at(3).msgID)
+	}
+	if got := ackTo(w, 3); len(got) != 3 || got[0] != 101 || got[2] != 103 {
+		t.Fatalf("retire order: %v", got)
+	}
+	// The freed slots are reused while seq 4 is still unacked.
+	w.next(&msgRec{msgID: 105})
+	if got := ackTo(w, 5); len(got) != 2 || got[0] != 104 || got[1] != 105 {
+		t.Fatalf("retire completion: %v", got)
+	}
+	for i, rec := range w.sent {
+		if rec != nil {
+			t.Fatalf("slot %d still holds a retired record", i)
+		}
 	}
 }
 
@@ -69,7 +86,7 @@ func TestTxWindowAckBeyondSeqPanics(t *testing.T) {
 			t.Fatal("ack beyond seq must panic")
 		}
 	}()
-	w.ack(2)
+	ackTo(w, 2)
 }
 
 func TestRxWindowContiguousAck(t *testing.T) {
@@ -196,7 +213,7 @@ func TestWindowPairProperty(t *testing.T) {
 				rx.markRecved(pendingPulls[0])
 				pendingPulls = pendingPulls[1:]
 			}
-			tx.ack(rx.ackValue())
+			ackTo(tx, rx.ackValue())
 			if tx.inflight() > uint64(depth) {
 				return false
 			}
@@ -208,7 +225,7 @@ func TestWindowPairProperty(t *testing.T) {
 			rx.markRecved(pendingPulls[0])
 			pendingPulls = pendingPulls[1:]
 		}
-		tx.ack(rx.ackValue())
+		ackTo(tx, rx.ackValue())
 		return tx.inflight() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
