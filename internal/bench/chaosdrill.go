@@ -71,8 +71,6 @@ func chaosKnobs(_ int, cfg *xrdma.Config) {
 	cfg.MockEnabled = true
 	cfg.KeepaliveInterval = 2 * sim.Millisecond
 	cfg.KeepaliveTimeout = 8 * sim.Millisecond
-	cfg.MockDialRetries = 4
-	cfg.MockDialBackoff = 1 * sim.Millisecond
 	cfg.RecoverRetries = 8
 	cfg.RecoverBackoff = 1 * sim.Millisecond
 	cfg.RecoverBackoffMax = 8 * sim.Millisecond

@@ -155,7 +155,6 @@ type Channel struct {
 	aggregated bool
 
 	Counters ChannelStats
-	OpenedAt sim.Time
 }
 
 // unstage returns every staged rendezvous payload — of the unsent queue and
@@ -267,30 +266,26 @@ func (c *Context) Listen(port int) error {
 }
 
 // Connect establishes a channel to (node, port) (xrdma_connect). In mux
-// mode that is ChannelTo plus an eager attach; otherwise the channel's own
-// link is born dialing — the QP cache is consulted first, and on a miss a QP
-// is created through the slow hardware path. Either way done rides the
-// pending-attach bookkeeping.
+// mode that is ChannelTo (which cannot fail here) plus an eager attach;
+// otherwise the channel's own link is born dialing — the QP cache is
+// consulted first, and on a miss a QP is created through the slow hardware
+// path. Either way done rides the pending-attach bookkeeping.
 func (c *Context) Connect(node fabric.NodeID, port int, done func(*Channel, error)) {
-	var ch *Channel
 	if c.muxEnabled() {
-		var err error
-		if ch, err = c.ChannelTo(node, port); err != nil {
-			done(nil, err)
-			return
-		}
-	} else {
-		ch = c.newChannel(node, attachPending)
-	}
-	if done != nil {
-		ch.onAttach(func() { done(ch, nil) }, func(err error) { done(nil, err) })
-	}
-	if c.muxEnabled() {
+		ch, _ := c.ChannelTo(node, port)
+		ch.onConnect(done)
 		ch.requestAttach()
 		return
 	}
-	l := c.newLink(ch, linkDialing)
-	l.dial(port, c.dialHello(hello{purpose: helloOpen}), nil)
+	ch := c.newChannel(node, attachPending)
+	ch.onConnect(done)
+	c.newLink(ch, linkDialing).dial(port, c.dialHello(hello{purpose: helloOpen}), nil)
+}
+
+func (ch *Channel) onConnect(done func(*Channel, error)) {
+	if done != nil {
+		ch.onAttach(func() { done(ch, nil) }, func(err error) { done(nil, err) })
+	}
 }
 
 // sharedRQ is the receive queue a created QP attaches to: the context's SRQ
@@ -308,11 +303,7 @@ func (c *Context) sharedRQ() *rnic.SRQ {
 // arrive with establishment (finishAttach) and the per-channel maps
 // (pending, sent, pulls, pings) on first use, so an idle one carries none.
 func (c *Context) newChannel(peer fabric.NodeID, attach uint8) *Channel {
-	now := c.eng.Now()
-	return &Channel{
-		ctx: c, Peer: peer, attach: attach,
-		lastProgress: now, OpenedAt: now, retryTokens: retryBudgetCap,
-	}
+	return &Channel{ctx: c, Peer: peer, attach: attach, lastProgress: c.eng.Now(), retryTokens: retryBudgetCap}
 }
 
 // registerGauges publishes the XR-Stat row for this channel under
@@ -434,8 +425,7 @@ func (c *Context) aggregateChannel(ch *Channel) {
 
 // --- teardown ----------------------------------------------------------------
 
-// Close releases the channel gracefully: the QP is reset into the QP
-// cache, receive buffers return to the memory cache.
+// Close releases the channel gracefully: it leaves its link (link.detach).
 func (ch *Channel) Close() {
 	ch.teardown(nil)
 }
@@ -455,31 +445,9 @@ func (ch *Channel) teardown(err error) {
 	ch.closed = true
 	c := ch.ctx
 	ch.unregisterGauges()
-	var qp *rnic.QP
-	if ch.cid != 0 {
-		// Mux plane: descriptors and muxed channels live in chanByCID, and
-		// an attached channel tells its peer (unless the peer closed first
-		// — then the CHAN_CLOSE would just echo forever).
-		delete(c.chanByCID, ch.cid)
-		if ch.lk != nil {
-			mx := ch.lk.own.(*muxQP)
-			if ch.attach == attachDone && !ch.peerClosed {
-				mx.sendCtrl(&wireHdr{Kind: kindChanClose, Chan: ch.peerCID})
-			}
-			mx.detach(ch)
-		}
-		if ch.attach == attachPending {
-			ch.attach = attachLazy
-			c.attachRelease()
-		}
-	} else {
-		// An exclusive channel takes its link along: closed now (stranding
-		// any in-flight replacement dial), its transport material returned
-		// at the end. On the Mock fallback the QP is already surrendered.
-		if ch.lk.state != linkFallback {
-			qp = ch.lk.qp
-		}
-		ch.lk.close()
+	delete(c.chanByCID, ch.cid) // where mux-plane channels live, linkless descriptors included
+	if ch.lk != nil {
+		ch.lk.detach(ch)
 	}
 	c.Stats.ChannelsClosed++
 	// Fail outstanding requests, and the emulated one-sided reads that can
@@ -515,13 +483,6 @@ func (ch *Channel) teardown(err error) {
 	// struct.
 	ch.pulls, ch.pings, ch.respCache, ch.respOrder = nil, nil, nil, nil
 	c.eng.Cancel(ch.ackEv)
-	if ch.cid == 0 {
-		// Receive buffers back to the memory cache, the QP (reset) to the QP
-		// cache for fast re-establishment.
-		ch.lk.dropPool()
-		ch.lk.closeFallback()
-		c.QPs.Put(qp)
-	}
 	if ch.onClose != nil {
 		ch.onClose(err)
 	}

@@ -131,13 +131,6 @@ type Config struct {
 	PathRehashCooldown sim.Duration
 	// MockEnabled lets a channel fall back to TCP when RDMA breaks.
 	MockEnabled bool
-	// MockDialRetries bounds how often a fallback TCP dial is retried
-	// before the channel is declared dead (the first failure used to be
-	// terminal, which turned transient dial races into hard teardowns).
-	MockDialRetries int
-	// MockDialBackoff is the delay before the first mock redial; it
-	// doubles per attempt.
-	MockDialBackoff sim.Duration
 	// RecoverRetries bounds RDMA re-establishment attempts for a degraded
 	// channel before it gives up and falls back to Mock (or tears down).
 	// Recovery as a whole is enabled per context via Options.RecoverPort.
@@ -252,8 +245,6 @@ func DefaultConfig() Config {
 		PathRehashLimit:    3,
 		PathRehashCooldown: 20 * sim.Millisecond,
 		MockEnabled:        false,
-		MockDialRetries:    3,
-		MockDialBackoff:    2 * sim.Millisecond,
 
 		RecoverRetries:     4,
 		RecoverBackoff:     1 * sim.Millisecond,
@@ -369,7 +360,7 @@ var onlineFlags = map[string]func(*Context, string) error{
 // offlineFlagNames are the parameters SetFlag refuses by name, not as unknown.
 var offlineFlagNames = strings.Fields(`use_srq srq_size qps_per_peer attach_admission channel_gauge_limit
 	small_msg_size window_depth fragment_size max_outstanding mr_size mem_mode poll_interval
-	mock_dial_retries request_retries retry_backoff_ms path_rehash_limit path_rehash_cooldown_ms
+	request_retries retry_backoff_ms path_rehash_limit path_rehash_cooldown_ms
 	recover_retries recover_backoff_ms recover_dial_timeout_ms failback_interval_ms tenants
 	mem_pool_bytes mem_highwater mem_lowwater tenant_shed_cooldown_ms proto_ver_min proto_ver_max
 	drain_deadline_ms`)

@@ -105,7 +105,7 @@ type Context struct {
 	mux          map[fabric.NodeID]*peerMux
 	chanByCID    map[uint32]*Channel
 	cidSeq       uint32
-	attachQ      []*Channel
+	attachQ      sim.Queue[*Channel]
 	attachActive int
 
 	// Tenancy plane (Config.Tenants): the tenant table in id order, the
@@ -339,7 +339,7 @@ func (c *Context) NumChannels() int {
 func (c *Context) linkCensus() (exclusive, sharedQPs int) {
 	for _, l := range c.links {
 		switch {
-		case l.solo[0] != nil:
+		case !l.shared():
 			exclusive++
 		case l.qp != nil:
 			sharedQPs++
@@ -576,14 +576,14 @@ func (c *Context) keepaliveScan() {
 // not detached.
 func (c *Context) deadlockScan() {
 	for i := 0; i < len(c.links); i++ {
-		for j, own := 0, c.links[i].own; j < len(own.riders()); j++ {
-			own.riders()[j].deadlockCheck()
+		for j, l := 0, c.links[i]; j < len(l.riders); j++ {
+			l.riders[j].deadlockCheck()
 		}
 	}
 }
 
 func (c *Context) housekeeping() {
-	c.Mem.shrink()
+	c.Mem.reclaim(c.cfg.MemShrinkIdle, &c.Mem.Shrinks)
 	c.trimRecs()
 	c.timeoutScan()
 	c.pathScan()
@@ -612,8 +612,8 @@ func (c *Context) timeoutScan() {
 func (c *Context) Channels() []*Channel {
 	var out []*Channel
 	for _, l := range c.links {
-		if ch := l.solo[0]; ch != nil {
-			out = append(out, ch)
+		if !l.shared() {
+			out = append(out, l.riders...)
 		}
 	}
 	slices.SortStableFunc(out, func(a, b *Channel) int { return cmp.Compare(a.lk.lastQPN(), b.lk.lastQPN()) })
@@ -623,16 +623,16 @@ func (c *Context) Channels() []*Channel {
 	return out
 }
 
-// Close tears down the context: all channels close, establishments still in
-// flight are abandoned (Connect hears ErrChannelClosed), timers stop.
+// Close tears down the context: all channels close — exclusive ones take
+// their link along — and every link left gives up: establishments still in
+// flight are abandoned (Connect hears ErrChannelClosed) and shared QPs, which
+// outlive their riders, are destroyed. Timers stop.
 func (c *Context) Close() {
 	for _, ch := range c.Channels() {
 		ch.Close()
 	}
 	for _, l := range c.allLinks() {
-		if l.state == linkDialing {
-			l.fail(ErrChannelClosed)
-		}
+		l.giveUp(ErrChannelClosed)
 	}
 	c.started = false
 }

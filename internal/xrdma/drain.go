@@ -102,8 +102,8 @@ func (c *Context) Drain(cb func(blob []byte)) error {
 	// now. attachRelease rotates still-gated heads back to the tail, so
 	// leaving them queued on a node that will never lift the gate again
 	// would strand their callbacks forever.
-	q := c.attachQ
-	c.attachQ = nil
+	q := c.attachQ.Items()
+	c.attachQ = sim.Queue[*Channel]{}
 	for _, ch := range q {
 		if ch.closed || ch.attach != attachQueued {
 			continue

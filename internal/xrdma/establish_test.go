@@ -3,6 +3,7 @@ package xrdma
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,7 +17,10 @@ import (
 // — and holds each cell to the same contract: Connect's callback fires
 // exactly once with the same error identity on either plane, the listener
 // counts its refusal once, and nothing is left behind on either node (QPs,
-// cached or live, receive pools, links, QPN-table entries, CM dials).
+// cached or live, receive pools, links, QPN-table entries, CM dials). The
+// shared plane's link has exactly one rider, so it is also the degenerate
+// case the rider model claims: per row, each end must see the same callbacks
+// in the same order on both planes.
 //
 // Before link.dial / Context.accept (three dialers, three acceptors) every
 // row but "ok" failed on both planes: no-listener, draining, both
@@ -75,6 +79,7 @@ func TestEstablishmentConformance(t *testing.T) {
 				})
 			}},
 	}
+	traces := map[string]string{} // plane/row → the callbacks each end saw
 	for _, shared := range []bool{false, true} {
 		for _, row := range rows {
 			plane := "exclusive"
@@ -83,6 +88,10 @@ func TestEstablishmentConformance(t *testing.T) {
 			}
 			row := row
 			t.Run(plane+"/"+row.name, func(t *testing.T) {
+				var trace [2][]string
+				closed := func(end int) func(error) {
+					return func(err error) { trace[end] = append(trace[end], fmt.Sprintf("closed(broken=%v)", err != nil)) }
+				}
 				w := newRecoverWorld(t, 2, func(i int, cfg *Config) {
 					if shared {
 						cfg.MockEnabled = false
@@ -93,7 +102,11 @@ func TestEstablishmentConformance(t *testing.T) {
 					}
 				})
 				var srv *Channel
-				w.ctxs[1].OnChannel(func(ch *Channel) { srv = ch })
+				w.ctxs[1].OnChannel(func(ch *Channel) {
+					srv = ch
+					trace[1] = append(trace[1], "accepted")
+					ch.OnClose(closed(1))
+				})
 				if err := w.ctxs[1].Listen(appPort); err != nil {
 					t.Fatal(err)
 				}
@@ -106,6 +119,17 @@ func TestEstablishmentConformance(t *testing.T) {
 				w.ctxs[0].Connect(fabric.NodeID(1), row.port, func(ch *Channel, err error) {
 					calls++
 					cli, got = ch, err
+					class := "ok"
+					for _, is := range []error{ErrDraining, ErrChannelClosed, ErrNICRestart, verbs.ErrRejected} {
+						if errors.Is(err, is) {
+							class = is.Error()
+							break
+						}
+					}
+					trace[0] = append(trace[0], "connected: "+class)
+					if ch != nil {
+						ch.OnClose(closed(0))
+					}
 				})
 				w.eng.RunFor(100 * sim.Millisecond)
 
@@ -159,7 +183,13 @@ func TestEstablishmentConformance(t *testing.T) {
 						t.Errorf("node %d: NumChannels=%d after everything closed", i, n)
 					}
 				}
+				traces[plane+"/"+row.name] = fmt.Sprintf("dialer %v listener %v", trace[0], trace[1])
 			})
+		}
+	}
+	for _, row := range rows {
+		if one, excl := traces["shared/"+row.name], traces["exclusive/"+row.name]; one != excl || one == "" {
+			t.Errorf("%s: a shared link's one rider saw\n\t%s\nthe exclusive link's rider saw\n\t%s", row.name, one, excl)
 		}
 	}
 }

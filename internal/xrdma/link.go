@@ -16,63 +16,46 @@ import (
 // link is the QP holder and failure domain under one or more channels:
 // keepalive (§V-A), the path doctor, health recovery and the Mock fallback
 // (§VI-C) are properties of the QP, not of what rides it, so they live
-// here once. An exclusive channel owns a link with one rider; a shared
-// (mux) QP is a link with N riders. When the transport breaks the link
-// degrades, every established rider is held, and — with a recovery port —
-// the dialing side re-establishes with exponential backoff plus jitter
-// under a bounded budget while the other side waits out a grace. The
-// replacement is adopted on both sides and every rider replays its unacked
-// window tail; the seq-ack window of Algorithm 1 dedups the overlap, so
-// the cutover is exactly-once per rider in both directions.
+// here once, and the link owns its riders: an exclusive channel is a link
+// with one rider, a shared (mux) QP is a link with N. What the two do
+// differently is decided below from facts the link holds — shared or not,
+// SRQ or not, port, dialer — never by asking an owner. When the transport
+// breaks the link degrades, every established rider is held, and — with a
+// recovery port — the dialing side re-establishes with exponential backoff
+// plus jitter under a bounded budget while the other side waits out a
+// grace. The replacement is adopted on both sides and every rider replays
+// its unacked window tail; the seq-ack window of Algorithm 1 dedups the
+// overlap, so the cutover is exactly-once per rider in both directions.
 //
-//	dialing ──► ready ──fail──► degraded ◄──dial failed── recovering     (dialing ──refused──► owner.exhausted)
-//	              ▲                │ └──────backoff──────────▲
-//	              └─────adopt──────┤ (either side)
-//	                               └─budget/grace spent─► owner.exhausted
-//	                                    (exclusive: fallback or dead; shared: dead)
+//	dialing ──► ready ──fail──► degraded ◄──dial failed── (redial in flight: riders show Recovering)
+//	   │          ▲                │ └──────backoff──────────▲
+//	   │          └─────adopt──────┤ (either side)
+//	   └─refused─► giveUp ◄────────┘ budget/grace spent
+//	                                    (one established rider + Mock: fallback; otherwise dead)
 //	fallback ──failback probe adopted──► ready
 type linkState uint8
 
 const (
-	linkDialing    linkState = iota // first establishment in flight: no QP yet, riders wait
-	linkReady                       // riders run on qp
-	linkDegraded                    // transport lost; riders held, replacement awaited
-	linkRecovering                  // a replacement dial is in flight
-	linkFallback                    // exclusive only: the rider runs on the TCP Mock transport
+	linkDialing  linkState = iota // first establishment in flight: no QP yet, riders wait
+	linkReady                     // riders run on qp
+	linkDegraded                  // transport lost; riders held, a replacement awaited or being dialed
+	linkFallback                  // exclusive only: the rider runs on the TCP Mock transport
 	linkDead
 )
 
-// linkOwner is everything that legitimately differs between an exclusive
-// channel and a shared QP; the health machine and the frame path below
-// never ask which one they are serving.
-type linkOwner interface {
-	// riders is the live list of channels on the link in attach order: walk
-	// it by index, or snapshot it before a walk that detaches or closes them.
-	riders() []*Channel
-	// acquire gathers what a replacement transport is built from: a
-	// recycled QP (nil = create one) and the standing receive pool to post
-	// on it (nil = the SRQ serves).
-	acquire(fn func(qp *rnic.QP, bufs []Buffer))
-	// release returns transport material that will not be adopted, or that
-	// an adoption just replaced.
-	release(qp *rnic.QP, bufs []Buffer)
-	// parked runs as the link degrades, after the state flipped and before
-	// the riders are held; the broken QP is still installed.
-	parked()
-	// adopted runs once a (first or replacement) QP carries the link.
-	adopted()
-	// exhausted means no replacement is coming: the link never came up, has
-	// no recovery port, or spent its retry budget (dialer) or grace (waiter).
-	exhausted(cause error)
-}
-
 type link struct {
-	c    *Context
-	own  linkOwner
-	solo [1]*Channel // an exclusive owner's riders(), without a slice per scan
-	peer fabric.NodeID
+	c *Context
+	// riders are the channels on the link in attach order (ascending cid on a
+	// shared link): walk them by index, or snapshot before a walk that closes
+	// them. An exclusive link's one rider is backed by solo, so a connect
+	// allocates no slice. peerCIDs is the shared-only state — peer cid → local
+	// cid, the CHAN_OPEN dedup — and nil on an exclusive link.
+	riders   []*Channel
+	solo     [1]*Channel
+	peerCIDs map[uint32]uint32
+	peer     fabric.NodeID
 
-	// Fixed at construction from what the owner is.
+	// Fixed at construction (newLink, newSharedLink).
 	port        int          // where a replacement is dialed and accepted (<= 0: no re-establishment)
 	dialer      bool         // this side redials: the lower node id (exclusive) or the initiator (shared)
 	redial      helloPurpose // helloRecover or helloMuxReattach
@@ -115,11 +98,57 @@ type link struct {
 	doctor pathDoctor
 }
 
+// newLink builds the link under an exclusive channel: dialing (Connect,
+// accept) and off the scan list until its first QP, or, rehydrated, degraded.
+// The lower node id redials, through Options.RecoverPort.
+func (c *Context) newLink(ch *Channel, state linkState) *link {
+	l := &link{
+		c: c, solo: [1]*Channel{ch}, peer: ch.Peer, state: state,
+		port: c.recoverPort, dialer: c.Node() < ch.Peer, redial: helloRecover,
+		depth:       2*c.cfg.WindowDepth + ctrlReserve + c.cfg.MaxOutstandingWRs + 8,
+		dialTimeout: c.cfg.RecoverDialTimeout,
+		lastComm:    c.eng.Now(),
+	}
+	l.riders, ch.lk = l.solo[:], l
+	if state == linkDialing {
+		c.dialing = append(c.dialing, l)
+	} else {
+		c.links = append(c.links, l)
+	}
+	return l
+}
+
+// newSharedLink builds a shared QP's link, dialing — and listed from birth:
+// riders attach while it dials. The establishment port is also the reattach
+// rendezvous, and only the initiator has a dial route to it. A shared QP is
+// never recycled (acquire), so both sides pay the full QP create+modify
+// hardware-command cost inside the dial window: the configured timeout alone
+// would expire right as the accept lands.
+func (c *Context) newSharedLink(peer fabric.NodeID, port int, dialer bool) *link {
+	l := &link{
+		c: c, peerCIDs: make(map[uint32]uint32), peer: peer, state: linkDialing,
+		port: port, dialer: dialer, redial: helloMuxReattach, depth: muxQPDepth,
+		dialTimeout: c.cfg.RecoverDialTimeout + 2*rnic.QPCreateCost + 8*rnic.QPModifyCost,
+	}
+	if len(c.cfg.Tenants) > 0 {
+		// Weighted DRR at the shared SQ, so the pool honors tenant weights
+		// instead of FIFO head-of-line; zero-tenant configs keep the direct
+		// post path bit-for-bit.
+		l.sched = newSQSched(c)
+	}
+	c.links = append(c.links, l)
+	return l
+}
+
+// shared reports whether riders are multiplexed onto the link by cid; an
+// exclusive link has exactly one, from construction until it leaves.
+func (l *link) shared() bool { return l.peerCIDs != nil }
+
 // setQP makes qp the link's transport — its first, or a replacement: the
 // context's QPN table (the only map keyed by local QPN) moves the link from
 // its previous QPN to this one, the health state starts clean, the receive
-// pool is posted and the owner told.
-func (l *link) setQP(qp *rnic.QP, bufs []Buffer) {
+// pool is posted and every rider still attachPending opens now.
+func (l *link) setQP(qp *rnic.QP, bufs []Buffer, initiator bool) {
 	c := l.c
 	l.untable()
 	l.qp, l.peerQPN = qp, qp.RemoteQPN
@@ -147,7 +176,31 @@ func (l *link) setQP(qp *rnic.QP, bufs []Buffer) {
 		l.sched.reset()
 	}
 	l.post(bufs)
-	l.own.adopted()
+	// In place: a Connect callback may close its channel, and a refused post
+	// at worst takes every rider off at once.
+	for i := 0; i < len(l.riders); i++ {
+		switch ch := l.riders[i]; {
+		case ch.attach != attachPending:
+			if !l.shared() {
+				// An exclusive rider's XR-Stat row is named by QPN: it moves
+				// under the replacement's (a muxed one is named by cid).
+				ch.unregisterGauges()
+				ch.registerGauges()
+			}
+		case l.shared():
+			// By CHAN_OPEN — again after a recovery that swallowed the first.
+			// Only the dialing side ever has riders waiting.
+			l.sendChanOpen(ch)
+		default:
+			// Over the CM exchange that just completed: Connect hears, and on
+			// the accepting side the application meets the channel.
+			ch.lastProgress = c.eng.Now()
+			ch.finishAttach(nil)
+			if !initiator && c.onChannel != nil {
+				c.onChannel(ch)
+			}
+		}
+	}
 }
 
 // untable drops the link's table entry, unless a sibling that recycled the
@@ -186,12 +239,12 @@ func (l *link) close() {
 
 // turn opens a new epoch: timers armed under the old one go stale, and a
 // dial still in flight is cancelled — the CM hands back a recycled QP
-// (destroying one it created) and the owner takes the material back.
+// (destroying one it created) and the material goes back.
 func (l *link) turn() {
 	l.epoch++
 	if d, bufs := l.dialing, l.dialBufs; d != nil {
 		l.dialing, l.dialBufs = nil, nil
-		l.own.release(l.c.cm.Cancel(d), bufs)
+		l.release(l.c.cm.Cancel(d), bufs)
 	}
 }
 
@@ -211,9 +264,9 @@ func (l *link) is(from fabric.NodeID, h hello) bool {
 
 // established lists the riders with a live send path — the ones to hold on
 // failure and replay on adoption. A rider still waiting for its
-// CHAN_ACCEPT has nothing in flight; the owner re-opens it on adoption.
+// CHAN_ACCEPT has nothing in flight; setQP re-opens it on adoption.
 func (l *link) established() (rs []*Channel) {
-	for _, ch := range l.own.riders() {
+	for _, ch := range l.riders {
 		if ch.attach == attachDone {
 			rs = append(rs, ch)
 		}
@@ -252,11 +305,11 @@ func (l *link) recv(cqe rnic.CQE) {
 		// One-sided WRITE+imm: the payload was DMA'd straight into the
 		// target window, so the receive buffer holds application bytes at
 		// best and must never reach the parser. The immediate cannot name a
-		// rider; only an exclusive QP has exactly one to wake.
+		// rider; only an exclusive link has exactly one to wake.
 		l.repost(cqe.WRID)
-		if ch := l.solo[0]; ch == nil {
+		if l.shared() {
 			c.logf("WRITE+imm on shared qpn=%d from peer %d dropped: no rider to name", cqe.QPN, l.peer)
-		} else if ch.onWriteImm != nil {
+		} else if ch := l.riders[0]; ch.onWriteImm != nil {
 			ch.onWriteImm(cqe.Imm, cqe.Addr, cqe.Len)
 		}
 		return
@@ -266,8 +319,8 @@ func (l *link) recv(cqe rnic.CQE) {
 
 // ingest decodes one inbound frame — an RDMA receive or a Mock TCP message
 // — and hands header, inline payload (nil when none is carried), transport
-// and the in-band fabric accumulator of a blame-traced message to the rider or
-// the shared QP's demux: two static calls, so the header stays on this stack.
+// and the in-band fabric accumulator of a blame-traced message to the one rider
+// or the shared demux: two static calls, so the header stays on this stack.
 func (l *link) ingest(data []byte, wrID uint64, overMock bool, rxBlame *telemetry.PktBlame) {
 	c := l.c
 	if l.state == linkDead {
@@ -292,10 +345,10 @@ func (l *link) ingest(data []byte, wrID uint64, overMock bool, rxBlame *telemetr
 	if size := int(h.Size); size > 0 && len(data) >= hdrLen+size {
 		pay = data[hdrLen : hdrLen+size]
 	}
-	if ch := l.solo[0]; ch != nil {
-		ch.handleWire(&h, pay, overMock, rxBlame)
+	if l.shared() {
+		l.demux(&h, pay, overMock, rxBlame)
 	} else {
-		l.own.(*muxQP).handleWire(&h, pay, overMock, rxBlame)
+		l.riders[0].handleWire(&h, pay, overMock, rxBlame)
 	}
 }
 
@@ -474,8 +527,8 @@ func (l *link) pathScan(now sim.Time) {
 		c.tel.Flight.Record(now, telemetry.CatPathVerdict, int32(c.Node()), l.qp.QPN, int64(v), int64(d.score*100))
 		c.tel.Trace.Instant("path.verdict", c.track, now, int64(v))
 		d.log = append(d.log, fmt.Sprintf("t=%v node=%d path=%v score=%d", now, c.Node(), v, int64(d.score*100)))
-		for i := 0; i < len(l.own.riders()); i++ { // in place: an observer may close its channel
-			if ch := l.own.riders()[i]; ch.onPathVerdict != nil {
+		for i := 0; i < len(l.riders); i++ { // in place: an observer may close its channel
+			if ch := l.riders[i]; ch.onPathVerdict != nil {
 				ch.onPathVerdict(v)
 			}
 		}
@@ -532,7 +585,7 @@ func (l *link) fail(cause error) {
 	c := l.c
 	switch {
 	case l.state == linkDialing, l.state == linkReady && l.port <= 0:
-		l.own.exhausted(cause)
+		l.giveUp(cause)
 		return
 	case l.state != linkReady:
 		// Already degraded, on the fallback, or dead: the machinery below
@@ -540,11 +593,18 @@ func (l *link) fail(cause error) {
 		return
 	}
 	now := c.eng.Now()
-	// The state flips first, so anything parked() posts on the broken QP
-	// cannot re-enter here when it flushes on the spot.
+	// The state flips first, so the frame posted next on the broken QP cannot
+	// re-enter here when it flushes on the spot.
 	l.state, l.degradedAt, l.attempts, l.kaProbing = linkDegraded, now, 0, false
 	l.turn()
-	l.own.parked()
+	if l.shared() && !l.dialer {
+		// Only the initiator has a dial route to a shared QP: ask it to redial.
+		// When the path doctor declared the sickness (not a hard verbs error)
+		// the QP is still in RTS and this frame rides the reliable wire; if it
+		// really is broken the post just flushes and the initiator's keepalive
+		// finds out on its own.
+		l.emitCtrl(nil, &wireHdr{Kind: kindMuxSick}, nil, nil)
+	}
 	if l.sched != nil {
 		// Queued unposted frames drop here; requeueUnacked replays them
 		// through the scheduler after adoption.
@@ -570,47 +630,193 @@ func (l *link) reestablish(cause error) {
 	epoch := l.epoch
 	l.c.eng.AfterBg(l.c.recoverGrace(), func() {
 		if l.epoch == epoch {
-			l.own.exhausted(cause)
+			l.giveUp(cause)
 		}
 	})
 }
 
-// scheduleDial arms the next replacement dial after its backoff; a dial
-// that fails comes back here until the budget is spent.
+// scheduleDial arms the next replacement dial — the one timer → still
+// current? → NIC alive? → dialReplacement → re-arm loop — under one of two
+// policies. A degraded link redials on a budget: exponential backoff, giveUp
+// once RecoverRetries are spent, riders held throughout. A link on the Mock
+// fallback (§VI-C: meant to be temporary) probes on a cadence with no budget,
+// on the dialing side only; messages keep flowing over TCP during the probe
+// and the window dedups the cutover if it succeeds. Either way one arming
+// draws exactly one c.rng.Float64().
 func (l *link) scheduleDial(cause error) {
 	c := l.c
-	if l.attempts >= c.cfg.RecoverRetries {
-		l.own.exhausted(cause)
+	probe, rest, delay := l.state == linkFallback, HealthDegraded, sim.Duration(0)
+	switch {
+	case probe && (l.port <= 0 || c.cfg.FailbackInterval <= 0 || !l.dialer):
 		return
+	case probe:
+		rest, delay = HealthFallback, c.cfg.FailbackInterval
+		delay += sim.Duration(c.rng.Float64() * float64(delay) / 4)
+	case l.attempts >= c.cfg.RecoverRetries:
+		l.giveUp(cause)
+		return
+	default:
+		delay = c.recoverBackoff(l.attempts)
 	}
 	epoch := l.epoch
-	c.eng.AfterBg(c.recoverBackoff(l.attempts), func() {
-		if l.epoch != epoch {
+	c.eng.AfterBg(delay, func() {
+		if l.epoch != epoch || probe && l.fb == nil {
 			return
 		}
 		l.attempts++
 		if !c.vctx.NIC.Alive() {
 			// The local machine itself is down; a restart revives the NIC, so
-			// keep re-arming within the budget.
+			// keep re-arming (a redial within its budget).
 			l.scheduleDial(cause)
 			return
 		}
-		l.state = linkRecovering
 		l.setHealth(HealthRecovering)
 		l.dialReplacement(func(error) {
-			l.state = linkDegraded
-			l.setHealth(HealthDegraded)
+			l.setHealth(rest)
+			if probe && l.fb == nil {
+				// The fallback died while we probed; re-run its rendezvous.
+				l.riders[0].connectMock(fmt.Errorf("mock lost during failback probe"))
+				return
+			}
 			l.scheduleDial(cause)
 		})
 	})
 }
 
+// giveUp is the one way out when no replacement is coming: the link never
+// came up, has no recovery port, spent its retry budget (dialer) or grace
+// (waiter), or the context is closing.
+func (l *link) giveUp(cause error) {
+	c := l.c
+	switch {
+	case l.state == linkDead, l.state == linkFallback:
+		return
+	case l.shared():
+	case l.riders[0].attach == attachPending:
+		// A first establishment that failed. The application never saw the
+		// channel: it is dropped, not counted closed or broken, and whoever
+		// waited hears why.
+		ch := l.riders[0]
+		ch.closed = true
+		l.close()
+		ch.attachSettled(cause)
+		return
+	case c.cfg.MockEnabled && c.tcp != nil && c.mockPort > 0:
+		// One established rider and a Mock plane: degrade onto TCP instead of
+		// dying (muxed channels have no per-channel fallback).
+		l.riders[0].enterMockMode(cause)
+		l.riders[0].connectMock(cause)
+		return
+	}
+	if l.state == linkDialing { // shared: an exclusive first dial returned above
+		cause = fmt.Errorf("xrdma: mux dial to %d:%d: %w", l.peer, l.port, cause)
+	}
+	// The link is the unit of fate: it closes and takes every rider down with
+	// it (a pending attach hears the cause).
+	l.close()
+	if l.sched != nil {
+		l.sched.reset()
+	}
+	c.logf("link qpn=%d peer=%d beyond recovery (%d riders): %v", l.lastQPN(), l.peer, len(l.riders), cause)
+	for _, ch := range slices.Clone(l.riders) { // a snapshot: each rider detaches as it dies
+		ch.finishAttach(cause)
+	}
+	if l.shared() {
+		// An exclusive link's material went back as its rider left (detach);
+		// a shared QP has no rider to take it along.
+		l.release(l.qp, nil)
+		l.qp = nil
+	}
+}
+
+// detach takes a closing rider off the link. A shared rider says CHAN_CLOSE
+// (unless it never opened, or the peer closed first — then the close would
+// just echo forever), leaves the cid tables and frees the admission slot a
+// pending attach held; the link stays for the next attach. The rider of an
+// exclusive link takes the link with it: closed now, stranding any
+// replacement dial in flight, and its material goes back — the pool to the
+// memory cache, the Mock conn hung up, the QP (reset) to the QP cache for fast
+// re-establishment, unless the Mock switch already surrendered it.
+func (l *link) detach(ch *Channel) {
+	if l.shared() && ch.attach == attachDone && !ch.peerClosed {
+		l.sendCtrl(&wireHdr{Kind: kindChanClose, Chan: ch.peerCID})
+	}
+	if i := slices.Index(l.riders, ch); i >= 0 {
+		l.riders = slices.Delete(l.riders, i, i+1)
+	}
+	if l.shared() {
+		delete(l.peerCIDs, ch.peerCID)
+		if ch.attach == attachPending {
+			ch.attach = attachLazy
+			l.c.attachRelease()
+		}
+		return
+	}
+	qp := l.qp
+	if l.state == linkFallback {
+		qp = nil
+	}
+	l.close()
+	l.dropPool()
+	l.closeFallback()
+	l.release(qp, nil)
+}
+
+// acquire gathers what a (first or replacement) transport is built from: the
+// standing receive pool to post on it, and a recycled QP (nil = create one).
+// A pool iff the context has no SRQ — a shared link only exists with one, so
+// it never gets a pool; the allocation overlaps the much slower connection
+// handshake. A recycled QP iff the link is exclusive: see release.
+func (l *link) acquire(fn func(*rnic.QP, []Buffer)) {
+	c := l.c
+	if c.srq != nil {
+		fn(l.recycledQP(), nil)
+		return
+	}
+	remaining := c.cfg.WindowDepth + ctrlReserve
+	bufs := make([]Buffer, 0, remaining)
+	got := func(b Buffer, err error) {
+		if err == nil {
+			bufs = append(bufs, b)
+		}
+		if remaining--; remaining == 0 {
+			fn(l.recycledQP(), bufs)
+		}
+	}
+	for i := remaining; i > 0; i-- {
+		c.Mem.Alloc(c.recvBufSize(), got)
+	}
+}
+
+func (l *link) recycledQP() *rnic.QP {
+	if l.shared() {
+		return nil
+	}
+	return l.c.QPs.Get()
+}
+
+// release returns transport material that will not be adopted, or that an
+// adoption just replaced. The QP cache is per-channel: an exclusive link's QP
+// goes back to it, while a shared QP — muxQPDepth deep and SRQ-bound; handed
+// to an exclusive channel it could not post per-channel receives — never
+// enters it and is destroyed instead.
+func (l *link) release(qp *rnic.QP, bufs []Buffer) {
+	if !l.shared() {
+		l.c.QPs.Put(qp)
+	} else if qp != nil {
+		l.c.vctx.NIC.DestroyQP(qp)
+	}
+	for _, b := range bufs {
+		l.c.Mem.Free(b)
+	}
+}
+
 // --- establishment --------------------------------------------------------------
 //
 // Every transport a link carries arrives through dial (active) or accept
-// (passive) — the only cm.Connect and the only req.Accept. Both take the
-// owner's material, establish, and install: setQP for the first transport,
-// adopt for a replacement. Material not installed goes back through release.
+// (passive) — the only cm.Connect and the only req.Accept. Both acquire the
+// material, establish, and install: setQP for the first transport, adopt for
+// a replacement. Material not installed goes back through release.
 
 // dial establishes toward (l.peer, port) with pd as the CM private data. A
 // refusal (a drain REJ as ErrDraining) fails a first dial's link and goes to
@@ -621,9 +827,9 @@ func (l *link) dial(port int, pd []byte, retry func(error)) {
 	c := l.c
 	l.turn()
 	epoch := l.epoch
-	l.own.acquire(func(qp *rnic.QP, bufs []Buffer) {
+	l.acquire(func(qp *rnic.QP, bufs []Buffer) {
 		if l.epoch != epoch {
-			l.own.release(qp, bufs)
+			l.release(qp, bufs)
 			return
 		}
 		if l.state != linkDialing {
@@ -639,15 +845,15 @@ func (l *link) dial(port int, pd []byte, retry func(error)) {
 			l.dialing, l.dialBufs = nil, nil
 			switch {
 			case err != nil:
-				l.own.release(qp, bufs)
+				l.release(qp, bufs)
 				if l.state == linkDialing {
-					retry = l.fail // nothing to retry: the owner's exhausted hears why
+					retry = l.fail // nothing to retry: giveUp tells whoever waited why
 				}
 				retry(mapDialErr(err))
 			case l.state == linkDialing:
 				// The acceptor's REP carries the settled negotiation verdict.
 				l.adoptVerdict(conn.PeerData)
-				l.setQP(conn.QP, bufs)
+				l.setQP(conn.QP, bufs, true)
 			default:
 				l.adopt(conn, bufs, true)
 			}
@@ -688,7 +894,7 @@ func (c *Context) accept(req *verbs.ConnReq) {
 	case fresh:
 		if ver, caps, ok := c.settle(req, h); ok {
 			if h.purpose == helloMuxSlot {
-				l = &c.newMuxQP(nil, req.From, req.Port).link
+				l = c.newSharedLink(req.From, req.Port, false)
 			} else {
 				l = c.newLink(c.newChannel(req.From, attachPending), linkDialing)
 			}
@@ -723,28 +929,25 @@ func (c *Context) accept(req *verbs.ConnReq) {
 // queue — RNR-free from the very first message.
 func (l *link) accept(req *verbs.ConnReq) {
 	c := l.c
-	l.own.acquire(func(qp *rnic.QP, bufs []Buffer) {
+	l.acquire(func(qp *rnic.QP, bufs []Buffer) {
 		reply := func(qp *rnic.QP) {
 			req.Accept(qp, func(conn *verbs.Conn, err error) {
 				switch {
 				case err != nil:
-					l.own.release(qp, bufs)
+					l.release(qp, bufs)
 					l.fail(err)
 				case l.state == linkDead:
-					l.own.release(qp, bufs)
+					l.release(qp, bufs)
 				case l.state != linkDialing:
 					l.adopt(conn, bufs, false)
 				default:
-					l.setQP(conn.QP, bufs)
-					if ch := l.solo[0]; ch != nil && c.onChannel != nil {
-						c.onChannel(ch) // the application meets an accepted exclusive channel
-					}
+					l.setQP(conn.QP, bufs, false)
 				}
 			})
 		}
 		switch {
 		case l.state == linkDead:
-			l.own.release(qp, bufs)
+			l.release(qp, bufs)
 			req.Reject("link closed")
 		case qp != nil:
 			reply(qp)
@@ -767,7 +970,7 @@ func (l *link) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
 	outage := now.Sub(l.degradedAt)
 	switch {
 	case !failback:
-		l.own.release(l.qp, nil)
+		l.release(l.qp, nil)
 	case initiator:
 		l.closeFallback()
 	case l.fb != nil:
@@ -776,7 +979,7 @@ func (l *link) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
 		l.fb.OnClose = nil
 		l.fb = nil
 	}
-	l.setQP(conn.QP, bufs)
+	l.setQP(conn.QP, bufs, initiator)
 	c.Stats.Recoveries++
 	if failback {
 		c.Stats.Failbacks++

@@ -39,7 +39,7 @@ type MemCache struct {
 	regions []*memRegion
 	growing bool
 	gen     int // bumped by Reset so in-flight grows land in the right era
-	waiters []memWaiter
+	waiters sim.Queue[memWaiter]
 
 	// Counters (Fig. 11c plots Occupy vs In-use against bandwidth).
 	// InUseBytes counts requested bytes (plus canaries in isolation mode);
@@ -155,19 +155,30 @@ func (m *MemCache) AllocT(t *Tenant, size int, cb func(Buffer, error)) {
 		cb(Buffer{}, fmt.Errorf("xrdma: allocation %d exceeds MR size %d", size, m.mrSize))
 		return
 	}
-	if t != nil && t.cfg.MemBudget > 0 {
-		if block := int64(m.blockFor(size)); t.memUsed+block > t.cfg.MemBudget {
-			t.noteBudgetReject(block)
-			cb(Buffer{}, ErrTenantBudget)
-			return
-		}
+	if m.overBudget(t, size) {
+		cb(Buffer{}, ErrTenantBudget)
+		return
 	}
 	if b, ok := m.tryAlloc(t, size); ok {
 		cb(b, nil)
 		return
 	}
-	m.waiters = append(m.waiters, memWaiter{size: size, tenant: t, cb: cb})
+	m.waiters.Push(memWaiter{size: size, tenant: t, cb: cb})
 	m.grow()
+}
+
+// overBudget reports whether the block-rounded size would push t past its
+// MemBudget — and if so notes the reject, which starts a shed episode.
+func (m *MemCache) overBudget(t *Tenant, size int) bool {
+	if t == nil || t.cfg.MemBudget <= 0 {
+		return false
+	}
+	block := int64(m.blockFor(size))
+	if t.memUsed+block <= t.cfg.MemBudget {
+		return false
+	}
+	t.noteBudgetReject(block)
+	return true
 }
 
 // AllocNow is the non-blocking variant; ok=false when the cache would
@@ -178,11 +189,8 @@ func (m *MemCache) AllocNow(size int) (Buffer, bool) {
 
 // AllocNowT is AllocNow with tenant budget accounting.
 func (m *MemCache) AllocNowT(t *Tenant, size int) (Buffer, bool) {
-	if t != nil && t.cfg.MemBudget > 0 {
-		if block := int64(m.blockFor(size)); t.memUsed+block > t.cfg.MemBudget {
-			t.noteBudgetReject(block)
-			return Buffer{}, false
-		}
+	if m.overBudget(t, size) {
+		return Buffer{}, false
 	}
 	return m.tryAlloc(t, size)
 }
@@ -352,7 +360,7 @@ func (m *MemCache) Reset() {
 	m.gen++
 	m.growing = false
 	m.checkPressure()
-	if len(m.waiters) > 0 {
+	if m.waiters.Len() > 0 {
 		m.grow()
 	}
 }
@@ -383,44 +391,41 @@ func (m *MemCache) grow() {
 		r.free[m.maxOrder] = append(r.free[m.maxOrder], 0)
 		m.regions = append(m.regions, r)
 		m.serveWaiters()
-		if len(m.waiters) > 0 {
+		if m.waiters.Len() > 0 {
 			m.grow()
 		}
 	})
 }
 
 func (m *MemCache) failWaiters() {
-	if len(m.waiters) == 0 {
+	if m.waiters.Len() == 0 {
 		return
 	}
 	c := m.ctx
 	c.tel.Flight.Record(c.eng.Now(), telemetry.CatMemPressure, int32(c.Node()), 0,
 		m.OccupiedBytes(), c.cfg.MemPoolBytes)
-	ws := m.waiters
-	m.waiters = nil
+	ws := m.waiters.Items()
+	m.waiters = sim.Queue[memWaiter]{}
 	for _, w := range ws {
 		w.cb(Buffer{}, ErrOutOfMemory)
 	}
 }
 
 func (m *MemCache) serveWaiters() {
-	for len(m.waiters) > 0 {
-		w := m.waiters[0]
+	for m.waiters.Len() > 0 {
+		w := m.waiters.Items()[0]
 		// Re-check the budget at serve time: the tenant may have crossed it
 		// while this waiter sat behind a grow.
-		if t := w.tenant; t != nil && t.cfg.MemBudget > 0 {
-			if block := int64(m.blockFor(w.size)); t.memUsed+block > t.cfg.MemBudget {
-				m.waiters = m.waiters[1:]
-				t.noteBudgetReject(block)
-				w.cb(Buffer{}, ErrTenantBudget)
-				continue
-			}
+		if m.overBudget(w.tenant, w.size) {
+			m.waiters.Pop()
+			w.cb(Buffer{}, ErrTenantBudget)
+			continue
 		}
 		b, ok := m.tryAlloc(w.tenant, w.size)
 		if !ok {
 			return
 		}
-		m.waiters = m.waiters[1:]
+		m.waiters.Pop()
 		w.cb(b, nil)
 	}
 }
@@ -443,44 +448,25 @@ func (m *MemCache) checkPressure() {
 	used := float64(m.PoolInUseBytes)
 	switch {
 	case !m.ctx.memPressure && used > hw*float64(capB):
-		m.evictIdle()
+		m.reclaim(-1, &m.Evictions) // watermark-driven: no MemShrinkIdle wait
 		m.ctx.setMemPressure(true)
 	case m.ctx.memPressure && used < lw*float64(capB):
 		m.ctx.setMemPressure(false)
 	}
 }
 
-// evictIdle deregisters fully-free regions immediately (watermark-driven
-// eviction — no MemShrinkIdle wait), keeping at least one region warm.
-func (m *MemCache) evictIdle() {
-	kept := m.regions[:0]
-	freed := 0
-	for _, r := range m.regions {
-		if r.inUse == 0 && len(m.regions)-freed > 1 {
-			m.ctx.pd.DeregMR(r.mr)
-			r.dead = true
-			m.Evictions++
-			freed++
-			continue
-		}
-		kept = append(kept, r)
-	}
-	m.regions = kept
-}
-
-// shrink reclaims fully-free regions idle past the configured threshold
-// (called from the context's periodic timer). At least one region is kept
-// warm.
-func (m *MemCache) shrink() {
+// reclaim deregisters the fully-free regions idle for longer than idle,
+// keeping at least one region warm, and counts them on n: Shrinks from the
+// context's periodic timer, Evictions when the pool crosses high water.
+func (m *MemCache) reclaim(idle sim.Duration, n *int64) {
 	now := m.ctx.eng.Now()
 	kept := m.regions[:0]
 	freed := 0
 	for _, r := range m.regions {
-		remaining := len(m.regions) - freed
-		if r.inUse == 0 && now.Sub(r.lastUsed) > m.ctx.cfg.MemShrinkIdle && remaining > 1 {
+		if r.inUse == 0 && now.Sub(r.lastUsed) > idle && len(m.regions)-freed > 1 {
 			m.ctx.pd.DeregMR(r.mr)
 			r.dead = true
-			m.Shrinks++
+			*n++
 			freed++
 			continue
 		}

@@ -67,11 +67,11 @@ func (c *Context) listenMock() {
 // fallback wins over one that merely holds the number.
 func (c *Context) mockTarget(from fabric.NodeID, qpn uint32) (live *Channel) {
 	for _, l := range c.links {
-		if ch := l.solo[0]; ch != nil && l.peer == from && l.lastQPN() == qpn {
+		if !l.shared() && l.peer == from && l.lastQPN() == qpn {
 			if l.state == linkFallback {
-				return ch
+				return l.riders[0]
 			}
-			live = ch
+			live = l.riders[0]
 		}
 	}
 	return live
@@ -195,10 +195,10 @@ func (ch *Channel) connectMock(cause error) {
 	})
 }
 
-// mockDial is the dialer side of the mock rendezvous, retried with
-// exponential backoff: a single failed dial (the peer's listener mid-
-// restart, a dropped SYN) used to be terminal, turning transient races
-// into hard teardowns.
+// mockDial is the dialer side of the mock rendezvous, retried
+// mockDialRetries times with exponential backoff: a single failed dial (the
+// peer's listener mid-restart, a dropped SYN) must not turn a transient race
+// into a hard teardown.
 func (ch *Channel) mockDial(cause error, attempt int) {
 	c := ch.ctx
 	// The mock port is a fleet-wide convention (same port everywhere), which
@@ -215,15 +215,11 @@ func (ch *Channel) mockDial(cause error, attempt int) {
 			ch.attachMock(conn)
 			return
 		}
-		if attempt+1 >= max(c.cfg.MockDialRetries, 1) {
+		if attempt+1 >= mockDialRetries {
 			ch.teardown(fmt.Errorf("xrdma: mock dial failed after %d attempts: %v (after %v)", attempt+1, err, cause))
 			return
 		}
-		backoff := c.cfg.MockDialBackoff << uint(attempt)
-		if backoff <= 0 {
-			backoff = sim.Millisecond
-		}
-		c.eng.AfterBg(backoff, func() {
+		c.eng.AfterBg(mockDialBackoff<<uint(attempt), func() {
 			if ch.closed || ch.lk.state != linkFallback || ch.lk.fb != nil {
 				return
 			}
@@ -231,6 +227,13 @@ func (ch *Channel) mockDial(cause error, attempt int) {
 		})
 	})
 }
+
+// The Mock dial budget: attempts before the channel is declared dead, and the
+// delay before the first redial, doubling per attempt.
+const (
+	mockDialRetries = 4
+	mockDialBackoff = sim.Millisecond
+)
 
 // mockGrace bounds how long one side waits for the other to notice the
 // failure: two RC retry horizons, or the keepalive timeout if larger.
@@ -267,7 +270,7 @@ func (ch *Channel) attachMock(conn *tcpnet.Conn) {
 	// Replay the unacked window tail (the receiver's window dedups), then
 	// drain whatever queued while disconnected.
 	ch.requeueUnacked()
-	ch.armFailback()
+	l.scheduleDial(nil) // the failback probe; it has no budget to spend, so no cause to report
 	ch.pump()
 }
 

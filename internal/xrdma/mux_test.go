@@ -13,11 +13,11 @@ import (
 )
 
 // sharedQPs lists a context's live shared QPs in creation order.
-func sharedQPs(c *Context) []*muxQP {
-	var out []*muxQP
+func sharedQPs(c *Context) []*link {
+	var out []*link
 	for _, l := range c.links {
-		if mx, ok := l.own.(*muxQP); ok {
-			out = append(out, mx)
+		if l.shared() {
+			out = append(out, l)
 		}
 	}
 	return out
@@ -77,8 +77,8 @@ func TestMuxManyChannelsShareQPPool(t *testing.T) {
 	}
 	// Channels spread across the pool: no QP hoards them all.
 	for _, mx := range sharedQPs(w.ctxs[0]) {
-		if len(mx.chans) == 0 || len(mx.chans) == chans {
-			t.Fatalf("degenerate channel placement: %d of %d on one QP", len(mx.chans), chans)
+		if len(mx.riders) == 0 || len(mx.riders) == chans {
+			t.Fatalf("degenerate channel placement: %d of %d on one QP", len(mx.riders), chans)
 		}
 	}
 
@@ -304,6 +304,41 @@ func TestMuxChannelCloseIsolated(t *testing.T) {
 	w.eng.Run()
 	if resps != chans-1 {
 		t.Fatalf("%d of %d surviving channels echoed", resps, chans-1)
+	}
+}
+
+// TestContextCloseLeavesNothing: a shared QP outlives its riders — the pool
+// keeps it for the next attach — so closing every channel does not close it.
+// Context.Close must: every link still listed gives up, its QP is destroyed
+// (shared QPs are never cached) and its tables go. Before Close ended with
+// giveUp it left each established shared link in c.links and c.qpnTab with
+// its QP live on the NIC.
+func TestContextCloseLeavesNothing(t *testing.T) {
+	w := newWorld(t, 3, muxKnobs(2))
+	before := make([]int, len(w.nics))
+	for i, nic := range w.nics {
+		before[i] = nic.NumQPs()
+	}
+	openMuxed(t, w, 0, 1, 6006, 3) // two peers, both pool slots filled toward the first
+	openMuxed(t, w, 0, 2, 6006, 2)
+	if _, err := w.ctxs[0].ChannelTo(1, 6006); err != nil { // and a descriptor nobody attached
+		t.Fatal(err)
+	}
+	if got := len(sharedQPs(w.ctxs[0])); got != 4 {
+		t.Fatalf("%d shared QPs up before Close, want 4", got)
+	}
+	for _, c := range w.ctxs {
+		c.Close()
+	}
+	w.eng.Run()
+	for i, c := range w.ctxs {
+		if len(c.links) != 0 || len(c.dialing) != 0 || len(c.qpnTab) != 0 || len(c.chanByCID) != 0 || c.attachActive != 0 {
+			t.Errorf("node %d after Close: %d links / %d dialing / %d QPN table entries / %d cids / %d attaches in flight, want none",
+				i, len(c.links), len(c.dialing), len(c.qpnTab), len(c.chanByCID), c.attachActive)
+		}
+		if got := w.nics[i].NumQPs(); got != before[i] {
+			t.Errorf("node %d: %d QPs on the NIC after Close, %d before any connect", i, got, before[i])
+		}
 	}
 }
 

@@ -1,107 +1,11 @@
 package xrdma
 
-import (
-	"fmt"
+import "xrdma/internal/sim"
 
-	"xrdma/internal/rnic"
-	"xrdma/internal/sim"
-)
-
-// The exclusive-QP owner of a link (link.go): one channel, one rider. What
-// is particular to it is where replacement QPs come from (the QP cache,
-// with a fresh receive pool), who redials (the lower node id,
-// through Options.RecoverPort), and what happens when re-establishment is
-// exhausted — the Mock fallback (§VI-C) when configured, from which
-// periodic failback probes try to return to RDMA, terminal teardown
-// otherwise.
-
-// newLink builds the link under an exclusive channel: dialing (Connect,
-// accept) and off the scan list until its first QP, or, rehydrated, degraded.
-func (c *Context) newLink(ch *Channel, state linkState) *link {
-	l := &link{
-		c: c, own: ch, solo: [1]*Channel{ch}, peer: ch.Peer, state: state,
-		port: c.recoverPort, dialer: c.Node() < ch.Peer, redial: helloRecover,
-		depth:       2*c.cfg.WindowDepth + ctrlReserve + c.cfg.MaxOutstandingWRs + 8,
-		dialTimeout: c.cfg.RecoverDialTimeout,
-		lastComm:    c.eng.Now(),
-	}
-	ch.lk = l
-	if state == linkDialing {
-		c.dialing = append(c.dialing, l)
-	} else {
-		c.links = append(c.links, l)
-	}
-	return l
-}
-
-func (ch *Channel) riders() []*Channel { return ch.lk.solo[:] }
-
-// acquire obtains the channel's standing receive pool (none in SRQ mode),
-// then consults the QP cache; the allocation overlaps the much slower
-// connection handshake.
-func (ch *Channel) acquire(fn func(*rnic.QP, []Buffer)) {
-	c := ch.ctx
-	if c.cfg.UseSRQ {
-		fn(c.QPs.Get(), nil)
-		return
-	}
-	remaining := c.cfg.WindowDepth + ctrlReserve
-	bufs := make([]Buffer, 0, remaining)
-	for i := remaining; i > 0; i-- {
-		c.Mem.Alloc(c.recvBufSize(), func(b Buffer, err error) {
-			if err == nil {
-				bufs = append(bufs, b)
-			}
-			if remaining--; remaining == 0 {
-				fn(c.QPs.Get(), bufs)
-			}
-		})
-	}
-}
-
-func (ch *Channel) release(qp *rnic.QP, bufs []Buffer) {
-	ch.ctx.QPs.Put(qp)
-	for _, b := range bufs {
-		ch.ctx.Mem.Free(b)
-	}
-}
-
-func (ch *Channel) parked() {}
-
-// adopted establishes the channel on its link's first QP (it opens now, and
-// Connect hears); a replacement moves the QPN-keyed XR-Stat row.
-func (ch *Channel) adopted() {
-	if ch.attach == attachPending {
-		ch.lastProgress, ch.OpenedAt = ch.ctx.eng.Now(), ch.ctx.eng.Now()
-		ch.finishAttach(nil)
-		return
-	}
-	ch.unregisterGauges()
-	ch.registerGauges()
-}
-
-// exhausted gives up on RDMA: a first establishment that failed just tells
-// whoever waited why; an established channel degrades onto Mock when
-// configured and is torn down otherwise.
-func (ch *Channel) exhausted(cause error) {
-	c := ch.ctx
-	switch {
-	case ch.closed || ch.lk.state == linkFallback:
-	case ch.attach == attachPending:
-		// The application never saw it: dropped, not counted closed or broken.
-		ch.closed = true
-		ch.lk.close()
-		ch.attachSettled(cause)
-	case c.cfg.MockEnabled && c.tcp != nil && c.mockPort > 0:
-		// Degrade onto TCP instead of dying.
-		ch.enterMockMode(cause)
-		ch.connectMock(cause)
-	default:
-		c.Stats.ChannelsBroken++
-		c.logf("channel qpn=%d peer=%d beyond recovery: %v", ch.QPN(), ch.Peer, cause)
-		ch.teardown(cause)
-	}
-}
+// What a rider does when its link (link.go) loses or replaces the transport:
+// hold traffic, drop what only a live QP could use, and on adoption rewind to
+// the ack edge and replay the unacked tail — the seq-ack window of Algorithm 1
+// dedups the overlap.
 
 // park holds a rider whose link lost its transport: traffic stays in the
 // send queue until a replacement is adopted.
@@ -171,36 +75,4 @@ func (ch *Channel) rehome(old *msgRec) *msgRec {
 	}
 	ch.ctx.drop(old, rec.holds)
 	return rec
-}
-
-// armFailback schedules the next RDMA probe for a channel running on the
-// Mock fallback (§VI-C: the fallback is meant to be temporary): a single
-// replacement dial. Messages keep flowing over TCP during the probe and the
-// window dedups the cutover if it succeeds.
-func (ch *Channel) armFailback() {
-	c, l := ch.ctx, ch.lk
-	if l.port <= 0 || c.cfg.FailbackInterval <= 0 || !l.dialer {
-		return
-	}
-	d := c.cfg.FailbackInterval
-	d += sim.Duration(c.rng.Float64() * float64(d) / 4)
-	epoch := l.epoch
-	c.eng.AfterBg(d, func() {
-		switch {
-		case l.epoch != epoch || l.fb == nil:
-		case !c.vctx.NIC.Alive():
-			ch.armFailback()
-		default:
-			ch.setHealth(HealthRecovering)
-			l.dialReplacement(func(error) {
-				ch.setHealth(HealthFallback)
-				if l.fb == nil {
-					// The fallback died while we probed; re-run its rendezvous.
-					ch.connectMock(fmt.Errorf("mock lost during failback probe"))
-					return
-				}
-				ch.armFailback()
-			})
-		}
-	})
 }

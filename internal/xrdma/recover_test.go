@@ -42,8 +42,6 @@ func newRecoverWorld(t testing.TB, n int, mutate func(i int, cfg *Config)) *test
 		cfg.MockEnabled = true
 		cfg.KeepaliveInterval = 2 * sim.Millisecond
 		cfg.KeepaliveTimeout = 8 * sim.Millisecond
-		cfg.MockDialRetries = 4
-		cfg.MockDialBackoff = sim.Millisecond
 		cfg.RecoverRetries = 8
 		cfg.RecoverBackoff = sim.Millisecond
 		cfg.RecoverBackoffMax = 8 * sim.Millisecond
@@ -169,8 +167,13 @@ func heldBySRQ(c *Context) (n int64) {
 // rider), and no memory, QP (an INIT one included) or CM dial left behind
 // once the channels close. Node 0 is the redialing side in both kinds (lower
 // id / mux initiator).
+//
+// The third kind is the degenerate case the rider model claims: a shared link
+// with exactly one rider. Its rider must see the health transitions and the
+// close the exclusive link's rider sees, on both ends (retry loops collapsed:
+// the two kinds' dial timeouts differ) — except where the exclusive rider has
+// somewhere else to go, the Mock fallback.
 func TestRecoveryConformance(t *testing.T) {
-	const riders = 4
 	type world struct {
 		*testWorld
 		shared   bool
@@ -180,6 +183,7 @@ func TestRecoveryConformance(t *testing.T) {
 		name      string
 		fault     func(w *world)
 		exhausted bool // the fault outlives the retry budget
+		noMock    bool // no kind has a fallback: exhaustion is death for all
 		check     func(t *testing.T, w *world)
 	}{
 		{name: "qp-error-mid-stream", fault: func(w *world) {
@@ -235,22 +239,31 @@ func TestRecoveryConformance(t *testing.T) {
 				t.Errorf("Recoveries=%d RecoverAttempts=%d, want 0/%d", s.Recoveries, s.RecoverAttempts, want)
 			}
 		}},
+		{name: "peer-death-no-fallback", exhausted: true, noMock: true, fault: func(w *world) {
+			// The same death with no Mock plane anywhere: whichever detector
+			// fires (RC retry exhaustion, keepalive), giveUp is terminal for
+			// one rider exactly as it is for four.
+			w.eng.AfterBg(20*sim.Millisecond, func() { w.nics[1].Crash() })
+		}},
 	}
-	for _, shared := range []bool{false, true} {
+	kinds := []struct {
+		name   string
+		riders int // 0 = an exclusive link
+	}{{"exclusive", 0}, {"shared", 4}, {"shared-one-rider", 1}}
+	traces := map[string]string{} // kind/row → rider 0's health-and-close trace, both ends
+	for _, kind := range kinds {
 		for _, row := range rows {
-			kind := "exclusive"
-			if shared {
-				kind = "shared"
-			}
-			row := row
-			t.Run(kind+"/"+row.name, func(t *testing.T) {
+			kind, row, shared, riders := kind, row, kind.riders > 0, kind.riders
+			t.Run(kind.name+"/"+row.name, func(t *testing.T) {
 				w := &world{shared: shared, testWorld: newRecoverWorld(t, 2, func(_ int, cfg *Config) {
 					// Room for both sides to create a QP inside one dial: with
 					// cold QP caches the world's 5 ms expires as the REP lands.
 					cfg.RecoverDialTimeout = 10 * sim.Millisecond
 					if shared {
-						cfg.MockEnabled = false // muxed channels have no per-channel mock
 						cfg.QPsPerPeer = 1
+					}
+					if shared || row.noMock {
+						cfg.MockEnabled = false // muxed channels have no per-channel mock
 					}
 				})}
 				if shared {
@@ -258,6 +271,18 @@ func TestRecoveryConformance(t *testing.T) {
 				} else {
 					cli, srv := w.connect(t, 0, 1, 5000)
 					w.cli, w.srv = []*Channel{cli}, []*Channel{srv}
+				}
+				var trace [2][]string
+				for end, ch := range []*Channel{w.cli[0], w.srv[0]} {
+					note := func(ev string) {
+						tr := append(trace[end], ev)
+						if n := len(tr); n >= 4 && tr[n-1] == tr[n-3] && tr[n-2] == tr[n-4] {
+							tr = tr[:n-2] // one more lap of a retry loop
+						}
+						trace[end] = tr
+					}
+					ch.OnHealthChange(func(h HealthState) { note(h.String()) })
+					ch.OnClose(func(err error) { note(fmt.Sprintf("closed(broken=%v)", err != nil)) })
 				}
 				streams := make([]*idStream, len(w.cli))
 				for k := range w.cli {
@@ -274,7 +299,7 @@ func TestRecoveryConformance(t *testing.T) {
 				}
 				// The QP is the failure domain: degradations and recoveries are
 				// counted per link, never amplified per rider.
-				if shared && (s0.Degraded >= riders || s0.Recoveries >= riders) {
+				if n := int64(riders); n > 1 && (s0.Degraded >= n || s0.Recoveries >= n) {
 					t.Errorf("Degraded=%d Recoveries=%d for %d riders on 1 QP — per-rider amplification", s0.Degraded, s0.Recoveries, riders)
 				}
 				for k, st := range streams {
@@ -289,11 +314,11 @@ func TestRecoveryConformance(t *testing.T) {
 							}
 						}
 						st.check(t)
-					case shared:
-						// A shared link beyond recovery takes its riders down:
-						// nothing twice, and every request answered or failed.
+					case shared || row.noMock:
+						// A link beyond recovery takes its riders down: nothing
+						// twice, and every request answered or failed.
 						if !w.cli[k].Closed() || !w.srv[k].Closed() {
-							t.Fatalf("rider %d survived an exhausted shared link", k)
+							t.Fatalf("rider %d survived an exhausted link", k)
 						}
 						if dups, _ := st.tally(); dups != 0 || len(st.resps)+st.failed != int(st.sent) {
 							t.Errorf("rider %d: %d dups, %d answered + %d failed of %d sent", k, dups, len(st.resps), st.failed, st.sent)
@@ -311,6 +336,7 @@ func TestRecoveryConformance(t *testing.T) {
 				if row.check != nil {
 					row.check(t, w)
 				}
+				traces[kind.name+"/"+row.name] = fmt.Sprintf("cli %v srv %v", trace[0], trace[1])
 
 				for k := range w.cli {
 					w.cli[k].Close()
@@ -346,6 +372,15 @@ func TestRecoveryConformance(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+	for _, row := range rows {
+		if row.exhausted && !row.noMock {
+			continue // the exclusive rider falls back to Mock; a muxed one cannot
+		}
+		one, excl := traces["shared-one-rider/"+row.name], traces["exclusive/"+row.name]
+		if one != excl || one == "" {
+			t.Errorf("%s: a shared link's one rider saw\n\t%s\nthe exclusive link's rider saw\n\t%s", row.name, one, excl)
 		}
 	}
 }

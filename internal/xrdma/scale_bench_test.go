@@ -1,11 +1,34 @@
 package xrdma
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"xrdma/internal/fabric"
 )
+
+// TestChannelStructBudget holds the sizes the 4000-node fit and the line
+// ratchet's "nothing added to turn" rest on: the flyweight descriptor stays at
+// or under 568 bytes (everything per-QP lives on link, everything per-message
+// on msgRec), the link — riders included — at what the one-rider model
+// reached, and Config at its field count. Raising one is a regression to
+// explain, like a TestSteadyStateAllocs ceiling.
+func TestChannelStructBudget(t *testing.T) {
+	for _, b := range []struct {
+		what      string
+		got, most uintptr
+	}{
+		{"unsafe.Sizeof(Channel{})", unsafe.Sizeof(Channel{}), 568},
+		{"unsafe.Sizeof(link{})", unsafe.Sizeof(link{}), 448},
+		{"Config fields", uintptr(reflect.TypeOf(Config{}).NumField()), 47},
+	} {
+		if b.got > b.most {
+			t.Errorf("%s = %d, budget %d", b.what, b.got, b.most)
+		}
+	}
+}
 
 // BenchmarkIdleChannelFootprint measures what one idle flyweight channel
 // descriptor costs on the heap — the number the 4000-node fit depends on.

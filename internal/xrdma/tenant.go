@@ -244,7 +244,7 @@ func (t *Tenant) armShedExpiry() {
 			return
 		}
 		c.logf("tenant %q shed episode over", t.cfg.Name)
-		c.attachAdmit(len(c.attachQ))
+		c.attachAdmit(c.attachQ.Len())
 	})
 }
 
@@ -279,7 +279,7 @@ func (c *Context) setMemPressure(on bool) {
 	} else {
 		c.tel.Flight.Record(now, telemetry.CatMemPressure, int32(c.Node()), 0, 0, 0)
 		c.logf("memory pressure cleared")
-		c.attachAdmit(len(c.attachQ))
+		c.attachAdmit(c.attachQ.Len())
 	}
 }
 

@@ -301,15 +301,15 @@ func TestDrainFlushesShedParkedAttaches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(c0.attachQ); got != 3 {
+	if got := c0.attachQ.Len(); got != 3 {
 		t.Fatalf("parked %d attaches, want 3", got)
 	}
 	if err := c0.Drain(func([]byte) {}); err != nil {
 		t.Fatal(err)
 	}
 	w.eng.Run()
-	if len(c0.attachQ) != 0 {
-		t.Fatalf("admission FIFO not flushed: %d left", len(c0.attachQ))
+	if c0.attachQ.Len() != 0 {
+		t.Fatalf("admission FIFO not flushed: %d left", c0.attachQ.Len())
 	}
 	if len(errs) != 3 {
 		t.Fatalf("%d of 3 parked sends resolved", len(errs))
