@@ -267,9 +267,8 @@ func (c *Context) Listen(port int) error {
 
 // Connect establishes a channel to (node, port) (xrdma_connect). In mux
 // mode that is ChannelTo (which cannot fail here) plus an eager attach;
-// otherwise the channel's own link is born dialing — the QP cache is
-// consulted first, and on a miss a QP is created through the slow hardware
-// path. Either way done rides the pending-attach bookkeeping.
+// otherwise the channel's own link is born dialing. Either way done rides
+// the pending-attach bookkeeping.
 func (c *Context) Connect(node fabric.NodeID, port int, done func(*Channel, error)) {
 	if c.muxEnabled() {
 		ch, _ := c.ChannelTo(node, port)

@@ -623,10 +623,9 @@ func (c *Context) Channels() []*Channel {
 	return out
 }
 
-// Close tears down the context: all channels close — exclusive ones take
-// their link along — and every link left gives up: establishments still in
-// flight are abandoned (Connect hears ErrChannelClosed) and shared QPs, which
-// outlive their riders, are destroyed. Timers stop.
+// Close tears down the context: all channels close, then every link left
+// gives up — establishments in flight are abandoned (Connect hears
+// ErrChannelClosed), shared QPs, which outlive their riders, are destroyed.
 func (c *Context) Close() {
 	for _, ch := range c.Channels() {
 		ch.Close()

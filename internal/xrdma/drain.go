@@ -443,17 +443,12 @@ func (c *Context) Shutdown() {
 	if c.tcp != nil && c.mockPort > 0 {
 		c.tcp.Unlisten(c.mockPort)
 	}
-	for _, ch := range c.Channels() {
-		if ch.closed {
-			continue
-		}
+	for _, ch := range c.Channels() { // live ones only: a closed channel is delisted
 		ch.closed = true
 		ch.unregisterGauges()
 		c.eng.Cancel(ch.ackEv)
 	}
-	if c.chanByCID != nil {
-		c.chanByCID = make(map[uint32]*Channel)
-	}
+	clear(c.chanByCID)
 	for _, l := range c.allLinks() {
 		// A link on the Mock fallback already surrendered its QP.
 		if l.state == linkFallback {
@@ -463,9 +458,7 @@ func (c *Context) Shutdown() {
 		}
 		l.close() // cancels a dial in flight
 	}
-	for id := range c.srqBufs {
-		delete(c.srqBufs, id)
-	}
+	clear(c.srqBufs)
 	// Registered memory does not survive the process: drop the cache's
 	// regions and zero the accounting, so leak assertions on the old
 	// instance see a clean slate.

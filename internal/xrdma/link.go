@@ -17,12 +17,11 @@ import (
 // keepalive (§V-A), the path doctor, health recovery and the Mock fallback
 // (§VI-C) are properties of the QP, not of what rides it, so they live
 // here once, and the link owns its riders: an exclusive channel is a link
-// with one rider, a shared (mux) QP is a link with N. What the two do
-// differently is decided below from facts the link holds — shared or not,
-// SRQ or not, port, dialer — never by asking an owner. When the transport
-// breaks the link degrades, every established rider is held, and — with a
-// recovery port — the dialing side re-establishes with exponential backoff
-// plus jitter under a bounded budget while the other side waits out a
+// with one rider, a shared (mux) QP a link with N. What differs between the
+// two is decided below from facts the link holds — shared or not, SRQ or
+// not, port, dialer. When the transport breaks the link degrades, every
+// established rider is held, and — with a recovery port — the dialing side
+// re-establishes under a bounded budget while the other side waits out a
 // grace. The replacement is adopted on both sides and every rider replays
 // its unacked window tail; the seq-ack window of Algorithm 1 dedups the
 // overlap, so the cutover is exactly-once per rider in both directions.
@@ -45,11 +44,10 @@ const (
 
 type link struct {
 	c *Context
-	// riders are the channels on the link in attach order (ascending cid on a
-	// shared link): walk them by index, or snapshot before a walk that closes
-	// them. An exclusive link's one rider is backed by solo, so a connect
-	// allocates no slice. peerCIDs is the shared-only state — peer cid → local
-	// cid, the CHAN_OPEN dedup — and nil on an exclusive link.
+	// riders are the channels on the link in attach order (== ascending cid):
+	// walk them by index, or snapshot before a walk that closes them. solo
+	// backs an exclusive link's one rider, so a connect allocates no slice;
+	// peerCIDs (peer cid → local cid, the CHAN_OPEN dedup) is non-nil iff shared.
 	riders   []*Channel
 	solo     [1]*Channel
 	peerCIDs map[uint32]uint32
@@ -120,14 +118,13 @@ func (c *Context) newLink(ch *Channel, state linkState) *link {
 
 // newSharedLink builds a shared QP's link, dialing — and listed from birth:
 // riders attach while it dials. The establishment port is also the reattach
-// rendezvous, and only the initiator has a dial route to it. A shared QP is
-// never recycled (acquire), so both sides pay the full QP create+modify
-// hardware-command cost inside the dial window: the configured timeout alone
-// would expire right as the accept lands.
+// rendezvous, and only the initiator has a dial route to it. Both sides pay
+// the full QP create+modify command cost inside the dial window (release: a
+// shared QP is never recycled), which the configured timeout alone would miss.
 func (c *Context) newSharedLink(peer fabric.NodeID, port int, dialer bool) *link {
 	l := &link{
 		c: c, peerCIDs: make(map[uint32]uint32), peer: peer, state: linkDialing,
-		port: port, dialer: dialer, redial: helloMuxReattach, depth: muxQPDepth,
+		port: port, dialer: dialer, redial: helloMuxReattach, depth: sharedQPDepth,
 		dialTimeout: c.cfg.RecoverDialTimeout + 2*rnic.QPCreateCost + 8*rnic.QPModifyCost,
 	}
 	if len(c.cfg.Tenants) > 0 {
@@ -140,8 +137,7 @@ func (c *Context) newSharedLink(peer fabric.NodeID, port int, dialer bool) *link
 	return l
 }
 
-// shared reports whether riders are multiplexed onto the link by cid; an
-// exclusive link has exactly one, from construction until it leaves.
+// shared: riders are multiplexed by cid. An exclusive link has exactly one.
 func (l *link) shared() bool { return l.peerCIDs != nil }
 
 // setQP makes qp the link's transport — its first, or a replacement: the
@@ -172,33 +168,32 @@ func (l *link) setQP(qp *rnic.QP, bufs []Buffer, initiator bool) {
 	// The QP starts with zero counters and a full rotation budget; the
 	// doctor must not blame it for an old path's symptoms.
 	l.doctor.resetEpisode()
-	if l.sched != nil {
-		l.sched.reset()
+	l.sched.reset()
+	// The standing receive pool — the buffers whose footprint the §III Issue-1
+	// formula describes — goes on the QP.
+	if l.recvBufs == nil && len(bufs) > 0 {
+		l.recvBufs = make(map[uint64]Buffer, len(bufs))
 	}
-	l.post(bufs)
-	// In place: a Connect callback may close its channel, and a refused post
-	// at worst takes every rider off at once.
-	for i := 0; i < len(l.riders); i++ {
+	for _, buf := range bufs {
+		l.postRecv(buf)
+	}
+	for i := 0; i < len(l.riders); i++ { // in place: a Connect callback may close its channel
 		switch ch := l.riders[i]; {
-		case ch.attach != attachPending:
-			if !l.shared() {
-				// An exclusive rider's XR-Stat row is named by QPN: it moves
-				// under the replacement's (a muxed one is named by cid).
-				ch.unregisterGauges()
-				ch.registerGauges()
-			}
-		case l.shared():
-			// By CHAN_OPEN — again after a recovery that swallowed the first.
-			// Only the dialing side ever has riders waiting.
+		case ch.attach == attachPending && l.shared():
+			// Again after a recovery that swallowed the first; only the dialing
+			// side ever has riders waiting.
 			l.sendChanOpen(ch)
-		default:
-			// Over the CM exchange that just completed: Connect hears, and on
-			// the accepting side the application meets the channel.
+		case ch.attach == attachPending:
+			// The CM exchange was the open: Connect hears, and on the accepting
+			// side the application meets the channel.
 			ch.lastProgress = c.eng.Now()
 			ch.finishAttach(nil)
 			if !initiator && c.onChannel != nil {
 				c.onChannel(ch)
 			}
+		case !l.shared(): // the XR-Stat row named by QPN moves under the new one
+			ch.unregisterGauges()
+			ch.registerGauges()
 		}
 	}
 }
@@ -349,17 +344,6 @@ func (l *link) ingest(data []byte, wrID uint64, overMock bool, rxBlame *telemetr
 		l.demux(&h, pay, overMock, rxBlame)
 	} else {
 		l.riders[0].handleWire(&h, pay, overMock, rxBlame)
-	}
-}
-
-// post puts the standing receive pool — the buffers whose footprint the
-// §III Issue-1 formula describes — on the link's QP.
-func (l *link) post(bufs []Buffer) {
-	if l.recvBufs == nil && len(bufs) > 0 {
-		l.recvBufs = make(map[uint64]Buffer, len(bufs))
-	}
-	for _, buf := range bufs {
-		l.postRecv(buf)
 	}
 }
 
@@ -599,17 +583,14 @@ func (l *link) fail(cause error) {
 	l.turn()
 	if l.shared() && !l.dialer {
 		// Only the initiator has a dial route to a shared QP: ask it to redial.
-		// When the path doctor declared the sickness (not a hard verbs error)
-		// the QP is still in RTS and this frame rides the reliable wire; if it
-		// really is broken the post just flushes and the initiator's keepalive
+		// A QP the path doctor declared sick is still in RTS and carries this;
+		// on a broken one the post just flushes and the initiator's keepalive
 		// finds out on its own.
 		l.emitCtrl(nil, &wireHdr{Kind: kindMuxSick}, nil, nil)
 	}
-	if l.sched != nil {
-		// Queued unposted frames drop here; requeueUnacked replays them
-		// through the scheduler after adoption.
-		l.sched.reset()
-	}
+	// Queued unposted frames drop here; requeueUnacked replays them through
+	// the scheduler after adoption.
+	l.sched.reset()
 	c.Stats.Degraded++
 	c.tel.Flight.Trip(now, telemetry.CatChannelDegraded, int32(c.Node()), l.qp.QPN)
 	c.tel.Trace.Instant("link.degraded", c.track, now, int64(l.peer))
@@ -635,14 +616,13 @@ func (l *link) reestablish(cause error) {
 	})
 }
 
-// scheduleDial arms the next replacement dial — the one timer → still
-// current? → NIC alive? → dialReplacement → re-arm loop — under one of two
-// policies. A degraded link redials on a budget: exponential backoff, giveUp
-// once RecoverRetries are spent, riders held throughout. A link on the Mock
-// fallback (§VI-C: meant to be temporary) probes on a cadence with no budget,
-// on the dialing side only; messages keep flowing over TCP during the probe
-// and the window dedups the cutover if it succeeds. Either way one arming
-// draws exactly one c.rng.Float64().
+// scheduleDial arms the next replacement dial — timer → still current? → NIC
+// alive? → dialReplacement → re-arm — under one of two policies. A degraded
+// link redials on a budget: exponential backoff, giveUp once RecoverRetries
+// are spent, riders held throughout. A link on the Mock fallback (§VI-C: meant
+// to be temporary) probes on a cadence, dialing side only, no budget; messages
+// keep flowing over TCP and the window dedups the cutover if it succeeds.
+// Either way one arming draws exactly one c.rng.Float64().
 func (l *link) scheduleDial(cause error) {
 	c := l.c
 	probe, rest, delay := l.state == linkFallback, HealthDegraded, sim.Duration(0)
@@ -665,8 +645,7 @@ func (l *link) scheduleDial(cause error) {
 		}
 		l.attempts++
 		if !c.vctx.NIC.Alive() {
-			// The local machine itself is down; a restart revives the NIC, so
-			// keep re-arming (a redial within its budget).
+			// The local machine itself is down; a restart revives the NIC.
 			l.scheduleDial(cause)
 			return
 		}
@@ -692,51 +671,44 @@ func (l *link) giveUp(cause error) {
 	case l.state == linkDead, l.state == linkFallback:
 		return
 	case l.shared():
+		if l.state == linkDialing {
+			cause = fmt.Errorf("xrdma: mux dial to %d:%d: %w", l.peer, l.port, cause)
+		}
 	case l.riders[0].attach == attachPending:
-		// A first establishment that failed. The application never saw the
-		// channel: it is dropped, not counted closed or broken, and whoever
-		// waited hears why.
+		// A first establishment that failed, of a channel the application never
+		// saw: dropped, not counted closed or broken; whoever waited hears why.
 		ch := l.riders[0]
 		ch.closed = true
 		l.close()
 		ch.attachSettled(cause)
 		return
 	case c.cfg.MockEnabled && c.tcp != nil && c.mockPort > 0:
-		// One established rider and a Mock plane: degrade onto TCP instead of
-		// dying (muxed channels have no per-channel fallback).
+		// One established rider and a Mock plane: degrade onto TCP, don't die.
 		l.riders[0].enterMockMode(cause)
 		l.riders[0].connectMock(cause)
 		return
 	}
-	if l.state == linkDialing { // shared: an exclusive first dial returned above
-		cause = fmt.Errorf("xrdma: mux dial to %d:%d: %w", l.peer, l.port, cause)
-	}
-	// The link is the unit of fate: it closes and takes every rider down with
-	// it (a pending attach hears the cause).
+	// The link is the unit of fate: every rider dies with it, hearing the cause.
 	l.close()
-	if l.sched != nil {
-		l.sched.reset()
-	}
+	l.sched.reset()
 	c.logf("link qpn=%d peer=%d beyond recovery (%d riders): %v", l.lastQPN(), l.peer, len(l.riders), cause)
 	for _, ch := range slices.Clone(l.riders) { // a snapshot: each rider detaches as it dies
 		ch.finishAttach(cause)
 	}
 	if l.shared() {
-		// An exclusive link's material went back as its rider left (detach);
-		// a shared QP has no rider to take it along.
+		// (An exclusive link's material went back as its rider left: detach.)
 		l.release(l.qp, nil)
 		l.qp = nil
 	}
 }
 
 // detach takes a closing rider off the link. A shared rider says CHAN_CLOSE
-// (unless it never opened, or the peer closed first — then the close would
-// just echo forever), leaves the cid tables and frees the admission slot a
-// pending attach held; the link stays for the next attach. The rider of an
-// exclusive link takes the link with it: closed now, stranding any
-// replacement dial in flight, and its material goes back — the pool to the
-// memory cache, the Mock conn hung up, the QP (reset) to the QP cache for fast
-// re-establishment, unless the Mock switch already surrendered it.
+// (unless it never opened, or the peer closed first — the close would echo
+// forever), leaves the cid tables and frees the admission slot a pending
+// attach held; the link stays for the next attach. The rider of an exclusive
+// link takes the link with it — closed now, stranding any dial in flight —
+// and its material goes back: the pool, the Mock conn, and the QP unless the
+// Mock switch already surrendered it.
 func (l *link) detach(ch *Channel) {
 	if l.shared() && ch.attach == attachDone && !ch.peerClosed {
 		l.sendCtrl(&wireHdr{Kind: kindChanClose, Chan: ch.peerCID})
@@ -762,11 +734,10 @@ func (l *link) detach(ch *Channel) {
 	l.release(qp, nil)
 }
 
-// acquire gathers what a (first or replacement) transport is built from: the
-// standing receive pool to post on it, and a recycled QP (nil = create one).
-// A pool iff the context has no SRQ — a shared link only exists with one, so
-// it never gets a pool; the allocation overlaps the much slower connection
-// handshake. A recycled QP iff the link is exclusive: see release.
+// acquire gathers what a (first or replacement) transport is built from. A
+// standing receive pool iff the context has no SRQ (a shared link only exists
+// with one); the allocation overlaps the much slower connection handshake. A
+// recycled QP (nil = create one) iff the link is exclusive: see release.
 func (l *link) acquire(fn func(*rnic.QP, []Buffer)) {
 	c := l.c
 	if c.srq != nil {
@@ -796,9 +767,8 @@ func (l *link) recycledQP() *rnic.QP {
 }
 
 // release returns transport material that will not be adopted, or that an
-// adoption just replaced. The QP cache is per-channel: an exclusive link's QP
-// goes back to it, while a shared QP — muxQPDepth deep and SRQ-bound; handed
-// to an exclusive channel it could not post per-channel receives — never
+// adoption just replaced. The QP cache is per-channel: a shared QP —
+// sharedQPDepth deep and SRQ-bound, unable to post per-channel receives — never
 // enters it and is destroyed instead.
 func (l *link) release(qp *rnic.QP, bufs []Buffer) {
 	if !l.shared() {

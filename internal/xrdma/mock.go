@@ -161,7 +161,7 @@ func (ch *Channel) enterMockMode(cause error) {
 	// hello names this channel.
 	ch.unregisterGauges()
 	ch.quiesce()
-	c.QPs.Put(ch.lk.qp)
+	ch.lk.release(ch.lk.qp, nil)
 }
 
 // connectMock runs the mock rendezvous for a channel already in mock

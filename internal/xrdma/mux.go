@@ -20,11 +20,9 @@ import (
 // bounded by an admission cap so a process-start connection storm
 // serializes deterministically instead of thundering onto the CM.
 //
-// A shared QP is a link (link.go) like any other, with N riders instead of
-// one, so the failure domain moves with the sharing: keepalive probes,
-// path-doctor scoring and ECMP re-pathing, and health recovery all run per
-// QP. This file is what is particular to riding by cid: the descriptor and
-// its admission, the per-peer pool, CHAN_OPEN/ACCEPT/CLOSE and the demux.
+// A shared QP is a link (link.go) with N riders instead of one, so the failure
+// domain moves with the sharing. This file is what is particular to riding by
+// cid: descriptors, admission, the per-peer pool, CHAN_OPEN/ACCEPT/CLOSE, demux.
 
 // ErrMuxDisabled is returned when mux-only APIs run on a legacy context.
 var ErrMuxDisabled = errors.New("xrdma: QP multiplexing not enabled (Config.QPsPerPeer == 0)")
@@ -46,10 +44,10 @@ type peerMux struct {
 	next  int
 }
 
-// muxQPDepth is a shared QP's send-queue capacity: it must cover the sum
+// sharedQPDepth is a shared QP's send-queue capacity: it must cover the sum
 // of the attached channels' windows (queue storage grows lazily, so the
 // generous cap is free until used).
-const muxQPDepth = 4096
+const sharedQPDepth = 4096
 
 // --- context surface ---------------------------------------------------------
 

@@ -3,9 +3,7 @@ package xrdma
 import "xrdma/internal/sim"
 
 // What a rider does when its link (link.go) loses or replaces the transport:
-// hold traffic, drop what only a live QP could use, and on adoption rewind to
-// the ack edge and replay the unacked tail — the seq-ack window of Algorithm 1
-// dedups the overlap.
+// hold traffic, drop what only a live QP could use, replay the unacked tail.
 
 // park holds a rider whose link lost its transport: traffic stays in the
 // send queue until a replacement is adopted.

@@ -176,14 +176,7 @@ type ChannelOpt func(*Channel) error
 // WithTenant labels the channel with a configured tenant; the label is
 // carried to the passive side on CHAN_OPEN (mux) or the first data frame.
 func WithTenant(name string) ChannelOpt {
-	return func(ch *Channel) error {
-		t := ch.ctx.tenantByName[name]
-		if t == nil {
-			return fmt.Errorf("%w: %q", ErrUnknownTenant, name)
-		}
-		ch.tenant = t
-		return nil
-	}
+	return func(ch *Channel) error { return ch.BindTenant(name) }
 }
 
 // BindTenant labels an already-created channel (classic Connect path,
@@ -284,7 +277,7 @@ func (c *Context) setMemPressure(on bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Weighted deficit-round-robin at the shared SQ. A muxQP in a tenanted
+// Weighted deficit-round-robin at the shared SQ. A shared link in a tenanted
 // context owns one sqSched: below the burst the frame posts directly
 // (the NIC pipeline arbitrates), above it frames queue per tenant and
 // drain on send completions, quantum × weight per round. Per-channel
@@ -403,8 +396,12 @@ func (s *sqSched) drain() {
 
 // reset drops queued frames and forgets outstanding completions — the
 // shared QP died or was adopted; the windows' replay (requeueUnacked)
-// re-submits everything that still matters.
+// re-submits everything that still matters. A link without an arbiter (nil)
+// has nothing queued.
 func (s *sqSched) reset() {
+	if s == nil {
+		return
+	}
 	s.gen++
 	s.pending = 0
 	s.backlog = 0
