@@ -55,8 +55,10 @@ type dcqcnState struct {
 	byteEvents  int   // byte-counter expiries since last cut
 	bytesSent   int64 // toward the byte counter
 
-	alphaEv sim.Event
-	rateEv  sim.Event
+	// The two timers and their callbacks, bound once (newDCQCN): re-arming
+	// allocates nothing.
+	alphaEv, rateEv sim.Event
+	alphaFn, rateFn func()
 
 	// RateCuts counts CNP-triggered reductions (diagnostics).
 	RateCuts int64
@@ -65,6 +67,19 @@ type dcqcnState struct {
 func newDCQCN(cfg *DCQCNConfig, eng *sim.Engine, lineBps int64, nic *NIC, qpn uint32) *dcqcnState {
 	s := &dcqcnState{cfg: cfg, eng: eng, lineBps: lineBps, nic: nic, qpn: qpn,
 		rc: lineBps, rt: lineBps, alpha: 1, lastCut: -1 << 60}
+	s.alphaFn = func() {
+		s.alpha *= 1 - s.cfg.G
+		if s.alpha > 0.001 {
+			s.armAlpha()
+		}
+	}
+	s.rateFn = func() {
+		s.timerEvents++
+		s.increase()
+		if s.rc < s.lineBps {
+			s.armRate()
+		}
+	}
 	return s
 }
 
@@ -107,23 +122,12 @@ func (s *dcqcnState) onCNP() {
 
 func (s *dcqcnState) armAlpha() {
 	s.eng.Cancel(s.alphaEv)
-	s.alphaEv = s.eng.After(s.cfg.AlphaTimer, func() {
-		s.alpha *= 1 - s.cfg.G
-		if s.alpha > 0.001 {
-			s.armAlpha()
-		}
-	})
+	s.alphaEv = s.eng.After(s.cfg.AlphaTimer, s.alphaFn)
 }
 
 func (s *dcqcnState) armRate() {
 	s.eng.Cancel(s.rateEv)
-	s.rateEv = s.eng.After(s.cfg.RateTimer, func() {
-		s.timerEvents++
-		s.increase()
-		if s.rc < s.lineBps {
-			s.armRate()
-		}
-	})
+	s.rateEv = s.eng.After(s.cfg.RateTimer, s.rateFn)
 }
 
 // onBytes feeds the byte counter from the transmit path.

@@ -238,8 +238,9 @@ func (n *NIC) buildPacket(job *txJob) (*fabric.Packet, int, bool) {
 		h.PSN = job.respPSN + uint32(idx)
 		h.First, h.Last = job.offset == 0, job.offset+seg >= job.respLen
 		h.ReadID = job.readID
-		if job.respData != nil {
-			h.Data = job.respData[job.offset : job.offset+seg]
+		if s := job.stage; s != nil {
+			h.Data, h.stage = s.buf[job.offset:job.offset+seg], s
+			s.refs++
 		}
 		job.offset += seg
 		p := n.fab.NewPacket()

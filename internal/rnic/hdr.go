@@ -89,8 +89,10 @@ type hdr struct {
 	ReadID uint64
 
 	// Data is the packet's payload slice (nil for header-only packets
-	// and for size-only simulations).
-	Data []byte
+	// and for size-only simulations). stage is the staging buffer a READ
+	// response segment's Data aliases; putHdr gives the reference back.
+	Data  []byte
+	stage *stageBuf
 
 	// Blame carries the message's trace accumulator to the receiving
 	// NIC (nil unless the message is blame-sampled), so reassembly and

@@ -1,0 +1,296 @@
+package rnic
+
+import (
+	"bytes"
+	"testing"
+
+	"xrdma/internal/fabric"
+	"xrdma/internal/sim"
+)
+
+// What landing in place buys and what it must never do: a READ's response and
+// a SEND's fragments go straight into registered memory (the completion's Data
+// is that memory, not a copy), what the wire did not carry still reads as
+// zeros, the responder's staging buffers recycle without one READ ever seeing
+// another's bytes or a later state of the source, and a destination that goes
+// away mid-message is counted, not crashed on.
+
+// tap sits between the fabric and a NIC so a test can act right before and
+// right after the NIC handles one inbound packet.
+type tap struct {
+	n             *NIC
+	before, after func(h hdr)
+}
+
+func (t *tap) HandlePacket(p *fabric.Packet) {
+	var h hdr
+	if hp, ok := p.Payload.(*hdr); ok {
+		h = *hp // the NIC recycles the header
+	}
+	if t.before != nil {
+		t.before(h)
+	}
+	t.n.HandlePacket(p)
+	if t.after != nil {
+		t.after(h)
+	}
+}
+
+func TestReadLandsInRegisteredLocal(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	src := r.b.Mem.Register(64<<10, RegNonContinuous)
+	want := mkPattern(10000) // 3 segments at MTU 4096
+	copy(src.Buf, want)
+	dst := r.a.Mem.Register(64<<10, RegNonContinuous)
+	const off = 4096
+	for i := range dst.Buf {
+		dst.Buf[i] = 0xDB
+	}
+
+	r.qa.PostSend(&SendWR{ID: 1, Op: OpRead, Len: len(want), Local: dst.Base + off, RAddr: src.Base, RKey: src.RKey})
+	r.qa.PostSend(&SendWR{ID: 2, Op: OpRead, Len: len(want), RAddr: src.Base, RKey: src.RKey})
+	r.eng.Run()
+	sc := r.qa.SendCQ.Poll(4)
+	if len(sc) != 2 || sc[0].Status != StatusOK || sc[1].Status != StatusOK {
+		t.Fatalf("read completions: %+v", sc)
+	}
+	if !bytes.Equal(sc[0].Data, want) || !bytes.Equal(sc[1].Data, want) {
+		t.Fatal("read data wrong")
+	}
+	if &sc[0].Data[0] != &dst.Buf[off] {
+		t.Error("READ into a registered Local: the completion's Data is a copy, not the destination MR")
+	}
+	if !bytes.Equal(dst.Buf[off:off+len(want)], want) || dst.Buf[off-1] != 0xDB || dst.Buf[off+len(want)] != 0xDB {
+		t.Error("the destination range does not hold exactly the READ")
+	}
+	if cap(sc[0].Data) != len(want) {
+		t.Errorf("Data's capacity %d runs past the range (%d): an append would write on into the MR", cap(sc[0].Data), len(want))
+	}
+	if p := &sc[1].Data[0]; p == &dst.Buf[off] || p == &src.Buf[0] {
+		t.Error("an address-less READ must deliver a private buffer")
+	}
+	if r.qb.RecvCQ.Len() != 0 || r.qb.SendCQ.Len() != 0 {
+		t.Error("a READ touched the responder's CQs")
+	}
+	if r.a.Counters.LocalProtErrs != 0 {
+		t.Errorf("LocalProtErrs = %d", r.a.Counters.LocalProtErrs)
+	}
+}
+
+func TestRecvLandsInPostedBuffer(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	mr := r.b.Mem.Register(64<<10, RegNonContinuous)
+	for i := range mr.Buf {
+		mr.Buf[i] = 0xDB
+	}
+	const bufLen = 16 << 10
+	if err := r.qb.PostRecv(RecvWR{ID: 1, Addr: mr.Base, Len: bufLen}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.qb.PostRecv(RecvWR{ID: 2, Len: bufLen}); err != nil { // names no memory
+		t.Fatal(err)
+	}
+	if err := r.qb.PostRecv(RecvWR{ID: 3, Addr: mr.Base + bufLen, Len: bufLen}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.qb.PostRecv(RecvWR{ID: 4, Addr: mr.Base + 2*bufLen, Len: bufLen}); err != nil {
+		t.Fatal(err)
+	}
+	full := mkPattern(9000)
+	head := mkPattern(40) // a real header in front of a size-only payload, 3 segments
+	r.qa.PostSend(&SendWR{ID: 1, Op: OpSend, Len: len(full), Data: full})
+	r.qa.PostSend(&SendWR{ID: 2, Op: OpSend, Len: len(full), Data: full})
+	r.qa.PostSend(&SendWR{ID: 3, Op: OpSend, Len: 10000, Data: head})
+	r.qa.PostSend(&SendWR{ID: 4, Op: OpSend, Len: 64}) // nothing carried
+	r.eng.Run()
+	rc := r.qb.RecvCQ.Poll(8)
+	if len(rc) != 4 {
+		t.Fatalf("recv CQEs = %d, want 4", len(rc))
+	}
+	for _, c := range rc {
+		if c.Status != StatusOK {
+			t.Fatalf("recv CQE %+v", c)
+		}
+	}
+	if !bytes.Equal(rc[0].Data, full) || &rc[0].Data[0] != &mr.Buf[0] {
+		t.Error("SEND into a registered posted buffer: Data must be that buffer, byte-exact")
+	}
+	if mr.Buf[len(full)] != 0xDB {
+		t.Error("the receive wrote past the message's end")
+	}
+	if !bytes.Equal(rc[1].Data, full) {
+		t.Error("address-less receive: data wrong")
+	}
+	if p := &rc[1].Data[0]; p == &mr.Buf[0] || p == &full[0] {
+		t.Error("an address-less receive must deliver a private buffer")
+	}
+	// A size-only tail reads as zeros, whatever the posted buffer held.
+	got := rc[2].Data
+	if len(got) != 10000 || &got[0] != &mr.Buf[bufLen] || !bytes.Equal(got[:len(head)], head) {
+		t.Fatalf("header + size-only tail: len %d, header intact %v", len(got), bytes.Equal(got[:len(head)], head))
+	}
+	for i, b := range got[len(head):] {
+		if b != 0 {
+			t.Fatalf("byte %d past the carried header reads %#x, want 0: the posted buffer's old contents leaked", len(head)+i, b)
+		}
+	}
+	if mr.Buf[bufLen+10000] != 0xDB {
+		t.Error("clearing ran past the message's end")
+	}
+	if rc[3].Data != nil || mr.Buf[2*bufLen] != 0xDB {
+		t.Error("a size-only SEND must deliver nil Data and leave the posted buffer alone")
+	}
+	if r.b.Counters.LocalProtErrs != 0 {
+		t.Errorf("LocalProtErrs = %d", r.b.Counters.LocalProtErrs)
+	}
+}
+
+// TestStagingRecycleSafety is the Storm rule as a test, under recycling: a READ
+// observes its source as it was when the responder accepted the request —
+// never another READ's snapshot, never a later state of the source — whatever
+// is dropped, delayed, re-requested or re-serviced meanwhile. The source slot
+// holds its pattern only while the responder handles the request; right after,
+// it is overwritten, so reading at emission or arrival time fails every READ.
+func TestStagingRecycleSafety(t *testing.T) {
+	const (
+		total   = 2400
+		depth   = 16
+		slotLen = 64 << 10
+	)
+	sizes := []int{64, 100, 1000, 4096, 4097, 10000, 16 << 10, 40000, 64 << 10}
+	cfg := DefaultConfig()
+	cfg.RetransTimeout = 300 * sim.Microsecond
+	cfg.RetryLimit = 1000 // the schedule below drops for the whole run; progress resets the count
+	r := newRig(t, cfg)
+	src := r.b.Mem.Register(depth*slotLen, RegNonContinuous)
+	dst := r.a.Mem.Register(depth*slotLen, RegNonContinuous)
+	pattern := func(i uint64, n int) []byte {
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = byte(i*131) + byte(j)*29 + byte(j>>8)
+		}
+		return b
+	}
+	slotOf := func(raddr uint64) []byte {
+		off := raddr - src.Base
+		return src.Buf[off : off+slotLen]
+	}
+	r.fab.Host(5).Attach(&tap{n: r.b,
+		before: func(h hdr) {
+			if h.Op == OpRead {
+				copy(slotOf(h.RAddr), pattern(h.MsgID, h.MsgLen))
+			}
+		},
+		after: func(h hdr) {
+			if h.Op == OpRead {
+				s := slotOf(h.RAddr)[:h.MsgLen]
+				for j := range s {
+					s[j] = 0xEE
+				}
+			}
+		}})
+	var respSegs, reqs, dropped, delayed int
+	r.b.FaultHook = func(p *fabric.Packet) (bool, sim.Duration) {
+		if h, ok := p.Payload.(*hdr); ok && h.Op == opReadResp {
+			switch respSegs++; {
+			case respSegs%41 == 0:
+				dropped++
+				return true, 0
+			case respSegs%13 == 0:
+				delayed++
+				return false, 5 * sim.Microsecond // overtaken: a hole, then a stale duplicate
+			}
+		}
+		return false, 0
+	}
+	r.a.FaultHook = func(p *fabric.Packet) (bool, sim.Duration) {
+		if h, ok := p.Payload.(*hdr); ok && h.Op == OpRead {
+			switch reqs++; {
+			case reqs%29 == 0:
+				dropped++
+				return true, 0
+			case reqs%7 == 0:
+				delayed++
+				return false, 3 * sim.Microsecond
+			}
+		}
+		return false, 0
+	}
+
+	wrs := make([]SendWR, total)
+	next, done := 0, 0
+	post := func(slot int) {
+		i := next
+		next++
+		wr := &wrs[i]
+		*wr = SendWR{ID: uint64(i), Op: OpRead, Len: sizes[i%len(sizes)],
+			RAddr: src.Base + uint64(slot*slotLen), RKey: src.RKey}
+		if i%2 == 0 {
+			wr.Local = dst.Base + uint64(slot*slotLen)
+		}
+		if err := r.qa.PostSend(wr); err != nil {
+			t.Fatalf("PostSend %d: %v", i, err)
+		}
+	}
+	r.qa.SendCQ.OnCompletion(func() {
+		for _, c := range r.qa.SendCQ.Poll(64) {
+			wr := &wrs[c.WRID]
+			if c.Status != StatusOK {
+				t.Fatalf("READ %d: %v", c.WRID, c.Status)
+			}
+			if !bytes.Equal(c.Data, pattern(c.WRID, wr.Len)) {
+				t.Fatalf("READ %d (%d bytes): not the source as it was when the request was accepted", c.WRID, wr.Len)
+			}
+			if done++; next < total {
+				post(int((wr.RAddr - src.Base) / slotLen))
+			}
+		}
+	})
+	for s := 0; s < depth; s++ {
+		post(s)
+	}
+	r.eng.Run()
+
+	if done != total {
+		t.Fatalf("%d of %d READs completed", done, total)
+	}
+	if dropped < 50 || delayed < 100 || r.a.Counters.Retransmits == 0 {
+		t.Fatalf("schedule too gentle: %d dropped, %d delayed, %d retransmits", dropped, delayed, r.a.Counters.Retransmits)
+	}
+	if len(r.qa.pendingReads) != 0 || len(r.qa.unacked) != 0 {
+		t.Errorf("leaked read state: pendingReads=%d unacked=%d", len(r.qa.pendingReads), len(r.qa.unacked))
+	}
+	if pl := r.b.pool; pl.staged != 0 || pl.stageFree > 1 {
+		t.Errorf("staging pool at rest: %d buffers out, %d kept (want 0 out, at most 1 kept)", pl.staged, pl.stageFree)
+	}
+}
+
+// TestReadDestinationDeregisteredMidMessage: the region goes away between the
+// first and the last response segment. The remaining segments land in its
+// orphaned storage; the loss is counted once, at completion, as before.
+func TestReadDestinationDeregisteredMidMessage(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	src := r.b.Mem.Register(64<<10, RegNonContinuous)
+	want := mkPattern(10000)
+	copy(src.Buf, want)
+	dst := r.a.Mem.Register(64<<10, RegNonContinuous)
+	dereg := false
+	r.fab.Host(0).Attach(&tap{n: r.a, after: func(h hdr) {
+		if h.Op == opReadResp && h.First && !dereg {
+			dereg = true
+			r.a.Mem.Deregister(dst)
+		}
+	}})
+	r.qa.PostSend(&SendWR{ID: 9, Op: OpRead, Len: len(want), Local: dst.Base, RAddr: src.Base, RKey: src.RKey})
+	r.eng.Run()
+	if !dereg {
+		t.Fatal("the tap never saw the first response segment")
+	}
+	sc := r.qa.SendCQ.Poll(2)
+	if len(sc) != 1 || sc[0].Status != StatusOK || !bytes.Equal(sc[0].Data, want) {
+		t.Fatalf("read completion: %+v", sc)
+	}
+	if got := r.a.Counters.LocalProtErrs; got != 1 {
+		t.Errorf("LocalProtErrs = %d, want 1", got)
+	}
+}

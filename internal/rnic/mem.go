@@ -5,6 +5,19 @@
 // protection, a DCQCN rate limiter per QP, a QP-context SRAM cache, and a
 // transmit engine that processes work requests one at a time — the
 // head-of-line blocking that motivates X-RDMA's fragmentation.
+//
+// Bytes move the way they do on hardware, by DMA between registered buffers:
+// a READ responder snapshots the source range when it accepts the request
+// (what a one-sided READ observes is fixed then) into a recycled staging
+// buffer, and the requester lands each response segment, as a receiver each
+// SEND fragment, directly in the registered memory the work request names;
+// the completion's Data is that memory. Model deltas toward hardware that
+// follow: a READ's destination and a posted receive buffer fill segment by
+// segment, in order, as packets are accepted — their contents are partial
+// until the completion, not untouched until it; and a go-back-N re-service of
+// a READ continues the accepted prefix from a fresh snapshot of the source.
+// A work request that names no memory gets a private buffer (tests, the verbs
+// baseline): nothing in the model requires registered memory to carry bytes.
 package rnic
 
 import (
@@ -61,10 +74,12 @@ func (mr *MR) Contains(addr uint64, n int) bool {
 }
 
 // Slice returns the backing bytes for [addr, addr+n); the range must be
-// inside the region.
+// inside the region. Its capacity ends with the range: a completion's Data
+// aliases registered memory, and an append to it must reallocate, not run on
+// into the neighbouring buffer.
 func (mr *MR) Slice(addr uint64, n int) []byte {
-	off := addr - mr.Base
-	return mr.Buf[off : off+uint64(n)]
+	off, end := addr-mr.Base, addr-mr.Base+uint64(n)
+	return mr.Buf[off:end:end]
 }
 
 // Memory is one node's registered-memory registry plus a virtual address

@@ -92,12 +92,12 @@ type txJob struct {
 	wr     *SendWR // nil for read responses
 	isResp bool
 	// read-response fields
-	respTo   fabric.NodeID
-	respQPN  uint32
-	readID   uint64
-	respData []byte
-	respLen  int
-	respPSN  uint32 // requester PSN base the response stream carries
+	respTo  fabric.NodeID
+	respQPN uint32
+	readID  uint64
+	stage   *stageBuf // the source range as it was at acceptance; nil for a zero-byte READ
+	respLen int
+	respPSN uint32 // requester PSN base the response stream carries
 	// readyAt defers the job (responder-side RxProcess charge) without a
 	// per-job closure; pickJob skips it until the time passes.
 	readyAt sim.Time
@@ -339,6 +339,7 @@ func (n *NIC) allocQP(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 	}
 	qp.rtoFn = qp.onRTO
 	qp.ackFn = qp.sendAckNow
+	qp.rnrFn = qp.rnrBackoffOver
 	qp.cqeDoneFn = qp.drainSendOK
 	qp.recvDoneFn = qp.drainRecv
 	n.nextQPN++
@@ -382,7 +383,7 @@ func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN ui
 		// The cached closures survive recycling; the CQE FIFOs must too,
 		// because drains already scheduled still index into them (exactly
 		// the lifetime per-WR closures used to have).
-		qp.rtoFn, qp.ackFn, qp.cqeDoneFn, qp.recvDoneFn = keep.rtoFn, keep.ackFn, keep.cqeDoneFn, keep.recvDoneFn
+		qp.rtoFn, qp.ackFn, qp.rnrFn, qp.cqeDoneFn, qp.recvDoneFn = keep.rtoFn, keep.ackFn, keep.rnrFn, keep.cqeDoneFn, keep.recvDoneFn
 		qp.cqeDone, qp.recvDone = keep.cqeDone, keep.recvDone
 	case QPInit:
 		if qp.State != QPReset {

@@ -1,13 +1,17 @@
 package rnic
 
-import "xrdma/internal/sim"
+import (
+	"math/bits"
+
+	"xrdma/internal/sim"
+)
 
 // Per-engine free-lists for the RNIC fast path: protocol headers, transmit
-// jobs and message-assembly state. Keying the pools to the simulation
-// engine (via Engine.Aux) keeps every NIC on one engine sharing a pool —
-// a header allocated by the sender's NIC is reclaimed by the receiver's —
-// while parallel experiments on separate engines stay fully isolated with
-// no global registry or locking.
+// jobs, message-assembly state and READ staging buffers. Keying the pools to
+// the simulation engine (via Engine.Aux) keeps every NIC on one engine
+// sharing a pool — a header allocated by the sender's NIC is reclaimed by the
+// receiver's — while parallel experiments on separate engines stay fully
+// isolated with no global registry or locking.
 
 type poolKey struct{}
 
@@ -16,6 +20,24 @@ type pools struct {
 	jobs  []*txJob
 	asms  []*assembly
 	reads []*readState
+
+	// READ staging buffers: the free ones by size class (log2 of the
+	// capacity), how many those are, and how many are out — snapshotted into
+	// and not yet home (stageBuf.refs).
+	stages    [bits.UintSize][]*stageBuf
+	stageFree int
+	staged    int
+}
+
+// stageBuf is a READ responder's snapshot of the source range, taken when the
+// request is accepted: the response segments alias it until they land. refs
+// counts what still reads it — the response job plus every header carrying a
+// slice of it. A header the fabric drops never comes home (the fabric frees
+// the packet, not its payload), so its buffer is never reused and falls to the
+// collector: a missed decrement forgoes a reuse, it cannot cause one.
+type stageBuf struct {
+	buf  []byte
+	refs int
 }
 
 // poolsFor returns the engine's pool set, creating it on first use.
@@ -41,6 +63,9 @@ func (pl *pools) hdr() *hdr {
 
 // putHdr reclaims a header once its packet has been fully processed.
 func (pl *pools) putHdr(h *hdr) {
+	if h.stage != nil {
+		pl.unstage(h.stage)
+	}
 	*h = hdr{}
 	pl.hdrs = append(pl.hdrs, h)
 }
@@ -66,6 +91,9 @@ func (pl *pools) putJob(j *txJob) {
 	}
 	if j.wr != nil {
 		j.wr.jobs--
+	}
+	if j.stage != nil {
+		pl.unstage(j.stage)
 	}
 	*j = txJob{pooled: true}
 	pl.jobs = append(pl.jobs, j)
@@ -106,4 +134,46 @@ func (pl *pools) readState() *readState {
 func (pl *pools) putReadState(rs *readState) {
 	*rs = readState{}
 	pl.reads = append(pl.reads, rs)
+}
+
+// stage returns an n-byte staging buffer (n > 0) holding one reference, the
+// response job's. Its contents are whatever the last READ left: the caller
+// overwrites all n bytes.
+func (pl *pools) stage(n int) *stageBuf {
+	pl.staged++
+	class := bits.Len(uint(n - 1))
+	free := &pl.stages[class]
+	if k := len(*free) - 1; k >= 0 {
+		s := (*free)[k]
+		(*free)[k] = nil
+		*free = (*free)[:k]
+		pl.stageFree--
+		s.buf, s.refs = s.buf[:n], 1
+		return s
+	}
+	return &stageBuf{buf: make([]byte, n, 1<<class), refs: 1}
+}
+
+// unstage drops one reference; the last one home frees the buffer for the next
+// snapshot. When no buffer is out any more, nothing is being served on this
+// engine and the free lists shrink to the one just returned: a standing pool
+// would be read as live heap at quiescence, and under incast a buffer is out
+// for as long as its packets queue in the fabric, so neither a byte cap nor
+// "while this NIC has responses queued" keeps the buffers a burst needs
+// (DESIGN §13.1 has the three measured alternatives).
+func (pl *pools) unstage(s *stageBuf) {
+	if s.refs--; s.refs > 0 {
+		return
+	}
+	if pl.staged--; pl.staged == 0 && pl.stageFree > 0 {
+		// Truncated, not re-made: the lists keep their capacity.
+		for i := range pl.stages {
+			clear(pl.stages[i])
+			pl.stages[i] = pl.stages[i][:0]
+		}
+		pl.stageFree = 0
+	}
+	free := &pl.stages[bits.Len(uint(cap(s.buf)-1))]
+	*free = append(*free, s)
+	pl.stageFree++
 }

@@ -51,7 +51,10 @@ type CQE struct {
 	HasImm bool
 	// Recv-side: where the message landed.
 	Addr uint64
-	// Data aliases the received payload when payloads are carried.
+	// Data is the payload when one was carried: the range of registered
+	// memory it landed in (a posted receive buffer, a READ's Local) — the
+	// poster's own memory, valid until it reposts or reuses it — or a
+	// private buffer when the work request named none.
 	Data []byte
 	// Blame carries the blame-trace accumulator of a traced inbound
 	// message up to the middleware (nil otherwise).
@@ -141,8 +144,8 @@ type SendWR struct {
 	ID    uint64
 	Op    Op
 	Len   int
-	Data  []byte // optional payload (nil → size-only simulation)
-	Local uint64 // local buffer address (diagnostics; Data carries bytes)
+	Data  []byte // optional payload (nil → size-only simulation); a completed READ's result
+	Local uint64 // READ: where the response lands (registered memory; 0 = a private buffer)
 
 	// One-sided target.
 	RAddr uint64
@@ -297,6 +300,7 @@ type QP struct {
 	// (deliver appends, pushRecvCQE orders).
 	rtoFn      func()
 	ackFn      func()
+	rnrFn      func() // every RNR NAK schedules its own backoff expiry with it
 	cqeDoneFn  func()
 	cqeDone    sim.Queue[*SendWR]
 	recvDoneFn func()
@@ -321,15 +325,16 @@ type assembly struct {
 	hasWR  bool
 	mr     *MR    // write target region
 	raddr  uint64 // write target address
-	data   []byte // gathered payload when packets carry bytes
+	data   []byte // where carried bytes land (NIC.landing); nil until some are
 	blame  *telemetry.PktBlame
 }
 
 // readState tracks an outstanding RDMA READ at the requester: the
 // response-stream cursor (next expected PSN within the WR's allocated
-// range) and the gathered payload. Reliability is NOT tracked here — the
-// READ WR sits in qp.unacked like any send, so loss anywhere in the
-// request/response exchange is recovered by the one go-back-N RTO.
+// range) and where the response lands (NIC.landing). Reliability is NOT
+// tracked here — the READ WR sits in qp.unacked like any send, so loss
+// anywhere in the request/response exchange is recovered by the one
+// go-back-N RTO.
 type readState struct {
 	wr      *SendWR
 	got     int

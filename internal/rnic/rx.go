@@ -63,7 +63,7 @@ func (n *NIC) HandlePacket(p *fabric.Packet) {
 		n.handleData(p, h)
 	}
 	// End of life for the header: every handler above copies what it
-	// keeps (payload bytes move into assembly or read state).
+	// keeps (payload bytes move to where the message lands).
 	n.pool.putHdr(h)
 }
 
@@ -120,7 +120,7 @@ func (n *NIC) handleReadReq(p *fabric.Packet, h *hdr) {
 		}
 		return
 	}
-	var data []byte
+	var stage *stageBuf
 	if h.MsgLen > 0 {
 		// Zero-byte READs (RTT probes) need no rkey, like zero-byte writes.
 		mr, err := n.Mem.Lookup(h.RKey, h.RAddr, h.MsgLen)
@@ -128,8 +128,12 @@ func (n *NIC) handleReadReq(p *fabric.Packet, h *hdr) {
 			n.remoteAccessViolation(p.Src, h.SrcQPN, qp)
 			return
 		}
-		data = make([]byte, h.MsgLen)
-		copy(data, mr.Slice(h.RAddr, h.MsgLen))
+		// What a READ observes is the source as it is now, at acceptance —
+		// not when a segment is emitted or lands (a speculative reader
+		// validates against exactly this instant). The snapshot goes into a
+		// recycled staging buffer; a re-serviced request takes a fresh one.
+		stage = n.pool.stage(h.MsgLen)
+		copy(stage.buf, mr.Slice(h.RAddr, h.MsgLen))
 	}
 	// The packet and header are recycled when this handler returns; copy
 	// everything the deferred response needs into the job and let the
@@ -137,7 +141,7 @@ func (n *NIC) handleReadReq(p *fabric.Packet, h *hdr) {
 	j := n.pool.job()
 	j.qp, j.isResp = qp, true
 	j.respTo, j.respQPN = p.Src, h.SrcQPN
-	j.readID, j.respData, j.respLen = h.ReadID, data, h.MsgLen
+	j.readID, j.stage, j.respLen = h.ReadID, stage, h.MsgLen
 	j.respPSN = h.PSN
 	j.readyAt = n.eng.Now().Add(n.Cfg.RxProcess + n.touchQP(qp.QPN))
 	n.enqueueJob(j)
@@ -153,6 +157,20 @@ func (n *NIC) remoteAccessViolation(src fabric.NodeID, srcQPN uint32, qp *QP) {
 	n.tel.Trace.Instant("remote.access", n.track, n.eng.Now(), int64(qp.QPN))
 	n.sendCtrl(src, hdr{Op: opNak, DstQPN: srcQPN, Nak: nakAccess})
 	qp.enterError(StatusRemoteAccessErr)
+}
+
+// landing resolves, at an inbound message's first carried bytes, where all of
+// them go: registered memory takes them directly — the DMA a real RNIC does
+// into [addr, addr+size) — and the completion's Data is that range. A work
+// request that names no memory (addr 0), or an address no MR covers, gets a
+// private buffer.
+func (n *NIC) landing(addr uint64, size int) []byte {
+	if addr != 0 {
+		if mr, err := n.Mem.FindLocal(addr, size); err == nil {
+			return mr.Slice(addr, size)
+		}
+	}
+	return make([]byte, size)
 }
 
 // handleReadResp accepts response packets at the requester in PSN order
@@ -173,7 +191,7 @@ func (qp *QP) handleReadResp(h *hdr) {
 	}
 	wr := st.wr
 	if st.data == nil && h.MsgLen > 0 && h.Data != nil {
-		st.data = make([]byte, h.MsgLen)
+		st.data = n.landing(wr.Local, h.MsgLen)
 	}
 	seg := len(h.Data)
 	if seg == 0 && h.MsgLen > 0 {
@@ -205,18 +223,18 @@ func (qp *QP) handleReadResp(h *hdr) {
 	}
 	qp.resetRTO()
 	qp.Counters.BytesRecv += int64(wr.Len)
-	// Scatter into the local buffer when it is registered memory. A local
-	// address that resolves to no MR is counted, never silently dropped.
+	// A local address that resolves to no MR now — it never did, or the
+	// region went away while the segments were landing (they filled its
+	// orphaned storage, harmlessly) — is counted, never silently dropped.
 	if st.data != nil && wr.Local != 0 {
-		if mr, err := n.Mem.FindLocal(wr.Local, wr.Len); err == nil {
-			copy(mr.Slice(wr.Local, wr.Len), st.data)
-		} else {
+		if _, err := n.Mem.FindLocal(wr.Local, wr.Len); err != nil {
 			n.Counters.LocalProtErrs++
 			n.tel.Flight.Record(n.eng.Now(), telemetry.CatRemoteAccess, int32(n.Node), qp.QPN, int64(wr.ID), 1)
 		}
 	}
-	// Park the payload on the WR and complete through the shared cqeDone
-	// FIFO — the same closure-free completion path acked sends use.
+	// Park the payload — the destination range itself when it is registered
+	// memory — on the WR and complete through the shared cqeDone FIFO, the
+	// same closure-free completion path acked sends use.
 	wr.Data = st.data
 	n.pool.putReadState(st)
 	qp.cqeDone.Push(wr)
@@ -321,17 +339,23 @@ func (n *NIC) handleData(p *fabric.Packet, h *hdr) {
 	if seg < 0 {
 		seg = 0
 	}
-	if h.Data != nil {
-		switch a.op {
-		case OpWrite, OpWriteImm:
-			if a.mr != nil {
-				copy(a.mr.Slice(a.raddr+uint64(h.Offset), len(h.Data)), h.Data)
+	switch a.op {
+	case OpWrite, OpWriteImm:
+		if h.Data != nil && a.mr != nil {
+			copy(a.mr.Slice(a.raddr+uint64(h.Offset), len(h.Data)), h.Data)
+		}
+	default:
+		// What the wire does not carry (a size-only payload behind a real
+		// header) reads as zeros, whatever the posted buffer held before.
+		if a.data == nil && h.Data != nil {
+			a.data = n.landing(a.recvWR.Addr, a.msgLen)
+			clear(a.data[:h.Offset])
+		}
+		if a.data != nil {
+			lo, hi := h.Offset+copy(a.data[h.Offset:], h.Data), min(h.Offset+seg, a.msgLen)
+			if lo < hi {
+				clear(a.data[lo:hi])
 			}
-		default:
-			if a.data == nil {
-				a.data = make([]byte, a.msgLen)
-			}
-			copy(a.data[h.Offset:], h.Data)
 		}
 	}
 	a.got += seg
@@ -363,13 +387,13 @@ func (n *NIC) deliver(qp *QP, a *assembly, h *hdr) {
 		cqe.WRID = a.recvWR.ID
 		cqe.Addr = a.recvWR.Addr
 		if a.data != nil {
-			if mr, err := n.Mem.FindLocal(a.recvWR.Addr, a.msgLen); err == nil {
-				copy(mr.Slice(a.recvWR.Addr, a.msgLen), a.data)
-			} else if a.recvWR.Addr != 0 {
-				// Receive buffer no longer registered (e.g. dereg raced the
-				// delivery): data still reaches the CQE, but the dropped
-				// DMA is counted, never silent.
-				n.Counters.LocalProtErrs++
+			if a.recvWR.Addr != 0 {
+				if _, err := n.Mem.FindLocal(a.recvWR.Addr, a.msgLen); err != nil {
+					// Receive buffer not registered (any more: a dereg raced
+					// the fragments): data still reaches the CQE, but the
+					// lost DMA is counted, never silent.
+					n.Counters.LocalProtErrs++
+				}
 			}
 			cqe.Data = a.data
 		}
@@ -450,6 +474,13 @@ func (qp *QP) handleAck(ackPSN uint32) {
 	}
 }
 
+// rnrBackoffOver resumes transmission when an RNR backoff window ends.
+func (qp *QP) rnrBackoffOver() {
+	if qp.State == QPRTS {
+		qp.retransmitUnacked()
+	}
+}
+
 func (qp *QP) handleNak(h *hdr) {
 	n := qp.nic
 	switch h.Nak {
@@ -486,11 +517,7 @@ func (qp *QP) handleNak(h *hdr) {
 			qp.Counters.RNRRecoveryNs += int64(add)
 		}
 		qp.rnrBackoffUntil = until
-		n.eng.At(qp.rnrBackoffUntil, func() {
-			if qp.State == QPRTS {
-				qp.retransmitUnacked()
-			}
-		})
+		n.eng.At(qp.rnrBackoffUntil, qp.rnrFn)
 	case nakSeqErr:
 		n.Counters.SeqNakRecv++
 		qp.Counters.SeqNakRecv++

@@ -6,13 +6,13 @@ import (
 
 // TestSteadyStateAllocs pins the allocation cost of the warmed message path.
 // What is left per 64 B round trip is the two delivered *Msg (the application
-// may keep one past its handler, so it is not pooled) and the RNIC's two
-// reassembly buffers (ROADMAP 1d); a 64 B READ pays only the RNIC's two
-// payload buffers. The poll loop, the window, the frame, the work request and
-// every completion are allocation-free, idle polls and the event-mode wake
-// included: running each round trip to quiescence adds only the reassembly
-// buffer of the standalone ack the idle client then sends. The ceilings are
-// what the code reaches: raising one is a regression to explain.
+// may keep one past its handler, so it is not pooled); a 64 B READ allocates
+// nothing. The poll loop, the window, the frame, the work request, every
+// completion and — since the RNIC lands receives in the posted buffer and READs
+// in the destination block — every payload byte are allocation-free, idle
+// polls, the event-mode wake and the idle client's standalone ack included.
+// The ceilings are what the code reaches: raising one is a regression to
+// explain.
 func TestSteadyStateAllocs(t *testing.T) {
 	const size = 64
 	rtt := func(w *testWorld, cli *Channel, drain bool) func() {
@@ -42,25 +42,25 @@ func TestSteadyStateAllocs(t *testing.T) {
 		ceiling float64
 		build   func() func()
 	}{
-		{"classic_rtt", 4, func() func() {
+		{"classic_rtt", 2, func() func() {
 			w := newWorld(t, 2, nil)
 			cli, srv := w.connect(t, 0, 1, 5000)
 			sizeEcho(srv)
 			return rtt(w, cli, false)
 		}},
-		{"classic_rtt_drain", 5, func() func() {
+		{"classic_rtt_drain", 2, func() func() {
 			w := newWorld(t, 2, nil)
 			cli, srv := w.connect(t, 0, 1, 5000)
 			sizeEcho(srv)
 			return rtt(w, cli, true)
 		}},
-		{"mux_rtt", 4, func() func() {
+		{"mux_rtt", 2, func() func() {
 			w := newWorld(t, 2, muxKnobs(2))
 			clis, srvs := openMuxed(t, w, 0, 1, 5000, 1)
 			sizeEcho(srvs[0])
 			return rtt(w, clis[0], false)
 		}},
-		{"onesided_read", 2, func() func() {
+		{"onesided_read", 0, func() func() {
 			w := newWorld(t, 2, nil)
 			cli, srv := w.connect(t, 0, 1, 5000)
 			var rw RemoteWindow

@@ -218,7 +218,8 @@ type respEntry struct {
 }
 
 // Msg is a delivered message: a request to serve or a response to consume.
-// Data is only valid during the handler; use Retain to keep it.
+// Data is only valid during the handler — inline, it is the posted receive
+// buffer itself, which the RNIC fills again after that; use Retain to keep it.
 type Msg struct {
 	Ch    *Channel
 	Data  []byte
@@ -242,14 +243,7 @@ type Msg struct {
 }
 
 // Retain copies the payload so it survives the handler.
-func (m *Msg) Retain() []byte {
-	if m.Data == nil {
-		return nil
-	}
-	cp := make([]byte, len(m.Data))
-	copy(cp, m.Data)
-	return cp
-}
+func (m *Msg) Retain() []byte { return slices.Clone(m.Data) }
 
 // --- establishment ----------------------------------------------------------
 

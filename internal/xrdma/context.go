@@ -429,11 +429,13 @@ func (c *Context) wake() {
 	c.pollEv = c.eng.After(spinDetect, c.pollFn)
 }
 
-// woke ends event mode once the epoll wake latency has passed.
+// woke ends event mode once the epoll wake latency has passed. The slow-poll
+// clock restarts: the thread slept in epoll, the application did not hog it.
 func (c *Context) woke() {
 	c.wakePending = false
 	c.eventMode = false
 	c.idlePolls = 0
+	c.lastPoll = c.eng.Now()
 	c.schedulePoll(0)
 }
 

@@ -151,20 +151,25 @@ func (m *MemCache) Alloc(size int, cb func(Buffer, error)) {
 // against t's MemBudget, and overruns fail synchronously with
 // ErrTenantBudget so the caller can degrade instead of stalling.
 func (m *MemCache) AllocT(t *Tenant, size int, cb func(Buffer, error)) {
-	if size+m.pad() > m.capBytes {
-		cb(Buffer{}, fmt.Errorf("xrdma: allocation %d exceeds MR size %d", size, m.mrSize))
-		return
-	}
-	if m.overBudget(t, size) {
-		cb(Buffer{}, ErrTenantBudget)
-		return
-	}
-	if b, ok := m.tryAlloc(t, size); ok {
-		cb(b, nil)
+	if b, ok, err := m.allocSync(t, size); ok || err != nil {
+		cb(b, err)
 		return
 	}
 	m.waiters.Push(memWaiter{size: size, tenant: t, cb: cb})
 	m.grow()
+}
+
+// allocSync is the synchronous arm: a buffer (ok), or why there will be none
+// (err; a tenant's reject is noted), or neither — the cache has to grow first.
+func (m *MemCache) allocSync(t *Tenant, size int) (b Buffer, ok bool, err error) {
+	if size+m.pad() > m.capBytes {
+		return b, false, fmt.Errorf("xrdma: allocation %d exceeds MR size %d", size, m.mrSize)
+	}
+	if m.overBudget(t, size) {
+		return b, false, ErrTenantBudget
+	}
+	b, ok = m.tryAlloc(t, size)
+	return b, ok, nil
 }
 
 // overBudget reports whether the block-rounded size would push t past its
@@ -189,10 +194,8 @@ func (m *MemCache) AllocNow(size int) (Buffer, bool) {
 
 // AllocNowT is AllocNow with tenant budget accounting.
 func (m *MemCache) AllocNowT(t *Tenant, size int) (Buffer, bool) {
-	if m.overBudget(t, size) {
-		return Buffer{}, false
-	}
-	return m.tryAlloc(t, size)
+	b, ok, _ := m.allocSync(t, size)
+	return b, ok
 }
 
 func (m *MemCache) tryAlloc(t *Tenant, size int) (Buffer, bool) {

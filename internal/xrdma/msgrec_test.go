@@ -155,7 +155,15 @@ func TestRecordRecycleSafety(t *testing.T) {
 				}
 				recvd[id]++
 				if id%3 == 0 { // the handler returns first; the message is replied to later
-					w.eng.After(15*sim.Microsecond, func() { m.Reply(recyclePattern(id, true), 0) })
+					// m.Data is the posted receive buffer, the RNIC's again by
+					// then: what outlives the handler is what Retain copied.
+					kept := m.Retain()
+					w.eng.After(15*sim.Microsecond, func() {
+						if !bytes.Equal(kept, recyclePattern(id, false)) {
+							t.Errorf("request %#x: the retained payload changed after the handler", id)
+						}
+						m.Reply(recyclePattern(id, true), 0)
+					})
 				} else {
 					m.Reply(recyclePattern(id, true), 0)
 				}

@@ -144,46 +144,32 @@ func (ch *Channel) pump() {
 		// rendezvous read, and the record owns the payload.
 		large := ps.size > c.cfg.SmallMsgSize && lk.state != linkFallback
 		if large && !ps.ready {
-			if !ps.staging {
+			if ps.staging {
+				return
+			}
+			buf, ok, err := c.Mem.allocSync(ch.tenant, ps.size)
+			if !ok && err == nil { // the cache must grow first: only that needs a callback
 				ps.staging = true
 				gen := ps.gen
 				c.Mem.AllocT(ch.tenant, ps.size, func(buf Buffer, err error) {
-					if stale := ps.gen != gen; stale || ch.closed || lk.state == linkFallback {
-						// The channel died (the record may serve another
-						// message by now) or cut over to mock while the
-						// staging allocation was in flight; the message
-						// will go inline (or nowhere).
-						if err == nil {
-							c.Mem.Free(buf)
-						}
-						if !stale {
-							ps.staging = false
-						}
-						if !ch.closed {
-							ch.pump()
-						}
-						return
+					stale := ps.gen != gen // the channel died: the record may serve another message by now
+					if !stale {
+						ps.staging = false
 					}
-					if err != nil {
-						// Budget/pool exhaustion is an admission verdict, not a
-						// stall: the caller's completion fails now instead of
-						// timing out with the message silently dropped.
-						c.logf("stage alloc failed: %v", err)
-						if i := slices.Index(ch.sendQ.Items(), ps); i >= 0 {
-							ch.sendQ.Delete(i)
-							ch.failSend(ps, err)
-						}
+					if stale || ch.closed || lk.state == linkFallback {
+						c.Mem.Free(buf) // or cut over to mock meanwhile: the message goes inline (or nowhere)
+					} else {
+						ch.stage(ps, buf, err)
+					}
+					if !ch.closed {
 						ch.pump()
-						return
 					}
-					copy(buf.Bytes(), ps.payload())
-					ps.staged = buf
-					ps.ready = true
-					ps.staging = false
-					ch.pump()
 				})
+				return
 			}
-			return
+			if ch.stage(ps, buf, err); err != nil {
+				continue
+			}
 		}
 		// Tenant QoS gate: the token bucket and window partition admit
 		// exactly one frame per true return, immediately transmitted.
@@ -193,6 +179,21 @@ func (ch *Channel) pump() {
 		ch.stallFlag = false
 		ch.transmit(ch.sendQ.Pop(), large)
 	}
+}
+
+// stage lands a staging allocation on ps. Budget/pool exhaustion is an admission
+// verdict, not a stall: the caller's completion fails now, not by timing out.
+func (ch *Channel) stage(ps *msgRec, buf Buffer, err error) {
+	if err != nil {
+		ch.ctx.logf("stage alloc failed: %v", err)
+		if i := slices.Index(ch.sendQ.Items(), ps); i >= 0 {
+			ch.sendQ.Delete(i)
+			ch.failSend(ps, err)
+		}
+		return
+	}
+	copy(buf.Bytes(), ps.payload())
+	ps.staged, ps.ready = buf, true
 }
 
 func (ch *Channel) transmit(ps *msgRec, large bool) {

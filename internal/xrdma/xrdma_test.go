@@ -3,6 +3,7 @@ package xrdma
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"xrdma/internal/fabric"
@@ -714,6 +715,41 @@ func TestSlowPollDetection(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("slow poll not logged")
+	}
+}
+
+// TestEventModeSleepIsNotSlowPoll: a poller that went to sleep in epoll after
+// its idle polls has not hogged the thread. Waking it — however long it slept —
+// must not count, flight-record or log a slow-poll incident; §VI-A method II is
+// about the application, and TestSlowPollDetection above still catches that.
+func TestEventModeSleepIsNotSlowPoll(t *testing.T) {
+	w := newWorld(t, 2, nil)
+	cli, srv := w.connect(t, 0, 1, 5018)
+	echoServer(srv)
+	w.eng.RunFor(5 * sim.Millisecond) // idle: both pollers are long asleep
+	for i, c := range w.ctxs {
+		if !c.eventMode {
+			t.Fatalf("node %d never entered event mode", i)
+		}
+	}
+	before := [2]int64{w.ctxs[0].Stats.SlowPolls, w.ctxs[1].Stats.SlowPolls}
+	lines := [2]int{len(w.ctxs[0].Log()), len(w.ctxs[1].Log())}
+	wakes := w.ctxs[0].Stats.EventWakes + w.ctxs[1].Stats.EventWakes
+	answered := false
+	cli.SendMsg([]byte("x"), 0, func(_ *Msg, err error) { answered = err == nil })
+	w.eng.RunFor(5 * sim.Millisecond)
+	if !answered || w.ctxs[0].Stats.EventWakes+w.ctxs[1].Stats.EventWakes == wakes {
+		t.Fatalf("answered=%v with no epoll wake: the test did not exercise the sleep", answered)
+	}
+	for i, c := range w.ctxs {
+		if got := c.Stats.SlowPolls - before[i]; got != 0 {
+			t.Errorf("node %d: %d slow polls counted for sleeping in epoll", i, got)
+		}
+		for _, e := range c.Log()[lines[i]:] {
+			if strings.Contains(e.Text, "slow poll") {
+				t.Errorf("node %d logged %q", i, e.Text)
+			}
+		}
 	}
 }
 

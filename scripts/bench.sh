@@ -4,9 +4,11 @@
 # the committed container/heap baseline, with the speedup factor.
 # Telemetry benchmarks have no pre-rewrite baseline; their contract is
 # allocs/op == 0 (enforced by the CI bench smoke), as are the untraced
-# RNIC send path's, the posted-receive path's and the one-sided READ
-# requester path's. TracedSendPath is informational: its delta against
-# UntracedSendPath is the armed cost of the blame plane.
+# RNIC send path's, the posted-receive path's, the one-sided READ
+# requester path's and the two in-place landings' (ReadInPlace64K,
+# RecvInPlace: bytes go between registered buffers, nothing is allocated).
+# TracedSendPath is informational: its delta against UntracedSendPath is
+# the armed cost of the blame plane.
 # IdleChannelFootprint's contract is bytes/conn <= 1024 (the flyweight
 # channel budget, also CI-gated). The middleware's own round trips are
 # measured by the benchmark/ ladder (xrdma.classic_rtt, xrdma.mux_rtt) and
@@ -17,8 +19,6 @@
 # agent samples its delta ring on every node's housekeeping tick.
 #
 # Usage: scripts/bench.sh [output.json]   (default: BENCH_kernel.json)
-# Set REPRODUCE=1 to also time cmd/reproduce -full at -j 1 vs -j nproc
-# (slow; the ratio only exceeds 1 on multi-core hosts).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,7 +27,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test ./internal/sim/ ./internal/telemetry/ ./internal/rnic/ ./internal/xrmon/ -run '^$' \
-    -bench 'BenchmarkEngine|BenchmarkTelemetry|BenchmarkUntracedSendPath|BenchmarkTracedSendPath|BenchmarkPostedRecvPath|BenchmarkOneSidedReadPath|BenchmarkAgentSample' -benchmem \
+    -bench 'BenchmarkEngine|BenchmarkTelemetry|BenchmarkUntracedSendPath|BenchmarkTracedSendPath|BenchmarkPostedRecvPath|BenchmarkOneSidedReadPath|BenchmarkReadInPlace64K|BenchmarkRecvInPlace|BenchmarkAgentSample' -benchmem \
     -benchtime=2s -count=1 | tee "$tmp" >&2
 go test ./internal/xrdma/ -run '^$' -bench 'BenchmarkBuddyAlloc' -benchmem \
     -benchtime=1s -count=1 | tee -a "$tmp" >&2
@@ -75,20 +75,5 @@ END {
     printf "  ],\n  \"baseline\": \"container/heap scheduler, pre-rewrite\"\n}\n"
 }
 ' "$tmp" > "$out"
-
-if [ "${REPRODUCE:-0}" = "1" ]; then
-    go build -o "$tmp.bin" ./cmd/reproduce
-    ncpu="$(getconf _NPROCESSORS_ONLN)"
-    t0=$(date +%s); "$tmp.bin" -full -j 1 > /dev/null; t1=$(date +%s)
-    "$tmp.bin" -full -j "$ncpu" > /dev/null; t2=$(date +%s)
-    rm -f "$tmp.bin"
-    seq=$((t1 - t0)); par=$((t2 - t1))
-    [ "$par" -gt 0 ] || par=1
-    # Splice the reproduce timing into the JSON before the closing brace.
-    sed '$d' "$out" > "$tmp" && mv "$tmp" "$out"
-    trap - EXIT
-    printf ',\n  "reproduce_full": {"cpus": %s, "j1_seconds": %s, "jN_seconds": %s, "speedup": %s}\n}\n' \
-        "$ncpu" "$seq" "$par" "$(awk "BEGIN{printf \"%.2f\", $seq/$par}")" >> "$out"
-fi
 
 echo "wrote $out" >&2
