@@ -81,16 +81,16 @@ const (
 	fleetRNRSender  = 2
 	fleetCrashNode  = 9
 
-	fleetIncastFrom   = 250 * sim.Millisecond
-	fleetIncastTo     = 350 * sim.Millisecond
-	fleetBrownFrom    = 450 * sim.Millisecond
-	fleetBrownTo      = 550 * sim.Millisecond
-	fleetRNRFrom      = 650 * sim.Millisecond
-	fleetRNRTo        = 750 * sim.Millisecond
-	fleetTenantFrom   = 850 * sim.Millisecond
-	fleetTenantTo     = 950 * sim.Millisecond
-	fleetCrashAt      = 1050 * sim.Millisecond
-	fleetHorizon      = 1150 * sim.Millisecond
+	fleetIncastFrom = 250 * sim.Millisecond
+	fleetIncastTo   = 350 * sim.Millisecond
+	fleetBrownFrom  = 450 * sim.Millisecond
+	fleetBrownTo    = 550 * sim.Millisecond
+	fleetRNRFrom    = 650 * sim.Millisecond
+	fleetRNRTo      = 750 * sim.Millisecond
+	fleetTenantFrom = 850 * sim.Millisecond
+	fleetTenantTo   = 950 * sim.Millisecond
+	fleetCrashAt    = 1050 * sim.Millisecond
+	fleetHorizon    = 1150 * sim.Millisecond
 )
 
 // Fleet is E26: the fleet-diagnosis drill. One 16-host two-pod clos world

@@ -341,8 +341,8 @@ func Upgrade(sc Scale) *UpgradeResult {
 	r.ChaosLog = inj.Digest()
 
 	t := Table{
-		ID:    "E25/Upgrade",
-		Title: "Hot upgrade: rolling restart v1→v2 under live full-mesh load + background elephant",
+		ID:     "E25/Upgrade",
+		Title:  "Hot upgrade: rolling restart v1→v2 under live full-mesh load + background elephant",
 		Header: []string{"stream", "sent", "refused", "resps", "dups", "lost"},
 	}
 	for _, s := range r.Streams {

@@ -99,7 +99,3 @@ type hdr struct {
 	// delivery can stamp into it and hand it up through the CQE.
 	Blame *telemetry.PktBlame
 }
-
-// hdrWireBytes approximates the RoCEv2 header overhead already included in
-// fabric.EthOverhead; data packet Size is payload-only.
-const hdrWireBytes = 0

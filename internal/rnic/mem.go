@@ -181,13 +181,15 @@ func (m *Memory) Lookup(rkey uint32, addr uint64, n int) (*MR, error) {
 	return mr, nil
 }
 
-// FindLocal resolves a local address to its MR (no key check: lkey use).
-func (m *Memory) FindLocal(addr uint64, n int) (*MR, error) {
+// FindLocal resolves a local address to its MR (no key check: lkey use); ok
+// is false when no MR covers [addr, addr+n). The miss is an outcome the
+// receive path counts, not an error it reports, and allocates nothing.
+func (m *Memory) FindLocal(addr uint64, n int) (mr *MR, ok bool) {
 	i := sort.Search(len(m.sorted), func(i int) bool { return m.sorted[i].Base+uint64(m.sorted[i].Len) > addr })
 	if i < len(m.sorted) && m.sorted[i].Contains(addr, n) {
-		return m.sorted[i], nil
+		return m.sorted[i], true
 	}
-	return nil, fmt.Errorf("%w: local [%#x,+%d) not registered", ErrMRAccess, addr, n)
+	return nil, false
 }
 
 // Regions reports the number of live MRs.

@@ -569,8 +569,11 @@ func TestMemoryRegistry(t *testing.T) {
 	if _, err := m.Lookup(mr2.RKey, mr1.Base, 16); err == nil {
 		t.Fatal("wrong-key lookup must fail")
 	}
-	if _, err := m.FindLocal(mr2.Base+100, 10); err != nil {
-		t.Fatal(err)
+	if mr, ok := m.FindLocal(mr2.Base+100, 10); !ok || mr != mr2 {
+		t.Fatalf("FindLocal inside mr2 = %v, %v", mr, ok)
+	}
+	if _, ok := m.FindLocal(mr2.Base+8190, 10); ok {
+		t.Fatal("FindLocal resolved a range that overruns its MR")
 	}
 	m.Deregister(mr1)
 	if _, err := m.Lookup(mr1.RKey, mr1.Base, 16); err == nil {

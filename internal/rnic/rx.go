@@ -166,7 +166,7 @@ func (n *NIC) remoteAccessViolation(src fabric.NodeID, srcQPN uint32, qp *QP) {
 // private buffer.
 func (n *NIC) landing(addr uint64, size int) []byte {
 	if addr != 0 {
-		if mr, err := n.Mem.FindLocal(addr, size); err == nil {
+		if mr, ok := n.Mem.FindLocal(addr, size); ok {
 			return mr.Slice(addr, size)
 		}
 	}
@@ -227,7 +227,7 @@ func (qp *QP) handleReadResp(h *hdr) {
 	// region went away while the segments were landing (they filled its
 	// orphaned storage, harmlessly) — is counted, never silently dropped.
 	if st.data != nil && wr.Local != 0 {
-		if _, err := n.Mem.FindLocal(wr.Local, wr.Len); err != nil {
+		if _, ok := n.Mem.FindLocal(wr.Local, wr.Len); !ok {
 			n.Counters.LocalProtErrs++
 			n.tel.Flight.Record(n.eng.Now(), telemetry.CatRemoteAccess, int32(n.Node), qp.QPN, int64(wr.ID), 1)
 		}
@@ -388,7 +388,7 @@ func (n *NIC) deliver(qp *QP, a *assembly, h *hdr) {
 		cqe.Addr = a.recvWR.Addr
 		if a.data != nil {
 			if a.recvWR.Addr != 0 {
-				if _, err := n.Mem.FindLocal(a.recvWR.Addr, a.msgLen); err != nil {
+				if _, ok := n.Mem.FindLocal(a.recvWR.Addr, a.msgLen); !ok {
 					// Receive buffer not registered (any more: a dereg raced
 					// the fragments): data still reaches the CQE, but the
 					// lost DMA is counted, never silent.

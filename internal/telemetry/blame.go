@@ -72,7 +72,7 @@ type BlameRec struct {
 	MsgID  uint64
 	Node   int32 // requester node
 	QPN    uint32
-	Tenant uint16 // requesting channel's tenant id (0 = untenanted)
+	Tenant uint16   // requesting channel's tenant id (0 = untenanted)
 	At     sim.Time // request issue time
 	RTT    sim.Duration
 	Dur    [StageCount]sim.Duration

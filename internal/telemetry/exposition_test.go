@@ -174,9 +174,10 @@ func TestPrometheusHistogramExposition(t *testing.T) {
 	}
 }
 
-// Probe handles must read every metric kind, survive GaugeFunc
-// re-registration (same slot, replaced fn), and go stale only through
-// Unregister — exactly the contract the xrmon agents rely on.
+// Probe handles must read every metric kind and survive GaugeFunc
+// re-registration (same slot, replaced fn): nothing ever leaves the
+// registry, so a resolved probe never goes stale — exactly the contract the
+// xrmon agents rely on.
 func TestProbeHandles(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")

@@ -152,6 +152,13 @@ type Entry struct {
 type Registry struct {
 	byName map[string]*metric
 	order  []*metric
+	// families are the Collect callbacks, in first-registration order.
+	families []gaugeFamily
+}
+
+type gaugeFamily struct {
+	name string
+	fn   func(emit func(name string, v int64))
 }
 
 // NewRegistry creates an empty registry.
@@ -198,28 +205,26 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	m.fn = fn
 }
 
-// Unregister removes a metric (no-op if absent). Needed for per-channel
-// metrics whose QP numbers recycle through the QP cache.
-func (r *Registry) Unregister(name string) {
-	m, ok := r.byName[name]
-	if !ok {
-		return
-	}
-	delete(r.byName, name)
-	for i, o := range r.order {
-		if o == m {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
+// Collect registers a family of gauges whose members come and go: fn runs
+// at Snapshot, Digest and WritePrometheus time and emits one named value per
+// member alive at that instant — what GaugeFunc is for a name, applied to a
+// population, so a member that left is simply absent and nothing is ever
+// unregistered. Re-registering a family replaces fn.
+func (r *Registry) Collect(family string, fn func(emit func(name string, v int64))) {
+	for i := range r.families {
+		if r.families[i].name == family {
+			r.families[i].fn = fn
+			return
 		}
 	}
+	r.families = append(r.families, gaugeFamily{family, fn})
 }
 
 // Probe is a pre-resolved read-only handle over a metric of any kind —
 // the zero-allocation way for a periodic sampler (the xrmon agents) to
 // read the same metric every tick without re-hashing its name. A probe
 // tracks its metric through GaugeFunc re-registration (the fn is
-// replaced on the same slot), but a name that is Unregistered and later
-// re-registered gets a fresh slot: holders must re-resolve then.
+// replaced on the same slot). Collected entries have no slot to probe.
 type Probe struct{ m *metric }
 
 // Probe resolves a read handle; ok is false when the name is absent
@@ -265,8 +270,8 @@ func (r *Registry) Value(name string) (v int64, ok bool) {
 	}
 }
 
-// Snapshot evaluates every metric and returns entries sorted by name.
-// Histograms expand into .count, .sum, .p50 and .p99 entries.
+// Snapshot evaluates every metric and collected family and returns entries
+// sorted by name. Histograms expand into .count, .sum, .p50 and .p99 entries.
 func (r *Registry) Snapshot() []Entry {
 	out := make([]Entry, 0, len(r.order)+3*len(r.order)/2)
 	for _, m := range r.order {
@@ -282,6 +287,9 @@ func (r *Registry) Snapshot() []Entry {
 		default:
 			out = append(out, Entry{m.name, m.v})
 		}
+	}
+	for _, f := range r.families {
+		f.fn(func(name string, v int64) { out = append(out, Entry{name, v}) })
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -350,6 +358,9 @@ func promName(name string) string {
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	ms := make([]*metric, len(r.order))
 	copy(ms, r.order)
+	for _, f := range r.families {
+		f.fn(func(name string, v int64) { ms = append(ms, &metric{name: name, kind: gaugeKind, v: v}) })
+	}
 	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
 	for _, m := range ms {
 		name := promName(m.name)

@@ -2,7 +2,8 @@ package telemetry
 
 // Ring is a bounded overwrite-oldest ring buffer. Capacity is rounded
 // up to a power of two and allocated once, so Push never grows the
-// backing array: when full, the oldest element is dropped and counted.
+// backing array: when full, the oldest element is dropped and counted. The
+// zero Ring has capacity 0: it reads as empty and must not be pushed to.
 type Ring[T any] struct {
 	buf        []T
 	head, tail uint64 // monotonic; live window is [head, tail)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -105,14 +106,48 @@ func TestRegistrySameNameReturnsSameMetric(t *testing.T) {
 	r.Gauge("x")
 }
 
-func TestRegistryUnregister(t *testing.T) {
+// A collected family contributes one entry per member alive when someone
+// looks: the entries sort into every exporter beside the registered metrics, a
+// member that left is simply absent, and re-registering the family replaces
+// its callback (a restarted node's fresh context).
+func TestRegistryCollect(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("keep").Inc()
-	r.Counter("drop").Inc()
-	r.Unregister("drop")
-	r.Unregister("absent") // no-op
-	if got := r.Digest(); got != "keep=1\n" {
+	r.Counter("m.keep").Inc()
+	r.Gauge("z").Set(9)
+	members := []string{"m.b", "m.a"}
+	r.Collect("m", func(emit func(string, int64)) {
+		for i, n := range members {
+			emit(n, int64(10+i))
+		}
+	})
+	want := []Entry{{"m.a", 11}, {"m.b", 10}, {"m.keep", 1}, {"z", 9}}
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot = %v, want %v", got, want)
+	}
+	if got := r.Digest(); got != "m.a=11\nm.b=10\nm.keep=1\nz=9\n" {
 		t.Fatalf("digest = %q", got)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	expo := b.String()
+	a, keep := strings.Index(expo, "# TYPE m_a gauge\nm_a 11\n"), strings.Index(expo, "# TYPE m_keep counter")
+	if a < 0 || keep < 0 || a > keep {
+		t.Fatalf("collected gauge missing from, or out of order in, the exposition:\n%s", expo)
+	}
+	if _, ok := r.Value("m.a"); ok {
+		t.Fatal("a collected entry resolved by name: it has no slot")
+	}
+
+	members = members[:1] // m.a left
+	if got := r.Digest(); got != "m.b=10\nm.keep=1\nz=9\n" {
+		t.Fatalf("digest after a member left = %q", got)
+	}
+	r.Collect("m", func(emit func(string, int64)) { emit("m.c", 3) })
+	r.Collect("n", func(emit func(string, int64)) { emit("n.x", 4) })
+	if got := r.Digest(); got != "m.c=3\nm.keep=1\nn.x=4\nz=9\n" {
+		t.Fatalf("digest after the family was re-registered = %q", got)
 	}
 }
 

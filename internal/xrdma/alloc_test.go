@@ -101,3 +101,49 @@ func TestSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestConnectCloseAllocs pins what one warmed establishment costs end to end:
+// connect, one 64 B echo, close both ends, run to quiescence (QPs back in the
+// cache, buffers back in the memory cache). Observation is not part of it: a
+// channel's XR-Stat row is collected when someone looks (Channel.row), so
+// opening and closing one registers and unregisters nothing. What is left is
+// the CM exchange, the two links and flyweights, and the receive pools' 2×48
+// buffers. The ceiling is what the code reaches: raising it is a regression
+// to explain.
+func TestConnectCloseAllocs(t *testing.T) {
+	const ceiling = 133
+	w := newWorld(t, 2, nil)
+	var srv *Channel
+	w.ctxs[1].OnChannel(func(ch *Channel) {
+		srv = ch
+		ch.OnMessage(func(m *Msg) { m.Reply(nil, m.Len) })
+	})
+	if err := w.ctxs[1].Listen(5000); err != nil {
+		t.Fatal(err)
+	}
+	op := func() {
+		var echoed bool
+		w.ctxs[0].Connect(1, 5000, func(cli *Channel, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli.SendMsg(nil, 64, func(_ *Msg, err error) {
+				echoed = err == nil
+				cli.Close()
+				srv.Close()
+			})
+		})
+		w.eng.Run()
+		if !echoed {
+			t.Fatal("no echo")
+		}
+	}
+	for i := 0; i < 16; i++ {
+		op() // warm: QP and memory caches, free lists, maps
+	}
+	if got := testing.AllocsPerRun(50, op); got > ceiling {
+		t.Errorf("%.1f allocs per connect+echo+close, ceiling %d", got, ceiling)
+	} else {
+		t.Logf("%.1f allocs per connect+echo+close", got)
+	}
+}

@@ -77,10 +77,10 @@ func TestTable2SlowOpCaughtByTracer(t *testing.T) {
 	}
 	w.eng.Run()
 
-	if got := w.ctxs[1].Tracer().SlowOps; got == 0 {
+	if got := w.ctxs[1].Stats.SlowOps; got == 0 {
 		t.Fatal("receiver tracer recorded no slow one-way operations")
 	}
-	if got := w.ctxs[0].Tracer().SlowOps; got == 0 {
+	if got := w.ctxs[0].Stats.SlowOps; got == 0 {
 		t.Fatal("requester tracer recorded no slow RTTs")
 	}
 	tel := telemetry.For(w.eng)

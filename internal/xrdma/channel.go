@@ -147,13 +147,6 @@ type Channel struct {
 	tenantInflight int
 	tenantWaiting  bool
 
-	// telNames are the per-channel gauge names registered for XR-Stat,
-	// kept for unregistration when the QPN is recycled. aggregated marks
-	// channels folded into the per-peer aggregate row instead
-	// (Config.ChannelGaugeLimit).
-	telNames   []string
-	aggregated bool
-
 	Counters ChannelStats
 }
 
@@ -299,121 +292,101 @@ func (c *Context) newChannel(peer fabric.NodeID, attach uint8) *Channel {
 	return &Channel{ctx: c, Peer: peer, attach: attach, lastProgress: c.eng.Now(), retryTokens: retryBudgetCap}
 }
 
-// registerGauges publishes the XR-Stat row for this channel under
-// "xrdma.<node>.ch.<qpn>." (exclusive QPs) or "xrdma.<node>.mch.<cid>."
-// (muxed — the cid is the stable identity, the QPN changes across shared-
-// QP recoveries). Past Config.ChannelGaugeLimit the channel folds into
-// its peer's aggregate row instead, so the registry stays O(peers) at
-// 100k channels. Closures evaluate at snapshot time only.
-func (ch *Channel) registerGauges() {
-	c := ch.ctx
-	if lim := c.cfg.ChannelGaugeLimit; lim > 0 && c.gaugedChannels >= lim {
-		c.aggregateChannel(ch)
-		return
-	}
-	c.gaugedChannels++
-	var prefix string
-	if ch.cid != 0 {
-		prefix = fmt.Sprintf("%s.mch.%d.", c.track, ch.cid)
-	} else {
-		prefix = fmt.Sprintf("%s.ch.%d.", c.track, ch.lk.qp.QPN)
-	}
-	gauges := []gauge{
-		{"peer", func() int64 { return int64(ch.Peer) }},
-		{"sent", func() int64 { return ch.Counters.MsgsSent }},
-		{"recv", func() int64 { return ch.Counters.MsgsRecv }},
-		{"txbytes", func() int64 { return ch.Counters.BytesSent }},
-		{"rxbytes", func() int64 { return ch.Counters.BytesRecv }},
-		{"stalls", func() int64 { return ch.Counters.WindowStalls }},
-		{"rnr", func() int64 { return ch.lk.qp.Counters.RNRNakRecv }},
-		{"retx", func() int64 { return ch.lk.qp.Counters.Retransmits }},
-		{"inflight", func() int64 { return int64(ch.tx.inflight()) }},
-		{"state", func() int64 { return int64(ch.health) }},
-		{"path_score", func() int64 { return ch.PathScore() }},
-		{"path_verdict", func() int64 { return int64(ch.doctorRef().verdict) }},
-		{"rehashes", func() int64 { return ch.doctorRef().rehashes }},
-		{"req_retries", func() int64 { return ch.Counters.ReqRetries }},
-		{"reads", func() int64 { return ch.Counters.Reads }},
-		{"writes", func() int64 { return ch.Counters.Writes }},
-		{"rdbytes", func() int64 { return ch.Counters.ReadBytes }},
-		{"wrbytes", func() int64 { return ch.Counters.WriteBytes }},
-		{"raerrs", func() int64 { return ch.Counters.RemoteAccessErrs }},
-		{"ver", func() int64 { return int64(ch.NegotiatedVersion()) }},
-		{"caps", func() int64 { return int64(ch.PeerCaps()) }},
-		{"drain", func() int64 { return int64(c.drain) }},
-	}
+// hasRow is the identity rule for XR-Stat rows: an established, open channel
+// on a QP its link still owns. It is decided when someone looks, so a
+// recycled QPN, an adoption, a Mock switch, a failback or a rehydrate need no
+// bookkeeping. A link on the fallback surrendered its QPN to the cache (a
+// sibling may own the number by now); a degraded one keeps its broken QP
+// installed until adoption, so two rows never share a QPN.
+func (ch *Channel) hasRow() bool {
+	return ch.attach == attachDone && !ch.closed && ch.lk.qp != nil && ch.lk.state != linkFallback
+}
+
+// row emits the channel's XR-Stat row, field by field — the one spelling the
+// registry collector and XRStat both read. Only for a channel that hasRow.
+func (ch *Channel) row(emit func(field string, v int64)) {
+	qp, d := ch.lk.qp, &ch.lk.doctor
+	emit("peer", int64(ch.Peer))
+	emit("sent", ch.Counters.MsgsSent)
+	emit("recv", ch.Counters.MsgsRecv)
+	emit("txbytes", ch.Counters.BytesSent)
+	emit("rxbytes", ch.Counters.BytesRecv)
+	emit("stalls", ch.Counters.WindowStalls)
+	emit("rnr", qp.Counters.RNRNakRecv)
+	emit("retx", qp.Counters.Retransmits)
+	emit("inflight", int64(ch.tx.inflight()))
+	emit("state", int64(ch.health))
+	emit("path_score", int64(d.score*100))
+	emit("path_verdict", int64(d.verdict))
+	emit("rehashes", d.rehashes)
+	emit("req_retries", ch.Counters.ReqRetries)
+	emit("reads", ch.Counters.Reads)
+	emit("writes", ch.Counters.Writes)
+	emit("rdbytes", ch.Counters.ReadBytes)
+	emit("wrbytes", ch.Counters.WriteBytes)
+	emit("raerrs", ch.Counters.RemoteAccessErrs)
+	emit("ver", int64(ch.NegotiatedVersion()))
+	emit("caps", int64(ch.PeerCaps()))
+	emit("drain", int64(ch.ctx.drain))
 	if ch.cid != 0 {
 		// The shared QP a muxed channel currently rides (rnr/retx above are
 		// that QP's counters, shared with its sibling channels).
-		gauges = append(gauges, gauge{"qpn", func() int64 { return int64(ch.lk.qp.QPN) }})
-	}
-	for _, g := range gauges {
-		n := prefix + g.name
-		ch.telNames = append(ch.telNames, n)
-		c.tel.Reg.GaugeFunc(n, g.fn)
+		emit("qpn", int64(qp.QPN))
 	}
 }
 
-// unregisterGauges removes the channel's row so a recycled QPN can host a
-// fresh channel's gauges. Idempotent.
-func (ch *Channel) unregisterGauges() {
-	c := ch.ctx
-	if ch.aggregated {
-		ch.aggregated = false
-		if a := c.peerAggs[ch.Peer]; a != nil {
-			delete(a.set, ch)
-		}
-		c.aggChannels--
-		return
-	}
-	if len(ch.telNames) > 0 {
-		c.gaugedChannels--
-	}
-	for _, n := range ch.telNames {
-		c.tel.Reg.Unregister(n)
-	}
-	ch.telNames = nil
-}
+// peerAgg is one per-peer aggregate row — chans, sent, recv, txbytes, rxbytes,
+// req_retries — summed over the channels ChannelGaugeLimit folds.
+type peerAgg [6]int64
 
-// peerAgg is one per-peer aggregate gauge row: the channels whose
-// individual gauges were suppressed by ChannelGaugeLimit. Sums iterate
-// the set at snapshot time — int64 addition is order-independent, so the
-// registry digest stays deterministic.
-type peerAgg struct {
-	set map[*Channel]struct{}
-}
-
-// aggregateChannel folds a channel into its peer's aggregate row,
-// creating the row's gauges on the peer's first suppressed channel.
-func (c *Context) aggregateChannel(ch *Channel) {
-	if c.peerAggs == nil {
-		c.peerAggs = make(map[fabric.NodeID]*peerAgg)
-	}
-	a := c.peerAggs[ch.Peer]
-	if a == nil {
-		a = &peerAgg{set: make(map[*Channel]struct{})}
-		c.peerAggs[ch.Peer] = a
-		prefix := fmt.Sprintf("%s.peeragg.%d.", c.track, ch.Peer)
-		sum := func(f func(*Channel) int64) func() int64 {
-			return func() int64 {
-				var t int64
-				for m := range a.set {
-					t += f(m)
-				}
-				return t
+// rows walks the channels that have a row, in Channels() order. The first
+// ChannelGaugeLimit of them (all, when it is 0) are reported individually
+// through one; the rest fold into per-peer sums, handed to folded in
+// ascending peer order, so the registry stays O(peers) at 100k channels. The
+// rule is stated on identity — position in Channels() — and so needs no
+// state; a row costs nothing until someone looks. Returns how many folded.
+func (c *Context) rows(one func(*Channel), folded func(fabric.NodeID, peerAgg)) (nfolded int64) {
+	lim, shown := c.cfg.ChannelGaugeLimit, 0
+	aggs := map[fabric.NodeID]peerAgg{}
+	for _, ch := range c.Channels() {
+		switch {
+		case !ch.hasRow():
+		case lim <= 0 || shown < lim:
+			shown++
+			one(ch)
+		default:
+			a, n := aggs[ch.Peer], &ch.Counters
+			for i, v := range [...]int64{1, n.MsgsSent, n.MsgsRecv, n.BytesSent, n.BytesRecv, n.ReqRetries} {
+				a[i] += v
 			}
+			aggs[ch.Peer] = a
+			nfolded++
 		}
-		reg := c.tel.Reg
-		reg.GaugeFunc(prefix+"chans", func() int64 { return int64(len(a.set)) })
-		reg.GaugeFunc(prefix+"sent", sum(func(m *Channel) int64 { return m.Counters.MsgsSent }))
-		reg.GaugeFunc(prefix+"recv", sum(func(m *Channel) int64 { return m.Counters.MsgsRecv }))
-		reg.GaugeFunc(prefix+"txbytes", sum(func(m *Channel) int64 { return m.Counters.BytesSent }))
-		reg.GaugeFunc(prefix+"rxbytes", sum(func(m *Channel) int64 { return m.Counters.BytesRecv }))
-		reg.GaugeFunc(prefix+"req_retries", sum(func(m *Channel) int64 { return m.Counters.ReqRetries }))
 	}
-	a.set[ch] = struct{}{}
-	ch.aggregated = true
-	c.aggChannels++
+	for _, peer := range slices.Sorted(maps.Keys(aggs)) {
+		folded(peer, aggs[peer])
+	}
+	return nfolded
+}
+
+// collectRows is the context's registry collector (telemetry.Registry.Collect),
+// evaluated at snapshot time only: "<track>.ch.<qpn>.<field>" on an exclusive
+// QP, "<track>.mch.<cid>.<field>" when muxed — the cid is the stable identity
+// there, the QPN changes across shared-QP recoveries — and, past the limit,
+// "<track>.peeragg.<peer>.<field>".
+func (c *Context) collectRows(emit func(name string, v int64)) {
+	c.rows(func(ch *Channel) {
+		prefix := fmt.Sprintf("%s.ch.%d.", c.track, ch.QPN())
+		if ch.cid != 0 {
+			prefix = fmt.Sprintf("%s.mch.%d.", c.track, ch.cid)
+		}
+		ch.row(func(field string, v int64) { emit(prefix+field, v) })
+	}, func(peer fabric.NodeID, a peerAgg) {
+		prefix := fmt.Sprintf("%s.peeragg.%d.", c.track, peer)
+		for i, field := range [...]string{"chans", "sent", "recv", "txbytes", "rxbytes", "req_retries"} {
+			emit(prefix+field, a[i])
+		}
+	})
 }
 
 // --- teardown ----------------------------------------------------------------
@@ -437,7 +410,6 @@ func (ch *Channel) teardown(err error) {
 	}
 	ch.closed = true
 	c := ch.ctx
-	ch.unregisterGauges()
 	delete(c.chanByCID, ch.cid) // where mux-plane channels live, linkless descriptors included
 	if ch.lk != nil {
 		ch.lk.detach(ch)

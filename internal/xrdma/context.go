@@ -69,9 +69,9 @@ type Context struct {
 	eventFD     int
 	wakePending bool
 
-	// Analysis framework.
-	trace   *Tracer
-	logbuf  []LogEntry
+	// Analysis framework. log is the self-adaptive log, bounded (logCap) and
+	// allocated with its first line: most contexts never write one.
+	log     telemetry.Ring[LogEntry]
 	flagLog []flagChange
 	rng     *sim.RNG
 	monitor *Monitor
@@ -117,13 +117,6 @@ type Context struct {
 	memPressure   bool
 	tenantUnknown int64
 
-	// Gauge-limit plane (Config.ChannelGaugeLimit): individually gauged
-	// channel count, per-peer aggregate rows, and how many channels were
-	// folded into them (the XR-Stat truncation note).
-	gaugedChannels int
-	aggChannels    int
-	peerAggs       map[fabric.NodeID]*peerAgg
-
 	// Hot-upgrade plane (drain.go): the Serving→Draining→Drained
 	// lifecycle, the handoff callback armed by Drain, the drain deadline,
 	// and every CM port this context listens on (so Shutdown can release
@@ -153,6 +146,7 @@ type Context struct {
 type ContextStats struct {
 	Polls           int64
 	SlowPolls       int64
+	SlowOps         int64 // traced one-way latency or RTT beyond SlowThreshold (trace.go)
 	EventWakes      int64
 	Dispatched      int64
 	ChannelsOpened  int64
@@ -238,7 +232,6 @@ func NewContext(o Options) *Context {
 	c.flow = &flowCtl{ctx: c, limit: c.cfg.MaxOutstandingWRs}
 	c.sendCQ = rnic.NewCQ(8192)
 	c.recvCQ = rnic.NewCQ(8192)
-	c.trace = newTracer(c)
 	c.registerGauges()
 	if len(c.cfg.Tenants) > 0 {
 		c.initTenants()
@@ -282,8 +275,10 @@ type gauge struct {
 
 // registerGauges publishes every ContextStats field (KeepaliveProbes as
 // "keepalive_probes") plus the live resource levels into the engine's metric
-// registry. GaugeFuncs are evaluated only at snapshot time, so the hot path
-// pays nothing.
+// registry, and the per-channel rows as one collected family (channel.go). All
+// of it is evaluated only at snapshot time, so the hot path pays nothing — and
+// re-registering under the same track is how a restarted node's fresh context
+// takes over from the dead one.
 func (c *Context) registerGauges() {
 	reg, stats := c.tel.Reg, reflect.ValueOf(&c.Stats).Elem()
 	for i := 0; i < stats.NumField(); i++ {
@@ -301,17 +296,17 @@ func (c *Context) registerGauges() {
 		{"drain_state", func() int64 { return int64(c.drain) }},
 		{"channels", func() int64 { return int64(c.NumChannels()) }},
 		{"mux_qps", func() int64 { _, n := c.linkCensus(); return int64(n) }},
-		{"agg_channels", func() int64 { return int64(c.aggChannels) }},
+		{"agg_channels", func() int64 { return c.rows(func(*Channel) {}, func(fabric.NodeID, peerAgg) {}) }},
 		{"mem_occupied", func() int64 { return c.Mem.OccupiedBytes() }},
 		{"mem_inuse", func() int64 { return c.Mem.InUseBytes }},
 		{"mem_pool_inuse", func() int64 { return c.Mem.PoolInUseBytes }},
 		{"mem_evictions", func() int64 { return c.Mem.Evictions }},
 		{"tenant_unknown", func() int64 { return c.tenantUnknown }},
 		{"qp_cache", func() int64 { return int64(c.QPs.Len()) }},
-		{"slow_ops", func() int64 { return c.trace.SlowOps }},
 	} {
 		reg.GaugeFunc(c.track+"."+g.name, g.fn)
 	}
+	reg.Collect(c.track, c.collectRows)
 }
 
 // Telemetry returns the engine-keyed telemetry set this context reports
@@ -354,12 +349,19 @@ func (c *Context) LocalClock() sim.Time { return c.eng.Now().Add(c.clockSkew) }
 func (c *Context) nextWRID() uint64  { c.wrSeq++; return c.wrSeq }
 func (c *Context) nextMsgID() uint64 { c.msgSeq++; return c.msgSeq }
 
+// logCap bounds the self-adaptive log: a world that flaps for an hour
+// overwrites its oldest lines (XR-Stat says how many) instead of growing.
+const logCap = 4096
+
 func (c *Context) logf(format string, args ...any) {
-	c.logbuf = append(c.logbuf, LogEntry{At: c.eng.Now(), Text: fmt.Sprintf(format, args...)})
+	if c.log.Cap() == 0 {
+		c.log = *telemetry.NewRing[LogEntry](logCap)
+	}
+	c.log.Push(LogEntry{At: c.eng.Now(), Text: fmt.Sprintf(format, args...)})
 }
 
-// Log returns the accumulated self-adaptive log.
-func (c *Context) Log() []LogEntry { return c.logbuf }
+// Log returns the self-adaptive log's retained lines, oldest first.
+func (c *Context) Log() []LogEntry { return c.log.Snapshot() }
 
 // FlagLog returns the history of online configuration changes.
 func (c *Context) FlagLog() []flagChange { return c.flagLog }

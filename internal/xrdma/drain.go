@@ -431,9 +431,9 @@ func (r *handoffReader) u64() uint64 { return binary.LittleEndian.Uint64(r.bytes
 
 // Shutdown releases everything the restarted instance will need to
 // re-acquire: CM and TCP listeners, QPs (exclusive and shared), timers
-// (started=false strands every armed scan), per-channel gauges, and the
-// memory cache's registered regions. App callbacks do NOT fire — the
-// process is going down, not the peers.
+// (started=false strands every armed scan), and the memory cache's
+// registered regions; its channels, closed, have no XR-Stat row left. App
+// callbacks do NOT fire — the process is going down, not the peers.
 func (c *Context) Shutdown() {
 	c.started = false
 	for _, p := range c.listenPorts {
@@ -445,7 +445,6 @@ func (c *Context) Shutdown() {
 	}
 	for _, ch := range c.Channels() { // live ones only: a closed channel is delisted
 		ch.closed = true
-		ch.unregisterGauges()
 		c.eng.Cancel(ch.ackEv)
 	}
 	clear(c.chanByCID)

@@ -191,9 +191,6 @@ func (l *link) setQP(qp *rnic.QP, bufs []Buffer, initiator bool) {
 			if !initiator && c.onChannel != nil {
 				c.onChannel(ch)
 			}
-		case !l.shared(): // the XR-Stat row named by QPN moves under the new one
-			ch.unregisterGauges()
-			ch.registerGauges()
 		}
 	}
 }

@@ -156,10 +156,9 @@ func (ch *Channel) enterMockMode(cause error) {
 
 	// Release RDMA resources: the QP recycles through the cache, the
 	// receive buffers return to the memory cache. The XR-Stat row goes
-	// with them — the recycled QPN may soon host a new channel. The link
-	// keeps pointing at the surrendered QP: its QPN is how the peer's Mock
-	// hello names this channel.
-	ch.unregisterGauges()
+	// with them (hasRow) — the recycled QPN may soon host a new channel.
+	// The link keeps pointing at the surrendered QP: its QPN is how the
+	// peer's Mock hello names this channel.
 	ch.quiesce()
 	ch.lk.release(ch.lk.qp, nil)
 }

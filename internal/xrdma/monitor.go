@@ -135,10 +135,10 @@ func (m *Monitor) Latest(node fabric.NodeID) (Sample, bool) {
 
 // --- XR-Stat (§VI-B) ----------------------------------------------------------
 
-// XRStat renders the netstat-like per-connection table for one node. It
-// is a pure registry consumer: the header reads the context gauges and
-// each row is pivoted from the node's per-channel gauge entries
-// ("xrdma.<node>.ch.<qpn>.<field>") in one registry snapshot.
+// XRStat renders the netstat-like per-connection table for one node: the
+// header reads the context gauges, and the rows are what the registry
+// collector publishes — the same limit walk (Context.rows), the same fields
+// (Channel.row) — without the detour through names.
 func XRStat(c *Context) string {
 	reg := c.tel.Reg
 	get := func(name string) int64 {
@@ -161,55 +161,27 @@ func XRStat(c *Context) string {
 				a.WindowSum(xrmon.SlotCorrupt), a.WindowSum(xrmon.SlotKaFails))
 		}
 	}
-	if dropped := c.trace.Dropped(); dropped > 0 {
-		fmt.Fprintf(&b, "trace ring truncated: %d records overwritten (cap %d)\n",
-			dropped, c.trace.ring.Cap())
+	// A lossy capture must not read as a quiet one.
+	if n := c.tel.Trace.Dropped(); n > 0 {
+		fmt.Fprintf(&b, "timeline truncated: %d events overwritten\n", n)
+	}
+	if n := c.log.Dropped(); n > 0 {
+		fmt.Fprintf(&b, "log truncated: %d lines overwritten\n", n)
 	}
 	fmt.Fprintf(&b, "%-6s %-6s %-9s %-9s %-10s %-10s %-7s %-6s %-6s %-6s %-8s %-6s %-6s %-6s %-6s %-9s %-6s %-4s %-5s %-8s\n",
 		"QPN", "PEER", "SENT", "RECV", "TXBYTES", "RXBYTES", "STALLS", "RNR", "RETX",
 		"SCORE", "VERDICT", "REHASH", "RETRY", "READS", "WRITES", "RDBYTES", "RAERRS",
 		"VER", "CAPS", "DRAIN")
-	// Three row families share the registry: "ch.<qpn>" (exclusive-QP
-	// channels), "mch.<cid>" (muxed channels — stable cid identity), and
-	// "peeragg.<peer>" (channels folded past ChannelGaugeLimit).
-	chPrefix := c.track + ".ch."
-	mchPrefix := c.track + ".mch."
-	aggPrefix := c.track + ".peeragg."
-	rows := make(map[int]map[string]int64)
-	mrows := make(map[int]map[string]int64)
-	arows := make(map[int]map[string]int64)
-	var qpns, cids, aggPeers []int
-	add := func(into map[int]map[string]int64, keys *[]int, rest string, v int64) {
-		dot := strings.IndexByte(rest, '.')
-		if dot < 0 {
-			return
+	var aggs strings.Builder
+	folded := c.rows(func(ch *Channel) {
+		// Muxed rows print the channel id; the wire QPN changes across
+		// shared-QP recoveries and is not the channel's identity.
+		label := strconv.Itoa(int(ch.QPN()))
+		if ch.cid != 0 {
+			label = "m" + strconv.Itoa(int(ch.cid))
 		}
-		key, err := strconv.Atoi(rest[:dot])
-		if err != nil {
-			return
-		}
-		row, ok := into[key]
-		if !ok {
-			row = make(map[string]int64)
-			into[key] = row
-			*keys = append(*keys, key)
-		}
-		row[rest[dot+1:]] = v
-	}
-	for _, e := range reg.Snapshot() {
-		switch {
-		case strings.HasPrefix(e.Name, chPrefix):
-			add(rows, &qpns, e.Name[len(chPrefix):], e.Value)
-		case strings.HasPrefix(e.Name, mchPrefix):
-			add(mrows, &cids, e.Name[len(mchPrefix):], e.Value)
-		case strings.HasPrefix(e.Name, aggPrefix):
-			add(arows, &aggPeers, e.Name[len(aggPrefix):], e.Value)
-		}
-	}
-	sort.Ints(qpns)
-	sort.Ints(cids)
-	sort.Ints(aggPeers)
-	writeRow := func(label string, r map[string]int64) {
+		r := make(map[string]int64, 24)
+		ch.row(func(field string, v int64) { r[field] = v })
 		fmt.Fprintf(&b, "%-6s %-6d %-9d %-9d %-10d %-10d %-7d %-6d %-6d %-6.2f %-8s %-6d %-6d %-6d %-6d %-9d %-6d %-4d %-5s %-8s\n",
 			label, r["peer"], r["sent"], r["recv"], r["txbytes"], r["rxbytes"],
 			r["stalls"], r["rnr"], r["retx"],
@@ -217,29 +189,15 @@ func XRStat(c *Context) string {
 			r["rehashes"], r["req_retries"],
 			r["reads"], r["writes"], r["rdbytes"], r["raerrs"],
 			r["ver"], fmt.Sprintf("%#x", r["caps"]), DrainState(r["drain"]))
-	}
-	for _, q := range qpns {
-		writeRow(strconv.Itoa(q), rows[q])
-	}
-	for _, cid := range cids {
-		// Muxed rows print the channel id; the wire QPN changes across
-		// shared-QP recoveries and is not the channel's identity.
-		writeRow("m"+strconv.Itoa(cid), mrows[cid])
-	}
-	if len(aggPeers) > 0 {
-		var folded int64
-		for _, p := range aggPeers {
-			folded += arows[p]["chans"]
-		}
+	}, func(peer fabric.NodeID, a peerAgg) {
+		fmt.Fprintf(&aggs, "%-8d %-6d %-9d %-9d %-10d %-10d %-6d\n", peer, a[0], a[1], a[2], a[3], a[4], a[5])
+	})
+	if folded > 0 {
 		fmt.Fprintf(&b, "(+%d channels above ChannelGaugeLimit=%d, folded into per-peer aggregates)\n",
 			folded, c.cfg.ChannelGaugeLimit)
 		fmt.Fprintf(&b, "%-8s %-6s %-9s %-9s %-10s %-10s %-6s\n",
 			"PEERAGG", "CHANS", "SENT", "RECV", "TXBYTES", "RXBYTES", "RETRY")
-		for _, p := range aggPeers {
-			r := arows[p]
-			fmt.Fprintf(&b, "%-8d %-6d %-9d %-9d %-10d %-10d %-6d\n",
-				p, r["chans"], r["sent"], r["recv"], r["txbytes"], r["rxbytes"], r["req_retries"])
-		}
+		b.WriteString(aggs.String())
 	}
 	for _, row := range c.tenantRows() {
 		b.WriteString(row)

@@ -164,7 +164,6 @@ func (ch *Channel) finishAttach(err error) {
 	ch.tx = newTxWindow(c.cfg.WindowDepth)
 	ch.rx = newRxWindow(c.cfg.WindowDepth)
 	c.Stats.ChannelsOpened++
-	ch.registerGauges()
 	if held {
 		c.attachRelease()
 	}

@@ -356,11 +356,12 @@ func TestMuxGaugeLimitAggregates(t *testing.T) {
 		echoServer(srv)
 	}
 	c := w.ctxs[0]
-	if c.gaugedChannels != limit {
-		t.Fatalf("gaugedChannels=%d, want %d", c.gaugedChannels, limit)
+	snap := snapshot(w.eng)
+	if got := len(rowKeys(snap, c.track)); got != limit {
+		t.Fatalf("%d individually reported channels, want %d", got, limit)
 	}
-	if c.aggChannels != chans-limit {
-		t.Fatalf("aggChannels=%d, want %d", c.aggChannels, chans-limit)
+	if got := snap[c.track+".agg_channels"]; got != chans-limit {
+		t.Fatalf("agg_channels=%d, want %d", got, chans-limit)
 	}
 
 	sends := 0
@@ -374,10 +375,10 @@ func TestMuxGaugeLimitAggregates(t *testing.T) {
 	}
 	w.eng.Run()
 
-	reg := c.tel.Reg
-	agg, ok := reg.Value(fmt.Sprintf("%s.peeragg.1.sent", c.track))
+	snap = snapshot(w.eng)
+	agg, ok := snap[c.track+".peeragg.1.sent"]
 	if !ok {
-		t.Fatal("no per-peer aggregate gauge registered")
+		t.Fatal("no per-peer aggregate row in the snapshot")
 	}
 	var want int64
 	for k, cli := range clients {
@@ -389,15 +390,15 @@ func TestMuxGaugeLimitAggregates(t *testing.T) {
 	if agg != want {
 		t.Fatalf("aggregate sent=%d, per-channel sum=%d", agg, want)
 	}
-	if n, ok := reg.Value(fmt.Sprintf("%s.peeragg.1.chans", c.track)); !ok || n != int64(chans-limit) {
+	if n, ok := snap[c.track+".peeragg.1.chans"]; !ok || n != int64(chans-limit) {
 		t.Fatalf("aggregate chans=%d ok=%v, want %d", n, ok, chans-limit)
 	}
 
 	// Closing an aggregated channel shrinks the aggregate.
 	clients[chans-1].Close()
 	w.eng.RunFor(5 * sim.Millisecond)
-	if c.aggChannels != chans-limit-1 {
-		t.Fatalf("aggChannels=%d after close, want %d", c.aggChannels, chans-limit-1)
+	if got := snapshot(w.eng)[c.track+".agg_channels"]; got != chans-limit-1 {
+		t.Fatalf("agg_channels=%d after close, want %d", got, chans-limit-1)
 	}
 	_ = sends
 }

@@ -268,7 +268,7 @@ func TestOneSidedMetricsExposition(t *testing.T) {
 			t.Fatalf("XRStat missing %s column:\n%s", col, tbl)
 		}
 	}
-	if v, _ := w.ctxs[0].tel.Reg.Value(fmt.Sprintf("xrdma.0.ch.%d.rdbytes", cli.QPN())); v != 256 {
+	if v := snapshot(w.eng)[fmt.Sprintf("xrdma.0.ch.%d.rdbytes", cli.QPN())]; v != 256 {
 		t.Fatalf("rdbytes gauge = %d, want 256", v)
 	}
 

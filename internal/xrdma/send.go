@@ -587,7 +587,7 @@ func (ch *Channel) deliver(msg *Msg) {
 	ch.Counters.BytesRecv += int64(msg.Len)
 	c.tel.Trace.Instant("msg.deliver", c.track, c.eng.Now(), int64(msg.Len))
 	if msg.Traced {
-		c.trace.onRecv(ch, msg)
+		c.onRecv(ch, msg)
 	}
 	if msg.IsReq {
 		if c.cfg.RequestRetries > 0 {
@@ -617,10 +617,10 @@ func (ch *Channel) deliver(msg *Msg) {
 			t.RTTSumNs += int64(c.eng.Now().Sub(rs.sentAt))
 		}
 		if msg.Traced {
-			c.trace.onResponse(ch, msg, rs.sentAt)
+			c.onResponse(ch, msg, rs.sentAt)
 		}
 		if rs.blame != nil && msg.blame != nil {
-			c.trace.onBlame(ch, msg, rs.blame)
+			c.onBlame(ch, msg, rs.blame)
 		}
 		ch.settle(rs)(msg, nil)
 	}

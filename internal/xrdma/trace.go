@@ -1,91 +1,55 @@
 package xrdma
 
 import (
-	"fmt"
 	"slices"
 
-	"xrdma/internal/fabric"
 	"xrdma/internal/sim"
 	"xrdma/internal/telemetry"
 )
 
-// Tracer implements §VI-A: in req-rsp mode each traced message carries the
-// sender's clock; the receiver, knowing the estimated clock offset from
-// the sync service, decomposes request latency into network time and the
-// rest. Records live in a bounded ring consumed by XR-Stat / the monitor.
-type Tracer struct {
-	ctx  *Context
-	ring *telemetry.Ring[TraceRecord]
+// Tracing (§VI-A): in req-rsp mode each traced message carries the sender's
+// clock; the receiver, knowing the estimated clock offset from the sync
+// service, decomposes request latency into network time and the rest. The
+// context keeps no records of its own: the estimates go to the engine's
+// timeline (when it is recording), the RTT histogram and the flight recorder,
+// and slow-operation incidents (Config.SlowThreshold) count in Stats.SlowOps.
 
-	// Slow-operation incidents (threshold = Config.SlowThreshold).
-	SlowOps int64
-}
-
-// TraceRecord is one measured message (xrdma_trace_req's raw material).
-type TraceRecord struct {
-	Peer  fabric.NodeID
-	MsgID uint64
-	Kind  string
-	// One-way estimate: receiverClock − T1 − offset (valid when a clock
-	// offset for the peer is known; otherwise raw and skew-polluted).
-	OneWay sim.Duration
-	// RTT for completed request/response pairs (0 otherwise).
-	RTT sim.Duration
-	At  sim.Time
-}
-
-// tracerRingCap is the record ring capacity (XR-Stat reports how much the
-// ring truncated).
-const tracerRingCap = 4096
-
-func newTracer(ctx *Context) *Tracer {
-	return &Tracer{ctx: ctx, ring: telemetry.NewRing[TraceRecord](tracerRingCap)}
-}
-
-// push appends one record, overwriting the oldest when full. O(1): the
-// telemetry ring advances head/tail cursors instead of shifting elements.
-func (t *Tracer) push(r TraceRecord) { t.ring.Push(r) }
-
-// Records returns a copy of the trace ring (oldest first).
-func (t *Tracer) Records() []TraceRecord { return t.ring.Snapshot() }
-
-// Dropped reports how many records were overwritten since creation.
-func (t *Tracer) Dropped() uint64 { return t.ring.Dropped() }
-
-// onRecv computes the one-way latency of a traced inbound message.
-func (t *Tracer) onRecv(ch *Channel, m *Msg) {
-	off := t.ctx.toff[ch.Peer]
-	oneWay := sim.Duration(t.ctx.LocalClock()-m.T1) + off
-	kind := "RESP"
+// onRecv computes the one-way latency of a traced inbound message:
+// receiverClock − T1 − offset (valid when a clock offset for the peer is
+// known; otherwise raw and skew-polluted).
+func (c *Context) onRecv(ch *Channel, m *Msg) {
+	oneWay := sim.Duration(c.LocalClock()-m.T1) + c.toff[ch.Peer]
+	kind, ev := "RESP", "trace.resp"
 	if m.IsReq {
-		kind = "REQ"
+		kind, ev = "REQ", "trace.req"
 	}
-	now := t.ctx.eng.Now()
-	rec := TraceRecord{Peer: ch.Peer, MsgID: m.MsgID, Kind: kind, OneWay: oneWay, At: now}
-	if oneWay > t.ctx.cfg.SlowThreshold {
-		t.SlowOps++
-		ch.blameSuspect = blameSuspectBudget
-		t.ctx.tel.Flight.Record(now, telemetry.CatSlowOp, int32(t.ctx.Node()), ch.QPN(), int64(oneWay), int64(m.MsgID))
-		t.ctx.tel.Trace.Instant("slow.op", t.ctx.track, now, int64(oneWay))
-		t.ctx.logf("slow %s msg %d from %d: one-way %v", kind, m.MsgID, ch.Peer, oneWay)
+	now := c.eng.Now()
+	c.tel.Trace.Instant(ev, c.track, now, int64(oneWay))
+	if oneWay > c.cfg.SlowThreshold {
+		c.slowOp(ch, now, oneWay, m.MsgID)
+		c.logf("slow %s msg %d from %d: one-way %v", kind, m.MsgID, ch.Peer, oneWay)
 	}
-	t.push(rec)
 }
 
 // onResponse records the full RTT of a completed request.
-func (t *Tracer) onResponse(ch *Channel, m *Msg, sentAt sim.Time) {
-	now := t.ctx.eng.Now()
+func (c *Context) onResponse(ch *Channel, m *Msg, sentAt sim.Time) {
+	now := c.eng.Now()
 	rtt := now.Sub(sentAt)
-	t.push(TraceRecord{Peer: ch.Peer, MsgID: m.MsgID, Kind: "RTT", RTT: rtt, At: now})
-	t.ctx.rttHist.Observe(int64(rtt))
-	t.ctx.tel.Trace.Complete("rtt", t.ctx.track, sentAt, rtt, int64(m.MsgID))
-	if rtt > 2*t.ctx.cfg.SlowThreshold {
-		t.SlowOps++
-		ch.blameSuspect = blameSuspectBudget
-		t.ctx.tel.Flight.Record(now, telemetry.CatSlowOp, int32(t.ctx.Node()), ch.QPN(), int64(rtt), int64(m.MsgID))
-		t.ctx.tel.Trace.Instant("slow.op", t.ctx.track, now, int64(rtt))
-		t.ctx.logf("slow request %d to %d: rtt %v", m.MsgID, ch.Peer, rtt)
+	c.rttHist.Observe(int64(rtt))
+	c.tel.Trace.Complete("rtt", c.track, sentAt, rtt, int64(m.MsgID))
+	if rtt > 2*c.cfg.SlowThreshold {
+		c.slowOp(ch, now, rtt, m.MsgID)
+		c.logf("slow request %d to %d: rtt %v", m.MsgID, ch.Peer, rtt)
 	}
+}
+
+// slowOp counts one slow-operation incident and makes the channel a blame
+// suspect, so the next few requests are force-sampled.
+func (c *Context) slowOp(ch *Channel, now sim.Time, d sim.Duration, msgID uint64) {
+	c.Stats.SlowOps++
+	ch.blameSuspect = blameSuspectBudget
+	c.tel.Flight.Record(now, telemetry.CatSlowOp, int32(c.Node()), ch.QPN(), int64(d), int64(msgID))
+	c.tel.Trace.Instant("slow.op", c.track, now, int64(d))
 }
 
 // onBlame reconstructs a blame-traced request's critical path the moment
@@ -94,8 +58,7 @@ func (t *Tracer) onResponse(ch *Channel, m *Msg, sentAt sim.Time) {
 // remote stages arrive mirrored in the response's blame extension; the
 // response direction rides its own in-band accumulator. Whatever the
 // stamps don't cover is the residual (base propagation + software costs).
-func (t *Tracer) onBlame(ch *Channel, m *Msg, b *reqBlame) {
-	c := t.ctx
+func (c *Context) onBlame(ch *Channel, m *Msg, b *reqBlame) {
 	mb := m.blame
 	now := c.eng.Now()
 	rec := telemetry.BlameRec{
@@ -153,9 +116,6 @@ func (t *Tracer) onBlame(ch *Channel, m *Msg, b *reqBlame) {
 	c.tel.Blame.EmitSpans(c.tel.Trace, c.track, &rec)
 }
 
-// Tracer returns the context's tracer (xrdma_trace_req's query surface).
-func (c *Context) Tracer() *Tracer { return c.trace }
-
 // SyncClock runs the clock synchronisation service against the channel's
 // peer: a few pings, median offset retained for trace decomposition.
 func (ch *Channel) SyncClock(rounds int, done func(offset sim.Duration, err error)) {
@@ -182,11 +142,4 @@ func (ch *Channel) SyncClock(rounds int, done func(offset sim.Duration, err erro
 		})
 	}
 	step()
-}
-
-func (r TraceRecord) String() string {
-	if r.Kind == "RTT" {
-		return fmt.Sprintf("[%v] msg %d peer %d rtt=%v", r.At, r.MsgID, r.Peer, r.RTT)
-	}
-	return fmt.Sprintf("[%v] %s %d peer %d oneway=%v", r.At, r.Kind, r.MsgID, r.Peer, r.OneWay)
 }

@@ -95,15 +95,15 @@ const (
 
 // wireHdr is the decoded header.
 type wireHdr struct {
-	Kind  msgKind
-	Ver   uint8 // header version (0 encodes as hdrVersion; decode reports the peer's)
-	Flags uint16
-	Seq   uint64 // window sequence (0 for window-exempt kinds)
-	Ack   uint64 // piggybacked cumulative ack (receiver's RTA)
-	MsgID uint64 // request/response correlation
-	Size  uint32 // application payload size
-	Addr  uint64 // staged buffer address (rendezvous kinds)
-	RKey  uint32 // staged buffer / window rkey
+	Kind   msgKind
+	Ver    uint8 // header version (0 encodes as hdrVersion; decode reports the peer's)
+	Flags  uint16
+	Seq    uint64  // window sequence (0 for window-exempt kinds)
+	Ack    uint64  // piggybacked cumulative ack (receiver's RTA)
+	MsgID  uint64  // request/response correlation
+	Size   uint32  // application payload size
+	Addr   uint64  // staged buffer address (rendezvous kinds)
+	RKey   uint32  // staged buffer / window rkey
 	Chan   uint32  // receiver-side channel id (QP multiplexing; 0 = exclusive QP)
 	Imm    uint32  // WRITE+imm immediate value (one-sided kinds; 0 otherwise)
 	Tenant uint16  // sender's tenant id (0 = untenanted; meaningful with flagTenant)

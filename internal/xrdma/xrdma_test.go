@@ -2,7 +2,6 @@ package xrdma
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +9,7 @@ import (
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
 	"xrdma/internal/tcpnet"
+	"xrdma/internal/telemetry"
 	"xrdma/internal/verbs"
 	"xrdma/internal/xrmon"
 )
@@ -448,21 +448,24 @@ func TestTracingOneWayLatencyWithSkew(t *testing.T) {
 		t.Fatalf("server offset %v, want ≈-30µs", srvOff)
 	}
 
+	// The per-message estimate goes to the timeline, when it is recording.
+	tel := telemetry.For(eng)
+	tel.Trace.Enable(1 << 8)
 	cli.SendMsg([]byte("traced"), 0, func(*Msg, error) {})
 	eng.Run()
-	recs := c1.Tracer().Records()
-	var reqRec *TraceRecord
-	for i := range recs {
-		if recs[i].Kind == "REQ" {
-			reqRec = &recs[i]
+	var reqEv *telemetry.Event
+	evs := tel.Trace.Events()
+	for i := range evs {
+		if evs[i].Name == "trace.req" && evs[i].Track == "xrdma.1" {
+			reqEv = &evs[i]
 		}
 	}
-	if reqRec == nil {
-		t.Fatal("no REQ trace record at server")
+	if reqEv == nil {
+		t.Fatal("no trace.req instant at server")
 	}
 	// One-way latency must be positive and a few µs, not ±30µs skewed.
-	if reqRec.OneWay < 1*sim.Microsecond || reqRec.OneWay > 20*sim.Microsecond {
-		t.Fatalf("decomposed one-way %v implausible", reqRec.OneWay)
+	if oneWay := sim.Duration(reqEv.Arg); oneWay < 1*sim.Microsecond || oneWay > 20*sim.Microsecond {
+		t.Fatalf("decomposed one-way %v implausible", oneWay)
 	}
 }
 
@@ -997,5 +1000,4 @@ func TestStatsSampleString(t *testing.T) {
 	if len(s) == 0 {
 		t.Fatal("empty channel string")
 	}
-	_ = fmt.Sprintf("%v", TraceRecord{Kind: "RTT", RTT: 5 * sim.Microsecond})
 }

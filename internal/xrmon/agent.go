@@ -215,8 +215,8 @@ func newAgent(col *Collector, node int32, names []string, clamp []bool, tenants 
 
 // Rebind re-resolves every probe against the registry. Called when a
 // context re-registers its gauge families (node restart re-creates the
-// context; Unregister+re-register allocates fresh metric slots that
-// old probes cannot see).
+// context): a resolved probe follows its slot through that, and a name
+// the new instance registers for the first time resolves now.
 func (a *Agent) Rebind() {
 	a.missing = 0
 	for i, name := range a.names {

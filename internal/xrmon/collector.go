@@ -144,9 +144,9 @@ type pendingMatch struct {
 
 func newCollector(eng *sim.Engine) *Collector {
 	c := &Collector{
-		eng:    eng,
-		set:    telemetry.For(eng),
-		byNode: make(map[int32]*Agent),
+		eng:     eng,
+		set:     telemetry.For(eng),
+		byNode:  make(map[int32]*Agent),
 		loc:     make(map[int32]Location),
 		open:    make(map[incidentKey]*Incident),
 		pending: make(map[incidentKey]*pendingMatch),
