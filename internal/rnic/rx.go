@@ -306,12 +306,6 @@ func (n *NIC) handleData(p *fabric.Packet, h *hdr) {
 				return
 			}
 		}
-		if h.Op == OpWriteImm {
-			if qp.assemble == nil {
-				// WriteImm consumes a WQE but we tolerate arrival
-				// before the First branch above only for sends.
-			}
-		}
 		if qp.assemble == nil {
 			a := n.pool.asm()
 			a.op, a.msgLen = h.Op, h.MsgLen

@@ -152,17 +152,6 @@ func (t *Timeline) WriteJSON(w io.Writer, process string) error {
 	return err
 }
 
-// EventCountByName tallies recorded events per name — a test helper for
-// asserting that specific protocol moments (pfc.pause, dcqcn.cut, …)
-// made it onto the timeline.
-func (t *Timeline) EventCountByName() map[string]int {
-	out := map[string]int{}
-	for _, e := range t.Events() {
-		out[e.Name]++
-	}
-	return out
-}
-
 // String summarises the timeline for debugging.
 func (t *Timeline) String() string {
 	var b strings.Builder

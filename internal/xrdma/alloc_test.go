@@ -111,7 +111,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 // buffers. The ceiling is what the code reaches: raising it is a regression
 // to explain.
 func TestConnectCloseAllocs(t *testing.T) {
-	const ceiling = 133
+	const ceiling = 125
 	w := newWorld(t, 2, nil)
 	var srv *Channel
 	w.ctxs[1].OnChannel(func(ch *Channel) {

@@ -118,10 +118,9 @@ type Channel struct {
 	// incident so the blame plane always has hop logs for the tail.
 	blameSuspect int
 
-	// One-sided plane (onesided.go): windows the peer granted us, emulated
-	// reads in flight over the mock transport, and the observers.
+	// One-sided plane (onesided.go): windows the peer granted us, and the
+	// observers.
 	remoteWins  map[uint64]RemoteWindow
-	osReads     map[uint64]*osRead
 	onWindow    func(RemoteWindow)
 	onWinRevoke func(uint64)
 	onWriteImm  func(imm uint32, addr uint64, n int)
@@ -415,14 +414,13 @@ func (ch *Channel) teardown(err error) {
 		ch.lk.detach(ch)
 	}
 	c.Stats.ChannelsClosed++
-	// Fail outstanding requests, and the emulated one-sided reads that can
-	// never complete on a dead channel either.
+	// Fail outstanding requests.
 	failErr := err
 	if failErr == nil {
 		failErr = ErrChannelClosed
 	}
 	ch.failWaiters(failErr)
-	ch.pending, ch.osReads, ch.remoteWins = nil, nil, nil
+	ch.pending, ch.remoteWins = nil, nil
 	ch.attachSettled(failErr) // an attach that will not happen now
 	// Nothing will ack on a dead channel: the queued messages and the unacked
 	// tail give back their staged payloads, records and window credits (the

@@ -14,6 +14,7 @@ import (
 // middleware, not deployment choices, so constants rather than Config fields.
 const (
 	ctrlReserve = 16                   // extra receive buffers and SQ slots for window-exempt control messages (acks, NOPs)
+	pollEvery   = 1 * sim.Microsecond  // busy-polling period of the hybrid poller
 	pollCost    = 60 * sim.Nanosecond  // CPU cost charged per poll iteration
 	perMsgCost  = 100 * sim.Nanosecond // software overhead per dispatched message (X-RDMA's thin data path)
 	traceCost   = 50 * sim.Nanosecond  // extra per message in req-rsp mode (§VII-A: ≈200 ns, 2–4% of a ping-pong)
@@ -109,8 +110,6 @@ type Config struct {
 	// gauges so the registry doesn't balloon at 100k channels (0 = every
 	// channel gets its own row, the legacy behavior).
 	ChannelGaugeLimit int
-	// PollInterval is the busy-polling period of the hybrid poller.
-	PollInterval sim.Duration
 	// RequestTimeout fails pending requests that got no response (0 =
 	// never). Checked by a coarse per-context timer.
 	RequestTimeout sim.Duration
@@ -238,7 +237,6 @@ func DefaultConfig() Config {
 		QPsPerPeer:         0,
 		AttachAdmission:    0,
 		ChannelGaugeLimit:  0,
-		PollInterval:       1 * sim.Microsecond,
 		RequestTimeout:     0,
 		RequestRetries:     0,
 		RetryBackoff:       0,
@@ -359,7 +357,7 @@ var onlineFlags = map[string]func(*Context, string) error{
 
 // offlineFlagNames are the parameters SetFlag refuses by name, not as unknown.
 var offlineFlagNames = strings.Fields(`use_srq srq_size qps_per_peer attach_admission channel_gauge_limit
-	small_msg_size window_depth fragment_size max_outstanding mr_size mem_mode poll_interval
+	small_msg_size window_depth fragment_size max_outstanding mr_size mem_mode
 	request_retries retry_backoff_ms path_rehash_limit path_rehash_cooldown_ms
 	recover_retries recover_backoff_ms recover_dial_timeout_ms failback_interval_ms tenants
 	mem_pool_bytes mem_highwater mem_lowwater tenant_shed_cooldown_ms proto_ver_min proto_ver_max

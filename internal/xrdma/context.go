@@ -47,9 +47,7 @@ type Context struct {
 	wrSeq   uint64
 	msgSeq  uint64
 
-	// One-sided plane (onesided.go): exposed MR windows by window id.
-	windows map[uint64]*Window
-	winSeq  uint64
+	winSeq uint64 // one-sided plane (onesided.go): the last window id handed out
 
 	onChannel func(*Channel)
 
@@ -394,7 +392,7 @@ func (c *Context) DeregMem(mr *rnic.MR) { c.pd.DeregMR(mr) }
 func (c *Context) startPolling() {
 	c.started = true
 	c.lastPoll = c.eng.Now()
-	c.schedulePoll(c.cfg.PollInterval)
+	c.schedulePoll(pollEvery)
 }
 
 func (c *Context) schedulePoll(d sim.Duration) {
@@ -463,7 +461,7 @@ func (c *Context) pollTick() {
 	} else {
 		c.idlePolls = 0
 	}
-	c.schedulePoll(c.cfg.PollInterval)
+	c.schedulePoll(pollEvery)
 }
 
 // pollOnce drains both CQs and dispatches completions, charging the

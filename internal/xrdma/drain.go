@@ -118,7 +118,7 @@ func (c *Context) Drain(cb func(blob []byte)) error {
 
 // drainQuiesced reports whether this channel holds no in-flight work: no
 // unacked windowed messages, nothing queued, no response waiters, no
-// rendezvous pulls, no emulated one-sided reads, no attach in flight.
+// rendezvous pulls, no attach in flight.
 func (ch *Channel) drainQuiesced() bool {
 	if ch.closed {
 		return true
@@ -129,8 +129,7 @@ func (ch *Channel) drainQuiesced() bool {
 	if ch.tx != nil && ch.tx.inflight() > 0 {
 		return false
 	}
-	return ch.sendQ.Len() == 0 && len(ch.pending) == 0 &&
-		len(ch.pulls) == 0 && len(ch.osReads) == 0
+	return ch.sendQ.Len() == 0 && len(ch.pending) == 0 && len(ch.pulls) == 0
 }
 
 // drainScan polls the quiesce condition until it holds or the deadline
@@ -181,22 +180,15 @@ func (c *Context) drainScan() {
 	}
 }
 
-// failWaiters fails every pending response waiter and emulated one-sided
-// read on this channel, in ascending MsgID order (map iteration order must
-// not leak into the deterministic digests). Returns how many were failed.
+// failWaiters fails every pending response waiter on this channel, in
+// ascending MsgID order (map iteration order must not leak into the
+// deterministic digests). Returns how many were failed.
 func (ch *Channel) failWaiters(err error) int {
 	n := 0
 	for _, id := range slices.Sorted(maps.Keys(ch.pending)) {
 		if rs := ch.pending[id]; rs != nil { // not removed by an earlier callback
 			n++
 			ch.settle(rs)(nil, err)
-		}
-	}
-	for _, id := range slices.Sorted(maps.Keys(ch.osReads)) {
-		if rs := ch.osReads[id]; rs != nil {
-			delete(ch.osReads, id)
-			n++
-			rs.cb(nil, err)
 		}
 	}
 	return n

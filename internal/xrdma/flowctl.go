@@ -85,17 +85,9 @@ func (c *Context) complete(rec *msgRec, cqe rnic.CQE, unposted bool) {
 	ok := cqe.Status == rnic.StatusOK
 	switch rec.kind {
 	case recFrame:
-		done := rec.done
 		c.drop(rec, holdNIC)
-		var err error
-		if !ok {
-			err = fmt.Errorf("xrdma: send failed: %v", cqe.Status)
-		}
-		if done != nil {
-			done(err)
-		}
-		if err != nil && l.current(cqe) {
-			l.fail(err)
+		if !ok && l.current(cqe) {
+			l.fail(fmt.Errorf("xrdma: send failed: %v", cqe.Status))
 		}
 	case recProbe: // the keepalive's verdict, unless the link moved on
 		c.drop(rec, holdNIC)

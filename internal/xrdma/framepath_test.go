@@ -321,11 +321,12 @@ func TestFramePathConformance(t *testing.T) {
 				scripts[k] = &frameScript{t: t, cli: cli[k], srv: srv[k]}
 			}
 			// The RDMA links break under the first burst and replay it; the
-			// Mock link carries the whole script over TCP and fails back
-			// under the last step.
+			// Mock link carries every message step over TCP and fails back
+			// under the ping, so the one-sided step — which needs an RDMA path
+			// — runs on the re-adopted QP.
 			cutAt, cutover := 0, func() { cli[0].lk.fail(ErrPeerDead) }
 			if kind == "mock" {
-				cutAt, cutover = len(frameSteps)-1, func() { cli[0].lk.dialReplacement(func(error) {}) } // a failback probe, now
+				cutAt, cutover = len(frameSteps)-2, func() { cli[0].lk.dialReplacement(func(error) {}) } // a failback probe, now
 			}
 			runFrameSteps(t, w.eng, scripts, win, cutAt, cutover)
 

@@ -18,10 +18,11 @@ func FuzzDecodeHdr(f *testing.F) {
 		h.encode(buf)
 		return buf
 	}
-	// Valid headers of every kind — one-sided kinds included, so the
-	// corpus always exercises the WIN_GRANT/WIN_REVOKE/READ_REQ/READ_RESP/
-	// WRITE_IMM layouts — plain and traced.
-	for k := kindReq; k <= kindWriteImm; k++ {
+	// Valid headers of every kind, plain — and of the three retired numbers
+	// behind WIN_REVOKE (an old release's Mock-emulated READ_REQ/READ_RESP/
+	// WRITE_IMM), which stay in the corpus as hostile input.
+	const oldReadReq, oldReadResp, oldWriteImm = kindWinRevoke + 1, kindWinRevoke + 2, kindWinRevoke + 3
+	for k := kindReq; k <= oldWriteImm; k++ {
 		f.Add(mk(wireHdr{Kind: k, Seq: 7, Ack: 3, MsgID: 99, Size: 1024}))
 	}
 	f.Add(mk(wireHdr{Kind: kindResp, Flags: flagTraced, Seq: 1, MsgID: 2, T1: 123456789}))
@@ -30,14 +31,15 @@ func FuzzDecodeHdr(f *testing.F) {
 	f.Add(mk(wireHdr{Kind: kindReq, Flags: flagOneWay, Size: 16}))
 	f.Add(mk(wireHdr{Kind: kindLargeReq, Size: 1 << 20, Addr: 0xdeadbeef, RKey: 42}))
 	// One-sided plane shapes: a window grant (Addr/RKey/Size carry the
-	// window), a revoke (id only), an emulated READ round trip including
-	// the flagged access failure, and a WRITE+imm with a live immediate.
+	// window), a revoke (id only), and what an old release's emulated READ
+	// round trip (including its access-failure flag, bit 1<<3) and WRITE+imm
+	// with a live immediate looked like.
 	f.Add(mk(wireHdr{Kind: kindWinGrant, MsgID: 11, Addr: 0x10000, RKey: 7, Size: 65536}))
 	f.Add(mk(wireHdr{Kind: kindWinRevoke, MsgID: 11}))
-	f.Add(mk(wireHdr{Kind: kindReadReq, MsgID: 12, Addr: 0x10040, RKey: 7, Size: 256}))
-	f.Add(mk(wireHdr{Kind: kindReadResp, MsgID: 12, Size: 256}))
-	f.Add(mk(wireHdr{Kind: kindReadResp, MsgID: 13, Flags: flagRAErr}))
-	f.Add(mk(wireHdr{Kind: kindWriteImm, MsgID: 14, Addr: 0x10080, RKey: 7, Size: 64, Imm: 0xfeedface}))
+	f.Add(mk(wireHdr{Kind: oldReadReq, MsgID: 12, Addr: 0x10040, RKey: 7, Size: 256}))
+	f.Add(mk(wireHdr{Kind: oldReadResp, MsgID: 12, Size: 256}))
+	f.Add(mk(wireHdr{Kind: oldReadResp, MsgID: 13, Flags: 1 << 3}))
+	f.Add(mk(wireHdr{Kind: oldWriteImm, MsgID: 14, Addr: 0x10080, RKey: 7, Size: 64, Imm: 0xfeedface}))
 	// Hostile shapes: empty, short, bad magic, bad version, truncated
 	// trace extension, flag soup.
 	f.Add([]byte{})
@@ -57,11 +59,11 @@ func FuzzDecodeHdr(f *testing.F) {
 	// Hostile one-sided shapes: an unknown future kind, a WRITE+imm whose
 	// Size claims far more payload than any frame carries, and a READ
 	// response cut off mid-header.
-	unknown := mk(wireHdr{Kind: kindWriteImm + 1, Size: 64})
+	unknown := mk(wireHdr{Kind: kindWinRevoke + 4, Size: 64})
 	f.Add(unknown)
-	huge := mk(wireHdr{Kind: kindWriteImm, Size: ^uint32(0), Imm: 1})
+	huge := mk(wireHdr{Kind: oldWriteImm, Size: ^uint32(0), Imm: 1})
 	f.Add(huge)
-	cut := mk(wireHdr{Kind: kindReadResp, MsgID: 9, Size: 512})
+	cut := mk(wireHdr{Kind: oldReadResp, MsgID: 9, Size: 512})
 	f.Add(cut[:50])
 	// Tenant plane shapes: a labelled data frame, a labelled CHAN_OPEN,
 	// the label riding alongside trace+blame extensions, and hostile

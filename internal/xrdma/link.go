@@ -404,7 +404,7 @@ func (l *link) emit(rec *msgRec, h *wireHdr, wireLen int, blame *telemetry.PktBl
 	if l.state == linkFallback {
 		// tcpnet's segments alias what they are given until they land: it gets
 		// a copy to keep, and a control frame's record is done.
-		l.fb.Send(slices.Clone(frame), 0, rec.done)
+		l.fb.Send(slices.Clone(frame), 0, nil)
 		l.c.drop(rec, 0)
 		return
 	}
@@ -418,20 +418,18 @@ func (l *link) emit(rec *msgRec, h *wireHdr, wireLen int, blame *telemetry.PktBl
 	}
 }
 
-// emitCtrl emits a window-exempt frame, optionally with a payload (the Mock
-// emulation of READ_RESP / WRITE_IMM); done, when non-nil, hears the outcome.
-func (l *link) emitCtrl(ch *Channel, h *wireHdr, data []byte, done func(error)) {
+// emitCtrl emits a window-exempt frame: a control frame is a header.
+func (l *link) emitCtrl(ch *Channel, h *wireHdr) {
 	rec := l.c.newRec(recFrame, ch)
-	rec.done = done
-	rec.setPayload(data, 0)
-	l.emit(rec, h, h.wireBytes()+len(data), nil)
+	rec.setPayload(nil, 0)
+	l.emit(rec, h, h.wireBytes(), nil)
 }
 
 // sendCtrl emits a link-level control frame (CHAN_OPEN/ACCEPT/CLOSE) if the
 // QP is up; these are advisory and re-sent by the protocol above.
 func (l *link) sendCtrl(h *wireHdr) {
 	if l.state == linkReady {
-		l.emitCtrl(nil, h, nil, nil)
+		l.emitCtrl(nil, h)
 	}
 }
 
@@ -583,7 +581,7 @@ func (l *link) fail(cause error) {
 		// A QP the path doctor declared sick is still in RTS and carries this;
 		// on a broken one the post just flushes and the initiator's keepalive
 		// finds out on its own.
-		l.emitCtrl(nil, &wireHdr{Kind: kindMuxSick}, nil, nil)
+		l.emitCtrl(nil, &wireHdr{Kind: kindMuxSick})
 	}
 	// Queued unposted frames drop here; requeueUnacked replays them through
 	// the scheduler after adoption.

@@ -23,6 +23,10 @@ import (
 // the RDMA path, so the seq-ack window spans both transports: a cutover
 // in either direction replays the unacked tail and the receiver's window
 // dedups whatever already made it across — exactly-once, both directions.
+//
+// What rides the fallback is the message protocol — windowed messages, all
+// inline, and header-only control frames — and nothing that pretends to be an
+// RNIC: one-sided verbs answer ErrNoPath on a mocked channel (onesided.go).
 
 // listenMock accepts fallback connections for broken channels. A hello
 // can arrive before this side has noticed its own RDMA failure (the two

@@ -220,9 +220,9 @@ func (m *Monitor) PingMatrix(done func(map[fabric.NodeID]map[fabric.NodeID]sim.D
 			done(result)
 		}
 	}
-	for id, c := range m.contexts {
+	for _, id := range m.Nodes() { // ascending: issue order decides the RTTs
 		seen := make(map[fabric.NodeID]bool)
-		for _, ch := range c.Channels() {
+		for _, ch := range m.contexts[id].Channels() {
 			if seen[ch.Peer] || ch.Closed() {
 				continue
 			}

@@ -47,7 +47,7 @@ type msgRec struct {
 	blame   *reqBlame // nil unless the request was blame-sampled
 
 	// Completion consumers of the other kinds.
-	done      func(error)         // a control frame over Mock, recWrite
+	done      func(error)         // recWrite: WriteRemote
 	readCB    func([]byte, error) // recFetch: ReadRemote
 	msg       *Msg                // recFetch: the rendezvous message being pulled
 	parent    *msgRec             // recFrag → its recFetch

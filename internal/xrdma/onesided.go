@@ -15,9 +15,11 @@ import (
 // peer then reads it with RDMA READ (ReadRemote) or updates it with RDMA
 // WRITE+immediate (WriteRemote) — no send window slot, no receiver wakeup
 // on reads, and reliability entirely inherited from the RNIC's shared
-// go-back-N/RTO machinery. Over the TCP mock fallback the same API is
-// emulated with READ_REQ/READ_RESP/WRITE_IMM frames so applications keep
-// working (degraded) through a §VI-C cutover.
+// go-back-N/RTO machinery. Both verbs need a healthy RDMA path: the TCP Mock
+// fallback (§VI-C) carries messages, nothing that pretends to be an RNIC, so on
+// a degraded, recovering or mocked channel they answer ErrNoPath at once and
+// the caller's RPC fallback (Storm: any failed one-sided op becomes an RPC)
+// rides the messages the fallback does carry.
 //
 // Ownership invariants:
 //   - A Window owns a dedicated MR; Revoke deregisters it, so any
@@ -31,16 +33,12 @@ import (
 // Errors surfaced by one-sided operations.
 var (
 	ErrRemoteAccess = errors.New("xrdma: remote access violation")
-	ErrNoPath       = errors.New("xrdma: one-sided op needs a live transport")
+	ErrNoPath       = errors.New("xrdma: one-sided op needs a healthy RDMA path")
 	// errWriteImmShared refuses WriteRemote on a muxed channel: the 32-bit
 	// immediate is the only thing the receiver's completion carries besides
 	// the QPN, so it cannot name which rider of a shared QP to wake.
 	errWriteImmShared = errors.New("xrdma: WRITE+imm needs an exclusive QP (a shared QP's immediate cannot name the channel)")
 )
-
-// flagRAErr marks a mock READ_RESP as a remote-access failure (the TCP
-// emulation's stand-in for the RNIC's access NAK).
-const flagRAErr = 1 << 3
 
 // Window is a locally exposed MR window.
 type Window struct {
@@ -61,13 +59,6 @@ type RemoteWindow struct {
 	Len  int
 }
 
-// osRead tracks one mock-emulated READ in flight (MsgID-correlated).
-type osRead struct {
-	cb    func([]byte, error)
-	start sim.Time
-	size  int
-}
-
 // ExposeWindow registers a dedicated MR of the given size and hands the
 // window back once the (slow, RegCost-modelled) registration completes.
 // The window is not visible to any peer until GrantWindow announces it.
@@ -78,12 +69,7 @@ func (c *Context) ExposeWindow(size int, done func(*Window, error)) {
 			return
 		}
 		c.winSeq++
-		w := &Window{ID: c.winSeq, Len: size, ctx: c, mr: mr}
-		if c.windows == nil {
-			c.windows = make(map[uint64]*Window)
-		}
-		c.windows[w.ID] = w
-		done(w, nil)
+		done(&Window{ID: c.winSeq, Len: size, ctx: c, mr: mr}, nil)
 	})
 }
 
@@ -108,24 +94,7 @@ func (w *Window) Revoke() {
 		return
 	}
 	w.revoked = true
-	delete(w.ctx.windows, w.ID)
 	w.ctx.pd.DeregMR(w.mr)
-}
-
-// lookupWindow resolves an exposed window by rkey with bounds checking —
-// the mock plane's stand-in for Memory.Lookup. At most one window holds a
-// given rkey, so the map scan is order-independent.
-func (c *Context) lookupWindow(rkey uint32, addr uint64, size int) *Window {
-	for _, w := range c.windows {
-		if w.mr.RKey != rkey {
-			continue
-		}
-		if addr >= w.mr.Base && addr+uint64(size) <= w.mr.Base+uint64(w.Len) {
-			return w
-		}
-		return nil
-	}
-	return nil
 }
 
 // GrantWindow announces a window to this channel's peer over the ctrl
@@ -141,14 +110,14 @@ func (ch *Channel) GrantWindow(w *Window) {
 	ch.sendCtrlHdr(&wireHdr{
 		Kind: kindWinGrant, MsgID: w.ID,
 		Addr: w.mr.Base, RKey: w.mr.RKey, Size: uint32(w.Len),
-	}, nil, nil)
+	})
 }
 
 // RevokeWindow tells the peer the window is gone and enforces the
 // revocation locally (deregistering the MR). The frame is advisory; the
 // deregistration is the guarantee.
 func (ch *Channel) RevokeWindow(w *Window) {
-	ch.sendCtrlHdr(&wireHdr{Kind: kindWinRevoke, MsgID: w.ID}, nil, nil)
+	ch.sendCtrlHdr(&wireHdr{Kind: kindWinRevoke, MsgID: w.ID})
 	w.Revoke()
 }
 
@@ -175,8 +144,8 @@ func (ch *Channel) PeerWindow(id uint64) (RemoteWindow, bool) {
 // fragmented RDMA READ (flow-controlled like the rendezvous path). cb
 // receives the data — valid only during the callback — or an error; a
 // remote-access NAK surfaces as ErrRemoteAccess wrapped in the error and
-// breaks the channel, exactly as the hardware would break the QP. Over
-// the TCP mock the read is emulated with READ_REQ/READ_RESP frames.
+// breaks the channel, exactly as the hardware would break the QP. Without a
+// healthy RDMA path cb hears ErrNoPath synchronously: nothing goes on any wire.
 func (ch *Channel) ReadRemote(win RemoteWindow, off uint64, size int, cb func([]byte, error)) {
 	c := ch.ctx
 	if ch.closed {
@@ -188,24 +157,7 @@ func (ch *Channel) ReadRemote(win RemoteWindow, off uint64, size int, cb func([]
 		ch.requestAttach()
 		return
 	}
-	start := c.eng.Now()
-	id := c.nextMsgID()
 	ch.Counters.Reads++
-	if ch.lk.state == linkFallback {
-		if ch.lk.fb == nil {
-			cb(nil, ErrNoPath)
-			return
-		}
-		if ch.osReads == nil {
-			ch.osReads = make(map[uint64]*osRead)
-		}
-		ch.osReads[id] = &osRead{cb: cb, start: start, size: size}
-		ch.sendCtrlHdr(&wireHdr{
-			Kind: kindReadReq, MsgID: id,
-			Addr: win.Addr + off, RKey: win.RKey, Size: uint32(size),
-		}, nil, nil)
-		return
-	}
 	if ch.health != HealthHealthy {
 		// Speculative op with no path: fail fast so the caller's RPC
 		// fallback engages instead of queueing behind recovery.
@@ -213,7 +165,7 @@ func (ch *Channel) ReadRemote(win RemoteWindow, off uint64, size int, cb func([]
 		return
 	}
 	op := c.newRec(recFetch, ch)
-	op.readCB, op.msgID, op.enqAt, op.size = cb, id, start, size
+	op.readCB, op.msgID, op.enqAt, op.size = cb, c.nextMsgID(), c.eng.Now(), size
 	op.wr.RAddr, op.wr.RKey = win.Addr+off, win.RKey
 	ch.fetch(op)
 }
@@ -291,10 +243,10 @@ func (ch *Channel) readDone(id uint64, start sim.Time, size int, buf Buffer, st 
 // WriteRemote places data into the peer window at offset off with RDMA
 // WRITE+immediate; the peer's OnWriteImm handler fires with imm once the
 // data is placed. cb(nil) fires when the local completion (hardware ack)
-// confirms remote placement. Over the TCP mock the write travels inline
-// as a WRITE_IMM frame and cb fires on TCP delivery. WRITE+imm needs an
-// exclusive QP: on a muxed channel it fails before anything is posted
-// (ReadRemote, which wakes nobody, works on either).
+// confirms remote placement; without a healthy RDMA path it hears ErrNoPath
+// synchronously, as ReadRemote's does. WRITE+imm needs an exclusive QP: on a
+// muxed channel it fails before anything is posted (ReadRemote, which wakes
+// nobody, works on either).
 func (ch *Channel) WriteRemote(win RemoteWindow, off uint64, data []byte, imm uint32, cb func(error)) {
 	c := ch.ctx
 	if ch.closed {
@@ -305,31 +257,13 @@ func (ch *Channel) WriteRemote(win RemoteWindow, off uint64, data []byte, imm ui
 		cb(errWriteImmShared)
 		return
 	}
-	start := c.eng.Now()
-	id := c.nextMsgID()
 	ch.Counters.Writes++
-	if ch.lk.state == linkFallback {
-		h := &wireHdr{
-			Kind: kindWriteImm, MsgID: id, Imm: imm,
-			Addr: win.Addr + off, RKey: win.RKey, Size: uint32(len(data)),
-		}
-		ch.sendCtrlHdr(h, data, func(err error) {
-			if err != nil {
-				cb(err)
-				return
-			}
-			ch.Counters.WriteBytes += int64(len(data))
-			ch.noteOneSided(telemetry.StageWriteFlush, id, start)
-			cb(nil)
-		})
-		return
-	}
 	if ch.health != HealthHealthy {
 		cb(ErrNoPath)
 		return
 	}
 	rec := c.newRec(recWrite, ch)
-	rec.done, rec.msgID, rec.enqAt, rec.size = cb, id, start, len(data)
+	rec.done, rec.msgID, rec.enqAt, rec.size = cb, c.nextMsgID(), c.eng.Now(), len(data)
 	rec.qp = ch.lk.qp
 	rec.wr = rnic.SendWR{
 		Op: rnic.OpWriteImm, Len: len(data), Data: data,
@@ -366,7 +300,7 @@ func (ch *Channel) noteOneSided(stage telemetry.Stage, id uint64, start sim.Time
 	c := ch.ctx
 	d := c.eng.Now().Sub(start)
 	c.tel.Trace.Complete(stage.String(), c.track, start, d, int64(id))
-	if c.cfg.ReqRspMode && ch.lk.state != linkFallback && ch.blameSampled(id) {
+	if c.cfg.ReqRspMode && ch.blameSampled(id) {
 		rec := telemetry.BlameRec{
 			MsgID: id, Node: int32(c.Node()), QPN: ch.QPN(),
 			At: start, RTT: d,
@@ -376,7 +310,7 @@ func (ch *Channel) noteOneSided(stage telemetry.Stage, id uint64, start sim.Time
 	}
 }
 
-// --- inbound (ctrl-plane + mock emulation) ----------------------------------
+// --- inbound (ctrl-plane) ----------------------------------------------------
 
 // handleWinGrant records a peer-granted window.
 func (ch *Channel) handleWinGrant(h *wireHdr) {
@@ -395,69 +329,5 @@ func (ch *Channel) handleWinRevoke(h *wireHdr) {
 	delete(ch.remoteWins, h.MsgID)
 	if ch.onWinRevoke != nil {
 		ch.onWinRevoke(h.MsgID)
-	}
-}
-
-// serveMockRead answers an emulated READ: bounds-check against the
-// exposed windows (the mock plane's Memory.Lookup) and reply with the
-// bytes or a flagged access failure — never a silent drop.
-func (ch *Channel) serveMockRead(h *wireHdr) {
-	c := ch.ctx
-	size := int(h.Size)
-	w := c.lookupWindow(h.RKey, h.Addr, size)
-	if w == nil && size > 0 {
-		ch.Counters.RemoteAccessErrs++
-		now := c.eng.Now()
-		c.tel.Flight.Record(now, telemetry.CatRemoteAccess, int32(c.Node()), ch.QPN(), int64(ch.Peer), 3)
-		c.tel.Trace.Instant("remote.access", c.track, now, int64(h.MsgID))
-		ch.sendCtrlHdr(&wireHdr{Kind: kindReadResp, MsgID: h.MsgID, Flags: flagRAErr}, nil, nil)
-		return
-	}
-	resp := &wireHdr{Kind: kindReadResp, MsgID: h.MsgID, Size: h.Size}
-	var data []byte
-	if size > 0 {
-		data = w.mr.Slice(h.Addr, size)
-	}
-	ch.sendCtrlHdr(resp, data, nil)
-}
-
-// resolveMockRead completes an emulated READ at the requester.
-func (ch *Channel) resolveMockRead(h *wireHdr, pay []byte) {
-	st, ok := ch.osReads[h.MsgID]
-	if !ok {
-		return
-	}
-	delete(ch.osReads, h.MsgID)
-	if h.Flags&flagRAErr != 0 {
-		ch.Counters.RemoteAccessErrs++
-		st.cb(nil, ErrRemoteAccess)
-		return
-	}
-	ch.Counters.ReadBytes += int64(h.Size)
-	ch.noteOneSided(telemetry.StageReadFetch, h.MsgID, st.start)
-	st.cb(pay, nil)
-}
-
-// applyMockWrite places an emulated WRITE+imm into the target window and
-// wakes the application, mirroring the RNIC's DMA + immediate delivery.
-// A violation is counted and flight-recorded on the responder (the mock
-// transport has no NAK to send back — the write already "completed" at
-// the TCP layer).
-func (ch *Channel) applyMockWrite(h *wireHdr, pay []byte) {
-	c := ch.ctx
-	size := int(h.Size)
-	w := c.lookupWindow(h.RKey, h.Addr, size)
-	if w == nil && size > 0 {
-		ch.Counters.RemoteAccessErrs++
-		now := c.eng.Now()
-		c.tel.Flight.Record(now, telemetry.CatRemoteAccess, int32(c.Node()), ch.QPN(), int64(ch.Peer), 4)
-		c.tel.Trace.Instant("remote.access", c.track, now, int64(h.MsgID))
-		return
-	}
-	if size > 0 && pay != nil {
-		copy(w.mr.Slice(h.Addr, size), pay)
-	}
-	if ch.onWriteImm != nil {
-		ch.onWriteImm(h.Imm, h.Addr, size)
 	}
 }

@@ -160,77 +160,209 @@ func TestOneSidedWindowRevokeFrame(t *testing.T) {
 	}
 }
 
-// TestOneSidedMockEmulation drives the same window API over the TCP
-// fallback: reads and writes keep working (degraded), and a bounds
-// violation surfaces as ErrRemoteAccess counted at both ends instead of
-// a silent drop.
-func TestOneSidedMockEmulation(t *testing.T) {
-	w := newWorld(t, 2, func(i int, cfg *Config) { cfg.MockEnabled = true })
-	cli, srv := w.connect(t, 0, 1, 5304)
-	if err := cli.ForceMock(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.ForceMock(); err != nil {
-		t.Fatal(err)
-	}
-	w.eng.RunFor(10 * sim.Millisecond)
-	if !cli.Mocked() || !srv.Mocked() {
-		t.Fatal("mock cutover failed")
-	}
-	win, rw := exposeGranted(t, w, cli, srv, 2048)
-	pat := win.Bytes()
-	for i := range pat {
-		pat[i] = byte(i * 3)
-	}
-
-	var got []byte
-	cli.ReadRemote(rw, 64, 512, func(b []byte, err error) {
-		if err != nil {
-			t.Fatalf("mock read: %v", err)
+// TestOneSidedNeedsRDMAPath holds the one rule for one-sided verbs off the
+// healthy path: the TCP fallback carries messages, nothing that pretends to be
+// an RNIC. On a channel that is degraded, recovering or mocked ReadRemote and
+// WriteRemote answer ErrNoPath synchronously — nothing reaches the peer, the
+// channel stays up, messages (the caller's RPC fallback) still flow — and
+// after a failback both work again on the re-adopted QP.
+func TestOneSidedNeedsRDMAPath(t *testing.T) {
+	// until steps the engine to the first instant cond holds.
+	until := func(t *testing.T, w *testWorld, what string, cond func() bool) {
+		t.Helper()
+		for i := 0; !cond(); i++ {
+			if i == 4000 {
+				t.Fatalf("never reached: %s", what)
+			}
+			w.eng.RunFor(50 * sim.Microsecond)
 		}
-		got = append([]byte(nil), b...)
-	})
-	w.eng.Run()
-	if !bytes.Equal(got, pat[64:64+512]) {
-		t.Fatal("mock-emulated read corrupted")
 	}
-	if cli.Counters.Reads != 1 || cli.Counters.ReadBytes != 512 {
-		t.Fatalf("mock read counters: %+v", cli.Counters)
+	forceMock := func(t *testing.T, chs ...*Channel) {
+		t.Helper()
+		for _, ch := range chs {
+			if err := ch.ForceMock(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		served bool // the state has a healthy RDMA path: both verbs succeed
+		reach  func(t *testing.T, w *testWorld, cli, srv *Channel)
+	}{
+		{"degraded, redial pending", false, func(t *testing.T, w *testWorld, cli, _ *Channel) {
+			cli.fail(ErrPeerDead)
+			if cli.Health() != HealthDegraded || cli.lk.dialing != nil {
+				t.Fatalf("health=%v dialing=%v, want degraded behind its backoff", cli.Health(), cli.lk.dialing != nil)
+			}
+		}},
+		{"recovering, dial in flight", false, func(t *testing.T, w *testWorld, cli, _ *Channel) {
+			cli.fail(ErrPeerDead)
+			until(t, w, "a redial in flight", func() bool { return cli.lk.dialing != nil })
+			if cli.Health() != HealthRecovering {
+				t.Fatalf("health=%v with a dial in flight, want recovering", cli.Health())
+			}
+		}},
+		{"fallback, conn attached", false, func(t *testing.T, w *testWorld, cli, srv *Channel) {
+			forceMock(t, cli, srv)
+			until(t, w, "Mock conn attached at both ends", func() bool { return cli.lk.fb != nil && srv.lk.fb != nil })
+		}},
+		{"fallback, conn not yet attached", false, func(t *testing.T, w *testWorld, cli, srv *Channel) {
+			forceMock(t, cli, srv)
+			if !cli.Mocked() || cli.lk.fb != nil {
+				t.Fatalf("mocked=%v conn=%v, want the fallback still dialing", cli.Mocked(), cli.lk.fb != nil)
+			}
+		}},
+		{"healthy again after failback", true, func(t *testing.T, w *testWorld, cli, srv *Channel) {
+			forceMock(t, cli, srv)
+			until(t, w, "the failback probe's adoption", func() bool {
+				return w.ctxs[0].Stats.Failbacks == 1 && cli.Health() == HealthHealthy && srv.Health() == HealthHealthy
+			})
+			if cli.Mocked() || srv.Mocked() {
+				t.Fatal("still mocked after the failback")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newRecoverWorld(t, 2, nil)
+			cli, srv := w.connect(t, 0, 1, 5304)
+			echoServer(srv)
+			win, rw := exposeGranted(t, w, cli, srv, 2048)
+			pat := win.Bytes()
+			for i := range pat {
+				pat[i] = byte(i * 3)
+			}
+			want := append([]byte(nil), pat...)
+			var imms []uint32
+			srv.OnWriteImm(func(imm uint32, _ uint64, _ int) { imms = append(imms, imm) })
+			tc.reach(t, w, cli, srv)
+
+			var (
+				read           []byte
+				readErr, wrErr error
+				readCBs, wrCBs int
+				data           = []byte("needs a healthy RDMA path")
+				posted         = len(w.ctxs[0].posted)
+				tcpRecvd       = w.ctxs[1].tcp.MsgsRecv
+			)
+			const readAt, writeAt = 64, 1024
+			cli.ReadRemote(rw, readAt, 512, func(b []byte, err error) {
+				read, readErr = append([]byte(nil), b...), err
+				readCBs++
+			})
+			cli.WriteRemote(rw, writeAt, data, 42, func(err error) {
+				wrErr = err
+				wrCBs++
+			})
+			if !tc.served {
+				if readCBs != 1 || wrCBs != 1 || !errors.Is(readErr, ErrNoPath) || !errors.Is(wrErr, ErrNoPath) {
+					t.Fatalf("on return: read %d×%v, write %d×%v, want both refused with ErrNoPath at once", readCBs, readErr, wrCBs, wrErr)
+				}
+				// Nothing went on either wire for them: no WR posted, and an
+				// attached Mock conn carried no frame.
+				if len(w.ctxs[0].posted) != posted {
+					t.Fatal("a refused one-sided op posted a work request")
+				}
+				if cli.lk.fb != nil {
+					w.eng.RunFor(sim.Millisecond)
+					if got := w.ctxs[1].tcp.MsgsRecv; got != tcpRecvd {
+						t.Fatalf("a refused one-sided op sent %d TCP messages", got-tcpRecvd)
+					}
+				}
+			}
+			// Messages are what the fallback carries (and what a recovery
+			// replays): the RPC a caller falls back to completes.
+			var echoed []byte
+			if err := cli.SendMsg([]byte("rpc fallback"), 0, func(m *Msg, err error) {
+				if err != nil {
+					t.Fatalf("echo: %v", err)
+				}
+				echoed = m.Retain()
+			}); err != nil {
+				t.Fatal(err)
+			}
+			until(t, w, "the echo", func() bool { return echoed != nil })
+			w.eng.RunFor(5 * sim.Millisecond)
+			if string(echoed) != "rpc fallback" {
+				t.Fatalf("echo returned %q", echoed)
+			}
+			if cli.Closed() || srv.Closed() {
+				t.Fatal("the channel did not survive")
+			}
+			if readCBs != 1 || wrCBs != 1 {
+				t.Fatalf("callbacks fired read=%d write=%d times, want once each", readCBs, wrCBs)
+			}
+			if cli.Counters.Reads != 1 || cli.Counters.Writes != 1 {
+				t.Fatalf("attempts counted reads=%d writes=%d, want 1 and 1", cli.Counters.Reads, cli.Counters.Writes)
+			}
+			if tc.served {
+				copy(want[writeAt:], data)
+				if readErr != nil || wrErr != nil || !bytes.Equal(read, want[readAt:readAt+512]) {
+					t.Fatalf("on the re-adopted QP: read err=%v (%d bytes), write err=%v", readErr, len(read), wrErr)
+				}
+				if len(imms) != 1 || imms[0] != 42 {
+					t.Fatalf("OnWriteImm saw %v, want [42]", imms)
+				}
+				if cli.Counters.ReadBytes != 512 || cli.Counters.WriteBytes != int64(len(data)) {
+					t.Fatalf("byte counters: %+v", cli.Counters)
+				}
+			} else {
+				if len(imms) != 0 {
+					t.Fatalf("OnWriteImm fired (%v) for a refused write", imms)
+				}
+				if cli.Counters.ReadBytes != 0 || cli.Counters.WriteBytes != 0 ||
+					cli.Counters.RemoteAccessErrs != 0 || srv.Counters.RemoteAccessErrs != 0 {
+					t.Fatalf("refused ops moved counters: cli=%+v srv=%+v", cli.Counters, srv.Counters)
+				}
+			}
+			if !bytes.Equal(win.Bytes(), want) {
+				t.Fatal("window bytes are not what the served ops (if any) left")
+			}
+		})
 	}
 
-	var imm uint32
-	var fired bool
-	srv.OnWriteImm(func(i uint32, _ uint64, _ int) { imm, fired = i, true })
-	data := []byte("degraded but correct")
-	cli.WriteRemote(rw, 0, data, 42, func(err error) {
-		if err != nil {
-			t.Fatalf("mock write: %v", err)
+	// A peer still running a release that emulated the verbs over the Mock conn
+	// emits kinds this build retired. They are hostile input like any unknown
+	// kind: logged, ignored — not parsed, not answered.
+	t.Run("retired kind over the Mock conn", func(t *testing.T) {
+		w := newRecoverWorld(t, 2, func(_ int, cfg *Config) { cfg.FailbackInterval = 0 })
+		cli, srv := w.connect(t, 0, 1, 5304)
+		win, rw := exposeGranted(t, w, cli, srv, 2048)
+		want := append([]byte(nil), win.Bytes()...)
+		fired := false
+		srv.OnWriteImm(func(uint32, uint64, int) { fired = true })
+		forceMock(t, cli, srv)
+		until(t, w, "Mock conn attached at both ends", func() bool { return cli.lk.fb != nil && srv.lk.fb != nil })
+		w.eng.RunFor(sim.Millisecond)
+
+		logged, recvd := len(w.ctxs[1].Log()), w.ctxs[0].tcp.MsgsRecv
+		pay := bytes.Repeat([]byte{0xEE}, 64)
+		for k := kindWinRevoke + 1; k <= kindWinRevoke+3; k++ { // were READ_REQ, READ_RESP, WRITE_IMM
+			h := wireHdr{Kind: k, MsgID: 77, Addr: rw.Addr, RKey: rw.RKey, Size: uint32(len(pay)), Imm: 9}
+			frame := make([]byte, h.wireBytes(), h.wireBytes()+len(pay))
+			h.encode(frame)
+			srv.lk.ingest(append(frame, pay...), 0, true, nil)
+		}
+		w.eng.RunFor(5 * sim.Millisecond)
+		var unknown int
+		for _, e := range w.ctxs[1].Log()[logged:] {
+			if strings.Contains(e.Text, "unknown message kind") {
+				unknown++
+			}
+		}
+		if unknown != 3 {
+			t.Fatalf("%d of the 3 retired-kind frames were logged as unknown", unknown)
+		}
+		if fired || !bytes.Equal(win.Bytes(), want) || srv.Counters.RemoteAccessErrs != 0 {
+			t.Fatal("a retired WRITE_IMM frame was applied")
+		}
+		if got := w.ctxs[0].tcp.MsgsRecv; got != recvd {
+			t.Fatalf("the peer answered a retired frame (%d messages over the Mock conn)", got-recvd)
+		}
+		if cli.Closed() || srv.Closed() || !srv.Mocked() {
+			t.Fatal("the channel did not survive hostile input")
 		}
 	})
-	w.eng.Run()
-	if !fired || imm != 42 {
-		t.Fatalf("mock write wakeup: fired=%v imm=%d", fired, imm)
-	}
-	if !bytes.Equal(win.Bytes()[:len(data)], data) {
-		t.Fatal("mock write payload did not land")
-	}
-
-	// Out-of-bounds read: the responder bounds-checks against its exposed
-	// windows and answers with a flagged failure, never a silent drop.
-	var gotErr error
-	cli.ReadRemote(rw, uint64(rw.Len), 64, func(_ []byte, err error) { gotErr = err })
-	w.eng.Run()
-	if !errors.Is(gotErr, ErrRemoteAccess) {
-		t.Fatalf("mock violation: want ErrRemoteAccess, got %v", gotErr)
-	}
-	if cli.Counters.RemoteAccessErrs != 1 || srv.Counters.RemoteAccessErrs != 1 {
-		t.Fatalf("violation counters: cli=%+v srv=%+v", cli.Counters, srv.Counters)
-	}
-	// Mock mode is the degraded plane: the violation must NOT tear the
-	// channel down (there is no QP to break).
-	if cli.Closed() || srv.Closed() {
-		t.Fatal("mock violation must not close the channel")
-	}
 }
 
 func TestOneSidedClosedChannel(t *testing.T) {

@@ -363,10 +363,6 @@ func (ch *Channel) doctorRef() *pathDoctor {
 // channel's network path.
 func (ch *Channel) PathVerdict() PathVerdict { return ch.doctorRef().verdict }
 
-// PathScore reports the EWMA path score in centi-points (what the
-// path_score gauge exports).
-func (ch *Channel) PathScore() int64 { return int64(ch.doctorRef().score * 100) }
-
 // Rehashes reports lifetime flow-label rotations on this channel's path.
 func (ch *Channel) Rehashes() int64 { return ch.doctorRef().rehashes }
 

@@ -507,31 +507,69 @@ func TestParkedMockConnExpiryRaceOrders(t *testing.T) {
 	}
 }
 
-// TestParkedMockConnBuffersEarlyFrames (satellite): a dialer that
-// attaches and replays before this side notices its own failure must not
-// lose those frames — the parked conn buffers them and the claim replays
-// them into the channel.
+// TestParkedMockConnBuffersEarlyFrames: a dialer that switches to the Mock,
+// attaches and sends before the listening side has switched must not lose
+// those frames. The listener will not follow a peer-initiated switch
+// (MockEnabled off), so the hello finds a live channel nobody may mock: the
+// conn is parked and buffers what arrives; when the listener switches on its
+// own it claims the parked conn and the buffered frames are delivered exactly
+// once, in order.
 func TestParkedMockConnBuffersEarlyFrames(t *testing.T) {
-	// Disable recovery dials on the client so a NIC loss goes straight to
-	// mock; leave the server's keepalive slow so the client's dial is
-	// parked for a long stretch while the server still thinks the channel
-	// is fine.
-	w := newRecoverWorld(t, 2, func(i int, cfg *Config) {
-		cfg.RecoverRetries = 1
-		if i == 1 {
-			cfg.KeepaliveInterval = 40 * sim.Millisecond
-			cfg.KeepaliveTimeout = 160 * sim.Millisecond
-		}
-	})
+	w := newWorld(t, 2, func(i int, cfg *Config) { cfg.MockEnabled = i == 0 })
 	cli, srv := w.connect(t, 0, 1, 5000)
-	s := newIDStream(srv)
-	s.run(w.eng, cli, 500*sim.Microsecond, 100*sim.Millisecond)
-	w.eng.AfterBg(20*sim.Millisecond, func() { w.nics[1].Crash() })
-	w.eng.RunFor(600 * sim.Millisecond)
-	if !cli.Mocked() || !srv.Mocked() {
-		t.Fatalf("mocked: cli=%v srv=%v", cli.Mocked(), srv.Mocked())
+	var seen []uint64
+	srv.OnMessage(func(m *Msg) {
+		seen = append(seen, binary.LittleEndian.Uint64(m.Data))
+		m.Reply(m.Retain(), 0)
+	})
+	if err := cli.ForceMock(); err != nil {
+		t.Fatal(err)
 	}
-	s.check(t)
+	w.eng.RunFor(sim.Millisecond)
+	if n := len(w.ctxs[1].mockParked); n != 1 || cli.lk.fb == nil || srv.Mocked() {
+		t.Fatalf("parked=%d dialer attached=%v listener mocked=%v, want the hello parked under a live channel",
+			n, cli.lk.fb != nil, srv.Mocked())
+	}
+	parked := w.ctxs[1].mockParked[0]
+	resps := 0
+	for id := uint64(1); id <= 3; id++ {
+		buf := make([]byte, 16)
+		binary.LittleEndian.PutUint64(buf, id)
+		if err := cli.SendMsg(buf, 0, func(m *Msg, err error) {
+			if err != nil || binary.LittleEndian.Uint64(m.Data) != id {
+				t.Errorf("response to %d: %v", id, err)
+			}
+			resps++
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.eng.RunFor(sim.Millisecond)
+	if len(parked.buf) != 3 || len(seen) != 0 {
+		t.Fatalf("parked conn buffered %d frames, %d delivered early; want 3 and 0", len(parked.buf), len(seen))
+	}
+
+	if err := srv.ForceMock(); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.ctxs[1].mockParked) != 0 || srv.lk.fb != parked.conn {
+		t.Fatal("the listener's switch did not claim the parked conn")
+	}
+	w.eng.RunFor(5 * sim.Millisecond)
+	if fmt.Sprint(seen) != "[1 2 3]" {
+		t.Fatalf("delivered %v, want the three buffered requests exactly once, in order", seen)
+	}
+	if resps != 3 || cli.Inflight() != 0 {
+		t.Fatalf("%d responses, %d still in flight", resps, cli.Inflight())
+	}
+	// The grace timer finds its entry long claimed.
+	w.eng.RunFor(2 * w.ctxs[1].mockGrace())
+	if cli.Closed() || srv.Closed() || !cli.Mocked() || !srv.Mocked() || srv.lk.fb != parked.conn {
+		t.Fatal("the claimed conn did not stay the channel's fallback")
+	}
+	if fmt.Sprint(seen) != "[1 2 3]" {
+		t.Fatalf("delivered %v after the grace", seen)
+	}
 }
 
 // TestKeepaliveDeathMidRendezvousNoLeak (satellite): when the peer dies

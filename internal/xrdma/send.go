@@ -339,32 +339,19 @@ func (ch *Channel) blameSampled(msgID uint64) bool {
 
 // sendCtrl emits a window-exempt control message (ack/NOP/path hint).
 func (ch *Channel) sendCtrl(kind msgKind) {
-	ch.sendCtrlHdr(&wireHdr{Kind: kind}, nil, nil)
+	ch.sendCtrlHdr(&wireHdr{Kind: kind})
 }
 
-// sendCtrlHdr emits a window-exempt frame, optionally carrying a payload
-// (the Mock emulation of READ_RESP / WRITE_IMM). Control traffic is
-// advisory — cumulative acks re-ride the next message — so without a live
-// path the frame is dropped. done, when non-nil, hears that as an error, and
-// otherwise fires once the frame is handed to the transport.
-func (ch *Channel) sendCtrlHdr(h *wireHdr, data []byte, done func(error)) {
-	var err error
-	switch {
-	case ch.closed || ch.rx == nil:
-		// rx is nil only on an unattached mux descriptor — there is no wire
-		// yet to put a control frame on.
-		err = ErrChannelClosed
-	case !ch.pathUp():
-		err = ErrNoPath
-	}
-	if err != nil {
-		if done != nil {
-			done(err)
-		}
+// sendCtrlHdr emits a window-exempt frame: a header, no payload. Control
+// traffic is advisory — cumulative acks re-ride the next message — so without
+// a live path the frame is dropped. (rx is nil only on an unattached mux
+// descriptor: there is no wire yet to put a control frame on.)
+func (ch *Channel) sendCtrlHdr(h *wireHdr) {
+	if ch.closed || ch.rx == nil || !ch.pathUp() {
 		return
 	}
 	h.Ver, h.Ack, h.Chan = ch.lk.ver, ch.rx.ackValue(), ch.peerCID
-	ch.lk.emitCtrl(ch, h, data, done)
+	ch.lk.emitCtrl(ch, h)
 	if h.Kind == kindAck {
 		ch.Counters.AcksSent++
 		ch.ctx.Stats.AcksSent++
@@ -463,19 +450,13 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 		// The pong carries this node's clock (trace extension) so the
 		// pinger can estimate the offset, NTP-style.
 		pong := &wireHdr{Kind: kindPong, MsgID: h.MsgID, Flags: flagTraced, T1: int64(c.LocalClock())}
-		ch.sendCtrlHdr(pong, nil, nil)
+		ch.sendCtrlHdr(pong)
 	case kindPong:
 		ch.resolvePing(h)
 	case kindWinGrant:
 		ch.handleWinGrant(h)
 	case kindWinRevoke:
 		ch.handleWinRevoke(h)
-	case kindReadReq:
-		ch.serveMockRead(h)
-	case kindReadResp:
-		ch.resolveMockRead(h, pay)
-	case kindWriteImm:
-		ch.applyMockWrite(h, pay)
 	case kindReq, kindResp:
 		size := int(h.Size)
 		msg := &Msg{
@@ -659,7 +640,7 @@ func (ch *Channel) Ping(cb func(rtt sim.Duration, offset sim.Duration, err error
 		ch.pings = make(map[uint64]*pingState)
 	}
 	ch.pings[id] = &pingState{sentAt: ch.ctx.eng.Now(), sentClock: ch.ctx.LocalClock(), cb: cb}
-	ch.sendCtrlHdr(&wireHdr{Kind: kindPing, MsgID: id}, nil, nil)
+	ch.sendCtrlHdr(&wireHdr{Kind: kindPing, MsgID: id})
 }
 
 func (ch *Channel) resolvePing(h *wireHdr) {

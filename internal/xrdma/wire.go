@@ -57,26 +57,26 @@ const (
 	kindPathHint   // path doctor: receiver-side symptoms implicate the peer's TX path
 	kindWinGrant   // one-sided plane: peer exposes an MR window (Addr/RKey/Size, MsgID = window id)
 	kindWinRevoke  // one-sided plane: peer withdrew a window (MsgID = window id)
-	kindReadReq    // one-sided plane, mock fallback: emulated RDMA READ request
-	kindReadResp   // one-sided plane, mock fallback: emulated READ response segment, payload inline
-	kindWriteImm   // one-sided plane, mock fallback: emulated WRITE+imm, payload inline, Imm notifies
+	// The next three numbers are retired, not free: a release that emulated
+	// READ/WRITE+imm over the Mock conn emitted them. They reach handleWire's
+	// default arm — logged and dropped, never parsed.
 )
 
 func (k msgKind) String() string {
 	names := [...]string{"REQ", "RESP", "ACK", "NOP", "LARGE_REQ", "LARGE_RESP", "READ_DONE", "PING", "PONG",
 		"CHAN_OPEN", "CHAN_ACCEPT", "CHAN_CLOSE", "MUX_SICK", "PATH_HINT",
-		"WIN_GRANT", "WIN_REVOKE", "READ_REQ", "READ_RESP", "WRITE_IMM"}
+		"WIN_GRANT", "WIN_REVOKE"}
 	if int(k) < len(names) {
 		return names[k]
 	}
 	return "?"
 }
 
-// windowed reports whether this kind occupies a seq-ack window slot.
-// Control messages are window-exempt so acks can always flow; the
-// one-sided kinds are window-exempt by design — real RDMA READ/WRITE
-// never wakes the receiver's send window, and the mock emulation must
-// preserve that property.
+// windowed reports whether this kind occupies a seq-ack window slot: the
+// kinds that carry an application message. Everything else is a control
+// frame — a bare header, window-exempt so acks can always flow. One-sided
+// READ/WRITE are not frames at all: they are RNIC verbs and never touch the
+// window (onesided.go).
 func (k msgKind) windowed() bool {
 	switch k {
 	case kindReq, kindResp, kindLargeReq, kindLargeResp:
@@ -89,7 +89,7 @@ const (
 	flagTraced = 1 << iota // trace extension present
 	flagOneWay             // request wants no response
 	flagBlame              // causal blame trace: responses carry the stage mirror
-	_                      // 1<<3 is flagRAErr (one-sided plane, onesided.go)
+	_                      // 1<<3 is retired (a Mock-emulated READ's access error); reserved so flagTenant keeps its bit
 	flagTenant             // tenant label extension present, Tenant field meaningful
 )
 
@@ -105,7 +105,7 @@ type wireHdr struct {
 	Addr   uint64  // staged buffer address (rendezvous kinds)
 	RKey   uint32  // staged buffer / window rkey
 	Chan   uint32  // receiver-side channel id (QP multiplexing; 0 = exclusive QP)
-	Imm    uint32  // WRITE+imm immediate value (one-sided kinds; 0 otherwise)
+	Imm    uint32  // bytes 50..53: no current kind sets it (the retired Mock WRITE+imm did); still round-tripped
 	Tenant uint16  // sender's tenant id (0 = untenanted; meaningful with flagTenant)
 	TLabel [8]byte // tenant label extension payload (flagTenant only)
 	T1     int64   // trace: sender clock at send (req-rsp mode)
@@ -152,8 +152,8 @@ func (h *wireHdr) encode(buf []byte) int {
 	// Bytes 46..49 were reserved-zero until the mux plane claimed them, so
 	// a zero Chan keeps the encoding byte-identical to the legacy layout.
 	binary.LittleEndian.PutUint32(buf[46:], h.Chan)
-	// Bytes 50..53 likewise sat in the padding until the one-sided plane
-	// claimed them for the immediate value.
+	// Bytes 50..53 likewise sat in the padding until the (since retired) Mock
+	// WRITE+imm claimed them for the immediate value; zero from every kind now.
 	binary.LittleEndian.PutUint32(buf[50:], h.Imm)
 	// Bytes 54..55 were padding until the tenancy plane claimed them for the
 	// tenant id; a zero Tenant keeps the encoding byte-identical to before.

@@ -540,6 +540,35 @@ func TestPingAndMatrix(t *testing.T) {
 	}
 }
 
+// TestPingMatrixDeterministic: the matrix is a function of the world, not of
+// map iteration order — the order pings are issued in decides who queues
+// behind whom, and so the RTTs. Two builds of one world must agree to the event.
+func TestPingMatrixDeterministic(t *testing.T) {
+	build := func() (string, uint64) {
+		w := newWorld(t, 4, nil)
+		for i := 0; i < 4; i++ {
+			for j := i + 1; j < 4; j++ {
+				w.connect(t, i, j, 5100+4*i+j)
+			}
+		}
+		var out string
+		w.mon.PingMatrix(func(m map[fabric.NodeID]map[fabric.NodeID]sim.Duration) {
+			out = RenderMatrix(m, w.mon.Nodes())
+		})
+		w.eng.Run()
+		if strings.Count(out, "u") != 12 {
+			t.Fatalf("matrix of a 4-node full mesh has holes:\n%s", out)
+		}
+		return out, w.eng.Fired()
+	}
+	out, fired := build()
+	for i := 0; i < 4; i++ {
+		if again, firedAgain := build(); again != out || firedAgain != fired {
+			t.Fatalf("run %d differs (Fired %d vs %d):\n%s\nvs\n%s", i, firedAgain, fired, again, out)
+		}
+	}
+}
+
 func TestXRStatOutput(t *testing.T) {
 	w := newWorld(t, 2, nil)
 	cli, srv := w.connect(t, 0, 1, 5013)
