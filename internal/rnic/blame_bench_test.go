@@ -182,3 +182,42 @@ func BenchmarkRecvInPlace(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRetransmitUnacked is one go-back-N round toward a peer that stopped
+// answering: 32 WRs stay unacked (the peer NIC is down; a packet the fabric
+// itself drops would leak its pooled header, ROADMAP 1(c)5), and every
+// iteration re-enqueues them all and lets the engine put them back on the
+// wire — what a brownout world pays per RTO. Gated in CI at 0 allocs/op: the
+// queued set is an epoch stamp on the WRs, and the jobs come from the pool.
+func BenchmarkRetransmitUnacked(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.RetryLimit = 1 << 30 // RTOs firing inside the loop must never break the QP
+	r := newRig(b, cfg)
+	r.b.Crash()
+	wrs := make([]SendWR, 32)
+	for i := range wrs {
+		wrs[i] = SendWR{ID: uint64(i), Op: OpWrite, Len: 0}
+		if err := r.qa.PostSend(&wrs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r.eng.RunFor(cfg.RetransTimeout / 2)
+	if len(r.qa.unacked) != len(wrs) || len(r.a.jobs) != 0 {
+		b.Fatalf("setup: %d unacked, %d jobs queued; want %d and 0", len(r.qa.unacked), len(r.a.jobs), len(wrs))
+	}
+	r.qa.retransmitUnacked() // warm the job pool
+	r.eng.RunFor(cfg.RetransTimeout / 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.qa.retransmitUnacked()
+		if len(r.a.jobs)+1 < len(wrs) { // all but the one the engine already picked
+			b.Fatalf("iteration %d: %d of %d WRs re-enqueued", i, len(r.a.jobs), len(wrs))
+		}
+		r.qa.retransmitUnacked() // a second call finds every WR queued and adds none
+		if len(r.a.jobs) > len(wrs) {
+			b.Fatalf("iteration %d: %d jobs for %d WRs — queued WRs enqueued twice", i, len(r.a.jobs), len(wrs))
+		}
+		r.eng.RunFor(cfg.RetransTimeout / 2)
+	}
+}

@@ -432,17 +432,18 @@ func (qp *QP) onRTO() {
 // preserved so the responder can discard what it already has).
 func (qp *QP) retransmitUnacked() {
 	n := qp.nic
-	queued := make(map[*SendWR]bool)
+	// Stamp what the engine already holds with a fresh epoch: no set to build.
+	n.rtxEpoch++
 	for _, j := range n.jobs {
 		if j.wr != nil && !j.dead {
-			queued[j.wr] = true
+			j.wr.rtxSeen = n.rtxEpoch
 		}
 	}
 	if n.current != nil && n.current.wr != nil && !n.current.dead {
-		queued[n.current.wr] = true
+		n.current.wr.rtxSeen = n.rtxEpoch
 	}
 	for _, wr := range qp.unacked {
-		if queued[wr] {
+		if wr.rtxSeen == n.rtxEpoch {
 			continue
 		}
 		// READs included: the re-enqueued job re-emits the request packet

@@ -127,6 +127,7 @@ type NIC struct {
 	jobs       []*txJob
 	current    *txJob
 	engineBusy bool
+	rtxEpoch   uint64 // retransmitUnacked's mark: a WR stamped with the current value has a job
 
 	// Cached engine continuations and the deferred packet-phase slots.
 	// The tx machine is strictly sequential — at most one continuation

@@ -165,7 +165,8 @@ type SendWR struct {
 	// internal
 	firstPSN, lastPSN uint32
 	packets           int
-	jobs              int // transmit jobs referencing the WR (see Queued)
+	jobs              int    // transmit jobs referencing the WR (see Queued)
+	rtxSeen           uint64 // NIC.rtxEpoch of the last retransmitUnacked that found the WR queued
 	postedAt          sim.Time
 	startedAt         sim.Time
 	finishedAt        sim.Time

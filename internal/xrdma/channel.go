@@ -275,11 +275,17 @@ func (ch *Channel) onConnect(done func(*Channel, error)) {
 
 // sharedRQ is the receive queue a created QP attaches to: the context's SRQ
 // when configured, nil for per-channel receive pools. The first QP to ask
-// triggers the deferred first fill; until then the SRQ holds no buffers.
+// triggers the fill (§VII-F; an idle context holds no buffers): one pool of
+// SRQSize slots, posted block by block as the memory cache grows to hold them.
 func (c *Context) sharedRQ() *rnic.SRQ {
 	if c.srq != nil && !c.srqPrimed {
 		c.srqPrimed = true
-		c.fillSRQ()
+		c.Mem.carve(c.cfg.SRQSize, c.recvBufSize(), true, func(p *recvPool, lo, hi int) {
+			c.srqPool = p
+			for slot := lo; slot < hi; slot++ {
+				c.recycleSRQ(p.id(slot))
+			}
+		})
 	}
 	return c.srq
 }

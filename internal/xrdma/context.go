@@ -34,8 +34,8 @@ type Context struct {
 
 	sendCQ, recvCQ *rnic.CQ
 	srq            *rnic.SRQ
-	srqPrimed      bool              // first fill done (deferred: see sharedRQ)
-	srqBufs        map[uint64]Buffer // recv WR id → buffer (SRQ mode)
+	srqPrimed      bool      // first fill started (deferred: see sharedRQ)
+	srqPool        *recvPool // the SRQ's standing buffers, from the fill's first block on
 
 	// The message records (msgrec.go): posted routes a send completion to the
 	// record that posted the WR; recFree is the free list (grown on demand,
@@ -242,12 +242,7 @@ func NewContext(o Options) *Context {
 		c.chanByCID = make(map[uint32]*Channel)
 	}
 	if c.cfg.UseSRQ {
-		// The queue object is a few words; the buffer fill (SRQSize
-		// receive buffers out of the memory cache) waits for sharedRQ
-		// at the first QP that references the queue, so an idle context
-		// in a large world costs none of it.
-		c.srq = rnic.NewSRQ(c.cfg.SRQSize)
-		c.srqBufs = make(map[uint64]Buffer)
+		c.srq = rnic.NewSRQ(c.cfg.SRQSize) // a few words; sharedRQ fills it
 	}
 	c.sendCQ.OnCompletion(c.wake)
 	c.recvCQ.OnCompletion(c.wake)
@@ -659,45 +654,11 @@ func (c *Context) OnNICRestart() {
 
 // --- SRQ support -------------------------------------------------------------
 
-// fillSRQ keeps the shared receive queue topped up (§VII-F). Buffers come
-// from the memory cache like per-channel receives.
-func (c *Context) fillSRQ() {
-	size := c.recvBufSize()
-	for c.srq.Len() < c.cfg.SRQSize {
-		buf, ok := c.Mem.AllocNow(size)
-		if !ok {
-			// Grow asynchronously, then continue filling.
-			c.Mem.Alloc(size, func(b Buffer, err error) {
-				if err == nil && c.postSRQ(b) {
-					c.fillSRQ()
-				}
-			})
-			return
-		}
-		if !c.postSRQ(buf) {
-			return
-		}
-	}
-}
-
-// postSRQ posts buf on the shared receive queue under a fresh WR id.
-func (c *Context) postSRQ(buf Buffer) bool {
-	id := c.nextWRID()
-	c.srqBufs[id] = buf
-	if err := c.srq.Post(rnic.RecvWR{ID: id, Addr: buf.Addr, Len: buf.Len}); err != nil {
-		delete(c.srqBufs, id)
-		c.Mem.Free(buf)
-		return false
-	}
-	return true
-}
-
 // recycleSRQ reposts one consumed SRQ buffer; a WR id that names none (a
-// per-link pool's, or no SRQ at all) is left alone.
+// link pool's slot, or no SRQ pool at all) is left alone.
 func (c *Context) recycleSRQ(wrID uint64) {
-	if buf, ok := c.srqBufs[wrID]; ok {
-		delete(c.srqBufs, wrID)
-		c.postSRQ(buf)
+	if wr, ok := c.srqPool.wr(wrID); ok {
+		_ = c.srq.Post(wr) // as deep as the pool has slots: a consumed one always fits
 	}
 }
 

@@ -449,7 +449,7 @@ func (c *Context) Shutdown() {
 		}
 		l.close() // cancels a dial in flight
 	}
-	clear(c.srqBufs)
+	c.srqPool = nil
 	// Registered memory does not survive the process: drop the cache's
 	// regions and zero the accounting, so leak assertions on the old
 	// instance see a clean slate.

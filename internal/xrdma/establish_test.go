@@ -169,9 +169,7 @@ func TestEstablishmentConformance(t *testing.T) {
 					if row.want != nil && c.QPs.Len() != 0 {
 						t.Errorf("node %d: %d QPs cached after a dial that never established", i, c.QPs.Len())
 					}
-					if got, want := c.Mem.InUseBytes, heldBySRQ(c); got != want {
-						t.Errorf("node %d: Mem.InUseBytes=%d, want %d", i, got, want)
-					}
+					checkMemAtRest(t, i, c)
 					if len(c.links) != pool || len(c.dialing) != 0 || len(c.qpnTab) != pool {
 						t.Errorf("node %d: %d links / %d establishing / %d QPN table entries, want %d/0/%d",
 							i, len(c.links), len(c.dialing), len(c.qpnTab), pool, pool)

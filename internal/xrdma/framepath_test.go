@@ -71,7 +71,7 @@ func TestOneSidedWriteImmSharedQP(t *testing.T) {
 	// A peer that posts one anyway (a foreign build): the receive side
 	// recycles the SRQ buffer and wakes nobody — no decode, no lost buffer.
 	mx := sharedQPs(w.ctxs[0])[0]
-	srqBefore := len(w.ctxs[1].srqBufs)
+	srqBefore, _, _ := heldBySRQ(w.ctxs[1])
 	foreign := w.ctxs[0].newRec(recWrite, cli)
 	foreign.qp, foreign.done = mx.qp, func(error) {}
 	foreign.wr = rnic.SendWR{
@@ -87,8 +87,8 @@ func TestOneSidedWriteImmSharedQP(t *testing.T) {
 	if fired {
 		t.Fatal("WRITE+imm on a shared QP woke a rider it cannot name")
 	}
-	if got := len(w.ctxs[1].srqBufs); got != srqBefore || w.ctxs[1].srq.Len() != w.ctxs[1].cfg.SRQSize {
-		t.Fatalf("SRQ holds %d buffers (%d posted) after the WRITE+imm, want %d (%d)", got, w.ctxs[1].srq.Len(), srqBefore, w.ctxs[1].cfg.SRQSize)
+	if got, _, _ := heldBySRQ(w.ctxs[1]); got != srqBefore || w.ctxs[1].srq.Len() != w.ctxs[1].cfg.SRQSize {
+		t.Fatalf("SRQ holds %d bytes (%d posted) after the WRITE+imm, want %d (%d)", got, w.ctxs[1].srq.Len(), srqBefore, w.ctxs[1].cfg.SRQSize)
 	}
 
 	var got []byte
@@ -370,9 +370,7 @@ func TestFramePathConformance(t *testing.T) {
 				pool = 1
 			}
 			for i, c := range w.ctxs {
-				if got, want := c.Mem.InUseBytes, heldBySRQ(c); got != want {
-					t.Errorf("node %d: Mem.InUseBytes=%d after close, want %d", i, got, want)
-				}
+				checkMemAtRest(t, i, c)
 				if len(c.links) != pool || len(c.qpnTab) != pool {
 					t.Errorf("node %d: %d links, %d QPN table entries after close, want %d", i, len(c.links), len(c.qpnTab), pool)
 				}

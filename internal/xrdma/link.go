@@ -66,12 +66,12 @@ type link struct {
 	qpns     []uint32 // every local QPN this link has owned, oldest first (port > 0 only)
 
 	// The transport material besides the QP: the standing receive pool
-	// posted on it (recv WR id → buffer; nil when the SRQ serves), the Mock
-	// conn while state is linkFallback (nil = not connected), and the DRR
-	// arbiter of a tenanted shared SQ.
-	recvBufs map[uint64]Buffer
-	fb       *tcpnet.Conn
-	sched    *sqSched
+	// posted on it (nil when the SRQ serves; see release for who frees it),
+	// the Mock conn while state is linkFallback (nil = not connected), and
+	// the DRR arbiter of a tenanted shared SQ.
+	pool  *recvPool
+	fb    *tcpnet.Conn
+	sched *sqSched
 
 	state      linkState
 	epoch      uint64 // invalidates stale timers; turn() cancels the dial with it
@@ -80,7 +80,7 @@ type link struct {
 
 	// The CM dial in flight (nil = none) and the receive pool acquired for it.
 	dialing  *verbs.Dial
-	dialBufs []Buffer
+	dialPool *recvPool
 
 	lastComm  sim.Time
 	kaProbeAt sim.Time
@@ -144,7 +144,7 @@ func (l *link) shared() bool { return l.peerCIDs != nil }
 // context's QPN table (the only map keyed by local QPN) moves the link from
 // its previous QPN to this one, the health state starts clean, the receive
 // pool is posted and every rider still attachPending opens now.
-func (l *link) setQP(qp *rnic.QP, bufs []Buffer, initiator bool) {
+func (l *link) setQP(qp *rnic.QP, pool *recvPool, initiator bool) {
 	c := l.c
 	l.untable()
 	l.qp, l.peerQPN = qp, qp.RemoteQPN
@@ -170,12 +170,10 @@ func (l *link) setQP(qp *rnic.QP, bufs []Buffer, initiator bool) {
 	l.doctor.resetEpisode()
 	l.sched.reset()
 	// The standing receive pool — the buffers whose footprint the §III Issue-1
-	// formula describes — goes on the QP.
-	if l.recvBufs == nil && len(bufs) > 0 {
-		l.recvBufs = make(map[uint64]Buffer, len(bufs))
-	}
-	for _, buf := range bufs {
-		l.postRecv(buf)
+	// formula describes — goes on the QP, and is the QP's from here on.
+	l.pool = pool
+	for slot := 0; pool != nil && slot < pool.n; slot++ {
+		l.repost(pool.id(slot))
 	}
 	for i := 0; i < len(l.riders); i++ { // in place: a Connect callback may close its channel
 		switch ch := l.riders[i]; {
@@ -234,9 +232,9 @@ func (l *link) close() {
 // (destroying one it created) and the material goes back.
 func (l *link) turn() {
 	l.epoch++
-	if d, bufs := l.dialing, l.dialBufs; d != nil {
-		l.dialing, l.dialBufs = nil, nil
-		l.release(l.c.cm.Cancel(d), bufs)
+	if d, pool := l.dialing, l.dialPool; d != nil {
+		l.dialing, l.dialPool = nil, nil
+		l.release(l.c.cm.Cancel(d), pool)
 	}
 }
 
@@ -344,37 +342,13 @@ func (l *link) ingest(data []byte, wrID uint64, overMock bool, rxBlame *telemetr
 	}
 }
 
-func (l *link) postRecv(buf Buffer) {
-	id := l.c.nextWRID()
-	l.recvBufs[id] = buf
-	if err := l.qp.PostRecv(rnic.RecvWR{ID: id, Addr: buf.Addr, Len: buf.Len}); err != nil {
-		delete(l.recvBufs, id)
-		l.c.Mem.Free(buf)
-	}
-}
-
-// repost returns one consumed receive buffer to the RQ it came from.
+// repost returns one consumed receive buffer to the RQ (and slot) its WR id names.
 func (l *link) repost(wrID uint64) {
-	if l.c.srq != nil {
+	if wr, ok := l.pool.wr(wrID); ok {
+		_ = l.qp.PostRecv(wr) // refused only by a broken QP (ERROR, RESET): it receives nothing, the slot waits
+	} else {
 		l.c.recycleSRQ(wrID)
-		return
 	}
-	buf, ok := l.recvBufs[wrID]
-	if !ok || l.qp.State == rnic.QPError {
-		return
-	}
-	delete(l.recvBufs, wrID)
-	l.postRecv(buf)
-}
-
-// dropPool returns the receive pool to the memory cache: it is useless
-// while the QP is broken (and may be gone entirely after a NIC restart);
-// fresh buffers arrive with the replacement connection.
-func (l *link) dropPool() {
-	for _, buf := range l.recvBufs {
-		l.c.Mem.Free(buf)
-	}
-	l.recvBufs = nil
 }
 
 // closeFallback hangs up the Mock conn without waking its close handler.
@@ -702,8 +676,8 @@ func (l *link) giveUp(cause error) {
 // forever), leaves the cid tables and frees the admission slot a pending
 // attach held; the link stays for the next attach. The rider of an exclusive
 // link takes the link with it — closed now, stranding any dial in flight —
-// and its material goes back: the pool, the Mock conn, and the QP unless the
-// Mock switch already surrendered it.
+// and its material goes back: the Mock conn, and the QP with its pool unless
+// the Mock switch already surrendered them.
 func (l *link) detach(ch *Channel) {
 	if l.shared() && ch.attach == attachDone && !ch.peerClosed {
 		l.sendCtrl(&wireHdr{Kind: kindChanClose, Chan: ch.peerCID})
@@ -724,34 +698,25 @@ func (l *link) detach(ch *Channel) {
 		qp = nil
 	}
 	l.close()
-	l.dropPool()
 	l.closeFallback()
-	l.release(qp, nil)
+	l.release(qp, l.takePool())
 }
 
 // acquire gathers what a (first or replacement) transport is built from. A
 // standing receive pool iff the context has no SRQ (a shared link only exists
 // with one); the allocation overlaps the much slower connection handshake. A
 // recycled QP (nil = create one) iff the link is exclusive: see release.
-func (l *link) acquire(fn func(*rnic.QP, []Buffer)) {
+func (l *link) acquire(fn func(*rnic.QP, *recvPool)) {
 	c := l.c
 	if c.srq != nil {
 		fn(l.recycledQP(), nil)
 		return
 	}
-	remaining := c.cfg.WindowDepth + ctrlReserve
-	bufs := make([]Buffer, 0, remaining)
-	got := func(b Buffer, err error) {
-		if err == nil {
-			bufs = append(bufs, b)
+	c.Mem.carve(c.cfg.WindowDepth+ctrlReserve, c.recvBufSize(), false, func(p *recvPool, _, _ int) {
+		if p.pending == 0 {
+			fn(l.recycledQP(), p)
 		}
-		if remaining--; remaining == 0 {
-			fn(l.recycledQP(), bufs)
-		}
-	}
-	for i := remaining; i > 0; i-- {
-		c.Mem.Alloc(c.recvBufSize(), got)
-	}
+	})
 }
 
 func (l *link) recycledQP() *rnic.QP {
@@ -765,16 +730,27 @@ func (l *link) recycledQP() *rnic.QP {
 // adoption just replaced. The QP cache is per-channel: a shared QP —
 // sharedQPDepth deep and SRQ-bound, unable to post per-channel receives — never
 // enters it and is destroyed instead.
-func (l *link) release(qp *rnic.QP, bufs []Buffer) {
+//
+// Who owns receive memory: a pool belongs to the QP it is posted on, and this
+// is the only code that frees one — after QPs.Put has RESET that QP (or
+// destroyed it), so nothing the RNIC can still DMA into is on a free list. A
+// degraded link keeps its pool, unusable, until adopt or the rider's detach
+// gives up the broken QP; a region a NIC restart killed makes the free a no-op.
+func (l *link) release(qp *rnic.QP, pool *recvPool) {
 	if !l.shared() {
 		l.c.QPs.Put(qp)
 	} else if qp != nil {
 		l.c.vctx.NIC.DestroyQP(qp)
 	}
-	for _, b := range bufs {
-		l.c.Mem.Free(b)
+	if pool != nil {
+		for _, b := range pool.blocks { // in block order: what a free wakes is the same in every run
+			l.c.Mem.Free(b)
+		}
 	}
 }
+
+// takePool detaches the installed pool, to be released with the QP it is on.
+func (l *link) takePool() (p *recvPool) { p, l.pool = l.pool, nil; return p }
 
 // --- establishment --------------------------------------------------------------
 //
@@ -792,9 +768,9 @@ func (l *link) dial(port int, pd []byte, retry func(error)) {
 	c := l.c
 	l.turn()
 	epoch := l.epoch
-	l.acquire(func(qp *rnic.QP, bufs []Buffer) {
+	l.acquire(func(qp *rnic.QP, pool *recvPool) {
 		if l.epoch != epoch {
-			l.release(qp, bufs)
+			l.release(qp, pool)
 			return
 		}
 		if l.state != linkDialing {
@@ -805,12 +781,12 @@ func (l *link) dial(port int, pd []byte, retry func(error)) {
 				}
 			})
 		}
-		l.dialBufs = bufs
+		l.dialPool = pool
 		l.dialing = c.cm.Connect(l.peer, port, pd, qp, l.depth, c.sendCQ, c.recvCQ, c.sharedRQ(), func(conn *verbs.Conn, err error) {
-			l.dialing, l.dialBufs = nil, nil
+			l.dialing, l.dialPool = nil, nil
 			switch {
 			case err != nil:
-				l.release(qp, bufs)
+				l.release(qp, pool)
 				if l.state == linkDialing {
 					retry = l.fail // nothing to retry: giveUp tells whoever waited why
 				}
@@ -818,9 +794,9 @@ func (l *link) dial(port int, pd []byte, retry func(error)) {
 			case l.state == linkDialing:
 				// The acceptor's REP carries the settled negotiation verdict.
 				l.adoptVerdict(conn.PeerData)
-				l.setQP(conn.QP, bufs, true)
+				l.setQP(conn.QP, pool, true)
 			default:
-				l.adopt(conn, bufs, true)
+				l.adopt(conn, pool, true)
 			}
 		})
 	})
@@ -894,25 +870,25 @@ func (c *Context) accept(req *verbs.ConnReq) {
 // queue — RNR-free from the very first message.
 func (l *link) accept(req *verbs.ConnReq) {
 	c := l.c
-	l.acquire(func(qp *rnic.QP, bufs []Buffer) {
+	l.acquire(func(qp *rnic.QP, pool *recvPool) {
 		reply := func(qp *rnic.QP) {
 			req.Accept(qp, func(conn *verbs.Conn, err error) {
 				switch {
 				case err != nil:
-					l.release(qp, bufs)
+					l.release(qp, pool)
 					l.fail(err)
 				case l.state == linkDead:
-					l.release(qp, bufs)
+					l.release(qp, pool)
 				case l.state != linkDialing:
-					l.adopt(conn, bufs, false)
+					l.adopt(conn, pool, false)
 				default:
-					l.setQP(conn.QP, bufs, false)
+					l.setQP(conn.QP, pool, false)
 				}
 			})
 		}
 		switch {
 		case l.state == linkDead:
-			l.release(qp, bufs)
+			l.release(qp, pool)
 			req.Reject("link closed")
 		case qp != nil:
 			reply(qp)
@@ -928,14 +904,14 @@ func (l *link) accept(req *verbs.ConnReq) {
 // NOP beacon; the passive side's hold their replay until the beacon (or
 // any RDMA traffic) proves the dialer's QP reached RTS, because sends
 // posted earlier would race the dialer's RTR transition.
-func (l *link) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
+func (l *link) adopt(conn *verbs.Conn, pool *recvPool, initiator bool) {
 	c := l.c
 	now := c.eng.Now()
 	failback := l.state == linkFallback
 	outage := now.Sub(l.degradedAt)
 	switch {
 	case !failback:
-		l.release(l.qp, nil)
+		l.release(l.qp, l.takePool())
 	case initiator:
 		l.closeFallback()
 	case l.fb != nil:
@@ -944,7 +920,7 @@ func (l *link) adopt(conn *verbs.Conn, bufs []Buffer, initiator bool) {
 		l.fb.OnClose = nil
 		l.fb = nil
 	}
-	l.setQP(conn.QP, bufs, initiator)
+	l.setQP(conn.QP, pool, initiator)
 	c.Stats.Recoveries++
 	if failback {
 		c.Stats.Failbacks++

@@ -38,7 +38,8 @@ type MemCache struct {
 
 	regions []*memRegion
 	growing bool
-	gen     int // bumped by Reset so in-flight grows land in the right era
+	gen     int    // bumped by Reset so in-flight grows land in the right era
+	carved  uint64 // receive pools ever carved: the next one's tag
 	waiters sim.Queue[memWaiter]
 
 	// Counters (Fig. 11c plots Occupy vs In-use against bandwidth).
@@ -221,12 +222,9 @@ func (m *MemCache) tryAlloc(t *Tenant, size int) (Buffer, bool) {
 		if t != nil {
 			t.memUsed += int64(block)
 		}
-		b := Buffer{MR: r.mr, region: r, off: off, totalLen: block, tenant: t, Len: size}
+		b := Buffer{MR: r.mr, Addr: r.mr.Base + uint64(off+m.pad()/2), region: r, off: off, totalLen: block, tenant: t, Len: size}
 		if m.ctx.cfg.MemIsolation {
-			b.Addr = r.mr.Base + uint64(off) + canaryLen
 			m.paintCanaries(b)
-		} else {
-			b.Addr = r.mr.Base + uint64(off)
 		}
 		m.checkPressure()
 		return b, true
@@ -345,6 +343,61 @@ func (m *MemCache) CheckIntegrity(b Buffer) bool {
 		return true
 	}
 	return m.checkCanaries(b)
+}
+
+// recvPool is a receive queue's standing memory — a link's, or the SRQ's: n
+// strides, per to a cache block (only the last may hold fewer), so the buddy
+// rounds once per block, not per buffer, and canaries frame the block. A receive
+// WR id is the pool's tag over the slot: a consumed buffer is reposted by
+// arithmetic, and an id that outlived its pool (QPNs recycle) names no slot of
+// a newer one.
+type recvPool struct {
+	blocks         []Buffer
+	one            [1]Buffer // backs blocks when one block holds the pool
+	tag            uint64    // bits 32..63 of its WR ids: the carve's ordinal in this cache
+	pending        int       // blocks still to land
+	stride, per, n int
+}
+
+// carve allocates a pool of n strides: one block, or — when no region can hold
+// it — packed blocks of as many strides as a region takes (the SRQ), else a
+// block per stride (a link's: only E14's 256 KiB regions are that small; packing
+// it is leaner, and moves that world's footprint ratio past the band its test
+// holds — a re-baseline of its own: ROADMAP item 2). landed runs once per block
+// with its slot range, in any order and possibly before carve returns, the block
+// in place — or invalid: that allocation failed and its slots stay unposted.
+func (m *MemCache) carve(n, stride int, packed bool, landed func(p *recvPool, lo, hi int)) {
+	per := min(n, max((m.capBytes-m.pad())/stride, 1))
+	if per < n && !packed {
+		per = 1
+	}
+	m.carved++
+	p := &recvPool{tag: m.carved << 32, stride: stride, per: per, n: n, pending: (n + per - 1) / per}
+	if p.blocks = p.one[:]; p.pending > 1 {
+		p.blocks = make([]Buffer, p.pending)
+	}
+	for i := range p.blocks {
+		lo, hi := i*per, min((i+1)*per, n)
+		m.Alloc((hi-lo)*stride, func(b Buffer, _ error) {
+			p.blocks[i] = b
+			p.pending--
+			landed(p, lo, hi)
+		})
+	}
+}
+
+// id is the receive WR id of slot.
+func (p *recvPool) id(slot int) uint64 { return p.tag | uint64(slot) }
+
+// wr is the receive WR that id names; ok is false for no pool, another pool's
+// id, a slot out of range, or one whose block never landed.
+func (p *recvPool) wr(id uint64) (wr rnic.RecvWR, ok bool) {
+	slot := int(uint32(id))
+	if p == nil || id != p.id(slot) || slot >= p.n {
+		return wr, false
+	}
+	b := p.blocks[slot/p.per]
+	return rnic.RecvWR{ID: id, Addr: b.Addr + uint64(slot%p.per*p.stride), Len: p.stride}, b.Valid()
 }
 
 // Reset abandons every region after the NIC lost its registered memory

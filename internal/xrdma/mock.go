@@ -158,13 +158,13 @@ func (ch *Channel) enterMockMode(cause error) {
 	// every message inline from ps.data, so release them.
 	ch.unstage()
 
-	// Release RDMA resources: the QP recycles through the cache, the
-	// receive buffers return to the memory cache. The XR-Stat row goes
+	// Release RDMA resources: the QP recycles through the cache and then
+	// its receive pool returns to the memory cache. The XR-Stat row goes
 	// with them (hasRow) — the recycled QPN may soon host a new channel.
 	// The link keeps pointing at the surrendered QP: its QPN is how the
 	// peer's Mock hello names this channel.
 	ch.quiesce()
-	ch.lk.release(ch.lk.qp, nil)
+	ch.lk.release(ch.lk.qp, ch.lk.takePool())
 }
 
 // connectMock runs the mock rendezvous for a channel already in mock
@@ -281,12 +281,15 @@ func (ch *Channel) attachMock(conn *tcpnet.Conn) {
 func (ch *Channel) Mocked() bool { return ch.lk != nil && ch.lk.state == linkFallback }
 
 // ForceMock switches a healthy channel to TCP (the manual tuning-system
-// toggle). Requires MockEnabled and a TCP stack.
+// toggle). It needs the Mock plane wired — a TCP stack and a mock port — not
+// MockEnabled, which only arms the automatic fallback; and its own QP.
 func (ch *Channel) ForceMock() error {
-	if ch.ctx.tcp == nil || ch.ctx.mockPort == 0 {
+	switch {
+	case ch.ctx.tcp == nil || ch.ctx.mockPort == 0:
 		return fmt.Errorf("xrdma: mock plane not configured")
-	}
-	if ch.Mocked() || ch.closed {
+	case ch.cid != 0:
+		return fmt.Errorf("xrdma: Mock is exclusive-only: muxed channel %d shares its QP", ch.cid)
+	case ch.Mocked() || ch.closed:
 		return nil
 	}
 	cause := fmt.Errorf("manual switch")

@@ -339,6 +339,7 @@ func TestContextCloseLeavesNothing(t *testing.T) {
 		if got := w.nics[i].NumQPs(); got != before[i] {
 			t.Errorf("node %d: %d QPs on the NIC after Close, %d before any connect", i, got, before[i])
 		}
+		checkMemAtRest(t, i, c)
 	}
 }
 

@@ -3,7 +3,7 @@ package xrdma
 import "xrdma/internal/sim"
 
 // What a rider does when its link (link.go) loses or replaces the transport:
-// hold traffic, drop what only a live QP could use, replay the unacked tail.
+// hold traffic, stop what only a live QP could use, replay the unacked tail.
 
 // park holds a rider whose link lost its transport: traffic stays in the
 // send queue until a replacement is adopted.
@@ -12,11 +12,11 @@ func (ch *Channel) park() {
 	ch.quiesce()
 }
 
-// quiesce drops what only a live QP could use: the link's receive pool (a
-// shared QP has none) and the rider's ack timer.
+// quiesce stops what only a live QP could use: the rider's ack timer and its
+// stall bookkeeping. It frees nothing — the receive pool stays with the broken
+// QP until link.release.
 func (ch *Channel) quiesce() {
 	c := ch.ctx
-	ch.lk.dropPool()
 	c.eng.Cancel(ch.ackEv)
 	ch.ackEv = sim.Event{}
 	ch.nopInFlight = false

@@ -89,6 +89,36 @@ func TestChannelRowsFollowTheChannel(t *testing.T) {
 			wantRows(t, "closed", w, 0)
 			wantRows(t, "peer heard CHAN_CLOSE", w, 1)
 		}},
+		{"ForceMock on a muxed channel is refused and its shared link keeps its rows", func(t *testing.T) {
+			w := newWorld(t, 2, muxKnobs(1))
+			cli, srv := openMuxed(t, w, 0, 1, 6000, 2)
+			err := cli[0].ForceMock()
+			if err == nil || !strings.Contains(err.Error(), "Mock is exclusive-only") {
+				t.Fatalf("ForceMock on a muxed channel: %v, want the decided policy by name", err)
+			}
+			if l := cli[0].lk; l.state != linkReady || cli[0].Mocked() || cli[1].Mocked() || cli[1].Health() != HealthHealthy {
+				t.Fatalf("the refusal still touched the shared link: state %d, sibling %v", l.state, cli[1].Health())
+			}
+			wantRows(t, "after the refusal", w, 0, fmt.Sprintf("mch.%d", cli[0].cid), fmt.Sprintf("mch.%d", cli[1].cid))
+			echoServer(srv[1])
+			ok := false
+			cli[1].SendMsg([]byte("still RDMA"), 0, func(_ *Msg, err error) { ok = err == nil })
+			w.eng.Run()
+			if !ok {
+				t.Fatal("the sibling rider lost its path")
+			}
+		}},
+		{"ForceMock on a bare descriptor is refused, not dereferenced", func(t *testing.T) {
+			w := newWorld(t, 2, muxKnobs(1))
+			ch, err := w.ctxs[0].ChannelTo(1, 6000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ch.ForceMock(); err == nil || !strings.Contains(err.Error(), "Mock is exclusive-only") {
+				t.Fatalf("ForceMock on a lazy descriptor: %v, want the decided policy by name", err)
+			}
+			wantRows(t, "lazy descriptor", w, 0)
+		}},
 		{"recovery adoption moves the row to the new QPN", func(t *testing.T) {
 			w := newRecoverWorld(t, 2, func(_ int, cfg *Config) { cfg.RecoverDialTimeout = 20 * sim.Millisecond })
 			cli, srv := w.connect(t, 0, 1, 5000)

@@ -484,7 +484,10 @@ func TestRestartDuringRendezvousMemClean(t *testing.T) {
 		t.Fatal("no rehydrated channel")
 	}
 	newCh.Close()
-	w.eng.RunFor(20 * sim.Millisecond)
+	// The server closes nothing: its link, degraded when the peer's QP went
+	// away, holds its receive pool until the grace runs out and it gives the
+	// broken QP up — the pool must come back then, with no help from the app.
+	w.eng.RunFor(w.ctxs[1].recoverGrace() + 20*sim.Millisecond)
 	if newCli.Mem.InUseBytes != 0 {
 		t.Errorf("restarted client leaks %dB", newCli.Mem.InUseBytes)
 	}

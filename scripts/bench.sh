@@ -5,8 +5,9 @@
 # Telemetry benchmarks have no pre-rewrite baseline; their contract is
 # allocs/op == 0 (enforced by the CI bench smoke), as are the untraced
 # RNIC send path's, the posted-receive path's, the one-sided READ
-# requester path's and the two in-place landings' (ReadInPlace64K,
-# RecvInPlace: bytes go between registered buffers, nothing is allocated).
+# requester path's, the two in-place landings' (ReadInPlace64K,
+# RecvInPlace: bytes go between registered buffers, nothing is allocated)
+# and a go-back-N round's (RetransmitUnacked: 32 WRs re-enqueued per op).
 # TracedSendPath is informational: its delta against UntracedSendPath is
 # the armed cost of the blame plane.
 # IdleChannelFootprint's contract is bytes/conn <= 1024 (the flyweight
@@ -27,7 +28,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test ./internal/sim/ ./internal/telemetry/ ./internal/rnic/ ./internal/xrmon/ -run '^$' \
-    -bench 'BenchmarkEngine|BenchmarkTelemetry|BenchmarkUntracedSendPath|BenchmarkTracedSendPath|BenchmarkPostedRecvPath|BenchmarkOneSidedReadPath|BenchmarkReadInPlace64K|BenchmarkRecvInPlace|BenchmarkAgentSample' -benchmem \
+    -bench 'BenchmarkEngine|BenchmarkTelemetry|BenchmarkUntracedSendPath|BenchmarkTracedSendPath|BenchmarkPostedRecvPath|BenchmarkOneSidedReadPath|BenchmarkReadInPlace64K|BenchmarkRecvInPlace|BenchmarkRetransmitUnacked|BenchmarkAgentSample' -benchmem \
     -benchtime=2s -count=1 | tee "$tmp" >&2
 go test ./internal/xrdma/ -run '^$' -bench 'BenchmarkBuddyAlloc' -benchmem \
     -benchtime=1s -count=1 | tee -a "$tmp" >&2
