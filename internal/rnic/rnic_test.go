@@ -378,6 +378,45 @@ func TestQPStateMachine(t *testing.T) {
 	}
 }
 
+// TestRecycledQPKeepsRQStorage: RESET empties the receive queue — a recycled
+// QP starts with nothing posted and no stale WR left in a slot — but keeps the
+// storage, so posting as deep again allocates nothing.
+func TestRecycledQPKeepsRQStorage(t *testing.T) {
+	a := newRig(t, DefaultConfig()).a
+	qp := a.AllocQPNow(8, 48, NewCQ(16), NewCQ(16), nil)
+	fill := func() {
+		if err := a.ModifyQPNow(qp, QPInit, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 48; i++ {
+			if err := qp.PostRecv(RecvWR{ID: uint64(i + 1), Addr: 0x1000, Len: 64}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill()
+	if err := a.ModifyQPNow(qp, QPReset, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if qp.RecvQueueLen() != 0 {
+		t.Fatalf("recycled QP starts with %d receive WRs posted", qp.RecvQueueLen())
+	}
+	fill()
+	for i, wr := range qp.rq.Items() {
+		if wr.ID != uint64(i+1) {
+			t.Fatalf("slot %d holds WR %d after a refill: a stale WR survived RESET", i, wr.ID)
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if err := a.ModifyQPNow(qp, QPReset, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		fill()
+	}); got != 0 {
+		t.Fatalf("RESET + refill allocates %.1f per cycle, want 0", got)
+	}
+}
+
 func TestManyMessagesInOrder(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	const n = 120

@@ -38,6 +38,13 @@ func (q *Queue[T]) Pop() T {
 	return v
 }
 
+// Reset empties the queue and keeps its storage; every slot is zeroed, so
+// nothing that was queued stays reachable.
+func (q *Queue[T]) Reset() {
+	clear(q.buf)
+	q.buf, q.head = q.buf[:0], 0
+}
+
 // Delete removes Items()[i], keeping the order of the rest.
 func (q *Queue[T]) Delete(i int) {
 	var zero T

@@ -45,6 +45,33 @@ func TestQueueMatchesModel(t *testing.T) {
 	}
 }
 
+// Reset empties the queue, zeroes every slot and keeps the storage.
+func TestQueueReset(t *testing.T) {
+	var q Queue[*int]
+	for i := 0; i < 8; i++ {
+		q.Push(new(int))
+	}
+	q.Pop()
+	storage := q.buf[:cap(q.buf)]
+	q.Reset()
+	if q.Len() != 0 || len(q.Items()) != 0 || cap(q.buf) != len(storage) {
+		t.Fatalf("after Reset: %d queued, capacity %d (was %d)", q.Len(), cap(q.buf), len(storage))
+	}
+	for i, p := range storage {
+		if p != nil {
+			t.Fatalf("slot %d still holds its element after Reset", i)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			q.Push(nil)
+		}
+		q.Reset()
+	}); got != 0 {
+		t.Fatalf("refilling a reset queue allocates %.1f per cycle", got)
+	}
+}
+
 // The steady post-one/consume-one cycle never allocates.
 func TestQueueSteadyStateAllocs(t *testing.T) {
 	var q Queue[int]

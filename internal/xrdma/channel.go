@@ -478,15 +478,6 @@ func (ch *Channel) QPN() uint32 {
 	return ch.lk.qp.QPN
 }
 
-// QPCounters exposes the hardware-level counters (XR-Stat). For muxed
-// channels these are the shared QP's counters.
-func (ch *Channel) QPCounters() rnic.QPCounters {
-	if ch.lk == nil || ch.lk.qp == nil {
-		return rnic.QPCounters{}
-	}
-	return ch.lk.qp.Counters
-}
-
 // Attached reports whether the channel has live transport state (always
 // true for legacy channels; false for lazy mux descriptors).
 func (ch *Channel) Attached() bool { return ch.attach == attachDone }
@@ -629,11 +620,4 @@ func (ch *Channel) rememberReq(msgID uint64) {
 		ch.respOrder = ch.respOrder[1:]
 		delete(ch.respCache, old)
 	}
-}
-
-// String renders a one-line XR-Stat row.
-func (ch *Channel) String() string {
-	return fmt.Sprintf("qpn=%d peer=%d inflight=%d sent=%d recv=%d stalls=%d rnr=%d",
-		ch.QPN(), ch.Peer, ch.Inflight(), ch.Counters.MsgsSent, ch.Counters.MsgsRecv,
-		ch.Counters.WindowStalls, ch.QPCounters().RNRNakRecv)
 }

@@ -59,12 +59,12 @@ type Context struct {
 
 	// Hybrid polling state (§IV-B).
 	pollEv      sim.Event
+	parked      bool // pollEv is the idleSpins-th idle spin; the ones before it are skipSpins' arithmetic
 	lastPoll    sim.Time
 	idlePolls   int
 	eventMode   bool
 	busyUntil   sim.Time
 	started     bool
-	eventFD     int
 	wakePending bool
 
 	// Analysis framework. log is the self-adaptive log, bounded (logCap) and
@@ -142,7 +142,7 @@ type Context struct {
 
 // ContextStats aggregates per-context counters for XR-Stat / Monitor.
 type ContextStats struct {
-	Polls           int64
+	Polls           int64 // lags by up to 63 while the poller is parked (nextPoll); exact once Engine.Run returns
 	SlowPolls       int64
 	SlowOps         int64 // traced one-way latency or RTT beyond SlowThreshold (trace.go)
 	EventWakes      int64
@@ -217,7 +217,6 @@ func NewContext(o Options) *Context {
 		qpnTab:      make(map[uint32]*link),
 		clockSkew:   o.ClockSkew,
 		toff:        make(map[fabric.NodeID]sim.Duration),
-		eventFD:     int(o.Host.ID)*16 + 3,
 	}
 	c.pollFn, c.wakeFn, c.dispatchFn = c.pollTick, c.woke, c.dispatchNext
 	c.tel = telemetry.For(c.eng)
@@ -359,42 +358,56 @@ func (c *Context) Log() []LogEntry { return c.log.Snapshot() }
 // FlagLog returns the history of online configuration changes.
 func (c *Context) FlagLog() []flagChange { return c.flagLog }
 
-// --- Table I: event-fd surface ---------------------------------------------
-
-// GetEventFD returns the pollable descriptor (xrdma_get_event_fd). The
-// model returns a stable synthetic fd; select/poll/epoll integration is
-// the hybrid poller itself.
-func (c *Context) GetEventFD() int { return c.eventFD }
-
-// ProcessEvent drains pending completions once (xrdma_process_event) —
-// what an application calls after its own epoll wakes it on the event fd.
-func (c *Context) ProcessEvent() int { return c.pollOnce() }
-
-// Polling polls the context once (xrdma_polling); returns the number of
-// completions processed.
-func (c *Context) Polling() int { return c.pollOnce() }
-
-// RegMem registers application memory (xrdma_reg_mem).
-func (c *Context) RegMem(size int, done func(*rnic.MR)) {
-	c.pd.RegMR(size, c.cfg.MemMode, done)
-}
-
-// DeregMem releases application memory (xrdma_dereg_mem).
-func (c *Context) DeregMem(mr *rnic.MR) { c.pd.DeregMR(mr) }
-
 // --- polling ----------------------------------------------------------------
 
 func (c *Context) startPolling() {
 	c.started = true
 	c.lastPoll = c.eng.Now()
-	c.schedulePoll(pollEvery)
+	c.nextPoll()
 }
 
-func (c *Context) schedulePoll(d sim.Duration) {
+const idleSpins = 64 // consecutive empty polls before the poller sleeps in epoll
+
+// nextPoll ends a poll. A spin that cannot find anything is arithmetic, not an
+// engine event: a CQE reaches an empty CQ only through CQ.push → wake, so when
+// both CQs are empty and the thread is free by the next spin the poller parks —
+// its one event is the idleSpins-th consecutive idle spin, the one that enters
+// event mode, and the spins before it are accounted by skipSpins when that event
+// fires or when wake, InjectWork or Close unpark (unparkPoll).
+func (c *Context) nextPoll() {
 	if c.pollEv.Pending() {
+		return // a second chain's tick (pollTick's busy deferral is not in pollEv)
+	}
+	next := c.lastPoll.Add(pollEvery)
+	if c.parked = c.sendCQ.Len()+c.recvCQ.Len() == 0 && c.busyUntil <= next; c.parked {
+		next = c.lastPoll.Add(sim.Duration(idleSpins-c.idlePolls) * pollEvery)
+	}
+	c.pollEv = c.eng.At(next, c.pollFn)
+}
+
+// skipSpins accounts, in closed form, the idle spins a parked poller did not
+// fire up to and including instant t; the spin phase is kept. One rule for the
+// case arithmetic cannot decide: a skipped spin that coincides to the
+// nanosecond with whatever unparks counts as having fired first.
+func (c *Context) skipSpins(t sim.Time) {
+	k := int64(t.Sub(c.lastPoll) / pollEvery)
+	c.Stats.Polls += k
+	c.idlePolls += int(k)
+	c.lastPoll = c.lastPoll.Add(sim.Duration(k) * pollEvery)
+	c.parked = false
+}
+
+// unparkPoll puts a parked poller's next real poll at the next spin instant, or
+// within from now if that is sooner. A parked event already that close is left
+// alone: it is the next spin.
+func (c *Context) unparkPoll(within sim.Duration) {
+	at := c.eng.Now().Add(within)
+	if !c.parked || c.pollEv.At() <= at {
 		return
 	}
-	c.pollEv = c.eng.After(d, c.pollFn)
+	c.skipSpins(c.eng.Now())
+	c.eng.Cancel(c.pollEv)
+	c.pollEv = c.eng.At(min(at, c.lastPoll.Add(pollEvery)), c.pollFn)
 }
 
 // spinDetect is how quickly a busy-polling thread notices a fresh CQE.
@@ -414,6 +427,7 @@ func (c *Context) wake() {
 		c.eng.After(2*sim.Microsecond, c.wakeFn)
 		return
 	}
+	c.unparkPoll(spinDetect)
 	soon := c.eng.Now().Add(spinDetect)
 	if c.pollEv.Pending() {
 		if c.pollEv.At() <= soon {
@@ -431,12 +445,15 @@ func (c *Context) woke() {
 	c.eventMode = false
 	c.idlePolls = 0
 	c.lastPoll = c.eng.Now()
-	c.schedulePoll(0)
+	c.pollEv = c.eng.After(0, c.pollFn)
 }
 
 func (c *Context) pollTick() {
 	if !c.started {
 		return
+	}
+	if c.parked {
+		c.skipSpins(c.eng.Now().Add(-pollEvery)) // this spin is real
 	}
 	// Application work can hog the run-to-complete thread; the poller
 	// cannot run before it finishes (this is how slow-poll incidents
@@ -445,10 +462,9 @@ func (c *Context) pollTick() {
 		c.eng.At(c.busyUntil, c.pollFn)
 		return
 	}
-	n := c.pollOnce()
-	if n == 0 {
+	if c.pollOnce() == 0 {
 		c.idlePolls++
-		if c.idlePolls >= 64 {
+		if c.idlePolls >= idleSpins {
 			// Hybrid polling: long idle → event mode (epoll).
 			c.eventMode = true
 			return
@@ -456,7 +472,7 @@ func (c *Context) pollTick() {
 	} else {
 		c.idlePolls = 0
 	}
-	c.schedulePoll(pollEvery)
+	c.nextPoll()
 }
 
 // pollOnce drains both CQs and dispatches completions, charging the
@@ -529,6 +545,7 @@ func (c *Context) dispatchNext() {
 // InjectWork simulates the application occupying the thread for d —
 // used by jitter experiments to create slow-poll incidents.
 func (c *Context) InjectWork(d sim.Duration) {
+	c.unparkPoll(pollEvery)
 	now := c.eng.Now()
 	if c.busyUntil < now {
 		c.busyUntil = now
@@ -630,6 +647,7 @@ func (c *Context) Close() {
 	for _, l := range c.allLinks() {
 		l.giveUp(ErrChannelClosed)
 	}
+	c.unparkPoll(pollEvery) // the last tick fires where it always did, and returns
 	c.started = false
 }
 

@@ -427,6 +427,7 @@ func (r *handoffReader) u64() uint64 { return binary.LittleEndian.Uint64(r.bytes
 // registered regions; its channels, closed, have no XR-Stat row left. App
 // callbacks do NOT fire — the process is going down, not the peers.
 func (c *Context) Shutdown() {
+	c.unparkPoll(pollEvery)
 	c.started = false
 	for _, p := range c.listenPorts {
 		c.cm.Unlisten(p)

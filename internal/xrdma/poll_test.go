@@ -1,0 +1,155 @@
+package xrdma
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"xrdma/internal/sim"
+)
+
+// parkedAt builds a one-context world whose poller was woken out of epoll and
+// has polled once, idle, at the returned instant t0: idlePolls is 1 and 63
+// spins are left before it sleeps again. On the way it holds the first row of
+// the accounting table: a started, idle context enters event mode at the
+// instant its 64th spin fires, with exactly 64 polls counted.
+func parkedAt(t *testing.T) (*testWorld, *Context, sim.Time) {
+	t.Helper()
+	w := newWorld(t, 1, nil)
+	c := w.ctxs[0]
+	w.eng.Run()
+	if now := w.eng.Now(); !c.eventMode || now != sim.Time(idleSpins*pollEvery) || c.Stats.Polls != idleSpins {
+		t.Fatalf("idle → event mode: eventMode=%v at %v with %d polls, want true at 64µs with 64", c.eventMode, now, c.Stats.Polls)
+	}
+	c.wake()
+	w.eng.RunFor(2 * sim.Microsecond) // the epoll wake latency, then one real poll
+	t0 := w.eng.Now()
+	if c.eventMode || c.lastPoll != t0 || c.Stats.Polls != idleSpins+1 || c.idlePolls != 1 {
+		t.Fatalf("after the wake: eventMode=%v lastPoll=%v polls=%d idle=%d", c.eventMode, c.lastPoll, c.Stats.Polls, c.idlePolls)
+	}
+	return w, c, t0
+}
+
+// TestParkedPollAccounting: a parked poller's skipped spins are arithmetic, and
+// the arithmetic gives what firing them gave: every row passes unedited on the
+// parent commit, which fired all 64 spins — the tie row because the test's
+// event is scheduled after the spin it coincides with, which is the order the
+// one stated rule (skipSpins) assumes — except that the "left alone" row reads,
+// right after the wake, the 62 spins the parked event has yet to account.
+func TestParkedPollAccounting(t *testing.T) {
+	const us, ns = sim.Microsecond, sim.Nanosecond
+	cases := []struct {
+		name string
+		at   sim.Duration     // after t0
+		do   func(c *Context) // what unparks
+		// Right after do, relative to t0:
+		polls, idle int
+		last, next  sim.Duration
+		// After Engine.Run: when the poller reached event mode, and the gap of
+		// the slow poll it logged on the way (empty: none).
+		sleepAt sim.Duration
+		slowGap string
+	}{
+		{"wake mid-park: poll 100 ns later", 10*us + 350*ns, (*Context).wake,
+			10, 11, 10 * us, 10*us + 450*ns, 62*us + 450*ns, ""},
+		{"wake mid-park: the next spin is sooner", 10*us + 950*ns, (*Context).wake,
+			10, 11, 10 * us, 11 * us, 63 * us, ""},
+		{"tie: a wake on a spin instant finds the spin already fired", 10 * us, (*Context).wake,
+			10, 11, 10 * us, 10*us + 100*ns, 62*us + 100*ns, ""},
+		{"wake under 100 ns before the 64th spin: left alone", 62*us + 950*ns, (*Context).wake,
+			0, 1, 0, 63 * us, 63 * us, ""},
+		{"work mid-park: one slow poll, its gap from the last spin", 10*us + 350*ns, func(c *Context) { c.InjectWork(100 * us) },
+			10, 11, 10 * us, 11 * us, 162*us + 350*ns, "100.35µs"},
+		{"short work mid-park: over by the next spin", 10*us + 350*ns, func(c *Context) { c.InjectWork(500 * ns) },
+			10, 11, 10 * us, 11 * us, 63 * us, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, c, t0 := parkedAt(t)
+			p0, slow0, lines0 := c.Stats.Polls, c.Stats.SlowPolls, len(c.Log())
+			w.eng.RunUntil(t0.Add(tc.at) - 1)
+			w.eng.At(t0.Add(tc.at), func() {
+				tc.do(c)
+				got := fmt.Sprintf("polls=+%d idle=%d last=+%v next=+%v", c.Stats.Polls-p0, c.idlePolls, c.lastPoll.Sub(t0), c.pollEv.At().Sub(t0))
+				want := fmt.Sprintf("polls=+%d idle=%d last=+%v next=+%v", tc.polls, tc.idle, tc.last, tc.next)
+				if got != want {
+					t.Errorf("right after: %s, want %s", got, want)
+				}
+			})
+			for !c.eventMode && w.eng.Step() {
+			}
+			if got := w.eng.Now().Sub(t0); got != tc.sleepAt {
+				t.Errorf("event mode at t0+%v, want t0+%v", got, tc.sleepAt)
+			}
+			// Pulled forward, delayed or neither: sleeping takes 63 more idle polls.
+			if got := c.Stats.Polls - p0; got != idleSpins-1 {
+				t.Errorf("polls until event mode: +%d, want +%d", got, idleSpins-1)
+			}
+			var gaps []string
+			for _, e := range c.Log()[lines0:] {
+				if strings.HasPrefix(e.Text, "slow poll: ") {
+					gaps = append(gaps, strings.Fields(e.Text)[2])
+				}
+			}
+			if got := strings.Join(gaps, ","); got != tc.slowGap || c.Stats.SlowPolls-slow0 != int64(len(gaps)) {
+				t.Errorf("slow polls: gaps %q, counted %d, want %q", got, c.Stats.SlowPolls-slow0, tc.slowGap)
+			}
+		})
+	}
+}
+
+// TestStopUnparks: a context that stops lets go of the engine where it always
+// did — its last tick fires at the next spin instant and returns — not at the
+// 64th spin a parked poller would otherwise hold Engine.Run open for.
+func TestStopUnparks(t *testing.T) {
+	for name, stop := range map[string]func(*Context){"Close": (*Context).Close, "Shutdown": (*Context).Shutdown} {
+		t.Run(name, func(t *testing.T) {
+			w, c, t0 := parkedAt(t)
+			w.eng.RunFor(10*sim.Microsecond + 350*sim.Nanosecond)
+			stop(c)
+			w.eng.Run()
+			if got := w.eng.Now().Sub(t0); got != 11*sim.Microsecond { // the parent's value
+				t.Fatalf("Run ended at t0+%v, want t0+11µs", got)
+			}
+		})
+	}
+}
+
+// TestIdleEventBudget is the event-count twin of TestSteadyStateAllocs: idle
+// spins are not engine events.
+func TestIdleEventBudget(t *testing.T) {
+	t.Run("a started, idle context fires one poll event per idle period", func(t *testing.T) {
+		w := newWorld(t, 1, nil)
+		w.eng.Run()
+		if got := w.eng.Fired(); got != 1 {
+			t.Errorf("%d events from start to event mode, want 1 (the 64th spin)", got)
+		}
+		fired := w.eng.Fired()
+		w.ctxs[0].wake()
+		w.eng.Run()
+		if got := w.eng.Fired() - fired; got != 3 {
+			t.Errorf("%d events from wake to event mode, want 3 (epoll wake, first poll, 64th spin)", got)
+		}
+	})
+	t.Run("classic 64 B round trip to quiescence", func(t *testing.T) {
+		w := newWorld(t, 2, nil)
+		cli, srv := w.connect(t, 0, 1, 5000)
+		srv.OnMessage(func(m *Msg) { m.Reply(nil, m.Len) })
+		op := func() {
+			cli.SendMsg(nil, 64, func(_ *Msg, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			w.eng.Run()
+		}
+		for i := 0; i < 64; i++ {
+			op()
+		}
+		fired := w.eng.Fired()
+		op()
+		if got := w.eng.Fired() - fired; got > 105 {
+			t.Errorf("%d events per warmed round trip driven to quiescence, ceiling 105", got)
+		}
+	})
+}

@@ -951,16 +951,6 @@ func TestHybridPollingEventWake(t *testing.T) {
 	}
 }
 
-func TestGetEventFDStable(t *testing.T) {
-	w := newWorld(t, 2, nil)
-	if w.ctxs[0].GetEventFD() == w.ctxs[1].GetEventFD() {
-		t.Fatal("event fds collide")
-	}
-	if w.ctxs[0].GetEventFD() != w.ctxs[0].GetEventFD() {
-		t.Fatal("event fd unstable")
-	}
-}
-
 func TestMemIsolationDetectsOverrun(t *testing.T) {
 	w := newWorld(t, 1, func(i int, cfg *Config) { cfg.MemIsolation = true })
 	c := w.ctxs[0]
@@ -1018,15 +1008,5 @@ func TestConcurrentChannelsIndependentWindows(t *testing.T) {
 	w.eng.Run()
 	if done1 != 100 || done2 != 100 {
 		t.Fatalf("channels interfered: %d/%d", done1, done2)
-	}
-}
-
-func TestStatsSampleString(t *testing.T) {
-	// Smoke-check the String helpers don't explode.
-	w := newWorld(t, 2, nil)
-	cli, _ := w.connect(t, 0, 1, 5028)
-	s := cli.String()
-	if len(s) == 0 {
-		t.Fatal("empty channel string")
 	}
 }
