@@ -375,9 +375,6 @@ const idleSpins = 64 // consecutive empty polls before the poller sleeps in epol
 // event mode, and the spins before it are accounted by skipSpins when that event
 // fires or when wake, InjectWork or Close unpark (unparkPoll).
 func (c *Context) nextPoll() {
-	if c.pollEv.Pending() {
-		return // a second chain's tick (pollTick's busy deferral is not in pollEv)
-	}
 	next := c.lastPoll.Add(pollEvery)
 	if c.parked = c.sendCQ.Len()+c.recvCQ.Len() == 0 && c.busyUntil <= next; c.parked {
 		next = c.lastPoll.Add(sim.Duration(idleSpins-c.idlePolls) * pollEvery)
@@ -459,7 +456,7 @@ func (c *Context) pollTick() {
 	// cannot run before it finishes (this is how slow-poll incidents
 	// happen, §VI-A method II).
 	if c.busyUntil > c.eng.Now() {
-		c.eng.At(c.busyUntil, c.pollFn)
+		c.pollEv = c.eng.At(c.busyUntil, c.pollFn)
 		return
 	}
 	if c.pollOnce() == 0 {

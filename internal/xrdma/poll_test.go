@@ -98,6 +98,32 @@ func TestParkedPollAccounting(t *testing.T) {
 	}
 }
 
+// TestWakeDuringWorkKeepsOnePoll: the poll that application work defers is the
+// pending poll. A CQE arriving while the thread is busy used to find nothing
+// pending and start a second chain; both fired at busyUntil and the second,
+// finding the CQs just drained, was counted as a poll.
+func TestWakeDuringWorkKeepsOnePoll(t *testing.T) {
+	w := newWorld(t, 2, nil)
+	cli, srv := w.connect(t, 0, 1, 5000)
+	echoServer(srv)
+	c := w.ctxs[0]
+	cli.SendMsg([]byte("x"), 0, func(*Msg, error) {})
+	c.InjectWork(200 * sim.Microsecond)
+	busy := c.busyUntil
+	w.eng.RunUntil(busy - 1)
+	if c.recvCQ.Len() == 0 || c.eventMode {
+		t.Fatalf("the reply's CQE did not arrive during the work (recvCQ %d, eventMode %v)", c.recvCQ.Len(), c.eventMode)
+	}
+	if !c.pollEv.Pending() || c.pollEv.At() != busy {
+		t.Fatalf("pending poll at %v (pending=%v), want the deferred one at busyUntil %v", c.pollEv.At(), c.pollEv.Pending(), busy)
+	}
+	polls := c.Stats.Polls
+	w.eng.RunUntil(busy)
+	if got := c.Stats.Polls - polls; got != 1 {
+		t.Fatalf("%d polls at busyUntil, want 1", got)
+	}
+}
+
 // TestStopUnparks: a context that stops lets go of the engine where it always
 // did — its last tick fires at the next spin instant and returns — not at the
 // 64th spin a parked poller would otherwise hold Engine.Run open for.
