@@ -387,10 +387,10 @@ func (c *Context) nextPoll() {
 // case arithmetic cannot decide: a skipped spin that coincides to the
 // nanosecond with whatever unparks counts as having fired first.
 func (c *Context) skipSpins(t sim.Time) {
-	k := int64(t.Sub(c.lastPoll) / pollEvery)
-	c.Stats.Polls += k
+	k := t.Sub(c.lastPoll) / pollEvery
+	c.Stats.Polls += int64(k)
 	c.idlePolls += int(k)
-	c.lastPoll = c.lastPoll.Add(sim.Duration(k) * pollEvery)
+	c.lastPoll = c.lastPoll.Add(k * pollEvery)
 	c.parked = false
 }
 
