@@ -38,6 +38,24 @@ type Fabric struct {
 	// pktFree recycles Packet structs: at steady state every hop of every
 	// flow reuses the same handful of nodes instead of hammering the GC.
 	pktFree []*Packet
+
+	// OnDrop, when set, is handed the Payload of every packet the fabric
+	// discards, before the packet is recycled: a dropped frame's protocol
+	// header goes home to whoever pools it (the RNIC model installs this;
+	// the fabric must not know the type).
+	OnDrop func(payload any)
+}
+
+// drop is the fabric's one discard path: count it, free the cells the
+// packet held, hand its payload back, recycle it. Callers bump their own
+// per-device counter first.
+func (f *Fabric) drop(p *Packet) {
+	f.Stats.Drops++
+	f.releaseIngress(p)
+	if f.OnDrop != nil {
+		f.OnDrop(p.Payload)
+	}
+	f.FreePacket(p)
 }
 
 // NewPacket returns a zeroed packet from the fabric's free-list (or a fresh
@@ -60,9 +78,9 @@ func (f *Fabric) FreePacket(p *Packet) {
 	if p == nil {
 		return
 	}
-	arrive, forward := p.arriveFn, p.forwardFn
+	arrive := p.arriveFn
 	*p = Packet{}
-	p.arriveFn, p.forwardFn = arrive, forward
+	p.arriveFn = arrive
 	f.pktFree = append(f.pktFree, p)
 }
 
@@ -119,11 +137,19 @@ func (f *Fabric) Hosts() int { return len(f.hosts) }
 // Switches exposes the switch list for monitoring tools.
 func (f *Fabric) Switches() []*Switch { return f.switches }
 
-// link wires two ports together full-duplex.
+// link wires two ports together full-duplex. A switch acts on a packet one
+// pipeline delay after the wire hands it over, so that delay belongs to the
+// hop into it; a host adapter sinks at once.
 func (f *Fabric) link(a, b device, bps int64, prop sim.Duration) (pa, pb *Port) {
-	pa = &Port{eng: f.Eng, owner: a, fab: f, bps: bps, propDelay: prop}
-	pb = &Port{eng: f.Eng, owner: b, fab: f, bps: bps, propDelay: prop}
+	pa = &Port{eng: f.Eng, owner: a, fab: f, bps: bps, propDelay: prop, hopDelay: prop}
+	pb = &Port{eng: f.Eng, owner: b, fab: f, bps: bps, propDelay: prop, hopDelay: prop}
 	pa.peer, pb.peer = pb, pa
+	for _, pt := range [...]*Port{pa, pb} {
+		pt.kickFn = func() { pt.kickArmed = false; pt.kick() }
+		if _, ok := pt.peer.owner.(*Switch); ok {
+			pt.hopDelay += f.cfg.SwitchDelay
+		}
+	}
 	return pa, pb
 }
 
@@ -229,27 +255,24 @@ func (s *Switch) MaxPortQueue() int {
 	return m
 }
 
+// receive is the one instant a switch acts on a packet, SwitchDelay after
+// the wire delivered it (Port.hopDelay): liveness, route, MMU admission
+// against the ingress port and enqueue — with its ECN decision — on the
+// egress port all happen here.
 func (s *Switch) receive(p *Packet, in *Port) {
-	if s.down {
-		// A dead switch sinks whatever was already in flight toward it.
-		s.Drops++
-		s.fab.Stats.Drops++
-		s.fab.FreePacket(p)
-		return
+	var out *Port
+	if !s.down {
+		out = s.route(p)
 	}
-	out := s.route(p)
 	if out == nil {
+		// A dead switch sinks whatever was already in flight toward it;
+		// a live one drops what it has no route for.
 		s.Drops++
-		s.fab.Stats.Drops++
-		s.fab.FreePacket(p)
+		s.fab.drop(p)
 		return
 	}
 	in.accountIngress(p)
-	if p.forwardFn == nil {
-		p.initHopFns()
-	}
-	p.hopTo = out
-	s.fab.Eng.After(s.fab.cfg.SwitchDelay, p.forwardFn)
+	out.send(p)
 }
 
 // routeViabilityDepth bounds the viability recursion: the longest clos

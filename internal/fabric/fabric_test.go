@@ -181,28 +181,12 @@ func TestNoECNWhenIdle(t *testing.T) {
 }
 
 func TestPFCPreventsDrops(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EgressCap = 64 << 10 // tiny buffers
-	cfg.PFCXoff = 32 << 10
-	cfg.PFCXon = 16 << 10
-	eng, f, sinks := buildSmall(t, cfg)
-	const n = 500
-	sent := 0
-	for src := 1; src <= 3; src++ {
-		for i := 0; i < n; i++ {
-			src, i := src, i
-			eng.At(sim.Time(i)*sim.Time(200*sim.Nanosecond), func() {
-				f.Host(NodeID(src)).Send(&Packet{Src: NodeID(src), Dst: 0, Size: 4096, FlowHash: uint64(src*1000 + i), ECT: true})
-			})
-			sent++
-		}
-	}
-	eng.Run()
+	f, delivered, sent := pfcBurst(t)
 	if f.Stats.Drops != 0 {
 		t.Fatalf("lossless fabric dropped %d packets", f.Stats.Drops)
 	}
-	if len(sinks[0].got) != sent {
-		t.Fatalf("delivered %d, want %d", len(sinks[0].got), sent)
+	if delivered != sent {
+		t.Fatalf("delivered %d, want %d", delivered, sent)
 	}
 	if f.Stats.PauseTX == 0 {
 		t.Fatal("expected PFC pause frames under pressure with tiny buffers")

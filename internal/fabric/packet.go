@@ -83,32 +83,27 @@ type Packet struct {
 	blameEnqAt    sim.Time
 	blamePauseRef sim.Duration
 
-	// hopTo plus the two cached closures schedule the per-hop events
-	// (link arrival at the peer, switch forwarding delay) without
-	// allocating: the closures capture only the packet, are built once
-	// per Packet, and survive free-list recycling. hopTo holds the
-	// target port of the one hop currently scheduled — a packet is in
-	// exactly one place, so the slot is never contended. Managed by the
-	// fabric only.
-	hopTo     *Port
-	arriveFn  func()
-	forwardFn func()
+	// hopTo plus the cached closure schedule the packet's one event per
+	// hop — its arrival at the peer port's device — without allocating:
+	// the closure captures only the packet and survives free-list
+	// recycling. hopTo is the port that arrival is scheduled at — a packet
+	// is in exactly one place, so the slot is never contended. Managed by
+	// the fabric only.
+	hopTo    *Port
+	arriveFn func()
 }
 
-// initHopFns builds the packet's cached hop closures. Invoked lazily at
-// the first scheduled hop, so packets constructed directly by tests work
-// too; free-listed packets keep theirs across recycling.
-func (p *Packet) initHopFns() {
-	p.arriveFn = func() {
-		to := p.hopTo
-		p.hopTo = nil
-		to.owner.receive(p, to)
+// arrive returns the packet's arrival continuation, built at its first hop
+// so packets constructed directly by tests work too.
+func (p *Packet) arrive() func() {
+	if p.arriveFn == nil {
+		p.arriveFn = func() {
+			to := p.hopTo
+			p.hopTo = nil
+			to.owner.receive(p, to)
+		}
 	}
-	p.forwardFn = func() {
-		to := p.hopTo
-		p.hopTo = nil
-		to.send(p)
-	}
+	return p.arriveFn
 }
 
 // wireSize is the number of bytes that occupy the link.

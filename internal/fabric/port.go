@@ -66,20 +66,22 @@ type Port struct {
 	fab   *Fabric
 
 	bps       int64
-	propDelay sim.Duration
+	propDelay sim.Duration // the wire alone: what a PFC frame takes
+	hopDelay  sim.Duration // last bit to the peer acting: + SwitchDelay into a switch
 
 	ctrlQ pktRing
 	dataQ pktRing
 	qlen  int // queued data bytes (for ECN marking decisions)
 
-	busy   bool
 	paused bool // peer asked us to stop sending ClassData
 
-	// txPkt is the frame currently serializing out of this port (valid
-	// while busy); txDoneFn is the cached tx-complete continuation so
-	// the per-frame schedule never allocates.
-	txPkt    *Packet
-	txDoneFn func()
+	// busyUntil is the last bit of the frame most recently dequeued — all
+	// the port keeps of a frame it put on the wire (DESIGN §6.1). kickArmed:
+	// one kick is pending at busyUntil, never two; kickFn is its cached
+	// continuation, so arming never allocates.
+	busyUntil sim.Time
+	kickArmed bool
+	kickFn    func()
 
 	// Cumulative pause accounting for blame tracing: how long this
 	// port's data class has been PFC-paused in total. Updated only on
@@ -137,12 +139,12 @@ func (pt *Port) setDown() {
 	pt.down = true
 	pt.fab.downPorts++
 	for pt.ctrlQ.len() > 0 {
-		pt.dropFlushed(pt.ctrlQ.pop())
+		pt.drop(pt.ctrlQ.pop())
 	}
 	for pt.dataQ.len() > 0 {
 		p := pt.dataQ.pop()
 		pt.qlen -= p.wireSize()
-		pt.dropFlushed(p)
+		pt.drop(p)
 	}
 }
 
@@ -156,11 +158,11 @@ func (pt *Port) setUp() {
 	pt.kick()
 }
 
-func (pt *Port) dropFlushed(p *Packet) {
+// drop discards a packet this port will not transmit: flushed by a link
+// going down, sent into a dead port, tail-dropped, or lost to a brownout.
+func (pt *Port) drop(p *Packet) {
 	pt.Drops++
-	pt.fab.Stats.Drops++
-	pt.releaseIngress(p)
-	pt.fab.FreePacket(p)
+	pt.fab.drop(p)
 }
 
 // pauseTotalAt reports cumulative data-class pause time through now.
@@ -174,7 +176,7 @@ func (pt *Port) pauseTotalAt(now sim.Time) sim.Duration {
 // send enqueues a packet for transmission out of this port.
 func (pt *Port) send(p *Packet) {
 	if pt.down {
-		pt.dropFlushed(p)
+		pt.drop(p)
 		return
 	}
 	if p.Blame != nil {
@@ -189,10 +191,7 @@ func (pt *Port) send(p *Packet) {
 		// With PFC on, ingress admission keeps buffers bounded and the
 		// fabric is lossless; tail drops only exist in lossy mode.
 		if !pt.unbounded && !pt.fab.cfg.PFCEnabled && pt.qlen+p.wireSize() > pt.fab.cfg.EgressCap {
-			pt.Drops++
-			pt.fab.Stats.Drops++
-			pt.releaseIngress(p)
-			pt.fab.FreePacket(p)
+			pt.drop(p)
 			return
 		}
 		pt.markECN(p)
@@ -229,80 +228,64 @@ func (pt *Port) markECN(p *Packet) {
 	}
 }
 
-// kick starts transmission if the port is idle and has eligible traffic.
+// kick is the one instant a port acts on a frame. With the wire free it
+// dequeues the next eligible frame (control first; data unless paused),
+// holds the wire until its last bit, counts it, frees its ingress cells,
+// draws the brownout impairments — only when a rate is configured, so the
+// golden path never touches the RNG here, and only for RDMA data frames: the
+// kernel TCP fallback is assumed to ride a separate, healthy NIC port — and
+// schedules its arrival at the peer: one event per link on an idle path.
+// With the wire busy, or traffic left behind, it arms one kick at busyUntil.
 func (pt *Port) kick() {
-	if pt.busy || pt.down {
-		return
+	now := pt.eng.Now()
+	for !pt.down && (pt.ctrlQ.len() > 0 || pt.dataQ.len() > 0 && !pt.paused) {
+		if now < pt.busyUntil {
+			if !pt.kickArmed {
+				pt.kickArmed = true
+				pt.eng.At(pt.busyUntil, pt.kickFn)
+			}
+			return
+		}
+		var p *Packet
+		if pt.ctrlQ.len() > 0 {
+			p = pt.ctrlQ.pop()
+		} else {
+			p = pt.dataQ.pop()
+			pt.qlen -= p.wireSize()
+		}
+		if p.Blame != nil {
+			p.Blame.Queue += now.Sub(p.blameEnqAt)
+			p.Blame.Pause += pt.pauseTotalAt(now) - p.blamePauseRef
+		}
+		pt.busyUntil = now.Add(pt.serialize(p.wireSize()))
+		pt.TxBytes += int64(p.wireSize())
+		pt.TxPackets++
+		pt.fab.releaseIngress(p)
+		impairable := p.Proto == ProtoRDMA && p.Class == ClassData
+		if impairable && pt.lossRate > 0 && pt.fab.rng.Float64() < pt.lossRate {
+			pt.drop(p) // it still occupied the wire
+			continue
+		}
+		if impairable && pt.corruptRate > 0 && pt.fab.rng.Float64() < pt.corruptRate {
+			p.Corrupt = true
+			pt.fab.Stats.Corrupted++
+		}
+		p.hopTo = pt.peer
+		pt.eng.At(pt.busyUntil.Add(pt.hopDelay+pt.extraDelay), p.arrive())
 	}
-	var p *Packet
-	switch {
-	case pt.ctrlQ.len() > 0:
-		p = pt.ctrlQ.pop()
-	case pt.dataQ.len() > 0 && !pt.paused:
-		p = pt.dataQ.pop()
-		pt.qlen -= p.wireSize()
-	default:
-		return
-	}
-	if p.Blame != nil {
-		now := pt.eng.Now()
-		p.Blame.Queue += now.Sub(p.blameEnqAt)
-		p.Blame.Pause += pt.pauseTotalAt(now) - p.blamePauseRef
-	}
-	pt.busy = true
-	pt.txPkt = p
-	if pt.txDoneFn == nil {
-		pt.txDoneFn = pt.txDone
-	}
-	pt.eng.After(pt.serialize(p.wireSize()), pt.txDoneFn)
-}
-
-// txDone fires when the frame on the wire finishes serializing: it applies
-// brownout impairments, schedules the propagation-delay arrival at the
-// peer, and starts the next frame. A port transmits one frame at a time
-// (busy), so the single txPkt slot is never contended.
-func (pt *Port) txDone() {
-	p := pt.txPkt
-	pt.txPkt = nil
-	pt.busy = false
-	pt.TxBytes += int64(p.wireSize())
-	pt.TxPackets++
-	pt.releaseIngress(p)
-	// Brownout impairments: drawn only when a rate is configured, so
-	// the golden path never touches the RNG here. Only RDMA data
-	// frames are impaired — the kernel TCP fallback path is assumed
-	// to ride a separate, healthy NIC port.
-	if pt.lossRate > 0 && p.Proto == ProtoRDMA && p.Class == ClassData &&
-		pt.fab.rng.Float64() < pt.lossRate {
-		pt.Drops++
-		pt.fab.Stats.Drops++
-		pt.fab.FreePacket(p)
-		pt.kick()
-		return
-	}
-	if pt.corruptRate > 0 && p.Proto == ProtoRDMA && p.Class == ClassData &&
-		pt.fab.rng.Float64() < pt.corruptRate {
-		p.Corrupt = true
-		pt.fab.Stats.Corrupted++
-	}
-	if p.arriveFn == nil {
-		p.initHopFns()
-	}
-	p.hopTo = pt.peer
-	pt.eng.After(pt.propDelay+pt.extraDelay, p.arriveFn)
-	pt.kick()
 }
 
 // releaseIngress returns the packet's bytes to the ingress accounting of
-// the device it is leaving and lifts PFC if the buffer drained enough.
-func (pt *Port) releaseIngress(p *Packet) {
+// the device it is leaving — at dequeue, or at its drop — and lifts PFC if
+// the buffer drained enough.
+func (f *Fabric) releaseIngress(p *Packet) {
 	in := p.inPort
 	p.inPort = nil
-	if in == nil || !pt.fab.cfg.PFCEnabled {
+	if in == nil || !f.cfg.PFCEnabled {
 		return
 	}
 	in.ingressBytes -= p.wireSize()
-	if in.pauseSent && in.ingressBytes <= pt.fab.cfg.PFCXon {
+	if in.pauseSent && in.ingressBytes <= f.cfg.PFCXon {
 		in.pauseSent = false
 		in.sendPFC(false)
 	}

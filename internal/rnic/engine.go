@@ -339,9 +339,7 @@ func (n *NIC) emit(p *fabric.Packet) {
 // freePacket reclaims a packet (and its header) that never reached the
 // wire: fault-injected drops and jobs killed mid-transmission.
 func (n *NIC) freePacket(p *fabric.Packet) {
-	if h, ok := p.Payload.(*hdr); ok {
-		n.pool.putHdr(h)
-	}
+	n.pool.dropped(p.Payload)
 	n.fab.FreePacket(p)
 }
 

@@ -265,6 +265,75 @@ func TestStagingRecycleSafety(t *testing.T) {
 	}
 }
 
+// TestDroppedHeadersComeHome: a frame the fabric discards hands its header back
+// through Fabric.OnDrop, so a browned-out world run to quiescence has every
+// header it ever allocated on the free list, once each, and no staging buffer
+// out — before the hook, each lost response segment stranded its snapshot.
+func TestDroppedHeadersComeHome(t *testing.T) {
+	const total, depth, size = 400, 8, 16 << 10
+	cfg := DefaultConfig()
+	cfg.RetransTimeout = 300 * sim.Microsecond
+	cfg.RetryLimit = 1000
+	r := newRig(t, cfg)
+	if !r.fab.SetHostLinkImpairment(5, 0.03, 0, 0) {
+		t.Fatal("no host 5 to brown out")
+	}
+	src := r.b.Mem.Register(size, RegNonContinuous)
+	seen := make(map[*hdr]bool) // every header passes a FaultHook on its way to the wire
+	see := func(p *fabric.Packet) (bool, sim.Duration) {
+		if h, ok := p.Payload.(*hdr); ok {
+			seen[h] = true
+		}
+		return false, 0
+	}
+	r.a.FaultHook, r.b.FaultHook = see, see
+
+	wrs := make([]SendWR, total)
+	next, done := 0, 0
+	post := func() {
+		wrs[next] = SendWR{ID: uint64(next), Op: OpRead, Len: size, RAddr: src.Base, RKey: src.RKey}
+		if err := r.qa.PostSend(&wrs[next]); err != nil {
+			t.Fatalf("PostSend %d: %v", next, err)
+		}
+		next++
+	}
+	r.qa.SendCQ.OnCompletion(func() {
+		for _, c := range r.qa.SendCQ.Poll(64) {
+			if c.Status != StatusOK {
+				t.Fatalf("READ %d: %v", c.WRID, c.Status)
+			}
+			if done++; next < total {
+				post()
+			}
+		}
+	})
+	for i := 0; i < depth; i++ {
+		post()
+	}
+	r.eng.Run()
+
+	if done != total || r.fab.Stats.Drops < 20 {
+		t.Fatalf("%d of %d READs completed over %d drops: not the brownout this test is about", done, total, r.fab.Stats.Drops)
+	}
+	pl := r.a.pool
+	if pl.staged != 0 || pl.stageFree > 1 {
+		t.Errorf("staging pool at rest: %d buffers out, %d kept (want 0 out, at most 1 kept)", pl.staged, pl.stageFree)
+	}
+	home := make(map[*hdr]bool, len(pl.hdrs))
+	for _, h := range pl.hdrs {
+		if home[h] {
+			t.Fatalf("header %p is on the free list twice", h)
+		}
+		home[h] = true
+	}
+	for h := range seen {
+		if !home[h] {
+			t.Errorf("a header that went to the wire never came home (%d allocated, %d on the free list)", len(seen), len(pl.hdrs))
+			break
+		}
+	}
+}
+
 // TestReadDestinationDeregisteredMidMessage: the region goes away between the
 // first and the last response segment. The remaining segments land in its
 // orphaned storage; the loss is counted once, at completion, as before.

@@ -195,6 +195,11 @@ func New(eng *sim.Engine, host *fabric.Host, cfg Config) *NIC {
 	n.dcqcnCuts = n.tel.Reg.Counter(n.track + ".dcqcn_cuts")
 	n.registerGauges()
 	host.Attach(n)
+	// The pools are per engine, so whichever NIC installs the hook first
+	// takes the dropped headers of all of them.
+	if n.fab.OnDrop == nil {
+		n.fab.OnDrop = n.pool.dropped
+	}
 	return n
 }
 

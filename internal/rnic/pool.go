@@ -32,9 +32,8 @@ type pools struct {
 // stageBuf is a READ responder's snapshot of the source range, taken when the
 // request is accepted: the response segments alias it until they land. refs
 // counts what still reads it — the response job plus every header carrying a
-// slice of it. A header the fabric drops never comes home (the fabric frees
-// the packet, not its payload), so its buffer is never reused and falls to the
-// collector: a missed decrement forgoes a reuse, it cannot cause one.
+// slice of it. Every header comes home: delivered ones through HandlePacket,
+// the ones the fabric drops through dropped.
 type stageBuf struct {
 	buf  []byte
 	refs int
@@ -68,6 +67,18 @@ func (pl *pools) putHdr(h *hdr) {
 	}
 	*h = hdr{}
 	pl.hdrs = append(pl.hdrs, h)
+}
+
+// dropped takes the payload of a packet that will never be delivered — one
+// the fabric discarded (it is the fabric's OnDrop hook: tail drop, dead link
+// or switch, no route, brownout loss) or one that never reached the wire
+// (NIC.freePacket): its header comes home like a delivered one, releasing its
+// share of a staging buffer. Foreign payloads (CM, tcpnet) are not ours to
+// pool.
+func (pl *pools) dropped(payload any) {
+	if h, ok := payload.(*hdr); ok {
+		pl.putHdr(h)
+	}
 }
 
 // job returns a zeroed transmit job.

@@ -174,8 +174,8 @@ func TestIdleEventBudget(t *testing.T) {
 		}
 		fired := w.eng.Fired()
 		op()
-		if got := w.eng.Fired() - fired; got > 105 {
-			t.Errorf("%d events per warmed round trip driven to quiescence, ceiling 105", got)
+		if got := w.eng.Fired() - fired; got > 60 {
+			t.Errorf("%d events per warmed round trip driven to quiescence, ceiling 60", got)
 		}
 	})
 }

@@ -3,9 +3,11 @@
 # emit BENCH_kernel.json: current ns/op + allocs/op per benchmark next to
 # the committed container/heap baseline, with the speedup factor.
 # Telemetry benchmarks have no pre-rewrite baseline; their contract is
-# allocs/op == 0 (enforced by the CI bench smoke), as are the untraced
-# RNIC send path's, the posted-receive path's, the one-sided READ
-# requester path's, the two in-place landings' (ReadInPlace64K,
+# allocs/op == 0 (enforced by the CI bench smoke), as are the fabric hop's
+# (FabricHop: one 64 B frame over four links, which also fails above one
+# event per link), the untraced RNIC send path's, the posted-receive
+# path's, the one-sided READ requester path's, the two in-place landings'
+# (ReadInPlace64K,
 # RecvInPlace: bytes go between registered buffers, nothing is allocated)
 # and a go-back-N round's (RetransmitUnacked: 32 WRs re-enqueued per op).
 # TracedSendPath is informational: its delta against UntracedSendPath is
@@ -27,8 +29,8 @@ out="${1:-BENCH_kernel.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-go test ./internal/sim/ ./internal/telemetry/ ./internal/rnic/ ./internal/xrmon/ -run '^$' \
-    -bench 'BenchmarkEngine|BenchmarkTelemetry|BenchmarkUntracedSendPath|BenchmarkTracedSendPath|BenchmarkPostedRecvPath|BenchmarkOneSidedReadPath|BenchmarkReadInPlace64K|BenchmarkRecvInPlace|BenchmarkRetransmitUnacked|BenchmarkAgentSample' -benchmem \
+go test ./internal/sim/ ./internal/telemetry/ ./internal/fabric/ ./internal/rnic/ ./internal/xrmon/ -run '^$' \
+    -bench 'BenchmarkEngine|BenchmarkTelemetry|BenchmarkFabricHop|BenchmarkUntracedSendPath|BenchmarkTracedSendPath|BenchmarkPostedRecvPath|BenchmarkOneSidedReadPath|BenchmarkReadInPlace64K|BenchmarkRecvInPlace|BenchmarkRetransmitUnacked|BenchmarkAgentSample' -benchmem \
     -benchtime=2s -count=1 | tee "$tmp" >&2
 go test ./internal/xrdma/ -run '^$' -bench 'BenchmarkBuddyAlloc' -benchmem \
     -benchtime=1s -count=1 | tee -a "$tmp" >&2
