@@ -16,12 +16,14 @@ import (
 // i.e. the experiments in REPRODUCE.md are no longer comparable across
 // versions. Update them only for a deliberate, documented model change.
 // goldenFiredCount was 4476 until the hybrid poller stopped firing idle spins
-// as engine events (DESIGN §9.5, EXPERIMENTS.md P6); RTT and Fig 9 did not move.
+// as engine events (DESIGN §9.5, EXPERIMENTS.md P6), and 3269 until a fabric
+// hop became one event (DESIGN §6.1, EXPERIMENTS.md P7); RTT and Fig 9 did not
+// move either time.
 const (
 	goldenSeed       = 42
 	goldenPingSize   = 512
 	goldenPingCount  = 50
-	goldenFiredCount = 3269
+	goldenFiredCount = 1834
 	goldenMeanRTT    = 7165 * sim.Nanosecond
 	goldenFig9Raw    = 1297.0
 	goldenFig9XRDMA  = 0.0
