@@ -41,14 +41,18 @@ const (
 	scaleReqsPerChan  = 3
 	scaleReqBytes     = 64
 
-	// Heap budgets for HeapOK (adjusted by raceHeapMul under -race).
-	// The smoke world (320 stacks, ~1500 live + 2400 idle channels)
-	// measures ~35 MB; the full world (4096 stacks, ~12k live channels)
-	// ~320 MB. Budgets leave ~2× headroom so Go-version allocator drift
-	// doesn't flap the gate while a per-channel state regression (the
-	// flyweight structure growing eager maps again) still trips it.
+	// Heap budgets for HeapOK (adjusted by raceHeapMul under -race), weighed
+	// with the world still reachable. The smoke world (320 stacks, ~1500 live
+	// + 2400 idle channels) measures 84 MiB: 72 are the first 4 MiB SRQ block
+	// of each of the 18 contexts that talk (8 clients, 10 distinct servers),
+	// 12 everything else. The full world (4096 stacks, ~12k live channels)
+	// measures 1318 MiB: 1088 of first blocks (272 contexts that talk), 230
+	// everything else. The margins (14–17 %) are what catches a per-channel
+	// state regression (the flyweight structure growing eager maps again) or
+	// a shared receive queue filled ahead of demand again (5 blocks a context:
+	// smoke 373 MiB).
 	scaleSmokeHeapBudget = 96 << 20
-	scaleFullHeapBudget  = 768 << 20
+	scaleFullHeapBudget  = 1536 << 20
 )
 
 // ScaleResult aggregates the drill.
@@ -242,7 +246,11 @@ func ScaleWorld(sc Scale) *ScaleResult {
 	}
 	r.DigestHash = h.Sum64()
 
+	// The world has to be reachable while it is weighed: these are its last uses.
 	r.HeapBytes = scaleHeap() - heap0
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(active)
+	runtime.KeepAlive(idle)
 	r.HeapOK = r.HeapBytes <= r.HeapBudget
 
 	heapCell := fmt.Sprintf("FAIL (> %d MiB)", r.HeapBudget>>20)

@@ -37,6 +37,14 @@ func TestScaleWorld(t *testing.T) {
 	if !r.HeapOK {
 		t.Errorf("heap %d MiB exceeds budget %d MiB", r.HeapBytes>>20, r.HeapBudget>>20)
 	}
+	// 320 stacks and the SRQ blocks of the contexts that talk cannot weigh
+	// this little: a reading under the floor weighed a world the collector
+	// had already freed.
+	const floor = 8 << 20
+	if r.HeapBytes <= floor {
+		t.Errorf("heap %d MiB, under the %d MiB floor: the world was not live when it was measured", r.HeapBytes>>20, floor>>20)
+	}
+	t.Logf("heap %.1f MiB (budget %d MiB)", float64(r.HeapBytes)/(1<<20), r.HeapBudget>>20)
 }
 
 // TestScaleDeterministic asserts the digest is a pure function of the

@@ -202,10 +202,33 @@ type SRQ struct {
 	queue sim.Queue[RecvWR] // posted WQEs; storage reused across post/consume cycles
 	// Posted counts total WQEs ever posted (monitoring).
 	Posted int64
+	// The armed low watermark (Arm); limit 0 is disarmed.
+	limit   int
+	onLimit func()
 }
 
 // NewSRQ creates a shared receive queue.
 func NewSRQ(depth int) *SRQ { return &SRQ{Depth: depth} }
+
+// Arm sets the one-shot low watermark (ibv_modify_srq with srq_limit): the
+// consume that leaves fewer than limit WQEs posted calls fn, from inside the
+// consume like CQ.OnCompletion's callback, and disarms — nothing fires again
+// until the owner arms again (IBV_EVENT_SRQ_LIMIT_REACHED). Posting never
+// fires it, and a queue armed while already below the limit fires on its next
+// consume. limit 0 disarms.
+func (s *SRQ) Arm(limit int, fn func()) { s.limit, s.onLimit = limit, fn }
+
+func (s *SRQ) take() (RecvWR, bool) {
+	if s.queue.Len() == 0 {
+		return RecvWR{}, false
+	}
+	wr := s.queue.Pop()
+	if s.queue.Len() < s.limit {
+		s.limit = 0
+		s.onLimit()
+	}
+	return wr, true
+}
 
 // Post adds a receive buffer; errors when full.
 func (s *SRQ) Post(wr RecvWR) error {
@@ -406,14 +429,13 @@ func (qp *QP) PostSend(wr *SendWR) error {
 }
 
 func (qp *QP) takeRecv() (RecvWR, bool) {
-	q := &qp.rq
 	if qp.srq != nil {
-		q = &qp.srq.queue
+		return qp.srq.take()
 	}
-	if q.Len() == 0 {
+	if qp.rq.Len() == 0 {
 		return RecvWR{}, false
 	}
-	return q.Pop(), true
+	return qp.rq.Pop(), true
 }
 
 // enterError flushes all outstanding work with the given status and marks

@@ -531,6 +531,79 @@ func TestSRQSharing(t *testing.T) {
 	}
 }
 
+// TestSRQLimitEvent holds SRQ.Arm to ibv_modify_srq's contract, driven by real
+// sends consuming through a QP: silent while the consumes leave the limit or
+// more posted, fired by the one that leaves fewer — from inside that consume,
+// with no engine event of its own — once, silent until armed again, unmoved by
+// Post, and due at the next consume when armed below the limit.
+func TestSRQLimitEvent(t *testing.T) {
+	eng := sim.NewEngine()
+	fab := fabric.New(eng, fabric.DefaultConfig(), 1)
+	fabric.BuildClos(fab, fabric.SmallClos())
+	a := New(eng, fab.Host(0), DefaultConfig())
+	b := New(eng, fab.Host(1), DefaultConfig())
+	srq := NewSRQ(64)
+	qa := a.AllocQPNow(64, 16, NewCQ(128), NewCQ(32), nil)
+	qb := b.AllocQPNow(16, 16, NewCQ(32), NewCQ(128), srq)
+	for _, st := range []QPState{QPInit, QPRTR, QPRTS} {
+		a.ModifyQPNow(qa, st, b.Node, qb.QPN)
+		b.ModifyQPNow(qb, st, a.Node, qa.QPN)
+	}
+	post := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := srq.Post(RecvWR{Len: 4096}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fired, firedAt := 0, -1
+	onLimit := func() { fired, firedAt = fired+1, srq.Len() }
+	consume := func(n int) (events uint64) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			qa.PostSend(&SendWR{Op: OpSend, Len: 10, Unsignaled: true})
+		}
+		before, left := eng.Fired(), srq.Len()-n
+		eng.Run()
+		if srq.Len() != left {
+			t.Fatalf("%d WQEs left posted, want %d", srq.Len(), left)
+		}
+		return eng.Fired() - before
+	}
+	post(17)
+	unarmed, one := consume(4), consume(1) // 12 left; what four consumes and one cost with nothing armed
+	srq.Arm(8, onLimit)
+	if got := consume(4); fired != 0 || got != unarmed { // 8 left: at the limit, not below it
+		t.Fatalf("fired %d times with the limit still posted; %d events for four consumes, %d unarmed", fired, got, unarmed)
+	}
+	post(4)
+	if fired != 0 {
+		t.Fatal("Post fired the limit")
+	}
+	consume(4) // 8 left again
+	if got := consume(1); fired != 1 || firedAt != 7 || got != one {
+		t.Fatalf("fired %d times (at %d posted) on the crossing consume, %d events; want once at 7, %d events", fired, firedAt, got, one)
+	}
+	if consume(3); fired != 1 {
+		t.Fatalf("fired %d times: the limit is one-shot", fired)
+	}
+	if post(2); fired != 1 { // 6 posted
+		t.Fatal("Post fired a disarmed limit")
+	}
+	srq.Arm(8, onLimit) // armed below the limit: the next consume is due
+	if fired != 1 {
+		t.Fatal("Arm fired the limit")
+	}
+	if consume(1); fired != 2 || firedAt != 5 {
+		t.Fatalf("fired %d times (at %d posted) after re-arming below the limit, want twice, at 5", fired, firedAt)
+	}
+	srq.Arm(8, onLimit)
+	srq.Arm(0, nil)
+	if consume(5); fired != 2 || b.Counters.RNRNakSent != 0 {
+		t.Fatalf("fired %d times after disarming (%d RNR NAKs)", fired, b.Counters.RNRNakSent)
+	}
+}
+
 func TestDCQCNCutsUnderIncast(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := fabric.New(eng, fabric.DefaultConfig(), 1)

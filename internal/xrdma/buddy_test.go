@@ -31,8 +31,8 @@ func TestBuddySplitMergeInvariants(t *testing.T) {
 	}
 	w.eng.Run()
 
-	if m.Regions() != 1 {
-		t.Fatalf("regions = %d, want 1 (all blocks fit one region)", m.Regions())
+	if len(m.regions) != 1 {
+		t.Fatalf("regions = %d, want 1 (all blocks fit one region)", len(m.regions))
 	}
 	var wantReq, wantBlock int64
 	for i, sz := range sizes {
@@ -56,12 +56,12 @@ func TestBuddySplitMergeInvariants(t *testing.T) {
 
 	// The strongest merge invariant: the drained region hands out its full
 	// capacity as ONE block again, with no growth.
-	full, ok := m.AllocNow(1 << 20)
+	full, ok := m.tryAlloc(nil, 1<<20)
 	if !ok {
 		t.Fatal("full-capacity alloc failed after drain — buddies did not re-merge")
 	}
-	if m.Regions() != 1 {
-		t.Fatalf("regions = %d after full-capacity alloc, want 1", m.Regions())
+	if len(m.regions) != 1 {
+		t.Fatalf("regions = %d after full-capacity alloc, want 1", len(m.regions))
 	}
 	m.Free(full)
 }
@@ -89,7 +89,7 @@ func TestTenantMemBudget(t *testing.T) {
 		first = b
 	})
 	w.eng.Run()
-	if got := ten.MemUsed(); got != 64<<10 {
+	if got := ten.memUsed; got != 64<<10 {
 		t.Fatalf("MemUsed = %d, want block-rounded 64KiB", got)
 	}
 
@@ -102,11 +102,11 @@ func TestTenantMemBudget(t *testing.T) {
 	if ten.MemRejects != 1 {
 		t.Errorf("MemRejects = %d, want 1", ten.MemRejects)
 	}
-	if _, ok := m.AllocNowT(ten, 512); ok {
-		t.Error("AllocNowT admitted an over-budget allocation")
+	if _, ok, err := m.allocSync(ten, 512); ok || !errors.Is(err, ErrTenantBudget) {
+		t.Errorf("allocSync admitted an over-budget allocation (ok=%v err=%v)", ok, err)
 	}
 	if ten.MemRejects != 2 {
-		t.Errorf("MemRejects = %d after AllocNowT, want 2", ten.MemRejects)
+		t.Errorf("MemRejects = %d after allocSync, want 2", ten.MemRejects)
 	}
 
 	// The first breach of the episode trips a flight dump whose QPN field
@@ -126,10 +126,10 @@ func TestTenantMemBudget(t *testing.T) {
 
 	// Freeing restores headroom: the same request now succeeds.
 	m.Free(first)
-	if got := ten.MemUsed(); got != 0 {
+	if got := ten.memUsed; got != 0 {
 		t.Fatalf("MemUsed = %d after free, want 0", got)
 	}
-	if b, ok := m.AllocNowT(ten, 512); !ok {
+	if b, ok, _ := m.allocSync(ten, 512); !ok {
 		t.Fatal("alloc after free should succeed")
 	} else {
 		m.Free(b)
@@ -171,7 +171,7 @@ func TestMemPoolCapRejectsLoudly(t *testing.T) {
 
 	// Headroom restored by a free, not by growth.
 	m.Free(full)
-	if b, ok := m.AllocNow(512); !ok {
+	if b, ok := m.tryAlloc(nil, 512); !ok {
 		t.Fatal("alloc after free should succeed from the existing region")
 	} else {
 		m.Free(b)
@@ -222,14 +222,14 @@ func TestMemWatermarkEvictionDeterministic(t *testing.T) {
 		if m.Evictions != 1 {
 			t.Errorf("Evictions = %d, want 1", m.Evictions)
 		}
-		if m.Regions() != 3 {
-			t.Errorf("Regions = %d after eviction, want 3", m.Regions())
+		if len(m.regions) != 3 {
+			t.Errorf("Regions = %d after eviction, want 3", len(m.regions))
 		}
 		for _, b := range bufs {
 			m.Free(b)
 		}
 		w.eng.Run()
-		return m.Evictions, m.Shrinks, int64(m.Regions()), m.InUseBytes
+		return m.Evictions, m.Shrinks, int64(len(m.regions)), m.InUseBytes
 	}
 	e1, s1, r1, u1 := run()
 	e2, s2, r2, u2 := run()
@@ -275,8 +275,8 @@ func TestTenantAllocRace(t *testing.T) {
 				m.Free(b)
 			}
 			w.eng.Run()
-			if m.InUseBytes != 0 || ten.MemUsed() != 0 {
-				t.Errorf("world leaked: in-use %d, tenant %d", m.InUseBytes, ten.MemUsed())
+			if m.InUseBytes != 0 || ten.memUsed != 0 {
+				t.Errorf("world leaked: in-use %d, tenant %d", m.InUseBytes, ten.memUsed)
 			}
 		}()
 	}
@@ -295,7 +295,7 @@ func BenchmarkBuddyAlloc(b *testing.B) {
 	var live [16]Buffer
 	// Warm-up pass: grow every free-list slice to its steady-state footprint.
 	for i := 0; i < 4*len(live); i++ {
-		if buf, ok := m.AllocNow(sizes[i%len(sizes)]); ok {
+		if buf, ok := m.tryAlloc(nil, sizes[i%len(sizes)]); ok {
 			m.Free(live[i%len(live)])
 			live[i%len(live)] = buf
 		}
@@ -303,7 +303,7 @@ func BenchmarkBuddyAlloc(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, ok := m.AllocNow(sizes[i%len(sizes)])
+		buf, ok := m.tryAlloc(nil, sizes[i%len(sizes)])
 		if !ok {
 			b.Fatal("steady-state alloc failed")
 		}

@@ -274,20 +274,29 @@ func (ch *Channel) onConnect(done func(*Channel, error)) {
 }
 
 // sharedRQ is the receive queue a created QP attaches to: the context's SRQ
-// when configured, nil for per-channel receive pools. The first QP to ask
-// triggers the fill (§VII-F; an idle context holds no buffers): one pool of
-// SRQSize slots, posted block by block as the memory cache grows to hold them.
+// when configured, nil for per-channel receive pools. It fills by demand (§VII-F;
+// DESIGN §12.1): min(SRQSize, one cache region's worth) slots at the first QP, a
+// block more, up to SRQSize, when under 1/srqLimitDiv of one is left posted.
 func (c *Context) sharedRQ() *rnic.SRQ {
-	if c.srq != nil && !c.srqPrimed {
-		c.srqPrimed = true
-		c.Mem.carve(c.cfg.SRQSize, c.recvBufSize(), true, func(p *recvPool, lo, hi int) {
-			c.srqPool = p
-			for slot := lo; slot < hi; slot++ {
-				c.recycleSRQ(p.id(slot))
-			}
-		})
+	if c.srq != nil && c.srqPool == nil {
+		c.srqPool = c.Mem.carve(c.cfg.SRQSize, c.recvBufSize(), true, c.srqLanded)
 	}
 	return c.srq
+}
+
+// srqLanded posts a block and arms the limit event (ibv_modify_srq) for the next.
+func (c *Context) srqLanded(p *recvPool, lo, hi int) {
+	for slot := lo; slot < hi; slot++ {
+		if wr, ok := p.wr(p.id(slot)); ok && c.srq.Post(wr) == nil { // in place, and it fits: SRQSize deep, as the pool
+			c.Stats.SRQPosted++
+		}
+	}
+	if hi < p.n {
+		c.srq.Arm(p.per/srqLimitDiv, func() {
+			c.Stats.SRQGrows++
+			c.Mem.fill(p, hi/p.per, c.srqLanded)
+		})
+	}
 }
 
 // newChannel builds the flyweight every channel starts as: the windows

@@ -18,6 +18,7 @@ const (
 	pollCost    = 60 * sim.Nanosecond  // CPU cost charged per poll iteration
 	perMsgCost  = 100 * sim.Nanosecond // software overhead per dispatched message (X-RDMA's thin data path)
 	traceCost   = 50 * sim.Nanosecond  // extra per message in req-rsp mode (§VII-A: ≈200 ns, 2–4% of a ping-pong)
+	srqLimitDiv = 2                    // the SRQ asks for its next block with under 1/2 of one left posted (sharedRQ)
 )
 
 // Config mirrors Table III: "online" parameters may be changed on a
@@ -91,7 +92,7 @@ type Config struct {
 	// UseSRQ shares one receive queue across the context's channels
 	// (§VII-F: supported, disabled by default — it can reintroduce RNR).
 	UseSRQ bool
-	// SRQSize is the shared receive queue depth when UseSRQ is set.
+	// SRQSize caps the shared receive queue (UseSRQ), filled by demand (sharedRQ).
 	SRQSize int
 	// QPsPerPeer enables QP multiplexing: channels to the same peer node
 	// share a pool of at most this many QPs, demultiplexed by the wire

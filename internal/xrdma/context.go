@@ -34,8 +34,7 @@ type Context struct {
 
 	sendCQ, recvCQ *rnic.CQ
 	srq            *rnic.SRQ
-	srqPrimed      bool      // first fill started (deferred: see sharedRQ)
-	srqPool        *recvPool // the SRQ's standing buffers, from the fill's first block on
+	srqPool        *recvPool // the SRQ's standing buffers, from the first QP on (sharedRQ)
 
 	// The message records (msgrec.go): posted routes a send completion to the
 	// record that posted the WR; recFree is the free list (grown on demand,
@@ -172,6 +171,8 @@ type ContextStats struct {
 	VerMismatches int64
 	DrainRefusals int64
 	Rehydrated    int64
+	// sharedRQ's fill: slots in place (verbs cannot un-post), limit events.
+	SRQPosted, SRQGrows int64
 }
 
 // LogEntry is one line of the self-adaptive log (§VI-A method III).
@@ -274,9 +275,9 @@ type gauge struct {
 func (c *Context) registerGauges() {
 	reg, stats := c.tel.Reg, reflect.ValueOf(&c.Stats).Elem()
 	for i := 0; i < stats.NumField(); i++ {
-		var name []byte
-		for j, r := range stats.Type().Field(i).Name {
-			if r < 'a' && j > 0 {
+		name, field := []byte(nil), stats.Type().Field(i).Name
+		for j, r := range field {
+			if r < 'a' && j > 0 && (field[j-1] >= 'a' || j+1 < len(field) && field[j+1] >= 'a') { // a word starts: fooBar, SRQGrows
 				name = append(name, '_')
 			}
 			name = append(name, byte(r|0x20))

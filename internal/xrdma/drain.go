@@ -450,7 +450,6 @@ func (c *Context) Shutdown() {
 		}
 		l.close() // cancels a dial in flight
 	}
-	c.srqPool = nil
 	// Registered memory does not survive the process: drop the cache's
 	// regions and zero the accounting, so leak assertions on the old
 	// instance see a clean slate.

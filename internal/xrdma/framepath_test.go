@@ -87,8 +87,8 @@ func TestOneSidedWriteImmSharedQP(t *testing.T) {
 	if fired {
 		t.Fatal("WRITE+imm on a shared QP woke a rider it cannot name")
 	}
-	if got, _, _ := heldBySRQ(w.ctxs[1]); got != srqBefore || w.ctxs[1].srq.Len() != w.ctxs[1].cfg.SRQSize {
-		t.Fatalf("SRQ holds %d bytes (%d posted) after the WRITE+imm, want %d (%d)", got, w.ctxs[1].srq.Len(), srqBefore, w.ctxs[1].cfg.SRQSize)
+	if got, _, _ := heldBySRQ(w.ctxs[1]); got != srqBefore || w.ctxs[1].srq.Len() != srqFill(w.ctxs[1]) {
+		t.Fatalf("SRQ holds %d bytes (%d posted) after the WRITE+imm, want %d (%d)", got, w.ctxs[1].srq.Len(), srqBefore, srqFill(w.ctxs[1]))
 	}
 
 	var got []byte

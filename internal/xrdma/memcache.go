@@ -122,9 +122,6 @@ func newMemCache(ctx *Context, mrSize int, mode rnic.RegMode) *MemCache {
 // OccupiedBytes is the total registered capacity.
 func (m *MemCache) OccupiedBytes() int64 { return int64(len(m.regions)) * int64(m.mrSize) }
 
-// Regions reports the number of live MRs.
-func (m *MemCache) Regions() int { return len(m.regions) }
-
 func (m *MemCache) pad() int {
 	if m.ctx.cfg.MemIsolation {
 		return 2 * canaryLen
@@ -185,18 +182,6 @@ func (m *MemCache) overBudget(t *Tenant, size int) bool {
 	}
 	t.noteBudgetReject(block)
 	return true
-}
-
-// AllocNow is the non-blocking variant; ok=false when the cache would
-// have to grow.
-func (m *MemCache) AllocNow(size int) (Buffer, bool) {
-	return m.tryAlloc(nil, size)
-}
-
-// AllocNowT is AllocNow with tenant budget accounting.
-func (m *MemCache) AllocNowT(t *Tenant, size int) (Buffer, bool) {
-	b, ok, _ := m.allocSync(t, size)
-	return b, ok
 }
 
 func (m *MemCache) tryAlloc(t *Tenant, size int) (Buffer, bool) {
@@ -360,13 +345,12 @@ type recvPool struct {
 }
 
 // carve allocates a pool of n strides: one block, or — when no region can hold
-// it — packed blocks of as many strides as a region takes (the SRQ), else a
-// block per stride (a link's: only E14's 256 KiB regions are that small; packing
-// it is leaner, and moves that world's footprint ratio past the band its test
-// holds — a re-baseline of its own: ROADMAP item 2). landed runs once per block
-// with its slot range, in any order and possibly before carve returns, the block
-// in place — or invalid: that allocation failed and its slots stay unposted.
-func (m *MemCache) carve(n, stride int, packed bool, landed func(p *recvPool, lo, hi int)) {
+// it — a block per stride (a link's, in E14's 256 KiB regions only; DESIGN §14.4
+// has why it is not packed yet), or, packed, blocks of as many strides as a
+// region takes, the first now and each next when its owner asks (fill): the SRQ.
+// landed runs once per block with its slot range, possibly before carve returns,
+// the block in place — or invalid: that allocation failed, its slots stay unposted.
+func (m *MemCache) carve(n, stride int, packed bool, landed func(p *recvPool, lo, hi int)) *recvPool {
 	per := min(n, max((m.capBytes-m.pad())/stride, 1))
 	if per < n && !packed {
 		per = 1
@@ -376,14 +360,20 @@ func (m *MemCache) carve(n, stride int, packed bool, landed func(p *recvPool, lo
 	if p.blocks = p.one[:]; p.pending > 1 {
 		p.blocks = make([]Buffer, p.pending)
 	}
-	for i := range p.blocks {
-		lo, hi := i*per, min((i+1)*per, n)
-		m.Alloc((hi-lo)*stride, func(b Buffer, _ error) {
-			p.blocks[i] = b
-			p.pending--
-			landed(p, lo, hi)
-		})
+	for i := 0; i < len(p.blocks) && (i == 0 || !packed); i++ {
+		m.fill(p, i, landed)
 	}
+	return p
+}
+
+// fill asks the cache for block i of the pool.
+func (m *MemCache) fill(p *recvPool, i int, landed func(p *recvPool, lo, hi int)) {
+	lo, hi := i*p.per, min((i+1)*p.per, p.n)
+	m.Alloc((hi-lo)*p.stride, func(b Buffer, _ error) {
+		p.blocks[i] = b
+		p.pending--
+		landed(p, lo, hi)
+	})
 }
 
 // id is the receive WR id of slot.

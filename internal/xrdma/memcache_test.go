@@ -33,8 +33,8 @@ func TestMemCacheGrowAndAlloc(t *testing.T) {
 	if len(bufs) != 8 {
 		t.Fatalf("allocated %d/8", len(bufs))
 	}
-	if m.Regions() < 2 {
-		t.Fatalf("8×200KB in 1MB regions should grow ≥2, got %d", m.Regions())
+	if len(m.regions) < 2 {
+		t.Fatalf("8×200KB in 1MB regions should grow ≥2, got %d", len(m.regions))
 	}
 	if m.InUseBytes != 8*200<<10 {
 		t.Fatalf("in-use = %d", m.InUseBytes)
@@ -63,8 +63,8 @@ func TestMemCacheCoalescing(t *testing.T) {
 		m.Alloc(256<<10, func(b Buffer, err error) { bufs = append(bufs, b) })
 	}
 	w.eng.Run()
-	if m.Regions() != 1 {
-		t.Fatalf("4×256KB should fit one 1MB region, got %d regions", m.Regions())
+	if len(m.regions) != 1 {
+		t.Fatalf("4×256KB should fit one 1MB region, got %d regions", len(m.regions))
 	}
 	// Free all; a full-region alloc must then succeed without growth.
 	for _, b := range bufs {
@@ -81,8 +81,8 @@ func TestMemCacheCoalescing(t *testing.T) {
 	if !got {
 		t.Fatal("full-region alloc failed")
 	}
-	if m.Regions() != 1 {
-		t.Fatalf("coalescing failed: grew to %d regions", m.Regions())
+	if len(m.regions) != 1 {
+		t.Fatalf("coalescing failed: grew to %d regions", len(m.regions))
 	}
 }
 
@@ -103,7 +103,7 @@ func TestMemCacheShrink(t *testing.T) {
 		m.Alloc(512<<10, func(b Buffer, err error) { bufs = append(bufs, b) })
 	}
 	w.eng.Run()
-	grown := m.Regions()
+	grown := len(m.regions)
 	if grown < 3 {
 		t.Fatalf("regions = %d", grown)
 	}
@@ -111,10 +111,10 @@ func TestMemCacheShrink(t *testing.T) {
 		m.Free(b)
 	}
 	w.eng.RunFor(200 * sim.Millisecond)
-	if m.Regions() >= grown {
-		t.Fatalf("idle regions not reclaimed: %d → %d", grown, m.Regions())
+	if len(m.regions) >= grown {
+		t.Fatalf("idle regions not reclaimed: %d → %d", grown, len(m.regions))
 	}
-	if m.Regions() < 1 {
+	if len(m.regions) < 1 {
 		t.Fatal("shrink must keep one warm region")
 	}
 	if m.Shrinks == 0 {

@@ -161,6 +161,9 @@ func XRStat(c *Context) string {
 				a.WindowSum(xrmon.SlotCorrupt), a.WindowSum(xrmon.SlotKaFails))
 		}
 	}
+	if c.srq != nil { // an undersized queue must not read as a quiet one (RNR is per row)
+		fmt.Fprintf(&b, "srq: %d of %d slots posted, %d grows\n", get("srq_posted"), c.cfg.SRQSize, get("srq_grows"))
+	}
 	// A lossy capture must not read as a quiet one.
 	if n := c.tel.Trace.Dropped(); n > 0 {
 		fmt.Fprintf(&b, "timeline truncated: %d events overwritten\n", n)

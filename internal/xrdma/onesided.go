@@ -179,7 +179,7 @@ func (ch *Channel) fetch(op *msgRec) {
 	op.holds |= holdOp
 	if op.size == 0 {
 		c.flow.fetchRemote(op, ch.lk.qp)
-	} else if buf, ok := c.Mem.AllocNow(op.size); ok {
+	} else if buf, ok := c.Mem.tryAlloc(nil, op.size); ok {
 		ch.fetchInto(op, buf, nil)
 	} else { // the cache must grow first
 		c.Mem.Alloc(op.size, func(buf Buffer, err error) { ch.fetchInto(op, buf, err) })

@@ -178,4 +178,36 @@ func TestIdleEventBudget(t *testing.T) {
 			t.Errorf("%d events per warmed round trip driven to quiescence, ceiling 60", got)
 		}
 	})
+	t.Run("an armed SRQ limit that is not crossed costs no event and no allocation", func(t *testing.T) {
+		// A default-depth queue arms its limit; one that fits a block has
+		// nothing to grow into and arms none (sharedRQ).
+		var events [2]uint64
+		var allocs [2]float64
+		for i, size := range []int{DefaultConfig().SRQSize, 256} {
+			w := newWorld(t, 2, func(_ int, cfg *Config) { cfg.QPsPerPeer, cfg.SRQSize = 1, size })
+			clis, srvs := openMuxed(t, w, 0, 1, 5000, 1)
+			srvs[0].OnMessage(func(m *Msg) { m.Reply(nil, m.Len) })
+			onResp := func(_ *Msg, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			op := func() {
+				clis[0].SendMsg(nil, 64, onResp)
+				w.eng.Run()
+			}
+			for k := 0; k < 64; k++ {
+				op()
+			}
+			fired := w.eng.Fired()
+			allocs[i] = testing.AllocsPerRun(100, op)
+			events[i] = w.eng.Fired() - fired // over AllocsPerRun's 101 round trips
+			if armed := srqFill(w.ctxs[1]) < size; armed != (i == 0) || w.ctxs[1].Stats.SRQGrows != 0 {
+				t.Fatalf("SRQSize %d: limit armed=%v, %d grows", size, armed, w.ctxs[1].Stats.SRQGrows)
+			}
+		}
+		if events[0] != events[1] || allocs[0] != allocs[1] {
+			t.Errorf("101 warmed mux round trips: %d events and %.2f allocs each with the limit armed, %d and %.2f without", events[0], allocs[0], events[1], allocs[1])
+		}
+	})
 }

@@ -163,6 +163,15 @@ func heldBySRQ(c *Context) (bytes, rounded, blocks int64) {
 	return bytes, rounded, blocks
 }
 
+// srqFill is how many slots a context's shared receive queue should have in
+// place now, by the fill rule (sharedRQ): the first block — what one cache
+// region holds — and one more per limit event, up to SRQSize. (A block whose
+// registration is still in flight is counted: ask once the engine has run.)
+func srqFill(c *Context) int {
+	per := (c.Mem.capBytes - c.Mem.pad()) / c.recvBufSize()
+	return min(c.cfg.SRQSize, per*(1+int(c.Stats.SRQGrows)))
+}
+
 // checkMemAtRest holds a context with no channel left to the ledger of the
 // ownership rule: the only memory out of the cache is the SRQ's pool (none
 // without an SRQ) — by bytes, by what the live regions themselves say is taken,

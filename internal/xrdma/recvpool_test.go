@@ -2,86 +2,111 @@ package xrdma
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
 )
 
-// TestRecvSlab holds the slab arithmetic: a pool of n strides is
-// ⌈n / ⌊capBytes/stride⌋⌉ cache blocks, every slot lies inside its block at a
-// stride multiple from the base, no two slots overlap, a WR id is its pool's
-// tag over its slot and names nothing in any other pool, and the cache's
-// counters read what the slicing says. The SRQ rows fill a shared receive
-// queue (tenants widen the stride by the tenant extension); the last rows are
-// the pool a link acquires — one block, or a block per buffer once the
-// buffers are too large for a region to hold the pool.
-func TestRecvSlab(t *testing.T) {
-	check := func(t *testing.T, c *Context, p *recvPool, per, n, stride int) {
-		t.Helper()
-		if p == nil || p.pending != 0 || p.n != n || p.stride != stride || stride != c.recvBufSize() {
-			t.Fatalf("pool %+v, want %d landed slots of %d (recvBufSize %d)", p, n, stride, c.recvBufSize())
-		}
-		if per = min(per, n); p.per != per || len(p.blocks) != (n+per-1)/per {
-			t.Fatalf("%d blocks of %d strides, want %d of %d", len(p.blocks), p.per, (n+per-1)/per, per)
-		}
-		var inUse, rounded int64
-		for i, b := range p.blocks {
-			want := min(per, n-i*per) * stride
-			if !b.Valid() || b.Len != want {
-				t.Fatalf("block %d: valid=%v len=%d, want %d", i, b.Valid(), b.Len, want)
+// checkSlab holds a pool to the slab arithmetic: n strides are
+// ⌈n / ⌊capBytes/stride⌋⌉ cache blocks of which those covering the first filled
+// slots are in place, every such slot lies inside its block at a stride multiple
+// from the base, no two overlap, a slot past them names nothing, a WR id is its
+// pool's tag over its slot and names nothing in any other pool, and the cache's
+// counters read what the slicing says (the pool is all that is out of it).
+func checkSlab(t *testing.T, c *Context, p *recvPool, per, n, filled, stride int) {
+	t.Helper()
+	per = min(per, n)
+	landed := (filled + per - 1) / per
+	if p == nil || p.n != n || p.stride != stride || stride != c.recvBufSize() {
+		t.Fatalf("pool %+v, want %d slots of %d (recvBufSize %d)", p, n, stride, c.recvBufSize())
+	}
+	if p.per != per || len(p.blocks) != (n+per-1)/per || p.pending != len(p.blocks)-landed {
+		t.Fatalf("%d blocks of %d strides, %d to land; want %d of %d, %d",
+			len(p.blocks), p.per, p.pending, (n+per-1)/per, per, (n+per-1)/per-landed)
+	}
+	var inUse, rounded int64
+	for i, b := range p.blocks {
+		if i >= landed {
+			if b.Valid() {
+				t.Fatalf("block %d is in place with %d slots filled", i, filled)
 			}
-			inUse, rounded = inUse+int64(b.Len), rounded+int64(c.Mem.blockFor(b.Len))
+			continue
 		}
-		if c.Mem.InUseBytes != int64(n*stride) || inUse != int64(n*stride) || c.Mem.PoolInUseBytes != rounded {
-			t.Errorf("InUseBytes=%d (blocks %d) PoolInUseBytes=%d, want %d and %d", c.Mem.InUseBytes, inUse, c.Mem.PoolInUseBytes, n*stride, rounded)
+		want := min(per, n-i*per) * stride
+		if !b.Valid() || b.Len != want {
+			t.Fatalf("block %d: valid=%v len=%d, want %d", i, b.Valid(), b.Len, want)
 		}
-		if got, want := c.Mem.Allocs-c.Mem.Frees, int64(len(p.blocks)); got != want {
-			t.Errorf("%d blocks out of the cache, want %d", got, want)
-		}
-		// A second pool of the same shape out of the same cache: the slot
-		// numbers repeat, the ids do not.
-		var other *recvPool
-		c.Mem.carve(n, stride, per > 1, func(q *recvPool, _, _ int) { other = q })
-		c.eng.Run() // the cache may have to grow for it
-		if other == nil || other.pending != 0 || other.tag == p.tag {
-			t.Fatalf("second pool %+v beside %+v", other, p)
-		}
-		seen := make(map[uint64]int, n)
-		for slot := 0; slot < n; slot++ {
-			id := p.id(slot)
-			wr, ok := p.wr(id)
-			b := p.blocks[slot/per]
-			if !ok || wr.ID != id || int(uint32(id)) != slot || wr.Len != stride {
-				t.Fatalf("slot %d: wr=%+v ok=%v, want id %#x len %d", slot, wr, ok, id, stride)
+		inUse, rounded = inUse+int64(b.Len), rounded+int64(c.Mem.blockFor(b.Len))
+	}
+	if c.Mem.InUseBytes != int64(filled*stride) || inUse != int64(filled*stride) || c.Mem.PoolInUseBytes != rounded {
+		t.Errorf("InUseBytes=%d (blocks %d) PoolInUseBytes=%d, want %d and %d", c.Mem.InUseBytes, inUse, c.Mem.PoolInUseBytes, filled*stride, rounded)
+	}
+	if got, want := c.Mem.Allocs-c.Mem.Frees, int64(landed); got != want {
+		t.Errorf("%d blocks out of the cache, want %d", got, want)
+	}
+	// A second pool of the same shape out of the same cache: the slot
+	// numbers repeat, the ids do not.
+	var other *recvPool
+	c.Mem.carve(n, stride, per > 1, func(q *recvPool, _, _ int) { other = q })
+	c.eng.Run() // the cache may have to grow for it
+	wantPending := 0
+	if per > 1 { // packed: only its first block was asked for
+		wantPending = len(p.blocks) - 1
+	}
+	if other == nil || other.pending != wantPending || other.tag == p.tag {
+		t.Fatalf("second pool %+v beside %+v", other, p)
+	}
+	seen := make(map[uint64]int, filled)
+	for slot := 0; slot < n; slot++ {
+		id := p.id(slot)
+		wr, ok := p.wr(id)
+		if slot >= filled {
+			if ok {
+				t.Fatalf("slot %d answers with %d filled", slot, filled)
 			}
-			if off := wr.Addr - b.Addr; wr.Addr < b.Addr || off%uint64(stride) != 0 || off+uint64(stride) > uint64(b.Len) {
-				t.Fatalf("slot %d at %#x: not a stride inside its block [%#x,+%d)", slot, wr.Addr, b.Addr, b.Len)
-			}
-			if prev, dup := seen[wr.Addr]; dup {
-				t.Fatalf("slots %d and %d share address %#x", prev, slot, wr.Addr)
-			}
-			seen[wr.Addr] = slot
-			if _, ok := other.wr(id); ok {
-				t.Fatalf("slot %d answers in another pool", slot)
-			}
-			if _, ok := p.wr(other.id(slot)); ok {
-				t.Fatalf("another pool's slot %d answers here", slot)
-			}
+			continue
 		}
-		for _, id := range []uint64{p.id(n), uint64(n - 1), p.id(0) | 1<<63} {
-			if _, ok := p.wr(id); ok {
-				t.Errorf("id %#x accepted by pool %#x of %d slots", id, p.tag, n)
-			}
+		b := p.blocks[slot/per]
+		if !ok || wr.ID != id || int(uint32(id)) != slot || wr.Len != stride {
+			t.Fatalf("slot %d: wr=%+v ok=%v, want id %#x len %d", slot, wr, ok, id, stride)
 		}
-		if _, ok := (*recvPool)(nil).wr(p.id(0)); ok {
-			t.Error("no pool, yet a WR")
+		if off := wr.Addr - b.Addr; wr.Addr < b.Addr || off%uint64(stride) != 0 || off+uint64(stride) > uint64(b.Len) {
+			t.Fatalf("slot %d at %#x: not a stride inside its block [%#x,+%d)", slot, wr.Addr, b.Addr, b.Len)
 		}
-		for _, b := range other.blocks {
-			c.Mem.Free(b)
+		if prev, dup := seen[wr.Addr]; dup {
+			t.Fatalf("slots %d and %d share address %#x", prev, slot, wr.Addr)
+		}
+		seen[wr.Addr] = slot
+		if _, ok := other.wr(id); ok {
+			t.Fatalf("slot %d answers in another pool", slot)
+		}
+		if _, ok := p.wr(other.id(slot)); ok {
+			t.Fatalf("another pool's slot %d answers here", slot)
 		}
 	}
+	for _, id := range []uint64{p.id(n), uint64(n - 1), p.id(0) | 1<<63} {
+		if _, ok := p.wr(id); ok {
+			t.Errorf("id %#x accepted by pool %#x of %d slots", id, p.tag, n)
+		}
+	}
+	if _, ok := (*recvPool)(nil).wr(p.id(0)); ok {
+		t.Error("no pool, yet a WR")
+	}
+	for _, b := range other.blocks {
+		c.Mem.Free(b)
+	}
+}
+
+// TestRecvSlab is checkSlab over the pools the middleware carves. The SRQ rows
+// fill a shared receive queue by the fill rule (srqFill: the rows whose SRQSize
+// fits one block hold all of it; tenants widen the stride by the tenant
+// extension); the last rows are the pool a link acquires — one block, or a
+// block per buffer once the buffers are too large for a region to hold the pool.
+func TestRecvSlab(t *testing.T) {
 	for _, size := range []int{4, 16, 994, 995, 4096} {
 		for _, tenants := range []bool{false, true} {
 			t.Run(fmt.Sprintf("srq-%d/tenants=%v", size, tenants), func(t *testing.T) {
@@ -101,11 +126,15 @@ func TestRecvSlab(t *testing.T) {
 					}
 				}
 				cli, srv := openMuxed(t, w, 0, 1, 6000, 2)
+				per, filled := (4<<20)/stride, size
+				if size > per {
+					filled = srqFill(w.ctxs[0])
+				}
 				for i, c := range w.ctxs {
-					if c.srq.Len() != size { // (Posted is already past it: the CHAN_OPEN exchange recycled slots)
-						t.Fatalf("node %d: %d slots posted, want %d", i, c.srq.Len(), size)
+					if c.srq.Len() != filled || c.Stats.SRQPosted != int64(filled) { // (srq.Posted is already past it: the CHAN_OPEN exchange recycled slots)
+						t.Fatalf("node %d: %d slots posted (Stats say %d), want %d", i, c.srq.Len(), c.Stats.SRQPosted, filled)
 					}
-					check(t, c, c.srqPool, (4<<20)/stride, size, stride)
+					checkSlab(t, c, c.srqPool, per, size, filled, stride)
 				}
 				// Consumed slots come back under their own ids: the queue is full
 				// again after traffic, and nothing was allocated to refill it.
@@ -121,11 +150,11 @@ func TestRecvSlab(t *testing.T) {
 					w.eng.Run()
 				}
 				c := w.ctxs[1]
-				if resps == 0 || c.srq.Len() != size || c.srq.Posted <= int64(size) || c.Mem.Allocs != allocs {
+				if resps == 0 || c.srq.Len() != filled || c.srq.Posted <= int64(filled) || c.Mem.Allocs != allocs || c.Stats.SRQGrows != 0 {
 					t.Fatalf("%d responses; SRQ %d deep (%d ever posted), %d allocations since the fill; want a full queue recycled in place",
 						resps, c.srq.Len(), c.srq.Posted, c.Mem.Allocs-allocs)
 				}
-				check(t, c, c.srqPool, (4<<20)/stride, size, stride)
+				checkSlab(t, c, c.srqPool, per, size, filled, stride)
 			})
 		}
 	}
@@ -155,7 +184,7 @@ func TestRecvSlab(t *testing.T) {
 				if per == 0 {
 					per = n
 				}
-				check(t, ch.ctx, l.pool, per, n, 120+r.small)
+				checkSlab(t, ch.ctx, l.pool, per, n, n, 120+r.small)
 				// A completion left over from an earlier pool on this (recycled)
 				// QPN carries that pool's id: it reposts nothing.
 				l.repost(l.pool.id(0) - 1<<32)
@@ -177,7 +206,7 @@ func TestRecvSlab(t *testing.T) {
 // posted on RESET or destroyed, and the SRQ's pool never moves. (b) Memory
 // taken from the cache right after the degrade is never written by a late
 // frame. The parent's dropPool freed the pool at the degrade: the first 48
-// AllocNow below were its buffers, still posted.
+// tryAlloc below were its buffers, still posted.
 func TestPoolFreedAfterQP(t *testing.T) {
 	faults := []struct {
 		name    string
@@ -207,6 +236,12 @@ func TestPoolFreedAfterQP(t *testing.T) {
 					cli, srv = cs[0], ss[0]
 				} else {
 					cli, srv = w.connect(t, 0, 1, 5000)
+				}
+				if shared {
+					// The SRQ's first block fills its region: a second one, so
+					// that the cache has something to give in (b).
+					w.ctxs[0].Mem.Alloc(w.ctxs[0].recvBufSize(), func(b Buffer, _ error) { w.ctxs[0].Mem.Free(b) })
+					w.eng.Run()
 				}
 				late := 0
 				cli.OnMessage(func(m *Msg) { late++ })
@@ -252,6 +287,9 @@ func TestPoolFreedAfterQP(t *testing.T) {
 							delete(ledger, p)
 						}
 						held, _, _ := heldBySRQ(c)
+						if shared && held != int64(srqFill(c)*c.recvBufSize()) {
+							t.Fatalf("t=%v node %d: the SRQ holds %d bytes, the fill rule says %d slots", w.eng.Now(), i, held, srqFill(c))
+						}
 						if s := (srqHeld{c.srqPool, held}); first {
 							srqWas[i] = s
 						} else if s != srqWas[i] || c.Mem.InUseBytes < held {
@@ -274,7 +312,7 @@ func TestPoolFreedAfterQP(t *testing.T) {
 				var mine []Buffer
 				paint := bytes.Repeat([]byte{0xA5}, c.recvBufSize())
 				for len(mine) < 64 {
-					b, ok := c.Mem.AllocNow(c.recvBufSize())
+					b, ok := c.Mem.tryAlloc(nil, c.recvBufSize())
 					if !ok {
 						break
 					}
@@ -332,7 +370,7 @@ func TestDegradeFreeListsRepeat(t *testing.T) {
 		// Fill the one region, so that the next allocations wait for a grow…
 		var hold []Buffer
 		for {
-			b, ok := c.Mem.AllocNow(64 << 10)
+			b, ok := c.Mem.tryAlloc(nil, 64<<10)
 			if !ok {
 				break
 			}
@@ -362,5 +400,95 @@ func TestDegradeFreeListsRepeat(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("free lists differ between two runs of one seed:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestSRQGrowsOnLimit drives the fill rule of sharedRQ past its first block,
+// which no other world does: a receiver whose thread is held (InjectWork) polls
+// nothing, so every arrival keeps its buffer out of a default-depth queue while
+// the sender ramps, one message per 2 µs — slower than 497 (half a block) per
+// 644 µs (one region's registration). The posted depth follows block by block,
+// each asked for by the consume that left fewer than half a block posted, up to
+// SRQSize and no further, with no RNR NAK on the way; past the cap an arrival is
+// RNR-NAKed, as ever, and retried, not lost: every message is delivered once.
+// The cache's ledger reads what the slicing says, and closing the contexts — in
+// the second run with a block's registration in flight — leaves nothing behind.
+func TestSRQGrowsOnLimit(t *testing.T) {
+	const (
+		chans   = 8
+		over    = 64 // messages past the cap
+		spacing = 2 * sim.Microsecond
+	)
+	for _, closeMidGrow := range []bool{false, true} {
+		t.Run(fmt.Sprintf("close-mid-grow=%v", closeMidGrow), func(t *testing.T) {
+			w := newWorld(t, 2, func(_ int, cfg *Config) {
+				cfg.QPsPerPeer, cfg.WindowDepth = 1, 1024 // the sender's windows never fill
+			})
+			clis, srvs := openMuxed(t, w, 0, 1, 6010, chans)
+			c, nic := w.ctxs[1], w.nics[1]
+			stride, depth := c.recvBufSize(), c.cfg.SRQSize
+			per := (4 << 20) / stride
+			got := make(map[uint64]int, depth+over)
+			for _, s := range srvs {
+				s.OnMessage(func(m *Msg) { got[binary.LittleEndian.Uint64(m.Data)]++ })
+			}
+			if c.srq.Len() != per || srqFill(c) != per || c.Stats.SRQGrows != 0 {
+				t.Fatalf("%d slots posted before the ramp (fill rule %d, %d grows), want the first block's %d", c.srq.Len(), srqFill(c), c.Stats.SRQGrows, per)
+			}
+
+			c.InjectWork(sim.Duration(depth+over)*spacing + 100*sim.Microsecond)
+			for i := 0; i < depth+over; i++ {
+				w.eng.AfterBg(sim.Duration(i)*spacing, func() {
+					buf := make([]byte, 64)
+					binary.LittleEndian.PutUint64(buf, uint64(i))
+					if err := clis[i%chans].SendMsg(buf, 0, nil); err != nil && !clis[i%chans].Closed() {
+						t.Errorf("send %d: %v", i, err)
+					}
+				})
+			}
+			depths, grows := []int{per}, int64(0)
+			for nic.Counters.RNRNakSent == 0 && w.eng.Step() {
+				if c.Stats.SRQGrows != grows {
+					if grows++; c.Stats.SRQGrows != grows || c.srq.Len() != per/srqLimitDiv-1 {
+						t.Fatalf("grow %d with %d slots posted, want the consume that left %d", c.Stats.SRQGrows, c.srq.Len(), per/srqLimitDiv-1)
+					}
+					if closeMidGrow {
+						break
+					}
+				}
+				if d := int(c.Stats.SRQPosted); d != depths[len(depths)-1] {
+					depths = append(depths, d)
+				}
+			}
+			if !closeMidGrow {
+				// The first RNR NAK: the cap is posted and all of it is out.
+				if want := []int{per, 2 * per, 3 * per, 4 * per, depth}; !slices.Equal(depths, want) || c.Stats.SRQGrows != 4 || c.srq.Len() != 0 {
+					t.Fatalf("first RNR NAK at depths %v, %d grows, %d slots left; want %v, 4, 0", depths, c.Stats.SRQGrows, c.srq.Len(), want)
+				}
+				w.eng.Run()
+				for i := 0; i < depth+over; i++ {
+					if got[uint64(i)] != 1 {
+						t.Fatalf("message %d delivered %d times", i, got[uint64(i)])
+					}
+				}
+				if len(got) != depth+over || c.Stats.ChannelsBroken+c.Stats.Degraded+w.ctxs[0].Stats.ChannelsBroken+w.ctxs[0].Stats.Degraded != 0 {
+					t.Fatalf("%d distinct messages of %d; a link broke", len(got), depth+over)
+				}
+				if c.srq.Len() != depth || srqFill(c) != depth || c.Stats.SRQGrows != 4 || snapshot(w.eng)[c.track+".srq_posted"] != int64(depth) {
+					t.Fatalf("%d slots posted at rest (fill rule %d, %d grows), want the cap's %d and no grow past it", c.srq.Len(), srqFill(c), c.Stats.SRQGrows, depth)
+				}
+				checkSlab(t, c, c.srqPool, per, depth, depth, stride)
+			}
+			for _, c := range w.ctxs {
+				c.Close()
+			}
+			w.eng.Run()
+			for i, c := range w.ctxs {
+				if len(c.links) != 0 || len(c.qpnTab) != 0 || c.Mem.waiters.Len() != 0 || c.Mem.growing || int(c.Stats.SRQPosted) != srqFill(c) {
+					t.Errorf("node %d after Close: %d links, %d waiters (growing=%v), %d slots in place of %d", i, len(c.links), c.Mem.waiters.Len(), c.Mem.growing, c.Stats.SRQPosted, srqFill(c))
+				}
+				checkMemAtRest(t, i, c)
+			}
+		})
 	}
 }

@@ -72,9 +72,6 @@ func (t *Tenant) ID() uint16 { return t.id }
 // Name returns the tenant's configured name.
 func (t *Tenant) Name() string { return t.cfg.Name }
 
-// MemUsed reports the tenant's block-rounded pool footprint.
-func (t *Tenant) MemUsed() int64 { return t.memUsed }
-
 // Shedding reports whether the tenant is inside a shed episode.
 func (t *Tenant) Shedding() bool {
 	return t.ctx.eng.Now() < t.shedUntil
