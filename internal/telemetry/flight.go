@@ -46,7 +46,6 @@ const (
 	CatRemoteAccess
 	CatTenantBudget
 	CatTenantShed
-	CatMemPressure
 	CatVerMismatch
 	CatDrain
 	catCount
@@ -83,7 +82,6 @@ var catNames = [catCount]string{
 	CatRemoteAccess:     "remote.access",
 	CatTenantBudget:     "tenant.budget",
 	CatTenantShed:       "tenant.shed",
-	CatMemPressure:      "mem.pressure",
 	CatVerMismatch:      "ver.mismatch",
 	CatDrain:            "drain",
 }

@@ -137,111 +137,6 @@ func TestTenantMemBudget(t *testing.T) {
 	w.eng.Run()
 }
 
-// TestMemPoolCapRejectsLoudly: a capped pool (Config.MemPoolBytes) fails
-// exhausted allocations with ErrOutOfMemory the moment growth is denied —
-// never a silent stall — and the registered footprint stays under the cap
-// through the whole test including teardown.
-func TestMemPoolCapRejectsLoudly(t *testing.T) {
-	const capBytes = 1 << 20 // exactly one region
-	w, m := memWorld(t, func(cfg *Config) {
-		cfg.MemPoolBytes = capBytes
-	})
-
-	var full Buffer
-	m.Alloc(1<<20, func(b Buffer, err error) {
-		if err != nil {
-			t.Fatalf("first alloc: %v", err)
-		}
-		full = b
-	})
-	w.eng.Run()
-	if m.OccupiedBytes() > capBytes {
-		t.Fatalf("occupied %d exceeds cap %d", m.OccupiedBytes(), capBytes)
-	}
-
-	// Pool is full and may not grow: the failure must be synchronous.
-	var got error
-	m.Alloc(512, func(_ Buffer, err error) { got = err })
-	if !errors.Is(got, ErrOutOfMemory) {
-		t.Fatalf("exhausted alloc err = %v, want ErrOutOfMemory without running the engine", got)
-	}
-	if m.Grows != 1 {
-		t.Errorf("Grows = %d, want 1 (cap denied the second)", m.Grows)
-	}
-
-	// Headroom restored by a free, not by growth.
-	m.Free(full)
-	if b, ok := m.tryAlloc(nil, 512); !ok {
-		t.Fatal("alloc after free should succeed from the existing region")
-	} else {
-		m.Free(b)
-	}
-	w.eng.Run()
-	if m.InUseBytes != 0 || m.InUseBytes > capBytes || m.OccupiedBytes() > capBytes {
-		t.Fatalf("teardown: in-use %d, occupied %d, cap %d", m.InUseBytes, m.OccupiedBytes(), capBytes)
-	}
-}
-
-// TestMemWatermarkEvictionDeterministic drives the watermark machine over
-// a capped pool: crossing high water evicts idle regions immediately, and
-// the whole counter trajectory is a pure function of the call sequence —
-// two identical runs may not diverge by a single counter.
-func TestMemWatermarkEvictionDeterministic(t *testing.T) {
-	run := func() (evictions, shrinks, regions int64, inUse int64) {
-		w, m := memWorld(t, func(cfg *Config) {
-			cfg.MemPoolBytes = 4 << 20
-			cfg.MemHighWater = 0.6
-			cfg.MemLowWater = 0.3
-		})
-		alloc := func(n int) []Buffer {
-			bufs := make([]Buffer, n)
-			for i := 0; i < n; i++ {
-				i := i
-				m.Alloc(1<<20, func(b Buffer, err error) {
-					if err != nil {
-						t.Errorf("alloc region %d: %v", i, err)
-					}
-					bufs[i] = b
-				})
-			}
-			w.eng.Run()
-			return bufs
-		}
-		// Fill the cap: 4 regions, all busy — pressure latches but nothing
-		// is idle, so nothing can be evicted.
-		bufs := alloc(4)
-		if m.Evictions != 0 {
-			t.Errorf("evicted %d busy regions", m.Evictions)
-		}
-		for _, b := range bufs {
-			m.Free(b)
-		}
-		// Refill 3 of the 4 now-idle regions: crossing high water (2.4 MiB)
-		// finds exactly one fully-free region to evict.
-		bufs = alloc(3)
-		if m.Evictions != 1 {
-			t.Errorf("Evictions = %d, want 1", m.Evictions)
-		}
-		if len(m.regions) != 3 {
-			t.Errorf("Regions = %d after eviction, want 3", len(m.regions))
-		}
-		for _, b := range bufs {
-			m.Free(b)
-		}
-		w.eng.Run()
-		return m.Evictions, m.Shrinks, int64(len(m.regions)), m.InUseBytes
-	}
-	e1, s1, r1, u1 := run()
-	e2, s2, r2, u2 := run()
-	if e1 != e2 || s1 != s2 || r1 != r2 || u1 != u2 {
-		t.Fatalf("two identical runs diverge: (%d,%d,%d,%d) vs (%d,%d,%d,%d)",
-			e1, s1, r1, u1, e2, s2, r2, u2)
-	}
-	if u1 != 0 {
-		t.Fatalf("in-use %d at teardown, want 0", u1)
-	}
-}
-
 // TestTenantAllocRace runs four fully independent tenanted worlds on
 // concurrent goroutines doing budget-charged alloc/free churn. Worlds
 // share no state, so -race failures here mean the allocator or tenant

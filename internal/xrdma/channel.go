@@ -434,7 +434,7 @@ func (ch *Channel) teardown(err error) {
 	if failErr == nil {
 		failErr = ErrChannelClosed
 	}
-	ch.failWaiters(failErr)
+	ch.failPending(failErr)
 	ch.pending, ch.remoteWins = nil, nil
 	ch.attachSettled(failErr) // an attach that will not happen now
 	// Nothing will ack on a dead channel: the queued messages and the unacked
@@ -527,7 +527,7 @@ func (ch *Channel) deadlockCheck() {
 		// the peer was transiently degraded (its ctrl plane holds frames),
 		// the flag would latch forever — re-arm after a generous wait
 		// instead of trusting one frame.
-		if ch.ctx.eng.Now().Sub(ch.nopAt) < 4*ch.ctx.cfg.DeadlockScan {
+		if ch.ctx.eng.Now().Sub(ch.nopAt) < 4*deadlockScan {
 			return
 		}
 		ch.nopInFlight = false
@@ -538,7 +538,7 @@ func (ch *Channel) deadlockCheck() {
 	if ch.sendQ.Len() == 0 || ch.tx.canSend() {
 		return
 	}
-	if ch.ctx.eng.Now().Sub(ch.lastProgress) < ch.ctx.cfg.DeadlockScan {
+	if ch.ctx.eng.Now().Sub(ch.lastProgress) < deadlockScan {
 		return
 	}
 	// Window full with no progress: fire the reserved NOP to solicit an

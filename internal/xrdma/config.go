@@ -19,6 +19,9 @@ const (
 	perMsgCost  = 100 * sim.Nanosecond // software overhead per dispatched message (X-RDMA's thin data path)
 	traceCost   = 50 * sim.Nanosecond  // extra per message in req-rsp mode (§VII-A: ≈200 ns, 2–4% of a ping-pong)
 	srqLimitDiv = 2                    // the SRQ asks for its next block with under 1/2 of one left posted (sharedRQ)
+
+	deadlockScan  = 500 * sim.Microsecond // period of the per-context NOP deadlock breaker
+	memShrinkIdle = 100 * sim.Millisecond // a fully free memory-cache region idle this long is given back
 )
 
 // Config mirrors Table III: "online" parameters may be changed on a
@@ -72,9 +75,6 @@ type Config struct {
 	AckEvery int
 	// AckDelay flushes pending acks after this time even below AckEvery.
 	AckDelay sim.Duration
-	// DeadlockScan is the per-context timer period for the NOP deadlock
-	// breaker.
-	DeadlockScan sim.Duration
 	// FragmentSize splits large RDMA READ/WRITE work requests (§V-C);
 	// 64 KB in production.
 	FragmentSize int
@@ -87,8 +87,6 @@ type Config struct {
 	MemMode rnic.RegMode
 	// MemIsolation turns on canary-guarded allocations (§VI-C).
 	MemIsolation bool
-	// MemShrinkIdle reclaims a fully-free MR after this idle time.
-	MemShrinkIdle sim.Duration
 	// UseSRQ shares one receive queue across the context's channels
 	// (§VII-F: supported, disabled by default — it can reintroduce RNR).
 	UseSRQ bool
@@ -156,16 +154,6 @@ type Config struct {
 	// must declare the same table for labels to resolve. Empty = the legacy
 	// single-implicit-tenant plane, byte-identical on the wire.
 	Tenants []TenantConfig
-	// MemPoolBytes caps the MemCache's total registered memory across all
-	// regions (0 = unbounded, the legacy behavior). When a grow would
-	// exceed the cap, fully-free regions are evicted first; if none exist
-	// the allocation fails with ErrOutOfMemory instead of stalling.
-	MemPoolBytes int64
-	// MemHighWater / MemLowWater are fractions of MemPoolBytes: crossing
-	// high water puts the context under memory pressure (new attaches are
-	// queued, idle regions evicted); dropping below low water clears it.
-	MemHighWater float64
-	MemLowWater  float64
 	// TenantShedCooldown is how long a tenant sheds new attaches after a
 	// budget breach; each further breach extends the episode.
 	TenantShedCooldown sim.Duration
@@ -226,13 +214,11 @@ func DefaultConfig() Config {
 		WindowDepth:        32,
 		AckEvery:           8,
 		AckDelay:           50 * sim.Microsecond,
-		DeadlockScan:       500 * sim.Microsecond,
 		FragmentSize:       64 << 10,
 		MaxOutstandingWRs:  64,
 		MRSize:             4 << 20,
 		MemMode:            rnic.RegNonContinuous,
 		MemIsolation:       false,
-		MemShrinkIdle:      100 * sim.Millisecond,
 		UseSRQ:             false,
 		SRQSize:            4096,
 		QPsPerPeer:         0,
@@ -253,8 +239,6 @@ func DefaultConfig() Config {
 
 		StatsInterval: 10 * sim.Millisecond,
 
-		MemHighWater:       0.85,
-		MemLowWater:        0.70,
 		TenantShedCooldown: 5 * sim.Millisecond,
 	}
 }
@@ -358,8 +342,7 @@ var onlineFlags = map[string]func(*Context, string) error{
 
 // offlineFlagNames are the parameters SetFlag refuses by name, not as unknown.
 var offlineFlagNames = strings.Fields(`use_srq srq_size qps_per_peer attach_admission channel_gauge_limit
-	small_msg_size window_depth fragment_size max_outstanding mr_size mem_mode
-	request_retries retry_backoff_ms path_rehash_limit path_rehash_cooldown_ms
-	recover_retries recover_backoff_ms recover_dial_timeout_ms failback_interval_ms tenants
-	mem_pool_bytes mem_highwater mem_lowwater tenant_shed_cooldown_ms proto_ver_min proto_ver_max
-	drain_deadline_ms`)
+	small_msg_size window_depth ack_every ack_delay_us fragment_size max_outstanding mr_size mem_mode
+	mem_isolation request_timeout_ms request_retries retry_backoff_ms path_rehash_limit path_rehash_cooldown_ms
+	mock_enabled recover_retries recover_backoff_ms recover_backoff_max_ms recover_dial_timeout_ms failback_interval_ms
+	stats_interval_ms tenants tenant_shed_cooldown_ms proto_ver_min proto_ver_max drain_deadline_ms`)

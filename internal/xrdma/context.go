@@ -106,12 +106,10 @@ type Context struct {
 	attachActive int
 
 	// Tenancy plane (Config.Tenants): the tenant table in id order, the
-	// name index, the global memory-pressure gate (MemPoolBytes
-	// watermarks) and the count of frames whose label named no local
+	// name index and the count of frames whose label named no local
 	// tenant (graceful default treatment).
 	tenants       []*Tenant
 	tenantByName  map[string]*Tenant
-	memPressure   bool
 	tenantUnknown int64
 
 	// Hot-upgrade plane (drain.go): the Serving→Draining→Drained
@@ -293,7 +291,6 @@ func (c *Context) registerGauges() {
 		{"mem_occupied", func() int64 { return c.Mem.OccupiedBytes() }},
 		{"mem_inuse", func() int64 { return c.Mem.InUseBytes }},
 		{"mem_pool_inuse", func() int64 { return c.Mem.PoolInUseBytes }},
-		{"mem_evictions", func() int64 { return c.Mem.Evictions }},
 		{"tenant_unknown", func() int64 { return c.tenantUnknown }},
 		{"qp_cache", func() int64 { return int64(c.QPs.Len()) }},
 	} {
@@ -569,7 +566,7 @@ func (c *Context) every(period func() sim.Duration, scan func()) {
 
 func (c *Context) startTimers() {
 	c.every(func() sim.Duration { return cmp.Or(max(c.cfg.KeepaliveInterval/2, 0), 5*sim.Millisecond) }, c.keepaliveScan)
-	c.every(func() sim.Duration { return c.cfg.DeadlockScan }, c.deadlockScan)
+	c.every(func() sim.Duration { return deadlockScan }, c.deadlockScan)
 	c.every(func() sim.Duration { return cmp.Or(max(c.cfg.StatsInterval, 0), 10*sim.Millisecond) }, c.housekeeping)
 }
 
@@ -595,7 +592,7 @@ func (c *Context) deadlockScan() {
 }
 
 func (c *Context) housekeeping() {
-	c.Mem.reclaim(c.cfg.MemShrinkIdle, &c.Mem.Shrinks)
+	c.Mem.reclaim()
 	c.trimRecs()
 	c.timeoutScan()
 	c.pathScan()

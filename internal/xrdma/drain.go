@@ -164,7 +164,7 @@ func (c *Context) drainScan() {
 		// operations themselves are not lost, only these callers' waits.
 		forced := 0
 		for _, ch := range c.Channels() {
-			forced += ch.failWaiters(ErrDraining)
+			forced += ch.failPending(ErrDraining)
 		}
 		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), 0, int64(forced), drainEvForced)
 		c.logf("drain: deadline forced with %d waiters failed", forced)
@@ -180,10 +180,10 @@ func (c *Context) drainScan() {
 	}
 }
 
-// failWaiters fails every pending response waiter on this channel, in
+// failPending fails every pending response waiter on this channel, in
 // ascending MsgID order (map iteration order must not leak into the
 // deterministic digests). Returns how many were failed.
-func (ch *Channel) failWaiters(err error) int {
+func (ch *Channel) failPending(err error) int {
 	n := 0
 	for _, id := range slices.Sorted(maps.Keys(ch.pending)) {
 		if rs := ch.pending[id]; rs != nil { // not removed by an earlier callback

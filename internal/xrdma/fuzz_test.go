@@ -33,13 +33,15 @@ func FuzzDecodeHdr(f *testing.F) {
 	// One-sided plane shapes: a window grant (Addr/RKey/Size carry the
 	// window), a revoke (id only), and what an old release's emulated READ
 	// round trip (including its access-failure flag, bit 1<<3) and WRITE+imm
-	// with a live immediate looked like.
+	// with a live immediate in the now-reserved bytes 50..53 looked like.
 	f.Add(mk(wireHdr{Kind: kindWinGrant, MsgID: 11, Addr: 0x10000, RKey: 7, Size: 65536}))
 	f.Add(mk(wireHdr{Kind: kindWinRevoke, MsgID: 11}))
 	f.Add(mk(wireHdr{Kind: oldReadReq, MsgID: 12, Addr: 0x10040, RKey: 7, Size: 256}))
 	f.Add(mk(wireHdr{Kind: oldReadResp, MsgID: 12, Size: 256}))
 	f.Add(mk(wireHdr{Kind: oldReadResp, MsgID: 13, Flags: 1 << 3}))
-	f.Add(mk(wireHdr{Kind: oldWriteImm, MsgID: 14, Addr: 0x10080, RKey: 7, Size: 64, Imm: 0xfeedface}))
+	writeImm := mk(wireHdr{Kind: oldWriteImm, MsgID: 14, Addr: 0x10080, RKey: 7, Size: 64})
+	binary.LittleEndian.PutUint32(writeImm[50:], 0xfeedface)
+	f.Add(writeImm)
 	// Hostile shapes: empty, short, bad magic, bad version, truncated
 	// trace extension, flag soup.
 	f.Add([]byte{})
@@ -61,7 +63,8 @@ func FuzzDecodeHdr(f *testing.F) {
 	// response cut off mid-header.
 	unknown := mk(wireHdr{Kind: kindWinRevoke + 4, Size: 64})
 	f.Add(unknown)
-	huge := mk(wireHdr{Kind: oldWriteImm, Size: ^uint32(0), Imm: 1})
+	huge := mk(wireHdr{Kind: oldWriteImm, Size: ^uint32(0)})
+	binary.LittleEndian.PutUint32(huge[50:], 1)
 	f.Add(huge)
 	cut := mk(wireHdr{Kind: oldReadResp, MsgID: 9, Size: 512})
 	f.Add(cut[:50])
@@ -116,10 +119,9 @@ func FuzzDecodeHdr(f *testing.F) {
 		if m := h.encode(out); m != n {
 			t.Fatalf("re-encode wrote %d bytes, decode consumed %d", m, n)
 		}
-		// Bytes 0..55 are all decoded fields now that the tenant plane
-		// claimed 54..55 for the tenant id; the round-trip must preserve
-		// every one of them.
-		if !bytes.Equal(out[:56], b[:56]) {
+		// Bytes 0..55 are decoded fields except the reserved 50..53
+		// (TestWireReservedBytes); the round-trip must preserve every field byte.
+		if !bytes.Equal(out[:50], b[:50]) || !bytes.Equal(out[54:56], b[54:56]) {
 			t.Fatalf("fixed fields diverge after round-trip:\n in=%x\nout=%x", b[:56], out[:56])
 		}
 		if h.Flags&flagTraced != 0 && !bytes.Equal(out[hdrSize:hdrSize+8], b[hdrSize:hdrSize+8]) {

@@ -7,7 +7,6 @@ import (
 
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
-	"xrdma/internal/telemetry"
 )
 
 // MemCache manages per-context RDMA-enabled memory as a pool of
@@ -17,11 +16,8 @@ import (
 // split on alloc, merge with the buddy on free, so a drained region always
 // recovers its full-capacity block and external fragmentation is bounded.
 // When capacity runs out the cache grows by registering a new MR (paying
-// the driver's registration latency) — unless Config.MemPoolBytes caps the
-// pool, in which case exhaustion fails the allocation with ErrOutOfMemory
-// instead of stalling. Fully free regions idle longer than MemShrinkIdle
-// are reclaimed; under memory pressure (MemHighWater of the cap) idle
-// regions are evicted immediately.
+// the RNIC's registration latency); fully free regions idle longer than
+// memShrinkIdle are given back.
 //
 // Tenancy: AllocT charges the allocation's block-rounded size against the
 // tenant's MemBudget and rejects overruns synchronously with
@@ -44,13 +40,12 @@ type MemCache struct {
 
 	// Counters (Fig. 11c plots Occupy vs In-use against bandwidth).
 	// InUseBytes counts requested bytes (plus canaries in isolation mode);
-	// PoolInUseBytes counts the block-rounded footprint the budget and
-	// watermark math run on — the difference is internal fragmentation.
+	// PoolInUseBytes counts the block-rounded footprint the tenant budgets
+	// run on — the difference is internal fragmentation.
 	InUseBytes     int64
 	PoolInUseBytes int64
 	Allocs, Frees  int64
 	Grows, Shrinks int64
-	Evictions      int64
 	Corruptions    int64
 }
 
@@ -95,10 +90,6 @@ func (b Buffer) Valid() bool { return b.MR != nil }
 
 // Bytes exposes the backing storage.
 func (b Buffer) Bytes() []byte { return b.MR.Slice(b.Addr, b.Len) }
-
-// ErrOutOfMemory is surfaced when the pool is capped (Config.MemPoolBytes)
-// and growth would exceed it.
-var ErrOutOfMemory = errors.New("xrdma: memory cache exhausted")
 
 // ErrTenantBudget rejects an allocation that would push its tenant past
 // its configured MemBudget.
@@ -211,7 +202,6 @@ func (m *MemCache) tryAlloc(t *Tenant, size int) (Buffer, bool) {
 		if m.ctx.cfg.MemIsolation {
 			m.paintCanaries(b)
 		}
-		m.checkPressure()
 		return b, true
 	}
 	return Buffer{}, false
@@ -279,7 +269,6 @@ func (m *MemCache) Free(b Buffer) {
 		order++
 	}
 	m.mergeFree(r, b.off, order)
-	m.checkPressure()
 	m.serveWaiters()
 }
 
@@ -405,22 +394,15 @@ func (m *MemCache) Reset() {
 	}
 	m.gen++
 	m.growing = false
-	m.checkPressure()
 	if m.waiters.Len() > 0 {
 		m.grow()
 	}
 }
 
 // grow registers one more MR asynchronously; waiters are served when it
-// lands. A capped pool (Config.MemPoolBytes) that cannot grow fails the
-// waiters with ErrOutOfMemory instead — exhaustion is an error the caller
-// sees, never a stall.
+// lands.
 func (m *MemCache) grow() {
 	if m.growing {
-		return
-	}
-	if capB := m.ctx.cfg.MemPoolBytes; capB > 0 && m.OccupiedBytes()+int64(m.mrSize) > capB {
-		m.failWaiters()
 		return
 	}
 	m.growing = true
@@ -443,20 +425,6 @@ func (m *MemCache) grow() {
 	})
 }
 
-func (m *MemCache) failWaiters() {
-	if m.waiters.Len() == 0 {
-		return
-	}
-	c := m.ctx
-	c.tel.Flight.Record(c.eng.Now(), telemetry.CatMemPressure, int32(c.Node()), 0,
-		m.OccupiedBytes(), c.cfg.MemPoolBytes)
-	ws := m.waiters.Items()
-	m.waiters = sim.Queue[memWaiter]{}
-	for _, w := range ws {
-		w.cb(Buffer{}, ErrOutOfMemory)
-	}
-}
-
 func (m *MemCache) serveWaiters() {
 	for m.waiters.Len() > 0 {
 		w := m.waiters.Items()[0]
@@ -476,43 +444,18 @@ func (m *MemCache) serveWaiters() {
 	}
 }
 
-// checkPressure runs the watermark machine over the block-rounded
-// footprint when the pool is capped: crossing high water evicts idle
-// regions and sheds new attaches; dropping under low water clears it.
-func (m *MemCache) checkPressure() {
-	capB := m.ctx.cfg.MemPoolBytes
-	if capB <= 0 {
-		return
-	}
-	hw, lw := m.ctx.cfg.MemHighWater, m.ctx.cfg.MemLowWater
-	if hw <= 0 {
-		hw = 0.85
-	}
-	if lw <= 0 {
-		lw = 0.70
-	}
-	used := float64(m.PoolInUseBytes)
-	switch {
-	case !m.ctx.memPressure && used > hw*float64(capB):
-		m.reclaim(-1, &m.Evictions) // watermark-driven: no MemShrinkIdle wait
-		m.ctx.setMemPressure(true)
-	case m.ctx.memPressure && used < lw*float64(capB):
-		m.ctx.setMemPressure(false)
-	}
-}
-
-// reclaim deregisters the fully-free regions idle for longer than idle,
-// keeping at least one region warm, and counts them on n: Shrinks from the
-// context's periodic timer, Evictions when the pool crosses high water.
-func (m *MemCache) reclaim(idle sim.Duration, n *int64) {
+// reclaim deregisters the fully-free regions idle for longer than
+// memShrinkIdle, keeping at least one region warm: the context's periodic
+// housekeeping.
+func (m *MemCache) reclaim() {
 	now := m.ctx.eng.Now()
 	kept := m.regions[:0]
 	freed := 0
 	for _, r := range m.regions {
-		if r.inUse == 0 && now.Sub(r.lastUsed) > idle && len(m.regions)-freed > 1 {
+		if r.inUse == 0 && now.Sub(r.lastUsed) > memShrinkIdle && len(m.regions)-freed > 1 {
 			m.ctx.pd.DeregMR(r.mr)
 			r.dead = true
-			*n++
+			m.Shrinks++
 			freed++
 			continue
 		}

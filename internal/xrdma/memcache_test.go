@@ -96,8 +96,10 @@ func TestMemCacheOversizeRejected(t *testing.T) {
 	}
 }
 
+// TestMemCacheShrink: regions idle past memShrinkIdle go back at the next
+// housekeeping tick, all but one warm region.
 func TestMemCacheShrink(t *testing.T) {
-	w, m := memWorld(t, func(cfg *Config) { cfg.MemShrinkIdle = 5 * sim.Millisecond })
+	w, m := memWorld(t, nil)
 	var bufs []Buffer
 	for i := 0; i < 6; i++ {
 		m.Alloc(512<<10, func(b Buffer, err error) { bufs = append(bufs, b) })

@@ -89,9 +89,9 @@ func (ch *Channel) requestAttach() {
 		ch.finishAttach(ErrDraining)
 		return
 	}
-	// Shed gate: under global memory pressure, or while this channel's
-	// tenant is in a shed episode, new attaches queue instead of
-	// establishing — graceful degradation reusing the admission FIFO.
+	// Shed gate: while this channel's tenant is in a shed episode, new
+	// attaches queue instead of establishing — graceful degradation reusing
+	// the admission FIFO.
 	shed := ch.shedGated()
 	if lim := c.cfg.AttachAdmission; shed || lim > 0 && c.attachActive >= lim {
 		ch.attach = attachQueued
@@ -127,7 +127,7 @@ func (c *Context) attachRelease() {
 
 // attachAdmit makes one bounded pass over the admission FIFO and starts up
 // to max queued attaches while AttachAdmission has room: all of them after a
-// shed episode or the global memory pressure clears, one for a freed slot.
+// shed episode ends, one for a freed slot.
 // Heads whose shed gate has not lifted rotate to the tail and wait for the
 // pass their episode's end triggers.
 func (c *Context) attachAdmit(max int) {

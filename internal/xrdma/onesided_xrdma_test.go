@@ -2,6 +2,7 @@ package xrdma
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -338,9 +339,10 @@ func TestOneSidedNeedsRDMAPath(t *testing.T) {
 		logged, recvd := len(w.ctxs[1].Log()), w.ctxs[0].tcp.MsgsRecv
 		pay := bytes.Repeat([]byte{0xEE}, 64)
 		for k := kindWinRevoke + 1; k <= kindWinRevoke+3; k++ { // were READ_REQ, READ_RESP, WRITE_IMM
-			h := wireHdr{Kind: k, MsgID: 77, Addr: rw.Addr, RKey: rw.RKey, Size: uint32(len(pay)), Imm: 9}
+			h := wireHdr{Kind: k, MsgID: 77, Addr: rw.Addr, RKey: rw.RKey, Size: uint32(len(pay))}
 			frame := make([]byte, h.wireBytes(), h.wireBytes()+len(pay))
 			h.encode(frame)
+			binary.LittleEndian.PutUint32(frame[50:], 9) // the old immediate
 			srv.lk.ingest(append(frame, pay...), 0, true, nil)
 		}
 		w.eng.RunFor(5 * sim.Millisecond)

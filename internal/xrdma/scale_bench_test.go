@@ -22,7 +22,7 @@ func TestChannelStructBudget(t *testing.T) {
 	}{
 		{"unsafe.Sizeof(Channel{})", unsafe.Sizeof(Channel{}), 520},
 		{"unsafe.Sizeof(link{})", unsafe.Sizeof(link{}), 448},
-		{"Config fields", uintptr(reflect.TypeOf(Config{}).NumField()), 46},
+		{"Config fields", uintptr(reflect.TypeOf(Config{}).NumField()), 41},
 	} {
 		if b.got > b.most {
 			t.Errorf("%s = %d, budget %d", b.what, b.got, b.most)

@@ -191,8 +191,8 @@ func (ch *Channel) BindTenant(name string) error {
 func (ch *Channel) TenantOf() *Tenant { return ch.tenant }
 
 // ---------------------------------------------------------------------------
-// Shed ladder: budget breaches and global memory pressure shed *new*
-// attaches (admission FIFO reuse) while established traffic is merely
+// Shed ladder: a tenant's budget breach sheds its *new* attaches
+// (admission FIFO reuse) while established traffic is merely
 // backpressured — graceful degradation, never collapse.
 
 // noteBudgetReject records an ErrTenantBudget rejection and starts (or
@@ -239,38 +239,9 @@ func (t *Tenant) armShedExpiry() {
 }
 
 // shedGated reports whether this channel's attach must queue: its tenant
-// is shedding, or the whole context is under memory pressure.
+// is shedding.
 func (ch *Channel) shedGated() bool {
-	if ch.ctx.memPressure {
-		return true
-	}
 	return ch.tenant != nil && ch.tenant.Shedding()
-}
-
-// setMemPressure flips the context's global memory-pressure gate
-// (watermarks over MemPoolBytes). Onset trips a flight dump naming the
-// heaviest tenant; clearing kicks the attach FIFO.
-func (c *Context) setMemPressure(on bool) {
-	if c.memPressure == on {
-		return
-	}
-	c.memPressure = on
-	now := c.eng.Now()
-	if on {
-		culprit := uint32(0)
-		var worst int64 = -1
-		for _, t := range c.tenants {
-			if t.memUsed > worst {
-				worst, culprit = t.memUsed, uint32(t.id)
-			}
-		}
-		c.tel.Flight.Trip(now, telemetry.CatMemPressure, int32(c.Node()), culprit)
-		c.logf("memory pressure: pool %d/%d bytes, shedding new attaches", c.Mem.PoolInUseBytes, c.cfg.MemPoolBytes)
-	} else {
-		c.tel.Flight.Record(now, telemetry.CatMemPressure, int32(c.Node()), 0, 0, 0)
-		c.logf("memory pressure cleared")
-		c.attachAdmit(c.attachQ.Len())
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -278,20 +278,23 @@ func TestDrainForcedFailsWaiters(t *testing.T) {
 }
 
 // TestDrainFlushesShedParkedAttaches: lazy mux channels parked in the
-// admission FIFO by a shed gate (PR 8) must not deadlock a drain — the
-// flush fails their callbacks with ErrDraining instead of serving or
+// admission FIFO by their tenant's shed episode must not deadlock a drain —
+// the flush fails their callbacks with ErrDraining instead of serving or
 // stranding them.
 func TestDrainFlushesShedParkedAttaches(t *testing.T) {
-	w := newWorld(t, 2, func(i int, cfg *Config) { cfg.QPsPerPeer = 2 })
+	w := newWorld(t, 2, func(i int, cfg *Config) {
+		cfg.QPsPerPeer = 2
+		cfg.Tenants = []TenantConfig{{Name: "a"}}
+	})
 	w.ctxs[1].OnChannel(func(*Channel) {})
 	if err := w.ctxs[1].Listen(6000); err != nil {
 		t.Fatal(err)
 	}
 	c0 := w.ctxs[0]
-	c0.memPressure = true // shed gate: every attach parks in the FIFO
+	c0.Tenant("a").shedUntil = sim.Time(1 << 62) // shed gate: every attach parks in the FIFO
 	var errs []error
 	for k := 0; k < 3; k++ {
-		ch, err := c0.ChannelTo(fabric.NodeID(1), 6000)
+		ch, err := c0.ChannelTo(fabric.NodeID(1), 6000, WithTenant("a"))
 		if err != nil {
 			t.Fatal(err)
 		}

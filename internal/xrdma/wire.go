@@ -105,7 +105,6 @@ type wireHdr struct {
 	Addr   uint64  // staged buffer address (rendezvous kinds)
 	RKey   uint32  // staged buffer / window rkey
 	Chan   uint32  // receiver-side channel id (QP multiplexing; 0 = exclusive QP)
-	Imm    uint32  // bytes 50..53: no current kind sets it (the retired Mock WRITE+imm did); still round-tripped
 	Tenant uint16  // sender's tenant id (0 = untenanted; meaningful with flagTenant)
 	TLabel [8]byte // tenant label extension payload (flagTenant only)
 	T1     int64   // trace: sender clock at send (req-rsp mode)
@@ -152,9 +151,9 @@ func (h *wireHdr) encode(buf []byte) int {
 	// Bytes 46..49 were reserved-zero until the mux plane claimed them, so
 	// a zero Chan keeps the encoding byte-identical to the legacy layout.
 	binary.LittleEndian.PutUint32(buf[46:], h.Chan)
-	// Bytes 50..53 likewise sat in the padding until the (since retired) Mock
-	// WRITE+imm claimed them for the immediate value; zero from every kind now.
-	binary.LittleEndian.PutUint32(buf[50:], h.Imm)
+	// Bytes 50..53 are reserved: a retired Mock WRITE+imm carried its
+	// immediate there. Written zero, ignored on decode.
+	binary.LittleEndian.PutUint32(buf[50:], 0)
 	// Bytes 54..55 were padding until the tenancy plane claimed them for the
 	// tenant id; a zero Tenant keeps the encoding byte-identical to before.
 	binary.LittleEndian.PutUint16(buf[54:], h.Tenant)
@@ -226,7 +225,6 @@ func decodeHdr(buf []byte) (wireHdr, int, error) {
 	h.Addr = binary.LittleEndian.Uint64(buf[34:])
 	h.RKey = binary.LittleEndian.Uint32(buf[42:])
 	h.Chan = binary.LittleEndian.Uint32(buf[46:])
-	h.Imm = binary.LittleEndian.Uint32(buf[50:])
 	h.Tenant = binary.LittleEndian.Uint16(buf[54:])
 	n := hdrSize
 	if h.Flags&flagTraced != 0 {

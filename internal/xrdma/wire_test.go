@@ -105,3 +105,30 @@ func TestKindProperties(t *testing.T) {
 		}
 	}
 }
+
+// TestWireReservedBytes: bytes 50..53 carry no field. Every kind encodes them
+// zero, and a header with anything there decodes equal to the zeroed one.
+func TestWireReservedBytes(t *testing.T) {
+	for k := kindReq; k <= kindWinRevoke; k++ {
+		h := wireHdr{
+			Kind: k, Ver: hdrVersionMax, Flags: flagTraced | flagTenant, Seq: 5, Ack: 4, MsgID: 77,
+			Size: 64, Addr: 0x10000, RKey: 7, Chan: 9, Tenant: 1, TLabel: [8]byte{'a'}, T1: 42,
+		}
+		buf := make([]byte, h.wireBytes())
+		for i := range buf {
+			buf[i] = 0xA5 // a recycled buffer: encode must clear the reserved bytes
+		}
+		h.encode(buf)
+		if r := buf[50:54]; string(r) != "\x00\x00\x00\x00" {
+			t.Fatalf("%v: reserved bytes encode as %x, want zero", k, r)
+		}
+		zeroed, _, err := decodeHdr(buf)
+		if err != nil || zeroed != h {
+			t.Fatalf("%v: round trip: %v\n got %+v\nwant %+v", k, err, zeroed, h)
+		}
+		copy(buf[50:54], []byte{0xfe, 0xed, 0xfa, 0xce})
+		if got, _, err := decodeHdr(buf); err != nil || got != zeroed {
+			t.Fatalf("%v: non-zero reserved bytes changed the decode: %v\n got %+v\nwant %+v", k, err, got, zeroed)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package xrdma
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -395,6 +396,32 @@ func TestSetFlagOnlineOffline(t *testing.T) {
 	}
 	if len(OnlineFlagNames()) < 5 {
 		t.Fatal("online flag registry too small")
+	}
+}
+
+// TestFlagNamesCoverConfig: every Config field has exactly one name SetFlag
+// answers to, online or offline, and the retired knobs are unknown.
+func TestFlagNamesCoverConfig(t *testing.T) {
+	if got, want := len(onlineFlags)+len(offlineFlagNames), reflect.TypeOf(Config{}).NumField(); got != want {
+		t.Fatalf("%d online + %d offline flag names for %d Config fields", len(onlineFlags), len(offlineFlagNames), want)
+	}
+	seen := map[string]bool{}
+	for _, n := range offlineFlagNames {
+		if _, online := onlineFlags[n]; online || seen[n] {
+			t.Errorf("flag %q is named twice", n)
+		}
+		seen[n] = true
+	}
+	c := newWorld(t, 1, nil).ctxs[0]
+	for _, n := range []string{"ack_every", "ack_delay_us", "mem_isolation", "request_timeout_ms", "mock_enabled", "stats_interval_ms", "recover_backoff_max_ms"} {
+		if err := c.SetFlag(n, "1"); err == nil || !strings.Contains(err.Error(), "offline parameter") {
+			t.Errorf("SetFlag(%q) = %v, want an offline-parameter refusal", n, err)
+		}
+	}
+	for _, n := range []string{"mem_pool_bytes", "mem_highwater", "mem_lowwater"} {
+		if err := c.SetFlag(n, "1"); err == nil || !strings.Contains(err.Error(), "unknown flag") {
+			t.Errorf("SetFlag(%q) = %v, want unknown flag", n, err)
+		}
 	}
 }
 
@@ -907,7 +934,6 @@ func TestNopBreaksStall(t *testing.T) {
 		cfg.AckEvery = 1000
 		cfg.AckDelay = 10 * sim.Second
 		cfg.WindowDepth = 4
-		cfg.DeadlockScan = 200 * sim.Microsecond
 	})
 	cli, srv := w.connect(t, 0, 1, 5023)
 	srv.OnMessage(func(m *Msg) {}) // one-way sink, no replies
