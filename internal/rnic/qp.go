@@ -218,6 +218,11 @@ func NewSRQ(depth int) *SRQ { return &SRQ{Depth: depth} }
 // consume. limit 0 disarms.
 func (s *SRQ) Arm(limit int, fn func()) { s.limit, s.onLimit = limit, fn }
 
+// Flush drops every posted WQE and disarms the limit: after NIC.Restart the
+// buffers they name are gone with the adapter's registered memory, and the
+// owner posts fresh ones.
+func (s *SRQ) Flush() { s.queue.Reset(); s.Arm(0, nil) }
+
 func (s *SRQ) take() (RecvWR, bool) {
 	if s.queue.Len() == 0 {
 		return RecvWR{}, false

@@ -535,7 +535,8 @@ func TestSRQSharing(t *testing.T) {
 // sends consuming through a QP: silent while the consumes leave the limit or
 // more posted, fired by the one that leaves fewer — from inside that consume,
 // with no engine event of its own — once, silent until armed again, unmoved by
-// Post, and due at the next consume when armed below the limit.
+// Post, due at the next consume when armed below the limit, and gone with the
+// posted WQEs at Flush.
 func TestSRQLimitEvent(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := fabric.New(eng, fabric.DefaultConfig(), 1)
@@ -601,6 +602,17 @@ func TestSRQLimitEvent(t *testing.T) {
 	srq.Arm(0, nil)
 	if consume(5); fired != 2 || b.Counters.RNRNakSent != 0 {
 		t.Fatalf("fired %d times after disarming (%d RNR NAKs)", fired, b.Counters.RNRNakSent)
+	}
+	// Flush (a NIC restart): nothing posted and nothing armed, so the
+	// consumes of what is posted next fire nothing.
+	post(3)
+	srq.Arm(8, onLimit)
+	if srq.Flush(); srq.Len() != 0 {
+		t.Fatalf("%d WQEs posted after Flush", srq.Len())
+	}
+	post(2)
+	if consume(2); fired != 2 {
+		t.Fatalf("fired %d times: Flush left the limit armed", fired)
 	}
 }
 

@@ -171,7 +171,7 @@ type Config struct {
 	ProtoVerMax int
 	// DrainDeadline bounds Context.Drain's quiesce phase: in-flight
 	// requests get this long to complete before the remaining tail is
-	// frozen into the handoff blob for post-restart replay (0 = 50ms).
+	// frozen into the handoff blob for post-restart replay.
 	DrainDeadline sim.Duration
 }
 
@@ -240,6 +240,7 @@ func DefaultConfig() Config {
 		StatsInterval: 10 * sim.Millisecond,
 
 		TenantShedCooldown: 5 * sim.Millisecond,
+		DrainDeadline:      50 * sim.Millisecond,
 	}
 }
 

@@ -169,7 +169,8 @@ type ContextStats struct {
 	VerMismatches int64
 	DrainRefusals int64
 	Rehydrated    int64
-	// sharedRQ's fill: slots in place (verbs cannot un-post), limit events.
+	// sharedRQ's fill of the current pool: slots in place (verbs cannot
+	// un-post; a NIC restart flushes them all), limit events.
 	SRQPosted, SRQGrows int64
 }
 
@@ -654,12 +655,16 @@ func (c *Context) allLinks() []*link {
 
 // OnNICRestart rebuilds memory-dependent state after the local NIC came
 // back from a crash with its registered memory gone (a machine reboot in
-// the chaos scenarios): the memory cache drops its dead regions and every
-// link is failed, in creation order, so the health machinery re-establishes
-// it on fresh QPs and MRs. SRQ mode is not rebuilt — the chaos drills run
-// per-channel receive queues.
+// the chaos scenarios): the memory cache drops its dead regions, the SRQ its
+// WQEs into them — the first replacement QP carves a fresh pool (sharedRQ) —
+// and every link is failed, in creation order, so the health machinery
+// re-establishes it on fresh QPs and MRs.
 func (c *Context) OnNICRestart() {
 	c.Mem.Reset()
+	if c.srq != nil {
+		c.srq.Flush()
+		c.srqPool, c.Stats.SRQPosted, c.Stats.SRQGrows = nil, 0, 0
+	}
 	for _, l := range c.allLinks() {
 		l.fail(ErrNICRestart)
 	}
@@ -667,8 +672,8 @@ func (c *Context) OnNICRestart() {
 
 // --- SRQ support -------------------------------------------------------------
 
-// recycleSRQ reposts one consumed SRQ buffer; a WR id that names none (a
-// link pool's slot, or no SRQ pool at all) is left alone.
+// recycleSRQ reposts one consumed SRQ buffer; a WR id that names none (a link
+// pool's slot, a dropped pool's, or no SRQ pool at all) is left alone.
 func (c *Context) recycleSRQ(wrID uint64) {
 	if wr, ok := c.srqPool.wr(wrID); ok {
 		_ = c.srq.Post(wr) // as deep as the pool has slots: a consumed one always fits

@@ -59,9 +59,6 @@ const (
 // instead of a generic rejection.
 const drainRejectReason = "draining"
 
-// drainDeadlineDefault bounds the quiesce phase when the config is silent.
-const drainDeadlineDefault = 50 * sim.Millisecond
-
 // errRestartHandoff is the recovery cause for rehydrated channels.
 var errRestartHandoff = errors.New("xrdma: restart handoff")
 
@@ -85,11 +82,7 @@ func (c *Context) Drain(cb func(blob []byte)) error {
 	if c.drain != DrainServing {
 		return ErrDraining
 	}
-	now := c.eng.Now()
-	dl := c.cfg.DrainDeadline
-	if dl <= 0 {
-		dl = drainDeadlineDefault
-	}
+	now, dl := c.eng.Now(), c.cfg.DrainDeadline
 	c.drain = DrainDraining
 	c.drainCB = cb
 	c.drainStarted = now

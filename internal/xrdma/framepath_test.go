@@ -14,26 +14,6 @@ import (
 	"xrdma/internal/sim"
 )
 
-// checkQPNTable holds a context's QPN table to its contract: every entry
-// names a live link under that link's current QPN, and every live link with
-// an installed QP is reachable (a link on the Mock fallback has surrendered
-// its QP, so a sibling that recycled it may own the number instead).
-func checkQPNTable(t *testing.T, c *Context) {
-	t.Helper()
-	live := map[*link]bool{}
-	for _, l := range c.links {
-		live[l] = true
-		if l.qp != nil && l.state != linkFallback && c.qpnTab[l.qp.QPN] != l {
-			t.Errorf("node %d: live link (peer %d, qpn %d) missing from the QPN table", c.Node(), l.peer, l.qp.QPN)
-		}
-	}
-	for q, l := range c.qpnTab {
-		if !live[l] || l.qp == nil || l.qp.QPN != q {
-			t.Errorf("node %d: stale QPN table entry %d → link peer=%d state=%d", c.Node(), q, l.peer, l.state)
-		}
-	}
-}
-
 // TestOneSidedWriteImmSharedQP: a WRITE+imm completion carries no wire
 // header and its immediate cannot name a rider, so on a shared QP the sender
 // refuses before posting (it used to report success while the peer dropped
@@ -71,7 +51,7 @@ func TestOneSidedWriteImmSharedQP(t *testing.T) {
 	// A peer that posts one anyway (a foreign build): the receive side
 	// recycles the SRQ buffer and wakes nobody — no decode, no lost buffer.
 	mx := sharedQPs(w.ctxs[0])[0]
-	srqBefore, _, _ := heldBySRQ(w.ctxs[1])
+	srqBefore, _, _, _ := poolHeld(w.ctxs[1], w.ctxs[1].srqPool)
 	foreign := w.ctxs[0].newRec(recWrite, cli)
 	foreign.qp, foreign.done = mx.qp, func(error) {}
 	foreign.wr = rnic.SendWR{
@@ -87,7 +67,7 @@ func TestOneSidedWriteImmSharedQP(t *testing.T) {
 	if fired {
 		t.Fatal("WRITE+imm on a shared QP woke a rider it cannot name")
 	}
-	if got, _, _ := heldBySRQ(w.ctxs[1]); got != srqBefore || w.ctxs[1].srq.Len() != srqFill(w.ctxs[1]) {
+	if got, _, _, _ := poolHeld(w.ctxs[1], w.ctxs[1].srqPool); got != srqBefore || w.ctxs[1].srq.Len() != srqFill(w.ctxs[1]) {
 		t.Fatalf("SRQ holds %d bytes (%d posted) after the WRITE+imm, want %d (%d)", got, w.ctxs[1].srq.Len(), srqBefore, srqFill(w.ctxs[1]))
 	}
 
@@ -271,10 +251,9 @@ func runFrameSteps(t *testing.T, eng *sim.Engine, scripts []*frameScript, grant 
 // a shared QP with four riders, and over an exclusive link that starts on
 // TCP, each with a cutover in the run (link failure → redial → adopt; on
 // Mock the failback probe's adoption). Whatever carries the frames, every
-// channel's applications must see the same thing, and the link's books must
-// balance: nothing in flight, memory back to the standing pool, and the QPN
-// table holding exactly the live links' current QPNs — also after the QP
-// cache recycled numbers between links.
+// channel's applications must see the same thing, the QPN table must hold
+// exactly the live links' current QPNs — also after the QP cache recycled
+// numbers between links — and the world must end at rest (checkAtRest).
 func TestFramePathConformance(t *testing.T) {
 	var ref []string
 	for _, kind := range []string{"exclusive", "shared", "mock"} {
@@ -348,16 +327,17 @@ func TestFramePathConformance(t *testing.T) {
 				}
 			}
 			for _, c := range w.ctxs {
-				checkQPNTable(t, c)
+				checkStructure(t, c)
 			}
 
 			// One more channel off the QP cache, then everything closes.
+			pool := 1
 			if kind != "shared" {
 				c, s := w.connect(t, 0, 1, 5502)
 				for _, ctx := range w.ctxs {
-					checkQPNTable(t, ctx)
+					checkStructure(t, ctx)
 				}
-				cli, srv = append(cli, c), append(srv, s)
+				cli, srv, pool = append(cli, c), append(srv, s), 0
 			}
 			win.Revoke()
 			for k := range cli {
@@ -365,17 +345,7 @@ func TestFramePathConformance(t *testing.T) {
 				srv[k].Close()
 			}
 			w.eng.RunFor(50 * sim.Millisecond)
-			pool := 0
-			if kind == "shared" {
-				pool = 1
-			}
-			for i, c := range w.ctxs {
-				checkMemAtRest(t, i, c)
-				if len(c.links) != pool || len(c.qpnTab) != pool {
-					t.Errorf("node %d: %d links, %d QPN table entries after close, want %d", i, len(c.links), len(c.qpnTab), pool)
-				}
-				checkQPNTable(t, c)
-			}
+			w.checkAtRest(t, pool, pool)
 		})
 	}
 }
