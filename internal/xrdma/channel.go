@@ -285,7 +285,13 @@ func (c *Context) sharedRQ() *rnic.SRQ {
 }
 
 // srqLanded posts a block and arms the limit event (ibv_modify_srq) for the next.
+// A block of a pool a NIC restart dropped while it registered goes back (the
+// pool may be the one being carved, not yet c.srqPool: compare eras).
 func (c *Context) srqLanded(p *recvPool, lo, hi int) {
+	if p.gen != c.Mem.gen {
+		c.Mem.Free(p.blocks[lo/p.per])
+		return
+	}
 	for slot := lo; slot < hi; slot++ {
 		if wr, ok := p.wr(p.id(slot)); ok && c.srq.Post(wr) == nil { // in place, and it fits: SRQSize deep, as the pool
 			c.Stats.SRQPosted++

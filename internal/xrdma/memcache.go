@@ -3,6 +3,7 @@ package xrdma
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"xrdma/internal/rnic"
@@ -103,11 +104,7 @@ func newMemCache(ctx *Context, mrSize int, mode rnic.RegMode) *MemCache {
 	if capBytes > mrSize {
 		capBytes = mrSize // degenerate: mrSize below the minimum block
 	}
-	maxOrder := 0
-	for memBuddyMin<<maxOrder < capBytes {
-		maxOrder++
-	}
-	return &MemCache{ctx: ctx, mrSize: mrSize, mode: mode, capBytes: capBytes, maxOrder: maxOrder}
+	return &MemCache{ctx: ctx, mrSize: mrSize, mode: mode, capBytes: capBytes, maxOrder: max(blockOrder(capBytes), 0)}
 }
 
 // OccupiedBytes is the total registered capacity.
@@ -129,6 +126,9 @@ func (m *MemCache) blockFor(size int) int {
 	}
 	return block
 }
+
+// blockOrder is o for a block of memBuddyMin<<o bytes.
+func blockOrder(block int) int { return bits.Len(uint(block/memBuddyMin)) - 1 }
 
 // Alloc returns a buffer of the given size, growing the cache (and thus
 // completing asynchronously) when needed. size must fit one region.
@@ -181,12 +181,8 @@ func (m *MemCache) tryAlloc(t *Tenant, size int) (Buffer, bool) {
 		return Buffer{}, false
 	}
 	block := m.blockFor(size)
-	order := 0
-	for memBuddyMin<<order < block {
-		order++
-	}
 	for _, r := range m.regions {
-		off, ok := r.takeBlock(order, m.maxOrder)
+		off, ok := r.takeBlock(blockOrder(block), m.maxOrder)
 		if !ok {
 			continue
 		}
@@ -264,11 +260,7 @@ func (m *MemCache) Free(b Buffer) {
 	if b.tenant != nil {
 		b.tenant.memUsed -= int64(block)
 	}
-	order := 0
-	for memBuddyMin<<order < block {
-		order++
-	}
-	m.mergeFree(r, b.off, order)
+	m.mergeFree(r, b.off, blockOrder(block))
 	m.serveWaiters()
 }
 
@@ -330,6 +322,7 @@ type recvPool struct {
 	one            [1]Buffer // backs blocks when one block holds the pool
 	tag            uint64    // bits 32..63 of its WR ids: the carve's ordinal in this cache
 	pending        int       // blocks still to land
+	gen            int       // the cache's era at the carve: a Reset since drops the pool
 	stride, per, n int
 }
 
@@ -345,7 +338,7 @@ func (m *MemCache) carve(n, stride int, packed bool, landed func(p *recvPool, lo
 		per = 1
 	}
 	m.carved++
-	p := &recvPool{tag: m.carved << 32, stride: stride, per: per, n: n, pending: (n + per - 1) / per}
+	p := &recvPool{tag: m.carved << 32, gen: m.gen, stride: stride, per: per, n: n, pending: (n + per - 1) / per}
 	if p.blocks = p.one[:]; p.pending > 1 {
 		p.blocks = make([]Buffer, p.pending)
 	}
