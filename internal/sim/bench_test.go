@@ -44,6 +44,38 @@ func BenchmarkEngineChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineTimers is the queue a simulated fleet keeps: 16 contexts'
+// three periodic scans (48 background timers, 100 µs and more ahead), 8
+// packet-rate work events 1 µs apart, and, on every work event, one
+// per-message timer armed 60 µs ahead and an older one cancelled — the
+// parked-poll and retransmission-timeout pattern.
+func BenchmarkEngineTimers(b *testing.B) {
+	e := NewEngine()
+	var scan func()
+	scan = func() { e.AfterBg(100*Microsecond, scan) }
+	for i := 0; i < 48; i++ {
+		e.AfterBg(100*Microsecond+Duration(i)*2*Microsecond, scan)
+	}
+	var timers [8]Event
+	k := 0
+	nop := func() {}
+	var work func()
+	work = func() {
+		e.After(Microsecond, work)
+		e.Cancel(timers[k%len(timers)])
+		timers[k%len(timers)] = e.After(60*Microsecond, nop)
+		k++
+	}
+	for i := 0; i < len(timers); i++ {
+		e.After(Duration(i)*Microsecond/8, work)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
 func benchName(k string, v int) string {
 	const digits = "0123456789"
 	if v == 0 {

@@ -6,12 +6,18 @@
 // when events fire, so experiments covering simulated minutes complete in
 // real milliseconds and are bit-for-bit reproducible for a given seed.
 //
-// The scheduler is built for throughput: a monomorphic 4-ary min-heap of
+// The scheduler is built for throughput: two monomorphic 4-ary min-heaps of
 // *event nodes (no interface boxing, inlined sift operations) plus an
 // engine-owned free-list, so the steady-state schedule→fire cycle performs
-// zero heap allocations. Event handles are values carrying a generation
-// counter, which keeps Pending/Cancel safe even after the underlying node
-// has been recycled for a later event.
+// zero heap allocations. An event due less than horizon after the instant it
+// is scheduled goes to the near heap, any later one to the far heap, and Step
+// fires the lesser of the two roots: a packet event sifts through the few
+// events due soon, not past every armed timer and periodic scan. Both heaps
+// order by (at, seq) and an event never moves between them, so the firing
+// order is the (at, seq) order of all live events, exactly as with one heap.
+// Event handles are values carrying a generation counter, which keeps
+// Pending/Cancel safe even after the underlying node has been recycled for a
+// later event.
 package sim
 
 import (
@@ -67,9 +73,10 @@ type event struct {
 	at  Time
 	seq uint64 // FIFO tie-break for events at the same instant
 	fn  func()
-	idx int32 // heap index; -1 while not queued
+	idx int32 // index in its heap; -1 while not queued
 	gen uint64
 	bg  bool // background: does not keep Run alive
+	far bool // queued in the far heap
 }
 
 // Event is a handle to a scheduled callback. Events are single-shot;
@@ -101,20 +108,31 @@ func (ev Event) At() Time {
 // synchronization on the data plane). Independent Engines are fully
 // isolated, so separate experiments may run on separate goroutines.
 type Engine struct {
-	now     Time
-	seq     uint64
-	heap    []*event
-	free    []*event
-	stopped bool
-	fired   uint64
-	nonBg   int // foreground events pending
+	now       Time
+	seq       uint64
+	near, far heap4 // due less than horizon after they were scheduled, and later
+	free      []*event
+	stopped   bool
+	fired     uint64
+	nonBg     int // foreground events pending
 
 	aux map[any]any
 }
 
-// NewEngine returns an engine positioned at time zero.
+// horizon splits the queue. Schedule delays are bimodal: most are packet
+// hops, NIC steps and polls a few microseconds ahead; the rest are timers
+// (periodic scans, parked polls, retransmission timeouts) 50 µs or more
+// ahead, mostly cancelled before they fire. Almost none fall between, so the
+// split only has to sit in that gap (EXPERIMENTS.md P10 has the histogram and
+// the sweep it was taken from).
+const horizon = 5 * Microsecond
+
+// NewEngine returns an engine positioned at time zero. Each tier starts with
+// room for a small world's standing population (a few contexts' periodic
+// scans and armed timers, the packets in flight), so a small world's tiers do
+// not grow mid-run.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{near: make(heap4, 0, 64), far: make(heap4, 0, 64)}
 }
 
 // Now returns the current simulated time.
@@ -124,7 +142,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are currently scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.near) + len(e.far) }
 
 // Aux returns the engine-scoped value stored under key, or nil. Model
 // packages use this to attach per-engine free-lists (packet pools, header
@@ -193,7 +211,8 @@ func (e *Engine) At(t Time, fn func()) Event {
 	}
 	n := e.alloc(t, fn)
 	e.nonBg++
-	e.push(n)
+	n.far = t.Sub(e.now) >= horizon
+	e.tier(n).push(n)
 	return Event{n: n, gen: n.gen}
 }
 
@@ -220,20 +239,44 @@ func (e *Engine) Cancel(ev Event) {
 	if n == nil || n.gen != ev.gen || n.idx < 0 {
 		return
 	}
-	e.remove(int(n.idx))
+	e.tier(n).remove(int(n.idx))
 	if !n.bg {
 		e.nonBg--
 	}
 	e.release(n)
 }
 
+// tier is the heap n belongs to.
+func (e *Engine) tier(n *event) *heap4 {
+	if n.far {
+		return &e.far
+	}
+	return &e.near
+}
+
+// peek returns the earliest pending event, the lesser of the two roots, or
+// nil when none remain.
+func (e *Engine) peek() *event {
+	if len(e.far) == 0 {
+		if len(e.near) == 0 {
+			return nil
+		}
+		return e.near[0]
+	}
+	if len(e.near) == 0 || before(e.far[0], e.near[0]) {
+		return e.far[0]
+	}
+	return e.near[0]
+}
+
 // Step fires the earliest pending event. It reports false when no events
 // remain.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	n := e.peek()
+	if n == nil {
 		return false
 	}
-	n := e.popMin()
+	e.tier(n).popMin()
 	e.now = n.at
 	fn := n.fn
 	if !n.bg {
@@ -262,7 +305,7 @@ func (e *Engine) Run() {
 // to exactly t (even if the queue drained earlier).
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 && e.heap[0].at <= t {
+	for n := e.peek(); !e.stopped && n != nil && n.at <= t; n = e.peek() {
 		e.Step()
 	}
 	if !e.stopped && e.now < t {
@@ -286,37 +329,45 @@ const MaxTime = Time(math.MaxInt64)
 // winning trade for the pop-heavy workload of a discrete-event loop. Order
 // is (at, seq): earliest deadline first, FIFO within an instant.
 
-func (e *Engine) push(n *event) {
-	e.heap = append(e.heap, n)
-	e.siftUp(len(e.heap)-1, n)
+// before is the engine's total order. Sequence numbers are unique, so two
+// distinct events are never equal under it.
+func before(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-func (e *Engine) popMin() *event {
-	h := e.heap
-	last := len(h) - 1
-	root := h[0]
-	tail := h[last]
-	h[last] = nil
-	e.heap = h[:last]
+// heap4 is one tier of the queue: a 4-ary min-heap of event nodes, each
+// recording its index.
+type heap4 []*event
+
+func (h *heap4) push(n *event) {
+	*h = append(*h, n)
+	h.siftUp(len(*h)-1, n)
+}
+
+// popMin removes the root.
+func (h *heap4) popMin() {
+	s := *h
+	last := len(s) - 1
+	root, tail := s[0], s[last]
+	s[last] = nil
+	*h = s[:last]
 	if last > 0 {
-		e.siftDown(0, tail)
+		h.siftDown(0, tail)
 	}
 	root.idx = -1
-	return root
 }
 
-// remove extracts the node at heap index i.
-func (e *Engine) remove(i int) {
-	h := e.heap
-	last := len(h) - 1
-	n := h[i]
-	tail := h[last]
-	h[last] = nil
-	e.heap = h[:last]
+// remove extracts the node at index i.
+func (h *heap4) remove(i int) {
+	s := *h
+	last := len(s) - 1
+	n, tail := s[i], s[last]
+	s[last] = nil
+	*h = s[:last]
 	if i < last {
-		e.siftDown(i, tail)
+		h.siftDown(i, tail)
 		if int(tail.idx) == i {
-			e.siftUp(i, tail)
+			h.siftUp(i, tail)
 		}
 	}
 	n.idx = -1
@@ -324,12 +375,11 @@ func (e *Engine) remove(i int) {
 
 // siftUp places n at index i or above. n need not currently be in the
 // slice at i; the final slot is written exactly once.
-func (e *Engine) siftUp(i int, n *event) {
-	h := e.heap
+func (h heap4) siftUp(i int, n *event) {
 	for i > 0 {
 		p := (i - 1) >> 2
 		pn := h[p]
-		if pn.at < n.at || (pn.at == n.at && pn.seq <= n.seq) {
+		if before(pn, n) {
 			break
 		}
 		h[i] = pn
@@ -341,8 +391,7 @@ func (e *Engine) siftUp(i int, n *event) {
 }
 
 // siftDown places n at index i or below.
-func (e *Engine) siftDown(i int, n *event) {
-	h := e.heap
+func (h heap4) siftDown(i int, n *event) {
 	size := len(h)
 	for {
 		c := i<<2 + 1
@@ -356,12 +405,11 @@ func (e *Engine) siftDown(i int, n *event) {
 			end = size
 		}
 		for j := c + 1; j < end; j++ {
-			cn := h[j]
-			if cn.at < mn.at || (cn.at == mn.at && cn.seq < mn.seq) {
+			if cn := h[j]; before(cn, mn) {
 				m, mn = j, cn
 			}
 		}
-		if n.at < mn.at || (n.at == mn.at && n.seq <= mn.seq) {
+		if before(n, mn) {
 			break
 		}
 		h[i] = mn

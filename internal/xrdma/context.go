@@ -139,7 +139,7 @@ type Context struct {
 
 // ContextStats aggregates per-context counters for XR-Stat / Monitor.
 type ContextStats struct {
-	Polls           int64 // lags by up to 63 while the poller is parked (nextPoll); exact once Engine.Run returns
+	Polls           int64 // lags by up to 63 while the poller is parked (nextPoll); the "polls" gauge adds them
 	SlowPolls       int64
 	SlowOps         int64 // traced one-way latency or RTT beyond SlowThreshold (trace.go)
 	EventWakes      int64
@@ -294,6 +294,12 @@ func (c *Context) registerGauges() {
 		{"mem_pool_inuse", func() int64 { return c.Mem.PoolInUseBytes }},
 		{"tenant_unknown", func() int64 { return c.tenantUnknown }},
 		{"qp_cache", func() int64 { return int64(c.QPs.Len()) }},
+		{"polls", func() int64 { // replaces the field's row: a parked poller's passed spins are added (skipSpins' count), nothing changes
+			if k := c.eng.Now().Sub(c.lastPoll) / pollEvery; c.parked {
+				return c.Stats.Polls + int64(k)
+			}
+			return c.Stats.Polls
+		}},
 	} {
 		reg.GaugeFunc(c.track+"."+g.name, g.fn)
 	}
@@ -425,12 +431,10 @@ func (c *Context) wake() {
 	}
 	c.unparkPoll(spinDetect)
 	soon := c.eng.Now().Add(spinDetect)
-	if c.pollEv.Pending() {
-		if c.pollEv.At() <= soon {
-			return
-		}
-		c.eng.Cancel(c.pollEv)
+	if c.pollEv.Pending() && c.pollEv.At() <= soon {
+		return
 	}
+	c.eng.Cancel(c.pollEv)
 	c.pollEv = c.eng.After(spinDetect, c.pollFn)
 }
 
@@ -542,11 +546,7 @@ func (c *Context) dispatchNext() {
 // used by jitter experiments to create slow-poll incidents.
 func (c *Context) InjectWork(d sim.Duration) {
 	c.unparkPoll(pollEvery)
-	now := c.eng.Now()
-	if c.busyUntil < now {
-		c.busyUntil = now
-	}
-	c.busyUntil = c.busyUntil.Add(d)
+	c.busyUntil = max(c.busyUntil, c.eng.Now()).Add(d)
 }
 
 // --- timers -----------------------------------------------------------------
@@ -700,8 +700,7 @@ func (c *Context) syncFilter() {
 		c.vctx.NIC.FaultHook = nil
 		return
 	}
-	drop := c.cfg.FilterDropRate
-	delay := c.cfg.FilterDelay
+	drop, delay := c.cfg.FilterDropRate, c.cfg.FilterDelay
 	c.vctx.NIC.FaultHook = func(p *fabric.Packet) (bool, sim.Duration) {
 		if p.Class == fabric.ClassCtrl {
 			return false, 0 // keep hardware acks/CNPs intact

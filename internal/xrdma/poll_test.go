@@ -98,6 +98,44 @@ func TestParkedPollAccounting(t *testing.T) {
 	}
 }
 
+// TestPollsGaugeWhileParked: a world that RunFor stops mid-park reads, through
+// its "polls" gauge, what the same world reads once run to its parking event
+// (Stats.Polls there, exact) less the spins still ahead of the stop. Reading
+// the gauge leaves the poller as it was: the stopped world, run on, parks at
+// the same instant with the same count. The last row stops past the parking
+// event, where the gauge is Stats.Polls.
+func TestPollsGaugeWhileParked(t *testing.T) {
+	const us, ns = sim.Microsecond, sim.Nanosecond
+	gauge := func(c *Context) int64 {
+		v, _ := c.tel.Reg.Value(c.track + ".polls")
+		return v
+	}
+	toPark := func(w *testWorld, c *Context) (sim.Time, int64) {
+		for !c.eventMode && w.eng.Step() {
+		}
+		return w.eng.Now(), c.Stats.Polls
+	}
+	for _, stop := range []sim.Duration{0, 350 * ns, 10 * us, 10*us + 350*ns, 62*us + 999*ns, 63 * us, 80 * us} {
+		t.Run(stop.String(), func(t *testing.T) {
+			w, c, _ := parkedAt(t)
+			park, polls := toPark(w, c)
+
+			w, c, t0 := parkedAt(t)
+			w.eng.RunFor(stop)
+			ahead := int64(0) // spin instants after the stop, up to the parking event
+			for s := park; s > t0.Add(stop); s -= sim.Time(pollEvery) {
+				ahead++
+			}
+			if got, again := gauge(c), gauge(c); got != polls-ahead || again != got {
+				t.Errorf("gauge at t0+%v: %d then %d, want %d (%d at the parking event, %d spins ahead)", stop, got, again, polls-ahead, polls, ahead)
+			}
+			if p, n := toPark(w, c); p != max(park, t0.Add(stop)) || n != polls {
+				t.Errorf("run on after the read: in event mode at %v with %d polls, want %v with %d", p, n, park, polls)
+			}
+		})
+	}
+}
+
 // TestWakeDuringWorkKeepsOnePoll: the poll that application work defers is the
 // pending poll. A CQE arriving while the thread is busy used to find nothing
 // pending and start a second chain; both fired at busyUntil and the second,

@@ -2,6 +2,9 @@
 # bench.sh — run the simulation-kernel and telemetry microbenchmarks and
 # emit BENCH_kernel.json: current ns/op + allocs/op per benchmark next to
 # the committed container/heap baseline, with the speedup factor.
+# EngineTimers (the fleet's standing timer mix over the two-tier queue) has
+# no pre-rewrite baseline; its contract is allocs/op == 0, like the other
+# Engine rows.
 # Telemetry benchmarks have no pre-rewrite baseline; their contract is
 # allocs/op == 0 (enforced by the CI bench smoke), as are the fabric hop's
 # (FabricHop: one 64 B frame over four links, which also fails above one
