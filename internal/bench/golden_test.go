@@ -17,13 +17,15 @@ import (
 // versions. Update them only for a deliberate, documented model change.
 // goldenFiredCount was 4476 until the hybrid poller stopped firing idle spins
 // as engine events (DESIGN §9.5, EXPERIMENTS.md P6), and 3269 until a fabric
-// hop became one event (DESIGN §6.1, EXPERIMENTS.md P7); RTT and Fig 9 did not
-// move either time.
+// hop became one event (DESIGN §6.1, EXPERIMENTS.md P7), and 1834 until the
+// memory cache registered regions sized to demand (DESIGN §14.4, EXPERIMENTS.md
+// P11: a 512 KiB first region registers sooner); RTT and Fig 9 did not move
+// any of those times.
 const (
 	goldenSeed       = 42
 	goldenPingSize   = 512
 	goldenPingCount  = 50
-	goldenFiredCount = 1834
+	goldenFiredCount = 1822
 	goldenMeanRTT    = 7165 * sim.Nanosecond
 	goldenFig9Raw    = 1297.0
 	goldenFig9XRDMA  = 0.0

@@ -151,14 +151,15 @@ func poolHeld(c *Context, p *recvPool) (bytes, rounded, blocks, dead int64) {
 }
 
 // srqFill is how many slots a context's shared receive queue should have in
-// place now, by the fill rule (sharedRQ): the first block — what one cache
-// region holds — and one more per limit event, up to SRQSize; none before the
-// first QP carves the pool, or after a NIC restart dropped it. (A block whose
-// registration is still in flight is counted: ask once the engine has run.)
+// place now, by the fill rule (sharedRQ): the first block — what the cache's
+// floor holds, one link pool's block — and one more per limit event, up to
+// SRQSize; none before the first QP carves the pool, or after a NIC restart
+// dropped it. (A block whose registration is still in flight is counted: ask
+// once the engine has run.)
 func srqFill(c *Context) int {
 	if c.srqPool == nil {
 		return 0
 	}
-	per := (c.Mem.capBytes - c.Mem.pad()) / c.recvBufSize()
+	per := (c.Mem.floor() - c.Mem.pad()) / c.recvBufSize()
 	return min(c.cfg.SRQSize, per*(1+int(c.Stats.SRQGrows)))
 }

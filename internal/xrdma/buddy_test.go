@@ -55,8 +55,9 @@ func TestBuddySplitMergeInvariants(t *testing.T) {
 	}
 
 	// The strongest merge invariant: the drained region hands out its full
-	// capacity as ONE block again, with no growth.
-	full, ok := m.tryAlloc(nil, 1<<20)
+	// capacity (512 KiB, the first region's size) as ONE block again, with no
+	// growth.
+	full, ok := m.tryAlloc(nil, m.regions[0].mr.Len)
 	if !ok {
 		t.Fatal("full-capacity alloc failed after drain — buddies did not re-merge")
 	}

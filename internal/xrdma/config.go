@@ -80,7 +80,7 @@ type Config struct {
 	FragmentSize int
 	// MaxOutstandingWRs is the flow-control queueing limit N (§V-C).
 	MaxOutstandingWRs int
-	// MRSize is the memory-cache region granularity (4 MB; §IV-E).
+	// MRSize is the memory-cache region quantum, its largest region (4 MB; §IV-E).
 	MRSize int
 	// MemMode selects the registration mode (§VII-F: non-continuous in
 	// production).

@@ -14,7 +14,7 @@
 //   - keepalive probes built from zero-byte RDMA writes (§V-A);
 //   - flow control by fragmentation and outstanding-WR queueing to
 //     complement DCQCN under incast (§V-C);
-//   - resource management: a per-context memory cache of 4 MB MRs and a
+//   - resource management: a per-context memory cache of few MRs (up to 4 MB) and a
 //     QP cache that recycles reset QPs to cut establishment time (§IV-E);
 //   - the analysis framework: tracing with clock synchronisation,
 //     per-channel statistics, online/offline configuration, fault

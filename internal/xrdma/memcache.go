@@ -10,15 +10,13 @@ import (
 	"xrdma/internal/sim"
 )
 
-// MemCache manages per-context RDMA-enabled memory as a pool of
-// identically sized MRs (4 MB by default, §IV-E — LITE showed thousands of
-// small MRs collapse, so regions are few and large). Within a region a
-// binary buddy allocator hands out power-of-two blocks (512 B minimum):
-// split on alloc, merge with the buddy on free, so a drained region always
-// recovers its full-capacity block and external fragmentation is bounded.
-// When capacity runs out the cache grows by registering a new MR (paying
-// the RNIC's registration latency); fully free regions idle longer than
-// memShrinkIdle are given back.
+// MemCache manages per-context RDMA-enabled memory as a few MRs (§IV-E —
+// LITE showed thousands of small MRs collapse). Within a region a binary
+// buddy allocator hands out power-of-two blocks (512 B minimum): split on
+// alloc, merge with the buddy on free, so a drained region always recovers
+// its full-capacity block and external fragmentation is bounded. When
+// capacity runs out the cache registers one more MR sized to demand (grow),
+// MRSize (4 MB by default) at most; idle MRSize regions are given back.
 //
 // Tenancy: AllocT charges the allocation's block-rounded size against the
 // tenant's MemBudget and rejects overruns synchronously with
@@ -30,8 +28,7 @@ type MemCache struct {
 	ctx      *Context
 	mrSize   int
 	mode     rnic.RegMode
-	capBytes int // buddy-managed capacity per region: pow2 floor of mrSize
-	maxOrder int // log2(capBytes / memBuddyMin)
+	capBytes int // buddy-managed capacity of an MRSize region: pow2 floor of mrSize
 
 	regions []*memRegion
 	growing bool
@@ -62,6 +59,7 @@ type memRegion struct {
 	// (block size memBuddyMin<<o). Allocation takes the lowest offset of
 	// the smallest sufficient order — fully deterministic.
 	free     [][]int
+	top      int // order of the region's full-capacity block
 	inUse    int // block-rounded bytes in use
 	lastUsed sim.Time
 	dead     bool // region lost to a NIC restart; frees become no-ops
@@ -97,18 +95,23 @@ func (b Buffer) Bytes() []byte { return b.MR.Slice(b.Addr, b.Len) }
 var ErrTenantBudget = errors.New("xrdma: tenant memory budget exceeded")
 
 func newMemCache(ctx *Context, mrSize int, mode rnic.RegMode) *MemCache {
-	capBytes := memBuddyMin
-	for capBytes*2 <= mrSize {
-		capBytes *= 2
-	}
-	if capBytes > mrSize {
-		capBytes = mrSize // degenerate: mrSize below the minimum block
-	}
-	return &MemCache{ctx: ctx, mrSize: mrSize, mode: mode, capBytes: capBytes, maxOrder: max(blockOrder(capBytes), 0)}
+	capBytes := min(mrSize, memBuddyMin<<max(bits.Len(uint(mrSize/memBuddyMin))-1, 0)) // mrSize itself below the minimum block
+	return &MemCache{ctx: ctx, mrSize: mrSize, mode: mode, capBytes: capBytes}
 }
 
 // OccupiedBytes is the total registered capacity.
-func (m *MemCache) OccupiedBytes() int64 { return int64(len(m.regions)) * int64(m.mrSize) }
+func (m *MemCache) OccupiedBytes() (n int64) {
+	for _, r := range m.regions {
+		n += int64(r.mr.Len)
+	}
+	return n
+}
+
+// floor is the block one link's receive pool takes (256 KiB at the defaults):
+// what a region is sized from, and the SRQ's block.
+func (m *MemCache) floor() int {
+	return min(m.blockFor((m.ctx.cfg.WindowDepth+ctrlReserve)*m.ctx.recvBufSize()), m.capBytes)
+}
 
 func (m *MemCache) pad() int {
 	if m.ctx.cfg.MemIsolation {
@@ -119,22 +122,15 @@ func (m *MemCache) pad() int {
 
 // blockFor is the buddy block size backing a request of this many bytes.
 func (m *MemCache) blockFor(size int) int {
-	total := size + m.pad()
-	block := memBuddyMin
-	for block < total {
-		block *= 2
-	}
-	return block
+	return memBuddyMin << bits.Len(uint((size+m.pad()-1)/memBuddyMin))
 }
 
 // blockOrder is o for a block of memBuddyMin<<o bytes.
 func blockOrder(block int) int { return bits.Len(uint(block/memBuddyMin)) - 1 }
 
 // Alloc returns a buffer of the given size, growing the cache (and thus
-// completing asynchronously) when needed. size must fit one region.
-func (m *MemCache) Alloc(size int, cb func(Buffer, error)) {
-	m.AllocT(nil, size, cb)
-}
+// completing asynchronously) when needed. size must fit an MRSize region.
+func (m *MemCache) Alloc(size int, cb func(Buffer, error)) { m.AllocT(nil, size, cb) }
 
 // AllocT is the tenant-charged variant: the block-rounded size counts
 // against t's MemBudget, and overruns fail synchronously with
@@ -176,19 +172,15 @@ func (m *MemCache) overBudget(t *Tenant, size int) bool {
 }
 
 func (m *MemCache) tryAlloc(t *Tenant, size int) (Buffer, bool) {
-	total := size + m.pad()
-	if total > m.capBytes {
-		return Buffer{}, false
-	}
-	block := m.blockFor(size)
+	block := m.blockFor(size) // past capBytes, no region's top order
 	for _, r := range m.regions {
-		off, ok := r.takeBlock(blockOrder(block), m.maxOrder)
+		off, ok := r.takeBlock(blockOrder(block))
 		if !ok {
 			continue
 		}
 		r.inUse += block
 		r.lastUsed = m.ctx.eng.Now()
-		m.InUseBytes += int64(total)
+		m.InUseBytes += int64(size + m.pad())
 		m.PoolInUseBytes += int64(block)
 		m.Allocs++
 		if t != nil {
@@ -205,12 +197,12 @@ func (m *MemCache) tryAlloc(t *Tenant, size int) (Buffer, bool) {
 
 // takeBlock pops the lowest free block of the smallest sufficient order,
 // splitting larger blocks down and pushing the upper halves back.
-func (r *memRegion) takeBlock(order, maxOrder int) (int, bool) {
+func (r *memRegion) takeBlock(order int) (int, bool) {
 	o := order
-	for o <= maxOrder && len(r.free[o]) == 0 {
+	for o <= r.top && len(r.free[o]) == 0 {
 		o++
 	}
-	if o > maxOrder {
+	if o > r.top {
 		return 0, false
 	}
 	off := r.free[o][0]
@@ -260,14 +252,14 @@ func (m *MemCache) Free(b Buffer) {
 	if b.tenant != nil {
 		b.tenant.memUsed -= int64(block)
 	}
-	m.mergeFree(r, b.off, blockOrder(block))
+	r.mergeFree(b.off, blockOrder(block))
 	m.serveWaiters()
 }
 
 // mergeFree inserts the block and coalesces with its buddy while the buddy
 // is free, restoring the region's full-capacity block when it drains.
-func (m *MemCache) mergeFree(r *memRegion, off, order int) {
-	for order < m.maxOrder {
+func (r *memRegion) mergeFree(off, order int) {
+	for order < r.top {
 		size := memBuddyMin << order
 		buddy := off ^ size
 		lst := r.free[order]
@@ -305,10 +297,7 @@ func (m *MemCache) checkCanaries(b Buffer) bool {
 
 // CheckIntegrity verifies canaries of a live buffer (debug hook).
 func (m *MemCache) CheckIntegrity(b Buffer) bool {
-	if !m.ctx.cfg.MemIsolation {
-		return true
-	}
-	return m.checkCanaries(b)
+	return !m.ctx.cfg.MemIsolation || m.checkCanaries(b)
 }
 
 // recvPool is a receive queue's standing memory — a link's, or the SRQ's: n
@@ -328,12 +317,12 @@ type recvPool struct {
 
 // carve allocates a pool of n strides: one block, or — when no region can hold
 // it — a block per stride (a link's, in E14's 256 KiB regions only; DESIGN §14.4
-// has why it is not packed yet), or, packed, blocks of as many strides as a
-// region takes, the first now and each next when its owner asks (fill): the SRQ.
+// has why it is not packed yet), or, packed, blocks of as many strides as floor
+// takes, the first now and each next when its owner asks (fill): the SRQ.
 // landed runs once per block with its slot range, possibly before carve returns,
 // the block in place — or invalid: that allocation failed, its slots stay unposted.
 func (m *MemCache) carve(n, stride int, packed bool, landed func(p *recvPool, lo, hi int)) *recvPool {
-	per := min(n, max((m.capBytes-m.pad())/stride, 1))
+	per := min(n, max((m.floor()-m.pad())/stride, 1)) // a link's whole pool, unless no region holds it
 	if per < n && !packed {
 		per = 1
 	}
@@ -392,8 +381,11 @@ func (m *MemCache) Reset() {
 	}
 }
 
-// grow registers one more MR asynchronously; waiters are served when it
-// lands.
+// grow registers one more MR asynchronously: the smallest power of two at least
+// twice the larger of floor and the first waiter's block, and at least the
+// capacity so far — 512 KiB first at the defaults, then capacity doubles per
+// grow, so regions stay few — or MRSize once that reaches capBytes. Waiters are
+// served when it lands.
 func (m *MemCache) grow() {
 	if m.growing {
 		return
@@ -401,15 +393,21 @@ func (m *MemCache) grow() {
 	m.growing = true
 	m.Grows++
 	gen := m.gen
-	m.ctx.pd.RegMR(m.mrSize, m.mode, func(mr *rnic.MR) {
+	need := max(2*max(m.floor(), m.blockFor(m.waiters.Items()[0].size)), int(m.OccupiedBytes()))
+	size := min(1<<bits.Len(uint(need-1)), m.capBytes) // the power of two at or above need
+	top := max(blockOrder(size), 0)
+	if size == m.capBytes {
+		size = m.mrSize
+	}
+	m.ctx.pd.RegMR(size, m.mode, func(mr *rnic.MR) {
 		if gen != m.gen {
 			// The cache was reset while this registration was in flight:
 			// the MR belongs to the pre-restart NIC and is already dead.
 			return
 		}
 		m.growing = false
-		r := &memRegion{mr: mr, free: make([][]int, m.maxOrder+1), lastUsed: m.ctx.eng.Now()}
-		r.free[m.maxOrder] = append(r.free[m.maxOrder], 0)
+		r := &memRegion{mr: mr, free: make([][]int, top+1), top: top, lastUsed: m.ctx.eng.Now()}
+		r.free[top] = append(r.free[top], 0)
 		m.regions = append(m.regions, r)
 		m.serveWaiters()
 		if m.waiters.Len() > 0 {
@@ -437,15 +435,15 @@ func (m *MemCache) serveWaiters() {
 	}
 }
 
-// reclaim deregisters the fully-free regions idle for longer than
+// reclaim deregisters the fully-free MRSize regions idle for longer than
 // memShrinkIdle, keeping at least one region warm: the context's periodic
-// housekeeping.
+// housekeeping. The ramp below MRSize stays, at most one MRSize in all.
 func (m *MemCache) reclaim() {
 	now := m.ctx.eng.Now()
 	kept := m.regions[:0]
 	freed := 0
 	for _, r := range m.regions {
-		if r.inUse == 0 && now.Sub(r.lastUsed) > memShrinkIdle && len(m.regions)-freed > 1 {
+		if r.inUse == 0 && r.mr.Len == m.mrSize && now.Sub(r.lastUsed) > memShrinkIdle && len(m.regions)-freed > 1 {
 			m.ctx.pd.DeregMR(r.mr)
 			r.dead = true
 			m.Shrinks++

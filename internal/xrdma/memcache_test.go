@@ -1,6 +1,7 @@
 package xrdma
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -60,18 +61,18 @@ func TestMemCacheCoalescing(t *testing.T) {
 	w, m := memWorld(t, nil)
 	var bufs []Buffer
 	for i := 0; i < 4; i++ {
-		m.Alloc(256<<10, func(b Buffer, err error) { bufs = append(bufs, b) })
+		m.Alloc(128<<10, func(b Buffer, err error) { bufs = append(bufs, b) })
 	}
 	w.eng.Run()
-	if len(m.regions) != 1 {
-		t.Fatalf("4×256KB should fit one 1MB region, got %d regions", len(m.regions))
+	if len(m.regions) != 1 || m.OccupiedBytes() != 512<<10 {
+		t.Fatalf("4×128KB should fit the first, 512KB region, got %d regions of %d bytes", len(m.regions), m.OccupiedBytes())
 	}
 	// Free all; a full-region alloc must then succeed without growth.
 	for _, b := range bufs {
 		m.Free(b)
 	}
 	got := false
-	m.Alloc(1<<20, func(b Buffer, err error) {
+	m.Alloc(512<<10, func(b Buffer, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,6 +85,85 @@ func TestMemCacheCoalescing(t *testing.T) {
 	if len(m.regions) != 1 {
 		t.Fatalf("coalescing failed: grew to %d regions", len(m.regions))
 	}
+}
+
+// TestRegionsFollowNeed is the cache's sizing rule (MemCache): a region is the
+// smallest power of two at least twice the larger of floor and the waiting
+// block and at least the capacity so far, MRSize at most; only idle MRSize
+// regions are given back.
+func TestRegionsFollowNeed(t *testing.T) {
+	const floor, mrSize = 256 << 10, 4 << 20
+	t.Run("classic-pair", func(t *testing.T) {
+		w := newWorld(t, 2, nil)
+		cli, srv := w.connect(t, 0, 1, 5000)
+		echoServer(srv)
+		cli.SendMsg(make([]byte, 64), 0, nil)
+		w.eng.Run()
+		for i, c := range w.ctxs {
+			if c.Mem.floor() != floor || len(c.Mem.regions) != 1 || c.Mem.OccupiedBytes() != 2*floor {
+				t.Errorf("node %d: floor %d, %d regions, %d bytes; want one region of 512 KiB", i, c.Mem.floor(), len(c.Mem.regions), c.Mem.OccupiedBytes())
+			}
+		}
+	})
+	t.Run("ramp-and-shrink", func(t *testing.T) {
+		w := newWorld(t, 1, nil)
+		m := w.ctxs[0].Mem
+		var held []Buffer
+		take := func(until int64) {
+			for m.OccupiedBytes() < until {
+				m.Alloc(floor, func(b Buffer, _ error) { held = append(held, b) })
+				w.eng.Run()
+			}
+		}
+		take(4 * mrSize)
+		var got []int
+		for _, r := range m.regions {
+			got = append(got, r.mr.Len)
+		}
+		// Capacity 512 KiB, 1, 2, 4 MiB (doubling), then one MRSize per grow.
+		if want := []int{2 * floor, 2 * floor, 4 * floor, 8 * floor, mrSize, mrSize, mrSize}; !slices.Equal(got, want) || m.Grows != int64(len(want)) {
+			t.Fatalf("regions %v after %d grows, want %v", got, m.Grows, want)
+		}
+		for _, b := range held {
+			m.Free(b)
+		}
+		held = nil
+		w.eng.RunFor(200 * sim.Millisecond)
+		if len(m.regions) != 4 || m.OccupiedBytes() != mrSize || m.Shrinks != 3 {
+			t.Fatalf("%d regions (%d bytes), %d shrinks after idling; want the ramp's 4 (one MRSize) kept, 3 given back", len(m.regions), m.OccupiedBytes(), m.Shrinks)
+		}
+		// The kept ramp serves without a grow; past it, regions are MRSize.
+		take(mrSize + 1)
+		if m.Grows != 8 || m.regions[4].mr.Len != mrSize {
+			t.Fatalf("%d grows, a %d-byte region past the kept ramp; want 8 and MRSize", m.Grows, m.regions[4].mr.Len)
+		}
+		for _, b := range held {
+			m.Free(b)
+		}
+	})
+	t.Run("connect-churn", func(t *testing.T) {
+		w := newWorld(t, 2, nil)
+		var grows [2]int64
+		for round := 0; round < 6; round++ {
+			var chans []*Channel
+			for k := 0; k < 4; k++ {
+				cli, srv := w.connect(t, 0, 1, 5000+4*round+k)
+				chans = append(chans, cli, srv)
+			}
+			for _, ch := range chans {
+				ch.Close()
+			}
+			w.eng.RunFor(200 * sim.Millisecond) // past memShrinkIdle
+			for i, c := range w.ctxs {
+				if round == 0 {
+					grows[i] = c.Mem.Grows
+				} else if c.Mem.Grows != grows[i] || c.Mem.Shrinks != 0 {
+					t.Fatalf("round %d, node %d: %d grows (%d after the ramp), %d shrinks; want no re-registration", round, i, c.Mem.Grows, grows[i], c.Mem.Shrinks)
+				}
+			}
+		}
+		w.checkAtRest(t, 0, 0)
+	})
 }
 
 func TestMemCacheOversizeRejected(t *testing.T) {

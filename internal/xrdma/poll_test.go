@@ -221,7 +221,7 @@ func TestIdleEventBudget(t *testing.T) {
 		// nothing to grow into and arms none (sharedRQ).
 		var events [2]uint64
 		var allocs [2]float64
-		for i, size := range []int{DefaultConfig().SRQSize, 256} {
+		for i, size := range []int{DefaultConfig().SRQSize, 32} {
 			w := newWorld(t, 2, func(_ int, cfg *Config) { cfg.QPsPerPeer, cfg.SRQSize = 1, size })
 			clis, srvs := openMuxed(t, w, 0, 1, 5000, 1)
 			srvs[0].OnMessage(func(m *Msg) { m.Reply(nil, m.Len) })
