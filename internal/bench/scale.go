@@ -43,16 +43,17 @@ const (
 
 	// Heap budgets for HeapOK (adjusted by raceHeapMul under -race), weighed
 	// with the world still reachable. The smoke world (320 stacks, ~1500 live
-	// + 2400 idle channels) measures 84 MiB: 72 are the first 4 MiB SRQ block
-	// of each of the 18 contexts that talk (8 clients, 10 distinct servers),
-	// 12 everything else. The full world (4096 stacks, ~12k live channels)
-	// measures 1318 MiB: 1088 of first blocks (272 contexts that talk), 230
-	// everything else. The margins (14–17 %) are what catches a per-channel
-	// state regression (the flyweight structure growing eager maps again) or
-	// a shared receive queue filled ahead of demand again (5 blocks a context:
-	// smoke 373 MiB).
-	scaleSmokeHeapBudget = 96 << 20
-	scaleFullHeapBudget  = 1536 << 20
+	// + 2400 idle channels) measures 20.2 MiB: 9 are the first memory-cache
+	// region (512 KiB, holding the SRQ's first 256 KiB block) of each of the
+	// 18 contexts that talk (8 clients, 10 distinct servers), 11 everything
+	// else. The full world (4096 stacks, ~12k live channels) measures 358 MiB:
+	// 136 of first regions (272 contexts that talk), 222 everything else. The
+	// margins (16–19 %) are what catches a per-channel state regression (the
+	// flyweight structure growing eager maps again), a region registered ahead
+	// of demand again (one 4 MiB region a context: smoke 84 MiB) or a shared
+	// receive queue filled ahead of demand again.
+	scaleSmokeHeapBudget = 24 << 20
+	scaleFullHeapBudget  = 416 << 20
 )
 
 // ScaleResult aggregates the drill.
