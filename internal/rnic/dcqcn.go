@@ -39,7 +39,9 @@ func DefaultDCQCN() DCQCNConfig {
 	}
 }
 
-// dcqcnState is the per-QP reaction point.
+// dcqcnState is the per-QP reaction point, created at the QP's first CNP
+// (QP.reactionPoint). Until a cut its rate is line rate and its byte counter
+// and timers idle, which is exactly how a QP without one paces (QP.paceRate).
 type dcqcnState struct {
 	cfg     *DCQCNConfig
 	eng     *sim.Engine
@@ -83,12 +85,35 @@ func newDCQCN(cfg *DCQCNConfig, eng *sim.Engine, lineBps int64, nic *NIC, qpn ui
 	return s
 }
 
-// Rate returns the current sending rate in bits/s.
-func (s *dcqcnState) Rate() int64 {
-	if s == nil || !s.cfg.Enabled {
-		return 0 // 0 = unlimited (line rate)
+// reactionPoint returns the QP's DCQCN state, creating it at the first CNP.
+func (qp *QP) reactionPoint() *dcqcnState {
+	if qp.rate == nil {
+		n := qp.nic
+		qp.rate = newDCQCN(&n.Cfg.DCQCN, n.eng, n.LineBps(), n, qp.QPN)
 	}
-	return s.rc
+	return qp.rate
+}
+
+// paceRate returns the QP's sending rate in bits/s, 0 when DCQCN is off
+// (unlimited): line rate until a CNP has created the reaction point.
+func (qp *QP) paceRate() int64 {
+	n := qp.nic
+	switch {
+	case !n.Cfg.DCQCN.Enabled:
+		return 0
+	case qp.rate == nil:
+		return n.LineBps()
+	}
+	return qp.rate.rc
+}
+
+// stop cancels the timers of a QP's reaction point, if it has one: on RESET
+// and destroy, when nothing will read the rate they adjust.
+func (s *dcqcnState) stop() {
+	if s != nil {
+		s.eng.Cancel(s.alphaEv)
+		s.eng.Cancel(s.rateEv)
+	}
 }
 
 // onCNP is the reaction-point cut. At most one cut per CNPReactMin.

@@ -364,7 +364,7 @@ func (qp *QP) paceWait(now sim.Time) sim.Duration {
 }
 
 func (qp *QP) paceCharge(now sim.Time, bytes int) {
-	rate := qp.rate.Rate()
+	rate := qp.paceRate()
 	if rate <= 0 {
 		return // unlimited
 	}

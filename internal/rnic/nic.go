@@ -142,9 +142,11 @@ type NIC struct {
 	phaseDone bool
 
 	// Hardware command queue: QP create/modify commands serialize here
-	// (the §VII-C establishment bottleneck).
-	cmdBusy  bool
-	cmdQueue []hwCmd
+	// (the §VII-C establishment bottleneck). While cmdBusy the head is the
+	// running command; cmdDoneFn, bound once, completes it.
+	cmdBusy   bool
+	cmds      sim.Queue[hwCmd]
+	cmdDoneFn func()
 
 	// QP context cache.
 	cache *qpCache
@@ -166,9 +168,20 @@ type NIC struct {
 	FaultHook func(p *fabric.Packet) (drop bool, delay sim.Duration)
 }
 
+// hwCmd is one queued hardware command. A QP creation carries its arguments
+// and created; any other command its completion fn.
 type hwCmd struct {
-	cost sim.Duration
-	fn   func()
+	cost    sim.Duration
+	fn      func()
+	created func(*QP)
+	qp      qpArgs
+}
+
+// qpArgs is what a created QP is built from.
+type qpArgs struct {
+	sqCap, rqCap   int
+	sendCQ, recvCQ *CQ
+	srq            *SRQ
 }
 
 // New attaches a NIC to a fabric host.
@@ -191,6 +204,7 @@ func New(eng *sim.Engine, host *fabric.Host, cfg Config) *NIC {
 	n.stepFn = n.stepEngine
 	n.kickFn = n.kickEngine
 	n.phaseFn = n.pktPhase
+	n.cmdDoneFn = n.cmdDone
 	n.track = fmt.Sprintf("rnic.%d", host.ID)
 	n.dcqcnCuts = n.tel.Reg.Counter(n.track + ".dcqcn_cuts")
 	n.registerGauges()
@@ -280,36 +294,44 @@ func (n *NIC) NumQPs() int { return len(n.qps) }
 
 // --- hardware command queue -------------------------------------------
 
-// SubmitCmd serializes a hardware command; done fires when it completes.
-// The driver layer queues through it directly when a command must be
-// withdrawable while it waits (verbs.CM's cancellable dial).
+// SubmitCmd serializes a hardware command; done fires when it completes,
+// cost after the command ahead of it. The driver layer queues through it
+// directly (verbs.CM's dials and accepts: the transition is applied with
+// ModifyQPNow when done runs, so a cancelled dial can skip it). A caller
+// that passes a callback bound once submits without allocating.
 func (n *NIC) SubmitCmd(cost sim.Duration, done func()) {
-	n.cmdQueue = append(n.cmdQueue, hwCmd{cost: cost, fn: done})
+	n.submit(hwCmd{cost: cost, fn: done})
+}
+
+func (n *NIC) submit(cmd hwCmd) {
+	n.cmds.Push(cmd)
 	n.pumpCmds()
 }
 
 func (n *NIC) pumpCmds() {
-	if n.cmdBusy || len(n.cmdQueue) == 0 {
+	if n.cmdBusy || n.cmds.Len() == 0 {
 		return
 	}
 	n.cmdBusy = true
-	cmd := n.cmdQueue[0]
-	n.cmdQueue = n.cmdQueue[1:]
-	n.eng.After(cmd.cost, func() {
-		n.cmdBusy = false
-		cmd.fn()
-		n.pumpCmds()
-	})
+	n.eng.After(n.cmds.Items()[0].cost, n.cmdDoneFn)
 }
 
-// CmdQueueLen reports pending hardware commands (diagnostics).
-func (n *NIC) CmdQueueLen() int {
-	q := len(n.cmdQueue)
-	if n.cmdBusy {
-		q++
+// cmdDone completes the running command. The queue moves on first, so a
+// command its callback submits queues behind the ones already waiting.
+func (n *NIC) cmdDone() {
+	cmd := n.cmds.Pop()
+	n.cmdBusy = false
+	if cmd.created != nil {
+		a := cmd.qp
+		cmd.created(n.allocQP(a.sqCap, a.rqCap, a.sendCQ, a.recvCQ, a.srq))
+	} else {
+		cmd.fn()
 	}
-	return q
+	n.pumpCmds()
 }
+
+// CmdQueueLen reports hardware commands waiting or running (diagnostics).
+func (n *NIC) CmdQueueLen() int { return n.cmds.Len() }
 
 // --- QP lifecycle -------------------------------------------------------
 
@@ -323,14 +345,12 @@ const (
 
 // CreateQP allocates a QP through the hardware command queue.
 func (n *NIC) CreateQP(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ, done func(*QP)) {
-	n.SubmitCmd(QPCreateCost, func() {
-		qp := n.allocQP(sqCap, rqCap, sendCQ, recvCQ, srq)
-		done(qp)
-	})
+	n.submit(hwCmd{cost: QPCreateCost, created: done, qp: qpArgs{sqCap, rqCap, sendCQ, recvCQ, srq}})
 }
 
 // allocQP builds the QP synchronously (used by CreateQP and by tests that
-// don't model command latency).
+// don't model command latency). A receive queue of its own is reserved to its
+// depth here, once, rather than grown by doubling as buffers are posted.
 func (n *NIC) allocQP(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 	qp := &QP{
 		QPN:       n.nextQPN,
@@ -348,6 +368,9 @@ func (n *NIC) allocQP(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 	qp.rnrFn = qp.rnrBackoffOver
 	qp.cqeDoneFn = qp.drainSendOK
 	qp.recvDoneFn = qp.drainRecv
+	if srq == nil {
+		qp.rq.Reserve(rqCap)
+	}
 	n.nextQPN++
 	n.qps[qp.QPN] = qp
 	return qp
@@ -358,16 +381,9 @@ func (n *NIC) AllocQPNow(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 	return n.allocQP(sqCap, rqCap, sendCQ, recvCQ, srq)
 }
 
-// ModifyQP advances the state machine through the hardware command queue.
-// Transitions must follow RESET→INIT→RTR→RTS; RTR wires the remote peer.
-func (n *NIC) ModifyQP(qp *QP, to QPState, remote fabric.NodeID, remoteQPN uint32, done func(error)) {
-	n.SubmitCmd(QPModifyCost, func() {
-		done(n.modifyQPNow(qp, to, remote, remoteQPN))
-	})
-}
-
 // modifyQPNow applies the transition immediately. Legal transitions are
-// RESET→INIT→RTR→RTS plus any-state→RESET (the QP-cache recycling path).
+// RESET→INIT→RTR→RTS plus any-state→RESET (the QP-cache recycling path);
+// RTR wires the remote peer.
 func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN uint32) error {
 	switch to {
 	case QPReset:
@@ -376,6 +392,7 @@ func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN ui
 		n.dropJobsFor(qp)
 		n.eng.Cancel(qp.rtoEvent)
 		n.eng.Cancel(qp.ackTimer)
+		qp.rate.stop()
 		for id, st := range qp.pendingReads {
 			delete(qp.pendingReads, id)
 			n.pool.putReadState(st)
@@ -407,7 +424,6 @@ func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN ui
 		qp.flowBase = uint64(n.Node)<<40 ^ uint64(remote)<<20 ^ uint64(qp.QPN)
 		qp.flowLabel = 0
 		qp.flowHash = qp.flowBase
-		qp.rate = newDCQCN(&n.Cfg.DCQCN, n.eng, n.LineBps(), n, qp.QPN)
 		qp.State = QPRTR
 	case QPRTS:
 		if qp.State != QPRTR {
@@ -422,7 +438,8 @@ func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN ui
 	return nil
 }
 
-// ModifyQPNow is the zero-latency variant for setup code and tests.
+// ModifyQPNow applies a transition at once: setup code, tests, and the
+// callback of a transition queued with SubmitCmd at QPModifyCost.
 func (n *NIC) ModifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN uint32) error {
 	return n.modifyQPNow(qp, to, remote, remoteQPN)
 }
@@ -454,6 +471,7 @@ func (n *NIC) ModifyFlowLabel(qpn uint32, label uint64) error {
 // DestroyQP releases the QP entirely.
 func (n *NIC) DestroyQP(qp *QP) {
 	qp.enterError(StatusFlushed)
+	qp.rate.stop()
 	delete(n.qps, qp.QPN)
 }
 

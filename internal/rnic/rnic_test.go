@@ -641,7 +641,9 @@ func TestDCQCNCutsUnderIncast(t *testing.T) {
 	var cnps, cuts int64
 	for i, s := range senders {
 		cnps += s.Counters.CNPRecv
-		cuts += sqs[i].rate.RateCuts
+		if rp := sqs[i].rate; rp != nil { // created by the QP's first CNP
+			cuts += rp.RateCuts
+		}
 	}
 	if victim.Counters.CNPSent == 0 {
 		t.Fatal("victim never sent CNPs under incast")
@@ -654,25 +656,120 @@ func TestDCQCNCutsUnderIncast(t *testing.T) {
 	}
 }
 
+// TestHWCommandQueueSerializes: commands from two callers — QP creations and
+// transitions queued with SubmitCmd — complete in submission order, each
+// exactly its cost after the one before; a command a callback submits queues
+// behind those already waiting; CmdQueueLen counts the waiting and the
+// running; and a steady stream through a callback bound once allocates
+// nothing.
 func TestHWCommandQueueSerializes(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := fabric.New(eng, fabric.DefaultConfig(), 1)
 	fabric.BuildClos(fab, fabric.SmallClos())
-	a := New(eng, fab.Host(0), DefaultConfig())
-	var doneTimes []sim.Time
-	for i := 0; i < 3; i++ {
-		a.CreateQP(8, 8, NewCQ(8), NewCQ(8), nil, func(qp *QP) {
-			doneTimes = append(doneTimes, eng.Now())
-		})
+	n := New(eng, fab.Host(0), DefaultConfig())
+	type done struct {
+		who    string
+		at     sim.Time
+		queued int
+	}
+	var got []done
+	log := func(who string) { got = append(got, done{who, eng.Now(), n.CmdQueueLen()}) }
+	var qp *QP
+	// Caller A creates a QP and moves it to INIT; caller B interleaves plain
+	// commands, the second submitting a third from its callback.
+	n.CreateQP(8, 8, NewCQ(8), NewCQ(8), nil, func(q *QP) { qp = q; log("A.create") })
+	n.SubmitCmd(QPModifyCost, func() { log("B.1") })
+	n.SubmitCmd(QPModifyCost, func() {
+		if err := n.ModifyQPNow(qp, QPInit, 0, 0); err != nil {
+			t.Error(err)
+		}
+		log("A.init")
+	})
+	n.SubmitCmd(100*sim.Microsecond, func() {
+		log("B.2")
+		n.SubmitCmd(QPModifyCost, func() { log("B.3") })
+	})
+	n.CreateQP(8, 8, NewCQ(8), NewCQ(8), nil, func(*QP) { log("A.create2") })
+	if q := n.CmdQueueLen(); q != 5 {
+		t.Fatalf("CmdQueueLen = %d with 5 commands submitted, want 5", q)
+	}
+	eng.RunUntil(sim.Time(QPCreateCost) + 1) // B.1 running, 3 waiting
+	if q := n.CmdQueueLen(); q != 4 {
+		t.Fatalf("CmdQueueLen = %d with one command running and 3 waiting, want 4", q)
 	}
 	eng.Run()
-	if len(doneTimes) != 3 {
-		t.Fatalf("created %d QPs", len(doneTimes))
+	want := []struct {
+		who    string
+		cost   sim.Duration
+		queued int // waiting or running as the callback runs (its own command done)
+	}{
+		{"A.create", QPCreateCost, 4},
+		{"B.1", QPModifyCost, 3},
+		{"A.init", QPModifyCost, 2},
+		{"B.2", 100 * sim.Microsecond, 1},
+		{"A.create2", QPCreateCost, 1},
+		{"B.3", QPModifyCost, 0},
 	}
-	for i, ts := range doneTimes {
-		want := sim.Time(QPCreateCost) * sim.Time(i+1)
-		if ts != want {
-			t.Fatalf("QP %d created at %v, want %v (serialized)", i, ts, want)
+	if len(got) != len(want) {
+		t.Fatalf("%d commands completed, want %d: %+v", len(got), len(want), got)
+	}
+	var at sim.Time
+	for i, w := range want {
+		at = at.Add(w.cost)
+		if got[i].who != w.who || got[i].at != at || got[i].queued != w.queued {
+			t.Errorf("completion %d = %+v, want %s at %v with %d queued", i, got[i], w.who, at, w.queued)
+		}
+	}
+	if qp == nil || qp.State != QPInit || n.CmdQueueLen() != 0 {
+		t.Fatalf("QP %v, %d commands left", qp, n.CmdQueueLen())
+	}
+
+	left := 0
+	var next func()
+	next = func() {
+		if left > 0 {
+			left--
+			n.SubmitCmd(QPModifyCost, next)
+		}
+	}
+	burst := func() {
+		left = 8
+		n.SubmitCmd(QPModifyCost, next)
+		n.SubmitCmd(QPModifyCost, next)
+		eng.Run()
+	}
+	burst() // warm: the queue's storage and the engine's event nodes
+	if a := testing.AllocsPerRun(100, burst); a != 0 {
+		t.Fatalf("a bound-callback command stream allocates %.1f per burst", a)
+	}
+	t.Logf("0 allocs per burst of 10 commands")
+}
+
+// TestResetStopsDCQCNTimers: a CNP creates a QP's reaction point, cuts its
+// rate and arms the alpha and rate timers. RESET and destroy drop that state,
+// so they take the timers with it — left armed, they keep firing on state
+// nothing reads, and keep Run alive for milliseconds.
+func TestResetStopsDCQCNTimers(t *testing.T) {
+	for _, destroy := range []bool{false, true} {
+		r := newRig(t, DefaultConfig())
+		if r.qa.rate != nil {
+			t.Fatal("reaction point exists before any CNP")
+		}
+		r.b.sendCtrl(r.a.Node, hdr{Op: opCNP, DstQPN: r.qa.QPN})
+		for r.qa.rate == nil && r.eng.Step() {
+		}
+		if rp := r.qa.rate; rp == nil || rp.RateCuts != 1 || r.qa.paceRate() >= r.a.LineBps() {
+			t.Fatalf("destroy=%v: the CNP did not cut the rate (state %+v)", destroy, rp)
+		}
+		if destroy {
+			r.a.DestroyQP(r.qa)
+		} else if err := r.a.ModifyQPNow(r.qa, QPReset, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		at := r.eng.Now()
+		r.eng.Run()
+		if el := r.eng.Now().Sub(at); r.eng.Pending() != 0 || el >= r.a.Cfg.DCQCN.AlphaTimer {
+			t.Fatalf("destroy=%v: Run went on %v after the QP's rate state was dropped, %d events pending", destroy, el, r.eng.Pending())
 		}
 	}
 }

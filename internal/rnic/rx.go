@@ -48,7 +48,7 @@ func (n *NIC) HandlePacket(p *fabric.Packet) {
 		n.Counters.CNPRecv++
 		if qp := n.qps[h.DstQPN]; qp != nil {
 			qp.Counters.CNPRecv++
-			qp.rate.onCNP()
+			qp.reactionPoint().onCNP()
 		}
 	case opReadResp:
 		if qp := n.qps[h.DstQPN]; qp != nil {

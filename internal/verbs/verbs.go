@@ -112,6 +112,13 @@ type ConnReq struct {
 	// the channel layer's version-negotiation verdict travels here. Nil
 	// keeps the REP byte-identical to the legacy exchange.
 	ReplyData []byte
+
+	// Accept's step machine: the QP it drives, the transition queued next,
+	// and step bound once.
+	qp     *rnic.QP
+	next   rnic.QPState
+	done   func(*Conn, error)
+	stepFn func()
 }
 
 // Conn is an established RC connection.
@@ -123,14 +130,42 @@ type Conn struct {
 }
 
 // Dial is the handle of one Connect in flight (rdma_cm_id analogue): what
-// CM.Cancel takes to abandon it.
+// CM.Cancel takes to abandon it. It is also the dial's step machine: stage
+// names what the resolve timer or the queued command is for, and step, bound
+// once to stepFn, runs when it completes.
 type Dial struct {
+	cm      *CM
 	id      uint64   // REQ message id (0 until the REQ leaves)
 	qp      *rnic.QP // nil until a CM-created QP exists
 	created bool     // the CM created qp itself (no recycled QP was passed)
 	settled bool     // done was called, or the dial was cancelled
+	stage   dialStage
+	stepFn  func()
 	done    func(*Conn, error)
+
+	// What the REQ and a created QP are made from.
+	remote         fabric.NodeID
+	port, depth    int
+	private        []byte
+	sendCQ, recvCQ *rnic.CQ
+	srq            *rnic.SRQ
+
+	// What the REP brought.
+	peer     fabric.NodeID
+	peerQPN  uint32
+	peerData []byte
 }
+
+// dialStage is the step a dial waits for.
+type dialStage uint8
+
+const (
+	dialResolve dialStage = iota // address and route resolution (ResolveCost)
+	dialCreate                   // QP creation on the command queue
+	dialInit                     // RESET → INIT; the REQ leaves after it
+	dialRTR                      // the REP came: INIT → RTR
+	dialRTS                      // RTR → RTS; the RTU leaves after it
+)
 
 // cmMsg is the REQ/REP/RTU control payload.
 type cmMsg struct {
@@ -185,50 +220,73 @@ func (cm *CM) send(to fabric.NodeID, m *cmMsg) {
 // destroys the QP the CM created for it; a recycled QP stays the caller's
 // to release. The returned handle cancels the dial (Cancel).
 func (cm *CM) Connect(remote fabric.NodeID, port int, privateData []byte, recycledQP *rnic.QP, depth int, sendCQ, recvCQ *rnic.CQ, srq *rnic.SRQ, done func(*Conn, error)) *Dial {
-	nic := cm.ctx.NIC
-	d := &Dial{qp: recycledQP, created: recycledQP == nil, done: done}
-	request := func() {
-		cm.step(d, rnic.QPInit, 0, 0, func() {
-			cm.nextMsgID++
-			d.id = cm.nextMsgID
-			cm.pending[d.id] = d
-			cm.send(remote, &cmMsg{kind: 0, msgID: d.id, port: port, qpn: d.qp.QPN, private: privateData})
-		})
-	}
-	cm.ctx.Eng.After(ResolveCost, func() {
-		switch {
-		case d.settled:
-		case d.qp != nil:
-			request()
-		default:
-			nic.CreateQP(depth, depth, sendCQ, recvCQ, srq, func(qp *rnic.QP) {
-				if d.settled {
-					nic.DestroyQP(qp)
-					return
-				}
-				d.qp = qp
-				request()
-			})
-		}
-	})
+	d := &Dial{cm: cm, qp: recycledQP, created: recycledQP == nil, done: done,
+		remote: remote, port: port, depth: depth, private: privateData,
+		sendCQ: sendCQ, recvCQ: recvCQ, srq: srq}
+	d.stepFn = d.step
+	cm.ctx.Eng.After(ResolveCost, d.stepFn)
 	return d
 }
 
-// step queues one transition of a dial's QP on the hardware command queue.
-// A dial cancelled while the command waited leaves the QP untouched — it
-// has been handed back; a failed transition ends the dial.
-func (cm *CM) step(d *Dial, to rnic.QPState, remote fabric.NodeID, remoteQPN uint32, next func()) {
-	nic := cm.ctx.NIC
-	nic.SubmitCmd(rnic.QPModifyCost, func() {
+// queue puts the dial's next step on the hardware command queue.
+func (d *Dial) queue(next dialStage, cost sim.Duration) {
+	d.stage = next
+	d.cm.ctx.NIC.SubmitCmd(cost, d.stepFn)
+}
+
+// step advances the dial when its resolve timer or queued command completes.
+// A creation runs to the end whatever happened meanwhile (the QP takes its
+// number) and a cancelled dial destroys it; any other step of a cancelled
+// dial leaves the QP untouched — it has been handed back or destroyed. A
+// failed transition ends the dial.
+func (d *Dial) step() {
+	cm, nic := d.cm, d.cm.ctx.NIC
+	if d.stage == dialCreate {
+		qp := nic.AllocQPNow(d.depth, d.depth, d.sendCQ, d.recvCQ, d.srq)
 		if d.settled {
+			nic.DestroyQP(qp)
 			return
 		}
-		if err := nic.ModifyQPNow(d.qp, to, remote, remoteQPN); err != nil {
-			cm.fail(d, err)
-			return
+		d.qp = qp
+	}
+	if d.settled {
+		return
+	}
+	switch d.stage {
+	case dialResolve, dialCreate:
+		if d.qp == nil {
+			d.queue(dialCreate, rnic.QPCreateCost)
+		} else {
+			d.queue(dialInit, rnic.QPModifyCost)
 		}
-		next()
-	})
+	case dialInit:
+		if d.modify(rnic.QPInit, 0, 0) {
+			cm.nextMsgID++
+			d.id = cm.nextMsgID
+			cm.pending[d.id] = d
+			cm.send(d.remote, &cmMsg{kind: 0, msgID: d.id, port: d.port, qpn: d.qp.QPN, private: d.private})
+		}
+	case dialRTR:
+		if d.modify(rnic.QPRTR, d.peer, d.peerQPN) {
+			d.queue(dialRTS, rnic.QPModifyCost)
+		}
+	case dialRTS:
+		if d.modify(rnic.QPRTS, 0, 0) {
+			d.settled = true
+			cm.send(d.peer, &cmMsg{kind: 2, msgID: d.id})
+			cm.EstablishedConns++
+			d.done(&Conn{QP: d.qp, Remote: d.peer, PeerData: d.peerData}, nil)
+		}
+	}
+}
+
+// modify applies one transition of the dial's QP; a failed one ends the dial.
+func (d *Dial) modify(to rnic.QPState, remote fabric.NodeID, remoteQPN uint32) bool {
+	if err := d.cm.ctx.NIC.ModifyQPNow(d.qp, to, remote, remoteQPN); err != nil {
+		d.cm.fail(d, err)
+		return false
+	}
+	return true
 }
 
 // settle ends a dial, one way or the other, and says whose the QP is now: one
@@ -267,29 +325,31 @@ func (cm *CM) Cancel(d *Dial) *rnic.QP {
 func (cm *CM) PendingDials() int { return len(cm.pending) }
 
 // Accept completes the passive side with the given QP (create it first, or
-// pass a recycled one); the QP is driven to RTS.
+// pass a recycled one); the QP is driven to RTS, one queued transition at a
+// time, and the REP leaves.
 func (req *ConnReq) Accept(qp *rnic.QP, done func(*Conn, error)) {
+	req.qp, req.next, req.done = qp, rnic.QPInit, done
+	req.stepFn = req.step
+	req.cm.ctx.NIC.SubmitCmd(rnic.QPModifyCost, req.stepFn)
+}
+
+// step applies the transition Accept queued and queues the one after it
+// (INIT, RTR, RTS: consecutive states); a failed one REJects the dialer.
+func (req *ConnReq) step() {
 	cm := req.cm
-	nic := cm.ctx.NIC
-	step := func(st rnic.QPState, next func()) {
-		nic.ModifyQP(qp, st, req.From, req.FromQPN, func(err error) {
-			if err != nil {
-				cm.send(req.From, &cmMsg{kind: 3, msgID: req.msgID, errText: err.Error()})
-				done(nil, err)
-				return
-			}
-			next()
-		})
+	if err := cm.ctx.NIC.ModifyQPNow(req.qp, req.next, req.From, req.FromQPN); err != nil {
+		cm.send(req.From, &cmMsg{kind: 3, msgID: req.msgID, errText: err.Error()})
+		req.done(nil, err)
+		return
 	}
-	step(rnic.QPInit, func() {
-		step(rnic.QPRTR, func() {
-			step(rnic.QPRTS, func() {
-				cm.send(req.From, &cmMsg{kind: 1, msgID: req.msgID, qpn: qp.QPN, private: req.ReplyData})
-				cm.EstablishedConns++
-				done(&Conn{QP: qp, Remote: req.From}, nil)
-			})
-		})
-	})
+	if req.next != rnic.QPRTS {
+		req.next++
+		cm.ctx.NIC.SubmitCmd(rnic.QPModifyCost, req.stepFn)
+		return
+	}
+	cm.send(req.From, &cmMsg{kind: 1, msgID: req.msgID, qpn: req.qp.QPN, private: req.ReplyData})
+	cm.EstablishedConns++
+	req.done(&Conn{QP: req.qp, Remote: req.From}, nil)
 }
 
 // Reject refuses an inbound request.
@@ -326,15 +386,8 @@ func (cm *CM) HandlePacket(p *fabric.Packet) {
 		}
 		delete(cm.pending, m.msgID)
 		// p is recycled before the queued transitions run.
-		src, id, pdata := p.Src, m.msgID, m.private
-		cm.step(d, rnic.QPRTR, src, m.qpn, func() {
-			cm.step(d, rnic.QPRTS, 0, 0, func() {
-				d.settled = true
-				cm.send(src, &cmMsg{kind: 2, msgID: id})
-				cm.EstablishedConns++
-				d.done(&Conn{QP: d.qp, Remote: src, PeerData: pdata}, nil)
-			})
-		})
+		d.peer, d.peerQPN, d.peerData = p.Src, m.qpn, m.private
+		d.queue(dialRTR, rnic.QPModifyCost)
 	case 2: // RTU — passive side already RTS in this model; nothing to do.
 	case 3: // REJ
 		if d, ok := cm.pending[m.msgID]; ok {

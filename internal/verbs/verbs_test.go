@@ -244,6 +244,59 @@ func TestCancelDial(t *testing.T) {
 	}
 }
 
+// TestDialAcceptAllocs pins what one warmed dial+accept costs the verbs layer:
+// the dialer's CM creates its QP, the listener accepts on a QP created through
+// the command queue, and both are destroyed after each connect. What is left
+// is state: per side the QP (its struct, five bound callbacks, the receive
+// queue reserved to its depth) and the Conn; the Dial and its step callback;
+// the ConnReq and its; the REQ, REP and RTU messages. The dial's steps and
+// the hardware command queue allocate nothing. The ceiling is what the code
+// reaches: raising it is a regression to explain.
+func TestDialAcceptAllocs(t *testing.T) {
+	const ceiling = 23
+	w := newWorld(t, 2)
+	nicA, nicB := w.ctxs[0].NIC, w.ctxs[1].NIC
+	scqA, rcqA := rnic.NewCQ(128), rnic.NewCQ(128)
+	scqB, rcqB := rnic.NewCQ(128), rnic.NewCQ(128)
+	var req *ConnReq
+	var srvQP *rnic.QP
+	onAccept := func(c *Conn, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvQP = c.QP
+	}
+	onCreated := func(qp *rnic.QP) { req.Accept(qp, onAccept) }
+	if err := w.cms[1].Listen(7700, func(r *ConnReq) {
+		req = r
+		nicB.CreateQP(64, 64, scqB, rcqB, nil, onCreated)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	onConn := func(c *Conn, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		nicA.DestroyQP(c.QP)
+		nicB.DestroyQP(srvQP)
+	}
+	op := func() {
+		w.cms[0].Connect(1, 7700, nil, nil, 64, scqA, rcqA, nil, onConn)
+		w.eng.Run()
+	}
+	for i := 0; i < 16; i++ {
+		op() // warm: event nodes, packets, the command queues and QP maps
+	}
+	if got := testing.AllocsPerRun(100, op); got > ceiling {
+		t.Errorf("%.1f allocs per dial+accept, ceiling %d", got, ceiling)
+	} else {
+		t.Logf("%.1f allocs per dial+accept", got)
+	}
+	if nicA.NumQPs() != 0 || nicB.NumQPs() != 0 || w.cms[0].PendingDials() != 0 {
+		t.Fatalf("%d+%d QPs, %d dials left", nicA.NumQPs(), nicB.NumQPs(), w.cms[0].PendingDials())
+	}
+}
+
 func TestDuplicateListen(t *testing.T) {
 	w := newWorld(t, 2)
 	if err := w.cms[0].Listen(7400, func(*ConnReq) {}); err != nil {

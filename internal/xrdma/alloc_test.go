@@ -107,16 +107,19 @@ func TestSteadyStateAllocs(t *testing.T) {
 // cache, buffers back in the memory cache). Observation is not part of it: a
 // channel's XR-Stat row is collected when someone looks (Channel.row), so
 // opening and closing one registers and unregisters nothing. What is left
-// (by -memprofilerate 1): the CM exchange and the QP command queue's closures,
-// about 60 (a bare verbs connect is 64 on the benchmark ladder); 7 for the one
-// QP a cycle still creates growing its receive queue to 48 entries (the
-// recycled one keeps its storage across RESET); 12 for two DCQCN states and QP
-// contexts; 8 for the four windows; 6 for the two receive pools (the pool,
-// carve's callback, acquire's); the rest the two links, flyweights and their
-// callbacks. The ceiling is what the code reaches: raising it is a regression
-// to explain.
+// (by -memprofilerate 1): 9 for the CM exchange — the Dial and the ConnReq,
+// each with its step callback, the REQ, REP and RTU, the two Conns — whose
+// steps and hardware commands allocate nothing else (verbs'
+// TestDialAcceptAllocs holds that layer alone); 9 for the one QP a cycle still
+// creates (its struct and five bound callbacks, the receive queue reserved to
+// its depth at once, its receive-completion FIFO, its QP-cache entry); 4 for
+// the send-queue slices RESET drops; 8 for the four windows; 6 for the two
+// receive pools (the pool, carve's callback, acquire's); the rest the two
+// links, flyweights, their send queues and callbacks. A QP gets no DCQCN state
+// until its first CNP. The ceiling is what the code reaches: raising it is a
+// regression to explain.
 func TestConnectCloseAllocs(t *testing.T) {
-	const ceiling = 108
+	const ceiling = 59
 	w := newWorld(t, 2, nil)
 	var srv *Channel
 	w.ctxs[1].OnChannel(func(ch *Channel) {

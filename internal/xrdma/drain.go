@@ -175,8 +175,12 @@ func (c *Context) drainScan() {
 
 // failPending fails every pending response waiter on this channel, in
 // ascending MsgID order (map iteration order must not leak into the
-// deterministic digests). Returns how many were failed.
+// deterministic digests). Returns how many were failed. An empty map, what
+// most closes find, is not sorted.
 func (ch *Channel) failPending(err error) int {
+	if len(ch.pending) == 0 {
+		return 0
+	}
 	n := 0
 	for _, id := range slices.Sorted(maps.Keys(ch.pending)) {
 		if rs := ch.pending[id]; rs != nil { // not removed by an earlier callback

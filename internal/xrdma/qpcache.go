@@ -42,7 +42,7 @@ func (q *QPCache) Put(qp *rnic.QP) {
 		return
 	}
 	nic := q.ctx.vctx.NIC
-	if qp.SendQueueLen() > 0 {
+	if qp.SendQueueLen() > 0 || len(q.free) >= q.cap {
 		// In-flight WRs must flush, not vanish: their completion callbacks
 		// own staged buffers and flow-control slots, and a silent reset
 		// would strand both. Destroy runs the error flush; the cache just
@@ -50,14 +50,7 @@ func (q *QPCache) Put(qp *rnic.QP) {
 		nic.DestroyQP(qp)
 		return
 	}
-	if len(q.free) >= q.cap {
-		nic.DestroyQP(qp)
-		return
-	}
-	if err := nic.ModifyQPNow(qp, rnic.QPReset, 0, 0); err != nil {
-		nic.DestroyQP(qp)
-		return
-	}
+	_ = nic.ModifyQPNow(qp, rnic.QPReset, 0, 0) // any state → RESET cannot fail
 	q.Recycled++
 	q.free = append(q.free, qp)
 }
