@@ -486,7 +486,6 @@ func main() {
 			cfg.KeepaliveInterval = 2 * sim.Millisecond
 			cfg.KeepaliveTimeout = 8 * sim.Millisecond
 			cfg.RecoverRetries = 8
-			cfg.RecoverBackoff = 1 * sim.Millisecond
 			cfg.RecoverBackoffMax = 8 * sim.Millisecond
 			cfg.RecoverDialTimeout = 20 * sim.Millisecond // cold post-restart caches
 			cfg.DrainDeadline = 10 * sim.Millisecond

@@ -91,7 +91,7 @@ func blameFinish(a *BlameArm, c *cluster.Cluster) *BlameArm {
 func runBlameIncast(sc Scale) *BlameArm {
 	a := &BlameArm{Name: "incast", Cause: "ToR egress incast queueing", Want: telemetry.StageFabricQueue}
 	nic := rnic.DefaultConfig()
-	nic.DCQCN.Enabled = false
+	nic.DCQCN = false
 	c := cluster.New(cluster.Options{
 		Topology: fabric.SmallClos(),
 		NICCfg:   nic,

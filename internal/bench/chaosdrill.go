@@ -72,7 +72,6 @@ func chaosKnobs(_ int, cfg *xrdma.Config) {
 	cfg.KeepaliveInterval = 2 * sim.Millisecond
 	cfg.KeepaliveTimeout = 8 * sim.Millisecond
 	cfg.RecoverRetries = 8
-	cfg.RecoverBackoff = 1 * sim.Millisecond
 	cfg.RecoverBackoffMax = 8 * sim.Millisecond
 	cfg.RecoverDialTimeout = 5 * sim.Millisecond
 	cfg.FailbackInterval = 25 * sim.Millisecond

@@ -114,8 +114,8 @@ func Establishment(sc Scale) *EstablishmentResult {
 		sc.observe(eng, "establish/tcp")
 		fab := fabric.New(eng, fabric.DefaultConfig(), sc.Seed)
 		fabric.BuildClos(fab, fabric.SmallClos())
-		a := tcpnet.New(eng, fab.Host(0), tcpnet.DefaultConfig())
-		b := tcpnet.New(eng, fab.Host(1), tcpnet.DefaultConfig())
+		a := tcpnet.New(eng, fab.Host(0))
+		b := tcpnet.New(eng, fab.Host(1))
 		b.Listen(80, func(*tcpnet.Conn) {})
 		t0 := eng.Now()
 		established := false

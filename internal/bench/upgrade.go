@@ -117,7 +117,6 @@ func upgradeKnobs(_ int, cfg *xrdma.Config) {
 	cfg.KeepaliveInterval = 2 * sim.Millisecond
 	cfg.KeepaliveTimeout = 8 * sim.Millisecond
 	cfg.RecoverRetries = 8
-	cfg.RecoverBackoff = 1 * sim.Millisecond
 	cfg.RecoverBackoffMax = 8 * sim.Millisecond
 	// A restarted instance dials with a cold memory cache — the recv-pool
 	// registrations alone eat several ms — so the dial budget is wider

@@ -17,9 +17,9 @@ import (
 
 // Options configures a cluster build.
 type Options struct {
-	Topology  fabric.Topology
-	FabricCfg fabric.Config
-	NICCfg    rnic.Config
+	Topology fabric.Topology
+	// NICCfg is every node's NIC configuration (zero value = rnic.DefaultConfig()).
+	NICCfg rnic.Config
 	// Nodes limits how many hosts get a software stack (0 = all).
 	Nodes int
 	// Config mutates the per-node X-RDMA configuration.
@@ -60,16 +60,13 @@ type Cluster struct {
 // New builds the cluster.
 func New(o Options) *Cluster {
 	eng := sim.NewEngine()
-	if o.FabricCfg.HostLinkBps == 0 {
-		o.FabricCfg = fabric.DefaultConfig()
-	}
-	if o.NICCfg.MTU == 0 {
+	if o.NICCfg == (rnic.Config{}) {
 		o.NICCfg = rnic.DefaultConfig()
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
-	fab := fabric.New(eng, o.FabricCfg, o.Seed)
+	fab := fabric.New(eng, fabric.DefaultConfig(), o.Seed)
 	fabric.BuildClos(fab, o.Topology)
 	n := o.Nodes
 	if n == 0 || n > o.Topology.Hosts() {
@@ -85,7 +82,7 @@ func New(o Options) *Cluster {
 		nic := rnic.New(eng, host, o.NICCfg)
 		vc := verbs.Open(nic)
 		cm := verbs.NewCM(vc, c.Net, host)
-		tcp := tcpnet.New(eng, host, tcpnet.DefaultConfig())
+		tcp := tcpnet.New(eng, host)
 		cfg := xrdma.DefaultConfig()
 		if o.Config != nil {
 			o.Config(i, &cfg)

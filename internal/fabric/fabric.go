@@ -125,9 +125,6 @@ func New(eng *sim.Engine, cfg Config, seed uint64) *Fabric {
 	return f
 }
 
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // Host returns the adapter for a node.
 func (f *Fabric) Host(id NodeID) *Host { return f.hosts[id] }
 
@@ -147,7 +144,7 @@ func (f *Fabric) link(a, b device, bps int64, prop sim.Duration) (pa, pb *Port) 
 	for _, pt := range [...]*Port{pa, pb} {
 		pt.kickFn = func() { pt.kickArmed = false; pt.kick() }
 		if _, ok := pt.peer.owner.(*Switch); ok {
-			pt.hopDelay += f.cfg.SwitchDelay
+			pt.hopDelay += switchDelay
 		}
 	}
 	return pa, pb
@@ -255,7 +252,7 @@ func (s *Switch) MaxPortQueue() int {
 	return m
 }
 
-// receive is the one instant a switch acts on a packet, SwitchDelay after
+// receive is the one instant a switch acts on a packet, switchDelay after
 // the wire delivered it (Port.hopDelay): liveness, route, MMU admission
 // against the ingress port and enqueue — with its ECN decision — on the
 // egress port all happen here.

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -241,8 +242,7 @@ func TestCtrlClassBypassesPause(t *testing.T) {
 func TestBandwidthCeiling(t *testing.T) {
 	eng, f, sinks := buildSmall(t, DefaultConfig())
 	// Blast 25 MB host0→host4 and check goodput ≈ link rate.
-	const total = 25 << 20
-	mtu := f.Config().MTU
+	const total, mtu = 25 << 20, 4096 // the RNIC's segment size
 	for off := 0; off < total; off += mtu {
 		f.Host(0).Send(&Packet{Src: 0, Dst: 4, Size: mtu, FlowHash: 7, ECT: true})
 	}
@@ -286,5 +286,16 @@ func TestClusterClosSizing(t *testing.T) {
 	eng.Run()
 	if len(s.got) != 1 {
 		t.Fatal("sample route in ClusterClos failed")
+	}
+}
+
+// TestConfigFieldBudget holds Config at the options some world sets; the
+// link rates and delays are constants. Raising it is a regression to
+// explain, like xrdma's TestChannelStructBudget.
+func TestConfigFieldBudget(t *testing.T) {
+	got, most := reflect.TypeOf(Config{}).NumField(), 6
+	t.Logf("fabric.Config fields = %d (budget %d)", got, most)
+	if got > most {
+		t.Errorf("fabric.Config has %d fields, budget %d", got, most)
 	}
 }

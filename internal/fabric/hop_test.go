@@ -9,7 +9,7 @@ import (
 
 // The hop model (DESIGN §6.1): a port acts on a frame at one instant, its
 // dequeue; the end of serialization is an event only when a frame is waiting
-// for the port; a switch acts on a packet at one instant, SwitchDelay after
+// for the port; a switch acts on a packet at one instant, switchDelay after
 // the wire. A 64 B frame is 126 B on the wire: 40 ns at 25 Gbps, 10 ns at
 // 100 Gbps.
 const (

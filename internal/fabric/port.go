@@ -5,20 +5,25 @@ import (
 	"xrdma/internal/telemetry"
 )
 
-// Config holds fabric-wide parameters. Defaults model the paper's testbed:
-// dual-port 25 Gbps ConnectX-4 Lx hosts on a 3-tier clos.
-type Config struct {
-	HostLinkBps   int64        // host–ToR link rate, bits/s
-	FabricLinkBps int64        // switch–switch link rate, bits/s
-	HostPropDelay sim.Duration // host–ToR propagation
-	SwPropDelay   sim.Duration // switch–switch propagation
-	SwitchDelay   sim.Duration // per-hop forwarding latency
-	MTU           int          // max payload per packet
+// The deployment described in §VII ("Deployment at Alibaba"): dual-port
+// 25 Gbps ConnectX-4 Lx hosts on a 3-tier clos with 100 Gbps fabric links.
+// No world varies them, so they are constants rather than Config fields.
+const (
+	hostLinkBps   int64        = 25_000_000_000       // host–ToR link rate, bits/s
+	fabricLinkBps int64        = 100_000_000_000      // switch–switch link rate, bits/s
+	hostPropDelay sim.Duration = 200 * sim.Nanosecond // host–ToR propagation
+	swPropDelay   sim.Duration = 500 * sim.Nanosecond // switch–switch propagation
+	switchDelay   sim.Duration = 300 * sim.Nanosecond // per-hop forwarding latency
 
-	// ECN (RED-like marking, DCQCN's Kmin/Kmax/Pmax).
+	ecnPmax float64 = 0.1 // marking probability at ECNKmaxBytes (DCQCN's Pmax)
+)
+
+// Config holds the fabric parameters a world may vary: the switch-side
+// congestion signals and buffers.
+type Config struct {
+	// ECN (RED-like marking, DCQCN's Kmin/Kmax).
 	ECNKminBytes int
 	ECNKmaxBytes int
-	ECNPmax      float64
 
 	// PFC thresholds on per-ingress-port buffer occupancy.
 	PFCEnabled bool
@@ -30,24 +35,15 @@ type Config struct {
 	EgressCap int
 }
 
-// DefaultConfig returns parameters matching the deployment described in
-// §VII ("Deployment at Alibaba"): 25 Gbps host links, 100 Gbps fabric
-// links, 4 KB MTU, DCQCN-style ECN thresholds and PFC on.
+// DefaultConfig returns DCQCN-style ECN thresholds and PFC on.
 func DefaultConfig() Config {
 	return Config{
-		HostLinkBps:   25_000_000_000,
-		FabricLinkBps: 100_000_000_000,
-		HostPropDelay: 200 * sim.Nanosecond,
-		SwPropDelay:   500 * sim.Nanosecond,
-		SwitchDelay:   300 * sim.Nanosecond,
-		MTU:           4096,
-		ECNKminBytes:  100 << 10,
-		ECNKmaxBytes:  400 << 10,
-		ECNPmax:       0.1,
-		PFCEnabled:    true,
-		PFCXoff:       512 << 10,
-		PFCXon:        256 << 10,
-		EgressCap:     4 << 20,
+		ECNKminBytes: 100 << 10,
+		ECNKmaxBytes: 400 << 10,
+		PFCEnabled:   true,
+		PFCXoff:      512 << 10,
+		PFCXon:       256 << 10,
+		EgressCap:    4 << 20,
 	}
 }
 
@@ -67,7 +63,7 @@ type Port struct {
 
 	bps       int64
 	propDelay sim.Duration // the wire alone: what a PFC frame takes
-	hopDelay  sim.Duration // last bit to the peer acting: + SwitchDelay into a switch
+	hopDelay  sim.Duration // last bit to the peer acting: + switchDelay into a switch
 
 	ctrlQ pktRing
 	dataQ pktRing
@@ -216,7 +212,7 @@ func (pt *Port) markECN(p *Packet) {
 		p.Marked = true
 	default:
 		frac := float64(q-cfg.ECNKminBytes) / float64(cfg.ECNKmaxBytes-cfg.ECNKminBytes)
-		if pt.fab.rng.Float64() < frac*cfg.ECNPmax {
+		if pt.fab.rng.Float64() < frac*ecnPmax {
 			p.Marked = true
 		}
 	}

@@ -58,7 +58,7 @@ func BuildClos(f *Fabric, t Topology) {
 			leaves[l] = f.newSwitch(fmt.Sprintf("pod%d-leaf%d", pod, l), 1)
 			if t.Pods > 1 {
 				// Each leaf connects to its spine plane.
-				pl, ps := f.link(leaves[l], spineSw[l], f.cfg.FabricLinkBps, f.cfg.SwPropDelay)
+				pl, ps := f.link(leaves[l], spineSw[l], fabricLinkBps, swPropDelay)
 				leaves[l].ports = append(leaves[l].ports, pl)
 				spineSw[l].ports = append(spineSw[l].ports, ps)
 				leaves[l].uplinks = append(leaves[l].uplinks, pl)
@@ -68,7 +68,7 @@ func BuildClos(f *Fabric, t Topology) {
 		for tor := 0; tor < t.TorsPerPod; tor++ {
 			sw := f.newSwitch(fmt.Sprintf("pod%d-tor%d", pod, tor), 0)
 			for _, leaf := range leaves {
-				pt, pl := f.link(sw, leaf, f.cfg.FabricLinkBps, f.cfg.SwPropDelay)
+				pt, pl := f.link(sw, leaf, fabricLinkBps, swPropDelay)
 				sw.ports = append(sw.ports, pt)
 				leaf.ports = append(leaf.ports, pl)
 				sw.uplinks = append(sw.uplinks, pt)
@@ -76,7 +76,7 @@ func BuildClos(f *Fabric, t Topology) {
 			}
 			for slot := 0; slot < t.HostsPerTor; slot++ {
 				h := &Host{ID: id, fab: f}
-				ph, pt := f.link(h, sw, f.cfg.HostLinkBps, f.cfg.HostPropDelay)
+				ph, pt := f.link(h, sw, hostLinkBps, hostPropDelay)
 				ph.unbounded = true
 				h.port = ph
 				sw.ports = append(sw.ports, pt)

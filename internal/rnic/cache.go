@@ -6,8 +6,11 @@ import (
 	"xrdma/internal/sim"
 )
 
-// qpCache models the RNIC's on-chip QP context SRAM. A context miss costs
-// a PCIe round trip to fetch state from host memory. The paper's §VII-F
+// qpCacheMissCost is a context miss: a PCIe round trip to fetch QP state
+// from host memory.
+const qpCacheMissCost sim.Duration = 120 * sim.Nanosecond
+
+// qpCache models the RNIC's on-chip QP context SRAM. The paper's §VII-F
 // observation — "cache influence on performance is almost below 10% even
 // when the number of QP grows up to 60K" — falls out of the small miss
 // cost relative to end-to-end latency; the E11 sweep verifies it.
@@ -43,7 +46,7 @@ func (c *qpCache) touch(qpn uint32) bool {
 func (n *NIC) touchQP(qpn uint32) sim.Duration {
 	if n.cache.touch(qpn) {
 		n.Counters.QPCacheMisses++
-		return n.Cfg.QPCacheMissCost
+		return qpCacheMissCost
 	}
 	n.Counters.QPCacheHits++
 	return 0

@@ -5,48 +5,28 @@ import (
 	"xrdma/internal/telemetry"
 )
 
-// DCQCNConfig parameterises the end-to-end congestion control loop
-// (Zhu et al., SIGCOMM'15) that Alibaba deploys fine-tuned (§II-C). The
-// defaults follow the paper's published constants scaled to a 25 Gbps
-// link.
-type DCQCNConfig struct {
-	Enabled bool
-
-	G           float64      // alpha EWMA gain
-	AlphaTimer  sim.Duration // alpha decay period when no CNPs arrive
-	RateTimer   sim.Duration // rate-increase timer period
-	ByteCount   int64        // rate-increase byte counter threshold
-	FastSteps   int          // fast-recovery stages before additive increase
-	RaiBps      int64        // additive increase step
-	HaiBps      int64        // hyper increase step
-	MinRateBps  int64        // floor: progress guarantee
-	CNPReactMin sim.Duration // min spacing between rate cuts (one per CNP window)
-}
-
-// DefaultDCQCN returns the standard parameter set.
-func DefaultDCQCN() DCQCNConfig {
-	return DCQCNConfig{
-		Enabled:     true,
-		G:           1.0 / 16,
-		AlphaTimer:  55 * sim.Microsecond,
-		RateTimer:   300 * sim.Microsecond,
-		ByteCount:   10 << 20,
-		FastSteps:   5,
-		RaiBps:      400_000_000, // 50 MB/s
-		HaiBps:      2_000_000_000,
-		MinRateBps:  100_000_000,
-		CNPReactMin: 50 * sim.Microsecond,
-	}
-}
+// The end-to-end congestion control loop (Zhu et al., SIGCOMM'15) that
+// Alibaba deploys fine-tuned (§II-C): the paper's published constants
+// scaled to a 25 Gbps link. Config.DCQCN switches the loop off.
+const (
+	dcqcnG           float64      = 1.0 / 16              // alpha EWMA gain
+	dcqcnAlphaTimer  sim.Duration = 55 * sim.Microsecond  // alpha decay period when no CNPs arrive
+	dcqcnRateTimer   sim.Duration = 300 * sim.Microsecond // rate-increase timer period
+	dcqcnByteCount   int64        = 10 << 20              // rate-increase byte counter threshold
+	dcqcnFastSteps   int          = 5                     // fast-recovery stages before additive increase
+	dcqcnRaiBps      int64        = 400_000_000           // additive increase step (50 MB/s)
+	dcqcnHaiBps      int64        = 2_000_000_000         // hyper increase step
+	dcqcnMinRateBps  int64        = 100_000_000           // floor: progress guarantee
+	dcqcnCNPReactMin sim.Duration = 50 * sim.Microsecond  // min spacing between rate cuts (one per CNP window)
+)
 
 // dcqcnState is the per-QP reaction point, created at the QP's first CNP
 // (QP.reactionPoint). Until a cut its rate is line rate and its byte counter
 // and timers idle, which is exactly how a QP without one paces (QP.paceRate).
 type dcqcnState struct {
-	cfg     *DCQCNConfig
 	eng     *sim.Engine
 	lineBps int64
-	nic     *NIC // telemetry sink; nil in bare unit tests
+	nic     *NIC // telemetry sink
 	qpn     uint32
 
 	rc, rt  int64 // current and target rate (bits/s)
@@ -66,11 +46,11 @@ type dcqcnState struct {
 	RateCuts int64
 }
 
-func newDCQCN(cfg *DCQCNConfig, eng *sim.Engine, lineBps int64, nic *NIC, qpn uint32) *dcqcnState {
-	s := &dcqcnState{cfg: cfg, eng: eng, lineBps: lineBps, nic: nic, qpn: qpn,
+func newDCQCN(eng *sim.Engine, lineBps int64, nic *NIC, qpn uint32) *dcqcnState {
+	s := &dcqcnState{eng: eng, lineBps: lineBps, nic: nic, qpn: qpn,
 		rc: lineBps, rt: lineBps, alpha: 1, lastCut: -1 << 60}
 	s.alphaFn = func() {
-		s.alpha *= 1 - s.cfg.G
+		s.alpha *= 1 - dcqcnG
 		if s.alpha > 0.001 {
 			s.armAlpha()
 		}
@@ -89,7 +69,7 @@ func newDCQCN(cfg *DCQCNConfig, eng *sim.Engine, lineBps int64, nic *NIC, qpn ui
 func (qp *QP) reactionPoint() *dcqcnState {
 	if qp.rate == nil {
 		n := qp.nic
-		qp.rate = newDCQCN(&n.Cfg.DCQCN, n.eng, n.LineBps(), n, qp.QPN)
+		qp.rate = newDCQCN(n.eng, n.LineBps(), n, qp.QPN)
 	}
 	return qp.rate
 }
@@ -99,7 +79,7 @@ func (qp *QP) reactionPoint() *dcqcnState {
 func (qp *QP) paceRate() int64 {
 	n := qp.nic
 	switch {
-	case !n.Cfg.DCQCN.Enabled:
+	case !n.Cfg.DCQCN:
 		return 0
 	case qp.rate == nil:
 		return n.LineBps()
@@ -116,30 +96,26 @@ func (s *dcqcnState) stop() {
 	}
 }
 
-// onCNP is the reaction-point cut. At most one cut per CNPReactMin.
+// onCNP is the reaction-point cut. At most one cut per dcqcnCNPReactMin.
 func (s *dcqcnState) onCNP() {
-	if !s.cfg.Enabled {
-		return
-	}
 	now := s.eng.Now()
-	if now.Sub(s.lastCut) < s.cfg.CNPReactMin {
+	if now.Sub(s.lastCut) < dcqcnCNPReactMin {
 		// Alpha still absorbs the congestion signal.
-		s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G
+		s.alpha = (1-dcqcnG)*s.alpha + dcqcnG
 		return
 	}
 	s.lastCut = now
 	s.RateCuts++
 	s.rt = s.rc
 	s.rc = int64(float64(s.rc) * (1 - s.alpha/2))
-	if s.rc < s.cfg.MinRateBps {
-		s.rc = s.cfg.MinRateBps
+	if s.rc < dcqcnMinRateBps {
+		s.rc = dcqcnMinRateBps
 	}
-	if n := s.nic; n != nil {
-		n.dcqcnCuts.Inc()
-		n.tel.Flight.Record(now, telemetry.CatDCQCNCut, int32(n.Node), s.qpn, s.rc, s.rt)
-		n.tel.Trace.Instant("dcqcn.cut", n.track, now, s.rc)
-	}
-	s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G
+	n := s.nic
+	n.dcqcnCuts.Inc()
+	n.tel.Flight.Record(now, telemetry.CatDCQCNCut, int32(n.Node), s.qpn, s.rc, s.rt)
+	n.tel.Trace.Instant("dcqcn.cut", n.track, now, s.rc)
+	s.alpha = (1-dcqcnG)*s.alpha + dcqcnG
 	s.timerEvents, s.byteEvents, s.bytesSent = 0, 0, 0
 	s.armAlpha()
 	s.armRate()
@@ -147,21 +123,21 @@ func (s *dcqcnState) onCNP() {
 
 func (s *dcqcnState) armAlpha() {
 	s.eng.Cancel(s.alphaEv)
-	s.alphaEv = s.eng.After(s.cfg.AlphaTimer, s.alphaFn)
+	s.alphaEv = s.eng.After(dcqcnAlphaTimer, s.alphaFn)
 }
 
 func (s *dcqcnState) armRate() {
 	s.eng.Cancel(s.rateEv)
-	s.rateEv = s.eng.After(s.cfg.RateTimer, s.rateFn)
+	s.rateEv = s.eng.After(dcqcnRateTimer, s.rateFn)
 }
 
 // onBytes feeds the byte counter from the transmit path.
 func (s *dcqcnState) onBytes(n int) {
-	if s == nil || !s.cfg.Enabled || s.rc >= s.lineBps {
+	if s == nil || s.rc >= s.lineBps {
 		return
 	}
 	s.bytesSent += int64(n)
-	if s.bytesSent >= s.cfg.ByteCount {
+	if s.bytesSent >= dcqcnByteCount {
 		s.bytesSent = 0
 		s.byteEvents++
 		s.increase()
@@ -179,12 +155,12 @@ func (s *dcqcnState) increase() {
 		maxEv = s.byteEvents
 	}
 	switch {
-	case maxEv <= s.cfg.FastSteps: // fast recovery toward target
+	case maxEv <= dcqcnFastSteps: // fast recovery toward target
 		// no target change
-	case minEv > s.cfg.FastSteps: // hyper increase
-		s.rt += s.cfg.HaiBps
+	case minEv > dcqcnFastSteps: // hyper increase
+		s.rt += dcqcnHaiBps
 	default: // additive increase
-		s.rt += s.cfg.RaiBps
+		s.rt += dcqcnRaiBps
 	}
 	if s.rt > s.lineBps {
 		s.rt = s.lineBps

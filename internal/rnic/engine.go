@@ -63,7 +63,7 @@ func (n *NIC) pickJob() (*txJob, sim.Time) {
 			continue
 		}
 		if j.readyAt > now {
-			// Deferred responder work (read-response RxProcess charge):
+			// Deferred responder work (read-response rxProcess charge):
 			// runnable once its ready time passes, closure-free.
 			if j.readyAt < earliest {
 				earliest = j.readyAt
@@ -113,7 +113,7 @@ func (n *NIC) stepEngine() {
 			return
 		}
 		n.current = job
-		cost := n.Cfg.DoorbellLatency + n.touchQP(job.qp.QPN)
+		cost := doorbellLatency + n.touchQP(job.qp.QPN)
 		if job.wr != nil && job.wr.packets == 0 {
 			n.startWR(job.qp, job.wr)
 		}
@@ -129,7 +129,7 @@ func (n *NIC) stepEngine() {
 	}
 	// Local TX backpressure: PFC pause or a deep port queue stalls the
 	// pipeline (and with it every queued WR — the jitter mechanism).
-	if n.host.TxPaused() || n.host.TxQueueBytes() > n.Cfg.TxBacklog {
+	if n.host.TxPaused() || n.host.TxQueueBytes() > txBacklog {
 		n.eng.After(engineBackoff, n.stepFn)
 		return
 	}
@@ -141,12 +141,12 @@ func (n *NIC) stepEngine() {
 	pkt, size, done := n.buildPacket(job)
 	job.qp.paceCharge(n.eng.Now(), size)
 	n.phaseJob, n.phasePkt, n.phaseSize, n.phaseDone = job, pkt, size, done
-	n.eng.After(n.Cfg.PktProcess, n.phaseFn)
+	n.eng.After(pktProcess, n.phaseFn)
 }
 
 // pktPhase is the deferred second half of a transmission step: stepEngine
 // builds the packet and charges pacing, then schedules this continuation
-// PktProcess later. The engine machine never has two continuations in
+// pktProcess later. The engine machine never has two continuations in
 // flight, so the phase slots hold exactly one packet's context.
 func (n *NIC) pktPhase() {
 	job, pkt, size, done := n.phaseJob, n.phasePkt, n.phaseSize, n.phaseDone
@@ -191,7 +191,7 @@ func (n *NIC) startWR(qp *QP, wr *SendWR) {
 		}
 	}
 	wr.startedAt = n.eng.Now()
-	pkts := (wr.Len + n.Cfg.MTU - 1) / n.Cfg.MTU
+	pkts := (wr.Len + mtu - 1) / mtu
 	if pkts == 0 {
 		pkts = 1
 	}
@@ -219,16 +219,9 @@ func (n *NIC) startWR(qp *QP, wr *SendWR) {
 // payload size and whether the job is finished.
 func (n *NIC) buildPacket(job *txJob) (*fabric.Packet, int, bool) {
 	qp := job.qp
-	mtu := n.Cfg.MTU
+	idx := job.offset / mtu
 	if job.isResp {
-		seg := job.respLen - job.offset
-		if seg > mtu {
-			seg = mtu
-		}
-		idx := 0
-		if mtu > 0 {
-			idx = job.offset / mtu
-		}
+		seg := min(job.respLen-job.offset, mtu)
 		h := n.pool.hdr()
 		h.SrcQPN, h.DstQPN = qp.QPN, job.respQPN
 		h.Op, h.MsgLen, h.Offset = opReadResp, job.respLen, job.offset
@@ -250,17 +243,7 @@ func (n *NIC) buildPacket(job *txJob) (*fabric.Packet, int, bool) {
 	}
 
 	wr := job.wr
-	seg := wr.Len - job.offset
-	if seg > mtu {
-		seg = mtu
-	}
-	if seg < 0 {
-		seg = 0
-	}
-	idx := 0
-	if mtu > 0 {
-		idx = job.offset / mtu
-	}
+	seg := max(min(wr.Len-job.offset, mtu), 0)
 	h := n.pool.hdr()
 	h.SrcQPN, h.DstQPN = qp.QPN, qp.RemoteQPN
 	h.Op, h.PSN = wr.Op, wr.firstPSN+uint32(idx)

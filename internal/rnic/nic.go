@@ -8,63 +8,56 @@ import (
 	"xrdma/internal/telemetry"
 )
 
-// Config holds the NIC timing and protocol parameters. Defaults
-// approximate a ConnectX-4 Lx class device.
+// The device's fixed costs and protocol constants, approximating a
+// ConnectX-4 Lx class NIC. No world varies them, so they are constants
+// rather than Config fields.
+const (
+	doorbellLatency sim.Duration = 250 * sim.Nanosecond // MMIO doorbell + WQE fetch over PCIe
+	pktProcess      sim.Duration = 60 * sim.Nanosecond  // per-packet pipeline occupancy (TX)
+	rxProcess       sim.Duration = 250 * sim.Nanosecond // per-packet RX processing + DMA
+	completionCost  sim.Duration = 150 * sim.Nanosecond // CQE generation + host visibility
+
+	mtu int = 4096
+
+	ackEvery int          = 4                   // coalesce: ack every N packets
+	ackDelay sim.Duration = 4 * sim.Microsecond // ...or after this delay
+
+	cnpInterval sim.Duration = 50 * sim.Microsecond // min per-flow CNP spacing at the notification point
+
+	// txBacklog limits how far ahead of the wire the engine runs: the
+	// engine stalls while the host port has this many bytes queued.
+	txBacklog int = 32 << 10
+)
+
+// Config holds the NIC parameters a world may vary: the RC reliability
+// horizon, the QP context cache size, and whether DCQCN runs.
 type Config struct {
-	DoorbellLatency sim.Duration // MMIO doorbell + WQE fetch over PCIe
-	PktProcess      sim.Duration // per-packet pipeline occupancy (TX)
-	RxProcess       sim.Duration // per-packet RX processing + DMA
-	CompletionCost  sim.Duration // CQE generation + host visibility
-
-	MTU int
-
 	RetransTimeout sim.Duration // RTO for go-back-N
 	RetryLimit     int
 	RNRTimer       sim.Duration // backoff after an RNR NAK
 	RNRRetryLimit  int
 
-	AckEvery int          // coalesce: ack every N packets
-	AckDelay sim.Duration // ...or after this delay
+	// QPCacheEntries sizes the QP context cache (on-NIC SRAM).
+	QPCacheEntries int
 
-	CNPInterval sim.Duration // min per-flow CNP spacing at the notification point
-
-	// QP context cache (on-NIC SRAM).
-	QPCacheEntries  int
-	QPCacheMissCost sim.Duration
-
-	// TxBacklog limits how far ahead of the wire the engine runs: the
-	// engine stalls while the host port has this much queued.
-	TxBacklog int
-
-	DCQCN DCQCNConfig
+	// DCQCN turns on the end-to-end congestion control loop: the
+	// notification point's CNPs and the reaction point's rate cuts.
+	DCQCN bool
 }
 
 // DefaultConfig returns ConnectX-4-like parameters.
 func DefaultConfig() Config {
 	return Config{
-		DoorbellLatency: 250 * sim.Nanosecond,
-		PktProcess:      60 * sim.Nanosecond,
-		RxProcess:       250 * sim.Nanosecond,
-		CompletionCost:  150 * sim.Nanosecond,
-		MTU:             4096,
-		// RC local-ack-timeout: real deployments run 2^14 × 4.096 µs
-		// ≈ 67 ms; 16 ms keeps tests fast while staying far above any
-		// legitimate queueing delay.
 		// RC local-ack-timeout: real deployments run tens of ms (the IB
 		// default is 2^14 x 4.096 us ~ 67 ms). 20 ms sits above the ack
 		// delays a PFC pause storm can cause — tighter values make the
 		// NIC retransmit spuriously under congestion and collapse.
-		RetransTimeout:  20 * sim.Millisecond,
-		RetryLimit:      6,
-		RNRTimer:        60 * sim.Microsecond,
-		RNRRetryLimit:   64, // "infinite" in production profiles; 7 breaks connections
-		AckEvery:        4,
-		AckDelay:        4 * sim.Microsecond,
-		CNPInterval:     50 * sim.Microsecond,
-		QPCacheEntries:  1024,
-		QPCacheMissCost: 120 * sim.Nanosecond,
-		TxBacklog:       32 << 10,
-		DCQCN:           DefaultDCQCN(),
+		RetransTimeout: 20 * sim.Millisecond,
+		RetryLimit:     6,
+		RNRTimer:       60 * sim.Microsecond,
+		RNRRetryLimit:  64, // "infinite" in production profiles; 7 breaks connections
+		QPCacheEntries: 1024,
+		DCQCN:          true,
 	}
 }
 
@@ -98,7 +91,7 @@ type txJob struct {
 	stage   *stageBuf // the source range as it was at acceptance; nil for a zero-byte READ
 	respLen int
 	respPSN uint32 // requester PSN base the response stream carries
-	// readyAt defers the job (responder-side RxProcess charge) without a
+	// readyAt defers the job (responder-side rxProcess charge) without a
 	// per-job closure; pickJob skips it until the time passes.
 	readyAt sim.Time
 	// progress

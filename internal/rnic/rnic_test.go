@@ -2,6 +2,7 @@ package rnic
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"xrdma/internal/fabric"
@@ -768,7 +769,7 @@ func TestResetStopsDCQCNTimers(t *testing.T) {
 		}
 		at := r.eng.Now()
 		r.eng.Run()
-		if el := r.eng.Now().Sub(at); r.eng.Pending() != 0 || el >= r.a.Cfg.DCQCN.AlphaTimer {
+		if el := r.eng.Now().Sub(at); r.eng.Pending() != 0 || el >= dcqcnAlphaTimer {
 			t.Fatalf("destroy=%v: Run went on %v after the QP's rate state was dropped, %d events pending", destroy, el, r.eng.Pending())
 		}
 	}
@@ -834,5 +835,16 @@ func TestDestroyQPFlushes(t *testing.T) {
 	}
 	if r.a.QP(r.qa.QPN) != nil {
 		t.Fatal("QP still registered after destroy")
+	}
+}
+
+// TestConfigFieldBudget holds Config at the options some world sets; every
+// other device parameter is a constant. Raising it is a regression to
+// explain, like xrdma's TestChannelStructBudget.
+func TestConfigFieldBudget(t *testing.T) {
+	got, most := reflect.TypeOf(Config{}).NumField(), 6
+	t.Logf("rnic.Config fields = %d (budget %d)", got, most)
+	if got > most {
+		t.Errorf("rnic.Config has %d fields, budget %d", got, most)
 	}
 }

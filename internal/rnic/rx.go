@@ -48,7 +48,9 @@ func (n *NIC) HandlePacket(p *fabric.Packet) {
 		n.Counters.CNPRecv++
 		if qp := n.qps[h.DstQPN]; qp != nil {
 			qp.Counters.CNPRecv++
-			qp.reactionPoint().onCNP()
+			if n.Cfg.DCQCN {
+				qp.reactionPoint().onCNP()
+			}
 		}
 	case opReadResp:
 		if qp := n.qps[h.DstQPN]; qp != nil {
@@ -68,15 +70,15 @@ func (n *NIC) HandlePacket(p *fabric.Packet) {
 }
 
 // maybeCNP implements the DCQCN notification point: an ECN-marked data
-// packet triggers at most one CNP per flow per CNPInterval back to the
+// packet triggers at most one CNP per flow per cnpInterval back to the
 // sender.
 func (n *NIC) maybeCNP(p *fabric.Packet, h *hdr) {
-	if !p.Marked || !n.Cfg.DCQCN.Enabled {
+	if !p.Marked || !n.Cfg.DCQCN {
 		return
 	}
 	key := uint64(p.Src)<<32 | uint64(h.SrcQPN)
 	now := n.eng.Now()
-	if last, ok := n.lastCNP[key]; ok && now.Sub(last) < n.Cfg.CNPInterval {
+	if last, ok := n.lastCNP[key]; ok && now.Sub(last) < cnpInterval {
 		return
 	}
 	n.lastCNP[key] = now
@@ -97,7 +99,7 @@ func (n *NIC) handleReadReq(p *fabric.Packet, h *hdr) {
 	}
 	qp.LastComm = n.eng.Now()
 	n.maybeCNP(p, h)
-	segs := (h.MsgLen + n.Cfg.MTU - 1) / n.Cfg.MTU
+	segs := (h.MsgLen + mtu - 1) / mtu
 	if segs == 0 {
 		segs = 1
 	}
@@ -137,13 +139,13 @@ func (n *NIC) handleReadReq(p *fabric.Packet, h *hdr) {
 	}
 	// The packet and header are recycled when this handler returns; copy
 	// everything the deferred response needs into the job and let the
-	// engine's ready-time gate charge the RxProcess delay (closure-free).
+	// engine's ready-time gate charge the rxProcess delay (closure-free).
 	j := n.pool.job()
 	j.qp, j.isResp = qp, true
 	j.respTo, j.respQPN = p.Src, h.SrcQPN
 	j.readID, j.stage, j.respLen = h.ReadID, stage, h.MsgLen
 	j.respPSN = h.PSN
-	j.readyAt = n.eng.Now().Add(n.Cfg.RxProcess + n.touchQP(qp.QPN))
+	j.readyAt = n.eng.Now().Add(rxProcess + n.touchQP(qp.QPN))
 	n.enqueueJob(j)
 }
 
@@ -197,8 +199,8 @@ func (qp *QP) handleReadResp(h *hdr) {
 	if seg == 0 && h.MsgLen > 0 {
 		// size-only simulation
 		seg = h.MsgLen - st.got
-		if seg > n.Cfg.MTU {
-			seg = n.Cfg.MTU
+		if seg > mtu {
+			seg = mtu
 		}
 	}
 	if st.data != nil && h.Data != nil {
@@ -238,7 +240,7 @@ func (qp *QP) handleReadResp(h *hdr) {
 	wr.Data = st.data
 	n.pool.putReadState(st)
 	qp.cqeDone.Push(wr)
-	qp.pushSendCQE(n.Cfg.CompletionCost, qp.cqeDoneFn)
+	qp.pushSendCQE(completionCost, qp.cqeDoneFn)
 }
 
 // handleData sequences SEND/WRITE packets: in-order acceptance, duplicate
@@ -327,8 +329,8 @@ func (n *NIC) handleData(p *fabric.Packet, h *hdr) {
 	// Progress accounting uses the wire segment length; carried bytes may
 	// be fewer (size-only payloads behind a real header).
 	seg := h.MsgLen - a.got
-	if seg > n.Cfg.MTU {
-		seg = n.Cfg.MTU
+	if seg > mtu {
+		seg = mtu
 	}
 	if seg < 0 {
 		seg = 0
@@ -398,7 +400,7 @@ func (n *NIC) deliver(qp *QP, a *assembly, h *hdr) {
 		// completion reports.
 		cqe.Addr = a.raddr
 	}
-	cost := n.Cfg.CompletionCost + n.touchQP(qp.QPN)
+	cost := completionCost + n.touchQP(qp.QPN)
 	qp.recvDone.Push(cqe)
 	qp.pushRecvCQE(cost, qp.recvDoneFn)
 }
@@ -406,15 +408,15 @@ func (n *NIC) deliver(qp *QP, a *assembly, h *hdr) {
 // --- ack generation -------------------------------------------------------
 
 // scheduleAck coalesces acknowledgements: immediate on message boundaries
-// every AckEvery packets, otherwise a delayed ack timer.
+// every ackEvery packets, otherwise a delayed ack timer.
 func (qp *QP) scheduleAck(boundary bool) {
 	qp.pktsSinceAck++
-	if (boundary && qp.pktsSinceAck >= qp.nic.Cfg.AckEvery) || qp.pktsSinceAck >= qp.nic.Cfg.AckEvery*4 {
+	if (boundary && qp.pktsSinceAck >= ackEvery) || qp.pktsSinceAck >= ackEvery*4 {
 		qp.sendAckNow()
 		return
 	}
 	if !qp.ackTimer.Pending() {
-		qp.ackTimer = qp.nic.eng.After(qp.nic.Cfg.AckDelay, qp.ackFn)
+		qp.ackTimer = qp.nic.eng.After(ackDelay, qp.ackFn)
 	}
 }
 
@@ -434,7 +436,6 @@ func (qp *QP) sendAckNow() {
 // progress and resets the retry budget — a multi-megabyte WR paced down by
 // DCQCN must not trip the RTO while it is advancing.
 func (qp *QP) handleAck(ackPSN uint32) {
-	n := qp.nic
 	progressed := false
 	if ackPSN > qp.lastSeenAck {
 		qp.lastSeenAck = ackPSN
@@ -459,7 +460,7 @@ func (qp *QP) handleAck(ackPSN uint32) {
 		copy(qp.unacked[i:], qp.unacked[i+1:])
 		qp.unacked = qp.unacked[:len(qp.unacked)-1]
 		qp.cqeDone.Push(wr)
-		qp.pushSendCQE(n.Cfg.CompletionCost, qp.cqeDoneFn)
+		qp.pushSendCQE(completionCost, qp.cqeDoneFn)
 	}
 	if progressed {
 		qp.retries = 0

@@ -1,9 +1,8 @@
 // Package tcpnet models a kernel TCP/IP stack over the same fabric the
-// RNICs use. It exists for three of the paper's comparison points:
-// TCP's ~100 µs connection establishment versus rdma_cm's milliseconds
-// (§III Issue 3), TCP keepalive as the robustness baseline X-RDMA's
-// keepalive imitates (§V-A), and the Mock mechanism that temporarily
-// switches a channel from RDMA to TCP during network anomalies (§VI-C).
+// RNICs use. It exists for two of the paper's comparison points: TCP's
+// ~100 µs connection establishment versus rdma_cm's milliseconds (§III
+// Issue 3), and the Mock mechanism that temporarily switches a channel
+// from RDMA to TCP during network anomalies (§VI-C).
 //
 // The stack is deliberately simple — message-oriented, fixed kernel-path
 // costs, no congestion control — because its role is functional and
@@ -19,49 +18,25 @@ import (
 	"xrdma/internal/sim"
 )
 
-// Config models kernel-path costs: syscall, data copies, protocol
-// processing and softirq wakeups on both sides.
-type Config struct {
-	SendSyscall  sim.Duration // user→kernel: syscall + copy + segmentation
-	RecvPath     sim.Duration // interrupt + stack + copy + wakeup
-	CopyPerKB    sim.Duration // added copy cost per KiB of payload
-	MSS          int
-	HandshakeRTT int // messages exchanged during connect (3-way)
-
-	// KeepaliveInterval, when >0, probes idle connections; a missed
-	// probe reply closes the connection with ErrPeerDead.
-	KeepaliveInterval sim.Duration
-	KeepaliveTimeout  sim.Duration
-
-	// DialTimeout fails a connect whose handshake never completes.
-	DialTimeout sim.Duration
-}
-
-// DefaultConfig reflects the usual several-microsecond kernel overheads
-// that motivate kernel bypass in the first place (§II-A).
-func DefaultConfig() Config {
-	return Config{
-		SendSyscall:  6 * sim.Microsecond,
-		RecvPath:     9 * sim.Microsecond,
-		CopyPerKB:    80 * sim.Nanosecond,
-		MSS:          4096,
-		HandshakeRTT: 3,
-
-		KeepaliveInterval: 0, // off unless asked for (like SO_KEEPALIVE)
-		KeepaliveTimeout:  30 * sim.Millisecond,
-		DialTimeout:       100 * sim.Millisecond,
-	}
-}
+// Kernel-path costs: syscall, data copies, protocol processing and softirq
+// wakeups on both sides — the usual several-microsecond overheads that
+// motivate kernel bypass in the first place (§II-A).
+const (
+	sendSyscall sim.Duration = 6 * sim.Microsecond   // user→kernel: syscall + copy + segmentation
+	recvPath    sim.Duration = 9 * sim.Microsecond   // interrupt + stack + copy + wakeup
+	copyPerKB   sim.Duration = 80 * sim.Nanosecond   // added copy cost per KiB of payload
+	mss         int          = 4096                  // payload bytes per segment
+	dialTimeout sim.Duration = 100 * sim.Millisecond // fails a connect whose handshake never completes
+)
 
 // ErrDialTimeout is returned when the handshake never completes.
 var ErrDialTimeout = errors.New("tcpnet: dial timeout")
 
 // Errors surfaced to connection callbacks.
 var (
-	ErrRefused  = errors.New("tcpnet: connection refused")
-	ErrClosed   = errors.New("tcpnet: connection closed")
-	ErrPeerDead = errors.New("tcpnet: keepalive timeout")
-	ErrReset    = errors.New("tcpnet: connection reset (segment loss)")
+	ErrRefused = errors.New("tcpnet: connection refused")
+	ErrClosed  = errors.New("tcpnet: connection closed")
+	ErrReset   = errors.New("tcpnet: connection reset (segment loss)")
 )
 
 // Message is what OnMessage delivers.
@@ -73,7 +48,6 @@ type Message struct {
 // Stack is one node's TCP endpoint.
 type Stack struct {
 	Node fabric.NodeID
-	cfg  Config
 	eng  *sim.Engine
 	host *fabric.Host
 
@@ -95,7 +69,7 @@ type connKey struct {
 
 // segment is the wire payload.
 type segment struct {
-	kind    uint8 // 0 data, 1 SYN, 2 SYNACK, 3 ACK(handshake), 4 FIN, 5 keepalive, 6 keepalive-ack, 7 RST
+	kind    uint8 // 0 data, 1 SYN, 2 SYNACK, 3 ACK(handshake), 4 FIN, 7 RST
 	srcPort int
 	dstPort int
 	seq     uint64
@@ -106,9 +80,9 @@ type segment struct {
 }
 
 // New attaches a TCP stack to a host.
-func New(eng *sim.Engine, host *fabric.Host, cfg Config) *Stack {
+func New(eng *sim.Engine, host *fabric.Host) *Stack {
 	s := &Stack{
-		Node: host.ID, cfg: cfg, eng: eng, host: host, alive: true,
+		Node: host.ID, eng: eng, host: host, alive: true,
 		listeners: make(map[int]func(*Conn)),
 		conns:     make(map[connKey]*Conn),
 		nextPort:  40000,
@@ -145,11 +119,10 @@ type Conn struct {
 	Remote     fabric.NodeID
 	RemotePort int
 
-	open      bool
-	sendSeq   uint64
-	recvSeq   uint64
-	partial   []byte
-	partialAt int
+	open    bool
+	sendSeq uint64
+	recvSeq uint64
+	partial []byte
 	// The kernel-path cost grows with message size, so a small message
 	// would finish its copy before a large one queued ahead of it: each
 	// direction runs no earlier than its predecessor on this conn.
@@ -157,10 +130,6 @@ type Conn struct {
 
 	OnMessage func(Message)
 	OnClose   func(error)
-
-	lastHeard sim.Time
-	kaEvent   sim.Event
-	kaWaiting bool
 
 	// dialDone is stashed on the dialing side until the SYNACK arrives.
 	dialDone func(*Conn, error)
@@ -184,16 +153,14 @@ func (s *Stack) Dial(remote fabric.NodeID, port int, done func(*Conn, error)) {
 	s.eng.After(40*sim.Microsecond, func() {
 		s.send(remote, &segment{kind: 1, srcPort: local, dstPort: port}, 1)
 	})
-	if s.cfg.DialTimeout > 0 {
-		s.eng.AfterBg(s.cfg.DialTimeout, func() {
-			if c.dialDone != nil {
-				cb := c.dialDone
-				c.dialDone = nil
-				delete(s.conns, key)
-				cb(nil, ErrDialTimeout)
-			}
-		})
-	}
+	s.eng.AfterBg(dialTimeout, func() {
+		if c.dialDone != nil {
+			cb := c.dialDone
+			c.dialDone = nil
+			delete(s.conns, key)
+			cb(nil, ErrDialTimeout)
+		}
+	})
 }
 
 func (s *Stack) send(to fabric.NodeID, seg *segment, size int) {
@@ -220,7 +187,7 @@ func (c *Conn) Send(data []byte, length int, cb func(error)) {
 	if data != nil {
 		length = len(data)
 	}
-	cost := s.cfg.SendSyscall + sim.Duration(int64(length)/1024)*s.cfg.CopyPerKB
+	cost := sendSyscall + sim.Duration(int64(length)/1024)*copyPerKB
 	c.sendAt = max(c.sendAt, s.eng.Now().Add(cost))
 	s.eng.At(c.sendAt, func() {
 		if !c.open {
@@ -231,10 +198,7 @@ func (c *Conn) Send(data []byte, length int, cb func(error)) {
 		}
 		off := 0
 		for {
-			seg := length - off
-			if seg > s.cfg.MSS {
-				seg = s.cfg.MSS
-			}
+			seg := min(length-off, mss)
 			sg := &segment{
 				kind: 0, srcPort: c.key.localPort, dstPort: c.key.remotePort,
 				seq: c.sendSeq, msgLen: length, offset: off, last: off+seg >= length,
@@ -263,7 +227,6 @@ func (c *Conn) Close() {
 		return
 	}
 	c.open = false
-	c.stopKA()
 	c.stack.send(c.Remote, &segment{kind: 4, srcPort: c.key.localPort, dstPort: c.key.remotePort}, 40)
 	delete(c.stack.conns, c.key)
 	if c.OnClose != nil {
@@ -276,7 +239,6 @@ func (c *Conn) teardown(err error) {
 		return
 	}
 	c.open = false
-	c.stopKA()
 	delete(c.stack.conns, c.key)
 	if c.OnClose != nil {
 		c.OnClose(err)
@@ -285,37 +247,6 @@ func (c *Conn) teardown(err error) {
 
 // Open reports whether the connection is usable.
 func (c *Conn) Open() bool { return c.open }
-
-// --- keepalive -------------------------------------------------------------
-
-func (c *Conn) armKA() {
-	s := c.stack
-	if s.cfg.KeepaliveInterval <= 0 {
-		return
-	}
-	c.kaEvent = s.eng.AfterBg(s.cfg.KeepaliveInterval, func() {
-		if !c.open {
-			return
-		}
-		if s.eng.Now().Sub(c.lastHeard) < s.cfg.KeepaliveInterval {
-			c.armKA()
-			return
-		}
-		// Probe and wait.
-		c.kaWaiting = true
-		s.send(c.Remote, &segment{kind: 5, srcPort: c.key.localPort, dstPort: c.key.remotePort}, 40)
-		c.kaEvent = s.eng.AfterBg(s.cfg.KeepaliveTimeout, func() {
-			if c.kaWaiting && c.open {
-				c.teardown(ErrPeerDead)
-			}
-		})
-	})
-}
-
-func (c *Conn) stopKA() {
-	c.stack.eng.Cancel(c.kaEvent)
-	c.kaEvent = sim.Event{}
-}
 
 // --- receive ---------------------------------------------------------------
 
@@ -338,12 +269,10 @@ func (s *Stack) HandlePacket(p *fabric.Packet) {
 		src := p.Src // p is recycled before the deferred work runs
 		key := connKey{localPort: seg.dstPort, remote: src, remotePort: seg.srcPort}
 		c := &Conn{stack: s, key: key, Remote: src, RemotePort: seg.srcPort, open: true}
-		c.lastHeard = s.eng.Now()
 		s.conns[key] = c
 		// Accept-side kernel work before SYNACK.
 		s.eng.After(25*sim.Microsecond, func() {
 			s.send(src, &segment{kind: 2, srcPort: c.key.localPort, dstPort: c.key.remotePort}, 40)
-			c.armKA()
 			accept(c)
 		})
 	case 2: // SYNACK
@@ -355,9 +284,7 @@ func (s *Stack) HandlePacket(p *fabric.Packet) {
 		}
 		s.eng.After(25*sim.Microsecond, func() {
 			c.open = true
-			c.lastHeard = s.eng.Now()
 			s.send(src, &segment{kind: 3, srcPort: c.key.localPort, dstPort: c.key.remotePort}, 40)
-			c.armKA()
 			if c.dialDone != nil {
 				done := c.dialDone
 				c.dialDone = nil
@@ -382,28 +309,12 @@ func (s *Stack) HandlePacket(p *fabric.Packet) {
 		if c := s.conns[key]; c != nil {
 			c.teardown(ErrClosed)
 		}
-	case 5: // keepalive probe
-		key := connKey{localPort: seg.dstPort, remote: p.Src, remotePort: seg.srcPort}
-		if c := s.conns[key]; c != nil {
-			c.lastHeard = s.eng.Now()
-		}
-		s.send(p.Src, &segment{kind: 6, srcPort: seg.dstPort, dstPort: seg.srcPort}, 40)
-	case 6: // keepalive ack
-		key := connKey{localPort: seg.dstPort, remote: p.Src, remotePort: seg.srcPort}
-		if c := s.conns[key]; c != nil {
-			c.lastHeard = s.eng.Now()
-			c.kaWaiting = false
-			c.stopKA()
-			c.armKA()
-		}
 	case 0: // data
 		key := connKey{localPort: seg.dstPort, remote: p.Src, remotePort: seg.srcPort}
 		c := s.conns[key]
 		if c == nil || !c.open {
 			return
 		}
-		c.lastHeard = s.eng.Now()
-		c.kaWaiting = false
 		if seg.seq != c.recvSeq {
 			// A gap means segments died on the wire (a downed link or
 			// failed switch flushed them). The model has no retransmit,
@@ -420,12 +331,10 @@ func (s *Stack) HandlePacket(p *fabric.Packet) {
 			} else {
 				c.partial = nil
 			}
-			c.partialAt = 0
 		}
 		if seg.data != nil && c.partial != nil {
 			copy(c.partial[seg.offset:], seg.data)
 		}
-		c.partialAt = seg.offset + s.cfg.MSS
 		if !seg.last {
 			return
 		}
@@ -433,7 +342,7 @@ func (s *Stack) HandlePacket(p *fabric.Packet) {
 		data := c.partial
 		c.partial = nil
 		msgLen := seg.msgLen
-		cost := s.cfg.RecvPath + sim.Duration(int64(msgLen)/1024)*s.cfg.CopyPerKB
+		cost := recvPath + sim.Duration(int64(msgLen)/1024)*copyPerKB
 		c.deliverAt = max(c.deliverAt, s.eng.Now().Add(cost))
 		s.eng.At(c.deliverAt, func() {
 			if c.open && c.OnMessage != nil {

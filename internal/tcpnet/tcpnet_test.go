@@ -8,18 +8,18 @@ import (
 	"xrdma/internal/sim"
 )
 
-func newPair(t testing.TB, cfg Config) (*sim.Engine, *Stack, *Stack) {
+func newPair(t testing.TB) (*sim.Engine, *Stack, *Stack) {
 	t.Helper()
 	eng := sim.NewEngine()
 	fab := fabric.New(eng, fabric.DefaultConfig(), 1)
 	fabric.BuildClos(fab, fabric.SmallClos())
-	a := New(eng, fab.Host(0), cfg)
-	b := New(eng, fab.Host(5), cfg)
+	a := New(eng, fab.Host(0))
+	b := New(eng, fab.Host(5))
 	return eng, a, b
 }
 
 func TestDialAndSend(t *testing.T) {
-	eng, a, b := newPair(t, DefaultConfig())
+	eng, a, b := newPair(t)
 	var srvConn *Conn
 	var got []Message
 	b.Listen(80, func(c *Conn) {
@@ -54,7 +54,7 @@ func TestDialAndSend(t *testing.T) {
 }
 
 func TestMultiSegmentMessage(t *testing.T) {
-	eng, a, b := newPair(t, DefaultConfig())
+	eng, a, b := newPair(t)
 	var got []Message
 	b.Listen(80, func(c *Conn) {
 		c.OnMessage = func(m Message) { got = append(got, m) }
@@ -74,7 +74,7 @@ func TestMultiSegmentMessage(t *testing.T) {
 }
 
 func TestSizeOnlyMessages(t *testing.T) {
-	eng, a, b := newPair(t, DefaultConfig())
+	eng, a, b := newPair(t)
 	var got []Message
 	b.Listen(80, func(c *Conn) {
 		c.OnMessage = func(m Message) { got = append(got, m) }
@@ -90,7 +90,7 @@ func TestSizeOnlyMessages(t *testing.T) {
 }
 
 func TestRefused(t *testing.T) {
-	eng, a, b := newPair(t, DefaultConfig())
+	eng, a, b := newPair(t)
 	var gotErr error
 	a.Dial(b.Node, 81, func(c *Conn, err error) { gotErr = err })
 	eng.Run()
@@ -100,7 +100,7 @@ func TestRefused(t *testing.T) {
 }
 
 func TestCloseNotifiesPeer(t *testing.T) {
-	eng, a, b := newPair(t, DefaultConfig())
+	eng, a, b := newPair(t)
 	var srvConn *Conn
 	var srvClosed error
 	closed := false
@@ -128,52 +128,8 @@ func TestCloseNotifiesPeer(t *testing.T) {
 	}
 }
 
-func TestKeepaliveDetectsDeadPeer(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.KeepaliveInterval = 5 * sim.Millisecond
-	cfg.KeepaliveTimeout = 10 * sim.Millisecond
-	eng, a, b := newPair(t, cfg)
-	b.Listen(80, func(c *Conn) {})
-	var cli *Conn
-	var deadErr error
-	a.Dial(b.Node, 80, func(c *Conn, err error) {
-		cli = c
-		c.OnClose = func(e error) { deadErr = e }
-	})
-	eng.RunFor(1 * sim.Millisecond)
-	if cli == nil {
-		t.Fatal("no connection")
-	}
-	b.Crash()
-	eng.RunFor(200 * sim.Millisecond)
-	if deadErr != ErrPeerDead {
-		t.Fatalf("keepalive never detected dead peer: %v", deadErr)
-	}
-	if cli.Open() {
-		t.Fatal("connection still open after keepalive timeout")
-	}
-}
-
-func TestKeepaliveQuietOnHealthyPeer(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.KeepaliveInterval = 5 * sim.Millisecond
-	cfg.KeepaliveTimeout = 10 * sim.Millisecond
-	eng, a, b := newPair(t, cfg)
-	b.Listen(80, func(c *Conn) {})
-	var cli *Conn
-	closed := false
-	a.Dial(b.Node, 80, func(c *Conn, err error) {
-		cli = c
-		c.OnClose = func(error) { closed = true }
-	})
-	eng.RunFor(100 * sim.Millisecond)
-	if cli == nil || closed || !cli.Open() {
-		t.Fatal("healthy idle connection was torn down")
-	}
-}
-
 func TestManyMessagesOrdered(t *testing.T) {
-	eng, a, b := newPair(t, DefaultConfig())
+	eng, a, b := newPair(t)
 	var got []Message
 	b.Listen(80, func(c *Conn) {
 		c.OnMessage = func(m Message) { got = append(got, m) }
@@ -206,7 +162,7 @@ func TestManyMessagesOrdered(t *testing.T) {
 // small message leaves as the large one's last segment lands — races in the
 // receiver's.
 func TestConnPreservesMessageOrder(t *testing.T) {
-	eng, a, b := newPair(t, DefaultConfig())
+	eng, a, b := newPair(t)
 	var got []int
 	b.Listen(80, func(c *Conn) {
 		c.OnMessage = func(m Message) { got = append(got, m.Len) }

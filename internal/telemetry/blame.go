@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -124,15 +123,10 @@ func (b *Blame) Observe(rec *BlameRec) {
 	b.recent.Push(*rec)
 	for s := Stage(0); s < StageCount; s++ {
 		if d := rec.Dur[s]; d > 0 {
-			h := &b.stages[s]
-			h.buckets[bucketOf(int64(d))]++
-			h.count++
-			h.sum += int64(d)
+			b.stages[s].observe(int64(d))
 		}
 	}
-	b.rtt.buckets[bucketOf(int64(rec.RTT))]++
-	b.rtt.count++
-	b.rtt.sum += int64(rec.RTT)
+	b.rtt.observe(int64(rec.RTT))
 	b.ecn += rec.ECN
 	if rec.Tenant != 0 {
 		if b.tenants == nil {
@@ -143,9 +137,7 @@ func (b *Blame) Observe(rec *BlameRec) {
 			h = &histData{}
 			b.tenants[rec.Tenant] = h
 		}
-		h.buckets[bucketOf(int64(rec.RTT))]++
-		h.count++
-		h.sum += int64(rec.RTT)
+		h.observe(int64(rec.RTT))
 	}
 }
 
@@ -176,13 +168,6 @@ func (b *Blame) TenantQuantile(id uint16, q int64) sim.Duration {
 		return 0
 	}
 	return sim.Duration(h.quantile(q))
-}
-
-func bucketOf(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(v))
 }
 
 // Count reports how many messages were observed.

@@ -35,6 +35,17 @@ type histData struct {
 	sum     int64
 }
 
+// observe records one sample. Zero and negative samples land in bucket 0.
+func (d *histData) observe(v int64) {
+	idx := 0
+	if v > 0 {
+		idx = bits.Len64(uint64(v))
+	}
+	d.buckets[idx]++
+	d.count++
+	d.sum += v
+}
+
 // Counter is a pre-resolved handle to a monotonically increasing value.
 // The zero Counter is a no-op, so optional instrumentation needs no nil
 // checks at call sites.
@@ -88,16 +99,9 @@ type Histogram struct{ h *histData }
 
 // Observe records one sample. Negative samples land in bucket 0.
 func (h Histogram) Observe(v int64) {
-	if h.h == nil {
-		return
+	if h.h != nil {
+		h.h.observe(v)
 	}
-	idx := 0
-	if v > 0 {
-		idx = bits.Len64(uint64(v))
-	}
-	h.h.buckets[idx]++
-	h.h.count++
-	h.h.sum += v
 }
 
 // Count reports how many samples were observed.

@@ -112,7 +112,7 @@ type Channel struct {
 	onPathVerdict func(PathVerdict)
 	retryTokens   float64
 	respCache     map[uint64]*respEntry
-	respOrder     []uint64
+	respOrder     sim.Queue[uint64] // respCache's keys, oldest first
 
 	// blameSuspect force-samples the next few requests after a slow-op
 	// incident so the blame plane always has hop logs for the tail.
@@ -135,8 +135,8 @@ type Channel struct {
 	peerCID    uint32
 	muxPort    int
 	attach     uint8
-	attachCBs  []func(error)
 	peerClosed bool
+	attachCBs  []func(error)
 
 	// Tenancy plane (tenant.go): the channel's tenant (nil = untenanted),
 	// its contribution to the tenant's in-flight window partition (for
@@ -465,7 +465,7 @@ func (ch *Channel) teardown(err error) {
 	ch.tenantRewind()
 	// The flyweight maps go back to nil — a closed channel costs only its
 	// struct.
-	ch.pulls, ch.pings, ch.respCache, ch.respOrder = nil, nil, nil, nil
+	ch.pulls, ch.pings, ch.respCache, ch.respOrder = nil, nil, nil, sim.Queue[uint64]{}
 	c.eng.Cancel(ch.ackEv)
 	if ch.onClose != nil {
 		ch.onClose(err)
@@ -629,10 +629,8 @@ func (ch *Channel) rememberReq(msgID uint64) {
 		ch.respCache = make(map[uint64]*respEntry)
 	}
 	ch.respCache[msgID] = &respEntry{}
-	ch.respOrder = append(ch.respOrder, msgID)
-	if len(ch.respOrder) > respCacheCap {
-		old := ch.respOrder[0]
-		ch.respOrder = ch.respOrder[1:]
-		delete(ch.respCache, old)
+	ch.respOrder.Push(msgID)
+	if ch.respOrder.Len() > respCacheCap {
+		delete(ch.respCache, ch.respOrder.Pop())
 	}
 }

@@ -20,8 +20,9 @@ const (
 	traceCost   = 50 * sim.Nanosecond  // extra per message in req-rsp mode (§VII-A: ≈200 ns, 2–4% of a ping-pong)
 	srqLimitDiv = 2                    // the SRQ asks for its next block with under 1/2 of one left posted (sharedRQ)
 
-	deadlockScan  = 500 * sim.Microsecond // period of the per-context NOP deadlock breaker
-	memShrinkIdle = 100 * sim.Millisecond // a fully free memory-cache region idle this long is given back
+	deadlockScan       = 500 * sim.Microsecond // period of the per-context NOP deadlock breaker
+	memShrinkIdle      = 100 * sim.Millisecond // a fully free memory-cache region idle this long is given back
+	recoverBackoffBase = 1 * sim.Millisecond   // the delay before the first recovery dial (recoverBackoff)
 )
 
 // Config mirrors Table III: "online" parameters may be changed on a
@@ -133,10 +134,8 @@ type Config struct {
 	// channel before it gives up and falls back to Mock (or tears down).
 	// Recovery as a whole is enabled per context via Options.RecoverPort.
 	RecoverRetries int
-	// RecoverBackoff is the initial delay between recovery dials; it
-	// doubles per attempt up to RecoverBackoffMax, with ±25% jitter.
-	RecoverBackoff sim.Duration
-	// RecoverBackoffMax caps the exponential recovery backoff.
+	// RecoverBackoffMax caps the exponential recovery backoff
+	// (recoverBackoffBase doubling per attempt, with ±25% jitter).
 	RecoverBackoffMax sim.Duration
 	// RecoverDialTimeout abandons a single recovery dial that got no
 	// REP/REJ (the peer's control plane may be dead with its NIC).
@@ -232,7 +231,6 @@ func DefaultConfig() Config {
 		MockEnabled:        false,
 
 		RecoverRetries:     4,
-		RecoverBackoff:     1 * sim.Millisecond,
 		RecoverBackoffMax:  50 * sim.Millisecond,
 		RecoverDialTimeout: 25 * sim.Millisecond,
 		FailbackInterval:   100 * sim.Millisecond,
@@ -345,5 +343,5 @@ var onlineFlags = map[string]func(*Context, string) error{
 var offlineFlagNames = strings.Fields(`use_srq srq_size qps_per_peer attach_admission channel_gauge_limit
 	small_msg_size window_depth ack_every ack_delay_us fragment_size max_outstanding mr_size mem_mode
 	mem_isolation request_timeout_ms request_retries retry_backoff_ms path_rehash_limit path_rehash_cooldown_ms
-	mock_enabled recover_retries recover_backoff_ms recover_backoff_max_ms recover_dial_timeout_ms failback_interval_ms
+	mock_enabled recover_retries recover_backoff_max_ms recover_dial_timeout_ms failback_interval_ms
 	stats_interval_ms tenants tenant_shed_cooldown_ms proto_ver_min proto_ver_max drain_deadline_ms`)

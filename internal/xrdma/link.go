@@ -515,13 +515,13 @@ func (c *Context) recoverGrace() sim.Duration {
 		sim.Duration(c.cfg.RecoverRetries)*(c.cfg.RecoverDialTimeout+c.cfg.RecoverBackoffMax)
 }
 
-// recoverBackoff is the delay before dial attempt n (0-based):
-// exponential, capped, with ±25% jitter to decorrelate fleet-wide retry
-// storms after a shared fault (a downed switch degrades many links at
-// once).
+// recoverBackoff is the delay before dial attempt n (0-based): from
+// recoverBackoffBase, doubling up to RecoverBackoffMax, with ±25% jitter to
+// decorrelate fleet-wide retry storms after a shared fault (a downed switch
+// degrades many links at once).
 func (c *Context) recoverBackoff(attempt int) sim.Duration {
 	cfg := &c.cfg
-	d := cfg.RecoverBackoff << uint(attempt)
+	d := recoverBackoffBase << uint(attempt)
 	if d <= 0 || d > cfg.RecoverBackoffMax {
 		d = cfg.RecoverBackoffMax
 	}

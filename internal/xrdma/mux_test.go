@@ -192,7 +192,7 @@ func newMuxGrayWorld(t testing.TB, n int, mutate func(i int, cfg *Config)) *test
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		tcp := tcpnet.New(eng, host, tcpnet.DefaultConfig())
+		tcp := tcpnet.New(eng, host)
 		ctx := NewContext(Options{
 			Verbs: vc, CM: cm, Host: host, Config: cfg, Monitor: mon,
 			TCP: tcp, MockPort: 9000, Seed: uint64(i + 1),

@@ -2,6 +2,7 @@ package xrdma
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"xrdma/internal/fabric"
@@ -151,6 +152,86 @@ func TestRequestRetryCachedResend(t *testing.T) {
 	if cli.Counters.RespsRecv != 1 {
 		t.Errorf("RespsRecv=%d, want 1 (duplicate response must be dropped)", cli.Counters.RespsRecv)
 	}
+}
+
+// TestRespCacheEvictsOldestFirst: the receiver's idempotency cache holds the
+// last respCacheCap request MsgIDs. After respCacheCap+k distinct requests the
+// first k are gone, evicted in issue order; a duplicate inside the window is
+// answered from the cache without re-running the handler, and a duplicate of
+// an evicted MsgID runs it again (and evicts the oldest survivor).
+func TestRespCacheEvictsOldestFirst(t *testing.T) {
+	const k = 3
+	w := newWorld(t, 2, func(i int, cfg *Config) {
+		retryKnobs(1)(i, cfg)
+		cfg.RequestTimeout = 100 * sim.Millisecond // no retry fires: every duplicate below is injected
+	})
+	cli, srv := w.connect(t, 0, 1, 5604)
+
+	var ids []uint64 // delivery order, which the seq window makes issue order
+	handled := map[uint64]int{}
+	srv.OnMessage(func(m *Msg) {
+		if handled[m.MsgID] == 0 {
+			ids = append(ids, m.MsgID)
+		}
+		handled[m.MsgID]++
+		m.Reply(nil, 8)
+	})
+	resps := 0
+	for i := 0; i < respCacheCap+k; i++ {
+		cli.SendMsg(nil, 8, func(_ *Msg, err error) {
+			if err == nil {
+				resps++
+			}
+		})
+	}
+	w.eng.RunFor(20 * sim.Millisecond)
+	if resps != respCacheCap+k || len(ids) != respCacheCap+k {
+		t.Fatalf("%d responses, %d distinct requests handled; want %d of each", resps, len(ids), respCacheCap+k)
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			t.Fatalf("MsgIDs delivered out of issue order at %d: %d after %d", i, ids[i], ids[i-1])
+		}
+	}
+	checkCache := func(want []uint64) {
+		t.Helper()
+		if got := srv.respOrder.Items(); !slices.Equal(got, want) {
+			t.Fatalf("eviction order holds %d IDs %v..., want %d IDs %v...", len(got), got[:k], len(want), want[:k])
+		}
+		if len(srv.respCache) != len(want) {
+			t.Fatalf("cache holds %d entries, want %d", len(srv.respCache), len(want))
+		}
+		for _, id := range want {
+			if _, ok := srv.respCache[id]; !ok {
+				t.Fatalf("MsgID %d missing from the cache", id)
+			}
+		}
+	}
+	checkCache(ids[k:])
+	for _, id := range ids[:k] {
+		if _, ok := srv.respCache[id]; ok {
+			t.Fatalf("MsgID %d, among the first %d, was not evicted", id, k)
+		}
+	}
+
+	// A duplicate of a cached request: answered from the cache.
+	sent := srv.Counters.MsgsSent
+	srv.deliver(&Msg{Ch: srv, IsReq: true, MsgID: ids[k], Len: 8})
+	w.eng.RunFor(sim.Millisecond)
+	if handled[ids[k]] != 1 || srv.Counters.MsgsSent != sent+1 {
+		t.Fatalf("cached duplicate: handler ran %d times, %d responses re-sent; want 1 and 1",
+			handled[ids[k]], srv.Counters.MsgsSent-sent)
+	}
+	checkCache(ids[k:])
+
+	// A duplicate of an evicted request: the handler runs again, and the
+	// re-remembered MsgID evicts the oldest survivor.
+	srv.deliver(&Msg{Ch: srv, IsReq: true, MsgID: ids[0], Len: 8})
+	w.eng.RunFor(sim.Millisecond)
+	if handled[ids[0]] != 2 {
+		t.Fatalf("evicted duplicate: handler ran %d times, want 2", handled[ids[0]])
+	}
+	checkCache(append(slices.Clone(ids[k+1:]), ids[0]))
 }
 
 // TestRetryBudgetBoundsAmplification: the token bucket caps total

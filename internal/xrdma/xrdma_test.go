@@ -63,13 +63,13 @@ func buildWorld(t testing.TB, n int, recovery bool, mutate func(i int, cfg *Conf
 		if recovery {
 			cfg.MockEnabled = true
 			cfg.KeepaliveInterval, cfg.KeepaliveTimeout = 2*sim.Millisecond, 8*sim.Millisecond
-			cfg.RecoverRetries, cfg.RecoverBackoff, cfg.RecoverBackoffMax = 8, sim.Millisecond, 8*sim.Millisecond
+			cfg.RecoverRetries, cfg.RecoverBackoffMax = 8, 8*sim.Millisecond
 			cfg.RecoverDialTimeout, cfg.FailbackInterval = 5*sim.Millisecond, 25*sim.Millisecond
 		}
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		tcp := tcpnet.New(eng, host, tcpnet.DefaultConfig())
+		tcp := tcpnet.New(eng, host)
 		ctx := NewContext(Options{
 			Verbs: vc, CM: cm, Host: host, Config: cfg, Monitor: mon,
 			TCP: tcp, MockPort: 9000, RecoverPort: recoverPort, Seed: uint64(i + 1),
@@ -442,7 +442,7 @@ func TestFlagNamesCoverConfig(t *testing.T) {
 			t.Errorf("SetFlag(%q) = %v, want an offline-parameter refusal", n, err)
 		}
 	}
-	for _, n := range []string{"mem_pool_bytes", "mem_highwater", "mem_lowwater"} {
+	for _, n := range []string{"mem_pool_bytes", "mem_highwater", "mem_lowwater", "recover_backoff_ms"} {
 		if err := c.SetFlag(n, "1"); err == nil || !strings.Contains(err.Error(), "unknown flag") {
 			t.Errorf("SetFlag(%q) = %v, want unknown flag", n, err)
 		}

@@ -41,70 +41,30 @@ type Location struct {
 	Pod  string // e.g. "pod0"
 }
 
-// WatchConfig arms incident detection. Zero fields take defaults; all
-// thresholds apply to window sums over the agents' delta rings.
+// WatchConfig arms incident detection with the thresholds a world may
+// tune. Zero fields take defaults; all thresholds apply to window sums
+// over the agents' delta rings.
 type WatchConfig struct {
-	// MinEpochs is the warm-up before any rule may fire — the first
-	// deltas after attach are absolute values, not rates.
-	MinEpochs int
 	// OpenAfter is how many consecutive matching epochs a rule needs
 	// before its incident opens — debounces single-epoch blips (a burst
 	// retransmit spike is not a gray link).
 	OpenAfter int
 	// CloseAfter is how many quiet epochs close an open incident.
 	CloseAfter int
-	// RNRStorm is the windowed rnr_nak_sent count that marks a node a
-	// slow receiver.
-	RNRStorm int64
-	// TenantErrs is the windowed mem_rejects+sheds count, and
-	// TenantStalls the windowed rate_stalls count, that mark a tenant
-	// overloaded.
-	TenantErrs   int64
-	TenantStalls int64
-	// ECNMin is the fleet-windowed ecn_marks floor for incast when no
-	// PFC pause was seen.
-	ECNMin int64
-	// IncastShare is the min percentage of fleet tx-bytes one node must
-	// hold to be named the incast aggressor.
-	IncastShare int64
 	// GraySymptomMin is the min weighted symptom score (3·retx +
-	// 2·corrupt) for a node to count as symptomatic; GrayShare the
-	// percentage of the fleet symptom mass that pins the fault to one
-	// node's link rather than the fabric.
+	// 2·corrupt) for a node to count as symptomatic.
 	GraySymptomMin int64
-	GrayShare      int64
 }
 
 func (w *WatchConfig) defaults() {
-	if w.MinEpochs == 0 {
-		w.MinEpochs = 3
-	}
 	if w.OpenAfter == 0 {
 		w.OpenAfter = 2
 	}
 	if w.CloseAfter == 0 {
 		w.CloseAfter = 4
 	}
-	if w.RNRStorm == 0 {
-		w.RNRStorm = 10
-	}
-	if w.TenantErrs == 0 {
-		w.TenantErrs = 3
-	}
-	if w.TenantStalls == 0 {
-		w.TenantStalls = 20
-	}
-	if w.ECNMin == 0 {
-		w.ECNMin = 16
-	}
-	if w.IncastShare == 0 {
-		w.IncastShare = 45
-	}
 	if w.GraySymptomMin == 0 {
 		w.GraySymptomMin = 6
-	}
-	if w.GrayShare == 0 {
-		w.GrayShare = 60
 	}
 }
 

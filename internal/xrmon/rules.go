@@ -156,12 +156,24 @@ func (c *Collector) TopTenants(tslot, k int) []TenantValue {
 	return out
 }
 
+// The rules' fixed thresholds, all windowed sums over the delta rings.
+// WatchConfig holds the ones a world tunes.
+const (
+	minEpochs    int64 = 3  // warm-up before any rule may fire: the first deltas after attach are absolute values, not rates
+	rnrStorm     int64 = 10 // rnr_nak_sent that marks a node a slow receiver
+	tenantErrs   int64 = 3  // mem_rejects+sheds that mark a tenant overloaded...
+	tenantStalls int64 = 20 // ...or rate_stalls
+	ecnMin       int64 = 16 // fleet ecn_marks floor for incast when no PFC pause was seen
+	incastShare  int64 = 45 // min percentage of fleet tx-bytes one node must hold to be named the incast aggressor
+	grayShare    int64 = 60 // percentage of the fleet symptom mass that pins the fault to one node's link rather than the fabric
+)
+
 // evaluate runs every correlation rule over the current windows and
 // reconciles the matches against the open incidents. Rules run in a
 // fixed order and scan agents in registration order, so the incident
 // log is bit-identical across runs and across -j parallelism.
 func (c *Collector) evaluate(now sim.Time) {
-	if c.epoch < int64(c.cfg.MinEpochs) || len(c.agents) == 0 {
+	if c.epoch < minEpochs || len(c.agents) == 0 {
 		return
 	}
 	var matches []match
@@ -210,7 +222,7 @@ func (c *Collector) evaluate(now sim.Time) {
 	}
 
 	// Rule 2 — slow receiver. One node streaming RNR NAKs (window ≥
-	// RNRStorm and ≥ 2× the runner-up) is starving its receive queue.
+	// rnrStorm and ≥ 2× the runner-up) is starving its receive queue.
 	{
 		var top *Agent
 		var topW, secondW int64
@@ -223,7 +235,7 @@ func (c *Collector) evaluate(now sim.Time) {
 				secondW = w
 			}
 		}
-		if top != nil && topW >= c.cfg.RNRStorm && topW >= 2*secondW {
+		if top != nil && topW >= rnrStorm && topW >= 2*secondW {
 			conf := 60 + int(topW)
 			if conf > 100 {
 				conf = 100
@@ -247,7 +259,7 @@ func (c *Collector) evaluate(now sim.Time) {
 			rej := a.WindowSum(a.TenantSlot(t, TSlotMemRejects))
 			sheds := a.WindowSum(a.TenantSlot(t, TSlotSheds))
 			stalls := a.WindowSum(a.TenantSlot(t, TSlotRateStalls))
-			if rej+sheds < c.cfg.TenantErrs && stalls < c.cfg.TenantStalls {
+			if rej+sheds < tenantErrs && stalls < tenantStalls {
 				continue
 			}
 			conf := 50 + int(rej+sheds)*5 + int(stalls)
@@ -271,7 +283,7 @@ func (c *Collector) evaluate(now sim.Time) {
 	// or ECN marks over the floor) plus one node holding the dominant
 	// share of transmitted bytes: name the aggressor, record the top
 	// receiver as the victim.
-	if pauseW >= 1 || ecnW >= c.cfg.ECNMin {
+	if pauseW >= 1 || ecnW >= ecnMin {
 		var totTx int64
 		var agg *Agent
 		var aggW int64
@@ -282,7 +294,7 @@ func (c *Collector) evaluate(now sim.Time) {
 				agg, aggW = a, w
 			}
 		}
-		if agg != nil && totTx > 0 && aggW*100 >= totTx*c.cfg.IncastShare {
+		if agg != nil && totTx > 0 && aggW*100 >= totTx*incastShare {
 			var victim *Agent
 			var vicW int64
 			for _, a := range c.agents {
@@ -355,7 +367,7 @@ func (c *Collector) evaluate(now sim.Time) {
 						fmt.Sprintf("fleet corrupt_drops window=%d, symptom mass=%d", corruptW, totSym),
 					},
 				})
-			} else if topSym*100 >= totSym*c.cfg.GrayShare {
+			} else if topSym*100 >= totSym*grayShare {
 				path := nodeLabel(top.Node)
 				if loc, ok := c.loc[top.Node]; ok {
 					path = "host" + itoa(int64(top.Node)) + "<->" + loc.Rack

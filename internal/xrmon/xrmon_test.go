@@ -2,6 +2,7 @@ package xrmon
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -272,5 +273,16 @@ func TestExports(t *testing.T) {
 	tbl := col.FleetTable()
 	if !strings.Contains(tbl, "NODE") || !strings.Contains(tbl, "fleet: epoch=8") {
 		t.Fatalf("fleet table malformed:\n%s", tbl)
+	}
+}
+
+// TestWatchConfigFieldBudget holds WatchConfig at the thresholds some world
+// tunes; the rules' other thresholds are constants. Raising it is a
+// regression to explain, like xrdma's TestChannelStructBudget.
+func TestWatchConfigFieldBudget(t *testing.T) {
+	got, most := reflect.TypeOf(WatchConfig{}).NumField(), 3
+	t.Logf("xrmon.WatchConfig fields = %d (budget %d)", got, most)
+	if got > most {
+		t.Errorf("xrmon.WatchConfig has %d fields, budget %d", got, most)
 	}
 }
