@@ -225,7 +225,7 @@ func NewContext(o Options) *Context {
 	c.recHist = c.tel.Reg.Histogram(c.track + ".recovery_ns")
 	c.pd = c.vctx.AllocPD()
 	c.Mem = newMemCache(c, c.cfg.MRSize, c.cfg.MemMode)
-	c.QPs = newQPCache(c, 4096)
+	c.QPs = &QPCache{ctx: c}
 	c.flow = &flowCtl{ctx: c, limit: c.cfg.MaxOutstandingWRs}
 	c.sendCQ = rnic.NewCQ(8192)
 	c.recvCQ = rnic.NewCQ(8192)

@@ -29,14 +29,15 @@ type flowCtl struct {
 // bounded by the per-channel seq-ack window, and probes and acks must not sit
 // behind queued bulk data. From here to the CQE the RNIC owns the WR and the
 // frame it points at (holdNIC); a QP that will not take the WR (broken
-// mid-flight) completes it as flushed on the spot. Either way Context.complete
-// hears, and rec may be gone when post returns.
+// mid-flight), or that rec.lk gave back to the cache while rec waited (it may
+// carry another connection by now), completes it as flushed on the spot.
+// Either way Context.complete hears, and rec may be gone when post returns.
 func (f *flowCtl) post(rec *msgRec) {
 	c := f.ctx
 	rec.wr.ID = c.nextWRID()
 	rec.holds |= holdNIC
 	c.posted[rec.wr.ID] = rec
-	if err := rec.qp.PostSend(&rec.wr); err != nil {
+	if l := rec.lk; l.state == linkDead || l.qp != rec.qp || rec.qp.PostSend(&rec.wr) != nil {
 		delete(c.posted, rec.wr.ID)
 		c.complete(rec, rnic.CQE{WRID: rec.wr.ID, QPN: rec.qp.QPN, Op: rec.wr.Op, Status: rnic.StatusFlushed}, true)
 	}
@@ -232,10 +233,11 @@ func (ch *Channel) tenantRewind() {
 }
 
 // fetchRemote pulls op.size bytes from the peer buffer op names into op.staged
-// using fragmented RDMA READs on qp — "read replace write" (§IV-C) with §V-C
-// fragmentation. fetched runs once every fragment has landed, the first
-// failure, if any, in op.failed.
-func (f *flowCtl) fetchRemote(op *msgRec, qp *rnic.QP) {
+// using fragmented RDMA READs on the channel's QP — "read replace write"
+// (§IV-C) with §V-C fragmentation. fetched runs once every fragment has
+// landed, the first failure, if any, in op.failed.
+func (f *flowCtl) fetchRemote(op *msgRec) {
+	l := op.ch.lk
 	size, raddr, rkey := op.size, op.wr.RAddr, op.wr.RKey
 	frag := f.ctx.cfg.FragmentSize
 	if frag <= 0 || frag > size {
@@ -248,14 +250,14 @@ func (f *flowCtl) fetchRemote(op *msgRec, qp *rnic.QP) {
 	if n > 1 {
 		f.Fragments += int64(n)
 	}
-	op.qp, op.remaining = qp, n
+	op.qp, op.remaining = l.qp, n
 	for off := 0; off < size || (size == 0 && off == 0); off += frag {
 		seg := size - off
 		if seg > frag {
 			seg = frag
 		}
 		rec := f.ctx.newRec(recFrag, op.ch)
-		rec.parent, rec.qp = op, qp
+		rec.parent, rec.lk, rec.qp = op, l, l.qp
 		rec.wr = rnic.SendWR{
 			Op:    rnic.OpRead,
 			Len:   seg,

@@ -53,7 +53,7 @@ func TestOneSidedWriteImmSharedQP(t *testing.T) {
 	mx := sharedQPs(w.ctxs[0])[0]
 	srqBefore, _, _, _ := poolHeld(w.ctxs[1], w.ctxs[1].srqPool)
 	foreign := w.ctxs[0].newRec(recWrite, cli)
-	foreign.qp, foreign.done = mx.qp, func(error) {}
+	foreign.lk, foreign.qp, foreign.done = mx, mx.qp, func(error) {}
 	foreign.wr = rnic.SendWR{
 		Op: rnic.OpWriteImm, Len: 512, Data: make([]byte, 512), RAddr: rw.Addr, RKey: rw.RKey, Imm: 9,
 	}

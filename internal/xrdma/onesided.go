@@ -178,7 +178,7 @@ func (ch *Channel) fetch(op *msgRec) {
 	c := ch.ctx
 	op.holds |= holdOp
 	if op.size == 0 {
-		c.flow.fetchRemote(op, ch.lk.qp)
+		c.flow.fetchRemote(op)
 	} else if buf, ok := c.Mem.tryAlloc(nil, op.size); ok {
 		ch.fetchInto(op, buf, nil)
 	} else { // the cache must grow first
@@ -198,7 +198,7 @@ func (ch *Channel) fetchInto(op *msgRec, buf Buffer, err error) {
 		if op.staged = buf; op.msg != nil {
 			op.enqAt = c.eng.Now() // a pull's read.fetch span starts with its buffer
 		}
-		c.flow.fetchRemote(op, ch.lk.qp)
+		c.flow.fetchRemote(op)
 		return
 	}
 	c.fetched(op)
@@ -264,7 +264,7 @@ func (ch *Channel) WriteRemote(win RemoteWindow, off uint64, data []byte, imm ui
 	}
 	rec := c.newRec(recWrite, ch)
 	rec.done, rec.msgID, rec.enqAt, rec.size = cb, c.nextMsgID(), c.eng.Now(), len(data)
-	rec.qp = ch.lk.qp
+	rec.lk, rec.qp = ch.lk, ch.lk.qp
 	rec.wr = rnic.SendWR{
 		Op: rnic.OpWriteImm, Len: len(data), Data: data,
 		RAddr: win.Addr + off, RKey: win.RKey, Imm: imm,

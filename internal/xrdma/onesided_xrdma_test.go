@@ -380,6 +380,55 @@ func TestOneSidedClosedChannel(t *testing.T) {
 	}
 }
 
+// TestQueuedReadSkipsRecycledQP: a READ fragment waits behind the §V-C
+// outstanding limit while its channel closes, and the QP goes back to the
+// cache and into a connection to another node. When the fragment's turn
+// comes it completes flushed: posted, it would carry the first peer's rkey to
+// the second, whose access NAK would break the fresh channel.
+func TestQueuedReadSkipsRecycledQP(t *testing.T) {
+	w := newWorld(t, 4, func(_ int, cfg *Config) { cfg.MaxOutstandingWRs = 1 })
+	c := w.ctxs[0]
+	hold, holdSrv := w.connect(t, 0, 3, 5310)
+	_, holdWin := exposeGranted(t, w, hold, holdSrv, 64)
+	cli, srv := w.connect(t, 0, 1, 5311)
+	_, rw := exposeGranted(t, w, cli, srv, 64)
+	if err := w.ctxs[2].Listen(5312); err != nil {
+		t.Fatal(err)
+	}
+
+	// The limit's one slot goes to a READ that a dead peer never answers.
+	w.nics[3].Crash()
+	hold.ReadRemote(holdWin, 0, 64, func([]byte, error) {})
+	var rerr error
+	read := false
+	cli.ReadRemote(rw, 0, 64, func(_ []byte, err error) { read, rerr = true, err })
+	w.eng.RunFor(sim.Millisecond) // the landing buffers
+	if c.flow.queue.Len() != 1 {
+		t.Fatalf("%d fragments queued behind the limit, want 1", c.flow.queue.Len())
+	}
+	qp := cli.lk.qp
+	cli.Close()
+	var fresh *Channel
+	c.Connect(2, 5312, func(ch *Channel, err error) {
+		if err != nil {
+			t.Fatalf("connect: %v", err)
+		}
+		fresh = ch
+	})
+	w.eng.RunFor(10 * sim.Millisecond) // well inside the dead peer's RC retry horizon
+	if fresh == nil || fresh.lk.qp != qp || c.flow.queue.Len() != 1 {
+		t.Fatalf("fresh channel %v on the recycled QP %v, %d fragments queued; want the closed channel's QP and the fragment still waiting",
+			fresh != nil, fresh != nil && fresh.lk.qp == qp, c.flow.queue.Len())
+	}
+	w.eng.RunFor(sim.Second) // the dead peer's READ fails and frees the slot
+	if !read || rerr == nil {
+		t.Fatalf("the queued READ of the closed channel: done=%v err=%v, want an error", read, rerr)
+	}
+	if n := w.nics[2].Counters.AccessErrors; n != 0 || fresh.Closed() || fresh.Health() != HealthHealthy {
+		t.Fatalf("the fresh channel met %d access errors (closed=%v, %v): the stale fragment reached its peer", n, fresh.Closed(), fresh.Health())
+	}
+}
+
 // TestOneSidedMetricsExposition is the satellite check that the new
 // gauges flow through every consumer for free: XRStat grows the
 // READS/WRITES/RDBYTES/RAERRS columns and the Prometheus exposition
