@@ -265,7 +265,7 @@ func (n *NIC) Revive() { n.alive = true }
 // Software above must re-register memory and re-establish connections.
 func (n *NIC) Restart() {
 	for _, qp := range n.qps {
-		qp.enterError(StatusFlushed)
+		n.modifyQPNow(qp, QPError, 0, 0)
 		// A rebooted adapter starts with pristine QP contexts. Leaving
 		// recycled QPs in Error would poison the middleware's QP cache:
 		// the next Get() would hand out a QP that can never leave Error.
@@ -375,10 +375,15 @@ func (n *NIC) AllocQPNow(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 }
 
 // modifyQPNow applies the transition immediately. Legal transitions are
-// RESET→INIT→RTR→RTS plus any-state→RESET (the QP-cache recycling path);
-// RTR wires the remote peer.
+// RESET→INIT→RTR→RTS plus any-state→ERROR and any-state→RESET (the QP-cache
+// recycling path: ERROR flushes, RESET forgets); RTR wires the remote peer.
 func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN uint32) error {
 	switch to {
+	case QPError:
+		// IBV_QPS_ERR: every outstanding WR completes FLUSHED. RESET alone
+		// drops them without a completion, as the verbs spec says it does.
+		qp.enterError(StatusFlushed)
+		return nil
 	case QPReset:
 		// Reset clears all transient state; the QP cache uses this to
 		// recycle QPs without paying creation cost again.
@@ -461,9 +466,9 @@ func (n *NIC) ModifyFlowLabel(qpn uint32, label uint64) error {
 	return nil
 }
 
-// DestroyQP releases the QP entirely.
+// DestroyQP releases the QP entirely, flushing what it still has in flight.
 func (n *NIC) DestroyQP(qp *QP) {
-	qp.enterError(StatusFlushed)
+	n.modifyQPNow(qp, QPError, 0, 0)
 	qp.rate.stop()
 	delete(n.qps, qp.QPN)
 }

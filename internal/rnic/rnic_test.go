@@ -838,6 +838,66 @@ func TestDestroyQPFlushes(t *testing.T) {
 	}
 }
 
+// TestErrorThenResetRecycles is the QP cache's path for a QP given back with
+// work in flight: ERROR completes every outstanding WR FLUSHED, in post order
+// and once; RESET then forgets the connection, raises nothing more, and the
+// same QP connects again and carries traffic.
+func TestErrorThenResetRecycles(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	r.b.Crash() // nothing will be acked
+	for id := uint64(1); id <= 3; id++ {
+		if err := r.qa.PostSend(&SendWR{ID: id, Op: OpSend, Len: 64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.eng.RunFor(10 * sim.Microsecond)
+	if n := r.qa.SendQueueLen(); n != 3 {
+		t.Fatalf("%d WRs outstanding before ERROR, want 3", n)
+	}
+	for _, to := range []QPState{QPError, QPReset} {
+		if err := r.a.ModifyQPNow(r.qa, to, 0, 0); err != nil {
+			t.Fatalf("→ %v: %v", to, err)
+		}
+	}
+	r.eng.Run()
+	sc := r.qa.SendCQ.Poll(10)
+	if len(sc) != 3 {
+		t.Fatalf("%d send CQEs after ERROR+RESET, want 3: %+v", len(sc), sc)
+	}
+	for i, e := range sc {
+		if e.WRID != uint64(i+1) || e.Status != StatusFlushed {
+			t.Fatalf("CQE %d = %+v, want WR %d FLUSHED", i, e, i+1)
+		}
+	}
+	if r.a.QP(r.qa.QPN) != r.qa || r.qa.State != QPReset || r.qa.SendQueueLen() != 0 {
+		t.Fatalf("QP after ERROR+RESET: registered=%v state=%v outstanding=%d", r.a.QP(r.qa.QPN) == r.qa, r.qa.State, r.qa.SendQueueLen())
+	}
+
+	r.b.Revive()
+	if err := r.b.ModifyQPNow(r.qb, QPReset, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []QPState{QPInit, QPRTR, QPRTS} {
+		if err := r.a.ModifyQPNow(r.qa, step, r.b.Node, r.qb.QPN); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.b.ModifyQPNow(r.qb, step, r.a.Node, r.qa.QPN); err != nil {
+			t.Fatal(err)
+		}
+	}
+	postRecvN(t, r.qb, 1, 4096)
+	if err := r.qa.PostSend(&SendWR{ID: 9, Op: OpSend, Len: 64}); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.Run()
+	if sc := r.qa.SendCQ.Poll(10); len(sc) != 1 || sc[0].WRID != 9 || sc[0].Status != StatusOK {
+		t.Fatalf("send on the recycled QP: %+v", sc)
+	}
+	if rc := r.qb.RecvCQ.Poll(10); len(rc) != 1 || rc[0].Status != StatusOK {
+		t.Fatalf("receive over the recycled QP: %+v", rc)
+	}
+}
+
 // TestConfigFieldBudget holds Config at the options some world sets; every
 // other device parameter is a constant. Raising it is a regression to
 // explain, like xrdma's TestChannelStructBudget.

@@ -363,38 +363,59 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestQPCacheSpeedsReconnect: a closed channel gives its QP back to the cache
+// whether it was idle or still busy — a request posted and not yet completed
+// flushes (its waiter hears ErrChannelClosed, its record comes home) — and the
+// reconnect pops that very QP, skipping the ~1.5 ms CreateQP.
 func TestQPCacheSpeedsReconnect(t *testing.T) {
-	w := newWorld(t, 2, nil)
-	cli, _ := w.connect(t, 0, 1, 5009)
-	start := w.eng.Now()
-	_ = start
-	cli.Close()
-	w.eng.Run()
-	if w.ctxs[0].QPs.Len() == 0 {
-		t.Fatal("closed channel did not populate the QP cache")
+	for _, busy := range []bool{false, true} {
+		t.Run(map[bool]string{false: "idle", true: "busy"}[busy], func(t *testing.T) {
+			w := newWorld(t, 2, nil)
+			c, nic := w.ctxs[0], w.nics[0]
+			cli, _ := w.connect(t, 0, 1, 5009)
+			qp, qps := cli.lk.qp, nic.NumQPs()
+			var reqErr error
+			if busy {
+				if err := cli.SendMsg(make([]byte, 64), 0, func(_ *Msg, err error) { reqErr = err }); err != nil {
+					t.Fatal(err)
+				}
+				if qp.SendQueueLen() == 0 {
+					t.Fatal("the request is not outstanding at the close")
+				}
+			}
+			cli.Close()
+			w.eng.Run()
+			if c.QPs.Len() != 1 || nic.QP(qp.QPN) != qp || qp.State != rnic.QPReset {
+				t.Fatalf("closed channel's QP: cache %d, registered %v, %v; want shelved in RESET", c.QPs.Len(), nic.QP(qp.QPN) == qp, qp.State)
+			}
+			if busy && reqErr != ErrChannelClosed {
+				t.Fatalf("request in flight at the close heard %v, want ErrChannelClosed", reqErr)
+			}
+			// Reconnect must hit the cache.
+			t0 := w.eng.Now()
+			var cli2 *Channel
+			c.Connect(1, 5009, func(ch *Channel, err error) {
+				if err != nil {
+					t.Fatalf("reconnect: %v", err)
+				}
+				cli2 = ch
+			})
+			w.eng.Run()
+			warm := w.eng.Now().Sub(t0)
+			if cli2 == nil {
+				t.Fatal("reconnect failed")
+			}
+			if c.QPs.Hits != 1 || cli2.lk.qp != qp || nic.NumQPs() != qps {
+				t.Fatalf("reconnect: %d cache hits, same QP %v, %d QPs on the NIC (was %d)", c.QPs.Hits, cli2.lk.qp == qp, nic.NumQPs(), qps)
+			}
+			// Cold establishment pays ~1.5ms creation that warm skips.
+			if warm > 4*sim.Millisecond {
+				t.Fatalf("warm reconnect took %v", warm)
+			}
+			t.Logf("warm reconnect: %v", warm)
+			w.checkAtRest(t, 1, 2) // the server still lists the channel only the client closed
+		})
 	}
-	// Reconnect must hit the cache.
-	t0 := w.eng.Now()
-	var cli2 *Channel
-	w.ctxs[0].Connect(1, 5009, func(ch *Channel, err error) {
-		if err != nil {
-			t.Fatalf("reconnect: %v", err)
-		}
-		cli2 = ch
-	})
-	w.eng.Run()
-	warm := w.eng.Now().Sub(t0)
-	if cli2 == nil {
-		t.Fatal("reconnect failed")
-	}
-	if w.ctxs[0].QPs.Hits == 0 {
-		t.Fatal("reconnect missed the QP cache")
-	}
-	// Cold establishment pays ~1.5ms creation that warm skips.
-	if warm > 4*sim.Millisecond {
-		t.Fatalf("warm reconnect took %v", warm)
-	}
-	t.Logf("warm reconnect: %v", warm)
 }
 
 func TestSetFlagOnlineOffline(t *testing.T) {
