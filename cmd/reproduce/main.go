@@ -174,7 +174,8 @@ func main() {
 }
 
 // run executes the selected experiments on up to jobs workers and prints
-// each experiment's tables in selection order.
+// each experiment's tables in selection order. A world that weighs the
+// process heap runs alone, once the pool has drained.
 func run(selected []bench.Experiment, sc bench.Scale, jobs int) {
 	if jobs < 1 {
 		jobs = 1
@@ -182,10 +183,12 @@ func run(selected []bench.Experiment, sc bench.Scale, jobs int) {
 	if jobs > len(selected) {
 		jobs = len(selected)
 	}
-	results := make([][]*bench.Table, len(selected))
+	results := make([]bench.Result, len(selected))
 	next := make(chan int, len(selected))
-	for i := range selected {
-		next <- i
+	for i, e := range selected {
+		if !e.Heap {
+			next <- i
+		}
 	}
 	close(next)
 
@@ -200,9 +203,14 @@ func run(selected []bench.Experiment, sc bench.Scale, jobs int) {
 		}()
 	}
 	wg.Wait()
+	for i, e := range selected {
+		if e.Heap {
+			results[i] = e.Run(sc)
+		}
+	}
 
-	for _, ts := range results {
-		for _, t := range ts {
+	for _, r := range results {
+		for _, t := range r.Tables {
 			fmt.Println(t.String())
 		}
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -20,34 +19,6 @@ func TestBlame(t *testing.T) {
 		if !a.Match {
 			t.Errorf("%s: top-blamed stage %q, want %q (injected: %s)\n%s",
 				a.Name, a.Top, a.Want, a.Cause, a.Report)
-		}
-	}
-}
-
-// TestBlameDeterministic asserts the whole experiment — every arm's
-// blame aggregate, stage totals and quantiles — is a pure function of
-// the seed: bit-identical across sequential reruns and across concurrent
-// goroutines (the -j 1 vs -j 8 guarantee of cmd/reproduce).
-func TestBlameDeterministic(t *testing.T) {
-	base := strings.Join(BlameAttribution(Quick()).Digest(), "\n")
-	again := strings.Join(BlameAttribution(Quick()).Digest(), "\n")
-	if base != again {
-		t.Fatalf("sequential reruns diverge:\n--- first ---\n%s\n--- second ---\n%s", base, again)
-	}
-	results := make([]string, 4)
-	done := make(chan int)
-	for i := range results {
-		go func(i int) {
-			results[i] = strings.Join(BlameAttribution(Quick()).Digest(), "\n")
-			done <- i
-		}(i)
-	}
-	for range results {
-		<-done
-	}
-	for i, d := range results {
-		if d != base {
-			t.Fatalf("concurrent run %d diverges from sequential baseline:\n%s\nvs\n%s", i, d, base)
 		}
 	}
 }

@@ -9,21 +9,6 @@ import (
 	"xrdma/internal/xrdma"
 )
 
-// Fig10Result is the incast flow-control comparison (§VII-C): 64 KB
-// payloads, 128 KB payloads, and 128 KB with X-RDMA flow control
-// (fragmentation + outstanding-WR queueing).
-type Fig10Result struct {
-	Variants []string
-	// GoodputGbps is the victim's mean application goodput.
-	GoodputGbps map[string]float64
-	// CNPs and PauseTX are totals over the run.
-	CNPs    map[string]int64
-	PauseTX map[string]int64
-	// Series: per-100ms goodput for plotting.
-	Series map[string]*sim.Series
-	Table_ Table
-}
-
 // fig10Run drives one incast variant: bursty open-loop senders (the
 // saturated/unsaturated switching of Fig. 3) feeding one victim. With flow
 // control off, messages are not fragmented and the victim pulls with an
@@ -31,7 +16,7 @@ type Fig10Result struct {
 // the bursts. With flow control on, 64 KB fragments plus the tuned
 // outstanding-WR limit (N=4 here: ≈256 KB in flight, several
 // bandwidth-delay products) shape demand before the fabric must react.
-func fig10Run(sc Scale, payload int, fc bool, mean sim.Duration, horizon sim.Duration, senders int) (gbps float64, cnps, pause int64, series *sim.Series) {
+func fig10Run(sc Scale, payload int, fc bool, mean sim.Duration, horizon sim.Duration, senders int) (gbps float64, cnps, pause int64) {
 	c := cluster.New(cluster.Options{
 		Topology: fabric.ClusterClos(senders + 1),
 		Nodes:    senders + 1,
@@ -53,8 +38,7 @@ func fig10Run(sc Scale, payload int, fc bool, mean sim.Duration, horizon sim.Dur
 	sc.observe(c.Eng, variant)
 	victim := 0
 	var recvBytes int64
-	series = &sim.Series{Name: "goodput"}
-	rate := sim.NewRate(c.Eng, 50*sim.Millisecond, series)
+	rate := sim.NewRate(c.Eng, 50*sim.Millisecond, &sim.Series{Name: "goodput"})
 	c.Nodes[victim].Ctx.OnChannel(func(ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) {
 			recvBytes += int64(m.Len)
@@ -100,25 +84,23 @@ func fig10Run(sc Scale, payload int, fc bool, mean sim.Duration, horizon sim.Dur
 		cnps += c.Nodes[i].NIC.Counters.CNPRecv
 	}
 	pause = c.Fab.Stats.PauseTX
-	return gbps, cnps, pause, series
+	return gbps, cnps, pause
 }
 
-// Fig10FlowControl reproduces Fig. 10. Paper: flow control improves
-// bandwidth ≈24%, cuts CNPs to 1–2% and TX pause to ≈0.
-func Fig10FlowControl(sc Scale) *Fig10Result {
+// Fig10FlowControl reproduces Fig. 10, the incast flow-control comparison
+// (§VII-C): 64 KB payloads, 128 KB payloads, and 128 KB with X-RDMA flow
+// control (fragmentation + outstanding-WR queueing).
+func Fig10FlowControl(sc Scale) Result {
 	horizon := 600 * sim.Millisecond
 	senders := 16
 	if sc.Full {
 		horizon = 5 * sim.Second
 		senders = 24
 	}
-	r := &Fig10Result{
-		Variants:    []string{"64KB", "128KB", "128KB-fc"},
-		GoodputGbps: map[string]float64{},
-		CNPs:        map[string]int64{},
-		PauseTX:     map[string]int64{},
-		Series:      map[string]*sim.Series{},
-	}
+	variants := []string{"64KB", "128KB", "128KB-fc"}
+	goodput := map[string]float64{} // the victim's mean application goodput
+	cnps := map[string]int64{}      // totals over the run
+	pause := map[string]int64{}
 	type cfg struct {
 		name    string
 		payload int
@@ -132,38 +114,33 @@ func Fig10FlowControl(sc Scale) *Fig10Result {
 		{"128KB", 128 << 10, false, 3200 * sim.Microsecond},
 		{"128KB-fc", 128 << 10, true, 3200 * sim.Microsecond},
 	} {
-		g, cn, pa, se := fig10Run(sc, v.payload, v.fc, v.mean, horizon, senders)
-		r.GoodputGbps[v.name] = g
-		r.CNPs[v.name] = cn
-		r.PauseTX[v.name] = pa
-		r.Series[v.name] = se
+		goodput[v.name], cnps[v.name], pause[v.name] = fig10Run(sc, v.payload, v.fc, v.mean, horizon, senders)
 	}
 	t := Table{ID: "E7/Fig10", Title: "incast: payload size and flow control vs congestion",
 		Header: []string{"variant", "goodput(Gbps)", "CNPs", "TX-pause"}}
-	for _, v := range r.Variants {
-		t.Addf(v, r.GoodputGbps[v], r.CNPs[v], r.PauseTX[v])
+	for _, v := range variants {
+		t.Addf(v, goodput[v], cnps[v], pause[v])
 	}
-	t.Note("paper: fc improves bandwidth ≈24%%, CNP count → 1–2%%, TX pause → ≈0; this model reproduces the CNP/pause shape fully and a smaller goodput gain (simulated DCQCN recovers faster than the paper's production fabric — see EXPERIMENTS.md)")
-	r.Table_ = t
-	return r
+	// Flow control must beat the uncontrolled 128 KB arm on goodput, cut
+	// its CNPs to a small fraction, and dominate every uncontrolled arm on
+	// pause frames. With no pause in those arms there is nothing to cut.
+	gain := within("E7/fc-goodput-gain%", "≈24%", (goodput["128KB-fc"]-goodput["128KB"])/goodput["128KB"]*100, 1, inf)
+	cnp := within("E7/fc-CNP-share%", "1–2%", float64(cnps["128KB-fc"])/float64(cnps["128KB"])*100, -inf, below(50))
+	pauseC := within("E7/fc-TX-pause", "≈0", float64(pause["128KB-fc"]), 0, float64(min(pause["128KB"], pause["64KB"])/20))
+	pauseC.Untested = pause["128KB"] == 0 && pause["64KB"] == 0
+	t.Note("paper: fc improves bandwidth %s, CNP count → %s, TX pause → %s; this model reproduces the CNP/pause shape fully and a smaller goodput gain (simulated DCQCN recovers faster than the paper's production fabric — see EXPERIMENTS.md)",
+		gain.Paper, cnp.Paper, pauseC.Paper)
+	return result(t, gain, cnp, pauseC)
 }
 
-// FragmentSweepResult is the ablation on fragment size (DESIGN.md §4).
-type FragmentSweepResult struct {
-	FragKB  []int
-	Goodput []float64
-	CNPs    []int64
-	Table_  Table
-}
-
-// FragmentSweep ablates the 64 KB fragmentation choice: too small
-// saturates the RNIC with WRs, too large reintroduces blocking.
-func FragmentSweep(sc Scale) *FragmentSweepResult {
+// FragmentSweep ablates the 64 KB fragmentation choice (DESIGN.md §4): too
+// small saturates the RNIC with WRs, too large reintroduces blocking.
+func FragmentSweep(sc Scale) Result {
 	horizon := 300 * sim.Millisecond
 	if sc.Full {
 		horizon = 2 * sim.Second
 	}
-	r := &FragmentSweepResult{}
+	minGoodput := inf
 	t := Table{ID: "A1/frag-sweep", Title: "fragment size ablation (128 KB incast)",
 		Header: []string{"frag", "goodput(Gbps)", "CNPs"}}
 	for _, kb := range []int{16, 64, 256} {
@@ -213,11 +190,8 @@ func FragmentSweep(sc Scale) *FragmentSweepResult {
 		for i := 1; i < 9; i++ {
 			cn += c.Nodes[i].NIC.Counters.CNPRecv
 		}
-		r.FragKB = append(r.FragKB, kb)
-		r.Goodput = append(r.Goodput, g)
-		r.CNPs = append(r.CNPs, cn)
+		minGoodput = min(minGoodput, g)
 		t.Addf(sizeLabel(kb<<10), g, cn)
 	}
-	r.Table_ = t
-	return r
+	return result(t, within("A1/goodput-Gbps-min", "every fragment size moves data", minGoodput, above(0), inf))
 }

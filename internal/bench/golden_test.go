@@ -43,12 +43,15 @@ func TestGoldenSeedDeterminism(t *testing.T) {
 }
 
 func TestGoldenSeedFig9(t *testing.T) {
-	r := Fig9RNRCounter(Quick())
-	if r.RawRNRPerSec != goldenFig9Raw {
-		t.Errorf("Fig9 raw RNR/s: got %v, want %v", r.RawRNRPerSec, goldenFig9Raw)
+	got := map[string]float64{}
+	for _, c := range Fig9RNRCounter(Quick()).Claims {
+		got[c.ID] = c.Measured
 	}
-	if r.XRDMARNRPerSec != goldenFig9XRDMA {
-		t.Errorf("Fig9 X-RDMA RNR/s: got %v, want %v", r.XRDMARNRPerSec, goldenFig9XRDMA)
+	if raw := got["E6/raw-RNR/s"]; raw != goldenFig9Raw {
+		t.Errorf("Fig9 raw RNR/s: got %v, want %v", raw, goldenFig9Raw)
+	}
+	if xr := got["E6/X-RDMA-RNR/s"]; xr != goldenFig9XRDMA {
+		t.Errorf("Fig9 X-RDMA RNR/s: got %v, want %v", xr, goldenFig9XRDMA)
 	}
 }
 

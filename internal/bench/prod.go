@@ -8,24 +8,11 @@ import (
 	"xrdma/internal/xrdma"
 )
 
-// Fig11Result is the online-upgrade observation: QP count ramps while the
-// running workload's IOPS stays unharmed and the memory cache tracks
-// bandwidth.
-type Fig11Result struct {
-	QPs        *sim.Series
-	IOPS       *sim.Series
-	MemOccupy  *sim.Series
-	MemInUse   *sim.Series
-	BaseIOPS   float64 // before the upgrade wave
-	DuringIOPS float64 // while connections ramp
-	Table_     Table
-}
-
 // Fig11OnlineUpgrade reproduces Fig. 11: a serving node under steady load
 // receives an "online upgrade" wave — a stream of new clients
 // establishing channels (QP number climbs) — without hurting throughput;
 // memory-cache occupy/in-use follow the bandwidth.
-func Fig11OnlineUpgrade(sc Scale) *Fig11Result {
+func Fig11OnlineUpgrade(sc Scale) Result {
 	nodes := 10
 	wave := 24
 	horizon := 1200 * sim.Millisecond
@@ -37,10 +24,9 @@ func Fig11OnlineUpgrade(sc Scale) *Fig11Result {
 	c := cluster.New(cluster.Options{Topology: fabric.ClusterClos(nodes), Nodes: nodes, Seed: sc.Seed})
 	sc.observe(c.Eng, "fig11")
 	server := 0
-	r := &Fig11Result{
-		QPs: &sim.Series{Name: "QPs"}, IOPS: &sim.Series{Name: "IOPS"},
-		MemOccupy: &sim.Series{Name: "occupy"}, MemInUse: &sim.Series{Name: "in-use"},
-	}
+	var r struct{ QPs, IOPS, MemOccupy, MemInUse *sim.Series }
+	r.QPs, r.IOPS = &sim.Series{Name: "QPs"}, &sim.Series{Name: "IOPS"}
+	r.MemOccupy, r.MemInUse = &sim.Series{Name: "occupy"}, &sim.Series{Name: "in-use"}
 	rate := sim.NewRate(c.Eng, 50*sim.Millisecond, r.IOPS)
 	c.Nodes[server].Ctx.OnChannel(func(ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) {
@@ -106,18 +92,21 @@ func Fig11OnlineUpgrade(sc Scale) *Fig11Result {
 	n := len(buckets)
 	pre := buckets[n/6 : n/3]
 	during := buckets[n/2 : 5*n/6]
-	r.BaseIOPS = meanOf(pre) * 20
-	r.DuringIOPS = meanOf(during) * 20
+	before, dur := meanOf(pre)*20, meanOf(during)*20
+	// The QP count ramps, the wave costs the base load under 10 % of its
+	// IOPS, and in-use memory never exceeds what the cache occupies.
+	ramped := within("E9/QPs-after", "ramped", r.QPs.Values[r.QPs.Len()-1], above(r.QPs.Values[1]), inf)
+	unharmed := within("E9/IOPS-during-wave", "unharmed (no jitter)", dur, before*0.9, inf)
+	inUse := within("E9/mem-in-use-MB", "≤ occupy", r.MemInUse.Max()/1e6, -inf, r.MemOccupy.Max()/1e6)
 	t := Table{ID: "E9/Fig11", Title: "online upgrade: QP ramp vs throughput and memory cache",
 		Header: []string{"metric", "measured", "paper"}}
 	t.Addf("QPs before", r.QPs.Values[1], "steady")
-	t.Addf("QPs after", r.QPs.Values[r.QPs.Len()-1], "ramped")
-	t.Addf("IOPS before wave", r.BaseIOPS, "unharmed")
-	t.Addf("IOPS during wave", r.DuringIOPS, "unharmed (no jitter)")
+	t.Addf("QPs after", r.QPs.Values[r.QPs.Len()-1], ramped.Paper)
+	t.Addf("IOPS before wave", before, "unharmed")
+	t.Addf("IOPS during wave", dur, unharmed.Paper)
 	t.Addf("mem occupy (MB)", r.MemOccupy.Max()/1e6, "tracks bandwidth")
-	t.Addf("mem in-use (MB)", r.MemInUse.Max()/1e6, "≤ occupy")
-	r.Table_ = t
-	return r
+	t.Addf("mem in-use (MB)", r.MemInUse.Max()/1e6, inUse.Paper)
+	return result(t, ramped, unharmed, inUse)
 }
 
 func meanOf(v []float64) float64 {
@@ -129,18 +118,6 @@ func meanOf(v []float64) float64 {
 		s += x
 	}
 	return s / float64(len(v))
-}
-
-// Fig12Result is the anti-jitter comparison under a load burst.
-type Fig12Result struct {
-	App string
-	// Latency (µs) and bandwidth before and during a ~3× load burst,
-	// with X-RDMA's anti-jitter machinery on vs off.
-	BaseLatOn, BurstLatOn   float64
-	BaseLatOff, BurstLatOff float64
-	P99On, P99Off           float64
-	ThroughputRatioOn       float64 // burst/base goodput
-	Table_                  Table
 }
 
 // fig12Run reproduces the Fig. 12 situation: a serving node carries
@@ -257,7 +234,9 @@ func fig12Run(sc Scale, sizes workload.SizeDist, payload int, antiJitter bool) (
 // Fig12AntiJitter reproduces Fig. 12 for ESSD-like and X-DB-like traffic:
 // with the anti-jitter strategies the latency has "no significant
 // increment" through a ≈300% throughput step; without them it balloons.
-func Fig12AntiJitter(sc Scale, app string) *Fig12Result {
+// Latency is in µs, before and during the burst, with X-RDMA's
+// anti-jitter machinery on vs off.
+func Fig12AntiJitter(sc Scale, app string) Result {
 	// Latency-side request mix and bulk payload by application.
 	var sizes workload.SizeDist
 	payload := 128 << 10
@@ -267,32 +246,27 @@ func Fig12AntiJitter(sc Scale, app string) *Fig12Result {
 		sizes = workload.Fixed(512)
 		payload = 256 << 10 // bulk scan results
 	}
-	r := &Fig12Result{App: app}
-	r.BaseLatOn, r.BurstLatOn, r.P99On, r.ThroughputRatioOn = fig12Run(sc, sizes, payload, true)
-	r.BaseLatOff, r.BurstLatOff, r.P99Off, _ = fig12Run(sc, sizes, payload, false)
+	baseOn, burstOn, p99On, step := fig12Run(sc, sizes, payload, true)
+	baseOff, burstOff, p99Off, _ := fig12Run(sc, sizes, payload, false)
 	t := Table{ID: "E10/Fig12-" + app, Title: app + " anti-jitter under a ≈300% load step",
 		Header: []string{"variant", "base mice lat(µs)", "burst mice lat(µs)", "burst mice p99(µs)", "burst/base"}}
-	t.Addf("anti-jitter ON", r.BaseLatOn, r.BurstLatOn, r.P99On, r.BurstLatOn/r.BaseLatOn)
-	t.Addf("anti-jitter OFF", r.BaseLatOff, r.BurstLatOff, r.P99Off, r.BurstLatOff/r.BaseLatOff)
-	t.Addf("bandwidth step ×", r.ThroughputRatioOn, "", "", "")
+	t.Addf("anti-jitter ON", baseOn, burstOn, p99On, burstOn/baseOn)
+	t.Addf("anti-jitter OFF", baseOff, burstOff, p99Off, burstOff/baseOff)
+	t.Addf("bandwidth step ×", step, "", "", "")
 	t.Note("paper: throughput steps ≈300%% with no significant latency increment when protocol extension + resource management are active")
-	r.Table_ = t
-	return r
-}
-
-// PeakStressResult is the scaled shopping-spree stress test (E15).
-type PeakStressResult struct {
-	AggregateOpsPerSec float64
-	Errors             int64
-	RNRs               int64
-	Broken             int64
-	Table_             Table
+	// The step is big enough to call a burst, and anti-jitter keeps the
+	// mice's tail under half of what it is without.
+	id := "E10/" + app + "/"
+	return result(t,
+		within(id+"bandwidth-step×", "steps ≈300%", step, 2, inf),
+		within(id+"p99-on-µs", "no significant increment", p99On, -inf, below(p99Off)),
+		within(id+"p99-off-µs", "balloons", p99Off, 2*p99On, inf))
 }
 
 // PeakStress drives a full-mesh cluster at maximum closed-loop smalls and
 // verifies zero exceptions — the §VII "35.78 M requests/s, no exception"
-// claim at simulation scale.
-func PeakStress(sc Scale) *PeakStressResult {
+// claim at simulation scale (E15, the scaled shopping-spree stress test).
+func PeakStress(sc Scale) Result {
 	nodes := 8
 	horizon := 300 * sim.Millisecond
 	depth := 16
@@ -309,7 +283,7 @@ func PeakStress(sc Scale) *PeakStressResult {
 	var chans []*xrdma.Channel
 	c.ConnectPairs(cluster.FullMeshPairs(nodes), 7000, func(chs []*xrdma.Channel) { chans = chs })
 	c.Eng.Run()
-	r := &PeakStressResult{}
+	var r struct{ Errors, RNRs, Broken int64 }
 	var done int64
 	var errs int64
 	var gens []*workload.ClosedLoop
@@ -331,34 +305,31 @@ func PeakStress(sc Scale) *PeakStressResult {
 		g.Stop()
 	}
 	el := c.Eng.Now().Sub(start).Seconds()
-	r.AggregateOpsPerSec = float64(done) / el
+	ops := float64(done) / el
 	r.Errors = errs
 	for _, n := range c.Nodes {
 		r.RNRs += n.NIC.Counters.RNRNakSent
 		r.Broken += n.Ctx.Stats.ChannelsBroken
 	}
+	opsC := within("E15/aggregate-ops/s", "35.78M (4000 servers)", ops, 1e6, inf)
+	clean := []Claim{
+		within("E15/errors", "0", float64(r.Errors), 0, 0),
+		within("E15/RNR-NAKs", "0", float64(r.RNRs), 0, 0),
+		within("E15/broken-channels", "0", float64(r.Broken), 0, 0),
+	}
 	t := Table{ID: "E15/§VII", Title: "peak stress, full mesh closed-loop smalls",
 		Header: []string{"metric", "measured", "paper"}}
-	t.Addf("aggregate ops/s", r.AggregateOpsPerSec, "35.78M (4000 servers)")
-	t.Addf("errors", r.Errors, "0")
-	t.Addf("RNR NAKs", r.RNRs, "0")
-	t.Addf("broken channels", r.Broken, "0")
-	r.Table_ = t
-	return r
-}
-
-// Fig3Result is the diurnal saturated/unsaturated pattern (context figure).
-type Fig3Result struct {
-	Bandwidth  *sim.Series
-	PeakGbps   float64
-	TroughGbps float64
-	Table_     Table
+	t.Addf("aggregate ops/s", ops, opsC.Paper)
+	t.Addf("errors", r.Errors, clean[0].Paper)
+	t.Addf("RNR NAKs", r.RNRs, clean[1].Paper)
+	t.Addf("broken channels", r.Broken, clean[2].Paper)
+	return result(t, append(clean, opsC)...)
 }
 
 // Fig3Diurnal generates the switching saturated/unsaturated load of the
-// PolarDB monitoring plot: an open-loop generator whose rate follows a
-// two-level day/night pattern.
-func Fig3Diurnal(sc Scale) *Fig3Result {
+// PolarDB monitoring plot (a context figure): an open-loop generator whose
+// rate follows a two-level day/night pattern.
+func Fig3Diurnal(sc Scale) Result {
 	c := cluster.New(cluster.Options{Topology: fabric.SmallClos(), Nodes: 2, Seed: sc.Seed})
 	sc.observe(c.Eng, "fig3")
 	c.ListenAll(7000, func(n *cluster.Node, ch *xrdma.Channel) {
@@ -367,7 +338,7 @@ func Fig3Diurnal(sc Scale) *Fig3Result {
 	var cli *xrdma.Channel
 	c.Connect(0, 1, 7000, func(ch *xrdma.Channel, err error) { cli = ch })
 	c.Eng.Run()
-	r := &Fig3Result{Bandwidth: &sim.Series{Name: "Gbps"}}
+	bandwidth := &sim.Series{Name: "Gbps"}
 	var bytes int64
 	g := workload.NewOpenLoop(cli, 500*sim.Microsecond, workload.MiceElephants(4<<10, 64<<10, 0.3), sc.Seed)
 	g.OnResult = func(res workload.Result) {
@@ -386,16 +357,14 @@ func Fig3Diurnal(sc Scale) *Fig3Result {
 		before := bytes
 		c.Eng.RunFor(100 * sim.Millisecond)
 		gbps := float64(bytes-before) * 8 / 0.1 / 1e9
-		r.Bandwidth.Append(c.Eng.Now(), gbps)
+		bandwidth.Append(c.Eng.Now(), gbps)
 	}
 	g.Stop()
-	r.PeakGbps = r.Bandwidth.Max()
-	r.TroughGbps = r.Bandwidth.Min()
+	peak, trough := bandwidth.Max(), bandwidth.Min()
 	t := Table{ID: "E17/Fig3", Title: "diurnal saturated/unsaturated traffic pattern",
 		Header: []string{"metric", "measured"}}
-	t.Addf("peak (Gbps)", r.PeakGbps)
-	t.Addf("trough (Gbps)", r.TroughGbps)
-	t.Addf("peak/trough", r.PeakGbps/(r.TroughGbps+1e-9))
-	r.Table_ = t
-	return r
+	t.Addf("peak (Gbps)", peak)
+	t.Addf("trough (Gbps)", trough)
+	t.Addf("peak/trough", peak/(trough+1e-9))
+	return result(t, within("E17/peak-Gbps", "saturated vs unsaturated", peak, 5*trough, inf))
 }

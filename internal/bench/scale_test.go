@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -45,31 +44,4 @@ func TestScaleWorld(t *testing.T) {
 		t.Errorf("heap %d MiB, under the %d MiB floor: the world was not live when it was measured", r.HeapBytes>>20, floor>>20)
 	}
 	t.Logf("heap %.1f MiB (budget %d MiB)", float64(r.HeapBytes)/(1<<20), r.HeapBudget>>20)
-}
-
-// TestScaleDeterministic asserts the digest is a pure function of the
-// seed: bit-identical across sequential reruns and across concurrent
-// goroutines (the -j 1 vs -j 8 guarantee of cmd/reproduce).
-func TestScaleDeterministic(t *testing.T) {
-	base := strings.Join(ScaleWorld(Quick()).Digest(), "\n")
-	again := strings.Join(ScaleWorld(Quick()).Digest(), "\n")
-	if base != again {
-		t.Fatalf("sequential reruns diverge:\n--- first ---\n%s\n--- second ---\n%s", base, again)
-	}
-	results := make([]string, 4)
-	done := make(chan int)
-	for i := range results {
-		go func(i int) {
-			results[i] = strings.Join(ScaleWorld(Quick()).Digest(), "\n")
-			done <- i
-		}(i)
-	}
-	for range results {
-		<-done
-	}
-	for i, d := range results {
-		if d != base {
-			t.Fatalf("concurrent run %d diverges from sequential baseline:\n%s\nvs\n%s", i, d, base)
-		}
-	}
 }

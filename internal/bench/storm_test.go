@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"xrdma/internal/telemetry"
@@ -78,32 +77,5 @@ func TestStormBrownout(t *testing.T) {
 	}
 	if a.BlameMsgs == 0 || a.BlameTop != telemetry.StageReadFetch.String() {
 		t.Fatalf("brownout: blame top %q over %d msgs, want %q", a.BlameTop, a.BlameMsgs, telemetry.StageReadFetch)
-	}
-}
-
-// TestStormDeterministic: the digest is a pure function of the seed —
-// bit-identical across sequential reruns and across 4 concurrent
-// goroutines (the -j 1 vs -j 8 guarantee of cmd/reproduce).
-func TestStormDeterministic(t *testing.T) {
-	base := strings.Join(Storm(Quick()).Digest(), "\n")
-	again := strings.Join(Storm(Quick()).Digest(), "\n")
-	if base != again {
-		t.Fatalf("sequential reruns diverge:\n--- first ---\n%s\n--- second ---\n%s", base, again)
-	}
-	results := make([]string, 4)
-	done := make(chan int)
-	for i := range results {
-		go func(i int) {
-			results[i] = strings.Join(Storm(Quick()).Digest(), "\n")
-			done <- i
-		}(i)
-	}
-	for range results {
-		<-done
-	}
-	for i, d := range results {
-		if d != base {
-			t.Fatalf("concurrent run %d diverges from sequential baseline:\n%s\nvs\n%s", i, d, base)
-		}
 	}
 }

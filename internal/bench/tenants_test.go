@@ -60,30 +60,3 @@ func TestTenants(t *testing.T) {
 		t.Errorf("no recovery: shared mouse recovered p99 %v > 1.25x alone %v", shared.RecovP99, alone.RecovP99)
 	}
 }
-
-// TestTenantsDeterministic: the digest is a pure function of the seed —
-// bit-identical across sequential reruns and across 4 concurrent
-// goroutines (the -j 1 vs -j 8 guarantee of cmd/reproduce).
-func TestTenantsDeterministic(t *testing.T) {
-	base := strings.Join(Tenants(Quick()).Digest(), "\n")
-	again := strings.Join(Tenants(Quick()).Digest(), "\n")
-	if base != again {
-		t.Fatalf("sequential reruns diverge:\n--- first ---\n%s\n--- second ---\n%s", base, again)
-	}
-	results := make([]string, 4)
-	done := make(chan int)
-	for i := range results {
-		go func(i int) {
-			results[i] = strings.Join(Tenants(Quick()).Digest(), "\n")
-			done <- i
-		}(i)
-	}
-	for range results {
-		<-done
-	}
-	for i, d := range results {
-		if d != base {
-			t.Fatalf("concurrent run %d diverges from sequential baseline:\n%s\nvs\n%s", i, d, base)
-		}
-	}
-}

@@ -59,30 +59,3 @@ func TestUpgrade(t *testing.T) {
 		}
 	}
 }
-
-// TestUpgradeDeterministic: the digest is a pure function of the seed —
-// bit-identical across sequential reruns and across 4 concurrent
-// goroutines (the -j 1 vs -j 8 guarantee of cmd/reproduce).
-func TestUpgradeDeterministic(t *testing.T) {
-	base := strings.Join(Upgrade(Quick()).Digest(), "\n")
-	again := strings.Join(Upgrade(Quick()).Digest(), "\n")
-	if base != again {
-		t.Fatalf("sequential reruns diverge:\n--- first ---\n%s\n--- second ---\n%s", base, again)
-	}
-	results := make([]string, 4)
-	done := make(chan int)
-	for i := range results {
-		go func(i int) {
-			results[i] = strings.Join(Upgrade(Quick()).Digest(), "\n")
-			done <- i
-		}(i)
-	}
-	for range results {
-		<-done
-	}
-	for i, d := range results {
-		if d != base {
-			t.Fatalf("concurrent run %d diverges from sequential baseline:\n%s\nvs\n%s", i, d, base)
-		}
-	}
-}
