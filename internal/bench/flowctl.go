@@ -128,8 +128,8 @@ func Fig10FlowControl(sc Scale) Result {
 	cnp := within("E7/fc-CNP-share%", "1–2%", float64(cnps["128KB-fc"])/float64(cnps["128KB"])*100, -inf, below(50))
 	pauseC := within("E7/fc-TX-pause", "≈0", float64(pause["128KB-fc"]), 0, float64(min(pause["128KB"], pause["64KB"])/20))
 	pauseC.Untested = pause["128KB"] == 0 && pause["64KB"] == 0
-	t.Note("paper: fc improves bandwidth %s, CNP count → %s, TX pause → %s; this model reproduces the CNP/pause shape fully and a smaller goodput gain (simulated DCQCN recovers faster than the paper's production fabric — see EXPERIMENTS.md)",
-		gain.Paper, cnp.Paper, pauseC.Paper)
+	t.Note("paper: fc improves bandwidth %s, CNP count → %s, TX pause → %s; measured: goodput %+.0f%%, CNPs → %.1f%%, TX pause %d (%d without fc) — see EXPERIMENTS.md",
+		gain.Paper, cnp.Paper, pauseC.Paper, gain.Measured, cnp.Measured, pause["128KB-fc"], max(pause["128KB"], pause["64KB"]))
 	return result(t, gain, cnp, pauseC)
 }
 
