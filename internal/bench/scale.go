@@ -124,7 +124,11 @@ func ScaleWorld(sc Scale) *ScaleResult {
 			cfg.ChannelGaugeLimit = 8
 		},
 	})
+	// What an observer allocates when it attaches (a 4 MiB trace ring) is
+	// not the world's, so the budget does not count it.
+	attach := scaleHeap()
 	sc.observe(c.Eng, "scale")
+	heap0 += scaleHeap() - attach
 	eng := c.Eng
 
 	// Per-server exactly-once ledger, indexed by request id.
