@@ -37,7 +37,7 @@ import (
 // bit-consistent with its version), zero duplicated or lost PUTs.
 //
 // The digest is a pure function of the seed — bit-identical across
-// sequential reruns and concurrent goroutines (TestStormDeterministic).
+// reruns beside the other worlds (TestWorlds/storm).
 
 const (
 	stormKeys     = 8
