@@ -84,10 +84,7 @@ func fig7Sizes(lo, hi int) []int {
 // Fig7Left reproduces the left panel: xrdma small-msg vs large-msg vs the
 // mixed strategy across 2 B – 16 KB (ping-pong RTT, µs per size).
 func Fig7Left(sc Scale) Result {
-	n := 30
-	if sc.Full {
-		n = 200
-	}
+	n := pick(sc, 30, 200)
 	sizes := fig7Sizes(2, 16<<10)
 	var small, large, mixed []float64
 	smallMode := func(cfg *xrdma.Config) { cfg.SmallMsgSize = 32 << 10 }
@@ -129,10 +126,7 @@ func Fig7Left(sc Scale) Result {
 // Fig7Middle reproduces the middle panel: xrdma-BD, xrdma-reqrsp, xio,
 // ucx-am-rc, ibv-pingpong and libfabric from 8 B to 4 KB.
 func Fig7Middle(sc Scale) Result {
-	n := 30
-	if sc.Full {
-		n = 200
-	}
+	n := pick(sc, 30, 200)
 	sizes := fig7Sizes(8, 4096)
 	stacks := []string{"xrdma-BD", "xrdma-reqrsp", "ibv-pingpong", "ucx-am-rc", "libfabric", "xio"}
 	rtt := make(map[string][]float64) // µs, by stack name
@@ -184,10 +178,7 @@ func Fig7Middle(sc Scale) Result {
 
 // Fig7Right reproduces the right panel (4–32 KB).
 func Fig7Right(sc Scale) Result {
-	n := 20
-	if sc.Full {
-		n = 100
-	}
+	n := pick(sc, 20, 100)
 	sizes := fig7Sizes(4096, 32<<10)
 	stacks := []string{"xrdma", "ibv-pingpong", "ucx-am-rc", "libfabric"}
 	rtt := make(map[string][]float64)
@@ -229,10 +220,7 @@ func Fig7Right(sc Scale) Result {
 // TracingOverhead measures bare-data vs req-rsp latency: what req-rsp
 // mode's tracing costs (E4, §VII-A).
 func TracingOverhead(sc Scale) Result {
-	n := 60
-	if sc.Full {
-		n = 400
-	}
+	n := pick(sc, 60, 400)
 	fB := newPingFixture(sc, "tracing/bare", nil)
 	fT := newPingFixture(sc, "tracing/reqrsp", func(cfg *xrdma.Config) { cfg.ReqRspMode = true })
 	t := Table{ID: "E4/§VII-A", Title: "tracing overhead: bare-data vs req-rsp (µs)",

@@ -136,10 +136,7 @@ func Fig10FlowControl(sc Scale) Result {
 // FragmentSweep ablates the 64 KB fragmentation choice (DESIGN.md §4): too
 // small saturates the RNIC with WRs, too large reintroduces blocking.
 func FragmentSweep(sc Scale) Result {
-	horizon := 300 * sim.Millisecond
-	if sc.Full {
-		horizon = 2 * sim.Second
-	}
+	horizon := pick(sc, 300*sim.Millisecond, 2*sim.Second)
 	minGoodput := inf
 	t := Table{ID: "A1/frag-sweep", Title: "fragment size ablation (128 KB incast)",
 		Header: []string{"frag", "goodput(Gbps)", "CNPs"}}

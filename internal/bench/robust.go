@@ -55,10 +55,7 @@ func Establishment(sc Scale) Result {
 
 	// Mass establishment storm: N connections from a pool of clients to a
 	// pool of servers, cold (rdma_cm path) vs warmed QP caches.
-	conns := 128
-	if sc.Full {
-		conns = 4096
-	}
+	conns := pick(sc, 128, 4096)
 	r.MassConns = conns
 	massRun := func(prewarm bool) float64 {
 		c := cluster.New(cluster.Options{Topology: fabric.ClusterClos(16), Nodes: 16, Seed: sc.Seed})
@@ -215,10 +212,7 @@ func Fig8EssdRamp(sc Scale) Result {
 // queues) produces a steady trickle of RNR NAKs (paper: 0.91 average);
 // X-RDMA's seq-ack window keeps the counter at exactly zero.
 func Fig9RNRCounter(sc Scale) Result {
-	horizon := 1 * sim.Second
-	if sc.Full {
-		horizon = 10 * sim.Second
-	}
+	horizon := pick(sc, 1*sim.Second, 10*sim.Second)
 	var r struct{ RawRNRPerSec, XRDMARNRPerSec float64 }
 	rawSeries := &sim.Series{Name: "raw RNR"}
 

@@ -148,10 +148,7 @@ func SRQTradeoff(sc Scale) Result {
 // different registration behaviour (continuous allocation is the one that
 // triggers reclaim stalls at scale).
 func MemoryModes(sc Scale) Result {
-	n := 20
-	if sc.Full {
-		n = 100
-	}
+	n := pick(sc, 20, 100)
 	var costs []float64 // ms to register a 64 MB cache, per mode
 	var claims []Claim
 	t := Table{ID: "E13/§VII-F", Title: "memory registration modes",

@@ -395,10 +395,7 @@ func runStormArm(sc Scale, name string, onesided bool, gets, puts int, fault boo
 
 // Storm runs E23: three mixes × two planes.
 func Storm(sc Scale) *StormResult {
-	ops := stormOpsQuick
-	if sc.Full {
-		ops = stormOpsFull
-	}
+	ops := pick(sc, stormOpsQuick, stormOpsFull)
 	mixes := []struct {
 		name       string
 		gets, puts int

@@ -34,6 +34,14 @@ func (sc Scale) observe(eng *sim.Engine, label string) {
 	}
 }
 
+// pick sizes a world: quick at the test scale, full under -full.
+func pick[T any](sc Scale, quick, full T) T {
+	if sc.Full {
+		return full
+	}
+	return quick
+}
+
 // Quick is the default test/bench scale.
 func Quick() Scale { return Scale{Seed: 42} }
 
