@@ -1,12 +1,13 @@
 // xr-ping builds the full-mesh connection matrix of §VI-B: every node
-// pings every peer it shares a channel with, and the centralized monitor
-// aggregates RTTs into the matrix view used to spot broken or slow paths.
-// A -drop flag injects loss on one node to show how the matrix exposes it.
+// pings every peer it shares a channel with, and the RTTs are gathered
+// into the matrix view used to spot broken or slow paths.
+// A -slow flag delays one node's NIC to show how the matrix exposes it.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"strings"
 
 	"xrdma/internal/cluster"
 	"xrdma/internal/fabric"
@@ -36,9 +37,70 @@ func main() {
 		fmt.Printf("injected 200µs delay on node %d\n", *slow)
 	}
 
-	var mx map[fabric.NodeID]map[fabric.NodeID]sim.Duration
-	c.Mon.PingMatrix(func(m map[fabric.NodeID]map[fabric.NodeID]sim.Duration) { mx = m })
+	var mx matrix
+	pingMatrix(c, func(m matrix) { mx = m })
 	c.Eng.Run()
 	fmt.Println("\nRTT matrix (µs):")
-	fmt.Print(xrdma.RenderMatrix(mx, c.Mon.Nodes()))
+	fmt.Print(renderMatrix(mx, c.Nodes))
+}
+
+// matrix holds RTTs keyed by [src][dst]; pairs without a channel are absent.
+type matrix map[fabric.NodeID]map[fabric.NodeID]sim.Duration
+
+// pingMatrix pings, from every node, each peer it shares a live channel
+// with; done fires when all outstanding pings resolve.
+func pingMatrix(c *cluster.Cluster, done func(matrix)) {
+	result := make(matrix)
+	outstanding := 0
+	finished := false
+	check := func() {
+		if outstanding == 0 && finished {
+			done(result)
+		}
+	}
+	for _, n := range c.Nodes { // index order: issue order decides the RTTs
+		seen := make(map[fabric.NodeID]bool)
+		for _, ch := range n.Ctx.Channels() {
+			if seen[ch.Peer] || ch.Closed() {
+				continue
+			}
+			seen[ch.Peer] = true
+			src, dst := n.ID, ch.Peer
+			outstanding++
+			ch.Ping(func(rtt, _ sim.Duration, err error) {
+				outstanding--
+				if err == nil {
+					if result[src] == nil {
+						result[src] = make(map[fabric.NodeID]sim.Duration)
+					}
+					result[src][dst] = rtt
+				}
+				check()
+			})
+		}
+	}
+	finished = true
+	check()
+}
+
+// renderMatrix prints a ping matrix with microsecond entries.
+func renderMatrix(mx matrix, nodes []*cluster.Node) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%6s", "")
+	for _, d := range nodes {
+		fmt.Fprintf(&b, "%8d", d.ID)
+	}
+	b.WriteByte('\n')
+	for _, s := range nodes {
+		fmt.Fprintf(&b, "%6d", s.ID)
+		for _, d := range nodes {
+			if rtt, ok := mx[s.ID][d.ID]; ok {
+				fmt.Fprintf(&b, "%7.1fu", rtt.Micros())
+			} else {
+				fmt.Fprintf(&b, "%8s", "-")
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

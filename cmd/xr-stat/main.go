@@ -1,7 +1,7 @@
 // xr-stat is the netstat analogue of §VI-B: it runs a brief workload on a
 // small cluster and prints, for every node, the per-connection table
 // pivoted from the telemetry registry's per-channel gauges (including the
-// path-doctor columns SCORE/VERDICT/REHASH/RETRY), then the monitor's
+// path-doctor columns SCORE/VERDICT/REHASH/RETRY), then the xrmon agent's
 // periodic samples for node 0, the full metric registry (grouped
 // netstat -s style) with -all, and any flight-recorder dumps. With -gray
 // it browns out one spine path mid-run so the path-doctor columns and the
@@ -35,6 +35,7 @@ import (
 	"xrdma/internal/telemetry"
 	"xrdma/internal/workload"
 	"xrdma/internal/xrdma"
+	"xrdma/internal/xrmon"
 )
 
 func main() {
@@ -305,9 +306,14 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Println("monitor samples for node 0, the agent's window (QPs, mem, msgs):")
-	for _, s := range c.Mon.History(0) {
+	// Oldest tick first; a slot's value k ticks ago is its latest absolute
+	// value minus the deltas since.
+	a := xrmon.For(c.Eng).AgentFor(0)
+	for k := a.Len() - 1; k >= 0; k-- {
+		abs := func(slot int) int64 { return a.Abs(slot) - a.LastN(slot, k) }
 		fmt.Printf("  t=%-14v qps=%-3d occupy=%-9d in-use=%-9d sent=%-6d recv=%-6d slowpolls=%d\n",
-			s.At, s.QPs, s.MemOccupied, s.MemInUse, s.MsgsSent, s.MsgsRecv, s.SlowPolls)
+			a.At(k), abs(xrmon.SlotQPs), abs(xrmon.SlotMemOccupied), abs(xrmon.SlotMemInUse),
+			abs(xrmon.SlotMsgsSent), abs(xrmon.SlotMsgsRecv), abs(xrmon.SlotSlowPolls))
 	}
 
 	if *blame {

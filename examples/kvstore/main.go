@@ -186,5 +186,5 @@ func main() {
 		cli.Counters.Reads, cli.Counters.ReadBytes, cli.Counters.RemoteAccessErrs)
 	fmt.Printf("server handler invocations: %d (PUTs + fallback GETs only — speculative reads cost zero responder CPU)\n",
 		srv.msgs)
-	fmt.Printf("\n%s", xrdma.XRStat(c.Mon.Context(fabric.NodeID(4))))
+	fmt.Printf("\n%s", xrdma.XRStat(c.Nodes[4].Ctx))
 }

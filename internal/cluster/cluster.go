@@ -50,7 +50,6 @@ type Cluster struct {
 	Eng   *sim.Engine
 	Fab   *fabric.Fabric
 	Net   *verbs.CMNetwork
-	Mon   *xrdma.Monitor
 	Nodes []*Node
 	RNG   *sim.RNG
 
@@ -74,8 +73,7 @@ func New(o Options) *Cluster {
 	}
 	c := &Cluster{
 		Eng: eng, Fab: fab, Net: verbs.NewCMNetwork(),
-		Mon: xrdma.NewMonitor(), RNG: sim.NewRNG(o.Seed),
-		opts: o,
+		RNG: sim.NewRNG(o.Seed), opts: o,
 	}
 	for i := 0; i < n; i++ {
 		host := fab.Host(fabric.NodeID(i))
@@ -92,7 +90,7 @@ func New(o Options) *Cluster {
 			skew = o.ClockSkew(i)
 		}
 		ctx := xrdma.NewContext(xrdma.Options{
-			Verbs: vc, CM: cm, Host: host, Config: cfg, Monitor: c.Mon,
+			Verbs: vc, CM: cm, Host: host, Config: cfg,
 			TCP: tcp, MockPort: o.MockPort, RecoverPort: o.RecoverPort, ClockSkew: skew,
 			Seed: o.Seed ^ uint64(i)*0x9e3779b97f4a7c15,
 		})
@@ -122,7 +120,7 @@ func (c *Cluster) Restart(node int, mutate func(cfg *xrdma.Config)) *xrdma.Conte
 		skew = c.opts.ClockSkew(node)
 	}
 	ctx := xrdma.NewContext(xrdma.Options{
-		Verbs: vc, CM: n.CM, Host: host, Config: cfg, Monitor: c.Mon,
+		Verbs: vc, CM: n.CM, Host: host, Config: cfg,
 		TCP: n.TCP, MockPort: c.opts.MockPort, RecoverPort: c.opts.RecoverPort,
 		ClockSkew: skew,
 		Seed:      c.opts.Seed ^ uint64(node)*0x9e3779b97f4a7c15 ^ 0xdead,

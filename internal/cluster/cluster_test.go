@@ -31,7 +31,7 @@ func TestBuildAndFullMesh(t *testing.T) {
 	}
 	// Traffic across one mesh edge.
 	got := false
-	server := c.Mon.Context(chans[0].Peer)
+	server := c.Nodes[chans[0].Peer].Ctx
 	for _, sch := range server.Channels() {
 		sch.OnMessage(func(m *xrdma.Msg) { m.Reply(nil, 16) })
 	}

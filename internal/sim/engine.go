@@ -57,9 +57,6 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // Micros reports the duration in (fractional) microseconds.
 func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
 
-// Std converts a sim Duration to a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 func (t Time) String() string { return Duration(t).String() }
 
 func (d Duration) String() string {

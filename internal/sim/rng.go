@@ -58,32 +58,3 @@ func (r *RNG) Exp(mean Duration) Duration {
 	}
 	return d
 }
-
-// Norm returns a normally distributed value (Box–Muller).
-func (r *RNG) Norm(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Split derives an independent generator; handy for giving each node or
-// flow its own stream without correlating sequences.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
-}

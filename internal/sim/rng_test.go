@@ -83,52 +83,6 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-func TestRNGNorm(t *testing.T) {
-	r := NewRNG(77)
-	var sum, ss float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := r.Norm(10, 2)
-		sum += v
-		ss += v * v
-	}
-	mean := sum / n
-	stddev := math.Sqrt(ss/n - mean*mean)
-	if math.Abs(mean-10) > 0.1 {
-		t.Fatalf("Norm mean = %v, want ~10", mean)
-	}
-	if math.Abs(stddev-2) > 0.1 {
-		t.Fatalf("Norm stddev = %v, want ~2", stddev)
-	}
-}
-
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(3)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestRNGSplitIndependence(t *testing.T) {
-	r := NewRNG(11)
-	a := r.Split()
-	b := r.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split streams correlated: %d/100 equal", same)
-	}
-}
-
 func TestRNGPanics(t *testing.T) {
 	r := NewRNG(1)
 	for _, fn := range []func(){

@@ -96,21 +96,6 @@ func (s *Summary) Percentile(p float64) float64 {
 	return s.samples[rank-1]
 }
 
-// Stddev reports the population standard deviation.
-func (s *Summary) Stddev() float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, v := range s.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Series is a time series of (t, value) points, used for the
 // bandwidth/latency/counter-over-time figures.
 type Series struct {

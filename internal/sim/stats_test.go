@@ -100,16 +100,6 @@ func TestSummaryPercentileReference(t *testing.T) {
 	}
 }
 
-func TestSummaryStddev(t *testing.T) {
-	s := NewSummary()
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if got := s.Stddev(); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("Stddev = %v, want 2", got)
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	if s.Mean() != 0 || s.Max() != 0 || s.Min() != 0 || s.Tail(0.5) != 0 {

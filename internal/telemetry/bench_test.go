@@ -45,7 +45,7 @@ func BenchmarkTelemetryInstantEmit(b *testing.B) {
 }
 
 func BenchmarkTelemetryBlameObserve(b *testing.B) {
-	bl := NewBlame()
+	bl := &Blame{}
 	rec := BlameRec{MsgID: 1, RTT: 7165}
 	rec.Dur[StageSerialize] = 500
 	rec.Dur[StageFabricQueue] = 3000

@@ -93,16 +93,11 @@ func (r *BlameRec) Top() Stage {
 	return best
 }
 
-// DefaultBlameCap bounds the ring of recent per-message records kept
-// for drill-down; the aggregate histograms are unbounded.
-const DefaultBlameCap = 4096
-
 // Blame aggregates stage-attributed latency across every traced
-// message of one engine: per-stage log₂ latency histograms plus a ring
-// of recent records. Like the Registry it is engine-keyed and
-// single-goroutine.
+// message of one engine: per-stage log₂ latency histograms, no
+// per-message records; the zero value is ready. Like the Registry it is
+// engine-keyed and single-goroutine.
 type Blame struct {
-	recent *Ring[BlameRec]
 	stages [StageCount]histData
 	rtt    histData
 	ecn    int64
@@ -113,14 +108,10 @@ type Blame struct {
 	tenants map[uint16]*histData
 }
 
-// NewBlame creates an empty aggregator.
-func NewBlame() *Blame { return &Blame{recent: NewRing[BlameRec](DefaultBlameCap)} }
-
 // Observe folds one reconstructed record into the aggregate. Stages
 // with zero residency are not observed, so each stage histogram's
 // count reads "messages that spent time here".
 func (b *Blame) Observe(rec *BlameRec) {
-	b.recent.Push(*rec)
 	for s := Stage(0); s < StageCount; s++ {
 		if d := rec.Dur[s]; d > 0 {
 			b.stages[s].observe(int64(d))
@@ -151,38 +142,11 @@ func (b *Blame) TenantIDs() []uint16 {
 	return ids
 }
 
-// TenantStats reports (messages, total RTT) observed for one tenant.
-func (b *Blame) TenantStats(id uint16) (count int64, total sim.Duration) {
-	h := b.tenants[id]
-	if h == nil {
-		return 0, 0
-	}
-	return h.count, sim.Duration(h.sum)
-}
-
-// TenantQuantile reports an upper bound for tenant id's q-th percentile
-// round-trip time.
-func (b *Blame) TenantQuantile(id uint16, q int64) sim.Duration {
-	h := b.tenants[id]
-	if h == nil {
-		return 0
-	}
-	return sim.Duration(h.quantile(q))
-}
-
 // Count reports how many messages were observed.
 func (b *Blame) Count() int64 { return b.rtt.count }
 
 // ECNMarks reports total ECN marks across observed messages.
 func (b *Blame) ECNMarks() int64 { return b.ecn }
-
-// Recent returns the retained per-message records, oldest first.
-func (b *Blame) Recent() []BlameRec { return b.recent.Snapshot() }
-
-// StageStats reports (messages, total residency) attributed to s.
-func (b *Blame) StageStats(s Stage) (count int64, total sim.Duration) {
-	return b.stages[s].count, sim.Duration(b.stages[s].sum)
-}
 
 // StageQuantile reports an upper bound for stage s's q-th percentile
 // residency among messages that spent time in s.

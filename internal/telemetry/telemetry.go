@@ -24,7 +24,7 @@ func For(eng *sim.Engine) *Set {
 			Reg:    NewRegistry(),
 			Trace:  &Timeline{},
 			Flight: NewFlight(DefaultFlightCap),
-			Blame:  NewBlame(),
+			Blame:  &Blame{},
 			eng:    eng,
 		}
 		// Invariant-trip dumps carry the blame verdict frozen at the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -331,4 +332,21 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	check("Timeline.Instant", func() { tl.Instant("n", "t", 1, 2) })
 	check("Timeline.Complete", func() { tl.Complete("n", "t", 1, 2, 3) })
 	check("Flight.Record", func() { f.Record(1, CatRetransmit, 0, 1, 2, 3) })
+}
+
+// Every engine builds its telemetry set, used or not — each benchmark
+// workload and each reproduce world — so what For allocates up front must
+// stay small: the flight ring, the registry and a few headers, with no
+// per-record buffer sized for a trace nobody reads.
+func TestSetFootprint(t *testing.T) {
+	eng := sim.NewEngine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	For(eng)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Fatalf("a fresh engine's telemetry.For allocated %d bytes, budget 64 KiB", n)
+	} else {
+		t.Logf("telemetry.For allocated %d bytes", n)
+	}
 }

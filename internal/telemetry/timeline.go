@@ -47,9 +47,6 @@ func (t *Timeline) Enable(capacity int) {
 	t.enabled = true
 }
 
-// Disable stops recording; the ring contents remain exportable.
-func (t *Timeline) Disable() { t.enabled = false }
-
 // Instant records a point event on track at time at.
 func (t *Timeline) Instant(name, track string, at sim.Time, arg int64) {
 	if !t.enabled {

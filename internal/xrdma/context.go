@@ -13,6 +13,7 @@ import (
 	"xrdma/internal/tcpnet"
 	"xrdma/internal/telemetry"
 	"xrdma/internal/verbs"
+	"xrdma/internal/xrmon"
 )
 
 // Context is X-RDMA's per-thread execution domain (§IV-B): it owns the
@@ -71,7 +72,9 @@ type Context struct {
 	log     telemetry.Ring[LogEntry]
 	flagLog []flagChange
 	rng     *sim.RNG
-	monitor *Monitor
+	// agent is this node's §VI-B monitor: the xrmon sampler that
+	// housekeeping drives and XRStat's window line reads.
+	agent *xrmon.Agent
 
 	// Mock (TCP fallback).
 	tcp        *tcpnet.Stack
@@ -137,7 +140,7 @@ type Context struct {
 	Stats ContextStats
 }
 
-// ContextStats aggregates per-context counters for XR-Stat / Monitor.
+// ContextStats aggregates per-context counters for XR-Stat and the gauges.
 type ContextStats struct {
 	Polls           int64 // lags by up to 63 while the poller is parked (nextPoll); the "polls" gauge adds them
 	SlowPolls       int64
@@ -182,11 +185,10 @@ type LogEntry struct {
 
 // Options wires a Context to its node.
 type Options struct {
-	Verbs   *verbs.Context
-	CM      *verbs.CM
-	Host    *fabric.Host
-	Config  Config
-	Monitor *Monitor
+	Verbs  *verbs.Context
+	CM     *verbs.CM
+	Host   *fabric.Host
+	Config Config
 	// TCP enables the Mock fallback plane; MockPort is where this node
 	// accepts mock connections.
 	TCP      *tcpnet.Stack
@@ -210,7 +212,6 @@ func NewContext(o Options) *Context {
 		cfg:         o.Config,
 		posted:      make(map[uint64]*msgRec),
 		rng:         sim.NewRNG(o.Seed ^ 0x9e37),
-		monitor:     o.Monitor,
 		tcp:         o.TCP,
 		mockPort:    o.MockPort,
 		recoverPort: o.RecoverPort,
@@ -245,9 +246,14 @@ func NewContext(o Options) *Context {
 	}
 	c.sendCQ.OnCompletion(c.wake)
 	c.recvCQ.OnCompletion(c.wake)
-	if c.monitor != nil {
-		c.monitor.register(c)
+	// A restart re-registers the node: the collector keeps the agent (and
+	// its window history) and re-binds its probes against the fresh gauges.
+	var trefs []xrmon.TenantRef
+	for _, t := range c.Tenants() {
+		trefs = append(trefs, xrmon.TenantRef{ID: t.ID(), Label: t.Name()})
 	}
+	c.agent = xrmon.For(c.eng).RegisterAgent(
+		int32(c.Node()), fmt.Sprintf("rnic.%d.", c.Node()), c.track+".", trefs)
 	if c.tcp != nil && c.mockPort > 0 {
 		c.listenMock()
 	}
@@ -597,9 +603,7 @@ func (c *Context) housekeeping() {
 	c.trimRecs()
 	c.timeoutScan()
 	c.pathScan()
-	if c.monitor != nil {
-		c.monitor.sample(c)
-	}
+	c.agent.Sample(c.eng.Now())
 }
 
 func (c *Context) timeoutScan() {

@@ -18,6 +18,6 @@
 //     QP cache that recycles reset QPs to cut establishment time (§IV-E);
 //   - the analysis framework: tracing with clock synchronisation,
 //     per-channel statistics, online/offline configuration, fault
-//     injection (Filter), TCP fallback (Mock) and a cluster monitor
-//     (§VI).
+//     injection (Filter), TCP fallback (Mock) and a per-node monitor,
+//     the context's xrmon agent (§VI).
 package xrdma

@@ -172,8 +172,7 @@ func newMuxGrayWorld(t testing.TB, n int, mutate func(i int, cfg *Config)) *test
 	top := fabric.SmallClos()
 	fabric.BuildClos(fab, top)
 	net := verbs.NewCMNetwork()
-	mon := NewMonitor()
-	w := &testWorld{eng: eng, fab: fab, mon: mon}
+	w := &testWorld{eng: eng, fab: fab}
 	nicCfg := rnic.DefaultConfig()
 	nicCfg.RetransTimeout = 1 * sim.Millisecond
 	nicCfg.RetryLimit = 12
@@ -194,7 +193,7 @@ func newMuxGrayWorld(t testing.TB, n int, mutate func(i int, cfg *Config)) *test
 		}
 		tcp := tcpnet.New(eng, host)
 		ctx := NewContext(Options{
-			Verbs: vc, CM: cm, Host: host, Config: cfg, Monitor: mon,
+			Verbs: vc, CM: cm, Host: host, Config: cfg,
 			TCP: tcp, MockPort: 9000, Seed: uint64(i + 1),
 		})
 		w.ctxs = append(w.ctxs, ctx)

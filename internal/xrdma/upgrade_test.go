@@ -344,7 +344,7 @@ func restartCtx(w *testWorld, i int, mutate func(*Config)) *Context {
 	old.Shutdown()
 	vc := verbs.Open(w.nics[i])
 	ctx := NewContext(Options{
-		Verbs: vc, CM: old.cm, Host: old.host, Config: cfg, Monitor: w.mon,
+		Verbs: vc, CM: old.cm, Host: old.host, Config: cfg,
 		TCP: old.tcp, MockPort: old.mockPort, RecoverPort: old.recoverPort,
 		Seed: uint64(i + 101),
 	})

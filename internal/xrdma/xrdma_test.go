@@ -19,7 +19,6 @@ import (
 type testWorld struct {
 	eng  *sim.Engine
 	fab  *fabric.Fabric
-	mon  *Monitor
 	ctxs []*Context
 	nics []*rnic.NIC
 }
@@ -47,8 +46,7 @@ func buildWorld(t testing.TB, n int, recovery bool, mutate func(i int, cfg *Conf
 	}
 	fabric.BuildClos(fab, top)
 	net := verbs.NewCMNetwork()
-	mon := NewMonitor()
-	w := &testWorld{eng: eng, fab: fab, mon: mon}
+	w := &testWorld{eng: eng, fab: fab}
 	nicCfg, recoverPort := rnic.DefaultConfig(), 0
 	if recovery {
 		nicCfg.RetransTimeout, nicCfg.RetryLimit, recoverPort = 2*sim.Millisecond, 3, 9100
@@ -71,7 +69,7 @@ func buildWorld(t testing.TB, n int, recovery bool, mutate func(i int, cfg *Conf
 		}
 		tcp := tcpnet.New(eng, host)
 		ctx := NewContext(Options{
-			Verbs: vc, CM: cm, Host: host, Config: cfg, Monitor: mon,
+			Verbs: vc, CM: cm, Host: host, Config: cfg,
 			TCP: tcp, MockPort: 9000, RecoverPort: recoverPort, Seed: uint64(i + 1),
 		})
 		w.ctxs = append(w.ctxs, ctx)
@@ -477,7 +475,6 @@ func TestTracingOneWayLatencyWithSkew(t *testing.T) {
 	fab := fabric.New(eng, fabric.DefaultConfig(), 1)
 	fabric.BuildClos(fab, fabric.SmallClos())
 	net := verbs.NewCMNetwork()
-	mon := NewMonitor()
 	mk := func(node fabric.NodeID, skew sim.Duration) *Context {
 		host := fab.Host(node)
 		nic := rnic.New(eng, host, rnic.DefaultConfig())
@@ -485,7 +482,7 @@ func TestTracingOneWayLatencyWithSkew(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.ReqRspMode = true
 		return NewContext(Options{Verbs: vc, CM: verbs.NewCM(vc, net, host), Host: host,
-			Config: cfg, Monitor: mon, ClockSkew: skew, Seed: uint64(node) + 7})
+			Config: cfg, ClockSkew: skew, Seed: uint64(node) + 7})
 	}
 	c0 := mk(0, 0)
 	c1 := mk(1, 30*sim.Microsecond)
@@ -582,63 +579,6 @@ func TestTracingOverheadSmall(t *testing.T) {
 		t.Fatalf("tracing overhead %.1f%% too high (paper: 2–4%%)", overhead*100)
 	}
 	t.Logf("bare=%v traced=%v overhead=%.1f%%", bare, traced, overhead*100)
-}
-
-func TestPingAndMatrix(t *testing.T) {
-	w := newWorld(t, 3, nil)
-	cli01, _ := w.connect(t, 0, 1, 5011)
-	cli02, _ := w.connect(t, 0, 2, 5012)
-	_, _ = cli01, cli02
-	var rtt sim.Duration
-	cli01.Ping(func(r, _ sim.Duration, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		rtt = r
-	})
-	w.eng.Run()
-	if rtt < 2*sim.Microsecond || rtt > 50*sim.Microsecond {
-		t.Fatalf("ping rtt %v implausible", rtt)
-	}
-	var mx map[fabric.NodeID]map[fabric.NodeID]sim.Duration
-	w.mon.PingMatrix(func(m map[fabric.NodeID]map[fabric.NodeID]sim.Duration) { mx = m })
-	w.eng.Run()
-	if mx == nil || mx[0][1] == 0 || mx[0][2] == 0 {
-		t.Fatalf("ping matrix incomplete: %v", mx)
-	}
-	out := RenderMatrix(mx, w.mon.Nodes())
-	if len(out) == 0 {
-		t.Fatal("empty matrix rendering")
-	}
-}
-
-// TestPingMatrixDeterministic: the matrix is a function of the world, not of
-// map iteration order — the order pings are issued in decides who queues
-// behind whom, and so the RTTs. Two builds of one world must agree to the event.
-func TestPingMatrixDeterministic(t *testing.T) {
-	build := func() (string, uint64) {
-		w := newWorld(t, 4, nil)
-		for i := 0; i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				w.connect(t, i, j, 5100+4*i+j)
-			}
-		}
-		var out string
-		w.mon.PingMatrix(func(m map[fabric.NodeID]map[fabric.NodeID]sim.Duration) {
-			out = RenderMatrix(m, w.mon.Nodes())
-		})
-		w.eng.Run()
-		if strings.Count(out, "u") != 12 {
-			t.Fatalf("matrix of a 4-node full mesh has holes:\n%s", out)
-		}
-		return out, w.eng.Fired()
-	}
-	out, fired := build()
-	for i := 0; i < 4; i++ {
-		if again, firedAgain := build(); again != out || firedAgain != fired {
-			t.Fatalf("run %d differs (Fired %d vs %d):\n%s\nvs\n%s", i, firedAgain, fired, again, out)
-		}
-	}
 }
 
 func TestXRStatOutput(t *testing.T) {
@@ -865,54 +805,56 @@ func TestMonitorSamples(t *testing.T) {
 		cli.SendMsg(nil, 1024, func(*Msg, error) {})
 	}
 	w.eng.RunFor(20 * sim.Millisecond)
-	samples := w.mon.History(0)
-	if len(samples) < 5 {
-		t.Fatalf("monitor collected %d samples", len(samples))
+	a := w.ctxs[0].agent
+	if a != xrmon.For(w.eng).AgentFor(0) {
+		t.Fatal("the context samples an agent the collector does not list")
 	}
-	last := samples[len(samples)-1]
-	if last.Channels != 1 || last.MsgsSent == 0 || last.MemOccupied == 0 {
-		t.Fatalf("sample content wrong: %+v", last)
+	if a.Len() < 5 {
+		t.Fatalf("the agent kept %d ticks", a.Len())
 	}
-	if got, ok := w.mon.Latest(0); !ok || got != last {
-		t.Fatalf("Latest(0) = %+v ok=%v, want tail of History", got, ok)
+	if a.Abs(xrmon.SlotChannels) != 1 || a.Abs(xrmon.SlotMsgsSent) == 0 || a.Abs(xrmon.SlotMemOccupied) == 0 {
+		t.Fatalf("newest column wrong: channels=%d msgs_sent=%d mem_occupied=%d",
+			a.Abs(xrmon.SlotChannels), a.Abs(xrmon.SlotMsgsSent), a.Abs(xrmon.SlotMemOccupied))
 	}
 }
 
-// The monitor retains no per-tick state of its own: its history is a view
-// over the xrmon agent's ring, so however long the run, History is the last
-// xrmon.Window ticks — each reconstructed exactly as Latest reported it when
-// it was the newest — and a tick costs the monitor no memory.
+// The agent's ring is the node's only history: however long the run, it
+// holds the last xrmon.Window ticks, each reconstructed (Abs − LastN, the
+// arithmetic xr-stat prints) exactly as the newest column read when it was
+// sampled — and a tick costs no memory.
 func TestMonitorHistoryIsAgentView(t *testing.T) {
 	// The test drives the ticks itself; park the housekeeping timer's.
 	w := newWorld(t, 2, func(_ int, cfg *Config) { cfg.StatsInterval = sim.Second })
 	cli, srv := w.connect(t, 0, 1, 5021)
 	echoServer(srv)
-	c := w.ctxs[0]
-	var seen []Sample
+	a := w.ctxs[0].agent
+	view := func(k int) (v [xrmon.NodeSlots + 1]int64) {
+		for s := 0; s < xrmon.NodeSlots; s++ {
+			v[s] = a.Abs(s) - a.LastN(s, k)
+		}
+		v[xrmon.NodeSlots] = int64(a.At(k))
+		return v
+	}
+	var seen [][xrmon.NodeSlots + 1]int64
 	for i := 0; i < 1000; i++ {
 		cli.SendMsg(nil, 64, func(*Msg, error) {})
 		w.eng.RunFor(20 * sim.Microsecond)
-		w.mon.sample(c)
-		latest, ok := w.mon.Latest(0)
-		if !ok {
-			t.Fatal("no Latest after a sample")
-		}
-		seen = append(seen, latest)
+		a.Sample(w.eng.Now())
+		seen = append(seen, view(0))
 	}
-	h := w.mon.History(0)
-	if len(h) != xrmon.Window {
-		t.Fatalf("History returned %d samples, want xrmon.Window=%d", len(h), xrmon.Window)
+	if a.Len() != xrmon.Window {
+		t.Fatalf("the agent kept %d ticks, want xrmon.Window=%d", a.Len(), xrmon.Window)
 	}
-	for i, s := range h {
-		if want := seen[len(seen)-len(h)+i]; s != want {
-			t.Fatalf("History[%d] = %+v, want what Latest reported for that tick: %+v", i, s, want)
+	for k := 0; k < a.Len(); k++ {
+		if got, want := view(k), seen[len(seen)-1-k]; got != want {
+			t.Fatalf("tick %d back = %v, want what the newest column read then: %v", k, got, want)
 		}
 	}
-	if h[len(h)-1].MsgsSent <= h[0].MsgsSent {
-		t.Fatalf("window shows no traffic: %+v .. %+v", h[0], h[len(h)-1])
+	if oldest := view(a.Len() - 1); view(0)[xrmon.SlotMsgsSent] <= oldest[xrmon.SlotMsgsSent] {
+		t.Fatalf("window shows no traffic: %v .. %v", oldest, view(0))
 	}
-	if n := testing.AllocsPerRun(100, func() { w.mon.sample(c) }); n != 0 {
-		t.Fatalf("a monitor tick allocates %v objects; it must keep nothing", n)
+	if n := testing.AllocsPerRun(100, func() { a.Sample(w.eng.Now()) }); n != 0 {
+		t.Fatalf("an agent tick allocates %v objects; it must keep nothing", n)
 	}
 }
 

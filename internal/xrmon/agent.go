@@ -162,12 +162,11 @@ type TenantRef struct {
 }
 
 // Agent is one node's sampler: a fixed watch list of registry metrics
-// resolved to probes at attach, a per-slot sliding window of per-tick
-// deltas, and per-slot EWMA baselines. Sample is called from the
-// context's existing housekeeping tick, so attaching an agent adds no
-// engine events — the simulation with and without xrmon is
-// bit-identical. The steady-state sampling path performs no
-// allocations: rings, watermarks and baselines are preallocated and
+// resolved to probes at attach and a per-slot sliding window of per-tick
+// deltas. Sample is called from the context's existing housekeeping tick,
+// so attaching an agent adds no engine events — the simulation with and
+// without xrmon is bit-identical. The steady-state sampling path
+// performs no allocations: rings and watermarks are preallocated and
 // probe reads are map-free.
 type Agent struct {
 	// Node is the fabric node id, or -1 for the collector's internal
@@ -182,9 +181,8 @@ type Agent struct {
 	probes  []telemetry.Probe
 	missing int
 
-	last []int64   // absolute watermark per slot
-	base []float64 // EWMA baseline of the per-tick delta per slot
-	ring []int64   // slot-major: ring[slot*Window+k]
+	last []int64 // absolute watermark per slot
+	ring []int64 // slot-major: ring[slot*Window+k]
 	at   [Window]sim.Time
 	idx  int // next ring column to write
 	n    int // samples taken so far
@@ -205,7 +203,6 @@ func newAgent(col *Collector, node int32, names []string, clamp []bool, tenants 
 		clamp:   clamp,
 		probes:  make([]telemetry.Probe, len(names)),
 		last:    make([]int64, len(names)),
-		base:    make([]float64, len(names)),
 		ring:    make([]int64, len(names)*Window),
 		tenants: tenants,
 	}
@@ -325,10 +322,6 @@ func (a *Agent) WindowSum(slot int) int64 {
 	return sum
 }
 
-// Baseline reports the EWMA of slot's per-tick delta, updated once per
-// collector epoch.
-func (a *Agent) Baseline(slot int) float64 { return a.base[slot] }
-
 // WindowRate reports slot's windowed delta per simulated second, for
 // the fleet table. Zero until two samples span nonzero time.
 func (a *Agent) WindowRate(slot int) float64 {
@@ -345,16 +338,8 @@ func (a *Agent) WindowRate(slot int) float64 {
 	return float64(a.LastN(slot, n-1)) / span.Seconds()
 }
 
-// updateBaselines folds the latest delta of every slot into the EWMA
-// (weight 0.2, the path-doctor idiom) and latches the activity flag.
-func (a *Agent) updateBaselines() {
-	if a.n == 0 {
-		return
-	}
-	last := (a.idx + Window - 1) % Window
-	for slot := 0; slot < len(a.base); slot++ {
-		a.base[slot] = 0.8*a.base[slot] + 0.2*float64(a.ring[slot*Window+last])
-	}
+// latchActive sets the activity flag once a round's deltas show traffic.
+func (a *Agent) latchActive() {
 	if !a.active && a.Delta(SlotMsgsSent)+a.Delta(SlotMsgsRecv) > 0 {
 		a.active = true
 	}

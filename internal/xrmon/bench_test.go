@@ -10,7 +10,7 @@ import (
 // BenchmarkAgentSample times one agent tick — the cost the fleet plane
 // adds to every context housekeeping cycle. The CI kernel gate pins
 // allocs/op to 0: probes are pre-resolved, the delta ring is
-// preallocated, and epoch close-out (fleet sample + baseline folds) is
+// preallocated, and epoch close-out (fleet sample + activity latch) is
 // pure arithmetic.
 func BenchmarkAgentSample(b *testing.B) {
 	eng := sim.NewEngine()

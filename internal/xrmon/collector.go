@@ -3,7 +3,7 @@
 // snapshot the engine-keyed telemetry registry on the existing
 // housekeeping tick into fixed-size sliding-window delta rings; a
 // central collector ingests the windows, runs anomaly detectors
-// (static thresholds, EWMA baselines, top-share heavy hitters) and
+// (static thresholds and top-share heavy hitters) and
 // folds co-occurring symptoms through cross-layer correlation rules
 // into ranked incidents — "incast, aggressor node 6", "gray link at
 // node 3", "tenant elephant over budget on node 4" — each carrying
@@ -170,9 +170,6 @@ func (c *Collector) Watch(cfg WatchConfig) {
 	c.watching = true
 }
 
-// Watching reports whether detection is armed.
-func (c *Collector) Watching() bool { return c.watching }
-
 // OnIncident installs a transition callback: fn fires with "open",
 // "escalate" or "close" as incidents change state.
 func (c *Collector) OnIncident(fn func(*Incident, string)) { c.onIncident = fn }
@@ -208,8 +205,8 @@ func (c *Collector) Digest() []string {
 
 // noteSample is called by every node agent at the end of Sample. When
 // all registered agents have reported, the round closes: the fleet
-// agent samples the fabric counters, the rules run, and the baselines
-// fold in the new deltas — all synchronously inside the last agent's
+// agent samples the fabric counters, the rules run, and each node agent
+// latches its activity flag — all synchronously inside the last agent's
 // housekeeping tick, so the plane adds no engine events of its own.
 func (c *Collector) noteSample(now sim.Time) {
 	c.sampled++
@@ -222,9 +219,8 @@ func (c *Collector) noteSample(now sim.Time) {
 	if c.watching {
 		c.evaluate(now)
 	}
-	c.fleet.updateBaselines()
 	for _, a := range c.agents {
-		a.updateBaselines()
+		a.latchActive()
 	}
 }
 

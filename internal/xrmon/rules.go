@@ -95,67 +95,6 @@ type match struct {
 	evidence []string
 }
 
-// NodeValue pairs a node with a windowed metric value (TopK output).
-type NodeValue struct {
-	Node  int32
-	Value int64
-}
-
-// TopK extracts the k heaviest hitters for one slot's window sum
-// across the node agents, descending; ties break on registration
-// order, so the extraction is deterministic.
-func (c *Collector) TopK(slot, k int) []NodeValue {
-	out := make([]NodeValue, 0, len(c.agents))
-	for _, a := range c.agents {
-		out = append(out, NodeValue{Node: a.Node, Value: a.WindowSum(slot)})
-	}
-	// Stable selection sort of the top k — n is fleet-sized, not hot.
-	for i := 0; i < len(out) && i < k; i++ {
-		best := i
-		for j := i + 1; j < len(out); j++ {
-			if out[j].Value > out[best].Value {
-				best = j
-			}
-		}
-		out[i], out[best] = out[best], out[i]
-	}
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// TenantValue is one tenant heavy hitter.
-type TenantValue struct {
-	Node  int32
-	Label string
-	Value int64
-}
-
-// TopTenants extracts the k heaviest tenants fleet-wide for one
-// per-tenant slot offset (TSlot*), descending, deterministic.
-func (c *Collector) TopTenants(tslot, k int) []TenantValue {
-	var out []TenantValue
-	for _, a := range c.agents {
-		for t, ref := range a.tenants {
-			out = append(out, TenantValue{a.Node, ref.Label, a.WindowSum(a.TenantSlot(t, tslot))})
-		}
-	}
-	for i := 0; i < len(out) && i < k; i++ {
-		best := i
-		for j := i + 1; j < len(out); j++ {
-			if out[j].Value > out[best].Value {
-				best = j
-			}
-		}
-		out[i], out[best] = out[best], out[i]
-	}
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
 // The rules' fixed thresholds, all windowed sums over the delta rings.
 // WatchConfig holds the ones a world tunes.
 const (

@@ -76,8 +76,7 @@ func TestAgentDeltasAndWindow(t *testing.T) {
 }
 
 // The agent ring is a hard memory bound: no matter how many ticks run,
-// storage stays len(names)·Window and only Window columns are valid —
-// the agent-side half of the Monitor.MaxSamples satellite.
+// storage stays len(names)·Window and only Window columns are valid.
 func TestAgentRingBound(t *testing.T) {
 	eng := sim.NewEngine()
 	a, f := newFakeNode(t, eng, 0, nil)
@@ -214,33 +213,6 @@ func TestNodeDownRule(t *testing.T) {
 	}
 	if len(col.OpenIncidents()) != 1 {
 		t.Fatalf("node-down closed while the node is still down: %v", col.Digest())
-	}
-}
-
-func TestTopKDeterministic(t *testing.T) {
-	eng := sim.NewEngine()
-	col := For(eng)
-	agents := make([]*Agent, 4)
-	fakes := make([]*fakeNode, 4)
-	for n := range agents {
-		agents[n], fakes[n] = newFakeNode(t, eng, int32(n), nil)
-	}
-	for n := range agents {
-		fakes[n].add("rnic."+itoa(int64(n))+".bytes_sent", int64(100*(n+1)))
-		agents[n].Sample(sim.Time(sim.Millisecond))
-	}
-	top := col.TopK(SlotBytesSent, 2)
-	if len(top) != 2 || top[0].Node != 3 || top[1].Node != 2 {
-		t.Fatalf("TopK = %v", top)
-	}
-	// Ties break on registration order.
-	for n := range agents {
-		fakes[n].add("rnic."+itoa(int64(n))+".retransmits", 5)
-		agents[n].Sample(2 * sim.Time(sim.Millisecond))
-	}
-	tied := col.TopK(SlotRetx, 3)
-	if tied[0].Node != 0 || tied[1].Node != 1 || tied[2].Node != 2 {
-		t.Fatalf("tie order = %v", tied)
 	}
 }
 
