@@ -403,11 +403,13 @@ func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN ui
 			SendCQ: qp.SendCQ, RecvCQ: qp.RecvCQ, srq: qp.srq, CreatedAt: qp.CreatedAt}
 		// The cached closures survive recycling; the CQE FIFOs must too,
 		// because drains already scheduled still index into them (exactly
-		// the lifetime per-WR closures used to have). The receive queue
-		// keeps its storage, emptied: a recycled QP posts as deep again.
+		// the lifetime per-WR closures used to have). The receive and send
+		// queues keep their storage, emptied: a recycled QP posts as deep
+		// again without allocating.
 		qp.rtoFn, qp.ackFn, qp.rnrFn, qp.cqeDoneFn, qp.recvDoneFn = keep.rtoFn, keep.ackFn, keep.rnrFn, keep.cqeDoneFn, keep.recvDoneFn
 		qp.cqeDone, qp.recvDone, qp.rq = keep.cqeDone, keep.recvDone, keep.rq
 		qp.rq.Reset()
+		qp.sq, qp.unacked = emptied(keep.sq), emptied(keep.unacked)
 	case QPInit:
 		if qp.State != QPReset {
 			return fmt.Errorf("%w: %v → INIT", ErrQPState, qp.State)

@@ -477,12 +477,20 @@ func (qp *QP) enterError(st Status) {
 	for _, wr := range qp.unacked {
 		qp.completeSend(wr, st)
 	}
-	qp.unacked = nil
 	for _, wr := range qp.sq {
 		qp.completeSend(wr, st)
 	}
-	qp.sq = nil
+	qp.sq, qp.unacked = emptied(qp.sq), emptied(qp.unacked)
 	qp.nic.dropJobsFor(qp)
+}
+
+// emptied zeroes a send queue's whole backing array — a removal shifts a WR
+// down and leaves a copy past len — and returns it empty: the QP keeps its
+// storage, so a recycled one posts without growing it again, and pins no WR
+// (nor the payload a WR names) it flushed.
+func emptied(q []*SendWR) []*SendWR {
+	clear(q[:cap(q)])
+	return q[:0]
 }
 
 // drainSendOK completes the oldest ack-retired WR from the cqeDone FIFO.

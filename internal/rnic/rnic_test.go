@@ -898,6 +898,67 @@ func TestErrorThenResetRecycles(t *testing.T) {
 	}
 }
 
+// TestResetKeepsSendQueueStorage: a QP taken busy through ERROR+RESET — the
+// QP cache's path for one whose connection closed with work in flight — keeps
+// the storage of its send queue and unacked list, every slot zeroed (a
+// shelved QP pins no WR, nor the payload one names), so the first posts after
+// it reconnects allocate nothing.
+func TestResetKeepsSendQueueStorage(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	r.b.Crash() // nothing will be acked
+	for id := uint64(1); id <= 3; id++ {
+		if err := r.qa.PostSend(&SendWR{ID: id, Op: OpSend, Len: 64, Data: make([]byte, 64)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.eng.RunFor(10 * sim.Microsecond)
+	sqCap, unackedCap := cap(r.qa.sq), cap(r.qa.unacked)
+	if sqCap == 0 || unackedCap < 3 {
+		t.Fatalf("busy QP: sq cap %d, unacked cap %d, want > 0 and ≥ 3", sqCap, unackedCap)
+	}
+	for _, to := range []QPState{QPError, QPReset} {
+		if err := r.a.ModifyQPNow(r.qa, to, 0, 0); err != nil {
+			t.Fatalf("→ %v: %v", to, err)
+		}
+		if cap(r.qa.sq) != sqCap || cap(r.qa.unacked) != unackedCap {
+			t.Fatalf("after %v: sq cap %d, unacked cap %d, want %d and %d", to, cap(r.qa.sq), cap(r.qa.unacked), sqCap, unackedCap)
+		}
+		for i, wr := range append(r.qa.sq[:cap(r.qa.sq)], r.qa.unacked[:cap(r.qa.unacked)]...) {
+			if wr != nil {
+				t.Fatalf("after %v: slot %d still holds WR %d", to, i, wr.ID)
+			}
+		}
+	}
+	r.eng.Run()
+	r.b.Revive()
+	if err := r.b.ModifyQPNow(r.qb, QPReset, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []QPState{QPInit, QPRTR, QPRTS} {
+		if err := r.a.ModifyQPNow(r.qa, step, r.b.Node, r.qb.QPN); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.b.ModifyQPNow(r.qb, step, r.a.Node, r.qa.QPN); err != nil {
+			t.Fatal(err)
+		}
+	}
+	postRecvN(t, r.qb, 3, 4096)
+	wrs := []SendWR{{ID: 11, Op: OpSend, Len: 64}, {ID: 12, Op: OpSend, Len: 64}}
+	post := func() {
+		if err := r.qa.PostSend(&wrs[0]); err != nil {
+			t.Fatal(err)
+		}
+		wrs = wrs[1:]
+	}
+	if got := testing.AllocsPerRun(1, post); got != 0 {
+		t.Errorf("a post on the recycled QP allocates %.0f, want 0", got)
+	}
+	r.eng.Run()
+	if sc := r.qa.SendCQ.Poll(10); len(sc) != 5 || sc[3].WRID != 11 || sc[4].WRID != 12 || sc[4].Status != StatusOK {
+		t.Fatalf("send CQEs: %+v", sc)
+	}
+}
+
 // TestConfigFieldBudget holds Config at the options some world sets; every
 // other device parameter is a constant. Raising it is a regression to
 // explain, like xrdma's TestChannelStructBudget.

@@ -53,10 +53,56 @@ func (q *Queue[T]) Reset() {
 	q.buf, q.head = q.buf[:0], 0
 }
 
-// Delete removes Items()[i], keeping the order of the rest.
-func (q *Queue[T]) Delete(i int) {
-	var zero T
-	copy(q.buf[q.head+i:], q.buf[q.head+i+1:])
-	q.buf[len(q.buf)-1] = zero
-	q.buf = q.buf[:len(q.buf)-1]
+// List is an intrusive FIFO: each element holds the link to the next (P's
+// Link addresses it), so queueing allocates nothing, and an element comes out
+// of the middle without moving the others. An element is on one List at a
+// time. The zero List is empty and ready to use.
+type List[T any, P interface {
+	*T
+	Link() *P
+}] struct {
+	head, tail P
+	n          int
+}
+
+// Len reports the queued elements.
+func (l *List[T, P]) Len() int { return l.n }
+
+// Head is the oldest element, nil when the list is empty; *e.Link() is the
+// one after e.
+func (l *List[T, P]) Head() P { return l.head }
+
+// Push appends e.
+func (l *List[T, P]) Push(e P) {
+	if l.n++; l.tail == nil {
+		l.head = e
+	} else {
+		*l.tail.Link() = e
+	}
+	l.tail = e
+}
+
+// Pop removes and returns the oldest element; the list must not be empty.
+func (l *List[T, P]) Pop() P {
+	e := l.head
+	l.Remove(e)
+	return e
+}
+
+// Remove takes e out, keeping the order of the rest, and reports whether it
+// was on the list.
+func (l *List[T, P]) Remove(e P) bool {
+	var prev P
+	at := &l.head
+	for ; *at != e; prev, at = *at, (*at).Link() {
+		if *at == nil {
+			return false
+		}
+	}
+	*at, *e.Link() = *e.Link(), nil
+	if l.tail == e {
+		l.tail = prev
+	}
+	l.n--
+	return true
 }

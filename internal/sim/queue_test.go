@@ -6,8 +6,8 @@ import (
 )
 
 // A queue driven against a plain slice model: same contents after any mix of
-// pushes, pops and deletes, vacated slots zeroed, and storage that stops
-// growing once it covers the peak backlog.
+// pushes and pops, vacated slots zeroed, and storage that stops growing once
+// it covers the peak backlog.
 func TestQueueMatchesModel(t *testing.T) {
 	var q Queue[*int]
 	var model []*int
@@ -21,15 +21,11 @@ func TestQueueMatchesModel(t *testing.T) {
 			next++
 			q.Push(v)
 			model = append(model, v)
-		case r < 9 && len(model) > 0:
+		case len(model) > 0:
 			if got := q.Pop(); got != model[0] {
 				t.Fatalf("step %d: Pop = %d, want %d", step, *got, *model[0])
 			}
 			model = model[1:]
-		case len(model) > 0:
-			i := rng.Intn(len(model))
-			q.Delete(i)
-			model = slices.Delete(slices.Clone(model), i, i+1)
 		}
 		if q.Len() != len(model) || !slices.Equal(q.Items(), model) {
 			t.Fatalf("step %d: queue diverged from the model (%d vs %d queued)", step, q.Len(), len(model))
@@ -92,6 +88,59 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 		q.Push(i)
 	}
 	if got := testing.AllocsPerRun(1000, func() { q.Push(q.Pop()) }); got != 0 {
+		t.Fatalf("push/pop cycle allocates %.1f per op", got)
+	}
+}
+
+type listNode struct {
+	v    int
+	next *listNode
+}
+
+func (n *listNode) Link() **listNode { return &n.next }
+
+// A list driven against a plain slice model: same contents, in order, after
+// any mix of pushes, pops and removals (of members and of elements on no
+// list); an element that leaves keeps no link into the list; and a cycle
+// through a warmed list allocates nothing.
+func TestListMatchesModel(t *testing.T) {
+	var l List[listNode, *listNode]
+	var model []*listNode
+	rng := NewRNG(11)
+	for step := 0; step < 20000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 5 && len(model) < 40:
+			e := &listNode{v: step}
+			l.Push(e)
+			model = append(model, e)
+		case r < 8 && len(model) > 0:
+			if got := l.Pop(); got != model[0] || got.next != nil {
+				t.Fatalf("step %d: Pop = %d (next %v), want %d", step, got.v, got.next, model[0].v)
+			}
+			model = model[1:]
+		case len(model) > 0:
+			i := rng.Intn(len(model))
+			if e := model[i]; !l.Remove(e) || e.next != nil {
+				t.Fatalf("step %d: Remove of queued element %d failed or kept its link", step, e.v)
+			}
+			model = slices.Delete(slices.Clone(model), i, i+1)
+		default:
+			if l.Remove(&listNode{v: -1}) {
+				t.Fatalf("step %d: removed an element that was on no list", step)
+			}
+		}
+		var got []*listNode
+		for e := l.Head(); e != nil; e = e.next {
+			got = append(got, e)
+		}
+		if l.Len() != len(model) || !slices.Equal(got, model) || len(model) > 0 && l.tail != model[len(model)-1] {
+			t.Fatalf("step %d: list diverged from the model (%d vs %d queued)", step, l.Len(), len(model))
+		}
+	}
+	for i := 0; i < 8; i++ {
+		l.Push(&listNode{v: i})
+	}
+	if got := testing.AllocsPerRun(1000, func() { l.Push(l.Pop()) }); got != 0 {
 		t.Fatalf("push/pop cycle allocates %.1f per op", got)
 	}
 }

@@ -114,11 +114,14 @@ type ConnReq struct {
 	ReplyData []byte
 
 	// Accept's step machine: the QP it drives, the transition queued next,
-	// and step bound once.
+	// and step bound once. The REP (or a failed step's REJ) and the Conn are
+	// made in place: one accept allocates the request and its step callback.
 	qp     *rnic.QP
 	next   rnic.QPState
 	done   func(*Conn, error)
 	stepFn func()
+	rep    cmMsg
+	conn   Conn
 }
 
 // Conn is an established RC connection.
@@ -154,6 +157,11 @@ type Dial struct {
 	peer     fabric.NodeID
 	peerQPN  uint32
 	peerData []byte
+
+	// Made in place: the REQ, then the RTU (the REQ was delivered before the
+	// REP that sends the RTU came back), and the connection done receives.
+	msg  cmMsg
+	conn Conn
 }
 
 // dialStage is the step a dial waits for.
@@ -264,7 +272,8 @@ func (d *Dial) step() {
 			cm.nextMsgID++
 			d.id = cm.nextMsgID
 			cm.pending[d.id] = d
-			cm.send(d.remote, &cmMsg{kind: 0, msgID: d.id, port: d.port, qpn: d.qp.QPN, private: d.private})
+			d.msg = cmMsg{kind: 0, msgID: d.id, port: d.port, qpn: d.qp.QPN, private: d.private}
+			cm.send(d.remote, &d.msg)
 		}
 	case dialRTR:
 		if d.modify(rnic.QPRTR, d.peer, d.peerQPN) {
@@ -273,9 +282,11 @@ func (d *Dial) step() {
 	case dialRTS:
 		if d.modify(rnic.QPRTS, 0, 0) {
 			d.settled = true
-			cm.send(d.peer, &cmMsg{kind: 2, msgID: d.id})
+			d.msg = cmMsg{kind: 2, msgID: d.id}
+			cm.send(d.peer, &d.msg)
 			cm.EstablishedConns++
-			d.done(&Conn{QP: d.qp, Remote: d.peer, PeerData: d.peerData}, nil)
+			d.conn = Conn{QP: d.qp, Remote: d.peer, PeerData: d.peerData}
+			d.done(&d.conn, nil)
 		}
 	}
 }
@@ -338,7 +349,8 @@ func (req *ConnReq) Accept(qp *rnic.QP, done func(*Conn, error)) {
 func (req *ConnReq) step() {
 	cm := req.cm
 	if err := cm.ctx.NIC.ModifyQPNow(req.qp, req.next, req.From, req.FromQPN); err != nil {
-		cm.send(req.From, &cmMsg{kind: 3, msgID: req.msgID, errText: err.Error()})
+		req.rep = cmMsg{kind: 3, msgID: req.msgID, errText: err.Error()}
+		cm.send(req.From, &req.rep)
 		req.done(nil, err)
 		return
 	}
@@ -347,9 +359,11 @@ func (req *ConnReq) step() {
 		cm.ctx.NIC.SubmitCmd(rnic.QPModifyCost, req.stepFn)
 		return
 	}
-	cm.send(req.From, &cmMsg{kind: 1, msgID: req.msgID, qpn: req.qp.QPN, private: req.ReplyData})
+	req.rep = cmMsg{kind: 1, msgID: req.msgID, qpn: req.qp.QPN, private: req.ReplyData}
+	cm.send(req.From, &req.rep)
 	cm.EstablishedConns++
-	req.done(&Conn{QP: req.qp, Remote: req.From}, nil)
+	req.conn = Conn{QP: req.qp, Remote: req.From}
+	req.done(&req.conn, nil)
 }
 
 // Reject refuses an inbound request.

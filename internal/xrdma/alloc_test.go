@@ -107,19 +107,20 @@ func TestSteadyStateAllocs(t *testing.T) {
 // cache, buffers back in the memory cache). Observation is not part of it: a
 // channel's XR-Stat row is collected when someone looks (Channel.row), so
 // opening and closing one registers and unregisters nothing. What is left
-// (by -memprofilerate 1): 9 for the CM exchange — the Dial and the ConnReq,
-// each with its step callback, the REQ, REP and RTU, the two Conns — whose
-// steps and hardware commands allocate nothing else (verbs'
-// TestDialAcceptAllocs holds that layer alone); no QP — both come out of the
-// cache, the one whose reply was still unacked at the close included (it used
-// to be destroyed and re-created: 9 more); 4 for
-// the send-queue slices RESET drops; 8 for the four windows; 6 for the two
-// receive pools (the pool, carve's callback, acquire's); the rest the two
-// links, flyweights, their send queues and callbacks. A QP gets no DCQCN state
-// until its first CNP. The ceiling is what the code reaches: raising it is a
-// regression to explain.
+// (by -memprofilerate 1) is what the connection keeps, per side the Channel,
+// its link and its window's one slot array (6); the CM's Dial and ConnReq,
+// each with its step callback (4) — the REQ, REP and RTU and both Conns are
+// made inside them, and their steps and hardware commands allocate nothing
+// else (verbs' TestDialAcceptAllocs holds that layer alone); per side one
+// establishment step machine, its receive pool carved inside it, and its
+// bound CM callback (4); the request's pending map (2); the two Msgs (2); and
+// this test's three closures. No QP — both come out of the cache, the one
+// whose reply was still unacked at the close included, and RESET keeps their
+// send queues' storage — and no send-queue storage: records queue through
+// themselves. A QP gets no DCQCN state until its first CNP. The ceiling is
+// what the code reaches: raising it is a regression to explain.
 func TestConnectCloseAllocs(t *testing.T) {
-	const ceiling = 50
+	const ceiling = 21
 	w := newWorld(t, 2, nil)
 	var srv *Channel
 	w.ctxs[1].OnChannel(func(ch *Channel) {

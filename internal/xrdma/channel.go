@@ -69,27 +69,25 @@ type Channel struct {
 	ctx  *Context
 	Peer fabric.NodeID
 
-	tx *txWindow
-	rx *rxWindow
+	// win is the seq-ack window (window.go), slotless until establishment.
+	win window
 
-	sendQ   sim.Queue[*msgRec] // unsent messages, in submission order
-	pending map[uint64]*msgRec // msgID → the request's record, awaiting the response
+	sendQ   sim.List[msgRec, *msgRec] // unsent messages, in submission order
+	pending map[uint64]*msgRec        // msgID → the request's record, awaiting the response
 
 	lastProgress sim.Time
 
 	recvSinceAck int
 	lastAckVal   uint64
 	ackEv        sim.Event
-	nopInFlight  bool
-	nopAt        sim.Time // when the in-flight NOP was sent (re-arm deadline)
-	stallFlag    bool
+	ackFn        func()   // ackEv's callback, bound on the first delayed ack
+	nopAt        sim.Time // when the in-flight NOP was sent (0: none; re-arm deadline)
 
 	pings map[uint64]*pingState
 
-	closed bool
-
 	onMessage func(*Msg)
 	onClose   func(error)
+	onConnect func(*Channel, error) // Connect's done, until the establishment settles
 
 	// lk is the QP holder and failure domain this channel rides (link.go):
 	// its own for an exclusive channel, the shared QP's when muxed, nil for
@@ -97,13 +95,11 @@ type Channel struct {
 	// the receive pool, the Mock conn — is the link's. health is this
 	// rider's view of the link state; resumeOnRx holds the passive side's
 	// replay until the peer's replacement QP is live.
-	lk         *link
-	health     HealthState
-	resumeOnRx bool
-	onHealth   func(HealthState)
+	lk       *link
+	onHealth func(HealthState)
 
 	// pulls guards against double rendezvous reads when an announce is
-	// replayed (the replay tail itself is tx.sent).
+	// replayed (the replay tail itself is in the window's slots).
 	pulls map[uint64]bool
 
 	// Gray-failure plane (pathdoctor.go): the verdict observer, the
@@ -113,10 +109,6 @@ type Channel struct {
 	retryTokens   float64
 	respCache     map[uint64]*respEntry
 	respOrder     sim.Queue[uint64] // respCache's keys, oldest first
-
-	// blameSuspect force-samples the next few requests after a slow-op
-	// incident so the blame plane always has hop logs for the tail.
-	blameSuspect int
 
 	// One-sided plane (onesided.go): windows the peer granted us, and the
 	// observers.
@@ -128,15 +120,13 @@ type Channel struct {
 	// QP multiplexing (mux.go): cid is the context-unique channel id
 	// (0 = exclusive legacy channel) and peerCID the peer's id for this
 	// channel — what outbound headers carry in Chan (0 on an exclusive QP).
-	// attach tracks the lazy-establishment state and attachCBs fire when it
-	// settles. peerClosed suppresses the CHAN_CLOSE echo when the peer tore
-	// down first.
-	cid        uint32
-	peerCID    uint32
-	muxPort    int
-	attach     uint8
-	peerClosed bool
-	attachCBs  []func(error)
+	// attach tracks the lazy-establishment state; onConnect, then attachCBs,
+	// fire when it settles. peerClosed suppresses the CHAN_CLOSE echo when
+	// the peer tore down first.
+	cid       uint32
+	peerCID   uint32
+	muxPort   int
+	attachCBs []func(error)
 
 	// Tenancy plane (tenant.go): the channel's tenant (nil = untenanted),
 	// its contribution to the tenant's in-flight window partition (for
@@ -144,7 +134,19 @@ type Channel struct {
 	// waiter FIFO.
 	tenant         *Tenant
 	tenantInflight int
-	tenantWaiting  bool
+
+	// The flags of the planes above, packed into one word
+	// (TestChannelStructBudget). blameSuspect force-samples the next few
+	// requests after a slow-op incident so the blame plane always has hop
+	// logs for the tail.
+	closed        bool
+	stallFlag     bool
+	health        HealthState
+	resumeOnRx    bool
+	attach        uint8
+	peerClosed    bool
+	tenantWaiting bool
+	blameSuspect  uint8
 
 	Counters ChannelStats
 }
@@ -152,12 +154,12 @@ type Channel struct {
 // unstage returns every staged rendezvous payload — of the unsent queue and
 // of the transmitted-but-unacked tail a cutover would replay — to the cache.
 func (ch *Channel) unstage() {
-	for _, rec := range ch.sendQ.Items() {
+	for rec := ch.sendQ.Head(); rec != nil; rec = rec.next {
 		rec.unstage(ch.ctx)
 	}
-	for _, rec := range ch.tx.sent {
-		if rec != nil {
-			rec.unstage(ch.ctx)
+	for _, s := range ch.win.slots {
+		if s.rec != nil {
+			s.rec.unstage(ch.ctx)
 		}
 	}
 }
@@ -253,24 +255,18 @@ func (c *Context) Listen(port int) error {
 
 // Connect establishes a channel to (node, port) (xrdma_connect). In mux
 // mode that is ChannelTo (which cannot fail here) plus an eager attach;
-// otherwise the channel's own link is born dialing. Either way done rides
-// the pending-attach bookkeeping.
+// otherwise the channel's own link is born dialing. Either way done waits on
+// the channel until the attach settles.
 func (c *Context) Connect(node fabric.NodeID, port int, done func(*Channel, error)) {
 	if c.muxEnabled() {
 		ch, _ := c.ChannelTo(node, port)
-		ch.onConnect(done)
+		ch.onConnect = done
 		ch.requestAttach()
 		return
 	}
 	ch := c.newChannel(node, attachPending)
-	ch.onConnect(done)
+	ch.onConnect = done
 	c.newLink(ch, linkDialing).dial(port, c.dialHello(hello{purpose: helloOpen}), nil)
-}
-
-func (ch *Channel) onConnect(done func(*Channel, error)) {
-	if done != nil {
-		ch.onAttach(func() { done(ch, nil) }, func(err error) { done(nil, err) })
-	}
 }
 
 // sharedRQ is the receive queue a created QP attaches to: the context's SRQ
@@ -279,15 +275,16 @@ func (ch *Channel) onConnect(done func(*Channel, error)) {
 // block more, up to SRQSize, when under 1/srqLimitDiv of one is left posted.
 func (c *Context) sharedRQ() *rnic.SRQ {
 	if c.srq != nil && c.srqPool == nil {
-		c.srqPool = c.Mem.carve(c.cfg.SRQSize, c.recvBufSize(), true, c.srqLanded)
+		c.srqPool = c.Mem.carve(new(recvPool), c.cfg.SRQSize, c.recvBufSize(), true, c)
 	}
 	return c.srq
 }
 
-// srqLanded posts a block and arms the limit event (ibv_modify_srq) for the next.
-// A block of a pool a NIC restart dropped while it registered goes back (the
-// pool may be the one being carved, not yet c.srqPool: compare eras).
-func (c *Context) srqLanded(p *recvPool, lo, hi int) {
+// poolLanded posts a block of the SRQ's pool and arms the limit event
+// (ibv_modify_srq) for the next. A block of a pool a NIC restart dropped while
+// it registered goes back (the pool may be the one being carved, not yet
+// c.srqPool: compare eras).
+func (c *Context) poolLanded(p *recvPool, lo, hi int) {
 	if p.gen != c.Mem.gen {
 		c.Mem.Free(p.blocks[lo/p.per])
 		return
@@ -300,14 +297,14 @@ func (c *Context) srqLanded(p *recvPool, lo, hi int) {
 	if hi < p.n {
 		c.srq.Arm(p.per/srqLimitDiv, func() {
 			c.Stats.SRQGrows++
-			c.Mem.fill(p, hi/p.per, c.srqLanded)
+			c.Mem.fill(p, hi/p.per)
 		})
 	}
 }
 
-// newChannel builds the flyweight every channel starts as: the windows
+// newChannel builds the flyweight every channel starts as: the window's slots
 // arrive with establishment (finishAttach) and the per-channel maps
-// (pending, sent, pulls, pings) on first use, so an idle one carries none.
+// (pending, pulls, pings) on first use, so an idle one carries none.
 func (c *Context) newChannel(peer fabric.NodeID, attach uint8) *Channel {
 	return &Channel{ctx: c, Peer: peer, attach: attach, lastProgress: c.eng.Now(), retryTokens: retryBudgetCap}
 }
@@ -334,7 +331,7 @@ func (ch *Channel) row(emit func(field string, v int64)) {
 	emit("stalls", ch.Counters.WindowStalls)
 	emit("rnr", qp.Counters.RNRNakRecv)
 	emit("retx", qp.Counters.Retransmits)
-	emit("inflight", int64(ch.tx.inflight()))
+	emit("inflight", int64(ch.win.inflight()))
 	emit("state", int64(ch.health))
 	emit("path_score", int64(d.score*100))
 	emit("path_verdict", int64(d.verdict))
@@ -447,21 +444,16 @@ func (ch *Channel) teardown(err error) {
 	// tail give back their staged payloads, records and window credits (the
 	// §V-A keepalive reclamation contract is "no resource left behind"), and
 	// the tenant's window partition its slots.
+	ch.unstage()
 	for ch.sendQ.Len() > 0 {
-		rec := ch.sendQ.Pop()
-		rec.unstage(c)
-		c.drop(rec, holdSendQ)
+		c.drop(ch.sendQ.Pop(), holdSendQ)
 	}
-	ch.sendQ = sim.Queue[*msgRec]{}
-	if ch.tx != nil {
-		for _, rec := range ch.tx.sent {
-			if rec != nil {
-				rec.unstage(c)
-				c.drop(rec, holdWindow)
-			}
+	for _, s := range ch.win.slots {
+		if s.rec != nil {
+			c.drop(s.rec, holdWindow)
 		}
-		ch.tx.rewind()
 	}
+	ch.win.rewind()
 	ch.tenantRewind()
 	// The flyweight maps go back to nil — a closed channel costs only its
 	// struct.
@@ -498,12 +490,7 @@ func (ch *Channel) QPN() uint32 {
 func (ch *Channel) Attached() bool { return ch.attach == attachDone }
 
 // Inflight reports windowed messages awaiting ack.
-func (ch *Channel) Inflight() int {
-	if ch.tx == nil {
-		return 0
-	}
-	return int(ch.tx.inflight())
-}
+func (ch *Channel) Inflight() int { return int(ch.win.inflight()) }
 
 // Health reports the channel's fault-tolerance state.
 func (ch *Channel) Health() HealthState { return ch.health }
@@ -528,20 +515,20 @@ func (ch *Channel) deadlockCheck() {
 	if ch.closed || ch.attach != attachDone {
 		return
 	}
-	if ch.nopInFlight {
+	if ch.nopAt != 0 {
 		// A NOP is out soliciting an ack. If the reply was dropped while
 		// the peer was transiently degraded (its ctrl plane holds frames),
-		// the flag would latch forever — re-arm after a generous wait
-		// instead of trusting one frame.
+		// it would latch forever — re-arm after a generous wait instead of
+		// trusting one frame.
 		if ch.ctx.eng.Now().Sub(ch.nopAt) < 4*deadlockScan {
 			return
 		}
-		ch.nopInFlight = false
+		ch.nopAt = 0
 	}
 	if !ch.pathUp() {
 		return
 	}
-	if ch.sendQ.Len() == 0 || ch.tx.canSend() {
+	if ch.sendQ.Len() == 0 || ch.win.canSend() {
 		return
 	}
 	if ch.ctx.eng.Now().Sub(ch.lastProgress) < deadlockScan {
@@ -549,7 +536,6 @@ func (ch *Channel) deadlockCheck() {
 	}
 	// Window full with no progress: fire the reserved NOP to solicit an
 	// ack from the peer.
-	ch.nopInFlight = true
 	ch.nopAt = ch.ctx.eng.Now()
 	ch.Counters.NopsSent++
 	ch.ctx.Stats.NopsSent++

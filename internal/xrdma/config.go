@@ -2,8 +2,8 @@ package xrdma
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"xrdma/internal/rnic"
@@ -262,12 +262,7 @@ func (c *Context) SetFlag(name, value string) error {
 
 // OnlineFlagNames lists the dynamically settable parameters (sorted).
 func OnlineFlagNames() []string {
-	names := make([]string, 0, len(onlineFlags))
-	for n := range onlineFlags {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(onlineFlags))
 }
 
 type flagChange struct {

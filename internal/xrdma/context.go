@@ -531,8 +531,9 @@ type pendingCQE struct {
 // dispatchNext runs the oldest polled completion: a poll schedules one
 // dispatch per completion at ascending instants, and the loop does not poll
 // again before the last of them, so events and queue stay in step.
-func (c *Context) dispatchNext() {
-	p := c.cqeQ.Pop()
+func (c *Context) dispatchNext() { c.dispatch(c.cqeQ.Pop()) }
+
+func (c *Context) dispatch(p pendingCQE) {
 	if !p.recv {
 		// An unknown WR is a flushed duplicate after error handling already ran.
 		if rec := c.posted[p.cqe.WRID]; rec != nil {
@@ -646,6 +647,14 @@ func (c *Context) Close() {
 	}
 	for _, l := range c.allLinks() {
 		l.giveUp(ErrChannelClosed)
+	}
+	// The QPs just given back flushed what they held (shared riders' CHAN_CLOSE,
+	// requests still retrying): one last poll, at no cost, completes it.
+	for _, cqe := range c.sendCQ.Poll(c.sendCQ.Len()) {
+		c.dispatch(pendingCQE{cqe: cqe})
+	}
+	for _, cqe := range c.recvCQ.Poll(c.recvCQ.Len()) {
+		c.dispatch(pendingCQE{recv: true, cqe: cqe})
 	}
 	c.unparkPoll(pollEvery) // the last tick fires where it always did, and returns
 	c.started = false

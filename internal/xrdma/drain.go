@@ -119,10 +119,7 @@ func (ch *Channel) drainQuiesced() bool {
 	if ch.attach == attachPending || ch.attach == attachQueued {
 		return false
 	}
-	if ch.tx != nil && ch.tx.inflight() > 0 {
-		return false
-	}
-	return ch.sendQ.Len() == 0 && len(ch.pending) == 0 && len(ch.pulls) == 0
+	return ch.win.inflight() == 0 && ch.sendQ.Len() == 0 && len(ch.pending) == 0 && len(ch.pulls) == 0
 }
 
 // drainScan polls the quiesce condition until it holds or the deadline
@@ -271,15 +268,17 @@ func (c *Context) encodeHandoff() []byte {
 			label = t.label
 		}
 		b = append(b, label[:]...)
-		u64(ch.tx.acked)
-		u64(ch.rx.rta)
+		u64(ch.win.acked)
+		u64(ch.win.rta)
 		var tail []*msgRec
-		for s := ch.tx.acked + 1; s <= ch.tx.seq; s++ {
-			if ps := ch.tx.at(s); ps != nil {
+		for s := ch.win.acked + 1; s <= ch.win.seq; s++ {
+			if ps := ch.win.at(s); ps != nil {
 				tail = append(tail, ps)
 			}
 		}
-		tail = append(tail, ch.sendQ.Items()...)
+		for rec := ch.sendQ.Head(); rec != nil; rec = rec.next {
+			tail = append(tail, rec)
+		}
 		u32(uint32(len(tail)))
 		for _, ps := range tail {
 			data := ps.payload()
@@ -470,9 +469,7 @@ func (c *Context) Rehydrate(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	if h.msgSeq > c.msgSeq {
-		c.msgSeq = h.msgSeq
-	}
+	c.msgSeq = max(c.msgSeq, h.msgSeq)
 	now := c.eng.Now()
 	for i := range h.chans {
 		r := &h.chans[i]
@@ -487,10 +484,8 @@ func (c *Context) Rehydrate(blob []byte) error {
 		l := c.newLink(ch, linkDegraded)
 		l.peerQPN, l.peerQPN0, l.ver, l.caps, l.degradedAt = r.peerQPN, r.peerQPN0, r.negVer, r.caps, now
 		l.qpns = r.qpns
-		ch.tx = newTxWindow(c.cfg.WindowDepth)
-		ch.tx.seq, ch.tx.acked = r.txFloor, r.txFloor
-		ch.rx = newRxWindow(c.cfg.WindowDepth)
-		ch.rx.wta, ch.rx.rta = r.rxFloor, r.rxFloor
+		ch.win = newWindow(c.cfg.WindowDepth)
+		ch.win.seq, ch.win.acked, ch.win.wta, ch.win.rta = r.txFloor, r.txFloor, r.rxFloor, r.rxFloor
 		if r.label != ([8]byte{}) {
 			ch.tenant = c.tenantByLabel(r.label)
 		}

@@ -154,10 +154,7 @@ func (t *Tenant) admit(ch *Channel, cost int) bool {
 func (t *Tenant) refill() {
 	now := t.ctx.eng.Now()
 	if dt := now.Sub(t.lastRefill); dt > 0 {
-		t.tokens += float64(t.cfg.RateBps) * float64(dt) / float64(sim.Second)
-		if depth := float64(t.cfg.BurstBytes); t.tokens > depth {
-			t.tokens = depth
-		}
+		t.tokens = min(t.tokens+float64(t.cfg.RateBps)*float64(dt)/float64(sim.Second), float64(t.cfg.BurstBytes))
 	}
 	t.lastRefill = now
 }
@@ -252,10 +249,7 @@ func (f *flowCtl) fetchRemote(op *msgRec) {
 	}
 	op.qp, op.remaining = l.qp, n
 	for off := 0; off < size || (size == 0 && off == 0); off += frag {
-		seg := size - off
-		if seg > frag {
-			seg = frag
-		}
+		seg := min(size-off, frag)
 		rec := f.ctx.newRec(recFrag, op.ch)
 		rec.parent, rec.lk, rec.qp = op, l, l.qp
 		rec.wr = rnic.SendWR{

@@ -424,10 +424,7 @@ func (l *link) keepalive(now sim.Time) {
 		// NIC is still legitimately retransmitting would turn every loss
 		// burst into a false positive.
 		nicCfg := &c.vctx.NIC.Cfg
-		deadline := sim.Duration(nicCfg.RetryLimit+2) * nicCfg.RetransTimeout
-		if c.cfg.KeepaliveTimeout > deadline {
-			deadline = c.cfg.KeepaliveTimeout
-		}
+		deadline := max(sim.Duration(nicCfg.RetryLimit+2)*nicCfg.RetransTimeout, c.cfg.KeepaliveTimeout)
 		if now.Sub(l.kaProbeAt) > deadline {
 			l.keepaliveDead(now)
 		}
@@ -702,30 +699,6 @@ func (l *link) detach(ch *Channel) {
 	l.release(qp, l.takePool())
 }
 
-// acquire gathers what a (first or replacement) transport is built from. A
-// standing receive pool iff the context has no SRQ (a shared link only exists
-// with one); the allocation overlaps the much slower connection handshake. A
-// recycled QP (nil = create one) iff the link is exclusive: see release.
-func (l *link) acquire(fn func(*rnic.QP, *recvPool)) {
-	c := l.c
-	if c.srq != nil {
-		fn(l.recycledQP(), nil)
-		return
-	}
-	c.Mem.carve(c.cfg.WindowDepth+ctrlReserve, c.recvBufSize(), false, func(p *recvPool, _, _ int) {
-		if p.pending == 0 {
-			fn(l.recycledQP(), p)
-		}
-	})
-}
-
-func (l *link) recycledQP() *rnic.QP {
-	if l.shared() {
-		return nil
-	}
-	return l.c.QPs.Get()
-}
-
 // release returns transport material that will not be adopted, or that an
 // adoption just replaced. The QP cache is per-channel: a shared QP —
 // sharedQPDepth deep and SRQ-bound, unable to post per-channel receives — never
@@ -755,9 +728,10 @@ func (l *link) takePool() (p *recvPool) { p, l.pool = l.pool, nil; return p }
 // --- establishment --------------------------------------------------------------
 //
 // Every transport a link carries arrives through dial (active) or accept
-// (passive) — the only cm.Connect and the only req.Accept. Both acquire the
-// material, establish, and install: setQP for the first transport, adopt for
-// a replacement. Material not installed goes back through release.
+// (passive), one estab each — the only cm.Connect and the only req.Accept.
+// Both gather the material, establish, and install: setQP for the first
+// transport, adopt for a replacement. Material not installed goes back
+// through release.
 
 // dial establishes toward (l.peer, port) with pd as the CM private data. A
 // refusal (a drain REJ as ErrDraining) fails a first dial's link and goes to
@@ -765,41 +739,109 @@ func (l *link) takePool() (p *recvPool) { p, l.pool = l.pool, nil; return p }
 // a connection storm (Fig. 8) legitimately queues in the NIC command queues
 // for longer than RecoverDialTimeout.
 func (l *link) dial(port int, pd []byte, retry func(error)) {
-	c := l.c
 	l.turn()
-	epoch := l.epoch
-	l.acquire(func(qp *rnic.QP, pool *recvPool) {
-		if l.epoch != epoch {
-			l.release(qp, pool)
-			return
-		}
+	l.establish(&estab{l: l, epoch: l.epoch, port: port, pd: pd, retry: retry})
+}
+
+// estab is one establishment in flight, a dial or the accept of req, as a
+// step machine: gather the material — a standing receive pool, carved in
+// place, iff the context has no SRQ (a shared link only exists with one); a
+// recycled QP iff the link is exclusive (see release) — then the CM exchange,
+// then install it or give it back. Itself and its bound done are all an
+// establishment allocates beside the CM's state; an installed pool stays.
+type estab struct {
+	l     *link
+	epoch uint64 // a dial's link epoch at its start: its material goes back once stale
+	port  int
+	pd    []byte
+	retry func(error)
+	req   *verbs.ConnReq
+	qp    *rnic.QP
+	rp    *recvPool // &pool, or nil when the SRQ serves
+	pool  recvPool
+}
+
+// establish starts the step machine: the pool's allocation overlaps the much
+// slower connection handshake.
+func (l *link) establish(e *estab) {
+	c := l.c
+	if c.srq != nil {
+		e.material(nil)
+		return
+	}
+	c.Mem.carve(&e.pool, c.cfg.WindowDepth+ctrlReserve, c.recvBufSize(), false, e)
+}
+
+// poolLanded moves on once the pool's last block is in place.
+func (e *estab) poolLanded(p *recvPool, _, _ int) {
+	if p.pending == 0 {
+		e.material(p)
+	}
+}
+
+// material takes a recycled QP beside the pool and dials, or answers the
+// request — on a QP created through the slow hardware path when none was.
+func (e *estab) material(pool *recvPool) {
+	l, c := e.l, e.l.c
+	if e.rp = pool; !l.shared() {
+		e.qp = c.QPs.Get() // a shared QP is never recycled: see release
+	}
+	switch {
+	case e.req == nil && l.epoch != e.epoch:
+		l.release(e.qp, pool)
+	case e.req == nil:
 		if l.state != linkDialing {
 			c.eng.AfterBg(l.dialTimeout, func() {
-				if l.epoch == epoch && l.dialing != nil {
+				if l.epoch == e.epoch && l.dialing != nil {
 					l.turn()
-					retry(errors.New("xrdma: dial timed out"))
+					e.retry(errors.New("xrdma: dial timed out"))
 				}
 			})
 		}
 		l.dialPool = pool
-		l.dialing = c.cm.Connect(l.peer, port, pd, qp, l.depth, c.sendCQ, c.recvCQ, c.sharedRQ(), func(conn *verbs.Conn, err error) {
-			l.dialing, l.dialPool = nil, nil
-			switch {
-			case err != nil:
-				l.release(qp, pool)
-				if l.state == linkDialing {
-					retry = l.fail // nothing to retry: giveUp tells whoever waited why
-				}
-				retry(mapDialErr(err))
-			case l.state == linkDialing:
-				// The acceptor's REP carries the settled negotiation verdict.
-				l.adoptVerdict(conn.PeerData)
-				l.setQP(conn.QP, pool, true)
-			default:
-				l.adopt(conn, pool, true)
-			}
-		})
-	})
+		l.dialing = c.cm.Connect(l.peer, e.port, e.pd, e.qp, l.depth, c.sendCQ, c.recvCQ, c.sharedRQ(), e.done)
+	case l.state == linkDead:
+		l.release(e.qp, pool)
+		e.req.Reject("link closed")
+	case e.qp != nil:
+		e.reply(e.qp)
+	default:
+		c.vctx.NIC.CreateQP(l.depth, l.depth, c.sendCQ, c.recvCQ, c.sharedRQ(), e.reply)
+	}
+}
+
+func (e *estab) reply(qp *rnic.QP) {
+	e.qp = qp
+	e.req.Accept(qp, e.done)
+}
+
+// done ends the CM exchange: the transport goes in — setQP for the first,
+// adopt for a replacement — or the material goes back through release.
+func (e *estab) done(conn *verbs.Conn, err error) {
+	l, initiator := e.l, e.req == nil
+	if initiator {
+		l.dialing, l.dialPool = nil, nil
+	}
+	switch {
+	case err != nil:
+		// An accept has no retry, and no REJ to map; nor has a first dial
+		// anything to retry: giveUp tells whoever waited why.
+		l.release(e.qp, e.rp)
+		if err = mapDialErr(err); e.retry == nil || l.state == linkDialing {
+			l.fail(err)
+		} else {
+			e.retry(err)
+		}
+	case l.state == linkDead:
+		l.release(e.qp, e.rp)
+	case l.state != linkDialing:
+		l.adopt(conn, e.rp, initiator)
+	default:
+		if initiator {
+			l.adoptVerdict(conn.PeerData) // the acceptor's REP carries the settled negotiation verdict
+		}
+		l.setQP(conn.QP, e.rp, initiator)
+	}
 }
 
 // dialReplacement redials the peer's listener for a degraded (or
@@ -868,35 +910,7 @@ func (c *Context) accept(req *verbs.ConnReq) {
 // accept is the passive half of dial. Receive buffers are allocated before
 // the CM reply goes out, so the dialer can never race ahead of the receive
 // queue — RNR-free from the very first message.
-func (l *link) accept(req *verbs.ConnReq) {
-	c := l.c
-	l.acquire(func(qp *rnic.QP, pool *recvPool) {
-		reply := func(qp *rnic.QP) {
-			req.Accept(qp, func(conn *verbs.Conn, err error) {
-				switch {
-				case err != nil:
-					l.release(qp, pool)
-					l.fail(err)
-				case l.state == linkDead:
-					l.release(qp, pool)
-				case l.state != linkDialing:
-					l.adopt(conn, pool, false)
-				default:
-					l.setQP(conn.QP, pool, false)
-				}
-			})
-		}
-		switch {
-		case l.state == linkDead:
-			l.release(qp, pool)
-			req.Reject("link closed")
-		case qp != nil:
-			reply(qp)
-		default: // nothing recycled: create one through the slow hardware path
-			c.vctx.NIC.CreateQP(l.depth, l.depth, c.sendCQ, c.recvCQ, c.sharedRQ(), reply)
-		}
-	})
-}
+func (l *link) accept(req *verbs.ConnReq) { l.establish(&estab{l: l, req: req}) }
 
 // adopt installs a freshly established replacement: the broken QP (or the
 // Mock conn) is surrendered and every established rider requeues its
@@ -934,7 +948,7 @@ func (l *link) adopt(conn *verbs.Conn, pool *recvPool, initiator bool) {
 	c.logf("link peer=%d recovered on qpn=%d after %v (failback=%v initiator=%v)", l.peer, l.qp.QPN, outage, failback, initiator)
 	for _, ch := range l.established() {
 		ch.requeueUnacked()
-		ch.nopInFlight, ch.stallFlag = false, false
+		ch.nopAt, ch.stallFlag = 0, false
 		ch.lastProgress = now
 		ch.pulls = nil // lazily re-created on the next rendezvous announce
 		ch.resumeOnRx = !initiator

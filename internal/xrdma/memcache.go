@@ -65,10 +65,27 @@ type memRegion struct {
 	dead     bool // region lost to a NIC restart; frees become no-ops
 }
 
+// memWaiter is one allocation: a buffer for cb, or block i of pool.
 type memWaiter struct {
 	size   int
 	tenant *Tenant
 	cb     func(Buffer, error)
+	pool   *recvPool
+	block  int
+}
+
+// serve hands the waiter its buffer — or why there is none. A pool's block
+// lands in place, invalid when the allocation failed (its slots stay
+// unposted), and the pool's owner hears which slots it holds.
+func (w memWaiter) serve(b Buffer, err error) {
+	p, i := w.pool, w.block
+	if p == nil {
+		w.cb(b, err)
+		return
+	}
+	p.blocks[i] = b
+	p.pending--
+	p.owner.poolLanded(p, i*p.per, min((i+1)*p.per, p.n))
 }
 
 // Buffer is an allocation from the cache: registered memory usable as an
@@ -136,11 +153,16 @@ func (m *MemCache) Alloc(size int, cb func(Buffer, error)) { m.AllocT(nil, size,
 // against t's MemBudget, and overruns fail synchronously with
 // ErrTenantBudget so the caller can degrade instead of stalling.
 func (m *MemCache) AllocT(t *Tenant, size int, cb func(Buffer, error)) {
-	if b, ok, err := m.allocSync(t, size); ok || err != nil {
-		cb(b, err)
+	m.alloc(memWaiter{size: size, tenant: t, cb: cb})
+}
+
+// alloc serves w at once, or queues it behind a grow.
+func (m *MemCache) alloc(w memWaiter) {
+	if b, ok, err := m.allocSync(w.tenant, w.size); ok || err != nil {
+		w.serve(b, err)
 		return
 	}
-	m.waiters.Push(memWaiter{size: size, tenant: t, cb: cb})
+	m.waiters.Push(w)
 	m.grow()
 }
 
@@ -313,38 +335,40 @@ type recvPool struct {
 	pending        int       // blocks still to land
 	gen            int       // the cache's era at the carve: a Reset since drops the pool
 	stride, per, n int
+	owner          poolOwner
+}
+
+// poolOwner hears each block of a pool land: the context the SRQ's, an
+// establishment a link's.
+type poolOwner interface {
+	poolLanded(p *recvPool, lo, hi int)
 }
 
 // carve allocates a pool of n strides: one block, or — when no region can hold
 // it — a block per stride (a link's, in E14's 256 KiB regions only; DESIGN §14.4
 // has why it is not packed yet), or, packed, blocks of as many strides as floor
 // takes, the first now and each next when its owner asks (fill): the SRQ.
-// landed runs once per block with its slot range, possibly before carve returns,
-// the block in place — or invalid: that allocation failed, its slots stay unposted.
-func (m *MemCache) carve(n, stride int, packed bool, landed func(p *recvPool, lo, hi int)) *recvPool {
+// The pool is carved into p, which it returns; owner hears each block land
+// (memWaiter.serve), possibly before carve returns.
+func (m *MemCache) carve(p *recvPool, n, stride int, packed bool, owner poolOwner) *recvPool {
 	per := min(n, max((m.floor()-m.pad())/stride, 1)) // a link's whole pool, unless no region holds it
 	if per < n && !packed {
 		per = 1
 	}
 	m.carved++
-	p := &recvPool{tag: m.carved << 32, gen: m.gen, stride: stride, per: per, n: n, pending: (n + per - 1) / per}
+	*p = recvPool{tag: m.carved << 32, gen: m.gen, stride: stride, per: per, n: n, pending: (n + per - 1) / per, owner: owner}
 	if p.blocks = p.one[:]; p.pending > 1 {
 		p.blocks = make([]Buffer, p.pending)
 	}
 	for i := 0; i < len(p.blocks) && (i == 0 || !packed); i++ {
-		m.fill(p, i, landed)
+		m.fill(p, i)
 	}
 	return p
 }
 
 // fill asks the cache for block i of the pool.
-func (m *MemCache) fill(p *recvPool, i int, landed func(p *recvPool, lo, hi int)) {
-	lo, hi := i*p.per, min((i+1)*p.per, p.n)
-	m.Alloc((hi-lo)*p.stride, func(b Buffer, _ error) {
-		p.blocks[i] = b
-		p.pending--
-		landed(p, lo, hi)
-	})
+func (m *MemCache) fill(p *recvPool, i int) {
+	m.alloc(memWaiter{size: (min((i+1)*p.per, p.n) - i*p.per) * p.stride, pool: p, block: i})
 }
 
 // id is the receive WR id of slot.
@@ -423,7 +447,7 @@ func (m *MemCache) serveWaiters() {
 		// while this waiter sat behind a grow.
 		if m.overBudget(w.tenant, w.size) {
 			m.waiters.Pop()
-			w.cb(Buffer{}, ErrTenantBudget)
+			w.serve(Buffer{}, ErrTenantBudget)
 			continue
 		}
 		b, ok := m.tryAlloc(w.tenant, w.size)
@@ -431,7 +455,7 @@ func (m *MemCache) serveWaiters() {
 			return
 		}
 		m.waiters.Pop()
-		w.cb(b, nil)
+		w.serve(b, nil)
 	}
 }
 

@@ -101,9 +101,7 @@ func (c *Context) parkMockConn(qpn uint32, conn *tcpnet.Conn) {
 	p := &parkedMock{qpn: qpn, conn: conn}
 	c.mockParked = append(c.mockParked, p)
 	conn.OnMessage = func(m tcpnet.Message) {
-		b := make([]byte, len(m.Data))
-		copy(b, m.Data)
-		p.buf = append(p.buf, b)
+		p.buf = append(p.buf, slices.Clone(m.Data))
 	}
 	conn.OnClose = func(error) { c.unpark(p) }
 	c.eng.AfterBg(c.mockGrace(), func() {

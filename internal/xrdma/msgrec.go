@@ -18,6 +18,7 @@ type msgRec struct {
 	holds uint8
 	gen   uint32 // incarnation: a late async callback sees it lost its record
 	ch    *Channel
+	next  *msgRec // the next record on the channel's send queue
 
 	// The transmission. From post to CQE (holdNIC) wr and the frame inside buf
 	// are the RNIC's: RC retransmission re-reads both. buf is frameHeadroom
@@ -75,6 +76,9 @@ const (
 	holdWaiter                   // a response is awaited (Channel.pending)
 	holdOp                       // a fetch whose fragments are outstanding
 )
+
+// Link addresses next: a record queues on a sim.List (Channel.sendQ).
+func (rec *msgRec) Link() **msgRec { return &rec.next }
 
 // frameHeadroom is the largest header: every extension present.
 const frameHeadroom = hdrSize + traceExtSize + blameExtSize + tenantExtSize

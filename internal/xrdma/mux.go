@@ -161,8 +161,7 @@ func (ch *Channel) finishAttach(err error) {
 	}
 	held := ch.attach == attachPending && ch.lk.shared() && ch.lk.dialer // who passed admission: startAttach
 	ch.attach = attachDone
-	ch.tx = newTxWindow(c.cfg.WindowDepth)
-	ch.rx = newRxWindow(c.cfg.WindowDepth)
+	ch.win = newWindow(c.cfg.WindowDepth)
 	c.Stats.ChannelsOpened++
 	if held {
 		c.attachRelease()
@@ -184,8 +183,13 @@ func (ch *Channel) onAttach(ok func(), failed func(error)) {
 }
 
 func (ch *Channel) attachSettled(err error) {
-	cbs := ch.attachCBs
-	ch.attachCBs = nil
+	done, cbs := ch.onConnect, ch.attachCBs
+	ch.onConnect, ch.attachCBs = nil, nil
+	if done != nil && err != nil {
+		done(nil, err)
+	} else if done != nil {
+		done(ch, nil)
+	}
 	for _, cb := range cbs {
 		cb(err)
 	}

@@ -130,7 +130,7 @@ func TestMuxLazyAttachAndAdmission(t *testing.T) {
 		t.Fatalf("lazy descriptors dialed %d QPs", len(sharedQPs(w.ctxs[0])))
 	}
 	for _, ch := range descs {
-		if ch.Attached() || ch.tx != nil || ch.pending != nil || ch.lk != nil {
+		if ch.Attached() || ch.win.slots != nil || ch.pending != nil || ch.lk != nil {
 			t.Fatal("descriptor carries eager state")
 		}
 	}
@@ -393,4 +393,24 @@ func TestMuxGaugeLimitAggregates(t *testing.T) {
 		t.Fatalf("agg_channels=%d after close, want %d", got, chans-limit-1)
 	}
 	_ = sends
+}
+
+// TestContextCloseDrainsInFlight: Close sends each shared rider's CHAN_CLOSE,
+// behind a message still in flight, on a QP it then destroys; the flushed
+// completions queue after the poller's last dispatch, and no poll follows.
+// Close drains them itself, so the closed context ends with no record posted
+// and the ledger clean.
+func TestContextCloseDrainsInFlight(t *testing.T) {
+	w := newWorld(t, 2, muxKnobs(1))
+	clients, servers := openMuxed(t, w, 0, 1, 6007, 2)
+	for _, srv := range servers {
+		echoServer(srv)
+	}
+	clients[0].SendMsg(nil, 64, nil)
+	w.ctxs[0].Close()
+	w.eng.Run()
+	if n := len(w.ctxs[0].posted); n != 0 {
+		t.Errorf("closed context: %d records posted at rest", n)
+	}
+	w.checkAtRest(t, 0, 1)
 }

@@ -168,14 +168,7 @@ func (c *Context) readHello(from fabric.NodeID, b []byte) (hello, helloVerdict) 
 // — the caller must refuse the connection loudly (never silently downgrade
 // below a peer's stated minimum).
 func negotiate(a, b offer) (ver uint8, caps uint32, ok bool) {
-	hi := a.maxVer
-	if b.maxVer < hi {
-		hi = b.maxVer
-	}
-	lo := a.minVer
-	if b.minVer > lo {
-		lo = b.minVer
-	}
+	hi, lo := min(a.maxVer, b.maxVer), max(a.minVer, b.minVer)
 	if hi < lo {
 		return 0, 0, false
 	}
@@ -187,18 +180,12 @@ func negotiate(a, b offer) (ver uint8, caps uint32, ok bool) {
 func (c *Context) protoRange() (lo, hi uint8) {
 	lo, hi = hdrVersion, hdrVersion
 	if c.cfg.ProtoVerMax > 0 {
-		hi = uint8(c.cfg.ProtoVerMax)
-		if hi > hdrVersionMax {
-			hi = hdrVersionMax
-		}
+		hi = min(uint8(c.cfg.ProtoVerMax), hdrVersionMax)
 	}
 	if c.cfg.ProtoVerMin > 0 {
 		lo = uint8(c.cfg.ProtoVerMin)
 	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
+	return min(lo, hi), hi
 }
 
 // localOffer is the range this context dials and listens with.

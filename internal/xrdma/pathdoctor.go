@@ -216,10 +216,7 @@ func (d *pathDoctor) scoreScan(retx, rnr, corrupt int64) bool {
 		if d.baseRTT == 0 {
 			d.baseRTT = mean
 		} else if infl := mean / d.baseRTT; infl > pdRTTInflationBar {
-			contrib := (infl - pdRTTInflationBar) * pdRTTInflationWeight
-			if contrib > pdRTTContribCap {
-				contrib = pdRTTContribCap
-			}
+			contrib := min((infl-pdRTTInflationBar)*pdRTTInflationWeight, pdRTTContribCap)
 			// Round-trip inflation cannot name a direction; it counts
 			// toward the verdict but, for attribution, toward the side
 			// only the peer can cure — our own rotation is already

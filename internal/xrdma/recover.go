@@ -19,7 +19,7 @@ func (ch *Channel) quiesce() {
 	c := ch.ctx
 	c.eng.Cancel(ch.ackEv)
 	ch.ackEv = sim.Event{}
-	ch.nopInFlight = false
+	ch.nopAt = 0
 	ch.stallFlag = false
 }
 
@@ -28,12 +28,12 @@ func (ch *Channel) quiesce() {
 // normal pump re-transmits with identical sequence numbers, so the
 // receiver can dedup anything that survived the old transport.
 func (ch *Channel) requeueUnacked() {
-	if ch.tx.seq == ch.tx.acked {
+	if ch.win.seq == ch.win.acked {
 		return
 	}
-	var replay []*msgRec
-	for s := ch.tx.acked + 1; s <= ch.tx.seq; s++ {
-		ps := ch.tx.at(s)
+	var replay sim.List[msgRec, *msgRec]
+	for s := ch.win.acked + 1; s <= ch.win.seq; s++ {
+		ps := ch.win.at(s)
 		if ps == nil {
 			continue
 		}
@@ -48,15 +48,14 @@ func (ch *Channel) requeueUnacked() {
 			ps.staged = Buffer{}
 		}
 		ps.ready = ps.staged.Valid()
-		replay = append(replay, ps)
+		replay.Push(ps)
 	}
-	ch.tx.rewind()
+	ch.win.rewind()
 	ch.tenantRewind()
-	replay = append(replay, ch.sendQ.Items()...)
-	ch.sendQ = sim.Queue[*msgRec]{}
-	for _, rec := range replay {
-		ch.sendQ.Push(rec)
+	for ch.sendQ.Len() > 0 {
+		replay.Push(ch.sendQ.Pop())
 	}
+	ch.sendQ = replay
 }
 
 // rehome moves a message, response waiter and all, to a fresh record when the

@@ -12,6 +12,11 @@ import (
 	"xrdma/internal/sim"
 )
 
+// landedFunc is a poolOwner made of a function.
+type landedFunc func(p *recvPool, lo, hi int)
+
+func (f landedFunc) poolLanded(p *recvPool, lo, hi int) { f(p, lo, hi) }
+
 // checkSlab holds a pool to the slab arithmetic: n strides are
 // ⌈n / per⌉ cache blocks of which those covering the first filled
 // slots are in place, every such slot lies inside its block at a stride multiple
@@ -52,7 +57,7 @@ func checkSlab(t *testing.T, c *Context, p *recvPool, per, n, filled, stride int
 	// A second pool of the same shape out of the same cache: the slot
 	// numbers repeat, the ids do not.
 	var other *recvPool
-	c.Mem.carve(n, stride, per > 1, func(q *recvPool, _, _ int) { other = q })
+	c.Mem.carve(new(recvPool), n, stride, per > 1, landedFunc(func(q *recvPool, _, _ int) { other = q }))
 	c.eng.Run() // the cache may have to grow for it
 	wantPending := 0
 	if per > 1 { // packed: only its first block was asked for

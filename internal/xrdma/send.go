@@ -98,9 +98,7 @@ func (ch *Channel) enqueue(rec *msgRec) {
 	rec.enqAt = ch.ctx.eng.Now()
 	rec.holds |= holdSendQ
 	ch.sendQ.Push(rec)
-	if n := ch.sendQ.Len(); n > ch.Counters.SendQueuePeak {
-		ch.Counters.SendQueuePeak = n
-	}
+	ch.Counters.SendQueuePeak = max(ch.Counters.SendQueuePeak, ch.sendQ.Len())
 	ch.pump()
 }
 
@@ -131,12 +129,11 @@ func (ch *Channel) pump() {
 		return
 	}
 	for ch.sendQ.Len() > 0 && !ch.closed && ch.pathUp() {
-		ps := ch.sendQ.Items()[0]
-		if !ch.tx.canSend() {
+		ps := ch.sendQ.Head()
+		if !ch.win.canSend() {
 			if !ch.stallFlag {
 				ch.stallFlag = true
 				ch.Counters.WindowStalls++
-				ch.tx.Stalls++
 			}
 			return
 		}
@@ -186,8 +183,7 @@ func (ch *Channel) pump() {
 func (ch *Channel) stage(ps *msgRec, buf Buffer, err error) {
 	if err != nil {
 		ch.ctx.logf("stage alloc failed: %v", err)
-		if i := slices.Index(ch.sendQ.Items(), ps); i >= 0 {
-			ch.sendQ.Delete(i)
+		if ch.sendQ.Remove(ps) {
 			ch.failSend(ps, err)
 		}
 		return
@@ -210,9 +206,9 @@ func (ch *Channel) transmit(ps *msgRec, large bool) {
 	}
 	// The window keeps the record, and the message replayable, until acked.
 	ps.holds = ps.holds&^holdSendQ | holdWindow
-	seq := ch.tx.next(ps)
+	seq := ch.win.next(ps)
 	h := wireHdr{
-		Kind: kind, Ver: ch.lk.ver, Seq: seq, Ack: ch.rx.ackValue(), Chan: ch.peerCID,
+		Kind: kind, Ver: ch.lk.ver, Seq: seq, Ack: ch.win.ackValue(), Chan: ch.peerCID,
 		MsgID: ps.msgID, Size: uint32(ps.size),
 	}
 	if t := ch.tenant; t != nil {
@@ -344,13 +340,13 @@ func (ch *Channel) sendCtrl(kind msgKind) {
 
 // sendCtrlHdr emits a window-exempt frame: a header, no payload. Control
 // traffic is advisory — cumulative acks re-ride the next message — so without
-// a live path the frame is dropped. (rx is nil only on an unattached mux
-// descriptor: there is no wire yet to put a control frame on.)
+// a live path the frame is dropped. (The window has no slots only on an
+// unattached mux descriptor: there is no wire yet to put a control frame on.)
 func (ch *Channel) sendCtrlHdr(h *wireHdr) {
-	if ch.closed || ch.rx == nil || !ch.pathUp() {
+	if ch.closed || ch.win.slots == nil || !ch.pathUp() {
 		return
 	}
-	h.Ver, h.Ack, h.Chan = ch.lk.ver, ch.rx.ackValue(), ch.peerCID
+	h.Ver, h.Ack, h.Chan = ch.lk.ver, ch.win.ackValue(), ch.peerCID
 	ch.lk.emitCtrl(ch, h)
 	if h.Kind == kindAck {
 		ch.Counters.AcksSent++
@@ -361,7 +357,7 @@ func (ch *Channel) sendCtrlHdr(h *wireHdr) {
 
 // noteAckCarried records that the current RTA went out with some message.
 func (ch *Channel) noteAckCarried() {
-	ch.lastAckVal = ch.rx.ackValue()
+	ch.lastAckVal = ch.win.ackValue()
 	ch.recvSinceAck = 0
 	ch.ctx.eng.Cancel(ch.ackEv)
 	ch.ackEv = sim.Event{}
@@ -371,7 +367,7 @@ func (ch *Channel) noteAckCarried() {
 // delayed-ack timer (§V-B: "after receiving N messages successfully but
 // without any ACK, a standalone ACK message will be triggered").
 func (ch *Channel) maybeAck() {
-	if ch.closed || ch.rx.ackValue() == ch.lastAckVal {
+	if ch.closed || ch.win.ackValue() == ch.lastAckVal {
 		return
 	}
 	if ch.recvSinceAck >= ch.ctx.cfg.AckEvery {
@@ -379,14 +375,14 @@ func (ch *Channel) maybeAck() {
 		return
 	}
 	if !ch.ackEv.Pending() {
-		if ch.rx.ackFn == nil {
-			ch.rx.ackFn = func() {
-				if !ch.closed && ch.rx.ackValue() > ch.lastAckVal {
+		if ch.ackFn == nil {
+			ch.ackFn = func() {
+				if !ch.closed && ch.win.ackValue() > ch.lastAckVal {
 					ch.sendCtrl(kindAck)
 				}
 			}
 		}
-		ch.ackEv = ch.ctx.eng.After(ch.ctx.cfg.AckDelay, ch.rx.ackFn)
+		ch.ackEv = ch.ctx.eng.After(ch.ctx.cfg.AckDelay, ch.ackFn)
 	}
 }
 
@@ -410,18 +406,14 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 	// the peer acked tail messages the restarted instance has not
 	// re-sequenced yet — so the edge clamps the ack; the replay re-earns
 	// the remainder when those sequence numbers are reassigned.
-	if h.Ack > ch.tx.acked {
-		ack := h.Ack
-		if ack > ch.tx.seq {
-			ack = ch.tx.seq
-		}
-		for ch.tx.acked < ack {
-			if rec := ch.tx.retire(); rec != nil {
+	if h.Ack > ch.win.acked {
+		for ack := min(h.Ack, ch.win.seq); ch.win.acked < ack; {
+			if rec := ch.win.retire(); rec != nil {
 				ch.acked(rec)
 			}
 		}
 		ch.lastProgress = c.eng.Now()
-		ch.nopInFlight = false
+		ch.nopAt = 0
 		ch.pump()
 	}
 	// Tenant label: a passive channel binds its tenant from the first
@@ -438,7 +430,7 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 
 	switch h.Kind {
 	case kindAck:
-		ch.nopInFlight = false
+		ch.nopAt = 0
 	case kindPathHint:
 		// The peer's doctor blames the path our flow label picks.
 		ch.doctorRef().noteHint(c, c.eng.Now())
@@ -475,16 +467,16 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 			}
 			msg.blame = mb
 		}
-		if !ch.rx.receive(h.Seq, true) {
+		if !ch.win.receive(h.Seq, true) {
 			// A cutover replay. If the original delivery completed, just
 			// refresh the (evidently lost) ack. If it was announced as a
 			// rendezvous whose pull died with the old transport, this
 			// inline replay IS the payload — deliver it.
-			if ch.rx.isRecved(h.Seq) {
+			if ch.win.isRecved(h.Seq) {
 				ch.sendCtrl(kindAck)
 				return
 			}
-			ch.rx.markRecved(h.Seq)
+			ch.win.markRecved(h.Seq)
 		}
 		ch.deliver(msg)
 	case kindLargeReq, kindLargeResp:
@@ -494,8 +486,8 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 			MsgID: h.MsgID, Seq: h.Seq,
 			T1: sim.Time(h.T1), Traced: h.Flags&flagTraced != 0,
 		}
-		if !ch.rx.receive(h.Seq, false) {
-			if ch.rx.isRecved(h.Seq) {
+		if !ch.win.receive(h.Seq, false) {
+			if ch.win.isRecved(h.Seq) {
 				ch.sendCtrl(kindAck)
 				return
 			}
@@ -547,7 +539,7 @@ func (ch *Channel) pulled(msg *Msg, buf Buffer, pullQP *rnic.QP, pullStart sim.T
 	// stage on the timeline.
 	c.tel.Trace.Complete(telemetry.StageReadFetch.String(), c.track,
 		pullStart, c.eng.Now().Sub(pullStart), int64(msg.MsgID))
-	if ch.rx.isRecved(seqNo) {
+	if ch.win.isRecved(seqNo) {
 		// A replayed announce re-pulled this message and won the race; drop
 		// the duplicate payload.
 		c.Mem.Free(buf)
@@ -555,7 +547,7 @@ func (ch *Channel) pulled(msg *Msg, buf Buffer, pullQP *rnic.QP, pullStart sim.T
 	}
 	msg.Data, msg.buf, msg.RecvAt = buf.Bytes(), buf, c.eng.Now()
 	ch.Counters.LargeRecv++
-	ch.rx.markRecved(seqNo)
+	ch.win.markRecved(seqNo)
 	ch.deliver(msg)
 }
 

@@ -3,7 +3,6 @@ package xrdma
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"xrdma/internal/sim"
 	"xrdma/internal/telemetry"
@@ -409,10 +408,8 @@ func (c *Context) TenantDigest() []string {
 	if len(c.tenants) == 0 {
 		return nil
 	}
-	ts := append([]*Tenant(nil), c.tenants...)
-	sort.Slice(ts, func(i, j int) bool { return ts[i].id < ts[j].id })
-	out := make([]string, 0, len(ts))
-	for _, t := range ts {
+	out := make([]string, 0, len(c.tenants))
+	for _, t := range c.tenants { // in id order
 		out = append(out, fmt.Sprintf("tenant %s sent=%d recv=%d tx=%d rx=%d rstall=%d wstall=%d mem=%d rejects=%d sheds=%d ashed=%d rtt_n=%d rtt_sum=%d",
 			t.cfg.Name, t.Sent, t.Recvd, t.TxBytes, t.RxBytes, t.RateStalls, t.WinStalls,
 			t.memUsed, t.MemRejects, t.Sheds, t.AttachSheds, t.RTTCount, t.RTTSumNs))

@@ -6,7 +6,7 @@ import (
 )
 
 func TestTxWindowBasics(t *testing.T) {
-	w := newTxWindow(4)
+	w := newWindow(4)
 	if !w.canSend() || w.inflight() != 0 {
 		t.Fatal("fresh window wrong")
 	}
@@ -21,12 +21,12 @@ func TestTxWindowBasics(t *testing.T) {
 	if w.canSend() {
 		t.Fatal("full window should refuse")
 	}
-	ackTo(w, 2)
+	ackTo(&w, 2)
 	if w.inflight() != 2 || !w.canSend() {
 		t.Fatalf("after ack(2): inflight=%d", w.inflight())
 	}
 	// Stale ack ignored.
-	ackTo(w, 1)
+	ackTo(&w, 1)
 	if w.acked != 2 {
 		t.Fatal("ack regressed")
 	}
@@ -35,7 +35,7 @@ func TestTxWindowBasics(t *testing.T) {
 
 // ackTo advances the ack edge the way Channel.handleWire does, returning the
 // MsgIDs of the records retired on the way.
-func ackTo(w *txWindow, ack uint64) (retired []uint64) {
+func ackTo(w *window, ack uint64) (retired []uint64) {
 	for w.acked < ack {
 		if rec := w.retire(); rec != nil {
 			retired = append(retired, rec.msgID)
@@ -45,30 +45,30 @@ func ackTo(w *txWindow, ack uint64) (retired []uint64) {
 }
 
 func TestTxWindowRetiresInOrder(t *testing.T) {
-	w := newTxWindow(4)
+	w := newWindow(4)
 	for i := 1; i <= 4; i++ {
 		w.next(&msgRec{msgID: uint64(100 + i)})
 	}
 	if w.at(3).msgID != 103 {
 		t.Fatalf("at(3) = %d", w.at(3).msgID)
 	}
-	if got := ackTo(w, 3); len(got) != 3 || got[0] != 101 || got[2] != 103 {
+	if got := ackTo(&w, 3); len(got) != 3 || got[0] != 101 || got[2] != 103 {
 		t.Fatalf("retire order: %v", got)
 	}
 	// The freed slots are reused while seq 4 is still unacked.
 	w.next(&msgRec{msgID: 105})
-	if got := ackTo(w, 5); len(got) != 2 || got[0] != 104 || got[1] != 105 {
+	if got := ackTo(&w, 5); len(got) != 2 || got[0] != 104 || got[1] != 105 {
 		t.Fatalf("retire completion: %v", got)
 	}
-	for i, rec := range w.sent {
-		if rec != nil {
+	for i, s := range w.slots {
+		if s.rec != nil {
 			t.Fatalf("slot %d still holds a retired record", i)
 		}
 	}
 }
 
 func TestTxWindowOverflowPanics(t *testing.T) {
-	w := newTxWindow(1)
+	w := newWindow(1)
 	w.next(nil)
 	defer func() {
 		if recover() == nil {
@@ -79,18 +79,18 @@ func TestTxWindowOverflowPanics(t *testing.T) {
 }
 
 func TestTxWindowAckBeyondSeqPanics(t *testing.T) {
-	w := newTxWindow(4)
+	w := newWindow(4)
 	w.next(nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ack beyond seq must panic")
 		}
 	}()
-	ackTo(w, 2)
+	ackTo(&w, 2)
 }
 
 func TestRxWindowContiguousAck(t *testing.T) {
-	w := newRxWindow(4)
+	w := newWindow(4)
 	w.receive(1, true)
 	if w.ackValue() != 1 {
 		t.Fatalf("rta = %d", w.ackValue())
@@ -113,7 +113,7 @@ func TestRxWindowContiguousAck(t *testing.T) {
 }
 
 func TestRxWindowOutOfOrderPanics(t *testing.T) {
-	w := newRxWindow(4)
+	w := newWindow(4)
 	w.receive(1, true)
 	defer func() {
 		if recover() == nil {
@@ -124,7 +124,7 @@ func TestRxWindowOutOfOrderPanics(t *testing.T) {
 }
 
 func TestRxWindowOverrunPanics(t *testing.T) {
-	w := newRxWindow(2)
+	w := newWindow(2)
 	w.receive(1, false)
 	w.receive(2, false)
 	defer func() {
@@ -141,7 +141,7 @@ func TestRxWindowOverrunPanics(t *testing.T) {
 func TestWindowAlgebraProperty(t *testing.T) {
 	prop := func(deferred []bool, order []uint8) bool {
 		depth := 64
-		w := newRxWindow(depth)
+		w := newWindow(depth)
 		if len(deferred) > depth {
 			deferred = deferred[:depth]
 		}
@@ -193,8 +193,8 @@ func TestWindowAlgebraProperty(t *testing.T) {
 func TestWindowPairProperty(t *testing.T) {
 	prop := func(msgCount uint8, deferMask uint64) bool {
 		depth := 8
-		tx := newTxWindow(depth)
-		rx := newRxWindow(depth)
+		tx := newWindow(depth)
+		rx := newWindow(depth)
 		n := int(msgCount%64) + 1
 		sent := 0
 		pendingPulls := []uint64{}
@@ -213,7 +213,7 @@ func TestWindowPairProperty(t *testing.T) {
 				rx.markRecved(pendingPulls[0])
 				pendingPulls = pendingPulls[1:]
 			}
-			ackTo(tx, rx.ackValue())
+			ackTo(&tx, rx.ackValue())
 			if tx.inflight() > uint64(depth) {
 				return false
 			}
@@ -225,7 +225,7 @@ func TestWindowPairProperty(t *testing.T) {
 			rx.markRecved(pendingPulls[0])
 			pendingPulls = pendingPulls[1:]
 		}
-		ackTo(tx, rx.ackValue())
+		ackTo(&tx, rx.ackValue())
 		return tx.inflight() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
