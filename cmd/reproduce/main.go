@@ -9,8 +9,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -19,7 +21,6 @@ import (
 	"sync"
 
 	"xrdma/internal/bench"
-	"xrdma/internal/sim"
 	"xrdma/internal/telemetry"
 	"xrdma/internal/xrmon"
 )
@@ -76,29 +77,12 @@ func main() {
 	// ring is truncated at DefaultTraceCap events (oldest dropped first)
 	// so a full run cannot produce a multi-gigabyte file by accident.
 	var col *telemetry.Collector
-	if *metrics || *metricsProm || *tracePath != "" || *blamePath != "" {
+	if *metrics || *metricsProm || *tracePath != "" || *blamePath != "" || *monPath != "" {
 		col = &telemetry.Collector{}
 		if *tracePath != "" {
 			col.TraceCap = telemetry.DefaultTraceCap
 		}
 		sc.Observe = col.Observe
-	}
-	// Fleet-diagnosis export: remember each observed world's xrmon
-	// collector (an engine-keyed singleton, so this attaches no new
-	// machinery and perturbs nothing) and dump the reports after the run.
-	var monMu sync.Mutex
-	var mons map[string]*xrmon.Collector
-	if *monPath != "" {
-		mons = map[string]*xrmon.Collector{}
-		prev := sc.Observe
-		sc.Observe = func(eng *sim.Engine, label string) {
-			if prev != nil {
-				prev(eng, label)
-			}
-			monMu.Lock()
-			mons[label] = xrmon.For(eng)
-			monMu.Unlock()
-		}
 	}
 
 	if *tracePath != "" && len(want) == 0 {
@@ -144,17 +128,24 @@ func main() {
 			}
 		}
 		if *blamePath != "" {
-			if err := writeBlame(col, *blamePath); err != nil {
+			n, err := writeWorlds(col, *blamePath, "blame", blameReport)
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
 				os.Exit(1)
 			}
+			if n == 0 {
+				fmt.Fprintf(os.Stderr, "reproduce: no world produced blame records — run with -only blame\n")
+			} else {
+				fmt.Fprintf(os.Stderr, "reproduce: wrote %d blame report(s) to %s\n", n, *blamePath)
+			}
 		}
-	}
-
-	if *monPath != "" {
-		if err := writeMon(mons, *monPath); err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			os.Exit(1)
+		if *monPath != "" {
+			n, err := writeWorlds(col, *monPath, "report", monReport)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Fprintf(os.Stderr, "reproduce: wrote %d fleet-diagnosis report(s) to %s\n", n, *monPath)
 		}
 	}
 
@@ -236,103 +227,49 @@ func printMetricsProm(col *telemetry.Collector) {
 	}
 }
 
-// writeBlame emits each observed world's aggregate blame report as one
-// JSON document: {"worlds":[{"label":...,"blame":{...}},...]}. Worlds
-// with no blame-traced messages are skipped.
-func writeBlame(col *telemetry.Collector, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	worlds := 0
-	if _, err := f.WriteString(`{"worlds":[`); err != nil {
-		f.Close()
-		return err
-	}
+// writeWorlds writes one JSON document, {"worlds":[{"label":...,key:{...}},...]},
+// in label order (deterministic across -j values): one entry for each
+// observed world that report has a writer for. It returns how many.
+func writeWorlds(col *telemetry.Collector, path, key string, report func(telemetry.Observation) func(io.Writer) error) (int, error) {
+	var b bytes.Buffer
+	b.WriteString(`{"worlds":[`)
+	n := 0
 	for _, ob := range col.Observations() {
-		if ob.Set.Blame.Count() == 0 {
+		write := report(ob)
+		if write == nil {
 			continue
 		}
-		sep := ","
-		if worlds == 0 {
-			sep = ""
+		if n > 0 {
+			b.WriteByte(',')
 		}
-		if _, err := fmt.Fprintf(f, `%s{"label":%q,"blame":`, sep, ob.Label); err != nil {
-			f.Close()
-			return err
+		fmt.Fprintf(&b, `{"label":%q,%q:`, ob.Label, key)
+		if err := write(&b); err != nil {
+			return 0, err
 		}
-		if err := ob.Set.Blame.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := f.WriteString("}"); err != nil {
-			f.Close()
-			return err
-		}
-		worlds++
+		b.WriteByte('}')
+		n++
 	}
-	if _, err := f.WriteString("]}\n"); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if worlds == 0 {
-		fmt.Fprintf(os.Stderr, "reproduce: no world produced blame records — run with -only blame\n")
-	} else {
-		fmt.Fprintf(os.Stderr, "reproduce: wrote %d blame report(s) to %s\n", worlds, path)
-	}
-	return nil
+	b.WriteString("]}\n")
+	return n, os.WriteFile(path, b.Bytes(), 0o666)
 }
 
-// writeMon emits each observed world's fleet-diagnosis report as one JSON
-// document: {"worlds":[{"label":...,"report":{...}},...]}, in label order
-// (deterministic across -j values). Worlds whose engines never created a
-// context have zero agents and are skipped.
-func writeMon(mons map[string]*xrmon.Collector, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// blameReport writes a world's aggregate blame report (stage attribution);
+// worlds with no blame-traced messages have none.
+func blameReport(ob telemetry.Observation) func(io.Writer) error {
+	if ob.Set.Blame.Count() == 0 {
+		return nil
 	}
-	labels := make([]string, 0, len(mons))
-	for label, col := range mons {
-		if len(col.Agents()) > 0 {
-			labels = append(labels, label)
-		}
+	return ob.Set.Blame.WriteJSON
+}
+
+// monReport writes a world's fleet-diagnosis report (xrmon epoch, agents,
+// incidents); worlds whose engines never created a context have none.
+func monReport(ob telemetry.Observation) func(io.Writer) error {
+	m := xrmon.For(ob.Engine)
+	if len(m.Agents()) == 0 {
+		return nil
 	}
-	sort.Strings(labels)
-	if _, err := f.WriteString(`{"worlds":[`); err != nil {
-		f.Close()
-		return err
-	}
-	for i, label := range labels {
-		sep := ","
-		if i == 0 {
-			sep = ""
-		}
-		if _, err := fmt.Fprintf(f, `%s{"label":%q,"report":`, sep, label); err != nil {
-			f.Close()
-			return err
-		}
-		if err := mons[label].WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := f.WriteString("}"); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if _, err := f.WriteString("]}\n"); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "reproduce: wrote %d fleet-diagnosis report(s) to %s\n", len(labels), path)
-	return nil
+	return m.WriteJSON
 }
 
 // writeTrace emits the merged Chrome trace_event JSON (one process per

@@ -25,39 +25,19 @@ import (
 //	slowrecv  the server runs a tiny SRQ it cannot refill fast enough —
 //	          RNR backoff (recover.rnr) must dominate
 //
-// TestBlame asserts the verdicts and that the digest is bit-identical
-// across runs and -j parallelism.
+// Its claims hold the verdicts; the digest is bit-identical across runs
+// and -j parallelism.
 
-// BlameArm is the outcome of one injected-cause arm.
-type BlameArm struct {
+// blameArm is the outcome of one injected-cause arm.
+type blameArm struct {
 	Name  string
 	Cause string          // what was injected
 	Want  telemetry.Stage // the stage that must top the report
 
-	Msgs   int64  // blame-traced messages reconstructed
-	Resps  int    // responses the clients consumed
-	Top    string // top-blamed stage of the aggregate
-	Match  bool   // Top == Want
-	Report string // rendered Blame.Table()
-
-	Digest_ []string
-}
-
-// BlameResult aggregates the experiment.
-type BlameResult struct {
-	Incast, Brownout, SlowRecv *BlameArm
-	Table_                     Table
-}
-
-// Digest renders every arm's blame aggregate as deterministic lines:
-// same seed ⇒ bit-identical, sequential or parallel.
-func (r *BlameResult) Digest() []string {
-	var out []string
-	for _, a := range []*BlameArm{r.Incast, r.Brownout, r.SlowRecv} {
-		out = append(out, fmt.Sprintf("arm %s resps=%d", a.Name, a.Resps))
-		out = append(out, a.Digest_...)
-	}
-	return out
+	Msgs   int64           // blame-traced messages reconstructed
+	Resps  int             // responses the clients consumed
+	Top    telemetry.Stage // top-blamed stage of the aggregate
+	Digest []string        // the aggregate's deterministic lines
 }
 
 // blameKnobs is the common configuration: req-rsp mode with every message
@@ -72,14 +52,11 @@ func blameKnobs(cfg *xrdma.Config) {
 }
 
 // blameFinish extracts the verdict from the engine-wide aggregate.
-func blameFinish(a *BlameArm, c *cluster.Cluster) *BlameArm {
+func blameFinish(a *blameArm, c *cluster.Cluster) *blameArm {
 	b := c.Nodes[0].Ctx.Telemetry().Blame
-	top, _ := b.Top()
+	a.Top, _ = b.Top()
 	a.Msgs = b.Count()
-	a.Top = top.String()
-	a.Match = top == a.Want
-	a.Report = b.Table()
-	a.Digest_ = b.Digest()
+	a.Digest = b.Digest()
 	return a
 }
 
@@ -88,8 +65,8 @@ func blameFinish(a *BlameArm, c *cluster.Cluster) *BlameArm {
 // the server ToR's single 25 Gbps egress port, so switch egress-queue
 // residency dominates each request's critical path. DCQCN is disabled so
 // the senders keep the queue standing instead of pacing it away.
-func runBlameIncast(sc Scale) *BlameArm {
-	a := &BlameArm{Name: "incast", Cause: "ToR egress incast queueing", Want: telemetry.StageFabricQueue}
+func runBlameIncast(sc Scale) *blameArm {
+	a := &blameArm{Name: "incast", Cause: "ToR egress incast queueing", Want: telemetry.StageFabricQueue}
 	nic := rnic.DefaultConfig()
 	nic.DCQCN = false
 	c := cluster.New(cluster.Options{
@@ -148,8 +125,8 @@ func runBlameIncast(sc Scale) *BlameArm {
 // exact spine path the client's requests ride silently drops 12% and
 // corrupts 5% of packets. RC go-back-N absorbs every loss with a 1 ms
 // retransmit timeout, so recover.rto must dominate the traced tail.
-func runBlameBrownout(sc Scale) *BlameArm {
-	a := &BlameArm{Name: "brownout", Cause: "spine brownout (loss + corruption)", Want: telemetry.StageRTORecovery}
+func runBlameBrownout(sc Scale) *blameArm {
+	a := &blameArm{Name: "brownout", Cause: "spine brownout (loss + corruption)", Want: telemetry.StageRTORecovery}
 	c := cluster.New(cluster.Options{
 		Topology: fabric.SmallClos(),
 		NICCfg:   grayNIC(), // RetransTimeout 1 ms, RetryLimit 12
@@ -218,8 +195,8 @@ func runBlameBrownout(sc Scale) *BlameArm {
 // clients — every burst overruns the receive queue, the server RNR-NAKs,
 // and the clients sit out the RNR timer before retransmitting. The RNR
 // backoff (recover.rnr) must dominate the traced critical paths.
-func runBlameSlowRecv(sc Scale) *BlameArm {
-	a := &BlameArm{Name: "slowrecv", Cause: "slow receiver (SRQ exhaustion → RNR)", Want: telemetry.StageRNRRecovery}
+func runBlameSlowRecv(sc Scale) *blameArm {
+	a := &blameArm{Name: "slowrecv", Cause: "slow receiver (SRQ exhaustion → RNR)", Want: telemetry.StageRNRRecovery}
 	nic := rnic.DefaultConfig()
 	nic.RNRTimer = 300 * sim.Microsecond
 	c := cluster.New(cluster.Options{
@@ -280,22 +257,28 @@ func runBlameSlowRecv(sc Scale) *BlameArm {
 }
 
 // BlameAttribution runs the three arms and renders the E21 table.
-func BlameAttribution(sc Scale) *BlameResult {
-	r := &BlameResult{
-		Incast:   runBlameIncast(sc),
-		Brownout: runBlameBrownout(sc),
-		SlowRecv: runBlameSlowRecv(sc),
-	}
+func BlameAttribution(sc Scale) Result {
 	t := Table{
 		ID:     "E21/Blame",
 		Title:  "Blame attribution: injected cause vs top-blamed stage (SmallClos, every message traced)",
 		Header: []string{"arm", "injected cause", "msgs", "resps", "top stage", "match"},
 	}
-	for _, a := range []*BlameArm{r.Incast, r.Brownout, r.SlowRecv} {
-		t.Addf(a.Name, a.Cause, a.Msgs, a.Resps, a.Top, a.Match)
+	var digest []string
+	var claims []Claim
+	for _, a := range []*blameArm{runBlameIncast(sc), runBlameBrownout(sc), runBlameSlowRecv(sc)} {
+		match := a.Top == a.Want
+		t.Addf(a.Name, a.Cause, a.Msgs, a.Resps, a.Top, match)
+		digest = append(digest, fmt.Sprintf("arm %s resps=%d", a.Name, a.Resps))
+		digest = append(digest, a.Digest...)
+		// Too few traced messages or responses means sampling or the load
+		// generator broke.
+		id := "E21/" + a.Name
+		claims = append(claims,
+			within(id+"/msgs", "sampled", float64(a.Msgs), 50, inf),
+			within(id+"/resps", "load", float64(a.Resps), 50, inf),
+			shape(id+"/top-stage", a.Want.String(), match))
 	}
 	t.Note("top stage = largest total residency across reconstructed critical paths (PFC share and residual excluded)")
 	t.Note("each arm is a fresh world; the verdict must name the injected cause for the plane to be trustworthy")
-	r.Table_ = t
-	return r
+	return Result{Tables: []*Table{&t}, Digest: digest, Claims: claims}
 }

@@ -12,14 +12,14 @@ import (
 	"xrdma/internal/xrdma"
 )
 
-// ChaosClass is the outcome of one fault class of the robustness drill: a
+// chaosClass is the outcome of one fault class of the robustness drill: a
 // steady request load between a cross-ToR node pair while the chaos
 // scheduler injects one class of fault, and (for transient classes) heals
 // it. The acceptance bar is the paper's §VI-C availability story —
 // transient faults end back on RDMA, permanent RDMA loss ends on the Mock
 // fallback, and in either case not a single message is lost or delivered
 // twice.
-type ChaosClass struct {
+type chaosClass struct {
 	Name    string
 	Want    xrdma.HealthState
 	Final   xrdma.HealthState
@@ -30,37 +30,12 @@ type ChaosClass struct {
 	// it).
 	Detect sim.Duration
 	Settle sim.Duration
-
-	Sent      int // requests issued by the client
-	Delivered int // requests the server saw at least once
-	Dups      int // requests the server saw more than once
-	Lost      int // requests the server never saw
-	Resps     int // responses the client consumed
-	SendErrs  int // SendMsg rejections (channel dead)
+	tally
 
 	// Timeline is the health-transition log ("t=... state"), the piece of
 	// the run the determinism test compares bit-for-bit across runs.
 	Timeline []string
 	ChaosLog []string
-}
-
-// ChaosDrillResult aggregates the drill.
-type ChaosDrillResult struct {
-	Classes []*ChaosClass
-	Table_  Table
-}
-
-// Digest renders every class's fault log and health timeline as one
-// deterministic line list: same seed ⇒ bit-identical digest.
-func (r *ChaosDrillResult) Digest() []string {
-	var out []string
-	for _, cl := range r.Classes {
-		out = append(out, "class "+cl.Name)
-		out = append(out, cl.ChaosLog...)
-		out = append(out, cl.Timeline...)
-		out = append(out, fmt.Sprintf("final=%v sent=%d dups=%d lost=%d", cl.Final, cl.Sent, cl.Dups, cl.Lost))
-	}
-	return out
 }
 
 // chaosKnobs compresses every failure-detection and recovery clock so a
@@ -89,8 +64,8 @@ func chaosNIC() rnic.Config {
 // runChaosClass drives one fault class on a fresh SmallClos world. The
 // client (node 0, pod0-tor0) talks to the server (node 4, pod0-tor1), so
 // every byte crosses the leaf tier the faults target.
-func runChaosClass(sc Scale, name string, want xrdma.HealthState, steps []chaos.Step) *ChaosClass {
-	cl := &ChaosClass{Name: name, Want: want}
+func runChaosClass(sc Scale, name string, want xrdma.HealthState, steps []chaos.Step) *chaosClass {
+	cl := &chaosClass{Name: name, Want: want}
 	c := cluster.New(cluster.Options{
 		Topology:    fabric.SmallClos(),
 		NICCfg:      chaosNIC(),
@@ -103,11 +78,10 @@ func runChaosClass(sc Scale, name string, want xrdma.HealthState, steps []chaos.
 	sc.observe(c.Eng, "robust/"+name)
 	eng := c.Eng
 
-	recvCount := map[uint64]int{}
+	l := newLedger()
 	c.ListenAll(7300, func(_ *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) {
-			id := binary.LittleEndian.Uint64(m.Data)
-			recvCount[id]++
+			l.deliver(binary.LittleEndian.Uint64(m.Data))
 			m.Reply(m.Data[:8], 0)
 		})
 	})
@@ -142,7 +116,6 @@ func runChaosClass(sc Scale, name string, want xrdma.HealthState, steps []chaos.
 	)
 	start := eng.Now()
 	var nextID uint64
-	respSeen := map[uint64]int{}
 	var tick func()
 	tick = func() {
 		if eng.Now().Sub(start) >= sendStop {
@@ -152,15 +125,11 @@ func runChaosClass(sc Scale, name string, want xrdma.HealthState, steps []chaos.
 		nextID++
 		buf := make([]byte, 16)
 		binary.LittleEndian.PutUint64(buf, id)
-		cl.Sent++
-		err := ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
+		l.send(id, ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
 			if err == nil {
-				respSeen[binary.LittleEndian.Uint64(m.Data)]++
+				l.respond(binary.LittleEndian.Uint64(m.Data))
 			}
-		})
-		if err != nil {
-			cl.SendErrs++
-		}
+		}))
 		eng.AfterBg(tickEvery, tick)
 	}
 	eng.AfterBg(tickEvery, tick)
@@ -196,27 +165,14 @@ func runChaosClass(sc Scale, name string, want xrdma.HealthState, steps []chaos.
 			cl.Settle = lastT.Sub(cl.FaultAt)
 		}
 	}
-	for id := uint64(0); id < nextID; id++ {
-		n := recvCount[id]
-		switch {
-		case n == 0:
-			cl.Lost++
-		default:
-			cl.Delivered++
-			if n > 1 {
-				cl.Dups++
-			}
-		}
-	}
-	cl.Resps = len(respSeen)
+	cl.tally = l.settle()
 	return cl
 }
 
 // ChaosDrill reproduces the §VI-C robustness story as five fault classes
 // plus an ECMP-absorbed control.
-func ChaosDrill(sc Scale) *ChaosDrillResult {
+func ChaosDrill(sc Scale) Result {
 	ms := func(n int) sim.Duration { return sim.Duration(n) * sim.Millisecond }
-	r := &ChaosDrillResult{}
 
 	classes := []struct {
 		name  string
@@ -261,17 +217,37 @@ func ChaosDrill(sc Scale) *ChaosDrillResult {
 		Title:  "Chaos drill: fault classes vs channel outcome (cross-ToR pair, SmallClos)",
 		Header: []string{"class", "final", "detect", "settle", "sent", "delivered", "dups", "lost", "resps"},
 	}
-	for _, spec := range classes {
+	var digest []string
+	var claims []Claim
+	perturbed, ecmp := 0, 0
+	for i, spec := range classes {
 		cl := runChaosClass(sc, spec.name, spec.want, spec.steps)
-		r.Classes = append(r.Classes, cl)
+		if i == 0 {
+			ecmp = len(cl.Timeline)
+		}
 		det, set := "-", "-"
 		if cl.Detect > 0 {
 			det, set = cl.Detect.String(), cl.Settle.String()
 		}
-		t.Addf(cl.Name, cl.Final.String(), det, set, cl.Sent, cl.Delivered, cl.Dups, cl.Lost, cl.Resps)
+		t.Addf(cl.Name, cl.Final.String(), det, set, cl.Sent, cl.Delivered, cl.Dups, cl.Lost, cl.Answered)
+		digest = append(digest, "class "+cl.Name)
+		digest = append(digest, cl.ChaosLog...)
+		digest = append(digest, cl.Timeline...)
+		digest = append(digest, fmt.Sprintf("final=%v sent=%d dups=%d lost=%d", cl.Final, cl.Sent, cl.Dups, cl.Lost))
+		id := "E19/" + cl.Name
+		claims = append(claims, shape(id+"/final", cl.Want.String(), cl.Final == cl.Want))
+		claims = append(claims, cl.claims(id, 100)...)
+		if len(cl.Timeline) > 0 {
+			perturbed++
+		}
 	}
 	t.Note("transient classes must end Healthy (back on RDMA); nic-loss-permanent must end Fallback (Mock/TCP)")
 	t.Note("dups and lost must be 0 in every class: the seq-ack window replays the unacked tail and the receiver dedups")
-	r.Table_ = t
-	return r
+	// The drill is vacuous unless the faults perturbed the channel in most
+	// classes, and the ECMP control must ride through its single uplink
+	// loss untouched.
+	return Result{Tables: []*Table{&t}, Digest: digest, Claims: append(claims,
+		within("E19/classes", "6", float64(len(classes)), 6, 6),
+		within("E19/perturbed-classes", "faults bite", float64(perturbed), 3, inf),
+		within("E19/ecmp-reroute/transitions", "ECMP absorbs", float64(ecmp), 0, 0))}
 }

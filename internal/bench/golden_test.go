@@ -44,7 +44,8 @@ func TestGoldenSeedDeterminism(t *testing.T) {
 
 func TestGoldenSeedFig9(t *testing.T) {
 	got := map[string]float64{}
-	for _, c := range Fig9RNRCounter(Quick()).Claims {
+	e, panels := lookup(t, "fig9")
+	for _, c := range heldRun(e, panels[0], Quick()).res.Claims {
 		got[c.ID] = c.Measured
 	}
 	if raw := got["E6/raw-RNR/s"]; raw != goldenFig9Raw {

@@ -26,20 +26,14 @@ import (
 //	            path from counter deltas and rotates the ECMP flow label
 //	            onto the healthy spine; the tail returns to ~baseline
 //
-// The acceptance criteria live in TestGrayhaul: doctor-on p99 within
-// 1.15× of clean, doctor-off visibly worse, zero lost and zero duplicate
-// requests everywhere, and a bit-identical digest across runs and -j.
+// The drill claims doctor-on p99 within 1.15× of clean, doctor-off
+// visibly worse, zero lost and zero duplicate requests everywhere, and a
+// bit-identical digest across runs and -j.
 
-// GrayArm is the outcome of one arm.
-type GrayArm struct {
+// grayArm is the outcome of one arm.
+type grayArm struct {
 	Name string
-
-	Sent      int // requests issued by the client
-	Delivered int // requests the server saw at least once
-	Dups      int // requests the server saw more than once
-	Lost      int // requests the server never saw
-	Resps     int // responses the client consumed
-	SendErrs  int // SendMsg rejections (channel dead — must stay 0)
+	tally
 
 	Retries  int64 // client request retries (budgeted)
 	Rehashes int64 // flow-label rotations, client + server
@@ -52,26 +46,6 @@ type GrayArm struct {
 
 	PathLog  []string // client then server doctor logs
 	ChaosLog []string
-}
-
-// GrayhaulResult aggregates the drill.
-type GrayhaulResult struct {
-	Clean, Off, On *GrayArm
-	Table_         Table
-}
-
-// Digest renders every arm's fault log, doctor log and final counters as
-// one deterministic line list: same seed ⇒ bit-identical digest.
-func (r *GrayhaulResult) Digest() []string {
-	var out []string
-	for _, a := range []*GrayArm{r.Clean, r.Off, r.On} {
-		out = append(out, "arm "+a.Name)
-		out = append(out, a.ChaosLog...)
-		out = append(out, a.PathLog...)
-		out = append(out, fmt.Sprintf("sent=%d delivered=%d dups=%d lost=%d resps=%d errs=%d retries=%d rehashes=%d p50=%v p99=%v",
-			a.Sent, a.Delivered, a.Dups, a.Lost, a.Resps, a.SendErrs, a.Retries, a.Rehashes, a.P50, a.P99))
-	}
-	return out
 }
 
 const (
@@ -122,10 +96,10 @@ func grayPercentile(ds []sim.Duration, p float64) sim.Duration {
 // runGrayArm drives one arm on a fresh SmallClos world: client node 0
 // (pod0-tor0) to server node 4 (pod0-tor1), so every request crosses the
 // leaf tier the brownout hits. No Mock or recovery plane is attached —
-// the doctor must heal the path without them (SendErrs asserts that the
-// escalation path never fired).
-func runGrayArm(sc Scale, name string, doctor, fault bool) *GrayArm {
-	a := &GrayArm{Name: name}
+// the doctor must heal the path without them (the send-errors claim holds
+// that the escalation path never fired).
+func runGrayArm(sc Scale, name string, doctor, fault bool) *grayArm {
+	a := &grayArm{Name: name}
 	c := cluster.New(cluster.Options{
 		Topology: fabric.SmallClos(),
 		NICCfg:   grayNIC(),
@@ -136,15 +110,14 @@ func runGrayArm(sc Scale, name string, doctor, fault bool) *GrayArm {
 	sc.observe(c.Eng, "gray/"+name)
 	eng := c.Eng
 
-	recvCount := map[uint64]int{}
+	l := newLedger()
 	var srv *xrdma.Channel
 	c.ListenAll(7400, func(n *cluster.Node, ch *xrdma.Channel) {
 		if n.ID == 4 {
 			srv = ch
 		}
 		ch.OnMessage(func(m *xrdma.Msg) {
-			id := binary.LittleEndian.Uint64(m.Data)
-			recvCount[id]++
+			l.deliver(binary.LittleEndian.Uint64(m.Data))
 			m.Reply(m.Data[:8], 0)
 		})
 	})
@@ -166,7 +139,6 @@ func runGrayArm(sc Scale, name string, doctor, fault bool) *GrayArm {
 	start := eng.Now()
 	var nextID uint64
 	sentAt := map[uint64]sim.Time{}
-	respSeen := map[uint64]int{}
 	var tailLats []sim.Duration
 	var tick func()
 	tick = func() {
@@ -177,21 +149,17 @@ func runGrayArm(sc Scale, name string, doctor, fault bool) *GrayArm {
 		nextID++
 		buf := make([]byte, 16)
 		binary.LittleEndian.PutUint64(buf, id)
-		a.Sent++
 		sentAt[id] = eng.Now()
-		err := ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
+		l.send(id, ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
 			if err != nil {
 				return
 			}
 			rid := binary.LittleEndian.Uint64(m.Data)
-			respSeen[rid]++
+			l.respond(rid)
 			if at := sentAt[rid]; at.Sub(start) >= grayTailFrom {
 				tailLats = append(tailLats, eng.Now().Sub(at))
 			}
-		})
-		if err != nil {
-			a.SendErrs++
-		}
+		}))
 		eng.AfterBg(grayTick, tick)
 	}
 	eng.AfterBg(grayTick, tick)
@@ -221,45 +189,47 @@ func runGrayArm(sc Scale, name string, doctor, fault bool) *GrayArm {
 		a.PathLog = append(a.PathLog, "server "+l)
 	}
 	a.ChaosLog = inj.Digest()
-	for id := uint64(0); id < nextID; id++ {
-		n := recvCount[id]
-		switch {
-		case n == 0:
-			a.Lost++
-		default:
-			a.Delivered++
-			if n > 1 {
-				a.Dups++
-			}
-		}
-	}
-	a.Resps = len(respSeen)
+	a.tally = l.settle()
 	a.P50 = grayPercentile(tailLats, 0.50)
 	a.P99 = grayPercentile(tailLats, 0.99)
 	return a
 }
 
 // Grayhaul runs the three arms and renders the E20 table.
-func Grayhaul(sc Scale) *GrayhaulResult {
-	r := &GrayhaulResult{
-		Clean: runGrayArm(sc, "clean", true, false),
-		Off:   runGrayArm(sc, "doctor-off", false, true),
-		On:    runGrayArm(sc, "doctor-on", true, true),
-	}
+func Grayhaul(sc Scale) Result {
+	clean := runGrayArm(sc, "clean", true, false)
+	off := runGrayArm(sc, "doctor-off", false, true)
+	on := runGrayArm(sc, "doctor-on", true, true)
 	t := Table{
 		ID:     "E20/Grayhaul",
 		Title:  "Gray failure: permanent spine brownout vs path doctor (cross-ToR pair, SmallClos)",
 		Header: []string{"arm", "p50", "p99", "sent", "resps", "retries", "rehashes", "1st-rehash", "dups", "lost"},
 	}
-	for _, a := range []*GrayArm{r.Clean, r.Off, r.On} {
+	var digest []string
+	var claims []Claim
+	for _, a := range []*grayArm{clean, off, on} {
 		fr := "-"
 		if a.FirstRehash != 0 {
 			fr = a.FirstRehash.String()
 		}
-		t.Addf(a.Name, a.P50.String(), a.P99.String(), a.Sent, a.Resps, a.Retries, a.Rehashes, fr, a.Dups, a.Lost)
+		t.Addf(a.Name, a.P50.String(), a.P99.String(), a.Sent, a.Answered, a.Retries, a.Rehashes, fr, a.Dups, a.Lost)
+		digest = append(digest, "arm "+a.Name)
+		digest = append(digest, a.ChaosLog...)
+		digest = append(digest, a.PathLog...)
+		digest = append(digest, fmt.Sprintf("sent=%d delivered=%d dups=%d lost=%d resps=%d errs=%d retries=%d rehashes=%d p50=%v p99=%v",
+			a.Sent, a.Delivered, a.Dups, a.Lost, a.Answered, a.SendErrs, a.Retries, a.Rehashes, a.P50, a.P99))
+		// A send error would mean the doctor escalated a healable path.
+		claims = append(claims, a.claims("E20/"+a.Name, 100)...)
 	}
 	t.Note("p50/p99 over requests issued after t=%v (re-pathing settled); brownout never clears", grayTailFrom)
 	t.Note("doctor-on must return the tail to ≤1.15× clean; doctor-off stays degraded — the health machine alone never acts on a gray path")
-	r.Table_ = t
-	return r
+	// The gray failure must be gray (doctor-off degraded but alive), only
+	// the doctor re-paths, and its cure returns the tail to ~baseline.
+	return Result{Tables: []*Table{&t}, Digest: digest, Claims: append(claims,
+		within("E20/clean/rehashes", "0", float64(clean.Rehashes), 0, 0),
+		within("E20/doctor-off/p99-µs", "degraded", off.P99.Micros(), 2*clean.P99.Micros(), inf),
+		within("E20/doctor-off/rehashes", "0", float64(off.Rehashes), 0, 0),
+		within("E20/doctor-on/rehashes", "re-paths", float64(on.Rehashes), 1, inf),
+		within("E20/doctor-on/1st-rehash-µs", "detects", on.FirstRehash.Micros(), above(0), (60*sim.Millisecond).Micros()),
+		within("E20/doctor-on/p99-µs", "≤1.15× clean", on.P99.Micros(), -inf, (clean.P99*115/100).Micros()))}
 }

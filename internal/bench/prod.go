@@ -128,7 +128,7 @@ func meanOf(v []float64) float64 {
 // machinery (fragmentation + outstanding-WR queueing complementing
 // DCQCN), the step must not move small-I/O latency; without it the pause
 // storms of Fig. 10 bleed into every flow sharing the fabric.
-func fig12Run(sc Scale, sizes workload.SizeDist, payload int, antiJitter bool) (base, burst, p99 float64, ratio float64) {
+func fig12Run(sc Scale, app string, sizes workload.SizeDist, payload int, antiJitter bool) (base, burst, p99 float64, ratio float64) {
 	senders := 16
 	phase := 300 * sim.Millisecond
 	if sc.Full {
@@ -148,9 +148,9 @@ func fig12Run(sc Scale, sizes workload.SizeDist, payload int, antiJitter bool) (
 		},
 	})
 	if antiJitter {
-		sc.observe(c.Eng, "fig12/anti-jitter-on")
+		sc.observe(c.Eng, "fig12/"+app+"/anti-jitter-on")
 	} else {
-		sc.observe(c.Eng, "fig12/anti-jitter-off")
+		sc.observe(c.Eng, "fig12/"+app+"/anti-jitter-off")
 	}
 	server := 0
 	var miceBytes, bulkBytes int64
@@ -246,8 +246,8 @@ func Fig12AntiJitter(sc Scale, app string) Result {
 		sizes = workload.Fixed(512)
 		payload = 256 << 10 // bulk scan results
 	}
-	baseOn, burstOn, p99On, step := fig12Run(sc, sizes, payload, true)
-	baseOff, burstOff, p99Off, _ := fig12Run(sc, sizes, payload, false)
+	baseOn, burstOn, p99On, step := fig12Run(sc, app, sizes, payload, true)
+	baseOff, burstOff, p99Off, _ := fig12Run(sc, app, sizes, payload, false)
 	t := Table{ID: "E10/Fig12-" + app, Title: app + " anti-jitter under a ≈300% load step",
 		Header: []string{"variant", "base mice lat(µs)", "burst mice lat(µs)", "burst mice p99(µs)", "burst/base"}}
 	t.Addf("anti-jitter ON", baseOn, burstOn, p99On, burstOn/baseOn)

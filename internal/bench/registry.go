@@ -10,20 +10,38 @@ import (
 )
 
 // Experiment is one entry of DESIGN.md's per-experiment index: a stable
-// id (what cmd/reproduce -only matches), a title, and a Run function
-// returning what the world found. Every Run builds its own Engine, Fabric
-// and RNG from the Scale it is handed, so distinct experiments are fully
-// isolated and safe to run on concurrent goroutines.
+// id (what cmd/reproduce -only matches), a title, and the panels it runs.
+// Every panel builds its own Engine, Fabric and RNG from the Scale it is
+// handed, so distinct experiments are fully isolated and safe to run on
+// concurrent goroutines.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func(sc Scale) Result
+	ID     string
+	Title  string
+	Panels []Panel
 	// Heap marks a world that weighs the process heap (E22): whatever runs
 	// beside it is weighed too, so it runs alone.
 	Heap bool
 	// drill marks a scripted drill (E19–E26), the worlds whose Result
 	// carries their own Digest.
 	drill bool
+}
+
+// Panel is one world of an entry: a figure's panel, a drill.
+type Panel struct {
+	ID  string
+	Run func(sc Scale) Result
+}
+
+// Run runs the entry's panels in order and joins what they found.
+func (e Experiment) Run(sc Scale) Result {
+	var out Result
+	for _, p := range e.Panels {
+		r := p.Run(sc)
+		out.Tables = append(out.Tables, r.Tables...)
+		out.Digest = append(out.Digest, r.Digest...)
+		out.Claims = append(out.Claims, r.Claims...)
+	}
+	return out
 }
 
 // Result is one run of a world.
@@ -130,66 +148,55 @@ func result(t Table, claims ...Claim) Result {
 	return Result{Tables: []*Table{&t}, Claims: claims}
 }
 
-// merge joins the worlds one registry entry runs, in order.
-func merge(rs ...Result) Result {
-	var out Result
-	for _, r := range rs {
-		out.Tables = append(out.Tables, r.Tables...)
-		out.Claims = append(out.Claims, r.Claims...)
-	}
-	return out
+// world is an entry of one panel.
+func world(id, title string, run func(Scale) Result) Experiment {
+	return Experiment{ID: id, Title: title, Panels: []Panel{{ID: id, Run: run}}}
 }
 
-// drillEntry registers a scripted drill: its own Digest, its one table.
-func drillEntry[R interface{ Digest() []string }](id, title string, run func(Scale) R, table func(R) Table) Experiment {
-	return Experiment{ID: id, Title: title, drill: true, Run: func(sc Scale) Result {
-		r := run(sc)
-		t := table(r)
-		return Result{Tables: []*Table{&t}, Digest: r.Digest()}
-	}}
+// drill is an entry of one scripted drill.
+func drill(id, title string, run func(Scale) Result) Experiment {
+	e := world(id, title, run)
+	e.drill = true
+	return e
 }
 
 // Experiments returns the registry in canonical print order — the order
 // cmd/reproduce emits tables regardless of how many workers ran them.
 func Experiments() []Experiment {
-	scale := drillEntry("scale", "Fitting the 4000-node world: QP mux, flyweight channels, heap budget", ScaleWorld,
-		func(r *ScaleResult) Table { return r.Table_ })
+	scale := drill("scale", "Fitting the 4000-node world: QP mux, flyweight channels, heap budget", ScaleWorld)
 	scale.Heap = true
+	storm := drill("storm", "Storm-style KV: one-sided speculative reads vs RPC", Storm)
+	storm.Panels = append(storm.Panels, Panel{ID: "brownout", Run: StormBrownout})
+	fig12 := func(app string) Panel {
+		return Panel{ID: app, Run: func(sc Scale) Result { return Fig12AntiJitter(sc, app) }}
+	}
 	return []Experiment{
-		{ID: "fig7", Title: "Latency/throughput vs baselines + tracing overhead", Run: func(sc Scale) Result {
-			return merge(Fig7Left(sc), Fig7Middle(sc), Fig7Right(sc), TracingOverhead(sc))
-		}},
-		{ID: "establish", Title: "Connection establishment (QP cache)", Run: Establishment},
-		{ID: "fig8", Title: "ESSD ramp", Run: Fig8EssdRamp},
-		{ID: "fig9", Title: "RNR NAK counter", Run: Fig9RNRCounter},
-		{ID: "fig10", Title: "Flow control + fragment sweep", Run: func(sc Scale) Result {
-			return merge(Fig10FlowControl(sc), FragmentSweep(sc))
-		}},
-		{ID: "fig11", Title: "Online upgrade", Run: Fig11OnlineUpgrade},
-		{ID: "fig12", Title: "Anti-jitter (ESSD, X-DB)", Run: func(sc Scale) Result {
-			return merge(Fig12AntiJitter(sc, "ESSD"), Fig12AntiJitter(sc, "X-DB"))
-		}},
-		{ID: "qpscale", Title: "QP scaling", Run: QPScaling},
-		{ID: "srq", Title: "SRQ trade-off", Run: SRQTradeoff},
-		{ID: "memmodes", Title: "Memory registration modes", Run: MemoryModes},
-		{ID: "footprint", Title: "Mixed-deployment footprint", Run: MixedFootprint},
-		{ID: "peak", Title: "Peak stress", Run: PeakStress},
-		{ID: "fig3", Title: "Diurnal load", Run: Fig3Diurnal},
-		drillEntry("robust", "Chaos drill: fault classes, recovery and fallback", ChaosDrill,
-			func(r *ChaosDrillResult) Table { return r.Table_ }),
-		drillEntry("gray", "Gray failure: path doctor, ECMP re-pathing, budgeted retries", Grayhaul,
-			func(r *GrayhaulResult) Table { return r.Table_ }),
-		drillEntry("blame", "Blame attribution: injected cause vs top-blamed stage", BlameAttribution,
-			func(r *BlameResult) Table { return r.Table_ }),
+		{ID: "fig7", Title: "Latency/throughput vs baselines + tracing overhead", Panels: []Panel{
+			{ID: "E1", Run: Fig7Left}, {ID: "E2", Run: Fig7Middle}, {ID: "E3", Run: Fig7Right}, {ID: "E4", Run: TracingOverhead}}},
+		world("establish", "Connection establishment (QP cache)", Establishment),
+		world("fig8", "ESSD ramp", Fig8EssdRamp),
+		world("fig9", "RNR NAK counter", Fig9RNRCounter),
+		{ID: "fig10", Title: "Flow control + fragment sweep", Panels: []Panel{
+			{ID: "E7", Run: Fig10FlowControl}, {ID: "A1", Run: FragmentSweep}}},
+		world("fig11", "Online upgrade", Fig11OnlineUpgrade),
+		{ID: "fig12", Title: "Anti-jitter (ESSD, X-DB)", Panels: []Panel{fig12("ESSD"), fig12("X-DB")}},
+		world("qpscale", "QP scaling", QPScaling),
+		world("srq", "SRQ trade-off", SRQTradeoff),
+		world("memmodes", "Memory registration modes", MemoryModes),
+		world("footprint", "Mixed-deployment footprint", MixedFootprint),
+		world("peak", "Peak stress", PeakStress),
+		world("fig3", "Diurnal load", Fig3Diurnal),
+		drill("robust", "Chaos drill: fault classes, recovery and fallback", ChaosDrill),
+		drill("gray", "Gray failure: path doctor, ECMP re-pathing, budgeted retries", Grayhaul),
+		drill("blame", "Blame attribution: injected cause vs top-blamed stage", BlameAttribution),
 		scale,
-		drillEntry("storm", "Storm-style KV: one-sided speculative reads vs RPC", Storm,
-			func(r *StormResult) Table { return r.Table_ }),
-		drillEntry("tenants", "Multi-tenant isolation: QoS scheduling, bounded memory, graceful shed", Tenants,
-			func(r *TenantsResult) Table { return r.Table_ }),
-		drillEntry("upgrade", "Hot upgrade: version negotiation, graceful drain, rolling restart under live traffic", Upgrade,
-			func(r *UpgradeResult) Table { return r.Table_ }),
-		drillEntry("fleet", "Fleet diagnosis: cross-node anomaly detection, correlation, root-cause reports", Fleet,
-			func(r *FleetResult) Table { return r.Table_ }),
-		{ID: "loc", Title: "Lines-of-code comparison", Run: LoCComparison},
+		storm,
+		drill("tenants", "Multi-tenant isolation: QoS scheduling, bounded memory, graceful shed", Tenants),
+		drill("upgrade", "Hot upgrade: version negotiation, graceful drain, rolling restart under live traffic", Upgrade),
+		drill("fleet", "Fleet diagnosis: cross-node anomaly detection, correlation, root-cause reports", func(sc Scale) Result {
+			r := Fleet(sc)
+			return Result{Tables: []*Table{&r.Table_}, Digest: r.Digest()}
+		}),
+		world("loc", "Lines-of-code comparison", LoCComparison),
 	}
 }

@@ -21,7 +21,7 @@ import (
 // wire-header demux) plus a crowd of idle flyweight descriptors that
 // never attach, then drives a request/response load across pods.
 //
-// Three properties are asserted, all from the system's own accounting:
+// Three properties are claimed, all from the system's own accounting:
 //
 //	multiplexing  — ≥10× more live channels than wire QPs
 //	conservation  — every request delivered exactly once, every
@@ -56,42 +56,6 @@ const (
 	scaleFullHeapBudget  = 416 << 20
 )
 
-// ScaleResult aggregates the drill.
-type ScaleResult struct {
-	Hosts, Pods int
-
-	ActiveChans int // channels opened, both ends (system accounting)
-	IdleChans   int // lazy descriptors created and never touched
-	IdleAttach  int // idle descriptors that wrongly attached (must be 0)
-	WireQPs     int // live QPs across every NIC at the end
-	MuxRatio    float64
-
-	Sent, Delivered, Dups, Lost, Resps int
-	SendErrs                           int
-
-	HeapBytes  int64 // measured (not in the digest or table: host-dependent)
-	HeapBudget int64 // race-adjusted budget HeapOK compares against
-	HeapOK     bool
-
-	DigestHash uint64
-	Table_     Table
-}
-
-// Digest renders the deterministic outcome: world shape, channel/QP
-// accounting, conservation counters and the per-server delivery hash.
-// Heap bytes are excluded — they are a property of the host Go runtime,
-// not of the simulation.
-func (r *ScaleResult) Digest() []string {
-	return []string{
-		fmt.Sprintf("world hosts=%d pods=%d", r.Hosts, r.Pods),
-		fmt.Sprintf("chans active=%d idle=%d idle_attached=%d qps=%d ratio=%.1f",
-			r.ActiveChans, r.IdleChans, r.IdleAttach, r.WireQPs, r.MuxRatio),
-		fmt.Sprintf("traffic sent=%d delivered=%d dups=%d lost=%d resps=%d errs=%d",
-			r.Sent, r.Delivered, r.Dups, r.Lost, r.Resps, r.SendErrs),
-		fmt.Sprintf("digest=%016x", r.DigestHash),
-	}
-}
-
 func scaleHeap() int64 {
 	runtime.GC()
 	runtime.GC()
@@ -101,7 +65,7 @@ func scaleHeap() int64 {
 }
 
 // ScaleWorld runs E22.
-func ScaleWorld(sc Scale) *ScaleResult {
+func ScaleWorld(sc Scale) Result {
 	hosts, clients, peersPer, idlePer := scaleSmokeHosts, 8, 4, 300
 	budget := int64(scaleSmokeHeapBudget)
 	horizon := 120 * sim.Millisecond
@@ -110,8 +74,9 @@ func ScaleWorld(sc Scale) *ScaleResult {
 		budget = scaleFullHeapBudget
 		horizon = 400 * sim.Millisecond
 	}
+	budget *= raceHeapMul
 	topo := fabric.ClusterClos(hosts)
-	r := &ScaleResult{Hosts: topo.Hosts(), Pods: topo.Pods, HeapBudget: budget * raceHeapMul}
+	hosts = topo.Hosts()
 
 	heap0 := scaleHeap()
 
@@ -132,11 +97,10 @@ func ScaleWorld(sc Scale) *ScaleResult {
 	eng := c.Eng
 
 	// Per-server exactly-once ledger, indexed by request id.
-	recvCount := make(map[uint64]int)
+	l := newLedger()
 	c.ListenAll(9000, func(_ *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) {
-			id := binary.LittleEndian.Uint64(m.Data)
-			recvCount[id]++
+			l.deliver(binary.LittleEndian.Uint64(m.Data))
 			m.Reply(m.Data[:8], 0)
 		})
 	})
@@ -147,32 +111,26 @@ func ScaleWorld(sc Scale) *ScaleResult {
 	// (client, server) pair still owns its QPsPerPeer shared QPs, and QP
 	// accounting reads the NICs directly.
 	podSize := topo.TorsPerPod * topo.HostsPerTor
-	type pair struct {
-		ch     *xrdma.Channel
-		client int
-	}
-	var active []pair
-	var idle []*xrdma.Channel
-	respSeen := make(map[uint64]int)
+	var active, idle []*xrdma.Channel
 	for ci := 0; ci < clients; ci++ {
 		ctx := c.Nodes[ci].Ctx
 		for pi := 0; pi < peersPer; pi++ {
 			// Server host: walk pods round-robin, one fresh ToR slot each.
-			srvIdx := podSize + ((ci*peersPer+pi)*topo.HostsPerTor+7)%(r.Hosts-podSize)
+			srvIdx := podSize + ((ci*peersPer+pi)*topo.HostsPerTor+7)%(hosts-podSize)
 			srv := c.Nodes[srvIdx].ID
 			for k := 0; k < scaleChansPerPeer; k++ {
 				ch, err := ctx.ChannelTo(srv, 9000)
 				if err != nil {
 					panic(fmt.Sprintf("scale: ChannelTo: %v", err))
 				}
-				active = append(active, pair{ch: ch, client: ci})
+				active = append(active, ch)
 			}
 		}
 		// Flyweight crowd: descriptors to hosts this client never
 		// messages. They must stay a few hundred bytes each — no QP, no
 		// window, no buffers — which is what the heap budget polices.
 		for j := 0; j < idlePer; j++ {
-			tgt := c.Nodes[(podSize+ci*idlePer+j)%r.Hosts].ID
+			tgt := c.Nodes[(podSize+ci*idlePer+j)%hosts].ID
 			ch, err := ctx.ChannelTo(tgt, 9001)
 			if err != nil {
 				panic(fmt.Sprintf("scale: idle ChannelTo: %v", err))
@@ -183,60 +141,40 @@ func ScaleWorld(sc Scale) *ScaleResult {
 
 	// Staggered load: requests carry a unique id; replies echo it back.
 	start := eng.Now()
-	for i := range active {
-		p := active[i]
-		chIdx := uint64(i)
+	for i, ch := range active {
 		kick := sim.Duration(1+i%64) * 50 * sim.Microsecond
 		for s := 0; s < scaleReqsPerChan; s++ {
-			id := chIdx<<16 | uint64(s)
+			id := uint64(i)<<16 | uint64(s)
 			at := kick + sim.Duration(s)*150*sim.Microsecond
 			eng.AfterBg(at, func() {
 				buf := make([]byte, scaleReqBytes)
 				binary.LittleEndian.PutUint64(buf, id)
-				r.Sent++
-				err := p.ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
-					if err != nil {
-						return
+				l.send(id, ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
+					if err == nil {
+						l.respond(binary.LittleEndian.Uint64(m.Data))
 					}
-					respSeen[binary.LittleEndian.Uint64(m.Data)]++
-				})
-				if err != nil {
-					r.SendErrs++
-				}
+				}))
 			})
 		}
 	}
 	eng.RunUntil(start.Add(horizon))
 
 	// Accounting, from the system's own counters.
+	var activeChans, wireQPs, idleAttach int
 	for _, n := range c.Nodes {
-		r.ActiveChans += int(n.Ctx.Stats.ChannelsOpened)
-		r.WireQPs += n.NIC.NumQPs()
+		activeChans += int(n.Ctx.Stats.ChannelsOpened)
+		wireQPs += n.NIC.NumQPs()
 	}
-	r.IdleChans = len(idle)
 	for _, ch := range idle {
 		if ch.Attached() {
-			r.IdleAttach++
+			idleAttach++
 		}
 	}
-	if r.WireQPs > 0 {
-		r.MuxRatio = float64(r.ActiveChans) / float64(r.WireQPs)
+	var muxRatio float64
+	if wireQPs > 0 {
+		muxRatio = float64(activeChans) / float64(wireQPs)
 	}
-	for i := range active {
-		for s := 0; s < scaleReqsPerChan; s++ {
-			id := uint64(i)<<16 | uint64(s)
-			switch n := recvCount[id]; {
-			case n == 0:
-				r.Lost++
-			default:
-				r.Delivered++
-				if n > 1 {
-					r.Dups++
-				}
-			}
-			r.Resps += respSeen[id]
-		}
-	}
+	tl := l.settle()
 
 	// Delivery hash: per-request receipt counts in id order, so any
 	// reordering of effects (not just totals) breaks the digest.
@@ -245,22 +183,20 @@ func ScaleWorld(sc Scale) *ScaleResult {
 	for i := range active {
 		for s := 0; s < scaleReqsPerChan; s++ {
 			id := uint64(i)<<16 | uint64(s)
-			binary.LittleEndian.PutUint64(b[:], id<<8|uint64(recvCount[id]))
+			binary.LittleEndian.PutUint64(b[:], id<<8|uint64(l.recv[id]))
 			h.Write(b[:])
 		}
 	}
-	r.DigestHash = h.Sum64()
 
 	// The world has to be reachable while it is weighed: these are its last uses.
-	r.HeapBytes = scaleHeap() - heap0
+	heapBytes := scaleHeap() - heap0
 	runtime.KeepAlive(c)
 	runtime.KeepAlive(active)
 	runtime.KeepAlive(idle)
-	r.HeapOK = r.HeapBytes <= r.HeapBudget
 
-	heapCell := fmt.Sprintf("FAIL (> %d MiB)", r.HeapBudget>>20)
-	if r.HeapOK {
-		heapCell = fmt.Sprintf("PASS (<= %d MiB)", r.HeapBudget>>20)
+	heapCell := fmt.Sprintf("FAIL (> %d MiB)", budget>>20)
+	if heapBytes <= budget {
+		heapCell = fmt.Sprintf("PASS (<= %d MiB)", budget>>20)
 	}
 	t := Table{
 		ID:    "E22/Scale",
@@ -268,12 +204,29 @@ func ScaleWorld(sc Scale) *ScaleResult {
 		Header: []string{"hosts", "pods", "chans", "idle", "qps", "chan/qp",
 			"sent", "delivered", "dups", "lost", "resps", "heap"},
 	}
-	t.Addf(r.Hosts, r.Pods, r.ActiveChans, r.IdleChans, r.WireQPs,
-		fmt.Sprintf("%.1f", r.MuxRatio), r.Sent, r.Delivered, r.Dups, r.Lost, r.Resps, heapCell)
+	t.Addf(hosts, topo.Pods, activeChans, len(idle), wireQPs,
+		fmt.Sprintf("%.1f", muxRatio), tl.Sent, tl.Delivered, tl.Dups, tl.Lost, tl.Resps, heapCell)
 	t.Notes = append(t.Notes,
 		"channels are flyweight descriptors multiplexed onto Config.QPsPerPeer shared QPs per peer node",
 		"idle descriptors never dial: no QP, no window, a few hundred bytes each",
 		"heap verdict text is deterministic; measured bytes are host-specific and excluded from the digest")
-	r.Table_ = t
-	return r
+	// The digest: world shape, channel/QP accounting, conservation counters
+	// and the per-server delivery hash. Heap bytes are excluded — they are
+	// a property of the host Go runtime, not of the simulation.
+	digest := []string{
+		fmt.Sprintf("world hosts=%d pods=%d", hosts, topo.Pods),
+		fmt.Sprintf("chans active=%d idle=%d idle_attached=%d qps=%d ratio=%.1f",
+			activeChans, len(idle), idleAttach, wireQPs, muxRatio),
+		fmt.Sprintf("traffic sent=%d delivered=%d dups=%d lost=%d resps=%d errs=%d",
+			tl.Sent, tl.Delivered, tl.Dups, tl.Lost, tl.Resps, tl.SendErrs),
+		fmt.Sprintf("digest=%016x", h.Sum64()),
+	}
+	// 320 stacks and the SRQ blocks of the contexts that talk cannot weigh
+	// 8 MiB or less: a reading at or under that floor weighed a world the
+	// collector had already freed.
+	return Result{Tables: []*Table{&t}, Digest: digest, Claims: append(tl.claims("E22", 1000),
+		within("E22/pods", "multi-pod", float64(topo.Pods), 2, inf),
+		within("E22/chan÷qp", "≥10×", muxRatio, 10, inf),
+		within("E22/idle-attached", "0", float64(idleAttach), 0, 0),
+		within("E22/heap-MiB", "fits", float64(heapBytes)/(1<<20), above(8), float64(budget>>20)))}
 }

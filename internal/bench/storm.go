@@ -10,6 +10,7 @@ import (
 	"xrdma/internal/cluster"
 	"xrdma/internal/fabric"
 	"xrdma/internal/sim"
+	"xrdma/internal/telemetry"
 	"xrdma/internal/xrdma"
 )
 
@@ -80,7 +81,7 @@ type stormServer struct {
 	busy    [stormKeys]bool
 	pending [stormKeys][]func()
 	msgs    int
-	applied map[uint64]int // putID → application count (exactly-once ledger)
+	puts    *ledger // key<<32 | seq: the writer's exactly-once account
 }
 
 func (s *stormServer) serve(m *xrdma.Msg) {
@@ -106,7 +107,7 @@ func (s *stormServer) put(k int, seq uint64, m *xrdma.Msg) {
 		return
 	}
 	s.busy[k] = true
-	s.applied[uint64(k)<<32|seq]++
+	s.puts.deliver(uint64(k)<<32 | seq)
 	slot := s.win.Bytes()[k*stormSlot : (k+1)*stormSlot]
 	binary.LittleEndian.PutUint64(slot, 2*seq-1) // head odd: write in flight
 	s.eng.AfterBg(stormHold, func() {
@@ -126,8 +127,8 @@ func (s *stormServer) put(k int, seq uint64, m *xrdma.Msg) {
 	})
 }
 
-// StormArm is one (mix, plane) run.
-type StormArm struct {
+// stormArm is one (mix, plane) run.
+type stormArm struct {
 	Name string
 
 	Gets      int // GETs issued
@@ -135,63 +136,34 @@ type StormArm struct {
 	Fallbacks int // validation failures routed to the RPC fallback
 	Puts      int // PUTs issued
 	GetErrs   int // GETs that completed with an error (must be 0)
+	GetsLost  int // GETs that never completed (must be 0)
 	Stale     int // validated GETs older than the acked floor (must be 0)
-	Dups      int // PUTs applied more than once (must be 0)
-	Lost      int // GETs or PUTs that never completed (must be 0)
+	puts      tally
 
 	ServerMsgs int // responder handler invocations — the CPU-cost proxy
 	P50, P99   sim.Duration
 
 	// Chaos-arm observables (not part of the digest schema decision —
-	// deterministic like everything else, but only asserted by the
-	// brownout test).
+	// deterministic like everything else, but only claimed by the
+	// brownout arm).
 	Retransmits int64
-	Drops       int64
 	AccessErrs  int64
-	BlameTop    string
+	BlameTop    telemetry.Stage
 	BlameMsgs   int64
 
 	WinHash uint64
 }
 
-func (a *StormArm) digestLine() string {
-	return fmt.Sprintf("arm %s gets=%d spec=%d fb=%d puts=%d errs=%d stale=%d dups=%d lost=%d srvmsgs=%d p50=%v p99=%v win=%016x",
-		a.Name, a.Gets, a.SpecOK, a.Fallbacks, a.Puts, a.GetErrs,
-		a.Stale, a.Dups, a.Lost, a.ServerMsgs, a.P50, a.P99, a.WinHash)
-}
-
-// StormResult aggregates E23.
-type StormResult struct {
-	Arms   []*StormArm
-	Table_ Table
-}
-
-// Arm returns a named arm (nil if absent).
-func (r *StormResult) Arm(name string) *StormArm {
-	for _, a := range r.Arms {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// Digest renders the deterministic outcome of every arm.
-func (r *StormResult) Digest() []string {
-	out := make([]string, 0, len(r.Arms))
-	for _, a := range r.Arms {
-		out = append(out, a.digestLine())
-	}
-	return out
-}
+// lost counts the GETs and PUTs that never completed.
+func (a *stormArm) lost() int { return a.GetsLost + a.Puts - a.puts.Resps + a.puts.Lost }
 
 // runStormArm drives one arm on a fresh SmallClos world: reader node 0
 // and writer node 1 (pod0-tor0) against server node 4 (pod0-tor1), so
 // every op crosses the leaf tier. fault browns out the reader's spine
 // path mid-run — recovery must come from the shared go-back-N machinery
 // (retransmits), never from a second reliability plane.
-func runStormArm(sc Scale, name string, onesided bool, gets, puts int, fault bool) *StormArm {
-	a := &StormArm{Name: name, Gets: gets, Puts: puts}
+func runStormArm(sc Scale, name string, onesided bool, gets, puts int, fault bool) *stormArm {
+	a := &stormArm{Name: name, Gets: gets, Puts: puts}
 	nic := grayNIC() // RetransTimeout 1 ms, RetryLimit 12: brownouts are survivable
 	c := cluster.New(cluster.Options{
 		Topology: fabric.SmallClos(),
@@ -203,7 +175,7 @@ func runStormArm(sc Scale, name string, onesided bool, gets, puts int, fault boo
 	sc.observe(c.Eng, "storm/"+name)
 	eng := c.Eng
 
-	srv := &stormServer{eng: eng, applied: make(map[uint64]int)}
+	srv := &stormServer{eng: eng, puts: newLedger()}
 	var winID uint64
 	c.Nodes[4].Ctx.ExposeWindow(stormKeys*stormSlot, func(w *xrdma.Window, err error) {
 		if err != nil {
@@ -317,7 +289,6 @@ func runStormArm(sc Scale, name string, onesided bool, gets, puts int, fault boo
 		at := sim.Duration(1 + rng.Int63n(int64(stormSpan)))
 		eng.AfterBg(at, func() { issueGet(k) })
 	}
-	putsDone := 0
 	if puts > 0 {
 		// Sorted issue times: seqs were assigned in schedule order, so
 		// per-key writes must leave the writer in that same order.
@@ -332,15 +303,16 @@ func runStormArm(sc Scale, name string, onesided bool, gets, puts int, fault boo
 				req := make([]byte, 10)
 				req[0], req[1] = stormOpPut, byte(k)
 				binary.LittleEndian.PutUint64(req[2:], seq)
-				writer.SendMsg(req, 0, func(_ *xrdma.Msg, err error) {
+				id := uint64(k)<<32 | seq
+				srv.puts.send(id, writer.SendMsg(req, 0, func(_ *xrdma.Msg, err error) {
 					if err != nil {
 						return
 					}
 					if seq > acked[k] {
 						acked[k] = seq
 					}
-					putsDone++
-				})
+					srv.puts.respond(id)
+				}))
 			})
 		}
 	}
@@ -361,24 +333,15 @@ func runStormArm(sc Scale, name string, onesided bool, gets, puts int, fault boo
 	}
 	eng.RunUntil(start.Add(horizon))
 
-	a.Lost = (gets - done - a.GetErrs) + (puts - putsDone)
-	for i := 0; i < puts; i++ {
-		switch n := srv.applied[uint64(putKeys[i])<<32|putSeq[i]]; {
-		case n == 0:
-			a.Lost++
-		case n > 1:
-			a.Dups++
-		}
-	}
+	a.puts = srv.puts.settle()
+	a.GetsLost = gets - done - a.GetErrs
 	a.ServerMsgs = srv.msgs
 	a.P50 = grayPercentile(lats, 0.50)
 	a.P99 = grayPercentile(lats, 0.99)
 	a.Retransmits = c.Nodes[0].NIC.Counters.Retransmits
-	a.Drops = c.Fab.Stats.Drops
 	a.AccessErrs = c.Nodes[4].NIC.Counters.AccessErrors
 	blame := c.Nodes[0].Ctx.Telemetry().Blame
-	top, _ := blame.Top()
-	a.BlameTop = top.String()
+	a.BlameTop, _ = blame.Top()
 	a.BlameMsgs = blame.Count()
 
 	// Window hash: the final seqlock state of every entry, in key order.
@@ -394,7 +357,7 @@ func runStormArm(sc Scale, name string, onesided bool, gets, puts int, fault boo
 }
 
 // Storm runs E23: three mixes × two planes.
-func Storm(sc Scale) *StormResult {
+func Storm(sc Scale) Result {
 	ops := pick(sc, stormOpsQuick, stormOpsFull)
 	mixes := []struct {
 		name       string
@@ -404,27 +367,78 @@ func Storm(sc Scale) *StormResult {
 		{"read95", ops * 95 / 100, ops * 5 / 100},
 		{"read50", ops / 2, ops / 2},
 	}
-	r := &StormResult{}
-	for _, m := range mixes {
-		r.Arms = append(r.Arms,
-			runStormArm(sc, m.name+"/rpc", false, m.gets, m.puts, false),
-			runStormArm(sc, m.name+"/one-sided", true, m.gets, m.puts, false))
-	}
 	t := Table{
 		ID:    "E23/Storm",
 		Title: "Storm-style KV: speculative one-sided GET + version validation vs RPC",
 		Header: []string{"arm", "gets", "spec", "fallback", "puts",
 			"p50", "p99", "srv msgs", "stale", "dups", "lost"},
 	}
-	for _, a := range r.Arms {
-		t.Addf(a.Name, a.Gets, a.SpecOK, a.Fallbacks, a.Puts,
-			a.P50.String(), a.P99.String(), a.ServerMsgs, a.Stale, a.Dups, a.Lost)
+	var digest []string
+	var claims []Claim
+	for _, m := range mixes {
+		rpc := runStormArm(sc, m.name+"/rpc", false, m.gets, m.puts, false)
+		one := runStormArm(sc, m.name+"/one-sided", true, m.gets, m.puts, false)
+		for _, a := range []*stormArm{rpc, one} {
+			t.Addf(a.Name, a.Gets, a.SpecOK, a.Fallbacks, a.Puts,
+				a.P50.String(), a.P99.String(), a.ServerMsgs, a.Stale, a.puts.Dups, a.lost())
+			digest = append(digest, fmt.Sprintf("arm %s gets=%d spec=%d fb=%d puts=%d errs=%d stale=%d dups=%d lost=%d srvmsgs=%d p50=%v p99=%v win=%016x",
+				a.Name, a.Gets, a.SpecOK, a.Fallbacks, a.Puts, a.GetErrs,
+				a.Stale, a.puts.Dups, a.lost(), a.ServerMsgs, a.P50, a.P99, a.WinHash))
+			id := "E23/" + a.Name
+			claims = append(claims, a.puts.claims(id+"/puts", a.Puts)...)
+			claims = append(claims,
+				within(id+"/gets-lost", "0", float64(a.GetsLost), 0, 0),
+				within(id+"/get-errors", "0", float64(a.GetErrs), 0, 0),
+				within(id+"/stale", "0", float64(a.Stale), 0, 0),
+				within(id+"/access-errors", "0", float64(a.AccessErrs), 0, 0))
+		}
+		// Reads never perturb the table: the final store state is the
+		// same on both planes.
+		id := "E23/" + m.name
+		claims = append(claims, shape(id+"/same-store", "plane-independent", rpc.WinHash == one.WinHash))
+		switch m.name {
+		case "read100":
+			// No writers: every READ validates.
+			claims = append(claims,
+				within(id+"/one-sided-fallbacks", "0", float64(one.Fallbacks), 0, 0),
+				within(id+"/one-sided-spec", "every GET", float64(one.SpecOK), float64(one.Gets), float64(one.Gets)))
+			fallthrough
+		case "read95":
+			// One-sided GETs beat RPC and offload the responder's CPU.
+			claims = append(claims,
+				within(id+"/one-sided-p50-µs", "< RPC", one.P50.Micros(), -inf, below(rpc.P50.Micros())),
+				within(id+"/one-sided-p99-µs", "< RPC", one.P99.Micros(), -inf, below(rpc.P99.Micros())),
+				within(id+"/one-sided-srv-msgs", "≪ RPC", float64(one.ServerMsgs), -inf, below(float64(rpc.ServerMsgs/2))))
+		case "read50":
+			// Write contention catches a critical section in flight.
+			claims = append(claims, within(id+"/one-sided-fallbacks", "fallback engages", float64(one.Fallbacks), 1, inf))
+		}
 	}
 	t.Notes = append(t.Notes,
 		"one-sided GET: single RDMA READ of the seqlock-framed entry, validated locally (head==tail, even, seq consistent)",
 		"validation failure = a writer's critical section caught in flight → GET retried over the RPC fallback",
 		"srv msgs counts responder handler invocations: the responder-CPU cost the one-sided plane removes",
 		"stale counts validated reads older than the acked floor at issue — the transactional guarantee (must be 0)")
-	r.Table_ = t
-	return r
+	return Result{Tables: []*Table{&t}, Digest: digest, Claims: claims}
+}
+
+// StormBrownout browns out the reader's spine path mid-run: every
+// speculative READ must still complete via the shared go-back-N machinery
+// — retransmits on the reader's own QP, zero stale reads, zero fallbacks
+// (loss is not contention), and the blame plane pinning the inflated tail
+// on read.fetch. No second reliability plane exists to hide behind. It is
+// a gate, not a table: it prints nothing, so it is not observed either.
+func StormBrownout(sc Scale) Result {
+	sc.Observe = nil
+	a := runStormArm(sc, "brownout/one-sided", true, 200, 0, true)
+	id := "E23/brownout"
+	return Result{Claims: []Claim{
+		within(id+"/lost", "0", float64(a.lost()), 0, 0),
+		within(id+"/get-errors", "0", float64(a.GetErrs), 0, 0),
+		within(id+"/stale", "0", float64(a.Stale), 0, 0),
+		within(id+"/fallbacks", "0", float64(a.Fallbacks), 0, 0),
+		within(id+"/retransmits", "the fault bites", float64(a.Retransmits), 1, inf),
+		within(id+"/blame-msgs", "traced", float64(a.BlameMsgs), 1, inf),
+		shape(id+"/blame-top", telemetry.StageReadFetch.String(), a.BlameTop == telemetry.StageReadFetch),
+	}}
 }

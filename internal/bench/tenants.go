@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"xrdma/internal/cluster"
 	"xrdma/internal/fabric"
@@ -25,7 +26,7 @@ import (
 //	shared  mouse + elephant contend for the shared SQ, the send window,
 //	        the token bucket and the staging pool
 //
-// The acceptance criteria live in TestTenants: the mouse's contended p99
+// The drill claims the mouse's contended p99
 // stays within 1.25× of its alone baseline (the DRR scheduler and the
 // elephant's own limits absorb the flood), the elephant's memory budget
 // rejects allocations (ErrTenantBudget, never a silent stall) and starts
@@ -66,15 +67,10 @@ func tenantsKnobs(_ int, cfg *xrdma.Config) {
 	}
 }
 
-// TenantArm is the outcome of one arm.
-type TenantArm struct {
-	Name string
-
-	MouseSent  int
-	MouseResps int
-	MouseDups  int
-	MouseLost  int
-	SendErrs   int
+// tenantArm is the outcome of one arm.
+type tenantArm struct {
+	Name  string
+	mouse tally
 
 	// Contended window (elephant active) and recovered window (after the
 	// elephant stops) tails.
@@ -92,32 +88,11 @@ type TenantArm struct {
 	TenantLog []string // client-side TenantDigest lines
 }
 
-// TenantsResult aggregates the drill.
-type TenantsResult struct {
-	Alone, Shared *TenantArm
-	Table_        Table
-}
-
-// Digest renders both arms as deterministic lines: same seed ⇒
-// bit-identical digest, sequentially and across concurrent goroutines.
-func (r *TenantsResult) Digest() []string {
-	var out []string
-	for _, a := range []*TenantArm{r.Alone, r.Shared} {
-		out = append(out, "arm "+a.Name)
-		out = append(out, fmt.Sprintf("mouse sent=%d resps=%d dups=%d lost=%d errs=%d p50=%v p99=%v recov_p50=%v recov_p99=%v",
-			a.MouseSent, a.MouseResps, a.MouseDups, a.MouseLost, a.SendErrs, a.P50, a.P99, a.RecovP50, a.RecovP99))
-		out = append(out, fmt.Sprintf("elephant sent=%d budget_errs=%d late_attached=%d shed_dumps=%d culprit=%d",
-			a.EleSent, a.EleBudgetErr, a.LateAttached, a.ShedDumps, a.ShedCulprit))
-		out = append(out, a.TenantLog...)
-	}
-	return out
-}
-
 // runTenantArm drives one arm on a fresh SmallClos world: client node 0
 // to server node 4 (cross-ToR), every tenant multiplexed onto the single
 // shared QP the config allows.
-func runTenantArm(sc Scale, name string, elephant bool) *TenantArm {
-	a := &TenantArm{Name: name}
+func runTenantArm(sc Scale, name string, elephant bool) *tenantArm {
+	a := &tenantArm{Name: name}
 	c := cluster.New(cluster.Options{
 		Topology: fabric.SmallClos(),
 		Nodes:    8,
@@ -127,11 +102,11 @@ func runTenantArm(sc Scale, name string, elephant bool) *TenantArm {
 	sc.observe(c.Eng, "tenants/"+name)
 	eng := c.Eng
 
-	recvCount := map[uint64]int{}
+	l := newLedger()
 	c.ListenAll(7500, func(_ *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) {
 			if len(m.Data) >= 16 && binary.LittleEndian.Uint64(m.Data) == tenMouseMarker {
-				recvCount[binary.LittleEndian.Uint64(m.Data[8:])]++
+				l.deliver(binary.LittleEndian.Uint64(m.Data[8:]))
 				m.Reply(m.Data[:16], 0)
 				return
 			}
@@ -151,7 +126,6 @@ func runTenantArm(sc Scale, name string, elephant bool) *TenantArm {
 	start := eng.Now()
 	var nextID uint64
 	sentAt := map[uint64]sim.Time{}
-	respSeen := map[uint64]int{}
 	var tailLats, recovLats []sim.Duration
 	var mouseTick func()
 	mouseTick = func() {
@@ -163,14 +137,13 @@ func runTenantArm(sc Scale, name string, elephant bool) *TenantArm {
 		buf := make([]byte, 16)
 		binary.LittleEndian.PutUint64(buf, tenMouseMarker)
 		binary.LittleEndian.PutUint64(buf[8:], id)
-		a.MouseSent++
 		sentAt[id] = eng.Now()
-		err := mouse.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
+		l.send(id, mouse.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
 			if err != nil {
 				return
 			}
 			rid := binary.LittleEndian.Uint64(m.Data[8:])
-			respSeen[rid]++
+			l.respond(rid)
 			at := sentAt[rid]
 			lat := eng.Now().Sub(at)
 			switch issued := at.Sub(start); {
@@ -179,10 +152,7 @@ func runTenantArm(sc Scale, name string, elephant bool) *TenantArm {
 			case issued >= tenTailFrom && issued < tenEleStop:
 				tailLats = append(tailLats, lat)
 			}
-		})
-		if err != nil {
-			a.SendErrs++
-		}
+		}))
 		eng.AfterBg(tenMouseTick, mouseTick)
 	}
 	eng.AfterBg(tenMouseTick, mouseTick)
@@ -245,17 +215,7 @@ func runTenantArm(sc Scale, name string, elephant bool) *TenantArm {
 
 	eng.RunUntil(start.Add(tenHorizon))
 
-	for id := uint64(0); id < nextID; id++ {
-		switch n := recvCount[id]; {
-		case n == 0:
-			a.MouseLost++
-		default:
-			if n > 1 {
-				a.MouseDups++
-			}
-		}
-		a.MouseResps += respSeen[id]
-	}
+	a.mouse = l.settle()
 	a.P50 = grayPercentile(tailLats, 0.50)
 	a.P99 = grayPercentile(tailLats, 0.99)
 	a.RecovP50 = grayPercentile(recovLats, 0.50)
@@ -278,25 +238,50 @@ func runTenantArm(sc Scale, name string, elephant bool) *TenantArm {
 }
 
 // Tenants runs E24 and renders the table.
-func Tenants(sc Scale) *TenantsResult {
-	r := &TenantsResult{
-		Alone:  runTenantArm(sc, "alone", false),
-		Shared: runTenantArm(sc, "shared", true),
-	}
+func Tenants(sc Scale) Result {
+	alone, shared := runTenantArm(sc, "alone", false), runTenantArm(sc, "shared", true)
 	t := Table{
 		ID:    "E24/Tenants",
 		Title: "Multi-tenant isolation: elephant flood vs latency-sensitive mouse on one shared QP",
 		Header: []string{"arm", "mouse-p50", "mouse-p99", "recov-p99", "sent", "resps", "dups", "lost",
 			"ele-sent", "budget-errs", "shed-dumps", "late-attach"},
 	}
-	for _, a := range []*TenantArm{r.Alone, r.Shared} {
+	var digest []string
+	var claims []Claim
+	for _, a := range []*tenantArm{alone, shared} {
+		m := a.mouse
 		t.Addf(a.Name, a.P50.String(), a.P99.String(), a.RecovP99.String(),
-			a.MouseSent, a.MouseResps, a.MouseDups, a.MouseLost,
+			m.Sent, m.Resps, m.Dups, m.Lost,
 			a.EleSent, a.EleBudgetErr, a.ShedDumps, a.LateAttached)
+		digest = append(digest, "arm "+a.Name)
+		digest = append(digest, fmt.Sprintf("mouse sent=%d resps=%d dups=%d lost=%d errs=%d p50=%v p99=%v recov_p50=%v recov_p99=%v",
+			m.Sent, m.Resps, m.Dups, m.Lost, m.SendErrs, a.P50, a.P99, a.RecovP50, a.RecovP99))
+		digest = append(digest, fmt.Sprintf("elephant sent=%d budget_errs=%d late_attached=%d shed_dumps=%d culprit=%d",
+			a.EleSent, a.EleBudgetErr, a.LateAttached, a.ShedDumps, a.ShedCulprit))
+		digest = append(digest, a.TenantLog...)
+		claims = append(claims, m.claims("E24/"+a.Name+"/mouse", 1)...)
 	}
 	t.Note("both tenants share ONE mux QP (QPsPerPeer=1); mouse weight 8, elephant weight 1 + rate/window/memory limits")
 	t.Note("mouse contended p99 must stay within 1.25x of alone; budget breaches reject with ErrTenantBudget and shed new attaches")
 	t.Note("shed flight dumps name the culprit tenant id in the QPN field; late attaches establish after the elephant stops")
-	r.Table_ = t
-	return r
+	noShed := 0
+	for _, line := range shared.TenantLog {
+		if strings.HasPrefix(line, "tenant elephant") && (strings.Contains(line, "ashed=0") || strings.Contains(line, "sheds=0 ")) {
+			noShed++
+		}
+	}
+	// Isolation: the mouse's contended tail stays within 1.25× of its alone
+	// baseline, and returns there once the elephant stops. Overload degrades
+	// loudly: the elephant's memory budget rejects allocations, each shed
+	// episode's flight dump names the elephant (tenant id 2, the second
+	// entry of the config table), and late attaches are shed into the
+	// admission FIFO, establishing only after the elephant stops.
+	return Result{Tables: []*Table{&t}, Digest: digest, Claims: append(claims,
+		within("E24/shared/mouse-p99-µs", "≤1.25× alone", shared.P99.Micros(), -inf, (alone.P99+alone.P99/4).Micros()),
+		within("E24/shared/recov-p99-µs", "≤1.25× alone", shared.RecovP99.Micros(), -inf, (alone.RecovP99+alone.RecovP99/4).Micros()),
+		within("E24/shared/budget-errs", "rejects loudly", float64(shared.EleBudgetErr), 1, inf),
+		within("E24/shared/shed-dumps", "flight dump", float64(shared.ShedDumps), 1, inf),
+		within("E24/shared/shed-culprit", "elephant (2)", float64(shared.ShedCulprit), 2, 2),
+		within("E24/shared/late-attached", "after the load drops", float64(shared.LateAttached), tenLateChans, tenLateChans),
+		within("E24/shared/elephant-never-shed", "0", float64(noShed), 0, 0))}
 }

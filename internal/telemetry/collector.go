@@ -15,11 +15,12 @@ import (
 // multi-gigabyte timeline.
 const DefaultTraceCap = 1 << 16
 
-// Observation pairs an engine's telemetry Set with the experiment label
-// it was created under.
+// Observation pairs an engine and its telemetry Set with the experiment
+// label it was created under.
 type Observation struct {
-	Label string
-	Set   *Set
+	Label  string
+	Engine *sim.Engine
+	Set    *Set
 }
 
 // Collector gathers the telemetry Sets of every engine an experiment
@@ -44,7 +45,7 @@ func (c *Collector) Observe(eng *sim.Engine, label string) {
 	if c.TraceCap > 0 && !s.Trace.Enabled() {
 		s.Trace.Enable(c.TraceCap)
 	}
-	c.obs = append(c.obs, Observation{Label: label, Set: s})
+	c.obs = append(c.obs, Observation{Label: label, Engine: eng, Set: s})
 }
 
 // Observations returns the collected sets sorted by label, so output
