@@ -149,6 +149,37 @@ func BenchmarkReadInPlace64K(b *testing.B) {
 	}
 }
 
+// BenchmarkReadSizeOnly64K is BenchmarkReadInPlace64K without bytes: the
+// rendezvous pull of a size-only message. The responder checks the rkey and
+// stages nothing, the segments carry lengths and the completion no Data.
+// Gated in CI at exactly 0 allocs/op.
+func BenchmarkReadSizeOnly64K(b *testing.B) {
+	const size = 64 << 10
+	r := newRig(b, DefaultConfig())
+	src := r.b.Mem.Register(size, RegNonContinuous)
+	dst := r.a.Mem.Register(size, RegNonContinuous)
+	var wr SendWR
+	var cqes []CQE
+	read := func(i int) {
+		wr = SendWR{ID: uint64(i), Op: OpRead, Len: size, Local: dst.Base, RAddr: src.Base, RKey: src.RKey, SizeOnly: true}
+		if err := r.qa.PostSend(&wr); err != nil {
+			b.Fatal(err)
+		}
+		r.eng.Run()
+		cqes = r.qa.SendCQ.PollAppend(cqes[:0], 4)
+		if len(cqes) != 1 || cqes[0].Status != StatusOK || cqes[0].Data != nil || r.a.pool.stageFree != 0 {
+			b.Fatalf("iteration %d: CQEs %+v", i, cqes)
+		}
+	}
+	read(0) // warm: headers and packets reach their working set
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(i)
+	}
+}
+
 // BenchmarkRecvInPlace is BenchmarkPostedRecvPath with bytes: a 4 KiB SEND that
 // carries its payload into a posted buffer in registered memory — the shape of
 // every xrdma receive. The fragments land in the buffer itself and the CQE

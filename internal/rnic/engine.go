@@ -252,7 +252,7 @@ func (n *NIC) buildPacket(job *txJob) (*fabric.Packet, int, bool) {
 	if h.First {
 		h.RAddr, h.RKey = wr.RAddr, wr.RKey
 		if wr.Op == OpRead {
-			h.ReadID = wr.ID ^ (uint64(qp.QPN) << 48)
+			h.ReadID, h.SizeOnly = wr.ID^(uint64(qp.QPN)<<48), wr.SizeOnly
 			h.Last = true
 		}
 	}

@@ -85,8 +85,10 @@ type hdr struct {
 	Nak    nakCode
 
 	// Read: requester-chosen id so the response can complete the WR,
-	// echoed by opReadResp packets.
-	ReadID uint64
+	// echoed by opReadResp packets; SizeOnly asks for segments without
+	// bytes (SendWR.SizeOnly).
+	ReadID   uint64
+	SizeOnly bool
 
 	// Data is the packet's payload slice (nil for header-only packets
 	// and for size-only simulations). stage is the staging buffer a READ

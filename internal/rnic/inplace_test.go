@@ -363,3 +363,96 @@ func TestReadDestinationDeregisteredMidMessage(t *testing.T) {
 		t.Errorf("LocalProtErrs = %d, want 1", got)
 	}
 }
+
+// TestSizeOnlyRead: a READ with SizeOnly set moves lengths alone. On the wire
+// and in time it is the data-carrying READ; it takes no staging buffer, lands
+// nothing and completes with nil Data. The checks that need no bytes stay: a
+// bad rkey still NAKs and breaks the QP, and a destination that went away
+// before the last segment is still counted.
+func TestSizeOnlyRead(t *testing.T) {
+	const size = 10000 // 3 segments at MTU 4096
+	// read posts one READ of size bytes out of a pattern-filled 64 KiB source
+	// into a 0xDB-filled destination; mid, if set, runs after the first
+	// response segment is handled.
+	read := func(t *testing.T, sizeOnly bool, rkeyOff uint32, mid func(r *rig, dst *MR)) (*rig, *MR, []CQE) {
+		r := newRig(t, DefaultConfig())
+		src := r.b.Mem.Register(64<<10, RegNonContinuous)
+		copy(src.Buf, mkPattern(size))
+		dst := r.a.Mem.Register(64<<10, RegNonContinuous)
+		for i := range dst.Buf {
+			dst.Buf[i] = 0xDB
+		}
+		var reqs, segs int
+		r.fab.Host(5).Attach(&tap{n: r.b, before: func(h hdr) {
+			if h.Op == OpRead {
+				if reqs++; h.SizeOnly != sizeOnly {
+					t.Errorf("request header SizeOnly = %v, want %v", h.SizeOnly, sizeOnly)
+				}
+			}
+		}})
+		r.fab.Host(0).Attach(&tap{n: r.a, after: func(h hdr) {
+			if h.Op != opReadResp {
+				return
+			}
+			if segs++; sizeOnly && (h.Data != nil || r.a.pool.staged != 0) {
+				t.Errorf("segment %d: %d payload bytes, %d staging buffers out (want none)", segs, len(h.Data), r.a.pool.staged)
+			}
+			if h.First && mid != nil {
+				mid(r, dst)
+			}
+		}})
+		r.qa.PostSend(&SendWR{ID: 9, Op: OpRead, Len: size, Local: dst.Base, RAddr: src.Base, RKey: src.RKey + rkeyOff, SizeOnly: sizeOnly})
+		r.eng.Run()
+		if reqs == 0 {
+			t.Fatal("no READ request reached the responder")
+		}
+		return r, dst, r.qa.SendCQ.Poll(2)
+	}
+
+	t.Run("lengths-only", func(t *testing.T) {
+		rd, _, dc := read(t, false, 0, nil)
+		r, dst, sc := read(t, true, 0, nil)
+		if len(dc) != 1 || dc[0].Status != StatusOK || dc[0].Data == nil {
+			t.Fatalf("data-carrying completion: %+v", dc)
+		}
+		if len(sc) != 1 || sc[0].Status != StatusOK || sc[0].Len != size || sc[0].Data != nil {
+			t.Fatalf("size-only completion: %+v (want OK, Len %d, nil Data)", sc, size)
+		}
+		if r.eng.Now() != rd.eng.Now() || r.eng.Fired() != rd.eng.Fired() {
+			t.Errorf("size-only READ ends at %v after %d events, the data-carrying one at %v after %d",
+				r.eng.Now(), r.eng.Fired(), rd.eng.Now(), rd.eng.Fired())
+		}
+		if r.a.Counters != rd.a.Counters || r.b.Counters != rd.b.Counters || r.qa.Counters != rd.qa.Counters {
+			t.Errorf("counters differ:\nsize-only %+v %+v\ndata      %+v %+v", r.a.Counters, r.b.Counters, rd.a.Counters, rd.b.Counters)
+		}
+		for i, b := range dst.Buf {
+			if b != 0xDB {
+				t.Fatalf("dst[%d] = %#x: a size-only READ landed bytes", i, b)
+			}
+		}
+		if pl := r.a.pool; pl.staged != 0 || pl.stageFree != 0 {
+			t.Errorf("staging pool: %d out, %d kept (want 0 and 0: nothing was ever staged)", pl.staged, pl.stageFree)
+		}
+	})
+
+	t.Run("bad-rkey", func(t *testing.T) {
+		r, _, sc := read(t, true, 1, nil)
+		if len(sc) != 1 || sc[0].Status != StatusRemoteAccessErr {
+			t.Fatalf("completion: %+v (want a remote access error)", sc)
+		}
+		if r.qa.State != QPError || r.b.Counters.AccessErrors != 1 || r.qb.Counters.RemoteAccessErrs != 1 {
+			t.Errorf("QP %v, responder AccessErrors %d, RemoteAccessErrs %d (want ERROR, 1, 1)",
+				r.qa.State, r.b.Counters.AccessErrors, r.qb.Counters.RemoteAccessErrs)
+		}
+	})
+
+	t.Run("deregistered-mid", func(t *testing.T) {
+		r, _, sc := read(t, true, 0, func(r *rig, dst *MR) { r.a.Mem.Deregister(dst) })
+		if len(sc) != 1 || sc[0].Status != StatusOK || sc[0].Data != nil {
+			t.Fatalf("completion: %+v", sc)
+		}
+		if got := r.a.Counters.LocalProtErrs; got != 1 {
+			t.Errorf("LocalProtErrs = %d, want 1", got)
+		}
+	})
+}

@@ -11,7 +11,10 @@
 // (what a one-sided READ observes is fixed then) into a recycled staging
 // buffer, and the requester lands each response segment, as a receiver each
 // SEND fragment, directly in the registered memory the work request names;
-// the completion's Data is that memory. Model deltas toward hardware that
+// the completion's Data is that memory. A size-only READ (SendWR.SizeOnly),
+// like a SEND with nil Data, moves lengths alone: the responder checks the
+// rkey and bounds and snapshots nothing, the segments carry no bytes, nothing
+// lands, and the completion's Data is nil. Model deltas toward hardware that
 // follow: a READ's destination and a posted receive buffer fill segment by
 // segment, in order, as packets are accepted — their contents are partial
 // until the completion, not untouched until it; and a go-back-N re-service of

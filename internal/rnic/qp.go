@@ -153,6 +153,11 @@ type SendWR struct {
 
 	Imm uint32
 
+	// SizeOnly makes a READ move lengths only, as a SEND with nil Data
+	// does: the responder still checks the rkey and bounds but snapshots
+	// nothing, and the completion's Data is nil.
+	SizeOnly bool
+
 	// Unsignaled WRs produce no CQE on success (X-RDMA uses this for
 	// keepalive probes and acks to keep CQ pressure down).
 	Unsignaled bool

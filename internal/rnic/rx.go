@@ -134,8 +134,11 @@ func (n *NIC) handleReadReq(p *fabric.Packet, h *hdr) {
 		// not when a segment is emitted or lands (a speculative reader
 		// validates against exactly this instant). The snapshot goes into a
 		// recycled staging buffer; a re-serviced request takes a fresh one.
-		stage = n.pool.stage(h.MsgLen)
-		copy(stage.buf, mr.Slice(h.RAddr, h.MsgLen))
+		// A size-only READ observes nothing: its segments carry lengths.
+		if !h.SizeOnly {
+			stage = n.pool.stage(h.MsgLen)
+			copy(stage.buf, mr.Slice(h.RAddr, h.MsgLen))
+		}
 	}
 	// The packet and header are recycled when this handler returns; copy
 	// everything the deferred response needs into the job and let the
@@ -227,8 +230,9 @@ func (qp *QP) handleReadResp(h *hdr) {
 	qp.Counters.BytesRecv += int64(wr.Len)
 	// A local address that resolves to no MR now — it never did, or the
 	// region went away while the segments were landing (they filled its
-	// orphaned storage, harmlessly) — is counted, never silently dropped.
-	if st.data != nil && wr.Local != 0 {
+	// orphaned storage, harmlessly) — is counted, never silently dropped;
+	// a size-only READ's destination too, though nothing landed in it.
+	if wr.Len > 0 && wr.Local != 0 {
 		if _, ok := n.Mem.FindLocal(wr.Local, wr.Len); !ok {
 			n.Counters.LocalProtErrs++
 			n.tel.Flight.Record(n.eng.Now(), telemetry.CatRemoteAccess, int32(n.Node), qp.QPN, int64(wr.ID), 1)

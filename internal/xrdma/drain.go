@@ -282,11 +282,6 @@ func (c *Context) encodeHandoff() []byte {
 		u32(uint32(len(tail)))
 		for _, ps := range tail {
 			data := ps.payload()
-			if !ps.hasData && ps.staged.Valid() {
-				// The payload only lives in the staging buffer (size-only
-				// callers aside): the replay restages it after the restart.
-				data = ps.staged.Bytes()[:ps.size]
-			}
 			oneWay := byte(0)
 			if ps.oneWay {
 				oneWay = 1

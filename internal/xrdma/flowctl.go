@@ -253,11 +253,12 @@ func (f *flowCtl) fetchRemote(op *msgRec) {
 		rec := f.ctx.newRec(recFrag, op.ch)
 		rec.parent, rec.lk, rec.qp = op, l, l.qp
 		rec.wr = rnic.SendWR{
-			Op:    rnic.OpRead,
-			Len:   seg,
-			Local: op.staged.Addr + uint64(off),
-			RAddr: raddr + uint64(off),
-			RKey:  rkey,
+			Op:       rnic.OpRead,
+			Len:      seg,
+			Local:    op.staged.Addr + uint64(off),
+			RAddr:    raddr + uint64(off),
+			RKey:     rkey,
+			SizeOnly: op.wr.SizeOnly,
 		}
 		f.read(rec)
 		if size == 0 {

@@ -30,6 +30,8 @@ func FuzzDecodeHdr(f *testing.F) {
 	f.Add(mk(wireHdr{Kind: kindResp, Flags: flagTraced | flagBlame, Seq: 6, MsgID: 7, T1: 42}))
 	f.Add(mk(wireHdr{Kind: kindReq, Flags: flagOneWay, Size: 16}))
 	f.Add(mk(wireHdr{Kind: kindLargeReq, Size: 1 << 20, Addr: 0xdeadbeef, RKey: 42}))
+	// A size-only rendezvous announce: its pull moves lengths, not bytes.
+	f.Add(mk(wireHdr{Kind: kindLargeResp, Flags: flagSizeOnly, Seq: 2, MsgID: 3, Size: 128 << 10, Addr: 0xdeadbeef, RKey: 42}))
 	// One-sided plane shapes: a window grant (Addr/RKey/Size carry the
 	// window), a revoke (id only), and what an old release's emulated READ
 	// round trip (including its access-failure flag, bit 1<<3) and WRITE+imm

@@ -20,10 +20,11 @@ var ErrAlreadyReplied = errors.New("xrdma: message already replied")
 //
 // Small payloads (≤ SmallMsgSize) travel inline over SEND; larger ones are
 // staged in the memory cache and announced, and the receiver pulls them
-// with fragmented RDMA READ. Every message goes through the seq-ack
-// window regardless of transport — a channel that is degraded, recovering
-// or running on the TCP mock keeps accepting sends, and the window
-// replays/dedups across cutovers.
+// with fragmented RDMA READ — lengths alone for a size-only message, whose
+// Msg.Data then has unspecified contents. Every message goes through the
+// seq-ack window regardless of transport — a channel that is degraded,
+// recovering or running on the TCP mock keeps accepting sends, and the
+// window replays/dedups across cutovers.
 func (ch *Channel) SendMsg(data []byte, size int, cb func(*Msg, error)) error {
 	if ch.closed {
 		return ErrChannelClosed
@@ -226,8 +227,10 @@ func (ch *Channel) transmit(ps *msgRec, large bool) {
 		h.Flags |= flagOneWay
 	}
 	if large {
-		h.Addr = ps.staged.Addr
-		h.RKey = ps.staged.MR.RKey
+		h.Addr, h.RKey = ps.staged.Addr, ps.staged.MR.RKey
+		if !ps.hasData {
+			h.Flags |= flagSizeOnly
+		}
 	}
 	if c.cfg.ReqRspMode && (c.cfg.TraceSampleMask == 0 || ps.msgID&c.cfg.TraceSampleMask == 0) {
 		h.Flags |= flagTraced
@@ -503,7 +506,7 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 		ch.pulls[h.Seq] = true
 		op := c.newRec(recFetch, ch)
 		op.msg, op.size = msg, size
-		op.wr.RAddr, op.wr.RKey = h.Addr, h.RKey
+		op.wr.RAddr, op.wr.RKey, op.wr.SizeOnly = h.Addr, h.RKey, h.Flags&flagSizeOnly != 0
 		ch.fetch(op)
 	default:
 		c.logf("unknown message kind %d from peer %d", h.Kind, ch.Peer)

@@ -86,11 +86,12 @@ func (k msgKind) windowed() bool {
 }
 
 const (
-	flagTraced = 1 << iota // trace extension present
-	flagOneWay             // request wants no response
-	flagBlame              // causal blame trace: responses carry the stage mirror
-	_                      // 1<<3 is retired (a Mock-emulated READ's access error); reserved so flagTenant keeps its bit
-	flagTenant             // tenant label extension present, Tenant field meaningful
+	flagTraced   = 1 << iota // trace extension present
+	flagOneWay               // request wants no response
+	flagBlame                // causal blame trace: responses carry the stage mirror
+	_                        // 1<<3 is retired (a Mock-emulated READ's access error); reserved so flagTenant keeps its bit
+	flagTenant               // tenant label extension present, Tenant field meaningful
+	flagSizeOnly             // LARGE_REQ/LARGE_RESP: size-only payload, pull lengths (older decoders ignore it and pull bytes)
 )
 
 // wireHdr is the decoded header.

@@ -6,22 +6,27 @@ import (
 	"testing/quick"
 )
 
+// TestHdrRoundTrip: a rendezvous announce, plain and size-only both ways,
+// round-trips in the bare 64-byte header (flagSizeOnly adds no bytes).
 func TestHdrRoundTrip(t *testing.T) {
-	h := wireHdr{
-		Kind: kindLargeReq, Ver: hdrVersion, Flags: flagOneWay, Seq: 12345, Ack: 12000,
-		MsgID: 999, Size: 1 << 20, Addr: 0x7f00_1234_0000, RKey: 42,
-	}
-	buf := make([]byte, h.wireBytes())
-	n := h.encode(buf)
-	if n != hdrSize {
-		t.Fatalf("encoded %d bytes", n)
-	}
-	got, n2, err := decodeHdr(buf)
-	if err != nil || n2 != n {
-		t.Fatalf("decode: %v (%d)", err, n2)
-	}
-	if got != h {
-		t.Fatalf("roundtrip mismatch:\n%+v\n%+v", got, h)
+	for _, h := range []wireHdr{
+		{Kind: kindLargeReq, Flags: flagOneWay},
+		{Kind: kindLargeReq, Flags: flagSizeOnly},
+		{Kind: kindLargeResp, Flags: flagSizeOnly},
+	} {
+		h.Ver, h.Seq, h.Ack, h.MsgID, h.Size, h.Addr, h.RKey = hdrVersion, 12345, 12000, 999, 1<<20, 0x7f00_1234_0000, 42
+		buf := make([]byte, h.wireBytes())
+		n := h.encode(buf)
+		if n != hdrSize {
+			t.Fatalf("%v flags %#x: encoded %d bytes", h.Kind, h.Flags, n)
+		}
+		got, n2, err := decodeHdr(buf)
+		if err != nil || n2 != n {
+			t.Fatalf("decode: %v (%d)", err, n2)
+		}
+		if got != h {
+			t.Fatalf("roundtrip mismatch:\n%+v\n%+v", got, h)
+		}
 	}
 }
 
@@ -76,7 +81,7 @@ func TestHdrRoundTripProperty(t *testing.T) {
 		// and decodes back as the explicit value.
 		ver := hdrVersion + uint8(kind)%(hdrVersionMax-hdrVersion+1)
 		h := wireHdr{
-			Kind: msgKind(kind % 9), Ver: ver, Flags: flags & (flagTraced | flagOneWay),
+			Kind: msgKind(kind % 9), Ver: ver, Flags: flags & (flagTraced | flagOneWay | flagSizeOnly),
 			Seq: seq, Ack: ack, MsgID: msgID, Size: size, Addr: addr, RKey: rkey,
 		}
 		if h.Flags&flagTraced != 0 {

@@ -11,7 +11,8 @@
 # event per link), the untraced RNIC send path's, the posted-receive
 # path's, the one-sided READ requester path's, the two in-place landings'
 # (ReadInPlace64K,
-# RecvInPlace: bytes go between registered buffers, nothing is allocated)
+# RecvInPlace: bytes go between registered buffers, nothing is allocated),
+# the size-only READ's (ReadSizeOnly64K: a rendezvous pull that moves lengths)
 # and a go-back-N round's (RetransmitUnacked: 32 WRs re-enqueued per op).
 # TracedSendPath is informational: its delta against UntracedSendPath is
 # the armed cost of the blame plane.
@@ -33,7 +34,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test ./internal/sim/ ./internal/telemetry/ ./internal/fabric/ ./internal/rnic/ ./internal/xrmon/ -run '^$' \
-    -bench 'BenchmarkEngine|BenchmarkTelemetry|BenchmarkFabricHop|BenchmarkUntracedSendPath|BenchmarkTracedSendPath|BenchmarkPostedRecvPath|BenchmarkOneSidedReadPath|BenchmarkReadInPlace64K|BenchmarkRecvInPlace|BenchmarkRetransmitUnacked|BenchmarkAgentSample' -benchmem \
+    -bench 'BenchmarkEngine|BenchmarkTelemetry|BenchmarkFabricHop|BenchmarkUntracedSendPath|BenchmarkTracedSendPath|BenchmarkPostedRecvPath|BenchmarkOneSidedReadPath|BenchmarkReadInPlace64K|BenchmarkReadSizeOnly64K|BenchmarkRecvInPlace|BenchmarkRetransmitUnacked|BenchmarkAgentSample' -benchmem \
     -benchtime=2s -count=1 | tee "$tmp" >&2
 go test ./internal/xrdma/ -run '^$' -bench 'BenchmarkBuddyAlloc' -benchmem \
     -benchtime=1s -count=1 | tee -a "$tmp" >&2
