@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -43,13 +44,9 @@ func TestCorruptionAccounting(t *testing.T) {
 	c.ListenAll(7500, func(_ *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) {
 			id := binary.LittleEndian.Uint64(m.Data)
-			want := pattern(id)
 			delivered++
-			for i, b := range m.Data {
-				if b != want[i] {
-					payloadErrs++
-					break
-				}
+			if !bytes.Equal(m.Data, pattern(id)) {
+				payloadErrs++
 			}
 			m.Reply(m.Data[:8], 0)
 		})
@@ -141,18 +138,7 @@ func TestCorruptionBlameIsolation(t *testing.T) {
 		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(m.Retain(), m.Len) })
 	})
 	var cross, local *xrdma.Channel
-	c.Connect(0, 4, 7600, func(ch *xrdma.Channel, err error) {
-		if err != nil {
-			panic(err)
-		}
-		cross = ch
-	})
-	c.Connect(0, 1, 7600, func(ch *xrdma.Channel, err error) {
-		if err != nil {
-			panic(err)
-		}
-		local = ch
-	})
+	c.ConnectPairs([][2]int{{0, 4}, {0, 1}}, 7600, func(chs []*xrdma.Channel) { cross, local = chs[0], chs[1] })
 	eng.Run()
 	if cross == nil || local == nil || srvCross == nil {
 		t.Fatal("channel establishment failed")

@@ -8,19 +8,11 @@ import (
 	"xrdma/internal/telemetry"
 )
 
-// Golden-seed determinism anchors. These exact numbers were captured on
-// the container/heap scheduler before the 4-ary-heap/pooling rewrite and
-// must never drift: the simulation is run-to-complete with a total event
-// order of (time, sequence), so any change to these values means the
-// kernel reordered events or a model drew differently from its RNG —
-// i.e. the experiments in REPRODUCE.md are no longer comparable across
-// versions. Update them only for a deliberate, documented model change.
-// goldenFiredCount was 4476 until the hybrid poller stopped firing idle spins
-// as engine events (DESIGN §9.5, EXPERIMENTS.md P6), and 3269 until a fabric
-// hop became one event (DESIGN §6.1, EXPERIMENTS.md P7), and 1834 until the
-// memory cache registered regions sized to demand (DESIGN §14.4, EXPERIMENTS.md
-// P11: a 512 KiB first region registers sooner); RTT and Fig 9 did not move
-// any of those times.
+// Golden-seed determinism anchors: the simulation is run-to-complete with
+// a total event order of (time, sequence), so a change to one of these means
+// the kernel reordered events or a model drew differently from its RNG.
+// Update them only for a deliberate, documented model change; git log holds
+// each re-baseline of goldenFiredCount (RTT and Fig 9 never moved).
 const (
 	goldenSeed       = 42
 	goldenPingSize   = 512
@@ -86,15 +78,11 @@ func TestGoldenMetricsDigestAcrossParallelism(t *testing.T) {
 	if want == "" {
 		t.Fatal("empty metrics digest — no metrics registered")
 	}
-	const workers = 8
-	got := make([]string, workers)
+	got := make([]string, 8)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := range got {
 		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = metricsDigest()
-		}(i)
+		go func() { defer wg.Done(); got[i] = metricsDigest() }()
 	}
 	wg.Wait()
 	for i, g := range got {

@@ -118,11 +118,13 @@ func bound(x float64) string {
 }
 
 // paperRange reads the number a paper cell starts with ("38", "~100",
-// "<2", "0 (RNR-free)"), or the range "a–b". A number that runs into a
-// letter ("35.78M") is in another unit than the measurement.
+// "<2", "0 (RNR-free)", "≥10×"), or the range "a–b". A number that runs into
+// a letter ("35.78M") is in another unit than the measurement, and a ratio
+// followed by text ("≤1.15× clean") is relative to the arm the text names.
 func paperRange(paper string) (lo, hi float64, ok bool) {
-	lo, rest, ok := leadingFloat(strings.TrimLeft(paper, "~≈<≤+ "))
-	if r, _ := utf8.DecodeRuneInString(rest); !ok || unicode.IsLetter(r) {
+	lo, rest, ok := leadingFloat(strings.TrimLeft(paper, "~≈<≤>≥+ "))
+	arm := strings.HasPrefix(rest, "×") && strings.TrimSpace(rest[len("×"):]) != ""
+	if r, _ := utf8.DecodeRuneInString(rest); !ok || arm || unicode.IsLetter(r) {
 		return 0, 0, false
 	}
 	hi = lo

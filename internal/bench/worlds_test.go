@@ -21,6 +21,23 @@ func TestWorlds(t *testing.T) {
 	}
 }
 
+// TestRatioCellDistance: a paper cell whose × is followed by text is a ratio
+// to the arm the text names, so the ledger prints no distance; a bare ratio
+// is measured as one and keeps its distance.
+func TestRatioCellDistance(t *testing.T) {
+	for _, c := range [][3]string{
+		{"E20/doctor-on/p99-µs", "≤1.15× clean", "-"},
+		{"E24/shared/mouse-p99-µs", "≤1.25× alone", "-"},
+		{"E24/shared/recov-p99-µs", "≤1.25× alone", "-"},
+		{"E8/mass-cold÷QP-cache", "≈3.3×", "+12.70"},
+		{"E22/chan÷qp", "≥10×", "+6.00"},
+	} {
+		if row := (Claim{ID: c[0], Paper: c[1], Measured: 16}).String(); !strings.Contains(row, " "+c[2]+"  band") {
+			t.Errorf("distance of %s, want %s: %s", c[0], c[2], row)
+		}
+	}
+}
+
 // Each panel of the fig7 and fig10 entries, and each drill, is also held
 // by its own name. They share TestWorlds' runs.
 func TestFig7LeftMixedStrategy(t *testing.T) { holdWorld(t, "fig7/E1", Quick()) }

@@ -3,8 +3,8 @@ package telemetry
 import "testing"
 
 // The telemetry hot paths share the kernel's allocation discipline:
-// scripts/bench.sh records these in BENCH_kernel.json and the CI bench
-// smoke step fails the build if any reports >0 allocs/op.
+// scripts/bench.sh records these in BENCH_e2e.json, and its -check fails
+// the build if any reports >0 allocs/op.
 
 func BenchmarkTelemetryCounterAdd(b *testing.B) {
 	c := NewRegistry().Counter("bench.counter")
