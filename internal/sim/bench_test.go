@@ -76,6 +76,35 @@ func BenchmarkEngineTimers(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineNear is peak's standing queue (EXPERIMENTS.md P10): about
+// 93 events due within horizon — packet hops, NIC steps and polls, each
+// scheduling its successor from under 100 ns to 4 µs ahead — over 66 far
+// timers re-armed 100 µs and more ahead. Nearly every step pops and pushes
+// on the ring.
+func BenchmarkEngineNear(b *testing.B) {
+	e := NewEngine()
+	var scan func()
+	scan = func() { e.AfterBg(100*Microsecond, scan) }
+	for i := 0; i < 66; i++ {
+		e.AfterBg(100*Microsecond+Duration(i)*1500, scan)
+	}
+	delays := [...]Duration{300, 1100, 650, 2400, 90, 4100, 800, 1700}
+	k := 0
+	var hop func()
+	hop = func() {
+		e.After(delays[k%len(delays)], hop)
+		k++
+	}
+	for i := 0; i < 93; i++ {
+		e.After(Duration(i)*40, hop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
 func benchName(k string, v int) string {
 	const digits = "0123456789"
 	if v == 0 {

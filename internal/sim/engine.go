@@ -6,16 +6,19 @@
 // when events fire, so experiments covering simulated minutes complete in
 // real milliseconds and are bit-for-bit reproducible for a given seed.
 //
-// The scheduler is built for throughput: two monomorphic 4-ary min-heaps of
-// *event nodes (no interface boxing, inlined sift operations) plus an
+// The scheduler is built for throughput: pooled *event nodes on an
 // engine-owned free-list, so the steady-state schedule→fire cycle performs
-// zero heap allocations. An event due less than horizon after the instant it
-// is scheduled goes to the near heap, any later one to the far heap, and Step
-// fires the lesser of the two roots: a packet event sifts through the few
-// events due soon, not past every armed timer and periodic scan. Both heaps
-// order by (at, seq) and an event never moves between them, so the firing
-// order is the (at, seq) order of all live events, exactly as with one heap.
-// Event handles are values carrying a generation counter, which keeps
+// zero heap allocations, in two tiers. An event due less than horizon after
+// the instant it is scheduled goes to the near tier, any later one to the far
+// tier, and Step fires the lesser of the two tiers' first events. The near
+// tier, where the packet hops, NIC steps and polls go, is a calendar ring of
+// 8 ns buckets, each a linked list kept in (at, seq) order, found through an
+// occupancy bitmap: scheduling a near event compares it with its bucket's
+// tail alone, and popping one is an unlink. The far tier, the armed timers
+// and periodic scans, is a monomorphic 4-ary min-heap. Both tiers pop in
+// (at, seq) order and an event never moves between them, so the firing order
+// is the (at, seq) order of all live events, exactly as with one heap. Event
+// handles are values carrying a generation counter, which keeps
 // Pending/Cancel safe even after the underlying node has been recycled for a
 // later event.
 package sim
@@ -23,6 +26,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -67,13 +71,14 @@ func (d Duration) String() string {
 // return to the free-list when they fire or are cancelled, and gen
 // increments on every release so stale Event handles can detect reuse.
 type event struct {
-	at  Time
-	seq uint64 // FIFO tie-break for events at the same instant
-	fn  func()
-	idx int32 // index in its heap; -1 while not queued
-	gen uint64
-	bg  bool // background: does not keep Run alive
-	far bool // queued in the far heap
+	at         Time
+	seq        uint64 // FIFO tie-break for events at the same instant
+	fn         func()
+	gen        uint64
+	next, prev *event // neighbours in its ring bucket's circular list
+	idx        int32  // index in the far heap, 0 in the ring; -1 while not queued
+	bg         bool   // background: does not keep Run alive
+	far        bool   // queued in the far heap
 }
 
 // Event is a handle to a scheduled callback. Events are single-shot;
@@ -105,13 +110,14 @@ func (ev Event) At() Time {
 // synchronization on the data plane). Independent Engines are fully
 // isolated, so separate experiments may run on separate goroutines.
 type Engine struct {
-	now       Time
-	seq       uint64
-	near, far heap4 // due less than horizon after they were scheduled, and later
-	free      []*event
-	stopped   bool
-	fired     uint64
-	nonBg     int // foreground events pending
+	now     Time
+	seq     uint64
+	near    ring  // due less than horizon after they were scheduled
+	far     heap4 // due later
+	free    []*event
+	stopped bool
+	fired   uint64
+	nonBg   int // foreground events pending
 
 	aux map[any]any
 }
@@ -124,12 +130,12 @@ type Engine struct {
 // the sweep it was taken from).
 const horizon = 5 * Microsecond
 
-// NewEngine returns an engine positioned at time zero. Each tier starts with
-// room for a small world's standing population (a few contexts' periodic
-// scans and armed timers, the packets in flight), so a small world's tiers do
-// not grow mid-run.
+// NewEngine returns an engine positioned at time zero. The far tier starts
+// with room for a small world's standing timers (a few contexts' periodic
+// scans and armed timeouts), so a small world's heap does not grow mid-run;
+// the ring has its fixed size from the start.
 func NewEngine() *Engine {
-	return &Engine{near: make(heap4, 0, 64), far: make(heap4, 0, 64)}
+	return &Engine{far: make(heap4, 0, 64)}
 }
 
 // Now returns the current simulated time.
@@ -139,7 +145,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are currently scheduled.
-func (e *Engine) Pending() int { return len(e.near) + len(e.far) }
+func (e *Engine) Pending() int { return e.near.n + len(e.far) }
 
 // Aux returns the engine-scoped value stored under key, or nil. Model
 // packages use this to attach per-engine free-lists (packet pools, header
@@ -209,7 +215,11 @@ func (e *Engine) At(t Time, fn func()) Event {
 	n := e.alloc(t, fn)
 	e.nonBg++
 	n.far = t.Sub(e.now) >= horizon
-	e.tier(n).push(n)
+	if n.far {
+		e.far.push(n)
+	} else {
+		e.near.push(n)
+	}
 	return Event{n: n, gen: n.gen}
 }
 
@@ -236,34 +246,25 @@ func (e *Engine) Cancel(ev Event) {
 	if n == nil || n.gen != ev.gen || n.idx < 0 {
 		return
 	}
-	e.tier(n).remove(int(n.idx))
+	if n.far {
+		e.far.remove(int(n.idx))
+	} else {
+		e.near.remove(n)
+	}
 	if !n.bg {
 		e.nonBg--
 	}
 	e.release(n)
 }
 
-// tier is the heap n belongs to.
-func (e *Engine) tier(n *event) *heap4 {
-	if n.far {
-		return &e.far
-	}
-	return &e.near
-}
-
-// peek returns the earliest pending event, the lesser of the two roots, or
-// nil when none remain.
+// peek returns the earliest pending event, the lesser of the ring's first
+// node and the far root, or nil when none remain.
 func (e *Engine) peek() *event {
-	if len(e.far) == 0 {
-		if len(e.near) == 0 {
-			return nil
-		}
-		return e.near[0]
-	}
-	if len(e.near) == 0 || before(e.far[0], e.near[0]) {
+	n := e.near.first(e.now)
+	if len(e.far) > 0 && (n == nil || before(e.far[0], n)) {
 		return e.far[0]
 	}
-	return e.near[0]
+	return n
 }
 
 // Step fires the earliest pending event. It reports false when no events
@@ -273,7 +274,18 @@ func (e *Engine) Step() bool {
 	if n == nil {
 		return false
 	}
-	e.tier(n).popMin()
+	e.fire(n)
+	return true
+}
+
+// fire dequeues and dispatches n, the event peek returned, so each fired
+// event costs one peek whichever loop drives it.
+func (e *Engine) fire(n *event) {
+	if n.far {
+		e.far.popMin()
+	} else {
+		e.near.remove(n)
+	}
 	e.now = n.at
 	fn := n.fn
 	if !n.bg {
@@ -286,7 +298,6 @@ func (e *Engine) Step() bool {
 	if fn != nil {
 		fn()
 	}
-	return true
 }
 
 // Run processes events until no foreground events remain or Stop is
@@ -302,8 +313,12 @@ func (e *Engine) Run() {
 // to exactly t (even if the queue drained earlier).
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
-	for n := e.peek(); !e.stopped && n != nil && n.at <= t; n = e.peek() {
-		e.Step()
+	for !e.stopped {
+		n := e.peek()
+		if n == nil || n.at > t {
+			break
+		}
+		e.fire(n)
 	}
 	if !e.stopped && e.now < t {
 		e.now = t
@@ -319,7 +334,110 @@ func (e *Engine) Stop() { e.stopped = true }
 // MaxTime is the largest representable simulation instant.
 const MaxTime = Time(math.MaxInt64)
 
-// --- 4-ary min-heap -------------------------------------------------------
+// --- near tier: a calendar ring -------------------------------------------
+//
+// The ring is a calendar queue (R. Brown, CACM 1988) sized so that it never
+// wraps onto itself: ringBuckets buckets of bucketWidth nanoseconds each,
+// spanning more than horizon. Every near event is due in [now, now+horizon),
+// so the buckets from now's onward, taken round the ring, are in time order,
+// and each bucket holds its events in (at, seq) order. The first node of the
+// first occupied bucket at or after now's is the near tier's minimum.
+
+const (
+	bucketShift = 3
+	bucketWidth = 1 << bucketShift // ns
+	ringBuckets = 1024
+	ringSpan    = ringBuckets * bucketWidth // 8.192 µs
+)
+
+// The buckets an event due in [now, now+horizon) can fall in must be fewer
+// than ringBuckets, or two instants a lap apart would share a bucket: that
+// holds while horizon fits in the span less one bucket. This fails to
+// compile (a negative constant converted to uint) once it does not.
+const _ = uint(ringSpan - bucketWidth - horizon)
+
+// ring is the near tier. head[b] is bucket b's first node, whose prev is the
+// bucket's last; occ has bit b set while bucket b is non-empty, and words
+// has bit w set while occ[w] is non-zero.
+type ring struct {
+	head  [ringBuckets]*event
+	occ   [ringBuckets / 64]uint64
+	words uint64
+	n     int
+}
+
+func bucket(at Time) int { return int(at>>bucketShift) & (ringBuckets - 1) }
+
+// push links n into its bucket behind every node due at or before it. n
+// holds the engine's newest seq, so a node due at n's instant precedes it,
+// and n almost always goes last: the walk back from the tail stops at once.
+func (r *ring) push(n *event) {
+	n.idx = 0
+	r.n++
+	b := bucket(n.at)
+	h := r.head[b]
+	if h == nil {
+		n.next, n.prev = n, n
+		r.head[b] = n
+		r.occ[b>>6] |= 1 << (b & 63)
+		r.words |= 1 << (b >> 6)
+		return
+	}
+	p := h.prev
+	for p.at > n.at {
+		if p == h {
+			// n is due before every node in the bucket: it links in behind
+			// the tail, which closes the circle in front of the old head.
+			p = h.prev
+			r.head[b] = n
+			break
+		}
+		p = p.prev
+	}
+	n.prev, n.next = p, p.next
+	p.next.prev = n
+	p.next = n
+}
+
+// remove unlinks n, the first node when it fires, any node when cancelled.
+func (r *ring) remove(n *event) {
+	r.n--
+	b := bucket(n.at)
+	if n.next == n {
+		r.head[b] = nil
+		if r.occ[b>>6] &^= 1 << (b & 63); r.occ[b>>6] == 0 {
+			r.words &^= 1 << (b >> 6)
+		}
+	} else {
+		n.prev.next, n.next.prev = n.next, n.prev
+		if r.head[b] == n {
+			r.head[b] = n.next
+		}
+	}
+	n.idx = -1
+}
+
+// first returns the earliest node, the head of the first occupied bucket at
+// or after now's, round the ring, or nil when the ring is empty.
+func (r *ring) first(now Time) *event {
+	b := bucket(now)
+	w := b >> 6
+	if m := r.occ[w] >> (b & 63); m != 0 {
+		return r.head[b+bits.TrailingZeros64(m)]
+	}
+	// The first non-empty word after now's or, with none, the first from the
+	// ring's start: the scan wraps.
+	ws := r.words &^ (2<<w - 1)
+	if ws == 0 {
+		if ws = r.words; ws == 0 {
+			return nil
+		}
+	}
+	j := bits.TrailingZeros64(ws)
+	return r.head[j<<6+bits.TrailingZeros64(r.occ[j])]
+}
+
+// --- far tier: a 4-ary min-heap --------------------------------------------
 //
 // A 4-ary layout halves the tree depth versus a binary heap, trading a few
 // extra comparisons per level for far fewer cache-missing levels — the
@@ -332,8 +450,8 @@ func before(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// heap4 is one tier of the queue: a 4-ary min-heap of event nodes, each
-// recording its index.
+// heap4 is the far tier: a 4-ary min-heap of event nodes, each recording its
+// index.
 type heap4 []*event
 
 func (h *heap4) push(n *event) {

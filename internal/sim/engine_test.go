@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -312,6 +313,18 @@ func TestEnginePoolReuse(t *testing.T) {
 		t.Fatal("schedule did not reuse the pooled node")
 	}
 	e.Run()
+}
+
+// TestEngineFootprint holds the queue's memory: a node fits one 64-byte size
+// class with its bucket links, and the ring an engine carries from birth
+// stays within 16 KiB.
+func TestEngineFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 64 {
+		t.Errorf("event node is %d bytes, budget 64", n)
+	}
+	if n := unsafe.Sizeof(ring{}); n > 16<<10 {
+		t.Errorf("ring is %d bytes, budget %d", n, 16<<10)
+	}
 }
 
 func TestDurationHelpers(t *testing.T) {

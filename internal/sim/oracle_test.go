@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -35,8 +36,41 @@ type orderOracle struct {
 	lastFar bool
 
 	// What the program reached, for TestEngineOrderOracle's coverage check.
+	// Far is the heap, near the ring; a position is where in its bucket a
+	// near event was linked in or cancelled.
 	firedFar, firedNear, crossTies     int
 	cancelFar, cancelNear, cancelStale int
+	inserted, cancelled                [posKinds]int
+	sharedBucket, wraps                int // two instants in one bucket; a first-node scan past the ring's end
+}
+
+// Where a node sits in its ring bucket's list.
+const (
+	posOnly = iota
+	posHead
+	posMiddle
+	posTail
+	posKinds
+)
+
+var posNames = [posKinds]string{"only", "head", "middle", "tail"}
+
+// ringPos reports where in its bucket the queued near node n sits, and
+// whether the bucket holds an instant other than n's.
+func (o *orderOracle) ringPos(n *event) (pos int, shared bool) {
+	h := o.e.near.head[bucket(n.at)]
+	for p := h.next; p != h; p = p.next {
+		shared = shared || p.at != h.at
+	}
+	switch {
+	case n.next == n:
+		return posOnly, shared
+	case n == h:
+		return posHead, shared
+	case n.next == h:
+		return posTail, shared
+	}
+	return posMiddle, shared
 }
 
 func (o *orderOracle) byte() byte {
@@ -92,6 +126,13 @@ func (o *orderOracle) schedule(kind, flags byte) {
 	default:
 		ev = o.e.AfterBg(d, fn)
 	}
+	if !ev.n.far {
+		pos, shared := o.ringPos(ev.n)
+		o.inserted[pos]++
+		if shared {
+			o.sharedBucket++
+		}
+	}
 	o.all = append(o.all, r)
 	o.handles = append(o.handles, ev)
 	o.live = append(o.live, r)
@@ -130,6 +171,10 @@ func (o *orderOracle) fired(r *oracleEvent) {
 		o.firedFar++
 	} else {
 		o.firedNear++
+		// The scan started at now's bucket; a lower one means it went round.
+		if bucket(r.at) < bucket(o.now) {
+			o.wraps++
+		}
 	}
 	if o.firedFar+o.firedNear > 1 && o.lastAt == r.at && o.lastFar != ev.n.far {
 		o.crossTies++
@@ -226,6 +271,8 @@ func checkEngineOrder(t *testing.T, ops []byte) *orderOracle {
 					o.cancelFar++
 				default:
 					o.cancelNear++
+					pos, _ := o.ringPos(ev.n)
+					o.cancelled[pos]++
 				}
 				o.drop(r)
 			}
@@ -261,11 +308,19 @@ func checkEngineOrder(t *testing.T, ops []byte) *orderOracle {
 	return o
 }
 
+// ringWrap schedules an event just inside the horizon, fires it, and does it
+// again: the second lands past the ring's last bucket, in a lower one than
+// now's, so finding it takes a scan that wraps.
+var ringWrap = []byte{0x00, 0x02, 0x09, 0x00, 0x02, 0x09}
+
 // TestEngineOrderOracle: seeded random mixes of every scheduling, cancelling
 // and running call, checked after every fired event against a linear scan
 // for the minimum (at, seq). The two-tier queue must be indistinguishable
 // from it.
 func TestEngineOrderOracle(t *testing.T) {
+	if o := checkEngineOrder(t, ringWrap); o.wraps != 1 {
+		t.Errorf("ringWrap wrapped the scan %d times, want 1", o.wraps)
+	}
 	var reach orderOracle
 	for seed := uint64(1); seed <= 64; seed++ {
 		rng := NewRNG(seed)
@@ -281,13 +336,26 @@ func TestEngineOrderOracle(t *testing.T) {
 			reach.cancelFar += o.cancelFar
 			reach.cancelNear += o.cancelNear
 			reach.cancelStale += o.cancelStale
+			for k := range posKinds {
+				reach.inserted[k] += o.inserted[k]
+				reach.cancelled[k] += o.cancelled[k]
+			}
+			reach.sharedBucket += o.sharedBucket
+			reach.wraps += o.wraps
 		})
 	}
 	// The mixes must reach what the split could get wrong: both tiers fired
-	// and cancelled, stale handles, and a far event tied with a near one.
+	// and cancelled, stale handles, and a far event tied with a near one;
+	// and what the ring could: a node linked in and cancelled at every place
+	// in its bucket, two instants sharing one, and a scan that wraps.
 	t.Logf("fired far %d near %d, cross-tier ties %d; cancelled far %d near %d stale %d",
 		reach.firedFar, reach.firedNear, reach.crossTies, reach.cancelFar, reach.cancelNear, reach.cancelStale)
-	if min(reach.firedFar, reach.firedNear, reach.crossTies, reach.cancelFar, reach.cancelNear, reach.cancelStale) == 0 {
+	t.Logf("ring: inserted %v, cancelled %v (%v); two instants in a bucket %d, wrapping scans %d",
+		reach.inserted, reach.cancelled, posNames, reach.sharedBucket, reach.wraps)
+	reached := []int{reach.firedFar, reach.firedNear, reach.crossTies, reach.cancelFar, reach.cancelNear, reach.cancelStale,
+		reach.sharedBucket, reach.wraps}
+	reached = append(append(reached, reach.inserted[:]...), reach.cancelled[:]...)
+	if slices.Min(reached) == 0 {
 		t.Error("the mixes missed a case")
 	}
 }
@@ -297,6 +365,7 @@ func TestEngineOrderOracle(t *testing.T) {
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0x03, 0x05, 0x13, 0x1d, 0x09, 0x0d, 0x2e, 0x0f})
 	f.Add([]byte{0x00, 0x06, 0x00, 0x05, 0x05, 0x03, 0x0e, 0x26, 0x09, 0x09, 0x07, 0x01, 0x0f})
+	f.Add(ringWrap)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
