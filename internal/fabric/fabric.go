@@ -211,8 +211,9 @@ type Switch struct {
 	Tier  int // 0=ToR, 1=leaf, 2=spine
 	fab   *Fabric
 	ports []*Port
-	// routes maps destination node → candidate egress ports (ECMP set).
-	routes map[NodeID][]*Port
+	// routes[dst] is the candidate egress ports (ECMP set) toward host
+	// dst, indexed by NodeID (hosts are numbered 0…n-1): no hash per hop.
+	routes [][]*Port
 
 	// Topology bookkeeping used by the route builder.
 	pod       int
@@ -290,8 +291,17 @@ func ECMPIndex(hash uint64, n int) int {
 	return int((hash * ecmpMix) % uint64(n))
 }
 
+// routesTo is the ECMP set toward dst, empty for a node the fabric does
+// not have.
+func (s *Switch) routesTo(dst NodeID) []*Port {
+	if uint(dst) < uint(len(s.routes)) {
+		return s.routes[dst]
+	}
+	return nil
+}
+
 func (s *Switch) route(p *Packet) *Port {
-	cands := s.routes[p.Dst]
+	cands := s.routesTo(p.Dst)
 	if len(cands) == 0 {
 		return nil
 	}
@@ -345,7 +355,7 @@ func (s *Switch) viable(pt *Port, dst NodeID, depth int) bool {
 	if depth <= 0 {
 		return true
 	}
-	for _, c := range next.routes[dst] {
+	for _, c := range next.routesTo(dst) {
 		if next.viable(c, dst, depth-1) {
 			return true
 		}

@@ -102,7 +102,7 @@ type hostlink struct {
 }
 
 func (f *Fabric) newSwitch(label string, tier int) *Switch {
-	s := &Switch{Label: label, Tier: tier, fab: f, routes: make(map[NodeID][]*Port)}
+	s := &Switch{Label: label, Tier: tier, fab: f}
 	f.switches = append(f.switches, s)
 	reg := f.tel.Reg
 	reg.GaugeFunc("fabric."+label+".drops", func() int64 { return s.Drops })
@@ -127,6 +127,7 @@ func (f *Fabric) computeRoutes() {
 		}
 	}
 	for _, sw := range f.switches {
+		sw.routes = make([][]*Port, len(f.hosts))
 		for id := range f.hosts {
 			dstTor := hostTor[id]
 			switch sw.Tier {

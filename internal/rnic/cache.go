@@ -1,10 +1,6 @@
 package rnic
 
-import (
-	"container/list"
-
-	"xrdma/internal/sim"
-)
+import "xrdma/internal/sim"
 
 // qpCacheMissCost is a context miss: a PCIe round trip to fetch QP state
 // from host memory.
@@ -14,37 +10,65 @@ const qpCacheMissCost sim.Duration = 120 * sim.Nanosecond
 // observation — "cache influence on performance is almost below 10% even
 // when the number of QP grows up to 60K" — falls out of the small miss
 // cost relative to end-to-end latency; the E11 sweep verifies it.
+//
+// The LRU order is an intrusive ring through the QPs themselves (QP.lruPrev,
+// QP.lruNext; a QP is cached while lruNext is set), so a touch is pointer
+// work: no lookup, and a miss allocates nothing. A QP recycled through RESET
+// keeps its links, and a destroyed QP keeps its entry until it ages out,
+// exactly as the context SRAM would keep a dead QPN's line.
 type qpCache struct {
 	cap  int
-	ll   *list.List               // front = most recent
-	elem map[uint32]*list.Element // qpn → node
-}
-
-func newQPCache(capacity int) *qpCache {
-	return &qpCache{cap: capacity, ll: list.New(), elem: make(map[uint32]*list.Element)}
+	n    int
+	head *QP // most recent; head.lruPrev is the least recent
 }
 
 // touch marks the QP context used and reports whether it was a miss.
-func (c *qpCache) touch(qpn uint32) bool {
+func (c *qpCache) touch(qp *QP) bool {
 	if c.cap <= 0 {
 		return false // cache modelling disabled
 	}
-	if e, ok := c.elem[qpn]; ok {
-		c.ll.MoveToFront(e)
+	if qp.lruNext != nil {
+		if qp != c.head {
+			c.unlink(qp)
+			c.pushFront(qp)
+		}
 		return false
 	}
-	if c.ll.Len() >= c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.elem, back.Value.(uint32))
+	if c.n >= c.cap {
+		back := c.head.lruPrev
+		c.unlink(back)
+		back.lruPrev, back.lruNext = nil, nil
+		c.n--
 	}
-	c.elem[qpn] = c.ll.PushFront(qpn)
+	c.pushFront(qp)
+	c.n++
 	return true
 }
 
+func (c *qpCache) unlink(qp *QP) {
+	if qp.lruNext == qp {
+		c.head = nil
+		return
+	}
+	qp.lruPrev.lruNext, qp.lruNext.lruPrev = qp.lruNext, qp.lruPrev
+	if c.head == qp {
+		c.head = qp.lruNext
+	}
+}
+
+func (c *qpCache) pushFront(qp *QP) {
+	if c.head == nil {
+		qp.lruPrev, qp.lruNext = qp, qp
+	} else {
+		qp.lruPrev, qp.lruNext = c.head.lruPrev, c.head
+		c.head.lruPrev.lruNext, c.head.lruPrev = qp, qp
+	}
+	c.head = qp
+}
+
 // touchQP accounts a context access and returns the added latency.
-func (n *NIC) touchQP(qpn uint32) sim.Duration {
-	if n.cache.touch(qpn) {
+func (n *NIC) touchQP(qp *QP) sim.Duration {
+	if n.cache.touch(qp) {
 		n.Counters.QPCacheMisses++
 		return qpCacheMissCost
 	}

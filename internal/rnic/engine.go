@@ -113,7 +113,7 @@ func (n *NIC) stepEngine() {
 			return
 		}
 		n.current = job
-		cost := doorbellLatency + n.touchQP(job.qp.QPN)
+		cost := doorbellLatency + n.touchQP(job.qp)
 		if job.wr != nil && job.wr.packets == 0 {
 			n.startWR(job.qp, job.wr)
 		}

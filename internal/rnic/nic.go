@@ -113,7 +113,7 @@ type NIC struct {
 
 	alive bool
 
-	qps     map[uint32]*QP
+	qps     sim.Table[QP] // by QPN; QPNs are issued in sequence and never reused
 	nextQPN uint32
 
 	// Transmit engine.
@@ -142,7 +142,7 @@ type NIC struct {
 	cmdDoneFn func()
 
 	// QP context cache.
-	cache *qpCache
+	cache qpCache
 
 	// DCQCN notification point state: last CNP time per remote flow.
 	lastCNP map[uint64]sim.Time
@@ -188,10 +188,9 @@ func New(eng *sim.Engine, host *fabric.Host, cfg Config) *NIC {
 		fab:     host.Fabric(),
 		pool:    poolsFor(eng),
 		alive:   true,
-		qps:     make(map[uint32]*QP),
 		nextQPN: 1,
 		lastCNP: make(map[uint64]sim.Time),
-		cache:   newQPCache(cfg.QPCacheEntries),
+		cache:   qpCache{cap: cfg.QPCacheEntries},
 		tel:     telemetry.For(eng),
 	}
 	n.stepFn = n.stepEngine
@@ -263,8 +262,10 @@ func (n *NIC) Revive() { n.alive = true }
 // its outstanding work as errors, all registered memory is invalidated
 // (a rebooted kernel holds no pins), and the adapter comes back alive.
 // Software above must re-register memory and re-establish connections.
+// The QPs flush in ascending QPN order, so completions they share a CQ
+// through land in that order.
 func (n *NIC) Restart() {
-	for _, qp := range n.qps {
+	for _, qp := range n.qps.All() {
 		n.modifyQPNow(qp, QPError, 0, 0)
 		// A rebooted adapter starts with pristine QP contexts. Leaving
 		// recycled QPs in Error would poison the middleware's QP cache:
@@ -280,10 +281,10 @@ func (n *NIC) Restart() {
 func (n *NIC) LineBps() int64 { return n.host.LinkBps() }
 
 // QP returns the queue pair with the given number, or nil.
-func (n *NIC) QP(qpn uint32) *QP { return n.qps[qpn] }
+func (n *NIC) QP(qpn uint32) *QP { return n.qps.Get(uint64(qpn)) }
 
 // NumQPs reports live queue pairs.
-func (n *NIC) NumQPs() int { return len(n.qps) }
+func (n *NIC) NumQPs() int { return n.qps.Len() }
 
 // --- hardware command queue -------------------------------------------
 
@@ -365,7 +366,7 @@ func (n *NIC) allocQP(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 		qp.rq.Reserve(rqCap)
 	}
 	n.nextQPN++
-	n.qps[qp.QPN] = qp
+	n.qps.Put(uint64(qp.QPN), qp)
 	return qp
 }
 
@@ -400,7 +401,8 @@ func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN ui
 		}
 		keep := *qp
 		*qp = QP{QPN: qp.QPN, nic: n, State: QPReset, SQCap: qp.SQCap, RQCap: qp.RQCap,
-			SendCQ: qp.SendCQ, RecvCQ: qp.RecvCQ, srq: qp.srq, CreatedAt: qp.CreatedAt}
+			SendCQ: qp.SendCQ, RecvCQ: qp.RecvCQ, srq: qp.srq, CreatedAt: qp.CreatedAt,
+			lruPrev: qp.lruPrev, lruNext: qp.lruNext} // the context cache's line survives
 		// The cached closures survive recycling; the CQE FIFOs must too,
 		// because drains already scheduled still index into them (exactly
 		// the lifetime per-WR closures used to have). The receive and send
@@ -452,7 +454,7 @@ func (n *NIC) ModifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN ui
 // serialized hardware command: in-flight packets keep the old key and
 // go-back-N absorbs any reordering across the switch.
 func (n *NIC) ModifyFlowLabel(qpn uint32, label uint64) error {
-	qp := n.qps[qpn]
+	qp := n.qps.Get(uint64(qpn))
 	if qp == nil {
 		return fmt.Errorf("rnic: ModifyFlowLabel: no QP %d", qpn)
 	}
@@ -472,7 +474,7 @@ func (n *NIC) ModifyFlowLabel(qpn uint32, label uint64) error {
 func (n *NIC) DestroyQP(qp *QP) {
 	n.modifyQPNow(qp, QPError, 0, 0)
 	qp.rate.stop()
-	delete(n.qps, qp.QPN)
+	n.qps.Delete(uint64(qp.QPN))
 }
 
 // ConnectLoopback is a test/bench helper: builds a connected QP pair

@@ -348,6 +348,9 @@ type QP struct {
 	// CreatedAt / lastComm support keepalive diagnostics.
 	CreatedAt sim.Time
 	LastComm  sim.Time
+
+	// The NIC's QP context cache (cache.go): this QP's place in its LRU ring.
+	lruPrev, lruNext *QP
 }
 
 // assembly tracks an in-progress multi-packet inbound message.

@@ -485,6 +485,57 @@ func TestQPCacheCounters(t *testing.T) {
 	}
 }
 
+// A restarted NIC flushes its QPs in ascending QPN order, so QPs that share
+// a send CQ leave their flushed completions on it in that order, whatever
+// order the work was posted in — the same on every restart.
+func TestRestartFlushesInQPNOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	fab := fabric.New(eng, fabric.DefaultConfig(), 1)
+	fabric.BuildClos(fab, fabric.SmallClos())
+	a := New(eng, fab.Host(0), DefaultConfig())
+	b := New(eng, fab.Host(5), DefaultConfig())
+	sendCQ := NewCQ(16)
+	qps, peers := make([]*QP, 3), make([]*QP, 3)
+	for i := range qps {
+		qps[i] = a.AllocQPNow(16, 16, sendCQ, NewCQ(16), nil)
+		peers[i] = b.AllocQPNow(16, 16, NewCQ(16), NewCQ(16), nil)
+		for _, step := range []QPState{QPInit, QPRTR, QPRTS} {
+			if err := b.ModifyQPNow(peers[i], step, a.Node, qps[i].QPN); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for i, qp := range qps {
+			for _, step := range []QPState{QPInit, QPRTR, QPRTS} {
+				if err := a.ModifyQPNow(qp, step, b.Node, peers[i].QPN); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, i := range []int{2, 0, 1} {
+			if err := qps[i].PostSend(&SendWR{ID: uint64(i), Op: OpWrite, Len: 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.Crash()
+		a.Restart()
+		got := sendCQ.Poll(16)
+		if len(got) != len(qps) {
+			t.Fatalf("round %d: %d flushed completions, want %d", round, len(got), len(qps))
+		}
+		for i, cqe := range got {
+			if cqe.QPN != qps[i].QPN || cqe.Status != StatusFlushed {
+				t.Fatalf("round %d: completion %d is QPN %d (%v), want QPN %d flushed", round, i, cqe.QPN, cqe.Status, qps[i].QPN)
+			}
+		}
+		eng.Run()
+		if sendCQ.Len() != 0 {
+			t.Fatalf("round %d: %d completions after the flush", round, sendCQ.Len())
+		}
+	}
+}
+
 func TestSRQSharing(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := fabric.New(eng, fabric.DefaultConfig(), 1)

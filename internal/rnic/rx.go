@@ -26,7 +26,7 @@ func (n *NIC) HandlePacket(p *fabric.Packet) {
 		// also charged to the destination QP so per-flow consumers (the
 		// xrdma path doctor) never blame one path's damage on another.
 		n.Counters.CorruptDrops++
-		if qp := n.qps[h.DstQPN]; qp != nil {
+		if qp := n.qps.Get(uint64(h.DstQPN)); qp != nil {
 			qp.Counters.CorruptDrops++
 		}
 		n.tel.Flight.Record(n.eng.Now(), telemetry.CatCorruptDrop, int32(n.Node), h.DstQPN, int64(p.Size), 0)
@@ -37,23 +37,23 @@ func (n *NIC) HandlePacket(p *fabric.Packet) {
 	switch h.Op {
 	case opAck:
 		n.Counters.AcksRecv++
-		if qp := n.qps[h.DstQPN]; qp != nil {
+		if qp := n.qps.Get(uint64(h.DstQPN)); qp != nil {
 			qp.handleAck(h.AckPSN)
 		}
 	case opNak:
-		if qp := n.qps[h.DstQPN]; qp != nil {
+		if qp := n.qps.Get(uint64(h.DstQPN)); qp != nil {
 			qp.handleNak(h)
 		}
 	case opCNP:
 		n.Counters.CNPRecv++
-		if qp := n.qps[h.DstQPN]; qp != nil {
+		if qp := n.qps.Get(uint64(h.DstQPN)); qp != nil {
 			qp.Counters.CNPRecv++
 			if n.Cfg.DCQCN {
 				qp.reactionPoint().onCNP()
 			}
 		}
 	case opReadResp:
-		if qp := n.qps[h.DstQPN]; qp != nil {
+		if qp := n.qps.Get(uint64(h.DstQPN)); qp != nil {
 			// Response segments are data packets: an ECN mark here must
 			// reach the responder's rate limiter like any other flow.
 			n.maybeCNP(p, h)
@@ -93,7 +93,7 @@ func (n *NIC) maybeCNP(p *fabric.Packet, h *hdr) {
 // below expected, go-back-N at the requester) re-streams the same PSN
 // range from the values the packet itself carries.
 func (n *NIC) handleReadReq(p *fabric.Packet, h *hdr) {
-	qp := n.qps[h.DstQPN]
+	qp := n.qps.Get(uint64(h.DstQPN))
 	if qp == nil || (qp.State != QPRTR && qp.State != QPRTS) {
 		return
 	}
@@ -148,7 +148,7 @@ func (n *NIC) handleReadReq(p *fabric.Packet, h *hdr) {
 	j.respTo, j.respQPN = p.Src, h.SrcQPN
 	j.readID, j.stage, j.respLen = h.ReadID, stage, h.MsgLen
 	j.respPSN = h.PSN
-	j.readyAt = n.eng.Now().Add(rxProcess + n.touchQP(qp.QPN))
+	j.readyAt = n.eng.Now().Add(rxProcess + n.touchQP(qp))
 	n.enqueueJob(j)
 }
 
@@ -250,7 +250,7 @@ func (qp *QP) handleReadResp(h *hdr) {
 // handleData sequences SEND/WRITE packets: in-order acceptance, duplicate
 // re-ack, gap NAK, RNR NAK when a SEND finds no receive buffer.
 func (n *NIC) handleData(p *fabric.Packet, h *hdr) {
-	qp := n.qps[h.DstQPN]
+	qp := n.qps.Get(uint64(h.DstQPN))
 	if qp == nil || (qp.State != QPRTR && qp.State != QPRTS) {
 		return
 	}
@@ -404,7 +404,7 @@ func (n *NIC) deliver(qp *QP, a *assembly, h *hdr) {
 		// completion reports.
 		cqe.Addr = a.raddr
 	}
-	cost := completionCost + n.touchQP(qp.QPN)
+	cost := completionCost + n.touchQP(qp)
 	qp.recvDone.Push(cqe)
 	qp.pushRecvCQE(cost, qp.recvDoneFn)
 }

@@ -23,12 +23,12 @@ func checkStructure(t testing.TB, c *Context) {
 	live := map[*link]bool{}
 	for _, l := range c.links {
 		live[l] = true
-		if l.qp != nil && l.state != linkFallback && c.qpnTab[l.qp.QPN] != l {
+		if l.qp != nil && l.state != linkFallback && c.qpnTab.Get(uint64(l.qp.QPN)) != l {
 			t.Errorf("node %d: live link (peer %d, qpn %d) missing from the QPN table", c.Node(), l.peer, l.qp.QPN)
 		}
 	}
-	for q, l := range c.qpnTab {
-		if !live[l] || l.qp == nil || l.qp.QPN != q {
+	for q, l := range c.qpnTab.All() {
+		if !live[l] || l.qp == nil || uint64(l.qp.QPN) != q {
 			t.Errorf("node %d: stale QPN table entry %d → link peer=%d state=%d", c.Node(), q, l.peer, l.state)
 		}
 	}
@@ -37,8 +37,8 @@ func checkStructure(t testing.TB, c *Context) {
 			t.Errorf("node %d: link (peer %d) both establishing and listed", c.Node(), l.peer)
 		}
 	}
-	if len(c.recFree)+len(c.posted) > c.recLive {
-		t.Errorf("node %d: %d records free and %d posted of %d live", c.Node(), len(c.recFree), len(c.posted), c.recLive)
+	if len(c.recFree)+c.posted.Len() > c.recLive {
+		t.Errorf("node %d: %d records free and %d posted of %d live", c.Node(), len(c.recFree), c.posted.Len(), c.recLive)
 	}
 }
 
@@ -109,18 +109,18 @@ func (w *testWorld) checkAtRest(t testing.TB, listed ...int) {
 		// the CQs once before the poller stops: a closed context keeps no
 		// record posted and no send completion queued (a peer's frame may
 		// still land in its receive CQ).
-		if !c.started && len(c.posted)+c.sendCQ.Len() != 0 {
-			t.Errorf("node %d: closed with %d records posted and %d send completions queued", i, len(c.posted), c.sendCQ.Len())
+		if !c.started && c.posted.Len()+c.sendCQ.Len() != 0 {
+			t.Errorf("node %d: closed with %d records posted and %d send completions queued", i, c.posted.Len(), c.sendCQ.Len())
 		}
 		probed := map[*link]bool{}
-		for _, rec := range c.posted {
+		for _, rec := range c.posted.All() {
 			if c.started && (rec.kind != recProbe || probed[rec.lk] || !slices.Contains(c.links, rec.lk)) {
 				t.Errorf("node %d: a record of kind %d posted at rest (only a listed link's one keepalive probe may be)", i, rec.kind)
 			}
 			probed[rec.lk] = true
 		}
-		if len(c.recFree)+len(c.posted) != c.recLive {
-			t.Errorf("node %d: %d records free and %d posted of %d live", i, len(c.recFree), len(c.posted), c.recLive)
+		if len(c.recFree)+c.posted.Len() != c.recLive {
+			t.Errorf("node %d: %d records free and %d posted of %d live", i, len(c.recFree), c.posted.Len(), c.recLive)
 		}
 		if n := c.NumChannels(); n != riders {
 			t.Errorf("node %d: %d channels, the listed links carry %d", i, n, riders)

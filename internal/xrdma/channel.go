@@ -427,7 +427,7 @@ func (ch *Channel) teardown(err error) {
 	}
 	ch.closed = true
 	c := ch.ctx
-	delete(c.chanByCID, ch.cid) // where mux-plane channels live, linkless descriptors included
+	c.chanByCID.Delete(uint64(ch.cid)) // where mux-plane channels live, linkless descriptors included
 	if ch.lk != nil {
 		ch.lk.detach(ch)
 	}

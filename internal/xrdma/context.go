@@ -3,7 +3,6 @@ package xrdma
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 
@@ -40,7 +39,7 @@ type Context struct {
 	// The message records (msgrec.go): posted routes a send completion to the
 	// record that posted the WR; recFree is the free list (grown on demand,
 	// trimmed when idle); at quiescence it holds all recLive records.
-	posted  map[uint64]*msgRec
+	posted  sim.Table[msgRec] // by WR id, issued in sequence
 	recFree []*msgRec
 	recLive int
 	recIdle int // low-water mark of len(recFree) this housekeeping tick
@@ -87,7 +86,7 @@ type Context struct {
 	// not). The periodic scans walk it by index, because a visit may close
 	// links and shift the list left; a link that slides into a visited slot
 	// waits for the next tick, the same in every run. One-shot fan-outs
-	// that must reach every link walk a snapshot. qpnTab is the one map
+	// that must reach every link walk a snapshot. qpnTab is the one table
 	// keyed by local QPN: each link's current QPN → the link, written by
 	// link.setQP and cleared by link.close. It routes receive completions
 	// and is the fast path of the recovery rendezvous. dialing holds exclusive
@@ -96,14 +95,14 @@ type Context struct {
 	recoverPort int
 	links       []*link
 	dialing     []*link
-	qpnTab      map[uint32]*link
+	qpnTab      sim.Table[link]
 
 	// QP multiplexing (mux.go, Config.QPsPerPeer > 0). chanByCID holds
 	// every mux-plane channel (lazy descriptors included) by its
 	// context-unique cid. attachQ/attachActive implement the admission cap
 	// on concurrent lazy attaches.
 	mux          map[fabric.NodeID]*peerMux
-	chanByCID    map[uint32]*Channel
+	chanByCID    sim.Table[Channel]
 	cidSeq       uint32
 	attachQ      sim.Queue[*Channel]
 	attachActive int
@@ -210,12 +209,10 @@ func NewContext(o Options) *Context {
 		cm:          o.CM,
 		host:        o.Host,
 		cfg:         o.Config,
-		posted:      make(map[uint64]*msgRec),
 		rng:         sim.NewRNG(o.Seed ^ 0x9e37),
 		tcp:         o.TCP,
 		mockPort:    o.MockPort,
 		recoverPort: o.RecoverPort,
-		qpnTab:      make(map[uint32]*link),
 		clockSkew:   o.ClockSkew,
 		toff:        make(map[fabric.NodeID]sim.Duration),
 	}
@@ -239,7 +236,6 @@ func NewContext(o Options) *Context {
 		// per-channel receive pools.
 		c.cfg.UseSRQ = true
 		c.mux = make(map[fabric.NodeID]*peerMux)
-		c.chanByCID = make(map[uint32]*Channel)
 	}
 	if c.cfg.UseSRQ {
 		c.srq = rnic.NewSRQ(c.cfg.SRQSize) // a few words; sharedRQ fills it
@@ -329,7 +325,7 @@ func (c *Context) Config() Config { return c.cfg }
 // mux-plane channel (attached or still a lazy descriptor).
 func (c *Context) NumChannels() int {
 	exclusive, _ := c.linkCensus()
-	return exclusive + len(c.chanByCID)
+	return exclusive + c.chanByCID.Len()
 }
 
 // linkCensus counts the exclusive links (one channel each) and the shared
@@ -536,11 +532,11 @@ func (c *Context) dispatchNext() { c.dispatch(c.cqeQ.Pop()) }
 func (c *Context) dispatch(p pendingCQE) {
 	if !p.recv {
 		// An unknown WR is a flushed duplicate after error handling already ran.
-		if rec := c.posted[p.cqe.WRID]; rec != nil {
-			delete(c.posted, p.cqe.WRID)
+		if rec := c.posted.Get(p.cqe.WRID); rec != nil {
+			c.posted.Delete(p.cqe.WRID)
 			c.complete(rec, p.cqe, false)
 		}
-	} else if l := c.qpnTab[p.cqe.QPN]; l != nil {
+	} else if l := c.qpnTab.Get(uint64(p.cqe.QPN)); l != nil {
 		l.recv(p.cqe)
 	} else {
 		// No live link owns the QPN (its channel was torn down): the SRQ
@@ -632,8 +628,8 @@ func (c *Context) Channels() []*Channel {
 		}
 	}
 	slices.SortStableFunc(out, func(a, b *Channel) int { return cmp.Compare(a.lk.lastQPN(), b.lk.lastQPN()) })
-	for _, cid := range slices.Sorted(maps.Keys(c.chanByCID)) {
-		out = append(out, c.chanByCID[cid])
+	for _, ch := range c.chanByCID.All() {
+		out = append(out, ch)
 	}
 	return out
 }

@@ -431,7 +431,7 @@ func (c *Context) Shutdown() {
 		ch.closed = true
 		c.eng.Cancel(ch.ackEv)
 	}
-	clear(c.chanByCID)
+	c.chanByCID.Clear()
 	for _, l := range c.allLinks() {
 		// A link on the Mock fallback already surrendered its QP.
 		if l.state == linkFallback {

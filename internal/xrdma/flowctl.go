@@ -36,9 +36,9 @@ func (f *flowCtl) post(rec *msgRec) {
 	c := f.ctx
 	rec.wr.ID = c.nextWRID()
 	rec.holds |= holdNIC
-	c.posted[rec.wr.ID] = rec
+	c.posted.Put(rec.wr.ID, rec)
 	if l := rec.lk; l.state == linkDead || l.qp != rec.qp || rec.qp.PostSend(&rec.wr) != nil {
-		delete(c.posted, rec.wr.ID)
+		c.posted.Delete(rec.wr.ID)
 		c.complete(rec, rnic.CQE{WRID: rec.wr.ID, QPN: rec.qp.QPN, Op: rec.wr.Op, Status: rnic.StatusFlushed}, true)
 	}
 }

@@ -148,7 +148,7 @@ func (l *link) setQP(qp *rnic.QP, pool *recvPool, initiator bool) {
 	c := l.c
 	l.untable()
 	l.qp, l.peerQPN = qp, qp.RemoteQPN
-	c.qpnTab[qp.QPN] = l
+	c.qpnTab.Put(uint64(qp.QPN), l)
 	if i := slices.Index(c.dialing, l); i >= 0 {
 		// An exclusive link takes its place in the scan list with its first QP.
 		c.dialing = slices.Delete(c.dialing, i, i+1)
@@ -196,8 +196,8 @@ func (l *link) setQP(qp *rnic.QP, pool *recvPool, initiator bool) {
 // untable drops the link's table entry, unless a sibling that recycled the
 // QP out of the cache owns the QPN by now.
 func (l *link) untable() {
-	if l.qp != nil && l.c.qpnTab[l.qp.QPN] == l {
-		delete(l.c.qpnTab, l.qp.QPN)
+	if l.qp != nil && l.c.qpnTab.Get(uint64(l.qp.QPN)) == l {
+		l.c.qpnTab.Delete(uint64(l.qp.QPN))
 	}
 }
 
@@ -887,7 +887,7 @@ func (c *Context) accept(req *verbs.ConnReq) {
 		// A redial for a degraded (or fallen-back) link. It may name a QPN from
 		// adoptions (or a restart) ago, or one since recycled to a sibling; the
 		// identity scan keeps it from cross-adopting another link's state.
-		if l = c.qpnTab[h.target]; l == nil || !l.is(req.From, h) {
+		if l = c.qpnTab.Get(uint64(h.target)); l == nil || !l.is(req.From, h) {
 			l = nil
 			if i := slices.IndexFunc(c.links, func(x *link) bool { return x.is(req.From, h) }); i >= 0 {
 				l = c.links[i]

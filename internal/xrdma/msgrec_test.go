@@ -231,7 +231,7 @@ func TestRecordRecycleSafety(t *testing.T) {
 			p.check(t, w)
 			w.checkAtRest(t, 1, 1) // the channels stay open on their one link
 			for i, c := range w.ctxs {
-				if n := len(c.posted); n != 0 { // off the grid, not even a probe: the ledger allows one
+				if n := c.posted.Len(); n != 0 { // off the grid, not even a probe: the ledger allows one
 					t.Errorf("node %d: %d records still posted", i, n)
 				}
 			}

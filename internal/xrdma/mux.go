@@ -70,7 +70,7 @@ func (c *Context) ChannelTo(node fabric.NodeID, port int, opts ...ChannelOpt) (*
 			return nil, err
 		}
 	}
-	c.chanByCID[ch.cid] = ch
+	c.chanByCID.Put(uint64(ch.cid), ch)
 	return ch, nil
 }
 
@@ -221,7 +221,7 @@ func (c *Context) muxFor(peer fabric.NodeID, port int) *link {
 // rider resolves the channel an inbound header's Chan field names; a cid
 // that rides another QP (or none) names nothing here.
 func (l *link) rider(cid uint32) *Channel {
-	if ch := l.c.chanByCID[cid]; ch != nil && ch.lk == l {
+	if ch := l.c.chanByCID.Get(uint64(cid)); ch != nil && ch.lk == l {
 		return ch
 	}
 	return nil
@@ -298,7 +298,7 @@ func (l *link) handleChanOpen(h *wireHdr) {
 	if h.Flags&flagTenant != 0 && len(c.tenants) > 0 {
 		ch.tenant = c.resolveTenant(h)
 	}
-	c.chanByCID[ch.cid] = ch
+	c.chanByCID.Put(uint64(ch.cid), ch)
 	l.riders = append(l.riders, ch)
 	l.peerCIDs[ch.peerCID] = ch.cid
 	ch.finishAttach(nil) // it opens here and now, like every other rider
@@ -309,7 +309,7 @@ func (l *link) handleChanOpen(h *wireHdr) {
 }
 
 func (l *link) handleChanAccept(h *wireHdr) {
-	ch := l.c.chanByCID[h.Chan]
+	ch := l.c.chanByCID.Get(uint64(h.Chan))
 	if ch == nil || ch.closed || ch.attach == attachDone {
 		return
 	}

@@ -409,7 +409,7 @@ func TestContextCloseDrainsInFlight(t *testing.T) {
 	clients[0].SendMsg(nil, 64, nil)
 	w.ctxs[0].Close()
 	w.eng.Run()
-	if n := len(w.ctxs[0].posted); n != 0 {
+	if n := w.ctxs[0].posted.Len(); n != 0 {
 		t.Errorf("closed context: %d records posted at rest", n)
 	}
 	w.checkAtRest(t, 0, 1)

@@ -243,7 +243,7 @@ func TestOneSidedNeedsRDMAPath(t *testing.T) {
 				readErr, wrErr error
 				readCBs, wrCBs int
 				data           = []byte("needs a healthy RDMA path")
-				posted         = len(w.ctxs[0].posted)
+				posted         = w.ctxs[0].posted.Len()
 				tcpRecvd       = w.ctxs[1].tcp.MsgsRecv
 			)
 			const readAt, writeAt = 64, 1024
@@ -261,7 +261,7 @@ func TestOneSidedNeedsRDMAPath(t *testing.T) {
 				}
 				// Nothing went on either wire for them: no WR posted, and an
 				// attached Mock conn carried no frame.
-				if len(w.ctxs[0].posted) != posted {
+				if w.ctxs[0].posted.Len() != posted {
 					t.Fatal("a refused one-sided op posted a work request")
 				}
 				if cli.lk.fb != nil {

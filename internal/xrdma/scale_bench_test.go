@@ -35,7 +35,7 @@ func TestChannelStructBudget(t *testing.T) {
 // descriptor costs on the heap — the number the 4000-node fit depends on.
 // ChannelTo allocates the descriptor and its registry slot but no QP, no
 // window, no buffers and no gauges; bytes/conn is the end-to-end heap
-// delta per descriptor including its share of the context's cid map.
+// delta per descriptor including its share of the context's cid table.
 func BenchmarkIdleChannelFootprint(b *testing.B) {
 	w := newWorld(b, 2, func(_ int, cfg *Config) {
 		cfg.QPsPerPeer = 2

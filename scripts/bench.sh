@@ -36,11 +36,11 @@ trap 'rm -rf "$work"' EXIT
 # The zero-alloc kernel benchmarks of sim, telemetry, fabric, rnic and
 # xrmon, plus internal/xrdma's BuddyAlloc; xrdma's IdleChannelFootprint is
 # gated on bytes/conn instead.
-zero='BenchmarkEngine|BenchmarkTelemetry|BenchmarkFabricHop|BenchmarkUntracedSendPath|BenchmarkPostedRecvPath|BenchmarkOneSidedReadPath|BenchmarkReadInPlace64K|BenchmarkReadSizeOnly64K|BenchmarkRecvInPlace|BenchmarkRetransmitUnacked|BenchmarkAgentSample'
+zero='BenchmarkEngine|BenchmarkTableChurn|BenchmarkTelemetry|BenchmarkFabricHop|BenchmarkUntracedSendPath|BenchmarkPostedRecvPath|BenchmarkOneSidedReadPath|BenchmarkReadInPlace64K|BenchmarkReadSizeOnly64K|BenchmarkRecvInPlace|BenchmarkRetransmitUnacked|BenchmarkQPCacheMiss|BenchmarkAgentSample'
 chan='BenchmarkIdleChannelFootprint|BenchmarkBuddyAlloc'
 
 # kernel PATTERN BENCHTIME: run the kernel benches into $work/kernel.out.
-# bytes/conn includes each descriptor's share of the cid map, which depends
+# bytes/conn includes each descriptor's share of the cid table, which depends
 # on how many there are, so the footprint always counts 10000 of them.
 kernel() {
     {
