@@ -16,8 +16,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
-	"strings"
 	"sync"
 
 	"xrdma/internal/bench"
@@ -39,30 +37,9 @@ func main() {
 	monPath := flag.String("mon", "", "write each world's fleet-diagnosis report (xrmon epoch, agents, incidents) as JSON to this file")
 	flag.Parse()
 
-	reg := bench.Experiments()
-	valid := make(map[string]bool, len(reg))
-	ids := make([]string, 0, len(reg))
-	for _, e := range reg {
-		valid[e.ID] = true
-		ids = append(ids, e.ID)
-	}
-
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[id] = true
-		}
-	}
-	var unknown []string
-	for id := range want {
-		if !valid[id] {
-			unknown = append(unknown, id)
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		fmt.Fprintf(os.Stderr, "reproduce: unknown experiment id(s): %s\nvalid ids: %s\n",
-			strings.Join(unknown, ", "), strings.Join(ids, ", "))
+	selected, err := bench.Select(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -85,17 +62,10 @@ func main() {
 		sc.Observe = col.Observe
 	}
 
-	if *tracePath != "" && len(want) == 0 {
+	if *tracePath != "" && len(selected) == len(bench.Experiments()) {
 		fmt.Fprintf(os.Stderr, "reproduce: warning: -trace without -only captures every experiment's timeline; "+
 			"rings truncate at %d events per world — use -only fig9,fig10 (or similar) for complete timelines\n",
 			telemetry.DefaultTraceCap)
-	}
-
-	var selected []bench.Experiment
-	for _, e := range reg {
-		if len(want) == 0 || want[e.ID] {
-			selected = append(selected, e)
-		}
 	}
 
 	if *cpuProfile != "" {

@@ -1,193 +1,111 @@
-// xr-mon is the fleet-diagnosis console of §VI: it runs a demo world with
-// one injected fault while the xrmon collector watches the per-node agent
-// rings, then prints the fleet table (per-node windowed rates + status),
-// the incident log (open → escalate → close transitions with culprits,
-// confidence and evidence) and, on request, the incident set as JSON or
-// the detector state in Prometheus exposition format.
-//
-// Worlds: -world gray browns out one ECMP spine path under a heavy
-// cross-ToR flow, so a gray-link incident opens against the dominant
-// node and closes when the optic is "replaced"; -world crash kills one
-// machine outright, so a node-down incident opens and stays open;
-// -world fleet runs the full E26 drill (five fault classes in sequence)
-// and prints its phase-vs-diagnosis table. With -watch every incident
-// transition is printed live as it happens, plus periodic fleet-table
-// snapshots.
+// xr-mon is the fleet-diagnosis console of §VI, a viewer of the experiment
+// registry: it runs one entry of bench.Experiments (-world takes the ids of
+// reproduce -only; the default is E26's fleet drill) at quick scale while
+// the xrmon collector watches the per-node agent rings, then prints, for
+// every cluster world the entry builds, the fleet table (per-node windowed
+// rates + status), the incident log (open → escalate → close transitions
+// with culprits and confidence) and the chaos log of the faults injected.
+// With -watch every incident transition is printed live as it happens;
+// -prom adds the detector state in Prometheus exposition format. The same
+// worlds' incident sets as JSON are reproduce -only <id> -mon <file>.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"xrdma/internal/bench"
 	"xrdma/internal/chaos"
 	"xrdma/internal/cluster"
-	"xrdma/internal/fabric"
-	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
-	"xrdma/internal/xrdma"
+	"xrdma/internal/telemetry"
 	"xrdma/internal/xrmon"
 )
 
 func main() {
-	world := flag.String("world", "gray", "demo world: gray | crash | fleet")
+	world := flag.String("world", "fleet", "registry entry to run, an id of reproduce -only (fleet, robust, gray, ...)")
 	seed := flag.Uint64("seed", 42, "seed")
-	watch := flag.Bool("watch", false, "print incident transitions live plus periodic fleet-table snapshots")
-	jsonOut := flag.String("json", "", "write the incident report as JSON to this file ('-' for stdout)")
+	watch := flag.Bool("watch", false, "print incident transitions live as they happen")
 	prom := flag.Bool("prom", false, "print the detector state in Prometheus exposition format")
 	flag.Parse()
 
-	if *world == "fleet" {
-		r := bench.Fleet(bench.Scale{Seed: *seed})
-		fmt.Print(r.Table_.String())
-		fmt.Println("\nincident log:")
-		for _, line := range r.Lines {
-			fmt.Println("  " + line)
-		}
-		return
+	col := &telemetry.Collector{}
+	observe := col.Observe
+	if *watch {
+		observe = watchHook(os.Stdout, col)
 	}
-	if *world != "gray" && *world != "crash" {
-		fmt.Fprintf(os.Stderr, "xr-mon: unknown world %q (want gray, crash or fleet)\n", *world)
+	if _, err := view(*world, *seed, observe); err != nil {
+		fmt.Fprintf(os.Stderr, "xr-mon: %v\n", err)
 		os.Exit(2)
 	}
-
-	// An 8-host two-ToR world: one cross-ToR and one intra-ToR channel per
-	// node, steady background requests, compressed observability clocks.
-	nicCfg := rnic.DefaultConfig()
-	nicCfg.RetransTimeout = 1 * sim.Millisecond
-	nicCfg.RetryLimit = 12 // deep retry horizon keeps the brownout gray
-	c := cluster.New(cluster.Options{
-		Topology: fabric.SmallClos(),
-		NICCfg:   nicCfg,
-		Seed:     *seed,
-		Config: func(_ int, cfg *xrdma.Config) {
-			cfg.StatsInterval = 2 * sim.Millisecond
-			cfg.PathDoctor = false // the doctor would re-path around the fault we want diagnosed
-			cfg.KeepaliveInterval = 2 * sim.Millisecond
-			cfg.KeepaliveTimeout = 8 * sim.Millisecond
-		},
-	})
-	eng := c.Eng
-	col := xrmon.For(eng)
-	for i := 0; i < 8; i++ {
-		col.SetLocation(int32(i), fmt.Sprintf("pod0-tor%d", i/4), "pod0")
+	for _, ob := range col.Observations() {
+		render(os.Stdout, ob, *prom)
 	}
-	// The demo fleet is tiny and hot, so raise the gray symptom floor:
-	// every far-ToR peer of a sick host catches a few corrupt frames, and
-	// with only 8 nodes those slivers would otherwise read as "spread".
-	col.Watch(xrmon.WatchConfig{GraySymptomMin: 30})
-	if *watch {
-		col.OnIncident(func(inc *xrmon.Incident, ev string) {
-			fmt.Printf("t=%-12v %-9s class=%s culprit=%s conf=%d\n",
-				eng.Now(), ev, inc.Class, inc.Culprit, inc.Confidence)
+}
+
+// view runs the registry entries world names at quick scale under seed,
+// handing observe every engine they build, and returns what they found.
+func view(world string, seed uint64, observe func(*sim.Engine, string)) ([]bench.Result, error) {
+	sel, err := bench.Select(world)
+	if err != nil {
+		return nil, err
+	}
+	sc := bench.Quick()
+	sc.Seed, sc.Observe = seed, observe
+	var out []bench.Result
+	for _, e := range sel {
+		out = append(out, e.Run(sc))
+	}
+	return out, nil
+}
+
+// watchHook observes each engine into col and, for a cluster world, prints
+// its incident transitions to w as the collector makes them: an open with
+// its evidence, in the incident log's own words. It schedules nothing.
+func watchHook(w io.Writer, col *telemetry.Collector) func(*sim.Engine, string) {
+	return func(eng *sim.Engine, label string) {
+		col.Observe(eng, label)
+		if cluster.Of(eng) == nil {
+			return
+		}
+		xrmon.For(eng).OnIncident(func(inc *xrmon.Incident, ev string) {
+			fmt.Fprintf(w, "%s: t=%v %s class=%s culprit=%s conf=%d\n",
+				label, eng.Now(), ev, inc.Class, inc.Culprit, inc.Confidence)
 			if ev == "open" {
 				for _, e := range inc.Evidence {
-					fmt.Printf("             evidence: %s\n", e)
+					fmt.Fprintf(w, "    evidence: %s\n", e)
 				}
 			}
 		})
 	}
+}
 
-	c.ListenAll(7900, func(_ *cluster.Node, ch *xrdma.Channel) {
-		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(nil, 0) })
-	})
-	pairs := [][2]int{
-		{0, 4}, {1, 5}, {2, 6}, {3, 7}, {0, 1}, {2, 3}, {4, 5}, {6, 7},
-		// Node 3 fans out to every host in the far ToR. A gray access link
-		// splashes corruption onto whichever peer receives the rotten
-		// frames; spreading node 3's flows keeps each peer's slice of the
-		// symptoms small while node 3 itself aggregates every flow's
-		// retransmits — which is exactly how the collector tells a sick
-		// host apart from a sick fabric element.
-		{3, 4}, {3, 5}, {3, 6},
+// render prints one observed world's diagnosis as it stood when its run
+// ended. A world of raw NICs has no agents and prints nothing.
+func render(w io.Writer, ob telemetry.Observation, prom bool) {
+	if cluster.Of(ob.Engine) == nil {
+		return
 	}
-	var chans []*xrdma.Channel
-	c.ConnectPairs(pairs, 7900, func(chs []*xrdma.Channel) { chans = chs })
-	eng.Run()
-
-	// Steady load everywhere; node 3 also drives heavy one-way cross-ToR
-	// streams, so the gray world's retransmit symptoms concentrate on it.
-	heavy := []*xrdma.Channel{chans[3], chans[8], chans[9], chans[10]} // 3→{7,4,5,6}
-	var tick func()
-	tick = func() {
-		for _, ch := range chans[:8] {
-			ch.SendMsg(make([]byte, 1024), 0, func(*xrdma.Msg, error) {})
-		}
-		if *world == "gray" {
-			for _, ch := range heavy {
-				ch.SendMsg(make([]byte, 1024), 0, nil)
-				ch.SendMsg(make([]byte, 1024), 0, nil)
-			}
-		}
-		eng.AfterBg(500*sim.Microsecond, tick)
-	}
-	eng.AfterBg(500*sim.Microsecond, tick)
-
-	if *watch {
-		var snap func()
-		snap = func() {
-			fmt.Printf("--- fleet table @ t=%v ---\n%s\n", eng.Now(), col.FleetTable())
-			eng.AfterBg(100*sim.Millisecond, snap)
-		}
-		eng.AfterBg(100*sim.Millisecond, snap)
-	}
-
-	inj := chaos.New(c)
-	horizon := 400 * sim.Millisecond
-	switch *world {
-	case "gray":
-		// Impair node 3's own access link, so every one of its flows rots
-		// and the collector must pin the fault to node 3, not the fabric.
-		inj.Schedule([]chaos.Step{
-			{At: 100 * sim.Millisecond, Name: "flaky optic", Do: func(i *chaos.Injector) {
-				i.HostBrownout(3, 0.15, 0.03, 20*sim.Microsecond)
-			}},
-			{At: 250 * sim.Millisecond, Name: "optic replaced", Do: func(i *chaos.Injector) {
-				i.ClearHostBrownout(3)
-			}},
-		})
-	case "crash":
-		inj.Schedule([]chaos.Step{
-			{At: 100 * sim.Millisecond, Name: "machine dies", Do: func(i *chaos.Injector) {
-				i.NodeCrash(5)
-			}},
-		})
-		horizon = 300 * sim.Millisecond
-	}
-	eng.RunFor(horizon)
-
-	fmt.Printf("%s\n", col.FleetTable())
-	fmt.Println("incident log:")
+	col := xrmon.For(ob.Engine)
+	fmt.Fprintf(w, "== world: %s ==\n%s", ob.Label, col.FleetTable())
+	fmt.Fprintln(w, "incident log:")
 	for _, line := range col.Log() {
-		fmt.Println("  " + line)
+		fmt.Fprintln(w, "  "+line)
 	}
 	if len(col.Incidents()) == 0 {
-		fmt.Println("  (no incidents)")
+		fmt.Fprintln(w, "  (no incidents)")
 	}
-	fmt.Println("\nchaos log:")
-	for _, line := range inj.Digest() {
-		fmt.Println("  " + line)
-	}
-
-	if *jsonOut != "" {
-		w := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "xr-mon: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := col.WriteJSON(w); err != nil {
-			fmt.Fprintf(os.Stderr, "xr-mon: %v\n", err)
-			os.Exit(1)
+	if inj := chaos.Of(ob.Engine); inj != nil {
+		fmt.Fprintln(w, "chaos log:")
+		for _, line := range inj.Digest() {
+			fmt.Fprintln(w, "  "+line)
 		}
 	}
-	if *prom {
-		fmt.Println("\nprometheus exposition:")
-		col.WritePrometheus(os.Stdout)
+	if prom {
+		fmt.Fprintln(w, "prometheus exposition:")
+		col.WritePrometheus(w)
 	}
+	fmt.Fprintln(w)
 }

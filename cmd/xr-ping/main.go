@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strings"
 
 	"xrdma/internal/cluster"
@@ -20,6 +21,10 @@ func main() {
 	slow := flag.Int("slow", -1, "node whose NIC gets 200µs filter delay (-1 = none)")
 	seed := flag.Uint64("seed", 1, "seed")
 	flag.Parse()
+	if err := checkSlow(*slow, *nodes); err != nil {
+		fmt.Fprintf(os.Stderr, "xr-ping: %v\n", err)
+		os.Exit(2)
+	}
 
 	c := cluster.New(cluster.Options{
 		Topology: fabric.ClusterClos(*nodes), Nodes: *nodes, Seed: *seed,
@@ -30,7 +35,7 @@ func main() {
 	c.Eng.Run()
 	fmt.Printf("mesh: %d channels across %d nodes\n", len(chans), *nodes)
 
-	if *slow >= 0 && *slow < *nodes {
+	if *slow >= 0 {
 		if err := c.Nodes[*slow].Ctx.SetFlag("filter_delay_us", "200"); err != nil {
 			panic(err)
 		}
@@ -42,6 +47,14 @@ func main() {
 	c.Eng.Run()
 	fmt.Println("\nRTT matrix (µs):")
 	fmt.Print(renderMatrix(mx, c.Nodes))
+}
+
+// checkSlow rejects a -slow that names no node of an n-node mesh; -1 is none.
+func checkSlow(slow, n int) error {
+	if slow < -1 || slow >= n {
+		return fmt.Errorf("-slow %d names no node of the %d-node mesh (-1 for none)", slow, n)
+	}
+	return nil
 }
 
 // matrix holds RTTs keyed by [src][dst]; pairs without a channel are absent.

@@ -69,3 +69,16 @@ func TestPingMatrixDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSlowNamesANode: -slow must name a node of the mesh or be -1 (none);
+// anything else is refused instead of printing a clean matrix.
+func TestSlowNamesANode(t *testing.T) {
+	for _, tc := range []struct {
+		slow int
+		ok   bool
+	}{{-1, true}, {0, true}, {5, true}, {6, false}, {-2, false}} {
+		if err := checkSlow(tc.slow, 6); (err == nil) != tc.ok {
+			t.Errorf("checkSlow(%d, 6) = %v, want ok=%v", tc.slow, err, tc.ok)
+		}
+	}
+}

@@ -68,9 +68,14 @@ func (f *pingFixture) rtt(size, n int) sim.Duration {
 	return total / sim.Duration(n)
 }
 
-// xrdmaRTT builds a fresh fixture and measures one point.
-func xrdmaRTT(sc Scale, label string, mutate func(*xrdma.Config), size, n int) sim.Duration {
-	return newPingFixture(sc, label, mutate).rtt(size, n)
+// rawPair is a world of two bare NICs, hosts 0 and 5 of a SmallClos (across
+// ToRs), for the worlds measured below the middleware.
+func rawPair(sc Scale, label string) (eng *sim.Engine, a, b *rnic.NIC) {
+	eng = sim.NewEngine()
+	sc.observe(eng, label)
+	fab := fabric.New(eng, fabric.DefaultConfig(), sc.Seed)
+	fabric.BuildClos(fab, fabric.SmallClos())
+	return eng, rnic.New(eng, fab.Host(0), rnic.DefaultConfig()), rnic.New(eng, fab.Host(5), rnic.DefaultConfig())
 }
 
 func fig7Sizes(lo, hi int) []int {
@@ -134,12 +139,7 @@ func Fig7Middle(sc Scale) Result {
 	fRR := newPingFixture(sc, "fig7-middle/xrdma-reqrsp", func(cfg *xrdma.Config) { cfg.ReqRspMode = true })
 	pairs := map[string]*baseline.Pair{}
 	for _, p := range baseline.Profiles() {
-		eng := sim.NewEngine()
-		sc.observe(eng, "fig7-middle/"+p.Name)
-		fab := fabric.New(eng, fabric.DefaultConfig(), sc.Seed)
-		fabric.BuildClos(fab, fabric.SmallClos())
-		a := rnic.New(eng, fab.Host(0), rnic.DefaultConfig())
-		b := rnic.New(eng, fab.Host(5), rnic.DefaultConfig())
+		_, a, b := rawPair(sc, "fig7-middle/"+p.Name)
 		pairs[p.Name] = baseline.NewPair(p, a, b)
 	}
 	for _, s := range sizes {
@@ -187,12 +187,7 @@ func Fig7Right(sc Scale) Result {
 		rtt["xrdma"] = append(rtt["xrdma"], fx.rtt(s, n).Micros())
 	}
 	for _, p := range []baseline.Profile{baseline.IbvPingpong, baseline.UcxAmRc, baseline.Libfabric} {
-		eng := sim.NewEngine()
-		sc.observe(eng, "fig7-right/"+p.Name)
-		fab := fabric.New(eng, fabric.DefaultConfig(), sc.Seed)
-		fabric.BuildClos(fab, fabric.SmallClos())
-		a := rnic.New(eng, fab.Host(0), rnic.DefaultConfig())
-		b := rnic.New(eng, fab.Host(5), rnic.DefaultConfig())
+		_, a, b := rawPair(sc, "fig7-right/"+p.Name)
 		pr := baseline.NewPair(p, a, b)
 		for _, s := range sizes {
 			rtt[p.Name] = append(rtt[p.Name], pr.MeasureRTT(s, n).Micros())

@@ -37,13 +37,11 @@ type FleetResult struct {
 	// false-positive budget for the warm-up, which must be zero.
 	CleanOpens int
 	Incidents  []*xrmon.Incident
-	Lines      []string // deterministic digest: fault log + incident log
-	Table_     Table
+	// Lines is the run's digest, the fault log and then the incident log:
+	// same seed ⇒ bit-identical, sequential or on concurrent goroutines.
+	Lines  []string
+	Table_ Table
 }
-
-// Digest renders the run as deterministic lines: same seed ⇒ bit-identical
-// output, sequential or across concurrent goroutines.
-func (r *FleetResult) Digest() []string { return r.Lines }
 
 // fleetKnobs compresses the observability clocks the way chaosKnobs
 // compresses the recovery clocks: 2 ms stats epochs so the 8-epoch
@@ -342,21 +340,17 @@ type FleetScore struct {
 // The result depends only on the seeds.
 func FleetScorecard(seeds []uint64) *FleetScore {
 	runs := make([]*FleetResult, len(seeds))
-	next := make(chan int)
+	cores := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for w := 0; w < min(runtime.GOMAXPROCS(0), len(seeds)); w++ {
+	for i, seed := range seeds {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				runs[i] = Fleet(Scale{Seed: seeds[i]})
-			}
+			cores <- struct{}{}
+			runs[i] = Fleet(Scale{Seed: seed})
+			<-cores
 		}()
 	}
-	for i := range seeds {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 
 	s := &FleetScore{}

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -197,8 +199,33 @@ func Experiments() []Experiment {
 		drill("upgrade", "Hot upgrade: version negotiation, graceful drain, rolling restart under live traffic", Upgrade),
 		drill("fleet", "Fleet diagnosis: cross-node anomaly detection, correlation, root-cause reports", func(sc Scale) Result {
 			r := Fleet(sc)
-			return Result{Tables: []*Table{&r.Table_}, Digest: r.Digest()}
+			return Result{Tables: []*Table{&r.Table_}, Digest: r.Lines}
 		}),
 		world("loc", "Lines-of-code comparison", LoCComparison),
 	}
+}
+
+// Select returns the entries only names (cmd/reproduce -only: ids joined
+// by commas) in registry order, or every entry when it names none. An id
+// the registry lacks is an error that lists the valid ids.
+func Select(only string) ([]Experiment, error) {
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			want[id] = true
+		}
+	}
+	var sel []Experiment
+	var ids []string
+	for _, e := range Experiments() {
+		if len(want) == 0 || want[e.ID] {
+			sel = append(sel, e)
+		}
+		ids = append(ids, e.ID)
+	}
+	unknown := slices.DeleteFunc(slices.Sorted(maps.Keys(want)), func(id string) bool { return slices.Contains(ids, id) })
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment id(s): %s\nvalid ids: %s", strings.Join(unknown, ", "), strings.Join(ids, ", "))
+	}
+	return sel, nil
 }

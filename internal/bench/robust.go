@@ -220,13 +220,7 @@ func Fig9RNRCounter(sc Scale) Result {
 	// shallow RQ and reposts with application-side delay (it is busy —
 	// the realistic condition the paper describes).
 	{
-		eng := sim.NewEngine()
-		sc.observe(eng, "fig9/raw")
-		fab := fabric.New(eng, fabric.DefaultConfig(), sc.Seed)
-		fabric.BuildClos(fab, fabric.SmallClos())
-		cfg := rnic.DefaultConfig()
-		a := rnic.New(eng, fab.Host(0), cfg)
-		b := rnic.New(eng, fab.Host(5), cfg)
+		eng, a, b := rawPair(sc, "fig9/raw")
 		qa, qb := rnic.ConnectLoopback(a, b, 512)
 		const rq = 16
 		for i := 0; i < rq; i++ {

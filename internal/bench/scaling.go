@@ -27,12 +27,7 @@ func QPScaling(sc Scale) Result {
 	}
 	var latency []float64 // µs, per QP count
 	for _, n := range counts {
-		eng := sim.NewEngine()
-		sc.observe(eng, fmt.Sprintf("qpscale/%d", n))
-		fab := fabric.New(eng, fabric.DefaultConfig(), sc.Seed)
-		fabric.BuildClos(fab, fabric.SmallClos())
-		a := rnic.New(eng, fab.Host(0), rnic.DefaultConfig())
-		b := rnic.New(eng, fab.Host(5), rnic.DefaultConfig())
+		eng, a, b := rawPair(sc, fmt.Sprintf("qpscale/%d", n))
 		qps := make([][2]*rnic.QP, n)
 		for i := range qps {
 			qa, qb := rnic.ConnectLoopback(a, b, 8)
@@ -157,7 +152,7 @@ func MemoryModes(sc Scale) Result {
 	for i, mode := range []rnic.RegMode{rnic.RegNonContinuous, rnic.RegContinuous, rnic.RegHugePage} {
 		mode := mode
 		cost := float64(rnic.RegCost(64<<20, mode)) / 1e6
-		lat := xrdmaRTT(sc, "memmodes/"+mode.String(), func(cfg *xrdma.Config) { cfg.MemMode = mode }, 64<<10, n).Micros()
+		lat := newPingFixture(sc, "memmodes/"+mode.String(), func(cfg *xrdma.Config) { cfg.MemMode = mode }).rtt(64<<10, n).Micros()
 		costs = append(costs, cost)
 		t.Addf(mode.String(), cost, lat)
 		// Data-path latency comparable across modes (±5 %).

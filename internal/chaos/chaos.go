@@ -44,12 +44,23 @@ type Event struct {
 // New builds an injector and registers its chaos.* counters.
 func New(c *cluster.Cluster) *Injector {
 	tel := telemetry.For(c.Eng)
-	return &Injector{
+	i := &Injector{
 		C:      c,
 		tel:    tel,
 		faults: tel.Reg.Counter("chaos.faults"),
 		heals:  tel.Reg.Counter("chaos.heals"),
 	}
+	c.Eng.SetAux(auxKey{}, i)
+	return i
+}
+
+type auxKey struct{}
+
+// Of returns the injector last built on eng, or nil when no fault was
+// scheduled there, so a viewer can print a world's chaos log.
+func Of(eng *sim.Engine) *Injector {
+	i, _ := eng.Aux(auxKey{}).(*Injector)
+	return i
 }
 
 // Faults reports injected faults; Heals reports healing actions.

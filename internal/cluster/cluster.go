@@ -96,6 +96,17 @@ func New(o Options) *Cluster {
 		})
 		c.Nodes = append(c.Nodes, &Node{ID: host.ID, NIC: nic, TCP: tcp, CM: cm, Ctx: ctx})
 	}
+	eng.SetAux(auxKey{}, c)
+	return c
+}
+
+type auxKey struct{}
+
+// Of returns the cluster built on eng, or nil for an engine New did not
+// build (a world of raw NICs or TCP stacks). A viewer handed only the
+// engine reaches the contexts through it.
+func Of(eng *sim.Engine) *Cluster {
+	c, _ := eng.Aux(auxKey{}).(*Cluster)
 	return c
 }
 

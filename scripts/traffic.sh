@@ -2,11 +2,12 @@
 # traffic.sh — which code does everything the repo calls production reach?
 # Builds every cmd/*, examples/* and ./benchmark with coverage counters for the
 # whole module, drives them through the invocation list below (reproduce quick
-# with every observer, every xr-stat and xr-mon mode, the other tools, the five
-# examples, the five benchmark workloads, a traced run and the ladder), and
-# prints the functions under a package prefix no run reached, then statements
-# reached per package. A function at 0 % here is run by tests alone: measure
-# with this before deciding what a feature is worth, instead of planting panics.
+# with every observer, the xr-stat and xr-mon viewers over the drills, the
+# other tools, the examples, the five benchmark workloads, a traced run and the
+# ladder), and prints the functions under a package prefix no run reached, then
+# statements reached per package. A function at 0 % here is run by tests alone:
+# measure with this before deciding what a feature is worth, instead of
+# planting panics.
 # -coverpkg must be ./... — xrdma/internal/... builds fine and emits no counters.
 # About 5 min on 2 cores (reproduce under -cover is most of it): a recipe, not a
 # CI gate. Writes only to its temp dir and Go's build cache.
@@ -26,9 +27,8 @@ export GOCOVERDIR="$tmp/cov"
 run() { b="$1"; shift; "$tmp/bin/$b" "$@" >/dev/null 2>"$tmp/err" || { cat "$tmp/err" >&2; exit 1; }; }
 
 run reproduce -j 2 -metrics -trace "$tmp/t.json" -blame "$tmp/b.json" -mon "$tmp/m.json"
-for mode in "" -all -gray -mux -blame -storm -tenants -upgrade -prom; do run xr-stat $mode; done
-for world in gray crash fleet; do run xr-mon -world $world; done
-run xr-mon -world gray -watch -prom -json "$tmp/mon.json"
+for world in gray scale blame storm tenants upgrade; do run xr-stat -world $world; done
+run xr-mon -world fleet -watch -prom
 run xr-perf; run xr-perf -mode closed -prom
 run xr-ping; run xr-ping -slow 2
 run xr-adm; run xr-server
