@@ -91,7 +91,7 @@ type Collector struct {
 	open       map[incidentKey]*Incident
 	pending    map[incidentKey]*pendingMatch
 	logLines   []string
-	dumpsSeen  int
+	lastDump   uint64 // Seq of the newest flight dump an incident attached
 	onIncident func(*Incident, string)
 }
 

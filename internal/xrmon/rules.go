@@ -394,9 +394,11 @@ func (c *Collector) reconcile(matches []match, now sim.Time) {
 			// Attach corroborating context frozen at open time: any new
 			// flight-recorder dumps since the last incident, and the
 			// current top blame stage if tracing is on.
-			dumps := c.set.Flight.Dumps()
-			for ; c.dumpsSeen < len(dumps); c.dumpsSeen++ {
-				d := dumps[c.dumpsSeen]
+			for _, d := range c.set.Flight.Dumps() {
+				if d.Seq <= c.lastDump {
+					continue
+				}
+				c.lastDump = d.Seq
 				inc.Evidence = append(inc.Evidence,
 					fmt.Sprintf("flight-dump: %s node=%d t=%v", d.Reason, d.Node, d.At))
 			}

@@ -2,6 +2,7 @@ package xrmon
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -213,6 +214,68 @@ func TestNodeDownRule(t *testing.T) {
 	}
 	if len(col.OpenIncidents()) != 1 {
 		t.Fatalf("node-down closed while the node is still down: %v", col.Digest())
+	}
+}
+
+// TestEveryNewDumpIsEvidence: an incident attaches every flight dump the
+// recorder still holds that no earlier incident attached — also when more
+// trips than the recorder keeps (8) land between two incidents.
+func TestEveryNewDumpIsEvidence(t *testing.T) {
+	eng := sim.NewEngine()
+	col := For(eng)
+	flight := telemetry.For(eng).Flight
+	a0, f0 := newFakeNode(t, eng, 0, nil)
+	a1, f1 := newFakeNode(t, eng, 1, []TenantRef{{ID: 1, Label: "elephant"}})
+	col.Watch(WatchConfig{})
+	ms := sim.Time(sim.Millisecond)
+	trip := func(at sim.Time, n int) {
+		for k := 0; k < n; k++ {
+			flight.Trip(at.Add(sim.Duration(k)*sim.Microsecond), telemetry.CatKeepaliveFail, 1, uint32(k))
+		}
+	}
+	dumps := func(inc *Incident) (got []string) {
+		for _, e := range inc.Evidence {
+			if strings.HasPrefix(e, "flight-dump: ") {
+				got = append(got, e)
+			}
+		}
+		return got
+	}
+	i := 1
+	for ; i <= 6; i++ {
+		f0.add("rnic.0.msgs_sent", 10)
+		f1.add("rnic.1.msgs_sent", 10)
+		a0.Sample(sim.Time(i) * ms)
+		a1.Sample(sim.Time(i) * ms)
+	}
+	trip(sim.Time(i)*ms, 3)
+	for ; len(col.Incidents()) == 0 && i <= 20; i++ { // a tenant overload on node 1
+		f0.add("rnic.0.msgs_sent", 10)
+		f1.add("rnic.1.msgs_sent", 10)
+		f1.add("xrdma.1.tenant.1.mem_rejects", 4)
+		a0.Sample(sim.Time(i) * ms)
+		a1.Sample(sim.Time(i) * ms)
+	}
+	if incs := col.Incidents(); len(incs) != 1 || len(dumps(incs[0])) != 3 {
+		t.Fatalf("first incident: %v, want one with 3 flight dumps", col.Digest())
+	}
+	last := sim.Time(i) * ms
+	trip(last, 12) // more than the recorder keeps
+	// Node 1 flatlines.
+	for ; len(col.Incidents()) == 1 && i <= 40; i++ {
+		f0.add("rnic.0.msgs_sent", 10)
+		f0.add("xrdma.0.keepalive_fails", 1)
+		a0.Sample(sim.Time(i) * ms)
+		a1.Sample(sim.Time(i) * ms)
+	}
+	incs := col.Incidents()
+	if len(incs) != 2 || incs[1].Class != IncNodeDown {
+		t.Fatalf("second incident: %v, want node-down", col.Digest())
+	}
+	got := dumps(incs[1])
+	want := fmt.Sprintf("node=1 t=%v", last.Add(11*sim.Microsecond))
+	if len(got) != 8 || !strings.HasSuffix(got[7], want) {
+		t.Fatalf("node-down attached %d flight dumps %q, want the 8 retained, the last at %s", len(got), got, want)
 	}
 }
 
