@@ -79,7 +79,6 @@ func (i *Injector) note(heal bool, format string, args ...any) {
 		i.faults.Inc()
 	}
 	i.tel.Flight.Record(now, cat, -1, 0, int64(len(i.Log)), 0)
-	i.tel.Trace.Instant(what, "chaos", now, 0)
 }
 
 // --- link faults ------------------------------------------------------------

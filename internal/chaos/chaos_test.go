@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"xrdma/internal/fabric"
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
+	"xrdma/internal/telemetry"
 	"xrdma/internal/xrdma"
 )
 
@@ -152,5 +154,103 @@ func TestFaultsPerturbLiveTraffic(t *testing.T) {
 	}
 	if inj.Faults() != 1 || inj.Heals() != 1 {
 		t.Errorf("counters: faults=%d heals=%d", inj.Faults(), inj.Heals())
+	}
+}
+
+// TestIncidentsRecordedOnce runs a fault world — a fabric link flap, a
+// switch failure and a host cable pull under live traffic — with the
+// timeline on. Every incident is one flight record, and the timeline shows
+// each record exactly once, on the track of the layer and node that
+// recorded it: no (name, track, at) instant appears more often than the
+// flight recorder holds records of that category, node and instant. The
+// only other instants are the per-message ones.
+func TestIncidentsRecordedOnce(t *testing.T) {
+	c := smokeCluster(42)
+	tel := telemetry.For(c.Eng)
+	tel.Trace.Enable(1 << 16)
+	c.ListenAll(7000, func(_ *cluster.Node, ch *xrdma.Channel) {
+		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(m.Retain(), m.Len) })
+	})
+	var ch *xrdma.Channel
+	c.Connect(0, 4, 7000, func(cch *xrdma.Channel, err error) {
+		if err != nil {
+			t.Fatalf("connect: %v", err)
+		}
+		ch = cch
+	})
+	c.Eng.Run()
+	var tick func()
+	tick = func() {
+		if c.Eng.Now() < sim.Time(200*sim.Millisecond) {
+			ch.SendMsg(make([]byte, 64), 0, func(*xrdma.Msg, error) {})
+			c.Eng.AfterBg(sim.Millisecond, tick)
+		}
+	}
+	tick()
+	inj := New(c)
+	inj.Schedule([]Step{
+		{At: 5 * sim.Millisecond, Name: "flap", Do: func(i *Injector) { i.LinkFlap("pod0-tor0", "pod0-leaf0", 3*sim.Millisecond) }},
+		{At: 10 * sim.Millisecond, Name: "leaf down", Do: func(i *Injector) { i.SwitchDown("pod0-leaf1") }},
+		{At: 15 * sim.Millisecond, Name: "leaf up", Do: func(i *Injector) { i.SwitchUp("pod0-leaf1") }},
+		{At: 20 * sim.Millisecond, Name: "cable out", Do: func(i *Injector) { i.HostLinkDown(4) }},
+		{At: 60 * sim.Millisecond, Name: "cable in", Do: func(i *Injector) { i.HostLinkUp(4) }},
+	})
+	c.Eng.RunFor(300 * sim.Millisecond)
+
+	if tel.Trace.Dropped() > 0 {
+		t.Fatalf("the timeline overwrote %d events: enlarge it", tel.Trace.Dropped())
+	}
+	// The recorder keeps its last 256 records: compare after the oldest
+	// instant it may hold only part of.
+	held := tel.Flight.ForceDump(c.Eng.Now(), "test")
+	cutoff := sim.Time(-1)
+	if held.Lost > 0 {
+		cutoff = held.Events[0].At
+	}
+	type key struct {
+		name string
+		node int32
+		at   sim.Time
+		a    int64
+	}
+	want, got := map[key]int{}, map[key]int{}
+	for _, e := range held.Events {
+		if e.At > cutoff {
+			want[key{e.Cat.String(), e.Node, e.At, e.A}]++
+		}
+	}
+	layers := map[string]int{}
+	for _, e := range tel.Trace.Events() {
+		switch {
+		case e.Kind != telemetry.KindInstant:
+		case e.Name == "msg.send", e.Name == "msg.deliver", e.Name == "trace.req", e.Name == "trace.resp":
+		case e.At > cutoff:
+			layer, num, perNode := strings.Cut(e.Track, ".")
+			node := int32(-1)
+			if perNode {
+				n, err := strconv.Atoi(num)
+				if err != nil {
+					t.Fatalf("instant %s on track %q", e.Name, e.Track)
+				}
+				node = int32(n)
+			}
+			layers[layer]++
+			got[key{e.Name, node, e.At, e.Arg}]++
+		}
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("%s node=%d at %v a=%d: %d flight records, %d timeline instants", k.name, k.node, k.at, k.a, n, got[k])
+		}
+	}
+	for k, n := range got {
+		if want[k] == 0 {
+			t.Errorf("%s node=%d at %v a=%d: %d timeline instants and no flight record", k.name, k.node, k.at, k.a, n)
+		}
+	}
+	t.Logf("layers %v, %d distinct records, %d lost", layers, len(want), held.Lost)
+	// The world must have exercised every layer's track.
+	if len(want) == 0 || len(layers) != 4 {
+		t.Fatalf("instants per layer %v over %d records: the world did not reach all four layers", layers, len(want))
 	}
 }

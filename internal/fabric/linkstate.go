@@ -1,6 +1,9 @@
 package fabric
 
-import "xrdma/internal/sim"
+import (
+	"xrdma/internal/sim"
+	"xrdma/internal/telemetry"
+)
 
 // Link-state fault injection (chaos plane). Links are addressed by the
 // labels of the devices they join: switches by Label ("pod0-leaf1",
@@ -58,7 +61,7 @@ func (f *Fabric) SetLinkState(a, b string, up bool) bool {
 		pa.setDown()
 		pb.setDown()
 	}
-	f.tel.Trace.Instant(linkEvName(up), "fabric", f.Eng.Now(), 0)
+	f.tel.Flight.Record(f.Eng.Now(), telemetry.CatLinkState, -1, 0, upArg(up), 0)
 	return true
 }
 
@@ -96,7 +99,7 @@ func (f *Fabric) SetSwitchState(label string, up bool) bool {
 			pt.setDown()
 		}
 	}
-	f.tel.Trace.Instant(switchEvName(up), "fabric", f.Eng.Now(), int64(s.Tier))
+	f.tel.Flight.Record(f.Eng.Now(), telemetry.CatSwitchState, -1, 0, upArg(up), int64(s.Tier))
 	return true
 }
 
@@ -135,16 +138,10 @@ func (f *Fabric) SetHostLinkImpairment(id NodeID, loss, corrupt float64, extra s
 	return true
 }
 
-func linkEvName(up bool) string {
+// upArg is a link-state flight record's A: 1 for up, 0 for down.
+func upArg(up bool) int64 {
 	if up {
-		return "link.up"
+		return 1
 	}
-	return "link.down"
-}
-
-func switchEvName(up bool) string {
-	if up {
-		return "switch.up"
-	}
-	return "switch.down"
+	return 0
 }

@@ -310,7 +310,6 @@ func (pt *Port) sendPFC(pause bool) {
 		pt.fab.Stats.PauseTX++
 		pt.pfcPauseAt = now
 		pt.fab.tel.Flight.Record(now, telemetry.CatPFCPause, -1, 0, int64(pt.ingressBytes), 1)
-		pt.fab.tel.Trace.Instant("pfc.pause", "fabric", now, int64(pt.ingressBytes))
 	} else {
 		// The window closes when the resume goes out; the span covers
 		// the whole ingress-pressure episode on this port.

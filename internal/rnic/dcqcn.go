@@ -114,7 +114,6 @@ func (s *dcqcnState) onCNP() {
 	n := s.nic
 	n.dcqcnCuts.Inc()
 	n.tel.Flight.Record(now, telemetry.CatDCQCNCut, int32(n.Node), s.qpn, s.rc, s.rt)
-	n.tel.Trace.Instant("dcqcn.cut", n.track, now, s.rc)
 	s.alpha = (1-dcqcnG)*s.alpha + dcqcnG
 	s.timerEvents, s.byteEvents, s.bytesSent = 0, 0, 0
 	s.armAlpha()

@@ -403,7 +403,6 @@ func (qp *QP) onRTO() {
 	// for a full RTO before go-back-N kicked in.
 	qp.Counters.RTORecoveryNs += int64(n.Cfg.RetransTimeout)
 	n.tel.Flight.Record(n.eng.Now(), telemetry.CatRetransmit, int32(n.Node), qp.QPN, int64(qp.retries), 0)
-	n.tel.Trace.Instant("retransmit", n.track, n.eng.Now(), int64(qp.QPN))
 	qp.retransmitUnacked()
 	qp.armRTO()
 }

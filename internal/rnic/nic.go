@@ -150,7 +150,8 @@ type NIC struct {
 	Counters Counters
 
 	// Telemetry: handles pre-resolved at creation so protocol code never
-	// does a registry lookup. track is this NIC's timeline thread name.
+	// does a registry lookup. track ("rnic.N") prefixes this NIC's metric
+	// names; its flight records land on the timeline track of that name.
 	tel       *telemetry.Set
 	track     string
 	dcqcnCuts telemetry.Counter
@@ -436,7 +437,6 @@ func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN ui
 		return fmt.Errorf("%w: cannot modify to %v", ErrQPState, to)
 	}
 	n.tel.Flight.Record(n.eng.Now(), telemetry.CatQPState, int32(n.Node), qp.QPN, int64(to), 0)
-	n.tel.Trace.Instant("qp.state", n.track, n.eng.Now(), int64(to))
 	return nil
 }
 

@@ -462,7 +462,6 @@ func (qp *QP) enterError(st Status) {
 	n := qp.nic
 	now := n.eng.Now()
 	n.tel.Flight.Record(now, telemetry.CatQPError, int32(n.Node), qp.QPN, int64(st), 0)
-	n.tel.Trace.Instant("qp.error", n.track, now, int64(st))
 	// Retry exhaustion is a broken protocol invariant: freeze the flight
 	// recorder so the dump shows what led up to it.
 	switch st {

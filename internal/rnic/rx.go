@@ -159,7 +159,6 @@ func (n *NIC) remoteAccessViolation(src fabric.NodeID, srcQPN uint32, qp *QP) {
 	n.Counters.AccessErrors++
 	qp.Counters.RemoteAccessErrs++
 	n.tel.Flight.Record(n.eng.Now(), telemetry.CatRemoteAccess, int32(n.Node), qp.QPN, int64(srcQPN), 0)
-	n.tel.Trace.Instant("remote.access", n.track, n.eng.Now(), int64(qp.QPN))
 	n.sendCtrl(src, hdr{Op: opNak, DstQPN: srcQPN, Nak: nakAccess})
 	qp.enterError(StatusRemoteAccessErr)
 }
@@ -281,7 +280,6 @@ func (n *NIC) handleData(p *fabric.Packet, h *hdr) {
 			n.Counters.RNRNakSent++
 			qp.Counters.RNRNakSent++
 			n.tel.Flight.Record(n.eng.Now(), telemetry.CatRNRNakSent, int32(n.Node), qp.QPN, int64(qp.expected), 0)
-			n.tel.Trace.Instant("rnr.nak.sent", n.track, n.eng.Now(), int64(qp.QPN))
 			n.sendCtrl(p.Src, hdr{Op: opNak, DstQPN: h.SrcQPN, Nak: nakRNR, AckPSN: qp.expected})
 			return
 		}
@@ -490,13 +488,11 @@ func (qp *QP) handleNak(h *hdr) {
 		n.Counters.AccessErrors++
 		qp.Counters.RemoteAccessErrs++
 		n.tel.Flight.Record(n.eng.Now(), telemetry.CatRemoteAccess, int32(n.Node), qp.QPN, int64(h.SrcQPN), 2)
-		n.tel.Trace.Instant("remote.access", n.track, n.eng.Now(), int64(qp.QPN))
 		qp.enterError(StatusRemoteAccessErr)
 	case nakRNR:
 		n.Counters.RNRNakRecv++
 		qp.Counters.RNRNakRecv++
 		n.tel.Flight.Record(n.eng.Now(), telemetry.CatRNRNakRecv, int32(n.Node), qp.QPN, int64(qp.rnrRetries), 0)
-		n.tel.Trace.Instant("rnr.nak.recv", n.track, n.eng.Now(), int64(qp.QPN))
 		qp.handleAck(h.AckPSN)
 		qp.rnrRetries++
 		if qp.rnrRetries > n.Cfg.RNRRetryLimit {

@@ -1,6 +1,10 @@
 package telemetry
 
-import "testing"
+import (
+	"testing"
+
+	"xrdma/internal/sim"
+)
 
 // The telemetry hot paths share the kernel's allocation discipline:
 // scripts/bench.sh records these in BENCH_e2e.json, and its -check fails
@@ -64,5 +68,17 @@ func BenchmarkTelemetryFlightRecord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Record(1000, CatRetransmit, 0, 7, int64(i), 0)
+	}
+}
+
+// BenchmarkTelemetryFlightRecordTraced is Record with the timeline on: the
+// record also lands there as an instant on its interned track.
+func BenchmarkTelemetryFlightRecordTraced(b *testing.B) {
+	s := For(sim.NewEngine())
+	s.Trace.Enable(1 << 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Flight.Record(1000, CatRetransmit, 0, 7, int64(i), 0)
 	}
 }

@@ -145,9 +145,6 @@ func (b *Blame) TenantIDs() []uint16 {
 // Count reports how many messages were observed.
 func (b *Blame) Count() int64 { return b.rtt.count }
 
-// ECNMarks reports total ECN marks across observed messages.
-func (b *Blame) ECNMarks() int64 { return b.ecn }
-
 // StageQuantile reports an upper bound for stage s's q-th percentile
 // residency among messages that spent time in s.
 func (b *Blame) StageQuantile(s Stage, q int64) sim.Duration {

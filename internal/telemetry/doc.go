@@ -1,7 +1,9 @@
 // Package telemetry is the cross-layer observability subsystem: a
 // metrics registry (counters, gauges, log₂-bucket histograms), a
 // timeline tracer exportable as Chrome trace_event JSON, and an
-// always-on flight recorder dumped when a protocol invariant trips.
+// always-on flight recorder dumped when a protocol invariant trips. The
+// flight recorder is the one incident log: each incident is one Record,
+// which also lands on the engine's timeline while the timeline is enabled.
 //
 // State is engine-keyed: telemetry.For(eng) attaches one Set per
 // sim.Engine through Engine.Aux, so concurrent experiments share

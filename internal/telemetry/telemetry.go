@@ -8,8 +8,6 @@ type Set struct {
 	Trace  *Timeline
 	Flight *Flight
 	Blame  *Blame
-
-	eng *sim.Engine
 }
 
 type auxKey struct{}
@@ -25,8 +23,10 @@ func For(eng *sim.Engine) *Set {
 			Trace:  &Timeline{},
 			Flight: NewFlight(DefaultFlightCap),
 			Blame:  &Blame{},
-			eng:    eng,
 		}
+		// Every flight record also lands on the timeline while it is
+		// enabled: one call per incident feeds both.
+		s.Flight.tl = s.Trace
 		// Invariant-trip dumps carry the blame verdict frozen at the
 		// same instant as the event history.
 		s.Flight.SetSummary(s.Blame.Summary)
@@ -36,7 +36,3 @@ func For(eng *sim.Engine) *Set {
 		return s
 	}).(*Set)
 }
-
-// Now returns the engine's current simulated time — the timestamp every
-// record in this Set is keyed by.
-func (s *Set) Now() sim.Time { return s.eng.Now() }

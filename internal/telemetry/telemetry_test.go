@@ -265,6 +265,69 @@ func TestFlightDumpCap(t *testing.T) {
 	}
 }
 
+// TestFlightDumpStatesWhatItLost: a dump carries the recorder's running
+// count and how many events the ring had overwritten when it froze, and its
+// rendering says so — a truncated history must not read as a complete one.
+func TestFlightDumpStatesWhatItLost(t *testing.T) {
+	f := NewFlight(4)
+	d := f.Trip(1, CatWindowStall, 0, 0)
+	if d.Seq != 1 || d.Lost != 0 || strings.Contains(d.String(), "lost") {
+		t.Fatalf("first dump: seq=%d lost=%d\n%s", d.Seq, d.Lost, d.String())
+	}
+	for i := 0; i < 9; i++ {
+		f.Record(sim.Time(2+i), CatRetransmit, 0, 7, int64(i), 0)
+	}
+	d = f.Trip(20, CatRetryExhausted, 0, 7)
+	// 1 + 9 + 1 records through a 4-slot ring: 7 overwritten.
+	if d.Seq != 2 || d.Lost != 7 || len(d.Events) != 4 {
+		t.Fatalf("second dump: seq=%d lost=%d events=%d, want 2/7/4", d.Seq, d.Lost, len(d.Events))
+	}
+	if !strings.Contains(d.String(), "(4 events, 7 lost)") {
+		t.Fatalf("dump does not state its loss:\n%s", d.String())
+	}
+}
+
+// TestFlightMirrorsOntoTimeline: the recorder For attaches puts each record
+// on the engine's timeline while it is enabled — named after its category,
+// on its layer's track, carrying A — and nothing while it is not; a bare
+// NewFlight mirrors nothing.
+func TestFlightMirrorsOntoTimeline(t *testing.T) {
+	s := For(sim.NewEngine())
+	s.Flight.Record(1, CatRetransmit, 3, 7, 1, 0)
+	if s.Trace.Len() != 0 {
+		t.Fatal("a record reached a disabled timeline")
+	}
+	s.Trace.Enable(64)
+	s.Flight.Record(2, CatRetransmit, 3, 7, 2, 0)
+	s.Flight.Trip(3, CatChannelDegraded, 12, 7)
+	s.Flight.Record(4, CatPFCPause, -1, 0, 4096, 1)
+	s.Flight.Record(5, CatChaosFault, -1, 0, 1, 0)
+	s.Flight.Record(6, CatSlowPoll, 0, 0, 900, 0)
+	want := []Event{
+		{Name: "retransmit", Track: "rnic.3", At: 2, Arg: 2, Kind: KindInstant},
+		{Name: "ch.degraded", Track: "xrdma.12", At: 3, Kind: KindInstant},
+		{Name: "pfc.pause", Track: "fabric", At: 4, Arg: 4096, Kind: KindInstant},
+		{Name: "chaos.fault", Track: "chaos", At: 5, Arg: 1, Kind: KindInstant},
+		{Name: "slow.poll", Track: "xrdma.0", At: 6, Arg: 900, Kind: KindInstant},
+	}
+	if got := s.Trace.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("timeline:\n%+v\nwant\n%+v", got, want)
+	}
+	for c := CatNone + 1; c < catCount; c++ {
+		if cats[c].name == "" {
+			t.Errorf("category %d has no name", c)
+		}
+	}
+
+	var tl Timeline
+	tl.Enable(64)
+	bare := NewFlight(16)
+	bare.Record(1, CatRetransmit, 3, 7, 1, 0)
+	if tl.Len() != 0 || bare.tl != nil {
+		t.Fatal("a bare NewFlight mirrors")
+	}
+}
+
 func TestForIsEngineKeyed(t *testing.T) {
 	e1, e2 := sim.NewEngine(), sim.NewEngine()
 	s1, s2 := For(e1), For(e2)
@@ -332,6 +395,10 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	check("Timeline.Instant", func() { tl.Instant("n", "t", 1, 2) })
 	check("Timeline.Complete", func() { tl.Complete("n", "t", 1, 2, 3) })
 	check("Flight.Record", func() { f.Record(1, CatRetransmit, 0, 1, 2, 3) })
+	traced := For(sim.NewEngine())
+	traced.Trace.Enable(1024)
+	traced.Flight.Record(1, CatRetransmit, 0, 1, 2, 3) // interns rnic.0
+	check("Flight.Record traced", func() { traced.Flight.Record(1, CatRetransmit, 0, 1, 2, 3) })
 }
 
 // Every engine builds its telemetry set, used or not — each benchmark

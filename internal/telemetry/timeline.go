@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"xrdma/internal/sim"
 )
@@ -147,11 +146,4 @@ func (t *Timeline) WriteJSON(w io.Writer, process string) error {
 	t.writeJSONEvents(w, 1, process, true)
 	_, err := io.WriteString(w, "\n],\"displayTimeUnit\":\"ns\"}\n")
 	return err
-}
-
-// String summarises the timeline for debugging.
-func (t *Timeline) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "timeline: %d events (%d dropped)\n", t.Len(), t.Dropped())
-	return b.String()
 }

@@ -539,9 +539,7 @@ func (ch *Channel) deadlockCheck() {
 	ch.nopAt = ch.ctx.eng.Now()
 	ch.Counters.NopsSent++
 	ch.ctx.Stats.NopsSent++
-	now := ch.ctx.eng.Now()
-	ch.ctx.tel.Flight.Trip(now, telemetry.CatWindowStall, int32(ch.ctx.Node()), ch.QPN())
-	ch.ctx.tel.Trace.Instant("window.stall", ch.ctx.track, now, int64(ch.sendQ.Len()))
+	ch.ctx.tel.Flight.Trip(ch.nopAt, telemetry.CatWindowStall, int32(ch.ctx.Node()), ch.QPN())
 	ch.sendCtrl(kindNop)
 }
 
@@ -585,7 +583,6 @@ func (ch *Channel) expireRequests(deadline sim.Time) {
 			ch.Counters.ReqRetries++
 			c.Stats.ReqRetries++
 			c.tel.Flight.Record(now, telemetry.CatReqRetry, int32(c.Node()), ch.QPN(), int64(id), int64(rs.retries))
-			c.tel.Trace.Instant("req.retry", c.track, now, int64(rs.retries))
 			if backoff := c.cfg.RetryBackoff << uint(rs.retries-1); backoff > 0 {
 				c.eng.AfterBg(backoff, func() { ch.reissue(id) })
 			} else {

@@ -37,8 +37,8 @@ type Config struct {
 	// KeepaliveTimeout declares the peer dead when a probe gets no
 	// hardware ack for this long.
 	KeepaliveTimeout sim.Duration
-	// SlowThreshold: operations slower than this are recorded in the
-	// slow-op log (slow_threshold).
+	// SlowThreshold: operations slower than this are flight-recorded as
+	// slow.op incidents (slow_threshold).
 	SlowThreshold sim.Duration
 	// PollingWarnCycle: a gap between two polls longer than this is a
 	// slow-poll incident (polling_warn_cycle).

@@ -66,10 +66,7 @@ type Context struct {
 	started     bool
 	wakePending bool
 
-	// Analysis framework. log is the self-adaptive log, bounded (logCap) and
-	// allocated with its first line: most contexts never write one.
-	log     telemetry.Ring[LogEntry]
-	flagLog []flagChange
+	flagLog []flagChange // online configuration changes (SetFlag)
 	rng     *sim.RNG
 	// agent is this node's §VI-B monitor: the xrmon sampler that
 	// housekeeping drives and XRStat's window line reads.
@@ -174,12 +171,6 @@ type ContextStats struct {
 	// sharedRQ's fill of the current pool: slots in place (verbs cannot
 	// un-post; a NIC restart flushes them all), limit events.
 	SRQPosted, SRQGrows int64
-}
-
-// LogEntry is one line of the self-adaptive log (§VI-A method III).
-type LogEntry struct {
-	At   sim.Time
-	Text string
 }
 
 // Options wires a Context to its node.
@@ -348,20 +339,6 @@ func (c *Context) LocalClock() sim.Time { return c.eng.Now().Add(c.clockSkew) }
 func (c *Context) nextWRID() uint64  { c.wrSeq++; return c.wrSeq }
 func (c *Context) nextMsgID() uint64 { c.msgSeq++; return c.msgSeq }
 
-// logCap bounds the self-adaptive log: a world that flaps for an hour
-// overwrites its oldest lines (XR-Stat says how many) instead of growing.
-const logCap = 4096
-
-func (c *Context) logf(format string, args ...any) {
-	if c.log.Cap() == 0 {
-		c.log = *telemetry.NewRing[LogEntry](logCap)
-	}
-	c.log.Push(LogEntry{At: c.eng.Now(), Text: fmt.Sprintf(format, args...)})
-}
-
-// Log returns the self-adaptive log's retained lines, oldest first.
-func (c *Context) Log() []LogEntry { return c.log.Snapshot() }
-
 // FlagLog returns the history of online configuration changes.
 func (c *Context) FlagLog() []flagChange { return c.flagLog }
 
@@ -485,8 +462,6 @@ func (c *Context) pollOnce() int {
 	if gap > c.cfg.PollingWarnCycle && c.Stats.Polls > 0 {
 		c.Stats.SlowPolls++
 		c.tel.Flight.Record(now, telemetry.CatSlowPoll, int32(c.Node()), 0, int64(gap), 0)
-		c.tel.Trace.Instant("slow.poll", c.track, now, int64(gap))
-		c.logf("slow poll: %v gap (threshold %v)", gap, c.cfg.PollingWarnCycle)
 	}
 	c.lastPoll = now
 	c.Stats.Polls++

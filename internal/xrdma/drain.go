@@ -88,8 +88,6 @@ func (c *Context) Drain(cb func(blob []byte)) error {
 	c.drainStarted = now
 	c.drainDeadline = now.Add(dl)
 	c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), 0, int64(c.NumChannels()), drainEvStart)
-	c.tel.Trace.Instant("drain.start", c.track, now, int64(c.NumChannels()))
-	c.logf("drain: Serving→Draining, %d channels, deadline %v", c.NumChannels(), dl)
 	// Flush the attach admission FIFO instead of serving it: queued lazy
 	// attaches (including tenant-shed parkees, PR 8) fail with ErrDraining
 	// now. attachRelease rotates still-gated heads back to the tail, so
@@ -146,7 +144,6 @@ func (c *Context) drainScan() {
 	}
 	if all {
 		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), 0, int64(now.Sub(c.drainStarted)), drainEvQuiesce)
-		c.logf("drain: quiesced after %v", now.Sub(c.drainStarted))
 	} else {
 		// Deadline forced: response waiters fail loudly now — their
 		// requests stay in the frozen tail and replay after the restart
@@ -157,13 +154,10 @@ func (c *Context) drainScan() {
 			forced += ch.failPending(ErrDraining)
 		}
 		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), 0, int64(forced), drainEvForced)
-		c.logf("drain: deadline forced with %d waiters failed", forced)
 	}
 	c.drain = DrainDrained
 	blob := c.encodeHandoff()
 	c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), 0, int64(len(blob)), drainEvHandoff)
-	c.tel.Trace.Instant("drain.handoff", c.track, now, int64(len(blob)))
-	c.logf("drain: Draining→Drained, handoff blob %dB", len(blob))
 	if cb := c.drainCB; cb != nil {
 		c.drainCB = nil
 		cb(blob)
@@ -445,7 +439,6 @@ func (c *Context) Shutdown() {
 	// regions and zero the accounting, so leak assertions on the old
 	// instance see a clean slate.
 	c.Mem.Reset()
-	c.logf("shutdown: context released (drain=%v)", c.drain)
 }
 
 // Rehydrate restores channels from a handoff blob on a freshly started
@@ -498,8 +491,6 @@ func (c *Context) Rehydrate(blob []byte) error {
 		c.Stats.Rehydrated++
 		c.Stats.ChannelsOpened++
 		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), r.qpns[len(r.qpns)-1], int64(r.peer), drainEvRehydrate)
-		c.tel.Trace.Instant("drain.rehydrate", c.track, now, int64(r.peer))
-		c.logf("rehydrate: channel peer=%d qpn=%d ver=%d tail=%d", r.peer, r.qpns[len(r.qpns)-1], ch.NegotiatedVersion(), len(r.tail))
 		if c.onChannel != nil {
 			c.onChannel(ch)
 		}

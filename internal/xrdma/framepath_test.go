@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
+	"xrdma/internal/telemetry"
 )
 
 // TestOneSidedWriteImmSharedQP: a WRITE+imm completion carries no wire
@@ -57,12 +59,11 @@ func TestOneSidedWriteImmSharedQP(t *testing.T) {
 	foreign.wr = rnic.SendWR{
 		Op: rnic.OpWriteImm, Len: 512, Data: make([]byte, 512), RAddr: rw.Addr, RKey: rw.RKey, Imm: 9,
 	}
+	w.recordIncidents()
 	w.ctxs[0].flow.post(foreign)
 	w.eng.Run()
-	for _, e := range w.ctxs[1].Log() {
-		if strings.Contains(e.Text, "decode error") {
-			t.Fatalf("WRITE+imm completion was parsed as a wire header: %q", e.Text)
-		}
+	if got := w.incidents(t, "xrdma.1", telemetry.CatIntegrity); !slices.Equal(got, []int64{integrityImmShared}) {
+		t.Fatalf("integrity records %v, want one WRITE+imm on a shared QP and no decode error (%d): the completion must not reach the parser", got, integrityDecode)
 	}
 	if fired {
 		t.Fatal("WRITE+imm on a shared QP woke a rider it cannot name")

@@ -298,7 +298,7 @@ func (l *link) recv(cqe rnic.CQE) {
 		// rider; only an exclusive link has exactly one to wake.
 		l.repost(cqe.WRID)
 		if l.shared() {
-			c.logf("WRITE+imm on shared qpn=%d from peer %d dropped: no rider to name", cqe.QPN, l.peer)
+			c.tel.Flight.Record(c.eng.Now(), telemetry.CatIntegrity, int32(c.Node()), cqe.QPN, integrityImmShared, int64(l.peer))
 		} else if ch := l.riders[0]; ch.onWriteImm != nil {
 			ch.onWriteImm(cqe.Imm, cqe.Addr, cqe.Len)
 		}
@@ -306,6 +306,15 @@ func (l *link) recv(cqe rnic.CQE) {
 	}
 	l.ingest(cqe.Data, cqe.WRID, false, cqe.Blame)
 }
+
+// CatIntegrity codes, what this node could not trust: a record's A, so a
+// timeline names it. B is the peer, or the buffer's address.
+const (
+	integrityDecode    = 1 + iota // an inbound frame that does not decode
+	integrityKind                 // a frame of a kind this build does not know
+	integrityImmShared            // a WRITE+imm on a shared QP: no rider to name
+	integrityCanary               // a freed buffer whose canaries were overwritten
+)
 
 // ingest decodes one inbound frame — an RDMA receive or a Mock TCP message
 // — and hands header, inline payload (nil when none is carried), transport
@@ -327,8 +336,9 @@ func (l *link) ingest(data []byte, wrID uint64, overMock bool, rxBlame *telemetr
 			// A frame from a release outside our version range: counted as
 			// an upgrade-plane event, not lumped in with corruption.
 			c.noteVerMismatch(l.peer, l.lastQPN(), data[2], data[2])
+		} else {
+			c.tel.Flight.Record(c.eng.Now(), telemetry.CatIntegrity, int32(c.Node()), l.lastQPN(), integrityDecode, int64(l.peer))
 		}
-		c.logf("inbound decode error from peer %d: %v", l.peer, err)
 		return
 	}
 	var pay []byte
@@ -437,7 +447,6 @@ func (l *link) keepalive(now sim.Time) {
 	l.kaProbeAt = now
 	c.Stats.KeepaliveProbes++
 	c.tel.Flight.Record(now, telemetry.CatKeepaliveProbe, int32(c.Node()), l.qp.QPN, int64(l.peer), 0)
-	c.tel.Trace.Instant("keepalive.probe", c.track, now, int64(l.peer))
 	rec := c.newRec(recProbe, nil)
 	rec.lk, rec.qp = l, l.qp
 	rec.wr = rnic.SendWR{Op: rnic.OpWrite}
@@ -448,8 +457,6 @@ func (l *link) keepaliveDead(now sim.Time) {
 	c := l.c
 	c.Stats.KeepaliveFails++
 	c.tel.Flight.Trip(now, telemetry.CatKeepaliveFail, int32(c.Node()), l.qp.QPN)
-	c.tel.Trace.Instant("keepalive.fail", c.track, now, int64(l.peer))
-	c.logf("keepalive: peer %d unreachable, failing qpn=%d", l.peer, l.qp.QPN)
 	l.fail(ErrPeerDead)
 }
 
@@ -475,7 +482,6 @@ func (l *link) pathScan(now sim.Time) {
 	if d.scoreScan(retx, rnr, corrupt) {
 		v := d.verdict
 		c.tel.Flight.Record(now, telemetry.CatPathVerdict, int32(c.Node()), l.qp.QPN, int64(v), int64(d.score*100))
-		c.tel.Trace.Instant("path.verdict", c.track, now, int64(v))
 		d.log = append(d.log, fmt.Sprintf("t=%v node=%d path=%v score=%d", now, c.Node(), v, int64(d.score*100)))
 		for i := 0; i < len(l.riders); i++ { // in place: an observer may close its channel
 			if ch := l.riders[i]; ch.onPathVerdict != nil {
@@ -559,8 +565,6 @@ func (l *link) fail(cause error) {
 	l.sched.reset()
 	c.Stats.Degraded++
 	c.tel.Flight.Trip(now, telemetry.CatChannelDegraded, int32(c.Node()), l.qp.QPN)
-	c.tel.Trace.Instant("link.degraded", c.track, now, int64(l.peer))
-	c.logf("link qpn=%d peer=%d degraded: %v", l.qp.QPN, l.peer, cause)
 	for _, ch := range l.established() {
 		ch.park()
 	}
@@ -650,14 +654,14 @@ func (l *link) giveUp(cause error) {
 		return
 	case c.cfg.MockEnabled && c.tcp != nil && c.mockPort > 0:
 		// One established rider and a Mock plane: degrade onto TCP, don't die.
-		l.riders[0].enterMockMode(cause)
+		l.riders[0].enterMockMode()
 		l.riders[0].connectMock(cause)
 		return
 	}
 	// The link is the unit of fate: every rider dies with it, hearing the cause.
 	l.close()
 	l.sched.reset()
-	c.logf("link qpn=%d peer=%d beyond recovery (%d riders): %v", l.lastQPN(), l.peer, len(l.riders), cause)
+	c.tel.Flight.Record(c.eng.Now(), telemetry.CatLinkLost, int32(c.Node()), l.lastQPN(), int64(l.peer), int64(len(l.riders)))
 	for _, ch := range slices.Clone(l.riders) { // a snapshot: each rider detaches as it dies
 		ch.finishAttach(cause)
 	}
@@ -870,9 +874,7 @@ func (c *Context) accept(req *verbs.ConnReq) {
 		// channels): counted, flight-logged, and named — the dialer's
 		// mapDialErr turns this reason into ErrDraining.
 		c.Stats.DrainRefusals++
-		now := c.eng.Now()
-		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), 0, int64(req.From), drainEvRefusal)
-		c.tel.Trace.Instant("drain.refuse", c.track, now, int64(req.From))
+		c.tel.Flight.Record(c.eng.Now(), telemetry.CatDrain, int32(c.Node()), 0, int64(req.From), drainEvRefusal)
 		req.Reject(drainRejectReason)
 	case fresh:
 		if ver, caps, ok := c.settle(req, h); ok {
@@ -939,13 +941,11 @@ func (l *link) adopt(conn *verbs.Conn, pool *recvPool, initiator bool) {
 	if failback {
 		c.Stats.Failbacks++
 		c.tel.Flight.Record(now, telemetry.CatFailback, int32(c.Node()), l.qp.QPN, int64(l.peer), 0)
-		c.tel.Trace.Instant("link.failback", c.track, now, int64(l.peer))
 	} else {
 		c.recHist.Observe(int64(outage))
 		c.tel.Trace.Complete("link.outage", c.track, l.degradedAt, outage, int64(l.peer))
 	}
 	c.tel.Flight.Record(now, telemetry.CatChannelRecovered, int32(c.Node()), l.qp.QPN, int64(l.peer), int64(outage))
-	c.logf("link peer=%d recovered on qpn=%d after %v (failback=%v initiator=%v)", l.peer, l.qp.QPN, outage, failback, initiator)
 	for _, ch := range l.established() {
 		ch.requeueUnacked()
 		ch.nopAt, ch.stallFlag = 0, false

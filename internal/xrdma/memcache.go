@@ -8,6 +8,7 @@ import (
 
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
+	"xrdma/internal/telemetry"
 )
 
 // MemCache manages per-context RDMA-enabled memory as a few MRs (§IV-E —
@@ -260,9 +261,9 @@ func (m *MemCache) Free(b Buffer) {
 	if !b.Valid() || b.region == nil || b.region.dead {
 		return
 	}
-	if m.ctx.cfg.MemIsolation && !m.checkCanaries(b) {
+	if c := m.ctx; c.cfg.MemIsolation && !m.checkCanaries(b) {
 		m.Corruptions++
-		m.ctx.logf("memcache: out-of-bound write detected at %#x (+%d)", b.Addr, b.Len)
+		c.tel.Flight.Record(c.eng.Now(), telemetry.CatIntegrity, int32(c.Node()), 0, integrityCanary, int64(b.Addr))
 	}
 	r := b.region
 	block := b.totalLen

@@ -55,7 +55,7 @@ func (c *Context) listenMock() {
 				// The peer switched but this side's channel is still live or
 				// degraded (failure detection is not synchronized): adopt the
 				// switch.
-				ch.enterMockMode(fmt.Errorf("peer-initiated mock switch"))
+				ch.enterMockMode()
 				ch.attachMock(conn)
 			default:
 				c.parkMockConn(h.target, conn)
@@ -139,13 +139,10 @@ func (c *Context) claimParkedMock(qpn uint32) *parkedMock {
 // enterMockMode releases a channel's RDMA resources; the send queue and
 // the unacked window tail stay with the channel and replay over the mock
 // transport once it attaches.
-func (ch *Channel) enterMockMode(cause error) {
+func (ch *Channel) enterMockMode() {
 	c := ch.ctx
 	c.Stats.MockSwitches++
-	now := c.eng.Now()
-	c.tel.Flight.Trip(now, telemetry.CatMockSwitch, int32(c.Node()), ch.QPN())
-	c.tel.Trace.Instant("mock.switch", c.track, now, int64(ch.Peer))
-	c.logf("channel qpn=%d peer=%d switching to TCP mock (%v)", ch.QPN(), ch.Peer, cause)
+	c.tel.Flight.Trip(c.eng.Now(), telemetry.CatMockSwitch, int32(c.Node()), ch.QPN())
 
 	ch.setHealth(HealthFallback)
 	ch.lk.state = linkFallback
@@ -290,8 +287,7 @@ func (ch *Channel) ForceMock() error {
 	case ch.Mocked() || ch.closed:
 		return nil
 	}
-	cause := fmt.Errorf("manual switch")
-	ch.enterMockMode(cause)
-	ch.connectMock(cause)
+	ch.enterMockMode()
+	ch.connectMock(fmt.Errorf("manual switch"))
 	return nil
 }

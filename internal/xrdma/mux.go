@@ -98,7 +98,7 @@ func (ch *Channel) requestAttach() {
 		c.attachQ.Push(ch)
 		if t := ch.tenant; shed && t != nil {
 			t.AttachSheds++
-			c.tel.Flight.Record(c.eng.Now(), telemetry.CatTenantShed, int32(c.Node()), uint32(t.id), int64(ch.cid), 1)
+			c.tel.Flight.Record(c.eng.Now(), telemetry.CatTenantShed, int32(c.Node()), uint32(t.id), int64(ch.cid), shedEvAttach)
 		}
 		return
 	}

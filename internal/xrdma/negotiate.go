@@ -235,12 +235,8 @@ func (c *Context) settle(req *verbs.ConnReq, h hello) (ver uint8, caps uint32, o
 func (c *Context) noteVerMismatch(peer fabric.NodeID, qpn uint32, peerLo, peerHi uint8) {
 	c.Stats.VerMismatches++
 	lo, hi := c.protoRange()
-	now := c.eng.Now()
-	c.tel.Flight.Record(now, telemetry.CatVerMismatch, int32(c.Node()), qpn,
+	c.tel.Flight.Record(c.eng.Now(), telemetry.CatVerMismatch, int32(c.Node()), qpn,
 		int64(peer), int64(peerLo)|int64(peerHi)<<8|int64(lo)<<16|int64(hi)<<24)
-	c.tel.Trace.Instant("ver.mismatch", c.track, now, int64(peerHi))
-	c.logf("version negotiation failed: peer=%d offers [%d,%d], local [%d,%d]",
-		peer, peerLo, peerHi, lo, hi)
 }
 
 // NegotiatedVersion reports the header version this channel's link settled

@@ -100,11 +100,11 @@ func (w *Window) Revoke() {
 // GrantWindow announces a window to this channel's peer over the ctrl
 // plane. The peer observes it via OnWindow. A peer that did not advertise
 // the one-sided capability in negotiation never sees a WIN_GRANT — the
-// grant is silently withheld (and logged), since a v1 build would treat
-// the frame as noise.
+// grant is withheld (a ver.mismatch record whose B is the lacking capability
+// bits, negated), since a v1 build would treat the frame as noise.
 func (ch *Channel) GrantWindow(w *Window) {
-	if !ch.peerCap(capOneSided) {
-		ch.ctx.logf("win.grant withheld: peer %d lacks one-sided capability", ch.Peer)
+	if c := ch.ctx; !ch.peerCap(capOneSided) {
+		c.tel.Flight.Record(c.eng.Now(), telemetry.CatVerMismatch, int32(c.Node()), ch.QPN(), int64(ch.Peer), -int64(capOneSided))
 		return
 	}
 	ch.sendCtrlHdr(&wireHdr{

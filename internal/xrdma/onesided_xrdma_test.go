@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"xrdma/internal/sim"
+	"xrdma/internal/telemetry"
 )
 
 // exposeGranted registers a size-byte window on the server context and
@@ -324,7 +326,7 @@ func TestOneSidedNeedsRDMAPath(t *testing.T) {
 
 	// A peer still running a release that emulated the verbs over the Mock conn
 	// emits kinds this build retired. They are hostile input like any unknown
-	// kind: logged, ignored — not parsed, not answered.
+	// kind: flight-recorded, ignored — not parsed, not answered.
 	t.Run("retired kind over the Mock conn", func(t *testing.T) {
 		w := newRecoverWorld(t, 2, func(_ int, cfg *Config) { cfg.FailbackInterval = 0 })
 		cli, srv := w.connect(t, 0, 1, 5304)
@@ -336,7 +338,8 @@ func TestOneSidedNeedsRDMAPath(t *testing.T) {
 		until(t, w, "Mock conn attached at both ends", func() bool { return cli.lk.fb != nil && srv.lk.fb != nil })
 		w.eng.RunFor(sim.Millisecond)
 
-		logged, recvd := len(w.ctxs[1].Log()), w.ctxs[0].tcp.MsgsRecv
+		recvd := w.ctxs[0].tcp.MsgsRecv
+		w.recordIncidents()
 		pay := bytes.Repeat([]byte{0xEE}, 64)
 		for k := kindWinRevoke + 1; k <= kindWinRevoke+3; k++ { // were READ_REQ, READ_RESP, WRITE_IMM
 			h := wireHdr{Kind: k, MsgID: 77, Addr: rw.Addr, RKey: rw.RKey, Size: uint32(len(pay))}
@@ -346,14 +349,8 @@ func TestOneSidedNeedsRDMAPath(t *testing.T) {
 			srv.lk.ingest(append(frame, pay...), 0, true, nil)
 		}
 		w.eng.RunFor(5 * sim.Millisecond)
-		var unknown int
-		for _, e := range w.ctxs[1].Log()[logged:] {
-			if strings.Contains(e.Text, "unknown message kind") {
-				unknown++
-			}
-		}
-		if unknown != 3 {
-			t.Fatalf("%d of the 3 retired-kind frames were logged as unknown", unknown)
+		if got := w.incidents(t, "xrdma.1", telemetry.CatIntegrity); !slices.Equal(got, []int64{integrityKind, integrityKind, integrityKind}) {
+			t.Fatalf("integrity records %v, want the 3 retired-kind frames flight-recorded as unknown kinds", got)
 		}
 		if fired || !bytes.Equal(win.Bytes(), want) || srv.Counters.RemoteAccessErrs != 0 {
 			t.Fatal("a retired WRITE_IMM frame was applied")

@@ -266,7 +266,7 @@ func (d *pathDoctor) maybeHint(c *Context, now sim.Time, riders []*Channel) {
 	d.hintMuteUntil = now.Add(c.cfg.PathRehashCooldown)
 	d.hintsSent++
 	c.Stats.PathHints++
-	c.tel.Trace.Instant("path.hint", c.track, now, 0)
+	c.tel.Flight.Record(now, telemetry.CatPathHint, int32(c.Node()), riders[0].QPN(), int64(riders[0].Peer), 0)
 	d.log = append(d.log, fmt.Sprintf("t=%v node=%d hint-sent", now, c.Node()))
 	riders[0].sendCtrl(kindPathHint) // any rider's ctrl frame reaches the peer's doctor for this QP
 }
@@ -309,10 +309,9 @@ func (d *pathDoctor) rotateOrEscalate(c *Context, qpn uint32, now sim.Time, esca
 		// means "canonical path", the one we are fleeing).
 		label := c.rng.Uint64() | 1
 		if err := c.vctx.ModifyFlowLabel(qpn, label); err != nil {
-			c.logf("path doctor: rehash qpn=%d failed: %v", qpn, err)
+			c.tel.Flight.Record(now, telemetry.CatPathRehash, int32(c.Node()), qpn, int64(d.rotations), 0)
 			d.sickScans++ // an unrotatable QP burns escalation credit
 		} else {
-			sickScore := int64(d.score * 100) // the score that triggered this rotation
 			d.rotations++
 			d.rehashes++
 			if d.firstRehashAt == 0 {
@@ -327,9 +326,7 @@ func (d *pathDoctor) rotateOrEscalate(c *Context, qpn uint32, now sim.Time, esca
 			d.sickScans = 0
 			d.txEvid, d.rxEvid = 0, 0
 			c.tel.Flight.Record(now, telemetry.CatPathRehash, int32(c.Node()), qpn, int64(d.rotations), int64(label&0xffff))
-			c.tel.Trace.Instant("path.rehash", c.track, now, int64(d.rotations))
 			d.log = append(d.log, fmt.Sprintf("t=%v node=%d rehash #%d", now, c.Node(), d.rotations))
-			c.logf("path doctor: qpn=%d sick (score=%d), rotated flow label (#%d)", qpn, sickScore, d.rotations)
 			return
 		}
 	} else {
@@ -338,7 +335,6 @@ func (d *pathDoctor) rotateOrEscalate(c *Context, qpn uint32, now sim.Time, esca
 	if d.sickScans >= pdSickScansToEscalate {
 		c.Stats.PathEscalations++
 		d.log = append(d.log, fmt.Sprintf("t=%v node=%d escalate", now, c.Node()))
-		c.logf("path doctor: qpn=%d every tried path sick, escalating to recovery", qpn)
 		d.resetEpisode()
 		escalate(ErrPathSick)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xrdma/internal/sim"
+	"xrdma/internal/telemetry"
 )
 
 // parkedAt builds a one-context world whose poller was woken out of epoll and
@@ -66,7 +67,8 @@ func TestParkedPollAccounting(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w, c, t0 := parkedAt(t)
-			p0, slow0, lines0 := c.Stats.Polls, c.Stats.SlowPolls, len(c.Log())
+			p0, slow0 := c.Stats.Polls, c.Stats.SlowPolls
+			w.recordIncidents()
 			w.eng.RunUntil(t0.Add(tc.at) - 1)
 			w.eng.At(t0.Add(tc.at), func() {
 				tc.do(c)
@@ -86,10 +88,8 @@ func TestParkedPollAccounting(t *testing.T) {
 				t.Errorf("polls until event mode: +%d, want +%d", got, idleSpins-1)
 			}
 			var gaps []string
-			for _, e := range c.Log()[lines0:] {
-				if strings.HasPrefix(e.Text, "slow poll: ") {
-					gaps = append(gaps, strings.Fields(e.Text)[2])
-				}
+			for _, gap := range w.incidents(t, c.track, telemetry.CatSlowPoll) {
+				gaps = append(gaps, sim.Duration(gap).String())
 			}
 			if got := strings.Join(gaps, ","); got != tc.slowGap || c.Stats.SlowPolls-slow0 != int64(len(gaps)) {
 				t.Errorf("slow polls: gaps %q, counted %d, want %q", got, c.Stats.SlowPolls-slow0, tc.slowGap)

@@ -3,11 +3,11 @@ package xrdma
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 	"testing"
 
 	"xrdma/internal/sim"
 	"xrdma/internal/tcpnet"
+	"xrdma/internal/telemetry"
 )
 
 // idStream drives a steady stream of id-stamped requests over ch — 16 bytes,
@@ -585,17 +585,28 @@ func TestKeepaliveStaleCompletionIgnored(t *testing.T) {
 	echoServer(srv)
 	w.eng.RunFor(sim.Millisecond)
 
-	t0 := w.eng.Now()
+	w.recordIncidents()
 	w.fab.SetHostLink(1, false)
 	cli.SendMsg([]byte("lost"), 0, func(*Msg, error) {})
 	w.eng.AfterBg(8500*sim.Microsecond, func() { w.fab.SetHostLink(1, true) })
 	w.eng.RunFor(100 * sim.Millisecond)
 
 	s1 := w.ctxs[1].Stats
-	peerInitiated := false
-	for _, e := range w.ctxs[1].Log() {
-		if e.At > t0 && strings.Contains(e.Text, "peer-initiated recovery") {
-			peerInitiated = true
+	// Peer-initiated: the waiter degrades with its probe out and nothing of
+	// its own failed first — no QP error, no exhausted retries, no keepalive
+	// verdict, no path verdict — so only the dialer's redial can have done it.
+	peerInitiated, probing := false, false
+scan:
+	for _, e := range telemetry.For(w.eng).Trace.Events() {
+		switch {
+		case e.Track == "xrdma.1" && e.Name == telemetry.CatKeepaliveProbe.String():
+			probing = true
+		case e.Track == "xrdma.1" && e.Name == telemetry.CatChannelDegraded.String():
+			peerInitiated = probing
+			break scan
+		case e.Track == "rnic.1" && (e.Name == telemetry.CatQPError.String() || e.Name == telemetry.CatRetryExhausted.String()),
+			e.Track == "xrdma.1" && (e.Name == telemetry.CatKeepaliveFail.String() || e.Name == telemetry.CatPathVerdict.String()):
+			break scan
 		}
 	}
 	if !peerInitiated || s1.KeepaliveProbes == 0 {

@@ -183,7 +183,6 @@ func (ch *Channel) pump() {
 // verdict, not a stall: the caller's completion fails now, not by timing out.
 func (ch *Channel) stage(ps *msgRec, buf Buffer, err error) {
 	if err != nil {
-		ch.ctx.logf("stage alloc failed: %v", err)
 		if ch.sendQ.Remove(ps) {
 			ch.failSend(ps, err)
 		}
@@ -509,7 +508,7 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 		op.wr.RAddr, op.wr.RKey, op.wr.SizeOnly = h.Addr, h.RKey, h.Flags&flagSizeOnly != 0
 		ch.fetch(op)
 	default:
-		c.logf("unknown message kind %d from peer %d", h.Kind, ch.Peer)
+		c.tel.Flight.Record(c.eng.Now(), telemetry.CatIntegrity, int32(c.Node()), ch.QPN(), integrityKind, int64(ch.Peer))
 	}
 }
 

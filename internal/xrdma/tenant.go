@@ -194,6 +194,13 @@ func (ch *Channel) TenantOf() *Tenant { return ch.tenant }
 // (admission FIFO reuse) while established traffic is merely
 // backpressured — graceful degradation, never collapse.
 
+// Shed flight-event codes: the B value of a CatTenantShed record (the QPN
+// field names the tenant) other than the Trip that opens an episode (B 0).
+const (
+	shedEvAttach = 1 + iota // an attach queued behind the gate (A is its cid)
+	shedEvOver              // the episode ended
+)
+
 // noteBudgetReject records an ErrTenantBudget rejection and starts (or
 // extends) a shed episode. The first breach of an episode trips a flight
 // dump naming the culprit tenant in the QPN field.
@@ -210,8 +217,6 @@ func (t *Tenant) noteBudgetReject(want int64) {
 		t.Sheds++
 		t.shedUntil = now.Add(cool)
 		c.tel.Flight.Trip(now, telemetry.CatTenantShed, int32(c.Node()), uint32(t.id))
-		c.logf("tenant %q over memory budget (%d+%d > %d): shedding new attaches for %v",
-			t.cfg.Name, t.memUsed, want, t.cfg.MemBudget, cool)
 	} else {
 		t.shedUntil = now.Add(cool)
 	}
@@ -232,7 +237,7 @@ func (t *Tenant) armShedExpiry() {
 			t.armShedExpiry() // episode was extended meanwhile
 			return
 		}
-		c.logf("tenant %q shed episode over", t.cfg.Name)
+		c.tel.Flight.Record(c.eng.Now(), telemetry.CatTenantShed, int32(c.Node()), uint32(t.id), 0, shedEvOver)
 		c.attachAdmit(c.attachQ.Len())
 	})
 }

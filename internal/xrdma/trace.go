@@ -19,15 +19,14 @@ import (
 // known; otherwise raw and skew-polluted).
 func (c *Context) onRecv(ch *Channel, m *Msg) {
 	oneWay := sim.Duration(c.LocalClock()-m.T1) + c.toff[ch.Peer]
-	kind, ev := "RESP", "trace.resp"
+	ev := "trace.resp"
 	if m.IsReq {
-		kind, ev = "REQ", "trace.req"
+		ev = "trace.req"
 	}
 	now := c.eng.Now()
 	c.tel.Trace.Instant(ev, c.track, now, int64(oneWay))
 	if oneWay > c.cfg.SlowThreshold {
 		c.slowOp(ch, now, oneWay, m.MsgID)
-		c.logf("slow %s msg %d from %d: one-way %v", kind, m.MsgID, ch.Peer, oneWay)
 	}
 }
 
@@ -39,7 +38,6 @@ func (c *Context) onResponse(ch *Channel, m *Msg, sentAt sim.Time) {
 	c.tel.Trace.Complete("rtt", c.track, sentAt, rtt, int64(m.MsgID))
 	if rtt > 2*c.cfg.SlowThreshold {
 		c.slowOp(ch, now, rtt, m.MsgID)
-		c.logf("slow request %d to %d: rtt %v", m.MsgID, ch.Peer, rtt)
 	}
 }
 
@@ -49,7 +47,6 @@ func (c *Context) slowOp(ch *Channel, now sim.Time, d sim.Duration, msgID uint64
 	c.Stats.SlowOps++
 	ch.blameSuspect = blameSuspectBudget
 	c.tel.Flight.Record(now, telemetry.CatSlowOp, int32(c.Node()), ch.QPN(), int64(d), int64(msgID))
-	c.tel.Trace.Instant("slow.op", c.track, now, int64(d))
 }
 
 // onBlame reconstructs a blame-traced request's critical path the moment

@@ -59,7 +59,7 @@ const (
 	kindWinRevoke  // one-sided plane: peer withdrew a window (MsgID = window id)
 	// The next three numbers are retired, not free: a release that emulated
 	// READ/WRITE+imm over the Mock conn emitted them. They reach handleWire's
-	// default arm — logged and dropped, never parsed.
+	// default arm — flight-recorded and dropped, never parsed.
 )
 
 func (k msgKind) String() string {

@@ -112,6 +112,28 @@ func echoServer(ch *Channel) {
 	})
 }
 
+// recordIncidents turns the world's timeline on: from here every flight
+// record lands there too, as an instant named after its category on its
+// recording layer's track ("xrdma.N", "rnic.N"), carrying its A.
+func (w *testWorld) recordIncidents() { telemetry.For(w.eng).Trace.Enable(1 << 16) }
+
+// incidents returns the A values of the flight records of cat on track since
+// recordIncidents, oldest first.
+func (w *testWorld) incidents(t testing.TB, track string, cat telemetry.Category) []int64 {
+	t.Helper()
+	tl := telemetry.For(w.eng).Trace
+	if n := tl.Dropped(); n > 0 {
+		t.Fatalf("the timeline overwrote %d events: enlarge it", n)
+	}
+	var as []int64
+	for _, e := range tl.Events() {
+		if e.Kind == telemetry.KindInstant && e.Track == track && e.Name == cat.String() {
+			as = append(as, e.Arg)
+		}
+	}
+	return as
+}
+
 func TestSmallRequestResponse(t *testing.T) {
 	w := newWorld(t, 2, nil)
 	cli, srv := w.connect(t, 0, 1, 5000)
@@ -742,6 +764,7 @@ func TestSlowPollDetection(t *testing.T) {
 	})
 	cli, srv := w.connect(t, 0, 1, 5018)
 	echoServer(srv)
+	w.recordIncidents()
 	before := w.ctxs[0].Stats.SlowPolls
 	// The application hogs the thread for 200µs — like the allocator
 	// lock incident in §VII-D.
@@ -751,14 +774,8 @@ func TestSlowPollDetection(t *testing.T) {
 	if w.ctxs[0].Stats.SlowPolls == before {
 		t.Fatal("slow poll not detected")
 	}
-	found := false
-	for _, e := range w.ctxs[0].Log() {
-		if bytes.Contains([]byte(e.Text), []byte("slow poll")) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("slow poll not logged")
+	if gaps := w.incidents(t, "xrdma.0", telemetry.CatSlowPoll); int64(len(gaps)) != w.ctxs[0].Stats.SlowPolls-before {
+		t.Fatalf("%d slow polls flight-recorded, %d counted", len(gaps), w.ctxs[0].Stats.SlowPolls-before)
 	}
 }
 
@@ -777,7 +794,7 @@ func TestEventModeSleepIsNotSlowPoll(t *testing.T) {
 		}
 	}
 	before := [2]int64{w.ctxs[0].Stats.SlowPolls, w.ctxs[1].Stats.SlowPolls}
-	lines := [2]int{len(w.ctxs[0].Log()), len(w.ctxs[1].Log())}
+	w.recordIncidents()
 	wakes := w.ctxs[0].Stats.EventWakes + w.ctxs[1].Stats.EventWakes
 	answered := false
 	cli.SendMsg([]byte("x"), 0, func(_ *Msg, err error) { answered = err == nil })
@@ -789,10 +806,8 @@ func TestEventModeSleepIsNotSlowPoll(t *testing.T) {
 		if got := c.Stats.SlowPolls - before[i]; got != 0 {
 			t.Errorf("node %d: %d slow polls counted for sleeping in epoll", i, got)
 		}
-		for _, e := range c.Log()[lines[i]:] {
-			if strings.Contains(e.Text, "slow poll") {
-				t.Errorf("node %d logged %q", i, e.Text)
-			}
+		if gaps := w.incidents(t, c.track, telemetry.CatSlowPoll); len(gaps) != 0 {
+			t.Errorf("node %d flight-recorded slow polls of %v ns", i, gaps)
 		}
 	}
 }

@@ -40,9 +40,6 @@ func XRStat(c *Context) string {
 	if n := c.tel.Trace.Dropped(); n > 0 {
 		fmt.Fprintf(&b, "timeline truncated: %d events overwritten\n", n)
 	}
-	if n := c.log.Dropped(); n > 0 {
-		fmt.Fprintf(&b, "log truncated: %d lines overwritten\n", n)
-	}
 	fmt.Fprintf(&b, "%-6s %-6s %-9s %-9s %-10s %-10s %-7s %-6s %-6s %-6s %-8s %-6s %-6s %-6s %-6s %-9s %-6s %-4s %-5s %-8s\n",
 		"QPN", "PEER", "SENT", "RECV", "TXBYTES", "RXBYTES", "STALLS", "RNR", "RETX",
 		"SCORE", "VERDICT", "REHASH", "RETRY", "READS", "WRITES", "RDBYTES", "RAERRS",
