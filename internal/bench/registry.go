@@ -9,6 +9,8 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"xrdma/internal/sim"
 )
 
 // Experiment is one entry of DESIGN.md's per-experiment index: a stable
@@ -38,12 +40,24 @@ type Panel struct {
 func (e Experiment) Run(sc Scale) Result {
 	var out Result
 	for _, p := range e.Panels {
-		r := p.Run(sc)
+		r := p.run(sc)
 		out.Tables = append(out.Tables, r.Tables...)
 		out.Digest = append(out.Digest, r.Digest...)
 		out.Claims = append(out.Claims, r.Claims...)
+		out.Fired += r.Fired
 	}
 	return out
+}
+
+// run runs the panel and fills Result.Fired from every engine it created.
+func (p Panel) run(sc Scale) Result {
+	var engs []*sim.Engine
+	sc.engines = &engs
+	r := p.Run(sc)
+	for _, eng := range engs {
+		r.Fired += eng.Fired()
+	}
+	return r
 }
 
 // Result is one run of a world.
@@ -53,6 +67,7 @@ type Result struct {
 	// world, whose rendered tables are its digest.
 	Digest []string
 	Claims []Claim
+	Fired  uint64 // events fired, summed over the world's engines
 }
 
 // Claim is one number or shape of the paper's evaluation held against a

@@ -25,10 +25,15 @@ type Scale struct {
 	// to attach the telemetry collector (metrics snapshots + timeline
 	// capture) to every world without the experiments knowing about it.
 	Observe func(eng *sim.Engine, label string)
+	// engines collects every engine the world creates, for Result.Fired.
+	engines *[]*sim.Engine
 }
 
 // observe invokes the Observe hook if one is installed.
 func (sc Scale) observe(eng *sim.Engine, label string) {
+	if sc.engines != nil {
+		*sc.engines = append(*sc.engines, eng)
+	}
 	if sc.Observe != nil {
 		sc.Observe(eng, label)
 	}

@@ -1,12 +1,19 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
+	"hash/fnv"
+	"os"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/worlds.golden from this tree")
+
+const worldsGolden = "testdata/worlds.golden"
 
 // TestWorlds runs every world of the registry as parallel subtests, the
 // condition cmd/reproduce -j N runs them under, and holds each claim to its
@@ -14,10 +21,67 @@ import (
 // (E19–E26) runs twice back to back, and its two digests must be identical:
 // the simulation is a pure function of the seed, whatever runs beside it.
 // A world that weighs the process heap runs alone, outside the parallel
-// group. Under -short only the drills run.
+// group. Under -short only the drills run. Each world that ran is then held
+// to its line of testdata/worlds.golden (pinLines); -update rewrites the file.
 func TestWorlds(t *testing.T) {
+	t.Cleanup(func() { pinWorlds(t) })
 	for _, e := range Experiments() {
 		t.Run(e.ID, func(t *testing.T) { holdWorld(t, e.ID, Quick()) })
+	}
+}
+
+// pinWorlds holds each world that ran to its line of worldsGolden: the id, a
+// hash of its digest (of the rendered tables where it has no Digest, of the
+// claims where it has neither), the events fired and the claim count. -update rewrites the file.
+func pinWorlds(t *testing.T) {
+	var got []string
+	for _, e := range Experiments() {
+		for _, p := range e.Panels {
+			v, ok := panelRuns.Load(fmt.Sprint(e.ID, "/", p.ID, " ", Quick().Seed, " false"))
+			if !ok {
+				if *update {
+					t.Fatal("-update needs every world: run TestWorlds without -short or a -run filter")
+				}
+				continue
+			}
+			r, digest := v.(*panelRun).res, v.(*panelRun).res.Digest
+			for _, tb := range r.Tables {
+				if r.Digest == nil {
+					digest = append(digest, tb.String())
+				}
+			}
+			for _, c := range r.Claims {
+				if len(r.Tables)+len(r.Digest) == 0 {
+					digest = append(digest, c.String()) // a gate that prints nothing: its claims are its outcome
+				}
+			}
+			h := fnv.New64a()
+			h.Write([]byte(strings.Join(digest, "\n")))
+			got = append(got, fmt.Sprintf("%s%s %016x %d %d", e.ID, strings.TrimPrefix("/"+p.ID, "/"+e.ID), h.Sum64(), r.Fired, len(r.Claims)))
+		}
+	}
+	if *update {
+		if err := os.WriteFile(worldsGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(worldsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(string(b), "\n")
+	for _, line := range got {
+		id, _, _ := strings.Cut(line, " ")
+		i := slices.IndexFunc(want, func(w string) bool { return strings.HasPrefix(w, id+" ") })
+		if i < 0 || want[i] != line {
+			golden := "(no line)"
+			if i >= 0 {
+				golden = want[i]
+			}
+			t.Errorf("%s differs from %s (a declared re-baseline rewrites it with -update)\n  golden: %s\n  run:    %s", id, worldsGolden, golden, line)
+			return
+		}
 	}
 }
 
@@ -75,7 +139,7 @@ func heldRun(e Experiment, p Panel, sc Scale) *panelRun {
 	v, _ := panelRuns.LoadOrStore(fmt.Sprint(e.ID, "/", p.ID, " ", sc.Seed, " ", sc.Full), &panelRun{})
 	r := v.(*panelRun)
 	r.once.Do(func() {
-		r.res = p.Run(sc)
+		r.res = p.run(sc)
 		if r.res.Digest != nil {
 			r.second = strings.Join(p.Run(sc).Digest, "\n")
 		}
