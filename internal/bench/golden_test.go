@@ -17,7 +17,7 @@ const (
 	goldenSeed       = 42
 	goldenPingSize   = 512
 	goldenPingCount  = 50
-	goldenFiredCount = 1822
+	goldenFiredCount = 1620
 	goldenMeanRTT    = 7165 * sim.Nanosecond
 	goldenFig9Raw    = 1297.0
 	goldenFig9XRDMA  = 0.0

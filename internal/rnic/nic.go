@@ -358,11 +358,10 @@ func (n *NIC) allocQP(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 		srq:       srq,
 		CreatedAt: n.eng.Now(),
 	}
+	sendCQ.eng, recvCQ.eng = n.eng, n.eng
 	qp.rtoFn = qp.onRTO
 	qp.ackFn = qp.sendAckNow
 	qp.rnrFn = qp.rnrBackoffOver
-	qp.cqeDoneFn = qp.drainSendOK
-	qp.recvDoneFn = qp.drainRecv
 	if srq == nil {
 		qp.rq.Reserve(rqCap)
 	}
@@ -404,13 +403,10 @@ func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN ui
 		*qp = QP{QPN: qp.QPN, nic: n, State: QPReset, SQCap: qp.SQCap, RQCap: qp.RQCap,
 			SendCQ: qp.SendCQ, RecvCQ: qp.RecvCQ, srq: qp.srq, CreatedAt: qp.CreatedAt,
 			lruPrev: qp.lruPrev, lruNext: qp.lruNext} // the context cache's line survives
-		// The cached closures survive recycling; the CQE FIFOs must too,
-		// because drains already scheduled still index into them (exactly
-		// the lifetime per-WR closures used to have). The receive and send
+		// The cached closures survive recycling. The receive and send
 		// queues keep their storage, emptied: a recycled QP posts as deep
 		// again without allocating.
-		qp.rtoFn, qp.ackFn, qp.rnrFn, qp.cqeDoneFn, qp.recvDoneFn = keep.rtoFn, keep.ackFn, keep.rnrFn, keep.cqeDoneFn, keep.recvDoneFn
-		qp.cqeDone, qp.recvDone, qp.rq = keep.cqeDone, keep.recvDone, keep.rq
+		qp.rtoFn, qp.ackFn, qp.rnrFn, qp.rq = keep.rtoFn, keep.ackFn, keep.rnrFn, keep.rq
 		qp.rq.Reset()
 		qp.sq, qp.unacked = emptied(keep.sq), emptied(keep.unacked)
 	case QPInit:

@@ -65,32 +65,78 @@ type CQE struct {
 // than fatal (real CQ overflow kills the QP; the middleware sizes CQs so
 // it never happens, and the counter proves it). Entries live in a circular
 // buffer, so steady-state push/poll cycles never allocate.
+//
+// An entry carries the instant it becomes visible, the one DMA latency
+// after the NIC finishes, as a reserved engine key, and goes in at once,
+// in (visible-at, push) order: PollAppend and Len see only the entries
+// whose key the engine has reached, so a poll orders against a completion
+// at the same instant exactly as an event at that key would.
 type CQ struct {
 	Depth     int
 	Overflows int64
-	buf       []CQE
+	buf       []cqSlot
 	head, cnt int
-	notify    func()
+	eng       *sim.Engine
+	notify    func(at sim.Time)
+	visible   func()
+	visibleFn func()
+}
+
+type cqSlot struct {
+	key sim.Key
+	cqe CQE
 }
 
 // NewCQ creates a completion queue with the given depth.
 func NewCQ(depth int) *CQ { return &CQ{Depth: depth} }
 
-// OnCompletion installs a wakeup callback fired whenever a CQE is added to
-// an empty queue — the comp-channel analogue used for event-mode polling.
-func (cq *CQ) OnCompletion(fn func()) { cq.notify = fn }
+// OnCompletionAt installs the stamped wakeup: fn runs when an entry is
+// pushed that becomes the earliest one held while none is visible, with the
+// instant it becomes visible (now, for a flush), and from PollAppend for the
+// new earliest entry when a poll drains every visible one and some are still
+// pending. A consumer turns the instant into its own schedule; the CQ fires
+// no event.
+func (cq *CQ) OnCompletionAt(fn func(at sim.Time)) { cq.notify = fn }
 
-func (cq *CQ) push(e CQE) {
+// OnCompletion installs the comp-channel wakeup: fn runs at the instant a
+// completion makes an empty queue non-empty. It costs one engine event per
+// pending completion, at the completion's own key, so consumers that poll
+// from it see what they saw when every completion was an event of its own.
+func (cq *CQ) OnCompletion(fn func()) { cq.visible, cq.visibleFn = fn, cq.becameVisible }
+
+func (cq *CQ) slot(i int) *cqSlot { return &cq.buf[(cq.head+i)&(len(cq.buf)-1)] }
+
+// push inserts e at key k behind every entry ordered at or before it: a tail
+// append, unless QPs sharing the queue differ in completion cost.
+func (cq *CQ) push(k sim.Key, e CQE) {
 	if cq.Depth > 0 && cq.cnt >= cq.Depth {
 		cq.Overflows++
 	}
 	if cq.cnt == len(cq.buf) {
 		cq.grow()
 	}
-	cq.buf[(cq.head+cq.cnt)&(len(cq.buf)-1)] = e
+	i := cq.cnt
+	for ; i > 0 && k.Before(cq.slot(i-1).key); i-- {
+		*cq.slot(i) = *cq.slot(i - 1)
+	}
+	*cq.slot(i) = cqSlot{k, e}
 	cq.cnt++
-	if cq.cnt == 1 && cq.notify != nil {
-		cq.notify()
+	switch {
+	case cq.visible != nil && !cq.eng.Reached(k):
+		cq.eng.At(k.At, cq.visibleFn) // the next key: it orders as k does
+	case i > 0: // an entry ahead of it is visible or wakes first
+	case cq.visible != nil:
+		cq.visible()
+	case cq.notify != nil:
+		cq.notify(k.At)
+	}
+}
+
+// becameVisible is a pending completion's event under OnCompletion: the
+// wakeup runs when that completion is the only one visible.
+func (cq *CQ) becameVisible() {
+	if cq.Len() == 1 {
+		cq.visible()
 	}
 }
 
@@ -99,45 +145,68 @@ func (cq *CQ) grow() {
 	if n == 0 {
 		n = 16
 	}
-	nb := make([]CQE, n)
+	nb := make([]cqSlot, n)
 	for i := 0; i < cq.cnt; i++ {
-		nb[i] = cq.buf[(cq.head+i)&(len(cq.buf)-1)]
+		nb[i] = *cq.slot(i)
 	}
 	cq.buf, cq.head = nb, 0
 }
 
-// PollAppend drains up to max completions into dst and returns the
+// PollAppend drains up to max visible completions into dst and returns the
 // extended slice. Passing a reused dst[:0] makes polling allocation-free;
 // vacated ring slots are cleared so payload references do not linger.
 func (cq *CQ) PollAppend(dst []CQE, max int) []CQE {
-	n := max
-	if n > cq.cnt {
-		n = cq.cnt
+	if cq.cnt == 0 {
+		return dst
 	}
-	for i := 0; i < n; i++ {
-		idx := cq.head & (len(cq.buf) - 1)
-		dst = append(dst, cq.buf[idx])
-		cq.buf[idx] = CQE{}
+	return cq.PollAppendAt(dst, max, cq.eng.Current())
+}
+
+// PollAppendAt is PollAppend for a poller that orders at key k, at the
+// current instant but later than the event now firing: it also sees the
+// completions ordered before k.
+func (cq *CQ) PollAppendAt(dst []CQE, max int, k sim.Key) []CQE {
+	n := 0
+	for ; n < max && cq.cnt > 0 && !k.Before(cq.slot(0).key); n++ {
+		s := cq.slot(0)
+		dst = append(dst, s.cqe)
+		*s = cqSlot{}
 		cq.head++
+		cq.cnt--
 	}
-	cq.cnt -= n
+	if n > 0 && cq.cnt > 0 && cq.notify != nil && !cq.eng.Reached(cq.slot(0).key) {
+		cq.notify(cq.slot(0).key.At)
+	}
 	return dst
 }
 
-// Poll removes up to n completions. Convenience wrapper around PollAppend
-// that allocates the result; hot paths should use PollAppend directly.
+// Poll removes up to n visible completions. Convenience wrapper around
+// PollAppend that allocates the result; hot paths should use PollAppend
+// directly.
 func (cq *CQ) Poll(n int) []CQE {
-	if n > cq.cnt {
-		n = cq.cnt
-	}
-	if n == 0 {
+	if n = min(n, cq.Len()); n == 0 {
 		return nil
 	}
 	return cq.PollAppend(make([]CQE, 0, n), n)
 }
 
-// Len reports queued completions.
-func (cq *CQ) Len() int { return cq.cnt }
+// Len reports the visible completions.
+func (cq *CQ) Len() int {
+	n := 0
+	for n < cq.cnt && cq.eng.Reached(cq.slot(n).key) {
+		n++
+	}
+	return n
+}
+
+// NextAt reports when a queue that shows nothing shows its earliest pending
+// completion: sim.MaxTime while it shows one, or holds none.
+func (cq *CQ) NextAt() sim.Time {
+	if cq.cnt == 0 || cq.eng.Reached(cq.slot(0).key) {
+		return sim.MaxTime
+	}
+	return cq.slot(0).key.At
+}
 
 // SendWR is a send-queue work request.
 type SendWR struct {
@@ -323,22 +392,11 @@ type QP struct {
 	nakedAt      uint32 // last PSN we NAKed, to suppress NAK storms
 	nakValid     bool
 
-	// Cached timer/completion closures plus the FIFO of ack-retired WRs
-	// awaiting their send CQE. Built once at QP allocation and preserved
-	// across QP reset (pending drains may still reference the FIFO, the
-	// same lifetime the old per-WR closures had); handleAck appends a WR
-	// and schedules exactly one drain per entry, and pushSendCQE's
-	// monotonic per-QP timestamps keep the drains in FIFO order, so the
-	// index — not a fresh closure — carries the per-WR context. Delivered
-	// messages await their receive CQE in recvDone under the same rules
-	// (deliver appends, pushRecvCQE orders).
-	rtoFn      func()
-	ackFn      func()
-	rnrFn      func() // every RNR NAK schedules its own backoff expiry with it
-	cqeDoneFn  func()
-	cqeDone    sim.Queue[*SendWR]
-	recvDoneFn func()
-	recvDone   sim.Queue[CQE]
+	// Cached timer closures, built once at QP allocation and preserved
+	// across QP reset.
+	rtoFn func()
+	ackFn func()
+	rnrFn func() // every RNR NAK schedules its own backoff expiry with it
 
 	// DCQCN rate state.
 	rate *dcqcnState
@@ -482,10 +540,10 @@ func (qp *QP) enterError(st Status) {
 		n.pool.putReadState(rs)
 	}
 	for _, wr := range qp.unacked {
-		qp.completeSend(wr, st)
+		qp.completeSend(wr, st, n.eng.Current())
 	}
 	for _, wr := range qp.sq {
-		qp.completeSend(wr, st)
+		qp.completeSend(wr, st, n.eng.Current())
 	}
 	qp.sq, qp.unacked = emptied(qp.sq), emptied(qp.unacked)
 	qp.nic.dropJobsFor(qp)
@@ -500,46 +558,30 @@ func emptied(q []*SendWR) []*SendWR {
 	return q[:0]
 }
 
-// drainSendOK completes the oldest ack-retired WR from the cqeDone FIFO.
-// handleAck appends one WR and schedules one drain per entry, and
-// pushSendCQE's monotonic per-QP timestamps preserve FIFO order, so head
-// position alone identifies the WR each drain belongs to.
-func (qp *QP) drainSendOK() { qp.completeSend(qp.cqeDone.Pop(), StatusOK) }
-
-// drainRecv raises the oldest delivered message's receive completion.
-func (qp *QP) drainRecv() { qp.RecvCQ.push(qp.recvDone.Pop()) }
-
-func (qp *QP) completeSend(wr *SendWR, st Status) {
+// completeSend raises wr's send completion, visible at k. A successful
+// unsignaled WR raises none.
+func (qp *QP) completeSend(wr *SendWR, st Status, k sim.Key) {
 	if wr.Unsignaled && st == StatusOK {
 		return
 	}
 	cqe := CQE{WRID: wr.ID, QPN: qp.QPN, Op: wr.Op, Status: st, Len: wr.Len, Imm: wr.Imm}
 	if wr.Op == OpRead && st == StatusOK {
-		// handleReadResp parked the gathered payload on the WR so the
-		// shared cqeDone FIFO can complete READs closure-free.
+		// handleReadResp parked the gathered payload on the WR.
 		cqe.Data = wr.Data
 	}
-	qp.SendCQ.push(cqe)
+	qp.SendCQ.push(k, cqe)
 }
 
-// pushSendCQE schedules a send completion after d, never before an earlier
-// completion on the same QP.
-func (qp *QP) pushSendCQE(d sim.Duration, fn func()) {
-	at := qp.nic.eng.Now().Add(d)
-	if at < qp.sendCQAt {
-		at = qp.sendCQAt
-	}
-	qp.sendCQAt = at
-	qp.nic.eng.At(at, fn)
+// sendCQEKey is the key a send completion becomes visible at: d from now,
+// never before an earlier completion on the same QP.
+func (qp *QP) sendCQEKey(d sim.Duration) sim.Key {
+	qp.sendCQAt = max(qp.nic.eng.Now().Add(d), qp.sendCQAt)
+	return qp.nic.eng.Reserve(qp.sendCQAt)
 }
 
-// pushRecvCQE schedules a receive completion after d with the same
+// pushRecvCQE raises a receive completion visible d from now, with the same
 // ordering guarantee.
-func (qp *QP) pushRecvCQE(d sim.Duration, fn func()) {
-	at := qp.nic.eng.Now().Add(d)
-	if at < qp.recvCQAt {
-		at = qp.recvCQAt
-	}
-	qp.recvCQAt = at
-	qp.nic.eng.At(at, fn)
+func (qp *QP) pushRecvCQE(d sim.Duration, cqe CQE) {
+	qp.recvCQAt = max(qp.nic.eng.Now().Add(d), qp.recvCQAt)
+	qp.RecvCQ.push(qp.nic.eng.Reserve(qp.recvCQAt), cqe)
 }

@@ -238,12 +238,10 @@ func (qp *QP) handleReadResp(h *hdr) {
 		}
 	}
 	// Park the payload — the destination range itself when it is registered
-	// memory — on the WR and complete through the shared cqeDone FIFO, the
-	// same closure-free completion path acked sends use.
+	// memory — on the WR, where completeSend finds it.
 	wr.Data = st.data
 	n.pool.putReadState(st)
-	qp.cqeDone.Push(wr)
-	qp.pushSendCQE(completionCost, qp.cqeDoneFn)
+	qp.completeSend(wr, StatusOK, qp.sendCQEKey(completionCost))
 }
 
 // handleData sequences SEND/WRITE packets: in-order acceptance, duplicate
@@ -402,9 +400,7 @@ func (n *NIC) deliver(qp *QP, a *assembly, h *hdr) {
 		// completion reports.
 		cqe.Addr = a.raddr
 	}
-	cost := completionCost + n.touchQP(qp)
-	qp.recvDone.Push(cqe)
-	qp.pushRecvCQE(cost, qp.recvDoneFn)
+	qp.pushRecvCQE(completionCost+n.touchQP(qp), cqe)
 }
 
 // --- ack generation -------------------------------------------------------
@@ -461,8 +457,7 @@ func (qp *QP) handleAck(ackPSN uint32) {
 		// backing array forward and force the next append to grow it.
 		copy(qp.unacked[i:], qp.unacked[i+1:])
 		qp.unacked = qp.unacked[:len(qp.unacked)-1]
-		qp.cqeDone.Push(wr)
-		qp.pushSendCQE(completionCost, qp.cqeDoneFn)
+		qp.completeSend(wr, StatusOK, qp.sendCQEKey(completionCost))
 	}
 	if progressed {
 		qp.retries = 0

@@ -112,8 +112,10 @@ func (ev Event) At() Time {
 type Engine struct {
 	now     Time
 	seq     uint64
-	near    ring  // due less than horizon after they were scheduled
-	far     heap4 // due later
+	cur     uint64 // seq of the event now firing; every seq once no event is
+	last    Time   // the latest instant a Reserve named
+	near    ring   // due less than horizon after they were scheduled
+	far     heap4  // due later
 	free    []*event
 	stopped bool
 	fired   uint64
@@ -135,8 +137,44 @@ const horizon = 5 * Microsecond
 // scans and armed timeouts), so a small world's heap does not grow mid-run;
 // the ring has its fixed size from the start.
 func NewEngine() *Engine {
-	return &Engine{far: make(heap4, 0, 64)}
+	return &Engine{far: make(heap4, 0, 64), cur: math.MaxUint64}
 }
+
+// Key is a place in the engine's (at, seq) order, the order events fire in.
+type Key struct {
+	At  Time
+	seq uint64
+}
+
+// Before reports whether k orders before o.
+func (k Key) Before(o Key) bool { return k.At < o.At || k.At == o.At && k.seq < o.seq }
+
+// Reserve returns the key an event scheduled at t now would get, without
+// scheduling one: the engine can then tell (Reached) whether that event
+// would have fired yet. A reserved instant is pending work like a
+// foreground event: Run does not return before it.
+func (e *Engine) Reserve(t Time) Key {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: reserving %v before now %v", t, e.now))
+	}
+	k := Key{t, e.seq}
+	e.seq++
+	e.last = max(e.last, t)
+	return k
+}
+
+// Current is the key of the event now firing, or that Step fired last: it
+// is Reached, and orders after every key Reached already and before every
+// key reserved from now on. Before the first event and once Run or
+// RunUntil returns it is now with the largest seq.
+func (e *Engine) Current() Key { return Key{e.now, e.cur} }
+
+// EndOf is the key that orders after every key at instant t.
+func EndOf(t Time) Key { return Key{t, math.MaxUint64} }
+
+// Reached reports whether an event with key k would have fired by now: k
+// orders at or before the event now firing.
+func (e *Engine) Reached(k Key) bool { return k.At < e.now || k.At == e.now && k.seq <= e.cur }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -286,7 +324,7 @@ func (e *Engine) fire(n *event) {
 	} else {
 		e.near.remove(n)
 	}
-	e.now = n.at
+	e.now, e.cur = n.at, n.seq
 	fn := n.fn
 	if !n.bg {
 		e.nonBg--
@@ -301,11 +339,17 @@ func (e *Engine) fire(n *event) {
 }
 
 // Run processes events until no foreground events remain or Stop is
-// called. Background maintenance timers left in the queue do not prolong
-// the run.
+// called, then runs until the latest reserved instant if that is later.
+// Background maintenance timers left in the queue do not prolong the run.
 func (e *Engine) Run() {
 	e.stopped = false
 	for !e.stopped && e.nonBg > 0 && e.Step() {
+	}
+	if e.stopped {
+		return
+	}
+	if e.cur = math.MaxUint64; e.last > e.now {
+		e.RunUntil(e.last)
 	}
 }
 
@@ -320,8 +364,8 @@ func (e *Engine) RunUntil(t Time) {
 		}
 		e.fire(n)
 	}
-	if !e.stopped && e.now < t {
-		e.now = t
+	if !e.stopped {
+		e.now, e.cur = max(e.now, t), math.MaxUint64
 	}
 }
 

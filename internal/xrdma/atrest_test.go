@@ -104,6 +104,9 @@ func (w *testWorld) checkAtRest(t testing.TB, listed ...int) {
 		if n := nic.Counters.LocalProtErrs; n != 0 {
 			t.Errorf("node %d: %d receives landed in unregistered memory", i, n)
 		}
+		if s, r := c.sendCQ.Overflows, c.recvCQ.Overflows; s+r != 0 {
+			t.Errorf("node %d: CQs overflowed (send %d, receive %d): a real one would have killed its QPs", i, s, r)
+		}
 
 		// Close gives every QP back, whose flushes queue at once, and drains
 		// the CQs once before the poller stops: a closed context keeps no

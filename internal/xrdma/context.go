@@ -57,14 +57,14 @@ type Context struct {
 	pollFn, wakeFn, dispatchFn func()
 
 	// Hybrid polling state (§IV-B).
-	pollEv      sim.Event
-	parked      bool // pollEv is the idleSpins-th idle spin; the ones before it are skipSpins' arithmetic
-	lastPoll    sim.Time
-	idlePolls   int
-	eventMode   bool
-	busyUntil   sim.Time
-	started     bool
-	wakePending bool
+	pollEv    sim.Event // in event mode, the pending epoll wake
+	parked    bool      // pollEv is the idleSpins-th idle spin or wakeAt's poll; the spins before are skipSpins' arithmetic
+	wakeAt    sim.Time  // when the completion that pulled pollEv forward wakes the thread, MaxTime if none did
+	lastPoll  sim.Time
+	idlePolls int
+	eventMode bool
+	busyUntil sim.Time
+	started   bool
 
 	flagLog []flagChange // online configuration changes (SetFlag)
 	rng     *sim.RNG
@@ -231,8 +231,8 @@ func NewContext(o Options) *Context {
 	if c.cfg.UseSRQ {
 		c.srq = rnic.NewSRQ(c.cfg.SRQSize) // a few words; sharedRQ fills it
 	}
-	c.sendCQ.OnCompletion(c.wake)
-	c.recvCQ.OnCompletion(c.wake)
+	c.sendCQ.OnCompletionAt(c.wake)
+	c.recvCQ.OnCompletionAt(c.wake)
 	// A restart re-registers the node: the collector keeps the agent (and
 	// its window history) and re-binds its probes against the fresh gauges.
 	var trefs []xrmon.TenantRef
@@ -353,17 +353,46 @@ func (c *Context) startPolling() {
 const idleSpins = 64 // consecutive empty polls before the poller sleeps in epoll
 
 // nextPoll ends a poll. A spin that cannot find anything is arithmetic, not an
-// engine event: a CQE reaches an empty CQ only through CQ.push → wake, so when
-// both CQs are empty and the thread is free by the next spin the poller parks —
-// its one event is the idleSpins-th consecutive idle spin, the one that enters
-// event mode, and the spins before it are accounted by skipSpins when that event
-// fires or when wake, InjectWork or Close unpark (unparkPoll).
+// engine event: when both CQs show nothing and the thread is free by the next
+// spin the poller parks — its one event is the idleSpins-th consecutive idle
+// spin, the one that enters event mode, and skipSpins accounts the ones before.
 func (c *Context) nextPoll() {
-	next := c.lastPoll.Add(pollEvery)
-	if c.parked = c.sendCQ.Len()+c.recvCQ.Len() == 0 && c.busyUntil <= next; c.parked {
-		next = c.lastPoll.Add(sim.Duration(idleSpins-c.idlePolls) * pollEvery)
+	at := c.lastPoll.Add(pollEvery)
+	if c.parked = c.sendCQ.Len()+c.recvCQ.Len() == 0 && c.busyUntil <= at; c.parked {
+		at = c.sleepAt()
 	}
-	c.pollEv = c.eng.At(next, c.pollFn)
+	c.schedulePoll(at, c.nextAt())
+}
+
+// schedulePoll makes the poller's one event the poll due at at, unless a
+// completion visible at w wakes the thread first (wakeAt): then it is
+// spinDetect after w or, parked, the next spin if that is sooner.
+func (c *Context) schedulePoll(at, w sim.Time) {
+	wakeAt := sim.MaxTime
+	if w < at.Add(-spinDetect) {
+		wakeAt, at = w, w.Add(spinDetect)
+		if c.parked {
+			at = min(at, c.lastPoll.Add((w.Sub(c.lastPoll)/pollEvery+1)*pollEvery))
+		}
+	}
+	if at != c.pollEv.At() {
+		c.wakeAt = wakeAt
+		c.eng.Cancel(c.pollEv)
+		c.pollEv = c.eng.At(at, c.pollFn)
+	}
+}
+
+// nextAt is when a CQ that shows nothing shows a completion, sleepAt when a
+// parked poller's last idle spin fires, and catchUp accounts a parked
+// poller's spins up to wakeAt once the thread has woken there.
+func (c *Context) nextAt() sim.Time { return min(c.sendCQ.NextAt(), c.recvCQ.NextAt()) }
+func (c *Context) sleepAt() sim.Time {
+	return c.lastPoll.Add(sim.Duration(idleSpins-c.idlePolls) * pollEvery)
+}
+func (c *Context) catchUp() {
+	if c.parked && c.wakeAt <= c.eng.Now() {
+		c.skipSpins(c.wakeAt)
+	}
 }
 
 // skipSpins accounts, in closed form, the idle spins a parked poller did not
@@ -379,56 +408,60 @@ func (c *Context) skipSpins(t sim.Time) {
 }
 
 // unparkPoll puts a parked poller's next real poll at the next spin instant, or
-// within from now if that is sooner. A parked event already that close is left
-// alone: it is the next spin.
+// within from now if that is sooner. A parked poller whose last idle spin is
+// already that close is left alone.
 func (c *Context) unparkPoll(within sim.Duration) {
 	at := c.eng.Now().Add(within)
-	if !c.parked || c.pollEv.At() <= at {
+	if c.catchUp(); !c.parked || c.sleepAt() <= at {
 		return
 	}
 	c.skipSpins(c.eng.Now())
-	c.eng.Cancel(c.pollEv)
-	c.pollEv = c.eng.At(min(at, c.lastPoll.Add(pollEvery)), c.pollFn)
+	c.schedulePoll(min(at, c.lastPoll.Add(pollEvery)), c.nextAt())
 }
 
-// spinDetect is how quickly a busy-polling thread notices a fresh CQE.
-const spinDetect = 100 * sim.Nanosecond
+// spinDetect is how quickly a busy-polling thread notices a fresh CQE, and
+// epollWake how quickly a thread asleep in epoll wakes for one.
+const (
+	spinDetect = 100 * sim.Nanosecond
+	epollWake  = 2 * sim.Microsecond
+)
 
-// wake is the comp-channel callback. In event mode it models the epoll
-// wake latency; in polling mode the spinning thread notices new
-// completions after only a spin-detect delay, so the pending poll tick is
-// pulled forward.
-func (c *Context) wake() {
-	if c.eventMode {
-		if c.wakePending {
+// wake is the CQs' completion hook: a CQ that showed nothing shows a
+// completion at at (now, for a flush). It does at once what the thread does
+// when it notices the completion then: the epoll wake latency in event mode
+// (one wake per sleep, the earliest), else pull the poll forward. During a
+// poll it does nothing: nextPoll reads the CQs when the poll ends.
+func (c *Context) wake(at sim.Time) {
+	switch c.catchUp(); {
+	case c.eventMode:
+		if !c.pollEv.Pending() {
+			c.Stats.EventWakes++
+		} else if c.pollEv.At() <= at.Add(epollWake) {
 			return
 		}
-		c.wakePending = true
-		c.Stats.EventWakes++
-		c.eng.After(2*sim.Microsecond, c.wakeFn)
-		return
+		c.eng.Cancel(c.pollEv)
+		c.pollEv = c.eng.At(at.Add(epollWake), c.wakeFn)
+	case c.parked && c.pollEv.Pending():
+		c.schedulePoll(c.sleepAt(), min(at, c.nextAt()))
+		c.catchUp() // a flush wakes the thread now
+	case c.pollEv.Pending():
+		c.schedulePoll(c.pollEv.At(), at)
+	case !c.started: // a closed poller's wake still ticks once
+		c.schedulePoll(sim.MaxTime, at)
 	}
-	c.unparkPoll(spinDetect)
-	soon := c.eng.Now().Add(spinDetect)
-	if c.pollEv.Pending() && c.pollEv.At() <= soon {
-		return
-	}
-	c.eng.Cancel(c.pollEv)
-	c.pollEv = c.eng.After(spinDetect, c.pollFn)
 }
 
 // woke ends event mode once the epoll wake latency has passed. The slow-poll
 // clock restarts: the thread slept in epoll, the application did not hog it.
 func (c *Context) woke() {
-	c.wakePending = false
 	c.eventMode = false
 	c.idlePolls = 0
 	c.lastPoll = c.eng.Now()
-	c.pollEv = c.eng.After(0, c.pollFn)
+	c.schedulePoll(c.lastPoll, sim.MaxTime)
 }
 
 func (c *Context) pollTick() {
-	if !c.started {
+	if c.catchUp(); !c.started {
 		return
 	}
 	if c.parked {
@@ -438,14 +471,16 @@ func (c *Context) pollTick() {
 	// cannot run before it finishes (this is how slow-poll incidents
 	// happen, §VI-A method II).
 	if c.busyUntil > c.eng.Now() {
-		c.pollEv = c.eng.At(c.busyUntil, c.pollFn)
+		c.schedulePoll(c.busyUntil, c.nextAt())
 		return
 	}
 	if c.pollOnce() == 0 {
 		c.idlePolls++
 		if c.idlePolls >= idleSpins {
 			// Hybrid polling: long idle → event mode (epoll).
-			c.eventMode = true
+			if c.eventMode = true; c.nextAt() < sim.MaxTime {
+				c.wake(c.nextAt())
+			}
 			return
 		}
 	} else {
@@ -466,8 +501,16 @@ func (c *Context) pollOnce() int {
 	c.lastPoll = now
 	c.Stats.Polls++
 
-	c.scqeBuf = c.sendCQ.PollAppend(c.scqeBuf[:0], 128)
-	c.rcqeBuf = c.recvCQ.PollAppend(c.rcqeBuf[:0], 128)
+	// A poll a completion pulled forward orders as if scheduled at that
+	// completion's instant, the moment the thread noticed it: every
+	// completion visible at the poll's own instant was pushed before then
+	// (none costs less than spinDetect), so the poll sees them all.
+	k := c.eng.Current()
+	if c.wakeAt < sim.MaxTime {
+		k = sim.EndOf(now)
+	}
+	c.scqeBuf = c.sendCQ.PollAppendAt(c.scqeBuf[:0], 128, k)
+	c.rcqeBuf = c.recvCQ.PollAppendAt(c.rcqeBuf[:0], 128, k)
 	scqes, rcqes := c.scqeBuf, c.rcqeBuf
 	n := len(scqes) + len(rcqes)
 	if n == 0 {
