@@ -112,7 +112,7 @@ func (ev Event) At() Time {
 type Engine struct {
 	now     Time
 	seq     uint64
-	cur     uint64 // seq of the event now firing; every seq once no event is
+	cur     uint64 // seq of the event firing (or Step fired last); MaxUint64 between runs
 	last    Time   // the latest instant a Reserve named
 	near    ring   // due less than horizon after they were scheduled
 	far     heap4  // due later

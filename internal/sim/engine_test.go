@@ -341,3 +341,26 @@ func TestDurationHelpers(t *testing.T) {
 		t.Fatal("Sub wrong")
 	}
 }
+
+// TestReserve: a reserved key orders against events exactly as an event
+// scheduled at the same moment would, and Run does not stop short of it.
+func TestReserve(t *testing.T) {
+	e := NewEngine()
+	var k Key
+	var before, after, within bool
+	e.At(0, func() {
+		e.At(10, func() { before = e.Reached(k) })
+		k = e.Reserve(10)
+		within = e.Reached(k) || !e.Reached(e.Current())
+		e.At(10, func() { after = e.Reached(k) })
+	})
+	e.Run()
+	if before || !after || within {
+		t.Errorf("reached by an event scheduled before the reserve %v, after it %v; in the reserving event %v", before, after, within)
+	}
+	e.At(e.Now().Add(5), func() { k = e.Reserve(e.Now().Add(100)) })
+	e.Run()
+	if e.Now() != k.At || !e.Reached(k) || !e.Reached(EndOf(e.Now())) {
+		t.Errorf("Run ended at %v with the key at %v reached %v, want it run to the reserved instant", e.Now(), k.At, e.Reached(k))
+	}
+}

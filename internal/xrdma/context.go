@@ -383,23 +383,21 @@ func (c *Context) schedulePoll(at, w sim.Time) {
 }
 
 // nextAt is when a CQ that shows nothing shows a completion, sleepAt when a
-// parked poller's last idle spin fires, and catchUp accounts a parked
-// poller's spins up to wakeAt once the thread has woken there.
+// parked poller's last idle spin fires.
 func (c *Context) nextAt() sim.Time { return min(c.sendCQ.NextAt(), c.recvCQ.NextAt()) }
 func (c *Context) sleepAt() sim.Time {
 	return c.lastPoll.Add(sim.Duration(idleSpins-c.idlePolls) * pollEvery)
 }
-func (c *Context) catchUp() {
-	if c.parked && c.wakeAt <= c.eng.Now() {
-		c.skipSpins(c.wakeAt)
-	}
-}
 
 // skipSpins accounts, in closed form, the idle spins a parked poller did not
-// fire up to and including instant t; the spin phase is kept. One rule for the
-// case arithmetic cannot decide: a skipped spin that coincides to the
-// nanosecond with whatever unparks counts as having fired first.
+// fire up to and including instant t (by default wakeAt, once the thread has
+// woken there); the spin phase is kept. One rule for the case arithmetic
+// cannot decide: a skipped spin that coincides to the nanosecond with whatever
+// unparks counts as having fired first.
 func (c *Context) skipSpins(t sim.Time) {
+	if t = min(t, c.wakeAt); !c.parked || t > c.eng.Now() {
+		return
+	}
 	k := t.Sub(c.lastPoll) / pollEvery
 	c.Stats.Polls += int64(k)
 	c.idlePolls += int(k)
@@ -412,11 +410,10 @@ func (c *Context) skipSpins(t sim.Time) {
 // already that close is left alone.
 func (c *Context) unparkPoll(within sim.Duration) {
 	at := c.eng.Now().Add(within)
-	if c.catchUp(); !c.parked || c.sleepAt() <= at {
-		return
+	if c.skipSpins(sim.MaxTime); c.parked && c.sleepAt() > at {
+		c.skipSpins(c.eng.Now())
+		c.schedulePoll(min(at, c.lastPoll.Add(pollEvery)), c.nextAt())
 	}
-	c.skipSpins(c.eng.Now())
-	c.schedulePoll(min(at, c.lastPoll.Add(pollEvery)), c.nextAt())
 }
 
 // spinDetect is how quickly a busy-polling thread notices a fresh CQE, and
@@ -432,7 +429,7 @@ const (
 // (one wake per sleep, the earliest), else pull the poll forward. During a
 // poll it does nothing: nextPoll reads the CQs when the poll ends.
 func (c *Context) wake(at sim.Time) {
-	switch c.catchUp(); {
+	switch c.skipSpins(sim.MaxTime); {
 	case c.eventMode:
 		if !c.pollEv.Pending() {
 			c.Stats.EventWakes++
@@ -443,7 +440,7 @@ func (c *Context) wake(at sim.Time) {
 		c.pollEv = c.eng.At(at.Add(epollWake), c.wakeFn)
 	case c.parked && c.pollEv.Pending():
 		c.schedulePoll(c.sleepAt(), min(at, c.nextAt()))
-		c.catchUp() // a flush wakes the thread now
+		c.skipSpins(sim.MaxTime) // a flush wakes the thread now
 	case c.pollEv.Pending():
 		c.schedulePoll(c.pollEv.At(), at)
 	case !c.started: // a closed poller's wake still ticks once
@@ -461,12 +458,10 @@ func (c *Context) woke() {
 }
 
 func (c *Context) pollTick() {
-	if c.catchUp(); !c.started {
+	if c.skipSpins(sim.MaxTime); !c.started {
 		return
 	}
-	if c.parked {
-		c.skipSpins(c.eng.Now().Add(-pollEvery)) // this spin is real
-	}
+	c.skipSpins(c.eng.Now().Add(-pollEvery)) // parked: this spin is real
 	// Application work can hog the run-to-complete thread; the poller
 	// cannot run before it finishes (this is how slow-poll incidents
 	// happen, §VI-A method II).
