@@ -100,8 +100,8 @@ func (cq *CQ) OnCompletionAt(fn func(at sim.Time)) { cq.notify = fn }
 
 // OnCompletion installs the comp-channel wakeup: fn runs at the instant a
 // completion makes an empty queue non-empty. It costs one engine event per
-// pending completion, at the completion's own key, so consumers that poll
-// from it see what they saw when every completion was an event of its own.
+// pending completion, scheduled right after the completion's key, so fn
+// runs where an event at that key would, also against same-instant events.
 func (cq *CQ) OnCompletion(fn func()) { cq.visible, cq.visibleFn = fn, cq.becameVisible }
 
 func (cq *CQ) slot(i int) *cqSlot { return &cq.buf[(cq.head+i)&(len(cq.buf)-1)] }
