@@ -39,7 +39,7 @@ func BenchmarkUntracedSendPath(b *testing.B) {
 // BenchmarkPostedRecvPath is the two-sided counterpart: a size-only 64 B
 // SEND into a posted receive, so the responder's WQE claim, assembly and
 // receive CQE run as well. Gated in CI at exactly 0 allocs/op — the
-// receive completion rides the per-QP recvDone FIFO, not a closure.
+// receive completion goes into the CQ with its visible instant, no closure.
 func BenchmarkPostedRecvPath(b *testing.B) {
 	r := newRig(b, DefaultConfig())
 	var wr SendWR
