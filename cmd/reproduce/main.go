@@ -71,13 +71,11 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -93,15 +91,13 @@ func main() {
 		}
 		if *tracePath != "" {
 			if err := writeTrace(col, *tracePath); err != nil {
-				fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-				os.Exit(1)
+				fail(err)
 			}
 		}
 		if *blamePath != "" {
 			n, err := writeWorlds(col, *blamePath, "blame", blameReport)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-				os.Exit(1)
+				fail(err)
 			}
 			if n == 0 {
 				fmt.Fprintf(os.Stderr, "reproduce: no world produced blame records — run with -only blame\n")
@@ -112,8 +108,7 @@ func main() {
 		if *monPath != "" {
 			n, err := writeWorlds(col, *monPath, "report", monReport)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-				os.Exit(1)
+				fail(err)
 			}
 			fmt.Fprintf(os.Stderr, "reproduce: wrote %d fleet-diagnosis report(s) to %s\n", n, *monPath)
 		}
@@ -122,14 +117,12 @@ func main() {
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 }
@@ -138,12 +131,7 @@ func main() {
 // each experiment's tables in selection order. A world that weighs the
 // process heap runs alone, once the pool has drained.
 func run(selected []bench.Experiment, sc bench.Scale, jobs int) {
-	if jobs < 1 {
-		jobs = 1
-	}
-	if jobs > len(selected) {
-		jobs = len(selected)
-	}
+	jobs = min(max(jobs, 1), len(selected))
 	results := make([]bench.Result, len(selected))
 	next := make(chan int, len(selected))
 	for i, e := range selected {
@@ -175,6 +163,12 @@ func run(selected []bench.Experiment, sc bench.Scale, jobs int) {
 			fmt.Println(t.String())
 		}
 	}
+}
+
+// fail reports err and exits 1.
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+	os.Exit(1)
 }
 
 // printMetrics renders every observed world's metric registry as an

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"xrdma/internal/cluster"
 	"xrdma/internal/fabric"
@@ -17,14 +18,16 @@ import (
 func main() {
 	nodes := flag.Int("nodes", 3, "cluster size")
 	flag.Parse()
+	if *nodes < 1 {
+		fmt.Fprintf(os.Stderr, "xr-adm: -nodes %d names no node (want at least 1)\n", *nodes)
+		os.Exit(2)
+	}
 
 	c := cluster.New(cluster.Options{Topology: fabric.ClusterClos(*nodes), Nodes: *nodes})
 	c.ListenAll(7000, func(n *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(nil, 32) })
 	})
-	var chans []*xrdma.Channel
-	c.ConnectPairs(cluster.FullMeshPairs(*nodes), 7000, func(chs []*xrdma.Channel) { chans = chs })
-	c.Eng.Run()
+	chans := c.Establish(cluster.FullMeshPairs(*nodes), 7000)
 
 	fmt.Println("online parameters:", xrdma.OnlineFlagNames())
 

@@ -29,6 +29,10 @@ func main() {
 	seed := flag.Uint64("seed", 1, "seed")
 	prom := flag.Bool("prom", false, "print the metric registry in Prometheus exposition format")
 	flag.Parse()
+	if *senders < 1 {
+		fmt.Fprintf(os.Stderr, "xr-perf: -senders %d names no client (want at least 1)\n", *senders)
+		os.Exit(2)
+	}
 
 	horizon := sim.Second
 	if *dur > 0 {
@@ -43,8 +47,7 @@ func main() {
 		Topology: fabric.ClusterClos(*senders + 1), Nodes: *senders + 1, Seed: *seed,
 	})
 	server := 0
-	var served int64
-	var bytes int64
+	var served, bytes int64
 	c.Nodes[server].Ctx.OnChannel(func(ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) {
 			served++
@@ -55,9 +58,7 @@ func main() {
 	if err := c.Nodes[server].Ctx.Listen(7000); err != nil {
 		panic(err)
 	}
-	var chans []*xrdma.Channel
-	c.ConnectPairs(cluster.FanInPairs(*senders+1, server), 7000, func(chs []*xrdma.Channel) { chans = chs })
-	c.Eng.Run()
+	chans := c.Establish(cluster.FanInPairs(*senders+1, server), 7000)
 	fmt.Printf("xr-perf: %d channels up at %v\n", len(chans), c.Eng.Now())
 
 	sizes := workload.MiceElephants(*mice, *elephant, *elephantFrac)
@@ -96,13 +97,12 @@ func main() {
 		served, float64(served)/el, float64(bytes)*8/el/1e9)
 	fmt.Printf("latency µs: mean=%.1f p50=%.1f p95=%.1f p99=%.1f max=%.1f\n",
 		lat.Mean(), lat.Percentile(50), lat.Percentile(95), lat.Percentile(99), lat.Max())
-	var cnp, pause int64
+	var cnp int64
 	for _, n := range c.Nodes {
 		cnp += n.NIC.Counters.CNPRecv
 	}
-	pause = c.Fab.Stats.PauseTX
 	fmt.Printf("congestion: ECN=%d CNP=%d PFC-pause=%d drops=%d\n",
-		c.Fab.Stats.ECNMarks, cnp, pause, c.Fab.Stats.Drops)
+		c.Fab.Stats.ECNMarks, cnp, c.Fab.Stats.PauseTX, c.Fab.Stats.Drops)
 	fmt.Println()
 	fmt.Print(xrdma.XRStat(c.Nodes[server].Ctx))
 	if *prom {

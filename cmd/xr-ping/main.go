@@ -13,7 +13,6 @@ import (
 	"xrdma/internal/cluster"
 	"xrdma/internal/fabric"
 	"xrdma/internal/sim"
-	"xrdma/internal/xrdma"
 )
 
 func main() {
@@ -30,10 +29,7 @@ func main() {
 		Topology: fabric.ClusterClos(*nodes), Nodes: *nodes, Seed: *seed,
 	})
 	c.ListenAll(7000, nil)
-	var chans []*xrdma.Channel
-	c.ConnectPairs(cluster.FullMeshPairs(*nodes), 7000, func(chs []*xrdma.Channel) { chans = chs })
-	c.Eng.Run()
-	fmt.Printf("mesh: %d channels across %d nodes\n", len(chans), *nodes)
+	fmt.Printf("mesh: %d channels across %d nodes\n", len(c.Establish(cluster.FullMeshPairs(*nodes), 7000)), *nodes)
 
 	if *slow >= 0 {
 		if err := c.Nodes[*slow].Ctx.SetFlag("filter_delay_us", "200"); err != nil {
@@ -49,8 +45,12 @@ func main() {
 	fmt.Print(renderMatrix(mx, c.Nodes))
 }
 
-// checkSlow rejects a -slow that names no node of an n-node mesh; -1 is none.
+// checkSlow rejects a -nodes below 1 and a -slow that names no node of an
+// n-node mesh; -1 is none.
 func checkSlow(slow, n int) error {
+	if n < 1 {
+		return fmt.Errorf("-nodes %d names no node (want at least 1)", n)
+	}
 	if slow < -1 || slow >= n {
 		return fmt.Errorf("-slow %d names no node of the %d-node mesh (-1 for none)", slow, n)
 	}

@@ -7,7 +7,6 @@ import (
 	"xrdma/internal/cluster"
 	"xrdma/internal/fabric"
 	"xrdma/internal/sim"
-	"xrdma/internal/xrdma"
 )
 
 // mesh builds an n-node cluster with every pair connected.
@@ -15,10 +14,7 @@ func mesh(t *testing.T, n int) *cluster.Cluster {
 	t.Helper()
 	c := cluster.New(cluster.Options{Topology: fabric.SmallClos(), Nodes: n})
 	c.ListenAll(7000, nil)
-	var chans []*xrdma.Channel
-	c.ConnectPairs(cluster.FullMeshPairs(n), 7000, func(chs []*xrdma.Channel) { chans = chs })
-	c.Eng.Run()
-	if len(chans) != n*(n-1)/2 {
+	if chans := c.Establish(cluster.FullMeshPairs(n), 7000); len(chans) != n*(n-1)/2 {
 		t.Fatalf("mesh has %d channels", len(chans))
 	}
 	return c
@@ -70,15 +66,17 @@ func TestPingMatrixDeterministic(t *testing.T) {
 	}
 }
 
-// TestSlowNamesANode: -slow must name a node of the mesh or be -1 (none);
-// anything else is refused instead of printing a clean matrix.
+// TestSlowNamesANode: -nodes must be at least 1, and -slow must name a node
+// of the mesh or be -1 (none); anything else is refused instead of printing
+// a clean matrix.
 func TestSlowNamesANode(t *testing.T) {
 	for _, tc := range []struct {
-		slow int
-		ok   bool
-	}{{-1, true}, {0, true}, {5, true}, {6, false}, {-2, false}} {
-		if err := checkSlow(tc.slow, 6); (err == nil) != tc.ok {
-			t.Errorf("checkSlow(%d, 6) = %v, want ok=%v", tc.slow, err, tc.ok)
+		slow, n int
+		ok      bool
+	}{{-1, 6, true}, {0, 6, true}, {5, 6, true}, {6, 6, false}, {-2, 6, false},
+		{-1, 1, true}, {0, 1, true}, {-1, 0, false}, {-1, -3, false}} {
+		if err := checkSlow(tc.slow, tc.n); (err == nil) != tc.ok {
+			t.Errorf("checkSlow(%d, %d) = %v, want ok=%v", tc.slow, tc.n, err, tc.ok)
 		}
 	}
 }

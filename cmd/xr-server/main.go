@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"xrdma/internal/cluster"
 	"xrdma/internal/fabric"
@@ -21,6 +22,10 @@ func main() {
 	rounds := flag.Int("rounds", 4, "arrive/work/leave rounds")
 	seed := flag.Uint64("seed", 1, "seed")
 	flag.Parse()
+	if *clients < 1 {
+		fmt.Fprintf(os.Stderr, "xr-server: -clients %d names no client (want at least 1)\n", *clients)
+		os.Exit(2)
+	}
 
 	c := cluster.New(cluster.Options{
 		Topology: fabric.ClusterClos(*clients + 1), Nodes: *clients + 1, Seed: *seed,
@@ -35,9 +40,7 @@ func main() {
 
 	rng := sim.NewRNG(*seed)
 	for round := 0; round < *rounds; round++ {
-		var chans []*xrdma.Channel
-		c.ConnectPairs(cluster.FanInPairs(*clients+1, 0), 7000, func(chs []*xrdma.Channel) { chans = chs })
-		c.Eng.Run()
+		chans := c.Establish(cluster.FanInPairs(*clients+1, 0), 7000)
 		var gens []*workload.OpenLoop
 		for i, ch := range chans {
 			g := workload.NewOpenLoop(ch, 200*sim.Microsecond,

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"xrdma/internal/chaos"
@@ -69,56 +68,38 @@ func runBlameIncast(sc Scale) *blameArm {
 	a := &blameArm{Name: "incast", Cause: "ToR egress incast queueing", Want: telemetry.StageFabricQueue}
 	nic := rnic.DefaultConfig()
 	nic.DCQCN = false
-	c := cluster.New(cluster.Options{
+	c := sc.cluster("blame/incast", cluster.Options{
 		Topology: fabric.SmallClos(),
 		NICCfg:   nic,
 		Nodes:    8,
 		Config:   func(_ int, cfg *xrdma.Config) { blameKnobs(cfg) },
-		Seed:     sc.Seed,
 	})
-	sc.observe(c.Eng, "blame/incast")
-	eng := c.Eng
-
 	c.ListenAll(7500, func(_ *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(nil, 64) })
 	})
-	var chans []*xrdma.Channel
-	c.ConnectPairs(cluster.FanInPairs(8, 4), 7500, func(cs []*xrdma.Channel) { chans = cs })
-	eng.Run()
-	if chans == nil {
-		panic("blame/incast: channels never established")
-	}
+	chans := c.Establish(cluster.FanInPairs(8, 4), 7500)
+	a.Resps = blameBursts(c, chans, 8, 2048, 100*sim.Microsecond, 5*sim.Millisecond, 8*sim.Millisecond)
+	return blameFinish(a, c)
+}
 
-	const (
-		burst   = 8
-		payload = 2048
-		tick    = 100 * sim.Microsecond
-		stopAt  = 5 * sim.Millisecond
-		horizon = 8 * sim.Millisecond
-	)
-	start := eng.Now()
+// blameBursts sends burst size-byte requests on every channel each tick
+// until stopAt, runs the world to horizon and returns the responses.
+func blameBursts(c *cluster.Cluster, chans []*xrdma.Channel, burst, size int, tick, stopAt, horizon sim.Duration) int {
+	start := c.Eng.Now()
 	resps := 0
-	var fire func()
-	fire = func() {
-		if eng.Now().Sub(start) >= stopAt {
-			return
-		}
+	every(c.Eng, tick, stopAt, func() {
 		for _, ch := range chans {
 			for i := 0; i < burst; i++ {
-				buf := make([]byte, payload)
-				ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
+				ch.SendMsg(make([]byte, size), 0, func(m *xrdma.Msg, err error) {
 					if err == nil {
 						resps++
 					}
 				})
 			}
 		}
-		eng.AfterBg(tick, fire)
-	}
-	eng.AfterBg(tick, fire)
-	eng.RunUntil(start.Add(horizon))
-	a.Resps = resps
-	return blameFinish(a, c)
+	})
+	c.Eng.RunUntil(start.Add(horizon))
+	return resps
 }
 
 // runBlameBrownout: the E20 gray failure under the blame plane — the
@@ -127,32 +108,15 @@ func runBlameIncast(sc Scale) *blameArm {
 // retransmit timeout, so recover.rto must dominate the traced tail.
 func runBlameBrownout(sc Scale) *blameArm {
 	a := &blameArm{Name: "brownout", Cause: "spine brownout (loss + corruption)", Want: telemetry.StageRTORecovery}
-	c := cluster.New(cluster.Options{
+	c := sc.cluster("blame/brownout", cluster.Options{
 		Topology: fabric.SmallClos(),
 		NICCfg:   grayNIC(), // RetransTimeout 1 ms, RetryLimit 12
 		Nodes:    8,
 		Config:   func(_ int, cfg *xrdma.Config) { blameKnobs(cfg) },
-		Seed:     sc.Seed,
 	})
-	sc.observe(c.Eng, "blame/brownout")
-	eng := c.Eng
-
-	c.ListenAll(7501, func(_ *cluster.Node, ch *xrdma.Channel) {
-		ch.OnMessage(func(m *xrdma.Msg) {
-			m.Reply(m.Data[:8], 0)
-		})
-	})
-	var ch *xrdma.Channel
-	c.Connect(0, 4, 7501, func(cch *xrdma.Channel, err error) {
-		if err != nil {
-			panic(err)
-		}
-		ch = cch
-	})
-	eng.Run()
-	if ch == nil {
-		panic("blame/brownout: channel never established")
-	}
+	l := newLedger()
+	l.serve(c, 7501)
+	ch := c.Establish([][2]int{{0, 4}}, 7501)[0]
 
 	const (
 		tick    = 500 * sim.Microsecond
@@ -160,34 +124,15 @@ func runBlameBrownout(sc Scale) *blameArm {
 		stopAt  = 120 * sim.Millisecond
 		horizon = 160 * sim.Millisecond
 	)
-	start := eng.Now()
-	resps := 0
+	start := c.Eng.Now()
 	var id uint64
-	var tickFn func()
-	tickFn = func() {
-		if eng.Now().Sub(start) >= stopAt {
-			return
-		}
-		buf := make([]byte, 16)
-		binary.LittleEndian.PutUint64(buf, id)
+	every(c.Eng, tick, stopAt, func() {
+		l.request(ch, id, 16, nil)
 		id++
-		ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
-			if err == nil {
-				resps++
-			}
-		})
-		eng.AfterBg(tick, tickFn)
-	}
-	eng.AfterBg(tick, tickFn)
-
-	inj := chaos.New(c)
-	inj.Schedule([]chaos.Step{{At: faultAt, Name: "blame brownout", Do: func(i *chaos.Injector) {
-		idx := fabric.ECMPIndex(ch.FlowHash(), 2)
-		i.Brownout("pod0-tor0", fmt.Sprintf("pod0-leaf%d", idx), 0.12, 0.05, 20*sim.Microsecond)
-	}}})
-
-	eng.RunUntil(start.Add(horizon))
-	a.Resps = resps
+	})
+	chaos.New(c).Schedule([]chaos.Step{{At: faultAt, Name: "blame brownout", Do: flowBrownout(ch)}})
+	c.Eng.RunUntil(start.Add(horizon))
+	a.Resps = l.settle().Resps
 	return blameFinish(a, c)
 }
 
@@ -199,7 +144,7 @@ func runBlameSlowRecv(sc Scale) *blameArm {
 	a := &blameArm{Name: "slowrecv", Cause: "slow receiver (SRQ exhaustion → RNR)", Want: telemetry.StageRNRRecovery}
 	nic := rnic.DefaultConfig()
 	nic.RNRTimer = 300 * sim.Microsecond
-	c := cluster.New(cluster.Options{
+	c := sc.cluster("blame/slowrecv", cluster.Options{
 		Topology: fabric.SmallClos(),
 		NICCfg:   nic,
 		Nodes:    8,
@@ -210,49 +155,12 @@ func runBlameSlowRecv(sc Scale) *blameArm {
 				cfg.SRQSize = 4
 			}
 		},
-		Seed: sc.Seed,
 	})
-	sc.observe(c.Eng, "blame/slowrecv")
-	eng := c.Eng
-
 	c.ListenAll(7502, func(_ *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(nil, 64) })
 	})
-	var chans []*xrdma.Channel
-	c.ConnectPairs([][2]int{{0, 4}, {1, 4}}, 7502, func(cs []*xrdma.Channel) { chans = cs })
-	eng.Run()
-	if chans == nil {
-		panic("blame/slowrecv: channels never established")
-	}
-
-	const (
-		burst   = 16
-		tick    = 300 * sim.Microsecond
-		stopAt  = 10 * sim.Millisecond
-		horizon = 20 * sim.Millisecond
-	)
-	start := eng.Now()
-	resps := 0
-	var fire func()
-	fire = func() {
-		if eng.Now().Sub(start) >= stopAt {
-			return
-		}
-		for _, ch := range chans {
-			for i := 0; i < burst; i++ {
-				buf := make([]byte, 256)
-				ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
-					if err == nil {
-						resps++
-					}
-				})
-			}
-		}
-		eng.AfterBg(tick, fire)
-	}
-	eng.AfterBg(tick, fire)
-	eng.RunUntil(start.Add(horizon))
-	a.Resps = resps
+	chans := c.Establish([][2]int{{0, 4}, {1, 4}}, 7502)
+	a.Resps = blameBursts(c, chans, 16, 256, 300*sim.Microsecond, 10*sim.Millisecond, 20*sim.Millisecond)
 	return blameFinish(a, c)
 }
 

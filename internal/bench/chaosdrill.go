@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"xrdma/internal/chaos"
@@ -66,37 +65,18 @@ func chaosNIC() rnic.Config {
 // every byte crosses the leaf tier the faults target.
 func runChaosClass(sc Scale, name string, want xrdma.HealthState, steps []chaos.Step) *chaosClass {
 	cl := &chaosClass{Name: name, Want: want}
-	c := cluster.New(cluster.Options{
+	c := sc.cluster("robust/"+name, cluster.Options{
 		Topology:    fabric.SmallClos(),
 		NICCfg:      chaosNIC(),
 		Nodes:       8,
 		Config:      chaosKnobs,
 		MockPort:    9300,
 		RecoverPort: 9400,
-		Seed:        sc.Seed,
 	})
-	sc.observe(c.Eng, "robust/"+name)
 	eng := c.Eng
-
 	l := newLedger()
-	c.ListenAll(7300, func(_ *cluster.Node, ch *xrdma.Channel) {
-		ch.OnMessage(func(m *xrdma.Msg) {
-			l.deliver(binary.LittleEndian.Uint64(m.Data))
-			m.Reply(m.Data[:8], 0)
-		})
-	})
-
-	var ch *xrdma.Channel
-	c.Connect(0, 4, 7300, func(cch *xrdma.Channel, err error) {
-		if err != nil {
-			panic(err)
-		}
-		ch = cch
-	})
-	eng.Run()
-	if ch == nil {
-		panic("chaos drill: channel never established")
-	}
+	l.serve(c, 7300)
+	ch := c.Establish([][2]int{{0, 4}}, 7300)[0]
 
 	var transAt []sim.Time
 	ch.OnHealthChange(func(h xrdma.HealthState) {
@@ -116,23 +96,10 @@ func runChaosClass(sc Scale, name string, want xrdma.HealthState, steps []chaos.
 	)
 	start := eng.Now()
 	var nextID uint64
-	var tick func()
-	tick = func() {
-		if eng.Now().Sub(start) >= sendStop {
-			return
-		}
-		id := nextID
+	every(eng, tickEvery, sendStop, func() {
+		l.request(ch, nextID, 16, nil)
 		nextID++
-		buf := make([]byte, 16)
-		binary.LittleEndian.PutUint64(buf, id)
-		l.send(id, ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
-			if err == nil {
-				l.respond(binary.LittleEndian.Uint64(m.Data))
-			}
-		}))
-		eng.AfterBg(tickEvery, tick)
-	}
-	eng.AfterBg(tickEvery, tick)
+	})
 
 	inj := chaos.New(c)
 	inj.Schedule(steps)

@@ -52,14 +52,7 @@ func TestCorruptionAccounting(t *testing.T) {
 		})
 	})
 
-	var ch *xrdma.Channel
-	c.Connect(0, 4, 7500, func(cch *xrdma.Channel, err error) {
-		if err != nil {
-			panic(err)
-		}
-		ch = cch
-	})
-	eng.Run()
+	ch := c.Establish([][2]int{{0, 4}}, 7500)[0]
 
 	// Corrupt (never lose) frames on the exact spine path the channel
 	// rides, in both directions of the link.
@@ -137,10 +130,9 @@ func TestCorruptionBlameIsolation(t *testing.T) {
 		}
 		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(m.Retain(), m.Len) })
 	})
-	var cross, local *xrdma.Channel
-	c.ConnectPairs([][2]int{{0, 4}, {0, 1}}, 7600, func(chs []*xrdma.Channel) { cross, local = chs[0], chs[1] })
-	eng.Run()
-	if cross == nil || local == nil || srvCross == nil {
+	chs := c.Establish([][2]int{{0, 4}, {0, 1}}, 7600)
+	cross, local := chs[0], chs[1]
+	if srvCross == nil {
 		t.Fatal("channel establishment failed")
 	}
 
@@ -157,18 +149,12 @@ func TestCorruptionBlameIsolation(t *testing.T) {
 	}
 
 	start := eng.Now()
-	var tick func()
-	tick = func() {
-		if eng.Now().Sub(start) >= 300*sim.Millisecond {
-			return
-		}
+	every(eng, 500*sim.Microsecond, 300*sim.Millisecond, func() {
 		for _, ch := range []*xrdma.Channel{cross, local} {
 			buf := make([]byte, 16)
 			ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {})
 		}
-		eng.AfterBg(500*sim.Microsecond, tick)
-	}
-	eng.AfterBg(500*sim.Microsecond, tick)
+	})
 	eng.RunUntil(start.Add(400 * sim.Millisecond))
 
 	if cross.Rehashes()+srvCross.Rehashes() == 0 {

@@ -18,8 +18,8 @@ type pingFixture struct {
 }
 
 func newPingFixture(sc Scale, label string, mutate func(*xrdma.Config)) *pingFixture {
-	c := cluster.New(cluster.Options{
-		Topology: fabric.SmallClos(), Nodes: 6, Seed: sc.Seed,
+	c := sc.cluster(label, cluster.Options{
+		Topology: fabric.SmallClos(), Nodes: 6,
 		Config: func(node int, cfg *xrdma.Config) {
 			cfg.KeepaliveInterval = 0 // quiesce probes during measurement
 			if mutate != nil {
@@ -27,19 +27,10 @@ func newPingFixture(sc Scale, label string, mutate func(*xrdma.Config)) *pingFix
 			}
 		},
 	})
-	sc.observe(c.Eng, label)
 	c.ListenAll(7000, func(n *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(nil, m.Len) })
 	})
-	var cli *xrdma.Channel
-	c.Connect(0, 5, 7000, func(ch *xrdma.Channel, err error) {
-		if err != nil {
-			panic(err)
-		}
-		cli = ch
-	})
-	c.Eng.Run()
-	return &pingFixture{c: c, cli: cli}
+	return &pingFixture{c: c, cli: c.Establish([][2]int{{0, 5}}, 7000)[0]}
 }
 
 // rtt measures the mean echo round trip for a payload size.

@@ -102,13 +102,7 @@ const (
 func Fleet(sc Scale) *FleetResult {
 	r := &FleetResult{}
 	topo := fabric.Topology{Pods: 2, LeavesPerPod: 2, TorsPerPod: 2, HostsPerTor: 4}
-	c := cluster.New(cluster.Options{
-		Topology: topo,
-		NICCfg:   chaosNIC(),
-		Config:   fleetKnobs,
-		Seed:     sc.Seed,
-	})
-	sc.observe(c.Eng, "fleet/world")
+	c := sc.cluster("fleet/world", cluster.Options{Topology: topo, NICCfg: chaosNIC(), Config: fleetKnobs})
 	eng := c.Eng
 
 	col := xrmon.For(eng)
@@ -150,12 +144,7 @@ func Fleet(sc Scale) *FleetResult {
 	incastBase := len(pairs)
 	pairs = append(pairs, [2]int{5, 7}, [2]int{6, 7})
 
-	var chans []*xrdma.Channel
-	c.ConnectPairs(pairs, fleetPort, func(chs []*xrdma.Channel) { chans = chs })
-	eng.Run()
-	if chans == nil {
-		panic("fleet: channel mesh never established")
-	}
+	chans := c.Establish(pairs, fleetPort)
 	base, inc5, inc6 := chans[:incastBase], chans[incastBase], chans[incastBase+1]
 
 	// The elephant tenant's channel from node 4 into pod 1.
@@ -175,11 +164,7 @@ func Fleet(sc Scale) *FleetResult {
 	send := func(ch *xrdma.Channel, n int) {
 		ch.SendMsg(make([]byte, n), 0, drop) // error = channel dead; diagnosis is the point
 	}
-	var tick func()
-	tick = func() {
-		if eng.Now().Sub(start) >= fleetHorizon {
-			return
-		}
+	every(eng, fleetTick, fleetHorizon, func() {
 		for _, ch := range base {
 			send(ch, fleetMsgBytes)
 		}
@@ -203,9 +188,7 @@ func Fleet(sc Scale) *FleetResult {
 			send(tenantCh, 128<<10)
 			send(tenantCh, 128<<10)
 		}
-		eng.AfterBg(fleetTick, tick)
-	}
-	eng.AfterBg(fleetTick, tick)
+	})
 
 	inj := chaos.New(c)
 	at := func(d sim.Duration, f func()) { eng.AfterBg(d, f) }

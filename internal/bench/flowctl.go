@@ -17,25 +17,11 @@ import (
 // outstanding-WR limit (N=4 here: ≈256 KB in flight, several
 // bandwidth-delay products) shape demand before the fabric must react.
 func fig10Run(sc Scale, payload int, fc bool, mean sim.Duration, horizon sim.Duration, senders int) (gbps float64, cnps, pause int64) {
-	c := cluster.New(cluster.Options{
-		Topology: fabric.ClusterClos(senders + 1),
-		Nodes:    senders + 1,
-		Seed:     sc.Seed,
-		Config: func(node int, cfg *xrdma.Config) {
-			cfg.KeepaliveInterval = 0
-			if fc {
-				cfg.MaxOutstandingWRs = 4
-			} else {
-				cfg.FragmentSize = 1 << 30
-				cfg.MaxOutstandingWRs = 1 << 20
-			}
-		},
-	})
 	variant := fmt.Sprintf("fig10/%dKB", payload>>10)
 	if fc {
 		variant += "-fc"
 	}
-	sc.observe(c.Eng, variant)
+	c := sc.cluster(variant, cluster.Options{Topology: fabric.ClusterClos(senders + 1), Nodes: senders + 1, Config: fcKnobs(fc)})
 	victim := 0
 	var recvBytes int64
 	rate := sim.NewRate(c.Eng, 50*sim.Millisecond, &sim.Series{Name: "goodput"})
@@ -49,28 +35,13 @@ func fig10Run(sc Scale, payload int, fc bool, mean sim.Duration, horizon sim.Dur
 	if err := c.Nodes[victim].Ctx.Listen(7000); err != nil {
 		panic(err)
 	}
-	pairs := cluster.FanInPairs(senders+1, victim)
-	var chans []*xrdma.Channel
-	c.ConnectPairs(pairs, 7000, func(chs []*xrdma.Channel) { chans = chs })
-	c.Eng.Run()
 	rng := sim.NewRNG(sc.Seed ^ 0xf10)
 	running := true
-	for _, ch := range chans {
-		ch := ch
-		var loop func()
-		loop = func() {
-			if !running || ch.Closed() {
-				return
-			}
-			// A violent burst (≈1 MB), then an exponential gap: the
-			// synchronized spikes that overwhelm reactive DCQCN.
-			n := 4 + rng.Intn(9)
-			for i := 0; i < n; i++ {
-				ch.SendMsg(nil, payload, nil)
-			}
-			c.Eng.AfterBg(rng.Exp(mean), loop)
-		}
-		loop()
+	for _, ch := range c.Establish(cluster.FanInPairs(senders+1, victim), 7000) {
+		// A violent burst (≈1 MB), then an exponential gap: the
+		// synchronized spikes that overwhelm reactive DCQCN.
+		bursts(c.Eng, rng, 4, 9, mean, func() bool { return running && !ch.Closed() },
+			func() { ch.SendMsg(nil, payload, nil) })
 	}
 	start := c.Eng.Now()
 	c.Eng.RunUntil(start.Add(horizon))
@@ -85,6 +56,22 @@ func fig10Run(sc Scale, payload int, fc bool, mean sim.Duration, horizon sim.Dur
 	}
 	pause = c.Fab.Stats.PauseTX
 	return gbps, cnps, pause
+}
+
+// fcKnobs configures the flow-control arm (on: 64 KB fragments and the
+// outstanding-WR limit, N=4 here: ≈256 KB in flight) or the uncontrolled
+// one (off: no fragmenting, an effectively unlimited budget) of Fig. 10
+// and Fig. 12, keepalive off in both.
+func fcKnobs(on bool) func(int, *xrdma.Config) {
+	return func(_ int, cfg *xrdma.Config) {
+		cfg.KeepaliveInterval = 0
+		if on {
+			cfg.MaxOutstandingWRs = 4
+		} else {
+			cfg.FragmentSize = 1 << 30
+			cfg.MaxOutstandingWRs = 1 << 20
+		}
+	}
 }
 
 // Fig10FlowControl reproduces Fig. 10, the incast flow-control comparison
@@ -141,15 +128,13 @@ func FragmentSweep(sc Scale) Result {
 	t := Table{ID: "A1/frag-sweep", Title: "fragment size ablation (128 KB incast)",
 		Header: []string{"frag", "goodput(Gbps)", "CNPs"}}
 	for _, kb := range []int{16, 64, 256} {
-		kb := kb
-		c := cluster.New(cluster.Options{
-			Topology: fabric.ClusterClos(9), Nodes: 9, Seed: sc.Seed,
+		c := sc.cluster(fmt.Sprintf("frag-sweep/%dKB", kb), cluster.Options{
+			Topology: fabric.ClusterClos(9), Nodes: 9,
 			Config: func(node int, cfg *xrdma.Config) {
 				cfg.KeepaliveInterval = 0
 				cfg.FragmentSize = kb << 10
 			},
 		})
-		sc.observe(c.Eng, fmt.Sprintf("frag-sweep/%dKB", kb))
 		var recvBytes int64
 		c.Nodes[0].Ctx.OnChannel(func(ch *xrdma.Channel) {
 			ch.OnMessage(func(m *xrdma.Msg) {
@@ -158,12 +143,9 @@ func FragmentSweep(sc Scale) Result {
 			})
 		})
 		c.Nodes[0].Ctx.Listen(7000)
-		var chans []*xrdma.Channel
-		c.ConnectPairs(cluster.FanInPairs(9, 0), 7000, func(chs []*xrdma.Channel) { chans = chs })
-		c.Eng.Run()
+		chans := c.Establish(cluster.FanInPairs(9, 0), 7000)
 		running := true
 		for _, ch := range chans {
-			ch := ch
 			for k := 0; k < 4; k++ {
 				var issue func()
 				issue = func() {

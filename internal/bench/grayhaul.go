@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -100,39 +99,17 @@ func grayPercentile(ds []sim.Duration, p float64) sim.Duration {
 // that the escalation path never fired).
 func runGrayArm(sc Scale, name string, doctor, fault bool) *grayArm {
 	a := &grayArm{Name: name}
-	c := cluster.New(cluster.Options{
+	c := sc.cluster("gray/"+name, cluster.Options{
 		Topology: fabric.SmallClos(),
 		NICCfg:   grayNIC(),
 		Nodes:    8,
 		Config:   grayKnobs(doctor),
-		Seed:     sc.Seed,
 	})
-	sc.observe(c.Eng, "gray/"+name)
 	eng := c.Eng
-
 	l := newLedger()
-	var srv *xrdma.Channel
-	c.ListenAll(7400, func(n *cluster.Node, ch *xrdma.Channel) {
-		if n.ID == 4 {
-			srv = ch
-		}
-		ch.OnMessage(func(m *xrdma.Msg) {
-			l.deliver(binary.LittleEndian.Uint64(m.Data))
-			m.Reply(m.Data[:8], 0)
-		})
-	})
-
-	var ch *xrdma.Channel
-	c.Connect(0, 4, 7400, func(cch *xrdma.Channel, err error) {
-		if err != nil {
-			panic(err)
-		}
-		ch = cch
-	})
-	eng.Run()
-	if ch == nil || srv == nil {
-		panic("grayhaul: channel never established")
-	}
+	l.serve(c, 7400)
+	ch := c.Establish([][2]int{{0, 4}}, 7400)[0]
+	srv := c.Nodes[4].Ctx.Channels()[0]
 
 	// Steady load: one 16-byte id-carrying request per tick. Latency is
 	// recorded per id so the tail window can be sliced by issue time.
@@ -140,39 +117,19 @@ func runGrayArm(sc Scale, name string, doctor, fault bool) *grayArm {
 	var nextID uint64
 	sentAt := map[uint64]sim.Time{}
 	var tailLats []sim.Duration
-	var tick func()
-	tick = func() {
-		if eng.Now().Sub(start) >= graySendStop {
-			return
-		}
-		id := nextID
-		nextID++
-		buf := make([]byte, 16)
-		binary.LittleEndian.PutUint64(buf, id)
-		sentAt[id] = eng.Now()
-		l.send(id, ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
-			if err != nil {
-				return
-			}
-			rid := binary.LittleEndian.Uint64(m.Data)
-			l.respond(rid)
+	every(eng, grayTick, graySendStop, func() {
+		sentAt[nextID] = eng.Now()
+		l.request(ch, nextID, 16, func(rid uint64) {
 			if at := sentAt[rid]; at.Sub(start) >= grayTailFrom {
 				tailLats = append(tailLats, eng.Now().Sub(at))
 			}
-		}))
-		eng.AfterBg(grayTick, tick)
-	}
-	eng.AfterBg(grayTick, tick)
+		})
+		nextID++
+	})
 
 	inj := chaos.New(c)
 	if fault {
-		// Brown out exactly the spine path the client's requests ride:
-		// the ToR's uplink candidates are in leaf order, so the ECMP
-		// index of the channel's flow key names the leaf directly.
-		inj.Schedule([]chaos.Step{{At: grayFaultAt, Name: "gray brownout", Do: func(i *chaos.Injector) {
-			idx := fabric.ECMPIndex(ch.FlowHash(), 2)
-			i.Brownout("pod0-tor0", fmt.Sprintf("pod0-leaf%d", idx), 0.12, 0.05, 20*sim.Microsecond)
-		}}})
+		inj.Schedule([]chaos.Step{{At: grayFaultAt, Name: "gray brownout", Do: flowBrownout(ch)}})
 	}
 
 	eng.RunUntil(start.Add(grayHorizon))
@@ -193,6 +150,17 @@ func runGrayArm(sc Scale, name string, doctor, fault bool) *grayArm {
 	a.P50 = grayPercentile(tailLats, 0.50)
 	a.P99 = grayPercentile(tailLats, 0.99)
 	return a
+}
+
+// flowBrownout browns out the one spine path ch's requests ride (12% loss,
+// 5% corruption, 20 µs added latency), the gray failure of E20 and E21. The
+// ToR's uplink candidates are in leaf order, so the ECMP index of the
+// channel's flow key names the leaf directly.
+func flowBrownout(ch *xrdma.Channel) func(*chaos.Injector) {
+	return func(i *chaos.Injector) {
+		idx := fabric.ECMPIndex(ch.FlowHash(), 2)
+		i.Brownout("pod0-tor0", fmt.Sprintf("pod0-leaf%d", idx), 0.12, 0.05, 20*sim.Microsecond)
+	}
 }
 
 // Grayhaul runs the three arms and renders the E20 table.

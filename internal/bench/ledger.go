@@ -1,5 +1,12 @@
 package bench
 
+import (
+	"encoding/binary"
+
+	"xrdma/internal/cluster"
+	"xrdma/internal/xrdma"
+)
+
 // ledger is a drill's exactly-once account of the requests it sends by id:
 // how often the server delivered each one, and how often its response came
 // back. Each drill keeps its own id layout.
@@ -24,6 +31,36 @@ func (l *ledger) send(id uint64, err error) {
 
 func (l *ledger) deliver(id uint64) { l.recv[id]++ }
 func (l *ledger) respond(id uint64) { l.resp[id]++ }
+
+// serve makes every node of c echo id-stamped requests on port: each one is
+// delivered against the id in its first 8 bytes, and the reply carries the
+// id back.
+func (l *ledger) serve(c *cluster.Cluster, port int) {
+	c.ListenAll(port, func(_ *cluster.Node, ch *xrdma.Channel) {
+		ch.OnMessage(func(m *xrdma.Msg) {
+			l.deliver(binary.LittleEndian.Uint64(m.Data))
+			m.Reply(m.Data[:8], 0)
+		})
+	})
+}
+
+// request sends a size-byte request stamped with id on ch and accounts it;
+// each response is accounted against the id it carries, which onResp
+// (optional) then sees.
+func (l *ledger) request(ch *xrdma.Channel, id uint64, size int, onResp func(id uint64)) {
+	buf := make([]byte, size)
+	binary.LittleEndian.PutUint64(buf, id)
+	l.send(id, ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
+		if err != nil {
+			return
+		}
+		rid := binary.LittleEndian.Uint64(m.Data)
+		l.respond(rid)
+		if onResp != nil {
+			onResp(rid)
+		}
+	}))
+}
 
 // tally is what a ledger settles to.
 type tally struct {

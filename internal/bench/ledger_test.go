@@ -4,11 +4,15 @@ import (
 	"errors"
 	"slices"
 	"testing"
+
+	"xrdma/internal/cluster"
+	"xrdma/internal/fabric"
 )
 
 // TestLedger settles one account per way a drill can go wrong, beside one
 // request that goes right, and checks the counts the drills print and the
-// claims that fail.
+// claims that fail. The last case sends one request through serve and
+// request: one round trip is one delivery and one response for its id.
 func TestLedger(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -28,6 +32,12 @@ func TestLedger(t *testing.T) {
 			tally{Sent: 2, SendErrs: 1, Delivered: 1, Lost: 1, Resps: 1, Answered: 1}, []string{"send-errors", "lost", "unanswered"}},
 		{"too-few-sent", func(*ledger) {},
 			tally{Sent: 1, Delivered: 1, Resps: 1, Answered: 1}, []string{"sent"}},
+		{"serve-request", func(l *ledger) {
+			c := cluster.New(cluster.Options{Topology: fabric.SmallClos(), Nodes: 2})
+			l.serve(c, 7000)
+			l.request(c.Establish([][2]int{{0, 1}}, 7000)[0], 1, 16, nil)
+			c.Eng.Run()
+		}, tally{Sent: 2, Delivered: 2, Resps: 2, Answered: 2}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := newLedger()

@@ -21,8 +21,7 @@ func Fig11OnlineUpgrade(sc Scale) Result {
 		wave = 200
 		horizon = 6 * sim.Second
 	}
-	c := cluster.New(cluster.Options{Topology: fabric.ClusterClos(nodes), Nodes: nodes, Seed: sc.Seed})
-	sc.observe(c.Eng, "fig11")
+	c := sc.cluster("fig11", cluster.Options{Topology: fabric.ClusterClos(nodes), Nodes: nodes})
 	server := 0
 	var r struct{ QPs, IOPS, MemOccupy, MemInUse *sim.Series }
 	r.QPs, r.IOPS = &sim.Series{Name: "QPs"}, &sim.Series{Name: "IOPS"}
@@ -37,11 +36,8 @@ func Fig11OnlineUpgrade(sc Scale) Result {
 	c.Nodes[server].Ctx.Listen(7000)
 
 	// Steady base load from two clients.
-	var base []*xrdma.Channel
-	c.ConnectPairs([][2]int{{1, server}, {2, server}}, 7000, func(chs []*xrdma.Channel) { base = chs })
-	c.Eng.Run()
 	var gens []*workload.ClosedLoop
-	for i, ch := range base {
+	for i, ch := range c.Establish([][2]int{{1, server}, {2, server}}, 7000) {
 		g := workload.NewClosedLoop(ch, 8, workload.Fixed(16<<10), sc.Seed+uint64(i))
 		g.Start()
 		gens = append(gens, g)
@@ -135,23 +131,11 @@ func fig12Run(sc Scale, app string, sizes workload.SizeDist, payload int, antiJi
 		senders = 24
 		phase = 2 * sim.Second
 	}
-	c := cluster.New(cluster.Options{
-		Topology: fabric.ClusterClos(senders + 1), Nodes: senders + 1, Seed: sc.Seed,
-		Config: func(node int, cfg *xrdma.Config) {
-			cfg.KeepaliveInterval = 0
-			if antiJitter {
-				cfg.MaxOutstandingWRs = 4
-			} else {
-				cfg.FragmentSize = 1 << 30
-				cfg.MaxOutstandingWRs = 1 << 20
-			}
-		},
-	})
+	label := "fig12/" + app + "/anti-jitter-off"
 	if antiJitter {
-		sc.observe(c.Eng, "fig12/"+app+"/anti-jitter-on")
-	} else {
-		sc.observe(c.Eng, "fig12/"+app+"/anti-jitter-off")
+		label = "fig12/" + app + "/anti-jitter-on"
 	}
+	c := sc.cluster(label, cluster.Options{Topology: fabric.ClusterClos(senders + 1), Nodes: senders + 1, Config: fcKnobs(antiJitter)})
 	server := 0
 	var miceBytes, bulkBytes int64
 	inBurst := false
@@ -170,9 +154,7 @@ func fig12Run(sc Scale, app string, sizes workload.SizeDist, payload int, antiJi
 	c.Nodes[server].Ctx.Listen(7000)
 	// Two channels per sender: [0..senders) latency, [senders..) data.
 	pairs := append(cluster.FanInPairs(senders+1, server), cluster.FanInPairs(senders+1, server)...)
-	var chans []*xrdma.Channel
-	c.ConnectPairs(pairs, 7000, func(chs []*xrdma.Channel) { chans = chs })
-	c.Eng.Run()
+	chans := c.Establish(pairs, 7000)
 	latChans, dataChans := chans[:senders], chans[senders:]
 
 	// Pre-size for a full phase of closed-loop mice so recording stays
@@ -202,21 +184,10 @@ func fig12Run(sc Scale, app string, sizes workload.SizeDist, payload int, antiJi
 	rng := sim.NewRNG(sc.Seed ^ 0xf12)
 	running := true
 	for _, ch := range dataChans {
-		ch := ch
-		var loop func()
-		loop = func() {
-			if !running || ch.Closed() {
-				return
-			}
-			// Sized to ≈60% of the victim link: the paper's burst is a
-			// large but absorbable step, not an overload.
-			n := 2 + rng.Intn(5)
-			for i := 0; i < n; i++ {
-				ch.SendMsg(nil, payload, nil)
-			}
-			c.Eng.AfterBg(rng.Exp(4*sim.Millisecond), loop)
-		}
-		loop()
+		// Sized to ≈60% of the victim link: the paper's burst is a
+		// large but absorbable step, not an overload.
+		bursts(c.Eng, rng, 2, 5, 4*sim.Millisecond, func() bool { return running && !ch.Closed() },
+			func() { ch.SendMsg(nil, payload, nil) })
 	}
 	c.Eng.RunFor(phase)
 	running = false
@@ -275,14 +246,11 @@ func PeakStress(sc Scale) Result {
 		horizon = 2 * sim.Second
 		depth = 32
 	}
-	c := cluster.New(cluster.Options{Topology: fabric.ClusterClos(nodes), Nodes: nodes, Seed: sc.Seed})
-	sc.observe(c.Eng, "peak")
+	c := sc.cluster("peak", cluster.Options{Topology: fabric.ClusterClos(nodes), Nodes: nodes})
 	c.ListenAll(7000, func(n *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(nil, 64) })
 	})
-	var chans []*xrdma.Channel
-	c.ConnectPairs(cluster.FullMeshPairs(nodes), 7000, func(chs []*xrdma.Channel) { chans = chs })
-	c.Eng.Run()
+	chans := c.Establish(cluster.FullMeshPairs(nodes), 7000)
 	var r struct{ Errors, RNRs, Broken int64 }
 	var done int64
 	var errs int64
@@ -330,14 +298,11 @@ func PeakStress(sc Scale) Result {
 // PolarDB monitoring plot (a context figure): an open-loop generator whose
 // rate follows a two-level day/night pattern.
 func Fig3Diurnal(sc Scale) Result {
-	c := cluster.New(cluster.Options{Topology: fabric.SmallClos(), Nodes: 2, Seed: sc.Seed})
-	sc.observe(c.Eng, "fig3")
+	c := sc.cluster("fig3", cluster.Options{Topology: fabric.SmallClos(), Nodes: 2})
 	c.ListenAll(7000, func(n *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(nil, 64) })
 	})
-	var cli *xrdma.Channel
-	c.Connect(0, 1, 7000, func(ch *xrdma.Channel, err error) { cli = ch })
-	c.Eng.Run()
+	cli := c.Establish([][2]int{{0, 1}}, 7000)[0]
 	bandwidth := &sim.Series{Name: "Gbps"}
 	var bytes int64
 	g := workload.NewOpenLoop(cli, 500*sim.Microsecond, workload.MiceElephants(4<<10, 64<<10, 0.3), sc.Seed)

@@ -6,7 +6,6 @@ import (
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
 	"xrdma/internal/tcpnet"
-	"xrdma/internal/verbs"
 	"xrdma/internal/workload"
 	"xrdma/internal/xrdma"
 )
@@ -27,28 +26,15 @@ func Establishment(sc Scale) Result {
 
 	// Single connection, cold then warm.
 	{
-		c := cluster.New(cluster.Options{Topology: fabric.SmallClos(), Nodes: 2, Seed: sc.Seed})
-		sc.observe(c.Eng, "establish/single")
+		c := sc.cluster("establish/single", cluster.Options{Topology: fabric.SmallClos(), Nodes: 2})
 		c.ListenAll(7000, nil)
-		var ch *xrdma.Channel
 		t0 := c.Eng.Now()
-		c.Connect(0, 1, 7000, func(cch *xrdma.Channel, err error) {
-			if err != nil {
-				panic(err)
-			}
-			ch = cch
-		})
-		c.Eng.Run()
+		ch := c.Establish([][2]int{{0, 1}}, 7000)[0]
 		r.ColdUS = c.Eng.Now().Sub(t0).Micros()
 		ch.Close()
 		c.Eng.Run()
 		t1 := c.Eng.Now()
-		c.Connect(0, 1, 7000, func(cch *xrdma.Channel, err error) {
-			if err != nil {
-				panic(err)
-			}
-		})
-		c.Eng.Run()
+		c.Establish([][2]int{{0, 1}}, 7000)
 		r.WarmUS = c.Eng.Now().Sub(t1).Micros()
 		r.SavingPct = (r.ColdUS - r.WarmUS) / r.ColdUS * 100
 	}
@@ -58,25 +44,21 @@ func Establishment(sc Scale) Result {
 	conns := pick(sc, 128, 4096)
 	r.MassConns = conns
 	massRun := func(prewarm bool) float64 {
-		c := cluster.New(cluster.Options{Topology: fabric.ClusterClos(16), Nodes: 16, Seed: sc.Seed})
+		label := "establish/mass-cold"
 		if prewarm {
-			sc.observe(c.Eng, "establish/mass-warm")
-		} else {
-			sc.observe(c.Eng, "establish/mass-cold")
+			label = "establish/mass-warm"
 		}
+		c := sc.cluster(label, cluster.Options{Topology: fabric.ClusterClos(16), Nodes: 16})
 		c.ListenAll(7000, nil)
+		pairs := make([][2]int, conns)
+		for i := range pairs {
+			pairs[i] = [2]int{i % 8, 8 + i%8}
+		}
 		if prewarm {
 			// Fill QP caches — on both ends — by opening and closing a
 			// first wave, so the measured storm runs entirely on
 			// recycled QPs: production steady-state after a restart.
-			var wave []*xrdma.Channel
-			pairs := make([][2]int, conns)
-			for i := range pairs {
-				pairs[i] = [2]int{i % 8, 8 + i%8}
-			}
-			c.ConnectPairs(pairs, 7000, func(chs []*xrdma.Channel) { wave = chs })
-			c.Eng.Run()
-			for _, ch := range wave {
+			for _, ch := range c.Establish(pairs, 7000) {
 				ch.Close()
 			}
 			for _, n := range c.Nodes {
@@ -86,17 +68,8 @@ func Establishment(sc Scale) Result {
 			}
 			c.Eng.Run()
 		}
-		pairs := make([][2]int, conns)
-		for i := range pairs {
-			pairs[i] = [2]int{i % 8, 8 + i%8}
-		}
 		t0 := c.Eng.Now()
-		done := false
-		c.ConnectPairs(pairs, 7000, func([]*xrdma.Channel) { done = true })
-		c.Eng.Run()
-		if !done {
-			panic("bench: mass establishment incomplete")
-		}
+		c.Establish(pairs, 7000)
 		return c.Eng.Now().Sub(t0).Seconds()
 	}
 	r.MassColdSec = massRun(false)
@@ -165,8 +138,7 @@ func Fig8EssdRamp(sc Scale) Result {
 		horizon = 10 * sim.Second
 		depth = 16
 	}
-	c := cluster.New(cluster.Options{Topology: fabric.ClusterClos(nodes), Nodes: nodes, Seed: sc.Seed})
-	sc.observe(c.Eng, "fig8")
+	c := sc.cluster("fig8", cluster.Options{Topology: fabric.ClusterClos(nodes), Nodes: nodes})
 	iops := &sim.Series{Name: "IOPS"} // per 100 ms bucket
 	rate := sim.NewRate(c.Eng, 100*sim.Millisecond, iops)
 
@@ -214,7 +186,6 @@ func Fig8EssdRamp(sc Scale) Result {
 func Fig9RNRCounter(sc Scale) Result {
 	horizon := pick(sc, 1*sim.Second, 10*sim.Second)
 	var r struct{ RawRNRPerSec, XRDMARNRPerSec float64 }
-	rawSeries := &sim.Series{Name: "raw RNR"}
 
 	// Raw RDMA: sender posts bursts straight to the QP; receiver keeps a
 	// shallow RQ and reposts with application-side delay (it is busy —
@@ -238,57 +209,25 @@ func Fig9RNRCounter(sc Scale) Result {
 			}
 		}
 		qb.RecvCQ.OnCompletion(repost)
-		rng := sim.NewRNG(sc.Seed)
-		rate := sim.NewRate(eng, 100*sim.Millisecond, rawSeries)
-		var lastRNR int64
-		var burst func()
-		burst = func() {
-			if eng.Now() >= sim.Time(horizon) {
-				return
-			}
-			// Burst of writes then sends — bursts overrun the RQ.
-			n := 8 + rng.Intn(24)
-			for i := 0; i < n; i++ {
-				qa.PostSend(&rnic.SendWR{Op: rnic.OpSend, Len: 2048, Unsignaled: true})
-			}
-			if d := a.Counters.RNRNakRecv - lastRNR; d > 0 {
-				rate.Add(float64(d))
-				lastRNR = a.Counters.RNRNakRecv
-			}
-			eng.AfterBg(rng.Exp(500*sim.Microsecond), burst)
-		}
-		burst()
+		// Bursts of sends overrun the RQ.
+		bursts(eng, sim.NewRNG(sc.Seed), 8, 24, 500*sim.Microsecond, func() bool { return eng.Now() < sim.Time(horizon) },
+			func() { qa.PostSend(&rnic.SendWR{Op: rnic.OpSend, Len: 2048, Unsignaled: true}) })
 		eng.RunUntil(sim.Time(horizon))
-		rate.Flush()
 		r.RawRNRPerSec = float64(a.Counters.RNRNakRecv) / sim.Duration(horizon).Seconds()
 	}
 
 	// X-RDMA: same offered burst pattern through channels.
 	{
-		c := cluster.New(cluster.Options{Topology: fabric.SmallClos(), Nodes: 6, Seed: sc.Seed})
-		sc.observe(c.Eng, "fig9/xrdma")
+		c := sc.cluster("fig9/xrdma", cluster.Options{Topology: fabric.SmallClos(), Nodes: 6})
 		c.ListenAll(7000, func(n *cluster.Node, ch *xrdma.Channel) {
 			ch.OnMessage(func(m *xrdma.Msg) {
 				// Application processing delay, like the raw case.
 				c.Eng.After(12*sim.Microsecond, func() { m.Reply(nil, 8) })
 			})
 		})
-		var cli *xrdma.Channel
-		c.Connect(0, 5, 7000, func(ch *xrdma.Channel, err error) { cli = ch })
-		c.Eng.Run()
-		rng := sim.NewRNG(sc.Seed)
-		var burst func()
-		burst = func() {
-			if c.Eng.Now() >= sim.Time(horizon) {
-				return
-			}
-			n := 8 + rng.Intn(24)
-			for i := 0; i < n; i++ {
-				cli.SendMsg(nil, 2048, nil)
-			}
-			c.Eng.AfterBg(rng.Exp(500*sim.Microsecond), burst)
-		}
-		burst()
+		cli := c.Establish([][2]int{{0, 5}}, 7000)[0]
+		bursts(c.Eng, sim.NewRNG(sc.Seed), 8, 24, 500*sim.Microsecond, func() bool { return c.Eng.Now() < sim.Time(horizon) },
+			func() { cli.SendMsg(nil, 2048, nil) })
 		c.Eng.RunUntil(sim.Time(horizon))
 		r.XRDMARNRPerSec = float64(c.Nodes[0].NIC.Counters.RNRNakRecv) / sim.Duration(horizon).Seconds()
 	}
@@ -303,5 +242,3 @@ func Fig9RNRCounter(sc Scale) Result {
 	t.Addf("X-RDMA", r.XRDMARNRPerSec, xr.Paper)
 	return result(t, raw, xr)
 }
-
-var _ = verbs.ResolveCost // establishment cost constants live in verbs

@@ -98,12 +98,7 @@ func ScaleWorld(sc Scale) Result {
 
 	// Per-server exactly-once ledger, indexed by request id.
 	l := newLedger()
-	c.ListenAll(9000, func(_ *cluster.Node, ch *xrdma.Channel) {
-		ch.OnMessage(func(m *xrdma.Msg) {
-			l.deliver(binary.LittleEndian.Uint64(m.Data))
-			m.Reply(m.Data[:8], 0)
-		})
-	})
+	l.serve(c, 9000)
 
 	// Clients live on pod0/ToR0; each talks to peersPer distinct servers
 	// in later pods (every request crosses at least the leaf tier, most
@@ -146,15 +141,7 @@ func ScaleWorld(sc Scale) Result {
 		for s := 0; s < scaleReqsPerChan; s++ {
 			id := uint64(i)<<16 | uint64(s)
 			at := kick + sim.Duration(s)*150*sim.Microsecond
-			eng.AfterBg(at, func() {
-				buf := make([]byte, scaleReqBytes)
-				binary.LittleEndian.PutUint64(buf, id)
-				l.send(id, ch.SendMsg(buf, 0, func(m *xrdma.Msg, err error) {
-					if err == nil {
-						l.respond(binary.LittleEndian.Uint64(m.Data))
-					}
-				}))
-			})
+			eng.AfterBg(at, func() { l.request(ch, id, scaleReqBytes, nil) })
 		}
 	}
 	eng.RunUntil(start.Add(horizon))

@@ -81,8 +81,12 @@ func pct(v, base float64) string {
 func SRQTradeoff(sc Scale) Result {
 	clients := 8
 	run := func(useSRQ bool) (memMB float64, rnrs int64) {
-		c := cluster.New(cluster.Options{
-			Topology: fabric.ClusterClos(clients + 1), Nodes: clients + 1, Seed: sc.Seed,
+		label := "srq/per-channel"
+		if useSRQ {
+			label = "srq/shared"
+		}
+		c := sc.cluster(label, cluster.Options{
+			Topology: fabric.ClusterClos(clients + 1), Nodes: clients + 1,
 			Config: func(node int, cfg *xrdma.Config) {
 				cfg.KeepaliveInterval = 0
 				if node == 0 && useSRQ {
@@ -93,11 +97,6 @@ func SRQTradeoff(sc Scale) Result {
 				}
 			},
 		})
-		if useSRQ {
-			sc.observe(c.Eng, "srq/shared")
-		} else {
-			sc.observe(c.Eng, "srq/per-channel")
-		}
 		srv := c.Nodes[0].Ctx
 		srv.OnChannel(func(ch *xrdma.Channel) {
 			ch.OnMessage(func(m *xrdma.Msg) {
@@ -108,9 +107,7 @@ func SRQTradeoff(sc Scale) Result {
 			})
 		})
 		srv.Listen(7000)
-		var chans []*xrdma.Channel
-		c.ConnectPairs(cluster.FanInPairs(clients+1, 0), 7000, func(chs []*xrdma.Channel) { chans = chs })
-		c.Eng.Run()
+		chans := c.Establish(cluster.FanInPairs(clients+1, 0), 7000)
 		memMB = float64(srv.Mem.InUseBytes) / 1e6
 		// Synchronized bursts from all clients.
 		for round := 0; round < 20; round++ {
@@ -183,8 +180,12 @@ func MixedFootprint(sc Scale) Result {
 	payload := 64 << 10
 	for _, d := range depths {
 		run := func(smallMode bool) float64 {
-			c := cluster.New(cluster.Options{
-				Topology: fabric.SmallClos(), Nodes: 8, Seed: sc.Seed,
+			label := fmt.Sprintf("footprint/depth%d-mixed", d)
+			if smallMode {
+				label = fmt.Sprintf("footprint/depth%d-small", d)
+			}
+			c := sc.cluster(label, cluster.Options{
+				Topology: fabric.SmallClos(), Nodes: 8,
 				Config: func(node int, cfg *xrdma.Config) {
 					cfg.KeepaliveInterval = 0
 					cfg.WindowDepth = d
@@ -194,11 +195,6 @@ func MixedFootprint(sc Scale) Result {
 					}
 				},
 			})
-			if smallMode {
-				sc.observe(c.Eng, fmt.Sprintf("footprint/depth%d-small", d))
-			} else {
-				sc.observe(c.Eng, fmt.Sprintf("footprint/depth%d-mixed", d))
-			}
 			c.ListenAll(7000, func(n *cluster.Node, ch *xrdma.Channel) {
 				ch.OnMessage(func(m *xrdma.Msg) { m.Reply(nil, 8) })
 			})
@@ -208,11 +204,8 @@ func MixedFootprint(sc Scale) Result {
 			for j := 1; j < 8; j++ {
 				pairs = append(pairs, [2]int{0, j})
 			}
-			var chans []*xrdma.Channel
-			c.ConnectPairs(pairs, 7000, func(chs []*xrdma.Channel) { chans = chs })
-			c.Eng.Run()
 			// Push some traffic so rendezvous staging is exercised.
-			for _, ch := range chans {
+			for _, ch := range c.Establish(pairs, 7000) {
 				for k := 0; k < 4; k++ {
 					ch.SendMsg(nil, payload, nil)
 				}

@@ -165,14 +165,12 @@ func (a *stormArm) lost() int { return a.GetsLost + a.Puts - a.puts.Resps + a.pu
 func runStormArm(sc Scale, name string, onesided bool, gets, puts int, fault bool) *stormArm {
 	a := &stormArm{Name: name, Gets: gets, Puts: puts}
 	nic := grayNIC() // RetransTimeout 1 ms, RetryLimit 12: brownouts are survivable
-	c := cluster.New(cluster.Options{
+	c := sc.cluster("storm/"+name, cluster.Options{
 		Topology: fabric.SmallClos(),
 		NICCfg:   nic,
 		Nodes:    8,
 		Config:   func(_ int, cfg *xrdma.Config) { blameKnobs(cfg) },
-		Seed:     sc.Seed,
 	})
-	sc.observe(c.Eng, "storm/"+name)
 	eng := c.Eng
 
 	srv := &stormServer{eng: eng, puts: newLedger()}
@@ -200,14 +198,8 @@ func runStormArm(sc Scale, name string, onesided bool, gets, puts int, fault boo
 		ch.OnMessage(srv.serve)
 		ch.GrantWindow(srv.win)
 	})
-	var reader, writer *xrdma.Channel
-	c.ConnectPairs([][2]int{{0, 4}, {1, 4}}, 7600, func(cs []*xrdma.Channel) {
-		reader, writer = cs[0], cs[1]
-	})
-	eng.Run()
-	if reader == nil || writer == nil {
-		panic("storm: channels never established")
-	}
+	cs := c.Establish([][2]int{{0, 4}, {1, 4}}, 7600)
+	reader, writer := cs[0], cs[1]
 	rw, haveWin := reader.PeerWindow(winID)
 	if !haveWin {
 		panic("storm: window grant never arrived")

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 
+	"xrdma/internal/cluster"
 	"xrdma/internal/sim"
 )
 
@@ -37,6 +38,46 @@ func (sc Scale) observe(eng *sim.Engine, label string) {
 	if sc.Observe != nil {
 		sc.Observe(eng, label)
 	}
+}
+
+// cluster builds a world at the scale's seed and hands its engine to the
+// observers under label.
+func (sc Scale) cluster(label string, o cluster.Options) *cluster.Cluster {
+	o.Seed = sc.Seed
+	c := cluster.New(o)
+	sc.observe(c.Eng, label)
+	return c
+}
+
+// every calls fn once a period, the first call one period from now, until
+// stop has passed since now. The ticks are background events.
+func every(eng *sim.Engine, period, stop sim.Duration, fn func()) {
+	start := eng.Now()
+	var tick func()
+	tick = func() {
+		if eng.Now().Sub(start) >= stop {
+			return
+		}
+		fn()
+		eng.AfterBg(period, tick)
+	}
+	eng.AfterBg(period, tick)
+}
+
+// bursts drives an open-loop bursty sender from now while live holds: a
+// burst of lo+rng.Intn(span) sends, then a gap drawn from rng.Exp(mean).
+func bursts(eng *sim.Engine, rng *sim.RNG, lo, span int, mean sim.Duration, live func() bool, send func()) {
+	var burst func()
+	burst = func() {
+		if !live() {
+			return
+		}
+		for n := lo + rng.Intn(span); n > 0; n-- {
+			send()
+		}
+		eng.AfterBg(rng.Exp(mean), burst)
+	}
+	burst()
 }
 
 // pick sizes a world: quick at the test scale, full under -full.

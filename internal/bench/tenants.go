@@ -93,13 +93,7 @@ type tenantArm struct {
 // shared QP the config allows.
 func runTenantArm(sc Scale, name string, elephant bool) *tenantArm {
 	a := &tenantArm{Name: name}
-	c := cluster.New(cluster.Options{
-		Topology: fabric.SmallClos(),
-		Nodes:    8,
-		Config:   tenantsKnobs,
-		Seed:     sc.Seed,
-	})
-	sc.observe(c.Eng, "tenants/"+name)
+	c := sc.cluster("tenants/"+name, cluster.Options{Topology: fabric.SmallClos(), Nodes: 8, Config: tenantsKnobs})
 	eng := c.Eng
 
 	l := newLedger()
@@ -127,11 +121,7 @@ func runTenantArm(sc Scale, name string, elephant bool) *tenantArm {
 	var nextID uint64
 	sentAt := map[uint64]sim.Time{}
 	var tailLats, recovLats []sim.Duration
-	var mouseTick func()
-	mouseTick = func() {
-		if eng.Now().Sub(start) >= tenMouseStop {
-			return
-		}
+	every(eng, tenMouseTick, tenMouseStop, func() {
 		id := nextID
 		nextID++
 		buf := make([]byte, 16)
@@ -153,9 +143,7 @@ func runTenantArm(sc Scale, name string, elephant bool) *tenantArm {
 				tailLats = append(tailLats, lat)
 			}
 		}))
-		eng.AfterBg(tenMouseTick, mouseTick)
-	}
-	eng.AfterBg(tenMouseTick, mouseTick)
+	})
 
 	var late []*xrdma.Channel
 	if elephant {

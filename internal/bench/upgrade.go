@@ -79,15 +79,13 @@ func upgradeKnobs(_ int, cfg *xrdma.Config) {
 
 // Upgrade runs E25: roll every node v1→v2 under live load.
 func Upgrade(sc Scale) Result {
-	c := cluster.New(cluster.Options{
+	c := sc.cluster("upgrade", cluster.Options{
 		Topology:    fabric.SmallClos(),
 		NICCfg:      chaosNIC(),
 		Nodes:       upNodes,
 		Config:      upgradeKnobs,
 		RecoverPort: 7801,
-		Seed:        sc.Seed,
 	})
-	sc.observe(c.Eng, "upgrade")
 	eng := c.Eng
 
 	// Streams: the full mesh (client = lower id) plus the elephant, which
@@ -133,25 +131,17 @@ func Upgrade(sc Scale) Result {
 	// Classic (non-mux) channels: only those carry the per-channel QP
 	// state the handoff blob serializes. The elephant binds its tenant so
 	// rehydration can tell it apart from the plain 0→3 stream.
-	for _, s := range streams {
-		s := s
-		c.Connect(s.From, s.To, upPort, func(ch *xrdma.Channel, err error) {
-			if err != nil {
-				panic(fmt.Sprintf("upgrade: connect %d->%d: %v", s.From, s.To, err))
-			}
-			if s.Elephant {
-				if err := ch.BindTenant("elephant"); err != nil {
-					panic(fmt.Sprintf("upgrade: bind elephant tenant: %v", err))
-				}
-			}
-			s.ch = ch
-		})
+	pairs := make([][2]int, len(streams))
+	for i, s := range streams {
+		pairs[i] = [2]int{s.From, s.To}
 	}
-	eng.Run()
-	for _, s := range streams {
-		if s.ch == nil {
-			panic(fmt.Sprintf("upgrade: stream %d->%d never established", s.From, s.To))
+	for i, ch := range c.Establish(pairs, upPort) {
+		if streams[i].Elephant {
+			if err := ch.BindTenant("elephant"); err != nil {
+				panic(fmt.Sprintf("upgrade: bind elephant tenant: %v", err))
+			}
 		}
+		streams[i].ch = ch
 	}
 
 	// Live load: one id-stamped 16-byte request per tick per stream; the
@@ -161,14 +151,8 @@ func Upgrade(sc Scale) Result {
 	// that in-flight traffic is what the drain deadline and the replay
 	// tail must conserve.
 	start := eng.Now()
-	var tickFor func(s *upStream) func()
-	tickFor = func(s *upStream) func() {
-		var tick func()
-		tick = func() {
-			if eng.Now().Sub(start) >= upSendStop {
-				return
-			}
-			eng.AfterBg(upTick, tick)
+	for _, s := range streams {
+		every(eng, upTick, upSendStop, func() {
 			if c.Nodes[s.From].Ctx.DrainPhase() != xrdma.DrainServing {
 				return
 			}
@@ -193,11 +177,7 @@ func Upgrade(sc Scale) Result {
 				return
 			}
 			s.l.send(id, nil)
-		}
-		return tick
-	}
-	for _, s := range streams {
-		eng.AfterBg(upTick, tickFor(s))
+		})
 	}
 
 	// Whole-cluster counters, summed over every instance that lived, and

@@ -123,14 +123,7 @@ func TestFaultsPerturbLiveTraffic(t *testing.T) {
 	c.ListenAll(7000, func(_ *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(m.Retain(), m.Len) })
 	})
-	var ch *xrdma.Channel
-	c.Connect(0, 4, 7000, func(cch *xrdma.Channel, err error) {
-		if err != nil {
-			t.Fatalf("connect: %v", err)
-		}
-		ch = cch
-	})
-	c.Eng.Run()
+	ch := c.Establish([][2]int{{0, 4}}, 7000)[0]
 
 	degraded := false
 	ch.OnHealthChange(func(h xrdma.HealthState) {
@@ -171,14 +164,7 @@ func TestIncidentsRecordedOnce(t *testing.T) {
 	c.ListenAll(7000, func(_ *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(m.Retain(), m.Len) })
 	})
-	var ch *xrdma.Channel
-	c.Connect(0, 4, 7000, func(cch *xrdma.Channel, err error) {
-		if err != nil {
-			t.Fatalf("connect: %v", err)
-		}
-		ch = cch
-	})
-	c.Eng.Run()
+	ch := c.Establish([][2]int{{0, 4}}, 7000)[0]
 	var tick func()
 	tick = func() {
 		if c.Eng.Now() < sim.Time(200*sim.Millisecond) {

@@ -79,22 +79,13 @@ func New(o Options) *Cluster {
 		host := fab.Host(fabric.NodeID(i))
 		nic := rnic.New(eng, host, o.NICCfg)
 		vc := verbs.Open(nic)
-		cm := verbs.NewCM(vc, c.Net, host)
-		tcp := tcpnet.New(eng, host)
+		node := &Node{ID: host.ID, NIC: nic, CM: verbs.NewCM(vc, c.Net, host), TCP: tcpnet.New(eng, host)}
 		cfg := xrdma.DefaultConfig()
 		if o.Config != nil {
 			o.Config(i, &cfg)
 		}
-		var skew sim.Duration
-		if o.ClockSkew != nil {
-			skew = o.ClockSkew(i)
-		}
-		ctx := xrdma.NewContext(xrdma.Options{
-			Verbs: vc, CM: cm, Host: host, Config: cfg,
-			TCP: tcp, MockPort: o.MockPort, RecoverPort: o.RecoverPort, ClockSkew: skew,
-			Seed: o.Seed ^ uint64(i)*0x9e3779b97f4a7c15,
-		})
-		c.Nodes = append(c.Nodes, &Node{ID: host.ID, NIC: nic, TCP: tcp, CM: cm, Ctx: ctx})
+		node.Ctx = c.newContext(i, node, vc, cfg, 0)
+		c.Nodes = append(c.Nodes, node)
 	}
 	eng.SetAux(auxKey{}, c)
 	return c
@@ -124,20 +115,24 @@ func (c *Cluster) Restart(node int, mutate func(cfg *xrdma.Config)) *xrdma.Conte
 		mutate(&cfg)
 	}
 	n.Ctx.Shutdown()
-	host := c.Fab.Host(n.ID)
-	vc := verbs.Open(n.NIC)
+	n.Ctx = c.newContext(node, n, verbs.Open(n.NIC), cfg, 0xdead)
+	return n.Ctx
+}
+
+// newContext builds node i's middleware instance on vc over the node's CM
+// and TCP stack. salt is 0 for the first instance and 0xdead for one that
+// replaces it, so a restarted instance draws from a fresh seed.
+func (c *Cluster) newContext(i int, n *Node, vc *verbs.Context, cfg xrdma.Config, salt uint64) *xrdma.Context {
+	o := c.opts
 	var skew sim.Duration
-	if c.opts.ClockSkew != nil {
-		skew = c.opts.ClockSkew(node)
+	if o.ClockSkew != nil {
+		skew = o.ClockSkew(i)
 	}
-	ctx := xrdma.NewContext(xrdma.Options{
-		Verbs: vc, CM: n.CM, Host: host, Config: cfg,
-		TCP: n.TCP, MockPort: c.opts.MockPort, RecoverPort: c.opts.RecoverPort,
-		ClockSkew: skew,
-		Seed:      c.opts.Seed ^ uint64(node)*0x9e3779b97f4a7c15 ^ 0xdead,
+	return xrdma.NewContext(xrdma.Options{
+		Verbs: vc, CM: n.CM, Host: c.Fab.Host(n.ID), Config: cfg, TCP: n.TCP,
+		MockPort: o.MockPort, RecoverPort: o.RecoverPort, ClockSkew: skew,
+		Seed: o.Seed ^ uint64(i)*0x9e3779b97f4a7c15 ^ salt,
 	})
-	n.Ctx = ctx
-	return ctx
 }
 
 // ListenAll makes every node accept channels on port; handler (optional)
@@ -162,16 +157,16 @@ func (c *Cluster) Connect(from, to int, port int, done func(*xrdma.Channel, erro
 }
 
 // ConnectPairs dials every (from→to) pair in pairs concurrently and calls
-// done with the channels (indexed like pairs) once all are up.
-func (c *Cluster) ConnectPairs(pairs [][2]int, port int, done func([]*xrdma.Channel)) {
-	chans := make([]*xrdma.Channel, len(pairs))
+// done with the channels (indexed like pairs) once all are up. It returns
+// that slice at once; a pair's entry is nil until its channel is up.
+func (c *Cluster) ConnectPairs(pairs [][2]int, port int, done func([]*xrdma.Channel)) []*xrdma.Channel {
 	remaining := len(pairs)
 	if remaining == 0 {
 		done(nil)
-		return
+		return nil
 	}
+	chans := make([]*xrdma.Channel, len(pairs))
 	for i, p := range pairs {
-		i := i
 		c.Connect(p[0], p[1], port, func(ch *xrdma.Channel, err error) {
 			if err != nil {
 				panic(fmt.Sprintf("cluster: connect %v: %v", p, err))
@@ -183,6 +178,25 @@ func (c *Cluster) ConnectPairs(pairs [][2]int, port int, done func([]*xrdma.Chan
 			}
 		})
 	}
+	return chans
+}
+
+// Establish dials every pair as ConnectPairs does, runs the engine until
+// the world is quiet and returns the channels indexed like pairs. A pair
+// still down then means the world is broken: Establish panics naming each.
+func (c *Cluster) Establish(pairs [][2]int, port int) []*xrdma.Channel {
+	chans := c.ConnectPairs(pairs, port, func([]*xrdma.Channel) {})
+	c.Eng.Run()
+	var down [][2]int
+	for i, ch := range chans {
+		if ch == nil {
+			down = append(down, pairs[i])
+		}
+	}
+	if down != nil {
+		panic(fmt.Sprintf("cluster: pairs %v never came up on port %d", down, port))
+	}
+	return chans
 }
 
 // FullMeshPairs returns every ordered (i→j, i<j) pair among the first n

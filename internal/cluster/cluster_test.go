@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"xrdma/internal/fabric"
@@ -40,6 +42,30 @@ func TestBuildAndFullMesh(t *testing.T) {
 	if !got {
 		t.Fatal("mesh channel carried no traffic")
 	}
+}
+
+// TestEstablish: the channels come back indexed like the pairs, an empty
+// list is nil, and a pair that never comes up (its target's NIC died before
+// the dial, which then waits forever) panics naming that pair.
+func TestEstablish(t *testing.T) {
+	c := New(Options{Topology: fabric.SmallClos(), Nodes: 4})
+	c.ListenAll(7000, nil)
+	pairs := [][2]int{{0, 1}, {2, 1}, {1, 3}}
+	for i, ch := range c.Establish(pairs, 7000) {
+		if ch == nil || ch.Peer != c.Nodes[pairs[i][1]].ID {
+			t.Fatalf("channel %d = %v, want one to node %d", i, ch, pairs[i][1])
+		}
+	}
+	if chans := c.Establish(nil, 7000); chans != nil {
+		t.Fatalf("empty list gave %v", chans)
+	}
+	c.Nodes[2].NIC.Crash()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "[[3 2]]") {
+			t.Fatalf("panic %q does not name the pair that stayed down", msg)
+		}
+	}()
+	c.Establish([][2]int{{0, 3}, {3, 2}}, 7000)
 }
 
 func TestFanInPairs(t *testing.T) {

@@ -38,18 +38,7 @@ func pairWorld(t testing.TB) (*cluster.Cluster, *xrdma.Channel) {
 	c.ListenAll(7000, func(n *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(nil, 32) })
 	})
-	var ch *xrdma.Channel
-	c.Connect(0, 1, 7000, func(cch *xrdma.Channel, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch = cch
-	})
-	c.Eng.Run()
-	if ch == nil {
-		t.Fatal("no channel")
-	}
-	return c, ch
+	return c, c.Establish([][2]int{{0, 1}}, 7000)[0]
 }
 
 func TestOpenLoopRate(t *testing.T) {

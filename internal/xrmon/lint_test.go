@@ -31,17 +31,7 @@ func TestRuleMetricNamesResolve(t *testing.T) {
 	c.ListenAll(7600, func(_ *cluster.Node, ch *xrdma.Channel) {
 		ch.OnMessage(func(m *xrdma.Msg) { m.Reply(nil, 0) })
 	})
-	var ch *xrdma.Channel
-	c.Connect(0, 1, 7600, func(cc *xrdma.Channel, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch = cc
-	})
-	c.Eng.Run()
-	if ch == nil {
-		t.Fatal("channel never established")
-	}
+	ch := c.Establish([][2]int{{0, 1}}, 7600)[0]
 	ch.SendMsg([]byte("lint"), 0, func(*xrdma.Msg, error) {})
 	c.Eng.RunFor(50 * sim.Millisecond) // a few housekeeping ticks
 
