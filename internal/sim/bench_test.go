@@ -45,10 +45,10 @@ func BenchmarkEngineChurn(b *testing.B) {
 }
 
 // BenchmarkEngineTimers is the queue a simulated fleet keeps: 16 contexts'
-// three periodic scans (48 background timers, 100 µs and more ahead), 8
-// packet-rate work events 1 µs apart, and, on every work event, one
+// three periodic scans (48 background timers, 100 µs and more ahead, in the
+// heap), 8 packet-rate work events 1 µs apart, and, on every work event, one
 // per-message timer armed 60 µs ahead and an older one cancelled — the
-// parked-poll and retransmission-timeout pattern.
+// parked-poll pattern, inside the horizon, so on the ring.
 func BenchmarkEngineTimers(b *testing.B) {
 	e := NewEngine()
 	var scan func()
@@ -97,6 +97,39 @@ func BenchmarkEngineNear(b *testing.B) {
 	}
 	for i := 0; i < 93; i++ {
 		e.After(Duration(i)*40, hop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkEnginePaced is incast_128K's queue: 16 DCQCN-paced senders, each
+// re-arming its next step 5–64 µs ahead; on every step one parked poll armed
+// 64 µs ahead and the one before it cancelled; and 48 background scans
+// re-armed 500 µs ahead, past the horizon. Everything but the scans is on
+// the ring.
+func BenchmarkEnginePaced(b *testing.B) {
+	e := NewEngine()
+	var scan func()
+	scan = func() { e.AfterBg(500*Microsecond, scan) }
+	for i := 0; i < 48; i++ {
+		e.AfterBg(500*Microsecond+Duration(i)*10*Microsecond, scan)
+	}
+	delays := [...]Duration{5000, 23_100, 41_700, 63_900, 12_300, 57_050, 8_800, 33_300}
+	var poll Event
+	nop := func() {}
+	k := 0
+	var step func()
+	step = func() {
+		e.After(delays[k%len(delays)], step)
+		e.Cancel(poll)
+		poll = e.After(64*Microsecond, nop)
+		k++
+	}
+	for i := 0; i < 16; i++ {
+		e.After(Duration(i)*Microsecond, step)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

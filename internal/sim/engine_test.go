@@ -316,14 +316,16 @@ func TestEnginePoolReuse(t *testing.T) {
 }
 
 // TestEngineFootprint holds the queue's memory: a node fits one 64-byte size
-// class with its bucket links, and the ring an engine carries from birth
-// stays within 16 KiB.
+// class with its bucket links, and the ring an engine carries from birth is
+// its 32 KiB of bucket heads plus the occupancy bitmap, its summary word and
+// the count, nothing more.
 func TestEngineFootprint(t *testing.T) {
 	if n := unsafe.Sizeof(event{}); n > 64 {
 		t.Errorf("event node is %d bytes, budget 64", n)
 	}
-	if n := unsafe.Sizeof(ring{}); n > 16<<10 {
-		t.Errorf("ring is %d bytes, budget %d", n, 16<<10)
+	const budget = 32<<10 + ringBuckets/8 + 8 + 8
+	if n := unsafe.Sizeof(ring{}); n > budget {
+		t.Errorf("ring is %d bytes, budget %d", n, budget)
 	}
 }
 
