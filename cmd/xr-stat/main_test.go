@@ -67,15 +67,15 @@ func TestUpgradeRender(t *testing.T) {
 	for _, ob := range col.Observations() {
 		render(&out, ob)
 	}
-	ver, drain := -1, -1
+	ver, drain, width := -1, -1, 0
 	v2 := false
 	drained := map[string]bool{}
 	for _, line := range strings.Split(out.String(), "\n") {
 		f := strings.Fields(line)
 		switch {
 		case len(f) > 0 && f[0] == "QPN":
-			ver, drain = slices.Index(f, "VER"), slices.Index(f, "DRAIN")
-		case ver > 0 && len(f) == 20: // a channel row
+			ver, drain, width = slices.Index(f, "VER"), slices.Index(f, "DRAIN"), len(f)
+		case ver > 0 && len(f) == width: // a channel row: one field per column
 			if f[ver] == "2" && f[drain] == "serving" {
 				v2 = true
 			}

@@ -40,7 +40,7 @@ type blameArm struct {
 }
 
 // blameKnobs is the common configuration: req-rsp mode with every message
-// blame-sampled, no doctor/retry planes (the injected cause must persist
+// blame-sampled, no doctor plane (the injected cause must persist
 // and the RTT must stay honest), keepalive off.
 func blameKnobs(cfg *xrdma.Config) {
 	cfg.ReqRspMode = true

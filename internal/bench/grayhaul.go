@@ -34,7 +34,6 @@ type grayArm struct {
 	Name string
 	tally
 
-	Retries  int64 // client request retries (budgeted)
 	Rehashes int64 // flow-label rotations, client + server
 	// FirstRehash is fault→first client-side rotation (0 = none).
 	FirstRehash sim.Duration
@@ -55,9 +54,7 @@ const (
 	grayTailFrom = 350 * sim.Millisecond
 )
 
-// grayKnobs compresses the doctor's clocks to the drill horizon. The
-// retry budget is enabled so the tail of requests stranded on the old
-// path during re-pathing gets re-issued instead of timing out.
+// grayKnobs compresses the doctor's clocks to the drill horizon.
 func grayKnobs(doctor bool) func(int, *xrdma.Config) {
 	return func(_ int, cfg *xrdma.Config) {
 		cfg.PathDoctor = doctor
@@ -65,8 +62,6 @@ func grayKnobs(doctor bool) func(int, *xrdma.Config) {
 		cfg.PathRehashCooldown = 4 * sim.Millisecond
 		cfg.StatsInterval = 1 * sim.Millisecond // doctor scan cadence
 		cfg.RequestTimeout = 25 * sim.Millisecond
-		cfg.RequestRetries = 2
-		cfg.RetryBackoff = 1 * sim.Millisecond
 		cfg.KeepaliveInterval = 5 * sim.Millisecond
 		cfg.KeepaliveTimeout = 50 * sim.Millisecond
 	}
@@ -134,7 +129,6 @@ func runGrayArm(sc Scale, name string, doctor, fault bool) *grayArm {
 
 	eng.RunUntil(start.Add(grayHorizon))
 
-	a.Retries = ch.Counters.ReqRetries
 	a.Rehashes = ch.Rehashes() + srv.Rehashes()
 	if at := ch.FirstRehashAt(); at != 0 {
 		a.FirstRehash = at.Sub(start.Add(grayFaultAt))
@@ -171,7 +165,7 @@ func Grayhaul(sc Scale) Result {
 	t := Table{
 		ID:     "E20/Grayhaul",
 		Title:  "Gray failure: permanent spine brownout vs path doctor (cross-ToR pair, SmallClos)",
-		Header: []string{"arm", "p50", "p99", "sent", "resps", "retries", "rehashes", "1st-rehash", "dups", "lost"},
+		Header: []string{"arm", "p50", "p99", "sent", "resps", "rehashes", "1st-rehash", "dups", "lost"},
 	}
 	var digest []string
 	var claims []Claim
@@ -180,12 +174,12 @@ func Grayhaul(sc Scale) Result {
 		if a.FirstRehash != 0 {
 			fr = a.FirstRehash.String()
 		}
-		t.Addf(a.Name, a.P50.String(), a.P99.String(), a.Sent, a.Answered, a.Retries, a.Rehashes, fr, a.Dups, a.Lost)
+		t.Addf(a.Name, a.P50.String(), a.P99.String(), a.Sent, a.Answered, a.Rehashes, fr, a.Dups, a.Lost)
 		digest = append(digest, "arm "+a.Name)
 		digest = append(digest, a.ChaosLog...)
 		digest = append(digest, a.PathLog...)
-		digest = append(digest, fmt.Sprintf("sent=%d delivered=%d dups=%d lost=%d resps=%d errs=%d retries=%d rehashes=%d p50=%v p99=%v",
-			a.Sent, a.Delivered, a.Dups, a.Lost, a.Answered, a.SendErrs, a.Retries, a.Rehashes, a.P50, a.P99))
+		digest = append(digest, fmt.Sprintf("sent=%d delivered=%d dups=%d lost=%d resps=%d errs=%d rehashes=%d p50=%v p99=%v",
+			a.Sent, a.Delivered, a.Dups, a.Lost, a.Answered, a.SendErrs, a.Rehashes, a.P50, a.P99))
 		// A send error would mean the doctor escalated a healable path.
 		claims = append(claims, a.claims("E20/"+a.Name, 100)...)
 	}

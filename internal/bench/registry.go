@@ -206,7 +206,7 @@ func Experiments() []Experiment {
 		world("peak", "Peak stress", PeakStress),
 		world("fig3", "Diurnal load", Fig3Diurnal),
 		drill("robust", "Chaos drill: fault classes, recovery and fallback", ChaosDrill),
-		drill("gray", "Gray failure: path doctor, ECMP re-pathing, budgeted retries", Grayhaul),
+		drill("gray", "Gray failure: path doctor, ECMP re-pathing", Grayhaul),
 		drill("blame", "Blame attribution: injected cause vs top-blamed stage", BlameAttribution),
 		scale,
 		storm,

@@ -44,7 +44,6 @@ const (
 	CatCorruptDrop
 	CatPathVerdict
 	CatPathRehash // A counts rotations; B is the new label's low bits (odd), or 0: the rotation failed
-	CatReqRetry
 	CatRemoteAccess
 	CatTenantBudget
 	CatTenantShed
@@ -103,7 +102,6 @@ var cats = [catCount]struct {
 	CatCorruptDrop:      {"corrupt.drop", layerRNIC},
 	CatPathVerdict:      {"path.verdict", layerXRDMA},
 	CatPathRehash:       {"path.rehash", layerXRDMA},
-	CatReqRetry:         {"req.retry", layerXRDMA},
 	CatRemoteAccess:     {"remote.access", layerRNIC},
 	CatTenantBudget:     {"tenant.budget", layerXRDMA},
 	CatTenantShed:       {"tenant.shed", layerXRDMA},

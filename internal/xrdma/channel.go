@@ -55,7 +55,6 @@ type ChannelStats struct {
 	WindowStalls         int64
 	SendQueuePeak        int
 	Pings                int64
-	ReqRetries           int64
 
 	// One-sided dataplane (onesided.go).
 	Reads, Writes         int64
@@ -102,13 +101,8 @@ type Channel struct {
 	// replayed (the replay tail itself is in the window's slots).
 	pulls map[uint64]bool
 
-	// Gray-failure plane (pathdoctor.go): the verdict observer, the
-	// request-retry token bucket and the receiver-side idempotency cache
-	// that makes retried requests exactly-once at the application.
+	// Gray-failure plane (pathdoctor.go): the verdict observer.
 	onPathVerdict func(PathVerdict)
-	retryTokens   float64
-	respCache     map[uint64]*respEntry
-	respOrder     sim.Queue[uint64] // respCache's keys, oldest first
 
 	// One-sided plane (onesided.go): windows the peer granted us, and the
 	// observers.
@@ -198,17 +192,6 @@ type msgBlame struct {
 	reqQueue, reqPause sim.Duration
 	reasm, handler     sim.Duration
 	ecn                int64
-}
-
-// respEntry is one receiver-side idempotency record: a retried request
-// arrives with a fresh wire sequence (the seq window cannot catch it),
-// so dedup keys on MsgID. Once the application replies, the response is
-// retained so a later duplicate can be answered without re-invoking the
-// handler.
-type respEntry struct {
-	data    []byte
-	size    int
-	replied bool
 }
 
 // Msg is a delivered message: a request to serve or a response to consume.
@@ -306,7 +289,7 @@ func (c *Context) poolLanded(p *recvPool, lo, hi int) {
 // arrive with establishment (finishAttach) and the per-channel maps
 // (pending, pulls, pings) on first use, so an idle one carries none.
 func (c *Context) newChannel(peer fabric.NodeID, attach uint8) *Channel {
-	return &Channel{ctx: c, Peer: peer, attach: attach, lastProgress: c.eng.Now(), retryTokens: retryBudgetCap}
+	return &Channel{ctx: c, Peer: peer, attach: attach, lastProgress: c.eng.Now()}
 }
 
 // hasRow is the identity rule for XR-Stat rows: an established, open channel
@@ -336,7 +319,6 @@ func (ch *Channel) row(emit func(field string, v int64)) {
 	emit("path_score", int64(d.score*100))
 	emit("path_verdict", int64(d.verdict))
 	emit("rehashes", d.rehashes)
-	emit("req_retries", ch.Counters.ReqRetries)
 	emit("reads", ch.Counters.Reads)
 	emit("writes", ch.Counters.Writes)
 	emit("rdbytes", ch.Counters.ReadBytes)
@@ -352,9 +334,9 @@ func (ch *Channel) row(emit func(field string, v int64)) {
 	}
 }
 
-// peerAgg is one per-peer aggregate row — chans, sent, recv, txbytes, rxbytes,
-// req_retries — summed over the channels ChannelGaugeLimit folds.
-type peerAgg [6]int64
+// peerAgg is one per-peer aggregate row — chans, sent, recv, txbytes,
+// rxbytes — summed over the channels ChannelGaugeLimit folds.
+type peerAgg [5]int64
 
 // rows walks the channels that have a row, in Channels() order. The first
 // ChannelGaugeLimit of them (all, when it is 0) are reported individually
@@ -373,7 +355,7 @@ func (c *Context) rows(one func(*Channel), folded func(fabric.NodeID, peerAgg)) 
 			one(ch)
 		default:
 			a, n := aggs[ch.Peer], &ch.Counters
-			for i, v := range [...]int64{1, n.MsgsSent, n.MsgsRecv, n.BytesSent, n.BytesRecv, n.ReqRetries} {
+			for i, v := range [...]int64{1, n.MsgsSent, n.MsgsRecv, n.BytesSent, n.BytesRecv} {
 				a[i] += v
 			}
 			aggs[ch.Peer] = a
@@ -400,7 +382,7 @@ func (c *Context) collectRows(emit func(name string, v int64)) {
 		ch.row(func(field string, v int64) { emit(prefix+field, v) })
 	}, func(peer fabric.NodeID, a peerAgg) {
 		prefix := fmt.Sprintf("%s.peeragg.%d.", c.track, peer)
-		for i, field := range [...]string{"chans", "sent", "recv", "txbytes", "rxbytes", "req_retries"} {
+		for i, field := range [...]string{"chans", "sent", "recv", "txbytes", "rxbytes"} {
 			emit(prefix+field, a[i])
 		}
 	})
@@ -457,7 +439,7 @@ func (ch *Channel) teardown(err error) {
 	ch.tenantRewind()
 	// The flyweight maps go back to nil — a closed channel costs only its
 	// struct.
-	ch.pulls, ch.pings, ch.respCache, ch.respOrder = nil, nil, nil, sim.Queue[uint64]{}
+	ch.pulls, ch.pings = nil, nil
 	c.eng.Cancel(ch.ackEv)
 	if ch.onClose != nil {
 		ch.onClose(err)
@@ -543,77 +525,23 @@ func (ch *Channel) deadlockCheck() {
 	ch.sendCtrl(kindNop)
 }
 
-// Request-retry budget (gRPC-style): a channel starts with a full token
-// bucket, every retry spends a token, every clean response drips a
-// fraction back. Under a persistent fault the bucket drains and retries
-// stop — amplification is provably bounded even when every request in
-// flight times out at once.
-const (
-	retryBudgetCap        = 8.0
-	retryCreditPerSuccess = 0.1
-)
-
-// respCacheCap bounds the receiver-side idempotency cache (FIFO evict).
-const respCacheCap = 512
-
-// expireRequests times out pending requests older than the deadline.
-// When RequestRetries is enabled and the budget allows, a timed-out
-// request is re-issued under the same MsgID instead of failing — the
-// receiver's MsgID dedup keeps delivery exactly-once.
+// expireRequests fails the pending requests sent before the deadline with
+// ErrTimeout.
 func (ch *Channel) expireRequests(deadline sim.Time) {
 	c := ch.ctx
 	now := c.eng.Now()
 	if len(ch.pending) == 0 {
 		return
 	}
-	// Process the expired MsgIDs in ascending (= issue) order: map iteration
-	// order is randomized, and both which requests win the finite retry
-	// tokens and the wire order of re-issues must be identical run to run
-	// for the grayhaul digest to hold.
+	// Fail the expired MsgIDs in ascending (= issue) order: map iteration
+	// order is randomized, and callbacks fire in issue order run to run.
 	for _, id := range slices.Sorted(maps.Keys(ch.pending)) {
 		rs := ch.pending[id]
 		if rs == nil || rs.sentAt >= deadline {
 			continue // not expired, or removed by an earlier expiry's callback
 		}
-		if c.cfg.RequestRetries > 0 && rs.retries < c.cfg.RequestRetries &&
-			ch.retryTokens >= 1 && !ch.closed {
-			ch.retryTokens--
-			rs.retries++
-			rs.sentAt = now
-			ch.Counters.ReqRetries++
-			c.Stats.ReqRetries++
-			c.tel.Flight.Record(now, telemetry.CatReqRetry, int32(c.Node()), ch.QPN(), int64(id), int64(rs.retries))
-			if backoff := c.cfg.RetryBackoff << uint(rs.retries-1); backoff > 0 {
-				c.eng.AfterBg(backoff, func() { ch.reissue(id) })
-			} else {
-				ch.reissue(id)
-			}
-			continue
-		}
 		c.Stats.ReqTimeouts++
-		c.tel.Flight.Record(now, telemetry.CatReqTimeout, int32(c.Node()), ch.QPN(), int64(id), int64(rs.retries))
+		c.tel.Flight.Record(now, telemetry.CatReqTimeout, int32(c.Node()), ch.QPN(), int64(id), 0)
 		ch.settle(rs)(nil, ErrTimeout)
-	}
-}
-
-// reissue re-sends a timed-out request under its MsgID — unless the channel
-// closed, or the response arrived after all, during the backoff — as a message
-// of its own: the first transmission may still be with the window or the RNIC.
-func (ch *Channel) reissue(id uint64) {
-	if rs := ch.pending[id]; rs != nil && !ch.closed {
-		ch.enqueue(ch.newMsg(kindReq, id, rs.payload(), rs.size))
-	}
-}
-
-// rememberReq records an inbound request MsgID in the idempotency cache,
-// evicting the oldest entry once the cache is full.
-func (ch *Channel) rememberReq(msgID uint64) {
-	if ch.respCache == nil {
-		ch.respCache = make(map[uint64]*respEntry)
-	}
-	ch.respCache[msgID] = &respEntry{}
-	ch.respOrder.Push(msgID)
-	if ch.respOrder.Len() > respCacheCap {
-		delete(ch.respCache, ch.respOrder.Pop())
 	}
 }

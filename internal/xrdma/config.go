@@ -113,15 +113,6 @@ type Config struct {
 	// RequestTimeout fails pending requests that got no response (0 =
 	// never). Checked by a coarse per-context timer.
 	RequestTimeout sim.Duration
-	// RequestRetries re-issues a timed-out request (same MsgID, fresh
-	// wire sequence) up to this many times before surfacing ErrTimeout,
-	// under the channel's retry budget. 0 disables retries entirely.
-	// Both ends must run with retries enabled: the receiver's idempotent
-	// dedup cache is gated on the same knob.
-	RequestRetries int
-	// RetryBackoff delays each re-issue, doubling per attempt (0 =
-	// immediate re-issue on the timeout scan that caught it).
-	RetryBackoff sim.Duration
 	// PathRehashLimit bounds flow-label rotations per sick episode; once
 	// exhausted the doctor escalates to the channel health machine.
 	PathRehashLimit int
@@ -224,8 +215,6 @@ func DefaultConfig() Config {
 		AttachAdmission:    0,
 		ChannelGaugeLimit:  0,
 		RequestTimeout:     0,
-		RequestRetries:     0,
-		RetryBackoff:       0,
 		PathRehashLimit:    3,
 		PathRehashCooldown: 20 * sim.Millisecond,
 		MockEnabled:        false,
@@ -337,6 +326,6 @@ var onlineFlags = map[string]func(*Context, string) error{
 // offlineFlagNames are the parameters SetFlag refuses by name, not as unknown.
 var offlineFlagNames = strings.Fields(`use_srq srq_size qps_per_peer attach_admission channel_gauge_limit
 	small_msg_size window_depth ack_every ack_delay_us fragment_size max_outstanding mr_size mem_mode
-	mem_isolation request_timeout_ms request_retries retry_backoff_ms path_rehash_limit path_rehash_cooldown_ms
+	mem_isolation request_timeout_ms path_rehash_limit path_rehash_cooldown_ms
 	mock_enabled recover_retries recover_backoff_max_ms recover_dial_timeout_ms failback_interval_ms
 	stats_interval_ms tenants tenant_shed_cooldown_ms proto_ver_min proto_ver_max drain_deadline_ms`)

@@ -151,7 +151,7 @@ type ContextStats struct {
 	NopsSent        int64
 	AcksSent        int64
 	ReqTimeouts     int64
-	ReqRetries      int64
+	ReqRetries      int64 // always 0: nothing re-issues a request; kept because benchmark/harness.go reads it
 	MockSwitches    int64
 	Degraded        int64
 	RecoverAttempts int64
@@ -630,9 +630,9 @@ func (c *Context) timeoutScan() {
 // order (on the Mock fallback or awaiting re-establishment after a restart:
 // the last QPN they owned), then mux-plane ones (lazy descriptors included)
 // in ascending cid order. Every per-channel walk that makes order-dependent
-// decisions (retry-token spending, close order, what XR-Stat prints) goes
-// through this, never a map — map iteration order is randomized and would
-// leak into the deterministic digests.
+// decisions (close order, what XR-Stat prints) goes through this, never a
+// map — map iteration order is randomized and would leak into the
+// deterministic digests.
 func (c *Context) Channels() []*Channel {
 	var out []*Channel
 	for _, l := range c.links {
@@ -658,7 +658,7 @@ func (c *Context) Close() {
 		l.giveUp(ErrChannelClosed)
 	}
 	// The QPs just given back flushed what they held (shared riders' CHAN_CLOSE,
-	// requests still retrying): one last poll, at no cost, completes it.
+	// requests still posted): one last poll, at no cost, completes it.
 	for _, cqe := range c.sendCQ.Poll(c.sendCQ.Len()) {
 		c.dispatch(pendingCQE{cqe: cqe})
 	}

@@ -29,9 +29,7 @@ import (
 // Scope: the blob covers classic (exclusive-QP) channels. Mux-plane
 // contexts drain and refuse like everyone else, but shared-QP channels are
 // not serialized — their flyweight descriptors re-attach lazily on first
-// use after the restart. The receiver-side idempotency cache (respCache)
-// does not survive either: a deployment that drains under RequestRetries>0
-// accepts at-least-once for requests retried across the restart window.
+// use after the restart.
 
 // DrainState is the context's drain lifecycle.
 type DrainState uint8
@@ -242,8 +240,8 @@ func (c *Context) encodeHandoff() []byte {
 	u16(handoffMagic)
 	b = append(b, handoffVer, 0)
 	// The MsgID allocator floor: the restarted instance must never reuse a
-	// MsgID the old one issued, or the peer's idempotency cache would
-	// swallow fresh requests as duplicates.
+	// MsgID the old one issued, or a response the peer replays for an old
+	// request would settle a fresh one.
 	u64(c.msgSeq)
 	u32(uint32(len(chans)))
 	for _, ch := range chans {

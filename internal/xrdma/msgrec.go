@@ -42,10 +42,9 @@ type msgRec struct {
 	echo                          *respEcho // blame mirror riding a response
 
 	// The response waiter (holdWaiter) of a SendMsg with a callback.
-	cb      func(*Msg, error)
-	sentAt  sim.Time
-	retries int
-	blame   *reqBlame // nil unless the request was blame-sampled
+	cb     func(*Msg, error)
+	sentAt sim.Time
+	blame  *reqBlame // nil unless the request was blame-sampled
 
 	// Completion consumers of the other kinds.
 	done      func(error)         // recWrite: WriteRemote

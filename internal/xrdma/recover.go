@@ -67,7 +67,7 @@ func (ch *Channel) rehome(old *msgRec) *msgRec {
 	rec.oneWay, rec.enqAt, rec.echo = old.oneWay, old.enqAt, old.echo
 	rec.staged, old.staged = old.staged, Buffer{}
 	if rec.holds = old.holds &^ holdNIC; rec.holds&holdWaiter != 0 {
-		rec.cb, rec.sentAt, rec.retries, rec.blame = old.cb, old.sentAt, old.retries, old.blame
+		rec.cb, rec.sentAt, rec.blame = old.cb, old.sentAt, old.blame
 		ch.pending[rec.msgID] = rec
 	}
 	ch.ctx.drop(old, rec.holds)

@@ -3,7 +3,6 @@ package xrdma
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"xrdma/internal/rnic"
 	"xrdma/internal/sim"
@@ -30,9 +29,8 @@ func (ch *Channel) SendMsg(data []byte, size int, cb func(*Msg, error)) error {
 		return ErrChannelClosed
 	}
 	// The record owns a copy of the payload: the caller is free to reuse its
-	// buffer the moment SendMsg returns, whether the message leaves now, waits
-	// for a window slot or a recovery, or is re-issued under the same MsgID
-	// by a timeout (budgeted retries, pathdoctor.go).
+	// buffer the moment SendMsg returns, whether the message leaves now or
+	// waits for a window slot or a recovery.
 	rec := ch.newMsg(kindReq, ch.ctx.nextMsgID(), data, size)
 	if rec.oneWay = cb == nil; !rec.oneWay {
 		rec.cb, rec.sentAt = cb, ch.ctx.eng.Now()
@@ -64,12 +62,6 @@ func (m *Msg) Reply(data []byte, size int) error {
 	}
 	if data != nil {
 		size = len(data)
-	}
-	if ent, ok := ch.respCache[m.MsgID]; ok {
-		// Retain the response so a duplicate of this request (a client
-		// retry whose original response was lost) can be answered from
-		// cache without re-invoking the handler.
-		ent.replied, ent.size, ent.data = true, size, slices.Clone(data)
 	}
 	rec := ch.newMsg(kindResp, m.MsgID, data, size)
 	if mb := m.blame; mb != nil && mb.rx != nil {
@@ -287,7 +279,7 @@ func (ch *Channel) transmit(ps *msgRec, large bool) {
 // no waiter; their drop is the backpressure. ps has left the send queue.
 func (ch *Channel) failSend(ps *msgRec, err error) {
 	c := ch.ctx
-	rs := ch.pending[ps.msgID] // ps itself, or the original a retry re-sends
+	rs := ch.pending[ps.msgID] // the request's waiter, if it has one
 	isReq := ps.mkind == kindReq
 	c.drop(ps, holdSendQ)
 	if rs != nil && isReq {
@@ -565,27 +557,11 @@ func (ch *Channel) deliver(msg *Msg) {
 		c.onRecv(ch, msg)
 	}
 	if msg.IsReq {
-		if c.cfg.RequestRetries > 0 {
-			// MsgID-level idempotency: a client retry arrives under a
-			// fresh wire sequence, so the seq window can't dedup it.
-			if ent, dup := ch.respCache[msg.MsgID]; dup {
-				if ent.replied {
-					// The original response is evidently lost; re-send it
-					// from cache without waking the application again.
-					ch.enqueue(ch.newMsg(kindResp, msg.MsgID, ent.data, ent.size))
-				}
-			} else {
-				ch.rememberReq(msg.MsgID)
-				if ch.onMessage != nil {
-					ch.onMessage(msg)
-				}
-			}
-		} else if ch.onMessage != nil {
+		if ch.onMessage != nil {
 			ch.onMessage(msg)
 		}
 	} else if rs, ok := ch.pending[msg.MsgID]; ok {
 		ch.Counters.RespsRecv++
-		ch.retryTokens = min(ch.retryTokens+retryCreditPerSuccess, retryBudgetCap)
 		ch.doctorRef().observeRTT(c.eng.Now().Sub(rs.sentAt))
 		if t := ch.tenant; t != nil {
 			t.RTTCount++

@@ -132,7 +132,7 @@ func (w *window) isRecved(seq uint64) bool {
 // rdma_read_done) and advances RTA through any contiguous ready run.
 func (w *window) markRecved(seq uint64) {
 	if seq <= w.rta || seq > w.wta {
-		return // stale retry duplicate — tolerated
+		return // stale replay duplicate — tolerated
 	}
 	w.slot(seq).recved = true
 	w.advance()

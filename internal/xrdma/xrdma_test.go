@@ -3,6 +3,7 @@ package xrdma
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -364,6 +365,10 @@ func TestKeepaliveQuietOnHealthyIdle(t *testing.T) {
 	}
 }
 
+// TestRequestTimeout: RequestTimeout is the one request deadline. A
+// black-holed request runs its handler once and its callback once, with
+// ErrTimeout. Requests that expire in one scan fail in issue order — never
+// in a map walk's order — each leaving one req.timeout flight record.
 func TestRequestTimeout(t *testing.T) {
 	w := newWorld(t, 2, func(i int, cfg *Config) {
 		cfg.RequestTimeout = 5 * sim.Millisecond
@@ -371,15 +376,49 @@ func TestRequestTimeout(t *testing.T) {
 		cfg.KeepaliveInterval = 0 // isolate the timeout path
 	})
 	cli, srv := w.connect(t, 0, 1, 5008)
-	srv.OnMessage(func(m *Msg) {}) // swallow
+	handled := 0
+	srv.OnMessage(func(m *Msg) { handled++ }) // swallow
+	calls := 0
 	var gotErr error
-	cli.SendMsg([]byte("hello?"), 0, func(m *Msg, err error) { gotErr = err })
+	cli.SendMsg([]byte("hello?"), 0, func(m *Msg, err error) { calls, gotErr = calls+1, err })
 	w.eng.RunFor(50 * sim.Millisecond)
-	if gotErr != ErrTimeout {
-		t.Fatalf("expected ErrTimeout, got %v", gotErr)
+	if handled != 1 || calls != 1 || gotErr != ErrTimeout {
+		t.Fatalf("handler ran %d times, callback %d times (last %v); want 1, 1, ErrTimeout", handled, calls, gotErr)
 	}
 	if w.ctxs[0].Stats.ReqTimeouts != 1 {
 		t.Fatalf("timeout counter = %d", w.ctxs[0].Stats.ReqTimeouts)
+	}
+
+	// Issued on one instant, n requests expire in the same scan.
+	const n = 20
+	var failed []int
+	for i := 0; i < n; i++ {
+		cli.SendMsg(nil, 8, func(_ *Msg, err error) {
+			if err == ErrTimeout {
+				failed = append(failed, i)
+			}
+		})
+	}
+	w.eng.RunFor(50 * sim.Millisecond)
+	if len(failed) != n || !slices.IsSorted(failed) {
+		t.Fatalf("callbacks failed in order %v, want all %d in issue order", failed, n)
+	}
+	if handled != 1+n || w.ctxs[0].Stats.ReqTimeouts != 1+n {
+		t.Fatalf("handler ran %d times, %d timeouts; want %d of each", handled, w.ctxs[0].Stats.ReqTimeouts, 1+n)
+	}
+	var ids []int64
+	for _, e := range w.ctxs[0].tel.Flight.ForceDump(w.eng.Now(), "timeout audit").Events {
+		if e.Cat == telemetry.CatReqTimeout {
+			ids = append(ids, e.A)
+		}
+	}
+	if len(ids) != 1+n {
+		t.Fatalf("%d req.timeout records, want %d", len(ids), 1+n)
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			t.Fatalf("req.timeout records carry MsgIDs %v, want them ascending", ids)
+		}
 	}
 }
 

@@ -40,9 +40,9 @@ func XRStat(c *Context) string {
 	if n := c.tel.Trace.Dropped(); n > 0 {
 		fmt.Fprintf(&b, "timeline truncated: %d events overwritten\n", n)
 	}
-	fmt.Fprintf(&b, "%-6s %-6s %-9s %-9s %-10s %-10s %-7s %-6s %-6s %-6s %-8s %-6s %-6s %-6s %-6s %-9s %-6s %-4s %-5s %-8s\n",
+	fmt.Fprintf(&b, "%-6s %-6s %-9s %-9s %-10s %-10s %-7s %-6s %-6s %-6s %-8s %-6s %-6s %-6s %-9s %-6s %-4s %-5s %-8s\n",
 		"QPN", "PEER", "SENT", "RECV", "TXBYTES", "RXBYTES", "STALLS", "RNR", "RETX",
-		"SCORE", "VERDICT", "REHASH", "RETRY", "READS", "WRITES", "RDBYTES", "RAERRS",
+		"SCORE", "VERDICT", "REHASH", "READS", "WRITES", "RDBYTES", "RAERRS",
 		"VER", "CAPS", "DRAIN")
 	var aggs strings.Builder
 	folded := c.rows(func(ch *Channel) {
@@ -54,21 +54,20 @@ func XRStat(c *Context) string {
 		}
 		r := make(map[string]int64, 24)
 		ch.row(func(field string, v int64) { r[field] = v })
-		fmt.Fprintf(&b, "%-6s %-6d %-9d %-9d %-10d %-10d %-7d %-6d %-6d %-6.2f %-8s %-6d %-6d %-6d %-6d %-9d %-6d %-4d %-5s %-8s\n",
+		fmt.Fprintf(&b, "%-6s %-6d %-9d %-9d %-10d %-10d %-7d %-6d %-6d %-6.2f %-8s %-6d %-6d %-6d %-9d %-6d %-4d %-5s %-8s\n",
 			label, r["peer"], r["sent"], r["recv"], r["txbytes"], r["rxbytes"],
 			r["stalls"], r["rnr"], r["retx"],
 			float64(r["path_score"])/100, PathVerdict(r["path_verdict"]).String(),
-			r["rehashes"], r["req_retries"],
-			r["reads"], r["writes"], r["rdbytes"], r["raerrs"],
+			r["rehashes"], r["reads"], r["writes"], r["rdbytes"], r["raerrs"],
 			r["ver"], fmt.Sprintf("%#x", r["caps"]), DrainState(r["drain"]))
 	}, func(peer fabric.NodeID, a peerAgg) {
-		fmt.Fprintf(&aggs, "%-8d %-6d %-9d %-9d %-10d %-10d %-6d\n", peer, a[0], a[1], a[2], a[3], a[4], a[5])
+		fmt.Fprintf(&aggs, "%-8d %-6d %-9d %-9d %-10d %-10d\n", peer, a[0], a[1], a[2], a[3], a[4])
 	})
 	if folded > 0 {
 		fmt.Fprintf(&b, "(+%d channels above ChannelGaugeLimit=%d, folded into per-peer aggregates)\n",
 			folded, c.cfg.ChannelGaugeLimit)
-		fmt.Fprintf(&b, "%-8s %-6s %-9s %-9s %-10s %-10s %-6s\n",
-			"PEERAGG", "CHANS", "SENT", "RECV", "TXBYTES", "RXBYTES", "RETRY")
+		fmt.Fprintf(&b, "%-8s %-6s %-9s %-9s %-10s %-10s\n",
+			"PEERAGG", "CHANS", "SENT", "RECV", "TXBYTES", "RXBYTES")
 		b.WriteString(aggs.String())
 	}
 	for _, row := range c.tenantRows() {

@@ -30,7 +30,6 @@ const (
 	SlotChBroken
 	SlotChannels
 	SlotReqTimeouts
-	SlotReqRetries
 	SlotSlowPolls
 	SlotDegraded
 	SlotMemOccupied
@@ -60,7 +59,6 @@ var nodeSlotDef = [NodeSlots]struct {
 	SlotChBroken:    {false, "channels_broken", false},
 	SlotChannels:    {false, "channels", true},
 	SlotReqTimeouts: {false, "req_timeouts", false},
-	SlotReqRetries:  {false, "req_retries", false},
 	SlotSlowPolls:   {false, "slow_polls", false},
 	SlotDegraded:    {false, "degraded", true},
 	SlotMemOccupied: {false, "mem_occupied", true},
