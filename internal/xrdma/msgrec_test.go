@@ -39,6 +39,42 @@ func TestQueuedSendOwnsPayload(t *testing.T) {
 	}
 }
 
+// TestRetryPayloadOwned: an outstanding request's record holds its own copy of
+// the payload, so the caller may scribble on its buffer the moment SendMsg
+// returns — here when the request leaves at once, where
+// TestQueuedSendOwnsPayload holds it for a send that waits in the queue — and
+// the echo still carries the original bytes.
+func TestRetryPayloadOwned(t *testing.T) {
+	w := newWorld(t, 2, nil)
+	cli, srv := w.connect(t, 0, 1, 5606)
+	echoServer(srv)
+	buf := []byte("original-bytes")
+	var echo []byte
+	if err := cli.SendMsg(buf, 0, func(m *Msg, err error) {
+		if err == nil {
+			echo = m.Retain()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(cli.pending) != 1 {
+		t.Fatalf("pending=%d, want 1", len(cli.pending))
+	}
+	for _, rec := range cli.pending {
+		if len(rec.payload()) == 0 || &rec.payload()[0] == &buf[0] {
+			t.Fatal("the request's record aliases the caller's buffer")
+		}
+		copy(buf, "clobbered!!!!!")
+		if string(rec.payload()) != "original-bytes" {
+			t.Fatalf("record payload changed with the caller's buffer: %q", rec.payload())
+		}
+	}
+	w.eng.Run()
+	if string(echo) != "original-bytes" {
+		t.Fatalf("echo carried %q, want the bytes SendMsg was given", echo)
+	}
+}
+
 // recyclePattern is the payload of message id in one direction: its id, then
 // bytes no other id, length or direction produces.
 func recyclePattern(id uint64, resp bool) []byte {

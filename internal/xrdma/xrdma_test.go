@@ -365,29 +365,60 @@ func TestKeepaliveQuietOnHealthyIdle(t *testing.T) {
 	}
 }
 
-// TestRequestTimeout: RequestTimeout is the one request deadline. A
-// black-holed request runs its handler once and its callback once, with
-// ErrTimeout. Requests that expire in one scan fail in issue order — never
-// in a map walk's order — each leaving one req.timeout flight record.
+// TestRequestTimeout: RequestTimeout is the one request deadline — a request
+// the server swallows fails with ErrTimeout and is counted.
 func TestRequestTimeout(t *testing.T) {
-	w := newWorld(t, 2, func(i int, cfg *Config) {
-		cfg.RequestTimeout = 5 * sim.Millisecond
-		cfg.StatsInterval = 1 * sim.Millisecond
-		cfg.KeepaliveInterval = 0 // isolate the timeout path
-	})
+	w := newWorld(t, 2, timeoutKnobs)
 	cli, srv := w.connect(t, 0, 1, 5008)
-	handled := 0
-	srv.OnMessage(func(m *Msg) { handled++ }) // swallow
-	calls := 0
+	srv.OnMessage(func(m *Msg) {}) // swallow
 	var gotErr error
-	cli.SendMsg([]byte("hello?"), 0, func(m *Msg, err error) { calls, gotErr = calls+1, err })
+	cli.SendMsg([]byte("hello?"), 0, func(m *Msg, err error) { gotErr = err })
 	w.eng.RunFor(50 * sim.Millisecond)
-	if handled != 1 || calls != 1 || gotErr != ErrTimeout {
-		t.Fatalf("handler ran %d times, callback %d times (last %v); want 1, 1, ErrTimeout", handled, calls, gotErr)
+	if gotErr != ErrTimeout {
+		t.Fatalf("expected ErrTimeout, got %v", gotErr)
 	}
 	if w.ctxs[0].Stats.ReqTimeouts != 1 {
 		t.Fatalf("timeout counter = %d", w.ctxs[0].Stats.ReqTimeouts)
 	}
+}
+
+// timeoutKnobs isolates the request deadline: a short RequestTimeout, no
+// keepalive probes.
+func timeoutKnobs(_ int, cfg *Config) {
+	cfg.RequestTimeout = 5 * sim.Millisecond
+	cfg.StatsInterval = 1 * sim.Millisecond
+	cfg.KeepaliveInterval = 0
+}
+
+// TestRequestRetryExactlyOnce: nothing re-issues a request. A black-holed
+// request runs its handler once and its callback once, with ErrTimeout, and
+// stays that way long after its deadline.
+func TestRequestRetryExactlyOnce(t *testing.T) {
+	w := newWorld(t, 2, timeoutKnobs)
+	cli, srv := w.connect(t, 0, 1, 5601)
+	handled := 0
+	srv.OnMessage(func(m *Msg) { handled++ }) // never reply
+	calls := 0
+	var gotErr error
+	cli.SendMsg([]byte("doomed"), 0, func(m *Msg, err error) { calls, gotErr = calls+1, err })
+	w.eng.RunFor(200 * sim.Millisecond)
+	if handled != 1 || calls != 1 || gotErr != ErrTimeout {
+		t.Fatalf("handler ran %d times, callback %d times (last %v); want 1, 1, ErrTimeout", handled, calls, gotErr)
+	}
+	if cli.Counters.ReqsSent != 1 || w.ctxs[0].Stats.ReqTimeouts != 1 {
+		t.Fatalf("%d requests sent, %d timeouts; want 1 of each", cli.Counters.ReqsSent, w.ctxs[0].Stats.ReqTimeouts)
+	}
+}
+
+// TestRetryTokenOrderDeterministic: requests that expire in one scan fail in
+// issue order — never in a map walk's order — each leaving one req.timeout
+// flight record, their MsgIDs ascending. Expiry order is part of the
+// deterministic grayhaul digest.
+func TestRetryTokenOrderDeterministic(t *testing.T) {
+	w := newWorld(t, 2, timeoutKnobs)
+	cli, srv := w.connect(t, 0, 1, 5605)
+	handled := 0
+	srv.OnMessage(func(m *Msg) { handled++ }) // black hole: every request expires
 
 	// Issued on one instant, n requests expire in the same scan.
 	const n = 20
@@ -403,8 +434,8 @@ func TestRequestTimeout(t *testing.T) {
 	if len(failed) != n || !slices.IsSorted(failed) {
 		t.Fatalf("callbacks failed in order %v, want all %d in issue order", failed, n)
 	}
-	if handled != 1+n || w.ctxs[0].Stats.ReqTimeouts != 1+n {
-		t.Fatalf("handler ran %d times, %d timeouts; want %d of each", handled, w.ctxs[0].Stats.ReqTimeouts, 1+n)
+	if handled != n || w.ctxs[0].Stats.ReqTimeouts != n {
+		t.Fatalf("handler ran %d times, %d timeouts; want %d of each", handled, w.ctxs[0].Stats.ReqTimeouts, n)
 	}
 	var ids []int64
 	for _, e := range w.ctxs[0].tel.Flight.ForceDump(w.eng.Now(), "timeout audit").Events {
@@ -412,8 +443,8 @@ func TestRequestTimeout(t *testing.T) {
 			ids = append(ids, e.A)
 		}
 	}
-	if len(ids) != 1+n {
-		t.Fatalf("%d req.timeout records, want %d", len(ids), 1+n)
+	if len(ids) != n {
+		t.Fatalf("%d req.timeout records, want %d", len(ids), n)
 	}
 	for i := 1; i < len(ids); i++ {
 		if ids[i] <= ids[i-1] {
