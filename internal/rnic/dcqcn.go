@@ -29,7 +29,9 @@ type dcqcnState struct {
 	nic     *NIC // telemetry sink
 	qpn     uint32
 
-	rc, rt int64 // current and target rate (bits/s)
+	rc, rt int64    // current and target rate (bits/s)
+	was    int64    // rc before its last change, in force before since
+	since  sim.Time // the instant of rc's last change
 
 	// The alpha decay in closed form: alpha as of the expiries applied so
 	// far, and alphaNext, the next expiry due (sim.MaxTime once the decay
@@ -80,15 +82,18 @@ func (qp *QP) reactionPoint() *dcqcnState {
 	return qp.rate
 }
 
-// paceRate returns the QP's sending rate in bits/s, 0 when DCQCN is off
-// (unlimited): line rate until a CNP has created the reaction point.
-func (qp *QP) paceRate() int64 {
+// paceRate returns the QP's sending rate in bits/s as of at, 0 when DCQCN
+// is off (unlimited): line rate until a CNP has created the reaction point.
+// A change takes force at its instant: before it, the rate it replaced holds.
+func (qp *QP) paceRate(at sim.Time) int64 {
 	n := qp.nic
 	switch {
 	case !n.Cfg.DCQCN:
 		return 0
 	case qp.rate == nil:
 		return n.LineBps()
+	case at < qp.rate.since:
+		return qp.rate.was
 	}
 	return qp.rate.rc
 }
@@ -139,7 +144,7 @@ func (s *dcqcnState) onCNP() {
 	}
 	s.lastCut = now
 	s.RateCuts++
-	s.rt = s.rc
+	s.rt, s.was, s.since = s.rc, s.rc, now
 	s.rc = int64(float64(s.rc) * (1 - s.alpha/2))
 	if s.rc < dcqcnMinRateBps {
 		s.rc = dcqcnMinRateBps
@@ -193,6 +198,7 @@ func (s *dcqcnState) increase() {
 	if s.rt > s.lineBps {
 		s.rt = s.lineBps
 	}
+	s.was, s.since = s.rc, s.eng.Now()
 	s.rc = (s.rc + s.rt) / 2
 	// Snap to line rate once close: integer halving otherwise converges
 	// to lineBps-1 and keeps the increase timer alive forever.

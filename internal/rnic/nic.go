@@ -122,17 +122,11 @@ type NIC struct {
 	engineBusy bool
 	rtxEpoch   uint64 // retransmitUnacked's mark: a WR stamped with the current value has a job
 
-	// Cached engine continuations and the deferred packet-phase slots.
-	// The tx machine is strictly sequential — at most one continuation
-	// event is outstanding per NIC — so every per-packet schedule reuses
-	// these closures and fields instead of allocating.
-	stepFn    func()
-	kickFn    func()
-	phaseFn   func()
-	phaseJob  *txJob
-	phasePkt  *fabric.Packet
-	phaseSize int
-	phaseDone bool
+	// Cached engine continuations. The tx machine is strictly sequential —
+	// at most one step is outstanding per NIC — so every per-packet
+	// schedule reuses them instead of allocating.
+	stepFn func()
+	kickFn func()
 
 	// Hardware command queue: QP create/modify commands serialize here
 	// (the §VII-C establishment bottleneck). While cmdBusy the head is the
@@ -196,7 +190,6 @@ func New(eng *sim.Engine, host *fabric.Host, cfg Config) *NIC {
 	}
 	n.stepFn = n.stepEngine
 	n.kickFn = n.kickEngine
-	n.phaseFn = n.pktPhase
 	n.cmdDoneFn = n.cmdDone
 	n.track = fmt.Sprintf("rnic.%d", host.ID)
 	n.dcqcnCuts = n.tel.Reg.Counter(n.track + ".dcqcn_cuts")

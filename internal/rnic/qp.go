@@ -374,6 +374,7 @@ type QP struct {
 	retries         int
 	rnrRetries      int
 	rtoEvent        sim.Event
+	rtoAt           sim.Time // the deadline; a pending rtoEvent before it re-arms there
 	nextTxTime      sim.Time
 	pendingReads    map[uint64]*readState
 	lastSeenAck     uint32

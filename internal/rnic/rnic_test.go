@@ -810,7 +810,7 @@ func TestResetStopsDCQCNTimers(t *testing.T) {
 		r.b.sendCtrl(r.a.Node, hdr{Op: opCNP, DstQPN: r.qa.QPN})
 		for r.qa.rate == nil && r.eng.Step() {
 		}
-		if rp := r.qa.rate; rp == nil || rp.RateCuts != 1 || r.qa.paceRate() >= r.a.LineBps() {
+		if rp := r.qa.rate; rp == nil || rp.RateCuts != 1 || r.qa.paceRate(r.eng.Now()) >= r.a.LineBps() {
 			t.Fatalf("destroy=%v: the CNP did not cut the rate (state %+v)", destroy, rp)
 		}
 		if destroy {

@@ -211,8 +211,8 @@ func (qp *QP) handleReadResp(h *hdr) {
 	st.got += seg
 	st.nextPSN++
 	qp.retries = 0
-	qp.resetRTO()
 	if !h.Last {
+		qp.resetRTO()
 		return
 	}
 	delete(qp.pendingReads, h.ReadID)
