@@ -1,10 +1,11 @@
 package xrdma
 
 import (
-	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 
@@ -182,43 +183,44 @@ func (ch *Channel) failPending(err error) int {
 
 // --- handoff blob ------------------------------------------------------------
 
-const (
-	handoffMagic = 0x4858 // "XH"
-	handoffVer   = 1
-
-	// Hostile-blob hardening caps: a corrupt or adversarial count field
-	// must not drive a multi-gigabyte allocation before the length checks
-	// can catch it.
-	handoffMaxChans = 1 << 16
-	handoffMaxQPNs  = 64
-	handoffMaxTail  = 1 << 20
-	handoffMaxWins  = 1 << 16
-)
+// handoffVer is the blob's format version (1 was a hand-rolled binary layout).
+const handoffVer = 2
 
 var errBadHandoff = errors.New("xrdma: malformed handoff blob")
 
-// handoffChan is one serialized channel: identity, negotiation verdict,
-// window floors, the unacked replay tail, and peer-granted MR windows.
-type handoffChan struct {
-	peer     fabric.NodeID
-	qpns     []uint32
-	peerQPN  uint32
-	peerQPN0 uint32
-	negVer   uint8
-	caps     uint32
-	label    [8]byte
-	txFloor  uint64
-	rxFloor  uint64
-	tail     []handoffMsg
-	wins     []RemoteWindow
+// handoff is the blob, encoded with encoding/json: the MsgID allocator floor
+// plus every serialized classic channel. Each number keeps its field's width,
+// so an out-of-range one fails the decode instead of wrapping.
+type handoff struct {
+	Ver uint8
+	// The restarted instance must never reuse a MsgID the old one issued, or
+	// a response the peer replays for an old request would settle a fresh one.
+	MsgSeq uint64
+	Chans  []handoffChan
 }
 
+// handoffChan is one channel: identity, negotiation verdict, window floors,
+// the unacked replay tail, and peer-granted MR windows.
+type handoffChan struct {
+	Peer              uint32
+	QPN0, QPN         uint32 // the link's first and newest local QPN
+	PeerQPN, PeerQPN0 uint32
+	NegVer            uint8
+	Caps              uint32
+	Label             [8]byte
+	TxFloor, RxFloor  uint64
+	Tail              []handoffMsg
+	Wins              []RemoteWindow
+}
+
+// handoffMsg is one replayable message. Data is null for a size-only
+// message and "" for a carried empty payload.
 type handoffMsg struct {
-	kind   uint8
-	oneWay bool
-	msgID  uint64
-	size   uint32
-	data   []byte
+	Kind   msgKind
+	OneWay bool
+	MsgID  uint64
+	Size   uint32
+	Data   []byte
 }
 
 // encodeHandoff freezes every classic channel's protocol state. The tail
@@ -227,180 +229,69 @@ type handoffMsg struct {
 // requeueUnacked would replay after a recovery, frozen across the restart
 // instead.
 func (c *Context) encodeHandoff() []byte {
-	var chans []*Channel
+	h := handoff{Ver: handoffVer, MsgSeq: c.msgSeq}
 	for _, ch := range c.Channels() {
-		if ch.cid == 0 && !ch.closed && !ch.Mocked() && len(ch.lk.qpns) > 0 {
-			chans = append(chans, ch)
-		}
-	}
-	var b []byte
-	u16 := func(v uint16) { b = binary.LittleEndian.AppendUint16(b, v) }
-	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
-	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	u16(handoffMagic)
-	b = append(b, handoffVer, 0)
-	// The MsgID allocator floor: the restarted instance must never reuse a
-	// MsgID the old one issued, or a response the peer replays for an old
-	// request would settle a fresh one.
-	u64(c.msgSeq)
-	u32(uint32(len(chans)))
-	for _, ch := range chans {
 		l := ch.lk
-		u32(uint32(ch.Peer))
-		b = append(b, uint8(len(l.qpns)))
-		for _, q := range l.qpns {
-			u32(q)
+		if ch.cid != 0 || ch.closed || ch.Mocked() || l.qpn0 == 0 {
+			continue
 		}
-		u32(l.peerQPN)
-		u32(l.peerQPN0)
-		b = append(b, l.ver)
-		u32(l.caps)
-		var label [8]byte
+		r := handoffChan{
+			Peer: uint32(ch.Peer), QPN0: l.qpn0, QPN: l.qpn, PeerQPN: l.peerQPN, PeerQPN0: l.peerQPN0,
+			NegVer: l.ver, Caps: l.caps, TxFloor: ch.win.acked, RxFloor: ch.win.rta,
+		}
 		if t := ch.tenant; t != nil {
-			label = t.label
+			r.Label = t.label
 		}
-		b = append(b, label[:]...)
-		u64(ch.win.acked)
-		u64(ch.win.rta)
-		var tail []*msgRec
+		add := func(ps *msgRec) {
+			r.Tail = append(r.Tail, handoffMsg{Kind: ps.mkind, OneWay: ps.oneWay, MsgID: ps.msgID, Size: uint32(ps.size), Data: ps.payload()})
+		}
 		for s := ch.win.acked + 1; s <= ch.win.seq; s++ {
 			if ps := ch.win.at(s); ps != nil {
-				tail = append(tail, ps)
+				add(ps)
 			}
 		}
 		for rec := ch.sendQ.Head(); rec != nil; rec = rec.next {
-			tail = append(tail, rec)
+			add(rec)
 		}
-		u32(uint32(len(tail)))
-		for _, ps := range tail {
-			data := ps.payload()
-			oneWay := byte(0)
-			if ps.oneWay {
-				oneWay = 1
-			}
-			b = append(b, uint8(ps.mkind), oneWay)
-			u64(ps.msgID)
-			u32(uint32(ps.size))
-			u32(uint32(len(data)))
-			b = append(b, data...)
-		}
-		u32(uint32(len(ch.remoteWins)))
 		for _, id := range slices.Sorted(maps.Keys(ch.remoteWins)) {
-			w := ch.remoteWins[id]
-			u64(w.ID)
-			u64(w.Addr)
-			u32(w.RKey)
-			u32(uint32(w.Len))
+			r.Wins = append(r.Wins, ch.remoteWins[id])
 		}
+		h.Chans = append(h.Chans, r)
 	}
+	b, _ := json.Marshal(h) // plain data: Marshal cannot fail
 	return b
 }
 
-// handoff is a decoded blob: the MsgID allocator floor plus every
-// serialized channel.
-type handoff struct {
-	msgSeq uint64
-	chans  []handoffChan
-}
-
-// decodeHandoff parses a handoff blob defensively: every length is checked
-// before it is trusted, counts are capped, and a blob from a future
-// release (unknown blobVer) is an explicit error — the restarted instance
-// must never limp along on half-parsed state.
+// decodeHandoff parses a handoff blob defensively. Malformed JSON, a number
+// outside its field's width, a blob from another release (unknown Ver), a
+// channel without an identity and a tail message that is not a REQ or RESP
+// are all errBadHandoff: the restarted instance must never limp along on
+// half-parsed state.
 func decodeHandoff(b []byte) (*handoff, error) {
-	r := &handoffReader{b: b}
-	if r.u16() != handoffMagic {
-		return nil, fmt.Errorf("%w: bad magic", errBadHandoff)
+	h := &handoff{}
+	if err := json.Unmarshal(b, h); err != nil {
+		return nil, fmt.Errorf("%w: %v", errBadHandoff, err)
 	}
-	if v := r.u8(); v != handoffVer {
-		return nil, fmt.Errorf("%w: unknown blob version %d", errBadHandoff, v)
+	if h.Ver != handoffVer {
+		return nil, fmt.Errorf("%w: unknown blob version %d", errBadHandoff, h.Ver)
 	}
-	r.u8() // reserved
-	h := &handoff{msgSeq: r.u64()}
-	n := int(r.u32())
-	if n < 0 || n > handoffMaxChans {
-		return nil, fmt.Errorf("%w: channel count %d", errBadHandoff, n)
-	}
-	recs := make([]handoffChan, 0, min(n, 256))
-	for i := 0; i < n; i++ {
-		var rec handoffChan
-		rec.peer = fabric.NodeID(r.u32())
-		nq := int(r.u8())
-		if nq > handoffMaxQPNs {
-			return nil, fmt.Errorf("%w: qpn count %d", errBadHandoff, nq)
+	for i, r := range h.Chans {
+		if r.QPN0 == 0 || r.QPN == 0 {
+			return nil, fmt.Errorf("%w: channel %d has no identity", errBadHandoff, i)
 		}
-		for j := 0; j < nq; j++ {
-			rec.qpns = append(rec.qpns, r.u32())
-		}
-		rec.peerQPN = r.u32()
-		rec.peerQPN0 = r.u32()
-		rec.negVer = r.u8()
-		rec.caps = r.u32()
-		copy(rec.label[:], r.bytes(8))
-		rec.txFloor = r.u64()
-		rec.rxFloor = r.u64()
-		nt := int(r.u32())
-		if nt > handoffMaxTail {
-			return nil, fmt.Errorf("%w: tail count %d", errBadHandoff, nt)
-		}
-		for j := 0; j < nt; j++ {
-			var m handoffMsg
-			m.kind = r.u8()
-			m.oneWay = r.u8() != 0
-			m.msgID = r.u64()
-			m.size = r.u32()
-			dl := int(r.u32())
-			if r.bad || dl < 0 || dl > len(r.b)-r.off {
-				return nil, fmt.Errorf("%w: tail payload length", errBadHandoff)
+		for _, m := range r.Tail {
+			if m.Kind != kindReq && m.Kind != kindResp {
+				return nil, fmt.Errorf("%w: channel %d tail kind %d", errBadHandoff, i, m.Kind)
 			}
-			if dl > 0 {
-				m.data = append([]byte(nil), r.bytes(dl)...)
+		}
+		for _, w := range r.Wins {
+			if w.Len < 0 || int64(w.Len) > math.MaxUint32 {
+				return nil, fmt.Errorf("%w: channel %d window length %d", errBadHandoff, i, w.Len)
 			}
-			rec.tail = append(rec.tail, m)
 		}
-		nw := int(r.u32())
-		if nw > handoffMaxWins {
-			return nil, fmt.Errorf("%w: window count %d", errBadHandoff, nw)
-		}
-		for j := 0; j < nw; j++ {
-			rec.wins = append(rec.wins, RemoteWindow{
-				ID: r.u64(), Addr: r.u64(), RKey: r.u32(), Len: int(r.u32()),
-			})
-		}
-		if r.bad {
-			return nil, fmt.Errorf("%w: truncated at channel %d", errBadHandoff, i)
-		}
-		recs = append(recs, rec)
 	}
-	if r.bad {
-		return nil, fmt.Errorf("%w: truncated", errBadHandoff)
-	}
-	h.chans = recs
 	return h, nil
 }
-
-// handoffReader is a bounds-checked cursor; any overrun latches bad
-// instead of panicking, and the caller checks once per record.
-type handoffReader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *handoffReader) bytes(n int) []byte {
-	if r.bad || n < 0 || r.off+n > len(r.b) {
-		r.bad = true
-		return make([]byte, n)
-	}
-	s := r.b[r.off : r.off+n]
-	r.off += n
-	return s
-}
-
-func (r *handoffReader) u8() uint8   { return r.bytes(1)[0] }
-func (r *handoffReader) u16() uint16 { return binary.LittleEndian.Uint16(r.bytes(2)) }
-func (r *handoffReader) u32() uint32 { return binary.LittleEndian.Uint32(r.bytes(4)) }
-func (r *handoffReader) u64() uint64 { return binary.LittleEndian.Uint64(r.bytes(8)) }
 
 // --- restart -----------------------------------------------------------------
 
@@ -455,40 +346,36 @@ func (c *Context) Rehydrate(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	c.msgSeq = max(c.msgSeq, h.msgSeq)
+	c.msgSeq = max(c.msgSeq, h.MsgSeq)
 	now := c.eng.Now()
-	for i := range h.chans {
-		r := &h.chans[i]
-		if len(r.qpns) == 0 {
-			continue
-		}
-		ch := c.newChannel(r.peer, attachDone)
+	for i := range h.Chans {
+		r := &h.Chans[i]
+		ch := c.newChannel(fabric.NodeID(r.Peer), attachDone)
 		ch.health = HealthDegraded
-		// The link keeps every pre-restart QPN: the establishment pair is the
-		// identity the peer's redial is matched on, the newest is what its
-		// Mock hello names.
+		// The link keeps its identity pair, which the peer's redial is matched
+		// on, and its newest QPN, which the peer's Mock hello names.
 		l := c.newLink(ch, linkDegraded)
-		l.peerQPN, l.peerQPN0, l.ver, l.caps, l.degradedAt = r.peerQPN, r.peerQPN0, r.negVer, r.caps, now
-		l.qpns = r.qpns
+		l.peerQPN, l.peerQPN0, l.ver, l.caps, l.degradedAt = r.PeerQPN, r.PeerQPN0, r.NegVer, r.Caps, now
+		l.qpn0, l.qpn = r.QPN0, r.QPN
 		ch.win = newWindow(c.cfg.WindowDepth)
-		ch.win.seq, ch.win.acked, ch.win.wta, ch.win.rta = r.txFloor, r.txFloor, r.rxFloor, r.rxFloor
-		if r.label != ([8]byte{}) {
-			ch.tenant = c.tenantByLabel(r.label)
+		ch.win.seq, ch.win.acked, ch.win.wta, ch.win.rta = r.TxFloor, r.TxFloor, r.RxFloor, r.RxFloor
+		if r.Label != ([8]byte{}) {
+			ch.tenant = c.tenantByLabel(r.Label)
 		}
-		for _, m := range r.tail {
-			rec := ch.newMsg(msgKind(m.kind), m.msgID, m.data, int(m.size))
-			rec.oneWay, rec.enqAt, rec.holds = m.oneWay, now, holdSendQ
+		for _, m := range r.Tail {
+			rec := ch.newMsg(m.Kind, m.MsgID, m.Data, int(m.Size))
+			rec.oneWay, rec.enqAt, rec.holds = m.OneWay, now, holdSendQ
 			ch.sendQ.Push(rec)
 		}
-		for _, w := range r.wins {
+		for _, w := range r.Wins {
 			if ch.remoteWins == nil {
-				ch.remoteWins = make(map[uint64]RemoteWindow, len(r.wins))
+				ch.remoteWins = make(map[uint64]RemoteWindow, len(r.Wins))
 			}
 			ch.remoteWins[w.ID] = w
 		}
 		c.Stats.Rehydrated++
 		c.Stats.ChannelsOpened++
-		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), r.qpns[len(r.qpns)-1], int64(r.peer), drainEvRehydrate)
+		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), r.QPN, int64(r.Peer), drainEvRehydrate)
 		if c.onChannel != nil {
 			c.onChannel(ch)
 		}

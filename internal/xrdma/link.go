@@ -61,9 +61,10 @@ type link struct {
 	dialTimeout sim.Duration // abandons one dial that got no REP/REJ
 
 	qp       *rnic.QP
-	peerQPN  uint32   // peer's latest QPN — what a redial names
-	peerQPN0 uint32   // peer's QPN at establishment — with qpns[0], the immutable identity
-	qpns     []uint32 // every local QPN this link has owned, oldest first (port > 0 only)
+	peerQPN  uint32 // peer's latest QPN — what a redial names
+	peerQPN0 uint32 // peer's QPN at establishment — with qpn0, the immutable identity
+	qpn0     uint32 // local QPN at establishment (port > 0 only; 0 = none yet)
+	qpn      uint32 // newest local QPN the link has owned (port > 0 only)
 
 	// The transport material besides the QP: the standing receive pool
 	// posted on it (nil when the SRQ serves; see release for who frees it),
@@ -154,11 +155,11 @@ func (l *link) setQP(qp *rnic.QP, pool *recvPool, initiator bool) {
 		c.dialing = slices.Delete(c.dialing, i, i+1)
 		c.links = append(c.links, l)
 	}
-	if len(l.qpns) == 0 {
-		l.peerQPN0 = qp.RemoteQPN
-	}
 	if l.port > 0 {
-		l.qpns = append(l.qpns, qp.QPN)
+		l.qpn = qp.QPN
+	}
+	if l.qpn0 == 0 { // the establishment pair: the identity a redial names
+		l.qpn0, l.peerQPN0 = l.qpn, qp.RemoteQPN
 	}
 	l.state = linkReady
 	l.turn()
@@ -202,15 +203,12 @@ func (l *link) untable() {
 }
 
 // lastQPN is the newest local QPN the link has owned — what a peer's Mock
-// hello names. A rehydrated link has only its pre-restart history.
+// hello names. A rehydrated link has only its pre-restart one.
 func (l *link) lastQPN() uint32 {
 	if l.qp != nil {
 		return l.qp.QPN
 	}
-	if n := len(l.qpns); n > 0 {
-		return l.qpns[n-1]
-	}
-	return 0
+	return l.qpn
 }
 
 // close is terminal: timers are stranded, a dial in flight is cancelled, and
@@ -248,8 +246,8 @@ func (l *link) current(cqe rnic.CQE) bool {
 // is reports whether this link IS the one a dialing peer means: the
 // establishment-time QPN pair matches in both directions.
 func (l *link) is(from fabric.NodeID, h hello) bool {
-	return l.peer == from && l.redial == h.purpose && len(l.qpns) > 0 &&
-		l.qpns[0] == h.target0 && l.peerQPN0 == h.dialer0
+	return l.peer == from && l.redial == h.purpose && l.qpn0 != 0 &&
+		l.qpn0 == h.target0 && l.peerQPN0 == h.dialer0
 }
 
 // established lists the riders with a live send path — the ones to hold on
@@ -852,7 +850,7 @@ func (e *estab) done(conn *verbs.Conn, err error) {
 // fallen-back) link, which the hello names by identity.
 func (l *link) dialReplacement(retry func(error)) {
 	l.c.Stats.RecoverAttempts++
-	l.dial(l.port, hello{purpose: l.redial, target: l.peerQPN, target0: l.peerQPN0, dialer0: l.qpns[0]}.encode(), retry)
+	l.dial(l.port, hello{purpose: l.redial, target: l.peerQPN, target0: l.peerQPN0, dialer0: l.qpn0}.encode(), retry)
 }
 
 // accept is the one CM listener, on application ports and RecoverPort alike:

@@ -177,15 +177,15 @@ func TestDrainKeepsSizeOnly(t *testing.T) {
 		msgID = rec.msgID
 		err := w.ctxs[0].Drain(func(blob []byte) {
 			h, err := decodeHandoff(blob)
-			if err != nil || len(h.chans) != 1 {
+			if err != nil || len(h.Chans) != 1 {
 				t.Fatalf("handoff: %v", err)
 			}
 			found := false
-			for _, m := range h.chans[0].tail {
-				if m.msgID == msgID {
+			for _, m := range h.Chans[0].Tail {
+				if m.MsgID == msgID {
 					found = true
-					if m.size != size || len(m.data) != 0 {
-						t.Errorf("frozen as %d bytes of %d payload, want size %d and none", len(m.data), m.size, size)
+					if m.Size != size || len(m.Data) != 0 {
+						t.Errorf("frozen as %d bytes of %d payload, want size %d and none", len(m.Data), m.Size, size)
 					}
 				}
 			}

@@ -3,7 +3,12 @@ package xrdma
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"xrdma/internal/fabric"
@@ -82,58 +87,65 @@ func TestHelloCodec(t *testing.T) {
 
 // --- handoff blob hardening --------------------------------------------------
 
-func TestHandoffDecodeHostile(t *testing.T) {
-	le := binary.LittleEndian
-	// base is a well-formed blob header announcing n channel records.
-	base := func(n uint32) []byte {
-		b := le.AppendUint16(nil, handoffMagic)
-		b = append(b, handoffVer, 0)
-		b = le.AppendUint64(b, 7) // msgSeq floor
-		b = le.AppendUint32(b, n)
-		return b
-	}
-	// recPrefix is one record up to (and including) the tail count.
-	recPrefix := func(nq uint8, nt uint32) []byte {
-		b := le.AppendUint32(nil, 1) // peer
-		b = append(b, nq)
-		for i := uint8(0); i < nq; i++ {
-			b = le.AppendUint32(b, uint32(100+i))
-		}
-		b = le.AppendUint32(b, 55) // peerQPN
-		b = le.AppendUint32(b, 55) // peerQPN0
-		b = append(b, 1)           // negVer
-		b = le.AppendUint32(b, baselineCaps)
-		b = append(b, make([]byte, 8)...) // label
-		b = le.AppendUint64(b, 10)        // txFloor
-		b = le.AppendUint64(b, 12)        // rxFloor
-		b = le.AppendUint32(b, nt)        // tail count
-		return b
-	}
+// sampleHandoff is a well-formed one-channel blob: a tenant label, a carried
+// and a size-only tail message, and a granted window.
+func sampleHandoff() handoff {
+	return handoff{Ver: handoffVer, MsgSeq: 7, Chans: []handoffChan{{
+		Peer: 1, QPN0: 100, QPN: 104, PeerQPN: 56, PeerQPN0: 55, NegVer: 1, Caps: baselineCaps,
+		Label: [8]byte{'t', 'e', 'n', 'a', 'n', 't', '-', 'a'}, TxFloor: 10, RxFloor: 12,
+		Tail: []handoffMsg{
+			{Kind: kindReq, MsgID: 11, Size: 3, Data: []byte("abc")},
+			{Kind: kindResp, OneWay: true, MsgID: 3, Size: 64 << 10},
+		},
+		Wins: []RemoteWindow{{ID: 1, Addr: 0x10000, RKey: 7, Len: 65536}},
+	}}}
+}
 
+// mutHandoff is sampleHandoff with one change.
+func mutHandoff(mut func(*handoff)) handoff {
+	h := sampleHandoff()
+	mut(&h)
+	return h
+}
+
+func marshalHandoff(tb testing.TB, h handoff) []byte {
+	tb.Helper()
+	b, err := json.Marshal(h)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+func TestHandoffDecodeHostile(t *testing.T) {
+	good := marshalHandoff(t, sampleHandoff())
+	if h, err := decodeHandoff(good); err != nil || !reflect.DeepEqual(*h, sampleHandoff()) {
+		t.Fatalf("the well-formed blob every row corrupts: h=%+v err=%v", h, err)
+	}
+	// widen puts a number outside its field's width into the good blob.
+	widen := func(from, to string) []byte {
+		if !bytes.Contains(good, []byte(from)) {
+			t.Fatalf("%s is not in %s", from, good)
+		}
+		return bytes.Replace(good, []byte(from), []byte(to), 1)
+	}
 	hostile := []struct {
 		name string
 		blob []byte
 	}{
 		{"nil", nil},
-		{"bad-magic", append(le.AppendUint16(nil, 0xBEEF), make([]byte, 14)...)},
-		{"future-version", func() []byte {
-			b := base(0)
-			b[2] = 9
-			return b
-		}()},
-		{"truncated-header", base(0)[:6]},
-		{"channel-count-bomb", base(1 << 20)},
-		{"truncated-record", base(1)},
-		{"qpn-count-bomb", append(append(base(1), le.AppendUint32(nil, 1)...), 65)},
-		{"tail-count-bomb", append(base(1), recPrefix(1, handoffMaxTail+1)...)},
-		{"tail-payload-overrun", func() []byte {
-			b := append(base(1), recPrefix(0, 1)...)
-			b = append(b, 1, 0)           // kind, oneWay
-			b = le.AppendUint64(b, 3)     // msgID
-			b = le.AppendUint32(b, 64)    // size
-			b = le.AppendUint32(b, 1<<30) // dataLen far beyond the buffer
-			return b
-		}()},
+		{"not-json", []byte("XH\x01\x00\x07\x00\x00\x00")},
+		{"truncated", good[:len(good)/2]},
+		{"other-version", marshalHandoff(t, mutHandoff(func(h *handoff) { h.Ver = handoffVer + 1 }))},
+		{"no-version", []byte(`{"MsgSeq":7}`)},
+		{"kind-out-of-range", widen(`"Kind":0`, `"Kind":256`)},
+		{"size-negative", widen(`"Size":3,`, `"Size":-1,`)},
+		{"peer-out-of-range", widen(`"Peer":1,`, `"Peer":4294967296,`)},
+		{"window-len-out-of-range", widen(`"Len":65536`, `"Len":4294967296`)},
+		{"no-identity", marshalHandoff(t, mutHandoff(func(h *handoff) { h.Chans[0].QPN0 = 0 }))},
+		{"no-newest-qpn", marshalHandoff(t, mutHandoff(func(h *handoff) { h.Chans[0].QPN = 0 }))},
+		{"tail-kind-ack", marshalHandoff(t, mutHandoff(func(h *handoff) { h.Chans[0].Tail[1].Kind = kindAck }))},
+		{"tail-kind-large-req", marshalHandoff(t, mutHandoff(func(h *handoff) { h.Chans[0].Tail[0].Kind = kindLargeReq }))},
 	}
 	for _, tc := range hostile {
 		if _, err := decodeHandoff(tc.blob); !errors.Is(err, errBadHandoff) {
@@ -142,8 +154,8 @@ func TestHandoffDecodeHostile(t *testing.T) {
 	}
 
 	// A well-formed empty blob decodes cleanly and carries the MsgID floor.
-	h, err := decodeHandoff(base(0))
-	if err != nil || len(h.chans) != 0 || h.msgSeq != 7 {
+	h, err := decodeHandoff(marshalHandoff(t, handoff{Ver: handoffVer, MsgSeq: 7}))
+	if err != nil || len(h.Chans) != 0 || h.MsgSeq != 7 {
 		t.Fatalf("empty blob: h=%+v err=%v", h, err)
 	}
 }
@@ -202,7 +214,7 @@ func TestDrainIdleNode(t *testing.T) {
 		t.Fatalf("phase %v, want drained", w.ctxs[1].DrainPhase())
 	}
 	h, err := decodeHandoff(blob)
-	if err != nil || len(h.chans) != 0 {
+	if err != nil || len(h.Chans) != 0 {
 		t.Fatalf("idle-node handoff: %+v err=%v", h, err)
 	}
 	if err := w.ctxs[1].Drain(nil); !errors.Is(err, ErrDraining) {
@@ -269,11 +281,11 @@ func TestDrainForcedFailsWaiters(t *testing.T) {
 		t.Fatalf("forced-drain waiter got %v, want ErrDraining", werr)
 	}
 	h, err := decodeHandoff(blob)
-	if err != nil || len(h.chans) != 1 {
+	if err != nil || len(h.Chans) != 1 {
 		t.Fatalf("handoff: %+v err=%v", h, err)
 	}
-	if h.chans[0].peer != 1 || h.msgSeq == 0 {
-		t.Fatalf("handoff record: %+v msgSeq=%d", h.chans[0], h.msgSeq)
+	if h.Chans[0].Peer != 1 || h.MsgSeq == 0 {
+		t.Fatalf("handoff record: %+v msgSeq=%d", h.Chans[0], h.MsgSeq)
 	}
 }
 
@@ -375,8 +387,8 @@ func TestRollingRestartExactlyOnce(t *testing.T) {
 				t.Errorf("handoff decode: %v", derr)
 				return
 			}
-			if len(h.chans) != 1 || h.chans[0].peer != 0 {
-				t.Errorf("handoff: %+v", h.chans)
+			if len(h.Chans) != 1 || h.Chans[0].Peer != 0 {
+				t.Errorf("handoff: %+v", h.Chans)
 			}
 			newSrv = restartCtx(w, 1, func(cfg *Config) { cfg.ProtoVerMax = 2 })
 			newSrv.OnChannel(func(ch *Channel) {
@@ -424,6 +436,77 @@ func TestRollingRestartExactlyOnce(t *testing.T) {
 		t.Fatal("client never noticed the restart — test is vacuous")
 	}
 	s.check(t)
+}
+
+// TestHandoffAfterManyRecoveries: a link that adopted 70 replacement QPs
+// still drains to a blob that decodes, and the restarted instance brings the
+// channel back with every request delivered exactly once. The link's
+// identity stays two QPNs, the establishment one and the newest, however
+// many QPs it has owned.
+func TestHandoffAfterManyRecoveries(t *testing.T) {
+	const fails = 70
+	gap := 20 * sim.Millisecond
+	w := newRecoverWorld(t, 2, func(i int, cfg *Config) { cfg.DrainDeadline = 5 * sim.Microsecond })
+	cli, srv := w.connect(t, 0, 1, 5000)
+	qpn0 := cli.lk.qpn0
+	s := newIDStream(srv)
+	s.run(w.eng, cli, 500*sim.Microsecond, fails*gap)
+	for k := 1; k <= fails; k++ {
+		w.eng.AfterBg(sim.Duration(k)*gap, func() { cli.lk.fail(ErrPeerDead) })
+	}
+
+	var rehydrated *Channel
+	w.eng.AfterBg((fails+1)*gap, func() {
+		l := cli.lk
+		if got := w.ctxs[0].Stats.Recoveries; got != fails {
+			t.Errorf("recovered %d times, want %d", got, fails)
+		}
+		if l.qpn0 != qpn0 || l.qpn != l.qp.QPN {
+			t.Errorf("identity (%d, %d), want the establishment QPN %d and the current %d", l.qpn0, l.qpn, qpn0, l.qp.QPN)
+		}
+		want := handoffChan{Peer: 1, QPN0: l.qpn0, QPN: l.qpn, PeerQPN: l.peerQPN, PeerQPN0: l.peerQPN0}
+		// One rendezvous request in flight when the drain starts: the deadline
+		// freezes it in the tail, and the restarted instance replays it.
+		big := make([]byte, 1<<20)
+		binary.LittleEndian.PutUint64(big, s.sent)
+		s.sent++
+		if err := cli.SendMsg(big, 0, func(*Msg, error) {}); err != nil {
+			t.Fatal(err)
+		}
+		err := w.ctxs[0].Drain(func(blob []byte) {
+			h, err := decodeHandoff(blob)
+			if err != nil {
+				t.Fatalf("handoff: %v", err)
+			}
+			if len(h.Chans) != 1 {
+				t.Fatalf("handoff of %d channels, want 1", len(h.Chans))
+			}
+			r := h.Chans[0]
+			if len(r.Tail) != 1 || r.Tail[0].MsgID != w.ctxs[0].msgSeq {
+				t.Fatalf("tail %+v, want the request in flight: the test is vacuous", r.Tail)
+			}
+			r.Tail, r.NegVer, r.Caps, r.TxFloor, r.RxFloor = nil, 0, 0, 0, 0
+			if !reflect.DeepEqual(r, want) {
+				t.Errorf("handoff identity %+v, want %+v", r, want)
+			}
+			newCli := restartCtx(w, 0, nil)
+			newCli.OnChannel(func(ch *Channel) { rehydrated = ch })
+			if err := newCli.Rehydrate(blob); err != nil {
+				t.Fatalf("rehydrate: %v", err)
+			}
+		})
+		if err != nil {
+			t.Errorf("Drain: %v", err)
+		}
+	})
+	w.eng.RunFor((fails+1)*gap + 300*sim.Millisecond)
+
+	if rehydrated == nil || rehydrated.Health() != HealthHealthy {
+		t.Fatal("the channel did not come back healthy")
+	}
+	if dups, lost := s.tally(); dups != 0 || lost != 0 || s.sendErrs != 0 {
+		t.Errorf("of %d sent: %d duplicated, %d lost, %d rejected", s.sent, dups, lost, s.sendErrs)
+	}
 }
 
 // TestRestartDuringRendezvousMemClean: the sender restarts while a large
@@ -496,5 +579,96 @@ func TestRestartDuringRendezvousMemClean(t *testing.T) {
 	}
 	if w.ctxs[1].Mem.InUseBytes != 0 {
 		t.Errorf("server leaks %dB", w.ctxs[1].Mem.InUseBytes)
+	}
+}
+
+// --- frozen handoff corpus ---------------------------------------------------
+
+var update = flag.Bool("update", false, "rewrite testdata/handoff.json from this tree")
+
+// TestHandoffCorpusGenerate writes testdata/handoff.json under -update: the
+// blob a drain freezes for one channel that holds everything a blob carries
+// — a tenant label, a peer-granted window, and a carried and a size-only
+// message in the replay tail.
+func TestHandoffCorpusGenerate(t *testing.T) {
+	if !*update {
+		t.Skip("rewrites testdata/handoff.json only with -update")
+	}
+	w := newRecoverWorld(t, 2, func(i int, cfg *Config) {
+		cfg.DrainDeadline = 5 * sim.Microsecond
+		cfg.Tenants = []TenantConfig{{Name: "tenant-a"}}
+	})
+	cli, srv := w.connect(t, 0, 1, 5000)
+	if err := cli.BindTenant("tenant-a"); err != nil {
+		t.Fatal(err)
+	}
+	exposeGranted(t, w, cli, srv, 4096)
+	// On a degraded link both sends wait in the queue, and the drain's
+	// deadline freezes them there.
+	cli.lk.fail(ErrPeerDead)
+	for _, data := range [][]byte{[]byte("hello"), nil} {
+		if err := cli.SendMsg(data, 64<<10, func(*Msg, error) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var blob []byte
+	if err := w.ctxs[0].Drain(func(b []byte) { blob = b }); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.RunFor(sim.Millisecond)
+	if err := os.WriteFile(filepath.Join("testdata", "handoff.json"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHandoffCorpus holds every frozen blob to three things: it decodes, it
+// re-encodes byte for byte, and a fresh context rehydrates what it says.
+func TestHandoffCorpus(t *testing.T) {
+	for _, tc := range []struct {
+		file   string
+		peer   fabric.NodeID
+		tenant string
+		wins   int
+		tail   []handoffMsg // MsgIDs are not compared
+	}{
+		{"handoff.json", 1, "tenant-a", 1, []handoffMsg{
+			{Kind: kindReq, Size: 5, Data: []byte("hello")},
+			{Kind: kindReq, Size: 64 << 10},
+		}},
+	} {
+		blob, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := decodeHandoff(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if again := marshalHandoff(t, *h); !bytes.Equal(again, blob) {
+			t.Errorf("%s re-encodes differently:\n got %s\nwant %s", tc.file, again, blob)
+		}
+		w := newRecoverWorld(t, 2, func(i int, cfg *Config) { cfg.Tenants = []TenantConfig{{Name: tc.tenant}} })
+		var ch *Channel
+		w.ctxs[0].OnChannel(func(c *Channel) { ch = c })
+		if err := w.ctxs[0].Rehydrate(blob); err != nil {
+			t.Fatalf("%s: rehydrate: %v", tc.file, err)
+		}
+		if ch == nil || ch.Peer != tc.peer || ch.TenantOf() != w.ctxs[0].Tenant(tc.tenant) || len(ch.remoteWins) != tc.wins {
+			t.Fatalf("%s: rehydrated %+v", tc.file, ch)
+		}
+		if w.ctxs[0].msgSeq < h.MsgSeq || ch.win.acked != h.Chans[0].TxFloor || ch.win.rta != h.Chans[0].RxFloor {
+			t.Errorf("%s: MsgID floor %d, window floors (%d, %d); the blob says %d, (%d, %d)", tc.file,
+				w.ctxs[0].msgSeq, ch.win.acked, ch.win.rta, h.MsgSeq, h.Chans[0].TxFloor, h.Chans[0].RxFloor)
+		}
+		rec := ch.sendQ.Head()
+		for i, m := range tc.tail {
+			if rec == nil || rec.mkind != m.Kind || rec.size != int(m.Size) || rec.hasData != (m.Data != nil) || !bytes.Equal(rec.payload(), m.Data) {
+				t.Fatalf("%s: tail message %d restored as %+v, want %+v", tc.file, i, rec, m)
+			}
+			rec = rec.next
+		}
+		if rec != nil {
+			t.Errorf("%s: more than %d messages restored", tc.file, len(tc.tail))
+		}
 	}
 }
