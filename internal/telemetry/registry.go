@@ -13,7 +13,7 @@ type kind uint8
 
 const (
 	counterKind kind = iota
-	gaugeKind
+	gaugeKind        // a collected family's member, as WritePrometheus carries it
 	gaugeFuncKind
 	histKind
 )
@@ -67,31 +67,6 @@ func (c Counter) Value() int64 {
 		return 0
 	}
 	return c.m.v
-}
-
-// Gauge is a pre-resolved handle to a value that can move both ways.
-type Gauge struct{ m *metric }
-
-// Set stores v.
-func (g Gauge) Set(v int64) {
-	if g.m != nil {
-		g.m.v = v
-	}
-}
-
-// Add moves the gauge by d.
-func (g Gauge) Add(d int64) {
-	if g.m != nil {
-		g.m.v += d
-	}
-}
-
-// Value reads the gauge.
-func (g Gauge) Value() int64 {
-	if g.m == nil {
-		return 0
-	}
-	return g.m.v
 }
 
 // Histogram is a pre-resolved handle to a log₂-bucket histogram.
@@ -189,11 +164,6 @@ func (r *Registry) get(name string, k kind) *metric {
 // Counter resolves (registering on first use) a counter handle.
 func (r *Registry) Counter(name string) Counter {
 	return Counter{m: r.get(name, counterKind)}
-}
-
-// Gauge resolves (registering on first use) a gauge handle.
-func (r *Registry) Gauge(name string) Gauge {
-	return Gauge{m: r.get(name, gaugeKind)}
 }
 
 // Histogram resolves (registering on first use) a histogram handle.

@@ -49,14 +49,14 @@ func TestRingCapacityRounding(t *testing.T) {
 func TestRegistryHandlesAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("b.count")
-	g := r.Gauge("a.gauge")
+	g := int64(10)
+	r.GaugeFunc("a.gauge", func() int64 { return g }) // read when snapshotted
 	r.GaugeFunc("c.fn", func() int64 { return 7 })
 	h := r.Histogram("d.hist")
 
 	c.Add(3)
 	c.Inc()
-	g.Set(10)
-	g.Add(-2)
+	g -= 2
 	h.Observe(0)
 	h.Observe(5) // bucket [4,8): p50 interpolates to 5, p99 hits the edge 7
 	h.Observe(5)
@@ -104,7 +104,7 @@ func TestRegistrySameNameReturnsSameMetric(t *testing.T) {
 			t.Fatal("re-registering with a different kind did not panic")
 		}
 	}()
-	r.Gauge("x")
+	r.GaugeFunc("x", func() int64 { return 0 })
 }
 
 // A collected family contributes one entry per member alive when someone
@@ -114,7 +114,7 @@ func TestRegistrySameNameReturnsSameMetric(t *testing.T) {
 func TestRegistryCollect(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("m.keep").Inc()
-	r.Gauge("z").Set(9)
+	r.GaugeFunc("z", func() int64 { return 9 })
 	members := []string{"m.b", "m.a"}
 	r.Collect("m", func(emit func(string, int64)) {
 		for i, n := range members {
@@ -165,14 +165,11 @@ func TestRegistryDiff(t *testing.T) {
 
 func TestZeroHandlesAreNoOps(t *testing.T) {
 	var c Counter
-	var g Gauge
 	var h Histogram
 	c.Add(1)
 	c.Inc()
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || h.Count() != 0 {
 		t.Fatal("zero handles retained state")
 	}
 }
