@@ -341,7 +341,7 @@ func TestOneSidedNeedsRDMAPath(t *testing.T) {
 		recvd := w.ctxs[0].tcp.MsgsRecv
 		w.recordIncidents()
 		pay := bytes.Repeat([]byte{0xEE}, 64)
-		for k := kindWinRevoke + 1; k <= kindWinRevoke+3; k++ { // were READ_REQ, READ_RESP, WRITE_IMM
+		for _, k := range []msgKind{kindLargeResp + 1, kindWinRevoke + 1, kindWinRevoke + 2, kindWinRevoke + 3} { // were READ_DONE, READ_REQ, READ_RESP, WRITE_IMM
 			h := wireHdr{Kind: k, MsgID: 77, Addr: rw.Addr, RKey: rw.RKey, Size: uint32(len(pay))}
 			frame := make([]byte, h.wireBytes(), h.wireBytes()+len(pay))
 			h.encode(frame)
@@ -349,8 +349,8 @@ func TestOneSidedNeedsRDMAPath(t *testing.T) {
 			srv.lk.ingest(append(frame, pay...), 0, true, nil)
 		}
 		w.eng.RunFor(5 * sim.Millisecond)
-		if got := w.incidents(t, "xrdma.1", telemetry.CatIntegrity); !slices.Equal(got, []int64{integrityKind, integrityKind, integrityKind}) {
-			t.Fatalf("integrity records %v, want the 3 retired-kind frames flight-recorded as unknown kinds", got)
+		if got := w.incidents(t, "xrdma.1", telemetry.CatIntegrity); !slices.Equal(got, []int64{integrityKind, integrityKind, integrityKind, integrityKind}) {
+			t.Fatalf("integrity records %v, want the 4 retired-kind frames flight-recorded as unknown kinds", got)
 		}
 		if fired || !bytes.Equal(win.Bytes(), want) || srv.Counters.RemoteAccessErrs != 0 {
 			t.Fatal("a retired WRITE_IMM frame was applied")

@@ -47,7 +47,7 @@ const (
 	kindNop                      // deadlock breaker, solicits an ack
 	kindLargeReq                 // rendezvous: request payload staged at sender
 	kindLargeResp                // rendezvous: response payload staged at responder
-	kindReadDone                 // receiver finished pulling a staged buffer
+	_                            // 6 is retired (READ_DONE); see below
 	kindPing                     // middleware-level ping (XR-Ping)
 	kindPong
 	kindChanOpen   // mux plane: open a channel over a shared QP
@@ -57,9 +57,11 @@ const (
 	kindPathHint   // path doctor: receiver-side symptoms implicate the peer's TX path
 	kindWinGrant   // one-sided plane: peer exposes an MR window (Addr/RKey/Size, MsgID = window id)
 	kindWinRevoke  // one-sided plane: peer withdrew a window (MsgID = window id)
-	// The next three numbers are retired, not free: a release that emulated
-	// READ/WRITE+imm over the Mock conn emitted them. They reach handleWire's
-	// default arm — flight-recorded and dropped, never parsed.
+	// Retired numbers are not free. 6 (READ_DONE) was a receiver's notice
+	// that it had pulled a staged buffer; nothing emits or handles it. The
+	// next three were emitted by a release that emulated READ/WRITE+imm over
+	// the Mock conn. All four reach handleWire's default arm —
+	// flight-recorded and dropped, never parsed.
 )
 
 func (k msgKind) String() string {
