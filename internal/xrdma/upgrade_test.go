@@ -289,6 +289,30 @@ func TestDrainForcedFailsWaiters(t *testing.T) {
 	}
 }
 
+// TestForcedDrainSealsAtDeadline: a drain that cannot quiesce seals its blob
+// at DrainDeadline exactly, not a quiesce poll later — the poll's period has a
+// 10 µs floor, above this 5 µs deadline. A 1 MiB request is in flight.
+func TestForcedDrainSealsAtDeadline(t *testing.T) {
+	const deadline = 5 * sim.Microsecond
+	w := newRecoverWorld(t, 2, func(i int, cfg *Config) { cfg.DrainDeadline = deadline })
+	cli, _ := w.connect(t, 0, 1, 5000)
+	var werr error
+	if err := cli.SendMsg(make([]byte, 1<<20), 0, func(_ *Msg, err error) { werr = err }); err != nil {
+		t.Fatal(err)
+	}
+	start, sealed := w.eng.Now(), sim.Time(-1)
+	if err := w.ctxs[0].Drain(func([]byte) { sealed = w.eng.Now() }); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.RunFor(sim.Millisecond)
+	if !errors.Is(werr, ErrDraining) {
+		t.Fatalf("the waiter got %v, want ErrDraining: the drain was not forced", werr)
+	}
+	if want := start.Add(deadline); sealed != want {
+		t.Fatalf("sealed at %v, want the deadline %v (Drain at %v)", sealed, want, start)
+	}
+}
+
 // TestDrainFlushesShedParkedAttaches: lazy mux channels parked in the
 // admission FIFO by their tenant's shed episode must not deadlock a drain —
 // the flush fails their callbacks with ErrDraining instead of serving or
