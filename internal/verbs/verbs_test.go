@@ -2,6 +2,7 @@ package verbs
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"xrdma/internal/fabric"
@@ -42,7 +43,8 @@ func listenEcho(t testing.TB, w *world, i, port int, got *[]*Conn) {
 				t.Errorf("accept: %v", err)
 				return
 			}
-			*got = append(*got, c)
+			cc := *c // c is valid only while done runs
+			*got = append(*got, &cc)
 		})
 	})
 	if err != nil {
@@ -61,7 +63,8 @@ func TestConnectEstablishes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("connect: %v", err)
 		}
-		conn = c
+		cc := *c // c is valid only while done runs
+		conn = &cc
 		end = w.eng.Now()
 	})
 	w.eng.Run()
@@ -86,7 +89,8 @@ func TestConnectionCarriesTraffic(t *testing.T) {
 	listenEcho(t, w, 2, 7100, &accepted)
 	var conn *Conn
 	w.cms[0].Connect(2, 7100, nil, nil, 64, rnic.NewCQ(128), rnic.NewCQ(128), nil, func(c *Conn, err error) {
-		conn = c
+		cc := *c // c is valid only while done runs
+		conn = &cc
 	})
 	w.eng.Run()
 	if conn == nil || len(accepted) != 1 {
@@ -116,7 +120,8 @@ func TestRecycledQPSkipsCreation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cold: %v", err)
 		}
-		conn = c
+		cc := *c // c is valid only while done runs
+		conn = &cc
 		coldDur = w.eng.Now().Sub(start)
 	})
 	w.eng.Run()
@@ -247,14 +252,14 @@ func TestCancelDial(t *testing.T) {
 // TestDialAcceptAllocs pins what one warmed dial+accept costs the verbs layer:
 // the dialer's CM creates its QP, the listener accepts on a QP created through
 // the command queue, and both are destroyed after each connect. What is left
-// is state: per side the QP (its struct, five bound callbacks, the receive
-// queue reserved to its depth: 7); the Dial and its step callback; the ConnReq
-// and its. The REQ, REP and RTU messages and both Conns are made in place, in
-// the Dial and the ConnReq. The dial's steps and the hardware command queue
-// allocate nothing. The ceiling is what the code reaches: raising it is a
-// regression to explain.
+// is the QPs' state: per side the QP (its struct, its bound callbacks, the
+// receive queue reserved to its depth: 5). The Dial and the ConnReq, each
+// with its step callback, come off the CM's free lists, and the REQ, REP and
+// RTU messages and both Conns are made inside them; the dial's steps and the
+// hardware command queue allocate nothing. The ceiling is what the code
+// reaches: raising it is a regression to explain.
 func TestDialAcceptAllocs(t *testing.T) {
-	const ceiling = 18
+	const ceiling = 10
 	w := newWorld(t, 2)
 	nicA, nicB := w.ctxs[0].NIC, w.ctxs[1].NIC
 	scqA, rcqA := rnic.NewCQ(128), rnic.NewCQ(128)
@@ -368,4 +373,92 @@ func TestRegMRCostOrdering(t *testing.T) {
 	if pd.MRs != 2 {
 		t.Fatalf("PD counts %d MRs", pd.MRs)
 	}
+}
+
+// TestStepMachinesRecycle drives a CM through every way a dial and an accept
+// end — connected (both QPs destroyed at once), refused by no listener,
+// rejected by the listener, cancelled at any step, unanswered by a crashed
+// peer NIC — and holds the free lists to what recycling promises: the
+// machines are reused (a few serve hundreds of dials), one on a free list
+// keeps nothing of its last dial (request id, QP, callback, peer, message),
+// each done fires at most once and only for a dial nobody cancelled, and
+// nothing stays pending.
+func TestStepMachinesRecycle(t *testing.T) {
+	w := newWorld(t, 3)
+	nicA := w.ctxs[0].NIC
+	scq, rcq := rnic.NewCQ(1024), rnic.NewCQ(1024)
+	if err := w.cms[1].Listen(7800, func(req *ConnReq) {
+		qp := w.ctxs[1].NIC.AllocQPNow(16, 16, scq, rcq, nil)
+		req.Accept(qp, func(c *Conn, err error) {
+			if err == nil {
+				w.ctxs[1].NIC.DestroyQP(c.QP)
+			}
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.cms[1].Listen(7801, func(req *ConnReq) { req.Reject("busy") }); err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(7)
+	const dials = 400
+	calls := make([]int, dials)
+	cancelled := make([]bool, dials)
+	seen := map[*Dial]bool{}
+	for i := 0; i < dials; i++ {
+		i := i
+		port := []int{7800, 7800, 7801, 7802}[rng.Intn(4)]
+		at := sim.Duration(i) * 2 * sim.Millisecond // about one QP creation apart
+		w.eng.After(at, func() {
+			d := w.cms[0].Connect(1, port, nil, nil, 16, scq, rcq, nil, func(c *Conn, err error) {
+				if calls[i]++; cancelled[i] || calls[i] > 1 {
+					t.Errorf("dial %d: done after Cancel or twice", i)
+				}
+				if err == nil {
+					nicA.DestroyQP(c.QP)
+				}
+			})
+			seen[d] = true
+			if rng.Intn(4) == 0 {
+				w.eng.After(sim.Duration(rng.Intn(int(5*sim.Millisecond))), func() {
+					if calls[i] == 0 {
+						cancelled[i] = true
+						w.cms[0].Cancel(d)
+					}
+				})
+			}
+		})
+	}
+	// A dial into a crashed NIC gets no answer: only Cancel ends it.
+	w.ctxs[2].NIC.Crash()
+	var lost *Dial
+	w.eng.After(0, func() { lost = w.cms[0].Connect(2, 7800, nil, nil, 16, scq, rcq, nil, func(*Conn, error) {}) })
+	w.eng.Run()
+	for i := range calls {
+		if calls[i] != 1 && !cancelled[i] {
+			t.Errorf("dial %d: done called %d times", i, calls[i])
+		}
+	}
+	w.cms[0].Cancel(lost)
+	for _, cm := range w.cms {
+		if n := cm.PendingDials(); n != 0 {
+			t.Errorf("%d dials pending", n)
+		}
+		for _, d := range cm.dials.Items() {
+			if d.id != 0 || d.qp != nil || d.done != nil || d.settled || d.queued || d.flying ||
+				d.private != nil || d.peerData != nil || !reflect.DeepEqual(d.msg, cmMsg{dial: d}) || d.stepFn == nil {
+				t.Errorf("a free Dial keeps its last dial's state: %+v", d)
+			}
+		}
+		for _, req := range cm.reqs.Items() {
+			if req.qp != nil || req.done != nil || req.settled || req.queued || req.flying || req.msgID != 0 ||
+				req.From != 0 || req.PrivateData != nil || !reflect.DeepEqual(req.rep, cmMsg{req: req}) || req.stepFn == nil {
+				t.Errorf("a free ConnReq keeps its last request's state: %+v", req)
+			}
+		}
+	}
+	if len(seen) > dials/10 || w.cms[1].reqs.Live() > dials/10 {
+		t.Errorf("%d Dials and %d ConnReqs served %d dials: nothing was reused", len(seen), w.cms[1].reqs.Live(), dials)
+	}
+	t.Logf("%d Dials and %d ConnReqs served %d dials", len(seen), w.cms[1].reqs.Live(), dials)
 }

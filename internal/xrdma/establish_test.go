@@ -22,7 +22,7 @@ import (
 // case the rider model claims: per row, each end must see the same callbacks
 // in the same order on both planes.
 //
-// Before link.dial / Context.accept (three dialers, three acceptors) every
+// Before link.establish / Context.accept (three dialers, three acceptors) every
 // row but "ok" failed on both planes: no-listener, draining, both
 // disjoint-version rows and wrong-port left the QP the CM had created on the
 // dialer's NIC (5 refused dials: NumQPs 0 → 5); draining/shared returned a

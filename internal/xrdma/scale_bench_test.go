@@ -21,7 +21,7 @@ func TestChannelStructBudget(t *testing.T) {
 		got, most uintptr
 	}{
 		{"unsafe.Sizeof(Channel{})", unsafe.Sizeof(Channel{}), 464},
-		{"unsafe.Sizeof(link{})", unsafe.Sizeof(link{}), 416},
+		{"unsafe.Sizeof(link{})", unsafe.Sizeof(link{}), 408},
 		{"Config fields", uintptr(reflect.TypeOf(Config{}).NumField()), 38},
 	} {
 		t.Logf("%s = %d (budget %d)", b.what, b.got, b.most)

@@ -12,8 +12,9 @@ import "fmt"
 //
 // A window is both halves of one channel: the sender's edges, the receiver's,
 // and one slot per in-window sequence. Each half indexes its slot by
-// seq % depth, so one array backs both — a channel's window is the one
-// allocation establishment makes for it (finishAttach).
+// seq % depth, so one array backs both. The arrays are recycled through the
+// context's free list: finishAttach (or Rehydrate) takes one, teardown gives
+// it back, and nothing indexes a closed channel's window.
 type window struct {
 	slots []winSlot
 	seq   uint64 // last assigned sequence (paper: SEQ)
@@ -31,7 +32,9 @@ type winSlot struct {
 	recved bool
 }
 
-func newWindow(depth int) window { return window{slots: make([]winSlot, depth)} }
+func (c *Context) newWindow() window { // window_depth is an offline flag: one depth per context
+	return window{slots: c.wins.Take(func() []winSlot { return make([]winSlot, c.cfg.WindowDepth) })}
+}
 
 func (w *window) depth() uint64 { return uint64(len(w.slots)) }
 

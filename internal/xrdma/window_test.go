@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 )
 
+// newWindow is a window on its own slot array, outside any context.
+func newWindow(depth int) window { return window{slots: make([]winSlot, depth)} }
+
 func TestTxWindowBasics(t *testing.T) {
 	w := newWindow(4)
 	if !w.canSend() || w.inflight() != 0 {
