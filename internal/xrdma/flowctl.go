@@ -224,7 +224,7 @@ func (ch *Channel) tenantRewind() {
 	if t == nil || ch.tenantInflight == 0 {
 		return
 	}
-	t.inflight -= ch.tenantInflight
+	t.inflight -= int(ch.tenantInflight)
 	ch.tenantInflight = 0
 	t.wakeWaiters()
 }

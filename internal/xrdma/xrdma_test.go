@@ -255,6 +255,54 @@ func TestManyRequestsInOrder(t *testing.T) {
 	}
 }
 
+// TestResponsesOutOfOrder: a server holds 1000 requests — far past the window,
+// as acked requests keep waiting for their responses — then answers them in a
+// seeded shuffle, every fifth with a rendezvous-sized response whose pull lets
+// later inline ones overtake it. Each waiter gets its own response, found by
+// MsgID and taken out of the issue-order ring wherever it sits, and none is
+// left waiting.
+func TestResponsesOutOfOrder(t *testing.T) {
+	w := newWorld(t, 2, nil)
+	cli, srv := w.connect(t, 0, 1, 5003)
+	const n = 1000
+	var held []*Msg
+	var ids [][]byte
+	srv.OnMessage(func(m *Msg) {
+		if held, ids = append(held, m), append(ids, m.Retain()); len(held) < n {
+			return
+		}
+		rng := sim.NewRNG(50)
+		for i := len(held) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			held[i], held[j], ids[i], ids[j] = held[j], held[i], ids[j], ids[i]
+		}
+		for k, m := range held {
+			resp := make([]byte, 2, 8<<10)
+			if copy(resp, ids[k]); ids[k][1]%5 == 0 {
+				resp = resp[:cap(resp)]
+			}
+			m.Reply(resp, 0)
+		}
+	})
+	var order []int
+	for i := 0; i < n; i++ {
+		cli.SendMsg([]byte{byte(i >> 8), byte(i)}, 0, func(m *Msg, err error) {
+			if err != nil || len(m.Data) < 2 || int(m.Data[0])<<8|int(m.Data[1]) != i {
+				t.Fatalf("request %d: response %v, err %v", i, m, err)
+			}
+			order = append(order, i)
+		})
+	}
+	w.eng.Run()
+	if len(order) != n || slices.IsSorted(order) {
+		t.Fatalf("%d of %d responses, in issue order: %v", len(order), n, slices.IsSorted(order))
+	}
+	if len(cli.pending) != 0 || cli.issued.Newest() != nil {
+		t.Fatalf("%d waiters left by MsgID, %d in issue order", len(cli.pending), len(cli.waiters()))
+	}
+	w.checkAtRest(t, 1, 1)
+}
+
 func TestMixedSmallLargeOrdering(t *testing.T) {
 	w := newWorld(t, 2, nil)
 	cli, srv := w.connect(t, 0, 1, 5004)
