@@ -3,11 +3,12 @@ package sim
 import "slices"
 
 // FreeList recycles objects whose owner knows the one point where each one's
-// last reference drops: Put there, Take instead of making a new one. Trim, on a
-// periodic tick, leaves to the collector a share of the objects that sat on the
-// list the whole period (its low-water mark since the previous Trim), so a
-// burst — an attach or connection storm — does not pin its peak. The zero
-// FreeList is empty and ready to use.
+// last reference drops: Put there, Take instead of making a new one. Trim,
+// once per idle horizon, leaves to the collector the objects that sat on the
+// list the whole horizon (its low-water mark since the previous Trim): a burst
+// — an attach or connection storm — does not pin its peak, and what a workload
+// reuses within the horizon is never made again. The zero FreeList is empty
+// and ready to use.
 type FreeList[T any] struct {
 	free []T
 	idle int // low-water mark of len(free) since the last Trim
@@ -35,10 +36,10 @@ func (f *FreeList[T]) Put(x T) { f.free = append(f.free, x) }
 // owner cannot see may still read it, so the collector takes it instead.
 func (f *FreeList[T]) Forfeit() { f.live-- }
 
-// Trim leaves to the collector 1/div of what sat free since the last Trim (all
-// of it at div 1), the objects freed longest ago first.
-func (f *FreeList[T]) Trim(div int) {
-	n := f.idle / div
+// Trim leaves to the collector all that sat free since the last Trim: the
+// objects freed longest ago, so the survivors are the newest.
+func (f *FreeList[T]) Trim() {
+	n := f.idle
 	f.free = slices.Delete(f.free, 0, n)
 	f.live -= n
 	f.idle = len(f.free)

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // A free list hands back the object freed last, counts what it made, and
-// Trim leaves to the collector 1/div of what sat free the whole period — the
+// Trim leaves to the collector all that sat free the whole period — the
 // objects freed longest ago — however full the list was in between.
 func TestFreeList(t *testing.T) {
 	var f FreeList[*int]
@@ -20,19 +20,24 @@ func TestFreeList(t *testing.T) {
 		t.Fatalf("Take returned another object than the one freed last (made %d)", made)
 	}
 	f.Put(c)
-	f.Trim(1) // the period began empty: nothing sat free all of it
+	f.Trim() // the period began empty: nothing sat free all of it
 	if f.Free() != 3 || f.Live() != 3 {
 		t.Fatalf("first trim left %d free of %d live, want 3 of 3", f.Free(), f.Live())
 	}
-	f.Put(f.Take(mk)) // one taken and back: two sat free all period
-	f.Trim(2)
+	x, y := f.Take(mk), f.Take(mk) // two taken and back: only a sat free all period
+	f.Put(y)
+	f.Put(x)
+	f.Trim()
 	if f.Free() != 2 || f.Live() != 2 || f.Take(mk) != c || f.Take(mk) != b {
-		t.Fatalf("half-trim: %d free of %d live, or the survivors are not the newest", f.Free(), f.Live())
+		t.Fatalf("trim: %d free of %d live, or the survivors are not the newest", f.Free(), f.Live())
 	}
 	f.Put(b)
 	f.Put(c)
-	f.Trim(1)
-	f.Trim(1)
+	f.Trim() // the list ran empty this period: all of it stays
+	if f.Free() != 2 || f.Live() != 2 {
+		t.Fatalf("trim after an empty list left %d free of %d live, want 2 of 2", f.Free(), f.Live())
+	}
+	f.Trim()
 	if f.Free() != 0 || f.Live() != 0 {
 		t.Fatalf("two idle periods left %d free of %d live, want none", f.Free(), f.Live())
 	}

@@ -229,11 +229,11 @@ func (cm *CM) Unlisten(port int) {
 	delete(cm.listeners, port)
 }
 
-// Trim leaves to the collector half the step machines that sat free since the
-// last Trim (sim.FreeList): the owner's periodic housekeeping calls it.
+// Trim leaves to the collector the step machines that sat free since the last
+// Trim (sim.FreeList): the owner's housekeeping calls it once per idle horizon.
 func (cm *CM) Trim() {
-	cm.dials.Trim(2)
-	cm.reqs.Trim(2)
+	cm.dials.Trim()
+	cm.reqs.Trim()
 }
 
 // send ships a CM control message over the fabric's control class.

@@ -343,3 +343,46 @@ func TestCloseInsidePumpedAck(t *testing.T) {
 	w.eng.Run()
 	w.checkAtRest(t, 0, 0)
 }
+
+// TestReplyRefusesUnstageable: a rendezvous response larger than its tenant's
+// whole MemBudget could never be staged. Reply refuses it with the budget's
+// error, counted as one reject, and queues nothing; the request stays
+// unanswered, so the responder can still answer it with something smaller.
+func TestReplyRefusesUnstageable(t *testing.T) {
+	w := newWorld(t, 2, func(_ int, cfg *Config) {
+		cfg.Tenants = []TenantConfig{{Name: "a", MemBudget: 64 << 10}}
+	})
+	cli, srv := w.connect(t, 0, 1, 5000)
+	if err := srv.BindTenant("a"); err != nil {
+		t.Fatal(err)
+	}
+	var big, small error
+	queued := -1
+	srv.OnMessage(func(m *Msg) {
+		big = m.Reply(nil, 256<<10)
+		queued = srv.sendQ.Len()
+		small = m.Reply([]byte("small"), 0)
+	})
+	var got []byte
+	if err := cli.SendMsg([]byte("req"), 0, func(m *Msg, err error) {
+		if err != nil {
+			t.Errorf("request failed: %v", err)
+			return
+		}
+		got = m.Retain()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.Run()
+	ten := srv.tenant
+	if !errors.Is(big, ErrTenantBudget) || ten.MemRejects != 1 || queued != 0 {
+		t.Fatalf("256 KiB Reply: err %v, MemRejects %d, %d queued; want ErrTenantBudget, 1, 0", big, ten.MemRejects, queued)
+	}
+	if small != nil || string(got) != "small" {
+		t.Fatalf("the smaller Reply: err %v, requester got %q", small, got)
+	}
+	cli.Close()
+	srv.Close()
+	w.eng.Run()
+	w.checkAtRest(t, 0, 0)
+}

@@ -38,16 +38,16 @@ type Context struct {
 
 	// The message records (msgrec.go): posted routes a send completion to the
 	// record that posted the WR; recs is the free list, which at quiescence
-	// holds every live record. What a connect and a close recycle (DESIGN
-	// §9.6) is trimmed at connTrimAt.
-	posted     sim.Table[msgRec] // by WR id, issued in sequence
-	recs       sim.FreeList[*msgRec]
-	estabs     sim.FreeList[*estab]
-	wins       sim.FreeList[[]winSlot]
-	waitMaps   sim.FreeList[map[uint64]*msgRec] // Channel.pending
-	connTrimAt sim.Time
-	wrSeq      uint64
-	msgSeq     uint64
+	// holds every live record. These and what a connect and a close recycle
+	// (DESIGN §9.6) are trimmed together at trimAt, once per memShrinkIdle.
+	posted   sim.Table[msgRec] // by WR id, issued in sequence
+	recs     sim.FreeList[*msgRec]
+	estabs   sim.FreeList[*estab]
+	wins     sim.FreeList[[]winSlot]
+	waitMaps sim.FreeList[map[uint64]*msgRec] // Channel.pending
+	trimAt   sim.Time
+	wrSeq    uint64
+	msgSeq   uint64
 
 	winSeq uint64 // one-sided plane (onesided.go): the last window id handed out
 
@@ -613,14 +613,14 @@ func (c *Context) deadlockScan() {
 
 func (c *Context) housekeeping() {
 	c.Mem.reclaim()
-	c.recs.Trim(1)
-	if now := c.eng.Now(); now >= c.connTrimAt {
-		// On the memory cache's idle horizon, half at a time: a node churning a
-		// few connections a tick keeps them, and a storm's peak halves.
-		c.connTrimAt = now.Add(memShrinkIdle)
-		c.estabs.Trim(2)
-		c.wins.Trim(2)
-		c.waitMaps.Trim(2)
+	if now := c.eng.Now(); now >= c.trimAt {
+		// The memory cache's rule: what sat free a whole idle horizon goes, so
+		// a burst a few ticks apart reuses what the last one made.
+		c.trimAt = now.Add(memShrinkIdle)
+		c.recs.Trim()
+		c.estabs.Trim()
+		c.wins.Trim()
+		c.waitMaps.Trim()
 		c.cm.Trim()
 	}
 	c.timeoutScan()

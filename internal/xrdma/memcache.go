@@ -170,28 +170,28 @@ func (m *MemCache) alloc(w memWaiter) {
 // allocSync is the synchronous arm: a buffer (ok), or why there will be none
 // (err; a tenant's reject is noted), or neither — the cache has to grow first.
 func (m *MemCache) allocSync(t *Tenant, size int) (b Buffer, ok bool, err error) {
-	if size+m.pad() > m.capBytes {
-		return b, false, fmt.Errorf("xrdma: allocation %d exceeds MR size %d", size, m.mrSize)
+	if err = m.refuse(t, size, false); err == nil {
+		b, ok = m.tryAlloc(t, size)
 	}
-	if m.overBudget(t, size) {
-		return b, false, ErrTenantBudget
-	}
-	b, ok = m.tryAlloc(t, size)
-	return b, ok, nil
+	return b, ok, err
 }
 
-// overBudget reports whether the block-rounded size would push t past its
-// MemBudget — and if so notes the reject, which starts a shed episode.
-func (m *MemCache) overBudget(t *Tenant, size int) bool {
+// refuse is why no buffer of size bytes can be had for t: past an MR, or past
+// t's MemBudget — on top of what t holds now, or, ever, the block alone. A
+// budget reject is noted, which starts a shed episode.
+func (m *MemCache) refuse(t *Tenant, size int, ever bool) error {
+	if size+m.pad() > m.capBytes {
+		return fmt.Errorf("xrdma: allocation %d exceeds MR size %d", size, m.mrSize)
+	}
 	if t == nil || t.cfg.MemBudget <= 0 {
-		return false
+		return nil
 	}
 	block := int64(m.blockFor(size))
-	if t.memUsed+block <= t.cfg.MemBudget {
-		return false
+	if block <= t.cfg.MemBudget && (ever || t.memUsed+block <= t.cfg.MemBudget) {
+		return nil
 	}
 	t.noteBudgetReject(block)
-	return true
+	return ErrTenantBudget
 }
 
 func (m *MemCache) tryAlloc(t *Tenant, size int) (Buffer, bool) {
@@ -446,9 +446,9 @@ func (m *MemCache) serveWaiters() {
 		w := m.waiters.Items()[0]
 		// Re-check the budget at serve time: the tenant may have crossed it
 		// while this waiter sat behind a grow.
-		if m.overBudget(w.tenant, w.size) {
+		if err := m.refuse(w.tenant, w.size, false); err != nil {
 			m.waiters.Pop()
-			w.serve(Buffer{}, ErrTenantBudget)
+			w.serve(Buffer{}, err)
 			continue
 		}
 		b, ok := m.tryAlloc(w.tenant, w.size)

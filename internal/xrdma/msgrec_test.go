@@ -274,3 +274,63 @@ func TestRecordRecycleSafety(t *testing.T) {
 		})
 	}
 }
+
+// TestRecordsOutliveATick: message records go back to the collector on the
+// memory cache's idle horizon (memShrinkIdle), not on every housekeeping tick.
+// Bursts of rendezvous requests a few ticks apart run on the records the
+// second burst made (the first grows the memory cache, so fewer of its
+// stagings overlap): none is made again and no more are live. With keepalives
+// off nothing runs at rest, and two horizons of it give every record back.
+func TestRecordsOutliveATick(t *testing.T) {
+	w := newWorld(t, 2, func(_ int, cfg *Config) { cfg.KeepaliveInterval = 0 })
+	cli, srv := w.connect(t, 0, 1, 5000)
+	echoServer(srv)
+	tick := DefaultConfig().StatsInterval
+	gap := 3 * tick
+	if gap >= memShrinkIdle {
+		t.Fatalf("a gap of %v does not fit the %v horizon", gap, memShrinkIdle)
+	}
+	made := make([]map[*msgRec]bool, len(w.ctxs))
+	live := make([]int, len(w.ctxs))
+	for burst := 0; burst < 6; burst++ {
+		answered := 0
+		for i := 0; i < 16; i++ {
+			if err := cli.SendMsg(nil, 64<<10, func(_ *Msg, err error) {
+				if err == nil {
+					answered++
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.eng.Run()
+		if answered != 16 {
+			t.Fatalf("burst %d: %d of 16 answered", burst, answered)
+		}
+		for i, c := range w.ctxs {
+			switch {
+			case burst == 0:
+			case burst == 1:
+				made[i], live[i] = map[*msgRec]bool{}, c.recs.Live()
+				for _, r := range c.recs.Items() {
+					made[i][r] = true
+				}
+			case c.recs.Live() > live[i]:
+				t.Errorf("burst %d: node %d holds %d records live, %d after the second burst", burst, i, c.recs.Live(), live[i])
+			default:
+				for _, r := range c.recs.Items() {
+					if !made[i][r] {
+						t.Fatalf("burst %d, %v after the last: node %d made a record again", burst, gap, i)
+					}
+				}
+			}
+		}
+		w.eng.RunFor(gap)
+	}
+	w.eng.RunFor(2*memShrinkIdle + tick)
+	for i, c := range w.ctxs {
+		if c.recs.Free() != 0 || c.recs.Live() != 0 {
+			t.Errorf("node %d at rest for two horizons: %d records free of %d live, want none", i, c.recs.Free(), c.recs.Live())
+		}
+	}
+}

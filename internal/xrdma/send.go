@@ -48,7 +48,9 @@ func (ch *Channel) SendMsg(data []byte, size int, cb func(*Msg, error)) error {
 
 // Reply answers a request (responses ride the same window; large ones use
 // read-replace-write: the responder stages the payload and the requester
-// pulls it with RDMA READ, §IV-C).
+// pulls it with RDMA READ, §IV-C). A large response that could never be
+// staged — past an MR, or past its tenant's whole MemBudget — is refused with
+// the staging error and leaves the request unanswered: a smaller Reply may follow.
 func (m *Msg) Reply(data []byte, size int) error {
 	if !m.IsReq {
 		return fmt.Errorf("xrdma: Reply on a non-request message")
@@ -56,13 +58,18 @@ func (m *Msg) Reply(data []byte, size int) error {
 	if m.replied {
 		return ErrAlreadyReplied
 	}
-	m.replied = true
 	ch := m.Ch
-	if ch.closed {
-		return ErrChannelClosed
-	}
 	if data != nil {
 		size = len(data)
+	}
+	if !ch.closed && size > ch.ctx.cfg.SmallMsgSize && ch.lk.state != linkFallback {
+		if err := ch.ctx.Mem.refuse(ch.tenant, size, true); err != nil {
+			return err
+		}
+	}
+	m.replied = true
+	if ch.closed {
+		return ErrChannelClosed
 	}
 	rec := ch.newMsg(kindResp, m.MsgID, data, size)
 	if mb := m.blame; mb != nil && mb.rx != nil {
