@@ -18,6 +18,10 @@ import (
 // every live link with an installed QP is in it (a link on the Mock fallback
 // has surrendered its QP, so a sibling that recycled it may own the number
 // instead); no link is both establishing and listed; no record counts twice.
+// Every exclusive channel of a tracked context (trackEnds) is its link's only
+// rider (a closed one may have left it: detach); once closed, its link — one
+// object with it, so the application's handle keeps it — holds no QP, pool,
+// dial or Mock conn.
 func checkStructure(t testing.TB, c *Context) {
 	t.Helper()
 	live := map[*link]bool{}
@@ -39,6 +43,16 @@ func checkStructure(t testing.TB, c *Context) {
 	}
 	if c.recs.Free()+c.posted.Len() > c.recs.Live() {
 		t.Errorf("node %d: %d records free and %d posted of %d live", c.Node(), c.recs.Free(), c.posted.Len(), c.recs.Live())
+	}
+	for _, ch := range ends[c] {
+		l := ch.lk
+		if n := len(l.riders); n > 1 || n == 1 && l.riders[0] != ch || n == 0 && !ch.closed {
+			t.Errorf("node %d: exclusive channel (peer %d, closed=%v) is not its link's only rider: %d riders", c.Node(), ch.Peer, ch.closed, len(l.riders))
+		}
+		if ch.closed && (l.qp != nil || l.pool != nil || l.dialing != nil || l.fb != nil) {
+			t.Errorf("node %d: closed exclusive channel (peer %d) keeps qp=%v pool=%v dialing=%v fb=%v",
+				c.Node(), ch.Peer, l.qp != nil, l.pool != nil, l.dialing != nil, l.fb != nil)
+		}
 	}
 }
 

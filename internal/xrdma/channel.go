@@ -249,9 +249,9 @@ func (c *Context) Connect(node fabric.NodeID, port int, done func(*Channel, erro
 		ch.requestAttach()
 		return
 	}
-	ch := c.newChannel(node, attachPending)
-	ch.onConnect = done
-	c.newLink(ch, linkDialing).establish(nil, port, c.dialHello(hello{purpose: helloOpen}), nil)
+	l := c.newEnd(node, attachPending, linkDialing)
+	l.solo[0].onConnect = done
+	l.establish(nil, port, c.dialHello(hello{purpose: helloOpen}), nil)
 }
 
 // sharedRQ is the receive queue a created QP attaches to: the context's SRQ

@@ -52,6 +52,7 @@ type Context struct {
 	winSeq uint64 // one-sided plane (onesided.go): the last window id handed out
 
 	onChannel func(*Channel)
+	onEnd     func(*link) // tests: hears every exclusive end newEnd builds
 
 	// pollOnce drains the CQs into the reused buffers and queues each
 	// completion on cqeQ for dispatchFn; the callbacks are bound once.

@@ -342,11 +342,11 @@ func (c *Context) Rehydrate(blob []byte) error {
 	now := c.eng.Now()
 	for i := range h.Chans {
 		r := &h.Chans[i]
-		ch := c.newChannel(fabric.NodeID(r.Peer), attachDone)
-		ch.health = HealthDegraded
 		// The link keeps its identity pair, which the peer's redial is matched
 		// on, and its newest QPN, which the peer's Mock hello names.
-		l := c.newLink(ch, linkDegraded)
+		l := c.newEnd(fabric.NodeID(r.Peer), attachDone, linkDegraded)
+		ch := l.solo[0]
+		ch.health = HealthDegraded
 		l.peerQPN, l.peerQPN0, l.ver, l.caps, l.degradedAt = r.PeerQPN, r.PeerQPN0, r.NegVer, r.Caps, now
 		l.qpn0, l.qpn = r.QPN0, r.QPN
 		ch.win = c.newWindow()

@@ -53,7 +53,7 @@ type link struct {
 	peerCIDs map[uint32]uint32
 	peer     fabric.NodeID
 
-	// Fixed at construction (newLink, newSharedLink).
+	// Fixed at construction (newEnd, newSharedLink).
 	port        int          // where a replacement is dialed and accepted (<= 0: no re-establishment)
 	dialer      bool         // this side redials: the lower node id (exclusive) or the initiator (shared)
 	redial      helloPurpose // helloRecover or helloMuxReattach
@@ -95,22 +95,34 @@ type link struct {
 	doctor pathDoctor
 }
 
-// newLink builds the link under an exclusive channel: dialing (Connect,
-// accept) and off the scan list until its first QP, or, rehydrated, degraded.
-// The lower node id redials, through Options.RecoverPort.
-func (c *Context) newLink(ch *Channel, state linkState) *link {
-	l := &link{
-		c: c, solo: [1]*Channel{ch}, peer: ch.Peer, state: state,
-		port: c.recoverPort, dialer: c.Node() < ch.Peer, redial: helloRecover,
-		depth:       2*c.cfg.WindowDepth + ctrlReserve + c.cfg.MaxOutstandingWRs + 8,
-		dialTimeout: c.cfg.RecoverDialTimeout,
-		lastComm:    c.eng.Now(),
+// newEnd builds an exclusive connection end, the Channel the application
+// holds and the link under it, as one object: the channel's lk is set here
+// and never replaced, and the handle pinned the link already. The link is
+// dialing (Connect, accept) and off the scan list until its first QP, or,
+// rehydrated, degraded. The lower node id redials, through Options.RecoverPort.
+func (c *Context) newEnd(peer fabric.NodeID, attach uint8, state linkState) *link {
+	e := &struct {
+		ch Channel
+		l  link
+	}{
+		ch: Channel{ctx: c, Peer: peer, attach: attach, lastProgress: c.eng.Now()},
+		l: link{
+			c: c, peer: peer, state: state,
+			port: c.recoverPort, dialer: c.Node() < peer, redial: helloRecover,
+			depth:       2*c.cfg.WindowDepth + ctrlReserve + c.cfg.MaxOutstandingWRs + 8,
+			dialTimeout: c.cfg.RecoverDialTimeout,
+			lastComm:    c.eng.Now(),
+		},
 	}
-	l.riders, ch.lk = l.solo[:], l
+	ch, l := &e.ch, &e.l
+	l.solo[0], l.riders, ch.lk = ch, l.solo[:], l
 	if state == linkDialing {
 		c.dialing = append(c.dialing, l)
 	} else {
 		c.links = append(c.links, l)
+	}
+	if c.onEnd != nil {
+		c.onEnd(l)
 	}
 	return l
 }
@@ -698,6 +710,7 @@ func (l *link) detach(ch *Channel) {
 	l.close()
 	l.closeFallback()
 	l.release(qp, l.takePool())
+	l.qp = nil // the cache's now: the next connection may hold it
 }
 
 // release returns transport material that will not be adopted, or that an
@@ -898,7 +911,7 @@ func (c *Context) accept(req *verbs.ConnReq) {
 			if h.purpose == helloMuxSlot {
 				l = c.newSharedLink(req.From, req.Port, false)
 			} else {
-				l = c.newLink(c.newChannel(req.From, attachPending), linkDialing)
+				l = c.newEnd(req.From, attachPending, linkDialing)
 			}
 			l.ver, l.caps = ver, caps
 		}

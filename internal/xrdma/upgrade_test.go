@@ -379,11 +379,12 @@ func restartCtx(w *testWorld, i int, mutate func(*Config)) *Context {
 	}
 	old.Shutdown()
 	vc := verbs.Open(w.nics[i])
-	ctx := NewContext(Options{
+	ctx := trackEnds(NewContext(Options{
 		Verbs: vc, CM: old.cm, Host: old.host, Config: cfg,
 		TCP: old.tcp, MockPort: old.mockPort, RecoverPort: old.recoverPort,
 		Seed: uint64(i + 101),
-	})
+	}))
+	delete(ends, old) // the dead instance's ends went down with it, unreleased
 	w.ctxs[i] = ctx
 	return ctx
 }

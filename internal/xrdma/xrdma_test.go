@@ -69,18 +69,29 @@ func buildWorld(t testing.TB, n int, recovery bool, mutate func(i int, cfg *Conf
 			mutate(i, &cfg)
 		}
 		tcp := tcpnet.New(eng, host)
-		ctx := NewContext(Options{
+		ctx := trackEnds(NewContext(Options{
 			Verbs: vc, CM: cm, Host: host, Config: cfg,
 			TCP: tcp, MockPort: 9000, RecoverPort: recoverPort, Seed: uint64(i + 1),
-		})
+		}))
 		w.ctxs = append(w.ctxs, ctx)
 	}
 	t.Cleanup(func() {
 		for _, c := range w.ctxs {
 			checkStructure(t, c)
+			delete(ends, c)
 		}
 	})
 	return w
+}
+
+// ends is every exclusive channel a tracked context built (Context.onEnd), the
+// closed ones included, so checkStructure reaches what no list of the
+// context's holds any more.
+var ends = map[*Context][]*Channel{}
+
+func trackEnds(c *Context) *Context {
+	c.onEnd = func(l *link) { ends[c] = append(ends[c], l.solo[0]) }
+	return c
 }
 
 // connect establishes a channel from ctx i to ctx j (which must Listen
@@ -504,7 +515,8 @@ func TestRetryTokenOrderDeterministic(t *testing.T) {
 // TestQPCacheSpeedsReconnect: a closed channel gives its QP back to the cache
 // whether it was idle or still busy — a request posted and not yet completed
 // flushes (its waiter hears ErrChannelClosed, its record comes home) — and the
-// reconnect pops that very QP, skipping the ~1.5 ms CreateQP.
+// reconnect pops that very QP, skipping the ~1.5 ms CreateQP. The closed
+// handle lets go of it: its QPN reads 0, not the new owner's.
 func TestQPCacheSpeedsReconnect(t *testing.T) {
 	for _, busy := range []bool{false, true} {
 		t.Run(map[bool]string{false: "idle", true: "busy"}[busy], func(t *testing.T) {
@@ -545,6 +557,9 @@ func TestQPCacheSpeedsReconnect(t *testing.T) {
 			}
 			if c.QPs.Hits != 1 || cli2.lk.qp != qp || nic.NumQPs() != qps {
 				t.Fatalf("reconnect: %d cache hits, same QP %v, %d QPs on the NIC (was %d)", c.QPs.Hits, cli2.lk.qp == qp, nic.NumQPs(), qps)
+			}
+			if cli.QPN() != 0 {
+				t.Fatalf("the closed channel reads QPN %d, its QP's new owner's", cli.QPN())
 			}
 			// Cold establishment pays ~1.5ms creation that warm skips.
 			if warm > 4*sim.Millisecond {
