@@ -6,8 +6,9 @@ import (
 
 // TestSteadyStateAllocs pins the allocation cost of the warmed message path.
 // What is left per 64 B round trip is the two delivered *Msg (the application
-// may keep one past its handler, so it is not pooled); a 64 B READ allocates
-// nothing. The poll loop, the window, the frame, the work request, every
+// may keep one past its handler, so it is not pooled) — an echo that Retains
+// the request included, since a small payload is kept in its Msg; a 64 B READ
+// allocates nothing. The poll loop, the window, the frame, the work request, every
 // completion and — since the RNIC lands receives in the posted buffer and READs
 // in the destination block — every payload byte are allocation-free, idle
 // polls, the event-mode wake and the idle client's standalone ack included.
@@ -15,7 +16,7 @@ import (
 // explain.
 func TestSteadyStateAllocs(t *testing.T) {
 	const size = 64
-	rtt := func(w *testWorld, cli *Channel, drain bool) func() {
+	rtt := func(w *testWorld, cli *Channel, data []byte, drain bool) func() {
 		var done bool
 		onResp := func(_ *Msg, err error) {
 			if err != nil {
@@ -25,7 +26,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 		return func() {
 			done = false
-			if err := cli.SendMsg(nil, size, onResp); err != nil {
+			if err := cli.SendMsg(data, size, onResp); err != nil {
 				t.Fatal(err)
 			}
 			for !done && w.eng.Step() {
@@ -46,19 +47,25 @@ func TestSteadyStateAllocs(t *testing.T) {
 			w := newWorld(t, 2, nil)
 			cli, srv := w.connect(t, 0, 1, 5000)
 			sizeEcho(srv)
-			return rtt(w, cli, false)
+			return rtt(w, cli, nil, false)
 		}},
 		{"classic_rtt_drain", 2, func() func() {
 			w := newWorld(t, 2, nil)
 			cli, srv := w.connect(t, 0, 1, 5000)
 			sizeEcho(srv)
-			return rtt(w, cli, true)
+			return rtt(w, cli, nil, true)
+		}},
+		{"classic_echo_retain", 2, func() func() {
+			w := newWorld(t, 2, nil)
+			cli, srv := w.connect(t, 0, 1, 5000)
+			srv.OnMessage(func(m *Msg) { m.Reply(m.Retain(), 0) })
+			return rtt(w, cli, make([]byte, size), false)
 		}},
 		{"mux_rtt", 2, func() func() {
 			w := newWorld(t, 2, muxKnobs(2))
 			clis, srvs := openMuxed(t, w, 0, 1, 5000, 1)
 			sizeEcho(srvs[0])
-			return rtt(w, clis[0], false)
+			return rtt(w, clis[0], nil, false)
 		}},
 		{"onesided_read", 0, func() func() {
 			w := newWorld(t, 2, nil)

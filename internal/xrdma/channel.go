@@ -199,30 +199,37 @@ type msgBlame struct {
 // Msg is a delivered message: a request to serve or a response to consume.
 // Data is only valid during the handler — inline, it is the posted receive
 // buffer itself, which the RNIC fills again after that; use Retain to keep it.
+// A slice Retain kept in the Msg keeps the Msg, and through Ch its Channel, alive.
 type Msg struct {
 	Ch    *Channel
 	Data  []byte
 	Len   int
-	IsReq bool
 	MsgID uint64
 	Seq   uint64
 
 	// RecvAt is the local engine time the payload became available.
 	RecvAt sim.Time
 	// T1 is the sender's clock at send time (req-rsp mode only).
-	T1     sim.Time
-	Traced bool
+	T1 sim.Time
 
 	// blame is non-nil when the message carried the blame bit end-to-end
 	// (causal trace plane); requests use it to seed the response mirror.
 	blame *msgBlame
 
-	replied bool
-	buf     Buffer // a rendezvous payload's buffer, freed after the handler
+	own                          [64]byte // the small payload Retain kept
+	IsReq, Traced, replied, kept bool     // kept: own holds it, or Data is a rendezvous buffer's
 }
 
-// Retain copies the payload so it survives the handler.
-func (m *Msg) Retain() []byte { return slices.Clone(m.Data) }
+// Retain copies the payload so it survives the handler; the first call on an
+// inline payload ≤ 64 B keeps it in the Msg, Data too, so the slice holds the Msg.
+func (m *Msg) Retain() []byte {
+	if m.kept || m.Data == nil || len(m.Data) > len(m.own) {
+		return slices.Clone(m.Data)
+	}
+	n := copy(m.own[:], m.Data)
+	m.Data, m.kept = m.own[:n:n], true
+	return m.Data
+}
 
 // --- establishment ----------------------------------------------------------
 

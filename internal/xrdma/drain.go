@@ -290,8 +290,8 @@ func decodeHandoff(b []byte) (*handoff, error) {
 // Shutdown releases everything the restarted instance will need to
 // re-acquire: CM and TCP listeners, QPs (exclusive and shared), timers
 // (started=false strands every armed scan), and the memory cache's
-// registered regions; its channels, closed, have no XR-Stat row left. App
-// callbacks do NOT fire — the process is going down, not the peers.
+// registered regions; its channels, closed, have no XR-Stat row left and read
+// QPN 0. App callbacks do NOT fire — the process is going down, not the peers.
 func (c *Context) Shutdown() {
 	c.unparkPoll(pollEvery)
 	c.started = false
@@ -307,14 +307,17 @@ func (c *Context) Shutdown() {
 		c.eng.Cancel(ch.ackEv)
 	}
 	c.chanByCID.Clear()
+	c.qpnTab.Clear()
 	for _, l := range c.allLinks() {
 		// A link on the Mock fallback already surrendered its QP.
 		if l.state == linkFallback {
 			l.closeFallback()
 		} else if l.qp != nil {
 			c.vctx.NIC.DestroyQP(l.qp)
+			l.qp = nil // a handle kept past the restart reads no QPN
 		}
-		l.close() // cancels a dial in flight
+		l.takePool() // its blocks go with the cache's regions below
+		l.close()    // cancels a dial in flight
 	}
 	// Registered memory does not survive the process: drop the cache's
 	// regions and zero the accounting, so leak assertions on the old

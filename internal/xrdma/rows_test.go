@@ -184,7 +184,6 @@ func TestChannelRowsFollowTheChannel(t *testing.T) {
 			w := newWorld(t, 2, nil)
 			cli, _ := w.connect(t, 0, 1, 5000)
 			w.ctxs[1].Shutdown()
-			delete(ends, w.ctxs[1]) // the instance went down with its ends unreleased
 			wantRows(t, "shut down", w, 1)
 			wantRows(t, "peer shut down", w, 0, chRow(cli))
 		}},

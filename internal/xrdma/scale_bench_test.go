@@ -13,7 +13,8 @@ import (
 // ratchet's "nothing added to turn" rest on: the flyweight descriptor stays at
 // or under 464 bytes (everything per-QP lives on link, everything per-message
 // on msgRec), the link — riders included — at what the one-rider model
-// reached, and Config at its field count. Raising one is a regression to
+// reached, the delivered Msg in the 160 B size class with its inline payload
+// array, and Config at its field count. Raising one is a regression to
 // explain, like a TestSteadyStateAllocs ceiling.
 func TestChannelStructBudget(t *testing.T) {
 	for _, b := range []struct {
@@ -22,6 +23,7 @@ func TestChannelStructBudget(t *testing.T) {
 	}{
 		{"unsafe.Sizeof(Channel{})", unsafe.Sizeof(Channel{}), 464},
 		{"unsafe.Sizeof(link{})", unsafe.Sizeof(link{}), 408},
+		{"unsafe.Sizeof(Msg{})", unsafe.Sizeof(Msg{}), 160},
 		{"Config fields", uintptr(reflect.TypeOf(Config{}).NumField()), 38},
 	} {
 		t.Logf("%s = %d (budget %d)", b.what, b.got, b.most)

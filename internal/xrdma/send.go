@@ -484,7 +484,7 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 			}
 			ch.win.markRecved(h.Seq)
 		}
-		ch.deliver(msg)
+		ch.deliver(msg, Buffer{})
 	case kindLargeReq, kindLargeResp:
 		size := int(h.Size)
 		msg := &Msg{
@@ -551,16 +551,16 @@ func (ch *Channel) pulled(msg *Msg, buf Buffer, pullQP *rnic.QP, pullStart sim.T
 		c.Mem.Free(buf)
 		return
 	}
-	msg.Data, msg.buf, msg.RecvAt = buf.Bytes(), buf, c.eng.Now()
+	msg.Data, msg.RecvAt, msg.kept = buf.Bytes(), c.eng.Now(), true // Retain clones: buf goes back
 	ch.Counters.LargeRecv++
 	ch.win.markRecved(seqNo)
-	ch.deliver(msg)
+	ch.deliver(msg, buf)
 }
 
 // deliver hands a completed inbound message to the application (inline
 // messages at arrival — in order among themselves — and rendezvous
-// messages when their pull finishes) and advances the ack machinery.
-func (ch *Channel) deliver(msg *Msg) {
+// messages, in buf, when their pull finishes) and advances the ack machinery.
+func (ch *Channel) deliver(msg *Msg, buf Buffer) {
 	c := ch.ctx
 	ch.Counters.MsgsRecv++
 	ch.Counters.BytesRecv += int64(msg.Len)
@@ -587,9 +587,9 @@ func (ch *Channel) deliver(msg *Msg) {
 		}
 		ch.settle(rs)(msg, nil)
 	}
-	if msg.buf.Valid() { // a rendezvous buffer goes back once the handler returns
-		c.Mem.Free(msg.buf)
-		msg.buf, msg.Data = Buffer{}, nil
+	if buf.Valid() { // a rendezvous buffer goes back once the handler returns
+		c.Mem.Free(buf)
+		msg.Data = nil
 	}
 	ch.recvSinceAck++
 	ch.maybeAck()

@@ -384,9 +384,26 @@ func restartCtx(w *testWorld, i int, mutate func(*Config)) *Context {
 		TCP: old.tcp, MockPort: old.mockPort, RecoverPort: old.recoverPort,
 		Seed: uint64(i + 101),
 	}))
-	delete(ends, old) // the dead instance's ends went down with it, unreleased
+	delete(ends, old) // the old instance leaves the world, and its census with it
 	w.ctxs[i] = ctx
 	return ctx
+}
+
+// TestShutdownReleasesEnds: a connection end kept past its instance's
+// Shutdown reads QPN 0 — its QP was destroyed, and the NIC may issue the
+// number again — and holds no receive pool, whose memory went with the cache's
+// regions; the instance's QPN table is empty (checkStructure, at the end too).
+func TestShutdownReleasesEnds(t *testing.T) {
+	w := newWorld(t, 2, nil)
+	_, srv := w.connect(t, 0, 1, 5000)
+	if srv.QPN() == 0 || srv.lk.pool == nil {
+		t.Fatal("setup: the server end has no QP or receive pool")
+	}
+	w.ctxs[1].Shutdown()
+	if q := srv.QPN(); q != 0 || srv.lk.pool != nil {
+		t.Fatalf("a handle kept past Shutdown reads QPN %d and holds a pool: %v; want 0 and none", q, srv.lk.pool != nil)
+	}
+	checkStructure(t, w.ctxs[1])
 }
 
 // TestRollingRestartExactlyOnce: drain the server under a live request

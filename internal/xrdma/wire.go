@@ -64,16 +64,6 @@ const (
 	// flight-recorded and dropped, never parsed.
 )
 
-func (k msgKind) String() string {
-	names := [...]string{"REQ", "RESP", "ACK", "NOP", "LARGE_REQ", "LARGE_RESP", "READ_DONE", "PING", "PONG",
-		"CHAN_OPEN", "CHAN_ACCEPT", "CHAN_CLOSE", "MUX_SICK", "PATH_HINT",
-		"WIN_GRANT", "WIN_REVOKE"}
-	if int(k) < len(names) {
-		return names[k]
-	}
-	return "?"
-}
-
 // windowed reports whether this kind occupies a seq-ack window slot: the
 // kinds that carry an application message. Everything else is a control
 // frame — a bare header, window-exempt so acks can always flow. One-sided

@@ -231,6 +231,78 @@ func TestLargeResponseReadReplaceWrite(t *testing.T) {
 	}
 }
 
+// TestRetainOwnsSmallPayload: the first Retain of an inline payload of at most
+// 64 B keeps it in the Msg itself, where it outlives the next message landing in
+// the receive buffer it came in; a second Retain, a 65 B payload and a
+// rendezvous payload — 64 B too, with SmallMsgSize 0 — are cloned, and a
+// rendezvous message's buffer goes back to the memory cache, its Data nil, once
+// the handler returns. nil stays nil.
+func TestRetainOwnsSmallPayload(t *testing.T) {
+	if (&Msg{}).Retain() != nil {
+		t.Error("Retain of a nil payload is not nil")
+	}
+	var w *testWorld
+	var cli *Channel
+	var m *Msg
+	var raw, kept, again []byte
+	var inHandler int64
+	open := func(mutate func(int, *Config)) *MemCache {
+		w = newWorld(t, 2, mutate)
+		var srv *Channel
+		cli, srv = w.connect(t, 0, 1, 5000)
+		mem := w.ctxs[1].Mem
+		srv.OnMessage(func(got *Msg) {
+			m, raw, inHandler = got, got.Data, mem.InUseBytes
+			kept = got.Retain()
+			again = got.Retain()
+		})
+		return mem
+	}
+	send := func(b byte, n int) {
+		m = nil
+		cli.SendMsg(bytes.Repeat([]byte{b}, n), 0, nil)
+		w.eng.Run()
+		if m == nil {
+			t.Fatalf("%d B message not delivered", n)
+		}
+	}
+
+	open(nil)
+	send(1, 64)
+	first, firstRaw, firstKept, want := m, raw, kept, bytes.Repeat([]byte{1}, 64)
+	if &kept[0] != &first.own[0] || &first.Data[0] != &first.own[0] || !bytes.Equal(kept, want) {
+		t.Fatal("a 64 B payload is not kept in its Msg")
+	}
+	if &again[0] == &kept[0] || !bytes.Equal(again, want) {
+		t.Fatal("a second Retain does not return an independent copy")
+	}
+	for i := 0; firstRaw[0] == 1; i++ { // receive buffers are reposted in turn
+		if i == 4096 {
+			t.Fatal("the first message's receive buffer never took another")
+		}
+		send(byte(2+i%250), 64)
+	}
+	if !bytes.Equal(firstKept, want) || !bytes.Equal(first.Data, want) {
+		t.Fatal("the kept payload changed when its receive buffer took the next message")
+	}
+
+	send(2, 65)
+	if m.kept || &kept[0] == &m.own[0] || &m.Data[0] != &raw[0] || !bytes.Equal(kept, bytes.Repeat([]byte{2}, 65)) {
+		t.Fatal("a 65 B payload is not cloned")
+	}
+
+	mem := open(func(_ int, cfg *Config) { cfg.SmallMsgSize = 0 })
+	base := mem.InUseBytes
+	send(3, 64)
+	if m.Ch.Counters.LargeRecv != 1 || inHandler <= base {
+		t.Fatalf("setup: %d rendezvous receives, %d bytes in use in the handler from %d", m.Ch.Counters.LargeRecv, inHandler, base)
+	}
+	if &kept[0] == &m.own[0] || m.Data != nil || mem.InUseBytes != base || !bytes.Equal(kept, bytes.Repeat([]byte{3}, 64)) {
+		t.Fatalf("rendezvous: kept in the Msg=%v, Data nil=%v, %d bytes in use after the handler, want %d",
+			&kept[0] == &m.own[0], m.Data == nil, mem.InUseBytes, base)
+	}
+}
+
 func TestManyRequestsInOrder(t *testing.T) {
 	w := newWorld(t, 2, nil)
 	cli, srv := w.connect(t, 0, 1, 5003)
