@@ -65,9 +65,10 @@ type Result struct {
 	Tables []*Table // what cmd/reproduce prints
 	// Digest is a drill's deterministic outcome; nil for every other
 	// world, whose rendered tables are its digest.
-	Digest []string
-	Claims []Claim
-	Fired  uint64 // events fired, summed over the world's engines
+	Digest     []string
+	Claims     []Claim
+	Fired      uint64 // events fired, summed over the world's engines
+	registered int    // E22: bytes registered, summed over its NICs at the end
 }
 
 // Claim is one number or shape of the paper's evaluation held against a

@@ -43,15 +43,15 @@ const (
 
 	// Heap budgets for HeapOK (adjusted by raceHeapMul under -race), weighed
 	// with the world still reachable. The smoke world (320 stacks, ~1500 live
-	// + 2400 idle channels) measures 20.2 MiB: 9 are the first memory-cache
-	// region (512 KiB, holding the SRQ's first 256 KiB block) of each of the
-	// 18 contexts that talk (8 clients, 10 distinct servers), 11 everything
-	// else. The full world (4096 stacks, ~12k live channels) measures 358 MiB:
-	// 136 of first regions (272 contexts that talk), 222 everything else. The
-	// margins (16–19 %) are what catches a per-channel state regression (the
-	// flyweight structure growing eager maps again), a region registered ahead
-	// of demand again (one 4 MiB region a context: smoke 84 MiB) or a shared
-	// receive queue filled ahead of demand again.
+	// + 2400 idle channels) measures 15.6 MiB: 4.4 are pages touched in the
+	// first memory-cache region (512 KiB, holding the SRQ's first 256 KiB
+	// block) of each of the 18 contexts that talk, 11 everything else. The
+	// full world (4096 stacks, ~12k live channels) measures 212 MiB: 67 of
+	// first-region pages (272 contexts that talk), 145 everything else. The
+	// margins catch a per-channel state regression (the flyweight structure
+	// growing eager maps again) or a shared receive queue filled ahead of
+	// demand again; a region registered ahead of demand costs only page
+	// headers, so TestScaleWorld caps the registered bytes instead.
 	scaleSmokeHeapBudget = 24 << 20
 	scaleFullHeapBudget  = 416 << 20
 )
@@ -147,10 +147,11 @@ func ScaleWorld(sc Scale) Result {
 	eng.RunUntil(start.Add(horizon))
 
 	// Accounting, from the system's own counters.
-	var activeChans, wireQPs, idleAttach int
+	var activeChans, wireQPs, idleAttach, registered int
 	for _, n := range c.Nodes {
 		activeChans += int(n.Ctx.Stats.ChannelsOpened)
 		wireQPs += n.NIC.NumQPs()
+		registered += int(n.NIC.Mem.RegisteredBytes)
 	}
 	for _, ch := range idle {
 		if ch.Attached() {
@@ -211,7 +212,7 @@ func ScaleWorld(sc Scale) Result {
 	// 320 stacks and the SRQ blocks of the contexts that talk cannot weigh
 	// 8 MiB or less: a reading at or under that floor weighed a world the
 	// collector had already freed.
-	return Result{Tables: []*Table{&t}, Digest: digest, Claims: append(tl.claims("E22", 1000),
+	return Result{Tables: []*Table{&t}, Digest: digest, registered: registered, Claims: append(tl.claims("E22", 1000),
 		within("E22/pods", "multi-pod", float64(topo.Pods), 2, inf),
 		within("E22/chan÷qp", "≥10×", muxRatio, 10, inf),
 		within("E22/idle-attached", "0", float64(idleAttach), 0, 0),

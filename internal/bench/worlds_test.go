@@ -112,11 +112,20 @@ func TestFragmentSweepRuns(t *testing.T)     { holdWorld(t, "fig10/A1", Quick())
 func TestChaosDrill(t *testing.T)            { holdWorld(t, "robust", Quick()) }
 func TestGrayhaul(t *testing.T)              { holdWorld(t, "gray", Quick()) }
 func TestBlame(t *testing.T)                 { holdWorld(t, "blame", Quick()) }
-func TestScaleWorld(t *testing.T)            { holdWorld(t, "scale", Quick()) }
 func TestStorm(t *testing.T)                 { holdWorld(t, "storm/storm", Quick()) }
 func TestStormBrownout(t *testing.T)         { holdWorld(t, "storm/brownout", Quick()) }
 func TestTenants(t *testing.T)               { holdWorld(t, "tenants", Quick()) }
 func TestUpgrade(t *testing.T)               { holdWorld(t, "upgrade", Quick()) }
+
+// TestScaleWorld also caps E22's registered bytes at its 18 talking contexts'
+// 512 KiB first regions plus two more: a 4 MiB region each would be 72 MiB.
+func TestScaleWorld(t *testing.T) {
+	holdWorld(t, "scale", Quick())
+	e, p := lookup(t, "scale")
+	if got := heldRun(e, p[0], Quick()).res.registered; got > 18*(512<<10)+1<<20 {
+		t.Errorf("E22 smoke registers %d bytes, more than 10 MiB: a region registered ahead of demand", got)
+	}
+}
 
 // TestChaosDrillSeedSensitivity: another seed holds the whole robust bar
 // (the recovery machinery is robust, not tuned to one lucky schedule).

@@ -125,8 +125,9 @@ func BenchmarkReadInPlace64K(b *testing.B) {
 	const size = 64 << 10
 	r := newRig(b, DefaultConfig())
 	src := r.b.Mem.Register(size, RegNonContinuous)
-	copy(src.Buf, mkPattern(size))
+	copy(src.Slice(src.Base, src.Len), mkPattern(size))
 	dst := r.a.Mem.Register(size, RegNonContinuous)
+	dstBuf := dst.Slice(dst.Base, dst.Len)
 	var wr SendWR
 	var cqes []CQE
 	read := func(i int) {
@@ -136,7 +137,7 @@ func BenchmarkReadInPlace64K(b *testing.B) {
 		}
 		r.eng.Run()
 		cqes = r.qa.SendCQ.PollAppend(cqes[:0], 4)
-		if len(cqes) != 1 || cqes[0].Status != StatusOK || &cqes[0].Data[0] != &dst.Buf[0] {
+		if len(cqes) != 1 || cqes[0].Status != StatusOK || &cqes[0].Data[0] != &dstBuf[0] {
 			b.Fatalf("iteration %d: CQEs %+v", i, cqes)
 		}
 	}
@@ -188,6 +189,7 @@ func BenchmarkRecvInPlace(b *testing.B) {
 	const size = 4096
 	r := newRig(b, DefaultConfig())
 	mr := r.b.Mem.Register(size, RegNonContinuous)
+	buf := mr.Slice(mr.Base, mr.Len)
 	payload := mkPattern(size)
 	var wr SendWR
 	var cqes []CQE
@@ -204,7 +206,7 @@ func BenchmarkRecvInPlace(b *testing.B) {
 		}
 		r.eng.Run()
 		cqes = r.qb.RecvCQ.PollAppend(cqes[:0], 4)
-		if len(cqes) != 1 || cqes[0].Status != StatusOK || &cqes[0].Data[0] != &mr.Buf[0] {
+		if len(cqes) != 1 || cqes[0].Status != StatusOK || &cqes[0].Data[0] != &buf[0] {
 			b.Fatalf("iteration %d: recv CQEs %+v", i, cqes)
 		}
 		cqes = r.qa.SendCQ.PollAppend(cqes[:0], 4)

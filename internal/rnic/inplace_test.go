@@ -40,11 +40,13 @@ func TestReadLandsInRegisteredLocal(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	src := r.b.Mem.Register(64<<10, RegNonContinuous)
 	want := mkPattern(10000) // 3 segments at MTU 4096
-	copy(src.Buf, want)
+	srcBuf := src.Slice(src.Base, src.Len)
+	copy(srcBuf, want)
 	dst := r.a.Mem.Register(64<<10, RegNonContinuous)
 	const off = 4096
-	for i := range dst.Buf {
-		dst.Buf[i] = 0xDB
+	dstBuf := dst.Slice(dst.Base, dst.Len)
+	for i := range dstBuf {
+		dstBuf[i] = 0xDB
 	}
 
 	r.qa.PostSend(&SendWR{ID: 1, Op: OpRead, Len: len(want), Local: dst.Base + off, RAddr: src.Base, RKey: src.RKey})
@@ -57,16 +59,16 @@ func TestReadLandsInRegisteredLocal(t *testing.T) {
 	if !bytes.Equal(sc[0].Data, want) || !bytes.Equal(sc[1].Data, want) {
 		t.Fatal("read data wrong")
 	}
-	if &sc[0].Data[0] != &dst.Buf[off] {
+	if &sc[0].Data[0] != &dstBuf[off] {
 		t.Error("READ into a registered Local: the completion's Data is a copy, not the destination MR")
 	}
-	if !bytes.Equal(dst.Buf[off:off+len(want)], want) || dst.Buf[off-1] != 0xDB || dst.Buf[off+len(want)] != 0xDB {
+	if !bytes.Equal(dstBuf[off:off+len(want)], want) || dstBuf[off-1] != 0xDB || dstBuf[off+len(want)] != 0xDB {
 		t.Error("the destination range does not hold exactly the READ")
 	}
 	if cap(sc[0].Data) != len(want) {
 		t.Errorf("Data's capacity %d runs past the range (%d): an append would write on into the MR", cap(sc[0].Data), len(want))
 	}
-	if p := &sc[1].Data[0]; p == &dst.Buf[off] || p == &src.Buf[0] {
+	if p := &sc[1].Data[0]; p == &dstBuf[off] || p == &srcBuf[0] {
 		t.Error("an address-less READ must deliver a private buffer")
 	}
 	if r.qb.RecvCQ.Len() != 0 || r.qb.SendCQ.Len() != 0 {
@@ -80,8 +82,9 @@ func TestReadLandsInRegisteredLocal(t *testing.T) {
 func TestRecvLandsInPostedBuffer(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	mr := r.b.Mem.Register(64<<10, RegNonContinuous)
-	for i := range mr.Buf {
-		mr.Buf[i] = 0xDB
+	buf := mr.Slice(mr.Base, mr.Len)
+	for i := range buf {
+		buf[i] = 0xDB
 	}
 	const bufLen = 16 << 10
 	if err := r.qb.PostRecv(RecvWR{ID: 1, Addr: mr.Base, Len: bufLen}); err != nil {
@@ -112,21 +115,21 @@ func TestRecvLandsInPostedBuffer(t *testing.T) {
 			t.Fatalf("recv CQE %+v", c)
 		}
 	}
-	if !bytes.Equal(rc[0].Data, full) || &rc[0].Data[0] != &mr.Buf[0] {
+	if !bytes.Equal(rc[0].Data, full) || &rc[0].Data[0] != &buf[0] {
 		t.Error("SEND into a registered posted buffer: Data must be that buffer, byte-exact")
 	}
-	if mr.Buf[len(full)] != 0xDB {
+	if buf[len(full)] != 0xDB {
 		t.Error("the receive wrote past the message's end")
 	}
 	if !bytes.Equal(rc[1].Data, full) {
 		t.Error("address-less receive: data wrong")
 	}
-	if p := &rc[1].Data[0]; p == &mr.Buf[0] || p == &full[0] {
+	if p := &rc[1].Data[0]; p == &buf[0] || p == &full[0] {
 		t.Error("an address-less receive must deliver a private buffer")
 	}
 	// A size-only tail reads as zeros, whatever the posted buffer held.
 	got := rc[2].Data
-	if len(got) != 10000 || &got[0] != &mr.Buf[bufLen] || !bytes.Equal(got[:len(head)], head) {
+	if len(got) != 10000 || &got[0] != &buf[bufLen] || !bytes.Equal(got[:len(head)], head) {
 		t.Fatalf("header + size-only tail: len %d, header intact %v", len(got), bytes.Equal(got[:len(head)], head))
 	}
 	for i, b := range got[len(head):] {
@@ -134,10 +137,10 @@ func TestRecvLandsInPostedBuffer(t *testing.T) {
 			t.Fatalf("byte %d past the carried header reads %#x, want 0: the posted buffer's old contents leaked", len(head)+i, b)
 		}
 	}
-	if mr.Buf[bufLen+10000] != 0xDB {
+	if buf[bufLen+10000] != 0xDB {
 		t.Error("clearing ran past the message's end")
 	}
-	if rc[3].Data != nil || mr.Buf[2*bufLen] != 0xDB {
+	if rc[3].Data != nil || buf[2*bufLen] != 0xDB {
 		t.Error("a size-only SEND must deliver nil Data and leave the posted buffer alone")
 	}
 	if r.b.Counters.LocalProtErrs != 0 {
@@ -173,7 +176,7 @@ func TestStagingRecycleSafety(t *testing.T) {
 	}
 	slotOf := func(raddr uint64) []byte {
 		off := raddr - src.Base
-		return src.Buf[off : off+slotLen]
+		return src.Slice(src.Base, src.Len)[off : off+slotLen]
 	}
 	r.fab.Host(5).Attach(&tap{n: r.b,
 		before: func(h hdr) {
@@ -341,7 +344,7 @@ func TestReadDestinationDeregisteredMidMessage(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	src := r.b.Mem.Register(64<<10, RegNonContinuous)
 	want := mkPattern(10000)
-	copy(src.Buf, want)
+	copy(src.Slice(src.Base, src.Len), want)
 	dst := r.a.Mem.Register(64<<10, RegNonContinuous)
 	dereg := false
 	r.fab.Host(0).Attach(&tap{n: r.a, after: func(h hdr) {
@@ -377,10 +380,11 @@ func TestSizeOnlyRead(t *testing.T) {
 	read := func(t *testing.T, sizeOnly bool, rkeyOff uint32, mid func(r *rig, dst *MR)) (*rig, *MR, []CQE) {
 		r := newRig(t, DefaultConfig())
 		src := r.b.Mem.Register(64<<10, RegNonContinuous)
-		copy(src.Buf, mkPattern(size))
+		copy(src.Slice(src.Base, src.Len), mkPattern(size))
 		dst := r.a.Mem.Register(64<<10, RegNonContinuous)
-		for i := range dst.Buf {
-			dst.Buf[i] = 0xDB
+		dstBuf := dst.Slice(dst.Base, dst.Len)
+		for i := range dstBuf {
+			dstBuf[i] = 0xDB
 		}
 		var reqs, segs int
 		r.fab.Host(5).Attach(&tap{n: r.b, before: func(h hdr) {
@@ -425,7 +429,7 @@ func TestSizeOnlyRead(t *testing.T) {
 		if r.a.Counters != rd.a.Counters || r.b.Counters != rd.b.Counters || r.qa.Counters != rd.qa.Counters {
 			t.Errorf("counters differ:\nsize-only %+v %+v\ndata      %+v %+v", r.a.Counters, r.b.Counters, rd.a.Counters, rd.b.Counters)
 		}
-		for i, b := range dst.Buf {
+		for i, b := range dst.Slice(dst.Base, dst.Len) {
 			if b != 0xDB {
 				t.Fatalf("dst[%d] = %#x: a size-only READ landed bytes", i, b)
 			}

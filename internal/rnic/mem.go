@@ -57,18 +57,35 @@ func (m RegMode) String() string {
 	}
 }
 
-// MR is a registered memory region. Buf is real storage so tests can
-// verify end-to-end data integrity; Base is the region's virtual address
-// in the node's flat address space.
+// mrPage is the unit in which an MR's storage is made: a page is backed the
+// first time a Slice lands on it.
+const mrPage = 4096
+
+// MR is a registered memory region. Its bytes are real storage so tests can
+// verify end-to-end data integrity; Base is the region's virtual address in
+// the node's flat address space.
+//
+// The storage is made on first touch, in mrPage pages: registering reserves
+// address space and a key, not host memory, and untouched bytes read as
+// zero, as a fresh registration holds. Pages a Slice has touched together
+// form one run, one allocation; each of them is a slice of its run that
+// reaches to the run's end. A Slice whose range touches an untouched page or
+// spans runs lays those pages out anew as one run, together with every run
+// that overlaps them, and copies the bytes already written. A slice handed
+// out before such a re-lay still reads the bytes written through it, but
+// writes through it after the re-lay are not seen by later slices. Only an
+// inbound message being assembled (a SEND into its posted buffer, a READ into
+// its destination) holds a slice across events, and that slice becomes its
+// completion's Data.
 type MR struct {
 	Base uint64
 	Len  int
 	RKey uint32
 	LKey uint32
 	Mode RegMode
-	Buf  []byte
 
-	mem *Memory
+	pages [][]byte // one per mrPage; nil until touched
+	mem   *Memory
 }
 
 // Contains reports whether [addr, addr+n) falls inside the region.
@@ -81,8 +98,39 @@ func (mr *MR) Contains(addr uint64, n int) bool {
 // aliases registered memory, and an append to it must reallocate, not run on
 // into the neighbouring buffer.
 func (mr *MR) Slice(addr uint64, n int) []byte {
-	off, end := addr-mr.Base, addr-mr.Base+uint64(n)
-	return mr.Buf[off:end:end]
+	if n == 0 {
+		return []byte{} // not nil: a nil Data means nothing was carried
+	}
+	off := addr - mr.Base
+	in, p := int(off%mrPage), mr.pages[off/mrPage]
+	if in+n > cap(p) {
+		p = mr.back(int(off), n)
+	}
+	return p[in : in+n : in+n]
+}
+
+// back lays the pages under [off, off+n) out as one run, merged with every
+// run that overlaps them, and returns the page off falls in.
+func (mr *MR) back(off, n int) []byte {
+	lo, hi := off/mrPage, (off+n-1)/mrPage
+	// A page belongs to the run before it when the page before reaches one
+	// page further.
+	for lo > 0 && mr.pages[lo] != nil && cap(mr.pages[lo-1]) == cap(mr.pages[lo])+mrPage {
+		lo--
+	}
+	end := min((hi+1)*mrPage, mr.Len)
+	if p := mr.pages[hi]; p != nil {
+		end = max(end, hi*mrPage+cap(p))
+	}
+	run := make([]byte, end-lo*mrPage)
+	for j := lo; j*mrPage < end; j++ {
+		at := run[(j-lo)*mrPage:]
+		if p := mr.pages[j]; p != nil {
+			copy(at, p[:min(mrPage, len(p))])
+		}
+		mr.pages[j] = at
+	}
+	return mr.pages[off/mrPage]
 }
 
 // Memory is one node's registered-memory registry plus a virtual address
@@ -122,13 +170,13 @@ func (m *Memory) Register(size int, mode RegMode) *MR {
 		panic("rnic: negative MR size")
 	}
 	mr := &MR{
-		Base: m.nextAddr,
-		Len:  size,
-		RKey: m.nextKey,
-		LKey: m.nextKey,
-		Mode: mode,
-		Buf:  make([]byte, size),
-		mem:  m,
+		Base:  m.nextAddr,
+		Len:   size,
+		RKey:  m.nextKey,
+		LKey:  m.nextKey,
+		Mode:  mode,
+		pages: make([][]byte, (size+mrPage-1)/mrPage),
+		mem:   m,
 	}
 	// Guard gap between regions so off-by-one overruns never land in a
 	// neighbouring MR.

@@ -188,7 +188,9 @@ func (ch *Channel) stage(ps *msgRec, buf Buffer, err error) {
 		}
 		return
 	}
-	copy(buf.Bytes(), ps.payload())
+	if p := ps.payload(); p != nil { // a size-only message touches no registered byte
+		copy(buf.Bytes(), p)
+	}
 	ps.staged, ps.ready = buf, true
 }
 

@@ -50,8 +50,9 @@ func sentFrames(t *testing.T, w *testWorld, send func(), chs ...*Channel) [][]wi
 // buffer that later holds b's was never written by anyone else.
 func fillRegions(c *Context, b byte) {
 	for _, r := range c.Mem.regions {
-		for i := range r.mr.Buf {
-			r.mr.Buf[i] = b
+		buf := r.mr.Slice(r.mr.Base, r.mr.Len)
+		for i := range buf {
+			buf[i] = b
 		}
 	}
 }
