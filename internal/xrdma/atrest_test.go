@@ -16,8 +16,7 @@ import (
 
 // checkStructure: the QPN table names live links under their current QPN, and
 // every live link with an installed QP is in it (a link on the Mock fallback
-// has surrendered its QP, so a sibling that recycled it may own the number
-// instead); no link is both establishing and listed; no record counts twice.
+// holds none); no link is both establishing and listed; no record counts twice.
 // Every exclusive channel of a tracked context (trackEnds) is its link's only
 // rider (a closed one may have left it: detach); once closed, its link — one
 // object with it, so the application's handle keeps it — holds no QP, pool,
@@ -27,7 +26,7 @@ func checkStructure(t testing.TB, c *Context) {
 	live := map[*link]bool{}
 	for _, l := range c.links {
 		live[l] = true
-		if l.qp != nil && l.state != linkFallback && c.qpnTab.Get(uint64(l.qp.QPN)) != l {
+		if l.qp != nil && c.qpnTab.Get(uint64(l.qp.QPN)) != l {
 			t.Errorf("node %d: live link (peer %d, qpn %d) missing from the QPN table", c.Node(), l.peer, l.qp.QPN)
 		}
 	}
@@ -83,7 +82,7 @@ func (w *testWorld) checkAtRest(t testing.TB, listed ...int) {
 		pools, holding, riders := []*recvPool{c.srqPool}, 0, 0
 		for _, l := range c.links {
 			pools, riders = append(pools, l.pool), riders+len(l.riders)
-			if l.qp != nil && l.state != linkFallback {
+			if l.qp != nil {
 				holding++
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"xrdma/internal/sim"
 	"xrdma/internal/telemetry"
 )
 
@@ -129,5 +130,52 @@ func TestFlightDumpCarriesBlameSummary(t *testing.T) {
 	}
 	if !strings.Contains(d.String(), d.Blame) {
 		t.Fatalf("rendered dump omits the blame line:\n%s", d.String())
+	}
+}
+
+// TestBlameOverMockAttributesNoRecovery: a blame-sampled request posted on a
+// QP its link gave up at a Mock switch takes no recovery time from that QP,
+// whoever recycled it since. The response over the Mock carries no blame
+// extension; one that did is reconstructed with no RTO or RNR stage.
+func TestBlameOverMockAttributesNoRecovery(t *testing.T) {
+	w := newWorld(t, 2, func(i int, cfg *Config) {
+		cfg.ReqRspMode, cfg.TraceSampleN, cfg.MockEnabled = true, 1, true
+	})
+	tel := telemetry.For(w.eng)
+	cli, srv := w.connect(t, 0, 1, 5600)
+	var held, resp *Msg
+	srv.OnMessage(func(m *Msg) { held = m })
+	if err := cli.SendMsg([]byte("blamed"), 0, func(m *Msg, err error) {
+		if err != nil {
+			t.Errorf("response: %v", err)
+		}
+		resp = m
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.Run()
+	if held == nil || cli.pending[held.MsgID] == nil || cli.pending[held.MsgID].blame == nil {
+		t.Fatal("setup: the request did not arrive blame-sampled")
+	}
+	b, qp := cli.pending[held.MsgID].blame, cli.lk.qp
+	for _, ch := range []*Channel{cli, srv} {
+		if err := ch.ForceMock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.eng.RunFor(3 * sim.Millisecond)
+	// Whoever holds the request's QP now runs up recovery time on it.
+	qp.Counters.RTORecoveryNs += int64(sim.Millisecond)
+	qp.Counters.RNRRecoveryNs += int64(sim.Millisecond)
+	if err := held.Reply([]byte("answer"), 0); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.Run()
+	if resp == nil || !cli.Mocked() || tel.Blame.Count() != 0 {
+		t.Fatalf("response %v over the Mock=%v, %d blame records; want it delivered over the Mock with none", resp != nil, cli.Mocked(), tel.Blame.Count())
+	}
+	w.ctxs[0].onBlame(cli, &Msg{MsgID: held.MsgID, blame: &msgBlame{}}, b)
+	if rto, rnr := tel.Blame.StageQuantile(telemetry.StageRTORecovery, 100), tel.Blame.StageQuantile(telemetry.StageRNRRecovery, 100); tel.Blame.Count() != 1 || rto != 0 || rnr != 0 {
+		t.Fatalf("%d records, RTO %v, RNR %v: want one, attributing no recovery", tel.Blame.Count(), rto, rnr)
 	}
 }

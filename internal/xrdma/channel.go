@@ -170,11 +170,13 @@ func (rec *msgRec) unstage(c *Context) {
 
 // reqBlame is the requester half of a blame trace: local timestamps, the
 // WR whose lifecycle gives SQ-wait and serialization, the in-band fabric
-// accumulator, and the QP recovery-counter watermarks at transmit.
+// accumulator, and the QP the request was posted on with its recovery-counter
+// watermarks at transmit.
 type reqBlame struct {
 	enqAt, txAt    sim.Time
 	wr             *rnic.SendWR
 	acc            *telemetry.PktBlame
+	qp             *rnic.QP
 	rtoRef, rnrRef int64
 }
 
@@ -302,13 +304,12 @@ func (c *Context) newChannel(peer fabric.NodeID, attach uint8) *Channel {
 }
 
 // hasRow is the identity rule for XR-Stat rows: an established, open channel
-// on a QP its link still owns. It is decided when someone looks, so a
-// recycled QPN, an adoption, a Mock switch, a failback or a rehydrate need no
-// bookkeeping. A link on the fallback surrendered its QPN to the cache (a
-// sibling may own the number by now); a degraded one keeps its broken QP
-// installed until adoption, so two rows never share a QPN.
+// on a QP its link owns. It is decided when someone looks, so a recycled QPN,
+// an adoption, a Mock switch, a failback or a rehydrate need no bookkeeping. A
+// link holds only the QP it owns (none on the fallback); a degraded one keeps
+// its broken QP until adoption, so two rows never share a QPN.
 func (ch *Channel) hasRow() bool {
-	return ch.attach == attachDone && !ch.closed && ch.lk.qp != nil && ch.lk.state != linkFallback
+	return ch.attach == attachDone && !ch.closed && ch.lk.qp != nil
 }
 
 // row emits the channel's XR-Stat row, field by field — the one spelling the

@@ -224,7 +224,7 @@ func (c *Context) encodeHandoff() []byte {
 	h := handoff{Ver: handoffVer, MsgSeq: c.msgSeq}
 	for _, ch := range c.Channels() {
 		l := ch.lk
-		if ch.cid != 0 || ch.closed || ch.Mocked() || l.qpn0 == 0 {
+		if ch.cid != 0 || ch.closed || ch.Mocked() || l.port <= 0 {
 			continue
 		}
 		r := handoffChan{
@@ -309,10 +309,7 @@ func (c *Context) Shutdown() {
 	c.chanByCID.Clear()
 	c.qpnTab.Clear()
 	for _, l := range c.allLinks() {
-		// A link on the Mock fallback already surrendered its QP.
-		if l.state == linkFallback {
-			l.closeFallback()
-		} else if l.qp != nil {
+		if l.closeFallback(); l.qp != nil {
 			c.vctx.NIC.DestroyQP(l.qp)
 			l.qp = nil // a handle kept past the restart reads no QPN
 		}
@@ -345,8 +342,8 @@ func (c *Context) Rehydrate(blob []byte) error {
 	now := c.eng.Now()
 	for i := range h.Chans {
 		r := &h.Chans[i]
-		// The link keeps its identity pair, which the peer's redial is matched
-		// on, and its newest QPN, which the peer's Mock hello names.
+		// The link keeps its identity pair, which the peer's redial and Mock
+		// hello are matched on, and its newest QPN.
 		l := c.newEnd(fabric.NodeID(r.Peer), attachDone, linkDegraded)
 		ch := l.solo[0]
 		ch.health = HealthDegraded

@@ -270,10 +270,10 @@ func (f *flowCtl) fetchRemote(op *msgRec) {
 // fetched hands a finished fetch to its consumer and retires the op.
 func (c *Context) fetched(op *msgRec) {
 	ch, msg, buf, qp, st, err := op.ch, op.msg, op.staged, op.qp, op.failed, op.err
-	id, start, size, readCB := op.msgID, op.enqAt, op.size, op.readCB
+	id, start, size, readCB, sizeOnly := op.msgID, op.enqAt, op.size, op.readCB, op.wr.SizeOnly
 	c.drop(op, holdOp)
 	if msg != nil {
-		ch.pulled(msg, buf, qp, start, st, err)
+		ch.pulled(msg, buf, sizeOnly, qp, start, st, err)
 	} else {
 		ch.readDone(id, start, size, buf, st, err, readCB)
 	}

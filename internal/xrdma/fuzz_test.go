@@ -150,7 +150,7 @@ func FuzzParseHello(f *testing.F) {
 		{purpose: helloMuxSlot, slot: 1},
 		{purpose: helloMuxReattach, target: 9, target0: 3, dialer0: 4},
 		{purpose: helloRecover, target: 9, target0: 3, dialer0: 4},
-		{purpose: helloMock, target: 0xdead},
+		{purpose: helloMock, target: 0xdead, target0: 3, dialer0: 4},
 	} {
 		f.Add(h.encode())
 		h.neg, h.offer = true, v2
@@ -165,6 +165,7 @@ func FuzzParseHello(f *testing.F) {
 	unknown := hello{purpose: helloOpen}.encode()
 	unknown[3] = 0x7f
 	f.Add(unknown)
+	f.Add(hello{purpose: helloMock, target: 0xdead}.encode()[:helloHdrSize+4]) // a 4-byte Mock body: the retired layout
 	f.Add([]byte{})
 	f.Add([]byte{0x58, 0x4c})             // magic alone, truncated
 	f.Add(bytes.Repeat([]byte{0xff}, 16)) // flag soup, wrong magic

@@ -60,11 +60,11 @@ type link struct {
 	depth       int          // queue depth of a created replacement QP
 	dialTimeout sim.Duration // abandons one dial that got no REP/REJ
 
-	qp       *rnic.QP
-	peerQPN  uint32 // peer's latest QPN — what a redial names
-	peerQPN0 uint32 // peer's QPN at establishment — with qpn0, the immutable identity
-	qpn0     uint32 // local QPN at establishment (port > 0 only; 0 = none yet)
-	qpn      uint32 // newest local QPN the link has owned (port > 0 only)
+	qp       *rnic.QP // the QP the link owns: nil while dialing, on the fallback and once closed
+	peerQPN  uint32   // peer's latest QPN — what a redial names
+	peerQPN0 uint32   // peer's QPN at establishment — with qpn0, the immutable identity
+	qpn0     uint32   // local QPN at establishment (0 = none yet)
+	qpn      uint32   // newest local QPN the link has owned
 
 	// The transport material besides the QP: the standing receive pool
 	// posted on it (nil when the SRQ serves; see release for who frees it),
@@ -165,11 +165,8 @@ func (l *link) setQP(qp *rnic.QP, pool *recvPool, initiator bool) {
 		c.dialing = slices.Delete(c.dialing, i, i+1)
 		c.links = append(c.links, l)
 	}
-	if l.port > 0 {
-		l.qpn = qp.QPN
-	}
-	if l.qpn0 == 0 { // the establishment pair: the identity a redial names
-		l.qpn0, l.peerQPN0 = l.qpn, qp.RemoteQPN
+	if l.qpn = qp.QPN; l.qpn0 == 0 { // the establishment pair: the identity a redial or a Mock hello names
+		l.qpn0, l.peerQPN0 = qp.QPN, qp.RemoteQPN
 	}
 	l.state = linkReady
 	l.turn()
@@ -212,8 +209,8 @@ func (l *link) untable() {
 	}
 }
 
-// lastQPN is the newest local QPN the link has owned — what a peer's Mock
-// hello names. A rehydrated link has only its pre-restart one.
+// lastQPN is the newest local QPN the link has owned. A rehydrated link has
+// only its pre-restart one.
 func (l *link) lastQPN() uint32 {
 	if l.qp != nil {
 		return l.qp.QPN
@@ -254,11 +251,31 @@ func (l *link) current(cqe rnic.CQE) bool {
 	return l.state != linkDead && l.qp != nil && cqe.QPN == l.qp.QPN
 }
 
-// is reports whether this link IS the one a dialing peer means: the
-// establishment-time QPN pair matches in both directions.
+// identity is the hello that names the link to its peer: a redial's or a Mock rendezvous'.
+func (l *link) identity(p helloPurpose) hello {
+	return hello{purpose: p, target: l.peerQPN, target0: l.peerQPN0, dialer0: l.qpn0}
+}
+
+// is reports whether this link IS the one a peer's redial or Mock hello means:
+// the establishment-time QPN pair matches in both directions. A Mock hello
+// names an exclusive link.
 func (l *link) is(from fabric.NodeID, h hello) bool {
-	return l.peer == from && l.redial == h.purpose && l.qpn0 != 0 &&
-		l.qpn0 == h.target0 && l.peerQPN0 == h.dialer0
+	return l.peer == from && (l.redial == h.purpose || h.purpose == helloMock && !l.shared()) &&
+		l.qpn0 != 0 && l.qpn0 == h.target0 && l.peerQPN0 == h.dialer0
+}
+
+// named is the one lookup of the link a peer's hello names: the QPN table by
+// target, else a scan, accepted only where the identity matches (is). The
+// target may be adoptions (or a restart) old, or recycled to a sibling since,
+// and a link on the fallback holds no QPN at all.
+func (c *Context) named(from fabric.NodeID, h hello) *link {
+	if l := c.qpnTab.Get(uint64(h.target)); l != nil && l.is(from, h) {
+		return l
+	}
+	if i := slices.IndexFunc(c.links, func(l *link) bool { return l.is(from, h) }); i >= 0 {
+		return c.links[i]
+	}
+	return nil
 }
 
 // established lists the riders with a live send path — the ones to hold on
@@ -288,9 +305,8 @@ func (l *link) setHealth(h HealthState) {
 // a table lookup in front of it).
 func (l *link) recv(cqe rnic.CQE) {
 	c := l.c
-	if l.state == linkFallback || !l.current(cqe) {
-		// The flush of a QP this link surrendered (to the Mock fallback, or
-		// to a sibling through the QP cache).
+	if !l.current(cqe) {
+		// The flush of a QP this link surrendered to a sibling through the QP cache.
 		c.recycleSRQ(cqe.WRID)
 		return
 	}
@@ -544,8 +560,8 @@ func (c *Context) recoverBackoff(attempt int) sim.Duration {
 }
 
 // fail reports that the link's transport broke (flushed QP, keepalive
-// death, NIC restart, doctor escalation). The broken QP stays installed —
-// its QPN is the link's identity until a replacement is adopted.
+// death, NIC restart, doctor escalation). The broken QP stays the link's until
+// a replacement is adopted or the Mock switch gives it back.
 func (l *link) fail(cause error) {
 	c := l.c
 	switch {
@@ -676,8 +692,7 @@ func (l *link) giveUp(cause error) {
 	}
 	if l.shared() {
 		// (An exclusive link's material went back as its rider left: detach.)
-		l.release(l.qp, nil)
-		l.qp = nil
+		l.giveBack()
 	}
 }
 
@@ -686,8 +701,8 @@ func (l *link) giveUp(cause error) {
 // forever), leaves the cid tables and frees the admission slot a pending
 // attach held; the link stays for the next attach. The rider of an exclusive
 // link takes the link with it — closed now, stranding any dial in flight —
-// and its material goes back: the Mock conn, and the QP with its pool unless
-// the Mock switch already surrendered them.
+// and its material goes back: the Mock conn, and the QP with its pool (none on
+// the fallback: the Mock switch gave them back).
 func (l *link) detach(ch *Channel) {
 	if l.shared() && ch.attach == attachDone && !ch.peerClosed {
 		l.sendCtrl(&wireHdr{Kind: kindChanClose, Chan: ch.peerCID})
@@ -703,14 +718,9 @@ func (l *link) detach(ch *Channel) {
 		}
 		return
 	}
-	qp := l.qp
-	if l.state == linkFallback {
-		qp = nil
-	}
 	l.close()
 	l.closeFallback()
-	l.release(qp, l.takePool())
-	l.qp = nil // the cache's now: the next connection may hold it
+	l.giveBack() // the cache's now: the next connection may hold the QP
 }
 
 // release returns transport material that will not be adopted, or that an
@@ -741,6 +751,10 @@ func (l *link) release(qp *rnic.QP, pool *recvPool) {
 
 // takePool detaches the installed pool, to be released with the QP it is on.
 func (l *link) takePool() (p *recvPool) { p, l.pool = l.pool, nil; return p }
+
+// giveBack releases the link's QP and pool and leaves it holding none: a link
+// holds only the QP it owns.
+func (l *link) giveBack() { l.untable(); l.release(l.qp, l.takePool()); l.qp = nil }
 
 // --- establishment --------------------------------------------------------------
 //
@@ -882,7 +896,7 @@ func (e *estab) done(conn *verbs.Conn, err error) {
 // fallen-back) link, which the hello names by identity.
 func (l *link) dialReplacement(retry func(error)) {
 	l.c.Stats.RecoverAttempts++
-	l.establish(nil, l.port, hello{purpose: l.redial, target: l.peerQPN, target0: l.peerQPN0, dialer0: l.qpn0}.encode(), retry)
+	l.establish(nil, l.port, l.identity(l.redial).encode(), retry)
 }
 
 // accept is the one CM listener, on application ports and RecoverPort alike:
@@ -916,16 +930,9 @@ func (c *Context) accept(req *verbs.ConnReq) {
 			l.ver, l.caps = ver, caps
 		}
 	default:
-		// A redial for a degraded (or fallen-back) link. It may name a QPN from
-		// adoptions (or a restart) ago, or one since recycled to a sibling; the
-		// identity scan keeps it from cross-adopting another link's state.
-		if l = c.qpnTab.Get(uint64(h.target)); l == nil || !l.is(req.From, h) {
-			l = nil
-			if i := slices.IndexFunc(c.links, func(x *link) bool { return x.is(req.From, h) }); i >= 0 {
-				l = c.links[i]
-			}
-		}
-		if l == nil {
+		// A redial for a degraded (or fallen-back) link, named by identity: it
+		// cannot cross-adopt another link's state.
+		if l = c.named(req.From, h); l == nil {
 			req.Reject("no such link")
 		} else if l.state == linkReady {
 			// The dialer noticed a fault this side hasn't seen yet (failure
@@ -955,7 +962,7 @@ func (l *link) adopt(conn *verbs.Conn, pool *recvPool, initiator bool) {
 	outage := now.Sub(l.degradedAt)
 	switch {
 	case !failback:
-		l.release(l.qp, l.takePool())
+		l.giveBack()
 	case initiator:
 		l.closeFallback()
 	case l.fb != nil:

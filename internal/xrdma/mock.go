@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"xrdma/internal/fabric"
 	"xrdma/internal/sim"
 	"xrdma/internal/tcpnet"
 	"xrdma/internal/telemetry"
@@ -15,9 +14,10 @@ import (
 // network, keeping the application's message flow alive at degraded
 // performance. The side with the lower node ID dials the peer's mock
 // port; the other side waits for the inbound connection and matches it to
-// the broken channel by QPN. The fallback is link state (linkFallback, with
-// the conn in link.fb): frames enter and leave through the link's one frame
-// path like any other transport's.
+// the broken channel by the rule every redial follows: the hello names the
+// link by its establishment QPN pair (link.is). The fallback is link state
+// (linkFallback, with the conn in link.fb and no QP): frames enter and leave
+// through the link's one frame path like any other transport's.
 //
 // The mock transport carries the same wire headers (Seq/Ack included) as
 // the RDMA path, so the seq-ack window spans both transports: a cutover
@@ -43,46 +43,29 @@ func (c *Context) listenMock() {
 				conn.Close()
 				return
 			}
-			switch ch := c.mockTarget(conn.Remote, h.target); {
-			case ch != nil && ch.lk.state == linkFallback:
+			switch l := c.named(conn.Remote, h); {
+			case l != nil && l.state == linkFallback:
 				// The channel waits for this conn — or already had one, which
 				// died on the peer's side first and is being redialed.
-				if ch.lk.fb != conn {
-					ch.lk.closeFallback()
+				if l.fb != conn {
+					l.closeFallback()
 				}
-				ch.attachMock(conn)
-			case ch != nil && c.cfg.MockEnabled:
+				l.riders[0].attachMock(conn)
+			case l != nil && c.cfg.MockEnabled:
 				// The peer switched but this side's channel is still live or
 				// degraded (failure detection is not synchronized): adopt the
 				// switch.
-				ch.enterMockMode()
-				ch.attachMock(conn)
+				l.riders[0].enterMockMode()
+				l.riders[0].attachMock(conn)
 			default:
-				c.parkMockConn(h.target, conn)
+				c.parkMockConn(h, conn)
 			}
 		}
 	})
 }
 
-// mockTarget resolves the exclusive channel a peer's Mock hello names by the
-// last QPN it saw on this side. The links are scanned, not the QPN table: a
-// link on the fallback has surrendered its QP to the cache and a sibling may
-// own that QPN by now — so a channel already on (or waiting for) the
-// fallback wins over one that merely holds the number.
-func (c *Context) mockTarget(from fabric.NodeID, qpn uint32) (live *Channel) {
-	for _, l := range c.links {
-		if !l.shared() && l.peer == from && l.lastQPN() == qpn {
-			if l.state == linkFallback {
-				return l.riders[0]
-			}
-			live = l.riders[0]
-		}
-	}
-	return live
-}
-
 type parkedMock struct {
-	qpn  uint32
+	h    hello // what the conn's hello named
 	conn *tcpnet.Conn
 	// buf holds frames the dialer pumped before this side claimed the
 	// conn: the dialer attaches (and replays its unacked tail) as soon as
@@ -97,8 +80,8 @@ type parkedMock struct {
 // channel notices its failure and claims it. A parked conn that dies
 // (peer gave up) leaves the list immediately, and the grace timer closes
 // whatever is still unclaimed — parked conns never outlive the grace.
-func (c *Context) parkMockConn(qpn uint32, conn *tcpnet.Conn) {
-	p := &parkedMock{qpn: qpn, conn: conn}
+func (c *Context) parkMockConn(h hello, conn *tcpnet.Conn) {
+	p := &parkedMock{h: h, conn: conn}
 	c.mockParked = append(c.mockParked, p)
 	conn.OnMessage = func(m tcpnet.Message) {
 		p.buf = append(p.buf, slices.Clone(m.Data))
@@ -121,12 +104,12 @@ func (c *Context) unpark(p *parkedMock) bool {
 	return i >= 0
 }
 
-// claimParkedMock is called when a channel enters mock-waiting state: an
-// early-arriving peer connection may already be parked. Dead parked conns
-// (closed between the OnClose callback and now) are discarded.
-func (c *Context) claimParkedMock(qpn uint32) *parkedMock {
+// claimParkedMock is called when l enters mock-waiting state: an
+// early-arriving peer connection that names it may already be parked. Dead
+// parked conns (closed between the OnClose callback and now) are discarded.
+func (c *Context) claimParkedMock(l *link) *parkedMock {
 	for _, p := range slices.Clone(c.mockParked) {
-		if p.qpn == qpn && c.unpark(p) {
+		if c.named(p.conn.Remote, p.h) == l && c.unpark(p) {
 			p.conn.OnClose = nil
 			if p.conn.Open() {
 				return p
@@ -153,13 +136,12 @@ func (ch *Channel) enterMockMode() {
 	// every message inline from ps.data, so release them.
 	ch.unstage()
 
-	// Release RDMA resources: the QP recycles through the cache and then
-	// its receive pool returns to the memory cache. The XR-Stat row goes
-	// with them (hasRow) — the recycled QPN may soon host a new channel.
-	// The link keeps pointing at the surrendered QP: its QPN is how the
-	// peer's Mock hello names this channel.
+	// Release RDMA resources: the QP leaves the QPN table and recycles through
+	// the cache, then its receive pool returns to the memory cache. The link
+	// holds no QP on the fallback, so the XR-Stat row goes with it (hasRow) —
+	// the recycled QPN may soon host a new channel.
 	ch.quiesce()
-	ch.lk.release(ch.lk.qp, ch.lk.takePool())
+	ch.lk.giveBack()
 }
 
 // connectMock runs the mock rendezvous for a channel already in mock
@@ -171,7 +153,7 @@ func (ch *Channel) connectMock(cause error) {
 		ch.mockDial(cause, 0)
 		return
 	}
-	if p := c.claimParkedMock(ch.lk.lastQPN()); p != nil {
+	if p := c.claimParkedMock(ch.lk); p != nil {
 		ch.attachMock(p.conn)
 		// Deliver frames the dialer sent while the conn sat parked, in
 		// arrival order; the window dedups anything replayed again later.
@@ -209,7 +191,7 @@ func (ch *Channel) mockDial(cause error, attempt int) {
 			return
 		}
 		if err == nil {
-			conn.Send(hello{purpose: helloMock, target: ch.lk.peerQPN}.encode(), 0, nil)
+			conn.Send(ch.lk.identity(helloMock).encode(), 0, nil)
 			ch.attachMock(conn)
 			return
 		}

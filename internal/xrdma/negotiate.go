@@ -60,11 +60,11 @@ const (
 	helloMuxSlot                             // fresh shared QP: slot(2)
 	helloMuxReattach                         // replacement for a broken shared QP: identity(12)
 	helloRecover                             // replacement for a broken exclusive QP: identity(12)
-	helloMock                                // TCP fallback for a broken exclusive QP: target(4)
+	helloMock                                // TCP fallback for a broken exclusive QP: identity(12)
 )
 
 // helloBodySize is the fixed body length per purpose (index 0 = unknown).
-var helloBodySize = [...]int{helloOpen: 0, helloMuxSlot: 2, helloMuxReattach: 12, helloRecover: 12, helloMock: 4}
+var helloBodySize = [...]int{helloOpen: 0, helloMuxSlot: 2, helloMuxReattach: 12, helloRecover: 12, helloMock: 12}
 
 // offer is a negotiation range: the header versions a build speaks and the
 // extensions it accepts. A verdict reuses the shape with minVer == maxVer
@@ -74,8 +74,8 @@ type offer struct {
 	caps           uint32
 }
 
-// hello is the decoded form. The identity triple names a broken link
-// three ways: target is the listener-side QPN the dialer last saw (the
+// hello is the decoded form. The identity triple, the body of every hello that
+// names a broken link (a redial's or a Mock rendezvous'), names it three ways: target is the listener-side QPN the dialer last saw (the
 // fast recovery-index key), target0/dialer0 the immutable establishment
 // pair — the listener's and the dialer's first QPN. Local QPNs recycle
 // through the QP cache, so with several links to one peer the index entry
@@ -97,10 +97,8 @@ func (h hello) encode() []byte {
 	switch h.purpose {
 	case helloMuxSlot:
 		b = le.AppendUint16(b, h.slot)
-	case helloMuxReattach, helloRecover:
+	case helloMuxReattach, helloRecover, helloMock:
 		b = le.AppendUint32(le.AppendUint32(le.AppendUint32(b, h.target), h.target0), h.dialer0)
-	case helloMock:
-		b = le.AppendUint32(b, h.target)
 	}
 	if h.neg {
 		b = le.AppendUint32(append(b, h.minVer, h.maxVer), h.caps)
@@ -136,10 +134,8 @@ func parseHello(b []byte) (hello, helloVerdict) {
 	switch h.purpose {
 	case helloMuxSlot:
 		h.slot = le.Uint16(p)
-	case helloMuxReattach, helloRecover:
+	case helloMuxReattach, helloRecover, helloMock:
 		h.target, h.target0, h.dialer0 = le.Uint32(p), le.Uint32(p[4:]), le.Uint32(p[8:])
-	case helloMock:
-		h.target = le.Uint32(p)
 	}
 	switch p = p[helloBodySize[h.purpose]:]; {
 	case len(p) == 0:

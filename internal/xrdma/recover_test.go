@@ -380,7 +380,7 @@ func TestParkedMockConnExpiryRaceOrders(t *testing.T) {
 			t.Fatalf("dial: %v", err)
 		}
 		dialed = conn
-		conn.Send(hello{purpose: helloMock, target: 0xdead}.encode(), 0, nil) // QPN no channel owns → parked
+		conn.Send(hello{purpose: helloMock, target: 0xdead, target0: 0xdead, dialer0: 0xdead}.encode(), 0, nil) // an identity no link has → parked
 	})
 	w.eng.RunFor(2 * sim.Millisecond)
 	if len(srvCtx.mockParked) != 1 {
@@ -404,7 +404,7 @@ func TestParkedMockConnExpiryRaceOrders(t *testing.T) {
 			t.Fatalf("dial: %v", err)
 		}
 		dialed2 = conn
-		conn.Send(hello{purpose: helloMock, target: 0xbeef}.encode(), 0, nil)
+		conn.Send(hello{purpose: helloMock, target: 0xbeef, target0: 0xbeef, dialer0: 0xbeef}.encode(), 0, nil)
 	})
 	w2.eng.RunFor(2 * sim.Millisecond)
 	if len(srvCtx2.mockParked) != 1 {
@@ -482,6 +482,44 @@ func TestParkedMockConnBuffersEarlyFrames(t *testing.T) {
 	if fmt.Sprint(seen) != "[1 2 3]" {
 		t.Fatalf("delivered %v after the grace", seen)
 	}
+}
+
+// TestMockFindsLinkAfterHalfFinishedRedial: a Mock hello names its link by
+// identity, as a redial does, not by the last QPN the dialer saw. With cold QP
+// caches the first redial after a fault outlives the dialer's dial timeout
+// while the listener accepts and adopts it, so the listener holds a QPN the
+// dialer never learns. A dialer that switches to the Mock in that state must
+// still reach its channel: the conn is attached at once, never parked, and the
+// request stream rides it exactly once.
+func TestMockFindsLinkAfterHalfFinishedRedial(t *testing.T) {
+	w := newRecoverWorld(t, 2, func(_ int, cfg *Config) { cfg.FailbackInterval = 0 })
+	cli, srv := w.connect(t, 0, 1, 5000)
+	s := newIDStream(srv)
+	s.run(w.eng, cli, 100*sim.Microsecond, 40*sim.Millisecond)
+	w.eng.RunFor(sim.Millisecond)
+	cli.lk.fail(ErrPeerDead)
+	for i := 0; !(srv.lk.state == linkReady && srv.QPN() != cli.lk.peerQPN && cli.lk.dialing == nil); i++ {
+		if i == 1000 || cli.lk.state != linkDegraded {
+			t.Fatalf("no half-finished redial: dialer state=%d, listener state=%d qpn=%d, dialer names %d",
+				cli.lk.state, srv.lk.state, srv.QPN(), cli.lk.peerQPN)
+		}
+		w.eng.RunFor(50 * sim.Microsecond)
+	}
+	if err := cli.ForceMock(); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.RunFor(2 * sim.Millisecond)
+	if n := len(w.ctxs[1].mockParked); n != 0 || !srv.Mocked() || srv.lk.fb == nil || cli.lk.fb == nil {
+		t.Fatalf("parked=%d listener mocked=%v attached=%v dialer attached=%v, want the conn attached at both ends",
+			n, srv.Mocked(), srv.lk.fb != nil, cli.lk.fb != nil)
+	}
+	conn := cli.lk.fb
+	w.eng.Run()
+	if !cli.Mocked() || !srv.Mocked() || cli.lk.fb != conn {
+		t.Fatalf("mocked: cli=%v srv=%v, same conn=%v; want both ends on the one fallback", cli.Mocked(), srv.Mocked(), cli.lk.fb == conn)
+	}
+	s.check(t)
+	w.checkAtRest(t, 1, 1)
 }
 
 // TestKeepaliveDeathMidRendezvousNoLeak (satellite): when the peer dies

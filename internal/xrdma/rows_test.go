@@ -161,7 +161,7 @@ func TestChannelRowsFollowTheChannel(t *testing.T) {
 			a.SendMsg(nil, 8, nil)
 			w.eng.Run()
 			qpn := a.QPN()
-			// a's link keeps pointing at the QP it surrendered to the cache.
+			// a's link gives its QP back to the cache and holds none.
 			if err := a.ForceMock(); err != nil {
 				t.Fatal(err)
 			}
@@ -172,8 +172,8 @@ func TestChannelRowsFollowTheChannel(t *testing.T) {
 			var b *Channel
 			w.ctxs[0].Connect(1, 5000, func(ch *Channel, err error) { b = ch })
 			w.eng.RunFor(3 * sim.Millisecond)
-			if b == nil || b.QPN() != qpn || !a.Mocked() || a.lk.qp.QPN != qpn {
-				t.Fatalf("setup: want b on a's recycled qpn=%d with a still mocked and holding it", qpn)
+			if b == nil || b.QPN() != qpn || !a.Mocked() || a.lk.qp != nil {
+				t.Fatalf("setup: want b on a's recycled qpn=%d with a still mocked and holding no QP", qpn)
 			}
 			wantRows(t, "recycled", w, 0, chRow(b))
 			if sent := snapshot(w.eng)[fmt.Sprintf("xrdma.0.ch.%d.sent", qpn)]; sent != b.Counters.MsgsSent || sent == a.Counters.MsgsSent {

@@ -20,10 +20,11 @@ var ErrAlreadyReplied = errors.New("xrdma: message already replied")
 // Small payloads (≤ SmallMsgSize) travel inline over SEND; larger ones are
 // staged in the memory cache and announced, and the receiver pulls them
 // with fragmented RDMA READ — lengths alone for a size-only message, whose
-// Msg.Data then has unspecified contents. Every message goes through the
-// seq-ack window regardless of transport — a channel that is degraded,
-// recovering or running on the TCP mock keeps accepting sends, and the
-// window replays/dedups across cutovers.
+// Msg.Data is then nil, as over the Mock (Msg.Len is the size; inline over
+// RDMA it reads as Len zeros). Every message goes through the seq-ack window
+// regardless of transport — a channel that is degraded, recovering or
+// running on the TCP mock keeps accepting sends, and the window
+// replays/dedups across cutovers.
 func (ch *Channel) SendMsg(data []byte, size int, cb func(*Msg, error)) error {
 	if ch.closed {
 		return ErrChannelClosed
@@ -267,14 +268,13 @@ func (ch *Channel) transmit(ps *msgRec, large bool) {
 		t.TxBytes += int64(wireLen)
 	}
 	ch.noteAckCarried()
-	size, enqAt := ps.size, ps.enqAt
-	ch.lk.emit(ps, &h, wireLen, blameAcc) // ps is the window's from here: a refused post may even have torn it down
+	size, enqAt, qp := ps.size, ps.enqAt, ch.lk.qp // the QP emit posts on
+	ch.lk.emit(ps, &h, wireLen, blameAcc)          // ps is the window's from here: a refused post may even have torn it, and qp, down
 	if blameAcc != nil && kind == kindReq {
 		if rs, ok := ch.pending[h.MsgID]; ok {
-			qc := &ch.lk.qp.Counters
 			rs.blame = &reqBlame{
-				enqAt: enqAt, txAt: c.eng.Now(), wr: &ps.wr, acc: blameAcc,
-				rtoRef: qc.RTORecoveryNs, rnrRef: qc.RNRRecoveryNs,
+				enqAt: enqAt, txAt: c.eng.Now(), wr: &ps.wr, acc: blameAcc, qp: qp,
+				rtoRef: qp.Counters.RTORecoveryNs, rnrRef: qp.Counters.RNRRecoveryNs,
 			}
 		}
 	}
@@ -518,9 +518,10 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 	}
 }
 
-// pulled completes a rendezvous pull: msg's payload is in buf, fetched over
-// pullQP since pullStart — or st/err say why not.
-func (ch *Channel) pulled(msg *Msg, buf Buffer, pullQP *rnic.QP, pullStart sim.Time, st rnic.Status, err error) {
+// pulled completes a rendezvous pull: msg's payload is in buf (a size-only
+// pull lands none, and its Data stays nil), fetched over pullQP since
+// pullStart — or st/err say why not.
+func (ch *Channel) pulled(msg *Msg, buf Buffer, sizeOnly bool, pullQP *rnic.QP, pullStart sim.Time, st rnic.Status, err error) {
 	c, seqNo := ch.ctx, msg.Seq
 	if err != nil {
 		delete(ch.pulls, seqNo)
@@ -532,7 +533,7 @@ func (ch *Channel) pulled(msg *Msg, buf Buffer, pullQP *rnic.QP, pullStart sim.T
 	// A completion from a pre-recovery transport is stale news: the channel
 	// already cut over, and the replayed announce owns the pull marker for
 	// this sequence now.
-	stale := ch.lk.qp != pullQP || ch.lk.state == linkFallback
+	stale := ch.lk.qp != pullQP
 	if !stale {
 		delete(ch.pulls, seqNo)
 	}
@@ -553,7 +554,9 @@ func (ch *Channel) pulled(msg *Msg, buf Buffer, pullQP *rnic.QP, pullStart sim.T
 		c.Mem.Free(buf)
 		return
 	}
-	msg.Data, msg.RecvAt, msg.kept = buf.Bytes(), c.eng.Now(), true // Retain clones: buf goes back
+	if msg.RecvAt = c.eng.Now(); !sizeOnly {
+		msg.Data, msg.kept = buf.Bytes(), true // Retain clones: buf goes back
+	}
 	ch.Counters.LargeRecv++
 	ch.win.markRecved(seqNo)
 	ch.deliver(msg, buf)

@@ -9,9 +9,9 @@ import (
 )
 
 // A size-only message (nil data) that goes by rendezvous is announced with
-// flagSizeOnly, and its pull moves lengths, not bytes: the receiver's
-// landing block keeps whatever it held. A message with data, and every
-// one-sided READ, still moves its bytes.
+// flagSizeOnly, and its pull moves lengths, not bytes: it is delivered with
+// nil Data and its Len, as an inline size-only message is. A message with
+// data, and every one-sided READ, still moves its bytes.
 
 // sentFrames runs send, then the world to quiescence, and returns the header
 // of every windowed frame each channel transmitted meanwhile, decoded from the
@@ -61,15 +61,11 @@ func TestSizeOnlyRendezvous(t *testing.T) {
 	const reqSize, respSize = 128 << 10, 96 << 10
 	w := newWorld(t, 2, nil)
 	cli, srv := w.connect(t, 0, 1, 5020)
-	// The two ends' memory reads differently: a pull that moved bytes would
-	// hand the receiver the sender's fill.
-	fillRegions(w.ctxs[0], 0xC1)
-	fillRegions(w.ctxs[1], 0x5E)
 
 	var req, resp *Msg
 	var reqData, respData []byte
 	srv.OnMessage(func(m *Msg) {
-		req, reqData = m, m.Retain()
+		req, reqData = m, m.Data
 		if err := m.Reply(nil, respSize); err != nil {
 			t.Errorf("Reply: %v", err)
 		}
@@ -79,23 +75,21 @@ func TestSizeOnlyRendezvous(t *testing.T) {
 			if err != nil {
 				t.Fatalf("response: %v", err)
 			}
-			resp, respData = m, m.Retain()
+			resp, respData = m, m.Data
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}, cli, srv)
 
-	if req == nil || req.Len != reqSize || len(reqData) != reqSize {
-		t.Fatalf("request: %+v, %d bytes (want Len %d)", req, len(reqData), reqSize)
+	// Delivered as an inline size-only message is: no Data, the size in Len.
+	if req == nil || req.Len != reqSize || reqData != nil {
+		t.Fatalf("request: %+v, %d bytes of Data (want Len %d and nil Data)", req, len(reqData), reqSize)
 	}
-	if resp == nil || resp.Len != respSize || len(respData) != respSize {
-		t.Fatalf("response: %+v, %d bytes (want Len %d)", resp, len(respData), respSize)
+	if resp == nil || resp.Len != respSize || respData != nil {
+		t.Fatalf("response: %+v, %d bytes of Data (want Len %d and nil Data)", resp, len(respData), respSize)
 	}
 	if srv.Counters.LargeRecv != 1 || cli.Counters.LargeRecv != 1 {
 		t.Fatalf("LargeRecv: server %d, client %d (want one pull each way)", srv.Counters.LargeRecv, cli.Counters.LargeRecv)
-	}
-	if bytes.IndexByte(reqData, 0xC1) >= 0 || bytes.IndexByte(respData, 0x5E) >= 0 {
-		t.Error("a size-only pull carried the sender's bytes")
 	}
 	for i, want := range []msgKind{kindLargeReq, kindLargeResp} {
 		if len(frames[i]) != 1 || frames[i][0].Kind != want || frames[i][0].Flags&flagSizeOnly == 0 {

@@ -88,14 +88,16 @@ func (c *Context) onBlame(ch *Channel, m *Msg, b *reqBlame) {
 			rec.Dur[telemetry.StageReassembly] += m.RecvAt.Sub(rx.FirstAt)
 		}
 	}
-	// Request-direction loss recovery: this QP's cumulative recovery
-	// residency since transmit (negative deltas mean the channel moved to
-	// a fresh QP mid-flight — nothing attributable).
-	if d := ch.lk.qp.Counters.RTORecoveryNs - b.rtoRef; d > 0 {
-		rec.Dur[telemetry.StageRTORecovery] = sim.Duration(d)
-	}
-	if d := ch.lk.qp.Counters.RNRRecoveryNs - b.rnrRef; d > 0 {
-		rec.Dur[telemetry.StageRNRRecovery] = sim.Duration(d)
+	// Request-direction loss recovery: the cumulative recovery residency
+	// since transmit of the QP the request was posted on, while the link
+	// still holds it (on a fresh QP or the fallback, nothing is attributable).
+	if qp := b.qp; qp != nil && qp == ch.lk.qp {
+		if d := qp.Counters.RTORecoveryNs - b.rtoRef; d > 0 {
+			rec.Dur[telemetry.StageRTORecovery] = sim.Duration(d)
+		}
+		if d := qp.Counters.RNRRecoveryNs - b.rnrRef; d > 0 {
+			rec.Dur[telemetry.StageRNRRecovery] = sim.Duration(d)
+		}
 	}
 	// PFC pause is a sub-component of fabric queueing, so it is excluded
 	// from the attribution sum (it would double count).

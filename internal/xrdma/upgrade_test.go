@@ -57,7 +57,7 @@ func TestHelloCodec(t *testing.T) {
 		{purpose: helloMuxSlot, slot: 3},
 		{purpose: helloMuxReattach, target: 7, target0: 5, dialer0: 6},
 		{purpose: helloRecover, target: 17, target0: 15, dialer0: 16},
-		{purpose: helloMock, target: 42},
+		{purpose: helloMock, target: 42, target0: 40, dialer0: 41},
 	} {
 		for _, neg := range []bool{false, true} {
 			if h.neg = neg; neg {
@@ -78,9 +78,13 @@ func TestHelloCodec(t *testing.T) {
 	future[2] = helloFmt + 1
 	unknown := hello{purpose: helloOpen}.encode()
 	unknown[3] = byte(helloMock) + 1
-	for name, b := range map[string][]byte{"future-fmt": future, "unknown-purpose": unknown, "short-body": hello{purpose: helloRecover}.encode()[:9]} {
-		if _, v := parseHello(b); v != helloUnknown {
-			t.Fatalf("%s: verdict %d, want the loud one", name, v)
+	// A Mock hello from a build that named the link by one QPN (a 4-byte body).
+	oldMock := hello{purpose: helloMock, target: 42}.encode()[:helloHdrSize+4]
+	c := newWorld(t, 1, nil).ctxs[0]
+	for name, b := range map[string][]byte{"future-fmt": future, "unknown-purpose": unknown, "short-body": hello{purpose: helloRecover}.encode()[:9], "4-byte-mock": oldMock} {
+		before := c.Stats.VerMismatches
+		if _, v := c.readHello(1, b); v != helloUnknown || c.Stats.VerMismatches != before+1 {
+			t.Fatalf("%s: verdict %d counted %d times, want the loud one, once", name, v, c.Stats.VerMismatches-before)
 		}
 	}
 }
