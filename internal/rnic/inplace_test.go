@@ -127,18 +127,16 @@ func TestRecvLandsInPostedBuffer(t *testing.T) {
 	if p := &rc[1].Data[0]; p == &buf[0] || p == &full[0] {
 		t.Error("an address-less receive must deliver a private buffer")
 	}
-	// A size-only tail reads as zeros, whatever the posted buffer held.
+	// A size-only tail is not there to read: Data ends with the carried
+	// header, and the posted buffer past it is left as it was.
 	got := rc[2].Data
-	if len(got) != 10000 || &got[0] != &buf[bufLen] || !bytes.Equal(got[:len(head)], head) {
-		t.Fatalf("header + size-only tail: len %d, header intact %v", len(got), bytes.Equal(got[:len(head)], head))
+	if len(got) != len(head) || &got[0] != &buf[bufLen] || !bytes.Equal(got, head) || rc[2].Len != 10000 {
+		t.Fatalf("header + size-only tail: Data len %d (Len %d), header intact %v", len(got), rc[2].Len, bytes.Equal(got, head))
 	}
-	for i, b := range got[len(head):] {
-		if b != 0 {
-			t.Fatalf("byte %d past the carried header reads %#x, want 0: the posted buffer's old contents leaked", len(head)+i, b)
+	for i, b := range buf[bufLen+len(head) : 2*bufLen] {
+		if b != 0xDB {
+			t.Fatalf("byte %d past the carried header reads %#x: a byte the SEND does not carry was written", len(head)+i, b)
 		}
-	}
-	if buf[bufLen+10000] != 0xDB {
-		t.Error("clearing ran past the message's end")
 	}
 	if rc[3].Data != nil || buf[2*bufLen] != 0xDB {
 		t.Error("a size-only SEND must deliver nil Data and leave the posted buffer alone")

@@ -163,9 +163,9 @@ func (n *NIC) remoteAccessViolation(src fabric.NodeID, srcQPN uint32, qp *QP) {
 	qp.enterError(StatusRemoteAccessErr)
 }
 
-// landing resolves, at an inbound message's first carried bytes, where all of
-// them go: registered memory takes them directly — the DMA a real RNIC does
-// into [addr, addr+size) — and the completion's Data is that range. A work
+// landing resolves where an inbound message's carried bytes go: registered
+// memory takes them directly — the DMA a real RNIC does into
+// [addr, addr+size) — and the completion's Data is that range. A work
 // request that names no memory (addr 0), or an address no MR covers, gets a
 // private buffer.
 func (n *NIC) landing(addr uint64, size int) []byte {
@@ -341,17 +341,23 @@ func (n *NIC) handleData(p *fabric.Packet, h *hdr) {
 			copy(a.mr.Slice(a.raddr+uint64(h.Offset), len(h.Data)), h.Data)
 		}
 	default:
-		// What the wire does not carry (a size-only payload behind a real
-		// header) reads as zeros, whatever the posted buffer held before.
-		if a.data == nil && h.Data != nil {
-			a.data = n.landing(a.recvWR.Addr, a.msgLen)
-			clear(a.data[:h.Offset])
-		}
-		if a.data != nil {
-			lo, hi := h.Offset+copy(a.data[h.Offset:], h.Data), min(h.Offset+seg, a.msgLen)
-			if lo < hi {
-				clear(a.data[lo:hi])
+		// Only what the wire carries lands, and the completion's Data ends
+		// with it: a size-only payload behind a real header is neither copied
+		// nor cleared, and its bytes are backed by no page. A segment carried
+		// in full lands the whole message at once.
+		if len(h.Data) > 0 {
+			end := h.Offset + len(h.Data)
+			if end > cap(a.data) {
+				size := end
+				if len(h.Data) == seg {
+					size = a.msgLen
+				}
+				d := n.landing(a.recvWR.Addr, size)
+				copy(d, a.data)
+				a.data = d
 			}
+			a.data = a.data[:end]
+			copy(a.data[h.Offset:], h.Data)
 		}
 	}
 	a.got += seg
@@ -384,7 +390,7 @@ func (n *NIC) deliver(qp *QP, a *assembly, h *hdr) {
 		cqe.Addr = a.recvWR.Addr
 		if a.data != nil {
 			if a.recvWR.Addr != 0 {
-				if _, ok := n.Mem.FindLocal(a.recvWR.Addr, a.msgLen); !ok {
+				if _, ok := n.Mem.FindLocal(a.recvWR.Addr, len(a.data)); !ok {
 					// Receive buffer not registered (any more: a dereg raced
 					// the fragments): data still reaches the CQE, but the
 					// lost DMA is counted, never silent.

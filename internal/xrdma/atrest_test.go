@@ -17,6 +17,9 @@ import (
 // checkStructure: the QPN table names live links under their current QPN, and
 // every live link with an installed QP is in it (a link on the Mock fallback
 // holds none); no link is both establishing and listed; no record counts twice.
+// The context's stalled count is the riders marked stalled; a listed channel
+// holds window slots exactly while its window is in use and a waiter map
+// exactly while a request awaits its response, and neither counts twice.
 // Every exclusive channel of a tracked context (trackEnds) is its link's only
 // rider (a closed one may have left it: detach); once closed, its link — one
 // object with it, so the application's handle keeps it — holds no QP, pool,
@@ -43,6 +46,35 @@ func checkStructure(t testing.TB, c *Context) {
 	if c.recs.Free()+c.posted.Len() > c.recs.Live() {
 		t.Errorf("node %d: %d records free and %d posted of %d live", c.Node(), c.recs.Free(), c.posted.Len(), c.recs.Live())
 	}
+	stalled, wins, maps := 0, 0, 0
+	for _, l := range c.allLinks() {
+		for _, ch := range l.riders {
+			if ch.stallFlag {
+				stalled++
+			}
+		}
+	}
+	if stalled != c.stalled {
+		t.Errorf("node %d: %d riders marked stalled, the context counts %d", c.Node(), stalled, c.stalled)
+	}
+	for _, ch := range c.Channels() {
+		if inUse := ch.win.seq != ch.win.acked || ch.win.rta != ch.win.wta; (ch.win.slots != nil) != inUse {
+			t.Errorf("node %d: channel (peer %d) holds slots=%v with its window in use=%v", c.Node(), ch.Peer, ch.win.slots != nil, inUse)
+		}
+		if (ch.pending != nil) != (len(ch.pending) > 0) {
+			t.Errorf("node %d: channel (peer %d) holds an empty waiter map", c.Node(), ch.Peer)
+		}
+		if ch.win.slots != nil {
+			wins++
+		}
+		if ch.pending != nil {
+			maps++
+		}
+	}
+	if c.wins.Free()+wins > c.wins.Live() || c.waitMaps.Free()+maps > c.waitMaps.Live() {
+		t.Errorf("node %d: %d slot arrays free and %d held of %d live, %d waiter maps free and %d held of %d",
+			c.Node(), c.wins.Free(), wins, c.wins.Live(), c.waitMaps.Free(), maps, c.waitMaps.Live())
+	}
 	for _, ch := range ends[c] {
 		l := ch.lk
 		if n := len(l.riders); n > 1 || n == 1 && l.riders[0] != ch || n == 0 && !ch.closed {
@@ -65,7 +97,8 @@ func checkStructure(t testing.TB, c *Context) {
 // channels: every record free but one keepalive probe per listed link at most
 // (none on a closed context, whose CQs Close drained); every channel a listed
 // link's rider with nothing in
-// flight, queued or awaited; no attach admitted or queued. It only reads: a
+// flight, queued or awaited, so every slot array and waiter map is on its free
+// list; no attach admitted or queued. It only reads: a
 // world may be checked twice.
 func (w *testWorld) checkAtRest(t testing.TB, listed ...int) {
 	t.Helper()
@@ -145,6 +178,10 @@ func (w *testWorld) checkAtRest(t testing.TB, listed ...int) {
 			if ch.Inflight() != 0 || ch.sendQ.Len() != 0 || len(ch.pending) != 0 || ch.issued.Newest() != nil {
 				t.Errorf("node %d: channel left %d in flight, %d queued, %d awaiting a response", i, ch.Inflight(), ch.sendQ.Len(), len(ch.pending))
 			}
+		}
+		if c.wins.Free() != c.wins.Live() || c.waitMaps.Free() != c.waitMaps.Live() {
+			t.Errorf("node %d: %d of %d slot arrays and %d of %d waiter maps on their free lists",
+				i, c.wins.Free(), c.wins.Live(), c.waitMaps.Free(), c.waitMaps.Live())
 		}
 		if c.attachActive != 0 || c.attachQ.Len() != 0 {
 			t.Errorf("node %d: %d attaches admitted, %d queued", i, c.attachActive, c.attachQ.Len())

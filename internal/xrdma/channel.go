@@ -68,7 +68,7 @@ type Channel struct {
 	ctx  *Context
 	Peer fabric.NodeID
 
-	// win is the seq-ack window (window.go), slotless until establishment.
+	// win is the seq-ack window (window.go); its slots are held while in use.
 	win window
 
 	sendQ   sim.List[msgRec, *msgRec] // unsent messages, in submission order
@@ -283,11 +283,11 @@ func (c *Context) poolLanded(p *recvPool, lo, hi int) {
 		c.Mem.Free(p.blocks[lo/p.per])
 		return
 	}
-	for slot := lo; slot < hi; slot++ {
-		if wr, ok := p.wr(p.id(slot)); ok && c.srq.Post(wr) == nil { // in place, and it fits: SRQSize deep, as the pool
+	p.postEach(lo, hi, func(wr rnic.RecvWR) {
+		if c.srq.Post(wr) == nil { // in place, and it fits: SRQSize deep, as the pool
 			c.Stats.SRQPosted++
 		}
-	}
+	})
 	if hi < p.n {
 		c.srq.Arm(p.per/srqLimitDiv, func() {
 			c.Stats.SRQGrows++
@@ -297,8 +297,8 @@ func (c *Context) poolLanded(p *recvPool, lo, hi int) {
 }
 
 // newChannel builds the flyweight every channel starts as: the window's slots
-// arrive with establishment (finishAttach) and the per-channel maps
-// (pending, pulls, pings) on first use, so an idle one carries none.
+// and the waiter map (pending) are held only while in use, the other
+// per-channel maps (pulls, pings) from first use, so an idle one carries none.
 func (c *Context) newChannel(peer fabric.NodeID, attach uint8) *Channel {
 	return &Channel{ctx: c, Peer: peer, attach: attach, lastProgress: c.eng.Now()}
 }
@@ -429,12 +429,8 @@ func (ch *Channel) teardown(err error) {
 	if failErr == nil {
 		failErr = ErrChannelClosed
 	}
-	ch.failPending(failErr)
-	if ch.pending != nil { // empty (failPending); clear resets its table for the next channel
-		clear(ch.pending)
-		c.waitMaps.Put(ch.pending)
-	}
-	ch.pending, ch.remoteWins = nil, nil
+	ch.failPending(failErr) // the last settle gives the waiter map back
+	ch.remoteWins = nil
 	ch.attachSettled(failErr) // an attach that will not happen now
 	// Nothing will ack on a dead channel: the queued messages and the unacked
 	// tail give back their staged payloads, records and window credits (the
@@ -449,13 +445,10 @@ func (ch *Channel) teardown(err error) {
 			c.drop(s.rec, holdWindow)
 		}
 	}
-	ch.win.rewind()
+	ch.win.rewind(&c.wins)
 	ch.tenantRewind()
-	if ch.win.slots != nil {
-		clear(ch.win.slots)
-		c.wins.Put(ch.win.slots)
-		ch.win.slots = nil
-	}
+	ch.win.free(&c.wins) // a pull in flight may still hold them
+	ch.stall(false)
 	// The flyweight maps go back to nil — a closed channel costs only its
 	// struct.
 	ch.pulls, ch.pings = nil, nil
@@ -512,6 +505,19 @@ func (ch *Channel) setHealth(h HealthState) {
 
 // --- deadlock breaker (§V-B) --------------------------------------------------
 
+// stall marks or unmarks a rider whose send queue waits on a full window,
+// keeping the context's count of marked riders that deadlockScan reads.
+func (ch *Channel) stall(on bool) {
+	switch {
+	case on && !ch.stallFlag:
+		ch.Counters.WindowStalls++
+		ch.ctx.stalled++
+	case !on && ch.stallFlag:
+		ch.ctx.stalled--
+	}
+	ch.stallFlag = on
+}
+
 func (ch *Channel) deadlockCheck() {
 	if ch.closed || ch.attach != attachDone {
 		return
@@ -529,7 +535,7 @@ func (ch *Channel) deadlockCheck() {
 	if !ch.pathUp() {
 		return
 	}
-	if ch.sendQ.Len() == 0 || ch.win.canSend() {
+	if ch.sendQ.Len() == 0 || ch.win.canSend(&ch.ctx.wins) {
 		return
 	}
 	if ch.ctx.eng.Now().Sub(ch.lastProgress) < deadlockScan {

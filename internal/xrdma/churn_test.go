@@ -92,7 +92,6 @@ func TestChurnRecyclesSafely(t *testing.T) {
 		} else {
 			estabs[e] = true
 		}
-		slots[&ch.win.slots[0]] = true
 		for _, c := range w.ctxs {
 			checkRecycled(t, c)
 		}
@@ -151,6 +150,9 @@ func TestChurnRecyclesSafely(t *testing.T) {
 				finish(d)
 			}); err != nil {
 				t.Fatal(err)
+			}
+			if ch.win.slots != nil { // held while the request is unacked
+				slots[&ch.win.slots[0]] = true
 			}
 		}
 	}

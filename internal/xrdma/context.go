@@ -43,9 +43,10 @@ type Context struct {
 	posted   sim.Table[msgRec] // by WR id, issued in sequence
 	recs     sim.FreeList[*msgRec]
 	estabs   sim.FreeList[*estab]
-	wins     sim.FreeList[[]winSlot]
+	wins     winPool                          // Channel.win's slots
 	waitMaps sim.FreeList[map[uint64]*msgRec] // Channel.pending
 	trimAt   sim.Time
+	stalled  int // riders with stallFlag set (Channel.stall)
 	wrSeq    uint64
 	msgSeq   uint64
 
@@ -210,6 +211,7 @@ func NewContext(o Options) *Context {
 		recoverPort: o.RecoverPort,
 		clockSkew:   o.ClockSkew,
 		toff:        make(map[fabric.NodeID]sim.Duration),
+		wins:        winPool{depth: uint64(o.Config.WindowDepth)},
 	}
 	c.pollFn, c.wakeFn, c.dispatchFn = c.pollTick, c.woke, c.dispatchNext
 	c.tel = telemetry.For(c.eng)
@@ -603,8 +605,11 @@ func (c *Context) keepaliveScan() {
 
 // deadlockScan walks the riders in place, by index like the links: a check
 // only ever sends a NOP, and if that breaks the link the riders are parked,
-// not detached.
+// not detached. It walks only while some rider is marked stalled.
 func (c *Context) deadlockScan() {
+	if c.stalled == 0 {
+		return // a NOP is only ever sent for a rider pump found stalled
+	}
 	for i := 0; i < len(c.links); i++ {
 		for j, l := 0, c.links[i]; j < len(l.riders); j++ {
 			l.riders[j].deadlockCheck()

@@ -304,6 +304,7 @@ func (c *Context) Shutdown() {
 	}
 	for _, ch := range c.Channels() { // live ones only: a closed channel is delisted
 		ch.closed = true
+		ch.stall(false)
 		c.eng.Cancel(ch.ackEv)
 	}
 	c.chanByCID.Clear()
@@ -349,7 +350,6 @@ func (c *Context) Rehydrate(blob []byte) error {
 		ch.health = HealthDegraded
 		l.peerQPN, l.peerQPN0, l.ver, l.caps, l.degradedAt = r.PeerQPN, r.PeerQPN0, r.NegVer, r.Caps, now
 		l.qpn0, l.qpn = r.QPN0, r.QPN
-		ch.win = c.newWindow()
 		ch.win.seq, ch.win.acked, ch.win.wta, ch.win.rta = r.TxFloor, r.TxFloor, r.RxFloor, r.RxFloor
 		if r.Label != ([8]byte{}) {
 			ch.tenant = c.tenantByLabel(r.Label)

@@ -179,9 +179,8 @@ func (l *link) setQP(qp *rnic.QP, pool *recvPool, initiator bool) {
 	l.sched.reset()
 	// The standing receive pool — the buffers whose footprint the §III Issue-1
 	// formula describes — goes on the QP, and is the QP's from here on.
-	l.pool = pool
-	for slot := 0; pool != nil && slot < pool.n; slot++ {
-		l.repost(pool.id(slot))
+	if l.pool = pool; pool != nil {
+		pool.postEach(0, pool.n, func(wr rnic.RecvWR) { _ = qp.PostRecv(wr) })
 	}
 	for i := 0; i < len(l.riders); i++ { // in place: a Connect callback may close its channel
 		switch ch := l.riders[i]; {
@@ -366,7 +365,7 @@ func (l *link) ingest(data []byte, wrID uint64, overMock bool, rxBlame *telemetr
 		}
 		return
 	}
-	var pay []byte
+	var pay []byte // nil unless the payload was carried: a size-only message's is not
 	if size := int(h.Size); size > 0 && len(data) >= hdrLen+size {
 		pay = data[hdrLen : hdrLen+size]
 	}
@@ -983,8 +982,8 @@ func (l *link) adopt(conn *verbs.Conn, pool *recvPool, initiator bool) {
 	c.tel.Flight.Record(now, telemetry.CatChannelRecovered, int32(c.Node()), l.qp.QPN, int64(l.peer), int64(outage))
 	for _, ch := range l.established() {
 		ch.requeueUnacked()
-		ch.nopAt, ch.stallFlag = 0, false
-		ch.lastProgress = now
+		ch.nopAt, ch.lastProgress = 0, now
+		ch.stall(false)
 		ch.pulls = nil // lazily re-created on the next rendezvous announce
 		ch.resumeOnRx = !initiator
 		ch.setHealth(HealthHealthy)

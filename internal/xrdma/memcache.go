@@ -382,8 +382,22 @@ func (p *recvPool) wr(id uint64) (wr rnic.RecvWR, ok bool) {
 	if p == nil || id != p.id(slot) || slot >= p.n {
 		return wr, false
 	}
-	b := p.blocks[slot/p.per]
-	return rnic.RecvWR{ID: id, Addr: b.Addr + uint64(slot%p.per*p.stride), Len: p.stride}, b.Valid()
+	b, off := p.blocks[0], slot // one block holds the pool: no divide
+	if p.per < p.n {
+		b, off = p.blocks[slot/p.per], slot%p.per
+	}
+	return rnic.RecvWR{ID: id, Addr: b.Addr + uint64(off*p.stride), Len: p.stride}, b.Valid()
+}
+
+// postEach hands post the receive WR of each slot in [lo, hi) whose block
+// landed, in slot order: block by block, so no slot costs a divide.
+func (p *recvPool) postEach(lo, hi int, post func(rnic.RecvWR)) {
+	for k := lo / p.per; k*p.per < hi; k++ {
+		b, first := p.blocks[k], k*p.per
+		for slot := max(lo, first); b.Valid() && slot < min(hi, first+p.per); slot++ {
+			post(rnic.RecvWR{ID: p.id(slot), Addr: b.Addr + uint64((slot-first)*p.stride), Len: p.stride})
+		}
+	}
 }
 
 // Reset abandons every region after the NIC lost its registered memory

@@ -161,7 +161,6 @@ func (ch *Channel) finishAttach(err error) {
 	}
 	held := ch.attach == attachPending && ch.lk.shared() && ch.lk.dialer // who passed admission: startAttach
 	ch.attach = attachDone
-	ch.win = c.newWindow()
 	c.Stats.ChannelsOpened++
 	if held {
 		c.attachRelease()

@@ -20,7 +20,7 @@ func (ch *Channel) quiesce() {
 	c.eng.Cancel(ch.ackEv)
 	ch.ackEv = sim.Event{}
 	ch.nopAt = 0
-	ch.stallFlag = false
+	ch.stall(false)
 }
 
 // requeueUnacked rewinds the send window to the ack edge and moves the
@@ -50,7 +50,7 @@ func (ch *Channel) requeueUnacked() {
 		ps.ready = ps.staged.Valid()
 		replay.Push(ps)
 	}
-	ch.win.rewind()
+	ch.win.rewind(&ch.ctx.wins)
 	ch.tenantRewind()
 	for ch.sendQ.Len() > 0 {
 		replay.Push(ch.sendQ.Pop())

@@ -22,7 +22,8 @@ func (f landedFunc) poolLanded(p *recvPool, lo, hi int) { f(p, lo, hi) }
 // slots are in place, every such slot lies inside its block at a stride multiple
 // from the base, no two overlap, a slot past them names nothing, a WR id is its
 // pool's tag over its slot and names nothing in any other pool, and the cache's
-// counters read what the slicing says (the pool is all that is out of it).
+// counters read what the slicing says (the pool is all that is out of it);
+// postEach posts what wr names, slot by slot.
 func checkSlab(t *testing.T, c *Context, p *recvPool, per, n, filled, stride int) {
 	t.Helper()
 	per = min(per, n)
@@ -92,6 +93,19 @@ func checkSlab(t *testing.T, c *Context, p *recvPool, per, n, filled, stride int
 		}
 		if _, ok := p.wr(other.id(slot)); ok {
 			t.Fatalf("another pool's slot %d answers here", slot)
+		}
+	}
+	// postEach walks the same WRs block by block, in slot order, over any range.
+	for _, r := range [][2]int{{0, n}, {n / 3, n - n/4}, {per - 1, min(per+1, n)}} {
+		var got, want []rnic.RecvWR
+		p.postEach(r[0], r[1], func(wr rnic.RecvWR) { got = append(got, wr) })
+		for slot := r[0]; slot < r[1]; slot++ {
+			if wr, ok := p.wr(p.id(slot)); ok {
+				want = append(want, wr)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("postEach over slots [%d,%d) posts %d WRs unlike wr's %d", r[0], r[1], len(got), len(want))
 		}
 	}
 	for _, id := range []uint64{p.id(n), uint64(n - 1), p.id(0) | 1<<63} {

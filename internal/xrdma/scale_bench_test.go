@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"xrdma/internal/fabric"
+	"xrdma/internal/sim"
 )
 
 // TestChannelStructBudget holds the sizes the 4000-node fit and the line
@@ -71,5 +72,68 @@ func BenchmarkIdleChannelFootprint(b *testing.B) {
 	} else {
 		b.ReportMetric(0, "bytes/conn")
 	}
+	runtime.KeepAlive(chans)
+}
+
+// BenchmarkAttachedChannelFootprint is the same number for channels that were
+// used: b.N mux channels each attach, carry one request/response and go quiet
+// for two trim horizons. A quiet channel holds no window slots and no waiter
+// map, and the context's free lists give back what the burst left, so it
+// costs its handle again. Both ends live in this heap: bytes/conn is the heap
+// delta per channel end — what one host pays per connection — over a first
+// channel that made the shared QPs, their pools and the memory regions.
+func BenchmarkAttachedChannelFootprint(b *testing.B) {
+	w := newWorld(b, 2, func(_ int, cfg *Config) {
+		cfg.QPsPerPeer = 2
+		cfg.ChannelGaugeLimit = 8
+	})
+	w.ctxs[1].OnChannel(echoServer)
+	if err := w.ctxs[1].Listen(7000); err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	open := func(n int) []*Channel {
+		chans := make([]*Channel, 0, n)
+		for range n {
+			w.ctxs[0].Connect(fabric.NodeID(1), 7000, func(ch *Channel, err error) {
+				if err != nil {
+					b.Fatal(err)
+				}
+				chans = append(chans, ch)
+				ch.SendMsg(payload, 0, func(_ *Msg, err error) {
+					if err != nil {
+						b.Error(err)
+					}
+				})
+			})
+		}
+		w.eng.RunFor(2*memShrinkIdle + sim.Millisecond)
+		if len(chans) != n {
+			b.Fatalf("%d of %d channels attached", len(chans), n)
+		}
+		return chans
+	}
+	open(1)
+
+	runtime.GC()
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	chans := open(b.N)
+	b.StopTimer()
+
+	runtime.GC()
+	runtime.GC()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	for _, ch := range chans {
+		if ch.win.slots != nil || ch.pending != nil || ch.Counters.RespsRecv != 1 {
+			b.Fatal("a quiet channel holds window slots or a waiter map, or got no response")
+		}
+	}
+	b.ReportMetric(max(float64(after.HeapAlloc)-float64(before.HeapAlloc), 0)/float64(2*b.N), "bytes/conn")
 	runtime.KeepAlive(chans)
 }

@@ -19,12 +19,11 @@ var ErrAlreadyReplied = errors.New("xrdma: message already replied")
 //
 // Small payloads (≤ SmallMsgSize) travel inline over SEND; larger ones are
 // staged in the memory cache and announced, and the receiver pulls them
-// with fragmented RDMA READ — lengths alone for a size-only message, whose
-// Msg.Data is then nil, as over the Mock (Msg.Len is the size; inline over
-// RDMA it reads as Len zeros). Every message goes through the seq-ack window
-// regardless of transport — a channel that is degraded, recovering or
-// running on the TCP mock keeps accepting sends, and the window
-// replays/dedups across cutovers.
+// with fragmented RDMA READ — lengths alone for a size-only message, which
+// arrives with nil Msg.Data and its size in Msg.Len on every transport.
+// Every message goes through the seq-ack window regardless of transport — a
+// channel that is degraded, recovering or running on the TCP mock keeps
+// accepting sends, and the window replays/dedups across cutovers.
 func (ch *Channel) SendMsg(data []byte, size int, cb func(*Msg, error)) error {
 	if ch.closed {
 		return ErrChannelClosed
@@ -132,11 +131,8 @@ func (ch *Channel) pump() {
 	}
 	for ch.sendQ.Len() > 0 && !ch.closed && ch.pathUp() {
 		ps := ch.sendQ.Head()
-		if !ch.win.canSend() {
-			if !ch.stallFlag {
-				ch.stallFlag = true
-				ch.Counters.WindowStalls++
-			}
+		if !ch.win.canSend(&c.wins) {
+			ch.stall(true)
 			return
 		}
 		// Over the mock transport everything goes inline — TCP has no
@@ -175,7 +171,7 @@ func (ch *Channel) pump() {
 		if t := ch.tenant; t != nil && !t.admit(ch, hdrSize+ps.size) {
 			return
 		}
-		ch.stallFlag = false
+		ch.stall(false)
 		ch.transmit(ch.sendQ.Pop(), large)
 	}
 }
@@ -209,7 +205,7 @@ func (ch *Channel) transmit(ps *msgRec, large bool) {
 	}
 	// The window keeps the record, and the message replayable, until acked.
 	ps.holds = ps.holds&^holdSendQ | holdWindow
-	seq := ch.win.next(ps)
+	seq := ch.win.next(&c.wins, ps)
 	h := wireHdr{
 		Kind: kind, Ver: ch.lk.ver, Seq: seq, Ack: ch.win.ackValue(), Chan: ch.peerCID,
 		MsgID: ps.msgID, Size: uint32(ps.size),
@@ -301,7 +297,11 @@ func (ch *Channel) failSend(ps *msgRec, err error) {
 // which may well recycle the record itself.
 func (ch *Channel) settle(rs *msgRec) func(*Msg, error) {
 	cb := rs.cb
-	delete(ch.pending, rs.msgID)
+	if delete(ch.pending, rs.msgID); len(ch.pending) == 0 { // the last waiter: the map goes back
+		clear(ch.pending)
+		ch.ctx.waitMaps.Put(ch.pending)
+		ch.pending = nil
+	}
 	ch.issued.Swap(rs, nil)
 	ch.ctx.drop(rs, holdWaiter)
 	return cb
@@ -345,10 +345,10 @@ func (ch *Channel) sendCtrl(kind msgKind) {
 
 // sendCtrlHdr emits a window-exempt frame: a header, no payload. Control
 // traffic is advisory — cumulative acks re-ride the next message — so without
-// a live path the frame is dropped. (The window has no slots only on an
-// unattached mux descriptor: there is no wire yet to put a control frame on.)
+// a live path the frame is dropped, as it is on an unattached mux descriptor,
+// which has no wire yet to put it on.
 func (ch *Channel) sendCtrlHdr(h *wireHdr) {
-	if ch.closed || ch.win.slots == nil || !ch.pathUp() {
+	if ch.closed || ch.attach != attachDone || !ch.pathUp() {
 		return
 	}
 	h.Ver, h.Ack, h.Chan = ch.lk.ver, ch.win.ackValue(), ch.peerCID
@@ -413,7 +413,7 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 	// the remainder when those sequence numbers are reassigned.
 	if h.Ack > ch.win.acked {
 		for ack := min(h.Ack, ch.win.seq); ch.win.acked < ack; {
-			if rec := ch.win.retire(); rec != nil {
+			if rec := ch.win.retire(&c.wins); rec != nil {
 				ch.acked(rec)
 			}
 		}
@@ -475,7 +475,7 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 			}
 			msg.blame = mb
 		}
-		if !ch.win.receive(h.Seq, true) {
+		if !ch.win.receive(&c.wins, h.Seq, true) {
 			// A cutover replay. If the original delivery completed, just
 			// refresh the (evidently lost) ack. If it was announced as a
 			// rendezvous whose pull died with the old transport, this
@@ -484,7 +484,7 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 				ch.sendCtrl(kindAck)
 				return
 			}
-			ch.win.markRecved(h.Seq)
+			ch.win.markRecved(&c.wins, h.Seq)
 		}
 		ch.deliver(msg, Buffer{})
 	case kindLargeReq, kindLargeResp:
@@ -494,7 +494,7 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 			MsgID: h.MsgID, Seq: h.Seq,
 			T1: sim.Time(h.T1), Traced: h.Flags&flagTraced != 0,
 		}
-		if !ch.win.receive(h.Seq, false) {
+		if !ch.win.receive(&c.wins, h.Seq, false) {
 			if ch.win.isRecved(h.Seq) {
 				ch.sendCtrl(kindAck)
 				return
@@ -558,7 +558,7 @@ func (ch *Channel) pulled(msg *Msg, buf Buffer, sizeOnly bool, pullQP *rnic.QP, 
 		msg.Data, msg.kept = buf.Bytes(), true // Retain clones: buf goes back
 	}
 	ch.Counters.LargeRecv++
-	ch.win.markRecved(seqNo)
+	ch.win.markRecved(&c.wins, seqNo)
 	ch.deliver(msg, buf)
 }
 

@@ -144,6 +144,54 @@ func TestSizeOnlyRendezvous(t *testing.T) {
 	w.checkAtRest(t, 1, 1)
 }
 
+// TestSizeOnlyReadsNilOnEveryTransport: a size-only message reads the same
+// whatever carries it — nil Data and its Len — inline over RDMA, by
+// rendezvous, and inline over the Mock; both ways, since each request is
+// answered size-only with its own size.
+func TestSizeOnlyReadsNilOnEveryTransport(t *testing.T) {
+	w := newWorld(t, 2, func(_ int, cfg *Config) { cfg.MockEnabled = true })
+	cli, srv := w.connect(t, 0, 1, 5022)
+	srv.OnMessage(func(m *Msg) {
+		if m.Data != nil {
+			t.Errorf("request of Len %d arrived with %d bytes of Data, want nil", m.Len, len(m.Data))
+		}
+		if err := m.Reply(nil, m.Len); err != nil {
+			t.Errorf("Reply: %v", err)
+		}
+	})
+	roundTrip := func(how string, size int) {
+		var resp *Msg
+		if err := cli.SendMsg(nil, size, func(m *Msg, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", how, err)
+			}
+			resp = m
+			if m.Len != size || m.Data != nil {
+				t.Errorf("%s: response of Len %d arrived with %d bytes of Data, want Len %d and nil", how, m.Len, len(m.Data), size)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		w.eng.Run()
+		if resp == nil {
+			t.Fatalf("%s: no response", how)
+		}
+	}
+	roundTrip("inline over RDMA", 32)
+	roundTrip("by rendezvous", 128<<10)
+	if err := cli.ForceMock(); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.Run()
+	if !cli.Mocked() {
+		t.Fatal("the channel did not switch to the Mock")
+	}
+	roundTrip("inline over the Mock", 32)
+	if cli.Counters.LargeSent != 1 || srv.Counters.LargeSent != 1 {
+		t.Fatalf("LargeSent: client %d, server %d (want the one rendezvous each way)", cli.Counters.LargeSent, srv.Counters.LargeSent)
+	}
+}
+
 // TestDrainKeepsSizeOnly: a size-only rendezvous in flight across Drain is
 // frozen without bytes and comes back size-only, delivered once with its Len.
 func TestDrainKeepsSizeOnly(t *testing.T) {

@@ -1,6 +1,10 @@
 package xrdma
 
-import "fmt"
+import (
+	"fmt"
+
+	"xrdma/internal/sim"
+)
 
 // The seq-ack window of Algorithm 1. Sequence numbers start at 1 and are
 // assigned per windowed message. The sender may have at most depth
@@ -12,15 +16,18 @@ import "fmt"
 //
 // A window is both halves of one channel: the sender's edges, the receiver's,
 // and one slot per in-window sequence. Each half indexes its slot by
-// seq % depth, so one array backs both. The arrays are recycled through the
-// context's free list: finishAttach (or Rehydrate) takes one, teardown gives
-// it back, and nothing indexes a closed channel's window.
+// seq % depth, so one array backs both. The array is held only while the
+// window is in use — a message sent and not yet acked, a rendezvous message
+// still being pulled — and goes back to the context's free list, cleared, once
+// both halves are quiescent again (seq == acked, rta == wta): an idle channel
+// keeps only its edges. An in-order inline receive with nothing being pulled
+// advances both receive edges without a slot.
 type window struct {
-	slots []winSlot
-	seq   uint64 // last assigned sequence (paper: SEQ)
-	acked uint64 // highest cumulatively acked (paper: ACKED)
-	wta   uint64 // highest sequence received (paper: WTA)
-	rta   uint64 // highest ready-to-ack, contiguous (paper: RTA)
+	slots []winSlot // nil while quiescent
+	seq   uint64    // last assigned sequence (paper: SEQ)
+	acked uint64    // highest cumulatively acked (paper: ACKED)
+	wta   uint64    // highest sequence received (paper: WTA)
+	rta   uint64    // highest ready-to-ack, contiguous (paper: RTA)
 }
 
 // winSlot is a slot of both halves. rec is the record of the unacked message
@@ -32,23 +39,49 @@ type winSlot struct {
 	recved bool
 }
 
-func (c *Context) newWindow() window { // window_depth is an offline flag: one depth per context
-	return window{slots: c.wins.Take(func() []winSlot { return make([]winSlot, c.cfg.WindowDepth) })}
+// winPool is a context's free list of slot arrays, all of one depth.
+type winPool struct {
+	sim.FreeList[[]winSlot]
+	depth uint64
 }
 
-func (w *window) depth() uint64 { return uint64(len(w.slots)) }
+// hold gives the window its slots, if it has none.
+func (w *window) hold(p *winPool) {
+	if w.slots == nil {
+		w.slots = p.Take(func() []winSlot { return make([]winSlot, p.depth) })
+	}
+}
 
-func (w *window) slot(seq uint64) *winSlot { return &w.slots[seq%w.depth()] }
+// release gives the slots back once both halves are quiescent. They are
+// clear then: retire and rewind drop each record, and RTA consumes each mark.
+func (w *window) release(p *winPool) {
+	if w.seq == w.acked && w.rta == w.wta && w.slots != nil {
+		p.Put(w.slots)
+		w.slots = nil
+	}
+}
+
+// free gives the slots back, cleared, whatever they hold (teardown).
+func (w *window) free(p *winPool) {
+	if w.slots != nil {
+		clear(w.slots)
+		p.Put(w.slots)
+		w.slots = nil
+	}
+}
+
+func (w *window) slot(seq uint64) *winSlot { return &w.slots[seq%uint64(len(w.slots))] }
 
 // canSend reports whether a window slot is free.
-func (w *window) canSend() bool { return w.seq-w.acked < w.depth() }
+func (w *window) canSend(p *winPool) bool { return w.seq-w.acked < p.depth }
 
 // next assigns the next sequence number to rec, which at(seq) returns until
 // the peer acknowledges it.
-func (w *window) next(rec *msgRec) uint64 {
-	if !w.canSend() {
+func (w *window) next(p *winPool, rec *msgRec) uint64 {
+	if !w.canSend(p) {
 		panic("xrdma: window overflow — caller must check canSend")
 	}
+	w.hold(p)
 	w.seq++
 	w.slot(w.seq).rec = rec
 	return w.seq
@@ -63,7 +96,7 @@ func (w *window) inflight() uint64 { return w.seq - w.acked }
 // retire advances the cumulative ack edge by one message and returns its
 // record. The caller loops up to the peer's ack (acks never regress; a stale
 // one retires nothing).
-func (w *window) retire() *msgRec {
+func (w *window) retire(p *winPool) *msgRec {
 	if w.acked == w.seq {
 		panic(fmt.Sprintf("xrdma: ack beyond seq %d", w.seq))
 	}
@@ -71,17 +104,19 @@ func (w *window) retire() *msgRec {
 	s := w.slot(w.acked)
 	rec := s.rec
 	s.rec = nil
+	w.release(p)
 	return rec
 }
 
 // rewind drops the unacked tail, moving the send edge back to the ack
 // edge. A recovering channel re-queues everything unacked through the
 // normal send path, which re-assigns the same sequence numbers.
-func (w *window) rewind() {
+func (w *window) rewind(p *winPool) {
 	w.seq = w.acked
 	for i := range w.slots {
 		w.slots[i].rec = nil
 	}
+	w.release(p)
 }
 
 // The receiver half tracks which in-window sequences are fully received so
@@ -100,21 +135,25 @@ func (w *window) rewind() {
 // wta are duplicates — a recovery replay from a sender that never saw
 // our ack — and return false so the channel can re-ack without
 // re-delivering.
-func (w *window) receive(seq uint64, recved bool) bool {
+func (w *window) receive(p *winPool, seq uint64, recved bool) bool {
 	if seq <= w.wta {
 		return false
 	}
 	if seq != w.wta+1 {
 		panic(fmt.Sprintf("xrdma: out-of-order window receive seq=%d wta=%d", seq, w.wta))
 	}
-	if seq-w.rta > w.depth() {
-		panic(fmt.Sprintf("xrdma: window overrun seq=%d rta=%d depth=%d — peer violated the window", seq, w.rta, w.depth()))
+	if seq-w.rta > p.depth {
+		panic(fmt.Sprintf("xrdma: window overrun seq=%d rta=%d depth=%d — peer violated the window", seq, w.rta, p.depth))
 	}
 	w.wta = seq
-	w.slot(seq).recved = recved
-	if recved {
-		w.advance()
+	if recved && w.rta+1 == seq {
+		w.rta = seq // nothing before it is being pulled: no slot
+		return true
 	}
+	// Behind a pull, or pulled itself: RTA waits for markRecved, which the
+	// slot's mark tells where to stop.
+	w.hold(p)
+	w.slot(seq).recved = recved
 	return true
 }
 
@@ -133,18 +172,16 @@ func (w *window) isRecved(seq uint64) bool {
 
 // markRecved flags a rendezvous message as fully pulled (Algorithm 1's
 // rdma_read_done) and advances RTA through any contiguous ready run.
-func (w *window) markRecved(seq uint64) {
+func (w *window) markRecved(p *winPool, seq uint64) {
 	if seq <= w.rta || seq > w.wta {
 		return // stale replay duplicate — tolerated
 	}
 	w.slot(seq).recved = true
-	w.advance()
-}
-
-func (w *window) advance() {
 	for w.rta < w.wta && w.slot(w.rta+1).recved {
 		w.rta++
+		w.slot(w.rta).recved = false
 	}
+	w.release(p)
 }
 
 // ackValue is the cumulative ack to piggyback on outbound traffic.

@@ -1,12 +1,26 @@
 package xrdma
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// newWindow is a window on its own slot array, outside any context.
-func newWindow(depth int) window { return window{slots: make([]winSlot, depth)} }
+// testWindow is a window on its own pool, outside any context.
+type testWindow struct {
+	window
+	p *winPool
+}
+
+func newWindow(depth int) *testWindow { return &testWindow{p: &winPool{depth: uint64(depth)}} }
+
+func (w *testWindow) canSend() bool                        { return w.window.canSend(w.p) }
+func (w *testWindow) next(rec *msgRec) uint64              { return w.window.next(w.p, rec) }
+func (w *testWindow) retire() *msgRec                      { return w.window.retire(w.p) }
+func (w *testWindow) rewind()                              { w.window.rewind(w.p) }
+func (w *testWindow) receive(seq uint64, recved bool) bool { return w.window.receive(w.p, seq, recved) }
+func (w *testWindow) markRecved(seq uint64)                { w.window.markRecved(w.p, seq) }
 
 func TestTxWindowBasics(t *testing.T) {
 	w := newWindow(4)
@@ -24,12 +38,12 @@ func TestTxWindowBasics(t *testing.T) {
 	if w.canSend() {
 		t.Fatal("full window should refuse")
 	}
-	ackTo(&w, 2)
+	ackTo(w, 2)
 	if w.inflight() != 2 || !w.canSend() {
 		t.Fatalf("after ack(2): inflight=%d", w.inflight())
 	}
 	// Stale ack ignored.
-	ackTo(&w, 1)
+	ackTo(w, 1)
 	if w.acked != 2 {
 		t.Fatal("ack regressed")
 	}
@@ -38,7 +52,7 @@ func TestTxWindowBasics(t *testing.T) {
 
 // ackTo advances the ack edge the way Channel.handleWire does, returning the
 // MsgIDs of the records retired on the way.
-func ackTo(w *window, ack uint64) (retired []uint64) {
+func ackTo(w *testWindow, ack uint64) (retired []uint64) {
 	for w.acked < ack {
 		if rec := w.retire(); rec != nil {
 			retired = append(retired, rec.msgID)
@@ -55,12 +69,12 @@ func TestTxWindowRetiresInOrder(t *testing.T) {
 	if w.at(3).msgID != 103 {
 		t.Fatalf("at(3) = %d", w.at(3).msgID)
 	}
-	if got := ackTo(&w, 3); len(got) != 3 || got[0] != 101 || got[2] != 103 {
+	if got := ackTo(w, 3); len(got) != 3 || got[0] != 101 || got[2] != 103 {
 		t.Fatalf("retire order: %v", got)
 	}
 	// The freed slots are reused while seq 4 is still unacked.
 	w.next(&msgRec{msgID: 105})
-	if got := ackTo(&w, 5); len(got) != 2 || got[0] != 104 || got[1] != 105 {
+	if got := ackTo(w, 5); len(got) != 2 || got[0] != 104 || got[1] != 105 {
 		t.Fatalf("retire completion: %v", got)
 	}
 	for i, s := range w.slots {
@@ -89,7 +103,7 @@ func TestTxWindowAckBeyondSeqPanics(t *testing.T) {
 			t.Fatal("ack beyond seq must panic")
 		}
 	}()
-	ackTo(&w, 2)
+	ackTo(w, 2)
 }
 
 func TestRxWindowContiguousAck(t *testing.T) {
@@ -216,7 +230,7 @@ func TestWindowPairProperty(t *testing.T) {
 				rx.markRecved(pendingPulls[0])
 				pendingPulls = pendingPulls[1:]
 			}
-			ackTo(&tx, rx.ackValue())
+			ackTo(tx, rx.ackValue())
 			if tx.inflight() > uint64(depth) {
 				return false
 			}
@@ -228,10 +242,178 @@ func TestWindowPairProperty(t *testing.T) {
 			rx.markRecved(pendingPulls[0])
 			pendingPulls = pendingPulls[1:]
 		}
-		ackTo(&tx, rx.ackValue())
-		return tx.inflight() == 0
+		ackTo(tx, rx.ackValue())
+		return tx.inflight() == 0 && tx.slots == nil && rx.slots == nil // quiescent: both arrays back
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// holds reports whether w holds a slot array, and checks the pool's ledger:
+// every array made is held by w or free, and each free one is cleared.
+func (w *testWindow) holds(t *testing.T) bool {
+	t.Helper()
+	held := 0
+	if w.slots != nil {
+		held = 1
+	}
+	if w.p.Free()+held != w.p.Live() {
+		t.Fatalf("%d arrays free, %d held, %d live", w.p.Free(), held, w.p.Live())
+	}
+	for _, s := range w.p.Items() {
+		if slices.ContainsFunc(s, func(x winSlot) bool { return x != winSlot{} }) {
+			t.Fatal("a free slot array keeps a record or a receive mark")
+		}
+	}
+	return held == 1
+}
+
+// TestWindowHoldsSlotsWhileInUse: the slot array is taken when a message is
+// sent and not yet acked, or a rendezvous message is still being pulled, and
+// goes back, cleared, once both halves are quiescent; an in-order inline
+// receive with nothing being pulled takes none.
+func TestWindowHoldsSlotsWhileInUse(t *testing.T) {
+	t.Run("inline receive", func(t *testing.T) {
+		w := newWindow(4)
+		for seq := uint64(1); seq <= 9; seq++ { // past the depth: no slot indexes them
+			w.receive(seq, true)
+		}
+		if w.ackValue() != 9 || w.holds(t) || w.p.Live() != 0 {
+			t.Fatalf("rta %d, %d arrays made: in-order inline receives need none", w.ackValue(), w.p.Live())
+		}
+	})
+	t.Run("send and ack", func(t *testing.T) {
+		w := newWindow(4)
+		rec := &msgRec{msgID: 7}
+		w.next(rec)
+		first := &w.slots[0]
+		w.next(nil)
+		ackTo(w, 1)
+		if !w.holds(t) {
+			t.Fatal("the window let go of its slots with seq 2 unacked")
+		}
+		ackTo(w, 2)
+		if w.holds(t) {
+			t.Fatal("an acked window keeps its slots")
+		}
+		w.next(nil) // the same array again: nothing is made
+		if &w.slots[0] != first || w.p.Live() != 1 {
+			t.Fatal("a second burst made a new slot array")
+		}
+	})
+	t.Run("out-of-order pulls", func(t *testing.T) {
+		w := newWindow(4)
+		w.receive(1, true) // in order: no slot
+		w.receive(2, false)
+		w.receive(3, false)
+		w.receive(4, true) // behind the pulls: marked in its slot
+		w.markRecved(3)
+		if w.ackValue() != 1 || !w.holds(t) {
+			t.Fatalf("rta %d after the later pull completed first", w.ackValue())
+		}
+		w.markRecved(2)
+		if w.ackValue() != 4 || w.holds(t) {
+			t.Fatalf("rta %d, slots held %v once every pull completed", w.ackValue(), w.slots != nil)
+		}
+		w.markRecved(3) // a stale replay's completion takes nothing
+		if w.holds(t) {
+			t.Fatal("a stale markRecved took slots")
+		}
+	})
+	t.Run("rewind", func(t *testing.T) {
+		// requeueUnacked's rewind lets go of the slots unless a pull still
+		// needs its mark, and the replay takes them again.
+		w := newWindow(4)
+		w.next(nil)
+		w.next(nil)
+		w.receive(1, false)
+		w.rewind()
+		if !w.holds(t) || w.seq != 0 {
+			t.Fatal("a rewind dropped the slots a pull in flight marks")
+		}
+		w.markRecved(1)
+		if w.holds(t) {
+			t.Fatal("quiescent after the pull, the rewound window keeps its slots")
+		}
+		w.next(nil)
+		w.rewind()
+		if w.holds(t) || w.seq != 0 || w.inflight() != 0 {
+			t.Fatal("a rewound quiescent window keeps its slots")
+		}
+	})
+	t.Run("rehydrated floors", func(t *testing.T) {
+		// Rehydrate restores the edges alone; the first message past the
+		// floors takes the slots and indexes them mod depth.
+		w := newWindow(4)
+		w.seq, w.acked, w.wta, w.rta = 1001, 1001, 2002, 2002
+		if w.holds(t) || !w.canSend() {
+			t.Fatal("restored floors hold slots, or refuse a send")
+		}
+		if seq := w.next(&msgRec{msgID: 5}); seq != 1002 || w.at(1002).msgID != 5 {
+			t.Fatalf("seq %d past the floor", seq)
+		}
+		w.receive(2003, false)
+		if w.receive(2002, true) || !w.isRecved(2002) || w.isRecved(2003) {
+			t.Fatal("the receive floor is not the ack edge")
+		}
+		ackTo(w, 1002)
+		w.markRecved(2003)
+		if w.holds(t) || w.ackValue() != 2003 {
+			t.Fatal("a rehydrated window keeps its slots once quiescent")
+		}
+	})
+	t.Run("close mid-flight", func(t *testing.T) {
+		// teardown frees the slots whatever they hold: an unacked send and
+		// a pull in flight.
+		w := newWindow(4)
+		w.next(&msgRec{})
+		w.receive(1, false)
+		w.rewind()
+		w.free(w.p)
+		if w.holds(t) || w.p.Free() != 1 {
+			t.Fatal("a closed window keeps its slots")
+		}
+	})
+}
+
+// TestQuietChannelHoldsNothing: an idle channel costs only its handle. A
+// classic and a mux channel each carry a request/response and a rendezvous
+// message both ways; in flight they hold window slots and a waiter map, and
+// once quiet neither end holds either: each is back on its context's free list.
+func TestQuietChannelHoldsNothing(t *testing.T) {
+	for _, qpsPerPeer := range []int{0, 1} {
+		t.Run(fmt.Sprintf("qps-per-peer=%d", qpsPerPeer), func(t *testing.T) {
+			w := newWorld(t, 2, muxKnobs(qpsPerPeer))
+			cli, srv := w.connect(t, 0, 1, 5030)
+			if (cli.cid != 0) != (qpsPerPeer > 0) {
+				t.Fatalf("cid %d with %d QPs per peer", cli.cid, qpsPerPeer)
+			}
+			echoServer(srv)
+			answered := 0
+			for _, size := range []int{64, 64 << 10} {
+				if err := cli.SendMsg(make([]byte, size), 0, func(m *Msg, err error) {
+					if err != nil || m.Len != size {
+						t.Errorf("%d B echo: %v, Len %d", size, err, m.Len)
+					}
+					answered++
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if cli.win.slots == nil || cli.pending == nil {
+				t.Fatal("two requests in flight hold no slots or no waiter map: the test is vacuous")
+			}
+			w.eng.Run()
+			if answered != 2 || srv.Counters.LargeRecv != 1 || cli.Counters.LargeRecv != 1 {
+				t.Fatalf("%d answers, %d and %d pulls: want 2 and one each way", answered, srv.Counters.LargeRecv, cli.Counters.LargeRecv)
+			}
+			for _, ch := range []*Channel{cli, srv} {
+				if ch.win.slots != nil || ch.pending != nil {
+					t.Errorf("quiet channel (node %d) holds slots=%v waiter map=%v", ch.ctx.Node(), ch.win.slots != nil, ch.pending != nil)
+				}
+			}
+			w.checkAtRest(t, 1, 1)
+		})
 	}
 }
