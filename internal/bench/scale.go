@@ -43,9 +43,9 @@ const (
 
 	// Heap budgets for HeapOK (adjusted by raceHeapMul under -race), weighed
 	// with the world still reachable. The smoke world (320 stacks, ~1500 live
-	// + 2400 idle channels) measures 15.6 MiB: 4.4 are pages touched in the
+	// + 2400 idle channels) measures 15.0 MiB: 4.4 are pages touched in the
 	// first memory-cache region (512 KiB, holding the SRQ's first 256 KiB
-	// block) of each of the 18 contexts that talk, 11 everything else. The
+	// block) of each of the 18 contexts that talk, 10.6 everything else. The
 	// full world (4096 stacks, ~12k live channels) measures 212 MiB: 67 of
 	// first-region pages (272 contexts that talk), 145 everything else. The
 	// margins catch a per-channel state regression (the flyweight structure
