@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xrdma/internal/sim"
+	"xrdma/internal/telemetry"
 )
 
 // stampedCQ is a CQ shared by two QPs on an engine, with no NIC behind
@@ -26,6 +27,58 @@ func ids(cqes []CQE) string {
 	return s
 }
 
+// TestPolledSlotHoldsNoPayload: a poll clears only the pointer fields of the
+// slots it vacates, and that is enough — across wrap-around, out-of-order
+// pushes that shift entries up, and polls that leave entries pending, no ring
+// slot outside the held entries references a payload or a blame accumulator,
+// and every held entry keeps its own.
+func TestPolledSlotHoldsNoPayload(t *testing.T) {
+	const ns = sim.Nanosecond
+	eng := sim.NewEngine()
+	cq, qp := stampedCQ(eng)
+	id := uint64(0)
+	push := func(q *QP, d sim.Duration) {
+		id++
+		q.pushRecvCQE(d, &CQE{QPN: q.QPN, WRID: id, Data: make([]byte, 8), Blame: &telemetry.PktBlame{}})
+	}
+	check := func(when string) {
+		t.Helper()
+		for i := range cq.buf {
+			s := &cq.buf[i]
+			held := (i-cq.head)&(len(cq.buf)-1) < cq.cnt
+			if !held && (s.cqe.Data != nil || s.cqe.Blame != nil) {
+				t.Fatalf("%s: vacated slot %d (head %d, %d held) still references data=%v blame=%v",
+					when, i, cq.head, cq.cnt, s.cqe.Data != nil, s.cqe.Blame != nil)
+			}
+			if held && (s.cqe.Data == nil || s.cqe.Blame == nil) {
+				t.Fatalf("%s: held slot %d lost its payload or blame", when, i)
+			}
+		}
+	}
+	for round := range 40 { // the 16-slot ring wraps several times
+		eng.At(eng.Now(), func() {
+			push(qp[0], 270*ns) // a context-cache miss ...
+			push(qp[1], 150*ns) // ... passed by a hit: an entry shifts up
+			push(qp[1], 150*ns)
+			if round%3 == 0 {
+				push(qp[0], 400*ns)
+			}
+		})
+		eng.RunFor(200 * ns) // the hits are visible, the miss is not: a partial poll
+		cq.PollAppend(nil, 8)
+		check(fmt.Sprintf("round %d, partial poll", round))
+		eng.RunFor(300 * ns)
+		cq.PollAppend(nil, 2)
+		check(fmt.Sprintf("round %d, bounded poll", round))
+		eng.Run()
+		cq.PollAppend(nil, 8)
+		check(fmt.Sprintf("round %d, drained", round))
+	}
+	if len(cq.buf) != 16 || cq.cnt != 0 {
+		t.Fatalf("ring of %d slots holds %d at the end, want 16 and 0", len(cq.buf), cq.cnt)
+	}
+}
+
 // TestStampedCQ holds the completion queue's contract: an entry carries the
 // instant it becomes visible and orders against the engine's events exactly
 // as an event at its key would.
@@ -35,10 +88,10 @@ func TestStampedCQ(t *testing.T) {
 		eng := sim.NewEngine()
 		cq, qp := stampedCQ(eng)
 		eng.At(0, func() {
-			qp[0].pushRecvCQE(270*ns, CQE{QPN: 1, WRID: 1}) // a context-cache miss
-			qp[1].pushRecvCQE(150*ns, CQE{QPN: 2, WRID: 2}) // a hit: visible first
-			qp[1].pushRecvCQE(150*ns, CQE{QPN: 2, WRID: 3})
-			qp[0].pushRecvCQE(150*ns, CQE{QPN: 1, WRID: 4}) // held behind its QP's earlier one
+			qp[0].pushRecvCQE(270*ns, &CQE{QPN: 1, WRID: 1}) // a context-cache miss
+			qp[1].pushRecvCQE(150*ns, &CQE{QPN: 2, WRID: 2}) // a hit: visible first
+			qp[1].pushRecvCQE(150*ns, &CQE{QPN: 2, WRID: 3})
+			qp[0].pushRecvCQE(150*ns, &CQE{QPN: 1, WRID: 4}) // held behind its QP's earlier one
 		})
 		eng.Run()
 		if got := ids(cq.Poll(8)); got != "2.2 2.3 1.1 1.4 " {
@@ -48,7 +101,7 @@ func TestStampedCQ(t *testing.T) {
 	t.Run("an entry is invisible, and not counted, until its instant", func(t *testing.T) {
 		eng := sim.NewEngine()
 		cq, qp := stampedCQ(eng)
-		eng.At(0, func() { qp[0].pushRecvCQE(150*ns, CQE{WRID: 1}) })
+		eng.At(0, func() { qp[0].pushRecvCQE(150*ns, &CQE{WRID: 1}) })
 		eng.RunUntil(149)
 		if cq.Len() != 0 || cq.Poll(8) != nil || cq.NextAt() != 150 {
 			t.Fatalf("at 149 ns: Len %d, NextAt %v; want 0, 150ns", cq.Len(), cq.NextAt())
@@ -64,7 +117,7 @@ func TestStampedCQ(t *testing.T) {
 		var before, after []CQE
 		eng.At(0, func() {
 			eng.At(150, func() { before = cq.PollAppend(nil, 8) })
-			qp[0].pushRecvCQE(150*ns, CQE{WRID: 1})
+			qp[0].pushRecvCQE(150*ns, &CQE{WRID: 1})
 			eng.At(150, func() { after = cq.PollAppend(nil, 8) })
 		})
 		eng.Run()
@@ -78,9 +131,9 @@ func TestStampedCQ(t *testing.T) {
 		var woke []sim.Time
 		cq.OnCompletionAt(func(at sim.Time) { woke = append(woke, at) })
 		eng.At(0, func() {
-			qp[0].pushRecvCQE(300*ns, CQE{WRID: 1})
-			qp[1].pushRecvCQE(150*ns, CQE{WRID: 2}) // earlier than the one held: it wakes
-			qp[1].pushRecvCQE(400*ns, CQE{WRID: 3}) // behind both: silent
+			qp[0].pushRecvCQE(300*ns, &CQE{WRID: 1})
+			qp[1].pushRecvCQE(150*ns, &CQE{WRID: 2}) // earlier than the one held: it wakes
+			qp[1].pushRecvCQE(400*ns, &CQE{WRID: 3}) // behind both: silent
 		})
 		eng.At(200, func() { cq.PollAppend(nil, 8) }) // drains 2, leaves 1 and 3 pending
 		eng.At(350, func() { cq.PollAppend(nil, 8) }) // drains 1, leaves 3
@@ -162,7 +215,7 @@ func runCQProgram(ops []byte, reference bool) cqRun {
 	push := func(qp *QP, c int, d sim.Duration, e CQE) {
 		if !reference {
 			qp.RecvCQ = cqs[c]
-			qp.pushRecvCQE(d, e)
+			qp.pushRecvCQE(d, &e)
 			return
 		}
 		qp.recvCQAt = max(eng.Now().Add(d), qp.recvCQAt)
@@ -174,7 +227,7 @@ func runCQProgram(ops []byte, reference bool) cqRun {
 	}
 	flush := func(qp *QP, c int, e CQE) {
 		if !reference {
-			cqs[c].push(eng.Current(), e)
+			cqs[c].push(eng.Current(), &e)
 			return
 		}
 		if fifos[c] = append(fifos[c], e); c == 1 && len(fifos[c]) == 1 {

@@ -406,7 +406,7 @@ func (n *NIC) deliver(qp *QP, a *assembly, h *hdr) {
 		// completion reports.
 		cqe.Addr = a.raddr
 	}
-	qp.pushRecvCQE(completionCost+n.touchQP(qp), cqe)
+	qp.pushRecvCQE(completionCost+n.touchQP(qp), &cqe)
 }
 
 // --- ack generation -------------------------------------------------------

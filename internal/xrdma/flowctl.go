@@ -39,7 +39,7 @@ func (f *flowCtl) post(rec *msgRec) {
 	c.posted.Put(rec.wr.ID, rec)
 	if l := rec.lk; l.state == linkDead || l.qp != rec.qp || rec.qp.PostSend(&rec.wr) != nil {
 		c.posted.Delete(rec.wr.ID)
-		c.complete(rec, rnic.CQE{WRID: rec.wr.ID, QPN: rec.qp.QPN, Op: rec.wr.Op, Status: rnic.StatusFlushed}, true)
+		c.complete(rec, &rnic.CQE{WRID: rec.wr.ID, QPN: rec.qp.QPN, Op: rec.wr.Op, Status: rnic.StatusFlushed}, true)
 	}
 }
 
@@ -70,7 +70,7 @@ func (f *flowCtl) pump() {
 // complete is the one send-completion handler: it settles the limiter and
 // arbiter accounting of the post, lets go of the RNIC's hold, then does what
 // the record's kind does with a completion. unposted: the QP refused the post.
-func (c *Context) complete(rec *msgRec, cqe rnic.CQE, unposted bool) {
+func (c *Context) complete(rec *msgRec, cqe *rnic.CQE, unposted bool) {
 	f, s, gen := c.flow, rec.sched, rec.schedGen
 	limited := rec.kind == recFrag // the one kind that goes through read
 	if limited {

@@ -274,7 +274,7 @@ func (ch *Channel) WriteRemote(win RemoteWindow, off uint64, data []byte, imm ui
 }
 
 // wrote hears a WriteRemote's completion.
-func (ch *Channel) wrote(cqe rnic.CQE, id uint64, start sim.Time, n int, cb func(error)) {
+func (ch *Channel) wrote(cqe *rnic.CQE, id uint64, start sim.Time, n int, cb func(error)) {
 	if cqe.Status != rnic.StatusOK {
 		err := fmt.Errorf("xrdma: remote write failed: %v", cqe.Status)
 		if cqe.Status == rnic.StatusRemoteAccessErr {

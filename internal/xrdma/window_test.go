@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"xrdma/internal/sim"
 )
 
 // testWindow is a window on its own pool, outside any context.
@@ -409,11 +411,50 @@ func TestQuietChannelHoldsNothing(t *testing.T) {
 				t.Fatalf("%d answers, %d and %d pulls: want 2 and one each way", answered, srv.Counters.LargeRecv, cli.Counters.LargeRecv)
 			}
 			for _, ch := range []*Channel{cli, srv} {
-				if ch.win.slots != nil || ch.pending != nil {
-					t.Errorf("quiet channel (node %d) holds slots=%v waiter map=%v", ch.ctx.Node(), ch.win.slots != nil, ch.pending != nil)
+				if ch.win.slots != nil || ch.pending != nil || ch.pulls != nil {
+					t.Errorf("quiet channel (node %d) holds slots=%v waiter map=%v pull map=%v",
+						ch.ctx.Node(), ch.win.slots != nil, ch.pending != nil, ch.pulls != nil)
 				}
 			}
 			w.checkAtRest(t, 1, 1)
 		})
+	}
+}
+
+// TestPullAcrossMockSwitchLeavesNoMarker: a rendezvous pull in flight when
+// its channel switches to the Mock completes stale, and the sender replays
+// the message inline. The pull marker must go with the RDMA path, or the
+// quiet channel never reads drained.
+func TestPullAcrossMockSwitchLeavesNoMarker(t *testing.T) {
+	w := newWorld(t, 2, func(_ int, cfg *Config) { cfg.MockEnabled = true })
+	cli, srv := w.connect(t, 0, 1, 5040)
+	got := 0
+	srv.OnMessage(func(m *Msg) {
+		if m.Len != 64<<10 {
+			t.Errorf("delivered %d bytes, want 64 KiB", m.Len)
+		}
+		got++
+	})
+	if err := cli.SendMsg(make([]byte, 64<<10), 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	for srv.pulls == nil && w.eng.Step() {
+	}
+	if srv.pulls == nil {
+		t.Fatal("the receiver never started its pull")
+	}
+	for _, ch := range []*Channel{srv, cli} {
+		if err := ch.ForceMock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.eng.RunFor(10 * sim.Millisecond)
+	if got != 1 || !cli.Mocked() || !srv.Mocked() {
+		t.Fatalf("%d deliveries, mocked %v/%v: want the message once, over the Mock", got, cli.Mocked(), srv.Mocked())
+	}
+	for _, ch := range []*Channel{cli, srv} {
+		if ch.pulls != nil || !ch.drainQuiesced() {
+			t.Errorf("node %d: pull map %v, drained %v: want none and drained", ch.ctx.Node(), ch.pulls, ch.drainQuiesced())
+		}
 	}
 }
