@@ -99,8 +99,9 @@ type Channel struct {
 	onHealth func(HealthState)
 
 	// pulls guards against double rendezvous reads when an announce is
-	// replayed (the replay tail itself is in the window's slots).
-	pulls map[uint64]bool
+	// replayed (the replay tail itself is in the window's slots): the record
+	// of each pull in flight, by sequence.
+	pulls map[uint64]*msgRec
 
 	// Gray-failure plane (pathdoctor.go): the verdict observer.
 	onPathVerdict func(PathVerdict)
@@ -169,13 +170,12 @@ func (rec *msgRec) unstage(c *Context) {
 }
 
 // reqBlame is the requester half of a blame trace: local timestamps, the
-// WR whose lifecycle gives SQ-wait and serialization, the in-band fabric
-// accumulator, and the QP the request was posted on with its recovery-counter
-// watermarks at transmit.
+// WR whose lifecycle gives SQ-wait and serialization (and carries the in-band
+// fabric accumulator), and the QP the request was posted on with its
+// recovery-counter watermarks at transmit.
 type reqBlame struct {
 	enqAt, txAt    sim.Time
 	wr             *rnic.SendWR
-	acc            *telemetry.PktBlame
 	qp             *rnic.QP
 	rtoRef, rnrRef int64
 }
@@ -451,7 +451,8 @@ func (ch *Channel) teardown(err error) {
 	ch.stall(false)
 	// The flyweight maps go back to nil — a closed channel costs only its
 	// struct.
-	ch.pulls, ch.pings = nil, nil
+	c.putMap(&ch.pulls)
+	ch.pings = nil
 	c.eng.Cancel(ch.ackEv)
 	if ch.onClose != nil {
 		ch.onClose(err)

@@ -126,8 +126,6 @@ type pathDoctor struct {
 	hintMuteUntil sim.Time
 	hintStreak    int // consecutive hints within the streak window
 	lastHintAt    sim.Time
-	hintsSent     int64
-	hintsRecv     int64
 
 	rehashes      int64 // lifetime rotations (gauge)
 	firstRehashAt sim.Time
@@ -264,7 +262,6 @@ func (d *pathDoctor) maybeHint(c *Context, now sim.Time, riders []*Channel) {
 		return
 	}
 	d.hintMuteUntil = now.Add(c.cfg.PathRehashCooldown)
-	d.hintsSent++
 	c.Stats.PathHints++
 	c.tel.Flight.Record(now, telemetry.CatPathHint, int32(c.Node()), riders[0].QPN(), int64(riders[0].Peer), 0)
 	d.log = append(d.log, fmt.Sprintf("t=%v node=%d hint-sent", now, c.Node()))
@@ -276,7 +273,6 @@ func (d *pathDoctor) maybeHint(c *Context, now sim.Time, riders []*Channel) {
 // a streak (separated by less than the streak window) escalate the
 // boost; a lone hint cannot push a symptom-free doctor past Suspect.
 func (d *pathDoctor) noteHint(c *Context, now sim.Time) {
-	d.hintsRecv++
 	c.Stats.PathHintsRecv++
 	if d.lastHintAt != 0 && now.Sub(d.lastHintAt) <= pdHintStreakWindowMul*c.cfg.PathRehashCooldown {
 		d.hintStreak++
