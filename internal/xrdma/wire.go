@@ -197,8 +197,7 @@ var errBadHeader = errors.New("xrdma: bad message header")
 var errVersion = errors.New("xrdma: unsupported header version")
 
 // decode parses a header from buf.
-func decodeHdr(buf []byte) (wireHdr, int, error) {
-	var h wireHdr
+func decodeHdr(buf []byte) (h wireHdr, n int, err error) {
 	if len(buf) < hdrSize {
 		return h, 0, fmt.Errorf("%w: %d bytes", errBadHeader, len(buf))
 	}
@@ -219,7 +218,7 @@ func decodeHdr(buf []byte) (wireHdr, int, error) {
 	h.RKey = binary.LittleEndian.Uint32(buf[42:])
 	h.Chan = binary.LittleEndian.Uint32(buf[46:])
 	h.Tenant = binary.LittleEndian.Uint16(buf[54:])
-	n := hdrSize
+	n = hdrSize
 	if h.Flags&flagTraced != 0 {
 		if len(buf) < hdrSize+traceExtSize {
 			return h, 0, fmt.Errorf("%w: truncated trace extension", errBadHeader)
