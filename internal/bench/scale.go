@@ -43,15 +43,15 @@ const (
 
 	// Heap budgets for HeapOK (adjusted by raceHeapMul under -race), weighed
 	// with the world still reachable. The smoke world (320 stacks, ~1500 live
-	// + 2400 idle channels) measures 15.0 MiB: 4.4 are pages touched in the
-	// first memory-cache region (512 KiB, holding the SRQ's first 256 KiB
-	// block) of each of the 18 contexts that talk, 10.6 everything else. The
-	// full world (4096 stacks, ~12k live channels) measures 212 MiB: 67 of
-	// first-region pages (272 contexts that talk), 145 everything else. The
-	// margins catch a per-channel state regression (the flyweight structure
-	// growing eager maps again) or a shared receive queue filled ahead of
-	// demand again; a region registered ahead of demand costs only page
-	// headers, so TestScaleWorld caps the registered bytes instead.
+	// + 2400 idle channels) measures 11.3 MiB: 0.65 are 512 B chunks touched
+	// in the first memory-cache region (512 KiB, holding the SRQ's first
+	// 256 KiB block) of each of the 18 contexts that talk, 10.6 the rest. The
+	// full world (4096 stacks, ~12k live channels) measures 149 MiB: 9.9 of
+	// first-region chunks (272 contexts that talk), 139 the rest. The margins
+	// catch a per-channel state regression (the flyweight structure growing
+	// eager maps again) or a shared receive queue filled ahead of demand
+	// again; a region registered ahead of demand costs only its chunk table,
+	// so TestScaleWorld caps the registered bytes instead.
 	scaleSmokeHeapBudget = 24 << 20
 	scaleFullHeapBudget  = 416 << 20
 )

@@ -21,6 +21,9 @@
 // a READ continues the accepted prefix from a fresh snapshot of the source.
 // A work request that names no memory gets a private buffer (tests, the verbs
 // baseline): nothing in the model requires registered memory to carry bytes.
+// A region's host storage is made where bytes first land, in 512-byte chunks
+// (MR); the 4 KiB page the model pins and charges for (RegCost) is a cost, not
+// the unit of storage.
 package rnic
 
 import (
@@ -57,26 +60,28 @@ func (m RegMode) String() string {
 	}
 }
 
-// mrPage is the unit in which an MR's storage is made: a page is backed the
-// first time a Slice lands on it.
-const mrPage = 4096
+// mrChunk is the unit in which an MR's storage is made: a chunk is backed
+// the first time a Slice lands on it. It is not the model's pinning page
+// (RegCost's 4 KiB): a 64 B header landing in a receive slot makes 512 B of
+// host memory, not 4 KiB.
+const mrChunk = 512
 
 // MR is a registered memory region. Its bytes are real storage so tests can
 // verify end-to-end data integrity; Base is the region's virtual address in
 // the node's flat address space.
 //
-// The storage is made on first touch, in mrPage pages: registering reserves
-// address space and a key, not host memory, and untouched bytes read as
-// zero, as a fresh registration holds. Pages a Slice has touched together
-// form one run, one allocation; each of them is a slice of its run that
-// reaches to the run's end. A Slice whose range touches an untouched page or
-// spans runs lays those pages out anew as one run, together with every run
-// that overlaps them, and copies the bytes already written. A slice handed
-// out before such a re-lay still reads the bytes written through it, but
-// writes through it after the re-lay are not seen by later slices. Only an
-// inbound message being assembled (a SEND into its posted buffer, a READ into
-// its destination) holds a slice across events, and that slice becomes its
-// completion's Data.
+// The storage is made on first touch, in mrChunk chunks: registering reserves
+// address space, a key and a 4-byte table entry per chunk, not the region's
+// bytes, and untouched bytes read as zero, as a fresh registration holds.
+// Chunks a Slice has touched together form one run, one allocation; each
+// chunk's entry names its run. A Slice whose range touches an untouched chunk
+// or spans runs lays those chunks out anew as one run, together with every
+// run that overlaps them, and copies the bytes already written. A slice
+// handed out before such a re-lay still reads the bytes written through it,
+// but writes through it after the re-lay are not seen by later slices. Only
+// an inbound message being assembled (a SEND into its posted buffer, a READ
+// into its destination) holds a slice across events, and that slice becomes
+// its completion's Data.
 type MR struct {
 	Base uint64
 	Len  int
@@ -84,8 +89,16 @@ type MR struct {
 	LKey uint32
 	Mode RegMode
 
-	pages [][]byte // one per mrPage; nil until touched
-	mem   *Memory
+	chunks []uint32 // per mrChunk: its run's index in runs + 1; 0 until touched
+	runs   []mrRun
+	free   []uint32 // indices in runs whose run a re-lay merged away, for reuse
+	mem    *Memory
+}
+
+// mrRun is one allocation of an MR's storage: the chunks from off on.
+type mrRun struct {
+	off int    // from Base, a multiple of mrChunk
+	buf []byte // nil while the index is free
 }
 
 // Contains reports whether [addr, addr+n) falls inside the region.
@@ -101,36 +114,53 @@ func (mr *MR) Slice(addr uint64, n int) []byte {
 	if n == 0 {
 		return []byte{} // not nil: a nil Data means nothing was carried
 	}
-	off := addr - mr.Base
-	in, p := int(off%mrPage), mr.pages[off/mrPage]
-	if in+n > cap(p) {
-		p = mr.back(int(off), n)
+	off := int(addr - mr.Base)
+	if r := mr.chunks[off/mrChunk]; r != 0 {
+		run := &mr.runs[r-1]
+		if in := off - run.off; in+n <= len(run.buf) {
+			return run.buf[in : in+n : in+n]
+		}
 	}
-	return p[in : in+n : in+n]
+	return mr.back(off, n)
 }
 
-// back lays the pages under [off, off+n) out as one run, merged with every
-// run that overlaps them, and returns the page off falls in.
+// back lays the chunks under [off, off+n) out as one run, merged with every
+// run that overlaps them, and returns the range's bytes.
 func (mr *MR) back(off, n int) []byte {
-	lo, hi := off/mrPage, (off+n-1)/mrPage
-	// A page belongs to the run before it when the page before reaches one
-	// page further.
-	for lo > 0 && mr.pages[lo] != nil && cap(mr.pages[lo-1]) == cap(mr.pages[lo])+mrPage {
-		lo--
+	lo, hi := off/mrChunk, (off+n-1)/mrChunk
+	start, end := lo*mrChunk, min((hi+1)*mrChunk, mr.Len)
+	if r := mr.chunks[lo]; r != 0 {
+		start = mr.runs[r-1].off
 	}
-	end := min((hi+1)*mrPage, mr.Len)
-	if p := mr.pages[hi]; p != nil {
-		end = max(end, hi*mrPage+cap(p))
+	if r := mr.chunks[hi]; r != 0 {
+		end = max(end, mr.runs[r-1].off+len(mr.runs[r-1].buf))
 	}
-	run := make([]byte, end-lo*mrPage)
-	for j := lo; j*mrPage < end; j++ {
-		at := run[(j-lo)*mrPage:]
-		if p := mr.pages[j]; p != nil {
-			copy(at, p[:min(mrPage, len(p))])
+	buf := make([]byte, end-start)
+	for c := start / mrChunk; c*mrChunk < end; {
+		r := mr.chunks[c]
+		if r == 0 {
+			c++
+			continue
 		}
-		mr.pages[j] = at
+		run := &mr.runs[r-1]
+		copy(buf[run.off-start:], run.buf)
+		c += (len(run.buf) + mrChunk - 1) / mrChunk
+		run.buf = nil
+		mr.free = append(mr.free, r)
 	}
-	return mr.pages[off/mrPage]
+	var idx uint32 // the new run's index + 1
+	if k := len(mr.free); k > 0 {
+		idx, mr.free = mr.free[k-1], mr.free[:k-1]
+	} else {
+		mr.runs = append(mr.runs, mrRun{})
+		idx = uint32(len(mr.runs))
+	}
+	mr.runs[idx-1] = mrRun{start, buf}
+	for c := start / mrChunk; c*mrChunk < end; c++ {
+		mr.chunks[c] = idx
+	}
+	in := off - start
+	return buf[in : in+n : in+n]
 }
 
 // Memory is one node's registered-memory registry plus a virtual address
@@ -170,13 +200,13 @@ func (m *Memory) Register(size int, mode RegMode) *MR {
 		panic("rnic: negative MR size")
 	}
 	mr := &MR{
-		Base:  m.nextAddr,
-		Len:   size,
-		RKey:  m.nextKey,
-		LKey:  m.nextKey,
-		Mode:  mode,
-		pages: make([][]byte, (size+mrPage-1)/mrPage),
-		mem:   m,
+		Base:   m.nextAddr,
+		Len:    size,
+		RKey:   m.nextKey,
+		LKey:   m.nextKey,
+		Mode:   mode,
+		chunks: make([]uint32, (size+mrChunk-1)/mrChunk),
+		mem:    m,
 	}
 	// Guard gap between regions so off-by-one overruns never land in a
 	// neighbouring MR.
