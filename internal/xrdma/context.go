@@ -78,9 +78,8 @@ type Context struct {
 	agent *xrmon.Agent
 
 	// Mock (TCP fallback).
-	tcp        *tcpnet.Stack
-	mockPort   int
-	mockParked []*parkedMock
+	tcp      *tcpnet.Stack
+	mockPort int
 
 	// Link plane (link.go). links holds every live link — exclusive and
 	// shared — in creation order: the deterministic scan list the
@@ -649,7 +648,7 @@ func (c *Context) Channels() []*Channel {
 			out = append(out, l.riders...)
 		}
 	}
-	slices.SortStableFunc(out, func(a, b *Channel) int { return cmp.Compare(a.lk.lastQPN(), b.lk.lastQPN()) })
+	slices.SortStableFunc(out, func(a, b *Channel) int { return cmp.Compare(a.lk.qpn0, b.lk.qpn0) })
 	for _, ch := range c.chanByCID.All() {
 		out = append(out, ch)
 	}

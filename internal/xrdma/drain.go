@@ -195,7 +195,7 @@ type handoff struct {
 // the unacked replay tail, and peer-granted MR windows.
 type handoffChan struct {
 	Peer              uint32
-	QPN0, QPN         uint32 // the link's first and newest local QPN
+	QPN0              uint32 // the link's local QPN at establishment
 	PeerQPN, PeerQPN0 uint32
 	NegVer            uint8
 	Caps              uint32
@@ -228,7 +228,7 @@ func (c *Context) encodeHandoff() []byte {
 			continue
 		}
 		r := handoffChan{
-			Peer: uint32(ch.Peer), QPN0: l.qpn0, QPN: l.qpn, PeerQPN: l.peerQPN, PeerQPN0: l.peerQPN0,
+			Peer: uint32(ch.Peer), QPN0: l.qpn0, PeerQPN: l.peerQPN, PeerQPN0: l.peerQPN0,
 			NegVer: l.ver, Caps: l.caps, TxFloor: ch.win.acked, RxFloor: ch.win.rta,
 		}
 		if t := ch.tenant; t != nil {
@@ -268,7 +268,7 @@ func decodeHandoff(b []byte) (*handoff, error) {
 		return nil, fmt.Errorf("%w: unknown blob version %d", errBadHandoff, h.Ver)
 	}
 	for i, r := range h.Chans {
-		if r.QPN0 == 0 || r.QPN == 0 {
+		if r.QPN0 == 0 {
 			return nil, fmt.Errorf("%w: channel %d has no identity", errBadHandoff, i)
 		}
 		for _, m := range r.Tail {
@@ -344,12 +344,12 @@ func (c *Context) Rehydrate(blob []byte) error {
 	for i := range h.Chans {
 		r := &h.Chans[i]
 		// The link keeps its identity pair, which the peer's redial and Mock
-		// hello are matched on, and its newest QPN.
+		// hello are matched on.
 		l := c.newEnd(fabric.NodeID(r.Peer), attachDone, linkDegraded)
 		ch := l.solo[0]
 		ch.health = HealthDegraded
 		l.peerQPN, l.peerQPN0, l.ver, l.caps, l.degradedAt = r.PeerQPN, r.PeerQPN0, r.NegVer, r.Caps, now
-		l.qpn0, l.qpn = r.QPN0, r.QPN
+		l.qpn0 = r.QPN0
 		ch.win.seq, ch.win.acked, ch.win.wta, ch.win.rta = r.TxFloor, r.TxFloor, r.RxFloor, r.RxFloor
 		if r.Label != ([8]byte{}) {
 			ch.tenant = c.tenantByLabel(r.Label)
@@ -367,7 +367,7 @@ func (c *Context) Rehydrate(blob []byte) error {
 		}
 		c.Stats.Rehydrated++
 		c.Stats.ChannelsOpened++
-		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), r.QPN, int64(r.Peer), drainEvRehydrate)
+		c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), r.QPN0, int64(r.Peer), drainEvRehydrate)
 		if c.onChannel != nil {
 			c.onChannel(ch)
 		}

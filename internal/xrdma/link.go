@@ -64,7 +64,6 @@ type link struct {
 	peerQPN  uint32   // peer's latest QPN — what a redial names
 	peerQPN0 uint32   // peer's QPN at establishment — with qpn0, the immutable identity
 	qpn0     uint32   // local QPN at establishment (0 = none yet)
-	qpn      uint32   // newest local QPN the link has owned
 
 	// The transport material besides the QP: the standing receive pool
 	// posted on it (nil when the SRQ serves; see release for who frees it),
@@ -165,7 +164,7 @@ func (l *link) setQP(qp *rnic.QP, pool *recvPool, initiator bool) {
 		c.dialing = slices.Delete(c.dialing, i, i+1)
 		c.links = append(c.links, l)
 	}
-	if l.qpn = qp.QPN; l.qpn0 == 0 { // the establishment pair: the identity a redial or a Mock hello names
+	if l.qpn0 == 0 { // the establishment pair: the identity a redial or a Mock hello names
 		l.qpn0, l.peerQPN0 = qp.QPN, qp.RemoteQPN
 	}
 	l.state = linkReady
@@ -206,15 +205,6 @@ func (l *link) untable() {
 	if l.qp != nil && l.c.qpnTab.Get(uint64(l.qp.QPN)) == l {
 		l.c.qpnTab.Delete(uint64(l.qp.QPN))
 	}
-}
-
-// lastQPN is the newest local QPN the link has owned. A rehydrated link has
-// only its pre-restart one.
-func (l *link) lastQPN() uint32 {
-	if l.qp != nil {
-		return l.qp.QPN
-	}
-	return l.qpn
 }
 
 // close is terminal: timers are stranded, a dial in flight is cancelled, and
@@ -359,9 +349,9 @@ func (l *link) ingest(data []byte, wrID uint64, overMock bool, rxBlame *telemetr
 		if errors.Is(err, errVersion) {
 			// A frame from a release outside our version range: counted as
 			// an upgrade-plane event, not lumped in with corruption.
-			c.noteVerMismatch(l.peer, l.lastQPN(), data[2], data[2])
+			c.noteVerMismatch(l.peer, l.qpn0, data[2], data[2])
 		} else {
-			c.tel.Flight.Record(c.eng.Now(), telemetry.CatIntegrity, int32(c.Node()), l.lastQPN(), integrityDecode, int64(l.peer))
+			c.tel.Flight.Record(c.eng.Now(), telemetry.CatIntegrity, int32(c.Node()), l.qpn0, integrityDecode, int64(l.peer))
 		}
 		return
 	}
@@ -685,7 +675,7 @@ func (l *link) giveUp(cause error) {
 	// The link is the unit of fate: every rider dies with it, hearing the cause.
 	l.close()
 	l.sched.reset()
-	c.tel.Flight.Record(c.eng.Now(), telemetry.CatLinkLost, int32(c.Node()), l.lastQPN(), int64(l.peer), int64(len(l.riders)))
+	c.tel.Flight.Record(c.eng.Now(), telemetry.CatLinkLost, int32(c.Node()), l.qpn0, int64(l.peer), int64(len(l.riders)))
 	for _, ch := range slices.Clone(l.riders) { // a snapshot: each rider detaches as it dies
 		ch.finishAttach(cause)
 	}

@@ -2,7 +2,6 @@ package xrdma
 
 import (
 	"fmt"
-	"slices"
 
 	"xrdma/internal/sim"
 	"xrdma/internal/tcpnet"
@@ -13,11 +12,13 @@ import (
 // stack failure, broken QP — a channel can temporarily switch to the TCP
 // network, keeping the application's message flow alive at degraded
 // performance. The side with the lower node ID dials the peer's mock
-// port; the other side waits for the inbound connection and matches it to
-// the broken channel by the rule every redial follows: the hello names the
-// link by its establishment QPN pair (link.is). The fallback is link state
-// (linkFallback, with the conn in link.fb and no QP): frames enter and leave
-// through the link's one frame path like any other transport's.
+// port, and its hello names the link by the rule every redial follows: the
+// establishment QPN pair (link.is). The listener switches the link it names
+// to the conn at once, or closes a conn that names none; nothing waits
+// there for a link to appear. The dialer's attempts are bounded, a refused
+// conn counting as a failed dial. The fallback is link state (linkFallback,
+// with the conn in link.fb and no QP): frames enter and leave through the
+// link's one frame path like any other transport's.
 //
 // The mock transport carries the same wire headers (Seq/Ack included) as
 // the RDMA path, so the seq-ack window spans both transports: a cutover
@@ -28,95 +29,33 @@ import (
 // inline, and header-only control frames — and nothing that pretends to be an
 // RNIC: one-sided verbs answer ErrNoPath on a mocked channel (onesided.go).
 
-// listenMock accepts fallback connections for broken channels. A hello
-// can arrive before this side has noticed its own RDMA failure (the two
-// keepalive clocks are independent), so unmatched connections are parked
-// briefly instead of rejected.
+// listenMock accepts fallback connections. The hello names its link by
+// identity (named), and that link switches whatever MockEnabled says, which
+// arms only the automatic fallback: one on the fallback takes the conn (in
+// place of one that died on the peer's side first), a live or degraded one
+// follows the peer's switch (failure detection is not synchronized, and a
+// peer may ForceMock). A hello that names no link, or that this build cannot
+// read, is closed at once: nothing here will ever claim it, and the dialer
+// counts a refused attempt (attachMock).
 func (c *Context) listenMock() {
 	c.tcp.Listen(c.mockPort, func(conn *tcpnet.Conn) {
 		conn.OnMessage = func(m tcpnet.Message) {
-			h, v := c.readHello(conn.Remote, m.Data)
-			if v != helloOK || h.purpose != helloMock {
-				// Not a fallback rendezvous this build recognizes — most
-				// likely a foreign-release peer (already counted when the
-				// hello was ours but unreadable).
+			var l *link
+			if h, v := c.readHello(conn.Remote, m.Data); v == helloOK && h.purpose == helloMock {
+				l = c.named(conn.Remote, h)
+			}
+			switch {
+			case l == nil:
 				conn.Close()
 				return
-			}
-			switch l := c.named(conn.Remote, h); {
-			case l != nil && l.state == linkFallback:
-				// The channel waits for this conn — or already had one, which
-				// died on the peer's side first and is being redialed.
-				if l.fb != conn {
-					l.closeFallback()
-				}
-				l.riders[0].attachMock(conn)
-			case l != nil && c.cfg.MockEnabled:
-				// The peer switched but this side's channel is still live or
-				// degraded (failure detection is not synchronized): adopt the
-				// switch.
-				l.riders[0].enterMockMode()
-				l.riders[0].attachMock(conn)
+			case l.state == linkFallback:
+				l.closeFallback()
 			default:
-				c.parkMockConn(h, conn)
+				l.riders[0].enterMockMode()
 			}
+			l.riders[0].attachMock(conn, 0)
 		}
 	})
-}
-
-type parkedMock struct {
-	h    hello // what the conn's hello named
-	conn *tcpnet.Conn
-	// buf holds frames the dialer pumped before this side claimed the
-	// conn: the dialer attaches (and replays its unacked tail) as soon as
-	// the TCP handshake completes, which can be a full failure-detection
-	// gap before the local channel degrades. Dropping those frames would
-	// lose them for good — the mock transport is reliable, so nothing
-	// retransmits them short of another cutover.
-	buf [][]byte
-}
-
-// parkMockConn holds an unmatched inbound mock connection until the local
-// channel notices its failure and claims it. A parked conn that dies
-// (peer gave up) leaves the list immediately, and the grace timer closes
-// whatever is still unclaimed — parked conns never outlive the grace.
-func (c *Context) parkMockConn(h hello, conn *tcpnet.Conn) {
-	p := &parkedMock{h: h, conn: conn}
-	c.mockParked = append(c.mockParked, p)
-	conn.OnMessage = func(m tcpnet.Message) {
-		p.buf = append(p.buf, slices.Clone(m.Data))
-	}
-	conn.OnClose = func(error) { c.unpark(p) }
-	c.eng.AfterBg(c.mockGrace(), func() {
-		if c.unpark(p) {
-			conn.OnClose = nil
-			conn.Close()
-		}
-	})
-}
-
-// unpark takes p off the parked list; false if it already left.
-func (c *Context) unpark(p *parkedMock) bool {
-	i := slices.Index(c.mockParked, p)
-	if i >= 0 {
-		c.mockParked = slices.Delete(c.mockParked, i, i+1)
-	}
-	return i >= 0
-}
-
-// claimParkedMock is called when l enters mock-waiting state: an
-// early-arriving peer connection that names it may already be parked. Dead
-// parked conns (closed between the OnClose callback and now) are discarded.
-func (c *Context) claimParkedMock(l *link) *parkedMock {
-	for _, p := range slices.Clone(c.mockParked) {
-		if c.named(p.conn.Remote, p.h) == l && c.unpark(p) {
-			p.conn.OnClose = nil
-			if p.conn.Open() {
-				return p
-			}
-		}
-	}
-	return nil
 }
 
 // enterMockMode releases a channel's RDMA resources; the send queue and
@@ -147,24 +86,11 @@ func (ch *Channel) enterMockMode() {
 }
 
 // connectMock runs the mock rendezvous for a channel already in mock
-// mode: the lower node ID dials, the higher one waits (claiming an
-// early-parked conn if the dialer beat it here).
+// mode: the lower node ID dials, the higher one waits for the conn.
 func (ch *Channel) connectMock(cause error) {
 	c := ch.ctx
 	if ch.lk.dialer {
 		ch.mockDial(cause, 0)
-		return
-	}
-	if p := c.claimParkedMock(ch.lk); p != nil {
-		ch.attachMock(p.conn)
-		// Deliver frames the dialer sent while the conn sat parked, in
-		// arrival order; the window dedups anything replayed again later.
-		for _, b := range p.buf {
-			if ch.lk.fb != p.conn {
-				break
-			}
-			ch.lk.ingest(b, 0, true, nil)
-		}
 		return
 	}
 	// Give the dialer a bounded window; a vanished peer must not leak a
@@ -177,10 +103,8 @@ func (ch *Channel) connectMock(cause error) {
 	})
 }
 
-// mockDial is the dialer side of the mock rendezvous, retried
-// mockDialRetries times with exponential backoff: a single failed dial (the
-// peer's listener mid-restart, a dropped SYN) must not turn a transient race
-// into a hard teardown.
+// mockDial is the dialer side of the mock rendezvous; attempt counts the
+// failed attempts before it.
 func (ch *Channel) mockDial(cause error, attempt int) {
 	c := ch.ctx
 	// The mock port is a fleet-wide convention (same port everywhere), which
@@ -194,19 +118,29 @@ func (ch *Channel) mockDial(cause error, attempt int) {
 		}
 		if err == nil {
 			conn.Send(ch.lk.identity(helloMock).encode(), 0, nil)
-			ch.attachMock(conn)
+			ch.attachMock(conn, attempt)
 			return
 		}
-		if attempt+1 >= mockDialRetries {
-			ch.teardown(fmt.Errorf("xrdma: mock dial failed after %d attempts: %v (after %v)", attempt+1, err, cause))
+		ch.mockRetry(cause, attempt, err)
+	})
+}
+
+// mockRetry redials after a failed attempt — a dial that failed, or a conn
+// closed before any frame came back — with exponential backoff, and tears the
+// channel down once mockDialRetries attempts in a row have failed: a single
+// failure (the peer's listener mid-restart, a dropped SYN) must not turn a
+// transient race into a hard teardown, and a peer that holds no link by the
+// hello's name must not keep the channel waiting forever.
+func (ch *Channel) mockRetry(cause error, attempt int, err error) {
+	if attempt+1 >= mockDialRetries {
+		ch.teardown(fmt.Errorf("xrdma: mock rendezvous failed after %d attempts: %v (after %v)", attempt+1, err, cause))
+		return
+	}
+	ch.ctx.eng.AfterBg(mockDialBackoff<<uint(attempt), func() {
+		if ch.closed || ch.lk.state != linkFallback || ch.lk.fb != nil {
 			return
 		}
-		c.eng.AfterBg(mockDialBackoff<<uint(attempt), func() {
-			if ch.closed || ch.lk.state != linkFallback || ch.lk.fb != nil {
-				return
-			}
-			ch.mockDial(cause, attempt+1)
-		})
+		ch.mockDial(cause, attempt+1)
 	})
 }
 
@@ -224,11 +158,16 @@ func (c *Context) mockGrace() sim.Duration {
 	return 2 * max(sim.Duration(nic.RetryLimit+2)*nic.RetransTimeout, c.cfg.KeepaliveTimeout)
 }
 
-// attachMock makes conn the fallback link's transport.
-func (ch *Channel) attachMock(conn *tcpnet.Conn) {
+// attachMock makes conn the fallback link's transport; attempt is the
+// dialer's count of failed attempts before it (mockDial).
+func (ch *Channel) attachMock(conn *tcpnet.Conn, attempt int) {
 	c, l := ch.ctx, ch.lk
 	l.fb = conn
-	conn.OnMessage = func(m tcpnet.Message) { l.ingest(m.Data, 0, true, nil) }
+	heard := false // a frame came back: the peer took the conn
+	conn.OnMessage = func(m tcpnet.Message) {
+		heard = true
+		l.ingest(m.Data, 0, true, nil)
+	}
 	conn.OnClose = func(err error) {
 		if ch.closed || l.fb != conn {
 			return
@@ -240,12 +179,16 @@ func (ch *Channel) attachMock(conn *tcpnet.Conn) {
 			return
 		}
 		cause := fmt.Errorf("xrdma: mock transport closed: %v", err)
-		if c.recoverPort > 0 {
+		switch {
+		case c.recoverPort <= 0:
+			ch.teardown(cause)
+		case l.dialer && !heard:
+			// Refused, most likely: the peer holds no link by this name.
+			ch.mockRetry(cause, attempt, err)
+		default:
 			// The fallback plane hiccupped but the channel can survive:
 			// re-run the mock rendezvous.
 			ch.connectMock(cause)
-		} else {
-			ch.teardown(cause)
 		}
 	}
 	ch.setHealth(HealthFallback)

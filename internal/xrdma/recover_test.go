@@ -364,69 +364,42 @@ func TestFailbackRestoresRDMA(t *testing.T) {
 	s.check(t)
 }
 
-// TestParkedMockConnExpiryRaceOrders (satellite): an inbound mock conn
-// nobody claims must (a) leave the parked list the moment the dialer
-// gives up on it, and (b) be force-closed by the grace timer when the
-// dialer is patient — in both orders, no conn outlives the grace and the
-// parked list ends empty.
-func TestParkedMockConnExpiryRaceOrders(t *testing.T) {
-	// Order A: conn dies before the grace fires.
+// TestMockHelloNamingNoLinkRefused: a Mock hello whose identity no link here
+// has is closed at once — nothing would ever claim it — even when its target
+// is a live link's QPN, and nothing is held: the channel stays on RDMA and
+// the world ends at rest.
+func TestMockHelloNamingNoLinkRefused(t *testing.T) {
 	w := newRecoverWorld(t, 2, nil)
-	w.connect(t, 0, 1, 5000)
-	srvCtx := w.ctxs[1]
-	var dialed *tcpnet.Conn
-	w.ctxs[0].tcp.Dial(1, 9000, func(conn *tcpnet.Conn, err error) {
-		if err != nil {
-			t.Fatalf("dial: %v", err)
+	cli, srv := w.connect(t, 0, 1, 5000)
+	for _, h := range []hello{
+		{purpose: helloMock, target: 0xdead, target0: 0xdead, dialer0: 0xdead},
+		{purpose: helloMock, target: srv.QPN(), target0: 0xbeef, dialer0: cli.lk.qpn0},
+	} {
+		var dialed *tcpnet.Conn
+		w.ctxs[0].tcp.Dial(1, 9000, func(conn *tcpnet.Conn, err error) {
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			dialed = conn
+			conn.Send(h.encode(), 0, nil)
+		})
+		w.eng.RunFor(sim.Millisecond)
+		if dialed == nil || dialed.Open() {
+			t.Fatalf("hello %+v was not refused at once", h)
 		}
-		dialed = conn
-		conn.Send(hello{purpose: helloMock, target: 0xdead, target0: 0xdead, dialer0: 0xdead}.encode(), 0, nil) // an identity no link has → parked
-	})
-	w.eng.RunFor(2 * sim.Millisecond)
-	if len(srvCtx.mockParked) != 1 {
-		t.Fatalf("parked list has %d entries, want 1", len(srvCtx.mockParked))
 	}
-	dialed.Close()
-	w.eng.RunFor(2 * sim.Millisecond)
-	if len(srvCtx.mockParked) != 0 {
-		t.Fatalf("dead conn still parked (%d entries)", len(srvCtx.mockParked))
+	w.eng.Run()
+	if cli.Mocked() || srv.Mocked() || w.ctxs[1].Stats.MockSwitches != 0 {
+		t.Fatalf("mocked: cli=%v srv=%v, %d switches; want the channel left on RDMA", cli.Mocked(), srv.Mocked(), w.ctxs[1].Stats.MockSwitches)
 	}
-	// The grace timer must cope with the entry being long gone.
-	w.eng.RunFor(2 * srvCtx.mockGrace())
-
-	// Order B: grace fires first and closes the still-open conn.
-	w2 := newRecoverWorld(t, 2, nil)
-	w2.connect(t, 0, 1, 5000)
-	srvCtx2 := w2.ctxs[1]
-	var dialed2 *tcpnet.Conn
-	w2.ctxs[0].tcp.Dial(1, 9000, func(conn *tcpnet.Conn, err error) {
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		dialed2 = conn
-		conn.Send(hello{purpose: helloMock, target: 0xbeef, target0: 0xbeef, dialer0: 0xbeef}.encode(), 0, nil)
-	})
-	w2.eng.RunFor(2 * sim.Millisecond)
-	if len(srvCtx2.mockParked) != 1 {
-		t.Fatalf("parked list has %d entries, want 1", len(srvCtx2.mockParked))
-	}
-	w2.eng.RunFor(2 * srvCtx2.mockGrace())
-	if len(srvCtx2.mockParked) != 0 {
-		t.Fatalf("grace expired but %d conns still parked", len(srvCtx2.mockParked))
-	}
-	if dialed2.Open() {
-		t.Fatal("grace-expired parked conn left open")
-	}
+	w.checkAtRest(t, 1, 1)
 }
 
-// TestParkedMockConnBuffersEarlyFrames: a dialer that switches to the Mock,
-// attaches and sends before the listening side has switched must not lose
-// those frames. The listener will not follow a peer-initiated switch
-// (MockEnabled off), so the hello finds a live channel nobody may mock: the
-// conn is parked and buffers what arrives; when the listener switches on its
-// own it claims the parked conn and the buffered frames are delivered exactly
-// once, in order.
-func TestParkedMockConnBuffersEarlyFrames(t *testing.T) {
+// TestMockSwitchFollowsPeerForceMock: a peer's ForceMock switches this side
+// even with MockEnabled off, which arms only the automatic fallback. The hello
+// names a live link, so the link follows the moment it arrives, and the
+// requests the dialer sent behind it are delivered exactly once, in order.
+func TestMockSwitchFollowsPeerForceMock(t *testing.T) {
 	w := newWorld(t, 2, func(i int, cfg *Config) { cfg.MockEnabled = i == 0 })
 	cli, srv := w.connect(t, 0, 1, 5000)
 	var seen []uint64
@@ -437,12 +410,6 @@ func TestParkedMockConnBuffersEarlyFrames(t *testing.T) {
 	if err := cli.ForceMock(); err != nil {
 		t.Fatal(err)
 	}
-	w.eng.RunFor(sim.Millisecond)
-	if n := len(w.ctxs[1].mockParked); n != 1 || cli.lk.fb == nil || srv.Mocked() {
-		t.Fatalf("parked=%d dialer attached=%v listener mocked=%v, want the hello parked under a live channel",
-			n, cli.lk.fb != nil, srv.Mocked())
-	}
-	parked := w.ctxs[1].mockParked[0]
 	resps := 0
 	for id := uint64(1); id <= 3; id++ {
 		buf := make([]byte, 16)
@@ -456,32 +423,36 @@ func TestParkedMockConnBuffersEarlyFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w.eng.RunFor(sim.Millisecond)
-	if len(parked.buf) != 3 || len(seen) != 0 {
-		t.Fatalf("parked conn buffered %d frames, %d delivered early; want 3 and 0", len(parked.buf), len(seen))
+	w.eng.Run()
+	if !cli.Mocked() || !srv.Mocked() || srv.lk.fb == nil || cli.lk.fb == nil {
+		t.Fatalf("mocked: cli=%v srv=%v; want both ends on the one fallback", cli.Mocked(), srv.Mocked())
 	}
+	if fmt.Sprint(seen) != "[1 2 3]" || resps != 3 {
+		t.Fatalf("delivered %v with %d responses, want [1 2 3] exactly once, in order, all answered", seen, resps)
+	}
+	w.checkAtRest(t, 1, 1)
+}
 
-	if err := srv.ForceMock(); err != nil {
+// TestMockOrphanTearsDown: a Mock dialer whose peer holds no link by the name
+// its hello gives — the peer's exclusive end closed, which tells the dialer
+// nothing — is refused on every attempt, spends its dial budget and tears
+// down. The request it held hears an error exactly once, and nothing is left.
+func TestMockOrphanTearsDown(t *testing.T) {
+	w := newRecoverWorld(t, 2, nil)
+	cli, srv := w.connect(t, 0, 1, 5000)
+	srv.Close()
+	calls := 0
+	var cbErr error
+	if err := cli.SendMsg(make([]byte, 16), 0, func(_ *Msg, err error) { calls, cbErr = calls+1, err }); err != nil {
 		t.Fatal(err)
 	}
-	if len(w.ctxs[1].mockParked) != 0 || srv.lk.fb != parked.conn {
-		t.Fatal("the listener's switch did not claim the parked conn")
+	c := w.ctxs[0]
+	w.eng.RunFor(c.recoverGrace() + c.mockGrace())
+	if !cli.Closed() || calls != 1 || cbErr == nil {
+		t.Fatalf("dialer closed=%v health=%v after %d callbacks (err %v), want closed and one error",
+			cli.Closed(), cli.Health(), calls, cbErr)
 	}
-	w.eng.RunFor(5 * sim.Millisecond)
-	if fmt.Sprint(seen) != "[1 2 3]" {
-		t.Fatalf("delivered %v, want the three buffered requests exactly once, in order", seen)
-	}
-	if resps != 3 || cli.Inflight() != 0 {
-		t.Fatalf("%d responses, %d still in flight", resps, cli.Inflight())
-	}
-	// The grace timer finds its entry long claimed.
-	w.eng.RunFor(2 * w.ctxs[1].mockGrace())
-	if cli.Closed() || srv.Closed() || !cli.Mocked() || !srv.Mocked() || srv.lk.fb != parked.conn {
-		t.Fatal("the claimed conn did not stay the channel's fallback")
-	}
-	if fmt.Sprint(seen) != "[1 2 3]" {
-		t.Fatalf("delivered %v after the grace", seen)
-	}
+	w.checkAtRest(t, 0, 0)
 }
 
 // TestMockFindsLinkAfterHalfFinishedRedial: a Mock hello names its link by
@@ -489,8 +460,8 @@ func TestParkedMockConnBuffersEarlyFrames(t *testing.T) {
 // caches the first redial after a fault outlives the dialer's dial timeout
 // while the listener accepts and adopts it, so the listener holds a QPN the
 // dialer never learns. A dialer that switches to the Mock in that state must
-// still reach its channel: the conn is attached at once, never parked, and the
-// request stream rides it exactly once.
+// still reach its channel: the conn is attached at once, and the request
+// stream rides it exactly once.
 func TestMockFindsLinkAfterHalfFinishedRedial(t *testing.T) {
 	w := newRecoverWorld(t, 2, func(_ int, cfg *Config) { cfg.FailbackInterval = 0 })
 	cli, srv := w.connect(t, 0, 1, 5000)
@@ -509,9 +480,9 @@ func TestMockFindsLinkAfterHalfFinishedRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.eng.RunFor(2 * sim.Millisecond)
-	if n := len(w.ctxs[1].mockParked); n != 0 || !srv.Mocked() || srv.lk.fb == nil || cli.lk.fb == nil {
-		t.Fatalf("parked=%d listener mocked=%v attached=%v dialer attached=%v, want the conn attached at both ends",
-			n, srv.Mocked(), srv.lk.fb != nil, cli.lk.fb != nil)
+	if !srv.Mocked() || srv.lk.fb == nil || cli.lk.fb == nil {
+		t.Fatalf("listener mocked=%v attached=%v dialer attached=%v, want the conn attached at both ends",
+			srv.Mocked(), srv.lk.fb != nil, cli.lk.fb != nil)
 	}
 	conn := cli.lk.fb
 	w.eng.Run()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"xrdma/internal/fabric"
@@ -95,7 +96,7 @@ func TestHelloCodec(t *testing.T) {
 // and a size-only tail message, and a granted window.
 func sampleHandoff() handoff {
 	return handoff{Ver: handoffVer, MsgSeq: 7, Chans: []handoffChan{{
-		Peer: 1, QPN0: 100, QPN: 104, PeerQPN: 56, PeerQPN0: 55, NegVer: 1, Caps: baselineCaps,
+		Peer: 1, QPN0: 100, PeerQPN: 56, PeerQPN0: 55, NegVer: 1, Caps: baselineCaps,
 		Label: [8]byte{'t', 'e', 'n', 'a', 'n', 't', '-', 'a'}, TxFloor: 10, RxFloor: 12,
 		Tail: []handoffMsg{
 			{Kind: kindReq, MsgID: 11, Size: 3, Data: []byte("abc")},
@@ -147,7 +148,6 @@ func TestHandoffDecodeHostile(t *testing.T) {
 		{"peer-out-of-range", widen(`"Peer":1,`, `"Peer":4294967296,`)},
 		{"window-len-out-of-range", widen(`"Len":65536`, `"Len":4294967296`)},
 		{"no-identity", marshalHandoff(t, mutHandoff(func(h *handoff) { h.Chans[0].QPN0 = 0 }))},
-		{"no-newest-qpn", marshalHandoff(t, mutHandoff(func(h *handoff) { h.Chans[0].QPN = 0 }))},
 		{"tail-kind-ack", marshalHandoff(t, mutHandoff(func(h *handoff) { h.Chans[0].Tail[1].Kind = kindAck }))},
 		{"tail-kind-large-req", marshalHandoff(t, mutHandoff(func(h *handoff) { h.Chans[0].Tail[0].Kind = kindLargeReq }))},
 	}
@@ -487,8 +487,7 @@ func TestRollingRestartExactlyOnce(t *testing.T) {
 // TestHandoffAfterManyRecoveries: a link that adopted 70 replacement QPs
 // still drains to a blob that decodes, and the restarted instance brings the
 // channel back with every request delivered exactly once. The link's
-// identity stays two QPNs, the establishment one and the newest, however
-// many QPs it has owned.
+// identity stays its establishment QPN however many QPs it has owned.
 func TestHandoffAfterManyRecoveries(t *testing.T) {
 	const fails = 70
 	gap := 20 * sim.Millisecond
@@ -507,10 +506,10 @@ func TestHandoffAfterManyRecoveries(t *testing.T) {
 		if got := w.ctxs[0].Stats.Recoveries; got != fails {
 			t.Errorf("recovered %d times, want %d", got, fails)
 		}
-		if l.qpn0 != qpn0 || l.qpn != l.qp.QPN {
-			t.Errorf("identity (%d, %d), want the establishment QPN %d and the current %d", l.qpn0, l.qpn, qpn0, l.qp.QPN)
+		if l.qpn0 != qpn0 {
+			t.Errorf("identity %d, want the establishment QPN %d", l.qpn0, qpn0)
 		}
-		want := handoffChan{Peer: 1, QPN0: l.qpn0, QPN: l.qpn, PeerQPN: l.peerQPN, PeerQPN0: l.peerQPN0}
+		want := handoffChan{Peer: 1, QPN0: l.qpn0, PeerQPN: l.peerQPN, PeerQPN0: l.peerQPN0}
 		// One rendezvous request in flight when the drain starts: the deadline
 		// freezes it in the tail, and the restarted instance replays it.
 		big := make([]byte, 1<<20)
@@ -630,15 +629,17 @@ func TestRestartDuringRendezvousMemClean(t *testing.T) {
 
 // --- frozen handoff corpus ---------------------------------------------------
 
-var update = flag.Bool("update", false, "rewrite testdata/handoff.json from this tree")
+var update = flag.Bool("update", false, "rewrite the corpora this tree writes (testdata/handoff-qpn0.json, testdata/wire) from it")
 
-// TestHandoffCorpusGenerate writes testdata/handoff.json under -update: the
-// blob a drain freezes for one channel that holds everything a blob carries
-// — a tenant label, a peer-granted window, and a carried and a size-only
-// message in the replay tail.
+// TestHandoffCorpusGenerate writes testdata/handoff-qpn0.json under -update:
+// the blob a drain freezes for one channel that holds everything a blob
+// carries — a tenant label, a peer-granted window, and a carried and a
+// size-only message in the replay tail. testdata/handoff.json is the same
+// world frozen by an older build, which also named the link's newest QPN; it
+// is never rewritten.
 func TestHandoffCorpusGenerate(t *testing.T) {
 	if !*update {
-		t.Skip("rewrites testdata/handoff.json only with -update")
+		t.Skip("rewrites testdata/handoff-qpn0.json only with -update")
 	}
 	w := newRecoverWorld(t, 2, func(i int, cfg *Config) {
 		cfg.DrainDeadline = 5 * sim.Microsecond
@@ -662,25 +663,29 @@ func TestHandoffCorpusGenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.eng.RunFor(sim.Millisecond)
-	if err := os.WriteFile(filepath.Join("testdata", "handoff.json"), blob, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join("testdata", "handoff-qpn0.json"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestHandoffCorpus holds every frozen blob to three things: it decodes, it
-// re-encodes byte for byte, and a fresh context rehydrates what it says.
+// re-encodes byte for byte but for the "QPN" keys a blob no longer carries,
+// and a fresh context rehydrates what it says.
 func TestHandoffCorpus(t *testing.T) {
+	retired := regexp.MustCompile(`"QPN":[0-9]+,`)
+	tail := []handoffMsg{ // MsgIDs are not compared
+		{Kind: kindReq, Size: 5, Data: []byte("hello")},
+		{Kind: kindReq, Size: 64 << 10},
+	}
 	for _, tc := range []struct {
 		file   string
 		peer   fabric.NodeID
 		tenant string
 		wins   int
-		tail   []handoffMsg // MsgIDs are not compared
+		tail   []handoffMsg
 	}{
-		{"handoff.json", 1, "tenant-a", 1, []handoffMsg{
-			{Kind: kindReq, Size: 5, Data: []byte("hello")},
-			{Kind: kindReq, Size: 64 << 10},
-		}},
+		{"handoff.json", 1, "tenant-a", 1, tail},
+		{"handoff-qpn0.json", 1, "tenant-a", 1, tail},
 	} {
 		blob, err := os.ReadFile(filepath.Join("testdata", tc.file))
 		if err != nil {
@@ -690,8 +695,8 @@ func TestHandoffCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
 		}
-		if again := marshalHandoff(t, *h); !bytes.Equal(again, blob) {
-			t.Errorf("%s re-encodes differently:\n got %s\nwant %s", tc.file, again, blob)
+		if again, want := marshalHandoff(t, *h), retired.ReplaceAll(blob, nil); !bytes.Equal(again, want) {
+			t.Errorf("%s re-encodes differently:\n got %s\nwant %s", tc.file, again, want)
 		}
 		w := newRecoverWorld(t, 2, func(i int, cfg *Config) { cfg.Tenants = []TenantConfig{{Name: tc.tenant}} })
 		var ch *Channel

@@ -1,7 +1,14 @@
 package xrdma
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -129,6 +136,48 @@ func TestWireReservedBytes(t *testing.T) {
 		copy(buf[50:54], []byte{0xfe, 0xed, 0xfa, 0xce})
 		if got, _, err := decodeHdr(buf); err != nil || got != zeroed {
 			t.Fatalf("%v: non-zero reserved bytes changed the decode: %v\n got %+v\nwant %+v", k, err, got, zeroed)
+		}
+	}
+}
+
+// --- frozen hello corpus -------------------------------------------------------
+
+// wireHellos is the hello corpus, testdata/wire/<name>.hex: one hello per
+// purpose, and the two establishment hellos again with the negotiation block
+// a v2 node offers. Distinct field values pin the field order.
+var wireHellos = map[string]hello{
+	"open":         {purpose: helloOpen},
+	"open-neg":     {purpose: helloOpen, neg: true, offer: offer{1, 2, baselineCaps | capDrainHint}},
+	"mux-slot":     {purpose: helloMuxSlot, slot: 0x0102},
+	"mux-slot-neg": {purpose: helloMuxSlot, slot: 0x0102, neg: true, offer: offer{1, 2, baselineCaps | capDrainHint}},
+	"mux-reattach": {purpose: helloMuxReattach, target: 0x01020304, target0: 0x05060708, dialer0: 0x090a0b0c},
+	"recover":      {purpose: helloRecover, target: 0x01020304, target0: 0x05060708, dialer0: 0x090a0b0c},
+	"mock":         {purpose: helloMock, target: 0x01020304, target0: 0x05060708, dialer0: 0x090a0b0c},
+}
+
+// TestWireCorpus holds every frozen hello to two things: it parses to the
+// hello the corpus names, and it re-encodes byte for byte. -update rewrites
+// the files from this tree, so a change to the hello's layout is a diff.
+func TestWireCorpus(t *testing.T) {
+	for _, name := range slices.Sorted(maps.Keys(wireHellos)) {
+		path := filepath.Join("testdata", "wire", name+".hex")
+		if *update {
+			if err := os.WriteFile(path, []byte(hex.EncodeToString(wireHellos[name].encode())+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := hex.DecodeString(strings.TrimSpace(string(text)))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if h, v := parseHello(b); v != helloOK || h != wireHellos[name] {
+			t.Errorf("%s parses to %+v (verdict %d), want %+v", path, h, v, wireHellos[name])
+		} else if again := h.encode(); !bytes.Equal(again, b) {
+			t.Errorf("%s re-encodes to %x", path, again)
 		}
 	}
 }
