@@ -507,12 +507,14 @@ func (ch *Channel) setHealth(h HealthState) {
 // --- deadlock breaker (§V-B) --------------------------------------------------
 
 // stall marks or unmarks a rider whose send queue waits on a full window,
-// keeping the context's count of marked riders that deadlockScan reads.
+// keeping the context's count of marked riders that arms the breaker.
 func (ch *Channel) stall(on bool) {
 	switch {
 	case on && !ch.stallFlag:
 		ch.Counters.WindowStalls++
-		ch.ctx.stalled++
+		if ch.ctx.stalled++; ch.ctx.stalled == 1 {
+			ch.ctx.armScan()
+		}
 	case !on && ch.stallFlag:
 		ch.ctx.stalled--
 	}
