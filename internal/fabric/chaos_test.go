@@ -11,11 +11,18 @@ import (
 func sendFlows(eng *sim.Engine, f *Fabric, sinks map[NodeID]*sink, a, b NodeID, flows int) int {
 	beforeA, beforeB := len(sinks[a].got), len(sinks[b].got)
 	for i := 0; i < flows; i++ {
-		f.Host(a).Send(&Packet{Src: a, Dst: b, Size: 1000, FlowHash: uint64(i + 1), ECT: true})
-		f.Host(b).Send(&Packet{Src: b, Dst: a, Size: 1000, FlowHash: uint64(i + 1), ECT: true})
+		f.Host(a).Send(pkt(f, a, b, uint64(i+1)))
+		f.Host(b).Send(pkt(f, b, a, uint64(i+1)))
 	}
 	eng.Run()
 	return (len(sinks[a].got) - beforeA) + (len(sinks[b].got) - beforeB)
+}
+
+// pkt is a 1000 B ECN-capable frame from a to b, off the fabric's free list.
+func pkt(f *Fabric, a, b NodeID, flowHash uint64) *Packet {
+	p := f.NewPacket()
+	p.Src, p.Dst, p.Size, p.FlowHash, p.ECT = a, b, 1000, flowHash, true
+	return p
 }
 
 // TestLinkDownECMPReroutes: killing one ToR uplink must not lose a single
@@ -176,7 +183,7 @@ func TestBrownoutLossAndCorruption(t *testing.T) {
 	before := len(sinks[5].got)
 	corrBefore := f.Stats.Corrupted
 	for i := 0; i < 16; i++ {
-		f.Host(0).Send(&Packet{Src: 0, Dst: 5, Size: 1000, FlowHash: uint64(100 + i), ECT: true})
+		f.Host(0).Send(pkt(f, 0, 5, uint64(100+i)))
 	}
 	eng.Run()
 	delivered := sinks[5].got[before:]
@@ -200,7 +207,7 @@ func TestBrownoutLossAndCorruption(t *testing.T) {
 	f.SetLinkImpairment("pod0-tor0", "pod0-leaf0", 0, 0, 0)
 	before = len(sinks[5].got)
 	for i := 0; i < 8; i++ {
-		f.Host(0).Send(&Packet{Src: 0, Dst: 5, Size: 1000, FlowHash: uint64(200 + i), ECT: true})
+		f.Host(0).Send(pkt(f, 0, 5, uint64(200+i)))
 	}
 	eng.Run()
 	for _, p := range sinks[5].got[before:] {
@@ -210,5 +217,9 @@ func TestBrownoutLossAndCorruption(t *testing.T) {
 	}
 	if n := len(sinks[5].got) - before; n != 8 {
 		t.Fatalf("cleared link delivered %d/8", n)
+	}
+	// Dropped or delivered, every packet came home: Live − Free is out.
+	if pf := &f.pktFree; pf.Live() == 0 || pf.Live() != pf.Free() {
+		t.Errorf("packets at rest: %d made, %d on the free list", pf.Live(), pf.Free())
 	}
 }

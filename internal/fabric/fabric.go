@@ -37,7 +37,7 @@ type Fabric struct {
 
 	// pktFree recycles Packet structs: at steady state every hop of every
 	// flow reuses the same handful of nodes instead of hammering the GC.
-	pktFree []*Packet
+	pktFree sim.FreeList[*Packet]
 
 	// OnDrop, when set, is handed the Payload of every packet the fabric
 	// discards, before the packet is recycled: a dropped frame's protocol
@@ -58,18 +58,12 @@ func (f *Fabric) drop(p *Packet) {
 	f.FreePacket(p)
 }
 
-// NewPacket returns a zeroed packet from the fabric's free-list (or a fresh
-// one on a cold start). Senders fill it and pass it to Host.Send; the
-// fabric reclaims it at its single termination point (delivery or drop).
-func (f *Fabric) NewPacket() *Packet {
-	if k := len(f.pktFree) - 1; k >= 0 {
-		p := f.pktFree[k]
-		f.pktFree[k] = nil
-		f.pktFree = f.pktFree[:k]
-		return p
-	}
-	return &Packet{}
-}
+// NewPacket returns a zeroed packet from the fabric's free list, made by the
+// named newPacket (a func literal would stop NewPacket inlining). Senders fill
+// it and pass it to Host.Send; the fabric reclaims it on delivery or drop.
+func (f *Fabric) NewPacket() *Packet { return f.pktFree.Take(newPacket) }
+
+func newPacket() *Packet { return &Packet{} }
 
 // FreePacket zeroes p and returns it to the free-list. Callers must hold
 // the only live reference; endpoints never retain packets past
@@ -81,7 +75,7 @@ func (f *Fabric) FreePacket(p *Packet) {
 	arrive := p.arriveFn
 	*p = Packet{}
 	p.arriveFn = arrive
-	f.pktFree = append(f.pktFree, p)
+	f.pktFree.Put(p)
 }
 
 // New creates an empty fabric; attach hosts and switches via the topology

@@ -109,9 +109,9 @@ func TestHopEvents(t *testing.T) {
 				want = append(want, want[0].Add(ser64Host))
 				// B on the wire, C behind it, A and B in flight: two
 				// arrivals and exactly one kick.
-				if out.busyUntil != t0.Add(2*ser64Host) || out.dataQ.len() != 1 || !out.kickArmed || eng.Pending() != 3 {
+				if out.busyUntil != t0.Add(2*ser64Host) || out.dataQ.Len() != 1 || !out.kickArmed || eng.Pending() != 3 {
 					t.Fatalf("at busyUntil: busy until %v, %d queued, kickArmed=%v, %d pending; want %v, 1, true, 3",
-						out.busyUntil, out.dataQ.len(), out.kickArmed, eng.Pending(), t0.Add(2*ser64Host))
+						out.busyUntil, out.dataQ.Len(), out.kickArmed, eng.Pending(), t0.Add(2*ser64Host))
 				}
 				if in.ingressBytes != frame64 {
 					t.Fatalf("ingress holds %d bytes with one frame queued, want %d", in.ingressBytes, frame64)
@@ -161,8 +161,8 @@ func TestHopEvents(t *testing.T) {
 			t.Fatalf("behind a control frame only paused data waits: kickArmed=%v, %d pending, want false and the one arrival", h.port.kickArmed, eng.Pending())
 		}
 		eng.Run()
-		if got := sinks[1].got; len(got) != 1 || got[0].Class != ClassCtrl || h.port.dataQ.len() != 1 {
-			t.Fatalf("delivered %d frames with %d data queued, want the control frame and 1", len(got), h.port.dataQ.len())
+		if got := sinks[1].got; len(got) != 1 || got[0].Class != ClassCtrl || h.port.dataQ.Len() != 1 {
+			t.Fatalf("delivered %d frames with %d data queued, want the control frame and 1", len(got), h.port.dataQ.Len())
 		}
 		// The resume lands at 2200 into a port serializing a control frame
 		// since 2190: it arms the one kick, and the data leaves at 2214.

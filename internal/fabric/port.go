@@ -65,8 +65,8 @@ type Port struct {
 	propDelay sim.Duration // the wire alone: what a PFC frame takes
 	hopDelay  sim.Duration // last bit to the peer acting: + switchDelay into a switch
 
-	ctrlQ pktRing
-	dataQ pktRing
+	ctrlQ sim.Queue[*Packet]
+	dataQ sim.Queue[*Packet]
 	qlen  int // queued data bytes (for ECN marking decisions)
 
 	paused bool // peer asked us to stop sending ClassData
@@ -134,11 +134,11 @@ func (pt *Port) setDown() {
 	}
 	pt.down = true
 	pt.fab.downPorts++
-	for pt.ctrlQ.len() > 0 {
-		pt.drop(pt.ctrlQ.pop())
+	for pt.ctrlQ.Len() > 0 {
+		pt.drop(pt.ctrlQ.Pop())
 	}
-	for pt.dataQ.len() > 0 {
-		p := pt.dataQ.pop()
+	for pt.dataQ.Len() > 0 {
+		p := pt.dataQ.Pop()
 		pt.qlen -= p.wireSize()
 		pt.drop(p)
 	}
@@ -182,7 +182,7 @@ func (pt *Port) send(p *Packet) {
 		p.blamePauseRef = pt.pauseTotalAt(p.blameEnqAt)
 	}
 	if p.Class == ClassCtrl {
-		pt.ctrlQ.push(p)
+		pt.ctrlQ.Push(p)
 	} else {
 		// With PFC on, ingress admission keeps buffers bounded and the
 		// fabric is lossless; tail drops only exist in lossy mode.
@@ -191,7 +191,7 @@ func (pt *Port) send(p *Packet) {
 			return
 		}
 		pt.markECN(p)
-		pt.dataQ.push(p)
+		pt.dataQ.Push(p)
 		pt.qlen += p.wireSize()
 	}
 	pt.kick()
@@ -234,7 +234,7 @@ func (pt *Port) markECN(p *Packet) {
 // With the wire busy, or traffic left behind, it arms one kick at busyUntil.
 func (pt *Port) kick() {
 	now := pt.eng.Now()
-	for !pt.down && (pt.ctrlQ.len() > 0 || pt.dataQ.len() > 0 && !pt.paused) {
+	for !pt.down && (pt.ctrlQ.Len() > 0 || pt.dataQ.Len() > 0 && !pt.paused) {
 		if now < pt.busyUntil {
 			if !pt.kickArmed {
 				pt.kickArmed = true
@@ -243,10 +243,10 @@ func (pt *Port) kick() {
 			return
 		}
 		var p *Packet
-		if pt.ctrlQ.len() > 0 {
-			p = pt.ctrlQ.pop()
+		if pt.ctrlQ.Len() > 0 {
+			p = pt.ctrlQ.Pop()
 		} else {
-			p = pt.dataQ.pop()
+			p = pt.dataQ.Pop()
 			pt.qlen -= p.wireSize()
 		}
 		if p.Blame != nil {
@@ -329,43 +329,4 @@ func (pt *Port) sendPFC(pause bool) {
 			peer.kick()
 		}
 	})
-}
-
-// pktRing is a FIFO of packets backed by a power-of-two circular buffer:
-// steady-state enqueue/dequeue never allocates, unlike the previous
-// append/reslice queues that leaked their backing-array heads.
-type pktRing struct {
-	buf        []*Packet
-	head, tail int // monotonically increasing; index = pos & (len(buf)-1)
-}
-
-func (r *pktRing) len() int { return r.tail - r.head }
-
-func (r *pktRing) push(p *Packet) {
-	if r.tail-r.head == len(r.buf) {
-		r.grow()
-	}
-	r.buf[r.tail&(len(r.buf)-1)] = p
-	r.tail++
-}
-
-func (r *pktRing) pop() *Packet {
-	i := r.head & (len(r.buf) - 1)
-	p := r.buf[i]
-	r.buf[i] = nil
-	r.head++
-	return p
-}
-
-func (r *pktRing) grow() {
-	n := len(r.buf) * 2
-	if n == 0 {
-		n = 16
-	}
-	nb := make([]*Packet, n)
-	cnt := r.tail - r.head
-	for i := 0; i < cnt; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf, r.head, r.tail = nb, 0, cnt
 }

@@ -6,64 +6,41 @@ import "xrdma/internal/sim"
 // from host memory.
 const qpCacheMissCost sim.Duration = 120 * sim.Nanosecond
 
+// qpCacheLines is the context SRAM's size in QP contexts.
+const qpCacheLines = 1024
+
 // qpCache models the RNIC's on-chip QP context SRAM. The paper's §VII-F
 // observation — "cache influence on performance is almost below 10% even
 // when the number of QP grows up to 60K" — falls out of the small miss
 // cost relative to end-to-end latency; the E11 sweep verifies it.
 //
-// The LRU order is an intrusive ring through the QPs themselves (QP.lruPrev,
-// QP.lruNext; a QP is cached while lruNext is set), so a touch is pointer
+// The LRU order is a sim.Ring through the QPs themselves (QP.lru; a QP is
+// cached while it is linked), newest the most recent, so a touch is pointer
 // work: no lookup, and a miss allocates nothing. A QP recycled through RESET
 // keeps its links, and a destroyed QP keeps its entry until it ages out,
 // exactly as the context SRAM would keep a dead QPN's line.
 type qpCache struct {
 	cap  int
 	n    int
-	head *QP // most recent; head.lruPrev is the least recent
+	ring sim.Ring[QP, *QP]
 }
 
 // touch marks the QP context used and reports whether it was a miss.
 func (c *qpCache) touch(qp *QP) bool {
-	if c.cap <= 0 {
-		return false // cache modelling disabled
-	}
-	if qp.lruNext != nil {
-		if qp != c.head {
-			c.unlink(qp)
-			c.pushFront(qp)
+	if qp.lru[1] != nil {
+		if qp != c.ring.Newest() {
+			c.ring.Swap(qp, nil)
+			c.ring.Push(qp)
 		}
 		return false
 	}
 	if c.n >= c.cap {
-		back := c.head.lruPrev
-		c.unlink(back)
-		back.lruPrev, back.lruNext = nil, nil
+		c.ring.Swap(c.ring.Oldest(), nil)
 		c.n--
 	}
-	c.pushFront(qp)
+	c.ring.Push(qp)
 	c.n++
 	return true
-}
-
-func (c *qpCache) unlink(qp *QP) {
-	if qp.lruNext == qp {
-		c.head = nil
-		return
-	}
-	qp.lruPrev.lruNext, qp.lruNext.lruPrev = qp.lruNext, qp.lruPrev
-	if c.head == qp {
-		c.head = qp.lruNext
-	}
-}
-
-func (c *qpCache) pushFront(qp *QP) {
-	if c.head == nil {
-		qp.lruPrev, qp.lruNext = qp, qp
-	} else {
-		qp.lruPrev, qp.lruNext = c.head.lruPrev, c.head
-		c.head.lruPrev.lruNext, c.head.lruPrev = qp, qp
-	}
-	c.head = qp
 }
 
 // touchQP accounts a context access and returns the added latency.

@@ -12,12 +12,11 @@ import (
 // on it (QPNs 1…qps), none touched yet.
 func cacheNIC(t testing.TB, entries, qps int) (*NIC, []*QP) {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.QPCacheEntries = entries
 	eng := sim.NewEngine()
 	fab := fabric.New(eng, fabric.DefaultConfig(), 1)
 	fabric.BuildClos(fab, fabric.SmallClos())
-	n := New(eng, fab.Host(0), cfg)
+	n := New(eng, fab.Host(0), DefaultConfig())
+	n.cache.cap = entries
 	out := make([]*QP, qps)
 	for i := range out {
 		out[i] = n.AllocQPNow(4, 4, NewCQ(8), NewCQ(8), nil)
@@ -28,11 +27,10 @@ func cacheNIC(t testing.TB, entries, qps int) (*NIC, []*QP) {
 // lru walks the cache ring from most to least recent.
 func (c *qpCache) lru() []uint32 {
 	var out []uint32
-	for qp := c.head; qp != nil && len(out) <= c.n; qp = qp.lruNext {
-		if out = append(out, qp.QPN); qp.lruNext == c.head {
-			break
-		}
+	for qp := c.ring.Oldest(); qp != nil && len(out) <= c.n; qp = c.ring.Next(qp) {
+		out = append(out, qp.QPN)
 	}
+	slices.Reverse(out)
 	return out
 }
 

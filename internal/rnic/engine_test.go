@@ -168,7 +168,7 @@ func TestStepKilledBeforeItFires(t *testing.T) {
 				t.Errorf("engine at rest: job pooled %v, current %v, busy %v, %d queued", job.pooled, r.a.current, r.a.engineBusy, len(r.a.jobs))
 			}
 			home := make(map[*txJob]bool)
-			for _, j := range r.a.pool.jobs {
+			for _, j := range r.a.pool.jobs.Items() {
 				if home[j] {
 					t.Fatalf("job %p is on the free list twice", j)
 				}

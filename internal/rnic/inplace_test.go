@@ -268,8 +268,9 @@ func TestStagingRecycleSafety(t *testing.T) {
 
 // TestDroppedHeadersComeHome: a frame the fabric discards hands its header back
 // through Fabric.OnDrop, so a browned-out world run to quiescence has every
-// header it ever allocated on the free list, once each, and no staging buffer
-// out — before the hook, each lost response segment stranded its snapshot.
+// header, job and READ cursor it ever made on its free list, once each, and no
+// staging buffer out — before the hook, each lost response segment stranded
+// its snapshot.
 func TestDroppedHeadersComeHome(t *testing.T) {
 	const total, depth, size = 400, 8, 16 << 10
 	cfg := DefaultConfig()
@@ -280,14 +281,6 @@ func TestDroppedHeadersComeHome(t *testing.T) {
 		t.Fatal("no host 5 to brown out")
 	}
 	src := r.b.Mem.Register(size, RegNonContinuous)
-	seen := make(map[*hdr]bool) // every header passes a FaultHook on its way to the wire
-	see := func(p *fabric.Packet) (bool, sim.Duration) {
-		if h, ok := p.Payload.(*hdr); ok {
-			seen[h] = true
-		}
-		return false, 0
-	}
-	r.a.FaultHook, r.b.FaultHook = see, see
 
 	wrs := make([]SendWR, total)
 	next, done := 0, 0
@@ -320,18 +313,25 @@ func TestDroppedHeadersComeHome(t *testing.T) {
 	if pl.staged != 0 || pl.stageFree > 1 {
 		t.Errorf("staging pool at rest: %d buffers out, %d kept (want 0 out, at most 1 kept)", pl.staged, pl.stageFree)
 	}
-	home := make(map[*hdr]bool, len(pl.hdrs))
-	for _, h := range pl.hdrs {
-		if home[h] {
-			t.Fatalf("header %p is on the free list twice", h)
+	atRest(t, "headers", &pl.hdrs)
+	atRest(t, "jobs", &pl.jobs)
+	atRest(t, "READ cursors", &pl.reads)
+}
+
+// atRest fails unless every object f made is back on it, once: Live − Free
+// is what is still out.
+func atRest[T comparable](t *testing.T, what string, f *sim.FreeList[T]) {
+	t.Helper()
+	home := make(map[T]bool, f.Free())
+	for _, x := range f.Items() {
+		if home[x] {
+			t.Fatalf("%s: %v is on the free list twice", what, x)
 		}
-		home[h] = true
+		home[x] = true
 	}
-	for h := range seen {
-		if !home[h] {
-			t.Errorf("a header that went to the wire never came home (%d allocated, %d on the free list)", len(seen), len(pl.hdrs))
-			break
-		}
+	t.Logf("%s: %d of %d made at rest", what, f.Free(), f.Live())
+	if f.Live() != f.Free() {
+		t.Errorf("%s: %d made, %d on the free list", what, f.Live(), f.Free())
 	}
 }
 

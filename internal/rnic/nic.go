@@ -30,15 +30,12 @@ const (
 )
 
 // Config holds the NIC parameters a world may vary: the RC reliability
-// horizon, the QP context cache size, and whether DCQCN runs.
+// horizon and whether DCQCN runs.
 type Config struct {
 	RetransTimeout sim.Duration // RTO for go-back-N
 	RetryLimit     int
 	RNRTimer       sim.Duration // backoff after an RNR NAK
 	RNRRetryLimit  int
-
-	// QPCacheEntries sizes the QP context cache (on-NIC SRAM).
-	QPCacheEntries int
 
 	// DCQCN turns on the end-to-end congestion control loop: the
 	// notification point's CNPs and the reaction point's rate cuts.
@@ -56,7 +53,6 @@ func DefaultConfig() Config {
 		RetryLimit:     6,
 		RNRTimer:       60 * sim.Microsecond,
 		RNRRetryLimit:  64, // "infinite" in production profiles; 7 breaks connections
-		QPCacheEntries: 1024,
 		DCQCN:          true,
 	}
 }
@@ -185,7 +181,7 @@ func New(eng *sim.Engine, host *fabric.Host, cfg Config) *NIC {
 		alive:   true,
 		nextQPN: 1,
 		lastCNP: make(map[uint64]sim.Time),
-		cache:   qpCache{cap: cfg.QPCacheEntries},
+		cache:   qpCache{cap: qpCacheLines},
 		tel:     telemetry.For(eng),
 	}
 	n.stepFn = n.stepEngine
@@ -395,7 +391,7 @@ func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN ui
 		keep := *qp
 		*qp = QP{QPN: qp.QPN, nic: n, State: QPReset, SQCap: qp.SQCap, RQCap: qp.RQCap,
 			SendCQ: qp.SendCQ, RecvCQ: qp.RecvCQ, srq: qp.srq, CreatedAt: qp.CreatedAt,
-			lruPrev: qp.lruPrev, lruNext: qp.lruNext} // the context cache's line survives
+			lru: qp.lru} // the context cache's line survives
 		// The cached closures survive recycling. The receive and send
 		// queues keep their storage, emptied: a recycled QP posts as deep
 		// again without allocating.

@@ -6,20 +6,20 @@ import (
 	"xrdma/internal/sim"
 )
 
-// Per-engine free-lists for the RNIC fast path: protocol headers, transmit
-// jobs, message-assembly state and READ staging buffers. Keying the pools to
-// the simulation engine (via Engine.Aux) keeps every NIC on one engine
-// sharing a pool — a header allocated by the sender's NIC is reclaimed by the
-// receiver's — while parallel experiments on separate engines stay fully
-// isolated with no global registry or locking.
+// Per-engine free lists for the RNIC fast path: protocol headers, transmit
+// jobs, message-assembly state and READ staging buffers. Keyed to the engine
+// (Engine.Aux), every NIC on one engine shares them — a header the sender's
+// NIC made is reclaimed by the receiver's — and separate engines share
+// nothing. Each Take is handed a named constructor: a func literal there
+// stops hdr, asm and readState from inlining.
 
 type poolKey struct{}
 
 type pools struct {
-	hdrs  []*hdr
-	jobs  []*txJob
-	asms  []*assembly
-	reads []*readState
+	hdrs  sim.FreeList[*hdr]
+	jobs  sim.FreeList[*txJob]
+	asms  sim.FreeList[*assembly]
+	reads sim.FreeList[*readState]
 
 	// READ staging buffers: the free ones by size class (log2 of the
 	// capacity), how many those are, and how many are out — snapshotted into
@@ -50,15 +50,9 @@ func poolsFor(eng *sim.Engine) *pools {
 }
 
 // hdr returns a zeroed header.
-func (pl *pools) hdr() *hdr {
-	if k := len(pl.hdrs) - 1; k >= 0 {
-		h := pl.hdrs[k]
-		pl.hdrs[k] = nil
-		pl.hdrs = pl.hdrs[:k]
-		return h
-	}
-	return &hdr{}
-}
+func (pl *pools) hdr() *hdr { return pl.hdrs.Take(newHdr) }
+
+func newHdr() *hdr { return &hdr{} }
 
 // putHdr reclaims a header once its packet has been fully processed.
 func (pl *pools) putHdr(h *hdr) {
@@ -66,7 +60,7 @@ func (pl *pools) putHdr(h *hdr) {
 		pl.unstage(h.stage)
 	}
 	*h = hdr{}
-	pl.hdrs = append(pl.hdrs, h)
+	pl.hdrs.Put(h)
 }
 
 // dropped takes the payload of a packet that will never be delivered — one
@@ -83,15 +77,12 @@ func (pl *pools) dropped(payload any) {
 
 // job returns a zeroed transmit job.
 func (pl *pools) job() *txJob {
-	if k := len(pl.jobs) - 1; k >= 0 {
-		j := pl.jobs[k]
-		pl.jobs[k] = nil
-		pl.jobs = pl.jobs[:k]
-		j.pooled = false
-		return j
-	}
-	return &txJob{}
+	j := pl.jobs.Take(newJob)
+	j.pooled = false
+	return j
 }
+
+func newJob() *txJob { return &txJob{} }
 
 // putJob reclaims a job. Idempotent: the engine's ownership hand-offs
 // (queue, current) make double-release the dangerous failure mode, so a
@@ -107,44 +98,32 @@ func (pl *pools) putJob(j *txJob) {
 		pl.unstage(j.stage)
 	}
 	*j = txJob{pooled: true}
-	pl.jobs = append(pl.jobs, j)
+	pl.jobs.Put(j)
 }
 
 // asm returns a zeroed assembly.
-func (pl *pools) asm() *assembly {
-	if k := len(pl.asms) - 1; k >= 0 {
-		a := pl.asms[k]
-		pl.asms[k] = nil
-		pl.asms = pl.asms[:k]
-		return a
-	}
-	return &assembly{}
-}
+func (pl *pools) asm() *assembly { return pl.asms.Take(newAsm) }
+
+func newAsm() *assembly { return &assembly{} }
 
 // putAsm reclaims assembly state after the message is delivered. The
 // gathered data slice has moved into the receive CQE by then; zeroing the
 // struct only drops this reference, not the buffer.
 func (pl *pools) putAsm(a *assembly) {
 	*a = assembly{}
-	pl.asms = append(pl.asms, a)
+	pl.asms.Put(a)
 }
 
 // readState returns a zeroed requester-side READ cursor.
-func (pl *pools) readState() *readState {
-	if k := len(pl.reads) - 1; k >= 0 {
-		rs := pl.reads[k]
-		pl.reads[k] = nil
-		pl.reads = pl.reads[:k]
-		return rs
-	}
-	return &readState{}
-}
+func (pl *pools) readState() *readState { return pl.reads.Take(newReadState) }
+
+func newReadState() *readState { return &readState{} }
 
 // putReadState reclaims a READ cursor once its WR completed or flushed.
 // Any gathered data has moved into the WR/CQE by then.
 func (pl *pools) putReadState(rs *readState) {
 	*rs = readState{}
-	pl.reads = append(pl.reads, rs)
+	pl.reads.Put(rs)
 }
 
 // stage returns an n-byte staging buffer (n > 0) holding one reference, the

@@ -412,8 +412,11 @@ type QP struct {
 	LastComm  sim.Time
 
 	// The NIC's QP context cache (cache.go): this QP's place in its LRU ring.
-	lruPrev, lruNext *QP
+	lru [2]*QP
 }
+
+// RingLink is the QP's place in the NIC's context cache, for sim.Ring.
+func (qp *QP) RingLink() *[2]*QP { return &qp.lru }
 
 // assembly tracks an in-progress multi-packet inbound message.
 type assembly struct {

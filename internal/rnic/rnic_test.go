@@ -89,6 +89,11 @@ func TestMultiPacketSend(t *testing.T) {
 	if r.a.Counters.PktsSent < 5 {
 		t.Fatalf("expected ≥5 packets for 20000B at MTU 4096, sent %d", r.a.Counters.PktsSent)
 	}
+	if asms := &r.b.pool.asms; asms.Live() == 0 {
+		t.Fatal("a multi-packet SEND assembled nothing")
+	} else {
+		atRest(t, "assemblies", asms)
+	}
 }
 
 func TestSendImm(t *testing.T) {
@@ -450,13 +455,12 @@ func TestUnsignaledNoCQE(t *testing.T) {
 }
 
 func TestQPCacheCounters(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.QPCacheEntries = 2
 	eng := sim.NewEngine()
 	fab := fabric.New(eng, fabric.DefaultConfig(), 1)
 	fabric.BuildClos(fab, fabric.SmallClos())
-	a := New(eng, fab.Host(0), cfg)
-	b := New(eng, fab.Host(1), cfg)
+	a := New(eng, fab.Host(0), DefaultConfig())
+	b := New(eng, fab.Host(1), DefaultConfig())
+	a.cache.cap, b.cache.cap = 2, 2
 	// 4 QPs through a 2-entry cache, round-robin → steady misses.
 	qps := make([]*QP, 4)
 	for i := range qps {
@@ -1014,7 +1018,7 @@ func TestResetKeepsSendQueueStorage(t *testing.T) {
 // other device parameter is a constant. Raising it is a regression to
 // explain, like xrdma's TestChannelStructBudget.
 func TestConfigFieldBudget(t *testing.T) {
-	got, most := reflect.TypeOf(Config{}).NumField(), 6
+	got, most := reflect.TypeOf(Config{}).NumField(), 5
 	t.Logf("rnic.Config fields = %d (budget %d)", got, most)
 	if got > most {
 		t.Errorf("rnic.Config has %d fields, budget %d", got, most)

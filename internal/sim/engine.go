@@ -113,11 +113,11 @@ func (ev Event) At() Time {
 type Engine struct {
 	now     Time
 	seq     uint64
-	cur     uint64 // seq of the event firing (or Step fired last); MaxUint64 between runs
-	last    Time   // the latest instant a Reserve named
-	near    ring   // due less than horizon after they were scheduled
-	far     heap4  // due later
-	free    []*event
+	cur     uint64   // seq of the event firing (or Step fired last); MaxUint64 between runs
+	last    Time     // the latest instant a Reserve named
+	near    ring     // due less than horizon after they were scheduled
+	far     heap4    // due later
+	free    []*event // not a FreeList: alloc would stop inlining (BenchmarkEngineChurn)
 	stopped bool
 	fired   uint64
 	nonBg   int // foreground events pending
@@ -188,9 +188,8 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are currently scheduled.
 func (e *Engine) Pending() int { return e.near.n + len(e.far) }
 
-// Aux returns the engine-scoped value stored under key, or nil. Model
-// packages use this to attach per-engine free-lists (packet pools, header
-// pools) without global registries, keeping parallel experiments isolated.
+// Aux returns the engine-scoped value stored under key, or nil: per-engine
+// state (rnic's pools, telemetry) with no global registry to share.
 func (e *Engine) Aux(key any) any {
 	if e.aux == nil {
 		return nil

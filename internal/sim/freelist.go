@@ -3,12 +3,12 @@ package sim
 import "slices"
 
 // FreeList recycles objects whose owner knows the one point where each one's
-// last reference drops: Put there, Take instead of making a new one. Trim,
-// once per idle horizon, leaves to the collector the objects that sat on the
-// list the whole horizon (its low-water mark since the previous Trim): a burst
-// — an attach or connection storm — does not pin its peak, and what a workload
-// reuses within the horizon is never made again. The zero FreeList is empty
-// and ready to use.
+// last reference drops: Put there, Take instead of making a new one. Trim is
+// optional (rnic and fabric have no idle tick and never call it): once per
+// idle horizon it leaves to the collector what sat on the list the whole
+// horizon (its low-water mark since the last Trim), so a burst does not pin
+// its peak. Live − Free is what is out, which the conservation checks read.
+// The zero FreeList is empty and ready to use.
 type FreeList[T any] struct {
 	free []T
 	idle int // low-water mark of len(free) since the last Trim
