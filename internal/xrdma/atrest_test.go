@@ -19,8 +19,8 @@ import (
 // holds none); no link is both establishing and listed; no record counts twice.
 // The context's stalled count is the riders marked stalled; a listed channel
 // holds window slots exactly while its window is in use and a waiter map
-// exactly while a request awaits its response, and neither counts twice; a
-// pull map only while it marks a pull.
+// exactly while a request or ping awaits its answer, the issue-order ring
+// threads the same waiters, and neither slots nor map counts twice.
 // Every exclusive channel of a tracked context (trackEnds) is its link's only
 // rider (a closed one may have left it: detach); once closed, its link — one
 // object with it, so the application's handle keeps it — holds no QP, pool,
@@ -65,16 +65,13 @@ func checkStructure(t testing.TB, c *Context) {
 		if (ch.pending != nil) != (len(ch.pending) > 0) {
 			t.Errorf("node %d: channel (peer %d) holds an empty waiter map", c.Node(), ch.Peer)
 		}
-		if (ch.pulls != nil) != (len(ch.pulls) > 0) {
-			t.Errorf("node %d: channel (peer %d) holds an empty pull map", c.Node(), ch.Peer)
+		if n := len(ch.waiters()); n != len(ch.pending) {
+			t.Errorf("node %d: channel (peer %d) threads %d waiters in issue order, %d by MsgID", c.Node(), ch.Peer, n, len(ch.pending))
 		}
 		if ch.win.slots != nil {
 			wins++
 		}
 		if ch.pending != nil {
-			maps++
-		}
-		if ch.pulls != nil {
 			maps++
 		}
 	}
@@ -103,10 +100,10 @@ func checkStructure(t testing.TB, c *Context) {
 // own; no dial pending; no receive landed in unregistered memory. Records and
 // channels: every record free but one keepalive probe per listed link at most
 // (none on a closed context, whose CQs Close drained); every channel a listed
-// link's rider with nothing in flight, queued, awaited or being pulled, so
-// every slot array and waiter map is on its free
-// list; no attach admitted or queued. It only reads: a
-// world may be checked twice.
+// link's rider and idle — nothing in flight, queued, awaited or being pulled
+// (Channel.idle, the drain's rule) — so every slot array and waiter map is on
+// its free list; no attach admitted or queued. It only reads: a world may be
+// checked twice.
 func (w *testWorld) checkAtRest(t testing.TB, listed ...int) {
 	t.Helper()
 	if len(listed) != len(w.ctxs) {
@@ -182,9 +179,9 @@ func (w *testWorld) checkAtRest(t testing.TB, listed ...int) {
 			t.Errorf("node %d: %d channels, the listed links carry %d", i, n, riders)
 		}
 		for _, ch := range c.Channels() {
-			if ch.Inflight() != 0 || ch.sendQ.Len() != 0 || len(ch.pending) != 0 || ch.issued.Newest() != nil || ch.pulls != nil {
-				t.Errorf("node %d: channel left %d in flight, %d queued, %d awaiting a response, %d pulls marked",
-					i, ch.Inflight(), ch.sendQ.Len(), len(ch.pending), len(ch.pulls))
+			if !ch.idle() {
+				t.Errorf("node %d: channel not idle: %d in flight, %d queued, %d awaiting an answer, %d being pulled, attach %d",
+					i, ch.Inflight(), ch.sendQ.Len(), len(ch.pending), ch.win.wta-ch.win.rta, ch.attach)
 			}
 		}
 		if c.wins.Free() != c.wins.Live() || c.waitMaps.Free() != c.waitMaps.Live() {

@@ -72,7 +72,7 @@ type Channel struct {
 	win window
 
 	sendQ   sim.List[msgRec, *msgRec] // unsent messages, in submission order
-	pending map[uint64]*msgRec        // msgID → the request's record, awaiting the response
+	pending map[uint64]*msgRec        // msgID → the record of a request or ping, awaiting its answer
 	issued  sim.Ring[msgRec, *msgRec] // the same records, in issue order
 
 	lastProgress sim.Time
@@ -82,8 +82,6 @@ type Channel struct {
 	ackEv        sim.Event
 	ackFn        func()   // ackEv's callback, bound on the first delayed ack
 	nopAt        sim.Time // when the in-flight NOP was sent (0: none; re-arm deadline)
-
-	pings map[uint64]*pingState
 
 	onMessage func(*Msg)
 	onClose   func(error)
@@ -97,11 +95,6 @@ type Channel struct {
 	// replay until the peer's replacement QP is live.
 	lk       *link
 	onHealth func(HealthState)
-
-	// pulls guards against double rendezvous reads when an announce is
-	// replayed (the replay tail itself is in the window's slots): the record
-	// of each pull in flight, by sequence.
-	pulls map[uint64]*msgRec
 
 	// Gray-failure plane (pathdoctor.go): the verdict observer.
 	onPathVerdict func(PathVerdict)
@@ -297,8 +290,8 @@ func (c *Context) poolLanded(p *recvPool, lo, hi int) {
 }
 
 // newChannel builds the flyweight every channel starts as: the window's slots
-// and the waiter map (pending) are held only while in use, the other
-// per-channel maps (pulls, pings) from first use, so an idle one carries none.
+// and the waiter map (pending) are held only while in use, so an idle one
+// carries neither.
 func (c *Context) newChannel(peer fabric.NodeID, attach uint8) *Channel {
 	return &Channel{ctx: c, Peer: peer, attach: attach, lastProgress: c.eng.Now()}
 }
@@ -449,10 +442,6 @@ func (ch *Channel) teardown(err error) {
 	ch.tenantRewind()
 	ch.win.free(&c.wins) // a pull in flight may still hold them
 	ch.stall(false)
-	// The flyweight maps go back to nil — a closed channel costs only its
-	// struct.
-	c.putMap(&ch.pulls)
-	ch.pings = nil
 	c.eng.Cancel(ch.ackEv)
 	if ch.onClose != nil {
 		ch.onClose(err)
@@ -553,8 +542,8 @@ func (ch *Channel) deadlockCheck() {
 	ch.sendCtrl(kindNop)
 }
 
-// expireRequests fails the pending requests sent before the deadline with
-// ErrTimeout.
+// expireRequests fails the waiters (requests and pings) issued before the
+// deadline with ErrTimeout.
 func (ch *Channel) expireRequests(deadline sim.Time) {
 	// The waiters are in issue order and sentAt never falls with MsgID, so the
 	// expired ones are the oldest; an expiry's callback may settle others.

@@ -44,7 +44,7 @@ type Context struct {
 	recs     sim.FreeList[*msgRec]
 	estabs   sim.FreeList[*estab]
 	wins     winPool                          // Channel.win's slots
-	waitMaps sim.FreeList[map[uint64]*msgRec] // Channel.pending and .pulls
+	waitMaps sim.FreeList[map[uint64]*msgRec] // Channel.pending
 	trimAt   sim.Time
 	stalled  int // riders with stallFlag set (Channel.stall)
 	wrSeq    uint64

@@ -106,17 +106,17 @@ func (c *Context) Drain(cb func(blob []byte)) error {
 	return nil
 }
 
-// drainQuiesced reports whether this channel holds no in-flight work: no
-// unacked windowed messages, nothing queued, no response waiters, no
-// rendezvous pulls, no attach in flight.
-func (ch *Channel) drainQuiesced() bool {
+// idle reports whether this channel holds no in-flight work: no unacked
+// windowed messages, nothing queued, no waiters, nothing being pulled, no
+// attach in flight.
+func (ch *Channel) idle() bool {
 	if ch.closed {
 		return true
 	}
 	if ch.attach == attachPending || ch.attach == attachQueued {
 		return false
 	}
-	return ch.win.inflight() == 0 && ch.sendQ.Len() == 0 && len(ch.pending) == 0 && len(ch.pulls) == 0
+	return ch.win.inflight() == 0 && ch.sendQ.Len() == 0 && len(ch.pending) == 0 && ch.win.rta == ch.win.wta
 }
 
 // drainScan polls the quiesce condition until it holds or the deadline
@@ -128,7 +128,7 @@ func (c *Context) drainScan() {
 	now := c.eng.Now()
 	all := true
 	for _, ch := range c.Channels() {
-		if !ch.drainQuiesced() {
+		if !ch.idle() {
 			all = false
 			break
 		}

@@ -17,12 +17,7 @@ type flowCtl struct {
 	limit       int
 	outstanding int
 	queue       sim.Queue[*msgRec]
-
-	// Counters.
-	Queued    int64 // WRs that had to wait for a slot
-	Fragments int64 // fragments produced by splitting
-	Posted    int64
-	PeakQueue int
+	Fragments   int64 // fragments produced by splitting
 }
 
 // post hands rec.wr to rec.qp, past the limiter: inline SENDs are already
@@ -48,14 +43,11 @@ func (f *flowCtl) post(rec *msgRec) {
 // requests block the RNIC". A completion frees the slot for the next queued one.
 func (f *flowCtl) read(rec *msgRec) {
 	if f.outstanding >= f.limit {
-		f.Queued++
 		rec.holds |= holdPostQ
 		f.queue.Push(rec)
-		f.PeakQueue = max(f.PeakQueue, f.queue.Len())
 		return
 	}
 	f.outstanding++
-	f.Posted++
 	f.post(rec)
 }
 

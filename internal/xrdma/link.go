@@ -974,7 +974,6 @@ func (l *link) adopt(conn *verbs.Conn, pool *recvPool, initiator bool) {
 		ch.requeueUnacked()
 		ch.nopAt, ch.lastProgress = 0, now
 		ch.stall(false)
-		c.putMap(&ch.pulls) // taken again at the next rendezvous announce
 		ch.resumeOnRx = !initiator
 		ch.setHealth(HealthHealthy)
 		if initiator {

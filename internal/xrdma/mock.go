@@ -75,7 +75,6 @@ func (ch *Channel) enterMockMode() {
 	// every message inline from ps.data, so release them; a pull in flight
 	// completes stale, and the sender replays it inline.
 	ch.unstage()
-	c.putMap(&ch.pulls)
 
 	// Release RDMA resources: the QP leaves the QPN table and recycles through
 	// the cache, then its receive pool returns to the memory cache. The link

@@ -33,17 +33,24 @@ func (ch *Channel) SendMsg(data []byte, size int, cb func(*Msg, error)) error {
 	// waits for a window slot or a recovery.
 	rec := ch.newMsg(kindReq, ch.ctx.nextMsgID(), data, size)
 	if rec.oneWay = cb == nil; !rec.oneWay {
-		rec.cb, rec.sentAt = cb, ch.ctx.eng.Now()
-		if ch.pending == nil {
-			ch.pending = ch.ctx.waitMaps.Take(func() map[uint64]*msgRec { return make(map[uint64]*msgRec) })
-		}
-		ch.pending[rec.msgID] = rec
-		ch.issued.Push(rec)
-		rec.holds |= holdWaiter
+		ch.await(rec, cb)
 		ch.Counters.ReqsSent++
 	}
 	ch.enqueue(rec)
 	return nil
+}
+
+// await books rec as a waiter — a request's for its response, a ping's for its
+// pong — by MsgID and in issue order, so that whatever ends the wait (the
+// answer, RequestTimeout, a forced drain, teardown) settles it exactly once.
+func (ch *Channel) await(rec *msgRec, cb func(*Msg, error)) {
+	rec.cb, rec.sentAt = cb, ch.ctx.eng.Now()
+	if ch.pending == nil {
+		ch.pending = ch.ctx.waitMaps.Take(func() map[uint64]*msgRec { return make(map[uint64]*msgRec) })
+	}
+	ch.pending[rec.msgID] = rec
+	ch.issued.Push(rec)
+	rec.holds |= holdWaiter
 }
 
 // Reply answers a request (responses ride the same window; large ones use
@@ -297,21 +304,13 @@ func (ch *Channel) failSend(ps *msgRec, err error) {
 // which may well recycle the record itself.
 func (ch *Channel) settle(rs *msgRec) func(*Msg, error) {
 	cb := rs.cb
-	if delete(ch.pending, rs.msgID); len(ch.pending) == 0 { // the last waiter: the map goes back
-		ch.ctx.putMap(&ch.pending)
+	if delete(ch.pending, rs.msgID); len(ch.pending) == 0 { // the last waiter: the map goes back, empty
+		ch.ctx.waitMaps.Put(ch.pending)
+		ch.pending = nil
 	}
 	ch.issued.Swap(rs, nil)
 	ch.ctx.drop(rs, holdWaiter)
 	return cb
-}
-
-// putMap gives a channel's waiter or pull map back to waitMaps, cleared.
-func (c *Context) putMap(m *map[uint64]*msgRec) {
-	if *m != nil {
-		clear(*m)
-		c.waitMaps.Put(*m)
-		*m = nil
-	}
 }
 
 // acked retires a windowed message the peer acknowledged.
@@ -506,17 +505,8 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 				ch.sendCtrl(kindAck)
 				return
 			}
-			if ch.pulls[h.Seq] != nil {
-				// A pull for this sequence is already in flight (the
-				// replay raced a surviving fetch); let it finish.
-				return
-			}
-		}
-		if ch.pulls == nil {
-			ch.pulls = c.waitMaps.Take(func() map[uint64]*msgRec { return make(map[uint64]*msgRec) })
 		}
 		op := c.newRec(recFetch, ch)
-		ch.pulls[h.Seq] = op
 		op.msg, op.size = msg, size
 		op.wr.RAddr, op.wr.RKey, op.wr.SizeOnly = h.Addr, h.RKey, h.Flags&flagSizeOnly != 0
 		ch.fetch(op)
@@ -531,14 +521,8 @@ func (ch *Channel) handleWire(h *wireHdr, pay []byte, overMock bool, rxBlame *te
 func (ch *Channel) pulled(msg *Msg, buf Buffer, sizeOnly bool, pullQP *rnic.QP, pullStart sim.Time, st rnic.Status, err error) {
 	c, seqNo := ch.ctx, msg.Seq
 	// A completion from a pre-recovery transport is stale news: the channel
-	// already cut over, and the replayed announce owns the pull marker for
-	// this sequence now. The last marker takes the map with it.
+	// already cut over, and the sender replays the message.
 	stale := err == nil && ch.lk.qp != pullQP
-	if !stale {
-		if delete(ch.pulls, seqNo); len(ch.pulls) == 0 {
-			c.putMap(&ch.pulls)
-		}
-	}
 	if err != nil {
 		if err != ErrNoPath {
 			ch.fail(fmt.Errorf("xrdma: rendezvous alloc: %w", err))
@@ -557,8 +541,8 @@ func (ch *Channel) pulled(msg *Msg, buf Buffer, sizeOnly bool, pullQP *rnic.QP, 
 	c.tel.Trace.Complete(telemetry.StageReadFetch.String(), c.track,
 		pullStart, c.eng.Now().Sub(pullStart), int64(msg.MsgID))
 	if ch.win.isRecved(seqNo) {
-		// A replayed announce re-pulled this message and won the race; drop
-		// the duplicate payload.
+		// A replay of this message was delivered first — inline over the
+		// Mock, or a second pull of a replayed announce: drop the duplicate.
 		c.Mem.Free(buf)
 		return
 	}
@@ -585,7 +569,7 @@ func (ch *Channel) deliver(msg *Msg, buf Buffer) {
 		if ch.onMessage != nil {
 			ch.onMessage(msg)
 		}
-	} else if rs, ok := ch.pending[msg.MsgID]; ok {
+	} else if rs, ok := ch.pending[msg.MsgID]; ok && rs.mkind == kindReq {
 		ch.Counters.RespsRecv++
 		ch.doctorRef().observeRTT(c.eng.Now().Sub(rs.sentAt))
 		if t := ch.tenant; t != nil {
@@ -610,14 +594,9 @@ func (ch *Channel) deliver(msg *Msg, buf Buffer) {
 
 // --- middleware-level ping (XR-Ping, §VI-B) -----------------------------------
 
-type pingState struct {
-	sentAt    sim.Time
-	sentClock sim.Time
-	cb        func(rtt sim.Duration, off sim.Duration, err error)
-}
-
 // Ping measures middleware-to-middleware RTT on this channel and estimates
-// the clock offset to the peer (the clock-sync service of §VI-A).
+// the clock offset to the peer (the clock-sync service of §VI-A). The ping
+// waits for its pong as a request waits for its response (await).
 func (ch *Channel) Ping(cb func(rtt sim.Duration, offset sim.Duration, err error)) {
 	if ch.closed {
 		cb(0, 0, ErrChannelClosed)
@@ -630,27 +609,26 @@ func (ch *Channel) Ping(cb func(rtt sim.Duration, offset sim.Duration, err error
 		ch.requestAttach()
 		return
 	}
-	id := ch.ctx.nextMsgID()
-	if ch.pings == nil {
-		ch.pings = make(map[uint64]*pingState)
-	}
-	ch.pings[id] = &pingState{sentAt: ch.ctx.eng.Now(), sentClock: ch.ctx.LocalClock(), cb: cb}
-	ch.sendCtrlHdr(&wireHdr{Kind: kindPing, MsgID: id})
+	c := ch.ctx
+	rec := c.newRec(recFrame, ch)
+	rec.mkind, rec.msgID = kindPing, c.nextMsgID()
+	sentAt, sentClock := c.eng.Now(), c.LocalClock()
+	ch.await(rec, func(pong *Msg, err error) {
+		if err != nil {
+			cb(0, 0, err)
+			return
+		}
+		// NTP-style offset: the peer stamped its clock (T1) at the midpoint.
+		offset := sim.Duration(pong.T1 - (sentClock+c.LocalClock())/2)
+		c.toff[ch.Peer] = offset
+		cb(pong.RecvAt.Sub(sentAt), offset, nil)
+	})
+	ch.sendCtrlHdr(&wireHdr{Kind: kindPing, MsgID: rec.msgID})
 }
 
+// resolvePing settles the ping a pong answers, with the pong as its message.
 func (ch *Channel) resolvePing(h *wireHdr) {
-	st, ok := ch.pings[h.MsgID]
-	if !ok {
-		return
-	}
-	delete(ch.pings, h.MsgID)
-	now := ch.ctx.eng.Now()
-	rtt := now.Sub(st.sentAt)
-	// NTP-style offset: peer stamped its clock (h.T1) at the midpoint.
-	t3 := ch.ctx.LocalClock()
-	offset := sim.Duration(sim.Time(h.T1) - (st.sentClock+t3)/2)
-	ch.ctx.toff[ch.Peer] = offset
-	if st.cb != nil {
-		st.cb(rtt, offset, nil)
+	if rs, ok := ch.pending[h.MsgID]; ok && rs.mkind == kindPing {
+		ch.settle(rs)(&Msg{Ch: ch, MsgID: h.MsgID, RecvAt: ch.ctx.eng.Now(), T1: sim.Time(h.T1)}, nil)
 	}
 }

@@ -411,9 +411,9 @@ func TestQuietChannelHoldsNothing(t *testing.T) {
 				t.Fatalf("%d answers, %d and %d pulls: want 2 and one each way", answered, srv.Counters.LargeRecv, cli.Counters.LargeRecv)
 			}
 			for _, ch := range []*Channel{cli, srv} {
-				if ch.win.slots != nil || ch.pending != nil || ch.pulls != nil {
-					t.Errorf("quiet channel (node %d) holds slots=%v waiter map=%v pull map=%v",
-						ch.ctx.Node(), ch.win.slots != nil, ch.pending != nil, ch.pulls != nil)
+				if ch.win.slots != nil || ch.pending != nil {
+					t.Errorf("quiet channel (node %d) holds slots=%v waiter map=%v",
+						ch.ctx.Node(), ch.win.slots != nil, ch.pending != nil)
 				}
 			}
 			w.checkAtRest(t, 1, 1)
@@ -421,11 +421,11 @@ func TestQuietChannelHoldsNothing(t *testing.T) {
 	}
 }
 
-// TestPullAcrossMockSwitchLeavesNoMarker: a rendezvous pull in flight when
-// its channel switches to the Mock completes stale, and the sender replays
-// the message inline. The pull marker must go with the RDMA path, or the
-// quiet channel never reads drained.
-func TestPullAcrossMockSwitchLeavesNoMarker(t *testing.T) {
+// TestPullAcrossMockSwitchDrains: a rendezvous pull in flight when its
+// channel switches to the Mock completes stale, and the sender replays the
+// message inline. It is delivered once, and the window's receive edges meet
+// again, so the quiet channel reads idle.
+func TestPullAcrossMockSwitchDrains(t *testing.T) {
 	w := newWorld(t, 2, func(_ int, cfg *Config) { cfg.MockEnabled = true })
 	cli, srv := w.connect(t, 0, 1, 5040)
 	got := 0
@@ -438,9 +438,9 @@ func TestPullAcrossMockSwitchLeavesNoMarker(t *testing.T) {
 	if err := cli.SendMsg(make([]byte, 64<<10), 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	for srv.pulls == nil && w.eng.Step() {
+	for srv.win.rta == srv.win.wta && w.eng.Step() {
 	}
-	if srv.pulls == nil {
+	if srv.win.rta == srv.win.wta {
 		t.Fatal("the receiver never started its pull")
 	}
 	for _, ch := range []*Channel{srv, cli} {
@@ -453,8 +453,44 @@ func TestPullAcrossMockSwitchLeavesNoMarker(t *testing.T) {
 		t.Fatalf("%d deliveries, mocked %v/%v: want the message once, over the Mock", got, cli.Mocked(), srv.Mocked())
 	}
 	for _, ch := range []*Channel{cli, srv} {
-		if ch.pulls != nil || !ch.drainQuiesced() {
-			t.Errorf("node %d: pull map %v, drained %v: want none and drained", ch.ctx.Node(), ch.pulls, ch.drainQuiesced())
+		if ch.win.rta != ch.win.wta || !ch.idle() {
+			t.Errorf("node %d: rta %d, wta %d, idle %v: want the edges met and idle", ch.ctx.Node(), ch.win.rta, ch.win.wta, ch.idle())
 		}
 	}
+}
+
+// TestReplayedAnnounceDuringPull: a LARGE announce replayed for a sequence
+// whose pull is still in flight starts a second pull of the same staged
+// buffer. The first to land delivers; the other finds the sequence received
+// and frees its payload. The message is delivered once and the world rests.
+func TestReplayedAnnounceDuringPull(t *testing.T) {
+	w := newWorld(t, 2, nil)
+	cli, srv := w.connect(t, 0, 1, 5041)
+	got := 0
+	srv.OnMessage(func(m *Msg) { got++ })
+	if err := cli.SendMsg(make([]byte, 64<<10), 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	for srv.win.rta == srv.win.wta && w.eng.Step() {
+	}
+	if srv.win.rta == srv.win.wta {
+		t.Fatal("the receiver never started its pull")
+	}
+	seq, c := srv.win.wta, srv.ctx
+	rec := cli.win.at(seq)
+	h := wireHdr{Kind: kindLargeReq, Seq: seq, MsgID: rec.msgID, Size: uint32(rec.size), Flags: flagOneWay,
+		Addr: rec.staged.Addr, RKey: rec.staged.MR.RKey}
+	allocs := c.Mem.Allocs
+	srv.handleWire(&h, nil, false, nil)
+	if c.Mem.Allocs != allocs+1 {
+		t.Fatalf("the replayed announce took %d buffers, want one for its own pull", c.Mem.Allocs-allocs)
+	}
+	w.eng.Run()
+	if got != 1 || srv.Counters.LargeRecv != 1 {
+		t.Fatalf("%d deliveries, %d rendezvous received: want the message once", got, srv.Counters.LargeRecv)
+	}
+	cli.Close()
+	srv.Close()
+	w.eng.Run()
+	w.checkAtRest(t, 0, 0)
 }

@@ -155,29 +155,85 @@ var wireHellos = map[string]hello{
 	"mock":         {purpose: helloMock, target: 0x01020304, target0: 0x05060708, dialer0: 0x090a0b0c},
 }
 
-// TestWireCorpus holds every frozen hello to two things: it parses to the
-// hello the corpus names, and it re-encodes byte for byte. -update rewrites
-// the files from this tree, so a change to the hello's layout is a diff.
+// wireFrames is the frame corpus beside it, testdata/wire/frame-<kind>.hex and
+// ext-<extension>.hex: one header per live frame kind, with the fields its
+// sender sets, and one per header extension. Distinct field values pin the
+// field order.
+var wireFrames = map[string]wireHdr{
+	"frame-req":         {Kind: kindReq, Ver: hdrVersion, Seq: 0x0102, Ack: 0x0304, MsgID: 0x0506, Size: 0x0708, Chan: 0x090a},
+	"frame-resp":        {Kind: kindResp, Ver: hdrVersion, Seq: 0x0102, Ack: 0x0304, MsgID: 0x0506, Size: 0x0708, Chan: 0x090a},
+	"frame-ack":         {Kind: kindAck, Ver: hdrVersion, Ack: 0x0304, Chan: 0x090a},
+	"frame-nop":         {Kind: kindNop, Ver: hdrVersion, Ack: 0x0304, Chan: 0x090a},
+	"frame-large-req":   {Kind: kindLargeReq, Ver: hdrVersion, Flags: flagOneWay, Seq: 0x0102, Ack: 0x0304, MsgID: 0x0506, Size: 0x070809, Addr: 0x0b0c_0d0e_0f10, RKey: 0x1112, Chan: 0x090a},
+	"frame-large-resp":  {Kind: kindLargeResp, Ver: hdrVersion, Flags: flagSizeOnly, Seq: 0x0102, Ack: 0x0304, MsgID: 0x0506, Size: 0x070809, Addr: 0x0b0c_0d0e_0f10, RKey: 0x1112, Chan: 0x090a},
+	"frame-ping":        {Kind: kindPing, Ver: hdrVersion, Ack: 0x0304, MsgID: 0x0506, Chan: 0x090a},
+	"frame-pong":        {Kind: kindPong, Ver: hdrVersion, Flags: flagTraced, Ack: 0x0304, MsgID: 0x0506, Chan: 0x090a, T1: 0x1314_1516},
+	"frame-chan-open":   {Kind: kindChanOpen, Ver: hdrVersion, MsgID: 0x1718, Chan: 0x090a},
+	"frame-chan-accept": {Kind: kindChanAccept, Ver: hdrVersion, MsgID: 0x1718, Chan: 0x090a},
+	"frame-chan-close":  {Kind: kindChanClose, Ver: hdrVersion, Chan: 0x090a},
+	"frame-mux-sick":    {Kind: kindMuxSick, Ver: hdrVersion},
+	"frame-path-hint":   {Kind: kindPathHint, Ver: hdrVersion, Ack: 0x0304, Chan: 0x090a},
+	"frame-win-grant":   {Kind: kindWinGrant, Ver: hdrVersion, Ack: 0x0304, MsgID: 0x1920, Size: 0x2122, Addr: 0x0b0c_0d0e_0f10, RKey: 0x1112, Chan: 0x090a},
+	"frame-win-revoke":  {Kind: kindWinRevoke, Ver: hdrVersion, Ack: 0x0304, MsgID: 0x1920, Chan: 0x090a},
+	"ext-trace":         {Kind: kindReq, Ver: hdrVersion, Flags: flagTraced, Seq: 0x0102, Ack: 0x0304, MsgID: 0x0506, Size: 0x0708, T1: 0x1314_1516},
+	"ext-blame": {Kind: kindResp, Ver: hdrVersion, Flags: flagTraced | flagBlame, Seq: 0x0102, Ack: 0x0304, MsgID: 0x0506, Size: 0x0708,
+		T1: 0x1314_1516, BQueue: 0x2324, BPause: 0x2526, BReasm: 0x2728, BHandler: 0x2930, BECN: 0x31},
+	"ext-tenant": {Kind: kindChanOpen, Ver: hdrVersionMax, Flags: flagTenant, MsgID: 0x1718, Chan: 0x090a, Tenant: 0x3233, TLabel: [8]byte{'t', 'e', 'n', 'a', 'n', 't', '-', 'a'}},
+}
+
+// TestWireCorpus holds every frozen hello and frame to two things: it parses
+// to what the corpus names (a frame through decodeHdr), and it re-encodes byte
+// for byte. The frames cover every live kind. -update rewrites the files from
+// this tree, so a change to a layout is a diff.
 func TestWireCorpus(t *testing.T) {
 	for _, name := range slices.Sorted(maps.Keys(wireHellos)) {
-		path := filepath.Join("testdata", "wire", name+".hex")
-		if *update {
-			if err := os.WriteFile(path, []byte(hex.EncodeToString(wireHellos[name].encode())+"\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		text, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := hex.DecodeString(strings.TrimSpace(string(text)))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
+		path, b := corpusFile(t, name, wireHellos[name].encode)
 		if h, v := parseHello(b); v != helloOK || h != wireHellos[name] {
 			t.Errorf("%s parses to %+v (verdict %d), want %+v", path, h, v, wireHellos[name])
 		} else if again := h.encode(); !bytes.Equal(again, b) {
 			t.Errorf("%s re-encodes to %x", path, again)
 		}
 	}
+	encode := func(h wireHdr) []byte {
+		buf := make([]byte, h.wireBytes())
+		h.encode(buf)
+		return buf
+	}
+	kinds := map[msgKind]bool{}
+	for _, name := range slices.Sorted(maps.Keys(wireFrames)) {
+		want := wireFrames[name]
+		path, b := corpusFile(t, name, func() []byte { return encode(want) })
+		if h, n, err := decodeHdr(b); err != nil || n != len(b) || h != want {
+			t.Errorf("%s decodes to %+v (%d of %d bytes, %v), want %+v", path, h, n, len(b), err, want)
+		} else if again := encode(h); !bytes.Equal(again, b) {
+			t.Errorf("%s re-encodes to %x", path, again)
+		}
+		kinds[want.Kind] = true
+	}
+	for k := kindReq; k <= kindWinRevoke; k++ {
+		if !kinds[k] && k != 6 { // 6 is retired
+			t.Errorf("no frame of kind %d in the corpus", k)
+		}
+	}
+}
+
+// corpusFile reads testdata/wire/<name>.hex, which -update first writes from
+// encode.
+func corpusFile(t *testing.T, name string, encode func() []byte) (string, []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "wire", name+".hex")
+	if *update {
+		if err := os.WriteFile(path, []byte(hex.EncodeToString(encode())+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return path, b
 }

@@ -2,6 +2,7 @@ package xrdma
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"slices"
 	"strings"
@@ -581,6 +582,53 @@ func TestRetryTokenOrderDeterministic(t *testing.T) {
 		if ids[i] <= ids[i-1] {
 			t.Fatalf("req.timeout records carry MsgIDs %v, want them ascending", ids)
 		}
+	}
+}
+
+// TestPingIsAnsweredOnce: a ping waits for its pong as a request waits for its
+// response, so whatever ends a request's wait ends the ping's too, exactly
+// once: teardown (ErrChannelClosed), RequestTimeout with the peer's NIC
+// crashed (ErrTimeout, as for the request issued beside it) and a drain forced
+// at its deadline (ErrDraining; the pong that lands later finds no waiter).
+// Every case ends at rest.
+func TestPingIsAnsweredOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		knobs func(int, *Config)
+		cut   func(w *testWorld, cli, srv *Channel) // ends the ping's wait
+		want  error
+	}{
+		{"close", nil, func(w *testWorld, cli, srv *Channel) {
+			cli.Close()
+			srv.Close()
+		}, ErrChannelClosed},
+		{"timeout", timeoutKnobs, func(w *testWorld, _, _ *Channel) { w.nics[1].Crash() }, ErrTimeout},
+		{"forced-drain", func(_ int, cfg *Config) { cfg.DrainDeadline = 2 * sim.Microsecond }, func(w *testWorld, _, _ *Channel) {
+			if err := w.ctxs[0].Drain(func([]byte) {}); err != nil {
+				t.Fatal(err)
+			}
+		}, ErrDraining},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, 2, tc.knobs)
+			cli, srv := w.connect(t, 0, 1, 5610)
+			srv.OnMessage(func(*Msg) {}) // never replies
+			var pings, reqs []error
+			cli.Ping(func(_, _ sim.Duration, err error) { pings = append(pings, err) })
+			if err := cli.SendMsg([]byte("req"), 0, func(_ *Msg, err error) { reqs = append(reqs, err) }); err != nil {
+				t.Fatal(err)
+			}
+			tc.cut(w, cli, srv)
+			w.eng.RunFor(100 * sim.Millisecond)
+			if len(pings) != 1 || !errors.Is(pings[0], tc.want) || len(reqs) != 1 || !errors.Is(reqs[0], tc.want) {
+				t.Fatalf("ping heard %v, the request %v: want %v once each", pings, reqs, tc.want)
+			}
+			w.nics[1].Revive() // if the case crashed it
+			cli.Close()
+			srv.Close()
+			w.eng.Run()
+			w.checkAtRest(t, 0, 0)
+		})
 	}
 }
 
