@@ -18,17 +18,18 @@ func (n *NIC) enqueueJob(j *txJob) {
 	n.kickEngine()
 }
 
+// dropJobsFor gives back qp's jobs, every QP's for nil.
 func (n *NIC) dropJobsFor(qp *QP) {
 	kept := n.jobs[:0]
 	for _, j := range n.jobs {
-		if j.qp == qp {
+		if qp == nil || j.qp == qp {
 			n.pool.putJob(j)
 			continue
 		}
 		kept = append(kept, j)
 	}
 	n.jobs = kept
-	if n.current != nil && n.current.qp == qp {
+	if n.current != nil && (qp == nil || n.current.qp == qp) {
 		// No packet is in flight between two steps: the pending step finds
 		// no current job and picks the next.
 		n.pool.putJob(n.current)
@@ -99,14 +100,7 @@ func (n *NIC) pickJob() (*txJob, sim.Time) {
 func (n *NIC) stepEngine() {
 	if !n.alive {
 		n.engineBusy = false
-		for _, j := range n.jobs {
-			n.pool.putJob(j)
-		}
-		n.jobs = n.jobs[:0]
-		if n.current != nil {
-			n.pool.putJob(n.current)
-			n.current = nil
-		}
+		n.dropJobsFor(nil)
 		return
 	}
 	if n.current == nil {

@@ -273,9 +273,6 @@ func (m *Memory) FindLocal(addr uint64, n int) (mr *MR, ok bool) {
 	return nil, false
 }
 
-// Regions reports the number of live MRs.
-func (m *Memory) Regions() int { return len(m.byKey) }
-
 // RegCost models the driver-side latency of registering size bytes with a
 // given mode: page pinning scales with page count; continuous memory pays
 // an allocation search; hugepages amortise pinning.

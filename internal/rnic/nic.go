@@ -307,7 +307,7 @@ func (n *NIC) cmdDone() {
 	n.cmdBusy = false
 	if cmd.created != nil {
 		a := cmd.qp
-		cmd.created(n.allocQP(a.sqCap, a.rqCap, a.sendCQ, a.recvCQ, a.srq))
+		cmd.created(n.AllocQPNow(a.sqCap, a.rqCap, a.sendCQ, a.recvCQ, a.srq))
 	} else {
 		cmd.fn()
 	}
@@ -332,10 +332,9 @@ func (n *NIC) CreateQP(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ, done func
 	n.submit(hwCmd{cost: QPCreateCost, created: done, qp: qpArgs{sqCap, rqCap, sendCQ, recvCQ, srq}})
 }
 
-// allocQP builds the QP synchronously (used by CreateQP and by tests that
-// don't model command latency). A receive queue of its own is reserved to its
-// depth here, once, rather than grown by doubling as buffers are posted.
-func (n *NIC) allocQP(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
+// AllocQPNow builds a QP at once: CreateQP's command calls it when its cost
+// has passed, and code that models no command latency calls it directly.
+func (n *NIC) AllocQPNow(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 	qp := &QP{
 		QPN:       n.nextQPN,
 		nic:       n,
@@ -351,17 +350,9 @@ func (n *NIC) allocQP(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 	qp.rtoFn = qp.onRTO
 	qp.ackFn = qp.sendAckNow
 	qp.rnrFn = qp.rnrBackoffOver
-	if srq == nil {
-		qp.rq.Reserve(rqCap)
-	}
 	n.nextQPN++
 	n.qps.Put(uint64(qp.QPN), qp)
 	return qp
-}
-
-// AllocQPNow is the zero-latency variant for setup code and tests.
-func (n *NIC) AllocQPNow(sqCap, rqCap int, sendCQ, recvCQ *CQ, srq *SRQ) *QP {
-	return n.allocQP(sqCap, rqCap, sendCQ, recvCQ, srq)
 }
 
 // modifyQPNow applies the transition immediately. Legal transitions are
@@ -396,7 +387,7 @@ func (n *NIC) modifyQPNow(qp *QP, to QPState, remote fabric.NodeID, remoteQPN ui
 		// queues keep their storage, emptied: a recycled QP posts as deep
 		// again without allocating.
 		qp.rtoFn, qp.ackFn, qp.rnrFn, qp.rq = keep.rtoFn, keep.ackFn, keep.rnrFn, keep.rq
-		qp.rq.Reset()
+		qp.rq.reset()
 		qp.sq, qp.unacked = emptied(keep.sq), emptied(keep.unacked)
 	case QPInit:
 		if qp.State != QPReset {

@@ -3,6 +3,7 @@ package rnic
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"xrdma/internal/fabric"
 	"xrdma/internal/sim"
@@ -273,10 +274,66 @@ type RecvWR struct {
 	Len  int
 }
 
+// recvQueue is a receive queue, a QP's own or the SRQ's, held as runs: a run is
+// a first WR and a count, each next WR naming ID+1 at Addr+Len, so a pool block
+// posted at once, or reposted in order, is one entry. take hands the WRs out
+// one by one, in post order. The storage is reused like sim.Queue's (a spent
+// run is skipped, not shifted out: WRs that never merge make as many runs),
+// and reset keeps it.
+type recvQueue struct {
+	runs    []rqRun
+	head, n int32 // the oldest live run; the WRs posted
+}
+
+type rqRun struct {
+	RecvWR
+	n int
+}
+
+// post queues the run of n WRs from first, extending the tail run when first
+// continues it, or refuses it whole (false) when fewer than n more fit under
+// depth.
+func (q *recvQueue) post(first RecvWR, n, depth int) bool {
+	if n < 1 || n > min(depth, math.MaxInt32)-int(q.n) {
+		return false
+	}
+	q.n += int32(n)
+	if t := len(q.runs) - 1; t >= 0 { // live: take drops the runs of an emptied queue
+		if r := &q.runs[t]; r.Len == first.Len && first.ID == r.ID+uint64(r.n) && first.Addr == r.Addr+uint64(r.n*r.Len) {
+			r.n += n
+			return true
+		}
+	}
+	if q.head > 0 && len(q.runs) == cap(q.runs) && int(q.head) >= len(q.runs)/2 {
+		q.runs, q.head = q.runs[:copy(q.runs, q.runs[q.head:])], 0
+	}
+	if q.runs == nil {
+		q.runs = make([]rqRun, 0, 2) // a pool's run and its reposts: one allocation
+	}
+	q.runs = append(q.runs, rqRun{first, n})
+	return true
+}
+
+func (q *recvQueue) take() (wr RecvWR, ok bool) {
+	if q.n == 0 {
+		return wr, false
+	}
+	q.n--
+	r := &q.runs[q.head]
+	if wr = r.RecvWR; r.n > 1 {
+		r.ID, r.Addr, r.n = r.ID+1, r.Addr+uint64(r.Len), r.n-1
+	} else if q.head++; q.n == 0 {
+		q.runs, q.head = q.runs[:0], 0
+	}
+	return wr, true
+}
+
+func (q *recvQueue) reset() { *q = recvQueue{runs: q.runs[:0]} }
+
 // SRQ is a shared receive queue (§VII-F "Pay attention to SRQ").
 type SRQ struct {
 	Depth int
-	queue sim.Queue[RecvWR] // posted WQEs; storage reused across post/consume cycles
+	queue recvQueue // posted WQEs
 	// Posted counts total WQEs ever posted (monitoring).
 	Posted int64
 	// The armed low watermark (Arm); limit 0 is disarmed.
@@ -298,32 +355,33 @@ func (s *SRQ) Arm(limit int, fn func()) { s.limit, s.onLimit = limit, fn }
 // Flush drops every posted WQE and disarms the limit: after NIC.Restart the
 // buffers they name are gone with the adapter's registered memory, and the
 // owner posts fresh ones.
-func (s *SRQ) Flush() { s.queue.Reset(); s.Arm(0, nil) }
+func (s *SRQ) Flush() { s.queue.reset(); s.Arm(0, nil) }
 
 func (s *SRQ) take() (RecvWR, bool) {
-	if s.queue.Len() == 0 {
-		return RecvWR{}, false
-	}
-	wr := s.queue.Pop()
-	if s.queue.Len() < s.limit {
+	wr, ok := s.queue.take()
+	if ok && int(s.queue.n) < s.limit {
 		s.limit = 0
 		s.onLimit()
 	}
-	return wr, true
+	return wr, ok
 }
 
 // Post adds a receive buffer; errors when full.
-func (s *SRQ) Post(wr RecvWR) error {
-	if s.queue.Len() >= s.Depth {
+func (s *SRQ) Post(wr RecvWR) error { return s.PostRun(wr, 1) }
+
+// PostRun adds n receive buffers, first and each next naming ID+1 at
+// Addr+Len (ibv_post_srq_recv with a chain of n WRs); refused whole when they
+// do not all fit.
+func (s *SRQ) PostRun(first RecvWR, n int) error {
+	if !s.queue.post(first, n, s.Depth) {
 		return errors.New("rnic: SRQ full")
 	}
-	s.queue.Push(wr)
-	s.Posted++
+	s.Posted += int64(n)
 	return nil
 }
 
 // Len reports available receive WQEs.
-func (s *SRQ) Len() int { return s.queue.Len() }
+func (s *SRQ) Len() int { return int(s.queue.n) }
 
 // QPCounters are per-QP statistics exposed to XR-Stat.
 type QPCounters struct {
@@ -388,7 +446,7 @@ type QP struct {
 	recvCQAt sim.Time
 
 	// Receive side.
-	rq           sim.Queue[RecvWR]
+	rq           recvQueue
 	expected     uint32 // next expected PSN
 	assemble     *assembly
 	pktsSinceAck int
@@ -456,21 +514,22 @@ var (
 // choice with fabric.ECMPIndex).
 func (qp *QP) FlowHash() uint64 { return qp.flowHash }
 
-// FlowLabel reports the current flow label (0 = the canonical path).
-func (qp *QP) FlowLabel() uint64 { return qp.flowLabel }
-
 // PostRecv queues a receive buffer.
-func (qp *QP) PostRecv(wr RecvWR) error {
+func (qp *QP) PostRecv(wr RecvWR) error { return qp.PostRecvRun(wr, 1) }
+
+// PostRecvRun queues n receive buffers, first and each next naming ID+1 at
+// Addr+Len (ibv_post_recv with a chain of n WRs); refused whole when they do
+// not all fit.
+func (qp *QP) PostRecvRun(first RecvWR, n int) error {
 	if qp.srq != nil {
 		return errors.New("rnic: QP bound to SRQ; post to the SRQ")
 	}
 	if qp.State == QPReset || qp.State == QPError {
 		return fmt.Errorf("%w: %v", ErrQPState, qp.State)
 	}
-	if qp.rq.Len() >= qp.RQCap {
+	if !qp.rq.post(first, n, qp.RQCap) {
 		return ErrRQFull
 	}
-	qp.rq.Push(wr)
 	return nil
 }
 
@@ -479,8 +538,12 @@ func (qp *QP) RecvQueueLen() int {
 	if qp.srq != nil {
 		return qp.srq.Len()
 	}
-	return qp.rq.Len()
+	return int(qp.rq.n)
 }
+
+// RecvRuns reports the runs the QP's own receive queue holds its WRs in, and
+// how many its storage has room for.
+func (qp *QP) RecvRuns() (runs, room int) { return len(qp.rq.runs) - int(qp.rq.head), cap(qp.rq.runs) }
 
 // SendQueueLen reports WRs posted but not yet completed.
 func (qp *QP) SendQueueLen() int { return len(qp.sq) + len(qp.unacked) }
@@ -510,10 +573,7 @@ func (qp *QP) takeRecv() (RecvWR, bool) {
 	if qp.srq != nil {
 		return qp.srq.take()
 	}
-	if qp.rq.Len() == 0 {
-		return RecvWR{}, false
-	}
-	return qp.rq.Pop(), true
+	return qp.rq.take()
 }
 
 // enterError flushes all outstanding work with the given status and marks

@@ -408,8 +408,8 @@ func TestRecycledQPKeepsRQStorage(t *testing.T) {
 		t.Fatalf("recycled QP starts with %d receive WRs posted", qp.RecvQueueLen())
 	}
 	fill()
-	for i, wr := range qp.rq.Items() {
-		if wr.ID != uint64(i+1) {
+	for i := 0; i < 48; i++ {
+		if wr, _ := qp.takeRecv(); wr.ID != uint64(i+1) {
 			t.Fatalf("slot %d holds WR %d after a refill: a stale WR survived RESET", i, wr.ID)
 		}
 	}
@@ -834,8 +834,8 @@ func TestMemoryRegistry(t *testing.T) {
 	m := NewMemory()
 	mr1 := m.Register(4096, RegNonContinuous)
 	mr2 := m.Register(8192, RegHugePage)
-	if m.Regions() != 2 || m.RegisteredBytes != 4096+8192 {
-		t.Fatalf("registry accounting wrong: %d regions, %d bytes", m.Regions(), m.RegisteredBytes)
+	if len(m.byKey) != 2 || m.RegisteredBytes != 4096+8192 {
+		t.Fatalf("registry accounting wrong: %d regions, %d bytes", len(m.byKey), m.RegisteredBytes)
 	}
 	if _, err := m.Lookup(mr1.RKey, mr1.Base, 4096); err != nil {
 		t.Fatal(err)

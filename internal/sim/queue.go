@@ -27,14 +27,6 @@ func (q *Queue[T]) Push(v T) {
 	q.buf = append(q.buf, v)
 }
 
-// Reserve grows the storage once so that the next n pushes allocate nothing
-// (a queue filled to a known depth, instead of doubling its way there).
-func (q *Queue[T]) Reserve(n int) {
-	if cap(q.buf)-len(q.buf) < n {
-		q.buf = append(make([]T, 0, len(q.buf)+n), q.buf...)
-	}
-}
-
 // Pop removes and returns the oldest element; the queue must not be empty.
 func (q *Queue[T]) Pop() T {
 	var zero T

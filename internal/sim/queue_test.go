@@ -68,19 +68,6 @@ func TestQueueReset(t *testing.T) {
 	}
 }
 
-// Reserve allocates once; filling to the reserved depth allocates nothing.
-func TestQueueReserve(t *testing.T) {
-	if got := testing.AllocsPerRun(100, func() {
-		var q Queue[int]
-		q.Reserve(48)
-		for i := 0; i < 48; i++ {
-			q.Push(i)
-		}
-	}); got != 1 {
-		t.Fatalf("reserving and filling 48 slots allocates %.1f times, want 1", got)
-	}
-}
-
 // The steady post-one/consume-one cycle never allocates.
 func TestQueueSteadyStateAllocs(t *testing.T) {
 	var q Queue[int]

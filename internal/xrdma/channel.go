@@ -276,11 +276,9 @@ func (c *Context) poolLanded(p *recvPool, lo, hi int) {
 		c.Mem.Free(p.blocks[lo/p.per])
 		return
 	}
-	p.postEach(lo, hi, func(wr rnic.RecvWR) {
-		if c.srq.Post(wr) == nil { // in place, and it fits: SRQSize deep, as the pool
-			c.Stats.SRQPosted++
-		}
-	})
+	if first, n := p.run(lo / p.per); c.srq.PostRun(first, n) == nil { // it fits: SRQSize deep, as the pool
+		c.Stats.SRQPosted += int64(n)
+	}
 	if hi < p.n {
 		c.srq.Arm(p.per/srqLimitDiv, func() {
 			c.Stats.SRQGrows++

@@ -179,7 +179,9 @@ func (l *link) setQP(qp *rnic.QP, pool *recvPool, initiator bool) {
 	// The standing receive pool — the buffers whose footprint the §III Issue-1
 	// formula describes — goes on the QP, and is the QP's from here on.
 	if l.pool = pool; pool != nil {
-		pool.postEach(0, pool.n, func(wr rnic.RecvWR) { _ = qp.PostRecv(wr) })
+		for k := range pool.blocks { // one run a block; one that has not landed is none, refused
+			_ = qp.PostRecvRun(pool.run(k))
+		}
 	}
 	for i := 0; i < len(l.riders); i++ { // in place: a Connect callback may close its channel
 		switch ch := l.riders[i]; {

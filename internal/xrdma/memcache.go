@@ -389,15 +389,13 @@ func (p *recvPool) wr(id uint64) (wr rnic.RecvWR, ok bool) {
 	return rnic.RecvWR{ID: id, Addr: b.Addr + uint64(off*p.stride), Len: p.stride}, b.Valid()
 }
 
-// postEach hands post the receive WR of each slot in [lo, hi) whose block
-// landed, in slot order: block by block, so no slot costs a divide.
-func (p *recvPool) postEach(lo, hi int, post func(rnic.RecvWR)) {
-	for k := lo / p.per; k*p.per < hi; k++ {
-		b, first := p.blocks[k], k*p.per
-		for slot := max(lo, first); b.Valid() && slot < min(hi, first+p.per); slot++ {
-			post(rnic.RecvWR{ID: p.id(slot), Addr: b.Addr + uint64((slot-first)*p.stride), Len: p.stride})
-		}
+// run is block k's receive WRs as one run (rnic.QP.PostRecvRun): the first
+// slot's WR and the block's slot count, 0 while the block has not landed.
+func (p *recvPool) run(k int) (first rnic.RecvWR, n int) {
+	if first, ok := p.wr(p.id(k * p.per)); ok {
+		return first, min(p.per, p.n-k*p.per)
 	}
+	return first, 0
 }
 
 // Reset abandons every region after the NIC lost its registered memory

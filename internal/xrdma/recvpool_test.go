@@ -23,7 +23,7 @@ func (f landedFunc) poolLanded(p *recvPool, lo, hi int) { f(p, lo, hi) }
 // from the base, no two overlap, a slot past them names nothing, a WR id is its
 // pool's tag over its slot and names nothing in any other pool, and the cache's
 // counters read what the slicing says (the pool is all that is out of it);
-// postEach posts what wr names, slot by slot.
+// run names a block's WRs as wr does.
 func checkSlab(t *testing.T, c *Context, p *recvPool, per, n, filled, stride int) {
 	t.Helper()
 	per = min(per, n)
@@ -95,17 +95,22 @@ func checkSlab(t *testing.T, c *Context, p *recvPool, per, n, filled, stride int
 			t.Fatalf("another pool's slot %d answers here", slot)
 		}
 	}
-	// postEach walks the same WRs block by block, in slot order, over any range.
-	for _, r := range [][2]int{{0, n}, {n / 3, n - n/4}, {per - 1, min(per+1, n)}} {
-		var got, want []rnic.RecvWR
-		p.postEach(r[0], r[1], func(wr rnic.RecvWR) { got = append(got, wr) })
-		for slot := r[0]; slot < r[1]; slot++ {
-			if wr, ok := p.wr(p.id(slot)); ok {
-				want = append(want, wr)
-			}
+	// run names each landed block's WRs as one run: slot after slot, each at
+	// ID+1 and Addr+Len, as wr names them.
+	for k := range p.blocks {
+		want := 0 // none unless landed
+		if k < landed {
+			want = min(per, n-k*per)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("postEach over slots [%d,%d) posts %d WRs unlike wr's %d", r[0], r[1], len(got), len(want))
+		first, m := p.run(k)
+		if m != want {
+			t.Fatalf("block %d is a run of %d, want %d (%d blocks landed)", k, m, want, landed)
+		}
+		for i := 0; i < m; i++ {
+			wr, _ := p.wr(p.id(k*per + i))
+			if got := (rnic.RecvWR{ID: first.ID + uint64(i), Addr: first.Addr + uint64(i*first.Len), Len: first.Len}); got != wr {
+				t.Fatalf("block %d's run names %+v at its %d-th WR, wr %+v", k, got, i, wr)
+			}
 		}
 	}
 	for _, id := range []uint64{p.id(n), uint64(n - 1), p.id(0) | 1<<63} {
@@ -211,6 +216,43 @@ func TestRecvSlab(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLinkPoolIsOneRun holds a link's standing pool to one entry of its QP's
+// receive queue: the pool's slots go on as one run, and over rounds of echoes
+// (each consumed buffer reposted in order) the queue holds at most two, what
+// is left of the oldest and the reposts after it. The queue's storage is room
+// for those two runs, the same at a window four times deeper (RQCap 344, not
+// 152): it grows with runs, not with the depth.
+func TestLinkPoolIsOneRun(t *testing.T) {
+	var rooms []int
+	for _, depth := range []int{32, 128} {
+		w := newWorld(t, 2, func(_ int, cfg *Config) { cfg.WindowDepth = depth })
+		cli, srv := w.connect(t, 0, 1, 5000)
+		echoServer(srv)
+		n, room := depth+ctrlReserve, 0
+		for _, ch := range []*Channel{cli, srv} {
+			qp := ch.lk.qp
+			if runs, _ := qp.RecvRuns(); runs != 1 || qp.RecvQueueLen() != n || qp.RQCap != ch.lk.depth {
+				t.Fatalf("depth %d: %d WRs posted in %d runs on a QP of RQCap %d, want %d in one (RQCap %d)",
+					depth, qp.RecvQueueLen(), runs, qp.RQCap, n, ch.lk.depth)
+			}
+		}
+		for k := 0; k < 3*n; k++ {
+			cli.SendMsg(make([]byte, 64), 0, nil)
+			w.eng.Run()
+			for _, ch := range []*Channel{cli, srv} {
+				runs, r := ch.lk.qp.RecvRuns()
+				if room = max(room, r); runs > 2 || ch.lk.qp.RecvQueueLen() != n {
+					t.Fatalf("depth %d, echo %d: %d WRs posted in %d runs, want %d in at most two", depth, k, ch.lk.qp.RecvQueueLen(), runs, n)
+				}
+			}
+		}
+		rooms = append(rooms, room)
+	}
+	if rooms[0] != rooms[1] || rooms[0] > 2 {
+		t.Fatalf("receive queue storage of %v runs at windows 32 and 128, want the same, at most two", rooms)
 	}
 }
 
