@@ -24,16 +24,13 @@ type Injector struct {
 	C   *cluster.Cluster
 	tel *telemetry.Set
 
-	faults Counter
-	heals  Counter
+	// Faults counts injected faults, Heals healing actions (chaos.faults,
+	// chaos.heals).
+	Faults, Heals int64
 
 	// Log accumulates one line per action for scenario digests.
 	Log []Event
 }
-
-// Counter aliases the telemetry counter so callers don't import telemetry
-// for the two handles below.
-type Counter = telemetry.Counter
 
 // Event is one scheduler action, recorded for digest comparison.
 type Event struct {
@@ -41,15 +38,10 @@ type Event struct {
 	What string
 }
 
-// New builds an injector and registers its chaos.* counters.
+// New builds an injector and publishes its chaos.* counters.
 func New(c *cluster.Cluster) *Injector {
-	tel := telemetry.For(c.Eng)
-	i := &Injector{
-		C:      c,
-		tel:    tel,
-		faults: tel.Reg.Counter("chaos.faults"),
-		heals:  tel.Reg.Counter("chaos.heals"),
-	}
+	i := &Injector{C: c, tel: telemetry.For(c.Eng)}
+	i.tel.Reg.Fields("chaos", i)
 	c.Eng.SetAux(auxKey{}, i)
 	return i
 }
@@ -63,10 +55,6 @@ func Of(eng *sim.Engine) *Injector {
 	return i
 }
 
-// Faults reports injected faults; Heals reports healing actions.
-func (i *Injector) Faults() int64 { return i.faults.Value() }
-func (i *Injector) Heals() int64  { return i.heals.Value() }
-
 func (i *Injector) note(heal bool, format string, args ...any) {
 	now := i.C.Eng.Now()
 	what := fmt.Sprintf(format, args...)
@@ -74,9 +62,9 @@ func (i *Injector) note(heal bool, format string, args ...any) {
 	cat := telemetry.CatChaosFault
 	if heal {
 		cat = telemetry.CatChaosHeal
-		i.heals.Inc()
+		i.Heals++
 	} else {
-		i.faults.Inc()
+		i.Faults++
 	}
 	i.tel.Flight.Record(now, cat, -1, 0, int64(len(i.Log)), 0)
 }

@@ -53,10 +53,10 @@ func TestInjectorActionsAndCounters(t *testing.T) {
 	inj.NodeRestart(7)
 	inj.NicCrash(6)
 
-	if got, want := inj.Faults(), int64(6); got != want {
+	if got, want := inj.Faults, int64(6); got != want {
 		t.Errorf("fault counter %d, want %d", got, want)
 	}
-	if got, want := inj.Heals(), int64(5); got != want {
+	if got, want := inj.Heals, int64(5); got != want {
 		t.Errorf("heal counter %d, want %d", got, want)
 	}
 	if len(inj.Log) != 11 {
@@ -145,8 +145,8 @@ func TestFaultsPerturbLiveTraffic(t *testing.T) {
 	if ch.Health() != xrdma.HealthHealthy {
 		t.Fatalf("channel ended %v, want recovery to Healthy", ch.Health())
 	}
-	if inj.Faults() != 1 || inj.Heals() != 1 {
-		t.Errorf("counters: faults=%d heals=%d", inj.Faults(), inj.Heals())
+	if inj.Faults != 1 || inj.Heals != 1 {
+		t.Errorf("counters: faults=%d heals=%d", inj.Faults, inj.Heals)
 	}
 }
 

@@ -88,18 +88,12 @@ func New(eng *sim.Engine, cfg Config, seed uint64) *Fabric {
 		hosts: make(map[NodeID]*Host),
 		tel:   telemetry.For(eng),
 	}
-	// Aggregate counters are plain fields; the registry reads them through
-	// GaugeFuncs at snapshot time, so the packet path pays nothing. The
-	// queue gauges iterate whatever switches the topology builder attaches
-	// later — closures see the live slice.
+	// Aggregate counters are plain fields the registry reads at snapshot
+	// time, so the packet path pays nothing. The queue gauges iterate
+	// whatever switches the topology builder attaches later — closures see
+	// the live slice.
 	reg := f.tel.Reg
-	reg.GaugeFunc("fabric.ecn_marks", func() int64 { return f.Stats.ECNMarks })
-	reg.GaugeFunc("fabric.pause_tx", func() int64 { return f.Stats.PauseTX })
-	reg.GaugeFunc("fabric.drops", func() int64 { return f.Stats.Drops })
-	reg.GaugeFunc("fabric.delivered", func() int64 { return f.Stats.Delivered })
-	reg.GaugeFunc("fabric.data_bytes", func() int64 { return f.Stats.DataBytes })
-	reg.GaugeFunc("fabric.corrupted", func() int64 { return f.Stats.Corrupted })
-	reg.GaugeFunc("fabric.rerouted", func() int64 { return f.Stats.Rerouted })
+	reg.Fields("fabric", &f.Stats)
 	reg.GaugeFunc("fabric.queue_bytes", func() int64 {
 		var total int64
 		for _, s := range f.switches {

@@ -104,10 +104,7 @@ type hostlink struct {
 func (f *Fabric) newSwitch(label string, tier int) *Switch {
 	s := &Switch{Label: label, Tier: tier, fab: f}
 	f.switches = append(f.switches, s)
-	reg := f.tel.Reg
-	reg.GaugeFunc("fabric."+label+".drops", func() int64 { return s.Drops })
-	reg.GaugeFunc("fabric."+label+".dead_drops", func() int64 { return s.DeadDrops })
-	reg.GaugeFunc("fabric."+label+".rerouted", func() int64 { return s.Rerouted })
+	f.tel.Reg.Fields("fabric."+label, s)
 	return s
 }
 

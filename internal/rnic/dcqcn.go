@@ -150,7 +150,7 @@ func (s *dcqcnState) onCNP() {
 		s.rc = dcqcnMinRateBps
 	}
 	n := s.nic
-	n.dcqcnCuts.Inc()
+	n.Counters.DCQCNCuts++
 	n.tel.Flight.Record(now, telemetry.CatDCQCNCut, int32(n.Node), s.qpn, s.rc, s.rt)
 	s.alpha = (1-dcqcnG)*s.alpha + dcqcnG
 	s.timerEvents, s.byteEvents, s.bytesSent = 0, 0, 0

@@ -67,11 +67,12 @@ type Counters struct {
 	SeqNakSent, SeqNakRecv int64
 	Retransmits            int64
 	CNPSent, CNPRecv       int64
-	AccessErrors           int64 // remote-access (rkey/bounds) violations, both ends
+	AccessErrors           int64 `metric:"remote_access_errs"` // remote-access (rkey/bounds) violations, both ends
 	LocalProtErrs          int64 // local scatter targets that resolved to no MR
 	QPCacheMisses          int64
 	QPCacheHits            int64
 	CorruptDrops           int64
+	DCQCNCuts              int64 // reaction-point rate cuts (dcqcn.go)
 }
 
 // txJob is one unit of engine work: transmit (part of) a WR's packets, or
@@ -142,9 +143,8 @@ type NIC struct {
 	// Telemetry: handles pre-resolved at creation so protocol code never
 	// does a registry lookup. track ("rnic.N") prefixes this NIC's metric
 	// names; its flight records land on the timeline track of that name.
-	tel       *telemetry.Set
-	track     string
-	dcqcnCuts telemetry.Counter
+	tel   *telemetry.Set
+	track string
 
 	// FaultHook, when set, inspects every outbound packet; returning
 	// false drops it, and a returned delay defers it. X-RDMA's Filter
@@ -188,7 +188,6 @@ func New(eng *sim.Engine, host *fabric.Host, cfg Config) *NIC {
 	n.kickFn = n.kickEngine
 	n.cmdDoneFn = n.cmdDone
 	n.track = fmt.Sprintf("rnic.%d", host.ID)
-	n.dcqcnCuts = n.tel.Reg.Counter(n.track + ".dcqcn_cuts")
 	n.registerGauges()
 	host.Attach(n)
 	// The pools are per engine, so whichever NIC installs the hook first
@@ -199,40 +198,14 @@ func New(eng *sim.Engine, host *fabric.Host, cfg Config) *NIC {
 	return n
 }
 
-// registerGauges exposes the NIC-wide counters through the registry.
-// GaugeFuncs read the existing fields only at snapshot time, so the
-// protocol hot paths keep their plain increments.
+// registerGauges publishes the NIC's counters and its two live levels. The
+// registry reads them only at snapshot time, so the protocol hot paths keep
+// their plain increments.
 func (n *NIC) registerGauges() {
-	reg, c := n.tel.Reg, &n.Counters
-	for _, g := range []struct {
-		name string
-		fn   func() int64
-	}{
-		{"msgs_sent", func() int64 { return c.MsgsSent }},
-		{"msgs_recv", func() int64 { return c.MsgsRecv }},
-		{"bytes_sent", func() int64 { return c.BytesSent }},
-		{"bytes_recv", func() int64 { return c.BytesRecv }},
-		{"pkts_sent", func() int64 { return c.PktsSent }},
-		{"pkts_recv", func() int64 { return c.PktsRecv }},
-		{"acks_sent", func() int64 { return c.AcksSent }},
-		{"acks_recv", func() int64 { return c.AcksRecv }},
-		{"rnr_nak_sent", func() int64 { return c.RNRNakSent }},
-		{"rnr_nak_recv", func() int64 { return c.RNRNakRecv }},
-		{"seq_nak_sent", func() int64 { return c.SeqNakSent }},
-		{"seq_nak_recv", func() int64 { return c.SeqNakRecv }},
-		{"retransmits", func() int64 { return c.Retransmits }},
-		{"cnp_sent", func() int64 { return c.CNPSent }},
-		{"cnp_recv", func() int64 { return c.CNPRecv }},
-		{"remote_access_errs", func() int64 { return c.AccessErrors }},
-		{"local_prot_errs", func() int64 { return c.LocalProtErrs }},
-		{"corrupt_drops", func() int64 { return c.CorruptDrops }},
-		{"qp_cache_misses", func() int64 { return c.QPCacheMisses }},
-		{"qp_cache_hits", func() int64 { return c.QPCacheHits }},
-		{"qps", func() int64 { return int64(n.NumQPs()) }},
-		{"cmd_queue", func() int64 { return int64(n.CmdQueueLen()) }},
-	} {
-		reg.GaugeFunc(n.track+"."+g.name, g.fn)
-	}
+	reg := n.tel.Reg
+	reg.Fields(n.track, &n.Counters)
+	reg.GaugeFunc(n.track+".qps", func() int64 { return int64(n.NumQPs()) })
+	reg.GaugeFunc(n.track+".cmd_queue", func() int64 { return int64(n.CmdQueueLen()) })
 }
 
 // Engine exposes the simulation engine (middleware timers ride on it).

@@ -10,15 +10,6 @@ import (
 // scripts/bench.sh records these in BENCH_e2e.json, and its -check fails
 // the build if any reports >0 allocs/op.
 
-func BenchmarkTelemetryCounterAdd(b *testing.B) {
-	c := NewRegistry().Counter("bench.counter")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Add(1)
-	}
-}
-
 func BenchmarkTelemetryHistogramObserve(b *testing.B) {
 	h := NewRegistry().Histogram("bench.hist")
 	b.ReportAllocs()

@@ -79,7 +79,8 @@ func TestPrometheusHistogramExposition(t *testing.T) {
 		wantSum += v
 		wantCount++
 	}
-	r.Counter("xrdma.0.polls").Add(5)
+	polls := struct{ Polls int64 }{5}
+	r.Fields("xrdma.0", &polls)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -174,14 +175,14 @@ func TestPrometheusHistogramExposition(t *testing.T) {
 	}
 }
 
-// Probe handles must read every metric kind and survive GaugeFunc
-// re-registration (same slot, replaced fn): nothing ever leaves the
+// Probe handles must read every metric kind and survive GaugeFunc and
+// Fields re-registration (same slot, replaced read): nothing ever leaves the
 // registry, so a resolved probe never goes stale — exactly the contract the
 // xrmon agents rely on.
 func TestProbeHandles(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c")
-	c.Add(7)
+	old := struct{ C int64 }{7}
+	r.Fields("p", &old)
 	live := int64(3)
 	r.GaugeFunc("g", func() int64 { return live })
 	h := r.Histogram("h")
@@ -191,7 +192,7 @@ func TestProbeHandles(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		want int64
-	}{{"c", 7}, {"g", 3}, {"h", 2}} {
+	}{{"p.c", 7}, {"g", 3}, {"h", 2}} {
 		p, ok := r.Probe(tc.name)
 		if !ok || !p.Valid() {
 			t.Fatalf("Probe(%q) did not resolve", tc.name)
@@ -207,6 +208,13 @@ func TestProbeHandles(t *testing.T) {
 	r.GaugeFunc("g", func() int64 { return 42 })
 	if got := p.Value(); got != 42 {
 		t.Fatalf("probe missed GaugeFunc re-registration: %d, want 42", got)
+	}
+	// So does Fields over a new struct (a restarted node's fresh counters).
+	p, _ = r.Probe("p.c")
+	fresh := struct{ C int64 }{1}
+	r.Fields("p", &fresh)
+	if got := p.Value(); got != 1 {
+		t.Fatalf("probe missed Fields re-registration: %d, want 1", got)
 	}
 
 	if p, ok := r.Probe("missing"); ok || p.Valid() || p.Value() != 0 {

@@ -4,26 +4,30 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"reflect"
 	"sort"
 	"strings"
 )
 
-// kind discriminates the metric variants stored in a Registry.
-type kind uint8
-
-const (
-	counterKind kind = iota
-	gaugeKind        // a collected family's member, as WritePrometheus carries it
-	gaugeFuncKind
-	histKind
-)
-
+// metric is one registered name: a published field (p), a computed gauge
+// (fn) or a histogram (h).
 type metric struct {
 	name string
-	kind kind
-	v    int64
+	p    *int64
 	fn   func() int64
 	h    *histData
+}
+
+// value reads the metric the way Value reports it: a histogram by its sample
+// count.
+func (m *metric) value() int64 {
+	switch {
+	case m.h != nil:
+		return m.h.count
+	case m.p != nil:
+		return *m.p
+	}
+	return m.fn()
 }
 
 // histData is a log₂-bucket histogram: bucket i counts observations v
@@ -44,29 +48,6 @@ func (d *histData) observe(v int64) {
 	d.buckets[idx]++
 	d.count++
 	d.sum += v
-}
-
-// Counter is a pre-resolved handle to a monotonically increasing value.
-// The zero Counter is a no-op, so optional instrumentation needs no nil
-// checks at call sites.
-type Counter struct{ m *metric }
-
-// Add increments the counter by d.
-func (c Counter) Add(d int64) {
-	if c.m != nil {
-		c.m.v += d
-	}
-}
-
-// Inc increments the counter by one.
-func (c Counter) Inc() { c.Add(1) }
-
-// Value reads the current count.
-func (c Counter) Value() int64 {
-	if c.m == nil {
-		return 0
-	}
-	return c.m.v
 }
 
 // Histogram is a pre-resolved handle to a log₂-bucket histogram.
@@ -145,15 +126,15 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*metric)}
 }
 
-func (r *Registry) get(name string, k kind) *metric {
+func (r *Registry) get(name string, hist bool) *metric {
 	if m, ok := r.byName[name]; ok {
-		if m.kind != k {
+		if (m.h != nil) != hist {
 			panic(fmt.Sprintf("telemetry: %q re-registered with a different kind", name))
 		}
 		return m
 	}
-	m := &metric{name: name, kind: k}
-	if k == histKind {
+	m := &metric{name: name}
+	if hist {
 		m.h = &histData{}
 	}
 	r.byName[name] = m
@@ -161,22 +142,53 @@ func (r *Registry) get(name string, k kind) *metric {
 	return m
 }
 
-// Counter resolves (registering on first use) a counter handle.
-func (r *Registry) Counter(name string) Counter {
-	return Counter{m: r.get(name, counterKind)}
-}
-
 // Histogram resolves (registering on first use) a histogram handle.
 func (r *Registry) Histogram(name string) Histogram {
-	return Histogram{h: r.get(name, histKind).h}
+	return Histogram{h: r.get(name, true).h}
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn, evaluated
-// only at snapshot time — the mechanism for exposing existing counter
-// structs with zero hot-path cost. Re-registering a name replaces fn.
+// only at snapshot time. Re-registering a name replaces what it reads.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
-	m := r.get(name, gaugeFuncKind)
-	m.fn = fn
+	m := r.get(name, false)
+	m.p, m.fn = nil, fn
+}
+
+var int64Type = reflect.TypeOf(int64(0))
+
+// Fields publishes each exported int64 field of the struct stats points to
+// as prefix.name, read live at snapshot time: a counter is a plain field its
+// owner increments, and the registry only reads it. The name is the field's
+// in snake case (SRQGrows → srq_grows) unless a `metric:"name"` tag spells
+// it. Unexported fields and named types (sim.Duration) are not counters.
+// Re-registering a name replaces what it reads, as GaugeFunc does.
+func (r *Registry) Fields(prefix string, stats any) {
+	v := reflect.ValueOf(stats).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if !f.IsExported() || f.Type != int64Type {
+			continue
+		}
+		name := f.Tag.Get("metric")
+		if name == "" {
+			name = snake(f.Name)
+		}
+		m := r.get(prefix+"."+name, false)
+		m.p, m.fn = v.Field(i).Addr().Interface().(*int64), nil
+	}
+}
+
+// snake spells an ASCII Go identifier in snake case: a word starts at an
+// upper-case letter after a lower-case one (fooBar) or before one (SRQGrows).
+func snake(id string) string {
+	var b []byte
+	for j := 0; j < len(id); j++ {
+		if c := id[j]; c < 'a' && j > 0 && (id[j-1] >= 'a' || j+1 < len(id) && id[j+1] >= 'a') {
+			b = append(b, '_')
+		}
+		b = append(b, id[j]|0x20)
+	}
+	return string(b)
 }
 
 // Collect registers a family of gauges whose members come and go: fn runs
@@ -197,8 +209,8 @@ func (r *Registry) Collect(family string, fn func(emit func(name string, v int64
 // Probe is a pre-resolved read-only handle over a metric of any kind —
 // the zero-allocation way for a periodic sampler (the xrmon agents) to
 // read the same metric every tick without re-hashing its name. A probe
-// tracks its metric through GaugeFunc re-registration (the fn is
-// replaced on the same slot). Collected entries have no slot to probe.
+// tracks its metric through re-registration (GaugeFunc or Fields replace
+// what the same slot reads). Collected entries have no slot to probe.
 type Probe struct{ m *metric }
 
 // Probe resolves a read handle; ok is false when the name is absent
@@ -217,14 +229,7 @@ func (p Probe) Value() int64 {
 	if p.m == nil {
 		return 0
 	}
-	switch p.m.kind {
-	case gaugeFuncKind:
-		return p.m.fn()
-	case histKind:
-		return p.m.h.count
-	default:
-		return p.m.v
-	}
+	return p.m.value()
 }
 
 // Value evaluates the metric called name; ok is false when absent.
@@ -234,14 +239,7 @@ func (r *Registry) Value(name string) (v int64, ok bool) {
 	if !present {
 		return 0, false
 	}
-	switch m.kind {
-	case gaugeFuncKind:
-		return m.fn(), true
-	case histKind:
-		return m.h.count, true
-	default:
-		return m.v, true
-	}
+	return m.value(), true
 }
 
 // Snapshot evaluates every metric and collected family and returns entries
@@ -249,18 +247,15 @@ func (r *Registry) Value(name string) (v int64, ok bool) {
 func (r *Registry) Snapshot() []Entry {
 	out := make([]Entry, 0, len(r.order)+3*len(r.order)/2)
 	for _, m := range r.order {
-		switch m.kind {
-		case gaugeFuncKind:
-			out = append(out, Entry{m.name, m.fn()})
-		case histKind:
-			out = append(out,
-				Entry{m.name + ".count", m.h.count},
-				Entry{m.name + ".sum", m.h.sum},
-				Entry{m.name + ".p50", m.h.quantile(50)},
-				Entry{m.name + ".p99", m.h.quantile(99)})
-		default:
-			out = append(out, Entry{m.name, m.v})
+		if m.h == nil {
+			out = append(out, Entry{m.name, m.value()})
+			continue
 		}
+		out = append(out,
+			Entry{m.name + ".count", m.h.count},
+			Entry{m.name + ".sum", m.h.sum},
+			Entry{m.name + ".p50", m.h.quantile(50)},
+			Entry{m.name + ".p99", m.h.quantile(99)})
 	}
 	for _, f := range r.families {
 		f.fn(func(name string, v int64) { out = append(out, Entry{name, v}) })
@@ -277,20 +272,6 @@ func (r *Registry) Digest() string {
 		fmt.Fprintf(&b, "%s=%d\n", e.Name, e.Value)
 	}
 	return b.String()
-}
-
-// Diff returns after-minus-before for every name in after (names only
-// in before are dropped; names only in after diff against zero).
-func Diff(before, after []Entry) []Entry {
-	prev := make(map[string]int64, len(before))
-	for _, e := range before {
-		prev[e.Name] = e.Value
-	}
-	out := make([]Entry, 0, len(after))
-	for _, e := range after {
-		out = append(out, Entry{e.Name, e.Value - prev[e.Name]})
-	}
-	return out
 }
 
 // Table renders the snapshot as a netstat-style aligned table, grouped
@@ -323,7 +304,7 @@ func promName(name string) string {
 
 // WritePrometheus emits every metric in the Prometheus text exposition
 // format (version 0.0.4): a # HELP and # TYPE line per family, then
-// the sample. Counters map to counter, gauges and gauge funcs to
+// the sample. Published fields, gauge funcs and collected members map to
 // gauge, and histograms to native histogram families: one cumulative
 // `le` bucket per used log₂ bucket (upper edge 2^i-1, inclusive, which
 // matches Prometheus's ≤ semantics exactly), the mandatory le="+Inf"
@@ -333,42 +314,35 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	ms := make([]*metric, len(r.order))
 	copy(ms, r.order)
 	for _, f := range r.families {
-		f.fn(func(name string, v int64) { ms = append(ms, &metric{name: name, kind: gaugeKind, v: v}) })
+		f.fn(func(name string, v int64) { ms = append(ms, &metric{name: name, p: &v}) })
 	}
 	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
 	for _, m := range ms {
 		name := promName(m.name)
-		switch m.kind {
-		case counterKind:
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, m.name, name, name, m.v)
-		case histKind:
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, m.name, name)
-			top := 0
-			for i, n := range m.h.buckets {
-				if n > 0 {
-					top = i
-				}
-			}
-			var cum int64
-			for i := 0; i <= top; i++ {
-				cum += m.h.buckets[i]
-				ub := int64(0)
-				if i > 0 {
-					ub = (int64(1) << uint(i)) - 1
-				}
-				fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, ub, cum)
-			}
-			fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, m.h.count)
-			fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, m.h.sum, name, m.h.count)
-		default:
-			v := m.v
-			if m.kind == gaugeFuncKind {
-				v = m.fn()
-			}
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, m.name, name, name, v); err != nil {
+		if m.h == nil {
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, m.name, name, name, m.value()); err != nil {
 				return err
 			}
+			continue
 		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, m.name, name)
+		top := 0
+		for i, n := range m.h.buckets {
+			if n > 0 {
+				top = i
+			}
+		}
+		var cum int64
+		for i := 0; i <= top; i++ {
+			cum += m.h.buckets[i]
+			ub := int64(0)
+			if i > 0 {
+				ub = (int64(1) << uint(i)) - 1
+			}
+			fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, ub, cum)
+		}
+		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, m.h.count)
+		fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, m.h.sum, name, m.h.count)
 	}
 	return nil
 }

@@ -48,14 +48,14 @@ func TestRingCapacityRounding(t *testing.T) {
 
 func TestRegistryHandlesAndSnapshot(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("b.count")
+	var b struct{ Count int64 }
+	r.Fields("b", &b) // read when snapshotted, like the gauge
 	g := int64(10)
 	r.GaugeFunc("a.gauge", func() int64 { return g }) // read when snapshotted
 	r.GaugeFunc("c.fn", func() int64 { return 7 })
 	h := r.Histogram("d.hist")
 
-	c.Add(3)
-	c.Inc()
+	b.Count += 4
 	g -= 2
 	h.Observe(0)
 	h.Observe(5) // bucket [4,8): p50 interpolates to 5, p99 hits the edge 7
@@ -92,12 +92,12 @@ func TestRegistryHandlesAndSnapshot(t *testing.T) {
 
 func TestRegistrySameNameReturnsSameMetric(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("x")
-	b := r.Counter("x")
-	a.Inc()
-	b.Inc()
-	if got := a.Value(); got != 2 {
-		t.Fatalf("shared counter = %d, want 2", got)
+	a := r.Histogram("x")
+	b := r.Histogram("x")
+	a.Observe(1)
+	b.Observe(2)
+	if got := a.Count(); got != 2 {
+		t.Fatalf("shared histogram = %d samples, want 2", got)
 	}
 	defer func() {
 		if recover() == nil {
@@ -113,7 +113,8 @@ func TestRegistrySameNameReturnsSameMetric(t *testing.T) {
 // its callback (a restarted node's fresh context).
 func TestRegistryCollect(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("m.keep").Inc()
+	m := struct{ Keep int64 }{1}
+	r.Fields("m", &m)
 	r.GaugeFunc("z", func() int64 { return 9 })
 	members := []string{"m.b", "m.a"}
 	r.Collect("m", func(emit func(string, int64)) {
@@ -133,7 +134,7 @@ func TestRegistryCollect(t *testing.T) {
 		t.Fatal(err)
 	}
 	expo := b.String()
-	a, keep := strings.Index(expo, "# TYPE m_a gauge\nm_a 11\n"), strings.Index(expo, "# TYPE m_keep counter")
+	a, keep := strings.Index(expo, "# TYPE m_a gauge\nm_a 11\n"), strings.Index(expo, "# TYPE m_keep gauge\nm_keep 1\n")
 	if a < 0 || keep < 0 || a > keep {
 		t.Fatalf("collected gauge missing from, or out of order in, the exposition:\n%s", expo)
 	}
@@ -152,25 +153,40 @@ func TestRegistryCollect(t *testing.T) {
 	}
 }
 
-func TestRegistryDiff(t *testing.T) {
+// Fields publishes each exported int64 field in snake case, acronym runs
+// included, or under its tag; reads it live; and skips what is not a counter:
+// unexported fields, other types and named int64 types.
+func TestRegistryFields(t *testing.T) {
+	var st struct {
+		RNRNakSent   int64
+		DCQCNCuts    int64
+		SRQGrows     int64
+		Sent         int64
+		AccessErrors int64 `metric:"remote_access_errs"`
+		hidden       int64
+		Level        int
+		Ratio        float64
+		Wait         sim.Duration
+		Label        string
+	}
 	r := NewRegistry()
-	c := r.Counter("n")
-	before := r.Snapshot()
-	c.Add(5)
-	d := Diff(before, r.Snapshot())
-	if len(d) != 1 || d[0].Name != "n" || d[0].Value != 5 {
-		t.Fatalf("diff = %v", d)
+	r.Fields("rnic.0", &st)
+	st.RNRNakSent, st.DCQCNCuts, st.SRQGrows, st.Sent, st.AccessErrors, st.hidden = 1, 2, 3, 4, 5, 6
+	want := []Entry{{"rnic.0.dcqcn_cuts", 2}, {"rnic.0.remote_access_errs", 5}, {"rnic.0.rnr_nak_sent", 1}, {"rnic.0.sent", 4}, {"rnic.0.srq_grows", 3}}
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot = %v, want %v", got, want)
+	}
+	st.Sent++
+	if v, ok := r.Value("rnic.0.sent"); !ok || v != 5 {
+		t.Fatalf("Value(rnic.0.sent) = %d,%v after an increment, want 5", v, ok)
 	}
 }
 
 func TestZeroHandlesAreNoOps(t *testing.T) {
-	var c Counter
 	var h Histogram
-	c.Add(1)
-	c.Inc()
 	h.Observe(1)
-	if c.Value() != 0 || h.Count() != 0 {
-		t.Fatal("zero handles retained state")
+	if h.Count() != 0 {
+		t.Fatal("zero handle retained state")
 	}
 }
 
@@ -181,7 +197,7 @@ func TestHistogramQuantiles(t *testing.T) {
 		h.Observe(1) // bucket [1,2) → upper bound 1
 	}
 	h.Observe(1 << 20)
-	d := r.get("h", histKind).h
+	d := r.get("h", true).h
 	if p50 := d.quantile(50); p50 != 1 {
 		t.Errorf("p50 = %d, want 1", p50)
 	}
@@ -374,9 +390,7 @@ func TestCollectorMergedTrace(t *testing.T) {
 }
 
 func TestZeroAllocHotPaths(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	h := r.Histogram("h")
+	h := NewRegistry().Histogram("h")
 	var tl Timeline
 	tl.Enable(1024)
 	f := NewFlight(256)
@@ -387,7 +401,6 @@ func TestZeroAllocHotPaths(t *testing.T) {
 			t.Errorf("%s: %.1f allocs/op, want 0", name, allocs)
 		}
 	}
-	check("Counter.Add", func() { c.Add(1) })
 	check("Histogram.Observe", func() { h.Observe(1234) })
 	check("Timeline.Instant", func() { tl.Instant("n", "t", 1, 2) })
 	check("Timeline.Complete", func() { tl.Complete("n", "t", 1, 2, 3) })

@@ -3,7 +3,6 @@ package xrdma
 import (
 	"cmp"
 	"fmt"
-	"reflect"
 	"slices"
 
 	"xrdma/internal/fabric"
@@ -266,25 +265,14 @@ type gauge struct {
 	fn   func() int64
 }
 
-// registerGauges publishes every ContextStats field (KeepaliveProbes as
-// "keepalive_probes") plus the live resource levels into the engine's metric
-// registry, and the per-channel rows as one collected family (channel.go). All
-// of it is evaluated only at snapshot time, so the hot path pays nothing — and
-// re-registering under the same track is how a restarted node's fresh context
-// takes over from the dead one.
+// registerGauges publishes every ContextStats field plus the live resource
+// levels into the engine's metric registry, and the per-channel rows as one
+// collected family (channel.go). All of it is evaluated only at snapshot
+// time, so the hot path pays nothing — and re-registering under the same
+// track is how a restarted node's fresh context takes over from the dead one.
 func (c *Context) registerGauges() {
-	reg, stats := c.tel.Reg, reflect.ValueOf(&c.Stats).Elem()
-	for i := 0; i < stats.NumField(); i++ {
-		name, field := []byte(nil), stats.Type().Field(i).Name
-		for j, r := range field {
-			if r < 'a' && j > 0 && (field[j-1] >= 'a' || j+1 < len(field) && field[j+1] >= 'a') { // a word starts: fooBar, SRQGrows
-				name = append(name, '_')
-			}
-			name = append(name, byte(r|0x20))
-		}
-		v := stats.Field(i).Addr().Interface().(*int64)
-		reg.GaugeFunc(c.track+"."+string(name), func() int64 { return *v })
-	}
+	reg := c.tel.Reg
+	reg.Fields(c.track, &c.Stats)
 	for _, g := range []gauge{
 		{"drain_state", func() int64 { return int64(c.drain) }},
 		{"channels", func() int64 { return int64(c.NumChannels()) }},

@@ -52,9 +52,9 @@ type Tenant struct {
 
 	// Counters.
 	Sent        int64 // windowed frames transmitted
-	Recvd       int64 // windowed frames received
-	TxBytes     int64 // wire bytes transmitted
-	RxBytes     int64 // payload bytes received
+	Recvd       int64 `metric:"recv"`    // windowed frames received
+	TxBytes     int64 `metric:"txbytes"` // wire bytes transmitted
+	RxBytes     int64 `metric:"rxbytes"` // payload bytes received
 	RateStalls  int64 // pump stalls on the token bucket
 	WinStalls   int64 // pump stalls on the window partition
 	MemRejects  int64 // allocations rejected with ErrTenantBudget
@@ -99,31 +99,19 @@ func (c *Context) initTenants() {
 	}
 }
 
-// registerTenantGauges publishes one gauge row family per tenant under
-// "<track>.tenant.<id>.<field>" — the same registry the Prometheus
-// exposition and the XR-Stat TENANT table read.
+// registerTenantGauges publishes the tenant's counters and live levels under
+// "<track>.tenant.<id>." — the same registry the Prometheus exposition and the
+// XR-Stat TENANT table read.
 func (c *Context) registerTenantGauges(t *Tenant) {
-	reg := c.tel.Reg
-	prefix := fmt.Sprintf("%s.tenant.%d.", c.track, t.id)
+	reg, prefix := c.tel.Reg, fmt.Sprintf("%s.tenant.%d", c.track, t.id)
+	reg.Fields(prefix, t)
 	for _, g := range []gauge{
 		{"weight", func() int64 { return int64(t.cfg.Weight) }},
-		{"sent", func() int64 { return t.Sent }},
-		{"recv", func() int64 { return t.Recvd }},
-		{"txbytes", func() int64 { return t.TxBytes }},
-		{"rxbytes", func() int64 { return t.RxBytes }},
 		{"inflight", func() int64 { return int64(t.inflight) }},
-		{"rate_stalls", func() int64 { return t.RateStalls }},
-		{"win_stalls", func() int64 { return t.WinStalls }},
 		{"mem_used", func() int64 { return t.memUsed }},
 		{"mem_budget", func() int64 { return t.cfg.MemBudget }},
-		{"mem_rejects", func() int64 { return t.MemRejects }},
-		{"sheds", func() int64 { return t.Sheds }},
-		{"attach_sheds", func() int64 { return t.AttachSheds }},
-		{"drr_queued", func() int64 { return t.DRRQueued }},
-		{"rtt_count", func() int64 { return t.RTTCount }},
-		{"rtt_sum_ns", func() int64 { return t.RTTSumNs }},
 	} {
-		reg.GaugeFunc(prefix+g.name, g.fn)
+		reg.GaugeFunc(prefix+"."+g.name, g.fn)
 	}
 }
 
