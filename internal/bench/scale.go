@@ -43,15 +43,15 @@ const (
 
 	// Heap budgets for HeapOK (adjusted by raceHeapMul under -race), weighed
 	// with the world still reachable. The smoke world (320 stacks, ~1500 live
-	// + 2400 idle channels) measures 11.3 MiB: 0.65 are 512 B chunks touched
+	// + 2400 idle channels) measures 10.2 MiB: 0.11 are the bytes that landed
 	// in the first memory-cache region (512 KiB, holding the SRQ's first
-	// 256 KiB block) of each of the 18 contexts that talk, 10.6 the rest. The
-	// full world (4096 stacks, ~12k live channels) measures 149 MiB: 9.9 of
-	// first-region chunks (272 contexts that talk), 139 the rest. The margins
+	// 256 KiB block) of each of the 18 contexts that talk, 10.1 the rest. The
+	// full world (4096 stacks, ~12k live channels) measures 133 MiB: 1.8 of
+	// landed bytes (272 contexts that talk), 131.6 the rest. The margins
 	// catch a per-channel state regression (the flyweight structure growing
 	// eager maps again) or a shared receive queue filled ahead of demand
-	// again; a region registered ahead of demand costs only its chunk table,
-	// so TestScaleWorld caps the registered bytes instead.
+	// again; a region registered ahead of demand makes no bytes, so
+	// TestScaleWorld caps the registered bytes instead.
 	scaleSmokeHeapBudget = 24 << 20
 	scaleFullHeapBudget  = 416 << 20
 )

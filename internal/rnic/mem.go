@@ -21,14 +21,15 @@
 // a READ continues the accepted prefix from a fresh snapshot of the source.
 // A work request that names no memory gets a private buffer (tests, the verbs
 // baseline): nothing in the model requires registered memory to carry bytes.
-// A region's host storage is made where bytes first land, in 512-byte chunks
-// (MR); the 4 KiB page the model pins and charges for (RegCost) is a cost, not
-// the unit of storage.
+// A region's host storage is exactly the bytes that have landed in it (MR);
+// the 4 KiB page the model pins and charges for (RegCost) is a cost, not the
+// unit of storage.
 package rnic
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"xrdma/internal/sim"
@@ -60,28 +61,20 @@ func (m RegMode) String() string {
 	}
 }
 
-// mrChunk is the unit in which an MR's storage is made: a chunk is backed
-// the first time a Slice lands on it. It is not the model's pinning page
-// (RegCost's 4 KiB): a 64 B header landing in a receive slot makes 512 B of
-// host memory, not 4 KiB.
-const mrChunk = 512
-
 // MR is a registered memory region. Its bytes are real storage so tests can
 // verify end-to-end data integrity; Base is the region's virtual address in
 // the node's flat address space.
 //
-// The storage is made on first touch, in mrChunk chunks: registering reserves
-// address space, a key and a 4-byte table entry per chunk, not the region's
-// bytes, and untouched bytes read as zero, as a fresh registration holds.
-// Chunks a Slice has touched together form one run, one allocation; each
-// chunk's entry names its run. A Slice whose range touches an untouched chunk
-// or spans runs lays those chunks out anew as one run, together with every
-// run that overlaps them, and copies the bytes already written. A slice
-// handed out before such a re-lay still reads the bytes written through it,
-// but writes through it after the re-lay are not seen by later slices. Only
-// an inbound message being assembled (a SEND into its posted buffer, a READ
-// into its destination) holds a slice across events, and that slice becomes
-// its completion's Data.
+// The storage is made on first touch, byte for byte: registering reserves
+// address space and a key, not the region's bytes, and untouched bytes read as
+// zero, as a fresh registration holds. The bytes a Slice has touched form
+// disjoint runs, each one allocation, sorted by offset. A Slice whose range is
+// not inside one run lays it out anew as one run, together with every run it
+// overlaps, and copies the bytes already written. A slice handed out before
+// such a re-lay still reads the bytes written through it, but writes through
+// it after the re-lay are not seen by later slices. Only an inbound message
+// being assembled (a SEND into its posted buffer, a READ into its destination)
+// holds a slice across events, and that slice becomes its completion's Data.
 type MR struct {
 	Base uint64
 	Len  int
@@ -89,21 +82,37 @@ type MR struct {
 	LKey uint32
 	Mode RegMode
 
-	chunks []uint32 // per mrChunk: its run's index in runs + 1; 0 until touched
-	runs   []mrRun
-	free   []uint32 // indices in runs whose run a re-lay merged away, for reuse
-	mem    *Memory
+	runs []mrRun // disjoint, by offset
+	last int     // the run the last Slice hit: a FIFO receive cycle lands in it or the next
+	mem  *Memory
 }
 
-// mrRun is one allocation of an MR's storage: the chunks from off on.
+// mrRun is one allocation of an MR's storage: the bytes from off on.
 type mrRun struct {
-	off int    // from Base, a multiple of mrChunk
-	buf []byte // nil while the index is free
+	off int // from Base
+	buf []byte
+}
+
+// cut is the run's bytes for [off, off+n), n > 0, or nil when they are not
+// all in it.
+func (r mrRun) cut(off, n int) []byte {
+	if in := off - r.off; in >= 0 && in+n <= len(r.buf) {
+		return r.buf[in : in+n : in+n]
+	}
+	return nil
 }
 
 // Contains reports whether [addr, addr+n) falls inside the region.
 func (mr *MR) Contains(addr uint64, n int) bool {
 	return addr >= mr.Base && addr+uint64(n) <= mr.Base+uint64(mr.Len)
+}
+
+// Made is the host storage the region has made: the bytes Slices touched.
+func (mr *MR) Made() (n int) {
+	for _, r := range mr.runs {
+		n += len(r.buf)
+	}
+	return n
 }
 
 // Slice returns the backing bytes for [addr, addr+n); the range must be
@@ -115,52 +124,40 @@ func (mr *MR) Slice(addr uint64, n int) []byte {
 		return []byte{} // not nil: a nil Data means nothing was carried
 	}
 	off := int(addr - mr.Base)
-	if r := mr.chunks[off/mrChunk]; r != 0 {
-		run := &mr.runs[r-1]
-		if in := off - run.off; in+n <= len(run.buf) {
-			return run.buf[in : in+n : in+n]
+	for i := mr.last; i < min(mr.last+2, len(mr.runs)); i++ {
+		if s := mr.runs[i].cut(off, n); s != nil {
+			mr.last = i
+			return s
 		}
 	}
-	return mr.back(off, n)
+	// i is the first run ending after off: the only one that can hold it.
+	i := sort.Search(len(mr.runs), func(i int) bool { return mr.runs[i].off+len(mr.runs[i].buf) > off })
+	if i < len(mr.runs) {
+		if s := mr.runs[i].cut(off, n); s != nil {
+			mr.last = i
+			return s
+		}
+	}
+	return mr.back(i, off, n)
 }
 
-// back lays the chunks under [off, off+n) out as one run, merged with every
-// run that overlaps them, and returns the range's bytes.
-func (mr *MR) back(off, n int) []byte {
-	lo, hi := off/mrChunk, (off+n-1)/mrChunk
-	start, end := lo*mrChunk, min((hi+1)*mrChunk, mr.Len)
-	if r := mr.chunks[lo]; r != 0 {
-		start = mr.runs[r-1].off
+// back lays [off, off+n) out as one run, merged with every run that overlaps
+// it from runs[i] on, and returns the range's bytes.
+func (mr *MR) back(i, off, n int) []byte {
+	j := i
+	for j < len(mr.runs) && mr.runs[j].off < off+n {
+		j++
 	}
-	if r := mr.chunks[hi]; r != 0 {
-		end = max(end, mr.runs[r-1].off+len(mr.runs[r-1].buf))
+	start, end := off, off+n
+	if i < j {
+		start, end = min(start, mr.runs[i].off), max(end, mr.runs[j-1].off+len(mr.runs[j-1].buf))
 	}
 	buf := make([]byte, end-start)
-	for c := start / mrChunk; c*mrChunk < end; {
-		r := mr.chunks[c]
-		if r == 0 {
-			c++
-			continue
-		}
-		run := &mr.runs[r-1]
-		copy(buf[run.off-start:], run.buf)
-		c += (len(run.buf) + mrChunk - 1) / mrChunk
-		run.buf = nil
-		mr.free = append(mr.free, r)
+	for _, r := range mr.runs[i:j] {
+		copy(buf[r.off-start:], r.buf)
 	}
-	var idx uint32 // the new run's index + 1
-	if k := len(mr.free); k > 0 {
-		idx, mr.free = mr.free[k-1], mr.free[:k-1]
-	} else {
-		mr.runs = append(mr.runs, mrRun{})
-		idx = uint32(len(mr.runs))
-	}
-	mr.runs[idx-1] = mrRun{start, buf}
-	for c := start / mrChunk; c*mrChunk < end; c++ {
-		mr.chunks[c] = idx
-	}
-	in := off - start
-	return buf[in : in+n : in+n]
+	mr.runs, mr.last = slices.Replace(mr.runs, i, j, mrRun{start, buf}), i
+	return buf[off-start : off-start+n : off-start+n]
 }
 
 // Memory is one node's registered-memory registry plus a virtual address
@@ -200,13 +197,12 @@ func (m *Memory) Register(size int, mode RegMode) *MR {
 		panic("rnic: negative MR size")
 	}
 	mr := &MR{
-		Base:   m.nextAddr,
-		Len:    size,
-		RKey:   m.nextKey,
-		LKey:   m.nextKey,
-		Mode:   mode,
-		chunks: make([]uint32, (size+mrChunk-1)/mrChunk),
-		mem:    m,
+		Base: m.nextAddr,
+		Len:  size,
+		RKey: m.nextKey,
+		LKey: m.nextKey,
+		Mode: mode,
+		mem:  m,
 	}
 	// Guard gap between regions so off-by-one overruns never land in a
 	// neighbouring MR.

@@ -211,7 +211,7 @@ func (m *MemCache) tryAlloc(t *Tenant, size int) (Buffer, bool) {
 		}
 		b := Buffer{MR: r.mr, Addr: r.mr.Base + uint64(off+m.pad()/2), region: r, off: off, totalLen: block, tenant: t, Len: size}
 		if m.ctx.cfg.MemIsolation {
-			m.paintCanaries(b)
+			canaries(b, false)
 		}
 		return b, true
 	}
@@ -261,7 +261,7 @@ func (m *MemCache) Free(b Buffer) {
 	if !b.Valid() || b.region == nil || b.region.dead {
 		return
 	}
-	if c := m.ctx; c.cfg.MemIsolation && !m.checkCanaries(b) {
+	if c := m.ctx; c.cfg.MemIsolation && !canaries(b, true) {
 		m.Corruptions++
 		c.tel.Flight.Record(c.eng.Now(), telemetry.CatIntegrity, int32(c.Node()), 0, integrityCanary, int64(b.Addr))
 	}
@@ -300,19 +300,16 @@ func (r *memRegion) mergeFree(off, order int) {
 	r.pushSorted(order, off)
 }
 
-func (m *MemCache) paintCanaries(b Buffer) {
-	buf := b.MR.Slice(b.MR.Base+uint64(b.off), 2*canaryLen+b.Len)
-	for i := 0; i < canaryLen; i++ {
-		buf[i] = canary
-		buf[2*canaryLen+b.Len-1-i] = canary
-	}
-}
-
-func (m *MemCache) checkCanaries(b Buffer) bool {
-	buf := b.MR.Slice(b.MR.Base+uint64(b.off), 2*canaryLen+b.Len)
-	for i := 0; i < canaryLen; i++ {
-		if buf[i] != canary || buf[2*canaryLen+b.Len-1-i] != canary {
-			return false
+// canaries paints b's two canaries, or with check reports whether both still
+// hold. Each is sliced alone, so the bytes between them are never made for it.
+func canaries(b Buffer, check bool) bool {
+	for _, at := range [2]int{0, canaryLen + b.Len} {
+		c := b.MR.Slice(b.MR.Base+uint64(b.off+at), canaryLen)
+		for i := range c {
+			if check && c[i] != canary {
+				return false
+			}
+			c[i] = canary
 		}
 	}
 	return true
@@ -320,7 +317,7 @@ func (m *MemCache) checkCanaries(b Buffer) bool {
 
 // CheckIntegrity verifies canaries of a live buffer (debug hook).
 func (m *MemCache) CheckIntegrity(b Buffer) bool {
-	return !m.ctx.cfg.MemIsolation || m.checkCanaries(b)
+	return !m.ctx.cfg.MemIsolation || canaries(b, true)
 }
 
 // recvPool is a receive queue's standing memory — a link's, or the SRQ's: n

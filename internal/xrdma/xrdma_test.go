@@ -1314,6 +1314,43 @@ func TestMemIsolationDetectsOverrun(t *testing.T) {
 	}
 }
 
+// TestCanariesMakeTheirBytes: an isolated buffer's canaries are painted and
+// checked as two 8 B slices, so a 64 KiB buffer never written makes 16 bytes
+// of host storage, not its whole block; an overrun into the tail canary is
+// still caught.
+func TestCanariesMakeTheirBytes(t *testing.T) {
+	w := newWorld(t, 1, func(i int, cfg *Config) { cfg.MemIsolation = true })
+	c := w.ctxs[0]
+	made := func() (n int) {
+		for _, r := range c.Mem.regions {
+			n += r.mr.Made()
+		}
+		return n
+	}
+	before := made()
+	var buf Buffer
+	c.Mem.Alloc(64<<10, func(b Buffer, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = b
+	})
+	w.eng.Run()
+	if !buf.Valid() {
+		t.Fatal("alloc failed")
+	}
+	if !c.Mem.CheckIntegrity(buf) {
+		t.Fatal("fresh buffer fails integrity")
+	}
+	if got := made() - before; got > 2*canaryLen {
+		t.Errorf("an unwritten isolated 64 KiB buffer made %d bytes, want <= %d", got, 2*canaryLen)
+	}
+	buf.MR.Slice(buf.Addr+uint64(buf.Len), 1)[0] = 0xFF
+	if c.Mem.CheckIntegrity(buf) {
+		t.Fatal("overrun into the tail canary not detected")
+	}
+}
+
 func TestContextCloseShutsDown(t *testing.T) {
 	w := newWorld(t, 2, nil)
 	cli, srv := w.connect(t, 0, 1, 5025)

@@ -36,7 +36,7 @@ trap 'rm -rf "$work"' EXIT
 # The zero-alloc kernel benchmarks of sim, telemetry, fabric, rnic and
 # xrmon, plus internal/xrdma's BuddyAlloc; xrdma's IdleChannelFootprint is
 # gated on bytes/conn instead.
-zero='BenchmarkEngine|BenchmarkTableChurn|BenchmarkTelemetry|BenchmarkFabricHop|BenchmarkUntracedSendPath|BenchmarkPostedRecvPath|BenchmarkOneSidedReadPath|BenchmarkReadInPlace64K|BenchmarkReadSizeOnly64K|BenchmarkRecvInPlace|BenchmarkRetransmitUnacked|BenchmarkPacedSend|BenchmarkQPCacheMiss|BenchmarkAgentSample'
+zero='BenchmarkEngine|BenchmarkTableChurn|BenchmarkTelemetry|BenchmarkFabricHop|BenchmarkUntracedSendPath|BenchmarkPostedRecvPath|BenchmarkOneSidedReadPath|BenchmarkReadInPlace64K|BenchmarkReadSizeOnly64K|BenchmarkRecvInPlace|BenchmarkRecvSlotCycle|BenchmarkRetransmitUnacked|BenchmarkPacedSend|BenchmarkQPCacheMiss|BenchmarkAgentSample'
 chan='BenchmarkIdleChannelFootprint|BenchmarkBuddyAlloc'
 
 # kernel PATTERN BENCHTIME: run the kernel benches into $work/kernel.out.
