@@ -37,18 +37,16 @@ type chaosClass struct {
 	ChaosLog []string
 }
 
-// chaosKnobs compresses every failure-detection and recovery clock so a
-// full degrade→recover→failback cycle fits a ~1 s drill horizon. The
-// ratios between the clocks mirror production (keepalive ≪ dial timeout ≪
-// grace), only the absolute scale shrinks.
+// chaosKnobs compresses the failure-detection clocks (keepalive, recovery
+// dial timeout) so a full degrade→recover→failback cycle fits a ~1 s drill
+// horizon; the recovery budget and failback cadence are xrdma's constants.
+// The ratios between the clocks mirror production (keepalive ≪ dial timeout
+// ≪ grace), only the absolute scale shrinks.
 func chaosKnobs(_ int, cfg *xrdma.Config) {
 	cfg.MockEnabled = true
 	cfg.KeepaliveInterval = 2 * sim.Millisecond
 	cfg.KeepaliveTimeout = 8 * sim.Millisecond
-	cfg.RecoverRetries = 8
-	cfg.RecoverBackoffMax = 8 * sim.Millisecond
 	cfg.RecoverDialTimeout = 5 * sim.Millisecond
-	cfg.FailbackInterval = 25 * sim.Millisecond
 }
 
 // chaosNIC shortens the RC retry horizon to match: (RetryLimit+2)·RTO is

@@ -58,7 +58,6 @@ const (
 func grayKnobs(doctor bool) func(int, *xrdma.Config) {
 	return func(_ int, cfg *xrdma.Config) {
 		cfg.PathDoctor = doctor
-		cfg.PathRehashLimit = 6
 		cfg.PathRehashCooldown = 4 * sim.Millisecond
 		cfg.StatsInterval = 1 * sim.Millisecond // doctor scan cadence
 		cfg.RequestTimeout = 25 * sim.Millisecond

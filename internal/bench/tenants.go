@@ -55,7 +55,6 @@ const (
 // offered load.
 func tenantsKnobs(_ int, cfg *xrdma.Config) {
 	cfg.QPsPerPeer = 1
-	cfg.AttachAdmission = 4
 	cfg.TenantShedCooldown = 20 * sim.Millisecond
 	cfg.Tenants = []xrdma.TenantConfig{
 		{Name: "mouse", Weight: 8},

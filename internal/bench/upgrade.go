@@ -60,20 +60,16 @@ type upStream struct {
 	Refused int     // SendMsg rejections (ErrDraining / closed instance)
 }
 
-// upgradeKnobs compresses the recovery clocks (chaosKnobs ratios) so each
-// restart's degrade→recover cycle fits inside one wave gap. Every node
+// upgradeKnobs compresses the failure-detection clocks (chaosKnobs ratios)
+// so each restart's degrade→recover cycle fits inside one wave gap. Every node
 // starts legacy: ProtoVerMax unset ⇒ v1, no hello on the wire.
 func upgradeKnobs(_ int, cfg *xrdma.Config) {
 	cfg.KeepaliveInterval = 2 * sim.Millisecond
 	cfg.KeepaliveTimeout = 8 * sim.Millisecond
-	cfg.RecoverRetries = 8
-	cfg.RecoverBackoffMax = 8 * sim.Millisecond
 	// A restarted instance dials with a cold memory cache — the recv-pool
 	// registrations alone eat several ms — so the dial budget is wider
 	// than the chaos drill's.
 	cfg.RecoverDialTimeout = 20 * sim.Millisecond
-	cfg.FailbackInterval = 25 * sim.Millisecond
-	cfg.DrainDeadline = 10 * sim.Millisecond
 	cfg.Tenants = []xrdma.TenantConfig{{Name: "elephant", Weight: 1}}
 }
 

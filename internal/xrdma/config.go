@@ -10,7 +10,8 @@ import (
 	"xrdma/internal/sim"
 )
 
-// The data path's fixed costs and reserves: measured properties of the
+// The data path's fixed costs and reserves, and the control plane's clocks
+// and budgets that every world runs at one value: properties of the
 // middleware, not deployment choices, so constants rather than Config fields.
 const (
 	ctrlReserve = 16                   // extra receive buffers and SQ slots for window-exempt control messages (acks, NOPs)
@@ -23,11 +24,17 @@ const (
 	deadlockScan       = 500 * sim.Microsecond // period of the per-context NOP deadlock breaker
 	memShrinkIdle      = 100 * sim.Millisecond // a fully free memory-cache region idle this long is given back
 	recoverBackoffBase = 1 * sim.Millisecond   // the delay before the first recovery dial (recoverBackoff)
+	recoverBackoffMax  = 8 * sim.Millisecond   // the recovery backoff's cap: the base doubles up to here
+	recoverRetries     = 8                     // replacement dials a degraded link makes before it gives up (scheduleDial)
+	failbackEvery      = 25 * sim.Millisecond  // a link on the Mock fallback probes RDMA this often, plus up to 1/4 jitter
+	pathRehashLimit    = 6                     // flow-label rotations per sick episode before the doctor escalates
+	drainDeadline      = 10 * sim.Millisecond  // Context.Drain's quiesce phase: the tail still in flight then is frozen into the handoff
 )
 
 // Config mirrors Table III: "online" parameters may be changed on a
 // running context through SetFlag (the XR-Adm path); "offline" parameters
-// are fixed at context creation.
+// are fixed at context creation. An offline field stays only while some
+// world sets it or its default moves an output; the rest are constants above.
 type Config struct {
 	// --- online ---------------------------------------------------------
 
@@ -113,27 +120,17 @@ type Config struct {
 	// RequestTimeout fails pending requests that got no response (0 =
 	// never). Checked by a coarse per-context timer.
 	RequestTimeout sim.Duration
-	// PathRehashLimit bounds flow-label rotations per sick episode; once
-	// exhausted the doctor escalates to the channel health machine.
-	PathRehashLimit int
 	// PathRehashCooldown is the minimum settle time between rotations —
 	// a fresh path needs a few scans of symptoms before it is judged.
 	PathRehashCooldown sim.Duration
 	// MockEnabled lets a channel fall back to TCP when RDMA breaks.
 	MockEnabled bool
-	// RecoverRetries bounds RDMA re-establishment attempts for a degraded
-	// channel before it gives up and falls back to Mock (or tears down).
-	// Recovery as a whole is enabled per context via Options.RecoverPort.
-	RecoverRetries int
-	// RecoverBackoffMax caps the exponential recovery backoff
-	// (recoverBackoffBase doubling per attempt, with ±25% jitter).
-	RecoverBackoffMax sim.Duration
 	// RecoverDialTimeout abandons a single recovery dial that got no
 	// REP/REJ (the peer's control plane may be dead with its NIC).
+	// Recovery as a whole is enabled per context via Options.RecoverPort;
+	// its dial budget and backoff are the constants recoverRetries and
+	// recoverBackoffMax, its failback cadence failbackEvery.
 	RecoverDialTimeout sim.Duration
-	// FailbackInterval is how often a channel running on the Mock
-	// fallback probes RDMA to fail back (0 = stay on Mock forever).
-	FailbackInterval sim.Duration
 	// StatsInterval drives periodic statistics sampling.
 	StatsInterval sim.Duration
 
@@ -150,19 +147,14 @@ type Config struct {
 
 	// --- hot-upgrade plane (offline) --------------------------------------
 
-	// ProtoVerMin / ProtoVerMax bound the header versions this context
-	// offers in the hello handshake (0 = hdrVersion, i.e. the legacy v1
-	// plane: no hello is emitted and the wire stays byte-identical to
-	// pre-negotiation builds). A dialer with ProtoVerMax > hdrVersion is
-	// invalid and clamped to hdrVersionMax. Both sides settle on the
-	// highest common version; no overlap is a counted, flight-logged
-	// negotiation failure (never a corruption-shaped error).
-	ProtoVerMin int
+	// ProtoVerMax is the highest header version this context offers in
+	// the hello handshake, from hdrVersion up (0 = hdrVersion, i.e. the
+	// legacy v1 plane: no hello is emitted and the wire stays
+	// byte-identical to pre-negotiation builds); it is clamped to
+	// hdrVersionMax. Both sides settle on the highest common version; no
+	// overlap (a peer that no longer speaks v1) is a counted,
+	// flight-logged negotiation failure, never a corruption-shaped error.
 	ProtoVerMax int
-	// DrainDeadline bounds Context.Drain's quiesce phase: in-flight
-	// requests get this long to complete before the remaining tail is
-	// frozen into the handoff blob for post-restart replay.
-	DrainDeadline sim.Duration
 }
 
 // TenantConfig declares one tenant of the isolation plane. Zero values
@@ -188,7 +180,8 @@ type TenantConfig struct {
 	MemBudget int64
 }
 
-// DefaultConfig returns the production defaults described in the paper.
+// DefaultConfig returns the production defaults described in the paper;
+// parameters with one production value are the constants above.
 func DefaultConfig() Config {
 	return Config{
 		KeepaliveInterval: 10 * sim.Millisecond,
@@ -215,19 +208,13 @@ func DefaultConfig() Config {
 		AttachAdmission:    0,
 		ChannelGaugeLimit:  0,
 		RequestTimeout:     0,
-		PathRehashLimit:    3,
 		PathRehashCooldown: 20 * sim.Millisecond,
 		MockEnabled:        false,
-
-		RecoverRetries:     4,
-		RecoverBackoffMax:  50 * sim.Millisecond,
 		RecoverDialTimeout: 25 * sim.Millisecond,
-		FailbackInterval:   100 * sim.Millisecond,
 
 		StatsInterval: 10 * sim.Millisecond,
 
 		TenantShedCooldown: 5 * sim.Millisecond,
-		DrainDeadline:      50 * sim.Millisecond,
 	}
 }
 
@@ -326,6 +313,5 @@ var onlineFlags = map[string]func(*Context, string) error{
 // offlineFlagNames are the parameters SetFlag refuses by name, not as unknown.
 var offlineFlagNames = strings.Fields(`use_srq srq_size qps_per_peer attach_admission channel_gauge_limit
 	small_msg_size window_depth ack_every ack_delay_us fragment_size max_outstanding mr_size mem_mode
-	mem_isolation request_timeout_ms path_rehash_limit path_rehash_cooldown_ms
-	mock_enabled recover_retries recover_backoff_max_ms recover_dial_timeout_ms failback_interval_ms
-	stats_interval_ms tenants tenant_shed_cooldown_ms proto_ver_min proto_ver_max drain_deadline_ms`)
+	mem_isolation request_timeout_ms path_rehash_cooldown_ms mock_enabled recover_dial_timeout_ms
+	stats_interval_ms tenants tenant_shed_cooldown_ms proto_ver_max`)

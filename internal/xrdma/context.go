@@ -118,14 +118,13 @@ type Context struct {
 	tenantUnknown int64
 
 	// Hot-upgrade plane (drain.go): the Serving→Draining→Drained
-	// lifecycle, the handoff callback armed by Drain, the drain deadline,
+	// lifecycle, the handoff callback armed by Drain, when it began,
 	// and every CM port this context listens on (so Shutdown can release
 	// them for the restarted instance).
-	drain         DrainState
-	drainCB       func([]byte)
-	drainDeadline sim.Time
-	drainStarted  sim.Time
-	listenPorts   []int
+	drain        DrainState
+	drainCB      func([]byte)
+	drainStarted sim.Time
+	listenPorts  []int
 
 	// Clock skew of this node (set by the cluster harness) and the
 	// estimated offset table from the clock-sync service.

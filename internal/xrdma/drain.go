@@ -81,11 +81,10 @@ func (c *Context) Drain(cb func(blob []byte)) error {
 	if c.drain != DrainServing {
 		return ErrDraining
 	}
-	now, dl := c.eng.Now(), c.cfg.DrainDeadline
+	now := c.eng.Now()
 	c.drain = DrainDraining
 	c.drainCB = cb
 	c.drainStarted = now
-	c.drainDeadline = now.Add(dl)
 	c.tel.Flight.Record(now, telemetry.CatDrain, int32(c.Node()), 0, int64(c.NumChannels()), drainEvStart)
 	// Flush the attach admission FIFO instead of serving it: queued lazy
 	// attaches (including tenant-shed parkees, PR 8) fail with ErrDraining
@@ -133,10 +132,9 @@ func (c *Context) drainScan() {
 			break
 		}
 	}
-	if !all && now < c.drainDeadline {
-		// Every 64th of the deadline (10 µs at least), and never past it.
-		period := max(c.drainDeadline.Sub(c.drainStarted)/64, 10*sim.Microsecond)
-		c.eng.AfterBg(min(period, c.drainDeadline.Sub(now)), c.drainScan)
+	if !all && now < c.drainStarted.Add(drainDeadline) {
+		// Every 64th of the deadline: the 64th poll lands on it exactly.
+		c.eng.AfterBg(drainDeadline/64, c.drainScan)
 		return
 	}
 	if all {

@@ -54,16 +54,17 @@ func TestEstablishmentConformance(t *testing.T) {
 			},
 			counted: func(s ContextStats) int64 { return s.DrainRefusals }},
 		{name: "disjoint-version", port: appPort, want: verbs.ErrRejected, text: "unsupported header version",
-			mutate: func(i int, cfg *Config) {
-				if i == 0 {
-					cfg.ProtoVerMin, cfg.ProtoVerMax = 2, 2 // a v2-only build dials a v1 listener
-				}
-			},
-			counted: func(s ContextStats) int64 { return s.VerMismatches }},
-		{name: "disjoint-version-v2-only-listener", port: appPort, want: verbs.ErrRejected, text: "unsupported header version",
-			mutate: func(i int, cfg *Config) {
-				if i == 1 {
-					cfg.ProtoVerMin, cfg.ProtoVerMax = 2, 2 // a legacy build dials a v2-only listener
+			prepare: func(t *testing.T, w *testWorld) {
+				// A foreign v2-only build dials the v1 listener: its dial
+				// arrives carrying that build's frozen open hello.
+				_, v2only := corpusFile(t, "open-v2-only", wireHellos["open-v2-only"].encode)
+				lis := w.ctxs[1]
+				lis.cm.Unlisten(appPort)
+				if err := lis.cm.Listen(appPort, func(req *verbs.ConnReq) {
+					req.PrivateData = v2only
+					lis.accept(req)
+				}); err != nil {
+					t.Fatal(err)
 				}
 			},
 			counted: func(s ContextStats) int64 { return s.VerMismatches }},

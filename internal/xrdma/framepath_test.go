@@ -251,7 +251,8 @@ func runFrameSteps(t *testing.T, eng *sim.Engine, scripts []*frameScript, grant 
 // the Mock fallback: the same scripted workload over an exclusive QP, over
 // a shared QP with four riders, and over an exclusive link that starts on
 // TCP, each with a cutover in the run (link failure → redial → adopt; on
-// Mock the failback probe's adoption). Whatever carries the frames, every
+// Mock the failback probe's adoption: the listener refuses every probe
+// until the scripted step, whose next probe adopts). Whatever carries the frames, every
 // channel's applications must see the same thing, the QPN table must hold
 // exactly the live links' current QPNs — also after the QP cache recycled
 // numbers between links — and the world must end at rest (checkAtRest).
@@ -262,7 +263,6 @@ func TestFramePathConformance(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			w := newRecoverWorld(t, 2, func(_ int, cfg *Config) {
 				cfg.RecoverDialTimeout = 10 * sim.Millisecond
-				cfg.FailbackInterval = 0 // the Mock variant's failback is scripted
 				if kind == "shared" {
 					cfg.MockEnabled = false
 					cfg.QPsPerPeer = 1
@@ -281,6 +281,7 @@ func TestFramePathConformance(t *testing.T) {
 				c, s := w.connect(t, 0, 1, 5501)
 				cli, srv = []*Channel{c}, []*Channel{s}
 			}
+			lis := w.ctxs[1]
 			if kind == "mock" {
 				cli[0].ForceMock()
 				srv[0].ForceMock()
@@ -288,6 +289,7 @@ func TestFramePathConformance(t *testing.T) {
 				if !cli[0].Mocked() || !srv[0].Mocked() {
 					t.Fatal("mock cutover failed")
 				}
+				lis.cm.Unlisten(lis.recoverPort)
 			}
 			var win *Window
 			w.ctxs[1].ExposeWindow(4096, func(wi *Window, err error) { win = wi })
@@ -302,16 +304,20 @@ func TestFramePathConformance(t *testing.T) {
 			}
 			// The RDMA links break under the first burst and replay it; the
 			// Mock link carries every message step over TCP and fails back
-			// under the ping, so the one-sided step — which needs an RDMA path
-			// — runs on the re-adopted QP.
+			// in the ping's step, so the one-sided step — which needs an RDMA
+			// path — runs on the re-adopted QP.
 			cutAt, cutover := 0, func() { cli[0].lk.fail(ErrPeerDead) }
 			if kind == "mock" {
-				cutAt, cutover = len(frameSteps)-2, func() { cli[0].lk.dialReplacement(func(error) {}) } // a failback probe, now
+				cutAt, cutover = len(frameSteps)-2, func() { // the next failback probe (≤ failbackEvery·5/4) adopts
+					if err := lis.cm.Listen(lis.recoverPort, lis.accept); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			runFrameSteps(t, w.eng, scripts, win, cutAt, cutover)
 
-			if got := w.ctxs[0].Stats.Recoveries; got != 1 {
-				t.Fatalf("Recoveries=%d, want the one scripted cutover", got)
+			if s := w.ctxs[0].Stats; s.Recoveries != 1 || kind == "mock" && s.RecoverAttempts < 2 {
+				t.Fatalf("Recoveries=%d after %d dials, want the one scripted cutover (on Mock, after refused probes)", s.Recoveries, s.RecoverAttempts)
 			}
 			for k, s := range scripts {
 				if ref == nil {

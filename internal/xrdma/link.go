@@ -531,22 +531,16 @@ func (l *link) pathScan(now sim.Time) {
 // both sides converge on the same outcome.
 func (c *Context) recoverGrace() sim.Duration {
 	return c.mockGrace() +
-		sim.Duration(c.cfg.RecoverRetries)*(c.cfg.RecoverDialTimeout+c.cfg.RecoverBackoffMax)
+		recoverRetries*(c.cfg.RecoverDialTimeout+recoverBackoffMax)
 }
 
 // recoverBackoff is the delay before dial attempt n (0-based): from
-// recoverBackoffBase, doubling up to RecoverBackoffMax, with ±25% jitter to
+// recoverBackoffBase, doubling up to recoverBackoffMax, with ±25% jitter to
 // decorrelate fleet-wide retry storms after a shared fault (a downed switch
-// degrades many links at once).
+// degrades many links at once). attempt < recoverRetries, so the shift
+// cannot overflow.
 func (c *Context) recoverBackoff(attempt int) sim.Duration {
-	cfg := &c.cfg
-	d := recoverBackoffBase << uint(attempt)
-	if d <= 0 || d > cfg.RecoverBackoffMax {
-		d = cfg.RecoverBackoffMax
-	}
-	if d <= 0 {
-		d = sim.Millisecond
-	}
+	d := min(recoverBackoffBase<<uint(attempt), recoverBackoffMax)
 	return d - d/4 + sim.Duration(c.rng.Float64()*float64(d)/2)
 }
 
@@ -604,7 +598,7 @@ func (l *link) reestablish(cause error) {
 
 // scheduleDial arms the next replacement dial — timer → still current? → NIC
 // alive? → dialReplacement → re-arm — under one of two policies. A degraded
-// link redials on a budget: exponential backoff, giveUp once RecoverRetries
+// link redials on a budget: exponential backoff, giveUp once recoverRetries
 // are spent, riders held throughout. A link on the Mock fallback (§VI-C: meant
 // to be temporary) probes on a cadence, dialing side only, no budget; messages
 // keep flowing over TCP and the window dedups the cutover if it succeeds.
@@ -613,12 +607,12 @@ func (l *link) scheduleDial(cause error) {
 	c := l.c
 	probe, rest, delay := l.state == linkFallback, HealthDegraded, sim.Duration(0)
 	switch {
-	case probe && (l.port <= 0 || c.cfg.FailbackInterval <= 0 || !l.dialer):
+	case probe && (l.port <= 0 || !l.dialer):
 		return
 	case probe:
-		rest, delay = HealthFallback, c.cfg.FailbackInterval
+		rest, delay = HealthFallback, failbackEvery
 		delay += sim.Duration(c.rng.Float64() * float64(delay) / 4)
-	case l.attempts >= c.cfg.RecoverRetries:
+	case l.attempts >= recoverRetries:
 		l.giveUp(cause)
 		return
 	default:

@@ -183,7 +183,6 @@ func newMuxGrayWorld(t testing.TB, n int, mutate func(i int, cfg *Config)) *test
 		vc := verbs.Open(nic)
 		cm := verbs.NewCM(vc, net, host)
 		cfg := DefaultConfig()
-		cfg.PathRehashLimit = 6
 		cfg.PathRehashCooldown = 4 * sim.Millisecond
 		cfg.StatsInterval = 1 * sim.Millisecond
 		cfg.KeepaliveInterval = 5 * sim.Millisecond

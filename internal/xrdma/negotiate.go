@@ -171,23 +171,20 @@ func negotiate(a, b offer) (ver uint8, caps uint32, ok bool) {
 	return hi, a.caps & b.caps, true
 }
 
-// protoRange is this context's offered [minVer, maxVer], clamped to what
-// the build actually decodes. Zero config fields mean the legacy v1 plane.
-func (c *Context) protoRange() (lo, hi uint8) {
-	lo, hi = hdrVersion, hdrVersion
+// protoMax is the highest header version this context offers, clamped to
+// what the build actually decodes. A zero ProtoVerMax means the legacy v1 plane.
+func (c *Context) protoMax() uint8 {
 	if c.cfg.ProtoVerMax > 0 {
-		hi = min(uint8(c.cfg.ProtoVerMax), hdrVersionMax)
+		return min(uint8(c.cfg.ProtoVerMax), hdrVersionMax)
 	}
-	if c.cfg.ProtoVerMin > 0 {
-		lo = uint8(c.cfg.ProtoVerMin)
-	}
-	return min(lo, hi), hi
+	return hdrVersion
 }
 
-// localOffer is the range this context dials and listens with.
+// localOffer is the range this context dials and listens with: every build
+// still speaks v1, so the range starts there.
 func (c *Context) localOffer() offer {
-	o := offer{caps: baselineCaps}
-	if o.minVer, o.maxVer = c.protoRange(); o.maxVer > hdrVersion && o.minVer <= hdrVersion+1 {
+	o := offer{minVer: hdrVersion, maxVer: c.protoMax(), caps: baselineCaps}
+	if o.maxVer > hdrVersion {
 		// A v2-capable node offers the drain hint on top of the baseline.
 		o.caps |= capDrainHint
 	}
@@ -230,9 +227,8 @@ func (c *Context) settle(req *verbs.ConnReq, h hello) (ver uint8, caps uint32, o
 // corruption.
 func (c *Context) noteVerMismatch(peer fabric.NodeID, qpn uint32, peerLo, peerHi uint8) {
 	c.Stats.VerMismatches++
-	lo, hi := c.protoRange()
 	c.tel.Flight.Record(c.eng.Now(), telemetry.CatVerMismatch, int32(c.Node()), qpn,
-		int64(peer), int64(peerLo)|int64(peerHi)<<8|int64(lo)<<16|int64(hi)<<24)
+		int64(peer), int64(peerLo)|int64(peerHi)<<8|int64(hdrVersion)<<16|int64(c.protoMax())<<24)
 }
 
 // NegotiatedVersion reports the header version this channel's link settled

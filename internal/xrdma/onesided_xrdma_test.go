@@ -328,7 +328,7 @@ func TestOneSidedNeedsRDMAPath(t *testing.T) {
 	// emits kinds this build retired. They are hostile input like any unknown
 	// kind: flight-recorded, ignored — not parsed, not answered.
 	t.Run("retired kind over the Mock conn", func(t *testing.T) {
-		w := newRecoverWorld(t, 2, func(_ int, cfg *Config) { cfg.FailbackInterval = 0 })
+		w := newRecoverWorld(t, 2, nil)
 		cli, srv := w.connect(t, 0, 1, 5304)
 		win, rw := exposeGranted(t, w, cli, srv, 2048)
 		want := append([]byte(nil), win.Bytes()...)

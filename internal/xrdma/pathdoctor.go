@@ -300,7 +300,7 @@ func (d *pathDoctor) rotateOrEscalate(c *Context, qpn uint32, now sim.Time, esca
 		// into the counters).
 		return
 	}
-	if d.rotations < c.cfg.PathRehashLimit {
+	if d.rotations < pathRehashLimit {
 		// Seeded label choice: deterministic per run, never zero (zero
 		// means "canonical path", the one we are fleeing).
 		label := c.rng.Uint64() | 1

@@ -162,7 +162,7 @@ func TestRecoveryConformance(t *testing.T) {
 		}, check: func(t *testing.T, w *world) {
 			// The whole budget is spent, and nothing more — except on the
 			// exclusive link, whose Mock fallback keeps probing for failback.
-			s, want := w.ctxs[0].Stats, int64(w.ctxs[0].cfg.RecoverRetries)
+			s, want := w.ctxs[0].Stats, int64(recoverRetries)
 			if s.Recoveries != 0 || s.RecoverAttempts < want || (w.shared && s.RecoverAttempts != want) {
 				t.Errorf("Recoveries=%d RecoverAttempts=%d, want 0/%d", s.Recoveries, s.RecoverAttempts, want)
 			}
@@ -463,7 +463,7 @@ func TestMockOrphanTearsDown(t *testing.T) {
 // still reach its channel: the conn is attached at once, and the request
 // stream rides it exactly once.
 func TestMockFindsLinkAfterHalfFinishedRedial(t *testing.T) {
-	w := newRecoverWorld(t, 2, func(_ int, cfg *Config) { cfg.FailbackInterval = 0 })
+	w := newRecoverWorld(t, 2, nil)
 	cli, srv := w.connect(t, 0, 1, 5000)
 	s := newIDStream(srv)
 	s.run(w.eng, cli, 100*sim.Microsecond, 40*sim.Millisecond)

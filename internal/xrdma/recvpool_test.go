@@ -271,7 +271,7 @@ func TestPoolFreedAfterQP(t *testing.T) {
 	}{
 		{"path-doctor-escalation", func(l *link) {
 			// One sick scan short of escalation, with no rotations left.
-			l.doctor.sickScans = pdSickScansToEscalate - 1
+			l.doctor.sickScans, l.doctor.rotations = pdSickScansToEscalate-1, pathRehashLimit
 			l.doctor.rotateOrEscalate(l.c, l.qp.QPN, l.c.eng.Now(), l.fail)
 		}},
 		{"keepalive-death", func(l *link) { l.keepaliveDead(l.c.eng.Now()) }},
@@ -282,7 +282,6 @@ func TestPoolFreedAfterQP(t *testing.T) {
 			t.Run(kind+"/"+f.name, func(t *testing.T) {
 				w := newRecoverWorld(t, 2, func(_ int, cfg *Config) {
 					cfg.RecoverDialTimeout = 10 * sim.Millisecond
-					cfg.PathRehashLimit = 0
 					if shared {
 						cfg.QPsPerPeer, cfg.MockEnabled = 1, false
 					}

@@ -188,7 +188,7 @@ func TestChannelRowsFollowTheChannel(t *testing.T) {
 			wantRows(t, "peer shut down", w, 0, chRow(cli))
 		}},
 		{"restart on the same engine, rehydrate", func(t *testing.T) {
-			w := newRecoverWorld(t, 2, func(_ int, cfg *Config) { cfg.DrainDeadline = 4 * sim.Millisecond })
+			w := newRecoverWorld(t, 2, nil)
 			cli, srv := w.connect(t, 0, 1, 5000)
 			old := chRow(srv)
 			var rehydrated *Channel

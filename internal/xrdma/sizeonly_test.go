@@ -192,13 +192,13 @@ func TestSizeOnlyReadsNilOnEveryTransport(t *testing.T) {
 	}
 }
 
-// TestDrainKeepsSizeOnly: a size-only rendezvous in flight across Drain is
-// frozen without bytes and comes back size-only, delivered once with its Len.
+// TestDrainKeepsSizeOnly: a size-only rendezvous in flight across Drain — its
+// responder's thread is busy past the deadline, so the deadline forces the
+// drain — is frozen without bytes and comes back size-only, delivered once
+// with its Len.
 func TestDrainKeepsSizeOnly(t *testing.T) {
 	const size = 192 << 10 // staged in the region the connect registered
-	w := newRecoverWorld(t, 2, func(i int, cfg *Config) {
-		cfg.DrainDeadline = 5 * sim.Microsecond
-	})
+	w := newRecoverWorld(t, 2, nil)
 	cli, srv := w.connect(t, 0, 1, 5021)
 	var lens []int
 	srv.OnMessage(func(m *Msg) {
@@ -209,6 +209,7 @@ func TestDrainKeepsSizeOnly(t *testing.T) {
 	if err := cli.SendMsg(nil, size, func(_ *Msg, err error) { werr = err }); err != nil {
 		t.Fatal(err)
 	}
+	w.ctxs[1].InjectWork(2 * drainDeadline)
 	var msgID uint64
 	var newCh *Channel
 	var restored *msgRec
@@ -261,8 +262,8 @@ func TestDrainKeepsSizeOnly(t *testing.T) {
 	if len(lens) != 1 || lens[0] != size {
 		t.Fatalf("delivered lengths %v, want one of %d", lens, size)
 	}
-	if werr != nil && !errors.Is(werr, ErrDraining) {
-		t.Fatalf("waiter failed with %v, want ErrDraining (or served)", werr)
+	if !errors.Is(werr, ErrDraining) {
+		t.Fatalf("waiter heard %v, want ErrDraining: the drain was not forced", werr)
 	}
 	if w.ctxs[1].Stats.Degraded == 0 {
 		t.Fatal("server never saw the restart: the transfer finished before the drain")

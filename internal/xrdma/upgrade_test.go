@@ -261,13 +261,14 @@ func TestDrainWaitsForInflight(t *testing.T) {
 }
 
 // TestDrainForcedFailsWaiters: when the deadline expires with a response
-// still owed, the waiter fails loudly with ErrDraining and the request
-// stays replayable in the handoff tail. (Handoff serialization needs the
+// still owed, the waiter fails loudly with ErrDraining; the request itself
+// was delivered and acked, so the blob names the channel with no tail to
+// replay. (Handoff serialization needs the
 // recovery plane — without it there is nothing a restarted instance could
 // re-establish through, so the blob only covers recovery-indexed
 // channels.)
 func TestDrainForcedFailsWaiters(t *testing.T) {
-	w := newRecoverWorld(t, 2, func(i int, cfg *Config) { cfg.DrainDeadline = 2 * sim.Millisecond })
+	w := newRecoverWorld(t, 2, nil)
 	cli, srv := w.connect(t, 0, 1, 5000)
 	srv.OnMessage(func(*Msg) {}) // never replies
 	var werr error
@@ -294,12 +295,12 @@ func TestDrainForcedFailsWaiters(t *testing.T) {
 }
 
 // TestForcedDrainSealsAtDeadline: a drain that cannot quiesce seals its blob
-// at DrainDeadline exactly, not a quiesce poll later — the poll's period has a
-// 10 µs floor, above this 5 µs deadline. A 1 MiB request is in flight.
+// at drainDeadline exactly, on its 64th quiesce poll, not a poll later. A
+// 1 MiB request is in flight, and its responder never replies.
 func TestForcedDrainSealsAtDeadline(t *testing.T) {
-	const deadline = 5 * sim.Microsecond
-	w := newRecoverWorld(t, 2, func(i int, cfg *Config) { cfg.DrainDeadline = deadline })
-	cli, _ := w.connect(t, 0, 1, 5000)
+	w := newRecoverWorld(t, 2, nil)
+	cli, srv := w.connect(t, 0, 1, 5000)
+	srv.OnMessage(func(*Msg) {})
 	var werr error
 	if err := cli.SendMsg(make([]byte, 1<<20), 0, func(_ *Msg, err error) { werr = err }); err != nil {
 		t.Fatal(err)
@@ -308,11 +309,11 @@ func TestForcedDrainSealsAtDeadline(t *testing.T) {
 	if err := w.ctxs[0].Drain(func([]byte) { sealed = w.eng.Now() }); err != nil {
 		t.Fatal(err)
 	}
-	w.eng.RunFor(sim.Millisecond)
+	w.eng.RunFor(drainDeadline + sim.Millisecond)
 	if !errors.Is(werr, ErrDraining) {
 		t.Fatalf("the waiter got %v, want ErrDraining: the drain was not forced", werr)
 	}
-	if want := start.Add(deadline); sealed != want {
+	if want := start.Add(drainDeadline); sealed != want {
 		t.Fatalf("sealed at %v, want the deadline %v (Drain at %v)", sealed, want, start)
 	}
 }
@@ -416,9 +417,7 @@ func TestShutdownReleasesEnds(t *testing.T) {
 // duplicated operations, and the rehydrated channel keeps its v1 verdict
 // with the legacy peer.
 func TestRollingRestartExactlyOnce(t *testing.T) {
-	w := newRecoverWorld(t, 2, func(i int, cfg *Config) {
-		cfg.DrainDeadline = 4 * sim.Millisecond
-	})
+	w := newRecoverWorld(t, 2, nil)
 	cli, srv := w.connect(t, 0, 1, 5000)
 	s := newIDStream(srv)
 	s.run(w.eng, cli, 500*sim.Microsecond, 150*sim.Millisecond)
@@ -491,7 +490,7 @@ func TestRollingRestartExactlyOnce(t *testing.T) {
 func TestHandoffAfterManyRecoveries(t *testing.T) {
 	const fails = 70
 	gap := 20 * sim.Millisecond
-	w := newRecoverWorld(t, 2, func(i int, cfg *Config) { cfg.DrainDeadline = 5 * sim.Microsecond })
+	w := newRecoverWorld(t, 2, nil)
 	cli, srv := w.connect(t, 0, 1, 5000)
 	qpn0 := cli.lk.qpn0
 	s := newIDStream(srv)
@@ -510,11 +509,13 @@ func TestHandoffAfterManyRecoveries(t *testing.T) {
 			t.Errorf("identity %d, want the establishment QPN %d", l.qpn0, qpn0)
 		}
 		want := handoffChan{Peer: 1, QPN0: l.qpn0, PeerQPN: l.peerQPN, PeerQPN0: l.peerQPN0}
-		// One rendezvous request in flight when the drain starts: the deadline
-		// freezes it in the tail, and the restarted instance replays it.
+		// One rendezvous request in flight when the drain starts, its
+		// responder's thread busy past the deadline: the deadline freezes it
+		// in the tail, and the restarted instance replays it.
 		big := make([]byte, 1<<20)
 		binary.LittleEndian.PutUint64(big, s.sent)
 		s.sent++
+		w.ctxs[1].InjectWork(2 * drainDeadline)
 		if err := cli.SendMsg(big, 0, func(*Msg, error) {}); err != nil {
 			t.Fatal(err)
 		}
@@ -559,9 +560,7 @@ func TestHandoffAfterManyRecoveries(t *testing.T) {
 // (replayed from the handoff tail, deduped by the window), and no staged
 // or receive memory may leak on any instance — old, new, or peer.
 func TestRestartDuringRendezvousMemClean(t *testing.T) {
-	w := newRecoverWorld(t, 2, func(i int, cfg *Config) {
-		cfg.DrainDeadline = 100 * sim.Microsecond
-	})
+	w := newRecoverWorld(t, 2, nil)
 	cli, srv := w.connect(t, 0, 1, 5010)
 	payload := make([]byte, 1<<20)
 	for i := range payload {
@@ -583,6 +582,9 @@ func TestRestartDuringRendezvousMemClean(t *testing.T) {
 	var newCli *Context
 	var newCh *Channel
 	w.eng.AfterBg(30*sim.Microsecond, func() {
+		// The server's thread stalls mid-pull, past the drain's deadline: the
+		// transfer is still unacked when the sender restarts.
+		w.ctxs[1].InjectWork(2 * drainDeadline)
 		err := w.ctxs[0].Drain(func(blob []byte) {
 			old := w.ctxs[0]
 			newCli = restartCtx(w, 0, nil)
@@ -605,8 +607,8 @@ func TestRestartDuringRendezvousMemClean(t *testing.T) {
 	}
 	// The waiter was failed at the forced deadline; the operation itself
 	// survived in the tail — that is the drain contract.
-	if werr != nil && !errors.Is(werr, ErrDraining) {
-		t.Fatalf("waiter failed with %v, want ErrDraining (or served)", werr)
+	if !errors.Is(werr, ErrDraining) {
+		t.Fatalf("waiter heard %v, want ErrDraining: the drain was not forced mid-pull", werr)
 	}
 	if w.ctxs[1].Stats.Degraded == 0 {
 		t.Fatal("server never saw the restart — transfer completed before drain, test is vacuous")
@@ -642,7 +644,6 @@ func TestHandoffCorpusGenerate(t *testing.T) {
 		t.Skip("rewrites testdata/handoff-qpn0.json only with -update")
 	}
 	w := newRecoverWorld(t, 2, func(i int, cfg *Config) {
-		cfg.DrainDeadline = 5 * sim.Microsecond
 		cfg.Tenants = []TenantConfig{{Name: "tenant-a"}}
 	})
 	cli, srv := w.connect(t, 0, 1, 5000)
@@ -650,8 +651,9 @@ func TestHandoffCorpusGenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	exposeGranted(t, w, cli, srv, 4096)
-	// On a degraded link both sends wait in the queue, and the drain's
-	// deadline freezes them there.
+	// On a degraded link whose redials are refused both sends wait in the
+	// queue, and the drain's deadline freezes them there.
+	w.ctxs[1].cm.Unlisten(w.ctxs[1].recoverPort)
 	cli.lk.fail(ErrPeerDead)
 	for _, data := range [][]byte{[]byte("hello"), nil} {
 		if err := cli.SendMsg(data, 64<<10, func(*Msg, error) {}); err != nil {
@@ -662,7 +664,7 @@ func TestHandoffCorpusGenerate(t *testing.T) {
 	if err := w.ctxs[0].Drain(func(b []byte) { blob = b }); err != nil {
 		t.Fatal(err)
 	}
-	w.eng.RunFor(sim.Millisecond)
+	w.eng.RunFor(drainDeadline)
 	if err := os.WriteFile(filepath.Join("testdata", "handoff-qpn0.json"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"xrdma/internal/verbs"
 )
 
 // TestHdrRoundTrip: a rendezvous announce, plain and size-only both ways,
@@ -143,11 +145,17 @@ func TestWireReservedBytes(t *testing.T) {
 // --- frozen hello corpus -------------------------------------------------------
 
 // wireHellos is the hello corpus, testdata/wire/<name>.hex: one hello per
-// purpose, and the two establishment hellos again with the negotiation block
-// a v2 node offers. Distinct field values pin the field order.
+// purpose, the two establishment hellos again with the negotiation block a
+// v2 node offers, the open hello of a foreign v2-only build (no release of
+// this one offers a range without v1), and the REP verdicts a v1 and a v2
+// listener settle a v2 dialer's open on. Distinct field values pin the field
+// order.
 var wireHellos = map[string]hello{
 	"open":         {purpose: helloOpen},
 	"open-neg":     {purpose: helloOpen, neg: true, offer: offer{1, 2, baselineCaps | capDrainHint}},
+	"open-v2-only": {purpose: helloOpen, neg: true, offer: offer{2, 2, baselineCaps | capDrainHint}},
+	"rep-v1":       {purpose: helloOpen, neg: true, offer: offer{1, 1, baselineCaps}},
+	"rep-v2":       {purpose: helloOpen, neg: true, offer: offer{2, 2, baselineCaps | capDrainHint}},
 	"mux-slot":     {purpose: helloMuxSlot, slot: 0x0102},
 	"mux-slot-neg": {purpose: helloMuxSlot, slot: 0x0102, neg: true, offer: offer{1, 2, baselineCaps | capDrainHint}},
 	"mux-reattach": {purpose: helloMuxReattach, target: 0x01020304, target0: 0x05060708, dialer0: 0x090a0b0c},
@@ -183,15 +191,25 @@ var wireFrames = map[string]wireHdr{
 
 // TestWireCorpus holds every frozen hello and frame to two things: it parses
 // to what the corpus names (a frame through decodeHdr), and it re-encodes byte
-// for byte. The frames cover every live kind. -update rewrites the files from
-// this tree, so a change to a layout is a diff.
+// for byte. The frames cover every live kind, and the REP verdicts are what a
+// v1 and a v2 listener answer the open-neg hello with. -update rewrites the
+// files from this tree, so a change to a layout is a diff.
 func TestWireCorpus(t *testing.T) {
+	hellos := map[string][]byte{}
 	for _, name := range slices.Sorted(maps.Keys(wireHellos)) {
 		path, b := corpusFile(t, name, wireHellos[name].encode)
 		if h, v := parseHello(b); v != helloOK || h != wireHellos[name] {
 			t.Errorf("%s parses to %+v (verdict %d), want %+v", path, h, v, wireHellos[name])
 		} else if again := h.encode(); !bytes.Equal(again, b) {
 			t.Errorf("%s re-encodes to %x", path, again)
+		}
+		hellos[name] = b
+	}
+	w := newWorld(t, 2, func(i int, cfg *Config) { cfg.ProtoVerMax = 1 + i })
+	for i, name := range []string{"rep-v1", "rep-v2"} {
+		req := &verbs.ConnReq{}
+		if _, _, ok := w.ctxs[i].settle(req, wireHellos["open-neg"]); !ok || !bytes.Equal(req.ReplyData, hellos[name]) {
+			t.Errorf("a v%d listener answers open-neg with %x (ok=%v), want %s: %x", i+1, req.ReplyData, ok, name, hellos[name])
 		}
 	}
 	encode := func(h wireHdr) []byte {

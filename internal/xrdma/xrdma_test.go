@@ -63,8 +63,7 @@ func buildWorld(t testing.TB, n int, recovery bool, mutate func(i int, cfg *Conf
 		if recovery {
 			cfg.MockEnabled = true
 			cfg.KeepaliveInterval, cfg.KeepaliveTimeout = 2*sim.Millisecond, 8*sim.Millisecond
-			cfg.RecoverRetries, cfg.RecoverBackoffMax = 8, 8*sim.Millisecond
-			cfg.RecoverDialTimeout, cfg.FailbackInterval = 5*sim.Millisecond, 25*sim.Millisecond
+			cfg.RecoverDialTimeout = 5 * sim.Millisecond
 		}
 		if mutate != nil {
 			mutate(i, &cfg)
@@ -589,7 +588,8 @@ func TestRetryTokenOrderDeterministic(t *testing.T) {
 // response, so whatever ends a request's wait ends the ping's too, exactly
 // once: teardown (ErrChannelClosed), RequestTimeout with the peer's NIC
 // crashed (ErrTimeout, as for the request issued beside it) and a drain forced
-// at its deadline (ErrDraining; the pong that lands later finds no waiter).
+// at drainDeadline (ErrDraining; the peer's thread is busy past the deadline,
+// so the pong that lands later finds no waiter).
 // Every case ends at rest.
 func TestPingIsAnsweredOnce(t *testing.T) {
 	for _, tc := range []struct {
@@ -603,8 +603,14 @@ func TestPingIsAnsweredOnce(t *testing.T) {
 			srv.Close()
 		}, ErrChannelClosed},
 		{"timeout", timeoutKnobs, func(w *testWorld, _, _ *Channel) { w.nics[1].Crash() }, ErrTimeout},
-		{"forced-drain", func(_ int, cfg *Config) { cfg.DrainDeadline = 2 * sim.Microsecond }, func(w *testWorld, _, _ *Channel) {
-			if err := w.ctxs[0].Drain(func([]byte) {}); err != nil {
+		{"forced-drain", nil, func(w *testWorld, _, _ *Channel) {
+			w.ctxs[1].InjectWork(2 * drainDeadline)
+			start := w.eng.Now()
+			if err := w.ctxs[0].Drain(func([]byte) {
+				if now := w.eng.Now(); now != start.Add(drainDeadline) {
+					t.Errorf("sealed at %v, want the deadline %v", now, start.Add(drainDeadline))
+				}
+			}); err != nil {
 				t.Fatal(err)
 			}
 		}, ErrDraining},
@@ -731,12 +737,14 @@ func TestFlagNamesCoverConfig(t *testing.T) {
 		seen[n] = true
 	}
 	c := newWorld(t, 1, nil).ctxs[0]
-	for _, n := range []string{"ack_every", "ack_delay_us", "mem_isolation", "request_timeout_ms", "mock_enabled", "stats_interval_ms", "recover_backoff_max_ms"} {
+	for _, n := range []string{"ack_every", "ack_delay_us", "mem_isolation", "request_timeout_ms", "mock_enabled", "stats_interval_ms", "recover_dial_timeout_ms"} {
 		if err := c.SetFlag(n, "1"); err == nil || !strings.Contains(err.Error(), "offline parameter") {
 			t.Errorf("SetFlag(%q) = %v, want an offline-parameter refusal", n, err)
 		}
 	}
-	for _, n := range []string{"mem_pool_bytes", "mem_highwater", "mem_lowwater", "recover_backoff_ms"} {
+	// Parameters retired into constants are unknown, not offline.
+	for _, n := range []string{"mem_pool_bytes", "mem_highwater", "mem_lowwater", "recover_backoff_ms",
+		"proto_ver_min", "drain_deadline_ms", "failback_interval_ms", "path_rehash_limit", "recover_retries", "recover_backoff_max_ms"} {
 		if err := c.SetFlag(n, "1"); err == nil || !strings.Contains(err.Error(), "unknown flag") {
 			t.Errorf("SetFlag(%q) = %v, want unknown flag", n, err)
 		}
